@@ -29,14 +29,14 @@
 
 use crate::snapshot::SessionSnapshot;
 use crate::view::{BatchDelta, PendingBatch, View, ViewCx, ViewId};
-use dspgemm_core::distmat::DistMat;
+use dspgemm_core::distmat::{DistMat, ImageBuild};
 use dspgemm_core::dyn_algebraic::apply_shared_algebraic_prebuilt_tracked_exec;
 use dspgemm_core::dyn_general::{
     apply_shared_general_prebuilt_exec, prepare_general_update, GeneralUpdates,
 };
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
-use dspgemm_core::snapshot::{SnapshotMat, SnapshotStore};
+use dspgemm_core::snapshot::{publish_attrs, record_epoch_publish, SnapshotMat, SnapshotStore};
 use dspgemm_core::summa::summa_bloom_exec;
 use dspgemm_core::update::{build_update_matrix, Dedup};
 use dspgemm_mpi::Comm;
@@ -187,14 +187,15 @@ impl<S: Semiring> AnalyticsSession<S> {
     // ------------------------------------------------------------------
 
     /// Publishes the current `{A, C, views}` as the next epoch. Local-only
-    /// (no collectives): the matrices convert copy-on-write — only blocks
-    /// the last batch touched are re-encoded, untouched blocks are
-    /// re-shared from the previous epoch — and each view freezes its
-    /// current reading. SPMD callers publish in lockstep, so epoch numbers
-    /// agree on every rank.
-    fn publish(&mut self) -> Arc<SessionSnapshot<S>> {
-        let a = SnapshotMat::new(self.a.info().clone(), self.a.snapshot_csr());
-        let c = SnapshotMat::new(self.c.info().clone(), self.c.snapshot_csr());
+    /// (no collectives): the matrices publish copy-on-write — a block the
+    /// last batch left alone is re-shared from the previous epoch, a touched
+    /// one gets an image patched from the previous one — and each view
+    /// freezes its current reading. SPMD callers publish in lockstep, so
+    /// epoch numbers agree on every rank. Returns how the images of `A` and
+    /// `C` were built.
+    fn publish(&mut self) -> (ImageBuild, ImageBuild) {
+        let (a, a_build) = SnapshotMat::publish(&mut self.a);
+        let (c, c_build) = SnapshotMat::publish(&mut self.c);
         let views: Vec<_> = self
             .views
             .iter_mut()
@@ -206,31 +207,18 @@ impl<S: Semiring> AnalyticsSession<S> {
         let snap = self
             .store
             .publish_with(|epoch| SessionSnapshot::new(epoch, a, c, views));
-        self.record_load(snap.epoch());
-        snap
+        record_epoch_publish(snap.epoch(), self.flops, a_build, c_build);
+        (a_build, c_build)
     }
 
-    /// Emits the `epoch_publish` trace instant and refreshes this rank's
-    /// per-block load gauges (local nnz of `A` and `C`, accumulated local
-    /// flops — the skew signal a rebalancing policy would key on).
-    fn record_load(&self, epoch: u64) {
-        let nnz_a = self.a.block().nnz() as u64;
-        let nnz_c = self.c.block().nnz() as u64;
-        dspgemm_obs::instant(
-            "engine",
-            "epoch_publish",
-            &[
-                ("epoch", epoch),
-                ("nnz_a", nnz_a),
-                ("nnz_c", nnz_c),
-                ("flops", self.flops),
-            ],
-        );
-        let rank = dspgemm_obs::thread_rank();
-        let reg = dspgemm_obs::global();
-        reg.gauge_set(&format!("engine.block_nnz.a.rank{rank}"), nnz_a as f64);
-        reg.gauge_set(&format!("engine.block_nnz.c.rank{rank}"), nnz_c as f64);
-        reg.gauge_set(&format!("engine.block_flops.rank{rank}"), self.flops as f64);
+    /// Commits a batch: publishes its epoch and stamps the batch's span
+    /// with the publish attributes, so one trace shows which path the
+    /// commit took.
+    fn commit(&mut self, batch_span: &mut dspgemm_obs::Span) {
+        let (a_build, c_build) = self.publish();
+        for (key, value) in publish_attrs(a_build, c_build) {
+            batch_span.set_attr(key, value);
+        }
     }
 
     /// Pins the current epoch: an immutable `{A, C, views, epoch}` the
@@ -277,7 +265,7 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// rank), refreshing the product and every view from one shared
     /// redistribution. Collective.
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
-        let _sp =
+        let mut sp =
             dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
         let star = build_update_matrix::<S>(
             &self.grid,
@@ -316,14 +304,14 @@ impl<S: Semiring> AnalyticsSession<S> {
         self.views = views;
         // Commit: readers pinned at the previous epoch keep it; new queries
         // see this batch exactly.
-        self.publish();
+        self.commit(&mut sp);
     }
 
     /// Applies a batch of **general** updates (deletions and value writes
     /// incompatible with the semiring addition) via Algorithm 2, refreshing
     /// the product and every view. Collective.
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
-        let _sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
+        let mut sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
         let prep = prepare_general_update::<S>(
             &self.grid,
             self.a.info().nrows,
@@ -358,7 +346,7 @@ impl<S: Semiring> AnalyticsSession<S> {
         self.views = views;
         // Commit: readers pinned at the previous epoch keep it; new queries
         // see this batch exactly.
-        self.publish();
+        self.commit(&mut sp);
     }
 
     /// Deletes the given `(u, v)` positions from the graph (a general

@@ -115,25 +115,70 @@ pub struct MigrationStats {
     pub moved_out: usize,
     /// Entries whose owner changed to this rank (received).
     pub moved_in: usize,
-    /// Whether this rank's ranges changed (block rebuilt, CSR cache
-    /// dropped); `false` means the block and its cache survived untouched.
+    /// Whether this rank's ranges changed (block rebuilt, published image
+    /// dropped); `false` means the block and its image survived untouched.
     pub changed: bool,
+}
+
+/// Where a rank's published CSR image stands relative to its DHB block.
+#[derive(Debug, Clone)]
+enum ImageState<V> {
+    /// No image the next publish could start from: none was built yet, a
+    /// mutation recorded no pattern, or the touched log outgrew its bound
+    /// (`logged` is the length it reached; 0 otherwise). The next publish
+    /// converts the whole block.
+    Stale { logged: usize },
+    /// The image equals the block.
+    Current(Arc<Csr<V>>),
+    /// `base` equalled the block before the mutations whose coordinates
+    /// `touched` holds: one row-major run per recorded mutation, appended
+    /// in order (so sorted only while there is a single run).
+    Patchable {
+        base: Arc<Csr<V>>,
+        touched: Vec<(Index, Index)>,
+    },
+}
+
+/// Which way [`DistMat::publish_image`] obtained the image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImagePath {
+    /// Block unchanged: the previous image re-shared (`Arc::ptr_eq`).
+    Shared,
+    /// Previous image ⊕ touched pattern, see [`DhbMatrix::patch_csr`].
+    Patched,
+    /// Full conversion of the block ([`DhbMatrix::to_csr`]).
+    Rebuilt,
+}
+
+/// What one [`DistMat::publish_image`] call did — the per-operand
+/// attributes of the `epoch_publish` trace instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageBuild {
+    /// The path taken.
+    pub path: ImagePath,
+    /// Coordinates logged since the previous image. On a
+    /// [`ImagePath::Rebuilt`] publish: the length at which the log
+    /// overflowed, 0 when a mutation without a pattern forced the rebuild.
+    pub touched_nnz: usize,
+    /// Entries of the published image.
+    pub image_nnz: usize,
 }
 
 /// A dynamic distributed matrix: DHB blocks on a 2D grid.
 ///
-/// Alongside the mutable DHB block the matrix keeps a lazily-built, shared
-/// CSR image of the block (`csr_cache`) for the snapshot layer: the cache is
-/// invalidated whenever the block is actually mutated and rebuilt on the
-/// next [`DistMat::snapshot_csr`] call — so publishing an epoch after a
-/// batch converts exactly the blocks the batch touched, and untouched blocks
-/// are re-shared into the new epoch by a refcount increment (block-granular
-/// copy-on-write; see [`crate::snapshot`]).
+/// Alongside the mutable DHB block the matrix keeps the shared CSR image of
+/// the block it last published, for the snapshot layer. An unchanged block
+/// re-shares that image into the next epoch by a refcount increment; a
+/// mutation through [`DistMat::block_mut_touching`] demotes it to the *base*
+/// of a patch and logs the touched coordinates, so the next
+/// [`DistMat::publish_image`] costs one copy of the base plus a lookup per
+/// touched entry; a mutation through [`DistMat::block_mut`] drops it and the
+/// next publish converts the whole block (see [`crate::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct DistMat<V> {
     info: BlockInfo,
     block: DhbMatrix<V>,
-    csr_cache: Option<Arc<Csr<V>>>,
+    image: ImageState<V>,
 }
 
 impl<V: Elem> DistMat<V> {
@@ -150,7 +195,7 @@ impl<V: Elem> DistMat<V> {
         Self {
             info,
             block,
-            csr_cache: None,
+            image: ImageState::Stale { logged: 0 },
         }
     }
 
@@ -188,7 +233,7 @@ impl<V: Elem> DistMat<V> {
         if local.is_empty() {
             return;
         }
-        self.csr_cache = None;
+        self.image = ImageState::Stale { logged: 0 };
         timer.time(crate::redistribute::phase::LOCAL_ADDITION, || {
             crate::update::apply_local_triples_set(&mut self.block, &local, threads);
         });
@@ -216,14 +261,54 @@ impl<V: Elem> DistMat<V> {
         &self.block
     }
 
-    /// Mutable access to the local block. Conservatively invalidates the
-    /// cached CSR snapshot image: the next [`DistMat::snapshot_csr`] call
-    /// rebuilds it. Callers that can prove a batch leaves the block
-    /// untouched (empty update block) should skip the call instead — that
-    /// is what keeps publishing copy-on-write at block granularity.
+    /// Mutable access to the local block for a mutation of unknown extent
+    /// (initial fills, external callers). Drops the published image and any
+    /// pending patch: the next [`DistMat::publish_image`] converts the whole
+    /// block. Callers that hold the mutation's pattern use
+    /// [`DistMat::block_mut_touching`]; callers that can prove a batch
+    /// leaves the block untouched (empty update block) skip the call
+    /// instead, which keeps the image shared across epochs.
     #[inline]
     pub fn block_mut(&mut self) -> &mut DhbMatrix<V> {
-        self.csr_cache = None;
+        self.image = ImageState::Stale { logged: 0 };
+        &mut self.block
+    }
+
+    /// Mutable access to the local block for a mutation confined to the
+    /// stored coordinates of `pattern` (block-local, any value type): the
+    /// update block of an apply operator, or the `C*` that drives a product
+    /// patch. A current image becomes the base of a patch and the pattern's
+    /// coordinates join the touched log, so the next
+    /// [`DistMat::publish_image`] rebuilds only what they name. Entries the
+    /// caller changes outside `pattern` would keep their old value in every
+    /// later image.
+    ///
+    /// Once the log outgrows half the base's entries a patch no longer beats
+    /// the full conversion: base and log are dropped, and nothing more is
+    /// logged until the next publish.
+    pub fn block_mut_touching<W: Copy>(&mut self, pattern: &Dcsr<W>) -> &mut DhbMatrix<V> {
+        debug_assert_eq!(
+            (pattern.nrows(), pattern.ncols()),
+            (self.block.nrows(), self.block.ncols()),
+            "pattern shape does not match the local block"
+        );
+        if let ImageState::Current(base) = &self.image {
+            self.image = ImageState::Patchable {
+                base: Arc::clone(base),
+                touched: Vec::new(),
+            };
+        }
+        if let ImageState::Patchable { base, touched } = &mut self.image {
+            let logged = touched.len() + pattern.nnz();
+            if logged > base.nnz() / 2 {
+                self.image = ImageState::Stale { logged };
+            } else {
+                touched.reserve(pattern.nnz());
+                for (r, cols, _) in pattern.iter_rows() {
+                    touched.extend(cols.iter().map(|&c| (r, c)));
+                }
+            }
+        }
         &mut self.block
     }
 
@@ -276,36 +361,66 @@ impl<V: Elem> DistMat<V> {
     /// moves the same `Arc` (one refcount increment per receiver instead of
     /// a deep clone per round).
     pub fn block_csr_shared(&self) -> Arc<Csr<V>> {
-        match &self.csr_cache {
-            Some(cached) => Arc::clone(cached),
-            None => Arc::new(self.block.to_csr()),
+        match &self.image {
+            ImageState::Current(image) => Arc::clone(image),
+            _ => Arc::new(self.block.to_csr()),
         }
     }
 
-    /// The shared CSR image of the local block for epoch publishing,
-    /// rebuilt only if the block was mutated since the last call — the
-    /// copy-on-write primitive behind [`crate::snapshot`]: publishing an
-    /// epoch whose block is unchanged re-shares the previous epoch's `Arc`
-    /// (a refcount increment, `Arc::ptr_eq` with the prior image).
+    /// The shared CSR image of the local block for epoch publishing, and
+    /// how it was obtained — the copy-on-write primitive behind
+    /// [`crate::snapshot`]. An unchanged block re-shares the previous
+    /// epoch's `Arc`; a block mutated through
+    /// [`DistMat::block_mut_touching`] gets a fresh image patched from the
+    /// previous one; anything else is converted in full. A published image
+    /// is never written again: both rebuilding paths allocate a new,
+    /// exactly-sized one.
+    pub fn publish_image(&mut self) -> (Arc<Csr<V>>, ImageBuild) {
+        let stale = ImageState::Stale { logged: 0 };
+        let (image, path, touched_nnz) = match std::mem::replace(&mut self.image, stale) {
+            ImageState::Current(image) => (image, ImagePath::Shared, 0),
+            ImageState::Patchable { base, mut touched } => {
+                if !touched.is_sorted() {
+                    touched.sort_unstable();
+                }
+                touched.dedup();
+                let image = self.block.patch_csr(&base, &touched);
+                debug_assert!(
+                    image == self.block.to_csr(),
+                    "patched image diverged from the block: a mutation went unlogged"
+                );
+                (Arc::new(image), ImagePath::Patched, touched.len())
+            }
+            ImageState::Stale { logged } => {
+                (Arc::new(self.block.to_csr()), ImagePath::Rebuilt, logged)
+            }
+        };
+        let build = ImageBuild {
+            path,
+            touched_nnz,
+            image_nnz: image.nnz(),
+        };
+        self.image = ImageState::Current(Arc::clone(&image));
+        (image, build)
+    }
+
+    /// [`DistMat::publish_image`] without the build record.
     pub fn snapshot_csr(&mut self) -> Arc<Csr<V>> {
-        if self.csr_cache.is_none() {
-            self.csr_cache = Some(Arc::new(self.block.to_csr()));
-        }
-        Arc::clone(self.csr_cache.as_ref().expect("cache just filled"))
+        self.publish_image().0
     }
 
-    /// Whether the cached CSR snapshot image is valid (i.e. the block was
-    /// not mutated since the last [`DistMat::snapshot_csr`]) — COW
-    /// diagnostics for tests.
+    /// Whether the published image is current (i.e. the block was not
+    /// mutated since the last [`DistMat::publish_image`]) — COW diagnostics
+    /// for tests.
     #[inline]
     pub fn snapshot_cached(&self) -> bool {
-        self.csr_cache.is_some()
+        matches!(self.image, ImageState::Current(_))
     }
 
     /// Restores the local block from a previously published snapshot image
     /// — the rollback primitive of epoch-anchored recovery. The dynamic
     /// block is rebuilt from the image's triples and the image `Arc` itself
-    /// becomes the CSR cache, so the first post-rollback publish re-shares
+    /// becomes the current image, so the first post-rollback publish re-shares
     /// the anchor's image by refcount increment (no rebuild, bit-identical
     /// to the pinned epoch). Pinned snapshots of rolled-back epochs are
     /// untouched: only the working block is replaced.
@@ -324,7 +439,7 @@ impl<V: Elem> DistMat<V> {
         if !local.is_empty() {
             crate::update::apply_local_triples_set(&mut self.block, &local, threads);
         }
-        self.csr_cache = Some(image);
+        self.image = ImageState::Current(image);
     }
 
     /// Snapshot of the local block as a DCSR.
@@ -379,10 +494,10 @@ impl<V: Elem> DistMat<V> {
     ///
     /// Only entries whose owner *changes* cross the wire — the boundary
     /// stripes between the old and new cuts. A rank whose ranges are
-    /// untouched by the new cuts keeps its block **and its cached CSR
-    /// snapshot image** (the `Arc` survives, so the next epoch publish
-    /// re-shares it by refcount increment exactly as if no migration had
-    /// happened); migrated blocks are rebuilt and their caches dropped.
+    /// untouched by the new cuts keeps its block **and its published image**
+    /// (the `Arc` — or a pending patch on it — survives, so the next epoch
+    /// publish proceeds exactly as if no migration had happened); migrated
+    /// blocks are rebuilt and their images dropped.
     pub fn migrate_to(
         &mut self,
         grid: &Grid,
@@ -417,7 +532,7 @@ impl<V: Elem> DistMat<V> {
                 incoming.is_empty(),
                 "a rank with unchanged ranges cannot receive entries"
             );
-            // Only the layout handle changes: block and CSR cache survive.
+            // Only the layout handle changes: block and image survive.
             self.info = new_info;
             return MigrationStats {
                 moved_out,
@@ -426,7 +541,7 @@ impl<V: Elem> DistMat<V> {
             };
         }
         self.info = new_info;
-        self.csr_cache = None;
+        self.image = ImageState::Stale { logged: 0 };
         self.block = DhbMatrix::new(self.info.local_rows(), self.info.local_cols());
         stay.extend(incoming);
         let local = timer.time(crate::redistribute::phase::LOCAL_CONSTRUCT, || {

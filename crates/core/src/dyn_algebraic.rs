@@ -723,6 +723,43 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
     (cstar, flops)
 }
 
+/// `C += C*` on this rank's block of the maintained product — the local
+/// tail of every untracked Algorithm-1 variant. `C*` is recorded as the
+/// touched pattern, so the next publish patches `C`'s image; an empty `C*`
+/// leaves block and image alone (the epoch re-shares them).
+fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
+    if cstar.nnz() == 0 {
+        return;
+    }
+    let block = c.block_mut_touching(cstar);
+    cstar.scan_rows(|r, cols, vals| {
+        for (&cc, &v) in cols.iter().zip(vals) {
+            block.add_entry::<S>(r, cc, v);
+        }
+    });
+}
+
+/// [`add_cstar`] for the Bloom-tracked variants: `C*` carries
+/// `(value, bitfield)` pairs and the bits are OR-ed into `F`. `F` is never
+/// published, so it takes no pattern.
+fn add_cstar_tracked<S: Semiring>(
+    c: &mut DistMat<S::Elem>,
+    f: &mut DistMat<u64>,
+    cstar: &Dcsr<(S::Elem, u64)>,
+) {
+    if cstar.nnz() == 0 {
+        return;
+    }
+    let c_block = c.block_mut_touching(cstar);
+    let f_block = f.block_mut();
+    cstar.scan_rows(|r, cols, vals| {
+        for (&cc, &(v, bits)) in cols.iter().zip(vals) {
+            c_block.add_entry::<S>(r, cc, v);
+            f_block.combine_entry(r, cc, bits, |x, y| x | y);
+        }
+    });
+}
+
 /// Shared-operand algebraic update from a **pre-built** update matrix:
 /// maintains `C = A · A` through `A' = A + A*` and returns this rank's
 /// `C*` block (the local delta merged into `C`) plus the flop count — the
@@ -799,17 +836,7 @@ fn apply_shared_algebraic_view_exec<S: Semiring>(
         exec,
         timer,
     );
-    timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the block's snapshot image valid (COW publish)
-        }
-        let block = c.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                block.add_entry::<S>(r, cc, v);
-            }
-        });
-    });
+    timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
     (cstar, flops)
 }
 
@@ -903,19 +930,7 @@ fn apply_shared_algebraic_tracked_view_exec<S: Semiring>(
         exec,
         timer,
     );
-    timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &(v, bits)) in cols.iter().zip(vals) {
-                c_block.add_entry::<S>(r, cc, v);
-                f_block.combine_entry(r, cc, bits, |x, y| x | y);
-            }
-        });
-    });
+    timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
     (cstar, flops)
 }
 
@@ -1066,15 +1081,7 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
         compute_cstar_exec::<S, PlainKernel>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
     timer.time(phase::LOCAL_UPDATE, || {
         apply_add_exec::<S>(a, a_star.natural(), exec);
-        if cstar.nnz() == 0 {
-            return; // keep the block's snapshot image valid (COW publish)
-        }
-        let block = c.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                block.add_entry::<S>(r, cc, v);
-            }
-        });
+        add_cstar::<S>(c, &cstar);
     });
     flops
 }
@@ -1177,17 +1184,7 @@ pub fn apply_algebraic_updates_tracked_prebuilt_exec<S: Semiring>(
         compute_cstar_exec::<S, BloomKernel>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
     timer.time(phase::LOCAL_UPDATE, || {
         apply_add_exec::<S>(a, a_star.natural(), exec);
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, vals| {
-            for (&cc, &(v, bits)) in cols.iter().zip(vals) {
-                c_block.add_entry::<S>(r, cc, v);
-                f_block.combine_entry(r, cc, bits, |x, y| x | y);
-            }
-        });
+        add_cstar_tracked::<S>(c, f, &cstar);
     });
     flops
 }

@@ -417,37 +417,50 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
     );
     flops += z_flops;
 
-    // --- Merge Z into C and H into F, masked at C*: recomputed entries are
-    // replaced, vanished entries deleted. ---
+    // --- Merge Z into C and H into F, masked at C*. ---
     timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let mut z_lookup: FxHashMap<u64, (S::Elem, u64)> = FxHashMap::default();
-        z_lookup.reserve(z.nnz());
-        z.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                z_lookup.insert(((r as u64) << 32) | cc as u64, v);
-            }
-        });
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, _| {
-            for &cc in cols {
-                match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
-                    Some(&(v, bits)) => {
-                        c_block.set(r, cc, v);
-                        f_block.set(r, cc, bits);
-                    }
-                    None => {
-                        c_block.remove(r, cc);
-                        f_block.remove(r, cc);
-                    }
-                }
-            }
-        });
+        replace_at_cstar::<S>(c, f, &cstar, &z)
     });
     flops
+}
+
+/// The local tail of Algorithm 2: at every position of the pattern `C*`,
+/// `C` and `F` take the recomputed `(value, bitfield)` of `Z`, or lose the
+/// entry when the recomputation produced none. `C*` is recorded as the
+/// touched pattern, so the next publish patches `C`'s image (`F` is never
+/// published); an empty `C*` leaves blocks and image alone.
+fn replace_at_cstar<S: Semiring>(
+    c: &mut DistMat<S::Elem>,
+    f: &mut DistMat<u64>,
+    cstar: &Dcsr<u64>,
+    z: &Dcsr<(S::Elem, u64)>,
+) {
+    if cstar.nnz() == 0 {
+        return;
+    }
+    let mut z_lookup: FxHashMap<u64, (S::Elem, u64)> = FxHashMap::default();
+    z_lookup.reserve(z.nnz());
+    z.scan_rows(|r, cols, vals| {
+        for (&cc, &v) in cols.iter().zip(vals) {
+            z_lookup.insert(((r as u64) << 32) | cc as u64, v);
+        }
+    });
+    let c_block = c.block_mut_touching(cstar);
+    let f_block = f.block_mut();
+    cstar.scan_rows(|r, cols, _| {
+        for &cc in cols {
+            match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
+                Some(&(v, bits)) => {
+                    c_block.set(r, cc, v);
+                    f_block.set(r, cc, bits);
+                }
+                None => {
+                    c_block.remove(r, cc);
+                    f_block.remove(r, cc);
+                }
+            }
+        }
+    });
 }
 
 /// Shared-operand general update from **pre-built** update matrices:
@@ -557,32 +570,7 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
 
     // --- Merge Z into C and H into F, masked at C*. ---
     timer.time(phase::LOCAL_UPDATE, || {
-        if cstar.nnz() == 0 {
-            return; // keep the blocks' snapshot images valid (COW publish)
-        }
-        let mut z_lookup: FxHashMap<u64, (S::Elem, u64)> = FxHashMap::default();
-        z_lookup.reserve(z.nnz());
-        z.scan_rows(|r, cols, vals| {
-            for (&cc, &v) in cols.iter().zip(vals) {
-                z_lookup.insert(((r as u64) << 32) | cc as u64, v);
-            }
-        });
-        let c_block = c.block_mut();
-        let f_block = f.block_mut();
-        cstar.scan_rows(|r, cols, _| {
-            for &cc in cols {
-                match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
-                    Some(&(v, bits)) => {
-                        c_block.set(r, cc, v);
-                        f_block.set(r, cc, bits);
-                    }
-                    None => {
-                        c_block.remove(r, cc);
-                        f_block.remove(r, cc);
-                    }
-                }
-            }
-        });
+        replace_at_cstar::<S>(c, f, &cstar, &z)
     });
     (cstar, flops)
 }

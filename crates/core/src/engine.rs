@@ -22,7 +22,7 @@ use crate::recovery::{
     Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState, ReplicaBundle,
     TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
-use crate::snapshot::{Snapshot, SnapshotMat, SnapshotStore};
+use crate::snapshot::{record_epoch_publish, Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
 use crate::update::{
     start_update_matrix_in, start_update_matrix_pair_in, Dedup, PendingStarPair,
@@ -160,11 +160,11 @@ impl<S: Semiring> DynSpGemm<S> {
     // ------------------------------------------------------------------
 
     /// Publishes the current `{A, C}` as the next epoch and returns the
-    /// pinned handle. Local-only (no collectives): every rank converts at
-    /// most the blocks the batches since the last publish touched —
-    /// untouched blocks are re-shared copy-on-write from the previous
-    /// epoch. SPMD callers publish in lockstep, so epoch numbers agree on
-    /// every rank.
+    /// pinned handle. Local-only (no collectives): a block the batches since
+    /// the last publish left alone is re-shared copy-on-write from the
+    /// previous epoch, a touched one gets an image patched from the previous
+    /// one (see [`crate::snapshot`]). SPMD callers publish in lockstep, so
+    /// epoch numbers agree on every rank.
     ///
     /// # Panics
     /// Panics if a [`DynSpGemm::submit_algebraic`] batch is still in
@@ -177,37 +177,14 @@ impl<S: Semiring> DynSpGemm<S> {
             self.pending.is_none(),
             "flush() the submitted algebraic batch before publish()/snapshot()"
         );
-        let a = SnapshotMat::new(self.a.info().clone(), self.a.snapshot_csr());
-        let c = SnapshotMat::new(self.c.info().clone(), self.c.snapshot_csr());
+        let (a, a_build) = SnapshotMat::publish(&mut self.a);
+        let (c, c_build) = SnapshotMat::publish(&mut self.c);
         self.dirty = false;
         let snap = self
             .snapshots
             .publish_with(|epoch| Snapshot::new(epoch, a, c));
-        self.record_load(snap.epoch());
+        record_epoch_publish(snap.epoch(), self.flops, a_build, c_build);
         snap
-    }
-
-    /// Emits the `epoch_publish` trace instant and refreshes this rank's
-    /// per-block load gauges — local nnz of `A` and `C` plus accumulated
-    /// local flops, the skew signal a rebalancing policy would key on.
-    fn record_load(&self, epoch: u64) {
-        let nnz_a = self.a.block().nnz() as u64;
-        let nnz_c = self.c.block().nnz() as u64;
-        dspgemm_obs::instant(
-            "engine",
-            "epoch_publish",
-            &[
-                ("epoch", epoch),
-                ("nnz_a", nnz_a),
-                ("nnz_c", nnz_c),
-                ("flops", self.flops),
-            ],
-        );
-        let rank = dspgemm_obs::thread_rank();
-        let reg = dspgemm_obs::global();
-        reg.gauge_set(&format!("engine.block_nnz.a.rank{rank}"), nnz_a as f64);
-        reg.gauge_set(&format!("engine.block_nnz.c.rank{rank}"), nnz_c as f64);
-        reg.gauge_set(&format!("engine.block_flops.rank{rank}"), self.flops as f64);
     }
 
     /// Pins the current epoch: returns the latest published snapshot,

@@ -17,15 +17,46 @@
 //!   changes: queries against epoch `e` are bit-identical to the state at
 //!   its publish time no matter how many batches commit concurrently.
 //!
-//! ## Block-granular copy-on-write
+//! ## Copy-on-write: re-shared blocks, patched images
 //!
-//! Publishing does **not** deep-copy the matrices. [`crate::distmat::DistMat`]
-//! caches the CSR image of its local block and invalidates the cache only
-//! when the block is actually mutated, so a publish re-converts exactly the
-//! blocks a batch touched; untouched blocks are re-shared into the new epoch
-//! by a refcount increment ([`Arc::ptr_eq`] across consecutive epochs — the
-//! property the snapshot tests assert). On a 2D grid a batch that routes no
-//! tuples to a rank leaves that rank's operand block shared across epochs.
+//! Publishing never deep-copies a matrix and never writes to an image it
+//! handed out. [`DistMat`] keeps the image it last published next to its
+//! DHB block, and a publish takes one of three paths ([`ImagePath`]):
+//!
+//! * **shared** — the block was not mutated: the previous epoch's `Arc` is
+//!   re-shared by a refcount increment ([`Arc::ptr_eq`] across consecutive
+//!   epochs — the property the snapshot tests assert). On a 2D grid a batch
+//!   that routes no tuples to a rank leaves that rank's operand block shared
+//!   across epochs.
+//! * **patched** — every mutation since went through
+//!   [`DistMat::block_mut_touching`], which logs the coordinates of the
+//!   `Dcsr` that drives it (the update block of an apply operator, the
+//!   `C*` of Algorithms 1 and 2). The new
+//!   image is *base ⊕ touched pattern*: one streaming pass over the
+//!   previous image in which untouched rows are copied in bulk, a touched
+//!   row is merged with its touched columns, and only those columns are
+//!   looked up in the DHB row — present means emit the live value, absent
+//!   means the entry was deleted
+//!   ([`DhbMatrix::patch_csr`](dspgemm_sparse::DhbMatrix::patch_csr)). Add,
+//!   merge, mask and masked replace all follow from that one rule; the DHB
+//!   block stays the single source of truth, no arithmetic is repeated and
+//!   nothing is sorted, so a commit costs a copy of the image plus work
+//!   proportional to the batch.
+//! * **rebuilt** — a full conversion
+//!   ([`DhbMatrix::to_csr`](dspgemm_sparse::DhbMatrix::to_csr)): the first
+//!   publish, any mutation through the pattern-less
+//!   [`DistMat::block_mut`] (initial SUMMA fill, migration, external
+//!   callers), and a touched log that
+//!   outgrew **half the base's entries** — a fixed rule, past which the
+//!   merge stops beating the conversion. Base and log are dropped at that
+//!   moment, so a session that never publishes logs nothing after its first
+//!   batches and holds no extra memory.
+//!
+//! Both rebuilding paths allocate a fresh, exactly-sized image; pinned
+//! epochs keep theirs bit for bit. In debug builds every patched image is
+//! compared against the full conversion. The `epoch_publish` trace instant
+//! records the path, the log length and the image size per operand
+//! ([`record_epoch_publish`]).
 //!
 //! ## Retention
 //!
@@ -35,18 +66,60 @@
 //! unshared blocks are freed immediately. [`SnapshotStore::retained`] and
 //! [`Snapshot::heap_bytes`] feed the memory-bound regression test.
 
-use crate::distmat::{BlockInfo, Elem};
+use crate::distmat::{BlockInfo, DistMat, Elem, ImageBuild, ImagePath};
 use crate::grid::Grid;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
 use std::sync::{Arc, Weak};
+
+/// The per-operand attributes of one publish of `{A, C}`: which path built
+/// each image (`patched_*` / `rebuilt_*`, both 0 when it was re-shared), how
+/// many coordinates were logged since the previous image (`touched_nnz_*`;
+/// on a rebuild, the length at which the log overflowed) and the image's
+/// entry count (`image_nnz_*`).
+pub fn publish_attrs(a: ImageBuild, c: ImageBuild) -> [(&'static str, u64); 8] {
+    let is = |build: ImageBuild, path| u64::from(build.path == path);
+    [
+        ("patched_a", is(a, ImagePath::Patched)),
+        ("rebuilt_a", is(a, ImagePath::Rebuilt)),
+        ("touched_nnz_a", a.touched_nnz as u64),
+        ("image_nnz_a", a.image_nnz as u64),
+        ("patched_c", is(c, ImagePath::Patched)),
+        ("rebuilt_c", is(c, ImagePath::Rebuilt)),
+        ("touched_nnz_c", c.touched_nnz as u64),
+        ("image_nnz_c", c.image_nnz as u64),
+    ]
+}
+
+/// Emits the `epoch_publish` trace instant — `epoch`, accumulated local
+/// `flops` and the [`publish_attrs`] — and refreshes this rank's per-block
+/// load gauges (local nnz of `A` and `C`, flops: the skew signal the
+/// rebalancing policy keys on).
+pub fn record_epoch_publish(epoch: u64, flops: u64, a: ImageBuild, c: ImageBuild) {
+    if dspgemm_obs::enabled() {
+        let mut attrs = vec![("epoch", epoch), ("flops", flops)];
+        attrs.extend(publish_attrs(a, c));
+        dspgemm_obs::instant("engine", "epoch_publish", &attrs);
+    }
+    let rank = dspgemm_obs::thread_rank();
+    let reg = dspgemm_obs::global();
+    reg.gauge_set(
+        &format!("engine.block_nnz.a.rank{rank}"),
+        a.image_nnz as f64,
+    );
+    reg.gauge_set(
+        &format!("engine.block_nnz.c.rank{rank}"),
+        c.image_nnz as f64,
+    );
+    reg.gauge_set(&format!("engine.block_flops.rank{rank}"), flops as f64);
+}
 
 /// One rank's immutable block of a published distributed matrix.
 ///
 /// The block is a column-sorted CSR behind an `Arc`: cloning a
 /// `SnapshotMat` (or the [`Snapshot`] holding it) is a refcount increment,
 /// never a copy of the data. All read methods mirror the live
-/// [`DistMat`](crate::distmat::DistMat) query surface so callers can move
+/// [`DistMat`] query surface so callers can move
 /// from live reads to pinned reads without changing result types.
 #[derive(Debug, Clone)]
 pub struct SnapshotMat<V> {
@@ -60,6 +133,13 @@ impl<V: Elem> SnapshotMat<V> {
         assert_eq!(block.nrows(), info.local_rows(), "block shape mismatch");
         assert_eq!(block.ncols(), info.local_cols(), "block shape mismatch");
         Self { info, block }
+    }
+
+    /// Publishes `mat`'s current block ([`DistMat::publish_image`]) under
+    /// its current placement; also returns how the image was built.
+    pub fn publish(mat: &mut DistMat<V>) -> (Self, ImageBuild) {
+        let (block, build) = mat.publish_image();
+        (Self::new(mat.info().clone(), block), build)
     }
 
     /// Block placement info.

@@ -20,9 +20,10 @@
 //! conveniences for tests and one-off callers that have no session.
 //!
 //! An update matrix empty on this rank is applied as a guaranteed no-op
-//! that leaves the dynamic block — and its cached snapshot image —
-//! untouched, so the next published epoch re-shares the block
-//! copy-on-write (see [`crate::snapshot`]).
+//! that leaves the dynamic block — and its published image — untouched, so
+//! the next published epoch re-shares the block copy-on-write; a non-empty
+//! one is logged as the touched pattern the next publish patches the image
+//! with (see [`crate::snapshot`]).
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::grid::Grid;
@@ -282,29 +283,27 @@ enum ApplyOp {
     Mask,
 }
 
-fn apply_rows<S: Semiring>(
-    shard_rows: &mut [&mut DhbRow<S::Elem>],
-    shards: usize,
-    rows: &[RowEntries<'_, S::Elem>],
+/// Applies one stored row of an update block to the matching dynamic row.
+fn apply_row<S: Semiring>(
+    row: &mut DhbRow<S::Elem>,
+    cols: &[Index],
+    vals: &[S::Elem],
     op: ApplyOp,
 ) {
-    for &(lr, cols, vals) in rows {
-        let row = &mut *shard_rows[lr as usize / shards];
-        match op {
-            ApplyOp::Add => {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    row.combine(c, v, S::add);
-                }
+    match op {
+        ApplyOp::Add => {
+            for (&c, &v) in cols.iter().zip(vals) {
+                row.combine(c, v, S::add);
             }
-            ApplyOp::Merge => {
-                for (&c, &v) in cols.iter().zip(vals) {
-                    row.set(c, v);
-                }
+        }
+        ApplyOp::Merge => {
+            for (&c, &v) in cols.iter().zip(vals) {
+                row.set(c, v);
             }
-            ApplyOp::Mask => {
-                for &c in cols {
-                    row.remove(c);
-                }
+        }
+        ApplyOp::Mask => {
+            for &c in cols {
+                row.remove(c);
             }
         }
     }
@@ -322,27 +321,40 @@ fn apply_update_matrix<S: Semiring>(
         "matrix/update distribution mismatch"
     );
     if upd.local_nnz() == 0 {
-        // Nothing routed to this rank: leave the block (and its cached
-        // snapshot image) untouched, so the next published epoch re-shares
-        // this block copy-on-write instead of reconverting it.
+        // Nothing routed to this rank: leave the block (and its published
+        // image) untouched, so the next published epoch re-shares this
+        // block copy-on-write instead of reconverting it.
         return;
     }
+    // The update block is the mutation's pattern: logging it lets the next
+    // publish patch the image instead of rebuilding it.
+    let block = mat.block_mut_touching(upd.block());
     let threads = threads.max(1);
+    if threads == 1 {
+        // Cost proportional to the update, not to the block: only the
+        // update's stored rows are visited.
+        for (r, cols, vals) in upd.block().iter_rows() {
+            block.update_row(r, |row| apply_row::<S>(row, cols, vals, op));
+        }
+        return;
+    }
     // Group the update's stored rows by (row mod T) — the paper's partition
     // for lock-free parallel application.
     let mut grouped: Vec<Vec<RowEntries<'_, S::Elem>>> = (0..threads).map(|_| Vec::new()).collect();
     for (r, cols, vals) in upd.block().iter_rows() {
         grouped[r as usize % threads].push((r, cols, vals));
     }
-    let shards = mat.block_mut().shard_rows_mut(threads);
+    let shards = block.shard_rows_mut(threads);
     let shard_cells: Vec<Mutex<Vec<&mut DhbRow<S::Elem>>>> =
         shards.into_iter().map(Mutex::new).collect();
     parallel_for_each_shard(threads, |t| {
         let mut rows = shard_cells[t].lock();
-        apply_rows::<S>(&mut rows, threads, &grouped[t], op);
+        for &(r, cols, vals) in &grouped[t] {
+            apply_row::<S>(&mut *rows[r as usize / threads], cols, vals, op);
+        }
     });
     drop(shard_cells);
-    mat.block_mut().recount_nnz();
+    block.recount_nnz();
 }
 
 /// [`apply_add_exec`] with a bare thread count (test/one-off convenience;

@@ -99,6 +99,10 @@ where
                         if outcome.is_err() {
                             comm.poison_network();
                         }
+                        // Hand the rank's trace events over at body exit:
+                        // the ring's TLS destructor runs after the point a
+                        // thread scope waits for.
+                        dspgemm_obs::flush_thread();
                         outcome
                     })
                     .expect("failed to spawn rank thread")

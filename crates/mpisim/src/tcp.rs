@@ -516,6 +516,7 @@ where
                 // the simulator's panic behaviour.
                 comm.poison_network();
             }
+            dspgemm_obs::flush_thread();
             outcome
         })
         .expect("spawn rank thread")

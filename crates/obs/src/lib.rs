@@ -28,7 +28,7 @@
 //! | phase    | spans / instants                                         |
 //! |----------|----------------------------------------------------------|
 //! | `comm`   | `send`, `recv`, `wait`, `bcast`, `allgather`, `alltoallv`, `reduce`, `barrier` — attrs: `bytes`, `exposed_ns`, `overlapped_ns` |
-//! | `engine` | `redistribute`, `apply_batch`, `recompute`; instant `epoch_publish` — attrs: `epoch`, `nnz`, `flops`, `updates` |
+//! | `engine` | `redistribute`, `apply_batch`, `recompute`; instant `epoch_publish` — attrs: `updates`; `epoch`, `flops`, and per operand `patched_*`, `rebuilt_*`, `touched_nnz_*`, `image_nnz_*` |
 //! | `round`  | `round` (one per SUMMA/pipeline round) — attrs: `round`   |
 //! | `query`  | `product_entry`, `row_topk`, … — attrs: `staleness`       |
 //!

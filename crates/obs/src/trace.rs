@@ -5,10 +5,13 @@
 //! [`span`] returns a scope guard; on drop it records a
 //! `(rank, phase, name, t_start, t_end, attrs)` event into a
 //! **thread-local ring buffer** — no locks, no shared cache lines on the
-//! hot path. Rings flush into a process-global sink when full and when
-//! their thread exits (the simulator's rank threads are scoped, so by the
-//! time `mpisim::run` returns every rank's events are in the sink);
-//! [`drain`] then takes the whole set for export.
+//! hot path. Rings flush into a process-global sink when full and when the
+//! thread calls [`flush_thread`] — which the simulator's and the TCP
+//! backend's rank threads do as their body exits, so by the time
+//! `mpisim::run` returns every rank's events are in the sink; [`drain`]
+//! then takes the whole set for export. (The ring's TLS destructor flushes
+//! too, but only as a backstop: `std::thread::scope` waits for a thread's
+//! closure, not for its destructors.)
 //!
 //! ## Zero cost when disabled
 //!
@@ -108,8 +111,9 @@ thread_local! {
     static RING: RefCell<Ring> = const { RefCell::new(Ring { buf: Vec::new() }) };
 }
 
-/// Per-thread bounded event buffer; spills to the global sink when full
-/// and on thread exit (via `Drop` of the thread-local).
+/// Per-thread bounded event buffer; spills to the global sink when full,
+/// on [`flush_thread`], and — as a backstop nobody may wait on — when the
+/// thread-local is dropped.
 struct Ring {
     buf: Vec<SpanEvent>,
 }
@@ -170,8 +174,9 @@ fn current_rank() -> i32 {
 
 /// Flushes the current thread's ring buffer into the global sink.
 ///
-/// Rank threads flush automatically on exit; the main thread should call
-/// this (or [`drain`], which does) before exporting.
+/// A thread whose events must be visible once it is joined or its scope
+/// ends calls this as its last act (rank threads do); the main thread
+/// calls it, or [`drain`], which does, before exporting.
 pub fn flush_thread() {
     RING.with(|r| r.borrow_mut().spill());
 }
@@ -652,7 +657,10 @@ mod tests {
             for r in 0..4 {
                 s.spawn(move || {
                     set_thread_rank(r);
-                    let _s = span("comm", "send").attr("bytes", r as u64);
+                    drop(span("comm", "send").attr("bytes", r as u64));
+                    // What a rank body does on exit; the scope does not
+                    // wait for the ring's TLS destructor.
+                    flush_thread();
                 });
             }
         });

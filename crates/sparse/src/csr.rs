@@ -78,6 +78,32 @@ impl<V: Copy> Csr<V> {
         }
     }
 
+    /// Builds a matrix directly from its storage arrays, taking ownership
+    /// without copying (cf. [`crate::Dcsr::from_parts`]) — the path of
+    /// producers that already emit rows in order, such as the DHB
+    /// conversions.
+    ///
+    /// `row_ptr` has `nrows + 1` elements, starts at 0, is non-decreasing
+    /// and ends at `cols.len()`; `cols` and `vals` are parallel. Invariants
+    /// are debug-asserted ([`Csr::validate`]).
+    pub fn from_parts(
+        nrows: Index,
+        ncols: Index,
+        row_ptr: Vec<usize>,
+        cols: Vec<Index>,
+        vals: Vec<V>,
+    ) -> Self {
+        let m = Self {
+            nrows,
+            ncols,
+            row_ptr,
+            cols,
+            vals,
+        };
+        debug_assert_eq!(m.validate(), Ok(()));
+        m
+    }
+
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> Index {
@@ -94,6 +120,25 @@ impl<V: Copy> Csr<V> {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.cols.len()
+    }
+
+    /// The row pointers: row `r` spans `row_ptr()[r]..row_ptr()[r + 1]` of
+    /// [`Csr::cols`] and [`Csr::vals`].
+    #[inline]
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// The column indices of all rows, concatenated in row order.
+    #[inline]
+    pub fn cols(&self) -> &[Index] {
+        &self.cols
+    }
+
+    /// The values of all rows, parallel to [`Csr::cols`].
+    #[inline]
+    pub fn vals(&self) -> &[V] {
+        &self.vals
     }
 
     /// The non-zeros of row `r` as parallel `(cols, vals)` slices.

@@ -14,6 +14,8 @@
 //! scan of ≤ 8 entries beats hashing and saves memory on the long tail of
 //! low-degree vertices in skewed graphs.
 
+use crate::csr::Csr;
+use crate::dcsr::Dcsr;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
 use crate::{Index, RowRead, RowScan};
@@ -298,6 +300,30 @@ impl<V: Copy> DhbRow<V> {
         Some(val)
     }
 
+    /// Appends the row's entries to `cols`/`vals` in ascending column order.
+    /// A row that already is in column order (bulk-filled and only appended
+    /// to since) is copied as it stands; otherwise `(col, slot)` keys are
+    /// sorted in `scratch` and the values gathered through the slots.
+    fn append_sorted(&self, cols: &mut Vec<Index>, vals: &mut Vec<V>, scratch: &mut Vec<u64>) {
+        if self.cols.windows(2).all(|w| w[0] < w[1]) {
+            cols.extend_from_slice(&self.cols);
+            vals.extend_from_slice(&self.vals);
+            return;
+        }
+        scratch.clear();
+        scratch.extend(
+            self.cols
+                .iter()
+                .enumerate()
+                .map(|(slot, &c)| ((c as u64) << 32) | slot as u64),
+        );
+        scratch.sort_unstable();
+        for &key in scratch.iter() {
+            cols.push((key >> 32) as Index);
+            vals.push(self.vals[(key & u64::from(u32::MAX)) as usize]);
+        }
+    }
+
     /// Approximate heap bytes used by this row (adjacency + index).
     pub fn heap_bytes(&self) -> usize {
         self.cols.capacity() * std::mem::size_of::<Index>()
@@ -412,6 +438,17 @@ impl<V: Copy> DhbMatrix<V> {
         &self.rows[r as usize]
     }
 
+    /// Runs `f` on row `r` with mutable access and keeps the cached nnz in
+    /// step with whatever `f` inserted or removed — a whole row's worth of
+    /// updates behind one row lookup.
+    pub fn update_row<T>(&mut self, r: Index, f: impl FnOnce(&mut DhbRow<V>) -> T) -> T {
+        let row = &mut self.rows[r as usize];
+        let before = row.len();
+        let out = f(row);
+        self.nnz = self.nnz + row.len() - before;
+        out
+    }
+
     /// Distributes mutable row references into `shards` groups by
     /// `row % shards` — the paper's `(i mod T)` partitioning that lets `T`
     /// threads apply a pre-grouped update batch without synchronization.
@@ -447,14 +484,118 @@ impl<V: Copy> DhbMatrix<V> {
         out
     }
 
-    /// Converts to CSR (column-sorted rows).
-    pub fn to_csr(&self) -> crate::csr::Csr<V> {
-        crate::csr::Csr::from_sorted_triples(self.nrows, self.ncols, &self.to_sorted_triples())
+    /// Converts to CSR (column-sorted rows): one pass, each row copied
+    /// straight into the exactly-sized output and sorted there.
+    pub fn to_csr(&self) -> Csr<V> {
+        let mut row_ptr = Vec::with_capacity(self.rows.len() + 1);
+        row_ptr.push(0);
+        let mut cols = Vec::with_capacity(self.nnz);
+        let mut vals = Vec::with_capacity(self.nnz);
+        let mut scratch = Vec::new();
+        for row in &self.rows {
+            row.append_sorted(&mut cols, &mut vals, &mut scratch);
+            row_ptr.push(cols.len());
+        }
+        Csr::from_parts(self.nrows, self.ncols, row_ptr, cols, vals)
     }
 
-    /// Converts to DCSR (column-sorted rows).
-    pub fn to_dcsr(&self) -> crate::dcsr::Dcsr<V> {
-        crate::dcsr::Dcsr::from_sorted_triples(self.nrows, self.ncols, &self.to_sorted_triples())
+    /// Converts to DCSR (column-sorted rows), like [`DhbMatrix::to_csr`]
+    /// but storing non-empty rows only.
+    pub fn to_dcsr(&self) -> Dcsr<V> {
+        let stored = self.rows.iter().filter(|row| !row.is_empty()).count();
+        let mut rows = Vec::with_capacity(stored);
+        let mut row_ptr = Vec::with_capacity(stored + 1);
+        row_ptr.push(0);
+        let mut cols = Vec::with_capacity(self.nnz);
+        let mut vals = Vec::with_capacity(self.nnz);
+        let mut scratch = Vec::new();
+        for (r, row) in self.rows.iter().enumerate() {
+            if row.is_empty() {
+                continue;
+            }
+            row.append_sorted(&mut cols, &mut vals, &mut scratch);
+            rows.push(r as Index);
+            row_ptr.push(cols.len());
+        }
+        Dcsr::from_parts(self.nrows, self.ncols, rows, row_ptr, cols, vals)
+    }
+
+    /// The CSR image of this matrix — equal to [`DhbMatrix::to_csr`] —
+    /// built from `base`, the image of an earlier state, and `touched`, the
+    /// row-major sorted, duplicate-free coordinates of every entry inserted,
+    /// overwritten or removed since `base` was taken.
+    ///
+    /// One streaming pass over `base`: runs of untouched rows are copied in
+    /// bulk with shifted row pointers; a touched row is a two-pointer merge
+    /// of its base row with its touched columns, and only those columns are
+    /// looked up here (`Some(v)` is emitted, `None` means the entry is gone).
+    /// Nothing is sorted and the output is exactly sized. A coordinate
+    /// missing from `touched` silently keeps its `base` state, so callers
+    /// must log every mutation.
+    pub fn patch_csr(&self, base: &Csr<V>, touched: &[(Index, Index)]) -> Csr<V> {
+        assert_eq!(
+            (base.nrows(), base.ncols()),
+            (self.nrows, self.ncols),
+            "patch base shape mismatch"
+        );
+        debug_assert!(
+            touched.windows(2).all(|w| w[0] < w[1]),
+            "touched coordinates must be sorted and duplicate-free"
+        );
+        let (base_ptr, base_cols, base_vals) = (base.row_ptr(), base.cols(), base.vals());
+        let mut row_ptr = Vec::with_capacity(self.rows.len() + 1);
+        row_ptr.push(0);
+        let mut cols: Vec<Index> = Vec::with_capacity(self.nnz);
+        let mut vals: Vec<V> = Vec::with_capacity(self.nnz);
+        // Copies base rows `lo..hi` unchanged.
+        let copy_rows = |lo: usize,
+                         hi: usize,
+                         row_ptr: &mut Vec<usize>,
+                         cols: &mut Vec<Index>,
+                         vals: &mut Vec<V>| {
+            let (start, end) = (base_ptr[lo], base_ptr[hi]);
+            let shifted = cols.len();
+            row_ptr.extend(base_ptr[lo + 1..=hi].iter().map(|&p| p - start + shifted));
+            cols.extend_from_slice(&base_cols[start..end]);
+            vals.extend_from_slice(&base_vals[start..end]);
+        };
+        let mut next_row = 0usize;
+        let mut rest = touched;
+        while let Some(&(r, _)) = rest.first() {
+            let in_row = rest.partition_point(|&(tr, _)| tr == r);
+            let (row_touched, tail) = rest.split_at(in_row);
+            rest = tail;
+            let r = r as usize;
+            copy_rows(next_row, r, &mut row_ptr, &mut cols, &mut vals);
+            let live = &self.rows[r];
+            let mut bc = &base_cols[base_ptr[r]..base_ptr[r + 1]];
+            let mut bv = &base_vals[base_ptr[r]..base_ptr[r + 1]];
+            for &(_, c) in row_touched {
+                let keep = bc.partition_point(|&x| x < c);
+                cols.extend_from_slice(&bc[..keep]);
+                vals.extend_from_slice(&bv[..keep]);
+                // The base's own entry at `c`, if any, is superseded.
+                let skip = keep + usize::from(bc.get(keep) == Some(&c));
+                bc = &bc[skip..];
+                bv = &bv[skip..];
+                if let Some(v) = live.get(c) {
+                    cols.push(c);
+                    vals.push(v);
+                }
+            }
+            cols.extend_from_slice(bc);
+            vals.extend_from_slice(bv);
+            row_ptr.push(cols.len());
+            next_row = r + 1;
+        }
+        copy_rows(
+            next_row,
+            self.rows.len(),
+            &mut row_ptr,
+            &mut cols,
+            &mut vals,
+        );
+        Csr::from_parts(self.nrows, self.ncols, row_ptr, cols, vals)
     }
 
     /// Approximate heap bytes (adjacency arrays + hash indices).
@@ -660,6 +801,81 @@ mod tests {
         );
         assert_eq!(m.to_csr().nnz(), 3);
         m.to_dcsr().validate().unwrap();
+    }
+
+    /// The direct conversions agree with the triple-based constructors on a
+    /// matrix whose rows are partly in column order and partly not.
+    #[test]
+    fn direct_conversions_match_sorted_triples() {
+        let mut rng = SplitMix64::new(77);
+        let mut m: DhbMatrix<u64> = DhbMatrix::new(50, 300);
+        m.rows[3].fill_sorted(&[1, 5, 9], &[10, 50, 90]);
+        for _ in 0..4_000 {
+            let (r, c) = (rng.gen_range(50) as Index, rng.gen_range(300) as Index);
+            if r % 7 != 3 {
+                m.set(r, c, rng.next_u64());
+            }
+        }
+        m.recount_nnz();
+        let triples = m.to_sorted_triples();
+        let csr = m.to_csr();
+        assert_eq!(csr, Csr::from_sorted_triples(50, 300, &triples));
+        assert_eq!(csr.heap_bytes(), {
+            let n = m.nnz();
+            51 * 8 + n * 4 + n * 8
+        });
+        assert_eq!(m.to_dcsr(), Dcsr::from_sorted_triples(50, 300, &triples));
+    }
+
+    /// Random set / add / remove rounds: the image patched from the previous
+    /// round's image and the touched coordinates equals the full conversion,
+    /// is exactly sized, and a dropped coordinate is detected.
+    #[test]
+    fn patch_csr_matches_full_conversion() {
+        let mut rng = SplitMix64::new(4242);
+        let (nrows, ncols): (Index, Index) = (40, 64);
+        let mut m: DhbMatrix<u64> = DhbMatrix::new(nrows, ncols);
+        let mut image = m.to_csr();
+        for round in 0..60 {
+            let mut touched: Vec<(Index, Index)> = Vec::new();
+            // Rounds alternate between a few scattered coordinates and a
+            // dense burst in one row; round 0 starts from the empty image.
+            let count = if round % 3 == 0 { 120 } else { 9 };
+            for _ in 0..count {
+                let r = if round % 3 == 0 {
+                    (round % nrows as usize) as Index
+                } else {
+                    rng.gen_range(nrows as u64) as Index
+                };
+                let c = rng.gen_range(ncols as u64) as Index;
+                match rng.gen_range(3) {
+                    0 => {
+                        m.set(r, c, rng.next_u64());
+                    }
+                    1 => {
+                        m.add_entry::<U64Plus>(r, c, rng.gen_range(9) + 1);
+                    }
+                    _ => {
+                        m.remove(r, c);
+                    }
+                }
+                touched.push((r, c));
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            let full = m.to_csr();
+            let patched = m.patch_csr(&image, &touched);
+            assert_eq!(patched, full, "round {round}");
+            assert_eq!(patched.heap_bytes(), full.heap_bytes(), "round {round}");
+            if let Some(i) = touched
+                .iter()
+                .position(|&(r, c)| image.get(r, c) != m.get(r, c))
+            {
+                touched.remove(i);
+                assert_ne!(m.patch_csr(&image, &touched), full, "round {round}");
+            }
+            image = full;
+        }
     }
 
     #[test]

@@ -7,19 +7,24 @@
 //!   `U64Plus` and `MinPlus`, through algebraic and general batches;
 //! * queries after a batch see epoch `e + 1` **exactly**, bit-identical to
 //!   a blocking rerun (a from-scratch recomputation of the updated graph);
-//! * publishing is block-granular copy-on-write: an epoch re-shares
-//!   (`Arc::ptr_eq`) every block the batch did not touch;
+//! * publishing is copy-on-write: an epoch re-shares (`Arc::ptr_eq`) every
+//!   block the batch did not touch, and a touched block's image — patched
+//!   from the previous image and the batch's logged pattern — equals the
+//!   full conversion of the block bit for bit, whatever mix of apply
+//!   operators, engine batches, rollbacks and migrations preceded it;
 //! * retained-epoch memory is bounded by the outstanding pins: with no
 //!   pins, exactly one epoch stays alive no matter how many were published.
 
 use dspgemm::analytics::{AnalyticsSession, TriangleCountView, TriangleReading};
+use dspgemm::core::distmat::ImagePath;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::engine::DynSpGemm;
 use dspgemm::core::grid::Grid;
-use dspgemm::core::DistMat;
+use dspgemm::core::update::{apply_add, apply_mask, apply_merge, build_update_matrix_in, Dedup};
+use dspgemm::core::{DistMat, Layout};
 use dspgemm::mpi::run;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
-use dspgemm::sparse::{Index, Triple};
+use dspgemm::sparse::{Csr, Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
 use std::sync::Arc;
@@ -347,4 +352,193 @@ fn retention_bounded_by_pins() {
         true
     });
     assert!(out.results.iter().all(|&x| x));
+}
+
+/// Publishes `mat`'s image, checks it against the full conversion of the
+/// block and tallies the path taken (`[shared, patched, rebuilt]`).
+fn publish_checked(mat: &mut DistMat<u64>, paths: &mut [usize; 3], what: &str) -> Arc<Csr<u64>> {
+    let (image, build) = mat.publish_image();
+    assert!(
+        *image == mat.block_csr(),
+        "{what}: published image differs from the block ({build:?})"
+    );
+    assert_eq!(build.image_nnz, mat.local_nnz(), "{what}");
+    paths[build.path as usize] += 1;
+    image
+}
+
+/// The patch oracle: through random interleavings of the three apply
+/// operators (one- and multi-threaded), rollbacks to earlier images, layout
+/// migrations and batches big enough to overflow the touched log, with 0–3
+/// mutations between publishes, every published image equals the full
+/// conversion of its block — and so do the `A` and `C` images of an engine
+/// under random algebraic and general batches. All three publish paths must
+/// occur, or the test would prove nothing.
+#[test]
+fn published_images_equal_full_conversion() {
+    let n: Index = 96;
+    for p in [1usize, 4] {
+        let out = run(p, move |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let me = comm.rank() as u64;
+            // `plan` drives the collective decisions and must agree on all
+            // ranks; `draw` feeds each rank's own tuples.
+            let mut plan = SplitMix64::new(0x5EED);
+            let mut draw = SplitMix64::new(0xD1CE + me);
+            let mut tuples = |count: usize| -> Vec<Triple<u64>> {
+                (0..count)
+                    .map(|_| {
+                        Triple::new(
+                            draw.gen_range(n as u64) as Index,
+                            draw.gen_range(n as u64) as Index,
+                            draw.gen_range(9) + 1,
+                        )
+                    })
+                    .collect()
+            };
+            let feed = |s: u64| {
+                if comm.rank() == 0 {
+                    random_triples::<U64Plus>(s, n, 2400, |v| v)
+                } else {
+                    vec![]
+                }
+            };
+
+            // --- A matrix under the apply operators, rollback, migration.
+            let mut paths = [0usize; 3];
+            let mut mat = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+            let mut anchors = vec![publish_checked(&mut mat, &mut paths, "initial")];
+            for step in 0..150 {
+                for _ in 0..plan.gen_range(4) {
+                    let threads = 1 + 2 * plan.gen_range(2) as usize;
+                    let count = if plan.gen_range(12) == 0 { 3000 } else { 12 };
+                    match plan.gen_range(8) {
+                        op @ 0..=5 => {
+                            let dedup = if op < 2 { Dedup::Add } else { Dedup::LastWins };
+                            let upd = build_update_matrix_in::<U64Plus>(
+                                &grid,
+                                mat.info().layout(),
+                                tuples(count),
+                                dedup,
+                                &mut timer,
+                            );
+                            match op {
+                                0 | 1 => apply_add::<U64Plus>(&mut mat, &upd, threads),
+                                2 | 3 => apply_merge::<U64Plus>(&mut mat, &upd, threads),
+                                _ => apply_mask::<U64Plus>(&mut mat, &upd, threads),
+                            }
+                        }
+                        6 => {
+                            let pick = plan.next_u64() as usize;
+                            if !anchors.is_empty() {
+                                let anchor = &anchors[pick % anchors.len()];
+                                mat.restore_image(Arc::clone(anchor), threads);
+                            }
+                        }
+                        _ => {
+                            let cut = 1 + plan.gen_range(n as u64 - 1) as Index;
+                            let cuts = if p == 1 { vec![0, n] } else { vec![0, cut, n] };
+                            let layout = Arc::new(Layout::square(cuts));
+                            if mat.migrate_to(&grid, &layout, threads, &mut timer).changed {
+                                // Older images have the old block shape.
+                                anchors.clear();
+                            }
+                        }
+                    }
+                }
+                let image = publish_checked(&mut mat, &mut paths, &format!("step {step}"));
+                if anchors.len() < 4 {
+                    anchors.push(image);
+                }
+            }
+
+            // --- An engine's A and C under Algorithms 1 and 2.
+            let a = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(3), 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
+            for step in 0..40 {
+                for _ in 0..plan.gen_range(4) {
+                    if plan.gen_range(2) == 0 {
+                        eng.apply_algebraic(&grid, tuples(6), tuples(6));
+                    } else {
+                        let mut upd = GeneralUpdates::new();
+                        upd.sets = tuples(3);
+                        upd.deletes = eng
+                            .a
+                            .to_global_triples()
+                            .iter()
+                            .skip(step)
+                            .step_by(211)
+                            .map(|t| (t.row, t.col))
+                            .collect();
+                        eng.apply_general(&grid, upd, GeneralUpdates::new());
+                    }
+                }
+                let a_image = publish_checked(&mut eng.a, &mut paths, &format!("A, step {step}"));
+                let c_image = publish_checked(&mut eng.c, &mut paths, &format!("C, step {step}"));
+                // The epoch carries exactly these images.
+                let snap = eng.publish();
+                assert!(Arc::ptr_eq(&snap.a().block_shared(), &a_image));
+                assert!(Arc::ptr_eq(&snap.c().block_shared(), &c_image));
+            }
+            paths
+        });
+        for (rank, &[shared, patched, rebuilt]) in out.results.iter().enumerate() {
+            assert!(
+                shared >= 10 && patched >= 60 && rebuilt >= 5,
+                "p={p} rank {rank}: paths shared={shared} patched={patched} rebuilt={rebuilt}"
+            );
+        }
+    }
+}
+
+/// A pinned epoch's images are byte-identical before and after three later
+/// patched publishes (a patch never writes to its base), and a rank the
+/// batches routed nothing to still re-shares the pinned `Arc`.
+#[test]
+fn patched_publishes_leave_pinned_images_alone() {
+    let n: Index = 64;
+    let out = run(4, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let feed = |s: u64| {
+            if comm.rank() == 0 {
+                random_triples::<U64Plus>(s, n, 900, |v| v)
+            } else {
+                vec![]
+            }
+        };
+        let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+        let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+        let pin = eng.snapshot();
+        let (a0, c0) = (pin.a().block().clone(), pin.c().block().clone());
+        let mut patched = 0;
+        for round in 0..3u64 {
+            // Updates confined to A's block (0, 0): only rank 0's A block
+            // and the C blocks of grid row 0 (ranks 0 and 1) can change.
+            let ups: Vec<Triple<u64>> = if comm.rank() == 0 {
+                random_triples::<U64Plus>(70 + round, n / 2, 10, |v| v)
+            } else {
+                vec![]
+            };
+            eng.apply_algebraic(&grid, ups, vec![]);
+            let (_, build) = eng.c.publish_image();
+            patched += usize::from(build.path == ImagePath::Patched);
+            eng.publish();
+        }
+        assert!(*pin.a().block() == a0, "pinned A image was written to");
+        assert!(*pin.c().block() == c0, "pinned C image was written to");
+        let latest = eng.snapshot();
+        let a_shared = Arc::ptr_eq(&pin.a().block_shared(), &latest.a().block_shared());
+        let c_shared = Arc::ptr_eq(&pin.c().block_shared(), &latest.c().block_shared());
+        (patched, a_shared, c_shared)
+    });
+    let patched: Vec<usize> = out.results.iter().map(|r| r.0).collect();
+    let a_shared: Vec<bool> = out.results.iter().map(|r| r.1).collect();
+    let c_shared: Vec<bool> = out.results.iter().map(|r| r.2).collect();
+    assert_eq!(patched, [3, 3, 0, 0], "C patched where C* landed");
+    assert_eq!(a_shared, [false, true, true, true]);
+    assert_eq!(c_shared, [false, false, true, true]);
 }
