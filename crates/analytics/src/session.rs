@@ -30,9 +30,11 @@
 use crate::snapshot::SessionSnapshot;
 use crate::view::{BatchDelta, PendingBatch, View, ViewCx, ViewId};
 use dspgemm_core::distmat::{DistMat, ImageBuild};
-use dspgemm_core::dyn_algebraic::apply_shared_algebraic_prebuilt_tracked_exec;
+use dspgemm_core::dyn_algebraic::{
+    apply_shared_algebraic_prebuilt_tracked_exec, StarBuild, TransposeMode,
+};
 use dspgemm_core::dyn_general::{
-    apply_shared_general_prebuilt_exec, prepare_general_update, GeneralUpdates,
+    apply_shared_general_prebuilt_exec, prepare_general_update_mode, GeneralUpdates,
 };
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
@@ -267,19 +269,26 @@ impl<S: Semiring> AnalyticsSession<S> {
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
         let mut sp =
             dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
-        let star = build_update_matrix::<S>(
+        // One natural-layout build feeds the views and the product: the
+        // round roots run the point-to-point transpose exchange (Fig. 1a).
+        let star = StarBuild::Physical(build_update_matrix::<S>(
             &self.grid,
             self.a.info().nrows,
             self.a.info().ncols,
             tuples,
             Dedup::Add,
             &mut self.timer,
-        );
+        ));
         // Views peek at the old state (registry temporarily detached so the
         // session state can be borrowed immutably alongside it).
         let mut views = std::mem::take(&mut self.views);
         for (_, v) in &mut views {
-            v.pre_batch(&self.cx(), &PendingBatch::Algebraic { star: &star });
+            v.pre_batch(
+                &self.cx(),
+                &PendingBatch::Algebraic {
+                    star: star.natural(),
+                },
+            );
         }
         let (cstar, flops) = apply_shared_algebraic_prebuilt_tracked_exec::<S>(
             &self.grid,
@@ -296,7 +305,7 @@ impl<S: Semiring> AnalyticsSession<S> {
             v.post_batch(
                 &self.cx(),
                 &BatchDelta::Algebraic {
-                    star: &star,
+                    star: star.natural(),
                     cstar: &cstar,
                 },
             );
@@ -312,11 +321,12 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// the product and every view. Collective.
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
         let mut sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
-        let prep = prepare_general_update::<S>(
+        let prep = prepare_general_update_mode::<S>(
             &self.grid,
             self.a.info().nrows,
             self.a.info().ncols,
             upd,
+            TransposeMode::Physical,
             &mut self.timer,
         );
         let mut views = std::mem::take(&mut self.views);

@@ -15,7 +15,7 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::measure::{median, timed_collective};
 use crate::report::{ms, Table};
 use crate::Config;
-use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
+use dspgemm_core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use dspgemm_core::summa::summa_exec;
 use dspgemm_core::{DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
@@ -118,8 +118,17 @@ pub fn dynamic_arm(cfg: &Config, inst: &Prepared, schedule: RowSchedule) -> Bala
                 .map(|(u, v)| Triple::new(u, v, 1.0))
                 .collect();
             let (_, d) = timed_collective(comm, || {
-                apply_algebraic_updates_exec::<F64Plus>(
-                    &grid, &mut a, &mut b, &mut c, a_batch, b_batch, &exec, &mut timer,
+                apply_algebraic_updates_mode_exec::<F64Plus>(
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    None,
+                    a_batch,
+                    b_batch,
+                    TransposeMode::Virtual,
+                    &exec,
+                    &mut timer,
                 )
             });
             walls.push(d);

@@ -14,9 +14,9 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::measure::{median, timed_collective};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
-use dspgemm_core::dyn_algebraic::apply_algebraic_updates;
+use dspgemm_core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use dspgemm_core::summa::summa;
-use dspgemm_core::{DistMat, Grid};
+use dspgemm_core::{DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::local_mm::{spgemm, MmOutput};
 use dspgemm_sparse::semiring::{F64Plus, Semiring};
@@ -78,8 +78,17 @@ pub fn update_benchmark(cfg: &Config, inst: &Prepared, p: usize) -> ArmResult {
                 .map(|(u, v)| Triple::new(u, v, 1.0))
                 .collect();
             let (_, d) = timed_collective(comm, || {
-                apply_algebraic_updates::<F64Plus>(
-                    &grid, &mut a, &mut b, &mut c, a_batch, b_batch, threads, &mut timer,
+                apply_algebraic_updates_mode_exec::<F64Plus>(
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    None,
+                    a_batch,
+                    b_batch,
+                    TransposeMode::Virtual,
+                    &Exec::new(threads),
+                    &mut timer,
                 )
             });
             times.push(d);

@@ -26,10 +26,10 @@ use crate::Config;
 use dspgemm_baselines::{
     combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
 };
-use dspgemm_core::dyn_algebraic::apply_algebraic_updates;
-use dspgemm_core::dyn_general::{apply_general_updates, GeneralUpdates};
+use dspgemm_core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm_core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use dspgemm_core::summa::summa_bloom;
-use dspgemm_core::{DistMat, Grid};
+use dspgemm_core::{DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::{F64Plus, MinPlus};
 use dspgemm_sparse::Triple;
@@ -88,14 +88,16 @@ pub fn ours_algebraic(
         for _ in 0..batches {
             let batch = unit_batch(&mut draws, edges);
             let (_, cost) = measured_collective(comm, || {
-                apply_algebraic_updates::<F64Plus>(
+                apply_algebraic_updates_mode_exec::<F64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
                     &mut c,
+                    None,
                     batch.clone(),
                     vec![],
-                    threads,
+                    TransposeMode::Virtual,
+                    &Exec::new(threads),
                     &mut timer,
                 )
             });
@@ -293,7 +295,7 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
             let mut upd = GeneralUpdates::new();
             upd.sets = weighted_batch(&mut draws, edges, round);
             let (_, cost) = measured_collective(comm, || {
-                apply_general_updates::<MinPlus>(
+                apply_general_updates_mode_exec::<MinPlus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -301,7 +303,8 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
                     &mut f,
                     upd.clone(),
                     GeneralUpdates::new(),
-                    threads,
+                    TransposeMode::Virtual,
+                    &Exec::new(threads),
                     &mut timer,
                 )
             });

@@ -2,8 +2,7 @@
 //!
 //! One function per table/figure of the paper's evaluation (Section VII),
 //! callable from the `repro` binary (`cargo run -p dspgemm-bench --release
-//! --bin repro -- <experiment>`) and from the criterion benches. Each
-//! experiment runs our system and the relevant baselines on identical
+//! --bin repro -- <experiment>`). Each experiment runs our system and the relevant baselines on identical
 //! workloads (same seeds, same permutations — as the paper mandates) and
 //! returns a printable [`report::Table`].
 

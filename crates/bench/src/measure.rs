@@ -123,15 +123,24 @@ mod tests {
     #[test]
     fn timed_collective_reports_slowest_rank() {
         let out = dspgemm_mpi::run(4, |comm| {
-            let (_, d) = timed_collective(comm, || {
+            timed_collective(comm, || {
+                let start = Instant::now();
                 if comm.rank() == 3 {
                     std::thread::sleep(Duration::from_millis(30));
                 }
-            });
-            d
+                (start, Instant::now())
+            })
         });
-        // Every rank's measurement includes the slow rank's 30 ms.
-        assert!(out.results.iter().all(|d| *d >= Duration::from_millis(25)));
+        // Every rank's measurement spans from before its own op to after
+        // the slow rank finished: the window opens no later than `start`
+        // and closes behind the exit barrier, which rank 3 enters only
+        // after `slow_done`. Compared on instants, so a rank descheduled
+        // before its `start` shortens both sides alike — no clock margin.
+        let ((_, slow_done), _) = out.results[3];
+        for (rank, &((start, _), d)) in out.results.iter().enumerate() {
+            let must_cover = slow_done.saturating_duration_since(start);
+            assert!(d >= must_cover, "rank {rank}: {d:?} < {must_cover:?}");
+        }
     }
 
     #[test]

@@ -464,13 +464,12 @@ impl<V: Elem> DistMat<V> {
     /// which every algorithm applies unchanged (collective over the grid).
     ///
     /// Section V-C's *virtual* transposition — no materialization, no
-    /// wire bytes — is implemented where it pays: static `Aᵀ·B` products
-    /// run through [`crate::summa::summa_transposed`] (panels transposed
-    /// root-side, locally), and the dynamic update paths route transposed
-    /// update blocks via [`crate::dyn_algebraic::TransposeMode::Virtual`]
-    /// (the default — see the `repro commavoid` ablation). Materializing
-    /// remains the right tool when the transposed operand is reused across
-    /// many products, where the one-off exchange amortizes away.
+    /// wire bytes — is implemented where it pays: the dynamic update paths
+    /// route transposed update blocks via
+    /// [`crate::dyn_algebraic::TransposeMode::Virtual`] (the engine's
+    /// default — see the `repro commavoid` ablation). Materializing remains
+    /// the right tool when the transposed operand is reused across many
+    /// products, where the one-off exchange amortizes away.
     pub fn transposed(&self, grid: &Grid, threads: usize) -> DistMat<V> {
         let mut timer = PhaseTimer::new();
         let flipped: Vec<Triple<V>> = self

@@ -42,54 +42,47 @@
 //! The module is generic over an [`XYKernel`] so the identical communication
 //! structure also serves the Bloom-fused variant (engine sessions that
 //! maintain the filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
+//!
+//! There is one body per shape — [`compute_cstar_exec`] interleaves an X and
+//! a Y pass per round for two operands, [`compute_cstar_shared_exec`] runs
+//! the same two passes as Y rounds → apply → X rounds for `C = A·A` — and
+//! one entry point per level: [`apply_algebraic_updates_mode_exec`] from
+//! tuples, [`apply_algebraic_prebuilt_exec`] from built update operands,
+//! [`apply_shared_algebraic_prebuilt_tracked_exec`] for the shared shape.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::uniform_layout;
+use crate::layout::Layout;
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds, Schedule};
 use crate::update::{
-    apply_add_exec, build_update_matrix_in, build_update_matrix_pair_in, start_update_matrix_in,
-    start_update_matrix_pair_in, Dedup, StarPair,
+    apply_add, start_update_matrix_in, start_update_matrix_pair_in, Dedup, PendingUpdateMatrix,
+    StarPair,
 };
 use dspgemm_mpi::Request;
-use dspgemm_sparse::local_mm::{
-    spgemm_bloom_with, spgemm_pattern_with, spgemm_with, KernelPlan, MmOutput,
-};
+use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_pattern_with, spgemm_with, MmOutput};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Dcsr, DhbMatrix, Index, RowScan, Triple};
+use dspgemm_sparse::{Dcsr, Index, RowRead, RowScan, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
 /// The local multiply/merge flavor plugged into the round structure. Each
-/// kernel selects its payload-matching workspace pool from the session's
-/// [`Exec`] via [`XYKernel::plan`], so every flavor runs scheduled and
-/// pooled.
+/// kernel draws its payload-matching [`KernelPlan`](dspgemm_sparse::local_mm::KernelPlan)
+/// (schedule + pooled workspaces) from the session's [`Exec`], so every
+/// flavor runs scheduled and pooled.
 pub trait XYKernel<S: Semiring>: 'static {
     /// Partial-block element type.
     type Out: Elem;
 
-    /// The [`KernelPlan`] (schedule + pooled workspaces) this flavor runs
-    /// under, drawn from the session's [`Exec`].
-    fn plan(exec: &Exec<S>) -> KernelPlan<'_, Self::Out>;
-
-    /// `X = A*_{k,i} · B'_{i,j}` (hypersparse left, dynamic right).
-    fn mul_x(
-        a_star: &Dcsr<S::Elem>,
-        b_new: &DhbMatrix<S::Elem>,
-        k_offset: Index,
-        plan: KernelPlan<'_, Self::Out>,
-    ) -> MmOutput<Self::Out>;
-
-    /// `Y = A_{i,j} · B*_{j,k}` (dynamic left, hypersparse right via the
-    /// O(1) row-reader adapter).
-    fn mul_y(
-        a_old: &DhbMatrix<S::Elem>,
-        b_star: &Dcsr<S::Elem>,
-        k_offset: Index,
-        plan: KernelPlan<'_, Self::Out>,
-    ) -> MmOutput<Self::Out>;
+    /// One partial product `left · right`: `X = A*_{k,i} · B'_{i,j}`
+    /// (hypersparse left, dynamic right) or `Y = A_{i,j} · B*_{j,k}` (dynamic
+    /// left, hypersparse right via the O(1) row-reader adapter). `k_offset`
+    /// is the global index of the inner dimension's first local index.
+    fn mul<L, R>(left: &L, right: &R, k_offset: Index, exec: &Exec<S>) -> MmOutput<Self::Out>
+    where
+        L: RowScan<S::Elem> + Sync,
+        R: RowRead<S::Elem> + Sync;
 
     /// Combines coinciding entries during aggregation.
     fn merge(a: Self::Out, b: Self::Out) -> Self::Out;
@@ -102,26 +95,12 @@ pub struct PlainKernel;
 impl<S: Semiring> XYKernel<S> for PlainKernel {
     type Out = S::Elem;
 
-    fn plan(exec: &Exec<S>) -> KernelPlan<'_, S::Elem> {
-        exec.plain()
-    }
-
-    fn mul_x(
-        a_star: &Dcsr<S::Elem>,
-        b_new: &DhbMatrix<S::Elem>,
-        _k_offset: Index,
-        plan: KernelPlan<'_, S::Elem>,
-    ) -> MmOutput<S::Elem> {
-        spgemm_with::<S, _, _>(a_star, b_new, plan)
-    }
-
-    fn mul_y(
-        a_old: &DhbMatrix<S::Elem>,
-        b_star: &Dcsr<S::Elem>,
-        _k_offset: Index,
-        plan: KernelPlan<'_, S::Elem>,
-    ) -> MmOutput<S::Elem> {
-        spgemm_with::<S, _, _>(a_old, &b_star.row_reader(), plan)
+    fn mul<L, R>(left: &L, right: &R, _k_offset: Index, exec: &Exec<S>) -> MmOutput<S::Elem>
+    where
+        L: RowScan<S::Elem> + Sync,
+        R: RowRead<S::Elem> + Sync,
+    {
+        spgemm_with::<S, _, _>(left, right, exec.plain())
     }
 
     fn merge(a: S::Elem, b: S::Elem) -> S::Elem {
@@ -136,26 +115,12 @@ pub struct BloomKernel;
 impl<S: Semiring> XYKernel<S> for BloomKernel {
     type Out = (S::Elem, u64);
 
-    fn plan(exec: &Exec<S>) -> KernelPlan<'_, (S::Elem, u64)> {
-        exec.fused()
-    }
-
-    fn mul_x(
-        a_star: &Dcsr<S::Elem>,
-        b_new: &DhbMatrix<S::Elem>,
-        k_offset: Index,
-        plan: KernelPlan<'_, (S::Elem, u64)>,
-    ) -> MmOutput<(S::Elem, u64)> {
-        spgemm_bloom_with::<S, _, _>(a_star, b_new, k_offset, plan)
-    }
-
-    fn mul_y(
-        a_old: &DhbMatrix<S::Elem>,
-        b_star: &Dcsr<S::Elem>,
-        k_offset: Index,
-        plan: KernelPlan<'_, (S::Elem, u64)>,
-    ) -> MmOutput<(S::Elem, u64)> {
-        spgemm_bloom_with::<S, _, _>(a_old, &b_star.row_reader(), k_offset, plan)
+    fn mul<L, R>(left: &L, right: &R, k_offset: Index, exec: &Exec<S>) -> MmOutput<Self::Out>
+    where
+        L: RowScan<S::Elem> + Sync,
+        R: RowRead<S::Elem> + Sync,
+    {
+        spgemm_bloom_with::<S, _, _>(left, right, k_offset, exec.fused())
     }
 
     fn merge(a: (S::Elem, u64), b: (S::Elem, u64)) -> (S::Elem, u64) {
@@ -170,26 +135,12 @@ pub struct PatternKernel;
 impl<S: Semiring> XYKernel<S> for PatternKernel {
     type Out = u64;
 
-    fn plan(exec: &Exec<S>) -> KernelPlan<'_, u64> {
-        exec.pattern()
-    }
-
-    fn mul_x(
-        a_star: &Dcsr<S::Elem>,
-        b_new: &DhbMatrix<S::Elem>,
-        k_offset: Index,
-        plan: KernelPlan<'_, u64>,
-    ) -> MmOutput<u64> {
-        spgemm_pattern_with(a_star, b_new, k_offset, plan)
-    }
-
-    fn mul_y(
-        a_old: &DhbMatrix<S::Elem>,
-        b_star: &Dcsr<S::Elem>,
-        k_offset: Index,
-        plan: KernelPlan<'_, u64>,
-    ) -> MmOutput<u64> {
-        spgemm_pattern_with(a_old, &b_star.row_reader(), k_offset, plan)
+    fn mul<L, R>(left: &L, right: &R, k_offset: Index, exec: &Exec<S>) -> MmOutput<u64>
+    where
+        L: RowScan<S::Elem> + Sync,
+        R: RowRead<S::Elem> + Sync,
+    {
+        spgemm_pattern_with(left, right, k_offset, exec.pattern())
     }
 
     fn merge(a: u64, b: u64) -> u64 {
@@ -202,8 +153,9 @@ impl<S: Semiring> XYKernel<S> for PatternKernel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransposeMode {
     /// Physical point-to-point exchange with the transposed peer rank
-    /// (Fig. 1a; the pre-Section-V-C schedule) — kept as the
-    /// `repro commavoid` ablation baseline.
+    /// (Fig. 1a; the pre-Section-V-C schedule). The analytics session's
+    /// shared-operand batches run it, and it is the `repro commavoid`
+    /// baseline.
     Physical,
     /// Virtual transposition (Section V-C, the default): the update batch
     /// is additionally built in transposed layout, so every round root
@@ -244,8 +196,8 @@ impl<'a, V: Elem> StarView<'a, V> {
 }
 
 /// The update-matrix build(s) one operand of a batch needs under a given
-/// [`TransposeMode`] — what [`apply_algebraic_updates_prebuilt_exec`]
-/// consumes and the engine's lookahead queue completes in the background.
+/// [`TransposeMode`] — what the prebuilt entry points consume. The variant
+/// names the exchange a call site runs.
 pub enum StarBuild<V: Elem> {
     /// Natural layout only; rounds resolve via the physical exchange.
     Physical(DistDcsr<V>),
@@ -271,53 +223,73 @@ impl<V: Elem> StarBuild<V> {
     }
 }
 
-/// Builds one operand's update matrix (or matrix pair) from
-/// globally-indexed tuples under the given mode, routed by the uniform
-/// layout. Collective over the grid.
-pub fn build_star<S: Semiring>(
-    grid: &Grid,
-    nrows: dspgemm_sparse::Index,
-    ncols: dspgemm_sparse::Index,
-    tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    timer: &mut PhaseTimer,
-) -> StarBuild<S::Elem> {
-    build_star_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        mode,
-        timer,
-    )
+/// A [`StarBuild`] whose redistribution row phases are in flight: one
+/// `IALLTOALLV` under [`TransposeMode::Physical`], two (natural and flipped
+/// tuples) under [`TransposeMode::Virtual`]. The engine's lookahead slot
+/// holds one per operand.
+pub(crate) struct PendingStar<S: Semiring> {
+    natural: PendingUpdateMatrix<S>,
+    transposed: Option<PendingUpdateMatrix<S>>,
 }
 
-/// [`build_star`] under an explicit [`crate::layout::Layout`] — update
-/// operands must route
-/// under the same (possibly rebalanced) cuts as the matrix they patch.
-/// Collective over the grid.
-pub fn build_star_in<S: Semiring>(
+impl<S: Semiring> PendingStar<S> {
+    /// Issues the row phase(s) of one operand's update-matrix build. Update
+    /// operands route under the `layout` — possibly rebalanced — of the
+    /// matrix they patch. Collective over the grid.
+    pub(crate) fn start(
+        grid: &Grid,
+        layout: &Arc<Layout>,
+        tuples: Vec<Triple<S::Elem>>,
+        mode: TransposeMode,
+        timer: &mut PhaseTimer,
+    ) -> Self {
+        match mode {
+            TransposeMode::Physical => Self {
+                natural: start_update_matrix_in::<S>(grid, layout, tuples, Dedup::Add, timer),
+                transposed: None,
+            },
+            TransposeMode::Virtual => {
+                let [natural, transposed] =
+                    start_update_matrix_pair_in::<S>(grid, layout, tuples, Dedup::Add, timer);
+                Self {
+                    natural,
+                    transposed: Some(transposed),
+                }
+            }
+        }
+    }
+
+    /// Completes the build(s). Collective over the grid.
+    pub(crate) fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarBuild<S::Elem> {
+        let natural = self.natural.finish(grid, timer);
+        match self.transposed {
+            None => StarBuild::Physical(natural),
+            Some(t) => StarBuild::Virtual(StarPair {
+                natural,
+                transposed: t.finish(grid, timer),
+            }),
+        }
+    }
+}
+
+/// Builds both operands' update matrices under [`phase::SCATTER`], issuing
+/// every row-phase `IALLTOALLV` before completing any so the
+/// redistributions cross the wire concurrently. Collective.
+fn build_star_operands<S: Semiring>(
     grid: &Grid,
-    layout: &Arc<crate::layout::Layout>,
-    tuples: Vec<Triple<S::Elem>>,
+    a: &DistMat<S::Elem>,
+    b: &DistMat<S::Elem>,
+    a_tuples: Vec<Triple<S::Elem>>,
+    b_tuples: Vec<Triple<S::Elem>>,
     mode: TransposeMode,
     timer: &mut PhaseTimer,
-) -> StarBuild<S::Elem> {
-    match mode {
-        TransposeMode::Physical => StarBuild::Physical(build_update_matrix_in::<S>(
-            grid,
-            layout,
-            tuples,
-            Dedup::Add,
-            timer,
-        )),
-        TransposeMode::Virtual => StarBuild::Virtual(build_update_matrix_pair_in::<S>(
-            grid,
-            layout,
-            tuples,
-            Dedup::Add,
-            timer,
-        )),
-    }
+) -> (StarBuild<S::Elem>, StarBuild<S::Elem>) {
+    timer.time(phase::SCATTER, || {
+        let mut inner = PhaseTimer::new();
+        let pa = PendingStar::<S>::start(grid, a.info().layout(), a_tuples, mode, &mut inner);
+        let pb = PendingStar::<S>::start(grid, b.info().layout(), b_tuples, mode, &mut inner);
+        (pa.finish(grid, &mut inner), pb.finish(grid, &mut inner))
+    })
 }
 
 /// Resolves up to two [`StarView`] operands into the blocks Algorithm 1's
@@ -393,37 +365,101 @@ fn resolve_star_blocks<S: Semiring>(
     out
 }
 
-/// Runs the transpose exchange (or its local virtual replacement), `√p`
-/// broadcast rounds, local multiplications and sparse merge-reductions of
-/// Algorithm 1, returning this rank's block of `C* = A*·B' + A·B*` plus the
-/// local flop count. Collective over the grid.
+/// One round's update-block broadcast in flight.
+type StarFlight<V> = Request<Arc<Dcsr<V>>>;
+
+/// Issues round `k`'s X-pass broadcast: `A*_{k,i}` over process row `i`.
+/// Its holder after the transpose resolution is `(i,k)`, i.e. row-comm
+/// member `k`.
+fn issue_x<V: Elem>(grid: &Grid, k: usize, at_blk: &Arc<Dcsr<V>>) -> StarFlight<V> {
+    let (_, j) = grid.coords();
+    grid.row_comm()
+        .ibcast_shared(k, (j == k).then(|| Arc::clone(at_blk)))
+}
+
+/// Issues round `k`'s Y-pass broadcast: `B*_{j,k}` over process column `j`,
+/// from its holder `(k,j)` = col-comm member `k`.
+fn issue_y<V: Elem>(grid: &Grid, k: usize, bt_blk: &Arc<Dcsr<V>>) -> StarFlight<V> {
+    let (i, _) = grid.coords();
+    grid.col_comm()
+        .ibcast_shared(k, (i == k).then(|| Arc::clone(bt_blk)))
+}
+
+/// The X pass of round `k`: `Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}` against the
+/// post-update right operand, merge-reduced over process column `j` onto
+/// `(k,j)` — which gets the reduced block back.
+fn x_round<S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    k: usize,
+    a_bcast: &Dcsr<S::Elem>,
+    b_new: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    flops: &mut u64,
+) -> Option<Dcsr<K::Out>> {
+    let x_part = timer.time(phase::LOCAL_MULT, || {
+        K::mul(a_bcast, b_new.block(), b_new.info().row_range.start, exec)
+    });
+    timer.add_thread_flops(&x_part.thread_flops);
+    *flops += x_part.flops;
+    let x_red = timer.time(phase::REDUCE_SCATTER, || {
+        grid.col_comm()
+            .reduce(k, x_part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
+    });
+    debug_assert!(x_red.is_none() || grid.coords().0 == k);
+    x_red
+}
+
+/// The Y pass of round `k`: `Yʲ_{i,k} = A_{i,j}·B*_{j,k}` against the
+/// pre-update left operand, merge-reduced over process row `i` onto `(i,k)`.
+fn y_round<S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    k: usize,
+    a_old: &DistMat<S::Elem>,
+    b_bcast: &Dcsr<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    flops: &mut u64,
+) -> Option<Dcsr<K::Out>> {
+    let y_part = timer.time(phase::LOCAL_MULT, || {
+        let b_rows = b_bcast.row_reader();
+        K::mul(a_old.block(), &b_rows, a_old.info().col_range.start, exec)
+    });
+    timer.add_thread_flops(&y_part.thread_flops);
+    *flops += y_part.flops;
+    let y_red = timer.time(phase::REDUCE_SCATTER, || {
+        grid.row_comm()
+            .reduce(k, y_part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
+    });
+    debug_assert!(y_red.is_none() || grid.coords().1 == k);
+    y_red
+}
+
+/// This rank's `C*` block from the X and Y partials reduced onto it.
+fn merge_xy<S: Semiring, K: XYKernel<S>>(
+    x_mine: Option<Dcsr<K::Out>>,
+    y_mine: Option<Dcsr<K::Out>>,
+    block_rows: Index,
+    block_cols: Index,
+) -> Dcsr<K::Out> {
+    match (x_mine, y_mine) {
+        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
+        (Some(x), None) => x,
+        (None, Some(y)) => y,
+        (None, None) => Dcsr::empty(block_rows, block_cols),
+    }
+}
+
+/// The two-operand round structure of Algorithm 1: the transpose exchange
+/// (or its local virtual replacement), `√p` rounds that each run an X and a
+/// Y pass, and the sparse merge-reductions, returning this rank's block of
+/// `C* = A*·B' + A·B*` plus the local flop count. Collective over the grid.
 ///
 /// Inputs obey Eq. 1's timing: `a_old` is `A` *before* its updates, `b_new`
 /// is `B'` *after* its updates. The update operands arrive as [`StarView`]s,
 /// so callers choose per operand whether round roots resolve their blocks
-/// physically (wire exchange) or virtually (local transposition).
-pub fn compute_cstar<S: Semiring, K: XYKernel<S>>(
-    grid: &Grid,
-    a_old: &DistMat<S::Elem>,
-    b_new: &DistMat<S::Elem>,
-    a_star: StarView<'_, S::Elem>,
-    b_star: StarView<'_, S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<K::Out>, u64) {
-    compute_cstar_exec::<S, K>(
-        grid,
-        a_old,
-        b_new,
-        a_star,
-        b_star,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`compute_cstar`] under an explicit [`Exec`] (persistent workspace pools
-/// + row schedule).
+/// physically (wire exchange) or virtually (local transposition). `exec`
+/// carries the thread count, row schedule and pooled workspaces.
 pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a_old: &DistMat<S::Elem>,
@@ -433,11 +469,6 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
-    let q = grid.q();
-    let (i, j) = grid.coords();
-    let my_block_rows = a_old.info().local_rows();
-    let my_block_cols = b_new.info().local_cols();
-
     // Empty-side elision: a globally empty update matrix contributes nothing
     // to Eq. 1, so its whole pass (transpose resolution, broadcasts,
     // multiplies, reductions) is skipped. The decision is collective-safe
@@ -445,13 +476,10 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     // (and layout-independent: natural and transposed builds hold the same
     // global entry set). This is the common case in the paper's Fig. 9
     // protocol, where `B` is static.
-    let (a_star_nnz, b_star_nnz) = {
-        let both = grid.world().allreduce(
-            [a_star.local_nnz() as u64, b_star.local_nnz() as u64],
-            |x, y| [x[0] + y[0], x[1] + y[1]],
-        );
-        (both[0], both[1])
-    };
+    let [a_star_nnz, b_star_nnz] = grid.world().allreduce(
+        [a_star.local_nnz() as u64, b_star.local_nnz() as u64],
+        |x, y| [x[0] + y[0], x[1] + y[1]],
+    );
 
     // Step 1: round roots obtain their transposed-position blocks — a wire
     // exchange for natural views, a local transposition for transposed ones.
@@ -474,24 +502,15 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     let mut flops = 0u64;
     let mut x_mine: Option<Dcsr<K::Out>> = None;
     let mut y_mine: Option<Dcsr<K::Out>> = None;
-    type UpdFlight<V> = (Option<Request<Arc<Dcsr<V>>>>, Option<Request<Arc<Dcsr<V>>>>);
     run_rounds(
         &mut (timer, &mut flops, &mut x_mine, &mut y_mine),
-        q,
+        grid.q(),
         Schedule::Overlap,
-        |_ctx, k| -> UpdFlight<S::Elem> {
-            // A*_{k,i} over process row i (its holder after the transpose
-            // exchange is (i,k), i.e. row-comm member k); B*_{j,k} over
-            // process column j (holder (k,j) = col-comm member k).
-            let ra = at_blk.as_ref().map(|at| {
-                grid.row_comm()
-                    .ibcast_shared(k, if j == k { Some(Arc::clone(at)) } else { None })
-            });
-            let rb = bt_blk.as_ref().map(|bt| {
-                grid.col_comm()
-                    .ibcast_shared(k, if i == k { Some(Arc::clone(bt)) } else { None })
-            });
-            (ra, rb)
+        |_ctx, k| {
+            (
+                at_blk.as_ref().map(|at| issue_x(grid, k, at)),
+                bt_blk.as_ref().map(|bt| issue_y(grid, k, bt)),
+            )
         },
         |ctx, _k, (ra, rb)| {
             let a_bcast = ra.map(|r| await_into_phase(r, ctx.0, phase::BCAST));
@@ -500,90 +519,45 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
         },
         |ctx, k, (a_bcast, b_bcast)| {
             let (timer, flops, x_mine, y_mine) = ctx;
-            // X pass: multiply into B', reduce onto (k,j) via column j.
             if let Some(a_bcast) = a_bcast {
-                let x_part = timer.time(phase::LOCAL_MULT, || {
-                    K::mul_x(
-                        &a_bcast,
-                        b_new.block(),
-                        b_new.info().row_range.start,
-                        K::plan(exec),
-                    )
-                });
-                timer.add_thread_flops(&x_part.thread_flops);
-                **flops += x_part.flops;
-                let x_red = timer.time(phase::REDUCE_SCATTER, || {
-                    grid.col_comm()
-                        .reduce(k, x_part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
-                });
-                if let Some(x) = x_red {
-                    debug_assert_eq!(i, k);
+                if let Some(x) = x_round::<S, K>(grid, k, &a_bcast, b_new, exec, timer, flops) {
                     **x_mine = Some(x);
                 }
             }
-            // Y pass: multiply from A, reduce onto (i,k) via row i.
             if let Some(b_bcast) = b_bcast {
-                let y_part = timer.time(phase::LOCAL_MULT, || {
-                    K::mul_y(
-                        a_old.block(),
-                        &b_bcast,
-                        a_old.info().col_range.start,
-                        K::plan(exec),
-                    )
-                });
-                timer.add_thread_flops(&y_part.thread_flops);
-                **flops += y_part.flops;
-                let y_red = timer.time(phase::REDUCE_SCATTER, || {
-                    grid.row_comm()
-                        .reduce(k, y_part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
-                });
-                if let Some(y) = y_red {
-                    debug_assert_eq!(j, k);
+                if let Some(y) = y_round::<S, K>(grid, k, a_old, &b_bcast, exec, timer, flops) {
                     **y_mine = Some(y);
                 }
             }
         },
     );
-    let cstar = match (x_mine, y_mine) {
-        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => Dcsr::empty(my_block_rows, my_block_cols),
-    };
+    let cstar = merge_xy::<S, K>(
+        x_mine,
+        y_mine,
+        a_old.info().local_rows(),
+        b_new.info().local_cols(),
+    );
     (cstar, flops)
 }
 
-/// Shared-operand variant of [`compute_cstar`]: this rank's block of
+/// The shared-operand round structure: this rank's block of
 /// `C* = A*·A' + A·A*` for a maintained *square* product `C = A · A`, where
 /// both Eq.-1 terms draw on the **same** stored matrix. Collective.
 ///
-/// The interleaved round structure of [`compute_cstar`] needs the old `A`
-/// (for the `Y` pass) and the new `A'` (for the `X` pass) simultaneously,
-/// which a single stored operand cannot provide. Instead of cloning the
-/// whole matrix, the two passes are sequenced around the update itself:
+/// The interleaved rounds of [`compute_cstar_exec`] need the old `A` (for
+/// the Y pass) and the new `A'` (for the X pass) simultaneously, which a
+/// single stored operand cannot provide. Instead of cloning the whole
+/// matrix, the same two passes are sequenced around the update itself:
 ///
-/// 1. `√p` `Y` rounds with the *old* `A`: `Yʲ_{i,k} = A_{i,j}·A*_{j,k}`,
-///    reduced over row `i` onto `(i,k)`;
+/// 1. `√p` Y rounds with the *old* `A`;
 /// 2. `apply` turns `A` into `A'` in place (purely local);
-/// 3. `√p` `X` rounds with the *new* `A'`: `Xⁱ_{k,j} = A*_{k,i}·A'_{i,j}`,
-///    reduced over column `j` onto `(k,j)`.
+/// 3. `√p` X rounds with the *new* `A'`.
 ///
-/// One transpose exchange of the single update block replaces Algorithm 1's
-/// two, and the communication volume is halved relative to maintaining a
-/// lock-stepped clone of `A` as the second operand (each update batch is
-/// redistributed, exchanged and broadcast once instead of twice).
-pub fn compute_cstar_shared<S: Semiring, K: XYKernel<S>>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    star: StarView<'_, S::Elem>,
-    apply: impl FnOnce(&mut DistMat<S::Elem>),
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<K::Out>, u64) {
-    compute_cstar_shared_exec::<S, K>(grid, a, star, apply, &Exec::new(threads), timer)
-}
-
-/// [`compute_cstar_shared`] under an explicit [`Exec`].
+/// One transpose resolution of the single update block replaces
+/// Algorithm 1's two, and the communication volume is halved relative to
+/// maintaining a lock-stepped clone of `A` as the second operand (each
+/// update batch is redistributed, exchanged and broadcast once instead of
+/// twice).
 pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
@@ -598,17 +572,16 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
         "shared-operand dynamic SpGEMM maintains a square product C = A·A"
     );
     let q = grid.q();
-    let (i, j) = grid.coords();
-    let my_block_rows = a.info().local_rows();
-    let my_block_cols = a.info().local_cols();
+    let block_rows = a.info().local_rows();
+    let block_cols = a.info().local_cols();
 
-    // Empty-batch elision, agreed collectively (cf. `compute_cstar`).
+    // Empty-batch elision, agreed collectively (cf. `compute_cstar_exec`).
     let star_nnz = grid
         .world()
         .allreduce(star.local_nnz() as u64, |x, y| x + y);
     if star_nnz == 0 {
         timer.time(phase::LOCAL_UPDATE, || apply(a));
-        return (Dcsr::empty(my_block_rows, my_block_cols), 0);
+        return (Dcsr::empty(block_rows, block_cols), 0);
     }
 
     // One transposed-block resolution serves both passes: rank (i,j)
@@ -623,110 +596,51 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
 
     let mut flops = 0u64;
 
-    // Y pass against the old A — pipelined (round k+1's broadcast of the
+    // Y rounds against the old A — pipelined (round k+1's broadcast of the
     // transposed update block is in flight while round k multiplies and
     // reduces).
     let mut y_mine: Option<Dcsr<K::Out>> = None;
-    {
-        let a_ref = &*a;
-        run_rounds(
-            &mut (&mut *timer, &mut flops, &mut y_mine),
-            q,
-            Schedule::Overlap,
-            |_ctx, k| {
-                grid.col_comm().ibcast_shared(
-                    k,
-                    if i == k {
-                        Some(Arc::clone(&star_t))
-                    } else {
-                        None
-                    },
-                )
-            },
-            |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-            |ctx, k, b_bcast| {
-                let (timer, flops, y_mine) = ctx;
-                let y_part = timer.time(phase::LOCAL_MULT, || {
-                    K::mul_y(
-                        a_ref.block(),
-                        &b_bcast,
-                        a_ref.info().col_range.start,
-                        K::plan(exec),
-                    )
-                });
-                timer.add_thread_flops(&y_part.thread_flops);
-                **flops += y_part.flops;
-                let y_red = timer.time(phase::REDUCE_SCATTER, || {
-                    grid.row_comm()
-                        .reduce(k, y_part.result, |x, y| Dcsr::merge_with(&x, &y, K::merge))
-                });
-                if let Some(y) = y_red {
-                    debug_assert_eq!(j, k);
-                    **y_mine = Some(y);
-                }
-            },
-        );
-    }
+    run_rounds(
+        &mut (&mut *timer, &mut flops, &mut y_mine),
+        q,
+        Schedule::Overlap,
+        |_ctx, k| issue_y(grid, k, &star_t),
+        |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
+        |ctx, k, b_bcast| {
+            let (timer, flops, y_mine) = ctx;
+            if let Some(y) = y_round::<S, K>(grid, k, a, &b_bcast, exec, timer, flops) {
+                **y_mine = Some(y);
+            }
+        },
+    );
 
     // A → A' (purely local).
     timer.time(phase::LOCAL_UPDATE, || apply(a));
 
-    // X pass against the new A' — pipelined likewise.
+    // X rounds against the new A' — pipelined likewise.
     let mut x_mine: Option<Dcsr<K::Out>> = None;
-    {
-        let a_ref = &*a;
-        run_rounds(
-            &mut (&mut *timer, &mut flops, &mut x_mine),
-            q,
-            Schedule::Overlap,
-            |_ctx, k| {
-                grid.row_comm().ibcast_shared(
-                    k,
-                    if j == k {
-                        Some(Arc::clone(&star_t))
-                    } else {
-                        None
-                    },
-                )
-            },
-            |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-            |ctx, k, a_bcast| {
-                let (timer, flops, x_mine) = ctx;
-                let x_part = timer.time(phase::LOCAL_MULT, || {
-                    K::mul_x(
-                        &a_bcast,
-                        a_ref.block(),
-                        a_ref.info().row_range.start,
-                        K::plan(exec),
-                    )
-                });
-                timer.add_thread_flops(&x_part.thread_flops);
-                **flops += x_part.flops;
-                let x_red = timer.time(phase::REDUCE_SCATTER, || {
-                    grid.col_comm()
-                        .reduce(k, x_part.result, |x, y| Dcsr::merge_with(&x, &y, K::merge))
-                });
-                if let Some(x) = x_red {
-                    debug_assert_eq!(i, k);
-                    **x_mine = Some(x);
-                }
-            },
-        );
-    }
+    run_rounds(
+        &mut (&mut *timer, &mut flops, &mut x_mine),
+        q,
+        Schedule::Overlap,
+        |_ctx, k| issue_x(grid, k, &star_t),
+        |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
+        |ctx, k, a_bcast| {
+            let (timer, flops, x_mine) = ctx;
+            if let Some(x) = x_round::<S, K>(grid, k, &a_bcast, a, exec, timer, flops) {
+                **x_mine = Some(x);
+            }
+        },
+    );
 
-    let cstar = match (x_mine, y_mine) {
-        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => Dcsr::empty(my_block_rows, my_block_cols),
-    };
+    let cstar = merge_xy::<S, K>(x_mine, y_mine, block_rows, block_cols);
     (cstar, flops)
 }
 
 /// `C += C*` on this rank's block of the maintained product — the local
-/// tail of every untracked Algorithm-1 variant. `C*` is recorded as the
-/// touched pattern, so the next publish patches `C`'s image; an empty `C*`
-/// leaves block and image alone (the epoch re-shares them).
+/// tail of an untracked Algorithm-1 batch. `C*` is recorded as the touched
+/// pattern, so the next publish patches `C`'s image; an empty `C*` leaves
+/// block and image alone (the epoch re-shares them).
 fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
     if cstar.nnz() == 0 {
         return;
@@ -739,7 +653,7 @@ fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
     });
 }
 
-/// [`add_cstar`] for the Bloom-tracked variants: `C*` carries
+/// [`add_cstar`] for a Bloom-tracked batch: `C*` carries
 /// `(value, bitfield)` pairs and the bits are OR-ed into `F`. `F` is never
 /// published, so it takes no pattern.
 fn add_cstar_tracked<S: Semiring>(
@@ -760,242 +674,18 @@ fn add_cstar_tracked<S: Semiring>(
     });
 }
 
-/// Shared-operand algebraic update from a **pre-built** update matrix:
-/// maintains `C = A · A` through `A' = A + A*` and returns this rank's
-/// `C*` block (the local delta merged into `C`) plus the flop count — the
-/// delta lets callers (the analytics session's views) observe exactly which
-/// product entries changed without a second pass. Collective.
-///
-/// The caller performs the redistribution once
-/// ([`crate::update::build_update_matrix`] with [`Dedup::Add`]) and may feed
-/// the same `A*` to any number of consumers; this is the "one redistribution
-/// pays for all views" contract.
-pub fn apply_shared_algebraic_prebuilt<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    star: &DistDcsr<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    apply_shared_algebraic_prebuilt_exec::<S>(grid, a, c, star, &Exec::new(threads), timer)
-}
-
-/// [`apply_shared_algebraic_prebuilt`] under an explicit [`Exec`] — the
-/// analytics session's entry point, so view refreshes reuse the session's
-/// pooled workspaces.
-pub fn apply_shared_algebraic_prebuilt_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    star: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    apply_shared_algebraic_view_exec::<S>(grid, a, c, StarView::Natural(star), star, exec, timer)
-}
-
-/// [`apply_shared_algebraic_prebuilt_exec`] from a prebuilt [`StarPair`]:
-/// the round roots resolve their blocks by local transposition instead of
-/// the wire exchange (Section V-C), and the natural half feeds `A += A*`.
-pub fn apply_shared_algebraic_prebuilt_pair_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    pair: &StarPair<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    apply_shared_algebraic_view_exec::<S>(
-        grid,
-        a,
-        c,
-        StarView::Transposed(&pair.transposed),
-        &pair.natural,
-        exec,
-        timer,
-    )
-}
-
-/// Common body of the shared plain variants: `view` drives the round
-/// structure, `natural` drives the in-place `A += A*`.
-fn apply_shared_algebraic_view_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    view: StarView<'_, S::Elem>,
-    natural: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<S::Elem>, u64) {
-    let (cstar, flops) = compute_cstar_shared_exec::<S, PlainKernel>(
-        grid,
-        a,
-        view,
-        |m| apply_add_exec::<S>(m, natural, exec),
-        exec,
-        timer,
-    );
-    timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
-    (cstar, flops)
-}
-
-/// Like [`apply_shared_algebraic_prebuilt`], additionally maintaining the
-/// Bloom filter matrix `F` (required when general updates may follow). The
-/// returned `C*` block carries `(value, bitfield)` pairs. Collective.
-pub fn apply_shared_algebraic_prebuilt_tracked<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    star: &DistDcsr<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    apply_shared_algebraic_prebuilt_tracked_exec::<S>(
-        grid,
-        a,
-        c,
-        f,
-        star,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`apply_shared_algebraic_prebuilt_tracked`] under an explicit [`Exec`].
-pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    star: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    apply_shared_algebraic_tracked_view_exec::<S>(
-        grid,
-        a,
-        c,
-        f,
-        StarView::Natural(star),
-        star,
-        exec,
-        timer,
-    )
-}
-
-/// [`apply_shared_algebraic_prebuilt_tracked_exec`] from a prebuilt
-/// [`StarPair`] (virtual transposition, Section V-C).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_shared_algebraic_prebuilt_tracked_pair_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    pair: &StarPair<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    apply_shared_algebraic_tracked_view_exec::<S>(
-        grid,
-        a,
-        c,
-        f,
-        StarView::Transposed(&pair.transposed),
-        &pair.natural,
-        exec,
-        timer,
-    )
-}
-
-/// Common body of the shared tracked variants (cf.
-/// `apply_shared_algebraic_view_exec`).
-#[allow(clippy::too_many_arguments)]
-fn apply_shared_algebraic_tracked_view_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    view: StarView<'_, S::Elem>,
-    natural: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    let (cstar, flops) = compute_cstar_shared_exec::<S, BloomKernel>(
-        grid,
-        a,
-        view,
-        |m| apply_add_exec::<S>(m, natural, exec),
-        exec,
-        timer,
-    );
-    timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
-    (cstar, flops)
-}
-
-/// Full algebraic-update step on an `(A, B, C)` triple: builds the update
-/// matrices from globally-indexed tuples, applies them, and patches `C` via
-/// Algorithm 1. Returns the local flop count. Collective over the grid.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        a_tuples,
-        b_tuples,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`apply_algebraic_updates`] under an explicit [`Exec`] — the engine's
-/// entry point, so consecutive update batches reuse the session pools.
-/// Defaults to [`TransposeMode::Virtual`] (Section V-C); `C` is
-/// bit-identical across modes.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_mode_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        a_tuples,
-        b_tuples,
-        TransposeMode::default(),
-        exec,
-        timer,
-    )
-}
-
-/// [`apply_algebraic_updates_exec`] under an explicit [`TransposeMode`] —
-/// the `repro commavoid` ablation switch.
+/// Algorithm 1 on an `(A, B, C)` triple from globally-indexed update
+/// tuples: builds both operands' update matrices under `mode`, then runs
+/// [`apply_algebraic_prebuilt_exec`]. Returns the local flop count.
+/// Collective over the grid; `mode` must agree on all ranks (it changes the
+/// collective schedule — `C` is bit-identical across modes).
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_updates_mode_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
+    f: Option<&mut DistMat<u64>>,
     a_tuples: Vec<Triple<S::Elem>>,
     b_tuples: Vec<Triple<S::Elem>>,
     mode: TransposeMode,
@@ -1003,64 +693,81 @@ pub fn apply_algebraic_updates_mode_exec<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> u64 {
     let (a_star, b_star) = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, mode, timer);
-    apply_algebraic_updates_prebuilt_exec::<S>(grid, a, b, c, &a_star, &b_star, exec, timer)
+    apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, f, &a_star, &b_star, exec, timer)
 }
 
-/// Builds both operands' update matrices under [`phase::SCATTER`], issuing
-/// both row-phase `IALLTOALLV`s before completing either so the
-/// redistributions cross the wire concurrently. Collective.
-fn build_star_operands<S: Semiring>(
+/// Algorithm 1 from **pre-built** update operands: applies `B += B*`, runs
+/// the rounds, applies `A += A*` and patches `C`. With `f` the batch also
+/// maintains the Bloom filter matrix `F` (required when general updates may
+/// follow): identical communication structure, partial blocks carry
+/// `(value, bitfield)` pairs. The engine's inter-batch lookahead completes
+/// builds in the background and drains them through this entry point.
+/// Collective.
+#[allow(clippy::too_many_arguments)]
+pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
+    a: &mut DistMat<S::Elem>,
+    b: &mut DistMat<S::Elem>,
+    c: &mut DistMat<S::Elem>,
+    f: Option<&mut DistMat<u64>>,
+    a_star: &StarBuild<S::Elem>,
+    b_star: &StarBuild<S::Elem>,
+    exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> (StarBuild<S::Elem>, StarBuild<S::Elem>) {
-    let a_layout = Arc::clone(a.info().layout());
-    let b_layout = Arc::clone(b.info().layout());
-    timer.time(phase::SCATTER, || {
-        let mut inner = PhaseTimer::new();
-        match mode {
-            TransposeMode::Physical => {
-                let pa =
-                    start_update_matrix_in::<S>(grid, &a_layout, a_tuples, Dedup::Add, &mut inner);
-                let pb =
-                    start_update_matrix_in::<S>(grid, &b_layout, b_tuples, Dedup::Add, &mut inner);
-                (
-                    StarBuild::Physical(pa.finish(grid, &mut inner)),
-                    StarBuild::Physical(pb.finish(grid, &mut inner)),
-                )
-            }
-            TransposeMode::Virtual => {
-                let pa = start_update_matrix_pair_in::<S>(
-                    grid,
-                    &a_layout,
-                    a_tuples,
-                    Dedup::Add,
-                    &mut inner,
-                );
-                let pb = start_update_matrix_pair_in::<S>(
-                    grid,
-                    &b_layout,
-                    b_tuples,
-                    Dedup::Add,
-                    &mut inner,
-                );
-                (
-                    StarBuild::Virtual(pa.finish(grid, &mut inner)),
-                    StarBuild::Virtual(pb.finish(grid, &mut inner)),
-                )
-            }
-        }
-    })
+) -> u64 {
+    match f {
+        Some(f) => apply_prebuilt_with::<S, BloomKernel>(
+            grid,
+            a,
+            b,
+            a_star,
+            b_star,
+            exec,
+            timer,
+            |cstar| add_cstar_tracked::<S>(c, f, cstar),
+        ),
+        None => apply_prebuilt_with::<S, PlainKernel>(
+            grid,
+            a,
+            b,
+            a_star,
+            b_star,
+            exec,
+            timer,
+            |cstar| add_cstar::<S>(c, cstar),
+        ),
+    }
 }
 
-/// Algebraic-update step from **pre-built** update operands: applies
-/// `B += B*`, runs Algorithm 1's rounds, applies `A += A*` and patches `C`.
-/// The engine's inter-batch lookahead completes builds in the background
-/// and drains them through this entry point. Collective.
+/// The batch sequence both kernels of [`apply_algebraic_prebuilt_exec`]
+/// share; `add_cstar` folds this rank's `C*` block into the product.
+#[allow(clippy::too_many_arguments)]
+fn apply_prebuilt_with<S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    a: &mut DistMat<S::Elem>,
+    b: &mut DistMat<S::Elem>,
+    a_star: &StarBuild<S::Elem>,
+    b_star: &StarBuild<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    add_cstar: impl FnOnce(&Dcsr<K::Out>),
+) -> u64 {
+    // Eq. 1 ordering: B must be B' during the multiplication, A must still
+    // be the old A.
+    timer.time(phase::LOCAL_UPDATE, || {
+        apply_add::<S>(b, b_star.natural(), exec.threads);
+    });
+    let (cstar, flops) =
+        compute_cstar_exec::<S, K>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
+    timer.time(phase::LOCAL_UPDATE, || {
+        apply_add::<S>(a, a_star.natural(), exec.threads);
+        add_cstar(&cstar);
+    });
+    flops
+}
+
+/// [`apply_algebraic_prebuilt_exec`] without a filter matrix — the form the
+/// benchmark adapter names.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     grid: &Grid,
@@ -1072,121 +779,40 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    // Eq. 1 ordering: B must be B' during the multiplication, A must still
-    // be the old A.
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(b, b_star.natural(), exec);
-    });
-    let (cstar, flops) =
-        compute_cstar_exec::<S, PlainKernel>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(a, a_star.natural(), exec);
-        add_cstar::<S>(c, &cstar);
-    });
-    flops
+    apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, None, a_star, b_star, exec, timer)
 }
 
-/// Algebraic-update step that also maintains the Bloom filter matrix `F`
-/// (required when general updates may follow). Identical communication
-/// structure; partial blocks carry `(value, bitfield)` pairs.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked<S: Semiring>(
+/// Shared-operand Algorithm 1 from a **pre-built** update operand:
+/// maintains `C = A · A` and its filter matrix `F` through `A' = A + A*`
+/// and returns this rank's `C*` block (`(value, bitfield)` pairs — the
+/// local delta merged into `C`) plus the flop count. The delta lets callers
+/// (the analytics session's views) observe exactly which product entries
+/// changed without a second pass. Collective.
+///
+/// The caller performs the redistribution once and may feed the same `A*`
+/// to any number of consumers — the "one redistribution pays for all views"
+/// contract. `star`'s variant names the transposition the round roots run:
+/// the wire exchange for [`StarBuild::Physical`], the local one for
+/// [`StarBuild::Virtual`].
+pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_tracked_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        f,
-        a_tuples,
-        b_tuples,
-        &Exec::new(threads),
-        timer,
-    )
-}
-
-/// [`apply_algebraic_updates_tracked`] under an explicit [`Exec`]. Defaults
-/// to [`TransposeMode::Virtual`] (Section V-C).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
+    star: &StarBuild<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> u64 {
-    apply_algebraic_updates_tracked_mode_exec::<S>(
+) -> (Dcsr<(S::Elem, u64)>, u64) {
+    let (cstar, flops) = compute_cstar_shared_exec::<S, BloomKernel>(
         grid,
         a,
-        b,
-        c,
-        f,
-        a_tuples,
-        b_tuples,
-        TransposeMode::default(),
+        star.view(),
+        |m| apply_add::<S>(m, star.natural(), exec.threads),
         exec,
         timer,
-    )
-}
-
-/// [`apply_algebraic_updates_tracked_exec`] under an explicit
-/// [`TransposeMode`].
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked_mode_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    let (a_star, b_star) = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, mode, timer);
-    apply_algebraic_updates_tracked_prebuilt_exec::<S>(
-        grid, a, b, c, f, &a_star, &b_star, exec, timer,
-    )
-}
-
-/// Tracked analog of [`apply_algebraic_updates_prebuilt_exec`]: also
-/// maintains the Bloom filter matrix `F`. Collective.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_tracked_prebuilt_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_star: &StarBuild<S::Elem>,
-    b_star: &StarBuild<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(b, b_star.natural(), exec);
-    });
-    let (cstar, flops) =
-        compute_cstar_exec::<S, BloomKernel>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add_exec::<S>(a, a_star.natural(), exec);
-        add_cstar_tracked::<S>(c, f, &cstar);
-    });
-    flops
+    );
+    timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
+    (cstar, flops)
 }
 
 #[cfg(test)]
@@ -1232,8 +858,17 @@ mod tests {
                 // Every rank contributes its own update tuples.
                 let a_ups = random_triples(100 + round * 7 + comm.rank() as u64, n, 15);
                 let b_ups = random_triples(500 + round * 7 + comm.rank() as u64, n, 15);
-                apply_algebraic_updates::<U64Plus>(
-                    &grid, &mut a, &mut b, &mut c, a_ups, b_ups, 2, &mut timer,
+                apply_algebraic_updates_mode_exec::<U64Plus>(
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    None,
+                    a_ups,
+                    b_ups,
+                    TransposeMode::Virtual,
+                    &Exec::new(2),
+                    &mut timer,
                 );
             }
             // Static recomputation from the final A', B'.
@@ -1296,19 +931,29 @@ mod tests {
             let mut c2 = c.clone();
             let a_ups = random_triples(31 + comm.rank() as u64, n, 10);
             let b_ups = random_triples(41 + comm.rank() as u64, n, 10);
-            apply_algebraic_updates_tracked::<U64Plus>(
+            apply_algebraic_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
-                &mut f,
+                Some(&mut f),
                 a_ups.clone(),
                 b_ups.clone(),
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
-            apply_algebraic_updates::<U64Plus>(
-                &grid, &mut a2, &mut b2, &mut c2, a_ups, b_ups, 1, &mut timer,
+            apply_algebraic_updates_mode_exec::<U64Plus>(
+                &grid,
+                &mut a2,
+                &mut b2,
+                &mut c2,
+                None,
+                a_ups,
+                b_ups,
+                TransposeMode::Virtual,
+                &Exec::new(1),
+                &mut timer,
             );
             // C identical either way; F covers C's pattern.
             let ct = c.to_global_triples();
@@ -1336,14 +981,16 @@ mod tests {
             let mut b = a.clone();
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             let before = c.gather_to_root(comm);
-            apply_algebraic_updates::<U64Plus>(
+            apply_algebraic_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 vec![],
                 vec![],
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             before == c.gather_to_root(comm)
@@ -1368,30 +1015,40 @@ mod tests {
                 let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
                 let mut a2 = a.clone();
                 let mut b2 = a.clone();
-                let (mut c, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+                let (mut c, mut f, _) =
+                    crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, 1, &mut timer);
                 let mut c2 = c.clone();
+                let exec = Exec::new(1);
                 for round in 0..3u64 {
                     let ups = random_triples(40 + round + comm.rank() as u64, n, 9);
-                    let star = crate::update::build_update_matrix::<U64Plus>(
+                    // Both transpositions feed the same rounds: alternate.
+                    let mode = if round % 2 == 0 {
+                        TransposeMode::Physical
+                    } else {
+                        TransposeMode::Virtual
+                    };
+                    let star = PendingStar::<U64Plus>::start(
                         &grid,
-                        n,
-                        n,
+                        a.info().layout(),
                         ups.clone(),
-                        crate::update::Dedup::Add,
+                        mode,
                         &mut timer,
-                    );
-                    let (cstar, flops) = apply_shared_algebraic_prebuilt::<U64Plus>(
-                        &grid, &mut a, &mut c, &star, 1, &mut timer,
+                    )
+                    .finish(&grid, &mut timer);
+                    let (cstar, flops) = apply_shared_algebraic_prebuilt_tracked_exec::<U64Plus>(
+                        &grid, &mut a, &mut c, &mut f, &star, &exec, &mut timer,
                     );
                     assert!(cstar.nnz() == 0 || flops > 0);
-                    apply_algebraic_updates::<U64Plus>(
+                    apply_algebraic_updates_mode_exec::<U64Plus>(
                         &grid,
                         &mut a2,
                         &mut b2,
                         &mut c2,
+                        None,
                         ups.clone(),
                         ups,
-                        1,
+                        TransposeMode::Virtual,
+                        &Exec::new(1),
                         &mut timer,
                     );
                 }
@@ -1432,8 +1089,14 @@ mod tests {
                 crate::update::Dedup::Add,
                 &mut timer,
             );
-            apply_shared_algebraic_prebuilt_tracked::<U64Plus>(
-                &grid, &mut a, &mut c, &mut f, &star, 1, &mut timer,
+            apply_shared_algebraic_prebuilt_tracked_exec::<U64Plus>(
+                &grid,
+                &mut a,
+                &mut c,
+                &mut f,
+                &StarBuild::Physical(star),
+                &Exec::new(1),
+                &mut timer,
             );
             // Invariant C = A·A against static recomputation; F covers C.
             let (c_static, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
@@ -1472,22 +1135,17 @@ mod tests {
             let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            let before = dspgemm_mpi::CommCategory::all();
-            let _ = before;
-            // Measure only the update step: reset via snapshot is not
-            // available inside; instead, run the update and report the
-            // volume of the whole run minus a baseline run (handled by the
-            // caller comparing totals of two runs that differ only in the
-            // update step).
             let ups = random_triples(77 + comm.rank() as u64, n, batch);
-            apply_algebraic_updates::<U64Plus>(
+            apply_algebraic_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 ups,
                 vec![],
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             c.local_nnz()

@@ -29,7 +29,7 @@ use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds, Schedule};
-use crate::update::{apply_mask_exec, apply_merge_exec, build_update_matrix_in, Dedup};
+use crate::update::{apply_mask, apply_merge, build_update_matrix_in, Dedup};
 use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::masked_mm::{masked_spgemm_bloom_with, MaskSet};
 use dspgemm_sparse::ops::extract_filtered;
@@ -71,8 +71,8 @@ impl<V: Elem> GeneralUpdates<V> {
 
 /// Distributed update-matrix triple for one operand of a general update:
 /// the MERGE matrix (sets), the MASK matrix (deletes) and the combined
-/// structural pattern `A*`. Produced by [`prepare_general_update`]; holding
-/// it lets one redistribution feed several consumers (the analytics
+/// structural pattern `A*`. Produced by [`prepare_general_update_mode`];
+/// holding it lets one redistribution feed several consumers (the analytics
 /// session's shared-batch contract).
 pub struct PreparedGeneral<V> {
     /// Redistributed `sets` as a hypersparse MERGE matrix.
@@ -101,28 +101,18 @@ impl<V: Elem> PreparedGeneral<V> {
 }
 
 /// Redistributes one operand's general-update batch (the only communication
-/// of update assembly) and builds its MERGE/MASK/pattern matrices.
-/// Collective over the grid. Resolution stays physical (`star_t = None`);
-/// use [`prepare_general_update_mode`] to opt into virtual transposition.
-pub fn prepare_general_update<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    upd: GeneralUpdates<S::Elem>,
-    timer: &mut PhaseTimer,
-) -> PreparedGeneral<S::Elem> {
-    prepare_general_update_mode::<S>(grid, nrows, ncols, upd, TransposeMode::Physical, timer)
-}
-
-/// [`prepare_general_update`] under an explicit [`TransposeMode`]. Under
-/// [`TransposeMode::Virtual`] the combined structural pattern is
-/// additionally redistributed with flipped tuples and swapped dimensions;
-/// ordering the flipped stream deletes-first (zero values), then sets, and
-/// deduplicating [`Dedup::LastWins`] reproduces the natural star's values
-/// exactly — a position covered by any set keeps the last set value, a
-/// delete-only position keeps the semiring zero — so `COMPUTE_PATTERN`'s
-/// broadcast payloads are bit-identical across modes. `mode` must agree on
-/// all ranks (it changes the collective schedule). Collective.
+/// of update assembly) and builds its MERGE/MASK/pattern matrices under the
+/// uniform layout. Collective over the grid.
+///
+/// Under [`TransposeMode::Physical`] resolution stays on the wire
+/// (`star_t = None`). Under [`TransposeMode::Virtual`] the combined
+/// structural pattern is additionally redistributed with flipped tuples and
+/// swapped dimensions; ordering the flipped stream deletes-first (zero
+/// values), then sets, and deduplicating [`Dedup::LastWins`] reproduces the
+/// natural star's values exactly — a position covered by any set keeps the
+/// last set value, a delete-only position keeps the semiring zero — so
+/// `COMPUTE_PATTERN`'s broadcast payloads are bit-identical across modes.
+/// `mode` must agree on all ranks (it changes the collective schedule).
 pub fn prepare_general_update_mode<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -140,10 +130,10 @@ pub fn prepare_general_update_mode<S: Semiring>(
     )
 }
 
-/// [`prepare_general_update_mode`] under an explicit [`Layout`] — the form
-/// the engine uses so general-update operands route under the session's
-/// (possibly rebalanced) cuts. Collective.
-pub fn prepare_general_update_mode_in<S: Semiring>(
+/// [`prepare_general_update_mode`] under an explicit [`Layout`], so the
+/// engine's general-update operands route under the session's (possibly
+/// rebalanced) cuts. Collective.
+fn prepare_general_update_mode_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     upd: GeneralUpdates<S::Elem>,
@@ -187,7 +177,7 @@ pub fn prepare_general_update_mode_in<S: Semiring>(
     }
 }
 
-/// The `√p` masked-recompute rounds shared by both general-update paths:
+/// The `√p` masked-recompute rounds of [`recompute_at_cstar`]:
 /// broadcast `A^R` over process rows and the `C*` pattern over process
 /// columns, recompute `Z = A^R · right` masked at `C*` (with updated Bloom
 /// bits), and merge-reduce the partials onto the owners. Pipelined: round
@@ -262,104 +252,30 @@ fn masked_recompute_rounds<S: Semiring>(
     (z_mine.expect("round k=i must deliver Z_{i,j}"), flops)
 }
 
-/// Applies one batch of general updates to each operand of `C = A · B`,
-/// updating `A`, `B`, `C` and the filter matrix `F` in place via
-/// Algorithm 2. Returns the local flop count. Collective over the grid.
+/// Steps 2–5 of Algorithm 2, shared by both shapes once `COMPUTE_PATTERN`
+/// has produced this rank's `C*` block and both operands are updated: the
+/// filter OR-reduce, the `A^R` extraction and its transpose exchange, the
+/// masked recompute against `right` (`B'`, or `A'` itself for `C = A·A`),
+/// and the replacement of `C` and `F` at `C*`. Returns the local flop count
+/// of the recompute. Collective over the grid.
 ///
-/// `f` must have been maintained by every prior product/update step
-/// ([`crate::summa::summa_bloom`], the tracked algebraic path, or this
-/// function) — the engine enforces that.
+/// The `A^R` exchange is physical in both transpose modes: `A^R` is
+/// data-dependent and cannot be prebuilt at redistribution time.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates<S: Semiring>(
+fn recompute_at_cstar<S: Semiring>(
     grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
+    a_new: &DistMat<S::Elem>,
+    right: &DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    apply_general_updates_exec::<S>(grid, a, b, c, f, a_upd, b_upd, &Exec::new(threads), timer)
-}
-
-/// [`apply_general_updates`] under an explicit [`Exec`] — the engine's
-/// entry point, so the pattern pass and masked recomputation lease from the
-/// session pools. Defaults to [`TransposeMode::Virtual`] (Section V-C).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
+    cstar: &Dcsr<u64>,
+    tag_ar: u64,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    apply_general_updates_mode_exec::<S>(
-        grid,
-        a,
-        b,
-        c,
-        f,
-        a_upd,
-        b_upd,
-        TransposeMode::default(),
-        exec,
-        timer,
-    )
-}
-
-/// [`apply_general_updates_exec`] under an explicit [`TransposeMode`] —
-/// the `repro commavoid` ablation switch for Algorithm 2's
-/// `COMPUTE_PATTERN` phase (the `A^R` exchange of the masked recompute is
-/// physical in both modes: `A^R` is data-dependent and cannot be prebuilt
-/// at redistribution time).
-#[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates_mode_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    // --- Update matrices (redistribution = "scatter"). ---
-    let (a_ops, b_ops) = timer.time(phase::SCATTER, || {
-        let mut inner_t = PhaseTimer::new();
-        let a_layout = Arc::clone(a.info().layout());
-        let b_layout = Arc::clone(b.info().layout());
-        let a_ops = prepare_general_update_mode_in::<S>(grid, &a_layout, a_upd, mode, &mut inner_t);
-        let b_ops = prepare_general_update_mode_in::<S>(grid, &b_layout, b_upd, mode, &mut inner_t);
-        (a_ops, b_ops)
-    });
-
-    // --- B ← B' (Eq. 1 needs B' during pattern computation). ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_merge_exec::<S>(b, &b_ops.set_mat, exec);
-        apply_mask_exec::<S>(b, &b_ops.del_mat, exec);
-    });
-
-    // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
-    let (cstar, mut flops) =
-        compute_cstar_exec::<S, PatternKernel>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
-
-    // --- A ← A' (the masked recomputation reads the *new* A). ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_merge_exec::<S>(a, &a_ops.set_mat, exec);
-        apply_mask_exec::<S>(a, &a_ops.del_mat, exec);
-    });
-
     // --- E = (F ⊕ F*) masked at C*; R = row-wise OR, allreduced over the
     // process row. ---
-    let local_rows = a.info().local_rows();
+    let local_rows = a_new.info().local_rows();
     let filter: Arc<Vec<u64>> = timer.time(phase::REDUCE_SCATTER, || {
         let mut e = Dcsr::empty(cstar.nrows(), cstar.ncols());
         cstar.scan_rows(|r, cols, vals| {
@@ -386,42 +302,92 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
     // columns). ---
     let a_r: Arc<Dcsr<S::Elem>> = timer.time(phase::LOCAL_MULT, || {
         Arc::new(extract_filtered(
-            a.block(),
+            a_new.block(),
             &filter,
-            a.info().col_range.start,
+            a_new.info().col_range.start,
         ))
     });
 
     // --- Transpose exchange of A^R (enables parallel row broadcasts). ---
-    const TAG_AR: u64 = 103;
     let peer = grid.transpose_rank();
     let ar_t: Arc<Dcsr<S::Elem>> = timer.time(phase::SEND_RECV, || {
         if peer == grid.world().rank() {
             a_r
         } else {
-            grid.world().sendrecv_shared(peer, a_r, peer, TAG_AR)
+            grid.world().sendrecv_shared(peer, a_r, peer, tag_ar)
         }
     });
 
     // --- √p rounds: bcast A^R over rows, C* over columns, masked multiply,
     // merge-reduce Z/H onto owners (pipelined). ---
     let cstar_structure: Arc<Dcsr<()>> = Arc::new(cstar.map(|_| ()));
-    let (z, z_flops) = masked_recompute_rounds::<S>(
+    let (z, flops) = masked_recompute_rounds::<S>(
         grid,
         &ar_t,
         &cstar_structure,
-        b.block(),
-        b.info().row_range.start,
+        right.block(),
+        right.info().row_range.start,
         exec,
         timer,
     );
-    flops += z_flops;
 
     // --- Merge Z into C and H into F, masked at C*. ---
     timer.time(phase::LOCAL_UPDATE, || {
-        replace_at_cstar::<S>(c, f, &cstar, &z)
+        replace_at_cstar::<S>(c, f, cstar, &z)
     });
     flops
+}
+
+/// Applies one batch of general updates to each operand of `C = A · B`,
+/// updating `A`, `B`, `C` and the filter matrix `F` in place via
+/// Algorithm 2. Returns the local flop count. Collective over the grid.
+///
+/// `f` must have been maintained by every prior product/update step
+/// ([`crate::summa::summa_bloom`], the tracked algebraic path, or this
+/// function) — the engine enforces that. `mode` selects how
+/// `COMPUTE_PATTERN`'s round roots obtain their blocks and must agree on
+/// all ranks.
+#[allow(clippy::too_many_arguments)]
+pub fn apply_general_updates_mode_exec<S: Semiring>(
+    grid: &Grid,
+    a: &mut DistMat<S::Elem>,
+    b: &mut DistMat<S::Elem>,
+    c: &mut DistMat<S::Elem>,
+    f: &mut DistMat<u64>,
+    a_upd: GeneralUpdates<S::Elem>,
+    b_upd: GeneralUpdates<S::Elem>,
+    mode: TransposeMode,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+) -> u64 {
+    // --- Update matrices (redistribution = "scatter"). ---
+    let (a_ops, b_ops) = timer.time(phase::SCATTER, || {
+        let mut inner_t = PhaseTimer::new();
+        let a_ops =
+            prepare_general_update_mode_in::<S>(grid, a.info().layout(), a_upd, mode, &mut inner_t);
+        let b_ops =
+            prepare_general_update_mode_in::<S>(grid, b.info().layout(), b_upd, mode, &mut inner_t);
+        (a_ops, b_ops)
+    });
+
+    // --- B ← B' (Eq. 1 needs B' during pattern computation). ---
+    timer.time(phase::LOCAL_UPDATE, || {
+        apply_merge::<S>(b, &b_ops.set_mat, exec.threads);
+        apply_mask::<S>(b, &b_ops.del_mat, exec.threads);
+    });
+
+    // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
+    let (cstar, flops) =
+        compute_cstar_exec::<S, PatternKernel>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
+
+    // --- A ← A' (the masked recomputation reads the *new* A). ---
+    timer.time(phase::LOCAL_UPDATE, || {
+        apply_merge::<S>(a, &a_ops.set_mat, exec.threads);
+        apply_mask::<S>(a, &a_ops.del_mat, exec.threads);
+    });
+
+    const TAG_AR: u64 = 103;
+    flops + recompute_at_cstar::<S>(grid, a, b, c, f, &cstar, TAG_AR, exec, timer)
 }
 
 /// The local tail of Algorithm 2: at every position of the pattern `C*`,
@@ -471,25 +437,11 @@ fn replace_at_cstar<S: Semiring>(
 /// maintained views) plus the local flop count. Collective.
 ///
 /// `COMPUTE_PATTERN` runs through
-/// [`compute_cstar_shared`](crate::dyn_algebraic::compute_cstar_shared)'s
-/// split round
-/// structure (`Y` rounds against the old `A`, MERGE/MASK application, `X`
-/// rounds against the new `A'`); the subsequent filter reduction, `A^R`
-/// extraction and masked recomputation read only the post-update matrix, so
-/// they are unchanged from [`apply_general_updates`] with `B = A'`.
-pub fn apply_shared_general_prebuilt<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    prep: &PreparedGeneral<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<u64>, u64) {
-    apply_shared_general_prebuilt_exec::<S>(grid, a, c, f, prep, &Exec::new(threads), timer)
-}
-
-/// [`apply_shared_general_prebuilt`] under an explicit [`Exec`].
+/// [`compute_cstar_shared_exec`]'s split round structure (Y rounds against
+/// the old `A`, MERGE/MASK application, X rounds against the new `A'`),
+/// resolving round roots the way `prep` was prepared for; the repair reads
+/// only the post-update matrix, so it is
+/// [`apply_general_updates_mode_exec`]'s with `B = A'`.
 pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
@@ -500,79 +452,21 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (Dcsr<u64>, u64) {
     // --- COMPUTE_PATTERN around the in-place update A → A'. ---
-    let (cstar, mut flops) = compute_cstar_shared_exec::<S, PatternKernel>(
+    let (cstar, flops) = compute_cstar_shared_exec::<S, PatternKernel>(
         grid,
         a,
         prep.view(),
         |m| {
-            apply_merge_exec::<S>(m, &prep.set_mat, exec);
-            apply_mask_exec::<S>(m, &prep.del_mat, exec);
+            apply_merge::<S>(m, &prep.set_mat, exec.threads);
+            apply_mask::<S>(m, &prep.del_mat, exec.threads);
         },
         exec,
         timer,
     );
 
-    // --- E = (F ⊕ F*) masked at C*; R = row-wise OR over the process row. ---
-    let local_rows = a.info().local_rows();
-    let filter: Arc<Vec<u64>> = timer.time(phase::REDUCE_SCATTER, || {
-        let mut e = Dcsr::empty(cstar.nrows(), cstar.ncols());
-        cstar.scan_rows(|r, cols, vals| {
-            let mut e_cols: Vec<Index> = Vec::with_capacity(cols.len());
-            let mut e_vals: Vec<u64> = Vec::with_capacity(cols.len());
-            for (&cc, &fstar_bits) in cols.iter().zip(vals) {
-                let f_bits = f.block().get(r, cc).unwrap_or(0);
-                e_cols.push(cc);
-                e_vals.push(f_bits | fstar_bits);
-            }
-            e.push_row(r, &e_cols, &e_vals);
-        });
-        let local_r = row_or_reduce(&e, local_rows);
-        let reduced = grid.row_comm().reduce(0, local_r, |mut x, y| {
-            dspgemm_sparse::bloom::or_assign(&mut x, &y);
-            x
-        });
-        grid.row_comm().bcast_shared(0, reduced.map(Arc::new))
-    });
-
-    // --- A^R: filtered extraction of the already-updated A'. ---
-    let a_r: Arc<Dcsr<S::Elem>> = timer.time(phase::LOCAL_MULT, || {
-        Arc::new(extract_filtered(
-            a.block(),
-            &filter,
-            a.info().col_range.start,
-        ))
-    });
-
-    // --- Transpose exchange of A^R. ---
     const TAG_AR_SHARED: u64 = 106;
-    let peer = grid.transpose_rank();
-    let ar_t: Arc<Dcsr<S::Elem>> = timer.time(phase::SEND_RECV, || {
-        if peer == grid.world().rank() {
-            a_r
-        } else {
-            grid.world().sendrecv_shared(peer, a_r, peer, TAG_AR_SHARED)
-        }
-    });
-
-    // --- √p rounds: bcast A^R over rows, C* over columns, masked multiply
-    // against A' itself, merge-reduce Z/H onto owners (pipelined). ---
-    let cstar_structure: Arc<Dcsr<()>> = Arc::new(cstar.map(|_| ()));
-    let (z, z_flops) = masked_recompute_rounds::<S>(
-        grid,
-        &ar_t,
-        &cstar_structure,
-        a.block(),
-        a.info().row_range.start,
-        exec,
-        timer,
-    );
-    flops += z_flops;
-
-    // --- Merge Z into C and H into F, masked at C*. ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        replace_at_cstar::<S>(c, f, &cstar, &z)
-    });
-    (cstar, flops)
+    let z_flops = recompute_at_cstar::<S>(grid, a, a, c, f, &cstar, TAG_AR_SHARED, exec, timer);
+    (cstar, flops + z_flops)
 }
 
 #[cfg(test)]
@@ -672,8 +566,17 @@ mod tests {
                 } else {
                     (GeneralUpdates::new(), GeneralUpdates::new())
                 };
-                apply_general_updates::<MinPlus>(
-                    &grid, &mut a, &mut b, &mut c, &mut f, a_upd, b_upd, 1, &mut timer,
+                apply_general_updates_mode_exec::<MinPlus>(
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    &mut f,
+                    a_upd,
+                    b_upd,
+                    TransposeMode::Virtual,
+                    &Exec::new(1),
+                    &mut timer,
                 );
             }
             // Reference: static recomputation of A'·B' from scratch.
@@ -729,7 +632,7 @@ mod tests {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates::<U64Plus>(
+            apply_general_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -737,7 +640,8 @@ mod tests {
                 &mut f,
                 a_upd,
                 GeneralUpdates::new(),
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
@@ -770,9 +674,22 @@ mod tests {
                     } else {
                         GeneralUpdates::new()
                     };
-                    let prep = prepare_general_update::<MinPlus>(&grid, n, n, upd, &mut timer);
-                    let (cstar, _) = apply_shared_general_prebuilt::<MinPlus>(
-                        &grid, &mut a, &mut c, &mut f, &prep, 1, &mut timer,
+                    // Both transpositions feed the same rounds: alternate.
+                    let mode = if round % 2 == 0 {
+                        TransposeMode::Physical
+                    } else {
+                        TransposeMode::Virtual
+                    };
+                    let prep =
+                        prepare_general_update_mode::<MinPlus>(&grid, n, n, upd, mode, &mut timer);
+                    let (cstar, _) = apply_shared_general_prebuilt_exec::<MinPlus>(
+                        &grid,
+                        &mut a,
+                        &mut c,
+                        &mut f,
+                        &prep,
+                        &Exec::new(1),
+                        &mut timer,
                     );
                     // The change feed covers every masked position by design.
                     assert!(cstar.nnz() <= c.info().local_rows() as usize * n as usize);
@@ -802,7 +719,7 @@ mod tests {
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
             let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             let before = c.gather_to_root(comm);
-            apply_general_updates::<U64Plus>(
+            apply_general_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -810,7 +727,8 @@ mod tests {
                 &mut f,
                 GeneralUpdates::new(),
                 GeneralUpdates::new(),
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             before == c.gather_to_root(comm)
@@ -853,7 +771,7 @@ mod tests {
                 } else {
                     GeneralUpdates::new()
                 };
-                apply_general_updates::<U64Plus>(
+                apply_general_updates_mode_exec::<U64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -861,7 +779,8 @@ mod tests {
                     &mut f,
                     a_upd,
                     GeneralUpdates::new(),
-                    1,
+                    TransposeMode::Virtual,
+                    &Exec::new(1),
                     &mut timer,
                 );
             }

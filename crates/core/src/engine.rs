@@ -9,48 +9,30 @@
 
 use crate::distmat::{DistMat, MigrationStats};
 use crate::dyn_algebraic::{
-    apply_algebraic_updates_mode_exec, apply_algebraic_updates_prebuilt_exec,
-    apply_algebraic_updates_tracked_mode_exec, apply_algebraic_updates_tracked_prebuilt_exec,
-    StarBuild, TransposeMode,
+    apply_algebraic_prebuilt_exec, apply_algebraic_updates_mode_exec, PendingStar, TransposeMode,
 };
 use crate::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::Layout;
-use crate::rebalance::{imbalance, read_rank_load_gauges, RebalanceConfig, Rebalancer};
+use crate::rebalance::{imbalance, RebalanceConfig, Rebalancer};
 use crate::recovery::{
     Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState, ReplicaBundle,
     TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
 use crate::snapshot::{record_epoch_publish, Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
-use crate::update::{
-    start_update_matrix_in, start_update_matrix_pair_in, Dedup, PendingStarPair,
-    PendingUpdateMatrix,
-};
 use dspgemm_mpi::{catch_comm_mut, CommError};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Index, Triple};
+use dspgemm_sparse::Triple;
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::WireSize;
 use std::sync::Arc;
 
 /// An algebraic batch whose redistribution row-phase `IALLTOALLV`s are in
-/// flight — the content of [`DynSpGemm`]'s depth-1 lookahead slot. One
-/// handle per operand (two per operand under virtual transposition, where
-/// each star is built in both layouts).
-enum PendingBatch<S: Semiring> {
-    /// Natural-layout builds only ([`TransposeMode::Physical`]).
-    Physical {
-        a: Box<PendingUpdateMatrix<S>>,
-        b: Box<PendingUpdateMatrix<S>>,
-    },
-    /// Natural + transposed builds ([`TransposeMode::Virtual`]).
-    Virtual {
-        a: Box<PendingStarPair<S>>,
-        b: Box<PendingStarPair<S>>,
-    },
-}
+/// flight — the content of [`DynSpGemm`]'s depth-1 lookahead slot: the
+/// pending `(A*, B*)` builds.
+type PendingBatch<S> = (PendingStar<S>, PendingStar<S>);
 
 /// A dynamic SpGEMM session maintaining `C = A · B` under batched updates.
 pub struct DynSpGemm<S: Semiring> {
@@ -255,31 +237,18 @@ impl<S: Semiring> DynSpGemm<S> {
         let _sp = dspgemm_obs::span("engine", "apply_algebraic")
             .attr("updates", (a_updates.len() + b_updates.len()) as u64);
         self.dirty = true;
-        self.flops += match &mut self.f {
-            Some(f) => apply_algebraic_updates_tracked_mode_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                f,
-                a_updates,
-                b_updates,
-                self.transpose_mode,
-                &self.exec,
-                &mut self.timer,
-            ),
-            None => apply_algebraic_updates_mode_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                a_updates,
-                b_updates,
-                self.transpose_mode,
-                &self.exec,
-                &mut self.timer,
-            ),
-        };
+        self.flops += apply_algebraic_updates_mode_exec::<S>(
+            grid,
+            &mut self.a,
+            &mut self.b,
+            &mut self.c,
+            self.f.as_mut(),
+            a_updates,
+            b_updates,
+            self.transpose_mode,
+            &self.exec,
+            &mut self.timer,
+        );
     }
 
     /// Submits a batch of algebraic updates with **inter-batch
@@ -313,45 +282,26 @@ impl<S: Semiring> DynSpGemm<S> {
         let _sp = dspgemm_obs::span("engine", "redist_lookahead")
             .attr("updates", (a_updates.len() + b_updates.len()) as u64);
         // Route under the operands' *current* layouts: after a rebalancing
-        // migration the update matrices must land on the new owners.
-        let a_layout = Arc::clone(self.a.info().layout());
-        let b_layout = Arc::clone(self.b.info().layout());
-        // Issue the new batch's row phase first so it is already in flight
-        // while the previous batch (drained below) computes.
-        let newly = match self.transpose_mode {
-            TransposeMode::Physical => PendingBatch::Physical {
-                a: Box::new(start_update_matrix_in::<S>(
-                    grid,
-                    &a_layout,
-                    a_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-                b: Box::new(start_update_matrix_in::<S>(
-                    grid,
-                    &b_layout,
-                    b_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-            },
-            TransposeMode::Virtual => PendingBatch::Virtual {
-                a: Box::new(start_update_matrix_pair_in::<S>(
-                    grid,
-                    &a_layout,
-                    a_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-                b: Box::new(start_update_matrix_pair_in::<S>(
-                    grid,
-                    &b_layout,
-                    b_updates,
-                    Dedup::Add,
-                    &mut self.timer,
-                )),
-            },
-        };
+        // migration the update matrices must land on the new owners. Issue
+        // the new batch's row phase first so it is already in flight while
+        // the previous batch (drained below) computes.
+        let mode = self.transpose_mode;
+        let newly = (
+            PendingStar::start(
+                grid,
+                self.a.info().layout(),
+                a_updates,
+                mode,
+                &mut self.timer,
+            ),
+            PendingStar::start(
+                grid,
+                self.b.info().layout(),
+                b_updates,
+                mode,
+                &mut self.timer,
+            ),
+        );
         let previous = self.pending.replace(newly);
         self.complete(grid, previous);
     }
@@ -375,41 +325,23 @@ impl<S: Semiring> DynSpGemm<S> {
     /// `redist. comm.` exposed/overlapped, then the column phase) and
     /// applies it through the prebuilt Algorithm-1 path.
     fn complete(&mut self, grid: &Grid, batch: Option<PendingBatch<S>>) {
-        let Some(batch) = batch else { return };
+        let Some((a_star, b_star)) = batch else {
+            return;
+        };
         self.dirty = true;
-        let (a_star, b_star) = match batch {
-            PendingBatch::Physical { a, b } => (
-                StarBuild::Physical(a.finish(grid, &mut self.timer)),
-                StarBuild::Physical(b.finish(grid, &mut self.timer)),
-            ),
-            PendingBatch::Virtual { a, b } => (
-                StarBuild::Virtual(a.finish(grid, &mut self.timer)),
-                StarBuild::Virtual(b.finish(grid, &mut self.timer)),
-            ),
-        };
-        self.flops += match &mut self.f {
-            Some(f) => apply_algebraic_updates_tracked_prebuilt_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                f,
-                &a_star,
-                &b_star,
-                &self.exec,
-                &mut self.timer,
-            ),
-            None => apply_algebraic_updates_prebuilt_exec::<S>(
-                grid,
-                &mut self.a,
-                &mut self.b,
-                &mut self.c,
-                &a_star,
-                &b_star,
-                &self.exec,
-                &mut self.timer,
-            ),
-        };
+        let a_star = a_star.finish(grid, &mut self.timer);
+        let b_star = b_star.finish(grid, &mut self.timer);
+        self.flops += apply_algebraic_prebuilt_exec::<S>(
+            grid,
+            &mut self.a,
+            &mut self.b,
+            &mut self.c,
+            self.f.as_mut(),
+            &a_star,
+            &b_star,
+            &self.exec,
+            &mut self.timer,
+        );
     }
 
     /// Applies a batch of **general** updates (value writes incompatible
@@ -499,15 +431,15 @@ impl<S: Semiring> DynSpGemm<S> {
         self.rebalancer.as_ref()
     }
 
-    /// One rebalancing step: publishes the current epoch (refreshing the
-    /// per-rank load gauges), has world rank 0 read all ranks' gauges and
-    /// decide — max/mean nnz imbalance vs. the configured threshold, under
-    /// the migration cooldown — and, when the verdict is a new cut vector,
-    /// migrates `A`, `B`, `C` (and `F`) to the new [`Layout`] through the
-    /// two-phase redistribution path and re-publishes under it. Returns
-    /// whether a migration happened. No-op unless
-    /// [`DynSpGemm::enable_rebalancing`] was called. Collective over the
-    /// grid.
+    /// One rebalancing step: publishes the current epoch, allgathers every
+    /// rank's own load (the nnz of its `A` and `C` blocks) and has every rank
+    /// evaluate the same pure policy on that vector — max/mean nnz imbalance
+    /// vs. the configured threshold, under the migration cooldown — and,
+    /// when the verdict is a new cut vector, migrates `A`, `B`, `C` (and
+    /// `F`) to the new [`Layout`] through the two-phase redistribution path
+    /// and re-publishes under it. Returns whether a migration happened.
+    /// No-op unless [`DynSpGemm::enable_rebalancing`] was called. Collective
+    /// over the grid.
     ///
     /// Pinned pre-migration snapshots are untouched: they keep their own
     /// layout inside their [`crate::distmat::BlockInfo`], so epoch readers
@@ -520,28 +452,18 @@ impl<S: Semiring> DynSpGemm<S> {
             return false;
         }
         self.flush(grid);
-        // Publish (lazily) so every rank's gauges reflect the latest
-        // committed batch, then fence before the root reads them.
+        // Decide at the publish fence: the cooldown counts published epochs.
         self.snapshot();
-        grid.world().barrier();
         let epoch = self.epoch().unwrap_or(0);
-        let layout = Arc::clone(self.a.info().layout());
-        let verdict: (f64, Option<Vec<Index>>) = {
-            let mine = (grid.world().rank() == 0).then(|| {
-                let loads = read_rank_load_gauges(grid.p());
-                let reb = self.rebalancer.as_ref().expect("checked above");
-                (
-                    imbalance(&loads),
-                    reb.decide(layout.row_cuts(), &loads, epoch),
-                )
-            });
-            grid.world().bcast(0, mine)
-        };
-        let (imb, cuts) = verdict;
-        self.rebalancer
-            .as_mut()
-            .expect("checked above")
-            .note_decision(imb);
+        // The load signal travels over `Comm`, never through the
+        // process-global metrics registry: it is this session's own, on any
+        // transport, whatever else runs in the process.
+        let mine = (self.a.local_nnz() + self.c.local_nnz()) as u64;
+        let loads = grid.world().allgather(mine);
+        let imb = imbalance(&loads);
+        let reb = self.rebalancer.as_mut().expect("checked above");
+        reb.note_decision(imb);
+        let cuts = reb.decide(self.a.info().layout().row_cuts(), &loads, epoch);
         dspgemm_obs::global().gauge_set("engine.rebalance.imbalance", imb);
         let Some(cuts) = cuts else { return false };
         let _sp = dspgemm_obs::span("engine", "migrate").attr("epoch", epoch);

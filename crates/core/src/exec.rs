@@ -11,7 +11,8 @@
 //!
 //! Three pools are kept because the kernel payloads differ: plain values
 //! (`S::Elem`), value+Bloom fusion (`(S::Elem, u64)`), and pattern bits
-//! (`u64`). [`crate::dyn_algebraic::XYKernel::plan`] selects the right one.
+//! (`u64`). Each [`crate::dyn_algebraic::XYKernel`] draws from the one matching
+//! its payload.
 
 use dspgemm_sparse::local_mm::KernelPlan;
 use dspgemm_sparse::semiring::Semiring;
@@ -50,17 +51,17 @@ impl<S: Semiring> Exec<S> {
         }
     }
 
-    /// Plan for plain-valued kernels (`spgemm`).
+    /// Plan for plain-valued kernels (`spgemm_with`).
     pub fn plain(&self) -> KernelPlan<'_, S::Elem> {
         KernelPlan::with_schedule(self.threads, self.schedule).pooled(&self.plain)
     }
 
-    /// Plan for Bloom-fused kernels (`spgemm_bloom`, `masked_spgemm_bloom`).
+    /// Plan for Bloom-fused kernels (`spgemm_bloom_with`, `masked_spgemm_bloom_with`).
     pub fn fused(&self) -> KernelPlan<'_, (S::Elem, u64)> {
         KernelPlan::with_schedule(self.threads, self.schedule).pooled(&self.fused)
     }
 
-    /// Plan for pattern kernels (`spgemm_pattern`).
+    /// Plan for pattern kernels (`spgemm_pattern_with`).
     pub fn pattern(&self) -> KernelPlan<'_, u64> {
         KernelPlan::with_schedule(self.threads, self.schedule).pooled(&self.pattern)
     }

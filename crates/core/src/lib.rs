@@ -7,8 +7,8 @@
 //! * [`layout`] — explicit block layouts ([`Layout`]): the monotone row/col
 //!   cut points of the distribution, uniform by default, movable at run
 //!   time; plus the weighted cut solver [`layout::rebalance_cuts`].
-//! * [`rebalance`] — the metrics-driven [`Rebalancer`]: reads the per-rank
-//!   load gauges the engine publishes each epoch and, past a configurable
+//! * [`rebalance`] — the load-driven [`Rebalancer`]: decides on the per-rank
+//!   block nnz the engine allgathers each epoch and, past a configurable
 //!   imbalance threshold, migrates block boundaries (stripe
 //!   re-redistribution) to a freshly solved layout.
 //! * [`recovery`] — fault tolerance for engine sessions: per-batch

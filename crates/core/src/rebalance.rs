@@ -1,20 +1,24 @@
-//! Metrics-driven inter-rank rebalancing policy.
+//! Load-driven inter-rank rebalancing policy.
 //!
-//! The engine publishes per-rank load gauges (`engine.block_nnz.*`) at every
-//! epoch publish. The [`Rebalancer`] turns that signal into action: when the
-//! max/mean per-rank load imbalance crosses a configurable threshold (and a
-//! cooldown of epochs has passed since the last move), it solves for new cut
-//! points with [`crate::layout::rebalance_cuts`] over the per-stripe load and
-//! the engine migrates every session matrix to the new [`Layout`] through
-//! the two-phase redistribution path — only boundary stripes cross the wire.
+//! The load signal is each rank's own block nnz (`A` plus `C`), allgathered
+//! over the session's communicator at the publish fence. The [`Rebalancer`]
+//! turns that signal into action: when the max/mean per-rank load imbalance
+//! crosses a configurable threshold (and a cooldown of epochs has passed
+//! since the last move), it solves for new cut points with
+//! [`crate::layout::rebalance_cuts`] over the per-stripe load and the engine
+//! migrates every session matrix to the new [`crate::layout::Layout`]
+//! through the two-phase redistribution path — only boundary stripes cross
+//! the wire.
 //!
-//! The *decision* must be rank-uniform (migration is collective), so the
-//! engine has world rank 0 read the gauges for all ranks from the
-//! process-global registry and broadcast the verdict; see
-//! [`crate::engine::DynSpGemm::maybe_rebalance`]. This module holds the pure
-//! policy pieces — testable without a grid.
+//! The *decision* must be rank-uniform (migration is collective): every rank
+//! evaluates the pure, deterministic [`Rebalancer::decide`] on the same
+//! allgathered load vector; see
+//! [`crate::engine::DynSpGemm::maybe_rebalance`]. The `engine.block_nnz.*`
+//! gauges written at every publish mirror the signal for observers and are
+//! never read back. This module holds the pure policy pieces — testable
+//! without a grid.
 
-use crate::layout::{rebalance_cuts, Layout};
+use crate::layout::rebalance_cuts;
 use dspgemm_sparse::Index;
 
 /// When and how eagerly the engine migrates block boundaries.
@@ -89,7 +93,8 @@ impl Rebalancer {
     /// per-rank loads (row-major over the `q × q` grid) at `epoch`, returns
     /// the new cut vector — or `None` to stay put (balanced enough, inside
     /// the cooldown, no load at all, or the solver reproduced the current
-    /// cuts). Pure: call on the deciding rank, broadcast the result.
+    /// cuts). Pure and deterministic: every rank calls it on the same
+    /// allgathered loads and reaches the same verdict.
     pub fn decide(&self, old_cuts: &[Index], loads: &[u64], epoch: u64) -> Option<Vec<Index>> {
         let q = old_cuts.len() - 1;
         assert_eq!(loads.len(), q * q, "one load per grid rank");
@@ -149,32 +154,6 @@ pub fn stripe_loads(loads: &[u64], q: usize) -> Vec<u64> {
         }
     }
     out
-}
-
-/// Reads the per-rank load gauges the engine publishes at every epoch:
-/// `engine.block_nnz.a.rank{r} + engine.block_nnz.c.rank{r}` for each of the
-/// `p` ranks. (The flop gauges are *cumulative* across epochs, so nnz — the
-/// state actually being migrated — is the balance signal.) Missing gauges
-/// read as zero. The registry is process-global, so any rank can read all
-/// ranks' gauges once a barrier orders the publishes before the read.
-pub fn read_rank_load_gauges(p: usize) -> Vec<u64> {
-    let reg = dspgemm_obs::global();
-    (0..p)
-        .map(|r| {
-            let a = reg
-                .gauge(&format!("engine.block_nnz.a.rank{r}"))
-                .unwrap_or(0.0);
-            let c = reg
-                .gauge(&format!("engine.block_nnz.c.rank{r}"))
-                .unwrap_or(0.0);
-            (a + c) as u64
-        })
-        .collect()
-}
-
-/// The square [`Layout`] a decision migrates to.
-pub fn layout_for_cuts(cuts: Vec<Index>) -> Layout {
-    Layout::square(cuts)
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //!
 //! Each `ALLTOALLV` involves only √p ranks and each counting sort only √p
 //! buckets — the paper's stated advantage over the comparison-sort +
-//! global-alltoall redistribution of CombBLAS/CTF (measured by the
-//! `redistribution` ablation bench).
+//! global-alltoall redistribution of CombBLAS/CTF (measured by
+//! `repro ablation-redist`).
 
-use crate::grid::{owner_block, Grid};
+use crate::grid::Grid;
 use crate::layout::Layout;
 use crate::pipeline::await_into_phase;
 use dspgemm_mpi::Request;
@@ -40,7 +40,7 @@ pub mod phase {
 /// The in-flight first half of a [`redistribute`]: the row-phase
 /// `IALLTOALLV` has been issued (its sends are on the wire and progress
 /// under whatever the caller does next) but not yet awaited. Produced by
-/// [`redistribute_start`], consumed by [`redistribute_finish`].
+/// [`redistribute_start_in`], consumed by [`redistribute_finish_in`].
 ///
 /// This is the handle behind the engine's depth-1 inter-batch lookahead:
 /// batch `k + 1`'s redistribution crosses the wire while batch `k`'s SpGEMM
@@ -49,77 +49,10 @@ pub struct InflightRedist<V: Copy + Send + Sync + WireSize + WireDecode + 'stati
     req: Request<Vec<Vec<Triple<V>>>>,
 }
 
-/// Issues the first (row) phase of the two-phase redistribution
-/// nonblocking: counting-sorts the tuples by destination grid row and
-/// starts the column-communicator `IALLTOALLV`. Collective over the grid
-/// (every rank must issue in the same order); complete with
-/// [`redistribute_finish`].
-pub fn redistribute_start<V>(
-    grid: &Grid,
-    nrows: Index,
-    tuples: Vec<Triple<V>>,
-    timer: &mut PhaseTimer,
-) -> InflightRedist<V>
-where
-    V: Copy + Send + Sync + WireSize + WireDecode + 'static,
-{
-    let q = grid.q();
-    let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_by(tuples, q, |t| owner_block(nrows, q, t.row).0)
-    });
-    InflightRedist {
-        req: grid.col_comm().ialltoallv(chunks),
-    }
-}
-
-/// Completes a redistribution started with [`redistribute_start`]: awaits
-/// the row phase (blocked time goes into [`phase::REDIST_COMM`] exposed,
-/// compute-hidden time into its overlapped share) and runs the second
-/// (column) phase. Returns this rank's tuples, still globally indexed.
-pub fn redistribute_finish<V>(
-    grid: &Grid,
-    ncols: Index,
-    inflight: InflightRedist<V>,
-    timer: &mut PhaseTimer,
-) -> Vec<Triple<V>>
-where
-    V: Copy + Send + Sync + WireSize + WireDecode + 'static,
-{
-    let q = grid.q();
-    let received = await_into_phase(inflight.req, timer, phase::REDIST_COMM);
-    let tuples: Vec<Triple<V>> = timer.time(phase::MEM_MANAGEMENT, || {
-        let total = received.iter().map(Vec::len).sum();
-        let mut v = Vec::with_capacity(total);
-        for chunk in received {
-            v.extend(chunk);
-        }
-        v
-    });
-
-    // Phase 2: to the correct grid column, exchanging within my grid row.
-    let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_by(tuples, q, |t| owner_block(ncols, q, t.col).0)
-    });
-    let received = timer.time(phase::REDIST_COMM, || grid.row_comm().alltoallv(chunks));
-    timer.time(phase::MEM_MANAGEMENT, || {
-        let total = received.iter().map(Vec::len).sum();
-        let mut v = Vec::with_capacity(total);
-        for chunk in received {
-            v.extend(chunk);
-        }
-        v
-    })
-}
-
 /// Routes every tuple to the rank owning its `(row, col)` position under the
-/// grid's 2D block distribution of an `nrows × ncols` matrix. Returns this
-/// rank's tuples (still globally indexed). Phase durations are accumulated
-/// into `timer`.
-///
-/// Composed as [`redistribute_start`] + [`redistribute_finish`] back to
-/// back, so the sequential path and the engine's pipelined lookahead share
-/// one code path — same sorts, same collectives, byte-identical wire
-/// traffic.
+/// grid's uniform 2D block distribution of an `nrows × ncols` matrix.
+/// Returns this rank's tuples (still globally indexed). Phase durations are
+/// accumulated into `timer`.
 pub fn redistribute<V>(
     grid: &Grid,
     nrows: Index,
@@ -130,14 +63,19 @@ pub fn redistribute<V>(
 where
     V: Copy + Send + Sync + WireSize + WireDecode + 'static,
 {
-    let inflight = redistribute_start(grid, nrows, tuples, timer);
-    redistribute_finish(grid, ncols, inflight, timer)
+    redistribute_in(
+        grid,
+        &Layout::uniform(nrows, ncols, grid.q()),
+        tuples,
+        timer,
+    )
 }
 
-/// Layout-keyed twin of [`redistribute_start`]: routes by the explicit cut
-/// points of `layout` instead of the uniform closed form. Same sorts, same
-/// collectives — under [`Layout::uniform`] the wire traffic is
-/// byte-identical to the uniform path.
+/// Issues the first (row) phase of the two-phase redistribution
+/// nonblocking: counting-sorts the tuples by destination grid row under the
+/// cut points of `layout` and starts the column-communicator `IALLTOALLV`.
+/// Collective over the grid (every rank must issue in the same order);
+/// complete with [`redistribute_finish_in`].
 pub fn redistribute_start_in<V>(
     grid: &Grid,
     layout: &Layout,
@@ -157,7 +95,11 @@ where
     }
 }
 
-/// Layout-keyed twin of [`redistribute_finish`].
+/// Completes a redistribution started with [`redistribute_start_in`]:
+/// awaits the row phase (blocked time goes into [`phase::REDIST_COMM`]
+/// exposed, compute-hidden time into its overlapped share) and runs the
+/// second (column) phase. Returns this rank's tuples, still globally
+/// indexed.
 pub fn redistribute_finish_in<V>(
     grid: &Grid,
     layout: &Layout,
@@ -178,6 +120,7 @@ where
         }
         v
     });
+    // Phase 2: to the correct grid column, exchanging within my grid row.
     let chunks = timer.time(phase::REDIST_SORT, || {
         partition_by(tuples, q, |t| layout.col_owner(t.col).0)
     });
@@ -192,11 +135,11 @@ where
     })
 }
 
-/// Layout-keyed twin of [`redistribute`]: routes every tuple to the rank
-/// owning its `(row, col)` position under the explicit cut points of
-/// `layout`. This is the path stripe migration and all post-rebalance
-/// update routing take; the uniform entry points above remain the static
-/// fast path.
+/// Routes every tuple to the rank owning its `(row, col)` position under the
+/// explicit cut points of `layout`. Composed as [`redistribute_start_in`] +
+/// [`redistribute_finish_in`] back to back, so the sequential path and the
+/// engine's pipelined lookahead share one code path — same sorts, same
+/// collectives, byte-identical wire traffic.
 pub fn redistribute_in<V>(
     grid: &Grid,
     layout: &Layout,
@@ -299,33 +242,6 @@ mod tests {
         });
         let total: usize = out.results.iter().sum();
         assert_eq!(total, (n * n) as usize, "no tuple lost or duplicated");
-    }
-
-    #[test]
-    fn uniform_layout_routing_is_byte_identical() {
-        // The layout-keyed path under a uniform layout must produce the
-        // same wire volume as the closed-form path (same chunks, same
-        // collectives).
-        let n: Index = 37;
-        let mk = |comm: &dspgemm_mpi::Comm| -> Vec<Triple<u64>> {
-            (0..n)
-                .flat_map(|r| (0..n).map(move |c| Triple::new(r, c, (r * n + c) as u64)))
-                .filter(|t| (t.val as usize) % comm.size() == comm.rank())
-                .collect()
-        };
-        let uni = run(4, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            redistribute(&grid, n, n, mk(comm), &mut timer).len()
-        });
-        let lay = run(4, move |comm| {
-            let grid = Grid::new(comm);
-            let layout = Layout::uniform(n, n, grid.q());
-            let mut timer = PhaseTimer::new();
-            redistribute_in(&grid, &layout, mk(comm), &mut timer).len()
-        });
-        assert_eq!(uni.results, lay.results);
-        assert_eq!(uni.stats.volume(), lay.stats.volume());
     }
 
     #[test]

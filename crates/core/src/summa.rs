@@ -29,7 +29,7 @@ use crate::pipeline::{await_into_phase, run_rounds, Schedule};
 use dspgemm_mpi::Request;
 use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_with};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Csr, Dcsr, RowScan};
+use dspgemm_sparse::{Csr, RowScan};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
@@ -202,107 +202,6 @@ fn summa_with<S: Semiring>(
                     }
                 });
             });
-        },
-    );
-    (c, flops)
-}
-
-/// Computes `C = Aᵀ · B` with a SUMMA-style round structure **without ever
-/// materializing the distributed transpose of `A`** — the static
-/// counterpart of the Section V-C virtual transposition. Collective.
-///
-/// `C_{i,j} = Σ_k (A_{k,i})ᵀ · B_{k,j}`: in round `r` every rank whose
-/// column coordinate is `r` transposes its own `A` panel *locally* (pooled
-/// workspace — each rank transposes exactly once across all rounds) and
-/// broadcasts it along its process row; every rank multiplies the received
-/// panel into its resident `B` block, and the partials merge-reduce down
-/// each process column onto the owner of `C_{r,j}`. The wire carries only
-/// already-transposed panels — no transposition exchange, no redistributed
-/// `Aᵀ` — at the price of a non-local aggregation (the same trade
-/// Algorithm 1 makes).
-///
-/// The column reductions combine partials in binomial-tree order; for
-/// exact semirings (associative + commutative `add`) the result equals
-/// `summa(Aᵀ materialized, B)` bit for bit (asserted by the parity test);
-/// floating-point sums may differ by rounding only.
-pub fn summa_transposed<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, u64) {
-    summa_transposed_exec::<S>(grid, a, b, &Exec::new(threads), timer)
-}
-
-/// [`summa_transposed`] under an explicit [`Exec`] (pooled transposition
-/// and kernel workspaces).
-pub fn summa_transposed_exec<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, u64) {
-    assert_eq!(
-        a.info().layout().row_cuts(),
-        b.info().layout().row_cuts(),
-        "global dimension mismatch in transposed SUMMA: Aᵀ·B contracts over the rows of A and B"
-    );
-    let q = grid.q();
-    let (i, j) = grid.coords();
-    let c_layout = Arc::new(a.info().layout().transposed().product(b.info().layout()));
-    let mut c = DistMat::empty_in(grid, &c_layout);
-    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
-    // Root-side local transposition of this rank's own panel (done once;
-    // round r broadcasts it from every rank with column coordinate r).
-    let at_local: Arc<Csr<S::Elem>> = {
-        let a_local = a.block_csr_shared();
-        let _sp =
-            dspgemm_obs::span("engine", "transpose_virtual").attr("nnz", a_local.nnz() as u64);
-        timer.time(phase::TRANSPOSE_LOCAL, || {
-            let mut ws = exec.transpose_ws();
-            Arc::new(a_local.transpose_into(&mut ws))
-        })
-    };
-    let mut flops = 0u64;
-    run_rounds(
-        &mut (timer, &mut c, &mut flops),
-        q,
-        Schedule::Overlap,
-        |_ctx, k| {
-            grid.row_comm().ibcast_shared(
-                k,
-                if j == k {
-                    Some(Arc::clone(&at_local))
-                } else {
-                    None
-                },
-            )
-        },
-        |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-        |ctx, k, at_blk| {
-            let (timer, c, flops) = ctx;
-            let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_with::<S, _, _>(&*at_blk, &*b_local, exec.plain())
-            });
-            timer.add_thread_flops(&partial.thread_flops);
-            **flops += partial.flops;
-            let red = timer.time(phase::REDUCE_SCATTER, || {
-                grid.col_comm()
-                    .reduce(k, partial.result, |x, y| Dcsr::merge_with(&x, &y, S::add))
-            });
-            if let Some(mine) = red {
-                debug_assert_eq!(i, k);
-                timer.time(phase::LOCAL_UPDATE, || {
-                    let block = c.block_mut();
-                    mine.scan_rows(|r, cols, vals| {
-                        for (&cc, &v) in cols.iter().zip(vals) {
-                            block.add_entry::<S>(r, cc, v);
-                        }
-                    });
-                });
-            }
         },
     );
     (c, flops)
@@ -483,53 +382,6 @@ mod tests {
         // A² in (min,+) on a path: entries (i, i+2) with weight 2.
         assert_eq!(got.len(), (n - 2) as usize);
         assert!(got.iter().all(|t| t.col == t.row + 2 && t.val == 2.0));
-    }
-
-    /// `summa_transposed(A, B)` equals `summa(Aᵀ materialized, B)` bit for
-    /// bit under an exact semiring, on every grid and with non-square
-    /// shapes — while never exchanging a transposed operand.
-    #[test]
-    fn summa_transposed_matches_materialized_transpose() {
-        let nr: Index = 21; // A is nr × nc, so Aᵀ·B is nc × nc
-        let nc: Index = 27;
-        for p in [1usize, 4, 9] {
-            let out = run(p, move |comm| {
-                let grid = Grid::new(comm);
-                let mut timer = PhaseTimer::new();
-                let feed = |seed: u64, rows: Index, cols: Index| {
-                    if comm.rank() == 0 {
-                        let mut rng = SplitMix64::new(seed);
-                        (0..150)
-                            .map(|_| {
-                                Triple::new(
-                                    rng.gen_range(rows as u64) as Index,
-                                    rng.gen_range(cols as u64) as Index,
-                                    rng.gen_range(5) + 1,
-                                )
-                            })
-                            .collect::<Vec<Triple<u64>>>()
-                    } else {
-                        vec![]
-                    }
-                };
-                let a =
-                    DistMat::from_global_triples(&grid, nr, nc, feed(90, nr, nc), 1, &mut timer);
-                let b =
-                    DistMat::from_global_triples(&grid, nr, nc, feed(91, nr, nc), 1, &mut timer);
-                let (c_virt, flops) = summa_transposed::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-                let at = a.transposed(&grid, 1);
-                let (c_mat, _) = summa::<U64Plus>(&grid, &at, &b, 1, &mut timer);
-                assert_eq!(c_virt.info().nrows, nc);
-                assert_eq!(c_virt.info().ncols, nc);
-                (
-                    c_virt.gather_to_root(comm),
-                    c_mat.gather_to_root(comm),
-                    flops,
-                )
-            });
-            let (c_virt, c_mat, _) = &out.results[0];
-            assert_eq!(c_virt, c_mat, "p={p}: virtual != materialized Aᵀ·B");
-        }
     }
 
     #[test]

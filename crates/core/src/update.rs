@@ -7,17 +7,9 @@
 //!    alltoall) and assembles this rank's block of the hypersparse update
 //!    matrix `A*` in DCSR layout;
 //! 3. one of the *purely local* application operators finishes the job —
-//!    [`apply_add_exec`] (`A += A*`), [`apply_merge_exec`] (`MERGE`), or
-//!    [`apply_mask_exec`] (`MASK`) — each parallelized over the shards of
-//!    the session [`Exec`](crate::exec::Exec) by `row mod T`.
-//!
-//! The `_exec` operators are the primary entry points: the engine, the
-//! analytics session and the pipelined SpGEMM paths all drive application
-//! through a session [`Exec`](crate::exec::Exec) so one configuration
-//! object carries the thread count (and, for the kernels, the row schedule
-//! and pooled workspaces) everywhere. The bare-`threads` forms
-//! ([`apply_add`], [`apply_merge`], [`apply_mask`]) survive as thin
-//! conveniences for tests and one-off callers that have no session.
+//!    [`apply_add`] (`A += A*`), [`apply_merge`] (`MERGE`), or
+//!    [`apply_mask`] (`MASK`) — each parallelized over `threads` shards by
+//!    `row mod T`.
 //!
 //! An update matrix empty on this rank is applied as a guaranteed no-op
 //! that leaves the dynamic block — and its published image — untouched, so
@@ -76,8 +68,8 @@ fn assemble_update_block<S: Semiring>(
 }
 
 /// An update-matrix build whose first redistribution phase is in flight
-/// (see [`crate::redistribute::redistribute_start`]). Produced by
-/// [`start_update_matrix`], completed by [`PendingUpdateMatrix::finish`] —
+/// (see [`crate::redistribute::redistribute_start_in`]). Produced by
+/// [`start_update_matrix_in`], completed by [`PendingUpdateMatrix::finish`] —
 /// the unit the engine's depth-1 lookahead queues.
 pub struct PendingUpdateMatrix<S: Semiring> {
     layout: Arc<Layout>,
@@ -96,28 +88,9 @@ impl<S: Semiring> PendingUpdateMatrix<S> {
 
 /// Issues the first redistribution phase of an update-matrix build
 /// nonblocking and returns the pending handle, routing and assembling under
-/// the uniform layout. Collective over the grid (same issue order on every
-/// rank).
-pub fn start_update_matrix<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> PendingUpdateMatrix<S> {
-    start_update_matrix_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        dedup,
-        timer,
-    )
-}
-
-/// [`start_update_matrix`] under an explicit layout — the form the engine
-/// uses so update matrices always match the (possibly rebalanced) layout of
-/// the matrix they apply to.
+/// `layout` — update matrices always match the (possibly rebalanced) layout
+/// of the matrix they apply to. Collective over the grid (same issue order
+/// on every rank).
 pub fn start_update_matrix_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
@@ -136,9 +109,9 @@ pub fn start_update_matrix_in<S: Semiring>(
 
 /// Redistributes globally-indexed update tuples and assembles this rank's
 /// hypersparse `A*` block under the uniform layout. Collective over the
-/// grid. Composed as [`start_update_matrix`] + [`PendingUpdateMatrix::finish`],
-/// so the sequential path and the engine's inter-batch lookahead share one
-/// code path (byte-identical wire traffic).
+/// grid. Composed as [`start_update_matrix_in`] +
+/// [`PendingUpdateMatrix::finish`], so the sequential path and the engine's
+/// inter-batch lookahead share one code path (byte-identical wire traffic).
 pub fn build_update_matrix<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -147,7 +120,13 @@ pub fn build_update_matrix<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> DistDcsr<S::Elem> {
-    start_update_matrix::<S>(grid, nrows, ncols, tuples, dedup, timer).finish(grid, timer)
+    build_update_matrix_in::<S>(
+        grid,
+        &uniform_layout(nrows, ncols, grid.q()),
+        tuples,
+        dedup,
+        timer,
+    )
 }
 
 /// [`build_update_matrix`] under an explicit layout.
@@ -182,53 +161,18 @@ pub struct StarPair<V> {
     pub transposed: DistDcsr<V>,
 }
 
-/// A [`StarPair`] build with both first redistribution phases in flight.
-/// Produced by [`start_update_matrix_pair`].
-pub struct PendingStarPair<S: Semiring> {
-    natural: PendingUpdateMatrix<S>,
-    transposed: PendingUpdateMatrix<S>,
-}
-
-impl<S: Semiring> PendingStarPair<S> {
-    /// Completes both builds. Collective over the grid.
-    pub fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarPair<S::Elem> {
-        StarPair {
-            natural: self.natural.finish(grid, timer),
-            transposed: self.transposed.finish(grid, timer),
-        }
-    }
-}
-
 /// Issues the first redistribution phase of both layouts of one update
-/// matrix (natural tuples, then flipped tuples with swapped dimensions) and
-/// returns the pending pair. The two `IALLTOALLV`s cross the wire
-/// concurrently. Collective over the grid.
-pub fn start_update_matrix_pair<S: Semiring>(
-    grid: &Grid,
-    nrows: Index,
-    ncols: Index,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> PendingStarPair<S> {
-    start_update_matrix_pair_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        dedup,
-        timer,
-    )
-}
-
-/// [`start_update_matrix_pair`] under an explicit layout; the transposed
-/// build routes under [`Layout::transposed`].
+/// matrix — natural tuples, then flipped tuples routed under
+/// [`Layout::transposed`] — and returns the pending `[natural, transposed]`
+/// builds. The two `IALLTOALLV`s cross the wire concurrently. Collective
+/// over the grid.
 pub fn start_update_matrix_pair_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     tuples: Vec<Triple<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
-) -> PendingStarPair<S> {
+) -> [PendingUpdateMatrix<S>; 2] {
     // Flip (r, c, v) → (c, r, v) *before* routing: the transposed layout is
     // an ordinary update-matrix build of the flipped entry set. Stable
     // sorting + dedup then reproduce the exact values of the natural build
@@ -241,14 +185,11 @@ pub fn start_update_matrix_pair_in<S: Semiring>(
     let natural = start_update_matrix_in::<S>(grid, layout, tuples, dedup, timer);
     let transposed =
         start_update_matrix_in::<S>(grid, &Arc::new(layout.transposed()), flipped, dedup, timer);
-    PendingStarPair {
-        natural,
-        transposed,
-    }
+    [natural, transposed]
 }
 
-/// Builds both layouts of one update matrix (see [`StarPair`]). Collective
-/// over the grid.
+/// Builds both layouts of one update matrix (see [`StarPair`]) under the
+/// uniform layout. Collective over the grid.
 pub fn build_update_matrix_pair<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -257,18 +198,13 @@ pub fn build_update_matrix_pair<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> StarPair<S::Elem> {
-    start_update_matrix_pair::<S>(grid, nrows, ncols, tuples, dedup, timer).finish(grid, timer)
-}
-
-/// [`build_update_matrix_pair`] under an explicit layout.
-pub fn build_update_matrix_pair_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> StarPair<S::Elem> {
-    start_update_matrix_pair_in::<S>(grid, layout, tuples, dedup, timer).finish(grid, timer)
+    let layout = uniform_layout(nrows, ncols, grid.q());
+    let [natural, transposed] =
+        start_update_matrix_pair_in::<S>(grid, &layout, tuples, dedup, timer);
+    StarPair {
+        natural: natural.finish(grid, timer),
+        transposed: transposed.finish(grid, timer),
+    }
 }
 
 /// One stored row of an update block borrowed for application:
@@ -357,26 +293,13 @@ fn apply_update_matrix<S: Semiring>(
     block.recount_nnz();
 }
 
-/// [`apply_add_exec`] with a bare thread count (test/one-off convenience;
-/// sessions use the `_exec` form). Local-only.
+/// `A += A*` over the semiring addition (algebraic updates). Local-only.
 pub fn apply_add<S: Semiring>(mat: &mut DistMat<S::Elem>, upd: &DistDcsr<S::Elem>, threads: usize) {
     apply_update_matrix::<S>(mat, upd, ApplyOp::Add, threads);
 }
 
-/// `A += A*` over the semiring addition (algebraic updates), driven by a
-/// session [`Exec`](crate::exec::Exec) — the engine's path: one
-/// configuration object carries the thread count through kernels and apply
-/// operators alike. Local-only.
-pub fn apply_add_exec<S: Semiring>(
-    mat: &mut DistMat<S::Elem>,
-    upd: &DistDcsr<S::Elem>,
-    exec: &crate::exec::Exec<S>,
-) {
-    apply_add::<S>(mat, upd, exec.threads);
-}
-
-/// [`apply_merge_exec`] with a bare thread count (test/one-off
-/// convenience). Local-only.
+/// `MERGE(A, A*)`: replaces the value of every position non-zero in `A*`
+/// (inserting new entries). Local-only.
 pub fn apply_merge<S: Semiring>(
     mat: &mut DistMat<S::Elem>,
     upd: &DistDcsr<S::Elem>,
@@ -385,35 +308,14 @@ pub fn apply_merge<S: Semiring>(
     apply_update_matrix::<S>(mat, upd, ApplyOp::Merge, threads);
 }
 
-/// `MERGE(A, A*)`: replaces the value of every position non-zero in `A*`
-/// (inserting new entries), driven by a session
-/// [`Exec`](crate::exec::Exec). Local-only.
-pub fn apply_merge_exec<S: Semiring>(
-    mat: &mut DistMat<S::Elem>,
-    upd: &DistDcsr<S::Elem>,
-    exec: &crate::exec::Exec<S>,
-) {
-    apply_merge::<S>(mat, upd, exec.threads);
-}
-
-/// [`apply_mask_exec`] with a bare thread count (test/one-off
-/// convenience). Local-only.
+/// `MASK(A, A*)`: deletes every position of `A` that is non-zero in `A*`.
+/// Local-only.
 pub fn apply_mask<S: Semiring>(
     mat: &mut DistMat<S::Elem>,
     upd: &DistDcsr<S::Elem>,
     threads: usize,
 ) {
     apply_update_matrix::<S>(mat, upd, ApplyOp::Mask, threads);
-}
-
-/// `MASK(A, A*)`: deletes every position of `A` that is non-zero in `A*`,
-/// driven by a session [`Exec`](crate::exec::Exec). Local-only.
-pub fn apply_mask_exec<S: Semiring>(
-    mat: &mut DistMat<S::Elem>,
-    upd: &DistDcsr<S::Elem>,
-    exec: &crate::exec::Exec<S>,
-) {
-    apply_mask::<S>(mat, upd, exec.threads);
 }
 
 /// Inserts block-local triples into a DHB block with `(row mod T)`

@@ -2,10 +2,12 @@
 //! the unit tests skip: zero-width stripes after a full corner collapse at
 //! p = 9, migration correctness when all load concentrates on one rank,
 //! index spaces smaller than the grid side, randomized properties of the
-//! weighted cut solver, and the COW guarantee that a migration leaves
-//! untouched blocks' cached snapshot images shared (`Arc::ptr_eq`).
+//! weighted cut solver, the COW guarantee that a migration leaves
+//! untouched blocks' cached snapshot images shared (`Arc::ptr_eq`), and
+//! two sessions in one process each rebalancing on its own loads.
 
 use dspgemm_core::layout::{owner_of, rebalance_cuts, uniform_cuts};
+use dspgemm_core::rebalance::imbalance;
 use dspgemm_core::{DistMat, DynSpGemm, Grid, Layout, RebalanceConfig};
 use dspgemm_mpi::run;
 use dspgemm_sparse::semiring::U64Plus;
@@ -126,6 +128,63 @@ fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
             a.as_ref().expect("root"),
             "C after batch {i} differs from the static rerun"
         );
+    }
+}
+
+/// Two sessions of one process, one balanced and one with all its load in a
+/// corner, decide concurrently. Both have published — every publish mirrors
+/// the rank loads into the same process-global gauges — before either
+/// decides, so a decision read from that registry would see the other
+/// session's numbers. Each must act on the loads of its own ranks.
+#[test]
+fn concurrent_sessions_decide_on_their_own_loads() {
+    let n: Index = 32;
+    let both_published = std::sync::Barrier::new(2);
+    let session = |skewed: bool| {
+        run(4, |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let mine: Vec<Triple<u64>> = match (comm.rank(), skewed) {
+                (0, true) => dense_triples(n / 4),
+                (0, false) => (0..n)
+                    .flat_map(|i| (0..4).map(move |k| Triple::new(i, (i + 5 * k) % n, 1)))
+                    .collect(),
+                _ => vec![],
+            };
+            let a = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
+            let b = a.clone();
+            // The constructor publishes epoch 0.
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+            eng.enable_rebalancing(RebalanceConfig {
+                threshold: 1.5,
+                cooldown: 0,
+            });
+            let loads = comm.allgather((eng.a.local_nnz() + eng.c.local_nnz()) as u64);
+            comm.barrier();
+            if comm.rank() == 0 {
+                both_published.wait();
+            }
+            comm.barrier();
+            let migrated = eng.maybe_rebalance(&grid);
+            let seen = eng.rebalancer().expect("enabled").last_imbalance();
+            (migrated, seen, imbalance(&loads))
+        })
+    };
+    let (balanced, skewed) = std::thread::scope(|s| {
+        let balanced = s.spawn(|| session(false));
+        let skewed = s.spawn(|| session(true));
+        (
+            balanced.join().expect("balanced session"),
+            skewed.join().expect("skewed session"),
+        )
+    });
+    for &(migrated, seen, own) in &balanced.results {
+        assert_eq!(seen, own, "balanced session decided on foreign loads");
+        assert!(own < 1.5 && !migrated, "balanced session migrated at {own}");
+    }
+    for &(migrated, seen, own) in &skewed.results {
+        assert_eq!(seen, own, "skewed session decided on foreign loads");
+        assert!(own > 1.5 && migrated, "skewed session stayed put at {own}");
     }
 }
 

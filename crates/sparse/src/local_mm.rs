@@ -18,7 +18,7 @@
 //! and the final [`Dcsr`] is built by bulk moves/appends with exact `nnz`
 //! reservation — no per-row `Vec`s, no double copy through staging buffers.
 //!
-//! The fused variant [`spgemm_bloom`] additionally tracks the ℓ=64-bit Bloom
+//! The fused variant [`spgemm_bloom_with`] additionally tracks the ℓ=64-bit Bloom
 //! filter of contributing inner indices `k` that the general dynamic
 //! algorithm needs (Section V-B): bit `k mod 64` of the output entry's
 //! bitfield is set whenever `a_ik · b_kj` contributes to `c_ij`.
@@ -63,8 +63,8 @@ pub struct KernelPlan<'p, A> {
 }
 
 impl<A: Copy> KernelPlan<'_, A> {
-    /// Flop-balanced, unpooled plan — the default the `threads`-only kernel
-    /// entry points use.
+    /// Flop-balanced, unpooled plan — what the `threads`-only [`spgemm`]
+    /// runs under.
     pub fn new(threads: usize) -> Self {
         Self {
             threads,
@@ -454,21 +454,6 @@ where
 /// `k_offset` translates the local inner index into the *global* row index of
 /// `B` (`=` global column index of `A`), so that bits are consistent across
 /// the blocks of a distributed matrix.
-pub fn spgemm_bloom<S, L, R>(
-    a: &L,
-    b: &R,
-    k_offset: Index,
-    threads: usize,
-) -> MmOutput<(S::Elem, u64)>
-where
-    S: Semiring,
-    L: RowScan<S::Elem> + Sync,
-    R: RowRead<S::Elem> + Sync,
-{
-    spgemm_bloom_with::<S, L, R>(a, b, k_offset, KernelPlan::new(threads))
-}
-
-/// [`spgemm_bloom`] under an explicit [`KernelPlan`].
 pub fn spgemm_bloom_with<S, L, R>(
     a: &L,
     b: &R,
@@ -519,17 +504,6 @@ where
 /// (Section V-B): "we do not require the values of C* for our algorithm;
 /// computing the sparsity structure of C* is enough". Works across operand
 /// value types because only structure is read.
-pub fn spgemm_pattern<VA, VB, L, R>(a: &L, b: &R, k_offset: Index, threads: usize) -> MmOutput<u64>
-where
-    VA: Copy,
-    VB: Copy,
-    L: RowScan<VA> + Sync,
-    R: RowRead<VB> + Sync,
-{
-    spgemm_pattern_with(a, b, k_offset, KernelPlan::new(threads))
-}
-
-/// [`spgemm_pattern`] under an explicit [`KernelPlan`].
 pub fn spgemm_pattern_with<VA, VB, L, R>(
     a: &L,
     b: &R,
@@ -739,7 +713,7 @@ mod tests {
                 Triple::new(2, 0, 1),
             ],
         );
-        let out = spgemm_bloom::<U64Plus, _, _>(&a, &b, 0, 1);
+        let out = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
         let triples = out.result.to_triples();
         assert_eq!(triples.len(), 1);
         let (val, bloom) = triples[0].val;
@@ -751,8 +725,8 @@ mod tests {
     fn bloom_k_offset_shifts_bits() {
         let a = Csr::from_triples::<U64Plus>(1, 4, vec![Triple::new(0, 0, 1)]);
         let b = Csr::from_triples::<U64Plus>(4, 1, vec![Triple::new(0, 0, 1)]);
-        let out0 = spgemm_bloom::<U64Plus, _, _>(&a, &b, 0, 1);
-        let out5 = spgemm_bloom::<U64Plus, _, _>(&a, &b, 5, 1);
+        let out0 = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
+        let out5 = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 5, KernelPlan::new(1));
         assert_eq!(out0.result.to_triples()[0].val.1, 1 << 0);
         assert_eq!(out5.result.to_triples()[0].val.1, 1 << 5);
     }
@@ -764,8 +738,8 @@ mod tests {
         let b_t = random_triples(&mut rng, 60, 60, 400);
         let a = Csr::from_triples::<U64Plus>(60, 60, a_t);
         let b = Csr::from_triples::<U64Plus>(60, 60, b_t);
-        let fused = spgemm_bloom::<U64Plus, _, _>(&a, &b, 3, 2);
-        let pattern = spgemm_pattern(&a, &b, 3, 2);
+        let fused = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 3, KernelPlan::new(2));
+        let pattern = spgemm_pattern_with(&a, &b, 3, KernelPlan::new(2));
         assert_eq!(pattern.result, fused.result.map(|(_, bits)| bits));
         assert_eq!(pattern.flops, fused.flops);
     }
@@ -798,7 +772,7 @@ mod tests {
         let a = Csr::from_triples::<U64Plus>(50, 50, a_t);
         let b = Csr::from_triples::<U64Plus>(50, 50, b_t);
         let plain = spgemm::<U64Plus, _, _>(&a, &b, 2);
-        let fused = spgemm_bloom::<U64Plus, _, _>(&a, &b, 0, 2);
+        let fused = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(2));
         assert_eq!(plain.flops, fused.flops);
         assert_eq!(plain.result, fused.result.map(|(v, _)| v));
     }

@@ -94,7 +94,7 @@ impl MaskSet {
 /// the masked positions that receive at least one contribution.
 ///
 /// `k_offset` is the global index of `B`'s local row 0 (see
-/// [`crate::local_mm::spgemm_bloom`]).
+/// [`crate::local_mm::spgemm_bloom_with`]).
 pub fn masked_spgemm_bloom<S, L, R>(
     a: &L,
     b: &R,
@@ -170,7 +170,7 @@ where
 mod tests {
     use super::*;
     use crate::csr::Csr;
-    use crate::local_mm::spgemm_bloom;
+    use crate::local_mm::spgemm_bloom_with;
     use crate::semiring::U64Plus;
     use crate::triple::Triple;
     use dspgemm_util::rng::{Rng, SplitMix64};
@@ -219,7 +219,7 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let a = random_csr(&mut rng, 40, 200);
         let b = random_csr(&mut rng, 40, 200);
-        let full = spgemm_bloom::<U64Plus, _, _>(&a, &b, 0, 2);
+        let full = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(2));
         let mask = MaskSet::from_pattern(&full.result);
         let masked = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 2);
         assert_eq!(masked.result, full.result);
@@ -231,7 +231,7 @@ mod tests {
         let mut rng = SplitMix64::new(6);
         let a = random_csr(&mut rng, 30, 150);
         let b = random_csr(&mut rng, 30, 150);
-        let full = spgemm_bloom::<U64Plus, _, _>(&a, &b, 0, 1);
+        let full = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
         // Mask = first half of the full product's entries.
         let all = full.result.to_triples();
         let half: Vec<_> = all[..all.len() / 2].to_vec();
@@ -262,7 +262,7 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         let a = random_csr(&mut rng, 64, 400);
         let b = random_csr(&mut rng, 64, 400);
-        let full = spgemm_bloom::<U64Plus, _, _>(&a, &b, 0, 1);
+        let full = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
         let mask = MaskSet::from_pattern(&full.result);
         let seq = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 1);
         let par = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 4);

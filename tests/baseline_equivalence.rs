@@ -6,8 +6,9 @@
 use dspgemm::baselines::{
     combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
 };
+use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use dspgemm::core::summa::summa;
-use dspgemm::core::{DistMat, Grid};
+use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -139,14 +140,16 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
         let mut c_cb = CombBlasMatrix::<u64>::empty(&grid, n, n);
         for round in 0..3u64 {
             let batch = random_triples(30 + round * 5 + comm.rank() as u64, n, 8);
-            dspgemm::core::dyn_algebraic::apply_algebraic_updates::<U64Plus>(
+            apply_algebraic_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a_ours,
                 &mut b_ours,
                 &mut c_ours,
+                None,
                 batch.clone(),
                 vec![],
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             let a_star = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, batch, &mut timer);

@@ -1,10 +1,10 @@
 //! Communication-volume assertions — the paper's headline claims, checked
 //! as hard test invariants rather than just benchmarks.
 
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates;
+use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, Grid};
+use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::graph::catalog::small_instances;
 use dspgemm::sparse::semiring::F64Plus;
 use dspgemm::sparse::{Csr, Dcsr, Triple};
@@ -61,14 +61,16 @@ fn dynamic_update_volume_beats_static_recompute() {
         } else {
             vec![]
         };
-        apply_algebraic_updates::<F64Plus>(
+        apply_algebraic_updates_mode_exec::<F64Plus>(
             &grid,
             &mut a,
             &mut b,
             &mut c,
+            None,
             ups,
             vec![],
-            1,
+            TransposeMode::Virtual,
+            &Exec::new(1),
             &mut timer,
         );
         c.local_nnz()
@@ -142,14 +144,16 @@ fn bcast_volume_scales_with_batch_not_operands() {
             } else {
                 vec![]
             };
-            apply_algebraic_updates::<F64Plus>(
+            apply_algebraic_updates_mode_exec::<F64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 ups,
                 vec![],
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             c.local_nnz()

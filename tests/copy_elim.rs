@@ -4,11 +4,11 @@
 //! pipelines must perform zero payload deep-clones — across p ∈ {1, 4, 9}
 //! and both evaluated semirings.
 
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates;
-use dspgemm::core::dyn_general::{apply_general_updates, GeneralUpdates};
+use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use dspgemm::core::spmv::{spmv, DistVec};
 use dspgemm::core::summa::{summa, summa_bloom};
-use dspgemm::core::{DistMat, Grid};
+use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::local_mm::spgemm;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Csr, Index, RowScan, Triple};
@@ -131,14 +131,16 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             for round in 0..2u64 {
                 let ups = random_triples::<U64Plus>(50 + round + comm.rank() as u64, n, 12, |v| v);
-                apply_algebraic_updates::<U64Plus>(
+                apply_algebraic_updates_mode_exec::<U64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
                     &mut c,
+                    None,
                     ups,
                     vec![],
-                    1,
+                    TransposeMode::Virtual,
+                    &Exec::new(1),
                     &mut timer,
                 );
             }
@@ -181,7 +183,7 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates::<MinPlus>(
+            apply_general_updates_mode_exec::<MinPlus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -189,7 +191,8 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
                 &mut f,
                 upd,
                 GeneralUpdates::new(),
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, 1, &mut timer);

@@ -5,10 +5,10 @@
 //! communication time from exposed to overlapped; it must never move bytes
 //! or values.
 
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates;
-use dspgemm::core::dyn_general::{apply_general_updates, GeneralUpdates};
+use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use dspgemm::core::summa::{summa, summa_blocking, summa_bloom, summa_bloom_blocking};
-use dspgemm::core::{DistMat, Grid};
+use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -138,8 +138,17 @@ fn check_dynamic_updates<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync
             for round in 0..3u64 {
                 let a_ups = random_triples::<S>(100 + round + comm.rank() as u64, n, 12, val);
                 let b_ups = random_triples::<S>(200 + round + comm.rank() as u64, n, 12, val);
-                apply_algebraic_updates::<S>(
-                    &grid, &mut a, &mut b, &mut c, a_ups, b_ups, 1, &mut timer,
+                apply_algebraic_updates_mode_exec::<S>(
+                    &grid,
+                    &mut a,
+                    &mut b,
+                    &mut c,
+                    None,
+                    a_ups,
+                    b_ups,
+                    TransposeMode::Virtual,
+                    &Exec::new(1),
+                    &mut timer,
                 );
             }
             let (c_static, _) = summa_blocking::<S>(&grid, &a, &b, 1, &mut timer);
@@ -197,7 +206,7 @@ fn general_updates_match_blocking_reference() {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates::<MinPlus>(
+            apply_general_updates_mode_exec::<MinPlus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -205,7 +214,8 @@ fn general_updates_match_blocking_reference() {
                 &mut f,
                 a_upd,
                 GeneralUpdates::new(),
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             let (c_static, _) = summa_blocking::<MinPlus>(&grid, &a, &b, 1, &mut timer);

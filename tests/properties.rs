@@ -8,9 +8,10 @@
 //! proptest used. Failures print the offending case seed, which reproduces
 //! the input deterministically.
 
+use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, Grid};
+use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::dense::Dense;
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Csr, Dcsr, DhbMatrix, Index, Triple};
@@ -145,14 +146,16 @@ fn dynamic_spgemm_matches_static() {
             let mut a = DistMat::from_global_triples(&grid, N, N, feed(&a0c), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, N, N, feed(&b0c), 1, &mut timer);
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            dspgemm::core::dyn_algebraic::apply_algebraic_updates::<U64Plus>(
+            apply_algebraic_updates_mode_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
                 &mut c,
+                None,
                 feed(&a_upsc),
                 feed(&b_upsc),
-                1,
+                TransposeMode::Virtual,
+                &Exec::new(1),
                 &mut timer,
             );
             let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
