@@ -4,7 +4,7 @@
 //! rank's block of the product. The round structure is sparse SUMMA's
 //! (operand blocks still travel — the mask cannot prune *communication*,
 //! because a masked entry may draw contributions from every inner block),
-//! but the local kernel is [`masked_spgemm_bloom_with`], so *compute* is pruned
+//! but the local kernel runs under the mask, so *compute* is pruned
 //! to `O(flops reaching masked positions)` — the Section VI-B trade
 //! rebuilt-hash-table-vs-broadcast observation applies unchanged.
 //!
@@ -16,7 +16,8 @@ use dspgemm_core::distmat::DistMat;
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
 use dspgemm_core::phase;
-use dspgemm_sparse::masked_mm::{masked_spgemm_bloom_with, MaskSet};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Payload};
+use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr};
 use dspgemm_util::stats::PhaseTimer;
@@ -59,7 +60,6 @@ pub fn masked_product_exec<S: Semiring>(
     let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
     let mut acc: Option<Dcsr<(S::Elem, u64)>> = None;
     let mut flops = 0u64;
-    let combine = |x: (S::Elem, u64), y: (S::Elem, u64)| (S::add(x.0, y.0), x.1 | y.1);
     for k in 0..q {
         let a_blk: Arc<Csr<S::Elem>> = timer.time(phase::BCAST, || {
             grid.row_comm().bcast_shared(
@@ -83,13 +83,13 @@ pub fn masked_product_exec<S: Semiring>(
         });
         let k_offset = a.info().layout().col_start(k);
         let part = timer.time(phase::LOCAL_MULT, || {
-            masked_spgemm_bloom_with::<S, _, _>(&*a_blk, &*b_blk, mask, k_offset, exec.fused())
+            spgemm_with::<S, Bloom, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, exec.fused())
         });
         timer.add_thread_flops(&part.thread_flops);
         flops += part.flops;
         acc = Some(match acc {
             None => part.result,
-            Some(prev) => Dcsr::merge_with(&prev, &part.result, combine),
+            Some(prev) => Dcsr::merge_with(&prev, &part.result, <Bloom as Payload<S>>::merge),
         });
     }
     let block = acc.unwrap_or_else(|| Dcsr::empty(a.info().local_rows(), b.info().local_cols()));

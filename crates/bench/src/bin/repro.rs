@@ -5,7 +5,7 @@
 //!
 //! experiments:
 //!   table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b fig9 fig10 fig11 fig12
-//!   ablation-redist ablation-bloom ablation-agg analytics copy-elim overlap commavoid balance serve rebalance faults transport
+//!   ablation-redist ablation-bloom ablation-agg analytics copy-elim overlap commavoid serve rebalance faults transport
 //!   data        (= table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b)
 //!   spgemm      (= fig9 fig10 fig11 fig12)
 //!   ablations   (= the three ablations)
@@ -37,14 +37,14 @@
 //! ```
 
 use dspgemm_bench::experiments::{
-    ablations, analytics, balance, commavoid, construction, copy_elim, faults, overlap, rebalance,
-    serve, spgemm, table1, transport, updates,
+    ablations, analytics, commavoid, construction, copy_elim, faults, overlap, rebalance, serve,
+    spgemm, table1, transport, updates,
 };
 use dspgemm_bench::Config;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|copy-elim|overlap|commavoid|balance|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--threads N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|copy-elim|overlap|commavoid|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--threads N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
     );
     std::process::exit(2);
 }
@@ -257,7 +257,6 @@ fn main() {
             "copy-elim" => copy_elim::run(&cfg),
             "overlap" => overlap::run(&cfg),
             "commavoid" => commavoid::run(&cfg),
-            "balance" => balance::run(&cfg),
             "rebalance" => rebalance::run(&cfg),
             "faults" => faults::run(&cfg),
             "transport" => transport::run(&cfg),

@@ -19,7 +19,7 @@
 //! The hard invariants (bit-identical `C`, zero transpose-exchange bytes,
 //! byte-identical lookahead wire) are asserted here; the timing split is
 //! reported (never asserted — exposed/overlapped attribution depends on OS
-//! scheduling) and lands in `BENCH_pr7.json`.
+//! scheduling).
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
 use crate::measure::timed_collective;
@@ -125,13 +125,12 @@ pub fn update_arm(
                 max_depth = max_depth.max(eng.pending_depth());
                 if !lookahead {
                     eng.flush(&grid);
-                    eng.snapshot();
                 }
             }
-            if lookahead {
-                eng.flush(&grid);
-                eng.snapshot();
-            }
+            // One publish per arm, after the last batch: the wall column
+            // compares schedules, not publish counts.
+            eng.flush(&grid);
+            eng.snapshot();
         });
         let region = comm.comm_stats().delta_since(&before);
         // Fence before gathering: a fast rank's gather sends must not leak

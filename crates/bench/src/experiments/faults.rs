@@ -33,17 +33,17 @@
 //!   (injected jitter models wasted time, not traffic).
 //!
 //! Detection latency, rollback depth, replay length and rebuild volume are
-//! reported per arm and land in `BENCH_pr9.json`; the `engine/recover`
-//! spans appear in an exported trace only from the crash arm (the other
-//! arms run tracer-suppressed — the CI trace check asserts presence here
-//! and absence when `--crash-batch` is past the last batch).
+//! reported per arm; the `engine/recover` spans appear in an exported
+//! trace only from the crash arm (the other arms run tracer-suppressed —
+//! the CI trace check asserts presence here and absence when
+//! `--crash-batch` is past the last batch).
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
 use crate::report::{ms, Table};
 use crate::Config;
 use dspgemm_core::dyn_algebraic::TransposeMode;
 use dspgemm_core::recovery::RecoveryConfig;
-use dspgemm_core::{DistMat, DynSpGemm, Exec, Grid, RecoveryReport};
+use dspgemm_core::{DistMat, DynSpGemm, Grid, RecoveryReport};
 use dspgemm_mpi::{run_with_faults, Comm, CommError, FaultPlan};
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::Triple;
@@ -175,7 +175,7 @@ pub fn fault_arm(
                     drop(e); // the crashed session is unrecoverable state
                     let (e2, r) = DynSpGemm::<F64Plus>::recover_as_replacement(
                         &grid,
-                        Exec::new(threads),
+                        threads,
                         TransposeMode::default(),
                         rcfg,
                     );

@@ -10,7 +10,6 @@
 //! | [`copy_elim`] | zero-copy collective payloads + flat-buffer local SpGEMM (transport-cost ablation; beyond the paper) |
 //! | [`overlap`] | pipelined vs. blocking round schedules: exposed-communication reduction under identical wire volume (beyond the paper) |
 //! | [`commavoid`] | virtual transposition (§V-C) + inter-batch redistribution lookahead: transpose exchange eliminated from the wire, redistribution hidden under SpGEMM (beyond the paper) |
-//! | [`balance`] | contiguous vs. flop-balanced vs. work-stealing local-kernel schedules: thread-level flop imbalance on skewed proxies (beyond the paper) |
 //! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
 //! | [`faults`] | fault injection & epoch-anchored recovery: crash + rollback/replay and delay-storm arms vs. the fault-free reference, bit-identical products (beyond the paper) |
 //! | [`transport`] | transport backend parity: the dynamic batch stream on simulator threads vs. real TCP processes, bit-identical C and matching logical wire volume (beyond the paper) |
@@ -19,7 +18,6 @@
 
 pub mod ablations;
 pub mod analytics;
-pub mod balance;
 pub mod commavoid;
 pub mod construction;
 pub mod copy_elim;

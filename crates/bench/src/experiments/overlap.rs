@@ -7,7 +7,7 @@
 //! waiting) drops because round `k + 1`'s panels are in flight under round
 //! `k`'s multiply. This experiment measures exactly that split using the
 //! meter's exposed/overlapped counters ([`dspgemm_mpi::CommStats`]) and
-//! asserts the invariants; the numbers land in `BENCH_pr3.json`.
+//! asserts the invariants.
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
 use crate::measure::{median, timed_collective};

@@ -61,90 +61,38 @@ use crate::update::{
     StarPair,
 };
 use dspgemm_mpi::Request;
-use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_pattern_with, spgemm_with, MmOutput};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, KernelPlan, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Dcsr, Index, RowRead, RowScan, Triple};
+use dspgemm_sparse::{Dcsr, Index, RowScan, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
-/// The local multiply/merge flavor plugged into the round structure. Each
-/// kernel draws its payload-matching [`KernelPlan`](dspgemm_sparse::local_mm::KernelPlan)
-/// (schedule + pooled workspaces) from the session's [`Exec`], so every
-/// flavor runs scheduled and pooled.
-pub trait XYKernel<S: Semiring>: 'static {
-    /// Partial-block element type.
-    type Out: Elem;
-
-    /// One partial product `left · right`: `X = A*_{k,i} · B'_{i,j}`
-    /// (hypersparse left, dynamic right) or `Y = A_{i,j} · B*_{j,k}` (dynamic
-    /// left, hypersparse right via the O(1) row-reader adapter). `k_offset`
-    /// is the global index of the inner dimension's first local index.
-    fn mul<L, R>(left: &L, right: &R, k_offset: Index, exec: &Exec<S>) -> MmOutput<Self::Out>
-    where
-        L: RowScan<S::Elem> + Sync,
-        R: RowRead<S::Elem> + Sync;
-
-    /// Combines coinciding entries during aggregation.
-    fn merge(a: Self::Out, b: Self::Out) -> Self::Out;
+/// A [`Payload`] the round structure can run: its entries travel between
+/// ranks, and it names the session pool its multiplies lease from — so
+/// every flavor runs scheduled and pooled.
+pub trait XYKernel<S: Semiring>: Payload<S, Out: Elem> {
+    /// The payload-matching plan of the session's [`Exec`].
+    fn plan(exec: &Exec<S>) -> KernelPlan<'_, Self::Out>;
 }
 
 /// Values only — the production algebraic path.
-#[derive(Debug)]
-pub struct PlainKernel;
-
-impl<S: Semiring> XYKernel<S> for PlainKernel {
-    type Out = S::Elem;
-
-    fn mul<L, R>(left: &L, right: &R, _k_offset: Index, exec: &Exec<S>) -> MmOutput<S::Elem>
-    where
-        L: RowScan<S::Elem> + Sync,
-        R: RowRead<S::Elem> + Sync,
-    {
-        spgemm_with::<S, _, _>(left, right, exec.plain())
-    }
-
-    fn merge(a: S::Elem, b: S::Elem) -> S::Elem {
-        S::add(a, b)
+impl<S: Semiring> XYKernel<S> for Plain {
+    fn plan(exec: &Exec<S>) -> KernelPlan<'_, S::Elem> {
+        exec.plain()
     }
 }
 
 /// Values fused with Bloom bitfields — for engine sessions maintaining `F`.
-#[derive(Debug)]
-pub struct BloomKernel;
-
-impl<S: Semiring> XYKernel<S> for BloomKernel {
-    type Out = (S::Elem, u64);
-
-    fn mul<L, R>(left: &L, right: &R, k_offset: Index, exec: &Exec<S>) -> MmOutput<Self::Out>
-    where
-        L: RowScan<S::Elem> + Sync,
-        R: RowRead<S::Elem> + Sync,
-    {
-        spgemm_bloom_with::<S, _, _>(left, right, k_offset, exec.fused())
-    }
-
-    fn merge(a: (S::Elem, u64), b: (S::Elem, u64)) -> (S::Elem, u64) {
-        (S::add(a.0, b.0), a.1 | b.1)
+impl<S: Semiring> XYKernel<S> for Bloom {
+    fn plan(exec: &Exec<S>) -> KernelPlan<'_, (S::Elem, u64)> {
+        exec.fused()
     }
 }
 
-/// Structure + Bloom bits only, no values — `COMPUTE_PATTERN` of Algorithm 2.
-#[derive(Debug)]
-pub struct PatternKernel;
-
-impl<S: Semiring> XYKernel<S> for PatternKernel {
-    type Out = u64;
-
-    fn mul<L, R>(left: &L, right: &R, k_offset: Index, exec: &Exec<S>) -> MmOutput<u64>
-    where
-        L: RowScan<S::Elem> + Sync,
-        R: RowRead<S::Elem> + Sync,
-    {
-        spgemm_pattern_with(left, right, k_offset, exec.pattern())
-    }
-
-    fn merge(a: u64, b: u64) -> u64 {
-        a | b
+/// Structure + Bloom bits only — `COMPUTE_PATTERN` of Algorithm 2.
+impl<S: Semiring> XYKernel<S> for Pattern {
+    fn plan(exec: &Exec<S>) -> KernelPlan<'_, u64> {
+        exec.pattern()
     }
 }
 
@@ -398,7 +346,8 @@ fn x_round<S: Semiring, K: XYKernel<S>>(
     flops: &mut u64,
 ) -> Option<Dcsr<K::Out>> {
     let x_part = timer.time(phase::LOCAL_MULT, || {
-        K::mul(a_bcast, b_new.block(), b_new.info().row_range.start, exec)
+        let k_offset = b_new.info().row_range.start;
+        spgemm_with::<S, K, _, _, _>(a_bcast, b_new.block(), &(), k_offset, K::plan(exec))
     });
     timer.add_thread_flops(&x_part.thread_flops);
     *flops += x_part.flops;
@@ -423,7 +372,8 @@ fn y_round<S: Semiring, K: XYKernel<S>>(
 ) -> Option<Dcsr<K::Out>> {
     let y_part = timer.time(phase::LOCAL_MULT, || {
         let b_rows = b_bcast.row_reader();
-        K::mul(a_old.block(), &b_rows, a_old.info().col_range.start, exec)
+        let k_offset = a_old.info().col_range.start;
+        spgemm_with::<S, K, _, _, _>(a_old.block(), &b_rows, &(), k_offset, K::plan(exec))
     });
     timer.add_thread_flops(&y_part.thread_flops);
     *flops += y_part.flops;
@@ -459,7 +409,7 @@ fn merge_xy<S: Semiring, K: XYKernel<S>>(
 /// is `B'` *after* its updates. The update operands arrive as [`StarView`]s,
 /// so callers choose per operand whether round roots resolve their blocks
 /// physically (wire exchange) or virtually (local transposition). `exec`
-/// carries the thread count, row schedule and pooled workspaces.
+/// carries the thread count and pooled workspaces.
 pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a_old: &DistMat<S::Elem>,
@@ -638,10 +588,11 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
 }
 
 /// `C += C*` on this rank's block of the maintained product — the local
-/// tail of an untracked Algorithm-1 batch. `C*` is recorded as the touched
-/// pattern, so the next publish patches `C`'s image; an empty `C*` leaves
-/// block and image alone (the epoch re-shares them).
-fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
+/// tail of an untracked Algorithm-1 batch, and the sink of every SUMMA
+/// round's partial. `C*` is recorded as the touched pattern, so the next
+/// publish patches `C`'s image; an empty `C*` leaves block and image alone
+/// (the epoch re-shares them).
+pub(crate) fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
     if cstar.nnz() == 0 {
         return;
     }
@@ -656,7 +607,7 @@ fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
 /// [`add_cstar`] for a Bloom-tracked batch: `C*` carries
 /// `(value, bitfield)` pairs and the bits are OR-ed into `F`. `F` is never
 /// published, so it takes no pattern.
-fn add_cstar_tracked<S: Semiring>(
+pub(crate) fn add_cstar_tracked<S: Semiring>(
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
     cstar: &Dcsr<(S::Elem, u64)>,
@@ -716,26 +667,14 @@ pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> u64 {
     match f {
-        Some(f) => apply_prebuilt_with::<S, BloomKernel>(
-            grid,
-            a,
-            b,
-            a_star,
-            b_star,
-            exec,
-            timer,
-            |cstar| add_cstar_tracked::<S>(c, f, cstar),
-        ),
-        None => apply_prebuilt_with::<S, PlainKernel>(
-            grid,
-            a,
-            b,
-            a_star,
-            b_star,
-            exec,
-            timer,
-            |cstar| add_cstar::<S>(c, cstar),
-        ),
+        Some(f) => {
+            apply_prebuilt_with::<S, Bloom>(grid, a, b, a_star, b_star, exec, timer, |cstar| {
+                add_cstar_tracked::<S>(c, f, cstar)
+            })
+        }
+        None => apply_prebuilt_with::<S, Plain>(grid, a, b, a_star, b_star, exec, timer, |cstar| {
+            add_cstar::<S>(c, cstar)
+        }),
     }
 }
 
@@ -803,7 +742,7 @@ pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
-    let (cstar, flops) = compute_cstar_shared_exec::<S, BloomKernel>(
+    let (cstar, flops) = compute_cstar_shared_exec::<S, Bloom>(
         grid,
         a,
         star.view(),

@@ -22,7 +22,7 @@
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::dyn_algebraic::{
-    compute_cstar_exec, compute_cstar_shared_exec, PatternKernel, StarView, TransposeMode,
+    compute_cstar_exec, compute_cstar_shared_exec, StarView, TransposeMode,
 };
 use crate::exec::Exec;
 use crate::grid::Grid;
@@ -31,7 +31,8 @@ use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds, Schedule};
 use crate::update::{apply_mask, apply_merge, build_update_matrix_in, Dedup};
 use dspgemm_sparse::bloom::row_or_reduce;
-use dspgemm_sparse::masked_mm::{masked_spgemm_bloom_with, MaskSet};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload};
+use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::ops::extract_filtered;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Dcsr, Index, RowScan, Triple};
@@ -228,19 +229,13 @@ fn masked_recompute_rounds<S: Semiring>(
             // table).
             let z_part = timer.time(phase::LOCAL_MULT, || {
                 let mask = MaskSet::from_pattern(&cstar_bcast);
-                masked_spgemm_bloom_with::<S, _, _>(
-                    &*ar_bcast,
-                    right,
-                    &mask,
-                    k_offset,
-                    exec.fused(),
-                )
+                spgemm_with::<S, Bloom, _, _, _>(&*ar_bcast, right, &mask, k_offset, exec.fused())
             });
             timer.add_thread_flops(&z_part.thread_flops);
             **flops += z_part.flops;
             let z_red = timer.time(phase::REDUCE_SCATTER, || {
                 grid.col_comm().reduce(k, z_part.result, |x, y| {
-                    Dcsr::merge_with(&x, &y, |(v1, b1), (v2, b2)| (S::add(v1, v2), b1 | b2))
+                    Dcsr::merge_with(&x, &y, <Bloom as Payload<S>>::merge)
                 })
             });
             if let Some(z) = z_red {
@@ -378,7 +373,7 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
 
     // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
     let (cstar, flops) =
-        compute_cstar_exec::<S, PatternKernel>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
+        compute_cstar_exec::<S, Pattern>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
 
     // --- A ← A' (the masked recomputation reads the *new* A). ---
     timer.time(phase::LOCAL_UPDATE, || {
@@ -452,7 +447,7 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (Dcsr<u64>, u64) {
     // --- COMPUTE_PATTERN around the in-place update A → A'. ---
-    let (cstar, flops) = compute_cstar_shared_exec::<S, PatternKernel>(
+    let (cstar, flops) = compute_cstar_shared_exec::<S, Pattern>(
         grid,
         a,
         prep.view(),

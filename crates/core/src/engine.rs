@@ -17,8 +17,8 @@ use crate::grid::Grid;
 use crate::layout::Layout;
 use crate::rebalance::{imbalance, RebalanceConfig, Rebalancer};
 use crate::recovery::{
-    Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState, ReplicaBundle,
-    TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
+    buddy_ring, replay_window, rollback_anchor, Anchor, LoggedBatch, MatImage, RecoveryConfig,
+    RecoveryReport, RecoveryState, ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
 use crate::snapshot::{record_epoch_publish, Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
@@ -48,9 +48,9 @@ pub struct DynSpGemm<S: Semiring> {
     /// The Bloom filter matrix `F` (present iff the session tracks filters,
     /// which is required before general updates can be applied).
     pub f: Option<DistMat<u64>>,
-    /// Local compute configuration: thread count (the paper's OpenMP `T`),
-    /// row schedule, and the workspace pools that persist across every
-    /// update batch and recomputation of this session.
+    /// Local compute configuration: thread count (the paper's OpenMP `T`)
+    /// and the workspace pools that persist across every update batch and
+    /// recomputation of this session.
     pub exec: Exec<S>,
     /// Accumulated per-phase timings (Fig. 7 / Fig. 12 breakdowns).
     pub timer: PhaseTimer,
@@ -92,18 +92,7 @@ impl<S: Semiring> DynSpGemm<S> {
         threads: usize,
         track_filter: bool,
     ) -> Self {
-        Self::new_with_exec(grid, a, b, Exec::new(threads), track_filter)
-    }
-
-    /// [`DynSpGemm::new`] with an explicit local compute configuration
-    /// (row schedule ablations, pre-warmed pools). Collective over the grid.
-    pub fn new_with_exec(
-        grid: &Grid,
-        a: DistMat<S::Elem>,
-        b: DistMat<S::Elem>,
-        exec: Exec<S>,
-        track_filter: bool,
-    ) -> Self {
+        let exec = Exec::new(threads);
         let mut timer = PhaseTimer::new();
         let (c, f, flops) = if track_filter {
             let (c, f, flops) = summa_bloom_exec::<S>(grid, &a, &b, &exec, &mut timer);
@@ -542,22 +531,8 @@ impl<S: Semiring> DynSpGemm<S> {
         );
         assert!(cfg.anchor_period >= 1, "anchor_period must be at least 1");
         assert!(cfg.max_log >= 1, "max_log must be at least 1");
-        let anchor = self.capture_anchor();
-        let world = grid.world();
-        let (p, me) = (world.size(), world.rank());
-        let (succ, pred) = ((me + 1) % p, (me + p - 1) % p);
-        let got: Anchor<S::Elem> = world.sendrecv(succ, anchor.clone(), pred, TAG_ANCHOR);
-        self.recovery = Some(RecoveryState {
-            cfg,
-            newest: anchor,
-            prev: None,
-            log: Vec::new(),
-            replica: ReplicaBundle {
-                newest: got,
-                prev: None,
-                log: Vec::new(),
-            },
-        });
+        let (own, predecessor) = self.exchange_anchor(grid);
+        self.recovery = Some(RecoveryState::anchored(cfg, own, predecessor));
     }
 
     /// The recovery state, when enabled (anchor/log diagnostics for tests
@@ -612,8 +587,8 @@ impl<S: Semiring> DynSpGemm<S> {
             }
         }
         let world = grid.world();
-        let (p, me) = (world.size(), world.rank());
-        let (succ, pred) = ((me + 1) % p, (me + p - 1) % p);
+        let p = world.size();
+        let (succ, pred) = buddy_ring(world);
         let entry = LoggedBatch {
             epoch: self.snapshots.published(),
             a_ups: a_updates,
@@ -653,6 +628,17 @@ impl<S: Semiring> DynSpGemm<S> {
         }
     }
 
+    /// Captures an anchor of the current published state and exchanges it
+    /// around the buddy ring; returns `(own, predecessor's)`. Collective.
+    fn exchange_anchor(&mut self, grid: &Grid) -> (Anchor<S::Elem>, Anchor<S::Elem>) {
+        let anchor = self.capture_anchor();
+        let (succ, pred) = buddy_ring(grid.world());
+        let got = grid
+            .world()
+            .sendrecv(succ, anchor.clone(), pred, TAG_ANCHOR);
+        (anchor, got)
+    }
+
     /// Captures a new anchor and exchanges it with the buddy ring, then
     /// commits the two-window rotation on both the own and the replica
     /// side. Windows move only after the exchange completes: a crash racing
@@ -662,12 +648,7 @@ impl<S: Semiring> DynSpGemm<S> {
     fn refresh_anchor(&mut self, grid: &Grid) -> Result<(), CommError> {
         let _sp = dspgemm_obs::span("engine", "anchor_refresh")
             .attr("published", self.snapshots.published());
-        let anchor = self.capture_anchor();
-        let world = grid.world();
-        let (p, me) = (world.size(), world.rank());
-        let (succ, pred) = ((me + 1) % p, (me + p - 1) % p);
-        let got: Anchor<S::Elem> =
-            catch_comm_mut(|| world.sendrecv(succ, anchor.clone(), pred, TAG_ANCHOR))?;
+        let (anchor, got) = catch_comm_mut(|| self.exchange_anchor(grid))?;
         let rec = self.recovery.as_mut().expect("recovery enabled");
         rec.prev = Some(std::mem::replace(&mut rec.newest, anchor));
         let keep_from = rec.prev.as_ref().expect("just set").published;
@@ -724,22 +705,8 @@ impl<S: Semiring> DynSpGemm<S> {
     /// destroyed). Collective.
     fn reanchor(&mut self, grid: &Grid, cfg: RecoveryConfig) {
         self.publish();
-        let anchor = self.capture_anchor();
-        let world = grid.world();
-        let (p, me) = (world.size(), world.rank());
-        let (succ, pred) = ((me + 1) % p, (me + p - 1) % p);
-        let got: Anchor<S::Elem> = world.sendrecv(succ, anchor.clone(), pred, TAG_ANCHOR);
-        self.recovery = Some(RecoveryState {
-            cfg,
-            newest: anchor,
-            prev: None,
-            log: Vec::new(),
-            replica: ReplicaBundle {
-                newest: got,
-                prev: None,
-                log: Vec::new(),
-            },
-        });
+        let (own, predecessor) = self.exchange_anchor(grid);
+        self.recovery = Some(RecoveryState::anchored(cfg, own, predecessor));
     }
 
     /// Recovers a *surviving* rank after a peer failure surfaced as
@@ -786,7 +753,7 @@ impl<S: Semiring> DynSpGemm<S> {
         assert_ne!(failed, me, "a crashed rank must recover_as_replacement()");
         let detect_local = world.last_failure_detect_ns();
         // (3) The failed rank's buddy ships it the replica bundle.
-        let shipped = if me == (failed + 1) % p {
+        let shipped = if buddy_ring(world).1 == failed {
             let bundle = self
                 .recovery
                 .as_ref()
@@ -816,41 +783,17 @@ impl<S: Semiring> DynSpGemm<S> {
         );
         // (6) Roll back.
         let rolled_back = self.snapshots.published() - a_min;
-        let anchor = {
-            let rec = self.recovery.as_ref().expect("checked above");
-            if rec.newest.published == a_min {
-                rec.newest.clone()
-            } else {
-                let prev = rec.prev.as_ref().expect(
-                    "rollback target predates the newest anchor but no prev window is held",
-                );
-                assert_eq!(
-                    prev.published, a_min,
-                    "two-window retention must cover the agreed rollback anchor"
-                );
-                prev.clone()
-            }
-        };
+        let rec = self.recovery.as_ref().expect("checked above");
+        let cfg = rec.cfg;
+        let anchor = rollback_anchor(&rec.newest, rec.prev.as_ref(), a_min).clone();
         self.restore_anchor(&anchor);
         // (7) Deterministic replay of the committed window [A, P*).
-        let entries: Vec<LoggedBatch<S::Elem>> = self
-            .recovery
-            .as_ref()
-            .expect("checked above")
-            .log
-            .iter()
-            .filter(|e| e.epoch >= a_min && e.epoch < p_star)
-            .cloned()
-            .collect();
-        assert_eq!(
-            entries.len() as u64,
-            p_star - a_min,
-            "write-ahead log must cover every committed epoch past the rollback anchor"
-        );
+        // The re-anchor of step (8) starts an empty log, so this one moves.
+        let log = std::mem::take(&mut self.recovery.as_mut().expect("checked above").log);
+        let entries = replay_window(log, a_min, p_star);
         let replayed = entries.len() as u64;
         self.replay(grid, entries);
         // (8) Uniform re-anchor at the recovered frontier.
-        let cfg = self.recovery.as_ref().expect("checked above").cfg;
         self.reanchor(grid, cfg);
         // (9) Fence, then agree on the report numbers.
         world.barrier();
@@ -877,11 +820,12 @@ impl<S: Semiring> DynSpGemm<S> {
     /// the buddy, rebuilds the matrices at the agreed rollback anchor and
     /// replays the crashed rank's own logged inputs alongside the
     /// survivors' [`DynSpGemm::recover`] — the identical collective
-    /// sequence, so the grid stays in lockstep. `exec` and `transpose_mode`
-    /// must match the original session's (rank-uniform settings).
+    /// sequence, so the grid stays in lockstep. `threads` and
+    /// `transpose_mode` must match the original session's (rank-uniform
+    /// settings).
     pub fn recover_as_replacement(
         grid: &Grid,
-        exec: Exec<S>,
+        threads: usize,
         transpose_mode: TransposeMode,
         cfg: RecoveryConfig,
     ) -> (Self, RecoveryReport) {
@@ -905,27 +849,14 @@ impl<S: Semiring> DynSpGemm<S> {
             "replacement rank disagrees with the grid about who failed"
         );
         // (3) Receive the replica bundle from the buddy.
-        let bundle: ReplicaBundle<S::Elem> = world.recv((me + 1) % p, TAG_REBUILD);
+        let bundle: ReplicaBundle<S::Elem> = world.recv(buddy_ring(world).0, TAG_REBUILD);
         let rebuild_bytes = world.allreduce(0u64, |a, b| a + b);
         // (4)(5) Frontier and rollback agreement: this rank's published
         // count is lost with the crash, so it contributes the identities.
         let p_star = world.allreduce(0u64, |a, b| a.max(b));
         let a_min = world.allreduce(bundle.newest.published, |a, b| a.min(b));
         // (6) Rebuild at the rollback anchor.
-        let ReplicaBundle { newest, prev, log } = bundle;
-        let anchor = if newest.published == a_min {
-            newest
-        } else {
-            let prev = prev.expect(
-                "rollback target predates the newest anchor but no prev window was shipped",
-            );
-            assert_eq!(
-                prev.published, a_min,
-                "two-window retention must cover the agreed rollback anchor"
-            );
-            prev
-        };
-        let threads = exec.threads;
+        let anchor = rollback_anchor(&bundle.newest, bundle.prev.as_ref(), a_min);
         let mut snapshots = SnapshotStore::new();
         snapshots.resume_at(a_min);
         let mut eng = Self {
@@ -933,7 +864,7 @@ impl<S: Semiring> DynSpGemm<S> {
             b: anchor.b.build(grid, threads),
             c: anchor.c.build(grid, threads),
             f: anchor.f.as_ref().map(|img| img.build(grid, threads)),
-            exec,
+            exec: Exec::new(threads),
             timer: PhaseTimer::new(),
             flops: anchor.flops,
             transpose_mode,
@@ -944,15 +875,7 @@ impl<S: Semiring> DynSpGemm<S> {
             recovery: None,
         };
         // (7) Replay the crashed rank's own logged inputs.
-        let entries: Vec<LoggedBatch<S::Elem>> = log
-            .into_iter()
-            .filter(|e| e.epoch >= a_min && e.epoch < p_star)
-            .collect();
-        assert_eq!(
-            entries.len() as u64,
-            p_star - a_min,
-            "replica log must cover every committed epoch past the rollback anchor"
-        );
+        let entries = replay_window(bundle.log, a_min, p_star);
         let replayed = entries.len() as u64;
         eng.replay(grid, entries);
         // (8) Uniform re-anchor — this also rebuilds the replica this rank

@@ -1,5 +1,5 @@
-//! The per-session local compute configuration: thread count, row schedule,
-//! and the workspace pools every SpGEMM path leases from.
+//! The per-session local compute configuration: thread count and the
+//! workspace pools every SpGEMM path leases from.
 //!
 //! [`Exec`] is what turns the sparse crate's per-call
 //! [`dspgemm_sparse::local_mm::KernelPlan`] into a *session*
@@ -17,16 +17,13 @@
 use dspgemm_sparse::local_mm::KernelPlan;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::{TransposeLease, TransposePool, WorkspacePool};
-use dspgemm_util::par::RowSchedule;
 
 /// Local-kernel execution context for one semiring: intra-rank thread
-/// count, row schedule, and the per-payload workspace pools.
+/// count and the per-payload workspace pools.
 #[derive(Debug)]
 pub struct Exec<S: Semiring> {
     /// Intra-rank worker threads (the paper's OpenMP `T`).
     pub threads: usize,
-    /// Row-to-worker assignment policy for every local multiply.
-    pub schedule: RowSchedule,
     plain: WorkspacePool<S::Elem>,
     fused: WorkspacePool<(S::Elem, u64)>,
     pattern: WorkspacePool<u64>,
@@ -34,16 +31,10 @@ pub struct Exec<S: Semiring> {
 }
 
 impl<S: Semiring> Exec<S> {
-    /// Flop-balanced execution with `threads` workers (the default).
+    /// Execution with `threads` workers and empty pools.
     pub fn new(threads: usize) -> Self {
-        Self::with_schedule(threads, RowSchedule::default())
-    }
-
-    /// Execution with an explicit [`RowSchedule`] (ablation arms).
-    pub fn with_schedule(threads: usize, schedule: RowSchedule) -> Self {
         Self {
             threads,
-            schedule,
             plain: WorkspacePool::new(),
             fused: WorkspacePool::new(),
             pattern: WorkspacePool::new(),
@@ -51,19 +42,19 @@ impl<S: Semiring> Exec<S> {
         }
     }
 
-    /// Plan for plain-valued kernels (`spgemm_with`).
+    /// Plan for plain-valued kernels.
     pub fn plain(&self) -> KernelPlan<'_, S::Elem> {
-        KernelPlan::with_schedule(self.threads, self.schedule).pooled(&self.plain)
+        KernelPlan::new(self.threads).pooled(&self.plain)
     }
 
-    /// Plan for Bloom-fused kernels (`spgemm_bloom_with`, `masked_spgemm_bloom_with`).
+    /// Plan for Bloom-fused kernels (masked or not).
     pub fn fused(&self) -> KernelPlan<'_, (S::Elem, u64)> {
-        KernelPlan::with_schedule(self.threads, self.schedule).pooled(&self.fused)
+        KernelPlan::new(self.threads).pooled(&self.fused)
     }
 
-    /// Plan for pattern kernels (`spgemm_pattern_with`).
+    /// Plan for pattern kernels.
     pub fn pattern(&self) -> KernelPlan<'_, u64> {
-        KernelPlan::with_schedule(self.threads, self.schedule).pooled(&self.pattern)
+        KernelPlan::new(self.threads).pooled(&self.pattern)
     }
 
     /// Leases a pooled transposition workspace for the virtual-transpose
@@ -99,11 +90,10 @@ mod tests {
     use dspgemm_sparse::semiring::U64Plus;
 
     #[test]
-    fn plans_carry_schedule_threads_and_pools() {
-        let exec = Exec::<U64Plus>::with_schedule(3, RowSchedule::WorkStealing);
+    fn plans_carry_threads_and_pools() {
+        let exec = Exec::<U64Plus>::new(3);
         let p = exec.plain();
         assert_eq!(p.threads, 3);
-        assert_eq!(p.schedule, RowSchedule::WorkStealing);
         assert!(p.pool.is_some());
         assert!(exec.fused().pool.is_some());
         assert!(exec.pattern().pool.is_some());

@@ -42,6 +42,7 @@
 use crate::distmat::{DistMat, Elem};
 use crate::grid::Grid;
 use crate::layout::Layout;
+use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
 use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 use std::sync::Arc;
@@ -52,6 +53,14 @@ pub(crate) const TAG_WAL: u64 = 110;
 pub(crate) const TAG_ANCHOR: u64 = 111;
 /// User tag of the replica shipment that rebuilds a replacement rank.
 pub(crate) const TAG_REBUILD: u64 = 112;
+
+/// This rank's neighbours `(successor, predecessor)` in the buddy ring:
+/// logs and anchors are sent to `(r + 1) mod p`, which keeps them as the
+/// replica of `r`.
+pub(crate) fn buddy_ring(world: &Comm) -> (usize, usize) {
+    let (p, me) = (world.size(), world.rank());
+    ((me + 1) % p, (me + p - 1) % p)
+}
 
 /// Tuning knobs of the recovery layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,6 +311,43 @@ impl<V: WireDecode> WireDecode for ReplicaBundle<V> {
     }
 }
 
+/// The retained anchor the grid agreed to roll back to: the newest one, or
+/// — when a crash raced an anchor refresh — the previous window.
+pub(crate) fn rollback_anchor<'a, V>(
+    newest: &'a Anchor<V>,
+    prev: Option<&'a Anchor<V>>,
+    a_min: u64,
+) -> &'a Anchor<V> {
+    if newest.published == a_min {
+        return newest;
+    }
+    let prev = prev.expect("rollback target predates the newest anchor but no prev window is held");
+    assert_eq!(
+        prev.published, a_min,
+        "two-window retention must cover the agreed rollback anchor"
+    );
+    prev
+}
+
+/// The logged batches of the committed window `[a_min, p_star)`, which the
+/// write-ahead discipline guarantees the log covers.
+pub(crate) fn replay_window<V>(
+    log: Vec<LoggedBatch<V>>,
+    a_min: u64,
+    p_star: u64,
+) -> Vec<LoggedBatch<V>> {
+    let entries: Vec<LoggedBatch<V>> = log
+        .into_iter()
+        .filter(|e| e.epoch >= a_min && e.epoch < p_star)
+        .collect();
+    assert_eq!(
+        entries.len() as u64,
+        p_star - a_min,
+        "the log must cover every committed epoch past the rollback anchor"
+    );
+    entries
+}
+
 /// Per-session recovery state: this rank's own anchor windows and log, plus
 /// the replica it keeps for its predecessor in the buddy ring.
 #[derive(Debug)]
@@ -318,6 +364,22 @@ pub struct RecoveryState<V> {
 }
 
 impl<V> RecoveryState<V> {
+    /// The state right after an anchor exchange around the buddy ring: one
+    /// window on either side, empty logs.
+    pub(crate) fn anchored(cfg: RecoveryConfig, own: Anchor<V>, predecessor: Anchor<V>) -> Self {
+        Self {
+            cfg,
+            newest: own,
+            prev: None,
+            log: Vec::new(),
+            replica: ReplicaBundle {
+                newest: predecessor,
+                prev: None,
+                log: Vec::new(),
+            },
+        }
+    }
+
     /// The configured tuning knobs.
     pub fn config(&self) -> RecoveryConfig {
         self.cfg

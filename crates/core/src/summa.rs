@@ -13,7 +13,8 @@
 //! recording contributing inner indices, needed before general dynamic
 //! updates can be applied (Section V-B).
 //!
-//! Both variants run on the pipelined round scheduler
+//! Both variants are one round body, differing in the kernel payload and
+//! the fold of each round's partial, on the pipelined round scheduler
 //! ([`crate::pipeline`]): round `k + 1`'s panel broadcasts are issued
 //! (nonblocking) before round `k`'s local multiply, so their communication
 //! is in flight — and mostly hidden — under the compute. The `*_blocking`
@@ -21,15 +22,16 @@
 //! (`repro overlap`); both produce bit-identical results and byte-identical
 //! wire volume (enforced by `tests/overlap.rs`).
 
-use crate::distmat::DistMat;
+use crate::distmat::{DistMat, Elem};
+use crate::dyn_algebraic::{add_cstar, add_cstar_tracked, XYKernel};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds, Schedule};
 use dspgemm_mpi::Request;
-use dspgemm_sparse::local_mm::{spgemm_bloom_with, spgemm_with};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Plain};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Csr, RowScan};
+use dspgemm_sparse::{Csr, Dcsr};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
@@ -117,6 +119,87 @@ fn complete_panels<V: Send + Sync + dspgemm_util::WireSize + dspgemm_util::WireD
     }
 }
 
+/// The SUMMA round structure both products share: `√p` rounds of panel
+/// broadcasts and local multiplies with payload `K`, each round's partial
+/// handed to `fold` — the same local "add a partial into `C` (and `F`)"
+/// code the dynamic path ends with. Returns the local flop count.
+/// Collective over the grid.
+fn summa_rounds<S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    a: &DistMat<S::Elem>,
+    b: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    schedule: Schedule,
+    mut fold: impl FnMut(&Dcsr<K::Out>),
+) -> u64 {
+    // One CSR snapshot per operand; the √p broadcast rounds then move only
+    // `Arc` handles — zero payload copies in-process, identical wire volume.
+    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
+    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
+    let mut flops = 0u64;
+    run_rounds(
+        &mut (timer, &mut flops),
+        grid.q(),
+        schedule,
+        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
+        |ctx, k, flight: PanelFlight<S::Elem>| {
+            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
+        },
+        |ctx, k, (a_blk, b_blk)| {
+            let (timer, flops) = ctx;
+            // Bloom bits index the *global* inner dimension.
+            let k_offset = a.info().layout().col_start(k);
+            let partial = timer.time(phase::LOCAL_MULT, || {
+                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, &(), k_offset, K::plan(exec))
+            });
+            timer.add_thread_flops(&partial.thread_flops);
+            **flops += partial.flops;
+            timer.time(phase::LOCAL_UPDATE, || fold(&partial.result));
+        },
+    );
+    flops
+}
+
+/// An empty product of `a · b`, laid out by the operands' cuts.
+fn empty_product<V: Elem, W: Elem>(grid: &Grid, a: &DistMat<V>, b: &DistMat<V>) -> DistMat<W> {
+    assert!(
+        a.info().layout().conformal_inner(b.info().layout()),
+        "SUMMA contraction needs A's column cuts to equal B's row cuts"
+    );
+    let layout = Arc::new(a.info().layout().product(b.info().layout()));
+    DistMat::empty_in(grid, &layout)
+}
+
+fn summa_with<S: Semiring>(
+    grid: &Grid,
+    a: &DistMat<S::Elem>,
+    b: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    schedule: Schedule,
+) -> (DistMat<S::Elem>, u64) {
+    let mut c = empty_product(grid, a, b);
+    let fold = |partial: &Dcsr<S::Elem>| add_cstar::<S>(&mut c, partial);
+    let flops = summa_rounds::<S, Plain>(grid, a, b, exec, timer, schedule, fold);
+    (c, flops)
+}
+
+fn summa_bloom_with<S: Semiring>(
+    grid: &Grid,
+    a: &DistMat<S::Elem>,
+    b: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    schedule: Schedule,
+) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
+    let mut c = empty_product(grid, a, b);
+    let mut f = empty_product(grid, a, b);
+    let fold = |partial: &Dcsr<(S::Elem, u64)>| add_cstar_tracked::<S>(&mut c, &mut f, partial);
+    let flops = summa_rounds::<S, Bloom>(grid, a, b, exec, timer, schedule, fold);
+    (c, f, flops)
+}
+
 /// Computes `C = A · B` with sparse SUMMA on the pipelined (overlapping)
 /// schedule. Collective over the grid.
 ///
@@ -132,9 +215,9 @@ pub fn summa<S: Semiring>(
     summa_exec::<S>(grid, a, b, &Exec::new(threads), timer)
 }
 
-/// [`summa`] under an explicit [`Exec`] (persistent workspace pools + row
-/// schedule): the engine/session entry point — pooled buffers live across
-/// rounds *and* across calls.
+/// [`summa`] under an explicit [`Exec`] (persistent workspace pools): the
+/// engine/session entry point — pooled buffers live across rounds *and*
+/// across calls.
 pub fn summa_exec<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
@@ -157,54 +240,6 @@ pub fn summa_blocking<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (DistMat<S::Elem>, u64) {
     summa_with::<S>(grid, a, b, &Exec::new(threads), timer, Schedule::Blocking)
-}
-
-fn summa_with<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    schedule: Schedule,
-) -> (DistMat<S::Elem>, u64) {
-    assert!(
-        a.info().layout().conformal_inner(b.info().layout()),
-        "SUMMA contraction needs A's column cuts to equal B's row cuts"
-    );
-    let q = grid.q();
-    let c_layout = Arc::new(a.info().layout().product(b.info().layout()));
-    let mut c = DistMat::empty_in(grid, &c_layout);
-    // One CSR snapshot per operand; the √p broadcast rounds then move only
-    // `Arc` handles — zero payload copies in-process, identical wire volume.
-    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
-    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
-    let mut flops = 0u64;
-    run_rounds(
-        &mut (timer, &mut c, &mut flops),
-        q,
-        schedule,
-        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
-        |ctx, k, flight: PanelFlight<S::Elem>| {
-            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
-        },
-        |ctx, _k, (a_blk, b_blk)| {
-            let (timer, c, flops) = ctx;
-            let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_with::<S, _, _>(&*a_blk, &*b_blk, exec.plain())
-            });
-            timer.add_thread_flops(&partial.thread_flops);
-            **flops += partial.flops;
-            timer.time(phase::LOCAL_UPDATE, || {
-                let block = c.block_mut();
-                partial.result.scan_rows(|r, cols, vals| {
-                    for (&cc, &v) in cols.iter().zip(vals) {
-                        block.add_entry::<S>(r, cc, v);
-                    }
-                });
-            });
-        },
-    );
-    (c, flops)
 }
 
 /// SUMMA fused with Bloom-filter tracking: returns `(C, F, flops)` where
@@ -241,61 +276,6 @@ pub fn summa_bloom_blocking<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
     summa_bloom_with::<S>(grid, a, b, &Exec::new(threads), timer, Schedule::Blocking)
-}
-
-fn summa_bloom_with<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    schedule: Schedule,
-) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    assert!(
-        a.info().layout().conformal_inner(b.info().layout()),
-        "SUMMA contraction needs A's column cuts to equal B's row cuts"
-    );
-    let q = grid.q();
-    let c_layout = Arc::new(a.info().layout().product(b.info().layout()));
-    let mut c = DistMat::empty_in(grid, &c_layout);
-    let mut f = DistMat::empty_in(grid, &c_layout);
-    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
-    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
-    let mut flops = 0u64;
-    run_rounds(
-        &mut (timer, &mut c, &mut f, &mut flops),
-        q,
-        schedule,
-        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
-        |ctx, k, flight: PanelFlight<S::Elem>| {
-            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
-        },
-        |ctx, k, (a_blk, b_blk)| {
-            let (timer, c, f, flops) = ctx;
-            // Bloom bits index the *global* inner dimension.
-            let k_offset = a.info().layout().col_start(k);
-            let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_bloom_with::<S, _, _>(&*a_blk, &*b_blk, k_offset, exec.fused())
-            });
-            timer.add_thread_flops(&partial.thread_flops);
-            **flops += partial.flops;
-            timer.time(phase::LOCAL_UPDATE, || {
-                let c_block = c.block_mut();
-                partial.result.scan_rows(|r, cols, vals| {
-                    for (&cc, &(v, _)) in cols.iter().zip(vals) {
-                        c_block.add_entry::<S>(r, cc, v);
-                    }
-                });
-                let f_block = f.block_mut();
-                partial.result.scan_rows(|r, cols, vals| {
-                    for (&cc, &(_, bits)) in cols.iter().zip(vals) {
-                        f_block.combine_entry(r, cc, bits, |x, y| x | y);
-                    }
-                });
-            });
-        },
-    );
-    (c, f, flops)
 }
 
 #[cfg(test)]

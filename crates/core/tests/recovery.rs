@@ -5,7 +5,6 @@
 
 use dspgemm_core::dyn_algebraic::TransposeMode;
 use dspgemm_core::engine::DynSpGemm;
-use dspgemm_core::exec::Exec;
 use dspgemm_core::recovery::RecoveryConfig;
 use dspgemm_core::{DistMat, Grid, RebalanceConfig};
 use dspgemm_mpi::{run, Comm, CommError};
@@ -115,7 +114,7 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
                 drop(e); // the crashed session is unrecoverable state
                 let (e2, report) = DynSpGemm::<U64Plus>::recover_as_replacement(
                     &grid,
-                    Exec::new(1),
+                    1,
                     TransposeMode::default(),
                     cfg,
                 );

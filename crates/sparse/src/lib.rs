@@ -17,11 +17,11 @@
 //! * [`workspace`] — pooled per-thread kernel workspaces (SPA scratch + flat
 //!   output buffers) leased per multiply, so pipelined rounds stop
 //!   reallocating.
-//! * [`local_mm`] — Gustavson SpGEMM over any semiring, with flop accounting,
-//!   optionally fused with Bloom-filter tracking (Section V-B), scheduled
-//!   over flop-balanced or work-stealing row ranges
-//!   ([`local_mm::KernelPlan`]).
-//! * [`masked_mm`] — output-masked SpGEMM used by the general dynamic
+//! * [`local_mm`] — Gustavson SpGEMM over any semiring, with flop accounting:
+//!   one loop nest over flop-balanced row ranges, generic over the entry
+//!   payload (value, value + Bloom field of Section V-B, Bloom field alone)
+//!   and the output mask.
+//! * [`masked_mm`] — the hash-set output mask of the general dynamic
 //!   algorithm (recompute only entries masked by `C*`).
 //! * [`bloom`] — the ℓ=64-bit Bloom-filter bitfields `F`, `F*`, `E`, `R`.
 //! * [`ops`] — element-wise addition / MERGE / MASK and the Bloom-guided

@@ -1,38 +1,36 @@
 //! Local (per-rank) SpGEMM: Gustavson's row-wise algorithm over a semiring.
 //!
 //! `C[i, :] = Σ_k A[i, k] · B[k, :]` — iterate the non-empty rows of `A`,
-//! scale the corresponding rows of `B`, and accumulate in a SPA. The
-//! implementation is generic over
+//! scale the corresponding rows of `B`, and accumulate in a SPA. The one
+//! loop nest, [`spgemm_with`], is generic over
 //!
 //! * the semiring `S`,
+//! * the [`Payload`] an output entry carries: the value ([`Plain`]), the
+//!   value fused with the ℓ=64-bit Bloom field of contributing inner indices
+//!   `k` that the general dynamic algorithm needs (Section V-B; [`Bloom`]),
+//!   or that field alone ([`Pattern`]),
+//! * the [`OutputMask`]: `()` for the full product, a
+//!   [`MaskSet`](crate::masked_mm::MaskSet) for Algorithm 2's recompute,
 //! * the left operand (anything that can [`RowScan`]: CSR, DCSR, DHB), and
 //! * the right operand (anything with O(1) row access, [`RowRead`]: CSR,
 //!   DHB — never DCSR, matching the paper's "no search for an index is ever
 //!   necessary" invariant),
 //!
-//! and is parallelized over contiguous row ranges of `A` (the paper's
-//! shared-memory parallelization of different output rows, Section VI-A).
+//! and is parallelized over contiguous, flop-balanced row ranges of `A`
+//! (the paper's shared-memory parallelization of different output rows,
+//! Section VI-A).
 //!
 //! Output assembly is **allocation-flat**: each worker range drains its SPA
 //! into one reusable `(rows, row_ptr, cols, vals)` buffer set (`FlatRows`)
 //! and the final [`Dcsr`] is built by bulk moves/appends with exact `nnz`
 //! reservation — no per-row `Vec`s, no double copy through staging buffers.
-//!
-//! The fused variant [`spgemm_bloom_with`] additionally tracks the ℓ=64-bit Bloom
-//! filter of contributing inner indices `k` that the general dynamic
-//! algorithm needs (Section V-B): bit `k mod 64` of the output entry's
-//! bitfield is set whenever `a_ik · b_kj` contributes to `c_ij`.
 
+use crate::bloom::bloom_bit;
 use crate::dcsr::Dcsr;
 use crate::semiring::Semiring;
 use crate::workspace::{KernelWorkspace, WorkspaceLease, WorkspacePool};
 use crate::{Index, RowRead, RowScan};
-use dspgemm_util::par::{
-    parallel_map_ranges_init, parallel_map_stealing, split_ranges, split_ranges_by_weight,
-    STEAL_CHUNKS_PER_THREAD,
-};
-
-pub use dspgemm_util::par::RowSchedule;
+use dspgemm_util::par::{parallel_map_ranges_init, split_ranges_by_weight};
 
 /// Result of a local multiplication: the product block plus the scalar
 /// multiplication count (the paper's `flops` metric).
@@ -48,42 +46,125 @@ pub struct MmOutput<A> {
     pub thread_flops: Vec<u64>,
 }
 
-/// Scheduling and workspace context for one kernel call: the intra-rank
-/// thread count, the [`RowSchedule`], and (optionally) the workspace pool
-/// buffers are leased from. `Copy`, so call sites pass it by value.
+/// What one output entry of a multiply carries: the contribution of one
+/// product term `a_ik · b_kj` and how coinciding contributions combine —
+/// in the SPA, and again wherever partial blocks are merged.
+pub trait Payload<S: Semiring>: 'static {
+    /// Output entry type.
+    type Out: Copy + Send;
+
+    /// The contribution of `av · bv`, where `bit` is the Bloom bit
+    /// `1 << (k mod 64)` of the term's global inner index.
+    fn term(av: S::Elem, bv: S::Elem, bit: u64) -> Self::Out;
+
+    /// Combines coinciding entries.
+    fn merge(a: Self::Out, b: Self::Out) -> Self::Out;
+}
+
+/// Values only.
+#[derive(Debug)]
+pub struct Plain;
+
+impl<S: Semiring> Payload<S> for Plain {
+    type Out = S::Elem;
+
+    #[inline]
+    fn term(av: S::Elem, bv: S::Elem, _bit: u64) -> S::Elem {
+        S::mul(av, bv)
+    }
+
+    #[inline]
+    fn merge(a: S::Elem, b: S::Elem) -> S::Elem {
+        S::add(a, b)
+    }
+}
+
+/// Values fused with the Bloom bitfield of contributing inner indices —
+/// what maintaining the filter matrix `F` takes.
+#[derive(Debug)]
+pub struct Bloom;
+
+impl<S: Semiring> Payload<S> for Bloom {
+    type Out = (S::Elem, u64);
+
+    #[inline]
+    fn term(av: S::Elem, bv: S::Elem, bit: u64) -> (S::Elem, u64) {
+        (S::mul(av, bv), bit)
+    }
+
+    #[inline]
+    fn merge(a: (S::Elem, u64), b: (S::Elem, u64)) -> (S::Elem, u64) {
+        (S::add(a.0, b.0), a.1 | b.1)
+    }
+}
+
+/// Structure and Bloom bits only, never touching values — the
+/// `COMPUTE_PATTERN` kernel of the general dynamic algorithm (Section V-B):
+/// "we do not require the values of C* for our algorithm; computing the
+/// sparsity structure of C* is enough".
+#[derive(Debug)]
+pub struct Pattern;
+
+impl<S: Semiring> Payload<S> for Pattern {
+    type Out = u64;
+
+    #[inline]
+    fn term(_av: S::Elem, _bv: S::Elem, bit: u64) -> u64 {
+        bit
+    }
+
+    #[inline]
+    fn merge(a: u64, b: u64) -> u64 {
+        a | b
+    }
+}
+
+/// Which output positions a multiply may write.
+pub trait OutputMask: Sync {
+    /// Upper bound on the entries the whole product can hold — caps output
+    /// reservations and the per-row SPA choice, whose flop bounds cannot see
+    /// the mask's pruning.
+    fn capacity(&self) -> u64;
+
+    /// Whether `(i, j)` is computed. Checked before the multiply: a rejected
+    /// term costs this probe but no flop (Section VI-B).
+    fn admits(&self, i: Index, j: Index) -> bool;
+}
+
+/// No mask: the full product.
+impl OutputMask for () {
+    #[inline]
+    fn capacity(&self) -> u64 {
+        u64::MAX
+    }
+
+    #[inline]
+    fn admits(&self, _i: Index, _j: Index) -> bool {
+        true
+    }
+}
+
+/// Workspace context for one kernel call: the intra-rank thread count and
+/// (optionally) the workspace pool buffers are leased from. `Copy`, so call
+/// sites pass it by value.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelPlan<'p, A> {
     /// Intra-rank worker threads (the paper's OpenMP `T`).
     pub threads: usize,
-    /// How rows are assigned to workers.
-    pub schedule: RowSchedule,
     /// Pool to lease per-thread workspaces from; `None` builds ephemeral
-    /// workspaces (one allocation set per call — the pre-pooling behavior).
+    /// workspaces (one allocation set per call).
     pub pool: Option<&'p WorkspacePool<A>>,
 }
 
-impl<A: Copy> KernelPlan<'_, A> {
-    /// Flop-balanced, unpooled plan — what the `threads`-only [`spgemm`]
-    /// runs under.
+impl<'p, A: Copy> KernelPlan<'p, A> {
+    /// Unpooled plan — what the `threads`-only [`spgemm`] runs under.
     pub fn new(threads: usize) -> Self {
         Self {
             threads,
-            schedule: RowSchedule::default(),
             pool: None,
         }
     }
 
-    /// Plan with an explicit schedule (the `repro balance` ablation arms).
-    pub fn with_schedule(threads: usize, schedule: RowSchedule) -> Self {
-        Self {
-            threads,
-            schedule,
-            pool: None,
-        }
-    }
-}
-
-impl<'p, A: Copy> KernelPlan<'p, A> {
     /// Attaches a workspace pool.
     pub fn pooled(mut self, pool: &'p WorkspacePool<A>) -> Self {
         self.pool = Some(pool);
@@ -175,24 +256,26 @@ impl<A> FlatRows<A> {
     }
 }
 
-/// Concatenates per-range flat outputs into one [`Dcsr`]. The single-range
-/// case moves the buffers into the result without copying; multi-range
-/// output is assembled with exact `nnz`/row reservations and one bulk append
-/// per range, after which the parts' buffers are recycled into `pool`.
-pub(crate) fn assemble<A: Copy>(
+/// Concatenates per-range flat outputs (one per worker) into one [`Dcsr`].
+/// The single-range case moves the buffers into the result without copying;
+/// multi-range output is assembled with exact `nnz`/row reservations and one
+/// bulk append per range, after which the parts' buffers are recycled into
+/// `pool`.
+fn assemble<A: Copy>(
     nrows: Index,
     ncols: Index,
     mut parts: Vec<FlatRows<A>>,
     pool: Option<&WorkspacePool<A>>,
 ) -> MmOutput<A> {
-    let flops = parts.iter().map(|p| p.flops).sum();
+    let thread_flops: Vec<u64> = parts.iter().map(|p| p.flops).collect();
+    let flops = thread_flops.iter().sum();
     if parts.len() == 1 {
         let p = parts.pop().expect("one part");
         let result = Dcsr::from_parts(nrows, ncols, p.rows, p.row_ptr, p.cols, p.vals);
         return MmOutput {
             result,
             flops,
-            thread_flops: Vec::new(),
+            thread_flops,
         };
     }
     let nnz: usize = parts.iter().map(|p| p.cols.len()).sum();
@@ -209,7 +292,7 @@ pub(crate) fn assemble<A: Copy>(
     MmOutput {
         result,
         flops,
-        thread_flops: Vec::new(),
+        thread_flops,
     }
 }
 
@@ -217,17 +300,14 @@ pub(crate) fn assemble<A: Copy>(
 /// `Σ_k |B[k, :]|` over the row's stored columns. Drives both the
 /// flop-weighted range split and the per-row dense-vs-hash SPA choice.
 #[inline]
-pub(crate) fn row_flop_bound<VB, R: RowRead<VB>>(b: &R, acols: &[Index]) -> u64 {
+fn row_flop_bound<VB, R: RowRead<VB>>(b: &R, acols: &[Index]) -> u64 {
     acols.iter().map(|&k| b.row(k).0.len() as u64).sum()
 }
 
 /// Per-stored-row flop upper bounds of `a · b`, as ascending
 /// `(row, weight)` pairs — the input of [`split_ranges_by_weight`]. One
 /// O(nnz(A)) pass with O(1) row-length lookups into `b`.
-pub(crate) fn stored_row_weights<VA, VB>(
-    a: &impl RowScan<VA>,
-    b: &impl RowRead<VB>,
-) -> Vec<(usize, u64)> {
+fn stored_row_weights<VA, VB>(a: &impl RowScan<VA>, b: &impl RowRead<VB>) -> Vec<(usize, u64)> {
     let mut weights = Vec::new();
     a.scan_rows(|i, acols, _| {
         weights.push((i as usize, row_flop_bound(b, acols)));
@@ -235,25 +315,22 @@ pub(crate) fn stored_row_weights<VA, VB>(
     weights
 }
 
-/// The scheduled kernel driver shared by every local SpGEMM flavor: builds
-/// the row ranges for the plan's [`RowSchedule`], runs `body` over them with
-/// one (leased) [`KernelWorkspace`] per worker, and assembles the per-range
-/// flat outputs in row order — so the result is bit-identical across
-/// schedules and thread counts.
+/// The kernel driver: runs `body` over row ranges with one (leased)
+/// [`KernelWorkspace`] per worker and assembles the per-range flat outputs
+/// in row order — so the result is bit-identical across thread counts.
 ///
-/// `weights` is invoked only by [`RowSchedule::FlopBalanced`] (the other
-/// schedules never pay the estimation pass); its per-range capped sums
-/// double as output-capacity reservations, additionally clamped to
-/// `reservation_cap` — the kernel's own bound on its *total* output
-/// (`u64::MAX` when none; the masked kernel passes the mask size, whose
-/// pruning the unmasked weights cannot see). Kernel bodies recompute each
-/// row's bound inline (they need it for flop accounting and the SPA choice
-/// under *every* schedule) — under `FlopBalanced` that repeats the O(1)
-/// row-length lookups of the estimation pass, a deliberate trade: the
-/// lookups touch exactly the `B` row headers the multiply reads next, and
-/// threading the weights vector into four kernel bodies would buy that
-/// O(nnz(A)) back at the cost of cursor plumbing in every kernel.
-pub(crate) fn run_scheduled<A, W, F>(
+/// One thread runs `body` inline over every row. More threads get
+/// contiguous ranges of near-equal estimated flops from `weights` (never
+/// invoked on the inline path); its per-range capped sums double as
+/// output-capacity reservations, additionally clamped to `reservation_cap`,
+/// the caller's bound on its *total* output. `body` recomputes each row's
+/// bound inline (it needs it for the SPA choice at every thread count) —
+/// with several threads that repeats the O(1) row-length lookups of the
+/// estimation pass, a deliberate trade: the lookups touch exactly the `B`
+/// row headers the multiply reads next, and threading the weights vector
+/// into the body would buy that O(nnz(A)) back at the cost of cursor
+/// plumbing.
+fn run_scheduled<A, W, F>(
     plan: KernelPlan<'_, A>,
     nrows: Index,
     ncols: Index,
@@ -269,126 +346,45 @@ where
     let threads = plan.threads.max(1);
     let n = nrows as usize;
     if threads == 1 || n == 0 {
-        // Inline: no scheduling decision to make, no estimation pass.
         let mut ws = plan.lease();
         body(&mut ws, 0..n);
-        let part = ws.take_out();
-        let flops = part.flops;
-        let mut out = assemble(nrows, ncols, vec![part], plan.pool);
-        out.thread_flops = vec![flops];
-        return out;
+        return assemble(nrows, ncols, vec![ws.take_out()], plan.pool);
     }
-    match plan.schedule {
-        RowSchedule::Contiguous | RowSchedule::FlopBalanced => {
-            let mut reservations: Vec<u64> = Vec::new();
-            let ranges = if plan.schedule == RowSchedule::Contiguous {
-                split_ranges(n, threads)
-            } else {
-                let w = weights();
-                let ranges = split_ranges_by_weight(n, threads, &w);
-                // Output-capacity upper bounds per range: a row emits at
-                // most min(w_i, ncols) entries, so the per-row-capped sum
-                // is tight even when a hub row's flop bound dwarfs ncols
-                // (the uncapped sum could reserve orders of magnitude too
-                // much, and pooled buffers never shrink). One pass over
-                // `w`: ranges are sorted, disjoint and cover 0..n, and `w`
-                // is ascending by row.
-                reservations = vec![0u64; ranges.len()];
-                let mut ri = 0;
-                for &(row, wt) in &w {
-                    while !ranges[ri].contains(&row) {
-                        ri += 1;
-                    }
-                    reservations[ri] += wt.min(ncols as u64);
-                }
-                for r in &mut reservations {
-                    *r = (*r).min(reservation_cap);
-                }
-                ranges
-            };
-            let parts = parallel_map_ranges_init(
-                ranges,
-                |t| {
-                    let mut ws = plan.lease();
-                    if let Some(&bound) = reservations.get(t) {
-                        ws.reserve_out(bound.min(isize::MAX as u64 / 16) as usize);
-                    }
-                    ws
-                },
-                |ws, range| {
-                    body(ws, range);
-                    ws.take_out()
-                },
-            );
-            let thread_flops: Vec<u64> = parts.iter().map(|p| p.flops).collect();
-            let mut out = assemble(nrows, ncols, parts, plan.pool);
-            out.thread_flops = thread_flops;
-            out
+    let w = weights();
+    let ranges = split_ranges_by_weight(n, threads, &w);
+    // Output-capacity upper bounds per range: a row emits at most
+    // min(w_i, ncols) entries, so the per-row-capped sum is tight even when
+    // a hub row's flop bound dwarfs ncols (the uncapped sum could reserve
+    // orders of magnitude too much, and pooled buffers never shrink). One
+    // pass over `w`: ranges are sorted, disjoint and cover 0..n, and `w` is
+    // ascending by row.
+    let mut reservations = vec![0u64; ranges.len()];
+    let mut ri = 0;
+    for &(row, wt) in &w {
+        while !ranges[ri].contains(&row) {
+            ri += 1;
         }
-        RowSchedule::WorkStealing => {
-            // Each worker accumulates every chunk it steals into its single
-            // flat buffer set, recording per-chunk watermarks; assembly then
-            // slices the chunks back out in chunk order. One buffer set per
-            // worker (not per chunk) keeps the pool bounded: `threads` flats
-            // recycle per call, `threads` leases pop them on the next.
-            struct ChunkMark {
-                rows: std::ops::Range<usize>,
-                flops: u64,
-            }
-            let chunks = split_ranges(n, threads * STEAL_CHUNKS_PER_THREAD);
-            let (marks, flats) = parallel_map_stealing(
-                threads,
-                chunks,
-                |_| plan.lease(),
-                |ws, range| {
-                    let rows_before = ws.out.rows.len();
-                    let flops_before = ws.out.flops;
-                    body(ws, range);
-                    ChunkMark {
-                        rows: rows_before..ws.out.rows.len(),
-                        flops: ws.out.flops - flops_before,
-                    }
-                },
-                |mut ws| ws.take_out(),
-            );
-            let nnz: usize = flats.iter().map(|fl| fl.cols.len()).sum();
-            let stored_rows: usize = flats.iter().map(|fl| fl.rows.len()).sum();
-            let mut result = Dcsr::with_capacity(nrows, ncols, stored_rows, nnz);
-            let mut thread_flops = vec![0u64; threads];
-            let mut flops = 0u64;
-            let mut rebased: Vec<usize> = Vec::new();
-            for (worker, mark) in &marks {
-                thread_flops[*worker] += mark.flops;
-                flops += mark.flops;
-                let fl = &flats[*worker];
-                let ptr = &fl.row_ptr[mark.rows.start..=mark.rows.end];
-                let base = ptr[0];
-                rebased.clear();
-                rebased.extend(ptr.iter().map(|&p| p - base));
-                result.append_rows_flat(
-                    &fl.rows[mark.rows.clone()],
-                    &rebased,
-                    &fl.cols[base..*ptr.last().expect("non-empty ptr slice")],
-                    &fl.vals[base..*ptr.last().expect("non-empty ptr slice")],
-                );
-            }
-            if let Some(pool) = plan.pool {
-                for fl in flats {
-                    pool.put_flat(fl);
-                }
-            }
-            MmOutput {
-                result,
-                flops,
-                thread_flops,
-            }
-        }
+        reservations[ri] += wt.min(ncols as u64);
     }
+    let parts = parallel_map_ranges_init(
+        ranges,
+        |t| {
+            let mut ws = plan.lease();
+            let bound = reservations[t].min(reservation_cap);
+            ws.reserve_out(bound.min(isize::MAX as u64 / 16) as usize);
+            ws
+        },
+        |ws, range| {
+            body(ws, range);
+            ws.take_out()
+        },
+    );
+    assemble(nrows, ncols, parts, plan.pool)
 }
 
 /// Gustavson SpGEMM: `A · B` over semiring `S`, parallelized over `threads`
-/// flop-balanced row ranges of `A` (see [`spgemm_with`] for schedule and
-/// workspace control).
+/// flop-balanced row ranges of `A` (see [`spgemm_with`] for payload, mask
+/// and workspace control).
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
@@ -398,14 +394,30 @@ where
     L: RowScan<S::Elem> + Sync,
     R: RowRead<S::Elem> + Sync,
 {
-    spgemm_with::<S, L, R>(a, b, KernelPlan::new(threads))
+    spgemm_with::<S, Plain, _, _, _>(a, b, &(), 0, KernelPlan::new(threads))
 }
 
-/// [`spgemm`] under an explicit [`KernelPlan`] (schedule + workspace pool).
-/// All schedules produce bit-identical results.
-pub fn spgemm_with<S, L, R>(a: &L, b: &R, plan: KernelPlan<'_, S::Elem>) -> MmOutput<S::Elem>
+/// The Gustavson loop nest: `(A · B)` at the positions `mask` admits, with
+/// entries of payload `P`, under an explicit [`KernelPlan`]. Returns
+/// exactly the admitted positions that receive at least one contribution.
+///
+/// `k_offset` translates the local inner index into the *global* row index
+/// of `B` (`=` global column index of `A`), so that Bloom bits are
+/// consistent across the blocks of a distributed matrix.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+pub fn spgemm_with<S, P, M, L, R>(
+    a: &L,
+    b: &R,
+    mask: &M,
+    k_offset: Index,
+    plan: KernelPlan<'_, P::Out>,
+) -> MmOutput<P::Out>
 where
     S: Semiring,
+    P: Payload<S>,
+    M: OutputMask,
     L: RowScan<S::Elem> + Sync,
     R: RowRead<S::Elem> + Sync,
 {
@@ -424,7 +436,7 @@ where
         plan,
         nrows,
         ncols,
-        u64::MAX,
+        mask.capacity(),
         || stored_row_weights(a, b),
         |ws, range| {
             a.scan_row_range(
@@ -432,113 +444,22 @@ where
                 range.end as Index,
                 |i, acols, avals| {
                     let est = row_flop_bound(b, acols);
-                    ws.out.flops += est;
-                    ws.begin_row(ncols, est);
+                    ws.begin_row(ncols, est.min(mask.capacity()));
                     for (&k, &av) in acols.iter().zip(avals) {
+                        let bit = bloom_bit(k + k_offset);
                         let (bcols, bvals) = b.row(k);
                         for (&j, &bv) in bcols.iter().zip(bvals) {
-                            ws.scatter(j, S::mul(av, bv), S::add);
+                            if mask.admits(i, j) {
+                                // One flop per admitted term: `est` in all
+                                // when nothing is masked.
+                                ws.out.flops += 1;
+                                ws.scatter(j, P::term(av, bv, bit), P::merge);
+                            }
                         }
                     }
                     ws.finish_row(i);
                 },
             );
-        },
-    )
-}
-
-/// Gustavson SpGEMM fused with Bloom-filter tracking: output entries are
-/// `(value, bloom)` pairs where `bloom` ORs `1 << ((k + k_offset) mod 64)`
-/// over every contributing inner index `k`.
-///
-/// `k_offset` translates the local inner index into the *global* row index of
-/// `B` (`=` global column index of `A`), so that bits are consistent across
-/// the blocks of a distributed matrix.
-pub fn spgemm_bloom_with<S, L, R>(
-    a: &L,
-    b: &R,
-    k_offset: Index,
-    plan: KernelPlan<'_, (S::Elem, u64)>,
-) -> MmOutput<(S::Elem, u64)>
-where
-    S: Semiring,
-    L: RowScan<S::Elem> + Sync,
-    R: RowRead<S::Elem> + Sync,
-{
-    assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let combine = |(v1, b1): (S::Elem, u64), (v2, b2): (S::Elem, u64)| (S::add(v1, v2), b1 | b2);
-    run_scheduled(
-        plan,
-        nrows,
-        ncols,
-        u64::MAX,
-        || stored_row_weights(a, b),
-        |ws, range| {
-            a.scan_row_range(
-                range.start as Index,
-                range.end as Index,
-                |i, acols, avals| {
-                    let est = row_flop_bound(b, acols);
-                    ws.out.flops += est;
-                    ws.begin_row(ncols, est);
-                    for (&k, &av) in acols.iter().zip(avals) {
-                        let bit = crate::bloom::bloom_bit(k + k_offset);
-                        let (bcols, bvals) = b.row(k);
-                        for (&j, &bv) in bcols.iter().zip(bvals) {
-                            ws.scatter(j, (S::mul(av, bv), bit), combine);
-                        }
-                    }
-                    ws.finish_row(i);
-                },
-            );
-        },
-    )
-}
-
-/// Structure-only SpGEMM: computes the *pattern* of `A · B` together with the
-/// Bloom bitfield of contributing inner indices, never touching values.
-///
-/// This is the `COMPUTE_PATTERN` kernel of the general dynamic algorithm
-/// (Section V-B): "we do not require the values of C* for our algorithm;
-/// computing the sparsity structure of C* is enough". Works across operand
-/// value types because only structure is read.
-pub fn spgemm_pattern_with<VA, VB, L, R>(
-    a: &L,
-    b: &R,
-    k_offset: Index,
-    plan: KernelPlan<'_, u64>,
-) -> MmOutput<u64>
-where
-    VA: Copy,
-    VB: Copy,
-    L: RowScan<VA> + Sync,
-    R: RowRead<VB> + Sync,
-{
-    assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    run_scheduled(
-        plan,
-        nrows,
-        ncols,
-        u64::MAX,
-        || stored_row_weights(a, b),
-        |ws, range| {
-            a.scan_row_range(range.start as Index, range.end as Index, |i, acols, _| {
-                let est = row_flop_bound(b, acols);
-                ws.out.flops += est;
-                ws.begin_row(ncols, est);
-                for &k in acols {
-                    let bit = crate::bloom::bloom_bit(k + k_offset);
-                    let (bcols, _) = b.row(k);
-                    for &j in bcols {
-                        ws.scatter(j, bit, |x, y| x | y);
-                    }
-                }
-                ws.finish_row(i);
-            });
         },
     )
 }
@@ -713,7 +634,7 @@ mod tests {
                 Triple::new(2, 0, 1),
             ],
         );
-        let out = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
+        let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, KernelPlan::new(1));
         let triples = out.result.to_triples();
         assert_eq!(triples.len(), 1);
         let (val, bloom) = triples[0].val;
@@ -725,8 +646,8 @@ mod tests {
     fn bloom_k_offset_shifts_bits() {
         let a = Csr::from_triples::<U64Plus>(1, 4, vec![Triple::new(0, 0, 1)]);
         let b = Csr::from_triples::<U64Plus>(4, 1, vec![Triple::new(0, 0, 1)]);
-        let out0 = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
-        let out5 = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 5, KernelPlan::new(1));
+        let out0 = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, KernelPlan::new(1));
+        let out5 = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 5, KernelPlan::new(1));
         assert_eq!(out0.result.to_triples()[0].val.1, 1 << 0);
         assert_eq!(out5.result.to_triples()[0].val.1, 1 << 5);
     }
@@ -738,8 +659,8 @@ mod tests {
         let b_t = random_triples(&mut rng, 60, 60, 400);
         let a = Csr::from_triples::<U64Plus>(60, 60, a_t);
         let b = Csr::from_triples::<U64Plus>(60, 60, b_t);
-        let fused = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 3, KernelPlan::new(2));
-        let pattern = spgemm_pattern_with(&a, &b, 3, KernelPlan::new(2));
+        let fused = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 3, KernelPlan::new(2));
+        let pattern = spgemm_with::<U64Plus, Pattern, _, _, _>(&a, &b, &(), 3, KernelPlan::new(2));
         assert_eq!(pattern.result, fused.result.map(|(_, bits)| bits));
         assert_eq!(pattern.flops, fused.flops);
     }
@@ -772,7 +693,7 @@ mod tests {
         let a = Csr::from_triples::<U64Plus>(50, 50, a_t);
         let b = Csr::from_triples::<U64Plus>(50, 50, b_t);
         let plain = spgemm::<U64Plus, _, _>(&a, &b, 2);
-        let fused = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(2));
+        let fused = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, KernelPlan::new(2));
         assert_eq!(plain.flops, fused.flops);
         assert_eq!(plain.result, fused.result.map(|(v, _)| v));
     }

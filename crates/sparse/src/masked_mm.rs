@@ -9,11 +9,12 @@
 //! the table itself, because hash tables are much larger than `nnz` due to
 //! empty slots).
 //!
-//! The kernel also emits the *updated* Bloom filter `H` for the recomputed
-//! entries, fused into the accumulation as in [`crate::local_mm`].
+//! [`MaskSet`] is an [`OutputMask`] of the one Gustavson loop nest,
+//! [`spgemm_with`]; run with the [`Bloom`] payload it also emits the
+//! *updated* Bloom filter `H` for the recomputed entries.
 
 use crate::dcsr::Dcsr;
-use crate::local_mm::{row_flop_bound, run_scheduled, stored_row_weights, KernelPlan, MmOutput};
+use crate::local_mm::{spgemm_with, Bloom, KernelPlan, MmOutput, OutputMask};
 use crate::semiring::Semiring;
 use crate::{Index, RowRead, RowScan};
 use dspgemm_util::hash::FxHashSet;
@@ -89,12 +90,25 @@ impl MaskSet {
     }
 }
 
+impl OutputMask for MaskSet {
+    /// A product can never hold more entries than the mask.
+    #[inline]
+    fn capacity(&self) -> u64 {
+        self.len() as u64
+    }
+
+    #[inline]
+    fn admits(&self, i: Index, j: Index) -> bool {
+        self.contains(i, j)
+    }
+}
+
 /// Masked Gustavson SpGEMM with fused Bloom tracking: computes
 /// `(A · B) masked at mask`, returning `(value, bloom)` entries for exactly
 /// the masked positions that receive at least one contribution.
 ///
 /// `k_offset` is the global index of `B`'s local row 0 (see
-/// [`crate::local_mm::spgemm_bloom_with`]).
+/// [`spgemm_with`], which this forwards to with an unpooled plan).
 pub fn masked_spgemm_bloom<S, L, R>(
     a: &L,
     b: &R,
@@ -107,70 +121,13 @@ where
     L: RowScan<S::Elem> + Sync,
     R: RowRead<S::Elem> + Sync,
 {
-    masked_spgemm_bloom_with::<S, L, R>(a, b, mask, k_offset, KernelPlan::new(threads))
-}
-
-/// [`masked_spgemm_bloom`] under an explicit
-/// [`KernelPlan`].
-///
-/// The scheduling weights are the *unmasked* flop upper bounds — the mask
-/// prunes work unpredictably, which is exactly the "estimates unreliable"
-/// case [`dspgemm_util::par::RowSchedule::WorkStealing`] exists for — and
-/// the per-row SPA choice caps the row estimate at the mask size (a row can
-/// never produce more entries than the mask holds).
-pub fn masked_spgemm_bloom_with<S, L, R>(
-    a: &L,
-    b: &R,
-    mask: &MaskSet,
-    k_offset: Index,
-    plan: KernelPlan<'_, (S::Elem, u64)>,
-) -> MmOutput<(S::Elem, u64)>
-where
-    S: Semiring,
-    L: RowScan<S::Elem> + Sync,
-    R: RowRead<S::Elem> + Sync,
-{
-    assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let combine = |(v1, b1): (S::Elem, u64), (v2, b2): (S::Elem, u64)| (S::add(v1, v2), b1 | b2);
-    run_scheduled(
-        plan,
-        nrows,
-        ncols,
-        mask.len() as u64,
-        || stored_row_weights(a, b),
-        |ws, range| {
-            a.scan_row_range(
-                range.start as Index,
-                range.end as Index,
-                |i, acols, avals| {
-                    let est = row_flop_bound(b, acols);
-                    ws.begin_row(ncols, est.min(mask.len() as u64));
-                    for (&k, &av) in acols.iter().zip(avals) {
-                        let bit = crate::bloom::bloom_bit(k + k_offset);
-                        let (bcols, bvals) = b.row(k);
-                        for (&j, &bv) in bcols.iter().zip(bvals) {
-                            // The mask check precedes the multiply: unmasked terms
-                            // cost a hash probe but no flop, mirroring Section VI-B.
-                            if mask.contains(i, j) {
-                                ws.out.flops += 1;
-                                ws.scatter(j, (S::mul(av, bv), bit), combine);
-                            }
-                        }
-                    }
-                    ws.finish_row(i);
-                },
-            );
-        },
-    )
+    spgemm_with::<S, Bloom, _, _, _>(a, b, mask, k_offset, KernelPlan::new(threads))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::Csr;
-    use crate::local_mm::spgemm_bloom_with;
     use crate::semiring::U64Plus;
     use crate::triple::Triple;
     use dspgemm_util::rng::{Rng, SplitMix64};
@@ -219,7 +176,7 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let a = random_csr(&mut rng, 40, 200);
         let b = random_csr(&mut rng, 40, 200);
-        let full = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(2));
+        let full = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, KernelPlan::new(2));
         let mask = MaskSet::from_pattern(&full.result);
         let masked = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 2);
         assert_eq!(masked.result, full.result);
@@ -231,7 +188,7 @@ mod tests {
         let mut rng = SplitMix64::new(6);
         let a = random_csr(&mut rng, 30, 150);
         let b = random_csr(&mut rng, 30, 150);
-        let full = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
+        let full = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, KernelPlan::new(1));
         // Mask = first half of the full product's entries.
         let all = full.result.to_triples();
         let half: Vec<_> = all[..all.len() / 2].to_vec();
@@ -262,7 +219,7 @@ mod tests {
         let mut rng = SplitMix64::new(9);
         let a = random_csr(&mut rng, 64, 400);
         let b = random_csr(&mut rng, 64, 400);
-        let full = spgemm_bloom_with::<U64Plus, _, _>(&a, &b, 0, KernelPlan::new(1));
+        let full = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, KernelPlan::new(1));
         let mask = MaskSet::from_pattern(&full.result);
         let seq = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 1);
         let par = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 4);

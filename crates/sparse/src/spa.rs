@@ -209,9 +209,9 @@ pub const DENSE_SPA_SPARSITY_DIV: u64 = 64;
 /// The per-row dense-vs-hash strategy choice of the pooled kernels: dense
 /// iff the width admits a dense scratch *and* the row's estimated flops
 /// clear the [`DENSE_SPA_SPARSITY_DIV`] density bar. Depends only on
-/// `(ncols, est_flops)` — never on scheduling or pool state — so every
-/// [`crate::local_mm::KernelPlan`] schedule makes identical choices
-/// (determinism across schedules).
+/// `(ncols, est_flops)` — never on the thread count or pool state — so
+/// every [`crate::local_mm::KernelPlan`] makes identical choices
+/// (bit-identical output at any thread count).
 #[inline]
 pub fn dense_row_profitable(ncols: Index, est_flops: u64) -> bool {
     ncols <= DENSE_SPA_MAX_WIDTH && est_flops.saturating_mul(DENSE_SPA_SPARSITY_DIV) >= ncols as u64

@@ -15,40 +15,11 @@
 //!
 //! On the paper's power-law inputs, equal-*count* row ranges put wildly
 //! unequal *work* on the workers (one hub row can carry orders of magnitude
-//! more flops than a thousand tail rows), so the SpGEMM kernels schedule by
-//! [`RowSchedule`]: contiguous equal-count splitting (the ablation
-//! baseline), flop-weighted splitting ([`split_ranges_by_weight`]), or
-//! chunked work stealing ([`parallel_map_stealing`]) when per-row estimates
-//! are unreliable. All three produce ranges/chunks in ascending row order,
-//! so concatenating per-range outputs yields bit-identical results
-//! regardless of the schedule.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// How a kernel's row space is assigned to intra-rank worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowSchedule {
-    /// `threads` contiguous ranges of near-equal row *count* — the
-    /// pre-balancing behavior, kept as the ablation baseline
-    /// (`repro balance`).
-    Contiguous,
-    /// Contiguous ranges of near-equal estimated *flops* (per-row upper
-    /// bounds `Σ_k |B[k,:]|` over the stored rows, split by prefix sum).
-    /// The default: one pass of estimation buys an even work split while
-    /// keeping ranges contiguous (deterministic concatenation order).
-    #[default]
-    FlopBalanced,
-    /// Many small contiguous chunks pulled from an atomic cursor: whichever
-    /// worker is free takes the next chunk. Robust when flop estimates are
-    /// unreliable (e.g. heavily masked multiplies); per-chunk outputs are
-    /// reassembled in chunk order, so the result stays deterministic.
-    WorkStealing,
-}
-
-/// Chunks handed out per worker under [`RowSchedule::WorkStealing`]: enough
-/// slack that a single hub-heavy chunk cannot serialize the tail, small
-/// enough that the cursor is not contended.
-pub const STEAL_CHUNKS_PER_THREAD: usize = 8;
+//! more flops than a thousand tail rows), so the SpGEMM kernels split rows
+//! by estimated flops ([`split_ranges_by_weight`]) and run one worker per
+//! range ([`parallel_map_ranges_init`]). Ranges are contiguous and ascending,
+//! so concatenating per-range outputs yields the same result at every
+//! thread count.
 
 /// Runs `f(t)` for every shard id `t in 0..threads`, in parallel when
 /// `threads > 1`. Each shard conventionally processes the items with
@@ -160,7 +131,7 @@ pub fn split_ranges_by_weight(
 /// Maps the given contiguous ranges through `f` in parallel (one worker per
 /// range), returning per-range results in order. `init(t)` builds worker
 /// `t`'s private state (scratch buffers, leased workspaces) once, before its
-/// range is processed — the schedule-aware twin of [`parallel_map_ranges`].
+/// range is processed — [`parallel_map_ranges`] for caller-chosen ranges.
 pub fn parallel_map_ranges_init<W, R, I, F>(
     ranges: Vec<std::ops::Range<usize>>,
     init: I,
@@ -186,73 +157,6 @@ where
             .map(|h| h.join().expect("parallel range worker panicked"))
             .collect()
     })
-}
-
-/// Chunked work stealing: `threads` workers pull chunks off an atomic cursor
-/// until none remain; worker `t`'s state comes from `init(t)` once and is
-/// folded into a final per-worker value by `finish` when the cursor runs
-/// dry. Returns one `(worker, result)` pair per chunk **in chunk order**
-/// (which worker processed a chunk varies run to run, but the reassembled
-/// output does not) plus the per-worker finals in worker order.
-pub fn parallel_map_stealing<W, R, T, I, F, G>(
-    threads: usize,
-    chunks: Vec<std::ops::Range<usize>>,
-    init: I,
-    f: F,
-    finish: G,
-) -> (Vec<(usize, R)>, Vec<T>)
-where
-    R: Send,
-    T: Send,
-    I: Fn(usize) -> W + Sync,
-    F: Fn(&mut W, std::ops::Range<usize>) -> R + Sync,
-    G: Fn(W) -> T + Sync,
-{
-    assert!(threads >= 1);
-    if threads == 1 || chunks.len() <= 1 {
-        let mut w = init(0);
-        let results = chunks.into_iter().map(|c| (0, f(&mut w, c))).collect();
-        return (results, vec![finish(w)]);
-    }
-    let n_chunks = chunks.len();
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<(Vec<(usize, R)>, T)> = std::thread::scope(|scope| {
-        let (init, f, finish, cursor, chunks) = (&init, &f, &finish, &cursor, &chunks);
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut w = init(t);
-                    let mut mine = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_chunks {
-                            break;
-                        }
-                        mine.push((idx, f(&mut w, chunks[idx].clone())));
-                    }
-                    (mine, finish(w))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("work-stealing worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<(usize, R)>> = (0..n_chunks).map(|_| None).collect();
-    let mut finals = Vec::with_capacity(threads);
-    for (t, (worker_results, fin)) in per_worker.into_iter().enumerate() {
-        for (idx, r) in worker_results {
-            debug_assert!(slots[idx].is_none(), "chunk processed twice");
-            slots[idx] = Some((t, r));
-        }
-        finals.push(fin);
-    }
-    let results = slots
-        .into_iter()
-        .map(|s| s.expect("every chunk processed"))
-        .collect();
-    (results, finals)
 }
 
 #[cfg(test)]
@@ -373,51 +277,5 @@ mod tests {
             assert_eq!(t, *worker);
             assert_eq!(*len, 25);
         }
-    }
-
-    #[test]
-    fn stealing_covers_all_chunks_in_order() {
-        let chunks = split_ranges(103, 16);
-        let (results, finals) = parallel_map_stealing(
-            4,
-            chunks.clone(),
-            |_| (),
-            |(), r| r.collect::<Vec<usize>>(),
-            |()| (),
-        );
-        assert_eq!(results.len(), 16);
-        assert_eq!(finals.len(), 4);
-        let flat: Vec<usize> = results.into_iter().flat_map(|(_, v)| v).collect();
-        assert_eq!(flat, (0..103).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stealing_single_thread_runs_inline() {
-        let (results, finals) =
-            parallel_map_stealing(1, split_ranges(10, 4), |t| t, |t, r| (*t, r.len()), |t| t);
-        assert!(results.iter().all(|&(w, (tw, _))| w == 0 && tw == 0));
-        let total: usize = results.iter().map(|&(_, (_, l))| l).sum();
-        assert_eq!(total, 10);
-        assert_eq!(finals, vec![0]);
-    }
-
-    #[test]
-    fn stealing_reuses_worker_state_and_finishes_it() {
-        // Each worker's state counts the chunks it processed; the finals
-        // carry the per-worker totals, which must partition the chunk count
-        // (state persists across steals, finish sees the final state).
-        let (results, finals) = parallel_map_stealing(
-            3,
-            split_ranges(90, 9),
-            |_| 0usize,
-            |count, _r| {
-                *count += 1;
-                *count
-            },
-            |count| count,
-        );
-        assert_eq!(results.len(), 9);
-        assert_eq!(finals.len(), 3);
-        assert_eq!(finals.iter().sum::<usize>(), 9);
     }
 }

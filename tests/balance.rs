@@ -1,39 +1,34 @@
-//! Schedule-equivalence and workspace-reuse properties of the skew-aware
+//! Thread-count equivalence and workspace-reuse properties of the skew-aware
 //! local kernels.
 //!
-//! The [`RowSchedule`]s (contiguous / flop-balanced / work-stealing) move
-//! *work* between intra-rank worker threads, never values between entries:
-//! every kernel flavor (plain, bloom, pattern, masked) must produce
-//! bit-identical output and identical total flops under every schedule at
-//! every thread count, for both evaluated semirings — on skewed R-MAT
-//! inputs, where the schedules actually split differently. The pooled
-//! workspaces must be *reused* across calls (pool heap stops growing after
-//! the first call) rather than silently reallocated.
+//! The flop-balanced row split moves *work* between intra-rank worker
+//! threads, never values between entries: every kernel flavor (plain, bloom,
+//! pattern, masked) must produce bit-identical output and identical total
+//! flops at every thread count, pooled or not, for both evaluated semirings —
+//! on skewed R-MAT inputs, where the ranges actually differ in size. The
+//! pooled workspaces must be *reused* across calls (pool heap stops growing
+//! after the first call) rather than silently reallocated.
 
 use dspgemm::core::summa::{summa, summa_exec};
 use dspgemm::core::{DistMat, Exec, Grid};
+use dspgemm::graph::catalog::instances_scaled;
+use dspgemm::graph::perm::Permutation;
 use dspgemm::graph::rmat::{generate, RmatParams};
 use dspgemm::sparse::local_mm::{
-    spgemm_bloom_with, spgemm_pattern_with, spgemm_with, KernelPlan, MmOutput,
+    spgemm_with, Bloom, KernelPlan, MmOutput, OutputMask, Pattern, Payload, Plain,
 };
-use dspgemm::sparse::masked_mm::{masked_spgemm_bloom_with, MaskSet};
-use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
+use dspgemm::sparse::masked_mm::MaskSet;
+use dspgemm::sparse::semiring::{F64Plus, MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::workspace::WorkspacePool;
 use dspgemm::sparse::{Csr, Index, Triple};
-use dspgemm::util::par::RowSchedule;
-use dspgemm::util::stats::PhaseTimer;
-
-const SCHEDULES: [RowSchedule; 3] = [
-    RowSchedule::Contiguous,
-    RowSchedule::FlopBalanced,
-    RowSchedule::WorkStealing,
-];
+use dspgemm::util::rng::SplitMix64;
+use dspgemm::util::stats::{flop_imbalance, PhaseTimer};
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 9];
 
 /// A skewed (Graph500 R-MAT) square matrix: hub rows carry orders of
-/// magnitude more work than tail rows, so the three schedules produce
-/// genuinely different splits.
+/// magnitude more work than tail rows, so equal-flop ranges hold very
+/// different row counts.
 fn skewed_csr<S: Semiring>(
     seed: u64,
     scale: u32,
@@ -63,71 +58,47 @@ fn assert_same<A: PartialEq + std::fmt::Debug + Copy>(
     );
 }
 
+/// One kernel flavor at every thread count, unpooled and against one pool
+/// that lives across the thread counts, equals its single-thread run.
+fn check_flavor<S: Semiring, P: Payload<S>>(
+    a: &Csr<S::Elem>,
+    b: &Csr<S::Elem>,
+    mask: &impl OutputMask,
+    what: &str,
+) -> MmOutput<P::Out>
+where
+    P::Out: PartialEq + std::fmt::Debug,
+{
+    let base = spgemm_with::<S, P, _, _, _>(a, b, mask, 5, KernelPlan::new(1));
+    let pool = WorkspacePool::new();
+    for threads in THREAD_COUNTS {
+        for plan in [
+            KernelPlan::new(threads),
+            KernelPlan::new(threads).pooled(&pool),
+        ] {
+            let tag = format!(
+                "{what} {} t={threads} pooled={}",
+                S::name(),
+                plan.pool.is_some()
+            );
+            let got = spgemm_with::<S, P, _, _, _>(a, b, mask, 5, plan);
+            assert_same(&base, &got, &tag);
+        }
+    }
+    base
+}
+
 fn check_all_kernels<S: Semiring>(seed: u64, val: impl Fn(u64) -> S::Elem + Copy) {
     let a = skewed_csr::<S>(seed, 7, 1500, val);
     let b = skewed_csr::<S>(seed ^ 0xABCD, 7, 1500, val);
-    // Baselines: contiguous, single thread.
-    let plain0 = spgemm_with::<S, _, _>(
-        &a,
-        &b,
-        KernelPlan::with_schedule(1, RowSchedule::Contiguous),
-    );
-    let bloom0 = spgemm_bloom_with::<S, _, _>(
-        &a,
-        &b,
-        5,
-        KernelPlan::with_schedule(1, RowSchedule::Contiguous),
-    );
-    let pattern0 = spgemm_pattern_with(
-        &a,
-        &b,
-        5,
-        KernelPlan::with_schedule(1, RowSchedule::Contiguous),
-    );
+    let plain = check_flavor::<S, Plain>(&a, &b, &(), "plain");
+    check_flavor::<S, Bloom>(&a, &b, &(), "bloom");
+    check_flavor::<S, Pattern>(&a, &b, &(), "pattern");
     // Mask = half of the full product's pattern (a genuinely partial mask).
-    let all = plain0.result.to_triples();
-    let half: Vec<_> = all[..all.len() / 2].to_vec();
-    let mask = MaskSet::from_pairs(half.iter().map(|t| (t.row, t.col)));
-    let masked0 = masked_spgemm_bloom_with::<S, _, _>(
-        &a,
-        &b,
-        &mask,
-        5,
-        KernelPlan::with_schedule(1, RowSchedule::Contiguous),
-    );
-    for &threads in &THREAD_COUNTS {
-        for &schedule in &SCHEDULES {
-            let tag = format!("{} t={threads} {schedule:?}", S::name());
-            // Pooled and unpooled plans must agree too; exercise pooling.
-            let pool_plain = WorkspacePool::new();
-            let plan = KernelPlan::with_schedule(threads, schedule).pooled(&pool_plain);
-            assert_same(
-                &plain0,
-                &spgemm_with::<S, _, _>(&a, &b, plan),
-                &format!("plain {tag}"),
-            );
-            let pool_fused = WorkspacePool::new();
-            let plan = KernelPlan::with_schedule(threads, schedule).pooled(&pool_fused);
-            assert_same(
-                &bloom0,
-                &spgemm_bloom_with::<S, _, _>(&a, &b, 5, plan),
-                &format!("bloom {tag}"),
-            );
-            let pool_pat = WorkspacePool::new();
-            let plan = KernelPlan::with_schedule(threads, schedule).pooled(&pool_pat);
-            assert_same(
-                &pattern0,
-                &spgemm_pattern_with(&a, &b, 5, plan),
-                &format!("pattern {tag}"),
-            );
-            let plan = KernelPlan::with_schedule(threads, schedule).pooled(&pool_fused);
-            assert_same(
-                &masked0,
-                &masked_spgemm_bloom_with::<S, _, _>(&a, &b, &mask, 5, plan),
-                &format!("masked {tag}"),
-            );
-        }
-    }
+    let all = plain.result.to_triples();
+    let mask = MaskSet::from_pairs(all[..all.len() / 2].iter().map(|t| (t.row, t.col)));
+    let masked = check_flavor::<S, Bloom>(&a, &b, &mask, "masked");
+    assert!(masked.flops < plain.flops, "the mask prunes flops");
 }
 
 #[test]
@@ -140,44 +111,13 @@ fn schedules_bit_identical_min_plus() {
     check_all_kernels::<MinPlus>(43, |v| v as f64);
 }
 
-/// Distributed equivalence: SUMMA under every schedule-carrying [`Exec`]
-/// matches the default path on every grid size.
+/// Distributed equivalence: SUMMA through a pooled session [`Exec`] matches
+/// the threads-only entry point on every grid size.
 #[test]
 fn summa_exec_schedules_match_across_grids() {
     let scale = 6u32;
     let n: Index = 1 << scale;
     for p in [1usize, 4, 9] {
-        let mut gathered: Vec<Vec<Triple<u64>>> = Vec::new();
-        for schedule in SCHEDULES {
-            let out = dspgemm::mpi::run(p, move |comm| {
-                let grid = Grid::new(comm);
-                let mut timer = PhaseTimer::new();
-                let t: Vec<Triple<u64>> = if comm.rank() == 0 {
-                    generate(&RmatParams::GRAPH500, scale, 900, 17)
-                        .into_iter()
-                        .map(|(u, v)| Triple::new(u, v, u64::from(u % 5 + 1)))
-                        .collect()
-                } else {
-                    vec![]
-                };
-                let a = DistMat::from_global_triples(&grid, n, n, t, 2, &mut timer);
-                let exec = Exec::<U64Plus>::with_schedule(4, schedule);
-                let (c, flops) = summa_exec::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
-                // Per-thread counters cover the whole local flop count.
-                assert_eq!(timer.thread_flops().iter().sum::<u64>(), flops);
-                c.gather_to_root(comm)
-            });
-            gathered.push(out.results[0].clone().unwrap_or_default());
-        }
-        assert_eq!(
-            gathered[0], gathered[1],
-            "p={p}: flop-balanced != contiguous"
-        );
-        assert_eq!(
-            gathered[0], gathered[2],
-            "p={p}: work-stealing != contiguous"
-        );
-        // And against the plain threads-based entry point.
         let out = dspgemm::mpi::run(p, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
@@ -190,15 +130,55 @@ fn summa_exec_schedules_match_across_grids() {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 2, &mut timer);
-            let (c, _) = summa::<U64Plus>(&grid, &a, &a, 4, &mut timer);
-            c.gather_to_root(comm)
+            let mut exec_timer = PhaseTimer::new();
+            let exec = Exec::<U64Plus>::new(4);
+            let (c, flops) = summa_exec::<U64Plus>(&grid, &a, &a, &exec, &mut exec_timer);
+            // Per-thread counters cover the whole local flop count.
+            assert_eq!(exec_timer.thread_flops().iter().sum::<u64>(), flops);
+            let (c_plain, flops_plain) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+            assert_eq!(flops, flops_plain);
+            (c.gather_to_root(comm), c_plain.gather_to_root(comm))
         });
-        assert_eq!(
-            gathered[0],
-            out.results[0].clone().unwrap_or_default(),
-            "p={p}: exec path != default path"
-        );
+        let (c, c_plain) = &out.results[0];
+        assert!(c.as_ref().is_some_and(|c| !c.is_empty()), "p={p}");
+        assert_eq!(c, c_plain, "p={p}: exec path != default path");
     }
+}
+
+/// The flop-weighted split on the most skewed catalog proxy (the smoke
+/// configuration of the `repro` experiments: instance 0 at divisor 32768,
+/// seed 7, 4 ranks x 4 threads): worst-rank max/mean of the per-thread flop
+/// counters over a static SUMMA. A flop-count property, so deterministic at
+/// any host load. The bound is read off the parent of the commit that made
+/// this split the only one: 1.0303 there, where equal-count ranges gave
+/// 1.2640.
+#[test]
+fn flop_balanced_split_bounds_imbalance_on_skew() {
+    let (p, threads) = (4usize, 4usize);
+    let spec = &instances_scaled(32768)[0];
+    let mut edges = spec.undirected_edges();
+    let mut rng = SplitMix64::new(7 ^ spec.seed);
+    Permutation::random(spec.n as usize, &mut rng).apply_edges(&mut edges);
+    let (n, edges) = (spec.n, &edges);
+    let out = dspgemm::mpi::run(p, |comm| {
+        let grid = Grid::new(comm);
+        let mut build = PhaseTimer::new();
+        let mine: Vec<Triple<f64>> = edges
+            .iter()
+            .skip(comm.rank())
+            .step_by(p)
+            .map(|&(u, v)| Triple::new(u, v, 1.0))
+            .collect();
+        let a = DistMat::from_global_triples(&grid, n, n, mine, threads, &mut build);
+        let mut timer = PhaseTimer::new();
+        summa_exec::<F64Plus>(&grid, &a, &a, &Exec::new(threads), &mut timer);
+        // Threads that got no rows count as idle.
+        let mut per_thread = timer.thread_flops().to_vec();
+        per_thread.resize(per_thread.len().max(threads), 0);
+        flop_imbalance(&per_thread)
+    });
+    let worst = out.results.iter().copied().fold(1.0f64, f64::max);
+    assert!(worst <= 1.05, "flop-balanced max/mean {worst:.4} > 1.05");
 }
 
 /// Workspace-reuse regression: repeated identical kernel calls against one
@@ -209,43 +189,40 @@ fn summa_exec_schedules_match_across_grids() {
 fn workspace_pool_reused_across_rounds() {
     let a = skewed_csr::<U64Plus>(59, 7, 2000, |v| v);
     let b = skewed_csr::<U64Plus>(61, 7, 2000, |v| v);
-    // The schedule-independent cap: no worker can need more than the one
+    // The cap: no worker can need more than the one
     // worker that computes every row. Its accumulator state is what a
     // one-thread pool retains; its output buffers move into the result, so
     // their entry count is read off there, doubled for `Vec` growth.
     let solo_pool: WorkspacePool<u64> = WorkspacePool::new();
-    let solo = spgemm_with::<U64Plus, _, _>(&a, &b, KernelPlan::new(1).pooled(&solo_pool)).result;
+    let solo_plan = KernelPlan::new(1).pooled(&solo_pool);
+    let solo = spgemm_with::<U64Plus, Plain, _, _, _>(&a, &b, &(), 0, solo_plan).result;
     let index_bytes = std::mem::size_of::<Index>();
     let solo_out_bytes = solo.nnz() * (index_bytes + std::mem::size_of::<u64>())
         + (solo.nrows_stored() + 1) * (index_bytes + std::mem::size_of::<usize>());
     let per_worker_cap = solo_pool.heap_bytes() + 2 * solo_out_bytes;
-    for schedule in SCHEDULES {
-        let threads = 4;
-        let pool: WorkspacePool<u64> = WorkspacePool::new();
-        let mut heaps = Vec::new();
-        // Enough rounds that a per-call leak (the pre-fix stealing schedule
-        // stashed a buffer set per chunk per call) outgrows the cap.
-        for _ in 0..24 {
-            let plan = KernelPlan::with_schedule(threads, schedule).pooled(&pool);
-            let out = spgemm_with::<U64Plus, _, _>(&a, &b, plan);
-            assert!(out.flops > 0);
-            assert!(
-                pool.stashed() <= threads,
-                "{schedule:?}: pool grew past one workspace per worker"
-            );
-            heaps.push(pool.heap_bytes());
-        }
-        assert!(heaps[0] > 0, "{schedule:?}: pooled buffers retain capacity");
-        // Which stashed workspace a worker leases, and which chunks it then
-        // steals, is nondeterministic, so a workspace may still grow when
-        // it first serves a heavier share than before; the regression
-        // property is boundedness, not flatness.
-        let last = *heaps.last().unwrap();
+    let threads = 4;
+    let pool: WorkspacePool<u64> = WorkspacePool::new();
+    let mut heaps = Vec::new();
+    // Enough rounds that a per-call leak outgrows the cap.
+    for _ in 0..24 {
+        let plan = KernelPlan::new(threads).pooled(&pool);
+        let out = spgemm_with::<U64Plus, Plain, _, _, _>(&a, &b, &(), 0, plan);
+        assert!(out.flops > 0);
         assert!(
-            last <= threads * per_worker_cap,
-            "{schedule:?}: pool heap {heaps:?} exceeds {threads} x {per_worker_cap}"
+            pool.stashed() <= threads,
+            "pool grew past one workspace per worker"
         );
+        heaps.push(pool.heap_bytes());
     }
+    assert!(heaps[0] > 0, "pooled buffers retain capacity");
+    // Which stashed workspace a worker leases is nondeterministic, so a
+    // workspace may still grow when it first serves a heavier range than
+    // before; the regression property is boundedness, not flatness.
+    let last = *heaps.last().unwrap();
+    assert!(
+        last <= threads * per_worker_cap,
+        "pool heap {heaps:?} exceeds {threads} x {per_worker_cap}"
+    );
 }
 
 /// The engine's session [`Exec`] accumulates leased workspaces across update
@@ -268,8 +245,7 @@ fn engine_exec_pools_persist_across_batches() {
         };
         let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 2, &mut timer);
         let b = DistMat::from_global_triples(&grid, n, n, t, 2, &mut timer);
-        let mut eng =
-            dspgemm::core::DynSpGemm::<U64Plus>::new_with_exec(&grid, a, b, Exec::new(2), false);
+        let mut eng = dspgemm::core::DynSpGemm::<U64Plus>::new(&grid, a, b, 2, false);
         let after_init = eng.exec.heap_bytes();
         let mut heaps = Vec::new();
         for round in 0..4u64 {

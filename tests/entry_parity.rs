@@ -1,12 +1,14 @@
-//! Pins what one batch through each update entry point puts on the wire and
-//! into `C`: per-category `(bytes, messages)`, the flop count and a
-//! fingerprint of the gathered product, at p = 4 with fixed seeds, against
-//! constants. A refactor of the algorithm modules must leave every constant
-//! alone — same collectives, same tags, same merge order, same program.
+//! Pins what one batch through each update entry point — and the initial
+//! product under it — puts on the wire and into `C`: per-category
+//! `(bytes, messages)`, the flop count and a fingerprint of the gathered
+//! product, at p = 4 with fixed seeds, against constants. A refactor of the
+//! algorithm modules must leave every constant alone — same collectives,
+//! same tags, same merge order, same program.
 
 use dspgemm::analytics::AnalyticsSession;
 use dspgemm::core::dyn_algebraic::TransposeMode;
 use dspgemm::core::dyn_general::GeneralUpdates;
+use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
 use dspgemm::sparse::semiring::U64Plus;
@@ -273,4 +275,59 @@ fn session_delete_edges() {
         c_hash: 6929140722947548998,
     };
     assert_eq!(got, want);
+}
+
+/// The initial product on the engine arms' operands: `summa` and
+/// `summa_bloom` move the same panels, count the same flops and build the
+/// same `C` at any thread count; the fused one also fills `F`, pinned as
+/// `(nnz, fingerprint)` of its gathered entries.
+fn initial_product(bloom: bool, threads: usize) -> (Pinned, Option<(usize, u64)>) {
+    let out = dspgemm::mpi::run(P, |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let r = comm.rank() as u64;
+        let a = DistMat::from_global_triples(&grid, N, N, triples(10 + r, 90), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, N, N, triples(20 + r, 90), 1, &mut timer);
+        let mut state = (0u64, None, None);
+        let (volume, flops) = measure(
+            comm,
+            &mut state,
+            |s| s.0,
+            |s| {
+                *s = if bloom {
+                    let (c, f, flops) = summa_bloom::<U64Plus>(&grid, &a, &b, threads, &mut timer);
+                    (flops, Some(c), Some(f))
+                } else {
+                    let (c, flops) = summa::<U64Plus>(&grid, &a, &b, threads, &mut timer);
+                    (flops, Some(c), None)
+                };
+            },
+        );
+        let c = state.1.expect("the product ran").gather_to_root(comm);
+        let f = state.2.and_then(|f| f.gather_to_root(comm));
+        ((volume, flops, c), f)
+    });
+    let (per_rank, f): (Vec<RankResult>, Vec<_>) = out.results.into_iter().unzip();
+    let f = f[0].as_ref().map(|f| (f.len(), fingerprint(f)));
+    (pin(per_rank), f)
+}
+
+// Captured at commit 26260fe, before the kernel and round bodies were merged.
+#[test]
+fn initial_product_summa_and_summa_bloom() {
+    let want = || Pinned {
+        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0)),
+        flops: 2354,
+        c_nnz: 1482,
+        c_hash: 12397133111747597061,
+    };
+    for threads in [1, 3] {
+        assert_eq!(
+            initial_product(false, threads),
+            (want(), None),
+            "t={threads}"
+        );
+        let f = Some((1482, 2172929750072179624));
+        assert_eq!(initial_product(true, threads), (want(), f), "t={threads}");
+    }
 }
