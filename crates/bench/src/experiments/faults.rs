@@ -41,7 +41,6 @@
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
 use crate::report::{ms, Table};
 use crate::Config;
-use dspgemm_core::dyn_algebraic::TransposeMode;
 use dspgemm_core::recovery::RecoveryConfig;
 use dspgemm_core::{DistMat, DynSpGemm, Grid, RecoveryReport};
 use dspgemm_mpi::{run_with_faults, Comm, CommError, FaultPlan};
@@ -173,12 +172,8 @@ pub fn fault_arm(
                 }
                 Err(CommError::Crashed { .. }) => {
                     drop(e); // the crashed session is unrecoverable state
-                    let (e2, r) = DynSpGemm::<F64Plus>::recover_as_replacement(
-                        &grid,
-                        threads,
-                        TransposeMode::default(),
-                        rcfg,
-                    );
+                    let (e2, r) =
+                        DynSpGemm::<F64Plus>::recover_as_replacement(&grid, threads, rcfg);
                     recoveries += 1;
                     b_idx = r.committed_publishes - 1;
                     report = Some(r);

@@ -9,7 +9,7 @@
 //! | [`ablations`] | §IV-B redistribution claim, §V-A aggregation claim, §V-B Bloom claim |
 //! | [`copy_elim`] | zero-copy collective payloads + flat-buffer local SpGEMM (transport-cost ablation; beyond the paper) |
 //! | [`overlap`] | pipelined vs. blocking round schedules: exposed-communication reduction under identical wire volume (beyond the paper) |
-//! | [`commavoid`] | virtual transposition (§V-C) + inter-batch redistribution lookahead: transpose exchange eliminated from the wire, redistribution hidden under SpGEMM (beyond the paper) |
+//! | [`commavoid`] | virtual transposition (§V-C): transpose exchange eliminated from the wire, bit-identical `C` |
 //! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
 //! | [`faults`] | fault injection & epoch-anchored recovery: crash + rollback/replay and delay-storm arms vs. the fault-free reference, bit-identical products (beyond the paper) |
 //! | [`transport`] | transport backend parity: the dynamic batch stream on simulator threads vs. real TCP processes, bit-identical C and matching logical wire volume (beyond the paper) |

@@ -442,11 +442,6 @@ impl<V: Elem> DistMat<V> {
         self.image = ImageState::Current(image);
     }
 
-    /// Snapshot of the local block as a DCSR.
-    pub fn block_dcsr(&self) -> Dcsr<V> {
-        self.block.to_dcsr()
-    }
-
     /// Local entries as globally-indexed triples (row-major).
     pub fn to_global_triples(&self) -> Vec<Triple<V>> {
         self.block
@@ -596,12 +591,8 @@ impl<V: Elem> DistDcsr<V> {
         Self { info, block }
     }
 
-    /// Wraps an already-local block (must match the rank's block shape).
-    pub fn from_block(grid: &Grid, nrows: Index, ncols: Index, block: Dcsr<V>) -> Self {
-        Self::from_block_in(grid, &uniform_layout(nrows, ncols, grid.q()), block)
-    }
-
-    /// Wraps an already-local block under an explicit layout.
+    /// Wraps an already-local block (must match the rank's block shape)
+    /// under an explicit layout.
     pub fn from_block_in(grid: &Grid, layout: &Arc<Layout>, block: Dcsr<V>) -> Self {
         let info = BlockInfo::for_rank_in(grid, layout);
         assert_eq!(block.nrows(), info.local_rows(), "block shape mismatch");

@@ -173,9 +173,9 @@ impl<V: Elem> StarBuild<V> {
 
 /// A [`StarBuild`] whose redistribution row phases are in flight: one
 /// `IALLTOALLV` under [`TransposeMode::Physical`], two (natural and flipped
-/// tuples) under [`TransposeMode::Virtual`]. The engine's lookahead slot
-/// holds one per operand.
-pub(crate) struct PendingStar<S: Semiring> {
+/// tuples) under [`TransposeMode::Virtual`]. [`build_star_operands`] holds
+/// one per operand, so both operands' row phases cross the wire together.
+struct PendingStar<S: Semiring> {
     natural: PendingUpdateMatrix<S>,
     transposed: Option<PendingUpdateMatrix<S>>,
 }
@@ -184,7 +184,7 @@ impl<S: Semiring> PendingStar<S> {
     /// Issues the row phase(s) of one operand's update-matrix build. Update
     /// operands route under the `layout` — possibly rebalanced — of the
     /// matrix they patch. Collective over the grid.
-    pub(crate) fn start(
+    fn start(
         grid: &Grid,
         layout: &Arc<Layout>,
         tuples: Vec<Triple<S::Elem>>,
@@ -208,7 +208,7 @@ impl<S: Semiring> PendingStar<S> {
     }
 
     /// Completes the build(s). Collective over the grid.
-    pub(crate) fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarBuild<S::Elem> {
+    fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarBuild<S::Elem> {
         let natural = self.natural.finish(grid, timer);
         match self.transposed {
             None => StarBuild::Physical(natural),
@@ -651,9 +651,7 @@ pub fn apply_algebraic_updates_mode_exec<S: Semiring>(
 /// the rounds, applies `A += A*` and patches `C`. With `f` the batch also
 /// maintains the Bloom filter matrix `F` (required when general updates may
 /// follow): identical communication structure, partial blocks carry
-/// `(value, bitfield)` pairs. The engine's inter-batch lookahead completes
-/// builds in the background and drains them through this entry point.
-/// Collective.
+/// `(value, bitfield)` pairs. Collective.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     grid: &Grid,

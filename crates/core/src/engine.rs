@@ -7,10 +7,8 @@
 //! `C = A · B` after every call — verified end-to-end by the integration
 //! tests against static recomputation.
 
-use crate::distmat::{DistMat, MigrationStats};
-use crate::dyn_algebraic::{
-    apply_algebraic_prebuilt_exec, apply_algebraic_updates_mode_exec, PendingStar, TransposeMode,
-};
+use crate::distmat::{DistMat, Elem, MigrationStats};
+use crate::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use crate::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
@@ -28,11 +26,6 @@ use dspgemm_sparse::Triple;
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::WireSize;
 use std::sync::Arc;
-
-/// An algebraic batch whose redistribution row-phase `IALLTOALLV`s are in
-/// flight — the content of [`DynSpGemm`]'s depth-1 lookahead slot: the
-/// pending `(A*, B*)` builds.
-type PendingBatch<S> = (PendingStar<S>, PendingStar<S>);
 
 /// A dynamic SpGEMM session maintaining `C = A · B` under batched updates.
 pub struct DynSpGemm<S: Semiring> {
@@ -56,21 +49,11 @@ pub struct DynSpGemm<S: Semiring> {
     pub timer: PhaseTimer,
     /// Accumulated local scalar-multiplication count.
     pub flops: u64,
-    /// How update-SpGEMM round roots obtain their transposed-position
-    /// blocks ([`TransposeMode::Virtual`] — the communication-avoiding
-    /// Section V-C schedule — by default). Must be rank-uniform: the mode
-    /// changes the collective schedule. The maintained `C` is bit-identical
-    /// across modes.
-    pub transpose_mode: TransposeMode,
     /// Published epochs of `{A, C}` (see [`crate::snapshot`]); the latest is
     /// held here, older ones live as long as a reader pins them.
     snapshots: SnapshotStore<Snapshot<S::Elem>>,
     /// Whether a batch committed since the last publish.
     dirty: bool,
-    /// The depth-1 inter-batch lookahead slot: a submitted algebraic batch
-    /// whose redistribution is in flight (see
-    /// [`DynSpGemm::submit_algebraic`]).
-    pending: Option<PendingBatch<S>>,
     /// The dynamic inter-rank rebalancing policy (opt-in via
     /// [`DynSpGemm::enable_rebalancing`]; `None` keeps the distribution
     /// static, the pre-rebalancing behavior).
@@ -109,10 +92,8 @@ impl<S: Semiring> DynSpGemm<S> {
             exec,
             timer,
             flops,
-            transpose_mode: TransposeMode::default(),
             snapshots: SnapshotStore::new(),
             dirty: false,
-            pending: None,
             rebalancer: None,
             recovery: None,
         };
@@ -136,18 +117,7 @@ impl<S: Semiring> DynSpGemm<S> {
     /// previous epoch, a touched one gets an image patched from the previous
     /// one (see [`crate::snapshot`]). SPMD callers publish in lockstep, so
     /// epoch numbers agree on every rank.
-    ///
-    /// # Panics
-    /// Panics if a [`DynSpGemm::submit_algebraic`] batch is still in
-    /// flight: publishing would capture pre-batch content on every rank
-    /// while the batch's redistribution is already on the wire, and a later
-    /// flush would silently postdate it. Call [`DynSpGemm::flush`] first
-    /// (epoch contents then match the sequential schedule exactly).
     pub fn publish(&mut self) -> Arc<Snapshot<S::Elem>> {
-        assert!(
-            self.pending.is_none(),
-            "flush() the submitted algebraic batch before publish()/snapshot()"
-        );
         let (a, a_build) = SnapshotMat::publish(&mut self.a);
         let (c, c_build) = SnapshotMat::publish(&mut self.c);
         self.dirty = false;
@@ -175,10 +145,6 @@ impl<S: Semiring> DynSpGemm<S> {
     /// diverge (a rank whose local block a batch left untouched would skip
     /// the publish its peers perform).
     pub fn snapshot(&mut self) -> Arc<Snapshot<S::Elem>> {
-        assert!(
-            self.pending.is_none(),
-            "flush() the submitted algebraic batch before publish()/snapshot()"
-        );
         if self.dirty || self.snapshots.latest().is_none() {
             self.publish()
         } else {
@@ -200,24 +166,10 @@ impl<S: Semiring> DynSpGemm<S> {
 
     /// Applies a batch of **algebraic** updates (`A' = A + A*`,
     /// `B' = B + B*` under the semiring addition) via Algorithm 1.
-    /// Tuples carry global indices and may live on any rank. A pending
-    /// [`DynSpGemm::submit_algebraic`] batch is flushed first, preserving
-    /// submission order. Collective.
+    /// Tuples carry global indices and may live on any rank. Collective —
+    /// also the body of the fault-tolerant
+    /// [`DynSpGemm::try_apply_algebraic`] and of recovery replay.
     pub fn apply_algebraic(
-        &mut self,
-        grid: &Grid,
-        a_updates: Vec<Triple<S::Elem>>,
-        b_updates: Vec<Triple<S::Elem>>,
-    ) {
-        self.flush(grid);
-        self.apply_algebraic_core(grid, a_updates, b_updates);
-    }
-
-    /// The collective body of an algebraic batch, shared between
-    /// [`DynSpGemm::apply_algebraic`], the fault-tolerant
-    /// [`DynSpGemm::try_apply_algebraic`], and recovery replay. Assumes any
-    /// pending submitted batch was already flushed.
-    fn apply_algebraic_core(
         &mut self,
         grid: &Grid,
         a_updates: Vec<Triple<S::Elem>>,
@@ -234,100 +186,7 @@ impl<S: Semiring> DynSpGemm<S> {
             self.f.as_mut(),
             a_updates,
             b_updates,
-            self.transpose_mode,
-            &self.exec,
-            &mut self.timer,
-        );
-    }
-
-    /// Submits a batch of algebraic updates with **inter-batch
-    /// pipelining**: the batch's redistribution row phase is issued
-    /// nonblocking (`IALLTOALLV`) and parked in the depth-1 lookahead
-    /// slot; the *previously* submitted batch (if any) is then completed
-    /// and applied — its SpGEMM rounds, merge-reductions and local updates
-    /// run while the progress engine moves the new batch's redistribution
-    /// in the background. Collective; every rank must submit the same
-    /// sequence of batches.
-    ///
-    /// The queue is bounded at depth 1 by construction: submitting drains
-    /// the previous batch before returning, so at most one redistribution
-    /// is ever in flight across batches ([`DynSpGemm::pending_depth`]).
-    /// Wire traffic is byte-identical to the sequential
-    /// [`DynSpGemm::apply_algebraic`] schedule — both run the same
-    /// two-phase redistribution code path; only the completion point moves
-    /// — and the maintained `C` is bit-identical because batches still
-    /// apply in submission order. Observable state (the public matrix
-    /// fields, epochs) reflects a submitted batch only once a later
-    /// `submit_algebraic`, [`DynSpGemm::flush`], or batch call completes
-    /// it; [`DynSpGemm::publish`]/[`DynSpGemm::snapshot`] refuse to run
-    /// with a batch still pending so epoch contents always equal the
-    /// sequential schedule's.
-    pub fn submit_algebraic(
-        &mut self,
-        grid: &Grid,
-        a_updates: Vec<Triple<S::Elem>>,
-        b_updates: Vec<Triple<S::Elem>>,
-    ) {
-        let _sp = dspgemm_obs::span("engine", "redist_lookahead")
-            .attr("updates", (a_updates.len() + b_updates.len()) as u64);
-        // Route under the operands' *current* layouts: after a rebalancing
-        // migration the update matrices must land on the new owners. Issue
-        // the new batch's row phase first so it is already in flight while
-        // the previous batch (drained below) computes.
-        let mode = self.transpose_mode;
-        let newly = (
-            PendingStar::start(
-                grid,
-                self.a.info().layout(),
-                a_updates,
-                mode,
-                &mut self.timer,
-            ),
-            PendingStar::start(
-                grid,
-                self.b.info().layout(),
-                b_updates,
-                mode,
-                &mut self.timer,
-            ),
-        );
-        let previous = self.pending.replace(newly);
-        self.complete(grid, previous);
-    }
-
-    /// Completes and applies the submitted batch still in flight, if any —
-    /// the linearization point of [`DynSpGemm::submit_algebraic`].
-    /// Idempotent. Collective when a batch is pending (rank-uniform by the
-    /// submit discipline).
-    pub fn flush(&mut self, grid: &Grid) {
-        let previous = self.pending.take();
-        self.complete(grid, previous);
-    }
-
-    /// Number of submitted batches whose redistribution is in flight
-    /// (0 or 1 — the lookahead is depth-bounded).
-    pub fn pending_depth(&self) -> usize {
-        usize::from(self.pending.is_some())
-    }
-
-    /// Finishes a pending batch's redistributions (await into
-    /// `redist. comm.` exposed/overlapped, then the column phase) and
-    /// applies it through the prebuilt Algorithm-1 path.
-    fn complete(&mut self, grid: &Grid, batch: Option<PendingBatch<S>>) {
-        let Some((a_star, b_star)) = batch else {
-            return;
-        };
-        self.dirty = true;
-        let a_star = a_star.finish(grid, &mut self.timer);
-        let b_star = b_star.finish(grid, &mut self.timer);
-        self.flops += apply_algebraic_prebuilt_exec::<S>(
-            grid,
-            &mut self.a,
-            &mut self.b,
-            &mut self.c,
-            self.f.as_mut(),
-            &a_star,
-            &b_star,
+            TransposeMode::Virtual,
             &self.exec,
             &mut self.timer,
         );
@@ -346,7 +205,6 @@ impl<S: Semiring> DynSpGemm<S> {
         a_updates: GeneralUpdates<S::Elem>,
         b_updates: GeneralUpdates<S::Elem>,
     ) {
-        self.flush(grid);
         let _sp = dspgemm_obs::span("engine", "apply_general")
             .attr("updates", (a_updates.len() + b_updates.len()) as u64);
         let f = self
@@ -362,7 +220,7 @@ impl<S: Semiring> DynSpGemm<S> {
             f,
             a_updates,
             b_updates,
-            self.transpose_mode,
+            TransposeMode::Virtual,
             &self.exec,
             &mut self.timer,
         );
@@ -372,7 +230,6 @@ impl<S: Semiring> DynSpGemm<S> {
     /// from scratch — the static strategy the paper's competitors are forced
     /// into. Useful as a baseline and as a repair path. Collective.
     pub fn recompute_static(&mut self, grid: &Grid) {
-        self.flush(grid);
         let _sp = dspgemm_obs::span("engine", "recompute");
         self.dirty = true;
         if self.f.is_some() {
@@ -440,7 +297,6 @@ impl<S: Semiring> DynSpGemm<S> {
         if self.rebalancer.is_none() {
             return false;
         }
-        self.flush(grid);
         // Decide at the publish fence: the cooldown counts published epochs.
         self.snapshot();
         let epoch = self.epoch().unwrap_or(0);
@@ -513,8 +369,8 @@ impl<S: Semiring> DynSpGemm<S> {
     ///
     /// # Panics
     /// Panics if recovery is already enabled, if rebalancing is enabled
-    /// (anchors pin a layout), if a submitted batch is pending, or if a
-    /// committed batch has not been published yet.
+    /// (anchors pin a layout), or if a committed batch has not been
+    /// published yet.
     pub fn enable_recovery(&mut self, grid: &Grid, cfg: RecoveryConfig) {
         assert!(self.recovery.is_none(), "recovery is already enabled");
         assert!(
@@ -522,17 +378,12 @@ impl<S: Semiring> DynSpGemm<S> {
             "rebalancing and epoch-anchored recovery are mutually exclusive (anchors pin a layout)"
         );
         assert!(
-            self.pending.is_none(),
-            "flush() the submitted algebraic batch before enable_recovery()"
-        );
-        assert!(
             !self.dirty,
             "publish() committed batches before enable_recovery()"
         );
         assert!(cfg.anchor_period >= 1, "anchor_period must be at least 1");
         assert!(cfg.max_log >= 1, "max_log must be at least 1");
-        let (own, predecessor) = self.exchange_anchor(grid);
-        self.recovery = Some(RecoveryState::anchored(cfg, own, predecessor));
+        self.reanchor(grid, cfg);
     }
 
     /// The recovery state, when enabled (anchor/log diagnostics for tests
@@ -556,8 +407,8 @@ impl<S: Semiring> DynSpGemm<S> {
     /// log keys batches by published epoch).
     ///
     /// # Panics
-    /// Panics if recovery is not enabled, a submitted batch is pending, or
-    /// the previous committed batch was not published.
+    /// Panics if recovery is not enabled or the previous committed batch
+    /// was not published.
     pub fn try_apply_algebraic(
         &mut self,
         grid: &Grid,
@@ -567,10 +418,6 @@ impl<S: Semiring> DynSpGemm<S> {
         assert!(
             self.recovery.is_some(),
             "enable_recovery() before try_apply_algebraic()"
-        );
-        assert!(
-            self.pending.is_none(),
-            "recovery mode is incompatible with the submit/flush lookahead"
         );
         assert!(
             !self.dirty,
@@ -605,7 +452,7 @@ impl<S: Semiring> DynSpGemm<S> {
             rec.replica.log.push(got);
         }
         catch_comm_mut(|| {
-            self.apply_algebraic_core(grid, entry.a_ups, entry.b_ups);
+            self.apply_algebraic(grid, entry.a_ups, entry.b_ups);
             // Post-batch agreement fence: a failed rank cannot contribute,
             // so completing it proves every rank logged and applied the
             // batch — the publish that follows is then safe to count as
@@ -686,7 +533,7 @@ impl<S: Semiring> DynSpGemm<S> {
     fn replay(&mut self, grid: &Grid, entries: Vec<LoggedBatch<S::Elem>>) {
         for e in entries {
             let target = e.epoch;
-            self.apply_algebraic_core(grid, e.a_ups, e.b_ups);
+            self.apply_algebraic(grid, e.a_ups, e.b_ups);
             if self.snapshots.published() <= target {
                 debug_assert_eq!(
                     self.snapshots.published(),
@@ -698,167 +545,63 @@ impl<S: Semiring> DynSpGemm<S> {
         }
     }
 
-    /// Publishes the uniform post-recovery epoch, captures a fresh anchor
-    /// at it, exchanges anchors around the buddy ring and resets every log
-    /// window — restoring the full recovery invariant (including the
-    /// replacement rank's replica of *its* predecessor, which the crash
-    /// destroyed). Collective.
+    /// Captures a fresh anchor of the current published state, exchanges
+    /// anchors around the buddy ring and starts every log window empty — the
+    /// full recovery invariant, at enable time and after a recovery.
+    /// Collective.
     fn reanchor(&mut self, grid: &Grid, cfg: RecoveryConfig) {
-        self.publish();
         let (own, predecessor) = self.exchange_anchor(grid);
         self.recovery = Some(RecoveryState::anchored(cfg, own, predecessor));
     }
 
     /// Recovers a *surviving* rank after a peer failure surfaced as
     /// `Err(CommError::PeerFailed { .. })` from
-    /// [`DynSpGemm::try_apply_algebraic`]: advances the communicator
-    /// recovery epoch, agrees on the failed set, ships the replica bundle
-    /// to the replacement (if this rank is the failed rank's buddy), rolls
-    /// back to the grid-minimum anchor and deterministically replays to the
-    /// grid-maximum commit frontier. Collective — every surviving rank
-    /// calls `recover` while the failed rank calls
-    /// [`DynSpGemm::recover_as_replacement`], in the same incident.
+    /// [`DynSpGemm::try_apply_algebraic`]: runs the recovery agreement
+    /// (shipping the replica bundle to the replacement if this rank is the
+    /// failed rank's buddy), rolls the live session back to the grid-minimum
+    /// anchor and deterministically replays to the grid-maximum commit
+    /// frontier. Collective — every surviving rank calls `recover` while the
+    /// failed rank calls [`DynSpGemm::recover_as_replacement`], in the same
+    /// incident.
     ///
     /// Returns an allreduced [`RecoveryReport`]; the caller re-submits every
     /// batch whose publish would be epoch `>= committed_publishes`.
     pub fn recover(&mut self, grid: &Grid) -> RecoveryReport {
-        assert!(
-            self.recovery.is_some(),
-            "enable_recovery() before recover()"
-        );
-        // A submitted batch cannot be pending: recovery mode forbids the
-        // lookahead, and a panic-unwound batch never parks one.
-        assert!(self.pending.is_none(), "recovery found a pending batch");
-        let mut sp = dspgemm_obs::span("engine", "recover");
-        let world = grid.world();
-        let (p, me) = (world.size(), world.rank());
-        assert!(p <= 64, "failure agreement uses a 64-bit rank mask");
-        // (1) Enter the next recovery epoch and rendezvous under it: stale
-        // traffic from the interrupted batch is dropped, early traffic from
-        // ranks already recovering was buffered and now matches.
-        let recovery_epoch = grid.advance_recovery_epoch();
-        world.barrier();
-        // (2) Agree on the failed set (consumed failure markers, OR-ed).
-        let mine: u64 = world
-            .take_failed_ranks()
-            .iter()
-            .fold(0, |m, &r| m | (1u64 << r));
-        let mask = world.allreduce(mine, |a, b| a | b);
-        assert_eq!(
-            mask.count_ones(),
-            1,
-            "recovery handles one failure per incident (failed mask {mask:#x})"
-        );
-        let failed = mask.trailing_zeros() as usize;
-        assert_ne!(failed, me, "a crashed rank must recover_as_replacement()");
-        let detect_local = world.last_failure_detect_ns();
-        // (3) The failed rank's buddy ships it the replica bundle.
-        let shipped = if buddy_ring(world).1 == failed {
-            let bundle = self
-                .recovery
-                .as_ref()
-                .expect("checked above")
-                .replica
-                .clone();
-            let bytes = bundle.wire_bytes();
-            world.send(failed, TAG_REBUILD, bundle);
-            bytes
-        } else {
-            0
-        };
-        let rebuild_bytes = world.allreduce(shipped, |a, b| a + b);
-        // (4) Commit frontier P*: the furthest published count any rank
-        // reached. The agreement fence guarantees every batch below it is
-        // logged grid-wide.
-        let p_star = world.allreduce(self.snapshots.published(), |a, b| a.max(b));
-        // (5) Rollback anchor A: the newest anchor *every* rank still holds
-        // (two-window retention covers a crash racing a refresh).
-        let a_min = world.allreduce(
-            self.recovery
-                .as_ref()
-                .expect("checked above")
-                .newest
-                .published,
-            |a, b| a.min(b),
-        );
-        // (6) Roll back.
-        let rolled_back = self.snapshots.published() - a_min;
-        let rec = self.recovery.as_ref().expect("checked above");
+        let sp = dspgemm_obs::span("engine", "recover");
+        // The re-anchor that ends a recovery builds this state afresh, so
+        // the agreement consumes it.
+        let rec = self
+            .recovery
+            .take()
+            .expect("enable_recovery() before recover()");
         let cfg = rec.cfg;
-        let anchor = rollback_anchor(&rec.newest, rec.prev.as_ref(), a_min).clone();
-        self.restore_anchor(&anchor);
-        // (7) Deterministic replay of the committed window [A, P*).
-        // The re-anchor of step (8) starts an empty log, so this one moves.
-        let log = std::mem::take(&mut self.recovery.as_mut().expect("checked above").log);
-        let entries = replay_window(log, a_min, p_star);
-        let replayed = entries.len() as u64;
-        self.replay(grid, entries);
-        // (8) Uniform re-anchor at the recovered frontier.
-        self.reanchor(grid, cfg);
-        // (9) Fence, then agree on the report numbers.
-        world.barrier();
-        let detect_ns = world.allreduce(detect_local, |a, b| a.max(b));
-        let rollback_epochs = world.allreduce(rolled_back, |a, b| a.max(b));
-        sp.set_attr("failed_rank", failed as u64);
-        sp.set_attr("replayed_batches", replayed);
-        sp.set_attr("rollback_epochs", rollback_epochs);
-        record_recovery_metrics(detect_ns, rollback_epochs, replayed, rebuild_bytes);
-        RecoveryReport {
-            failed_ranks: vec![failed],
-            committed_publishes: p_star,
-            rollback_epochs,
-            replayed_batches: replayed,
-            rebuild_bytes,
-            detect_ns,
-            recovery_epoch,
-        }
+        let published = self.snapshots.published();
+        let incident = agree_on_incident(grid, Some((rec, published)));
+        // (6) Roll the live session back.
+        self.restore_anchor(incident.anchor());
+        let rolled_back = published - incident.a_min;
+        self.finish_recovery(grid, cfg, incident, rolled_back, sp)
     }
 
     /// Rebuilds the *failed* rank as a replacement after its own injected
     /// crash surfaced as `Err(CommError::Crashed { .. })`: the old session
     /// is gone (drop it), this constructor receives the replica bundle from
-    /// the buddy, rebuilds the matrices at the agreed rollback anchor and
+    /// the buddy, builds a fresh session at the agreed rollback anchor and
     /// replays the crashed rank's own logged inputs alongside the
-    /// survivors' [`DynSpGemm::recover`] — the identical collective
-    /// sequence, so the grid stays in lockstep. `threads` and
-    /// `transpose_mode` must match the original session's (rank-uniform
-    /// settings).
+    /// survivors' [`DynSpGemm::recover`] — the same collective sequence, so
+    /// the grid stays in lockstep. `threads` must match the original
+    /// session's (a rank-uniform setting).
     pub fn recover_as_replacement(
         grid: &Grid,
         threads: usize,
-        transpose_mode: TransposeMode,
         cfg: RecoveryConfig,
     ) -> (Self, RecoveryReport) {
-        let mut sp = dspgemm_obs::span("engine", "recover").attr("replacement", 1);
-        let world = grid.world();
-        let (p, me) = (world.size(), world.rank());
-        assert!(p <= 64, "failure agreement uses a 64-bit rank mask");
-        // (1) Same rendezvous as the survivors.
-        let recovery_epoch = grid.advance_recovery_epoch();
-        world.barrier();
-        // (2) This rank *is* the failure.
-        let mask = world.allreduce(1u64 << me, |a, b| a | b);
-        assert_eq!(
-            mask.count_ones(),
-            1,
-            "recovery handles one failure per incident (failed mask {mask:#x})"
-        );
-        assert_eq!(
-            mask.trailing_zeros() as usize,
-            me,
-            "replacement rank disagrees with the grid about who failed"
-        );
-        // (3) Receive the replica bundle from the buddy.
-        let bundle: ReplicaBundle<S::Elem> = world.recv(buddy_ring(world).0, TAG_REBUILD);
-        let rebuild_bytes = world.allreduce(0u64, |a, b| a + b);
-        // (4)(5) Frontier and rollback agreement: this rank's published
-        // count is lost with the crash, so it contributes the identities.
-        let p_star = world.allreduce(0u64, |a, b| a.max(b));
-        let a_min = world.allreduce(bundle.newest.published, |a, b| a.min(b));
-        // (6) Rebuild at the rollback anchor.
-        let anchor = rollback_anchor(&bundle.newest, bundle.prev.as_ref(), a_min);
+        let sp = dspgemm_obs::span("engine", "recover").attr("replacement", 1);
+        let incident = agree_on_incident(grid, None);
+        // (6) Build a fresh session at the rollback anchor.
+        let anchor = incident.anchor();
         let mut snapshots = SnapshotStore::new();
-        snapshots.resume_at(a_min);
+        snapshots.resume_at(incident.a_min);
         let mut eng = Self {
             a: anchor.a.build(grid, threads),
             b: anchor.b.build(grid, threads),
@@ -867,57 +610,168 @@ impl<S: Semiring> DynSpGemm<S> {
             exec: Exec::new(threads),
             timer: PhaseTimer::new(),
             flops: anchor.flops,
-            transpose_mode,
             snapshots,
             dirty: false,
-            pending: None,
             rebalancer: None,
             recovery: None,
         };
-        // (7) Replay the crashed rank's own logged inputs.
-        let entries = replay_window(bundle.log, a_min, p_star);
-        let replayed = entries.len() as u64;
-        eng.replay(grid, entries);
-        // (8) Uniform re-anchor — this also rebuilds the replica this rank
-        // should hold for its predecessor, which died with the crash.
-        eng.reanchor(grid, cfg);
-        // (9) Fence + report (this rank detected nothing and rolled back
-        // nothing it still knows about; the allreduces fill in the grid
-        // view).
-        world.barrier();
-        let detect_ns = world.allreduce(0u64, |a, b| a.max(b));
-        let rollback_epochs = world.allreduce(0u64, |a, b| a.max(b));
-        sp.set_attr("failed_rank", me as u64);
-        sp.set_attr("replayed_batches", replayed);
-        sp.set_attr("rollback_epochs", rollback_epochs);
-        record_recovery_metrics(detect_ns, rollback_epochs, replayed, rebuild_bytes);
-        let report = RecoveryReport {
-            failed_ranks: vec![me],
-            committed_publishes: p_star,
-            rollback_epochs,
-            replayed_batches: replayed,
-            rebuild_bytes,
-            detect_ns,
-            recovery_epoch,
-        };
+        // This rank rolled back nothing it still knows about.
+        let report = eng.finish_recovery(grid, cfg, incident, 0, sp);
         (eng, report)
+    }
+
+    /// Steps (7)–(9) of the recovery protocol, on a session that stands at
+    /// the incident's rollback anchor: replay, re-anchor, then the fence and
+    /// the report reductions. Collective.
+    fn finish_recovery(
+        &mut self,
+        grid: &Grid,
+        cfg: RecoveryConfig,
+        incident: Incident<S::Elem>,
+        rolled_back: u64,
+        mut sp: dspgemm_obs::Span,
+    ) -> RecoveryReport {
+        let world = grid.world();
+        // (7) Deterministic replay of the committed window [A, P*) from this
+        // rank's own logged inputs.
+        let entries = replay_window(incident.own.log, incident.a_min, incident.p_star);
+        let replayed_batches = entries.len() as u64;
+        self.replay(grid, entries);
+        // (8) Uniform re-anchor at the recovered frontier's epoch — on the
+        // replacement this also rebuilds the replica it should hold for its
+        // predecessor, which died with the crash.
+        self.publish();
+        self.reanchor(grid, cfg);
+        // (9) Fence, then agree on the report numbers.
+        world.barrier();
+        let detect_ns = world.allreduce(incident.detect_local, |a, b| a.max(b));
+        let rollback_epochs = world.allreduce(rolled_back, |a, b| a.max(b));
+        sp.set_attr("failed_rank", incident.failed as u64);
+        sp.set_attr("replayed_batches", replayed_batches);
+        sp.set_attr("rollback_epochs", rollback_epochs);
+        // Each rank records the allreduced, grid-agreed values.
+        let reg = dspgemm_obs::global();
+        reg.counter_add("engine.recovery.count", 1);
+        reg.gauge_set("engine.recovery.detect_ns", detect_ns as f64);
+        reg.gauge_set("engine.recovery.rollback_epochs", rollback_epochs as f64);
+        reg.gauge_set("engine.recovery.replayed_batches", replayed_batches as f64);
+        reg.gauge_set(
+            "engine.recovery.rebuild_bytes",
+            incident.rebuild_bytes as f64,
+        );
+        RecoveryReport {
+            failed_ranks: vec![incident.failed],
+            committed_publishes: incident.p_star,
+            rollback_epochs,
+            replayed_batches,
+            rebuild_bytes: incident.rebuild_bytes,
+            detect_ns,
+            recovery_epoch: incident.recovery_epoch,
+        }
     }
 }
 
-/// Publishes the `engine.recovery.*` metrics one completed recovery emits
-/// (each rank records the allreduced, grid-agreed values).
-fn record_recovery_metrics(
-    detect_ns: u64,
-    rollback_epochs: u64,
-    replayed: u64,
+/// What the grid agreed on in one failure incident — the outcome of steps
+/// (1)–(5) of the recovery protocol (see [`crate::recovery`]) — and the
+/// rollback windows this rank recovers from.
+struct Incident<V> {
+    recovery_epoch: u64,
+    failed: usize,
     rebuild_bytes: u64,
-) {
-    let reg = dspgemm_obs::global();
-    reg.counter_add("engine.recovery.count", 1);
-    reg.gauge_set("engine.recovery.detect_ns", detect_ns as f64);
-    reg.gauge_set("engine.recovery.rollback_epochs", rollback_epochs as f64);
-    reg.gauge_set("engine.recovery.replayed_batches", replayed as f64);
-    reg.gauge_set("engine.recovery.rebuild_bytes", rebuild_bytes as f64);
+    /// The commit frontier `P*`: the furthest published count any rank
+    /// reached. The agreement fence guarantees every batch below it is
+    /// logged grid-wide.
+    p_star: u64,
+    /// The published count of the rollback anchor `A`: the newest anchor
+    /// *every* rank still holds (two-window retention covers a crash racing
+    /// a refresh).
+    a_min: u64,
+    /// This rank's own failure-detection latency (0 on the replacement).
+    detect_local: u64,
+    /// This rank's anchor windows and log: a survivor's live ones, the
+    /// replacement's as its buddy replicated them.
+    own: ReplicaBundle<V>,
+}
+
+impl<V> Incident<V> {
+    /// The retained anchor the grid agreed to roll back to.
+    fn anchor(&self) -> &Anchor<V> {
+        rollback_anchor(&self.own.newest, self.own.prev.as_ref(), self.a_min)
+    }
+}
+
+/// Steps (1)–(5) of the recovery protocol — the one copy of the agreement
+/// sequence every rank of the grid runs in an incident, so the two roles
+/// cannot drift apart. `survivor` is a surviving rank's recovery state and
+/// published count; the replacement (`None`) lost both with the crash, so it
+/// contributes itself as the failure, then the identities, and receives the
+/// bundle its buddy ships. Collective.
+fn agree_on_incident<V: Elem>(
+    grid: &Grid,
+    survivor: Option<(RecoveryState<V>, u64)>,
+) -> Incident<V> {
+    let world = grid.world();
+    let (p, me) = (world.size(), world.rank());
+    assert!(p <= 64, "failure agreement uses a 64-bit rank mask");
+    // (1) Enter the next recovery epoch and rendezvous under it: stale
+    // traffic from the interrupted batch is dropped, early traffic from
+    // ranks already recovering was buffered and now matches.
+    let recovery_epoch = grid.advance_recovery_epoch();
+    world.barrier();
+    // (2) Agree on the failed set: survivors OR in the failure markers they
+    // consumed, the replacement *is* the failure.
+    let mine = match survivor {
+        Some(_) => world
+            .take_failed_ranks()
+            .iter()
+            .fold(0, |m, &r| m | (1u64 << r)),
+        None => 1u64 << me,
+    };
+    let mask = world.allreduce(mine, |a, b| a | b);
+    assert_eq!(
+        mask.count_ones(),
+        1,
+        "recovery handles one failure per incident (failed mask {mask:#x})"
+    );
+    let failed = mask.trailing_zeros() as usize;
+    assert_eq!(
+        failed == me,
+        survivor.is_none(),
+        "the crashed rank, and only it, recovers as the replacement (rank {failed} failed)"
+    );
+    // (3) The failed rank's buddy ships it the replica bundle.
+    let (succ, pred) = buddy_ring(world);
+    let (own, published, detect_local, shipped) = match survivor {
+        Some((rec, published)) => {
+            let shipped = if pred == failed {
+                let bytes = rec.replica.wire_bytes();
+                world.send(failed, TAG_REBUILD, rec.replica);
+                bytes
+            } else {
+                0
+            };
+            let own = ReplicaBundle {
+                newest: rec.newest,
+                prev: rec.prev,
+                log: rec.log,
+            };
+            (own, published, world.last_failure_detect_ns(), shipped)
+        }
+        None => (world.recv(succ, TAG_REBUILD), 0, 0, 0),
+    };
+    let rebuild_bytes = world.allreduce(shipped, |a, b| a + b);
+    // (4) Commit frontier, (5) rollback anchor.
+    let p_star = world.allreduce(published, |a, b| a.max(b));
+    let a_min = world.allreduce(own.newest.published, |a, b| a.min(b));
+    Incident {
+        recovery_epoch,
+        failed,
+        rebuild_bytes,
+        p_star,
+        a_min,
+        detect_local,
+        own,
+    }
 }
 
 #[cfg(test)]
@@ -993,70 +847,6 @@ mod tests {
         let ds = Dense::from_triples::<U64Plus>(24, 24, c_static.as_ref().unwrap());
         assert_eq!(dd.diff(&ds), vec![]);
         assert!(*flops > 0);
-    }
-
-    #[test]
-    fn submitted_batches_match_sequential_application() {
-        let n: Index = 20;
-        for p in [1usize, 4, 9] {
-            let out = run(p, move |comm| {
-                let grid = Grid::new(comm);
-                let mut timer = PhaseTimer::new();
-                let feed = |s: u64| {
-                    if comm.rank() == 0 {
-                        random_triples(s, n, 50)
-                    } else {
-                        vec![]
-                    }
-                };
-                let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
-                let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
-                let mut seq = DynSpGemm::<U64Plus>::new(&grid, a.clone(), b.clone(), 1, false);
-                let mut pip = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-                for round in 0..4u64 {
-                    let a_ups = random_triples(40 + round, n, 6);
-                    let b_ups = random_triples(80 + round, n, 6);
-                    seq.apply_algebraic(&grid, a_ups.clone(), b_ups.clone());
-                    pip.submit_algebraic(&grid, a_ups, b_ups);
-                    assert!(pip.pending_depth() <= 1, "lookahead must stay depth-1");
-                }
-                assert_eq!(pip.pending_depth(), 1);
-                pip.flush(&grid);
-                assert_eq!(pip.pending_depth(), 0);
-                pip.flush(&grid); // idempotent
-                                  // Epoch sequence equals the sequential schedule's.
-                let (se, pe) = (seq.snapshot().epoch(), pip.snapshot().epoch());
-                assert_eq!(se, pe);
-                (
-                    seq.c.gather_to_root(comm),
-                    pip.c.gather_to_root(comm),
-                    seq.flops == pip.flops,
-                )
-            });
-            let (c_seq, c_pip, flops_eq) = &out.results[0];
-            assert_eq!(c_seq, c_pip, "p={p}: pipelined C diverged");
-            assert!(flops_eq, "p={p}: pipelined flop count diverged");
-        }
-    }
-
-    #[test]
-    fn snapshot_refuses_pending_batch() {
-        let out = run(1, |comm| {
-            let grid = Grid::new(comm);
-            let a = DistMat::<u64>::empty(&grid, 8, 8);
-            let b = DistMat::<u64>::empty(&grid, 8, 8);
-            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-            eng.submit_algebraic(&grid, vec![Triple::new(0, 0, 1)], vec![]);
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eng.snapshot();
-            }))
-            .is_err();
-            // After a flush the snapshot succeeds and reflects the batch.
-            eng.flush(&grid);
-            let snap = eng.snapshot();
-            panicked && snap.epoch() > 0
-        });
-        assert!(out.results[0]);
     }
 
     #[test]

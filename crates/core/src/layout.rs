@@ -112,13 +112,6 @@ impl Layout {
         self.col_cuts[b]..self.col_cuts[b + 1]
     }
 
-    /// First global row of grid row `b` — the row offset of round `b`'s
-    /// panel in SUMMA-style loops.
-    #[inline]
-    pub fn row_start(&self, b: usize) -> Index {
-        self.row_cuts[b]
-    }
-
     /// First global column of grid column `b`.
     #[inline]
     pub fn col_start(&self, b: usize) -> Index {
@@ -171,13 +164,6 @@ impl Layout {
             row_cuts: self.row_cuts.clone(),
             col_cuts: rhs.col_cuts.clone(),
         }
-    }
-
-    /// Whether this layout is the uniform [`crate::grid::block_range`]
-    /// decomposition.
-    pub fn is_uniform(&self) -> bool {
-        self.row_cuts == uniform_cuts(self.nrows(), self.q())
-            && self.col_cuts == uniform_cuts(self.ncols(), self.q())
     }
 }
 
@@ -270,7 +256,6 @@ mod tests {
         for n in [0u32, 1, 7, 9, 64, 1023] {
             for q in [1usize, 2, 3, 7] {
                 let l = Layout::uniform(n, n, q);
-                assert!(l.is_uniform());
                 for b in 0..q {
                     assert_eq!(l.row_range(b), block_range(n, q, b));
                     assert_eq!(l.col_range(b), block_range(n, q, b));
@@ -286,7 +271,6 @@ mod tests {
     #[test]
     fn owner_skips_zero_width_stripes() {
         let l = Layout::square(vec![0, 5, 5, 10]);
-        assert!(!l.is_uniform());
         assert_eq!(l.row_range(1), 5..5);
         for x in 0..5 {
             assert_eq!(l.row_owner(x), (0, 0));

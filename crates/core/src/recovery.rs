@@ -36,8 +36,7 @@
 //!
 //! Scope (asserted, not silently assumed): one failure per incident, the
 //! buddy of a failed rank alive, recovery mutually exclusive with dynamic
-//! rebalancing (anchors pin a layout) and with the submit/flush lookahead
-//! (the log records committed batch boundaries only).
+//! rebalancing (anchors pin a layout).
 
 use crate::distmat::{DistMat, Elem};
 use crate::grid::Grid;

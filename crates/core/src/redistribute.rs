@@ -42,10 +42,9 @@ pub mod phase {
 /// under whatever the caller does next) but not yet awaited. Produced by
 /// [`redistribute_start_in`], consumed by [`redistribute_finish_in`].
 ///
-/// This is the handle behind the engine's depth-1 inter-batch lookahead:
-/// batch `k + 1`'s redistribution crosses the wire while batch `k`'s SpGEMM
-/// rounds and epoch publish run.
-pub struct InflightRedist<V: Copy + Send + Sync + WireSize + WireDecode + 'static> {
+/// The split is what lets an update batch issue the row phases of all its
+/// builds (`A*`, `B*`, and their transposed layouts) before completing any.
+pub(crate) struct InflightRedist<V: Copy + Send + Sync + WireSize + WireDecode + 'static> {
     req: Request<Vec<Vec<Triple<V>>>>,
 }
 
@@ -76,7 +75,7 @@ where
 /// cut points of `layout` and starts the column-communicator `IALLTOALLV`.
 /// Collective over the grid (every rank must issue in the same order);
 /// complete with [`redistribute_finish_in`].
-pub fn redistribute_start_in<V>(
+pub(crate) fn redistribute_start_in<V>(
     grid: &Grid,
     layout: &Layout,
     tuples: Vec<Triple<V>>,
@@ -100,7 +99,7 @@ where
 /// exposed, compute-hidden time into its overlapped share) and runs the
 /// second (column) phase. Returns this rank's tuples, still globally
 /// indexed.
-pub fn redistribute_finish_in<V>(
+pub(crate) fn redistribute_finish_in<V>(
     grid: &Grid,
     layout: &Layout,
     inflight: InflightRedist<V>,
@@ -136,10 +135,8 @@ where
 }
 
 /// Routes every tuple to the rank owning its `(row, col)` position under the
-/// explicit cut points of `layout`. Composed as [`redistribute_start_in`] +
-/// [`redistribute_finish_in`] back to back, so the sequential path and the
-/// engine's pipelined lookahead share one code path — same sorts, same
-/// collectives, byte-identical wire traffic.
+/// explicit cut points of `layout`: the nonblocking row phase and its
+/// completion, back to back.
 pub fn redistribute_in<V>(
     grid: &Grid,
     layout: &Layout,

@@ -69,9 +69,8 @@ fn assemble_update_block<S: Semiring>(
 
 /// An update-matrix build whose first redistribution phase is in flight
 /// (see [`crate::redistribute::redistribute_start_in`]). Produced by
-/// [`start_update_matrix_in`], completed by [`PendingUpdateMatrix::finish`] —
-/// the unit the engine's depth-1 lookahead queues.
-pub struct PendingUpdateMatrix<S: Semiring> {
+/// [`start_update_matrix_in`], completed by [`PendingUpdateMatrix::finish`].
+pub(crate) struct PendingUpdateMatrix<S: Semiring> {
     layout: Arc<Layout>,
     dedup: Dedup,
     inflight: InflightRedist<S::Elem>,
@@ -80,7 +79,7 @@ pub struct PendingUpdateMatrix<S: Semiring> {
 impl<S: Semiring> PendingUpdateMatrix<S> {
     /// Awaits the in-flight exchange, runs the second redistribution phase
     /// and assembles this rank's block. Collective over the grid.
-    pub fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> DistDcsr<S::Elem> {
+    pub(crate) fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> DistDcsr<S::Elem> {
         let mine = redistribute_finish_in(grid, &self.layout, self.inflight, timer);
         assemble_update_block::<S>(grid, &self.layout, mine, self.dedup, timer)
     }
@@ -91,7 +90,7 @@ impl<S: Semiring> PendingUpdateMatrix<S> {
 /// `layout` — update matrices always match the (possibly rebalanced) layout
 /// of the matrix they apply to. Collective over the grid (same issue order
 /// on every rank).
-pub fn start_update_matrix_in<S: Semiring>(
+pub(crate) fn start_update_matrix_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     tuples: Vec<Triple<S::Elem>>,
@@ -109,9 +108,7 @@ pub fn start_update_matrix_in<S: Semiring>(
 
 /// Redistributes globally-indexed update tuples and assembles this rank's
 /// hypersparse `A*` block under the uniform layout. Collective over the
-/// grid. Composed as [`start_update_matrix_in`] +
-/// [`PendingUpdateMatrix::finish`], so the sequential path and the engine's
-/// inter-batch lookahead share one code path (byte-identical wire traffic).
+/// grid.
 pub fn build_update_matrix<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -166,7 +163,7 @@ pub struct StarPair<V> {
 /// [`Layout::transposed`] — and returns the pending `[natural, transposed]`
 /// builds. The two `IALLTOALLV`s cross the wire concurrently. Collective
 /// over the grid.
-pub fn start_update_matrix_pair_in<S: Semiring>(
+pub(crate) fn start_update_matrix_pair_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     tuples: Vec<Triple<S::Elem>>,

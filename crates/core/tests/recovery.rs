@@ -3,9 +3,8 @@
 //! replacement from its buddy's replica, and deterministic replay makes the
 //! final state bit-identical to the fault-free execution.
 
-use dspgemm_core::dyn_algebraic::TransposeMode;
 use dspgemm_core::engine::DynSpGemm;
-use dspgemm_core::recovery::RecoveryConfig;
+use dspgemm_core::recovery::{RecoveryConfig, RecoveryReport};
 use dspgemm_core::{DistMat, Grid, RebalanceConfig};
 use dspgemm_mpi::{run, Comm, CommError};
 use dspgemm_sparse::semiring::U64Plus;
@@ -45,6 +44,7 @@ type Outcome = (
     Vec<Triple<u64>>,             // pinned pre-crash snapshot's local C content at run end
     u64,                          // pinned epoch number
     u64,                          // recoveries this rank performed
+    Option<RecoveryReport>,       // the report of that recovery
 );
 
 /// Drives `batches` algebraic batches through the fault-tolerant path,
@@ -65,6 +65,7 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
     let mut pinned = None;
     let mut armed = false;
     let mut recoveries = 0u64;
+    let mut last_report = None;
     let mut b_idx = 0u64;
     while b_idx < batches {
         if let Some((crank, cbatch)) = crash {
@@ -107,20 +108,17 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
                 assert_eq!(report.replayed_batches, report.rollback_epochs);
                 recoveries += 1;
                 b_idx = report.committed_publishes - 1;
+                last_report = Some(report);
                 eng = Some(e);
             }
             Err(CommError::Crashed { rank }) => {
                 assert_eq!(rank, me);
                 drop(e); // the crashed session is unrecoverable state
-                let (e2, report) = DynSpGemm::<U64Plus>::recover_as_replacement(
-                    &grid,
-                    1,
-                    TransposeMode::default(),
-                    cfg,
-                );
+                let (e2, report) = DynSpGemm::<U64Plus>::recover_as_replacement(&grid, 1, cfg);
                 assert_eq!(report.failed_ranks, vec![me]);
                 recoveries += 1;
                 b_idx = report.committed_publishes - 1;
+                last_report = Some(report);
                 eng = Some(e2);
             }
             Err(other) => panic!("unexpected comm error: {other}"),
@@ -152,6 +150,7 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
         pin_content,
         pin_epoch,
         recoveries,
+        last_report,
     )
 }
 
@@ -173,8 +172,10 @@ fn crash_recovery_matches_fault_free_run() {
                 drive(comm, batches, Some((crash_rank, 2)), cfg)
             });
             for rank in 0..p {
-                let (pb_ff, fc_ff, fl_ff, ep_ff, pin_ff, pe_ff, rec_ff) = &baseline.results[rank];
-                let (pb_cr, fc_cr, fl_cr, ep_cr, pin_cr, pe_cr, rec_cr) = &crashed.results[rank];
+                let (pb_ff, fc_ff, fl_ff, ep_ff, pin_ff, pe_ff, rec_ff, rep_ff) =
+                    &baseline.results[rank];
+                let (pb_cr, fc_cr, fl_cr, ep_cr, pin_cr, pe_cr, rec_cr, rep_cr) =
+                    &crashed.results[rank];
                 // The fault-free arm observed every batch; the crash arm may
                 // lack at most one observation per recovery (a survivor
                 // interrupted mid-batch never locally publishes that epoch),
@@ -209,6 +210,27 @@ fn crash_recovery_matches_fault_free_run() {
                 assert_eq!(pe_ff, pe_cr);
                 assert_eq!(*rec_ff, 0);
                 assert_eq!(*rec_cr, 1);
+                // The recovery protocol's agreed numbers are pinned, rank by
+                // rank: constants captured at b09b7cd (identical over 10 runs
+                // there). `detect_ns` is a clock and stays unpinned.
+                assert_eq!(*rep_ff, None);
+                let rep_cr = rep_cr.as_ref().expect("one recovery, one report");
+                assert_eq!(
+                    RecoveryReport {
+                        detect_ns: 0,
+                        ..rep_cr.clone()
+                    },
+                    RecoveryReport {
+                        failed_ranks: vec![crash_rank],
+                        committed_publishes: 3,
+                        rollback_epochs: 2,
+                        replayed_batches: 2,
+                        rebuild_bytes: if p == 4 { 1630 } else { 1150 },
+                        detect_ns: 0,
+                        recovery_epoch: 1,
+                    },
+                    "p={p} ap={anchor_period} rank={rank}: recovery report moved"
+                );
             }
             // The fault-free arm sent no failure traffic at all.
             assert_eq!(baseline.results.len(), p);

@@ -307,11 +307,12 @@ fn blocking_recv_racing_posted_irecv_panics() {
 
 #[test]
 fn inflight_ialltoallv_survives_sibling_collectives() {
-    // The inter-batch lookahead issues an `ialltoallv` on one communicator
-    // (the process-column), then runs whole SpGEMM rounds — broadcasts,
-    // reductions, barriers on *sibling* communicators split from the same
-    // world — before waiting on it. The in-flight request must neither lose
-    // messages nor steal the siblings' traffic.
+    // An update batch issues the row-phase `ialltoallv`s of all its builds on
+    // one communicator (the process-column) and runs the first build's
+    // column phase — collectives on a *sibling* communicator split from the
+    // same world — before waiting on the rest; this test goes further and
+    // runs broadcasts, reductions and barriers there. The in-flight request
+    // must neither lose messages nor steal the siblings' traffic.
     for p in [4usize, 9] {
         let q = (p as f64).sqrt() as usize;
         let chunks = |rank: usize| -> Vec<Vec<u64>> {

@@ -432,12 +432,6 @@ impl<V: Copy> DhbMatrix<V> {
         old
     }
 
-    /// Read access to a row.
-    #[inline]
-    pub fn row_ref(&self, r: Index) -> &DhbRow<V> {
-        &self.rows[r as usize]
-    }
-
     /// Runs `f` on row `r` with mutable access and keeps the cached nnz in
     /// step with whatever `f` inserted or removed — a whole row's worth of
     /// updates behind one row lookup.

@@ -57,38 +57,9 @@ impl BitSet {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Clears all bits (retains capacity).
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Bitwise-or of `other` into `self`. Both sets must have equal `len`.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// Iterates over the indices of set bits in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
     }
 }
 
@@ -114,40 +85,16 @@ mod tests {
         bs.set(64);
         bs.set(128);
         assert_eq!(bs.count_ones(), 3);
-        assert_eq!(bs.iter_ones().collect::<Vec<_>>(), vec![0, 64, 128]);
+        assert!(bs.get(0) && bs.get(64) && bs.get(128));
     }
 
     #[test]
-    fn union() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.set(1);
-        a.set(50);
-        b.set(50);
-        b.set(99);
-        a.union_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 50, 99]);
-    }
-
-    #[test]
-    fn clear_all_and_empty() {
+    fn full_and_empty() {
         let mut bs = BitSet::new(70);
         for i in 0..70 {
             bs.set(i);
         }
         assert_eq!(bs.count_ones(), 70);
-        bs.clear_all();
-        assert_eq!(bs.count_ones(), 0);
-        let empty = BitSet::new(0);
-        assert!(empty.is_empty());
-        assert_eq!(empty.iter_ones().count(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn union_length_mismatch_panics() {
-        let mut a = BitSet::new(10);
-        let b = BitSet::new(11);
-        a.union_with(&b);
+        assert!(BitSet::new(0).is_empty());
     }
 }

@@ -99,17 +99,6 @@ pub fn is_sorted_by_key<T, K: Ord, F: FnMut(&T) -> K>(slice: &[T], mut key: F) -
     slice.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
 }
 
-/// Exclusive prefix sum in place: `v[i] <- sum(v[..i])`; returns total.
-pub fn exclusive_prefix_sum(v: &mut [usize]) -> usize {
-    let mut acc = 0usize;
-    for x in v.iter_mut() {
-        let next = acc + *x;
-        *x = acc;
-        acc = next;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +185,6 @@ mod tests {
             ((r as u64) << 32) | c as u64
         });
         assert_eq!(items, expect);
-    }
-
-    #[test]
-    fn prefix_sum_basics() {
-        let mut v = vec![3usize, 0, 2, 5];
-        let total = exclusive_prefix_sum(&mut v);
-        assert_eq!(v, vec![0, 3, 3, 5]);
-        assert_eq!(total, 10);
     }
 
     #[test]

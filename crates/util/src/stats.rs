@@ -130,15 +130,6 @@ impl PhaseTimer {
         self.overlapped.add(name, ns(d));
     }
 
-    /// All `(phase, overlapped duration)` entries in first-use order.
-    pub fn overlapped_entries(&self) -> Vec<(String, Duration)> {
-        self.overlapped
-            .entries()
-            .iter()
-            .map(|(n, v)| (n.clone(), Duration::from_nanos(*v)))
-            .collect()
-    }
-
     /// Exposed communication time of a phase — what the rank actually waited
     /// (identical to [`PhaseTimer::get`]; named accessor for breakdowns).
     pub fn comm_exposed(&self, name: &str) -> Duration {

@@ -6,8 +6,8 @@
 //! same tags, same merge order, same program.
 
 use dspgemm::analytics::AnalyticsSession;
-use dspgemm::core::dyn_algebraic::TransposeMode;
-use dspgemm::core::dyn_general::GeneralUpdates;
+use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
@@ -124,11 +124,14 @@ fn pin(results: Vec<RankResult>) -> Pinned {
     }
 }
 
-/// One batch through a two-operand engine.
+/// One batch through a two-operand engine. The engine runs the virtual
+/// schedule; under [`TransposeMode::Physical`] the batch drives the
+/// function-level entry on the engine's fields, then publishes as the engine
+/// would.
 fn engine_batch(
     track_filter: bool,
     mode: TransposeMode,
-    batch: impl Fn(&mut DynSpGemm<U64Plus>, &Grid, &Comm) + Send + Sync,
+    batch: impl Fn(&mut DynSpGemm<U64Plus>, &Grid, &Comm, TransposeMode) + Send + Sync,
 ) -> Pinned {
     let out = dspgemm::mpi::run(P, |comm| {
         let grid = Grid::new(comm);
@@ -137,25 +140,36 @@ fn engine_batch(
         let a = DistMat::from_global_triples(&grid, N, N, triples(10 + r, 90), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, N, N, triples(20 + r, 90), 1, &mut timer);
         let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, track_filter);
-        eng.transpose_mode = mode;
-        let (volume, flops) = measure(comm, &mut eng, |e| e.flops, |e| batch(e, &grid, comm));
+        let (volume, flops) = measure(comm, &mut eng, |e| e.flops, |e| batch(e, &grid, comm, mode));
         (volume, flops, eng.c.gather_to_root(comm))
     });
     pin(out.results)
 }
 
-fn algebraic(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
+fn algebraic(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm, mode: TransposeMode) {
     let r = comm.rank() as u64;
-    eng.apply_algebraic(grid, triples(30 + r, 24), triples(40 + r, 24));
+    let (a_ups, b_ups) = (triples(30 + r, 24), triples(40 + r, 24));
+    match mode {
+        TransposeMode::Virtual => eng.apply_algebraic(grid, a_ups, b_ups),
+        TransposeMode::Physical => {
+            eng.flops += apply_algebraic_updates_mode_exec::<U64Plus>(
+                grid,
+                &mut eng.a,
+                &mut eng.b,
+                &mut eng.c,
+                eng.f.as_mut(),
+                a_ups,
+                b_ups,
+                mode,
+                &eng.exec,
+                &mut eng.timer,
+            );
+            eng.publish();
+        }
+    }
 }
 
-fn submitted(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
-    let r = comm.rank() as u64;
-    eng.submit_algebraic(grid, triples(30 + r, 24), triples(40 + r, 24));
-    eng.flush(grid);
-}
-
-fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
+fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm, mode: TransposeMode) {
     let r = comm.rank() as u64;
     let a_upd = GeneralUpdates {
         sets: triples(50 + r, 12),
@@ -165,7 +179,24 @@ fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
         sets: triples(60 + r, 12),
         deletes: existing(20 + r, 90).into_iter().take(8).collect(),
     };
-    eng.apply_general(grid, a_upd, b_upd);
+    match mode {
+        TransposeMode::Virtual => eng.apply_general(grid, a_upd, b_upd),
+        TransposeMode::Physical => {
+            eng.flops += apply_general_updates_mode_exec::<U64Plus>(
+                grid,
+                &mut eng.a,
+                &mut eng.b,
+                &mut eng.c,
+                eng.f.as_mut().expect("general arms track the filter"),
+                a_upd,
+                b_upd,
+                mode,
+                &eng.exec,
+                &mut eng.timer,
+            );
+            eng.publish();
+        }
+    }
 }
 
 /// One batch through the shared-operand analytics session.
@@ -219,19 +250,6 @@ fn engine_algebraic_tracked() {
     assert_eq!(
         engine_batch(true, TransposeMode::Physical, algebraic),
         algebraic_pinned((1908, 4), (3104, 16), 15420)
-    );
-}
-
-/// The lookahead path moves exactly what the sequential one does.
-#[test]
-fn engine_submit_flush() {
-    assert_eq!(
-        engine_batch(true, TransposeMode::Virtual, submitted),
-        algebraic_pinned((0, 0), (6304, 32), 15420)
-    );
-    assert_eq!(
-        engine_batch(false, TransposeMode::Physical, submitted),
-        algebraic_pinned((1908, 4), (3104, 16), 10044)
     );
 }
 
