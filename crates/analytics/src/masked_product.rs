@@ -1,12 +1,14 @@
 //! Distributed masked SpGEMM: evaluate a product only at candidate positions.
 //!
 //! Computes `(A · B) ∘ M` where `M` is a per-rank output mask over this
-//! rank's block of the product. The round structure is sparse SUMMA's
-//! (operand blocks still travel — the mask cannot prune *communication*,
-//! because a masked entry may draw contributions from every inner block),
-//! but the local kernel runs under the mask, so *compute* is pruned
-//! to `O(flops reaching masked positions)` — the Section VI-B trade
-//! rebuilt-hash-table-vs-broadcast observation applies unchanged.
+//! rank's block of the product. It is sparse SUMMA's one round body
+//! ([`summa_rounds`], pipelined like every other product) called with the
+//! mask and a merging fold: operand blocks still travel — the mask cannot
+//! prune *communication*, because a masked entry may draw contributions
+//! from every inner block — but the local kernel runs under the mask, so
+//! *compute* is pruned to `O(flops reaching masked positions)` — the
+//! Section VI-B trade rebuilt-hash-table-vs-broadcast observation applies
+//! unchanged.
 //!
 //! The analytics layer uses this to bootstrap candidate-pair views
 //! (link-prediction scores over a fixed candidate set) whose per-batch
@@ -15,13 +17,12 @@
 use dspgemm_core::distmat::DistMat;
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
-use dspgemm_core::phase;
-use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Payload};
+use dspgemm_core::summa::summa_rounds;
+use dspgemm_sparse::local_mm::{Bloom, Payload};
 use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Csr, Dcsr};
+use dspgemm_sparse::Dcsr;
 use dspgemm_util::stats::PhaseTimer;
-use std::sync::Arc;
 
 /// Computes this rank's masked product block `(A · B) ∘ mask` with fused
 /// Bloom tracking; entries carry `(value, bits)`. `mask` uses block-local
@@ -49,49 +50,13 @@ pub fn masked_product_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
-    assert_eq!(
-        a.info().ncols,
-        b.info().nrows,
-        "global dimension mismatch in masked product"
-    );
-    let q = grid.q();
-    let (i, j) = grid.coords();
-    let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
-    let b_local: Arc<Csr<S::Elem>> = b.block_csr_shared();
     let mut acc: Option<Dcsr<(S::Elem, u64)>> = None;
-    let mut flops = 0u64;
-    for k in 0..q {
-        let a_blk: Arc<Csr<S::Elem>> = timer.time(phase::BCAST, || {
-            grid.row_comm().bcast_shared(
-                k,
-                if j == k {
-                    Some(Arc::clone(&a_local))
-                } else {
-                    None
-                },
-            )
+    let flops = summa_rounds::<S, Bloom>(grid, a, b, mask, exec, timer, |part| {
+        acc = Some(match acc.take() {
+            None => part,
+            Some(prev) => Dcsr::merge_with(&prev, &part, <Bloom as Payload<S>>::merge),
         });
-        let b_blk: Arc<Csr<S::Elem>> = timer.time(phase::BCAST, || {
-            grid.col_comm().bcast_shared(
-                k,
-                if i == k {
-                    Some(Arc::clone(&b_local))
-                } else {
-                    None
-                },
-            )
-        });
-        let k_offset = a.info().layout().col_start(k);
-        let part = timer.time(phase::LOCAL_MULT, || {
-            spgemm_with::<S, Bloom, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, exec.fused())
-        });
-        timer.add_thread_flops(&part.thread_flops);
-        flops += part.flops;
-        acc = Some(match acc {
-            None => part.result,
-            Some(prev) => Dcsr::merge_with(&prev, &part.result, <Bloom as Payload<S>>::merge),
-        });
-    }
+    });
     let block = acc.unwrap_or_else(|| Dcsr::empty(a.info().local_rows(), b.info().local_cols()));
     (block, flops)
 }

@@ -80,8 +80,8 @@ pub fn observe_query(kind: &str, stale: u64, latency: std::time::Duration) {
 /// A serving session: dynamic graph + maintained product + view registry.
 pub struct AnalyticsSession<S: Semiring> {
     grid: Grid,
-    /// Local compute configuration (threads, row schedule, workspace pools
-    /// persisting across every batch and view refresh).
+    /// Local compute configuration (threads, workspace pools persisting
+    /// across every batch and view refresh).
     exec: Exec<S>,
     a: DistMat<S::Elem>,
     c: DistMat<S::Elem>,

@@ -17,7 +17,7 @@
 
 use dspgemm_core::distmat::{BlockInfo, Elem};
 use dspgemm_core::grid::{owner_block, Grid};
-use dspgemm_core::pipeline::{await_into_phase, run_rounds, Schedule};
+use dspgemm_core::pipeline::{await_into_phase, run_rounds};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr, Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
@@ -263,7 +263,6 @@ pub fn spgemm<S: Semiring>(
     run_rounds(
         &mut (timer, &mut acc, &mut flops),
         q,
-        Schedule::Overlap,
         |_ctx, k| {
             let ra = grid.row_comm().ibcast_shared(
                 k,

@@ -5,7 +5,7 @@
 //!
 //! experiments:
 //!   table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b fig9 fig10 fig11 fig12
-//!   ablation-redist ablation-bloom ablation-agg analytics copy-elim overlap commavoid serve rebalance faults transport
+//!   ablation-redist ablation-bloom ablation-agg analytics overlap commavoid serve rebalance faults transport
 //!   data        (= table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b)
 //!   spgemm      (= fig9 fig10 fig11 fig12)
 //!   ablations   (= the three ablations)
@@ -13,8 +13,8 @@
 //!
 //! options:
 //!   --divisor N       catalog scale-down divisor      (default 4096)
-//!   --p N             simulated MPI ranks             (default 16, square)
-//!   --threads N       intra-rank threads              (default 2)
+//!   --p N             simulated MPI ranks             (default 4, square)
+//!   --threads N       intra-rank threads              (default 1)
 //!   --batches N       batches per instance            (default 10)
 //!   --instances N     catalog instances to run        (default 6, max 12)
 //!   --seed N          master seed                     (default fixed)
@@ -37,14 +37,14 @@
 //! ```
 
 use dspgemm_bench::experiments::{
-    ablations, analytics, commavoid, construction, copy_elim, faults, overlap, rebalance, serve,
-    spgemm, table1, transport, updates,
+    ablations, analytics, commavoid, construction, faults, overlap, rebalance, serve, spgemm,
+    table1, transport, updates,
 };
 use dspgemm_bench::Config;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|copy-elim|overlap|commavoid|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--threads N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|commavoid|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--threads N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
     );
     std::process::exit(2);
 }
@@ -254,7 +254,6 @@ fn main() {
             "fig11" => spgemm::fig11(&cfg),
             "fig12" => spgemm::fig12(&cfg),
             "analytics" => analytics::run(&cfg),
-            "copy-elim" => copy_elim::run(&cfg),
             "overlap" => overlap::run(&cfg),
             "commavoid" => commavoid::run(&cfg),
             "rebalance" => rebalance::run(&cfg),

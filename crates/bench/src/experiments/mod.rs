@@ -7,8 +7,7 @@
 //! | [`updates`] | Fig. 4 (insertions), Fig. 5a/5b (updates/deletions), Fig. 6/7 (weak scaling + breakdown), Fig. 8a/8b (R-MAT scaling) |
 //! | [`spgemm`] | Fig. 9 (algebraic), Fig. 10 (general), Fig. 11/12 (scaling + breakdown) |
 //! | [`ablations`] | §IV-B redistribution claim, §V-A aggregation claim, §V-B Bloom claim |
-//! | [`copy_elim`] | zero-copy collective payloads + flat-buffer local SpGEMM (transport-cost ablation; beyond the paper) |
-//! | [`overlap`] | pipelined vs. blocking round schedules: exposed-communication reduction under identical wire volume (beyond the paper) |
+//! | [`overlap`] | the pipelined round schedule: exposed vs. compute-hidden communication time, tracer on/off parity (beyond the paper) |
 //! | [`commavoid`] | virtual transposition (§V-C): transpose exchange eliminated from the wire, bit-identical `C` |
 //! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
 //! | [`faults`] | fault injection & epoch-anchored recovery: crash + rollback/replay and delay-storm arms vs. the fault-free reference, bit-identical products (beyond the paper) |
@@ -20,7 +19,6 @@ pub mod ablations;
 pub mod analytics;
 pub mod commavoid;
 pub mod construction;
-pub mod copy_elim;
 pub mod faults;
 pub mod overlap;
 pub mod rebalance;

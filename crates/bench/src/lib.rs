@@ -30,8 +30,7 @@ pub struct Config {
     /// Master seed.
     pub seed: u64,
     /// Per-rank update batch size for the dynamic arms (`overlap`,
-    /// `commavoid`); matches the copy-elim ablation's historical constant
-    /// so numbers stay comparable across PRs.
+    /// `commavoid`).
     pub batch_size: usize,
     /// Max/mean per-rank load imbalance above which the adaptive arm of
     /// `repro rebalance` migrates block boundaries.

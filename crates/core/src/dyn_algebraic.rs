@@ -55,7 +55,7 @@ use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::Layout;
 use crate::phase;
-use crate::pipeline::{await_into_phase, run_rounds, Schedule};
+use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{
     apply_add, start_update_matrix_in, start_update_matrix_pair_in, Dedup, PendingUpdateMatrix,
     StarPair,
@@ -294,14 +294,12 @@ fn resolve_star_blocks<S: Semiring>(
         let mut recvs: [BlockRecv<S::Elem>; 2] = [None, None];
         for (r, item) in recvs.iter_mut().zip(&items) {
             if let Some((StarView::Natural(_), tag)) = item {
-                *r = Some(grid.world().irecv_shared::<Dcsr<S::Elem>>(peer, *tag));
+                *r = Some(grid.world().irecv::<Arc<Dcsr<S::Elem>>>(peer, *tag));
             }
         }
         for item in &items {
             if let Some((StarView::Natural(d), tag)) = item {
-                grid.world()
-                    .isend_shared(peer, *tag, d.block_shared())
-                    .wait();
+                grid.world().isend(peer, *tag, d.block_shared()).wait();
             }
         }
         for (slot, r) in out.iter_mut().zip(recvs) {
@@ -455,7 +453,6 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     run_rounds(
         &mut (timer, &mut flops, &mut x_mine, &mut y_mine),
         grid.q(),
-        Schedule::Overlap,
         |_ctx, k| {
             (
                 at_blk.as_ref().map(|at| issue_x(grid, k, at)),
@@ -553,7 +550,6 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
     run_rounds(
         &mut (&mut *timer, &mut flops, &mut y_mine),
         q,
-        Schedule::Overlap,
         |_ctx, k| issue_y(grid, k, &star_t),
         |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
         |ctx, k, b_bcast| {
@@ -572,7 +568,6 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
     run_rounds(
         &mut (&mut *timer, &mut flops, &mut x_mine),
         q,
-        Schedule::Overlap,
         |_ctx, k| issue_x(grid, k, &star_t),
         |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
         |ctx, k, a_bcast| {

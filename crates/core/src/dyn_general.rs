@@ -28,7 +28,7 @@ use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
 use crate::phase;
-use crate::pipeline::{await_into_phase, run_rounds, Schedule};
+use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_mask, apply_merge, build_update_matrix_in, Dedup};
 use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload};
@@ -202,7 +202,6 @@ fn masked_recompute_rounds<S: Semiring>(
     run_rounds(
         &mut (timer, &mut flops, &mut z_mine),
         q,
-        Schedule::Overlap,
         |_ctx, k| {
             let ra = grid
                 .row_comm()
@@ -309,7 +308,7 @@ fn recompute_at_cstar<S: Semiring>(
         if peer == grid.world().rank() {
             a_r
         } else {
-            grid.world().sendrecv_shared(peer, a_r, peer, tag_ar)
+            grid.world().sendrecv(peer, a_r, peer, tag_ar)
         }
     });
 

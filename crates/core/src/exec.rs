@@ -27,7 +27,7 @@ pub struct Exec<S: Semiring> {
     plain: WorkspacePool<S::Elem>,
     fused: WorkspacePool<(S::Elem, u64)>,
     pattern: WorkspacePool<u64>,
-    transpose: TransposePool<S::Elem>,
+    transpose: TransposePool,
 }
 
 impl<S: Semiring> Exec<S> {
@@ -58,9 +58,9 @@ impl<S: Semiring> Exec<S> {
     }
 
     /// Leases a pooled transposition workspace for the virtual-transpose
-    /// local step (`Csr::transpose_into` / `Dcsr::transpose_into`); the
+    /// local step (`Dcsr::transpose_into`); the
     /// workspace returns to the pool on drop.
-    pub fn transpose_ws(&self) -> TransposeLease<'_, S::Elem> {
+    pub fn transpose_ws(&self) -> TransposeLease<'_> {
         self.transpose.lease()
     }
 

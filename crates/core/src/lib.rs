@@ -43,9 +43,9 @@
 //!   collectives so round `k + 1`'s panels are in flight while round `k`'s
 //!   local multiply runs (communication/compute overlap).
 //! * [`exec`] — the session-level local compute configuration
-//!   ([`exec::Exec`]): thread count, skew-aware row schedule, and the
-//!   pooled per-thread kernel workspaces every SpGEMM path leases from, so
-//!   pipelined rounds stop reallocating accumulators.
+//!   ([`exec::Exec`]): thread count and the pooled per-thread kernel
+//!   workspaces every SpGEMM path leases from, so pipelined rounds stop
+//!   reallocating accumulators.
 //! * [`snapshot`] — epoch-versioned immutable snapshots of `{A, C}`
 //!   published after committed batches ([`snapshot::Snapshot`]), built
 //!   block-granular copy-on-write over the live matrices; readers pin an

@@ -11,33 +11,21 @@
 //! already arrived. The memory cost is exactly one extra in-flight panel
 //! set per operand (the `Flight` value held across the body).
 //!
-//! The round *schedule* is unchanged — same collectives, same tags, same
-//! wire bytes, same merge order — so results are bit-identical to the
-//! blocking schedule and the metered communication volume is byte-identical
-//! (property-tested in `tests/overlap.rs`). Only the exposed/overlapped
-//! split of communication *time* moves.
+//! Pipelining changes *when* a collective is issued, never which: every
+//! rank issues the same collectives in the same order with the same tags
+//! and wire bytes, and folds the rounds in the same order, so results and
+//! metered volume are those of a loop that broadcasts and waits round by
+//! round (`tests/copy_elim.rs` holds `summa` to such a replica). Only the
+//! exposed/overlapped split of communication *time* moves.
 
 use dspgemm_mpi::{Overlap, Request};
 use dspgemm_util::stats::PhaseTimer;
 
-/// Whether a round loop runs with one-round communication lookahead.
-///
-/// `Blocking` issues each round's communication immediately before waiting
-/// on it — byte-for-byte the pre-pipelining schedule, kept as the ablation
-/// baseline (`repro overlap`) and for `p = 1` grids where there is nothing
-/// to overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Issue round `k + 1` before computing round `k` (the default).
-    Overlap,
-    /// Issue round `k` right before completing round `k`.
-    Blocking,
-}
-
-/// Runs `rounds` rounds of issue → complete → compute with the given
-/// schedule. `ctx` is the caller's mutable round state (timer,
-/// accumulators, output blocks), threaded through every callback so call
-/// sites keep plain `&mut` state instead of interior-mutability cells.
+/// Runs `rounds` rounds of issue → complete → compute, each round's
+/// communication issued one round ahead of its compute. `ctx` is the
+/// caller's mutable round state (timer, accumulators, output blocks),
+/// threaded through every callback so call sites keep plain `&mut` state
+/// instead of interior-mutability cells.
 ///
 /// * `issue(ctx, k)` starts round `k`'s communication and returns its
 ///   in-flight handle(s) — typically a tuple of [`Request`]s.
@@ -46,14 +34,13 @@ pub enum Schedule {
 /// * `body(ctx, k, ready)` is the local compute (multiply/merge/reduce) of
 ///   round `k`.
 ///
-/// Under [`Schedule::Overlap`] the call order is
-/// `issue(0), [complete(0), issue(1), body(0)], [complete(1), issue(2),
-/// body(1)], …` — every rank issues the same collectives in the same order
-/// (the SPMD contract), just one round ahead of the compute.
+/// The call order is `issue(0), [complete(0), issue(1), body(0)],
+/// [complete(1), issue(2), body(1)], …` — every rank issues the same
+/// collectives in the same order (the SPMD contract), just one round ahead
+/// of the compute.
 pub fn run_rounds<Ctx, Flight, Ready>(
     ctx: &mut Ctx,
     rounds: usize,
-    schedule: Schedule,
     mut issue: impl FnMut(&mut Ctx, usize) -> Flight,
     mut complete: impl FnMut(&mut Ctx, usize, Flight) -> Ready,
     mut body: impl FnMut(&mut Ctx, usize, Ready),
@@ -61,26 +48,14 @@ pub fn run_rounds<Ctx, Flight, Ready>(
     if rounds == 0 {
         return;
     }
-    match schedule {
-        Schedule::Overlap => {
-            let mut flight = Some(issue(ctx, 0));
-            for k in 0..rounds {
-                let ready = complete(ctx, k, flight.take().expect("round in flight"));
-                if k + 1 < rounds {
-                    flight = Some(issue(ctx, k + 1));
-                }
-                let _sp = dspgemm_obs::span("round", "round").attr("round", k as u64);
-                body(ctx, k, ready);
-            }
+    let mut flight = Some(issue(ctx, 0));
+    for k in 0..rounds {
+        let ready = complete(ctx, k, flight.take().expect("round in flight"));
+        if k + 1 < rounds {
+            flight = Some(issue(ctx, k + 1));
         }
-        Schedule::Blocking => {
-            for k in 0..rounds {
-                let flight = issue(ctx, k);
-                let ready = complete(ctx, k, flight);
-                let _sp = dspgemm_obs::span("round", "round").attr("round", k as u64);
-                body(ctx, k, ready);
-            }
-        }
+        let _sp = dspgemm_obs::span("round", "round").attr("round", k as u64);
+        body(ctx, k, ready);
     }
 }
 
@@ -116,7 +91,6 @@ mod tests {
         run_rounds(
             &mut log,
             3,
-            Schedule::Overlap,
             |log, k| {
                 log.push(format!("issue{k}"));
                 k
@@ -156,41 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn blocking_schedule_is_strictly_sequential() {
-        let mut order: Vec<String> = Vec::new();
-        run_rounds(
-            &mut order,
-            2,
-            Schedule::Blocking,
-            |order, k| {
-                order.push(format!("issue{k}"));
-                k
-            },
-            |order, k, f| {
-                order.push(format!("complete{k}"));
-                f
-            },
-            |order, k, _| order.push(format!("body{k}")),
-        );
-        assert_eq!(
-            order,
-            vec![
-                "issue0",
-                "complete0",
-                "body0",
-                "issue1",
-                "complete1",
-                "body1"
-            ]
-        );
-    }
-
-    #[test]
     fn zero_rounds_is_a_noop() {
         run_rounds(
             &mut (),
             0,
-            Schedule::Overlap,
             |_, _| unreachable!("no rounds"),
             |_, _, f: ()| f,
             |_, _, _| unreachable!("no rounds"),

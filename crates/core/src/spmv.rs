@@ -186,8 +186,8 @@ impl<V: Elem> DistVec<V> {
         let seg = if peer == grid.world().rank() {
             self.seg
         } else {
-            // `sendrecv_shared` is itself in prepost-irecv form.
-            grid.world().sendrecv_shared(peer, self.seg, peer, TAG_VEC)
+            // `sendrecv` is itself in prepost-irecv form.
+            grid.world().sendrecv(peer, self.seg, peer, TAG_VEC)
         };
         Self {
             n: self.n,

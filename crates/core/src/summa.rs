@@ -13,126 +13,48 @@
 //! recording contributing inner indices, needed before general dynamic
 //! updates can be applied (Section V-B).
 //!
-//! Both variants are one round body, differing in the kernel payload and
-//! the fold of each round's partial, on the pipelined round scheduler
-//! ([`crate::pipeline`]): round `k + 1`'s panel broadcasts are issued
-//! (nonblocking) before round `k`'s local multiply, so their communication
-//! is in flight — and mostly hidden — under the compute. The `*_blocking`
-//! variants keep the serialized schedule as the ablation baseline
-//! (`repro overlap`); both produce bit-identical results and byte-identical
-//! wire volume (enforced by `tests/overlap.rs`).
+//! Every SUMMA-shaped product is one round body, [`summa_rounds`],
+//! differing in the kernel payload, the output mask and the fold of each
+//! round's partial, on the pipelined round scheduler ([`crate::pipeline`]):
+//! round `k + 1`'s panel broadcasts are issued (nonblocking) before round
+//! `k`'s local multiply, so their communication is in flight — and mostly
+//! hidden — under the compute.
 
 use crate::distmat::{DistMat, Elem};
 use crate::dyn_algebraic::{add_cstar, add_cstar_tracked, XYKernel};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::phase;
-use crate::pipeline::{await_into_phase, run_rounds, Schedule};
-use dspgemm_mpi::Request;
-use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Plain};
+use crate::pipeline::{await_into_phase, run_rounds};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, OutputMask, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
-/// The in-flight panel pair of one SUMMA round: `None` on the blocking
-/// schedule, where the broadcasts run (and complete) inside `complete`.
-type PanelFlight<V> = Option<(Request<Arc<Csr<V>>>, Request<Arc<Csr<V>>>)>;
-
-/// Issues round `k`'s panel broadcasts — `A_{i,k}` over the process row,
-/// `B_{k,j}` over the process column — nonblocking under
-/// [`Schedule::Overlap`]; deferred to the completion step (legacy fully
-/// blocking broadcasts, one after the other) under [`Schedule::Blocking`].
-fn issue_panels<V: Send + Sync + dspgemm_util::WireSize + dspgemm_util::WireDecode + 'static>(
-    grid: &Grid,
-    k: usize,
-    a_local: &Arc<Csr<V>>,
-    b_local: &Arc<Csr<V>>,
-    schedule: Schedule,
-) -> PanelFlight<V> {
-    if schedule == Schedule::Blocking {
-        return None;
-    }
-    let (i, j) = grid.coords();
-    let ra = grid.row_comm().ibcast_shared(
-        k,
-        if j == k {
-            Some(Arc::clone(a_local))
-        } else {
-            None
-        },
-    );
-    let rb = grid.col_comm().ibcast_shared(
-        k,
-        if i == k {
-            Some(Arc::clone(b_local))
-        } else {
-            None
-        },
-    );
-    Some((ra, rb))
-}
-
-/// Completes round `k`'s panel broadcasts: waits the in-flight requests
-/// (overlap schedule, timing split into exposed/overlapped) or performs the
-/// serialized legacy broadcasts (blocking schedule — `A`'s broadcast fully
-/// completes before `B`'s starts, the exact pre-pipelining cost structure).
-#[allow(clippy::type_complexity)]
-fn complete_panels<V: Send + Sync + dspgemm_util::WireSize + dspgemm_util::WireDecode + 'static>(
-    grid: &Grid,
-    k: usize,
-    a_local: &Arc<Csr<V>>,
-    b_local: &Arc<Csr<V>>,
-    flight: PanelFlight<V>,
-    timer: &mut PhaseTimer,
-) -> (Arc<Csr<V>>, Arc<Csr<V>>) {
-    match flight {
-        Some((ra, rb)) => {
-            let a_blk = await_into_phase(ra, timer, phase::BCAST);
-            let b_blk = await_into_phase(rb, timer, phase::BCAST);
-            (a_blk, b_blk)
-        }
-        None => {
-            let (i, j) = grid.coords();
-            let a_blk = timer.time(phase::BCAST, || {
-                grid.row_comm().bcast_shared(
-                    k,
-                    if j == k {
-                        Some(Arc::clone(a_local))
-                    } else {
-                        None
-                    },
-                )
-            });
-            let b_blk = timer.time(phase::BCAST, || {
-                grid.col_comm().bcast_shared(
-                    k,
-                    if i == k {
-                        Some(Arc::clone(b_local))
-                    } else {
-                        None
-                    },
-                )
-            });
-            (a_blk, b_blk)
-        }
-    }
-}
-
-/// The SUMMA round structure both products share: `√p` rounds of panel
-/// broadcasts and local multiplies with payload `K`, each round's partial
-/// handed to `fold` — the same local "add a partial into `C` (and `F`)"
-/// code the dynamic path ends with. Returns the local flop count.
-/// Collective over the grid.
-fn summa_rounds<S: Semiring, K: XYKernel<S>>(
+/// The SUMMA round structure: `√p` rounds of panel broadcasts — `A_{i,k}`
+/// over the process row, `B_{k,j}` over the process column — and local
+/// multiplies with payload `K` at the positions `mask` admits (`&()` for
+/// the full product; a mask uses block-local coordinates of this rank's
+/// `C` block), each round's partial handed to `fold` in round order.
+/// Returns the local flop count. Collective over the grid.
+///
+/// # Panics
+/// Panics unless `A`'s column cuts equal `B`'s row cuts.
+pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
+    mask: &impl OutputMask,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-    schedule: Schedule,
-    mut fold: impl FnMut(&Dcsr<K::Out>),
+    mut fold: impl FnMut(Dcsr<K::Out>),
 ) -> u64 {
+    assert!(
+        a.info().layout().conformal_inner(b.info().layout()),
+        "SUMMA contraction needs A's column cuts to equal B's row cuts"
+    );
+    let (i, j) = grid.coords();
     // One CSR snapshot per operand; the √p broadcast rounds then move only
     // `Arc` handles — zero payload copies in-process, identical wire volume.
     let a_local: Arc<Csr<S::Elem>> = a.block_csr_shared();
@@ -141,21 +63,30 @@ fn summa_rounds<S: Semiring, K: XYKernel<S>>(
     run_rounds(
         &mut (timer, &mut flops),
         grid.q(),
-        schedule,
-        |_ctx, k| issue_panels(grid, k, &a_local, &b_local, schedule),
-        |ctx, k, flight: PanelFlight<S::Elem>| {
-            complete_panels(grid, k, &a_local, &b_local, flight, ctx.0)
+        |_ctx, k| {
+            let ra = grid
+                .row_comm()
+                .ibcast_shared(k, (j == k).then(|| Arc::clone(&a_local)));
+            let rb = grid
+                .col_comm()
+                .ibcast_shared(k, (i == k).then(|| Arc::clone(&b_local)));
+            (ra, rb)
+        },
+        |ctx, _k, (ra, rb)| {
+            let a_blk = await_into_phase(ra, ctx.0, phase::BCAST);
+            let b_blk = await_into_phase(rb, ctx.0, phase::BCAST);
+            (a_blk, b_blk)
         },
         |ctx, k, (a_blk, b_blk)| {
             let (timer, flops) = ctx;
             // Bloom bits index the *global* inner dimension.
             let k_offset = a.info().layout().col_start(k);
             let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, &(), k_offset, K::plan(exec))
+                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, K::plan(exec))
             });
             timer.add_thread_flops(&partial.thread_flops);
             **flops += partial.flops;
-            timer.time(phase::LOCAL_UPDATE, || fold(&partial.result));
+            timer.time(phase::LOCAL_UPDATE, || fold(partial.result));
         },
     );
     flops
@@ -163,45 +94,11 @@ fn summa_rounds<S: Semiring, K: XYKernel<S>>(
 
 /// An empty product of `a · b`, laid out by the operands' cuts.
 fn empty_product<V: Elem, W: Elem>(grid: &Grid, a: &DistMat<V>, b: &DistMat<V>) -> DistMat<W> {
-    assert!(
-        a.info().layout().conformal_inner(b.info().layout()),
-        "SUMMA contraction needs A's column cuts to equal B's row cuts"
-    );
     let layout = Arc::new(a.info().layout().product(b.info().layout()));
     DistMat::empty_in(grid, &layout)
 }
 
-fn summa_with<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    schedule: Schedule,
-) -> (DistMat<S::Elem>, u64) {
-    let mut c = empty_product(grid, a, b);
-    let fold = |partial: &Dcsr<S::Elem>| add_cstar::<S>(&mut c, partial);
-    let flops = summa_rounds::<S, Plain>(grid, a, b, exec, timer, schedule, fold);
-    (c, flops)
-}
-
-fn summa_bloom_with<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    schedule: Schedule,
-) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    let mut c = empty_product(grid, a, b);
-    let mut f = empty_product(grid, a, b);
-    let fold = |partial: &Dcsr<(S::Elem, u64)>| add_cstar_tracked::<S>(&mut c, &mut f, partial);
-    let flops = summa_rounds::<S, Bloom>(grid, a, b, exec, timer, schedule, fold);
-    (c, f, flops)
-}
-
-/// Computes `C = A · B` with sparse SUMMA on the pipelined (overlapping)
-/// schedule. Collective over the grid.
+/// Computes `C = A · B` with sparse SUMMA. Collective over the grid.
 ///
 /// Returns the result as a dynamic distributed matrix (ready for dynamic
 /// updates) plus the local flop count.
@@ -225,26 +122,15 @@ pub fn summa_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (DistMat<S::Elem>, u64) {
-    summa_with::<S>(grid, a, b, exec, timer, Schedule::Overlap)
-}
-
-/// [`summa`] on the serialized schedule (each round's broadcast completes
-/// before its multiply) — the pre-pipelining baseline kept for the
-/// `repro overlap` ablation. Bit-identical result, byte-identical wire
-/// volume; only the exposed/overlapped split of communication time differs.
-pub fn summa_blocking<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, u64) {
-    summa_with::<S>(grid, a, b, &Exec::new(threads), timer, Schedule::Blocking)
+    let mut c = empty_product(grid, a, b);
+    let fold = |partial: Dcsr<S::Elem>| add_cstar::<S>(&mut c, &partial);
+    let flops = summa_rounds::<S, Plain>(grid, a, b, &(), exec, timer, fold);
+    (c, flops)
 }
 
 /// SUMMA fused with Bloom-filter tracking: returns `(C, F, flops)` where
 /// `F` holds, per non-zero of `C`, the ℓ=64-bit bitfield of contributing
-/// inner indices (bit `k mod 64`). Pipelined schedule.
+/// inner indices (bit `k mod 64`).
 pub fn summa_bloom<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
@@ -263,19 +149,11 @@ pub fn summa_bloom_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    summa_bloom_with::<S>(grid, a, b, exec, timer, Schedule::Overlap)
-}
-
-/// [`summa_bloom`] on the serialized schedule (the `repro overlap`
-/// baseline; see [`summa_blocking`]).
-pub fn summa_bloom_blocking<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    threads: usize,
-    timer: &mut PhaseTimer,
-) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
-    summa_bloom_with::<S>(grid, a, b, &Exec::new(threads), timer, Schedule::Blocking)
+    let mut c = empty_product(grid, a, b);
+    let mut f = empty_product(grid, a, b);
+    let fold = |partial: Dcsr<(S::Elem, u64)>| add_cstar_tracked::<S>(&mut c, &mut f, &partial);
+    let flops = summa_rounds::<S, Bloom>(grid, a, b, &(), exec, timer, fold);
+    (c, f, flops)
 }
 
 #[cfg(test)]

@@ -1,4 +1,11 @@
 //! Communicators: point-to-point messaging and collective operations.
+//!
+//! Each collective has one body. The broadcasts share one binomial tree
+//! (parameterised by how an edge duplicates the payload) and the
+//! all-to-alls one exchange, both written in nonblocking form; the blocking
+//! `bcast` / `bcast_shared` / `alltoallv` are that form plus `wait`, so
+//! tags, tree shape, send order and metering are the same whether a caller
+//! pipelines or not.
 
 use crate::message::{Payload, Tag};
 use crate::network::Endpoint;
@@ -151,6 +158,10 @@ impl Comm {
     /// Implemented in prepost-irecv form: the receive is posted before the
     /// send, so both directions of the exchange are in flight at once and
     /// the wait is pure arrival time.
+    ///
+    /// Like every point-to-point call it moves an `Arc<T>` as a handle: the
+    /// payload is never copied in-process, and the meter charges the
+    /// pointee's packed size ([`WireSize`] is transparent over `Arc`).
     pub fn sendrecv<T: Send + WireSize + 'static, U: Send + WireDecode + 'static>(
         &self,
         dst: usize,
@@ -161,21 +172,6 @@ impl Comm {
         let recv = self.irecv::<U>(src, tag);
         self.send(dst, tag, send_value);
         recv.wait()
-    }
-
-    /// Zero-copy [`Comm::sendrecv`]: moves one `Arc` per direction instead
-    /// of a packed value, so the payload itself is never copied in-process.
-    /// The meter still charges the pointee's full packed size ([`WireSize`]
-    /// is transparent over `Arc`), so logical communication volume is
-    /// byte-identical to the clone-based path.
-    pub fn sendrecv_shared<T: Send + Sync + WireSize + WireDecode + 'static>(
-        &self,
-        dst: usize,
-        send_value: Arc<T>,
-        src: usize,
-        tag: u64,
-    ) -> Arc<T> {
-        self.sendrecv(dst, send_value, src, tag)
     }
 
     // ------------------------------------------------------------------
@@ -197,17 +193,6 @@ impl Comm {
         Request::ready(self.io.clone(), (), "isend")
     }
 
-    /// Zero-copy [`Comm::isend`]: moves an `Arc` handle, metered at the
-    /// pointee's packed size.
-    pub fn isend_shared<T: Send + Sync + WireSize + 'static>(
-        &self,
-        dst: usize,
-        tag: u64,
-        value: Arc<T>,
-    ) -> Request<()> {
-        self.isend(dst, tag, value)
-    }
-
     /// Nonblocking receive of a `T` from group rank `src` under user `tag`.
     /// Complete with [`Request::wait`]; poll with [`Request::test`].
     pub fn irecv<T: Send + WireDecode + 'static>(&self, src: usize, tag: u64) -> Request<T> {
@@ -223,18 +208,8 @@ impl Comm {
         )
     }
 
-    /// Nonblocking zero-copy receive of an `Arc<T>` (pairs with
-    /// [`Comm::isend_shared`] / [`Comm::sendrecv_shared`] senders).
-    pub fn irecv_shared<T: Send + Sync + WireDecode + 'static>(
-        &self,
-        src: usize,
-        tag: u64,
-    ) -> Request<Arc<T>> {
-        self.irecv(src, tag)
-    }
-
-    /// Nonblocking zero-copy broadcast: identical binomial tree, tag
-    /// sequencing and byte metering to [`Comm::bcast_shared`], but issued
+    /// Nonblocking zero-copy broadcast over the binomial tree of
+    /// [`Comm::bcast_shared`] (which is this call plus `wait`): issued
     /// immediately and completed later.
     ///
     /// The root performs its tree sends at issue. A non-root registers an
@@ -249,92 +224,89 @@ impl Comm {
         root: usize,
         value: Option<Arc<T>>,
     ) -> Request<Arc<T>> {
+        self.ibcast_with(root, value, Arc::clone, "ibcast_shared")
+    }
+
+    /// The one binomial broadcast tree behind every broadcast flavor.
+    /// `duplicate` produces the copy forwarded along each tree edge — a deep
+    /// clone on the legacy path, an `Arc` refcount increment on the shared
+    /// path — so tags, edges, send order and metering cannot drift apart
+    /// between them.
+    fn ibcast_with<T: Send + WireSize + WireDecode + 'static>(
+        &self,
+        root: usize,
+        value: Option<T>,
+        duplicate: impl Fn(&T) -> T + 'static,
+        what: &'static str,
+    ) -> Request<T> {
         let p = self.size();
         // Single-rank short-circuit: no tag, no channel slot, no metering —
-        // identical to the blocking path's zero-overhead contract.
+        // a 1×1 grid pays zero communication overhead.
         if p == 1 {
             let v = value.expect("root must supply the broadcast value");
-            return Request::ready(self.io.clone(), v, "ibcast_shared");
+            return Request::ready(self.io.clone(), v, what);
         }
         let tag = self.next_coll_tag(0);
         let vrank = (self.my_rank + p - root) % p;
         let (parent, children) = bcast_tree_shape(p, vrank);
-        // Group-rank children translated to world ranks, preserving the
-        // blocking tree's decreasing-mask send order.
         let child_worlds: Vec<usize> = children
             .iter()
             .map(|&cv| self.members[(cv + root) % p])
             .collect();
-        match parent {
-            None => {
-                let v = value.expect("root must supply the broadcast value");
-                let ep = self.io.endpoint.borrow();
-                for &dst_world in &child_worlds {
-                    let payload = pack_payload(&ep, dst_world, Arc::clone(&v));
-                    ep.send_envelope(
-                        dst_world,
-                        self.comm_id,
-                        tag,
-                        payload,
-                        CommCategory::Bcast,
-                        v.wire_bytes(),
-                    );
-                }
-                drop(ep);
-                Request::ready(self.io.clone(), v, "ibcast_shared")
+        let (io, comm_id) = (self.io.clone(), self.comm_id);
+        // Sends `v` down this rank's tree edges: at issue on the root, on
+        // the parent's arrival everywhere else.
+        let forward = move |v: &T| {
+            let ep = io.endpoint.borrow();
+            for &dst_world in &child_worlds {
+                let payload = pack_payload(&ep, dst_world, duplicate(v));
+                let bytes = v.wire_bytes();
+                ep.send_envelope(dst_world, comm_id, tag, payload, CommCategory::Bcast, bytes);
             }
-            Some(parent_vrank) => {
-                assert!(value.is_none(), "non-root rank passed a broadcast value");
-                let parent_world = self.members[(parent_vrank + root) % p];
-                type BcastSlot<T> = Rc<RefCell<Option<(Arc<T>, std::time::Instant)>>>;
-                let slot: BcastSlot<T> = Rc::new(RefCell::new(None));
-                let action_slot = Rc::clone(&slot);
-                let action_io = self.io.clone();
-                let comm_id = self.comm_id;
-                let action = Box::new(
-                    move |boxed: Box<dyn Any + Send>, sent_at: std::time::Instant| {
-                        let v: Arc<T> = downcast_payload(boxed, parent_vrank, tag);
-                        let ep = action_io.endpoint.borrow();
-                        for &dst_world in &child_worlds {
-                            let payload = pack_payload(&ep, dst_world, Arc::clone(&v));
-                            ep.send_envelope(
-                                dst_world,
-                                comm_id,
-                                tag,
-                                payload,
-                                CommCategory::Bcast,
-                                v.wire_bytes(),
-                            );
-                        }
-                        drop(ep);
-                        *action_slot.borrow_mut() = Some((v, sent_at));
-                    },
-                );
-                // The parent's envelope may already be buffered (a peer ran
-                // ahead while this rank was blocked elsewhere): consume it
-                // now, otherwise register for arrival.
-                let buffered =
-                    self.io
-                        .endpoint
-                        .borrow_mut()
-                        .take_pending(parent_world, self.comm_id, tag);
-                match buffered {
-                    Some((payload, sent_at)) => action(payload, sent_at),
-                    None => self.io.progress.borrow_mut().register(ProgressEntry {
-                        src_world: parent_world,
-                        comm_id: self.comm_id,
-                        tag,
-                        action,
-                    }),
-                }
-                Request::from_slot(self.io.clone(), slot, "ibcast_shared")
-            }
+        };
+        let Some(parent_vrank) = parent else {
+            let v = value.expect("root must supply the broadcast value");
+            forward(&v);
+            return Request::ready(self.io.clone(), v, what);
+        };
+        assert!(value.is_none(), "non-root rank passed a broadcast value");
+        let parent_rank = (parent_vrank + root) % p;
+        let parent_world = self.members[parent_rank];
+        let slot = Rc::new(RefCell::new(None));
+        let action_slot = Rc::clone(&slot);
+        let action = Box::new(
+            move |boxed: Box<dyn Any + Send>, sent_at: std::time::Instant| {
+                let v: T = downcast_payload(boxed, parent_rank, tag);
+                forward(&v);
+                *action_slot.borrow_mut() = Some((v, sent_at));
+            },
+        );
+        // The parent's envelope may already be buffered (a peer ran ahead
+        // while this rank was blocked elsewhere): consume it now, otherwise
+        // register for arrival.
+        let buffered = self
+            .io
+            .endpoint
+            .borrow_mut()
+            .take_pending(parent_world, self.comm_id, tag);
+        match buffered {
+            Some((payload, sent_at)) => action(payload, sent_at),
+            None => self.io.progress.borrow_mut().register(ProgressEntry {
+                src_world: parent_world,
+                comm_id: self.comm_id,
+                tag,
+                action,
+            }),
         }
+        Request::from_slot(self.io.clone(), slot, what)
     }
 
-    /// Nonblocking personalized all-to-all: sends go out at issue (buffered),
-    /// the `p - 1` receives complete at `wait`/`test`. Result layout and
-    /// metering are identical to [`Comm::alltoallv`].
+    /// Nonblocking personalized all-to-all, the one exchange body
+    /// ([`Comm::alltoallv`] is this call plus `wait`): `out[dst]` is sent to
+    /// rank `dst` at issue (buffered; cannot deadlock), the `p - 1` receives
+    /// complete at `wait`/`test` and come back indexed by source rank. The
+    /// own chunk is moved through locally without touching the meter,
+    /// matching MPI self-sends being free in practice.
     pub fn ialltoallv<T: Send + WireSize + WireDecode + 'static>(
         &self,
         mut out: Vec<Vec<T>>,
@@ -415,19 +387,9 @@ impl Comm {
         root: usize,
         value: Option<T>,
     ) -> T {
-        self.bcast_impl(root, value, true)
-    }
-
-    fn bcast_impl<T: Clone + Send + WireSize + WireDecode + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-        count_clones: bool,
-    ) -> T {
-        self.bcast_tree(root, value, |v| {
-            if count_clones {
-                self.io.endpoint.borrow().record_payload_clone();
-            }
+        let io = self.io.clone();
+        self.bcast_with(root, value, move |v: &T| {
+            io.endpoint.borrow().record_payload_clone();
             v.clone()
         })
     }
@@ -447,45 +409,24 @@ impl Comm {
         root: usize,
         value: Option<Arc<T>>,
     ) -> Arc<T> {
-        self.bcast_tree(root, value, Arc::clone)
+        self.bcast_with(root, value, Arc::clone)
     }
 
-    /// The one binomial broadcast tree behind both [`Comm::bcast`] flavors.
-    /// `duplicate` produces the copy forwarded along each tree edge — a deep
-    /// clone on the legacy path, an `Arc` refcount increment on the shared
-    /// path — so tags, rounds and metering cannot drift apart between them.
-    fn bcast_tree<T: Send + WireSize + WireDecode + 'static>(
+    /// A blocking broadcast: the nonblocking tree plus `wait`, under the
+    /// `comm/bcast` span (none on a single rank, where nothing is sent).
+    fn bcast_with<T: Send + WireSize + WireDecode + 'static>(
         &self,
         root: usize,
         value: Option<T>,
-        mut duplicate: impl FnMut(&T) -> T,
+        duplicate: impl Fn(&T) -> T + 'static,
     ) -> T {
-        let p = self.size();
-        // Single-rank short-circuit: no tag, no channel slot, no metering —
-        // a 1×1 grid pays zero communication overhead.
-        if p == 1 {
+        if self.size() == 1 {
             return value.expect("root must supply the broadcast value");
         }
         let mut sp = dspgemm_obs::span("comm", "bcast");
-        let tag = self.next_coll_tag(0);
-        let vrank = (self.my_rank + p - root) % p;
-        // One tree-shape source for the blocking and nonblocking broadcasts:
-        // edges, send order and metering cannot drift apart.
-        let (parent, children) = bcast_tree_shape(p, vrank);
-        let v: T = match parent {
-            None => value.expect("root must supply the broadcast value"),
-            Some(parent_vrank) => {
-                assert!(value.is_none(), "non-root rank passed a broadcast value");
-                self.recv_internal((parent_vrank + root) % p, tag)
-            }
-        };
+        let v = self.ibcast_with(root, value, duplicate, "ibcast").wait();
         if dspgemm_obs::enabled() {
             sp.set_attr("bytes", v.wire_bytes());
-        }
-        for &child_vrank in &children {
-            let dst = (child_vrank + root) % p;
-            let bytes = v.wire_bytes();
-            self.send_internal(dst, tag, duplicate(&v), CommCategory::Bcast, bytes);
         }
         v
     }
@@ -577,37 +518,21 @@ impl Comm {
     }
 
     /// Personalized all-to-all: `out[dst]` is delivered to rank `dst`;
-    /// returns the received chunks indexed by source rank (own chunk is moved
-    /// through locally without touching the meter, matching MPI self-sends
-    /// being free in practice).
+    /// returns the received chunks indexed by source rank.
+    /// [`Comm::ialltoallv`] plus `wait`, under the `comm/alltoallv` span.
     pub fn alltoallv<T: Send + WireSize + WireDecode + 'static>(
         &self,
-        mut out: Vec<Vec<T>>,
+        out: Vec<Vec<T>>,
     ) -> Vec<Vec<T>> {
-        let p = self.size();
-        assert_eq!(out.len(), p, "alltoallv needs one chunk per destination");
         let mut sp = dspgemm_obs::span("comm", "alltoallv");
-        let mut sent_bytes = 0u64;
-        let tag = self.next_coll_tag(0);
-        let mut result: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        // Keep own chunk.
-        result[self.my_rank] = Some(std::mem::take(&mut out[self.my_rank]));
-        // Send all chunks (buffered; cannot deadlock), then receive.
-        for (dst, chunk_slot) in out.iter_mut().enumerate() {
-            if dst != self.my_rank {
-                let chunk = std::mem::take(chunk_slot);
-                let bytes = chunk.wire_bytes();
-                sent_bytes += bytes;
-                self.send_internal(dst, tag, chunk, CommCategory::Alltoall, bytes);
-            }
+        if dspgemm_obs::enabled() {
+            let sent = out
+                .iter()
+                .enumerate()
+                .filter(|&(dst, _)| dst != self.my_rank);
+            sp.set_attr("bytes", sent.map(|(_, chunk)| chunk.wire_bytes()).sum());
         }
-        sp.set_attr("bytes", sent_bytes);
-        for (src, slot) in result.iter_mut().enumerate() {
-            if src != self.my_rank {
-                *slot = Some(self.recv_internal(src, tag));
-            }
-        }
-        result.into_iter().map(|o| o.expect("chunk")).collect()
+        self.ialltoallv(out).wait()
     }
 
     /// Reduces values to `root` with a binary operator (binomial tree,
@@ -667,7 +592,7 @@ impl Comm {
         F: FnMut(T, T) -> T,
     {
         let reduced = self.reduce(0, value, op);
-        self.bcast_impl(0, reduced, false)
+        self.bcast_with(0, reduced, T::clone)
     }
 
     /// Exclusive prefix "scan": rank `r` receives `op` folded over the values
@@ -902,10 +827,8 @@ fn downcast_payload<T: Send + WireDecode + 'static>(
 }
 
 /// Shape of the binomial broadcast tree at virtual rank `vrank` in a group
-/// of `p`: the parent (None at the root) and the children in the blocking
-/// tree's decreasing-mask send order. Extracted from `bcast_tree` so the
-/// nonblocking broadcast reproduces the exact same edges, order and
-/// metering.
+/// of `p`: the parent (None at the root) and the children in
+/// decreasing-mask send order.
 fn bcast_tree_shape(p: usize, vrank: usize) -> (Option<usize>, Vec<usize>) {
     let mut mask = 1usize;
     let mut parent = None;

@@ -62,5 +62,5 @@ pub use comm::Comm;
 pub use fault::{catch_comm, catch_comm_mut, CommError, DelaySpec, FaultPlan, TransientSpec};
 pub use message::Tag;
 pub use request::{Overlap, Request};
-pub use runtime::{run, run_on, run_with_faults, SimOutput};
+pub use runtime::{run, run_with_faults, SimOutput};
 pub use stats::{CommCategory, CommStats, RankCommStats, NUM_CATEGORIES};

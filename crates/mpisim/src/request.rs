@@ -32,11 +32,12 @@
 //! blocked in `wait`) and *overlapped* time (the remainder — covered by
 //! local compute): `overlapped = max(0, (available - issue) - blocked)`.
 //! Post-arrival compute is **not** communication and is never counted.
-//! Both sides accumulate per rank in the meter ([`crate::CommStats`]);
-//! blocking collectives record pure exposed time (barrier synchronization
-//! waits are excluded — skew, not communication), so the delta of two
-//! snapshots quantifies exactly how much communication a pipelined schedule
-//! hid — the `repro overlap` ablation's metric.
+//! Both sides accumulate per rank in the meter ([`crate::CommStats`]).
+//! Blocking receives record pure exposed time, a blocking collective is its
+//! request waited at once, and barrier synchronization waits are excluded
+//! (skew, not communication) — so the delta of two snapshots quantifies
+//! exactly how much communication a pipelined schedule hid, the
+//! `repro overlap` report's metric.
 //!
 //! ## Completion contract
 //!

@@ -44,7 +44,7 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
-    run_on(p, DEFAULT_STACK, f)
+    run_with_faults(p, FaultPlan::default(), f)
 }
 
 /// Like [`run`] with a deterministic [`FaultPlan`] driving the network:
@@ -54,23 +54,6 @@ where
 /// and running a recovery protocol — an uncaught `CommError` unwinds the
 /// rank like any panic and fail-stops the job.
 pub fn run_with_faults<R, F>(p: usize, plan: FaultPlan, f: F) -> SimOutput<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    run_inner(p, DEFAULT_STACK, plan, f)
-}
-
-/// Like [`run`] with an explicit per-rank stack size in bytes.
-pub fn run_on<R, F>(p: usize, stack_bytes: usize, f: F) -> SimOutput<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    run_inner(p, stack_bytes, FaultPlan::default(), f)
-}
-
-fn run_inner<R, F>(p: usize, stack_bytes: usize, plan: FaultPlan, f: F) -> SimOutput<R>
 where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
@@ -89,7 +72,7 @@ where
                 let f = &f;
                 std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
-                    .stack_size(stack_bytes)
+                    .stack_size(DEFAULT_STACK)
                     .spawn_scoped(scope, move || {
                         // Attribute every trace span recorded on this
                         // thread to its simulated rank.

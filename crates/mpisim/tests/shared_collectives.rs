@@ -7,8 +7,8 @@ use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A payload with **no `Clone` impl**: merely compiling a `bcast_shared` /
-/// `sendrecv_shared` of this type proves those collectives cannot deep-clone.
+/// A payload with **no `Clone` impl**: merely compiling a `bcast_shared` of
+/// this type proves that collective cannot deep-clone.
 #[derive(Debug, PartialEq)]
 struct NoClone(Vec<u64>);
 
@@ -168,35 +168,6 @@ fn clone_spy_counts_legacy_bcast_copies_only() {
     });
     assert_eq!(LEGACY.load(Ordering::Relaxed), (p - 1) as u64);
     assert_eq!(SHARED.load(Ordering::Relaxed), 0);
-}
-
-#[test]
-fn sendrecv_shared_matches_sendrecv_meter_and_values() {
-    // 2x2 transpose exchange: ranks 1 and 2 swap; 0 and 3 are diagonal.
-    let exchange = |shared: bool| {
-        run(4, move |comm| {
-            let (i, j) = (comm.rank() / 2, comm.rank() % 2);
-            let peer = 2 * j + i;
-            let mine: Vec<u64> = vec![comm.rank() as u64; 100];
-            if peer == comm.rank() {
-                return mine;
-            }
-            if shared {
-                comm.sendrecv_shared(peer, Arc::new(mine), peer, 9)
-                    .as_ref()
-                    .clone()
-            } else {
-                comm.sendrecv(peer, mine, peer, 9)
-            }
-        })
-    };
-    let cloned = exchange(false);
-    let shared = exchange(true);
-    assert_eq!(cloned.results, shared.results);
-    assert_eq!(cloned.stats.volume(), shared.stats.volume());
-    assert_eq!(shared.payload_clones, 0);
-    assert_eq!(shared.results[1], vec![2u64; 100]);
-    assert_eq!(shared.results[2], vec![1u64; 100]);
 }
 
 /// Satellite regression: on a single-rank communicator both broadcast

@@ -168,10 +168,6 @@ pub fn thread_rank() -> i32 {
     RANK.with(|r| r.get())
 }
 
-fn current_rank() -> i32 {
-    RANK.with(|r| r.get())
-}
-
 /// Flushes the current thread's ring buffer into the global sink.
 ///
 /// A thread whose events must be visible once it is joined or its scope
@@ -228,7 +224,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(d) = self.data.take() {
             record(SpanEvent {
-                rank: current_rank(),
+                rank: thread_rank(),
                 phase: d.phase,
                 name: d.name,
                 start_ns: d.start_ns,
@@ -266,7 +262,7 @@ pub fn instant(phase: &'static str, name: &'static str, attrs: &[(&'static str, 
     }
     let t = now_ns();
     record(SpanEvent {
-        rank: current_rank(),
+        rank: thread_rank(),
         phase,
         name,
         start_ns: t,

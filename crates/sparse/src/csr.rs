@@ -2,7 +2,6 @@
 
 use crate::semiring::Semiring;
 use crate::triple::{self, Triple};
-use crate::workspace::TransposeWorkspace;
 use crate::{Index, RowRead, RowScan};
 use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 
@@ -166,72 +165,6 @@ impl<V: Copy> Csr<V> {
             }
         }
         out
-    }
-
-    /// The transposed matrix (counting-sort by column; `O(nnz + n)`).
-    ///
-    /// Allocates fresh output storage; hot paths that transpose repeatedly
-    /// should use [`Csr::transpose_into`] with a pooled workspace instead.
-    pub fn transpose(&self) -> Csr<V> {
-        self.transpose_into(&mut TransposeWorkspace::new())
-    }
-
-    /// [`Csr::transpose`] through a reusable [`TransposeWorkspace`]: the
-    /// counting-sort cursor scratch is kept across calls and the output
-    /// arrays start from recycled capacity (see [`Csr::recycle_into`]), so a
-    /// steady-state transpose loop stops allocating once the workload's
-    /// high-water sizes are reached.
-    ///
-    /// Entries within each output row land in ascending column order (input
-    /// rows are scanned in order), so a transpose of a column-sorted matrix
-    /// is again column-sorted.
-    pub fn transpose_into(&self, ws: &mut TransposeWorkspace<V>) -> Csr<V> {
-        let n_out = self.ncols as usize;
-        let mut row_ptr = std::mem::take(&mut ws.spare_row_ptr);
-        row_ptr.clear();
-        row_ptr.resize(n_out + 1, 0);
-        for &c in &self.cols {
-            row_ptr[c as usize + 1] += 1;
-        }
-        for c in 0..n_out {
-            row_ptr[c + 1] += row_ptr[c];
-        }
-        let cursor = &mut ws.counts;
-        cursor.clear();
-        cursor.extend_from_slice(&row_ptr[..n_out]);
-        let mut cols = std::mem::take(&mut ws.spare_cols);
-        cols.clear();
-        cols.resize(self.nnz(), 0);
-        let mut vals = std::mem::take(&mut ws.spare_vals);
-        vals.clear();
-        // Fill with placeholder then overwrite by position.
-        vals.extend(self.vals.iter().copied());
-        for r in 0..self.nrows {
-            let (rcols, rvals) = self.row(r);
-            for (&c, &v) in rcols.iter().zip(rvals) {
-                let pos = cursor[c as usize];
-                cols[pos] = r;
-                vals[pos] = v;
-                cursor[c as usize] += 1;
-            }
-        }
-        Csr {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr,
-            cols,
-            vals,
-        }
-    }
-
-    /// Returns this matrix's storage to `ws` for the next
-    /// [`Csr::transpose_into`] call — the reclamation half of the pooled
-    /// transpose cycle, for callers that own the transposed block
-    /// exclusively once they are done with it.
-    pub fn recycle_into(self, ws: &mut TransposeWorkspace<V>) {
-        ws.spare_row_ptr = self.row_ptr;
-        ws.spare_cols = self.cols;
-        ws.spare_vals = self.vals;
     }
 
     /// Element-wise addition over a semiring (used by static baselines that
@@ -428,46 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let m = sample();
-        let tt = m.transpose().transpose();
-        assert_eq!(m, tt);
-        // Check one transposed entry.
-        assert_eq!(m.transpose().get(3, 2), Some(14));
-        assert_eq!(m.transpose().nrows(), 4);
-    }
-
-    #[test]
-    fn transpose_into_matches_transpose_and_reuses_buffers() {
-        let m = sample();
-        let mut ws = TransposeWorkspace::new();
-        let t1 = m.transpose_into(&mut ws);
-        assert_eq!(t1, m.transpose());
-        t1.validate().unwrap();
-        // Recycle the output, then re-transpose: the workspace heap must not
-        // grow once its high-water capacities are reached.
-        t1.recycle_into(&mut ws);
-        let steady = ws.heap_bytes();
-        assert!(steady > 0);
-        for _ in 0..3 {
-            let t = m.transpose_into(&mut ws);
-            assert_eq!(t, m.transpose());
-            t.recycle_into(&mut ws);
-            assert_eq!(ws.heap_bytes(), steady, "workspace heap must not regrow");
-        }
-    }
-
-    #[test]
-    fn transpose_into_preserves_column_sorted_rows() {
-        let m = sample();
-        let t = m.transpose();
-        for r in 0..t.nrows() {
-            let (cols, _) = t.row(r);
-            assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
-        }
-    }
-
-    #[test]
     fn add_elementwise() {
         let a = Csr::from_triples::<U64Plus>(2, 2, vec![t(0, 0, 1), t(0, 1, 2)]);
         let b = Csr::from_triples::<U64Plus>(2, 2, vec![t(0, 0, 10), t(1, 1, 3)]);
@@ -484,7 +377,6 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         m.validate().unwrap();
         assert_eq!(m.to_triples(), vec![]);
-        assert_eq!(m.transpose().nrows(), 5);
     }
 
     #[test]

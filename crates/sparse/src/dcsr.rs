@@ -238,8 +238,7 @@ impl<V: Copy> Dcsr<V> {
     /// The transposed matrix in canonical (row-major sorted, duplicate-free)
     /// form, through a reusable [`TransposeWorkspace`] (counting sort by
     /// column; `O(nnz + ncols)` — the `O(ncols)` cursor scratch is pooled,
-    /// which is what makes per-round virtual transposition allocation-free
-    /// in steady state).
+    /// so a per-round virtual transposition allocates its output only).
     ///
     /// Canonicality is the bit-identity lemma of the virtual-transposition
     /// path: the output's stored rows are the input's distinct columns in
@@ -247,7 +246,7 @@ impl<V: Copy> Dcsr<V> {
     /// ascending row order, and the input is duplicate-free — so the result
     /// equals `Dcsr::from_sorted_triples` over the flipped entry set,
     /// exactly what a physically exchanged transposed block would contain.
-    pub fn transpose_into(&self, ws: &mut TransposeWorkspace<V>) -> Dcsr<V> {
+    pub fn transpose_into(&self, ws: &mut TransposeWorkspace) -> Dcsr<V> {
         let n_out = self.ncols as usize;
         let counts = &mut ws.counts;
         counts.clear();
@@ -255,11 +254,8 @@ impl<V: Copy> Dcsr<V> {
         for &c in &self.cols {
             counts[c as usize] += 1;
         }
-        let mut rows = std::mem::take(&mut ws.spare_rows);
-        rows.clear();
-        let mut row_ptr = std::mem::take(&mut ws.spare_row_ptr);
-        row_ptr.clear();
-        row_ptr.push(0);
+        let mut rows = Vec::new();
+        let mut row_ptr = vec![0];
         // Compact the counts into the stored-row list and turn them into
         // per-column start cursors in the same pass.
         let mut cum = 0usize;
@@ -272,13 +268,9 @@ impl<V: Copy> Dcsr<V> {
             }
             *count = cum - k;
         }
-        let mut cols = std::mem::take(&mut ws.spare_cols);
-        cols.clear();
-        cols.resize(self.nnz(), 0);
-        let mut vals = std::mem::take(&mut ws.spare_vals);
-        vals.clear();
+        let mut cols = vec![0; self.nnz()];
         // Fill with placeholder then overwrite by position.
-        vals.extend(self.vals.iter().copied());
+        let mut vals = self.vals.clone();
         for (r, rcols, rvals) in self.iter_rows() {
             for (&c, &v) in rcols.iter().zip(rvals) {
                 let pos = counts[c as usize];
@@ -302,15 +294,6 @@ impl<V: Copy> Dcsr<V> {
     /// [`Dcsr::transpose_into`] with a throwaway workspace.
     pub fn transpose(&self) -> Dcsr<V> {
         self.transpose_into(&mut TransposeWorkspace::new())
-    }
-
-    /// Returns this matrix's storage to `ws` for the next
-    /// [`Dcsr::transpose_into`] call (see `Csr::recycle_into`).
-    pub fn recycle_into(self, ws: &mut TransposeWorkspace<V>) {
-        ws.spare_rows = self.rows;
-        ws.spare_row_ptr = self.row_ptr;
-        ws.spare_cols = self.cols;
-        ws.spare_vals = self.vals;
     }
 
     /// Merges two DCSR matrices, combining coinciding entries with `combine`.
@@ -635,15 +618,13 @@ mod tests {
         let e: Dcsr<u64> = Dcsr::empty(7, 3);
         assert_eq!(e.transpose().nrows(), 3);
         assert_eq!(e.transpose().nnz(), 0);
-        // Pooled cycle: recycle the output, heap must not regrow.
+        // Pooled cycle: the cursor scratch must not regrow.
         let mut ws = TransposeWorkspace::new();
-        let t = m.transpose_into(&mut ws);
-        t.recycle_into(&mut ws);
+        m.transpose_into(&mut ws);
         let steady = ws.heap_bytes();
+        assert!(steady > 0);
         for _ in 0..3 {
-            let t = m.transpose_into(&mut ws);
-            assert_eq!(t, m.transpose());
-            t.recycle_into(&mut ws);
+            assert_eq!(m.transpose_into(&mut ws), m.transpose());
             assert_eq!(ws.heap_bytes(), steady, "workspace heap must not regrow");
         }
     }

@@ -6,7 +6,8 @@
 //! combined with a hash table" (Section VI-A); this module provides that
 //! hash-based accumulator plus a dense generation-marked variant that is
 //! faster when the output width is small enough to afford an O(ncols)
-//! scratch array. [`Spa::for_width`] picks automatically.
+//! scratch array; a pooled workspace holds one of each and
+//! [`dense_row_profitable`] picks per output row.
 //!
 //! Accumulators are generic over the accumulated payload `A`, so the same
 //! code path serves plain values (`A = V`) and value+Bloom-filter fusion
@@ -25,14 +26,6 @@ pub struct DenseSpa<A> {
 }
 
 impl<A: Copy> DenseSpa<A> {
-    /// Creates an accumulator for output rows of width `ncols`.
-    pub fn new(ncols: Index) -> Self {
-        Self {
-            slots: vec![None; ncols as usize],
-            touched: Vec::new(),
-        }
-    }
-
     /// Creates an accumulator with *no* scratch yet; [`DenseSpa::ensure_width`]
     /// sizes it on first dense use. Pooled workspaces start here so kernels
     /// whose rows all pick the hash strategy never pay the O(ncols)
@@ -82,18 +75,6 @@ impl<A: Copy> DenseSpa<A> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty()
-    }
-
-    /// Drains the accumulated row into `out` as column-sorted `(col, value)`
-    /// pairs and resets the accumulator for the next row.
-    pub fn drain_sorted(&mut self, out: &mut Vec<(Index, A)>) {
-        self.touched.sort_unstable();
-        out.reserve(self.touched.len());
-        for &c in &self.touched {
-            let v = self.slots[c as usize].take().expect("touched slot");
-            out.push((c, v));
-        }
-        self.touched.clear();
     }
 
     /// Drains the accumulated row, column-sorted, appending columns and
@@ -158,14 +139,6 @@ impl<A: Copy> HashSpa<A> {
         self.map.is_empty()
     }
 
-    /// Drains the accumulated row into `out` as column-sorted `(col, value)`
-    /// pairs and resets the accumulator.
-    pub fn drain_sorted(&mut self, out: &mut Vec<(Index, A)>) {
-        let start = out.len();
-        out.extend(self.map.drain());
-        out[start..].sort_unstable_by_key(|&(c, _)| c);
-    }
-
     /// Drains the accumulated row into flat column/value buffers,
     /// column-sorted (see [`DenseSpa::drain_sorted_split`]). Sorting goes
     /// through an internal scratch vector reused across rows.
@@ -217,156 +190,73 @@ pub fn dense_row_profitable(ncols: Index, est_flops: u64) -> bool {
     ncols <= DENSE_SPA_MAX_WIDTH && est_flops.saturating_mul(DENSE_SPA_SPARSITY_DIV) >= ncols as u64
 }
 
-/// An accumulator that picks the dense or hash strategy by output width.
-#[derive(Debug)]
-pub enum Spa<A> {
-    /// Dense generation-marked scratch.
-    Dense(DenseSpa<A>),
-    /// Hash-table accumulator.
-    Hash(HashSpa<A>),
-}
-
-impl<A: Copy> Spa<A> {
-    /// Chooses a strategy for output rows of width `ncols`.
-    pub fn for_width(ncols: Index) -> Self {
-        if ncols <= DENSE_SPA_MAX_WIDTH {
-            Spa::Dense(DenseSpa::new(ncols))
-        } else {
-            Spa::Hash(HashSpa::new())
-        }
-    }
-
-    /// Scatters `value` into `col`, combining with any previous value.
-    #[inline]
-    pub fn scatter(&mut self, col: Index, value: A, combine: impl FnOnce(A, A) -> A) {
-        match self {
-            Spa::Dense(s) => s.scatter(col, value, combine),
-            Spa::Hash(s) => s.scatter(col, value, combine),
-        }
-    }
-
-    /// Number of distinct columns accumulated so far.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Spa::Dense(s) => s.len(),
-            Spa::Hash(s) => s.len(),
-        }
-    }
-
-    /// Whether nothing has been accumulated.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drains the accumulated row into `out`, column-sorted, and resets.
-    pub fn drain_sorted(&mut self, out: &mut Vec<(Index, A)>) {
-        match self {
-            Spa::Dense(s) => s.drain_sorted(out),
-            Spa::Hash(s) => s.drain_sorted(out),
-        }
-    }
-
-    /// Drains the accumulated row into flat column/value buffers,
-    /// column-sorted, and resets — the allocation-flat kernel output path.
-    pub fn drain_sorted_split(&mut self, cols: &mut Vec<Index>, vals: &mut Vec<A>) {
-        match self {
-            Spa::Dense(s) => s.drain_sorted_split(cols, vals),
-            Spa::Hash(s) => s.drain_sorted_split(cols, vals),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise(spa: &mut Spa<u64>) {
-        spa.scatter(5, 10, |a, b| a + b);
-        spa.scatter(1, 2, |a, b| a + b);
-        spa.scatter(5, 3, |a, b| a + b);
-        assert_eq!(spa.len(), 2);
-        let mut out = Vec::new();
-        spa.drain_sorted(&mut out);
-        assert_eq!(out, vec![(1, 2), (5, 13)]);
-        assert!(spa.is_empty());
-        // Reusable after drain.
-        spa.scatter(0, 1, |a, b| a + b);
-        let mut out2 = Vec::new();
-        spa.drain_sorted(&mut out2);
-        assert_eq!(out2, vec![(0, 1)]);
+    fn dense<A: Copy>(ncols: Index) -> DenseSpa<A> {
+        let mut spa = DenseSpa::unsized_new();
+        spa.ensure_width(ncols);
+        spa
+    }
+
+    /// Scatter with combine, sorted drain appending to pre-seeded buffers,
+    /// and reuse after the drain — the same on both accumulators.
+    macro_rules! exercise {
+        ($spa:expr) => {{
+            let mut spa = $spa;
+            spa.scatter(5, 10u64, |a, b| a + b);
+            spa.scatter(1, 2, |a, b| a + b);
+            spa.scatter(5, 3, |a, b| a + b);
+            assert_eq!(spa.len(), 2);
+            let (mut cols, mut vals) = (vec![99], vec![0]);
+            spa.drain_sorted_split(&mut cols, &mut vals);
+            assert_eq!((cols, vals), (vec![99, 1, 5], vec![0, 2, 13]));
+            assert!(spa.is_empty());
+            spa.scatter(0, 1, |a, b| a + b);
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            spa.drain_sorted_split(&mut cols, &mut vals);
+            assert_eq!((cols, vals), (vec![0], vec![1]));
+        }};
     }
 
     #[test]
     fn dense_scatter_combine_drain() {
-        let mut spa = Spa::Dense(DenseSpa::new(16));
-        exercise(&mut spa);
+        exercise!(dense(16));
     }
 
     #[test]
     fn hash_scatter_combine_drain() {
-        let mut spa = Spa::Hash(HashSpa::new());
-        exercise(&mut spa);
+        exercise!(HashSpa::new());
     }
 
     #[test]
     fn for_width_picks_strategy() {
-        assert!(matches!(Spa::<u64>::for_width(100), Spa::Dense(_)));
-        assert!(matches!(
-            Spa::<u64>::for_width(DENSE_SPA_MAX_WIDTH + 1),
-            Spa::Hash(_)
-        ));
+        // Dense iff the width admits a scratch and the row is dense enough.
+        assert!(dense_row_profitable(100, 2));
+        assert!(!dense_row_profitable(100, 1));
+        assert!(!dense_row_profitable(DENSE_SPA_MAX_WIDTH + 1, u64::MAX));
     }
 
     #[test]
     fn fused_bloom_payload() {
-        let mut spa: Spa<(u64, u64)> = Spa::for_width(8);
+        let mut spa = dense::<(u64, u64)>(8);
         let combine = |(v1, b1): (u64, u64), (v2, b2): (u64, u64)| (v1 + v2, b1 | b2);
         spa.scatter(3, (5, 1 << 2), combine);
         spa.scatter(3, (7, 1 << 9), combine);
-        let mut out = Vec::new();
-        spa.drain_sorted(&mut out);
-        assert_eq!(out, vec![(3, (12, (1 << 2) | (1 << 9)))]);
-    }
-
-    #[test]
-    fn split_drain_matches_pair_drain() {
-        for mut spa in [Spa::Dense(DenseSpa::new(64)), Spa::Hash(HashSpa::new())] {
-            let mut twin = Spa::<u64>::for_width(64);
-            for (c, v) in [(9u32, 4u64), (3, 1), (9, 2), (0, 7), (63, 5)] {
-                spa.scatter(c, v, |a, b| a + b);
-                twin.scatter(c, v, |a, b| a + b);
-            }
-            let mut pairs = Vec::new();
-            twin.drain_sorted(&mut pairs);
-            let (mut cols, mut vals) = (vec![99u32], vec![0u64]); // pre-seeded: must append
-            spa.drain_sorted_split(&mut cols, &mut vals);
-            assert_eq!(cols[0], 99);
-            assert_eq!(
-                cols[1..]
-                    .iter()
-                    .zip(&vals[1..])
-                    .map(|(&c, &v)| (c, v))
-                    .collect::<Vec<_>>(),
-                pairs
-            );
-            assert!(spa.is_empty());
-            // Reusable after the split drain.
-            spa.scatter(5, 1, |a, b| a + b);
-            assert_eq!(spa.len(), 1);
-        }
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        spa.drain_sorted_split(&mut cols, &mut vals);
+        assert_eq!((cols, vals), (vec![3], vec![(12, (1 << 2) | (1 << 9))]));
     }
 
     #[test]
     fn dense_drain_sorts_touched() {
-        let mut spa = DenseSpa::new(1000);
+        let mut spa = dense(1000);
         for c in [999, 0, 500, 250, 750] {
             spa.scatter(c, 1u64, |a, b| a + b);
         }
-        let mut out = Vec::new();
-        spa.drain_sorted(&mut out);
-        let cols: Vec<Index> = out.iter().map(|&(c, _)| c).collect();
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        spa.drain_sorted_split(&mut cols, &mut vals);
         assert_eq!(cols, vec![0, 250, 500, 750, 999]);
     }
 }

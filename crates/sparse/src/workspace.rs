@@ -1,9 +1,9 @@
 //! Pooled per-thread kernel workspaces.
 //!
-//! Every local multiply used to build a fresh accumulator (`Spa::for_width`
-//! — an O(ncols) dense scratch per worker) and fresh flat output buffers per
-//! call; under SUMMA and the dynamic algorithms that is one full set of
-//! allocations *per round per worker*. A [`KernelWorkspace`] bundles all of
+//! A local multiply that built its own accumulator (an O(ncols) dense
+//! scratch per worker) and its own flat output buffers would, under SUMMA
+//! and the dynamic algorithms, pay one full set of allocations *per round
+//! per worker*. A [`KernelWorkspace`] bundles all of
 //! a worker's reusable state — the dense SPA scratch (lazily sized), the
 //! hash SPA, its sort scratch, and the flat `(rows, row_ptr, cols, vals)`
 //! output buffers — and a [`WorkspacePool`] leases workspaces per kernel
@@ -205,39 +205,19 @@ impl<A: Copy> WorkspacePool<A> {
 }
 
 /// Reusable scratch for counting-sort transposition
-/// ([`crate::Csr::transpose_into`] / [`crate::Dcsr::transpose_into`]).
+/// ([`crate::Dcsr::transpose_into`]).
 ///
-/// Transposition needs an `O(ncols)` counter/cursor array plus fresh output
-/// storage; under the virtual-transposition round structure that is one full
-/// set of allocations per round. This workspace keeps the counter scratch
-/// across calls and recycles output buffers handed back through the
-/// `recycle_into` methods, so steady-state transposes allocate nothing once
-/// the high-water capacities are reached.
-#[derive(Debug)]
-pub struct TransposeWorkspace<V> {
+/// Transposition needs an `O(ncols)` counter/cursor array; under the
+/// virtual-transposition round structure that is one allocation per round.
+/// This workspace keeps the scratch across calls, so steady-state
+/// transposes allocate their output only.
+#[derive(Debug, Default)]
+pub struct TransposeWorkspace {
     /// Per-output-row counter/cursor scratch (regrown lazily, never shrunk).
     pub(crate) counts: Vec<usize>,
-    /// Recycled output buffers (returned via `Csr::recycle_into` /
-    /// `Dcsr::recycle_into` when the caller owns the result exclusively).
-    pub(crate) spare_row_ptr: Vec<usize>,
-    pub(crate) spare_rows: Vec<Index>,
-    pub(crate) spare_cols: Vec<Index>,
-    pub(crate) spare_vals: Vec<V>,
 }
 
-impl<V> Default for TransposeWorkspace<V> {
-    fn default() -> Self {
-        Self {
-            counts: Vec::new(),
-            spare_row_ptr: Vec::new(),
-            spare_rows: Vec::new(),
-            spare_cols: Vec::new(),
-            spare_vals: Vec::new(),
-        }
-    }
-}
-
-impl<V: Copy> TransposeWorkspace<V> {
+impl TransposeWorkspace {
     /// A fresh workspace with no heap behind it yet.
     pub fn new() -> Self {
         Self::default()
@@ -246,10 +226,7 @@ impl<V: Copy> TransposeWorkspace<V> {
     /// Bytes of heap currently held (capacity-based) — the
     /// monotone-then-flat signal of the transpose-reuse regression tests.
     pub fn heap_bytes(&self) -> usize {
-        (self.counts.capacity() + self.spare_row_ptr.capacity()) * std::mem::size_of::<usize>()
-            + (self.spare_rows.capacity() + self.spare_cols.capacity())
-                * std::mem::size_of::<Index>()
-            + self.spare_vals.capacity() * std::mem::size_of::<V>()
+        self.counts.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -257,11 +234,11 @@ impl<V: Copy> TransposeWorkspace<V> {
 /// [`WorkspacePool`]: concurrent callers lease distinct workspaces and the
 /// stash converges to the caller count with stable capacities.
 #[derive(Debug, Default)]
-pub struct TransposePool<V> {
-    stash: Mutex<Vec<TransposeWorkspace<V>>>,
+pub struct TransposePool {
+    stash: Mutex<Vec<TransposeWorkspace>>,
 }
 
-impl<V: Copy> TransposePool<V> {
+impl TransposePool {
     /// An empty pool.
     pub fn new() -> Self {
         Self {
@@ -271,7 +248,7 @@ impl<V: Copy> TransposePool<V> {
 
     /// Leases a workspace: pops a stashed one or builds a fresh one. The
     /// workspace returns on drop of the lease.
-    pub fn lease(&self) -> TransposeLease<'_, V> {
+    pub fn lease(&self) -> TransposeLease<'_> {
         let ws = self
             .stash
             .lock()
@@ -301,25 +278,25 @@ impl<V: Copy> TransposePool<V> {
 }
 
 /// A leased [`TransposeWorkspace`]; returns to its pool on drop.
-pub struct TransposeLease<'p, V: Copy> {
-    ws: Option<TransposeWorkspace<V>>,
-    pool: &'p TransposePool<V>,
+pub struct TransposeLease<'p> {
+    ws: Option<TransposeWorkspace>,
+    pool: &'p TransposePool,
 }
 
-impl<V: Copy> std::ops::Deref for TransposeLease<'_, V> {
-    type Target = TransposeWorkspace<V>;
-    fn deref(&self) -> &TransposeWorkspace<V> {
+impl std::ops::Deref for TransposeLease<'_> {
+    type Target = TransposeWorkspace;
+    fn deref(&self) -> &TransposeWorkspace {
         self.ws.as_ref().expect("lease holds a workspace")
     }
 }
 
-impl<V: Copy> std::ops::DerefMut for TransposeLease<'_, V> {
-    fn deref_mut(&mut self) -> &mut TransposeWorkspace<V> {
+impl std::ops::DerefMut for TransposeLease<'_> {
+    fn deref_mut(&mut self) -> &mut TransposeWorkspace {
         self.ws.as_mut().expect("lease holds a workspace")
     }
 }
 
-impl<V: Copy> Drop for TransposeLease<'_, V> {
+impl Drop for TransposeLease<'_> {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
             self.pool
@@ -437,7 +414,7 @@ mod tests {
 
     #[test]
     fn transpose_pool_lease_and_return() {
-        let pool: TransposePool<u64> = TransposePool::new();
+        let pool = TransposePool::new();
         assert_eq!(pool.stashed(), 0);
         {
             let a = pool.lease();

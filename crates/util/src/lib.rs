@@ -11,7 +11,6 @@
 //! * [`sort`] — counting sort and LSD radix sort. The paper's redistribution
 //!   (Section IV-B) explicitly relies on counting sort with `sqrt(p)` buckets
 //!   instead of comparison sorting.
-//! * [`bitset`] — a compact fixed-size bit set.
 //! * [`par`] — scoped-thread data parallelism (`parallel_for` and friends),
 //!   standing in for the paper's intra-process OpenMP parallelism.
 //! * [`stats`] — timers, phase breakdowns, and human-readable formatting used
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod hash;
 pub mod par;
 pub mod rng;
@@ -33,7 +31,6 @@ pub mod sort;
 pub mod stats;
 pub mod wire;
 
-pub use bitset::BitSet;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use rng::{Rng, SplitMix64, Xoshiro256};
 pub use stats::{PhaseTimer, Timer};

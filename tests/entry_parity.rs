@@ -5,16 +5,18 @@
 //! algorithm modules must leave every constant alone — same collectives,
 //! same tags, same merge order, same program.
 
-use dspgemm::analytics::AnalyticsSession;
+use dspgemm::analytics::{masked_product, AnalyticsSession};
 use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
 use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
 use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
+use dspgemm::sparse::masked_mm::MaskSet;
 use dspgemm::sparse::semiring::U64Plus;
-use dspgemm::sparse::{Index, Triple};
+use dspgemm::sparse::{Index, RowScan, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
+use std::sync::Arc;
 
 const P: usize = 4;
 const N: Index = 48;
@@ -55,17 +57,20 @@ fn existing(seed: u64, count: usize) -> Vec<(Index, Index)> {
         .collect()
 }
 
-/// FNV-1a over the root-gathered (row-major sorted) triples.
-fn fingerprint(c: &[Triple<u64>]) -> u64 {
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for t in c {
-        for word in [t.row as u64, t.col as u64, t.val] {
-            for byte in word.to_le_bytes() {
-                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
+}
+
+/// FNV-1a over the root-gathered (row-major sorted) triples.
+fn fingerprint(c: &[Triple<u64>]) -> u64 {
+    fnv(c.iter().flat_map(|t| [t.row as u64, t.col as u64, t.val]))
 }
 
 /// This rank's own send counters. They move only on its own sends, so the
@@ -295,41 +300,34 @@ fn session_delete_edges() {
     assert_eq!(got, want);
 }
 
-/// The initial product on the engine arms' operands: `summa` and
-/// `summa_bloom` move the same panels, count the same flops and build the
-/// same `C` at any thread count; the fused one also fills `F`, pinned as
-/// `(nnz, fingerprint)` of its gathered entries.
-fn initial_product(bloom: bool, threads: usize) -> (Pinned, Option<(usize, u64)>) {
+/// What a product call hands back: its flops, `C`, and `F` if it builds one.
+type Product = (u64, DistMat<u64>, Option<DistMat<u64>>);
+
+/// A product on the engine arms' operands: what it moved, its flops, `C`,
+/// and `F` as `(nnz, fingerprint)` of its gathered entries.
+fn product(
+    run: impl Fn(&Grid, &DistMat<u64>, &DistMat<u64>, &mut PhaseTimer) -> Product + Send + Sync,
+) -> (Pinned, Option<(usize, u64)>) {
     let out = dspgemm::mpi::run(P, |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let r = comm.rank() as u64;
         let a = DistMat::from_global_triples(&grid, N, N, triples(10 + r, 90), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, N, N, triples(20 + r, 90), 1, &mut timer);
-        let mut state = (0u64, None, None);
-        let (volume, flops) = measure(
-            comm,
-            &mut state,
-            |s| s.0,
-            |s| {
-                *s = if bloom {
-                    let (c, f, flops) = summa_bloom::<U64Plus>(&grid, &a, &b, threads, &mut timer);
-                    (flops, Some(c), Some(f))
-                } else {
-                    let (c, flops) = summa::<U64Plus>(&grid, &a, &b, threads, &mut timer);
-                    (flops, Some(c), None)
-                };
-            },
-        );
-        let c = state.1.expect("the product ran").gather_to_root(comm);
-        let f = state.2.and_then(|f| f.gather_to_root(comm));
-        ((volume, flops, c), f)
+        let mut out = None;
+        let run = |out: &mut Option<Product>| *out = Some(run(&grid, &a, &b, &mut timer));
+        let (volume, _) = measure(comm, &mut out, |_| 0, run);
+        let (flops, c, f) = out.expect("the product ran");
+        let f = f.and_then(|f| f.gather_to_root(comm));
+        ((volume, flops, c.gather_to_root(comm)), f)
     });
     let (per_rank, f): (Vec<RankResult>, Vec<_>) = out.results.into_iter().unzip();
     let f = f[0].as_ref().map(|f| (f.len(), fingerprint(f)));
     (pin(per_rank), f)
 }
 
+/// `summa` and `summa_bloom` move the same panels, count the same flops and
+/// build the same `C` at any thread count; the fused one also fills `F`.
 // Captured at commit 26260fe, before the kernel and round bodies were merged.
 #[test]
 fn initial_product_summa_and_summa_bloom() {
@@ -340,12 +338,118 @@ fn initial_product_summa_and_summa_bloom() {
         c_hash: 12397133111747597061,
     };
     for threads in [1, 3] {
-        assert_eq!(
-            initial_product(false, threads),
-            (want(), None),
-            "t={threads}"
-        );
+        let plain = product(|grid, a, b, timer| {
+            let (c, flops) = summa::<U64Plus>(grid, a, b, threads, timer);
+            (flops, c, None)
+        });
+        assert_eq!(plain, (want(), None), "t={threads}");
+        let fused = product(|grid, a, b, timer| {
+            let (c, f, flops) = summa_bloom::<U64Plus>(grid, a, b, threads, timer);
+            (flops, c, Some(f))
+        });
         let f = Some((1482, 2172929750072179624));
-        assert_eq!(initial_product(true, threads), (want(), f), "t={threads}");
+        assert_eq!(fused, (want(), f), "t={threads}");
+    }
+}
+
+/// `masked_product` under the mask "every third position of the block":
+/// SUMMA's panels, the flops that reach the mask, and its `(value, bits)`
+/// entries laid out as a `C` and an `F`.
+// Captured at commit e715e38, while it still ran a broadcast loop of its own.
+#[test]
+fn masked_product_block() {
+    let got = product(|grid, a, b, timer| {
+        let (rows, cols) = (a.info().local_rows(), b.info().local_cols());
+        let mut mask = MaskSet::default();
+        for (lr, lc) in (0..rows).flat_map(|lr| (0..cols).map(move |lc| (lr, lc))) {
+            if (lr + lc) % 3 == 0 {
+                mask.insert(lr, lc);
+            }
+        }
+        let (block, flops) = masked_product::<U64Plus>(grid, a, b, &mask, 1, timer);
+        let (mut c, mut f) = (DistMat::empty(grid, N, N), DistMat::empty(grid, N, N));
+        block.scan_rows(|r, cols, vals| {
+            for (&cc, &(v, bits)) in cols.iter().zip(vals) {
+                c.block_mut().set(r, cc, v);
+                f.block_mut().set(r, cc, bits);
+            }
+        });
+        (flops, c, Some(f))
+    });
+    let want = Pinned {
+        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0)),
+        flops: 762,
+        c_nnz: 478,
+        c_hash: 10499275861888752898,
+    };
+    assert_eq!(got, (want, Some((478, 3879525642518357532))));
+}
+
+/// `bcast` of a vector, `bcast_shared`, `alltoallv`, `allreduce` (with an
+/// order-sensitive operator) and `allgather` on `c`, with non-zero roots and
+/// rank-dependent sizes; returns what the calls returned, in call order.
+fn collective_sequence(c: &Comm) -> Vec<u64> {
+    let (p, me) = (c.size(), c.rank());
+    let at = |root: usize, len: u64| (me == root).then(|| (0..len).map(|x| 3 * x + 1).collect());
+    let mut got: Vec<u64> = c.bcast(p - 1, at(p - 1, 11));
+    got.extend(c.bcast_shared(1, at(1, 5).map(Arc::new)).iter());
+    let chunks = (0..p).map(|d| vec![(100 * me + d) as u64; (me + d) % 4]);
+    got.extend(c.alltoallv(chunks.collect()).into_iter().flatten());
+    got.push(c.allreduce(me as u64 + 1, |x, y| 31 * x + y));
+    let mine = vec![me as u64; me % 3 + 1];
+    got.extend(c.allgather(mine).into_iter().flatten());
+    got
+}
+
+/// Runs the sequence on the world or on each rank's process row. One row
+/// per rank: `(bytes, msgs)` it sent as bcast, gather, alltoall and reduce
+/// (nothing else moves), then the fingerprint of what the calls returned.
+fn collectives(p: usize, on_row: bool) -> Vec<[u64; 9]> {
+    let out = dspgemm::mpi::run(p, |comm| {
+        let grid = Grid::new(comm);
+        let c = if on_row { grid.row_comm() } else { comm };
+        let mut got = Vec::new();
+        let (v, _) = measure(comm, &mut got, |_| 0, |got| *got = collective_sequence(c));
+        assert_eq!((v[0], v[5]), ((0, 0), (0, 0)), "p2p and barrier are silent");
+        let [b, g, a, r] = [v[1], v[2], v[3], v[4]];
+        [b.0, b.1, g.0, g.1, a.0, a.1, r.0, r.1, fnv(got)]
+    });
+    out.results
+}
+
+// Captured at commit e715e38, while `bcast` / `bcast_shared` / `alltoallv`
+// had blocking bodies of their own. Rows of the grid run the same program,
+// so on the row communicators column `j`'s pin repeats down the grid.
+#[test]
+fn collective_sequence_volumes() {
+    let world4 = [
+        [16, 2, 64, 3, 72, 3, 0, 0, 521074666004141480],
+        [192, 3, 56, 3, 56, 3, 8, 1, 631116340582806871],
+        [8, 1, 72, 3, 72, 3, 8, 1, 11263259556473340496],
+        [240, 3, 72, 3, 56, 3, 8, 1, 16918165154435520343],
+    ];
+    let row4 = [
+        [8, 1, 16, 1, 16, 1, 0, 0, 223600696783109167],
+        [144, 2, 24, 1, 16, 1, 8, 1, 3080606297268059530],
+    ];
+    let world9 = [
+        [32, 4, 192, 8, 160, 8, 0, 0, 4924437565379474977],
+        [288, 5, 184, 8, 152, 8, 8, 1, 14363332867447291202],
+        [8, 1, 200, 8, 176, 8, 8, 1, 112617082569597417],
+        [240, 3, 192, 8, 168, 8, 8, 1, 13390421993322310184],
+        [16, 2, 184, 8, 160, 8, 8, 1, 16189442156791702673],
+        [192, 3, 200, 8, 152, 8, 8, 1, 15849201811199467494],
+        [8, 1, 192, 8, 176, 8, 8, 1, 14568610836811551441],
+        [48, 1, 184, 8, 168, 8, 8, 1, 9358545875003526444],
+        [384, 4, 200, 8, 160, 8, 8, 1, 12790223802613332705],
+    ];
+    let row9 = [
+        [16, 2, 48, 2, 40, 2, 0, 0, 12090226120029204642],
+        [96, 2, 40, 2, 48, 2, 8, 1, 16696043834005211374],
+        [192, 2, 56, 2, 56, 2, 8, 1, 1032327266911162872],
+    ];
+    for (p, world, row) in [(4, &world4[..], &row4[..]), (9, &world9[..], &row9[..])] {
+        assert_eq!(collectives(p, false), world, "p={p}");
+        assert_eq!(collectives(p, true), row.repeat(row.len()), "p={p}");
     }
 }
