@@ -6,8 +6,9 @@
 //! to [`AnalyticsSession::insert_edges`] / [`AnalyticsSession::apply_general`]
 //! drives everything:
 //!
-//! 1. the batch is redistributed **once** into hypersparse update matrices
-//!    (the only all-to-all of the whole step);
+//! 1. the batch is redistributed **once** into hypersparse update matrices,
+//!    every layout the step needs a lane of the same exchange (the only
+//!    all-to-all of the whole step);
 //! 2. every view observes the pending batch (`pre_batch`) against the old
 //!    state;
 //! 3. the shared-operand dynamic SpGEMM hook patches `A`, `C` and `F`
@@ -30,17 +31,15 @@
 use crate::snapshot::SessionSnapshot;
 use crate::view::{BatchDelta, PendingBatch, View, ViewCx, ViewId};
 use dspgemm_core::distmat::{DistMat, ImageBuild};
-use dspgemm_core::dyn_algebraic::{
-    apply_shared_algebraic_prebuilt_tracked_exec, StarBuild, TransposeMode,
-};
+use dspgemm_core::dyn_algebraic::apply_shared_algebraic_prebuilt_tracked_exec;
 use dspgemm_core::dyn_general::{
-    apply_shared_general_prebuilt_exec, prepare_general_update_mode, GeneralUpdates,
+    apply_shared_general_prebuilt_exec, prepare_general_update_in, GeneralUpdates,
 };
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
 use dspgemm_core::snapshot::{publish_attrs, record_epoch_publish, SnapshotMat, SnapshotStore};
 use dspgemm_core::summa::summa_bloom_exec;
-use dspgemm_core::update::{build_update_matrix, Dedup};
+use dspgemm_core::update::{build_update_matrix_pair_in, Dedup};
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
@@ -269,16 +268,15 @@ impl<S: Semiring> AnalyticsSession<S> {
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
         let mut sp =
             dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
-        // One natural-layout build feeds the views and the product: the
-        // round roots run the point-to-point transpose exchange (Fig. 1a).
-        let star = StarBuild::Physical(build_update_matrix::<S>(
+        // One redistribution builds both layouts: the natural one feeds the
+        // views and `A += A*`, the transposed one the round roots.
+        let star = build_update_matrix_pair_in::<S>(
             &self.grid,
-            self.a.info().nrows,
-            self.a.info().ncols,
+            self.a.info().layout(),
             tuples,
             Dedup::Add,
             &mut self.timer,
-        ));
+        );
         // Views peek at the old state (registry temporarily detached so the
         // session state can be borrowed immutably alongside it).
         let mut views = std::mem::take(&mut self.views);
@@ -286,7 +284,7 @@ impl<S: Semiring> AnalyticsSession<S> {
             v.pre_batch(
                 &self.cx(),
                 &PendingBatch::Algebraic {
-                    star: star.natural(),
+                    star: &star.natural,
                 },
             );
         }
@@ -305,7 +303,7 @@ impl<S: Semiring> AnalyticsSession<S> {
             v.post_batch(
                 &self.cx(),
                 &BatchDelta::Algebraic {
-                    star: star.natural(),
+                    star: &star.natural,
                     cstar: &cstar,
                 },
             );
@@ -321,14 +319,8 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// the product and every view. Collective.
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
         let mut sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
-        let prep = prepare_general_update_mode::<S>(
-            &self.grid,
-            self.a.info().nrows,
-            self.a.info().ncols,
-            upd,
-            TransposeMode::Physical,
-            &mut self.timer,
-        );
+        let layout = self.a.info().layout();
+        let prep = prepare_general_update_in::<S>(&self.grid, layout, upd, &mut self.timer);
         let mut views = std::mem::take(&mut self.views);
         for (_, v) in &mut views {
             v.pre_batch(&self.cx(), &PendingBatch::General { prep: &prep });

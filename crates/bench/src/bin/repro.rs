@@ -5,7 +5,7 @@
 //!
 //! experiments:
 //!   table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b fig9 fig10 fig11 fig12
-//!   ablation-redist ablation-bloom ablation-agg analytics overlap commavoid serve rebalance faults transport
+//!   ablation-redist ablation-bloom ablation-agg analytics overlap serve rebalance faults transport
 //!   data        (= table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b)
 //!   spgemm      (= fig9 fig10 fig11 fig12)
 //!   ablations   (= the three ablations)
@@ -19,7 +19,7 @@
 //!   --instances N     catalog instances to run        (default 6, max 12)
 //!   --seed N          master seed                     (default fixed)
 //!   --batch-size N    per-rank dynamic update batch   (default 4096;
-//!                     the overlap and commavoid arms)
+//!                     the overlap arms)
 //!   --rebalance-threshold X   max/mean load imbalance above which the
 //!                     adaptive arm of `rebalance` migrates (default 1.5)
 //!   --rebalance-cooldown N    min epochs between migrations (default 2)
@@ -37,14 +37,14 @@
 //! ```
 
 use dspgemm_bench::experiments::{
-    ablations, analytics, commavoid, construction, faults, overlap, rebalance, serve, spgemm,
-    table1, transport, updates,
+    ablations, analytics, construction, faults, overlap, rebalance, serve, spgemm, table1,
+    transport, updates,
 };
 use dspgemm_bench::Config;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|commavoid|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--threads N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--threads N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
     );
     std::process::exit(2);
 }
@@ -255,7 +255,6 @@ fn main() {
             "fig12" => spgemm::fig12(&cfg),
             "analytics" => analytics::run(&cfg),
             "overlap" => overlap::run(&cfg),
-            "commavoid" => commavoid::run(&cfg),
             "rebalance" => rebalance::run(&cfg),
             "faults" => faults::run(&cfg),
             "transport" => transport::run(&cfg),

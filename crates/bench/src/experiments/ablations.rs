@@ -14,7 +14,7 @@ use crate::measure::timed_collective;
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::combblas::{self, CombBlasMatrix};
-use dspgemm_core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm_core::redistribute::redistribute;
 use dspgemm_core::{DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
@@ -207,7 +207,7 @@ pub fn aggregation(cfg: &Config) -> Table {
                 .into_iter()
                 .map(|(u, v)| Triple::new(u, v, 1.0))
                 .collect();
-            apply_algebraic_updates_mode_exec::<F64Plus>(
+            apply_algebraic_updates_exec::<F64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -215,7 +215,6 @@ pub fn aggregation(cfg: &Config) -> Table {
                 None,
                 batch,
                 vec![],
-                TransposeMode::Virtual,
                 &Exec::new(threads),
                 &mut timer,
             );

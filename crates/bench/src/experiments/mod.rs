@@ -8,7 +8,6 @@
 //! | [`spgemm`] | Fig. 9 (algebraic), Fig. 10 (general), Fig. 11/12 (scaling + breakdown) |
 //! | [`ablations`] | §IV-B redistribution claim, §V-A aggregation claim, §V-B Bloom claim |
 //! | [`overlap`] | the pipelined round schedule: exposed vs. compute-hidden communication time, tracer on/off parity (beyond the paper) |
-//! | [`commavoid`] | virtual transposition (§V-C): transpose exchange eliminated from the wire, bit-identical `C` |
 //! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
 //! | [`faults`] | fault injection & epoch-anchored recovery: crash + rollback/replay and delay-storm arms vs. the fault-free reference, bit-identical products (beyond the paper) |
 //! | [`transport`] | transport backend parity: the dynamic batch stream on simulator threads vs. real TCP processes, bit-identical C and matching logical wire volume (beyond the paper) |
@@ -17,7 +16,6 @@
 
 pub mod ablations;
 pub mod analytics;
-pub mod commavoid;
 pub mod construction;
 pub mod faults;
 pub mod overlap;

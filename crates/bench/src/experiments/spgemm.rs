@@ -26,8 +26,8 @@ use crate::Config;
 use dspgemm_baselines::{
     combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
 };
-use dspgemm_core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
-use dspgemm_core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
+use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
+use dspgemm_core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
 use dspgemm_core::summa::summa_bloom;
 use dspgemm_core::{DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
@@ -88,7 +88,7 @@ pub fn ours_algebraic(
         for _ in 0..batches {
             let batch = unit_batch(&mut draws, edges);
             let (_, cost) = measured_collective(comm, || {
-                apply_algebraic_updates_mode_exec::<F64Plus>(
+                apply_algebraic_updates_exec::<F64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -96,7 +96,6 @@ pub fn ours_algebraic(
                     None,
                     batch.clone(),
                     vec![],
-                    TransposeMode::Virtual,
                     &Exec::new(threads),
                     &mut timer,
                 )
@@ -295,7 +294,7 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
             let mut upd = GeneralUpdates::new();
             upd.sets = weighted_batch(&mut draws, edges, round);
             let (_, cost) = measured_collective(comm, || {
-                apply_general_updates_mode_exec::<MinPlus>(
+                apply_general_updates_exec::<MinPlus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -303,7 +302,6 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
                     &mut f,
                     upd.clone(),
                     GeneralUpdates::new(),
-                    TransposeMode::Virtual,
                     &Exec::new(threads),
                     &mut timer,
                 )

@@ -29,8 +29,7 @@ pub struct Config {
     pub instances: usize,
     /// Master seed.
     pub seed: u64,
-    /// Per-rank update batch size for the dynamic arms (`overlap`,
-    /// `commavoid`).
+    /// Per-rank update batch size for the dynamic arms (`overlap`).
     pub batch_size: usize,
     /// Max/mean per-rank load imbalance above which the adaptive arm of
     /// `repro rebalance` migrates block boundaries.

@@ -459,10 +459,9 @@ impl<V: Elem> DistMat<V> {
     /// which every algorithm applies unchanged (collective over the grid).
     ///
     /// Section V-C's *virtual* transposition — no materialization, no
-    /// wire bytes — is implemented where it pays: the dynamic update paths
-    /// route transposed update blocks via
-    /// [`crate::dyn_algebraic::TransposeMode::Virtual`] (the engine's
-    /// default — see the `repro commavoid` ablation). Materializing remains
+    /// wire round of its own — is implemented where it pays: the dynamic
+    /// update paths build every update matrix in both layouts from one
+    /// redistribution ([`crate::update::StarPair`]). Materializing remains
     /// the right tool when the transposed operand is reused across many
     /// products, where the one-off exchange amortizes away.
     pub fn transposed(&self, grid: &Grid, threads: usize) -> DistMat<V> {

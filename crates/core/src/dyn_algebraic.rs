@@ -10,9 +10,10 @@
 //! The algorithm computes `C*` **without broadcasting `A` or `B'`** — only
 //! the hypersparse update blocks move:
 //!
-//! 1. process `(i,j)` sends `A*_{i,j}` and `B*_{i,j}` to its transposed peer
-//!    `(j,i)` (one point-to-point round so the later broadcasts can run in
-//!    parallel — Fig. 1a);
+//! 1. the round root of `A*_{k,i}` in process row `i` is `(i,k)`, the
+//!    transposed position of its owner (so the `√p` broadcasts of a round can
+//!    run in parallel — Fig. 1a). The paper parks the block there with a
+//!    point-to-point exchange; here it is already there (see below);
 //! 2. `√p` rounds: in round `k`, `A*_{k,i}` is broadcast over process row
 //!    `i` and `B*_{j,k}` over process column `j`; every rank multiplies
 //!    locally (`Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}` and `Yʲ_{i,k} = A_{i,j}·B*_{j,k}`,
@@ -25,19 +26,16 @@
 //! Communication volume: `O(max(nnz(A*)+nnz(B*), nnz(C*))/√p)` versus
 //! SUMMA's `O((nnz(A)+nnz(B'))/√p)` — the whole point of the paper.
 //!
-//! **Virtual transposition (Section V-C).** Step 1's point-to-point
-//! exchange exists only to park each update block at its transposed grid
-//! position before the broadcasts. The communication-avoiding variant
-//! ([`TransposeMode::Virtual`], the default) removes that wire round
-//! entirely: the update batch is redistributed *twice* — once in natural
-//! layout (the local `A += A*` application needs it) and once with flipped
-//! tuples and swapped dimensions ([`crate::update::build_update_matrix_pair`]),
-//! so every rank's transposed-layout block already **is** its
+//! **Virtual transposition (Section V-C).** Step 1's exchange never runs.
+//! The batch's one redistribution carries every update matrix in two lanes —
+//! the tuples in natural layout (the local `A += A*` application needs it)
+//! and the flipped tuples under the transposed layout (a [`StarPair`]) — so
+//! every rank's transposed-layout block already **is** its
 //! transposed-position block, just transposed. A purely local counting-sort
-//! transposition recovers the broadcast payload bit-for-bit
-//! ([`StarView::Transposed`]), the `send/recv` phase carries zero
-//! point-to-point bytes, and `C` is bit-identical by construction — the
-//! `repro commavoid` ablation asserts both.
+//! transposition recovers the broadcast payload bit-for-bit, no
+//! point-to-point byte moves, and an Algorithm-1 batch sends one two-phase
+//! `ALLTOALLV` pair however many operands it updates
+//! (`tests/comm_volume.rs` asserts both).
 //!
 //! The module is generic over an [`XYKernel`] so the identical communication
 //! structure also serves the Bloom-fused variant (engine sessions that
@@ -46,20 +44,16 @@
 //! There is one body per shape — [`compute_cstar_exec`] interleaves an X and
 //! a Y pass per round for two operands, [`compute_cstar_shared_exec`] runs
 //! the same two passes as Y rounds → apply → X rounds for `C = A·A` — and
-//! one entry point per level: [`apply_algebraic_updates_mode_exec`] from
-//! tuples, [`apply_algebraic_prebuilt_exec`] from built update operands,
+//! one entry point per level: [`apply_algebraic_updates_exec`] from tuples,
+//! [`apply_algebraic_prebuilt_exec`] from built update operands,
 //! [`apply_shared_algebraic_prebuilt_tracked_exec`] for the shared shape.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::Layout;
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use crate::update::{
-    apply_add, start_update_matrix_in, start_update_matrix_pair_in, Dedup, PendingUpdateMatrix,
-    StarPair,
-};
+use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
 use dspgemm_mpi::Request;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, KernelPlan, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
@@ -96,219 +90,76 @@ impl<S: Semiring> XYKernel<S> for Pattern {
     }
 }
 
-/// How Algorithm 1's round roots obtain the transposed-position update
-/// blocks they broadcast.
+/// The one transposition schedule, as a name. Adapter-frozen:
+/// `benchmark/src/api.rs` spells `TransposeMode::Virtual`; nothing in the
+/// workspace takes a mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransposeMode {
-    /// Physical point-to-point exchange with the transposed peer rank
-    /// (Fig. 1a; the pre-Section-V-C schedule). The analytics session's
-    /// shared-operand batches run it, and it is the `repro commavoid`
-    /// baseline.
-    Physical,
-    /// Virtual transposition (Section V-C, the default): the update batch
-    /// is additionally built in transposed layout, so every round root
-    /// recovers its broadcast payload by a purely local transposition of
-    /// its own block. The transpose-exchange phase moves zero bytes.
+    /// Virtual transposition (Section V-C): every update matrix is also
+    /// built in transposed layout, so every round root recovers its
+    /// broadcast payload by a purely local transposition of its own block.
     #[default]
     Virtual,
 }
 
-/// One update-matrix operand of the `C*` round structure, tagged with its
-/// layout — the `Transposed` operand view of the communication-avoiding
-/// schedulers.
-#[derive(Debug, Clone, Copy)]
-pub enum StarView<'a, V: Elem> {
-    /// `A*` in natural layout (`A*_{i,j}` at rank `(i, j)`): the round
-    /// roots' blocks are obtained with the point-to-point transpose
-    /// exchange.
-    Natural(&'a DistDcsr<V>),
-    /// `(A*)ᵀ` as built by [`crate::update::build_update_matrix_pair`]
-    /// (`(A*_{j,i})ᵀ` at rank `(i, j)`): the round roots' blocks are
-    /// recovered by a local counting-sort transposition — zero wire bytes.
-    Transposed(&'a DistDcsr<V>),
-}
-
-impl<'a, V: Elem> StarView<'a, V> {
-    /// The underlying distributed matrix, whatever its layout.
-    fn dist(&self) -> &'a DistDcsr<V> {
-        match self {
-            StarView::Natural(d) | StarView::Transposed(d) => d,
-        }
-    }
-
-    /// Local non-zero count (the global sum is layout-independent, so the
-    /// collective empty-batch elision agrees across modes).
-    pub fn local_nnz(&self) -> usize {
-        self.dist().local_nnz()
-    }
-}
-
-/// The update-matrix build(s) one operand of a batch needs under a given
-/// [`TransposeMode`] — what the prebuilt entry points consume. The variant
-/// names the exchange a call site runs.
+/// A [`StarPair`] under the name `benchmark/src/api.rs` builds it with.
+/// Adapter-frozen; the workspace passes [`StarPair`]s.
 pub enum StarBuild<V: Elem> {
-    /// Natural layout only; rounds resolve via the physical exchange.
-    Physical(DistDcsr<V>),
-    /// Natural + transposed layouts; rounds resolve locally (Section V-C).
+    /// Natural + transposed layouts of one update matrix.
     Virtual(StarPair<V>),
 }
 
 impl<V: Elem> StarBuild<V> {
+    fn pair(&self) -> &StarPair<V> {
+        let StarBuild::Virtual(pair) = self;
+        pair
+    }
+
     /// The natural-layout matrix (what `A += A*` applies).
     pub fn natural(&self) -> &DistDcsr<V> {
-        match self {
-            StarBuild::Physical(d) => d,
-            StarBuild::Virtual(p) => &p.natural,
-        }
-    }
-
-    /// The operand view the round structure consumes.
-    pub fn view(&self) -> StarView<'_, V> {
-        match self {
-            StarBuild::Physical(d) => StarView::Natural(d),
-            StarBuild::Virtual(p) => StarView::Transposed(&p.transposed),
-        }
+        &self.pair().natural
     }
 }
 
-/// A [`StarBuild`] whose redistribution row phases are in flight: one
-/// `IALLTOALLV` under [`TransposeMode::Physical`], two (natural and flipped
-/// tuples) under [`TransposeMode::Virtual`]. [`build_star_operands`] holds
-/// one per operand, so both operands' row phases cross the wire together.
-struct PendingStar<S: Semiring> {
-    natural: PendingUpdateMatrix<S>,
-    transposed: Option<PendingUpdateMatrix<S>>,
-}
-
-impl<S: Semiring> PendingStar<S> {
-    /// Issues the row phase(s) of one operand's update-matrix build. Update
-    /// operands route under the `layout` — possibly rebalanced — of the
-    /// matrix they patch. Collective over the grid.
-    fn start(
-        grid: &Grid,
-        layout: &Arc<Layout>,
-        tuples: Vec<Triple<S::Elem>>,
-        mode: TransposeMode,
-        timer: &mut PhaseTimer,
-    ) -> Self {
-        match mode {
-            TransposeMode::Physical => Self {
-                natural: start_update_matrix_in::<S>(grid, layout, tuples, Dedup::Add, timer),
-                transposed: None,
-            },
-            TransposeMode::Virtual => {
-                let [natural, transposed] =
-                    start_update_matrix_pair_in::<S>(grid, layout, tuples, Dedup::Add, timer);
-                Self {
-                    natural,
-                    transposed: Some(transposed),
-                }
-            }
-        }
-    }
-
-    /// Completes the build(s). Collective over the grid.
-    fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> StarBuild<S::Elem> {
-        let natural = self.natural.finish(grid, timer);
-        match self.transposed {
-            None => StarBuild::Physical(natural),
-            Some(t) => StarBuild::Virtual(StarPair {
-                natural,
-                transposed: t.finish(grid, timer),
-            }),
-        }
-    }
-}
-
-/// Builds both operands' update matrices under [`phase::SCATTER`], issuing
-/// every row-phase `IALLTOALLV` before completing any so the
-/// redistributions cross the wire concurrently. Collective.
+/// Builds both layouts of both operands' update matrices under
+/// [`phase::SCATTER`] — four lanes of one redistribution. Update operands
+/// route under the layout, possibly rebalanced, of the matrix they patch.
+/// Collective.
 fn build_star_operands<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
     a_tuples: Vec<Triple<S::Elem>>,
     b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
     timer: &mut PhaseTimer,
-) -> (StarBuild<S::Elem>, StarBuild<S::Elem>) {
+) -> [StarPair<S::Elem>; 2] {
     timer.time(phase::SCATTER, || {
-        let mut inner = PhaseTimer::new();
-        let pa = PendingStar::<S>::start(grid, a.info().layout(), a_tuples, mode, &mut inner);
-        let pb = PendingStar::<S>::start(grid, b.info().layout(), b_tuples, mode, &mut inner);
-        (pa.finish(grid, &mut inner), pb.finish(grid, &mut inner))
+        let operands = [
+            (Arc::clone(a.info().layout()), a_tuples),
+            (Arc::clone(b.info().layout()), b_tuples),
+        ];
+        build_star_pairs_in::<S, 2>(grid, operands, Dedup::Add, &mut PhaseTimer::new())
     })
 }
 
-/// Resolves up to two [`StarView`] operands into the blocks Algorithm 1's
-/// round roots broadcast (`A*_{j,i}` at rank `(i, j)`). One helper serves
-/// the two-operand and the shared-operand paths:
-///
-/// * [`StarView::Natural`] items run the physical transpose exchange, both
-///   directions of every item posted nonblocking (irecvs first, then the
-///   buffered sends) under [`phase::SEND_RECV`], so concurrent items cross
-///   the wire together instead of serializing;
-/// * [`StarView::Transposed`] items never touch the wire: the rank's own
-///   block already *is* the transposed-position block in transposed form,
-///   and a pooled local counting-sort transposition
-///   ([`Dcsr::transpose_into`] through the session's [`Exec`]) recovers the
-///   payload bit-for-bit under [`phase::TRANSPOSE_LOCAL`] (Section V-C).
-///
-/// `None` items (globally empty update sides) stay `None`.
-fn resolve_star_blocks<S: Semiring>(
-    grid: &Grid,
+/// The block Algorithm 1's round roots broadcast (`A*_{j,i}` at rank
+/// `(i, j)`), recovered from the transposed-layout build `star_t`
+/// (`(A*_{j,i})ᵀ` at rank `(i, j)`): this rank's own block already *is* the
+/// transposed-position block in transposed form, and a pooled local
+/// counting-sort transposition ([`Dcsr::transpose_into`] through the
+/// session's [`Exec`]) recovers the payload bit-for-bit under
+/// [`phase::TRANSPOSE_LOCAL`] (Section V-C). Local-only.
+fn transpose_star<S: Semiring>(
+    star_t: &DistDcsr<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-    items: [Option<(StarView<'_, S::Elem>, u64)>; 2],
-) -> [Option<Arc<Dcsr<S::Elem>>>; 2] {
-    let mut out: [Option<Arc<Dcsr<S::Elem>>>; 2] = [None, None];
-    // Transposed views first: purely local, no peer coordination needed.
-    for (slot, item) in out.iter_mut().zip(&items) {
-        if let Some((StarView::Transposed(t), _)) = item {
-            let _sp =
-                dspgemm_obs::span("engine", "transpose_virtual").attr("nnz", t.local_nnz() as u64);
-            *slot = Some(timer.time(phase::TRANSPOSE_LOCAL, || {
-                let mut ws = exec.transpose_ws();
-                Arc::new(t.block().transpose_into(&mut ws))
-            }));
-        }
-    }
-    // Natural views: the transpose exchange of Fig. 1a.
-    let peer = grid.transpose_rank();
-    if peer == grid.world().rank() {
-        for (slot, item) in out.iter_mut().zip(&items) {
-            if let Some((StarView::Natural(d), _)) = item {
-                *slot = Some(d.block_shared());
-            }
-        }
-        return out;
-    }
-    if !items
-        .iter()
-        .any(|i| matches!(i, Some((StarView::Natural(_), _))))
-    {
-        return out;
-    }
-    timer.time(phase::SEND_RECV, || {
-        type BlockRecv<V> = Option<Request<Arc<Dcsr<V>>>>;
-        let mut recvs: [BlockRecv<S::Elem>; 2] = [None, None];
-        for (r, item) in recvs.iter_mut().zip(&items) {
-            if let Some((StarView::Natural(_), tag)) = item {
-                *r = Some(grid.world().irecv::<Arc<Dcsr<S::Elem>>>(peer, *tag));
-            }
-        }
-        for item in &items {
-            if let Some((StarView::Natural(d), tag)) = item {
-                grid.world().isend(peer, *tag, d.block_shared()).wait();
-            }
-        }
-        for (slot, r) in out.iter_mut().zip(recvs) {
-            if let Some(req) = r {
-                *slot = Some(req.wait());
-            }
-        }
-    });
-    out
+) -> Arc<Dcsr<S::Elem>> {
+    let _sp =
+        dspgemm_obs::span("engine", "transpose_virtual").attr("nnz", star_t.local_nnz() as u64);
+    timer.time(phase::TRANSPOSE_LOCAL, || {
+        let mut ws = exec.transpose_ws();
+        Arc::new(star_t.block().transpose_into(&mut ws))
+    })
 }
 
 /// One round's update-block broadcast in flight.
@@ -398,50 +249,38 @@ fn merge_xy<S: Semiring, K: XYKernel<S>>(
     }
 }
 
-/// The two-operand round structure of Algorithm 1: the transpose exchange
-/// (or its local virtual replacement), `√p` rounds that each run an X and a
-/// Y pass, and the sparse merge-reductions, returning this rank's block of
-/// `C* = A*·B' + A·B*` plus the local flop count. Collective over the grid.
+/// The two-operand round structure of Algorithm 1: the local transposition
+/// that stands in for the transpose exchange, `√p` rounds that each run an X
+/// and a Y pass, and the sparse merge-reductions, returning this rank's
+/// block of `C* = A*·B' + A·B*` plus the local flop count. Collective over
+/// the grid.
 ///
 /// Inputs obey Eq. 1's timing: `a_old` is `A` *before* its updates, `b_new`
-/// is `B'` *after* its updates. The update operands arrive as [`StarView`]s,
-/// so callers choose per operand whether round roots resolve their blocks
-/// physically (wire exchange) or virtually (local transposition). `exec`
-/// carries the thread count and pooled workspaces.
+/// is `B'` *after* its updates. The update operands arrive as their
+/// transposed-layout builds ([`StarPair::transposed`]). `exec` carries the
+/// thread count and pooled workspaces.
 pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a_old: &DistMat<S::Elem>,
     b_new: &DistMat<S::Elem>,
-    a_star: StarView<'_, S::Elem>,
-    b_star: StarView<'_, S::Elem>,
+    a_star_t: &DistDcsr<S::Elem>,
+    b_star_t: &DistDcsr<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
     // Empty-side elision: a globally empty update matrix contributes nothing
-    // to Eq. 1, so its whole pass (transpose resolution, broadcasts,
-    // multiplies, reductions) is skipped. The decision is collective-safe
-    // because it is made from the allreduced global nnz, agreed on all ranks
-    // (and layout-independent: natural and transposed builds hold the same
-    // global entry set). This is the common case in the paper's Fig. 9
-    // protocol, where `B` is static.
+    // to Eq. 1, so its whole pass (transposition, broadcasts, multiplies,
+    // reductions) is skipped. The decision is collective-safe because it is
+    // made from the allreduced global nnz, agreed on all ranks. This is the
+    // common case in the paper's Fig. 9 protocol, where `B` is static.
     let [a_star_nnz, b_star_nnz] = grid.world().allreduce(
-        [a_star.local_nnz() as u64, b_star.local_nnz() as u64],
+        [a_star_t.local_nnz() as u64, b_star_t.local_nnz() as u64],
         |x, y| [x[0] + y[0], x[1] + y[1]],
     );
 
-    // Step 1: round roots obtain their transposed-position blocks — a wire
-    // exchange for natural views, a local transposition for transposed ones.
-    const TAG_AT: u64 = 101;
-    const TAG_BT: u64 = 102;
-    let [at_blk, bt_blk] = resolve_star_blocks::<S>(
-        grid,
-        exec,
-        timer,
-        [
-            (a_star_nnz != 0).then_some((a_star, TAG_AT)),
-            (b_star_nnz != 0).then_some((b_star, TAG_BT)),
-        ],
-    );
+    // Step 1: round roots recover their transposed-position blocks locally.
+    let at_blk = (a_star_nnz != 0).then(|| transpose_star(a_star_t, exec, timer));
+    let bt_blk = (b_star_nnz != 0).then(|| transpose_star(b_star_t, exec, timer));
 
     // Step 2 + 3: √p rounds of broadcasts, local multiplies, aggregation —
     // pipelined: round k+1's update-block broadcasts are in flight while
@@ -500,15 +339,15 @@ pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
 /// 2. `apply` turns `A` into `A'` in place (purely local);
 /// 3. `√p` X rounds with the *new* `A'`.
 ///
-/// One transpose resolution of the single update block replaces
-/// Algorithm 1's two, and the communication volume is halved relative to
-/// maintaining a lock-stepped clone of `A` as the second operand (each
-/// update batch is redistributed, exchanged and broadcast once instead of
-/// twice).
+/// One transposition of the single update block replaces Algorithm 1's
+/// two, and the communication volume is halved relative to maintaining a
+/// lock-stepped clone of `A` as the second operand (each update batch is
+/// redistributed and broadcast once instead of twice). `star_t` is the
+/// update matrix's transposed-layout build.
 pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
-    star: StarView<'_, S::Elem>,
+    star_t: &DistDcsr<S::Elem>,
     apply: impl FnOnce(&mut DistMat<S::Elem>),
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
@@ -525,21 +364,17 @@ pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
     // Empty-batch elision, agreed collectively (cf. `compute_cstar_exec`).
     let star_nnz = grid
         .world()
-        .allreduce(star.local_nnz() as u64, |x, y| x + y);
+        .allreduce(star_t.local_nnz() as u64, |x, y| x + y);
     if star_nnz == 0 {
         timer.time(phase::LOCAL_UPDATE, || apply(a));
         return (Dcsr::empty(block_rows, block_cols), 0);
     }
 
-    // One transposed-block resolution serves both passes: rank (i,j)
-    // obtains A*_{j,i} — by wire exchange (natural view) or by local
-    // transposition of its own transposed-layout block (virtual view) — so
-    // in round k the row-comm member k of row i holds A*_{k,i} and the
-    // col-comm member k of column j holds A*_{k,j}, exactly as in
-    // Algorithm 1.
-    const TAG_SHARED: u64 = 104;
-    let [star_t, _] = resolve_star_blocks::<S>(grid, exec, timer, [Some((star, TAG_SHARED)), None]);
-    let star_t: Arc<Dcsr<S::Elem>> = star_t.expect("nonempty operand resolves to a block");
+    // One transposition serves both passes: rank (i,j) recovers A*_{j,i}
+    // from its own transposed-layout block, so in round k the row-comm
+    // member k of row i holds A*_{k,i} and the col-comm member k of column
+    // j holds A*_{k,j}, exactly as in Algorithm 1.
+    let star_t = transpose_star(star_t, exec, timer);
 
     let mut flops = 0u64;
 
@@ -621,12 +456,11 @@ pub(crate) fn add_cstar_tracked<S: Semiring>(
 }
 
 /// Algorithm 1 on an `(A, B, C)` triple from globally-indexed update
-/// tuples: builds both operands' update matrices under `mode`, then runs
-/// [`apply_algebraic_prebuilt_exec`]. Returns the local flop count.
-/// Collective over the grid; `mode` must agree on all ranks (it changes the
-/// collective schedule — `C` is bit-identical across modes).
+/// tuples: builds both operands' update matrices from one redistribution,
+/// then runs [`apply_algebraic_prebuilt_exec`]. Returns the local flop
+/// count. Collective over the grid.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_mode_exec<S: Semiring>(
+pub fn apply_algebraic_updates_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: &mut DistMat<S::Elem>,
@@ -634,11 +468,10 @@ pub fn apply_algebraic_updates_mode_exec<S: Semiring>(
     f: Option<&mut DistMat<u64>>,
     a_tuples: Vec<Triple<S::Elem>>,
     b_tuples: Vec<Triple<S::Elem>>,
-    mode: TransposeMode,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    let (a_star, b_star) = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, mode, timer);
+    let [a_star, b_star] = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, timer);
     apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, f, &a_star, &b_star, exec, timer)
 }
 
@@ -654,8 +487,8 @@ pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     b: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: Option<&mut DistMat<u64>>,
-    a_star: &StarBuild<S::Elem>,
-    b_star: &StarBuild<S::Elem>,
+    a_star: &StarPair<S::Elem>,
+    b_star: &StarPair<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
@@ -678,8 +511,8 @@ fn apply_prebuilt_with<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: &mut DistMat<S::Elem>,
-    a_star: &StarBuild<S::Elem>,
-    b_star: &StarBuild<S::Elem>,
+    a_star: &StarPair<S::Elem>,
+    b_star: &StarPair<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
     add_cstar: impl FnOnce(&Dcsr<K::Out>),
@@ -687,19 +520,20 @@ fn apply_prebuilt_with<S: Semiring, K: XYKernel<S>>(
     // Eq. 1 ordering: B must be B' during the multiplication, A must still
     // be the old A.
     timer.time(phase::LOCAL_UPDATE, || {
-        apply_add::<S>(b, b_star.natural(), exec.threads);
+        apply_add::<S>(b, &b_star.natural, exec.threads);
     });
-    let (cstar, flops) =
-        compute_cstar_exec::<S, K>(grid, a, b, a_star.view(), b_star.view(), exec, timer);
+    let (a_star_t, b_star_t) = (&a_star.transposed, &b_star.transposed);
+    let (cstar, flops) = compute_cstar_exec::<S, K>(grid, a, b, a_star_t, b_star_t, exec, timer);
     timer.time(phase::LOCAL_UPDATE, || {
-        apply_add::<S>(a, a_star.natural(), exec.threads);
+        apply_add::<S>(a, &a_star.natural, exec.threads);
         add_cstar(&cstar);
     });
     flops
 }
 
-/// [`apply_algebraic_prebuilt_exec`] without a filter matrix — the form the
-/// benchmark adapter names.
+/// [`apply_algebraic_prebuilt_exec`] without a filter matrix, on
+/// [`StarBuild`]s. Adapter-frozen: `benchmark/src/api.rs` names it; nothing
+/// in the workspace does.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     grid: &Grid,
@@ -711,6 +545,7 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
+    let (a_star, b_star) = (a_star.pair(), b_star.pair());
     apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, None, a_star, b_star, exec, timer)
 }
 
@@ -723,23 +558,21 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
 ///
 /// The caller performs the redistribution once and may feed the same `A*`
 /// to any number of consumers — the "one redistribution pays for all views"
-/// contract. `star`'s variant names the transposition the round roots run:
-/// the wire exchange for [`StarBuild::Physical`], the local one for
-/// [`StarBuild::Virtual`].
+/// contract.
 pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    star: &StarBuild<S::Elem>,
+    star: &StarPair<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
     let (cstar, flops) = compute_cstar_shared_exec::<S, Bloom>(
         grid,
         a,
-        star.view(),
-        |m| apply_add::<S>(m, star.natural(), exec.threads),
+        &star.transposed,
+        |m| apply_add::<S>(m, &star.natural, exec.threads),
         exec,
         timer,
     );
@@ -790,7 +623,7 @@ mod tests {
                 // Every rank contributes its own update tuples.
                 let a_ups = random_triples(100 + round * 7 + comm.rank() as u64, n, 15);
                 let b_ups = random_triples(500 + round * 7 + comm.rank() as u64, n, 15);
-                apply_algebraic_updates_mode_exec::<U64Plus>(
+                apply_algebraic_updates_exec::<U64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -798,7 +631,6 @@ mod tests {
                     None,
                     a_ups,
                     b_ups,
-                    TransposeMode::Virtual,
                     &Exec::new(2),
                     &mut timer,
                 );
@@ -863,7 +695,7 @@ mod tests {
             let mut c2 = c.clone();
             let a_ups = random_triples(31 + comm.rank() as u64, n, 10);
             let b_ups = random_triples(41 + comm.rank() as u64, n, 10);
-            apply_algebraic_updates_mode_exec::<U64Plus>(
+            apply_algebraic_updates_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -871,11 +703,10 @@ mod tests {
                 Some(&mut f),
                 a_ups.clone(),
                 b_ups.clone(),
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
-            apply_algebraic_updates_mode_exec::<U64Plus>(
+            apply_algebraic_updates_exec::<U64Plus>(
                 &grid,
                 &mut a2,
                 &mut b2,
@@ -883,7 +714,6 @@ mod tests {
                 None,
                 a_ups,
                 b_ups,
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
@@ -913,7 +743,7 @@ mod tests {
             let mut b = a.clone();
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             let before = c.gather_to_root(comm);
-            apply_algebraic_updates_mode_exec::<U64Plus>(
+            apply_algebraic_updates_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -921,7 +751,6 @@ mod tests {
                 None,
                 vec![],
                 vec![],
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
@@ -953,25 +782,18 @@ mod tests {
                 let exec = Exec::new(1);
                 for round in 0..3u64 {
                     let ups = random_triples(40 + round + comm.rank() as u64, n, 9);
-                    // Both transpositions feed the same rounds: alternate.
-                    let mode = if round % 2 == 0 {
-                        TransposeMode::Physical
-                    } else {
-                        TransposeMode::Virtual
-                    };
-                    let star = PendingStar::<U64Plus>::start(
+                    let star = crate::update::build_update_matrix_pair_in::<U64Plus>(
                         &grid,
                         a.info().layout(),
                         ups.clone(),
-                        mode,
+                        Dedup::Add,
                         &mut timer,
-                    )
-                    .finish(&grid, &mut timer);
+                    );
                     let (cstar, flops) = apply_shared_algebraic_prebuilt_tracked_exec::<U64Plus>(
                         &grid, &mut a, &mut c, &mut f, &star, &exec, &mut timer,
                     );
                     assert!(cstar.nnz() == 0 || flops > 0);
-                    apply_algebraic_updates_mode_exec::<U64Plus>(
+                    apply_algebraic_updates_exec::<U64Plus>(
                         &grid,
                         &mut a2,
                         &mut b2,
@@ -979,7 +801,6 @@ mod tests {
                         None,
                         ups.clone(),
                         ups,
-                        TransposeMode::Virtual,
                         &Exec::new(1),
                         &mut timer,
                     );
@@ -1013,12 +834,11 @@ mod tests {
             let (mut c, mut f, _) =
                 crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, 1, &mut timer);
             let ups = random_triples(61 + comm.rank() as u64, n, 12);
-            let star = crate::update::build_update_matrix::<U64Plus>(
+            let star = crate::update::build_update_matrix_pair_in::<U64Plus>(
                 &grid,
-                n,
-                n,
+                a.info().layout(),
                 ups,
-                crate::update::Dedup::Add,
+                Dedup::Add,
                 &mut timer,
             );
             apply_shared_algebraic_prebuilt_tracked_exec::<U64Plus>(
@@ -1026,7 +846,7 @@ mod tests {
                 &mut a,
                 &mut c,
                 &mut f,
-                &StarBuild::Physical(star),
+                &star,
                 &Exec::new(1),
                 &mut timer,
             );
@@ -1068,7 +888,7 @@ mod tests {
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             let ups = random_triples(77 + comm.rank() as u64, n, batch);
-            apply_algebraic_updates_mode_exec::<U64Plus>(
+            apply_algebraic_updates_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -1076,7 +896,6 @@ mod tests {
                 None,
                 ups,
                 vec![],
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );

@@ -21,15 +21,13 @@
 //!    became structurally zero ⇒ delete), and `H` replaces them in `F`.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
-use crate::dyn_algebraic::{
-    compute_cstar_exec, compute_cstar_shared_exec, StarView, TransposeMode,
-};
+use crate::dyn_algebraic::{compute_cstar_exec, compute_cstar_shared_exec, TransposeMode};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use crate::update::{apply_mask, apply_merge, build_update_matrix_in, Dedup};
+use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup};
 use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload};
 use dspgemm_sparse::masked_mm::MaskSet;
@@ -70,10 +68,10 @@ impl<V: Elem> GeneralUpdates<V> {
     }
 }
 
-/// Distributed update-matrix triple for one operand of a general update:
-/// the MERGE matrix (sets), the MASK matrix (deletes) and the combined
-/// structural pattern `A*`. Produced by [`prepare_general_update_mode`];
-/// holding it lets one redistribution feed several consumers (the analytics
+/// The update matrices of one operand of a general update: the MERGE matrix
+/// (sets), the MASK matrix (deletes) and the combined structural pattern
+/// `A*` in both layouts. Produced by [`prepare_general_update_in`]; holding
+/// it lets one redistribution feed several consumers (the analytics
 /// session's shared-batch contract).
 pub struct PreparedGeneral<V> {
     /// Redistributed `sets` as a hypersparse MERGE matrix.
@@ -82,100 +80,86 @@ pub struct PreparedGeneral<V> {
     pub del_mat: DistDcsr<V>,
     /// Structural union of both — the `A*` of `COMPUTE_PATTERN`.
     pub star: DistDcsr<V>,
-    /// `star` rebuilt in transposed layout (flipped tuples, swapped
-    /// dimensions) when the batch was prepared for
-    /// [`TransposeMode::Virtual`]: `COMPUTE_PATTERN`'s round roots then
-    /// resolve their blocks by local transposition instead of the wire
-    /// exchange (Section V-C). `None` ⇒ physical resolution.
-    pub star_t: Option<DistDcsr<V>>,
+    /// `star` built in transposed layout (flipped tuples under the
+    /// transposed layout): `COMPUTE_PATTERN`'s round roots recover their
+    /// blocks from it by local transposition (Section V-C).
+    pub star_t: DistDcsr<V>,
 }
 
-impl<V: Elem> PreparedGeneral<V> {
-    /// The operand view `COMPUTE_PATTERN` consumes: the transposed-layout
-    /// build when present, else the natural star.
-    pub fn view(&self) -> StarView<'_, V> {
-        match &self.star_t {
-            Some(t) => StarView::Transposed(t),
-            None => StarView::Natural(&self.star),
-        }
+/// Builds the update matrices of `N` operands' general-update batches from
+/// one redistribution — three lanes per operand: sets, deletes, and the
+/// flipped combined pattern. Collective over the grid.
+///
+/// Ordering the flipped stream deletes-first (zero values), then sets, and
+/// deduplicating [`Dedup::LastWins`] reproduces the natural star's values
+/// exactly — a position covered by any set keeps the last set value, a
+/// delete-only position keeps the semiring zero — so the transposed build is
+/// the natural star's exact transpose.
+fn prepare_general_operands<S: Semiring, const N: usize>(
+    grid: &Grid,
+    operands: [(&Arc<Layout>, GeneralUpdates<S::Elem>); N],
+    timer: &mut PhaseTimer,
+) -> [PreparedGeneral<S::Elem>; N] {
+    let layouts = operands.each_ref().map(|&(layout, _)| layout);
+    let mut lanes = Vec::with_capacity(3 * N);
+    for (layout, upd) in operands {
+        let mut flipped: Vec<Triple<S::Elem>> = upd
+            .deletes
+            .iter()
+            .map(|&(r, c)| Triple::new(c, r, S::zero()))
+            .collect();
+        flipped.extend(upd.sets.iter().map(|t| Triple::new(t.col, t.row, t.val)));
+        let del_tuples = upd
+            .deletes
+            .iter()
+            .map(|&(r, c)| Triple::new(r, c, S::zero()))
+            .collect();
+        lanes.push((Arc::clone(layout), upd.sets));
+        lanes.push((Arc::clone(layout), del_tuples));
+        lanes.push((layout.transposed(), flipped));
     }
+    let mut built = build_update_matrices_in::<S>(grid, lanes, Dedup::LastWins, timer).into_iter();
+    let mut next = || built.next().expect("three matrices per operand");
+    layouts.map(|layout| {
+        let (set_mat, del_mat, star_t) = (next(), next(), next());
+        // A* = sets ∪ deletes structurally (deletions "add a structural
+        // non-zero to A* to indicate that the corresponding entries have
+        // changed").
+        let star_block = Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a);
+        PreparedGeneral {
+            star: DistDcsr::from_block_in(grid, layout, star_block),
+            set_mat,
+            del_mat,
+            star_t,
+        }
+    })
 }
 
 /// Redistributes one operand's general-update batch (the only communication
-/// of update assembly) and builds its MERGE/MASK/pattern matrices under the
-/// uniform layout. Collective over the grid.
-///
-/// Under [`TransposeMode::Physical`] resolution stays on the wire
-/// (`star_t = None`). Under [`TransposeMode::Virtual`] the combined
-/// structural pattern is additionally redistributed with flipped tuples and
-/// swapped dimensions; ordering the flipped stream deletes-first (zero
-/// values), then sets, and deduplicating [`Dedup::LastWins`] reproduces the
-/// natural star's values exactly — a position covered by any set keeps the
-/// last set value, a delete-only position keeps the semiring zero — so
-/// `COMPUTE_PATTERN`'s broadcast payloads are bit-identical across modes.
-/// `mode` must agree on all ranks (it changes the collective schedule).
+/// of update assembly) and builds its MERGE / MASK / pattern matrices under
+/// `layout`. Collective over the grid.
+pub fn prepare_general_update_in<S: Semiring>(
+    grid: &Grid,
+    layout: &Arc<Layout>,
+    upd: GeneralUpdates<S::Elem>,
+    timer: &mut PhaseTimer,
+) -> PreparedGeneral<S::Elem> {
+    let [prep] = prepare_general_operands::<S, 1>(grid, [(layout, upd)], timer);
+    prep
+}
+
+/// [`prepare_general_update_in`] under the uniform layout, with the mode
+/// argument `benchmark/src/api.rs` passes. Adapter-frozen; nothing in the
+/// workspace names it.
 pub fn prepare_general_update_mode<S: Semiring>(
     grid: &Grid,
     nrows: Index,
     ncols: Index,
     upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
+    _mode: TransposeMode,
     timer: &mut PhaseTimer,
 ) -> PreparedGeneral<S::Elem> {
-    prepare_general_update_mode_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        upd,
-        mode,
-        timer,
-    )
-}
-
-/// [`prepare_general_update_mode`] under an explicit [`Layout`], so the
-/// engine's general-update operands route under the session's (possibly
-/// rebalanced) cuts. Collective.
-fn prepare_general_update_mode_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
-    timer: &mut PhaseTimer,
-) -> PreparedGeneral<S::Elem> {
-    let combined_t = matches!(mode, TransposeMode::Virtual).then(|| {
-        let mut v: Vec<Triple<S::Elem>> = upd
-            .deletes
-            .iter()
-            .map(|&(r, c)| Triple::new(c, r, S::zero()))
-            .collect();
-        v.extend(upd.sets.iter().map(|t| Triple::new(t.col, t.row, t.val)));
-        v
-    });
-    let del_tuples: Vec<Triple<S::Elem>> = upd
-        .deletes
-        .iter()
-        .map(|&(r, c)| Triple::new(r, c, S::zero()))
-        .collect();
-    let set_mat = build_update_matrix_in::<S>(grid, layout, upd.sets, Dedup::LastWins, timer);
-    let del_mat = build_update_matrix_in::<S>(grid, layout, del_tuples, Dedup::LastWins, timer);
-    // A* = sets ∪ deletes structurally (deletions "add a structural non-zero
-    // to A* to indicate that the corresponding entries have changed").
-    let star_block = Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a);
-    let star = DistDcsr::from_block_in(grid, layout, star_block);
-    let star_t = combined_t.map(|tuples| {
-        build_update_matrix_in::<S>(
-            grid,
-            &Arc::new(layout.transposed()),
-            tuples,
-            Dedup::LastWins,
-            timer,
-        )
-    });
-    PreparedGeneral {
-        set_mat,
-        del_mat,
-        star,
-        star_t,
-    }
+    prepare_general_update_in::<S>(grid, &uniform_layout(nrows, ncols, grid.q()), upd, timer)
 }
 
 /// The `√p` masked-recompute rounds of [`recompute_at_cstar`]:
@@ -253,7 +237,7 @@ fn masked_recompute_rounds<S: Semiring>(
 /// and the replacement of `C` and `F` at `C*`. Returns the local flop count
 /// of the recompute. Collective over the grid.
 ///
-/// The `A^R` exchange is physical in both transpose modes: `A^R` is
+/// The `A^R` exchange is the one point-to-point round of a batch: `A^R` is
 /// data-dependent and cannot be prebuilt at redistribution time.
 #[allow(clippy::too_many_arguments)]
 fn recompute_at_cstar<S: Semiring>(
@@ -338,11 +322,9 @@ fn recompute_at_cstar<S: Semiring>(
 ///
 /// `f` must have been maintained by every prior product/update step
 /// ([`crate::summa::summa_bloom`], the tracked algebraic path, or this
-/// function) — the engine enforces that. `mode` selects how
-/// `COMPUTE_PATTERN`'s round roots obtain their blocks and must agree on
-/// all ranks.
+/// function) — the engine enforces that.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates_mode_exec<S: Semiring>(
+pub fn apply_general_updates_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: &mut DistMat<S::Elem>,
@@ -350,18 +332,14 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
     f: &mut DistMat<u64>,
     a_upd: GeneralUpdates<S::Elem>,
     b_upd: GeneralUpdates<S::Elem>,
-    mode: TransposeMode,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    // --- Update matrices (redistribution = "scatter"). ---
-    let (a_ops, b_ops) = timer.time(phase::SCATTER, || {
-        let mut inner_t = PhaseTimer::new();
-        let a_ops =
-            prepare_general_update_mode_in::<S>(grid, a.info().layout(), a_upd, mode, &mut inner_t);
-        let b_ops =
-            prepare_general_update_mode_in::<S>(grid, b.info().layout(), b_upd, mode, &mut inner_t);
-        (a_ops, b_ops)
+    // --- Update matrices (redistribution = "scatter"): six lanes of one
+    // exchange. ---
+    let [a_ops, b_ops] = timer.time(phase::SCATTER, || {
+        let operands = [(a.info().layout(), a_upd), (b.info().layout(), b_upd)];
+        prepare_general_operands::<S, 2>(grid, operands, &mut PhaseTimer::new())
     });
 
     // --- B ← B' (Eq. 1 needs B' during pattern computation). ---
@@ -372,7 +350,7 @@ pub fn apply_general_updates_mode_exec<S: Semiring>(
 
     // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
     let (cstar, flops) =
-        compute_cstar_exec::<S, Pattern>(grid, a, b, a_ops.view(), b_ops.view(), exec, timer);
+        compute_cstar_exec::<S, Pattern>(grid, a, b, &a_ops.star_t, &b_ops.star_t, exec, timer);
 
     // --- A ← A' (the masked recomputation reads the *new* A). ---
     timer.time(phase::LOCAL_UPDATE, || {
@@ -432,10 +410,9 @@ fn replace_at_cstar<S: Semiring>(
 ///
 /// `COMPUTE_PATTERN` runs through
 /// [`compute_cstar_shared_exec`]'s split round structure (Y rounds against
-/// the old `A`, MERGE/MASK application, X rounds against the new `A'`),
-/// resolving round roots the way `prep` was prepared for; the repair reads
-/// only the post-update matrix, so it is
-/// [`apply_general_updates_mode_exec`]'s with `B = A'`.
+/// the old `A`, MERGE/MASK application, X rounds against the new `A'`); the
+/// repair reads only the post-update matrix, so it is
+/// [`apply_general_updates_exec`]'s with `B = A'`.
 pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
@@ -449,7 +426,7 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     let (cstar, flops) = compute_cstar_shared_exec::<S, Pattern>(
         grid,
         a,
-        prep.view(),
+        &prep.star_t,
         |m| {
             apply_merge::<S>(m, &prep.set_mat, exec.threads);
             apply_mask::<S>(m, &prep.del_mat, exec.threads);
@@ -560,7 +537,7 @@ mod tests {
                 } else {
                     (GeneralUpdates::new(), GeneralUpdates::new())
                 };
-                apply_general_updates_mode_exec::<MinPlus>(
+                apply_general_updates_exec::<MinPlus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -568,7 +545,6 @@ mod tests {
                     &mut f,
                     a_upd,
                     b_upd,
-                    TransposeMode::Virtual,
                     &Exec::new(1),
                     &mut timer,
                 );
@@ -626,7 +602,7 @@ mod tests {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates_mode_exec::<U64Plus>(
+            apply_general_updates_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -634,7 +610,6 @@ mod tests {
                 &mut f,
                 a_upd,
                 GeneralUpdates::new(),
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
@@ -668,14 +643,8 @@ mod tests {
                     } else {
                         GeneralUpdates::new()
                     };
-                    // Both transpositions feed the same rounds: alternate.
-                    let mode = if round % 2 == 0 {
-                        TransposeMode::Physical
-                    } else {
-                        TransposeMode::Virtual
-                    };
-                    let prep =
-                        prepare_general_update_mode::<MinPlus>(&grid, n, n, upd, mode, &mut timer);
+                    let layout = a.info().layout();
+                    let prep = prepare_general_update_in::<MinPlus>(&grid, layout, upd, &mut timer);
                     let (cstar, _) = apply_shared_general_prebuilt_exec::<MinPlus>(
                         &grid,
                         &mut a,
@@ -713,7 +682,7 @@ mod tests {
             let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
             let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             let before = c.gather_to_root(comm);
-            apply_general_updates_mode_exec::<U64Plus>(
+            apply_general_updates_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -721,7 +690,6 @@ mod tests {
                 &mut f,
                 GeneralUpdates::new(),
                 GeneralUpdates::new(),
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
@@ -765,7 +733,7 @@ mod tests {
                 } else {
                     GeneralUpdates::new()
                 };
-                apply_general_updates_mode_exec::<U64Plus>(
+                apply_general_updates_exec::<U64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -773,7 +741,6 @@ mod tests {
                     &mut f,
                     a_upd,
                     GeneralUpdates::new(),
-                    TransposeMode::Virtual,
                     &Exec::new(1),
                     &mut timer,
                 );

@@ -8,8 +8,8 @@
 //! tests against static recomputation.
 
 use crate::distmat::{DistMat, Elem, MigrationStats};
-use crate::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
-use crate::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
+use crate::dyn_algebraic::apply_algebraic_updates_exec;
+use crate::dyn_general::{apply_general_updates_exec, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::Layout;
@@ -178,7 +178,7 @@ impl<S: Semiring> DynSpGemm<S> {
         let _sp = dspgemm_obs::span("engine", "apply_algebraic")
             .attr("updates", (a_updates.len() + b_updates.len()) as u64);
         self.dirty = true;
-        self.flops += apply_algebraic_updates_mode_exec::<S>(
+        self.flops += apply_algebraic_updates_exec::<S>(
             grid,
             &mut self.a,
             &mut self.b,
@@ -186,7 +186,6 @@ impl<S: Semiring> DynSpGemm<S> {
             self.f.as_mut(),
             a_updates,
             b_updates,
-            TransposeMode::Virtual,
             &self.exec,
             &mut self.timer,
         );
@@ -212,7 +211,7 @@ impl<S: Semiring> DynSpGemm<S> {
             .as_mut()
             .expect("general updates require a session created with track_filter = true");
         self.dirty = true;
-        self.flops += apply_general_updates_mode_exec::<S>(
+        self.flops += apply_general_updates_exec::<S>(
             grid,
             &mut self.a,
             &mut self.b,
@@ -220,7 +219,6 @@ impl<S: Semiring> DynSpGemm<S> {
             f,
             a_updates,
             b_updates,
-            TransposeMode::Virtual,
             &self.exec,
             &mut self.timer,
         );

@@ -22,7 +22,7 @@
 use crate::grid::block_range;
 use dspgemm_sparse::Index;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The cut points of a 2D block distribution over a `q × q` grid.
 ///
@@ -31,19 +31,36 @@ use std::sync::Arc;
 /// owns global rows `row_cuts[i]..row_cuts[i + 1]` (and columns likewise by
 /// grid column). Zero-width stripes are legal — a rank may own an empty
 /// block, exactly as the uniform split produces when `n < q`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Layout {
     row_cuts: Vec<Index>,
     col_cuts: Vec<Index>,
+    /// [`Layout::transposed`], built on first use: every batch routes its
+    /// flipped update tuples under it.
+    transposed: OnceLock<Arc<Layout>>,
 }
+
+/// Two layouts are equal when their cuts are.
+impl PartialEq for Layout {
+    fn eq(&self, other: &Self) -> bool {
+        self.row_cuts == other.row_cuts && self.col_cuts == other.col_cuts
+    }
+}
+
+impl Eq for Layout {}
 
 impl Layout {
     /// The uniform layout: bit-identical to the
     /// [`crate::grid::block_range`] decomposition of both dimensions.
     pub fn uniform(nrows: Index, ncols: Index, q: usize) -> Self {
+        Self::new(uniform_cuts(nrows, q), uniform_cuts(ncols, q))
+    }
+
+    fn new(row_cuts: Vec<Index>, col_cuts: Vec<Index>) -> Self {
         Self {
-            row_cuts: uniform_cuts(nrows, q),
-            col_cuts: uniform_cuts(ncols, q),
+            row_cuts,
+            col_cuts,
+            transposed: OnceLock::new(),
         }
     }
 
@@ -60,7 +77,7 @@ impl Layout {
             col_cuts.len(),
             "row/col cut vectors must target the same grid side"
         );
-        Self { row_cuts, col_cuts }
+        Self::new(row_cuts, col_cuts)
     }
 
     /// A square layout: the same cuts on both dimensions (the shape every
@@ -133,12 +150,11 @@ impl Layout {
     }
 
     /// The transposed layout (row and column cuts swapped) — the layout of
-    /// `Aᵀ` given the layout of `A`.
-    pub fn transposed(&self) -> Self {
-        Self {
-            row_cuts: self.col_cuts.clone(),
-            col_cuts: self.row_cuts.clone(),
-        }
+    /// `Aᵀ` given the layout of `A`. Built once per layout and shared from
+    /// then on.
+    pub fn transposed(&self) -> Arc<Layout> {
+        let built = || Arc::new(Self::new(self.col_cuts.clone(), self.row_cuts.clone()));
+        Arc::clone(self.transposed.get_or_init(built))
     }
 
     /// Whether `self · rhs` is conformal at the block level: the inner
@@ -160,10 +176,7 @@ impl Layout {
             self.col_cuts,
             rhs.row_cuts
         );
-        Self {
-            row_cuts: self.row_cuts.clone(),
-            col_cuts: rhs.col_cuts.clone(),
-        }
+        Self::new(self.row_cuts.clone(), rhs.col_cuts.clone())
     }
 }
 

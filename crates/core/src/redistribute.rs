@@ -14,11 +14,17 @@
 //! buckets — the paper's stated advantage over the comparison-sort +
 //! global-alltoall redistribution of CombBLAS/CTF (measured by
 //! `repro ablation-redist`).
+//!
+//! A batch builds several update matrices (`A*` and its flipped copy, `B*`,
+//! the MERGE / MASK / pattern matrices of a general batch). They share the
+//! exchange as **lanes** of [`redistribute_lanes_in`]: one `ALLTOALLV` per
+//! phase whose per-destination chunk holds one tuple vector per lane, so the
+//! message count of a batch is `2·p·(√p − 1)` however many matrices it
+//! builds. On the wire a chunk is a vector of vectors — one 8-byte length
+//! prefix per message more than a lone tuple vector.
 
 use crate::grid::Grid;
 use crate::layout::Layout;
-use crate::pipeline::await_into_phase;
-use dspgemm_mpi::Request;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
@@ -35,17 +41,6 @@ pub mod phase {
     pub const LOCAL_CONSTRUCT: &str = "local construct.";
     /// Applying the update matrix to the local dynamic block.
     pub const LOCAL_ADDITION: &str = "local addition";
-}
-
-/// The in-flight first half of a [`redistribute`]: the row-phase
-/// `IALLTOALLV` has been issued (its sends are on the wire and progress
-/// under whatever the caller does next) but not yet awaited. Produced by
-/// [`redistribute_start_in`], consumed by [`redistribute_finish_in`].
-///
-/// The split is what lets an update batch issue the row phases of all its
-/// builds (`A*`, `B*`, and their transposed layouts) before completing any.
-pub(crate) struct InflightRedist<V: Copy + Send + Sync + WireSize + WireDecode + 'static> {
-    req: Request<Vec<Vec<Triple<V>>>>,
 }
 
 /// Routes every tuple to the rank owning its `(row, col)` position under the
@@ -70,73 +65,9 @@ where
     )
 }
 
-/// Issues the first (row) phase of the two-phase redistribution
-/// nonblocking: counting-sorts the tuples by destination grid row under the
-/// cut points of `layout` and starts the column-communicator `IALLTOALLV`.
-/// Collective over the grid (every rank must issue in the same order);
-/// complete with [`redistribute_finish_in`].
-pub(crate) fn redistribute_start_in<V>(
-    grid: &Grid,
-    layout: &Layout,
-    tuples: Vec<Triple<V>>,
-    timer: &mut PhaseTimer,
-) -> InflightRedist<V>
-where
-    V: Copy + Send + Sync + WireSize + WireDecode + 'static,
-{
-    let q = grid.q();
-    debug_assert_eq!(layout.q(), q, "layout must target the grid side");
-    let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_by(tuples, q, |t| layout.row_owner(t.row).0)
-    });
-    InflightRedist {
-        req: grid.col_comm().ialltoallv(chunks),
-    }
-}
-
-/// Completes a redistribution started with [`redistribute_start_in`]:
-/// awaits the row phase (blocked time goes into [`phase::REDIST_COMM`]
-/// exposed, compute-hidden time into its overlapped share) and runs the
-/// second (column) phase. Returns this rank's tuples, still globally
-/// indexed.
-pub(crate) fn redistribute_finish_in<V>(
-    grid: &Grid,
-    layout: &Layout,
-    inflight: InflightRedist<V>,
-    timer: &mut PhaseTimer,
-) -> Vec<Triple<V>>
-where
-    V: Copy + Send + Sync + WireSize + WireDecode + 'static,
-{
-    let q = grid.q();
-    debug_assert_eq!(layout.q(), q, "layout must target the grid side");
-    let received = await_into_phase(inflight.req, timer, phase::REDIST_COMM);
-    let tuples: Vec<Triple<V>> = timer.time(phase::MEM_MANAGEMENT, || {
-        let total = received.iter().map(Vec::len).sum();
-        let mut v = Vec::with_capacity(total);
-        for chunk in received {
-            v.extend(chunk);
-        }
-        v
-    });
-    // Phase 2: to the correct grid column, exchanging within my grid row.
-    let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_by(tuples, q, |t| layout.col_owner(t.col).0)
-    });
-    let received = timer.time(phase::REDIST_COMM, || grid.row_comm().alltoallv(chunks));
-    timer.time(phase::MEM_MANAGEMENT, || {
-        let total = received.iter().map(Vec::len).sum();
-        let mut v = Vec::with_capacity(total);
-        for chunk in received {
-            v.extend(chunk);
-        }
-        v
-    })
-}
-
 /// Routes every tuple to the rank owning its `(row, col)` position under the
-/// explicit cut points of `layout`: the nonblocking row phase and its
-/// completion, back to back.
+/// explicit cut points of `layout`: the one-lane call of
+/// [`redistribute_lanes_in`].
 pub fn redistribute_in<V>(
     grid: &Grid,
     layout: &Layout,
@@ -146,8 +77,93 @@ pub fn redistribute_in<V>(
 where
     V: Copy + Send + Sync + WireSize + WireDecode + 'static,
 {
-    let inflight = redistribute_start_in(grid, layout, tuples, timer);
-    redistribute_finish_in(grid, layout, inflight, timer)
+    let mut lanes = redistribute_lanes_in(grid, &[layout], vec![tuples], timer);
+    lanes.pop().expect("one lane in, one lane out")
+}
+
+/// Routes `lanes.len()` tuple sets through **one** two-phase exchange: lane
+/// `l` routes under `layouts[l]`, and each `ALLTOALLV` message carries one
+/// vector per lane, so a batch that builds several update matrices — `A*`,
+/// its flipped copy under [`Layout::transposed`], `B*`, … — still sends
+/// `2·p·(√p − 1)` messages in all. Returns this rank's tuples per lane,
+/// still globally indexed.
+///
+/// The partitioning is stable and the per-source chunks are concatenated in
+/// source order, lane by lane, so every lane arrives as the exact sequence
+/// a [`redistribute_in`] of that lane alone returns — duplicates fold in the
+/// same order whatever shares the exchange. Collective over the grid (same
+/// lane count on every rank).
+pub fn redistribute_lanes_in<V>(
+    grid: &Grid,
+    layouts: &[&Layout],
+    lanes: Vec<Vec<Triple<V>>>,
+    timer: &mut PhaseTimer,
+) -> Vec<Vec<Triple<V>>>
+where
+    V: Copy + Send + Sync + WireSize + WireDecode + 'static,
+{
+    let q = grid.q();
+    assert_eq!(layouts.len(), lanes.len(), "one layout per lane");
+    debug_assert!(
+        layouts.iter().all(|l| l.q() == q),
+        "layouts must target the grid side"
+    );
+    // Phase 1: to the correct grid row, exchanging within my grid column.
+    let chunks = timer.time(phase::REDIST_SORT, || {
+        partition_lanes(lanes, q, |l, t| layouts[l].row_owner(t.row).0)
+    });
+    let received = timer.time(phase::REDIST_COMM, || grid.col_comm().alltoallv(chunks));
+    let lanes = timer.time(phase::MEM_MANAGEMENT, || {
+        concat_lanes(received, layouts.len())
+    });
+    // Phase 2: to the correct grid column, exchanging within my grid row.
+    let chunks = timer.time(phase::REDIST_SORT, || {
+        partition_lanes(lanes, q, |l, t| layouts[l].col_owner(t.col).0)
+    });
+    let received = timer.time(phase::REDIST_COMM, || grid.row_comm().alltoallv(chunks));
+    timer.time(phase::MEM_MANAGEMENT, || {
+        concat_lanes(received, layouts.len())
+    })
+}
+
+/// Counting-sorts every lane by destination and regroups the buckets as one
+/// chunk per destination holding one vector per lane — the `ALLTOALLV`
+/// payload of [`redistribute_lanes_in`].
+fn partition_lanes<T>(
+    lanes: Vec<Vec<T>>,
+    buckets: usize,
+    mut key: impl FnMut(usize, &T) -> usize,
+) -> Vec<Vec<Vec<T>>> {
+    let mut out: Vec<Vec<Vec<T>>> = (0..buckets)
+        .map(|_| Vec::with_capacity(lanes.len()))
+        .collect();
+    for (l, items) in lanes.into_iter().enumerate() {
+        for (chunk, dst) in partition_by(items, buckets, |t| key(l, t))
+            .into_iter()
+            .zip(&mut out)
+        {
+            dst.push(chunk);
+        }
+    }
+    out
+}
+
+/// Concatenates the received `[source][lane]` chunks lane by lane, in source
+/// order.
+fn concat_lanes<T>(received: Vec<Vec<Vec<T>>>, lanes: usize) -> Vec<Vec<T>> {
+    assert!(
+        received.iter().all(|src| src.len() == lanes),
+        "every rank routes the same lanes"
+    );
+    let mut out: Vec<Vec<T>> = (0..lanes)
+        .map(|l| Vec::with_capacity(received.iter().map(|src| src[l].len()).sum()))
+        .collect();
+    for src in received {
+        for (lane, chunk) in out.iter_mut().zip(src) {
+            lane.extend(chunk);
+        }
+    }
+    out
 }
 
 /// The counting-sort distribution pass: one counting pass for exact bucket

@@ -5,7 +5,10 @@
 //! 1. ranks hold arbitrary update tuples with global indices;
 //! 2. [`build_update_matrix`] redistributes them (two-phase counting-sort
 //!    alltoall) and assembles this rank's block of the hypersparse update
-//!    matrix `A*` in DCSR layout;
+//!    matrix `A*` in DCSR layout — every update matrix one batch needs
+//!    (both layouts of `A*` and `B*`, see [`StarPair`]) is a lane of the same
+//!    exchange ([`crate::redistribute::redistribute_lanes_in`]), so a batch
+//!    pays for one redistribution;
 //! 3. one of the *purely local* application operators finishes the job —
 //!    [`apply_add`] (`A += A*`), [`apply_merge`] (`MERGE`), or
 //!    [`apply_mask`] (`MASK`) — each parallelized over `threads` shards by
@@ -20,7 +23,7 @@
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
-use crate::redistribute::{phase, redistribute_finish_in, redistribute_start_in, InflightRedist};
+use crate::redistribute::{phase, redistribute_lanes_in};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{dhb::DhbRow, Dcsr, DhbMatrix, Index, Triple};
 use dspgemm_util::par::parallel_for_each_shard;
@@ -67,43 +70,31 @@ fn assemble_update_block<S: Semiring>(
     })
 }
 
-/// An update-matrix build whose first redistribution phase is in flight
-/// (see [`crate::redistribute::redistribute_start_in`]). Produced by
-/// [`start_update_matrix_in`], completed by [`PendingUpdateMatrix::finish`].
-pub(crate) struct PendingUpdateMatrix<S: Semiring> {
-    layout: Arc<Layout>,
-    dedup: Dedup,
-    inflight: InflightRedist<S::Elem>,
-}
+/// One lane of a batch's build: the tuples of one update matrix and the
+/// layout they route and assemble under — update matrices always match the
+/// (possibly rebalanced) layout of the matrix they apply to.
+pub(crate) type Lane<V> = (Arc<Layout>, Vec<Triple<V>>);
 
-impl<S: Semiring> PendingUpdateMatrix<S> {
-    /// Awaits the in-flight exchange, runs the second redistribution phase
-    /// and assembles this rank's block. Collective over the grid.
-    pub(crate) fn finish(self, grid: &Grid, timer: &mut PhaseTimer) -> DistDcsr<S::Elem> {
-        let mine = redistribute_finish_in(grid, &self.layout, self.inflight, timer);
-        assemble_update_block::<S>(grid, &self.layout, mine, self.dedup, timer)
-    }
-}
-
-/// Issues the first redistribution phase of an update-matrix build
-/// nonblocking and returns the pending handle, routing and assembling under
-/// `layout` — update matrices always match the (possibly rebalanced) layout
-/// of the matrix they apply to. Collective over the grid (same issue order
-/// on every rank).
-pub(crate) fn start_update_matrix_in<S: Semiring>(
+/// Builds one update matrix per lane from a single redistribution (see
+/// [`redistribute_lanes_in`]), duplicates combining by `dedup` in every
+/// lane. Collective over the grid.
+pub(crate) fn build_update_matrices_in<S: Semiring>(
     grid: &Grid,
-    layout: &Arc<Layout>,
-    tuples: Vec<Triple<S::Elem>>,
+    lanes: Vec<Lane<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
-) -> PendingUpdateMatrix<S> {
-    let _sp = dspgemm_obs::span("engine", "redistribute").attr("updates", tuples.len() as u64);
-    let inflight = redistribute_start_in(grid, layout, tuples, timer);
-    PendingUpdateMatrix {
-        layout: Arc::clone(layout),
-        dedup,
-        inflight,
-    }
+) -> Vec<DistDcsr<S::Elem>> {
+    let _sp = dspgemm_obs::span("engine", "redistribute")
+        .attr("lanes", lanes.len() as u64)
+        .attr("updates", lanes.iter().map(|(_, t)| t.len() as u64).sum());
+    let (layouts, tuples): (Vec<Arc<Layout>>, Vec<_>) = lanes.into_iter().unzip();
+    let routes: Vec<&Layout> = layouts.iter().map(|l| &**l).collect();
+    let routed = redistribute_lanes_in(grid, &routes, tuples, timer);
+    layouts
+        .iter()
+        .zip(routed)
+        .map(|(layout, mine)| assemble_update_block::<S>(grid, layout, mine, dedup, timer))
+        .collect()
 }
 
 /// Redistributes globally-indexed update tuples and assembles this rank's
@@ -126,7 +117,7 @@ pub fn build_update_matrix<S: Semiring>(
     )
 }
 
-/// [`build_update_matrix`] under an explicit layout.
+/// [`build_update_matrix`] under an explicit layout: a one-lane build.
 pub fn build_update_matrix_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
@@ -134,7 +125,9 @@ pub fn build_update_matrix_in<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> DistDcsr<S::Elem> {
-    start_update_matrix_in::<S>(grid, layout, tuples, dedup, timer).finish(grid, timer)
+    let lane = (Arc::clone(layout), tuples);
+    let mut built = build_update_matrices_in::<S>(grid, vec![lane], dedup, timer);
+    built.pop().expect("one lane in, one matrix out")
 }
 
 /// The natural- and transposed-layout builds of one update matrix — what
@@ -142,14 +135,13 @@ pub fn build_update_matrix_in<S: Semiring>(
 ///
 /// `natural` is the standard `A*` (rank `(i, j)` holds `A*_{i,j}`; the
 /// local `A += A*` application needs this layout). `transposed` is
-/// `(A*)ᵀ` built by routing the *flipped* tuples through the same two-phase
-/// redistribution with swapped dimensions, so rank `(i, j)` holds
+/// `(A*)ᵀ` built by routing the *flipped* tuples as a second lane of the
+/// same redistribution, under [`Layout::transposed`], so rank `(i, j)` holds
 /// `(A*_{j,i})ᵀ` — exactly the block it would have received from its
-/// transposed peer in Algorithm 1's point-to-point exchange, already
-/// transposed. A purely local counting-sort transposition
+/// transposed peer in Algorithm 1's point-to-point exchange (Fig. 1a),
+/// already transposed. A purely local counting-sort transposition
 /// ([`Dcsr::transpose_into`]) recovers the broadcast payload `A*_{j,i}`
-/// bit-for-bit, and the `TAG_AT`/`TAG_BT`/`TAG_SHARED` wire exchange
-/// disappears.
+/// bit-for-bit, and that exchange never runs.
 #[derive(Debug, Clone)]
 pub struct StarPair<V> {
     /// The natural-layout update matrix (`A*_{i,j}` at rank `(i, j)`).
@@ -158,35 +150,54 @@ pub struct StarPair<V> {
     pub transposed: DistDcsr<V>,
 }
 
-/// Issues the first redistribution phase of both layouts of one update
-/// matrix — natural tuples, then flipped tuples routed under
-/// [`Layout::transposed`] — and returns the pending `[natural, transposed]`
-/// builds. The two `IALLTOALLV`s cross the wire concurrently. Collective
-/// over the grid.
-pub(crate) fn start_update_matrix_pair_in<S: Semiring>(
+/// Builds both layouts of `N` update matrices — one per `(layout, tuples)`
+/// operand — from a single redistribution of `2·N` lanes. Collective over
+/// the grid.
+pub(crate) fn build_star_pairs_in<S: Semiring, const N: usize>(
+    grid: &Grid,
+    operands: [Lane<S::Elem>; N],
+    dedup: Dedup,
+    timer: &mut PhaseTimer,
+) -> [StarPair<S::Elem>; N] {
+    let mut lanes = Vec::with_capacity(2 * N);
+    for (layout, tuples) in operands {
+        // Flip (r, c, v) → (c, r, v) *before* routing: the transposed
+        // layout is an ordinary update-matrix build of the flipped entry
+        // set. Stable sorting + dedup then reproduce the exact values of
+        // the natural build (same input order, same fold order), so the two
+        // layouts are exact transposes of each other entry-for-entry.
+        let flipped = tuples
+            .iter()
+            .map(|t| Triple::new(t.col, t.row, t.val))
+            .collect();
+        let transposed = layout.transposed();
+        lanes.push((layout, tuples));
+        lanes.push((transposed, flipped));
+    }
+    let mut built = build_update_matrices_in::<S>(grid, lanes, dedup, timer).into_iter();
+    let mut next = || built.next().expect("two matrices per operand");
+    std::array::from_fn(|_| StarPair {
+        natural: next(),
+        transposed: next(),
+    })
+}
+
+/// Builds both layouts of one update matrix (see [`StarPair`]) under an
+/// explicit layout. Collective over the grid.
+pub fn build_update_matrix_pair_in<S: Semiring>(
     grid: &Grid,
     layout: &Arc<Layout>,
     tuples: Vec<Triple<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
-) -> [PendingUpdateMatrix<S>; 2] {
-    // Flip (r, c, v) → (c, r, v) *before* routing: the transposed layout is
-    // an ordinary update-matrix build of the flipped entry set. Stable
-    // sorting + dedup then reproduce the exact values of the natural build
-    // (same input order, same fold order), so the two layouts are exact
-    // transposes of each other entry-for-entry.
-    let flipped: Vec<Triple<S::Elem>> = tuples
-        .iter()
-        .map(|t| Triple::new(t.col, t.row, t.val))
-        .collect();
-    let natural = start_update_matrix_in::<S>(grid, layout, tuples, dedup, timer);
-    let transposed =
-        start_update_matrix_in::<S>(grid, &Arc::new(layout.transposed()), flipped, dedup, timer);
-    [natural, transposed]
+) -> StarPair<S::Elem> {
+    let operand = (Arc::clone(layout), tuples);
+    let [pair] = build_star_pairs_in::<S, 1>(grid, [operand], dedup, timer);
+    pair
 }
 
-/// Builds both layouts of one update matrix (see [`StarPair`]) under the
-/// uniform layout. Collective over the grid.
+/// [`build_update_matrix_pair_in`] under the uniform layout. Adapter-frozen:
+/// `benchmark/src/api.rs` names it; nothing in the workspace does.
 pub fn build_update_matrix_pair<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -196,12 +207,7 @@ pub fn build_update_matrix_pair<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> StarPair<S::Elem> {
     let layout = uniform_layout(nrows, ncols, grid.q());
-    let [natural, transposed] =
-        start_update_matrix_pair_in::<S>(grid, &layout, tuples, dedup, timer);
-    StarPair {
-        natural: natural.finish(grid, timer),
-        transposed: transposed.finish(grid, timer),
-    }
+    build_update_matrix_pair_in::<S>(grid, &layout, tuples, dedup, timer)
 }
 
 /// One stored row of an update block borrowed for application:

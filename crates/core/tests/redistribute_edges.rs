@@ -1,16 +1,18 @@
 //! Edge cases of the two-phase update redistribution that the model-based
 //! tests skip: per-rank empty tuple sets, total concentration of a batch
 //! into a single block, index spaces smaller than the grid side (zero-width
-//! blocks), and the documented clean rejection of non-square process
-//! counts.
+//! blocks), the documented clean rejection of non-square process counts, and
+//! the order in which a lane of the shared exchange arrives.
 
 use dspgemm_core::grid::{block_range, owner_block, Grid};
-use dspgemm_core::redistribute::redistribute;
+use dspgemm_core::layout::Layout;
+use dspgemm_core::redistribute::{redistribute, redistribute_in, redistribute_lanes_in};
 use dspgemm_core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm_core::DistMat;
 use dspgemm_mpi::run;
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
+use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::stats::PhaseTimer;
 
 /// Only one rank (and not rank 0) contributes tuples; every other rank's
@@ -155,6 +157,91 @@ fn empty_batches_everywhere_build_valid_empty_updates() {
     });
     assert!(out.results.iter().all(|&(u, _, same)| u == 0 && same));
     assert_eq!(out.results.iter().map(|&(_, m, _)| m).sum::<usize>(), 1);
+}
+
+/// What grid position `(i, j)` feeds into lane `lane`: `count` draws from a
+/// small index space, so coordinates repeat within and across ranks, each
+/// value naming its origin and draw position — a reordering of equal
+/// coordinates (the fold order of `Dedup::Add`) changes the sequence.
+fn lane_input(
+    dims: (Index, Index),
+    q: usize,
+    at: (usize, usize),
+    lane: usize,
+    count: usize,
+) -> Vec<Triple<u64>> {
+    let origin = (at.0 * q + at.1) as u64;
+    let mut rng = SplitMix64::new(1000 * lane as u64 + origin);
+    (0..count as u64)
+        .map(|k| {
+            let row = rng.gen_range(dims.0 as u64) as Index;
+            let col = rng.gen_range(dims.1 as u64) as Index;
+            Triple::new(row, col, (origin << 32) | k)
+        })
+        .collect()
+}
+
+/// The sequence two stable phases deliver to `(i, j)`: the column phase
+/// concatenates by source grid column, and what each of those sources holds
+/// after the row phase is concatenated by source grid row.
+fn expected_arrival(
+    layout: &Layout,
+    at: (usize, usize),
+    input: impl Fn((usize, usize)) -> Vec<Triple<u64>>,
+) -> Vec<Triple<u64>> {
+    let q = layout.q();
+    let mine = |t: &Triple<u64>| (layout.row_owner(t.row).0, layout.col_owner(t.col).0) == at;
+    (0..q)
+        .flat_map(|j| (0..q).map(move |i| (i, j)))
+        .flat_map(|from| input(from).into_iter().filter(mine))
+        .collect()
+}
+
+/// The lane exchange returns, per lane and *as a sequence*, exactly what one
+/// `redistribute_in` per lane returns, and both return the closed-form
+/// arrival order — so update matrices built from lanes fold duplicates in
+/// the order separate builds did. Skewed cuts with a narrow stripe, a lane
+/// under the transposed layout (rows and columns cut differently), an empty
+/// lane, and a batch whose lanes are all empty.
+#[test]
+fn lane_exchange_arrives_like_separate_redistributions() {
+    let cases: [(usize, Layout); 4] = [
+        (1, Layout::square(vec![0, 23])),
+        (4, Layout::square(vec![0, 3, 23])),
+        (4, Layout::from_cuts(vec![0, 17, 19], vec![0, 2, 31])),
+        (9, Layout::from_cuts(vec![0, 3, 5, 30], vec![0, 11, 11, 14])),
+    ];
+    for (p, layout) in cases {
+        for counts in [[40, 40, 0, 25], [0; 4]] {
+            let layout = layout.clone();
+            run(p, move |comm| {
+                let grid = Grid::new(comm);
+                let (q, at) = (grid.q(), grid.coords());
+                let transposed = layout.transposed();
+                let layouts: [&Layout; 4] = [&layout, &transposed, &layout, &layout];
+                let input = |lane: usize, from: (usize, usize)| {
+                    let l = layouts[lane];
+                    lane_input((l.nrows(), l.ncols()), q, from, lane, counts[lane])
+                };
+                let mut timer = PhaseTimer::new();
+                let lanes = (0..4).map(|lane| input(lane, at)).collect();
+                let together = redistribute_lanes_in(&grid, &layouts, lanes, &mut timer);
+                assert_eq!(together.len(), 4);
+                for (lane, got) in together.into_iter().enumerate() {
+                    let alone = redistribute_in(&grid, layouts[lane], input(lane, at), &mut timer);
+                    let want = expected_arrival(layouts[lane], at, |from| input(lane, from));
+                    assert_eq!(
+                        got, want,
+                        "p={p} lane={lane}: shared exchange moved the order"
+                    );
+                    assert_eq!(
+                        alone, want,
+                        "p={p} lane={lane}: lone exchange moved the order"
+                    );
+                }
+            });
+        }
+    }
 }
 
 /// Non-square process counts are rejected with the documented panic — the

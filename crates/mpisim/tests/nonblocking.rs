@@ -307,12 +307,12 @@ fn blocking_recv_racing_posted_irecv_panics() {
 
 #[test]
 fn inflight_ialltoallv_survives_sibling_collectives() {
-    // An update batch issues the row-phase `ialltoallv`s of all its builds on
-    // one communicator (the process-column) and runs the first build's
-    // column phase — collectives on a *sibling* communicator split from the
-    // same world — before waiting on the rest; this test goes further and
-    // runs broadcasts, reductions and barriers there. The in-flight request
-    // must neither lose messages nor steal the siblings' traffic.
+    // A property of the collective, whoever issues it (the engine's batches
+    // complete each `alltoallv` before starting the next): while an
+    // `ialltoallv` is in flight on one communicator, broadcasts, reductions
+    // and barriers run on a *sibling* communicator split from the same
+    // world. The in-flight request must neither lose messages nor steal the
+    // siblings' traffic.
     for p in [4usize, 9] {
         let q = (p as f64).sqrt() as usize;
         let chunks = |rank: usize| -> Vec<Vec<u64>> {

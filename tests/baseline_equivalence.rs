@@ -6,7 +6,7 @@
 use dspgemm::baselines::{
     combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
 };
-use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm::core::summa::summa;
 use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::semiring::U64Plus;
@@ -140,7 +140,7 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
         let mut c_cb = CombBlasMatrix::<u64>::empty(&grid, n, n);
         for round in 0..3u64 {
             let batch = random_triples(30 + round * 5 + comm.rank() as u64, n, 8);
-            apply_algebraic_updates_mode_exec::<U64Plus>(
+            apply_algebraic_updates_exec::<U64Plus>(
                 &grid,
                 &mut a_ours,
                 &mut b_ours,
@@ -148,7 +148,6 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
                 None,
                 batch.clone(),
                 vec![],
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );

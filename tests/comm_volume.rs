@@ -1,13 +1,17 @@
 //! Communication-volume assertions — the paper's headline claims, checked
 //! as hard test invariants rather than just benchmarks.
 
-use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm::analytics::AnalyticsSession;
+use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
+use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, Exec, Grid};
+use dspgemm::core::{DistMat, DynSpGemm, Exec, Grid};
 use dspgemm::graph::catalog::small_instances;
-use dspgemm::sparse::semiring::F64Plus;
-use dspgemm::sparse::{Csr, Dcsr, Triple};
+use dspgemm::mpi::{Comm, CommCategory};
+use dspgemm::sparse::semiring::{F64Plus, U64Plus};
+use dspgemm::sparse::{Csr, Dcsr, Index, Triple};
+use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
 use dspgemm::util::WireSize;
 
@@ -61,7 +65,7 @@ fn dynamic_update_volume_beats_static_recompute() {
         } else {
             vec![]
         };
-        apply_algebraic_updates_mode_exec::<F64Plus>(
+        apply_algebraic_updates_exec::<F64Plus>(
             &grid,
             &mut a,
             &mut b,
@@ -69,7 +73,6 @@ fn dynamic_update_volume_beats_static_recompute() {
             None,
             ups,
             vec![],
-            TransposeMode::Virtual,
             &Exec::new(1),
             &mut timer,
         );
@@ -144,7 +147,7 @@ fn bcast_volume_scales_with_batch_not_operands() {
             } else {
                 vec![]
             };
-            apply_algebraic_updates_mode_exec::<F64Plus>(
+            apply_algebraic_updates_exec::<F64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -152,7 +155,6 @@ fn bcast_volume_scales_with_batch_not_operands() {
                 None,
                 ups,
                 vec![],
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
@@ -170,4 +172,108 @@ fn bcast_volume_scales_with_batch_not_operands() {
         big > small,
         "bcast volume must grow with batch: {small} vs {big}"
     );
+}
+
+/// `count` draws over a 40 × 40 index space.
+fn draws(seed: u64, count: usize) -> Vec<Triple<u64>> {
+    let mut rng = SplitMix64::new(seed);
+    let mut coord = move || rng.gen_range(40) as Index;
+    (0..count)
+        .map(|_| Triple::new(coord(), coord(), 1))
+        .collect()
+}
+
+/// What the ranks of a `p`-rank run sent inside `batch`, summed:
+/// `Alltoall` messages, `P2p` bytes, `P2p` messages.
+fn batch_traffic<T>(
+    p: usize,
+    setup: impl Fn(&Comm) -> T + Send + Sync,
+    batch: impl Fn(&mut T, &Comm) + Send + Sync,
+) -> (u64, u64, u64) {
+    let own = |comm: &Comm| {
+        let mine = &comm.comm_stats().per_rank[comm.rank()];
+        let (a2a, p2p) = (CommCategory::Alltoall as usize, CommCategory::P2p as usize);
+        [mine.msgs[a2a], mine.bytes[p2p], mine.msgs[p2p]]
+    };
+    let out = dspgemm::mpi::run(p, |comm| {
+        let mut state = setup(comm);
+        comm.barrier();
+        let before = own(comm);
+        batch(&mut state, comm);
+        let after = own(comm);
+        comm.barrier();
+        [0, 1, 2].map(|k| after[k] - before[k])
+    });
+    let sum = |k: usize| out.results.iter().map(|d| d[k]).sum();
+    (sum(0), sum(1), sum(2))
+}
+
+/// A batch redistributes once: `2·p·(√p − 1)` `ALLTOALLV` messages whether
+/// it builds two update matrices (session insert), three (session delete),
+/// four (Algorithm 1) or six (Algorithm 2). An algebraic batch sends nothing
+/// point-to-point — the transposed layouts ride the same exchange — and a
+/// general batch only its `A^R` exchange, one message per off-diagonal rank.
+#[test]
+fn redistribution_is_one_exchange_per_batch() {
+    type Engine = (Grid, DynSpGemm<U64Plus>);
+    let engine = |track_filter: bool| {
+        move |comm: &Comm| -> Engine {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let r = comm.rank() as u64;
+            let a = DistMat::from_global_triples(&grid, 40, 40, draws(10 + r, 60), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, 40, 40, draws(20 + r, 60), 1, &mut timer);
+            let eng = DynSpGemm::new(&grid, a, b, 1, track_filter);
+            (grid, eng)
+        }
+    };
+    let algebraic = |(grid, eng): &mut Engine, comm: &Comm| {
+        let r = comm.rank() as u64;
+        eng.apply_algebraic(grid, draws(30 + r, 20), draws(40 + r, 20));
+    };
+    let general = |(grid, eng): &mut Engine, comm: &Comm| {
+        let r = comm.rank() as u64;
+        let positions = |seed| draws(seed, 9).iter().map(|t| (t.row, t.col)).collect();
+        let a_upd = GeneralUpdates {
+            sets: draws(50 + r, 10),
+            deletes: positions(10 + r),
+        };
+        let b_upd = GeneralUpdates {
+            sets: draws(60 + r, 10),
+            deletes: positions(20 + r),
+        };
+        eng.apply_general(grid, a_upd, b_upd);
+    };
+    let session = |comm: &Comm| {
+        AnalyticsSession::<U64Plus>::from_triples(comm, 40, 1, draws(70 + comm.rank() as u64, 60))
+    };
+    let insert = |s: &mut AnalyticsSession<U64Plus>, comm: &Comm| {
+        s.insert_edges(draws(80 + comm.rank() as u64, 20));
+    };
+    let delete = |s: &mut AnalyticsSession<U64Plus>, comm: &Comm| {
+        let stored = draws(70 + comm.rank() as u64, 9);
+        s.delete_edges(stored.iter().map(|t| (t.row, t.col)).collect());
+    };
+    for (p, q) in [(4u64, 2u64), (9, 3)] {
+        let one_exchange = 2 * p * (q - 1);
+        let algebraic_batches = [
+            batch_traffic(p as usize, engine(false), algebraic),
+            batch_traffic(p as usize, engine(true), algebraic),
+            batch_traffic(p as usize, session, insert),
+        ];
+        for got in algebraic_batches {
+            assert_eq!(got, (one_exchange, 0, 0), "p={p}: algebraic batch");
+        }
+        let general_batches = [
+            batch_traffic(p as usize, engine(true), general),
+            batch_traffic(p as usize, session, delete),
+        ];
+        for (alltoall, _, p2p_msgs) in general_batches {
+            assert_eq!(
+                (alltoall, p2p_msgs),
+                (one_exchange, p - q),
+                "p={p}: general batch"
+            );
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! pipelines must perform zero payload deep-clones — across p ∈ {1, 4, 9}
 //! and both evaluated semirings.
 
-use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
-use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
+use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
+use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
 use dspgemm::core::spmv::{spmv, DistVec};
 use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, Exec, Grid};
@@ -131,7 +131,7 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             for round in 0..2u64 {
                 let ups = random_triples::<U64Plus>(50 + round + comm.rank() as u64, n, 12, |v| v);
-                apply_algebraic_updates_mode_exec::<U64Plus>(
+                apply_algebraic_updates_exec::<U64Plus>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -139,7 +139,6 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
                     None,
                     ups,
                     vec![],
-                    TransposeMode::Virtual,
                     &Exec::new(1),
                     &mut timer,
                 );
@@ -183,7 +182,7 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates_mode_exec::<MinPlus>(
+            apply_general_updates_exec::<MinPlus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -191,7 +190,6 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
                 &mut f,
                 upd,
                 GeneralUpdates::new(),
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );

@@ -6,8 +6,7 @@
 //! same tags, same merge order, same program.
 
 use dspgemm::analytics::{masked_product, AnalyticsSession};
-use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
-use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
+use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
@@ -129,14 +128,10 @@ fn pin(results: Vec<RankResult>) -> Pinned {
     }
 }
 
-/// One batch through a two-operand engine. The engine runs the virtual
-/// schedule; under [`TransposeMode::Physical`] the batch drives the
-/// function-level entry on the engine's fields, then publishes as the engine
-/// would.
+/// One batch through a two-operand engine.
 fn engine_batch(
     track_filter: bool,
-    mode: TransposeMode,
-    batch: impl Fn(&mut DynSpGemm<U64Plus>, &Grid, &Comm, TransposeMode) + Send + Sync,
+    batch: impl Fn(&mut DynSpGemm<U64Plus>, &Grid, &Comm) + Send + Sync,
 ) -> Pinned {
     let out = dspgemm::mpi::run(P, |comm| {
         let grid = Grid::new(comm);
@@ -145,36 +140,18 @@ fn engine_batch(
         let a = DistMat::from_global_triples(&grid, N, N, triples(10 + r, 90), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, N, N, triples(20 + r, 90), 1, &mut timer);
         let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, track_filter);
-        let (volume, flops) = measure(comm, &mut eng, |e| e.flops, |e| batch(e, &grid, comm, mode));
+        let (volume, flops) = measure(comm, &mut eng, |e| e.flops, |e| batch(e, &grid, comm));
         (volume, flops, eng.c.gather_to_root(comm))
     });
     pin(out.results)
 }
 
-fn algebraic(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm, mode: TransposeMode) {
+fn algebraic(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
     let r = comm.rank() as u64;
-    let (a_ups, b_ups) = (triples(30 + r, 24), triples(40 + r, 24));
-    match mode {
-        TransposeMode::Virtual => eng.apply_algebraic(grid, a_ups, b_ups),
-        TransposeMode::Physical => {
-            eng.flops += apply_algebraic_updates_mode_exec::<U64Plus>(
-                grid,
-                &mut eng.a,
-                &mut eng.b,
-                &mut eng.c,
-                eng.f.as_mut(),
-                a_ups,
-                b_ups,
-                mode,
-                &eng.exec,
-                &mut eng.timer,
-            );
-            eng.publish();
-        }
-    }
+    eng.apply_algebraic(grid, triples(30 + r, 24), triples(40 + r, 24));
 }
 
-fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm, mode: TransposeMode) {
+fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
     let r = comm.rank() as u64;
     let a_upd = GeneralUpdates {
         sets: triples(50 + r, 12),
@@ -184,24 +161,7 @@ fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm, mode: Transpo
         sets: triples(60 + r, 12),
         deletes: existing(20 + r, 90).into_iter().take(8).collect(),
     };
-    match mode {
-        TransposeMode::Virtual => eng.apply_general(grid, a_upd, b_upd),
-        TransposeMode::Physical => {
-            eng.flops += apply_general_updates_mode_exec::<U64Plus>(
-                grid,
-                &mut eng.a,
-                &mut eng.b,
-                &mut eng.c,
-                eng.f.as_mut().expect("general arms track the filter"),
-                a_upd,
-                b_upd,
-                mode,
-                &eng.exec,
-                &mut eng.timer,
-            );
-            eng.publish();
-        }
-    }
+    eng.apply_general(grid, a_upd, b_upd);
 }
 
 /// One batch through the shared-operand analytics session.
@@ -216,18 +176,20 @@ fn session_batch(batch: impl Fn(&mut AnalyticsSession<U64Plus>, &Comm) + Send + 
 }
 
 // Captured at the parent of the entry-point collapse (commit cf8556b), before
-// any source file was edited. The physical arms differ from the virtual ones
-// by the transpose exchange alone (p2p up, one redistribution per operand
-// down); tracking the filter widens the merge-reduced partials, nothing else.
+// any source file was edited; tracking the filter widens the merge-reduced
+// partials, nothing else. The `Alltoall` and `P2p` columns were re-pinned
+// when every update matrix of a batch became a lane of one redistribution
+// and the session moved onto the virtual schedule — one exchange of 8
+// messages per batch, the `A^R` exchange of a general batch the only p2p.
 
 /// No path gathers or fences inside a batch.
 fn volume(p2p: (u64, u64), bcast: (u64, u64), alltoall: (u64, u64), reduce: (u64, u64)) -> Volume {
     [p2p, bcast, (0, 0), alltoall, reduce, (0, 0)]
 }
 
-fn algebraic_pinned(p2p: (u64, u64), alltoall: (u64, u64), reduce_bytes: u64) -> Pinned {
+fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
     Pinned {
-        volume: volume(p2p, (3912, 11), alltoall, (reduce_bytes, 11)),
+        volume: volume((0, 0), (3912, 11), (6368, 8), (reduce_bytes, 11)),
         flops: 1443,
         c_nnz: 1812,
         c_hash: 16329019101903906533,
@@ -236,51 +198,30 @@ fn algebraic_pinned(p2p: (u64, u64), alltoall: (u64, u64), reduce_bytes: u64) ->
 
 #[test]
 fn engine_algebraic_untracked() {
-    assert_eq!(
-        engine_batch(false, TransposeMode::Virtual, algebraic),
-        algebraic_pinned((0, 0), (6304, 32), 10044)
-    );
-    assert_eq!(
-        engine_batch(false, TransposeMode::Physical, algebraic),
-        algebraic_pinned((1908, 4), (3104, 16), 10044)
-    );
+    assert_eq!(engine_batch(false, algebraic), algebraic_pinned(10044));
 }
 
 #[test]
 fn engine_algebraic_tracked() {
-    assert_eq!(
-        engine_batch(true, TransposeMode::Virtual, algebraic),
-        algebraic_pinned((0, 0), (6304, 32), 15420)
-    );
-    assert_eq!(
-        engine_batch(true, TransposeMode::Physical, algebraic),
-        algebraic_pinned((1908, 4), (3104, 16), 15420)
-    );
+    assert_eq!(engine_batch(true, algebraic), algebraic_pinned(15420));
 }
 
 #[test]
 fn engine_general() {
-    let pinned = |p2p, alltoall| Pinned {
-        volume: volume(p2p, (15228, 21), alltoall, (21832, 17)),
+    let want = Pinned {
+        volume: volume((2136, 2), (15228, 21), (8384, 8), (21832, 17)),
         flops: 2868,
         c_nnz: 1309,
         c_hash: 17350063023210219168,
     };
-    assert_eq!(
-        engine_batch(true, TransposeMode::Virtual, general),
-        pinned((2136, 2), (8320, 48))
-    );
-    assert_eq!(
-        engine_batch(true, TransposeMode::Physical, general),
-        pinned((4380, 6), (4176, 32))
-    );
+    assert_eq!(engine_batch(true, general), want);
 }
 
 #[test]
 fn session_insert_edges() {
     let got = session_batch(|s, comm| s.insert_edges(triples(80 + comm.rank() as u64, 24)));
     let want = Pinned {
-        volume: volume((1152, 2), (4008, 11), (1568, 8), (17288, 11)),
+        volume: volume((0, 0), (4008, 11), (3296, 8), (17288, 11)),
         flops: 1371,
         c_nnz: 1746,
         c_hash: 14088288244150611198,
@@ -292,7 +233,7 @@ fn session_insert_edges() {
 fn session_delete_edges() {
     let got = session_batch(|s, comm| s.delete_edges(existing(70 + comm.rank() as u64, 90)));
     let want = Pinned {
-        volume: volume((3000, 4), (13832, 21), (1952, 16), (13456, 17)),
+        volume: volume((1848, 2), (13832, 21), (4064, 8), (13456, 17)),
         flops: 1621,
         c_nnz: 738,
         c_hash: 6929140722947548998,

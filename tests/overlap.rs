@@ -5,8 +5,8 @@
 //! pipelined `summa` equals a round-by-round blocking loop in bytes and `C`
 //! is `tests/copy_elim.rs`'s check, against its in-test replica.)
 
-use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
-use dspgemm::core::dyn_general::{apply_general_updates_mode_exec, GeneralUpdates};
+use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
+use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
 use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
@@ -54,7 +54,7 @@ fn check_dynamic_updates<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync
             for round in 0..3u64 {
                 let a_ups = random_triples::<S>(100 + round + comm.rank() as u64, n, 12, val);
                 let b_ups = random_triples::<S>(200 + round + comm.rank() as u64, n, 12, val);
-                apply_algebraic_updates_mode_exec::<S>(
+                apply_algebraic_updates_exec::<S>(
                     &grid,
                     &mut a,
                     &mut b,
@@ -62,7 +62,6 @@ fn check_dynamic_updates<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync
                     None,
                     a_ups,
                     b_ups,
-                    TransposeMode::Virtual,
                     &Exec::new(1),
                     &mut timer,
                 );
@@ -122,7 +121,7 @@ fn general_updates_match_blocking_reference() {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates_mode_exec::<MinPlus>(
+            apply_general_updates_exec::<MinPlus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -130,7 +129,6 @@ fn general_updates_match_blocking_reference() {
                 &mut f,
                 a_upd,
                 GeneralUpdates::new(),
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );

@@ -8,7 +8,7 @@
 //! proptest used. Failures print the offending case seed, which reproduces
 //! the input deterministically.
 
-use dspgemm::core::dyn_algebraic::{apply_algebraic_updates_mode_exec, TransposeMode};
+use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm::core::{DistMat, Exec, Grid};
@@ -146,7 +146,7 @@ fn dynamic_spgemm_matches_static() {
             let mut a = DistMat::from_global_triples(&grid, N, N, feed(&a0c), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, N, N, feed(&b0c), 1, &mut timer);
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            apply_algebraic_updates_mode_exec::<U64Plus>(
+            apply_algebraic_updates_exec::<U64Plus>(
                 &grid,
                 &mut a,
                 &mut b,
@@ -154,7 +154,6 @@ fn dynamic_spgemm_matches_static() {
                 None,
                 feed(&a_upsc),
                 feed(&b_upsc),
-                TransposeMode::Virtual,
                 &Exec::new(1),
                 &mut timer,
             );
