@@ -37,13 +37,20 @@
 //! Scope (asserted, not silently assumed): one failure per incident, the
 //! buddy of a failed rank alive, recovery mutually exclusive with dynamic
 //! rebalancing (anchors pin a layout).
+//!
+//! ## Wire form
+//!
+//! Everything shipped to a buddy — [`LoggedBatch`], [`MatImage`],
+//! [`Anchor`], [`ReplicaBundle`] — is its fields in declaration order, each
+//! in its own encoding, declared once per type with
+//! [`dspgemm_util::impl_wire_fields!`]; `rebuild_bytes` and the WAL / anchor
+//! traffic are metered from the same encoder the TCP backend ships.
 
 use crate::distmat::{DistMat, Elem};
 use crate::grid::Grid;
 use crate::layout::Layout;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
-use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 use std::sync::Arc;
 
 /// User tag of the per-batch write-ahead-log buddy exchange.
@@ -95,29 +102,7 @@ pub struct LoggedBatch<V> {
     pub b_ups: Vec<Triple<V>>,
 }
 
-impl<V: WireSize> WireSize for LoggedBatch<V> {
-    fn wire_bytes(&self) -> u64 {
-        self.epoch.wire_bytes() + self.a_ups.wire_bytes() + self.b_ups.wire_bytes()
-    }
-}
-
-impl<V: WireEncode> WireEncode for LoggedBatch<V> {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.epoch.wire_encode(out);
-        self.a_ups.wire_encode(out);
-        self.b_ups.wire_encode(out);
-    }
-}
-
-impl<V: WireDecode> WireDecode for LoggedBatch<V> {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            epoch: u64::wire_decode(r)?,
-            a_ups: Vec::wire_decode(r)?,
-            b_ups: Vec::wire_decode(r)?,
-        })
-    }
-}
+dspgemm_util::impl_wire_fields!(LoggedBatch<V> { epoch, a_ups, b_ups });
 
 /// A shippable copy-on-write image of one rank's block of a distributed
 /// matrix: the shared CSR the snapshot layer already maintains, plus enough
@@ -137,37 +122,7 @@ pub struct MatImage<V> {
     pub image: Arc<Csr<V>>,
 }
 
-impl<V: WireSize> WireSize for MatImage<V> {
-    fn wire_bytes(&self) -> u64 {
-        self.nrows.wire_bytes()
-            + self.ncols.wire_bytes()
-            + self.row_cuts.wire_bytes()
-            + self.col_cuts.wire_bytes()
-            + self.image.wire_bytes()
-    }
-}
-
-impl<V: WireEncode> WireEncode for MatImage<V> {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.nrows.wire_encode(out);
-        self.ncols.wire_encode(out);
-        self.row_cuts.wire_encode(out);
-        self.col_cuts.wire_encode(out);
-        self.image.wire_encode(out);
-    }
-}
-
-impl<V: WireDecode> WireDecode for MatImage<V> {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            nrows: Index::wire_decode(r)?,
-            ncols: Index::wire_decode(r)?,
-            row_cuts: Vec::wire_decode(r)?,
-            col_cuts: Vec::wire_decode(r)?,
-            image: Arc::wire_decode(r)?,
-        })
-    }
-}
+dspgemm_util::impl_wire_fields!(MatImage<V> { nrows, ncols, row_cuts, col_cuts, image });
 
 impl<V: Elem> MatImage<V> {
     /// Captures the matrix's current block image (copy-on-write: warms the
@@ -237,40 +192,7 @@ pub struct Anchor<V> {
     pub f: Option<MatImage<u64>>,
 }
 
-impl<V: WireSize> WireSize for Anchor<V> {
-    fn wire_bytes(&self) -> u64 {
-        self.published.wire_bytes()
-            + self.flops.wire_bytes()
-            + self.a.wire_bytes()
-            + self.b.wire_bytes()
-            + self.c.wire_bytes()
-            + self.f.wire_bytes()
-    }
-}
-
-impl<V: WireEncode> WireEncode for Anchor<V> {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.published.wire_encode(out);
-        self.flops.wire_encode(out);
-        self.a.wire_encode(out);
-        self.b.wire_encode(out);
-        self.c.wire_encode(out);
-        self.f.wire_encode(out);
-    }
-}
-
-impl<V: WireDecode> WireDecode for Anchor<V> {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            published: u64::wire_decode(r)?,
-            flops: u64::wire_decode(r)?,
-            a: MatImage::wire_decode(r)?,
-            b: MatImage::wire_decode(r)?,
-            c: MatImage::wire_decode(r)?,
-            f: Option::wire_decode(r)?,
-        })
-    }
-}
+dspgemm_util::impl_wire_fields!(Anchor<V> { published, flops, a, b, c, f });
 
 /// Everything rank `r` holds on behalf of its predecessor `(r - 1) mod p`:
 /// the predecessor's two anchor windows and its log entries since the older
@@ -286,29 +208,7 @@ pub struct ReplicaBundle<V> {
     pub log: Vec<LoggedBatch<V>>,
 }
 
-impl<V: WireSize> WireSize for ReplicaBundle<V> {
-    fn wire_bytes(&self) -> u64 {
-        self.newest.wire_bytes() + self.prev.wire_bytes() + self.log.wire_bytes()
-    }
-}
-
-impl<V: WireEncode> WireEncode for ReplicaBundle<V> {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.newest.wire_encode(out);
-        self.prev.wire_encode(out);
-        self.log.wire_encode(out);
-    }
-}
-
-impl<V: WireDecode> WireDecode for ReplicaBundle<V> {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            newest: Anchor::wire_decode(r)?,
-            prev: Option::wire_decode(r)?,
-            log: Vec::wire_decode(r)?,
-        })
-    }
-}
+dspgemm_util::impl_wire_fields!(ReplicaBundle<V> { newest, prev, log });
 
 /// The retained anchor the grid agreed to roll back to: the newest one, or
 /// — when a crash raced an anchor refresh — the previous window.
@@ -434,6 +334,7 @@ pub struct RecoveryReport {
 mod tests {
     use super::*;
     use dspgemm_sparse::semiring::U64Plus;
+    use dspgemm_util::{decode_from_slice, encode_to_vec, WireDecode, WireEncode, WireSize};
 
     #[test]
     fn config_default_is_sane() {
@@ -477,5 +378,32 @@ mod tests {
             anchor.wire_bytes(),
             8 + 8 + 3 * img.wire_bytes() + 1 // Option<None> = 1 byte
         );
+        // Metered sizes as of d989652 (the last commit with hand-written size
+        // formulas); `rebuild_bytes` of `tests/recovery.rs` is made of these.
+        assert_eq!(img.wire_bytes(), 88);
+        assert_eq!(anchor.wire_bytes(), 281);
+        assert_eq!(bundle.wire_bytes(), 330);
+        let tracked = Anchor {
+            f: Some(img.clone()),
+            ..anchor.clone()
+        };
+        assert_eq!(tracked.wire_bytes(), 369);
+        let two_windows = ReplicaBundle {
+            prev: Some(tracked.clone()),
+            ..bundle.clone()
+        };
+        assert_eq!(two_windows.wire_bytes(), 699);
+        // The meter is the encoder: every recovery type ships exactly the
+        // bytes it is charged for, and decodes back to the same encoding.
+        fn sized_roundtrip<T: WireEncode + WireDecode>(v: &T) {
+            let bytes = encode_to_vec(v);
+            assert_eq!(bytes.len() as u64, v.wire_bytes());
+            let back: T = decode_from_slice(&bytes).expect("decode what we encoded");
+            assert_eq!(encode_to_vec(&back), bytes);
+        }
+        sized_roundtrip(&bundle.log[0]);
+        sized_roundtrip(&img);
+        sized_roundtrip(&tracked);
+        sized_roundtrip(&two_windows);
     }
 }

@@ -188,9 +188,7 @@ impl<V: Elem> SnapshotMat<V> {
     /// broadcasts the result — the pinned-epoch point lookup. Collective;
     /// all ranks must hold the same epoch and pass the same coordinate.
     pub fn get_collective(&self, grid: &Grid, r: Index, c: Index) -> Option<V> {
-        let (bi, _) = crate::grid::owner_block(self.info.nrows, grid.q(), r);
-        let (bj, _) = crate::grid::owner_block(self.info.ncols, grid.q(), c);
-        let owner = grid.rank_of(bi, bj);
+        let owner = self.info.owner_rank(grid, r, c);
         let mine = if grid.world().rank() == owner {
             Some(self.get_local(r, c).expect("owner rank holds the block"))
         } else {

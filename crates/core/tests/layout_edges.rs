@@ -8,7 +8,7 @@
 
 use dspgemm_core::layout::{owner_of, rebalance_cuts, uniform_cuts};
 use dspgemm_core::rebalance::imbalance;
-use dspgemm_core::{DistMat, DynSpGemm, Grid, Layout, RebalanceConfig};
+use dspgemm_core::{DistMat, DynSpGemm, Grid, Layout, RebalanceConfig, SnapshotMat};
 use dspgemm_mpi::run;
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
@@ -44,6 +44,16 @@ fn corner_collapse_and_back_at_p9() {
         mat.migrate_to(&grid, &collapsed, 1, &mut timer);
         let corner_nnz = mat.local_nnz();
         let mid = mat.gather_to_root(comm);
+        // A pinned point lookup asks the layout it was published under:
+        // rank (0, 0) owns every coordinate now, the uniform owner of
+        // (n − 1, n − 1) holds nothing.
+        let (pinned, _) = SnapshotMat::publish(&mut mat);
+        for (r, c) in [(0, 0), (n / 2, 1), (n - 1, n - 1)] {
+            assert_eq!(pinned.info().owner_rank(&grid, r, c), 0);
+            let want = Some(1 + (r * n + c) as u64);
+            assert_eq!(pinned.get_collective(&grid, r, c), want);
+            assert_eq!(mat.get_collective(&grid, r, c), want);
+        }
         // Zero-width ranks hold nothing; rank 0 holds everything.
         if comm.rank() == 0 {
             assert_eq!(corner_nnz, (n * n) as usize);
@@ -97,6 +107,8 @@ fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
             let hot = (n / 6).max(1) as u64;
             let mut rng = SplitMix64::new(0xBEEF ^ comm.rank() as u64);
             let mut cs = Vec::new();
+            let mut reads = Vec::new();
+            let mut moved_reads = 0usize;
             let mut migrated = 0u64;
             for _ in 0..4 {
                 let batch: Vec<Triple<u64>> = (0..50)
@@ -110,17 +122,49 @@ fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
                     migrated = eng.rebalancer().expect("enabled").migrations();
                 }
                 cs.push(eng.c.gather_to_root(comm));
+                // Pinned reads of the epoch this batch (and its migration)
+                // published, along the ring `C = A·A` keeps at (i, i + 2)
+                // and down the hot column: a point lookup must find the
+                // owner under the cuts the epoch was published with.
+                let snap = eng.snapshot();
+                let uniform = uniform_cuts(n, grid.q());
+                for r in 0..n {
+                    for c in [(r + 2) % n, 0] {
+                        let pinned = snap.c().get_collective(&grid, r, c);
+                        assert_eq!(pinned, eng.c.get_collective(&grid, r, c));
+                        let cuts = snap.c().info().layout().row_cuts();
+                        moved_reads += usize::from(
+                            owner_of(cuts, r).0 != owner_of(&uniform, r).0
+                                || owner_of(cuts, c).0 != owner_of(&uniform, c).0,
+                        );
+                        reads.push(pinned);
+                    }
+                    reads.extend(
+                        snap.c()
+                            .row_topk(&grid, r, 2, |v| *v as f64)
+                            .into_iter()
+                            .map(|(_, v)| Some(v)),
+                    );
+                }
             }
-            (cs, migrated)
+            (cs, migrated, reads, moved_reads)
         })
     };
     let static_ = arm(false);
     let adaptive = arm(true);
-    let (cs_s, _) = &static_.results[0];
-    let (cs_a, migrations) = &adaptive.results[0];
+    let (cs_s, _, reads_s, _) = &static_.results[0];
+    let (cs_a, migrations, reads_a, moved_reads) = &adaptive.results[0];
     assert!(
         *migrations >= 1,
         "corner-concentrated load above threshold must migrate"
+    );
+    assert!(
+        *moved_reads > 0,
+        "no pinned read landed in a stripe the migration moved"
+    );
+    assert_eq!(
+        reads_s, reads_a,
+        "pinned reads differ from the static rerun"
     );
     for (i, (s, a)) in cs_s.iter().zip(cs_a).enumerate() {
         assert_eq!(

@@ -6,7 +6,6 @@
 //! per-category split behind the breakdown figures (Fig. 7 "redist. comm.",
 //! Fig. 12 "send/recv" vs "bcast" vs "scatter/reduce-scatter").
 
-use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -312,39 +311,13 @@ impl CommStats {
 
 // Wire codec for stats snapshots: the TCP backend's child processes ship
 // their counters back to the parent over the control socket.
-impl WireEncode for RankCommStats {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.bytes.wire_encode(out);
-        self.msgs.wire_encode(out);
-        self.exposed_ns.wire_encode(out);
-        self.overlapped_ns.wire_encode(out);
-    }
-}
-
-impl WireDecode for RankCommStats {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            bytes: <[u64; NUM_CATEGORIES]>::wire_decode(r)?,
-            msgs: <[u64; NUM_CATEGORIES]>::wire_decode(r)?,
-            exposed_ns: u64::wire_decode(r)?,
-            overlapped_ns: u64::wire_decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for CommStats {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.per_rank.wire_encode(out);
-    }
-}
-
-impl WireDecode for CommStats {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            per_rank: Vec::wire_decode(r)?,
-        })
-    }
-}
+dspgemm_util::impl_wire_fields!(RankCommStats {
+    bytes,
+    msgs,
+    exposed_ns,
+    overlapped_ns
+});
+dspgemm_util::impl_wire_fields!(CommStats { per_rank });
 
 impl std::fmt::Display for CommStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -191,6 +191,11 @@ pub struct TcpOutput<R> {
     /// `p = 1`: a rank's sends to itself short-circuit through its local
     /// inbox and never touch a socket.
     pub frames: u64,
+    /// Total bytes written as `VALUE` frame payloads across all ranks: the
+    /// encoded messages themselves, without frame headers. Equals the
+    /// metered [`CommStats::total_bytes`] of a job without self-sends, since
+    /// the meter is the encoder run into a counter.
+    pub payload_bytes: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -208,6 +213,8 @@ pub(crate) struct TcpLink {
     peers: Vec<Option<TcpStream>>,
     /// Data-mesh frames written by this process (socket-touching sends).
     frames: Arc<AtomicU64>,
+    /// Bytes of those frames that are `VALUE` payload.
+    payload_bytes: Arc<AtomicU64>,
 }
 
 impl TcpLink {
@@ -240,6 +247,8 @@ impl TcpLink {
                 env.epoch.wire_encode(&mut buf);
                 (bytes.0.len() as u64).wire_encode(&mut buf);
                 buf.extend_from_slice(&bytes.0);
+                self.payload_bytes
+                    .fetch_add(bytes.0.len() as u64, Ordering::Relaxed);
             }
             Payload::Poison => {
                 buf.push(frame::POISON);
@@ -270,10 +279,29 @@ fn send_fins(streams: &[TcpStream]) {
 // Stream-level codec helpers (control channel and mesh reader).
 // ---------------------------------------------------------------------------
 
-fn read_exact_u64(stream: &mut impl Read) -> std::io::Result<u64> {
-    let mut b = [0u8; 8];
-    stream.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+/// Longest body a length prefix may announce, on the control channel and on
+/// the mesh alike: a corrupt or hostile prefix is an error, not an
+/// allocation.
+const MAX_BODY_LEN: u64 = 1 << 32;
+
+/// Reads `N` consecutive little-endian `u64` header fields with one read.
+fn read_words<const N: usize>(stream: &mut impl Read) -> std::io::Result<[u64; N]> {
+    let mut raw = [[0u8; 8]; N];
+    stream.read_exact(raw.as_flattened_mut())?;
+    Ok(raw.map(u64::from_le_bytes))
+}
+
+/// Reads the `len`-byte body a frame header announced.
+fn read_body(stream: &mut impl Read, len: u64) -> std::io::Result<Vec<u8>> {
+    if len > MAX_BODY_LEN {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            "frame length implausible",
+        ));
+    }
+    let mut body = vec![0u8; len as usize];
+    stream.read_exact(&mut body)?;
+    Ok(body)
 }
 
 /// Writes one length-prefixed control message.
@@ -287,15 +315,8 @@ fn ctrl_send<T: WireEncode>(stream: &mut TcpStream, msg: &T) -> std::io::Result<
 
 /// Reads one length-prefixed control message.
 fn ctrl_recv<T: WireDecode>(stream: &mut TcpStream) -> std::io::Result<T> {
-    let len = read_exact_u64(stream)? as usize;
-    if len > (1 << 32) {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "control message length implausible",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
+    let [len] = read_words(stream)?;
+    let body = read_body(stream, len)?;
     decode_from_slice::<T>(&body)
         .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
 }
@@ -304,96 +325,64 @@ fn ctrl_recv<T: WireDecode>(stream: &mut TcpStream) -> std::io::Result<T> {
 // Reader threads: sockets -> the rank's ordinary channel inbox.
 // ---------------------------------------------------------------------------
 
+/// Parses the next frame of `peer`'s stream into an envelope; `None` is the
+/// orderly `FIN`. A short read, an unknown frame kind and an implausible
+/// payload length are all errors.
+fn read_frame(peer: usize, stream: &mut impl Read) -> std::io::Result<Option<Envelope>> {
+    let mut kind = [0u8; 1];
+    stream.read_exact(&mut kind)?;
+    let (comm_id, tag, epoch, payload) = match kind[0] {
+        frame::FIN => return Ok(None),
+        frame::VALUE => {
+            let [comm_id, tag, epoch, len] = read_words(stream)?;
+            let body = read_body(stream, len)?;
+            let payload = Payload::Value(Box::new(WireBytes(body)));
+            (comm_id, tag, epoch, payload)
+        }
+        frame::POISON => {
+            let [epoch] = read_words(stream)?;
+            (0, 0, epoch, Payload::Poison)
+        }
+        frame::FAILED => {
+            let [epoch, rank] = read_words(stream)?;
+            let rank = rank as usize;
+            (0, 0, epoch, Payload::Failed { rank })
+        }
+        _ => {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                "unknown frame kind",
+            ))
+        }
+    };
+    Ok(Some(Envelope {
+        src_world: peer,
+        comm_id,
+        tag: Tag(tag),
+        epoch,
+        payload,
+        sent_at: Instant::now(),
+    }))
+}
+
 /// Parses frames from `peer`'s stream into the inbox until `FIN`, EOF, or a
-/// read error. An unclean end synthesizes a `Failed { rank: peer }` marker
-/// stamped with `epoch = u64::MAX` so it can never be screened out as
+/// malformed frame. An unclean end synthesizes a `Failed { rank: peer }`
+/// marker stamped with `epoch = u64::MAX` so it can never be screened out as
 /// stale — the survivors' typed [`crate::CommError::PeerFailed`] signal.
 fn reader_loop(peer: usize, mut stream: TcpStream, inbox: Sender<Envelope>) {
-    let fail = |inbox: &Sender<Envelope>| {
-        let _ = inbox.send(Envelope {
-            src_world: peer,
-            comm_id: 0,
-            tag: Tag(0),
-            epoch: u64::MAX,
-            payload: Payload::Failed { rank: peer },
-            sent_at: Instant::now(),
-        });
-    };
     loop {
-        let mut kind = [0u8; 1];
-        if stream.read_exact(&mut kind).is_err() {
-            fail(&inbox);
-            return;
-        }
-        let env = match kind[0] {
-            frame::FIN => return,
-            frame::VALUE => {
-                let Ok(comm_id) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                let Ok(tag) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                let Ok(epoch) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                let Ok(len) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                let mut body = vec![0u8; len as usize];
-                if stream.read_exact(&mut body).is_err() {
-                    fail(&inbox);
-                    return;
-                }
-                Envelope {
-                    src_world: peer,
-                    comm_id,
-                    tag: Tag(tag),
-                    epoch,
-                    payload: Payload::Value(Box::new(WireBytes(body))),
-                    sent_at: Instant::now(),
-                }
-            }
-            frame::POISON => {
-                let Ok(epoch) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                Envelope {
+        let env = match read_frame(peer, &mut stream) {
+            Ok(Some(env)) => env,
+            Ok(None) => return,
+            Err(_) => {
+                let _ = inbox.send(Envelope {
                     src_world: peer,
                     comm_id: 0,
                     tag: Tag(0),
-                    epoch,
-                    payload: Payload::Poison,
+                    epoch: u64::MAX,
+                    payload: Payload::Failed { rank: peer },
                     sent_at: Instant::now(),
-                }
-            }
-            frame::FAILED => {
-                let Ok(epoch) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                let Ok(rank) = read_exact_u64(&mut stream) else {
-                    fail(&inbox);
-                    return;
-                };
-                Envelope {
-                    src_world: peer,
-                    comm_id: 0,
-                    tag: Tag(0),
-                    epoch,
-                    payload: Payload::Failed {
-                        rank: rank as usize,
-                    },
-                    sent_at: Instant::now(),
-                }
-            }
-            _ => {
-                fail(&inbox);
+                });
                 return;
             }
         };
@@ -453,7 +442,8 @@ where
         let mut kind = [0u8; 1];
         stream.read_exact(&mut kind).expect("read mesh hello");
         assert_eq!(kind[0], frame::HELLO, "mesh handshake");
-        let peer = read_exact_u64(&mut stream).expect("read peer rank") as usize;
+        let [peer] = read_words(&mut stream).expect("read peer rank");
+        let peer = peer as usize;
         assert!(peer > rank && peer < p, "mesh handshake rank");
         assert!(conns[peer].is_none(), "duplicate mesh connection");
         conns[peer] = Some(stream);
@@ -487,11 +477,13 @@ where
 
     let meter = Meter::new(p);
     let frames = Arc::new(AtomicU64::new(0));
+    let payload_bytes = Arc::new(AtomicU64::new(0));
     let link = TcpLink {
         rank,
         loopback: tx,
         peers: conns,
         frames: Arc::clone(&frames),
+        payload_bytes: Arc::clone(&payload_bytes),
     };
 
     // Run the rank function on a roomy stack, exactly like a simulator
@@ -526,7 +518,11 @@ where
     match outcome {
         Ok(result) => {
             send_fins(&fin_streams);
-            let payload = (result, meter.snapshot(), frames.load(Ordering::Relaxed));
+            let sent = (
+                frames.load(Ordering::Relaxed),
+                payload_bytes.load(Ordering::Relaxed),
+            );
+            let payload = (result, meter.snapshot(), sent);
             ctrl_send(&mut control, &payload).expect("report result");
             // Flush before exiting; `exit` skips destructors.
             let _ = control.flush();
@@ -657,10 +653,11 @@ where
     }
 
     // Phase 3: collect results. A clean child reports (result, stats,
-    // frames) and exits 0; a dead child's control stream just ends.
+    // (frames, payload bytes)) and exits 0; a dead child's control stream
+    // just ends.
     let mut results: Vec<Option<R>> = (0..cfg.p).map(|_| None).collect();
     let mut per_rank: Vec<RankCommStats> = vec![RankCommStats::default(); cfg.p];
-    let mut frames = 0u64;
+    let (mut frames, mut payload_bytes) = (0u64, 0u64);
     for rank in 0..cfg.p {
         let mut stream = controls[rank].take().expect("control stream");
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -671,12 +668,13 @@ where
         stream
             .set_read_timeout(Some(remaining))
             .expect("read timeout");
-        match ctrl_recv::<(R, CommStats, u64)>(&mut stream) {
-            Ok((result, stats, child_frames)) => {
+        match ctrl_recv::<(R, CommStats, (u64, u64))>(&mut stream) {
+            Ok((result, stats, (child_frames, child_payload))) => {
                 assert_eq!(stats.per_rank.len(), cfg.p, "stats shape from rank {rank}");
                 results[rank] = Some(result);
                 per_rank[rank] = stats.per_rank[rank].clone();
                 frames += child_frames;
+                payload_bytes += child_payload;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 panic!("deadline waiting for rank {rank}'s result (possible deadlock)");
@@ -704,6 +702,7 @@ where
         results,
         stats: CommStats { per_rank },
         frames,
+        payload_bytes,
     }
 }
 
@@ -732,6 +731,7 @@ mod tests {
             loopback: loop_tx,
             peers: vec![None, Some(write_end)],
             frames: Arc::new(AtomicU64::new(0)),
+            payload_bytes: Arc::new(AtomicU64::new(0)),
         };
         (link, rx, reader)
     }
@@ -778,6 +778,7 @@ mod tests {
             }
         }
         assert_eq!(link.frames.load(Ordering::Relaxed), cases.len() as u64);
+        assert_eq!(link.payload_bytes.load(Ordering::Relaxed), 3 + 256);
         send_fins(&[link.peers[1].as_ref().unwrap().try_clone().unwrap()]);
         reader.join().expect("reader exits on FIN");
     }
@@ -831,6 +832,46 @@ mod tests {
         reader.join().expect("reader exits");
     }
 
+    /// A frame the reader cannot parse is a failed peer, never a panic, a
+    /// hang or an allocation sized by the frame's own claims.
+    #[test]
+    fn malformed_frames_synthesize_the_failure_marker() {
+        let header = |words: &[u64]| -> Vec<u8> {
+            let mut bytes = vec![frame::VALUE];
+            for w in words {
+                w.wire_encode(&mut bytes);
+            }
+            bytes
+        };
+        // (bytes on the stream, whether the writer then hangs up)
+        let cases = [
+            // A length prefix no frame can have; the stream stays open, so
+            // only the cap can end the read.
+            (header(&[7, 8, 9, u64::MAX]), false),
+            (header(&[7, 8, 9, MAX_BODY_LEN + 1]), false),
+            // The stream ends inside the fixed header, and inside the body.
+            (header(&[7, 8]), true),
+            (header(&[7, 8, 9, 4]), true),
+            (vec![0xEE], false),
+        ];
+        for (bytes, hang_up) in cases {
+            let (mut write_end, read_end) = socket_pair();
+            let (tx, rx) = unbounded();
+            let reader = std::thread::spawn(move || reader_loop(1, read_end, tx));
+            write_end.write_all(&bytes).expect("write");
+            if hang_up {
+                write_end
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("shutdown");
+            }
+            let env = rx.recv_timeout(Duration::from_secs(10)).expect("marker");
+            assert!(matches!(env.payload, Payload::Failed { rank: 1 }));
+            assert_eq!(env.epoch, u64::MAX);
+            reader.join().expect("reader exits after the marker");
+            assert!(rx.try_recv().is_err(), "nothing follows the marker");
+        }
+    }
+
     #[test]
     fn deliver_to_dead_peer_reports_peer_gone() {
         let (link, rx, reader) = link_and_reader();
@@ -861,6 +902,7 @@ mod tests {
             loopback: loop_tx,
             peers: vec![None, Some(write_end)],
             frames: Arc::new(AtomicU64::new(0)),
+            payload_bytes: Arc::new(AtomicU64::new(0)),
         };
         assert!(!link.is_self(1));
         assert!(link.is_self(0));

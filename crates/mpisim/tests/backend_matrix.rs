@@ -4,7 +4,9 @@
 //! identical per-rank results *and* identical logical wire volume (bytes
 //! and message counts per rank per category): the TCP backend meters
 //! logical `WireSize` bytes on the sender exactly like the simulator, so
-//! any divergence is a transport bug, not measurement noise.
+//! any divergence is a transport bug, not measurement noise. At p = 4 the
+//! bytes written to the sockets as `VALUE` payloads must also equal that
+//! metered volume: `WireSize` is the encoder run into a counter.
 
 use dspgemm_mpi::Comm;
 use std::sync::Arc;
@@ -60,6 +62,15 @@ macro_rules! backend_matrix {
                         // Loopback short-circuit: a single rank never
                         // touches a socket.
                         assert_eq!(out.frames, 0, "p=1 sent socket frames");
+                        assert_eq!(out.payload_bytes, 0, "p=1 wrote payload bytes");
+                    } else {
+                        // No case sends to itself at p > 1, so every metered
+                        // byte crossed a socket: the meter is the encoder.
+                        assert_eq!(
+                            out.payload_bytes,
+                            out.stats.total_bytes(),
+                            "socket payload bytes differ from the metered volume"
+                        );
                     }
                 }
 

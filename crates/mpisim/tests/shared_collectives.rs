@@ -3,7 +3,7 @@
 
 use dspgemm_mpi::{run, CommCategory};
 use dspgemm_util::rng::{Rng, SplitMix64};
-use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
+use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -12,23 +12,7 @@ use std::sync::Arc;
 #[derive(Debug, PartialEq)]
 struct NoClone(Vec<u64>);
 
-impl WireSize for NoClone {
-    fn wire_bytes(&self) -> u64 {
-        self.0.wire_bytes()
-    }
-}
-
-impl WireEncode for NoClone {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.0.wire_encode(out);
-    }
-}
-
-impl WireDecode for NoClone {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NoClone(Vec::wire_decode(r)?))
-    }
-}
+dspgemm_util::impl_wire_fields!(NoClone { 0 });
 
 /// A payload whose `Clone` impl counts — the clone-counting hook at the type
 /// level, complementing the network-level `payload_clones` meter.
@@ -42,14 +26,8 @@ impl Clone for CloneSpy {
     }
 }
 
-impl WireSize for CloneSpy {
-    fn wire_bytes(&self) -> u64 {
-        8
-    }
-}
-
 impl WireEncode for CloneSpy {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         self.0.wire_encode(out);
     }
 }

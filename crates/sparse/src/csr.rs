@@ -1,9 +1,15 @@
 //! Compressed sparse row storage for static matrices.
+//!
+//! On the wire a `Csr` is a 16-byte header (`nrows: u32`, `ncols: u32`,
+//! `nnz: u64`) followed by `row_ptr`, `cols` and `vals` back to back; every
+//! array length follows from the header, and the decoder checks each against
+//! the bytes remaining before allocating and re-validates the invariants.
 
 use crate::semiring::Semiring;
 use crate::triple::{self, Triple};
 use crate::{Index, RowRead, RowScan};
-use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
+use dspgemm_util::wire::{decode_elems, encode_elems};
+use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 
 /// A static sparse matrix in CSR layout.
 ///
@@ -258,40 +264,36 @@ impl<V: Copy> RowScan<V> for Csr<V> {
     }
 }
 
-impl<V: WireSize> WireSize for Csr<V> {
-    /// Packed size: shape header + 8 B per row pointer + 4 B per column index
-    /// + value payload. This is what `MPI_Send` of a packed CSR would move.
-    fn wire_bytes(&self) -> u64 {
-        16 + 8 * self.row_ptr.len() as u64
-            + 4 * self.cols.len() as u64
-            + self.vals.iter().map(WireSize::wire_bytes).sum::<u64>()
-    }
-}
-
 impl<V: WireEncode> WireEncode for Csr<V> {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    /// Packed form: a 16-byte header (`nrows: u32`, `ncols: u32`, `nnz: u64`)
+    /// and then the three arrays back to back with no length prefixes —
+    /// 8 B per row pointer (`nrows + 1` of them), 4 B per column index, the
+    /// value payload. This is what `MPI_Send` of a packed CSR would move.
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         self.nrows.wire_encode(out);
         self.ncols.wire_encode(out);
-        self.row_ptr.wire_encode(out);
-        self.cols.wire_encode(out);
-        self.vals.wire_encode(out);
+        self.cols.len().wire_encode(out);
+        encode_elems(&self.row_ptr, out);
+        encode_elems(&self.cols, out);
+        encode_elems(&self.vals, out);
     }
 }
 
 impl<V: WireDecode> WireDecode for Csr<V> {
     /// Decoding validates the CSR invariants before constructing, so a
     /// corrupt or mismatched stream surfaces as a [`WireError`] instead of
-    /// an out-of-bounds panic deep inside a kernel.
+    /// an out-of-bounds panic deep inside a kernel. The array lengths follow
+    /// from the header, and `decode_elems` holds each against the bytes
+    /// remaining before allocating for it.
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let nrows = Index::wire_decode(r)?;
         let ncols = Index::wire_decode(r)?;
-        let row_ptr = Vec::<usize>::wire_decode(r)?;
-        let cols = Vec::<Index>::wire_decode(r)?;
-        let vals = Vec::<V>::wire_decode(r)?;
-        if row_ptr.len() != nrows as usize + 1
-            || cols.len() != vals.len()
-            || row_ptr.first() != Some(&0)
-            || row_ptr.last() != Some(&cols.len())
+        let nnz = usize::wire_decode(r)?;
+        let row_ptr: Vec<usize> = decode_elems(r, nrows as usize + 1)?;
+        let cols: Vec<Index> = decode_elems(r, nnz)?;
+        let vals: Vec<V> = decode_elems(r, nnz)?;
+        if row_ptr.first() != Some(&0)
+            || row_ptr.last() != Some(&nnz)
             || row_ptr.windows(2).any(|w| w[0] > w[1])
             || cols.iter().any(|&c| c >= ncols)
         {
@@ -311,6 +313,7 @@ impl<V: WireDecode> WireDecode for Csr<V> {
 mod tests {
     use super::*;
     use crate::semiring::U64Plus;
+    use dspgemm_util::WireSize;
 
     fn t(r: Index, c: Index, v: u64) -> Triple<u64> {
         Triple::new(r, c, v)

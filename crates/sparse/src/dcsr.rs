@@ -10,12 +10,20 @@
 //! pattern/filter blocks of the general algorithm are all DCSR. None of the
 //! algorithms ever *indexes* into a DCSR (only scans it), so no per-row
 //! lookup structure is kept — exactly as the paper prescribes.
+//!
+//! On the wire a `Dcsr` is a 16-byte header (`nrows: u32`, `ncols: u32`,
+//! stored-row count `u64`) followed by `rows`, `row_ptr`, `cols` and `vals`
+//! back to back: 4 + 8 B per stored row, 4 B + the value per entry. Every
+//! array length follows from the header and the last row pointer; the
+//! decoder checks each against the bytes remaining before allocating and
+//! re-validates the invariants.
 
 use crate::semiring::Semiring;
 use crate::triple::{self, Triple};
 use crate::workspace::TransposeWorkspace;
 use crate::{Index, RowScan};
-use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
+use dspgemm_util::wire::{decode_elems, encode_elems};
+use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 
 /// A hypersparse matrix: row ids + compressed row pointers + column/value
 /// arrays.
@@ -490,27 +498,21 @@ impl<V: Copy> crate::RowRead<V> for DcsrRowReader<'_, V> {
     }
 }
 
-impl<V: WireSize> WireSize for Dcsr<V> {
-    /// Packed size: shape header + 4 B per stored row id + 8 B per compressed
-    /// row pointer + 4 B per column index + value payload. For hypersparse
-    /// blocks this is far below the CSR wire size — the reason the paper
-    /// communicates update matrices in DCSR.
-    fn wire_bytes(&self) -> u64 {
-        16 + 4 * self.rows.len() as u64
-            + 8 * self.row_ptr.len() as u64
-            + 4 * self.cols.len() as u64
-            + self.vals.iter().map(WireSize::wire_bytes).sum::<u64>()
-    }
-}
-
 impl<V: WireEncode> WireEncode for Dcsr<V> {
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    /// Packed form: a 16-byte header (`nrows: u32`, `ncols: u32`, stored-row
+    /// count `u64`) and then the four arrays back to back with no length
+    /// prefixes — 4 B per stored row id, 8 B per compressed row pointer
+    /// (stored + 1 of them; the last one is `nnz`), 4 B per column index, the
+    /// value payload. For hypersparse blocks this is far below the CSR wire
+    /// size — the reason the paper communicates update matrices in DCSR.
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         self.nrows.wire_encode(out);
         self.ncols.wire_encode(out);
-        self.rows.wire_encode(out);
-        self.row_ptr.wire_encode(out);
-        self.cols.wire_encode(out);
-        self.vals.wire_encode(out);
+        self.rows.len().wire_encode(out);
+        encode_elems(&self.rows, out);
+        encode_elems(&self.row_ptr, out);
+        encode_elems(&self.cols, out);
+        encode_elems(&self.vals, out);
     }
 }
 
@@ -518,17 +520,19 @@ impl<V: WireDecode> WireDecode for Dcsr<V> {
     /// Decoding validates the DCSR invariants (strictly increasing stored
     /// row ids, strictly increasing compressed pointers) before
     /// constructing, so a corrupt stream errors instead of panicking later.
+    /// The array lengths follow from the header and the last row pointer,
+    /// and `decode_elems` holds each against the bytes remaining before
+    /// allocating for it.
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let nrows = Index::wire_decode(r)?;
         let ncols = Index::wire_decode(r)?;
-        let rows = Vec::<Index>::wire_decode(r)?;
-        let row_ptr = Vec::<usize>::wire_decode(r)?;
-        let cols = Vec::<Index>::wire_decode(r)?;
-        let vals = Vec::<V>::wire_decode(r)?;
-        if row_ptr.len() != rows.len() + 1
-            || cols.len() != vals.len()
-            || row_ptr.first() != Some(&0)
-            || row_ptr.last() != Some(&cols.len())
+        let stored = usize::wire_decode(r)?;
+        let rows: Vec<Index> = decode_elems(r, stored)?;
+        let row_ptr: Vec<usize> = decode_elems(r, stored + 1)?;
+        let nnz = row_ptr[stored];
+        let cols: Vec<Index> = decode_elems(r, nnz)?;
+        let vals: Vec<V> = decode_elems(r, nnz)?;
+        if row_ptr[0] != 0
             || row_ptr.windows(2).any(|w| w[0] >= w[1])
             || rows.windows(2).any(|w| w[0] >= w[1])
             || rows.iter().any(|&i| i >= nrows)
@@ -551,6 +555,7 @@ impl<V: WireDecode> WireDecode for Dcsr<V> {
 mod tests {
     use super::*;
     use crate::semiring::U64Plus;
+    use dspgemm_util::WireSize;
 
     fn t(r: Index, c: Index, v: u64) -> Triple<u64> {
         Triple::new(r, c, v)

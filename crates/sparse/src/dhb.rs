@@ -15,7 +15,6 @@
 //! low-degree vertices in skewed graphs.
 
 use crate::csr::Csr;
-use crate::dcsr::Dcsr;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
 use crate::{Index, RowRead, RowScan};
@@ -493,27 +492,6 @@ impl<V: Copy> DhbMatrix<V> {
         Csr::from_parts(self.nrows, self.ncols, row_ptr, cols, vals)
     }
 
-    /// Converts to DCSR (column-sorted rows), like [`DhbMatrix::to_csr`]
-    /// but storing non-empty rows only.
-    pub fn to_dcsr(&self) -> Dcsr<V> {
-        let stored = self.rows.iter().filter(|row| !row.is_empty()).count();
-        let mut rows = Vec::with_capacity(stored);
-        let mut row_ptr = Vec::with_capacity(stored + 1);
-        row_ptr.push(0);
-        let mut cols = Vec::with_capacity(self.nnz);
-        let mut vals = Vec::with_capacity(self.nnz);
-        let mut scratch = Vec::new();
-        for (r, row) in self.rows.iter().enumerate() {
-            if row.is_empty() {
-                continue;
-            }
-            row.append_sorted(&mut cols, &mut vals, &mut scratch);
-            rows.push(r as Index);
-            row_ptr.push(cols.len());
-        }
-        Dcsr::from_parts(self.nrows, self.ncols, rows, row_ptr, cols, vals)
-    }
-
     /// The CSR image of this matrix — equal to [`DhbMatrix::to_csr`] —
     /// built from `base`, the image of an earlier state, and `touched`, the
     /// row-major sorted, duplicate-free coordinates of every entry inserted,
@@ -794,7 +772,6 @@ mod tests {
             ]
         );
         assert_eq!(m.to_csr().nnz(), 3);
-        m.to_dcsr().validate().unwrap();
     }
 
     /// The direct conversions agree with the triple-based constructors on a
@@ -818,7 +795,6 @@ mod tests {
             let n = m.nnz();
             51 * 8 + n * 4 + n * 8
         });
-        assert_eq!(m.to_dcsr(), Dcsr::from_sorted_triples(50, 300, &triples));
     }
 
     /// Random set / add / remove rounds: the image patched from the previous

@@ -24,8 +24,7 @@
 //! * [`masked_mm`] — the hash-set output mask of the general dynamic
 //!   algorithm (recompute only entries masked by `C*`).
 //! * [`bloom`] — the ℓ=64-bit Bloom-filter bitfields `F`, `F*`, `E`, `R`.
-//! * [`ops`] — element-wise addition / MERGE / MASK and the Bloom-guided
-//!   row/column filter extraction `A^R`.
+//! * [`ops`] — the Bloom-guided row/column filter extraction `A^R`.
 //! * [`dense`] — a tiny dense reference implementation used by tests and
 //!   property checks (never by the fast paths).
 

@@ -1,66 +1,13 @@
-//! Element-wise update operations and the Bloom-guided extraction `A^R`.
+//! The Bloom-guided extraction `A^R` of the general dynamic SpGEMM.
 //!
-//! Section IV-A defines the local update interface: after the update matrix
-//! `A*` has been redistributed, all dynamic-update operations touch only
-//! local blocks:
-//!
-//! * **addition** `A += A*` — when updates are expressible in the semiring;
-//! * **MERGE(A, A*)** — replace the value of every `(i, j)` non-zero in `A*`;
-//! * **MASK(A, A*)** — delete every `(i, j)` of `A` that is non-zero in `A*`.
-//!
-//! All three run in expected `O(nnz(A*))` on a [`DhbMatrix`] block with the
-//! update in DCSR layout. This module also hosts the `A^R` extraction of the
-//! general dynamic SpGEMM: keep row `i` iff `r_i ≠ 0` and, within it, column
-//! `k` iff bit `k mod 64` of `r_i` is set (Section V-B).
+//! Keep row `i` iff `r_i ≠ 0` and, within it, column `k` iff bit `k mod 64`
+//! of `r_i` is set (Section V-B). The local update operators of Section IV-A
+//! (`A += A*`, MERGE, MASK) live with the distributed apply that calls them,
+//! `dspgemm_core::update`.
 
 use crate::bloom::may_contain;
 use crate::dcsr::Dcsr;
-use crate::dhb::DhbMatrix;
-use crate::semiring::Semiring;
 use crate::{Index, RowScan};
-
-/// `A += A*` over the semiring addition (the algebraic-update path).
-/// Returns the number of *new* structural non-zeros.
-pub fn add_assign<S: Semiring>(a: &mut DhbMatrix<S::Elem>, update: &Dcsr<S::Elem>) -> usize {
-    assert_eq!(a.nrows(), update.nrows(), "shape mismatch");
-    assert_eq!(a.ncols(), update.ncols(), "shape mismatch");
-    let mut new = 0usize;
-    for (r, cols, vals) in update.iter_rows() {
-        for (&c, &v) in cols.iter().zip(vals) {
-            new += usize::from(a.add_entry::<S>(r, c, v));
-        }
-    }
-    new
-}
-
-/// `MERGE(A, A*)`: replaces the value of every position that is non-zero in
-/// `A*` (inserting if absent). Returns the number of new structural
-/// non-zeros.
-pub fn merge_assign<V: Copy>(a: &mut DhbMatrix<V>, update: &Dcsr<V>) -> usize {
-    assert_eq!(a.nrows(), update.nrows(), "shape mismatch");
-    assert_eq!(a.ncols(), update.ncols(), "shape mismatch");
-    let mut new = 0usize;
-    for (r, cols, vals) in update.iter_rows() {
-        for (&c, &v) in cols.iter().zip(vals) {
-            new += usize::from(a.set(r, c, v));
-        }
-    }
-    new
-}
-
-/// `MASK(A, A*)`: removes every position of `A` that is non-zero in `A*`.
-/// Returns the number of entries actually removed.
-pub fn mask_out<V: Copy, W: Copy>(a: &mut DhbMatrix<V>, update: &Dcsr<W>) -> usize {
-    assert_eq!(a.nrows(), update.nrows(), "shape mismatch");
-    assert_eq!(a.ncols(), update.ncols(), "shape mismatch");
-    let mut removed = 0usize;
-    for (r, cols, _) in update.iter_rows() {
-        for &c in cols {
-            removed += usize::from(a.remove(r, c).is_some());
-        }
-    }
-    removed
-}
 
 /// Extracts `A^R` from a local block of `A'`: keeps row `i` iff
 /// `filter[i] ≠ 0`, and within a kept row keeps column `k` iff
@@ -111,62 +58,12 @@ pub fn extract_filtered<V: Copy, M: RowScan<V>>(
 mod tests {
     use super::*;
     use crate::bloom::bloom_bit;
-    use crate::semiring::{MinPlus, U64Plus};
+    use crate::dhb::DhbMatrix;
+    use crate::semiring::U64Plus;
     use crate::triple::Triple;
 
     fn t(r: Index, c: Index, v: u64) -> Triple<u64> {
         Triple::new(r, c, v)
-    }
-
-    #[test]
-    fn add_assign_semiring() {
-        let mut a: DhbMatrix<u64> = DhbMatrix::new(4, 4);
-        a.set(0, 0, 5);
-        let upd = Dcsr::from_triples::<U64Plus>(4, 4, vec![t(0, 0, 3), t(1, 1, 7)]);
-        let new = add_assign::<U64Plus>(&mut a, &upd);
-        assert_eq!(new, 1);
-        assert_eq!(a.get(0, 0), Some(8));
-        assert_eq!(a.get(1, 1), Some(7));
-        assert_eq!(a.nnz(), 2);
-    }
-
-    #[test]
-    fn add_assign_min_plus_decreases_only() {
-        let mut a: DhbMatrix<f64> = DhbMatrix::new(2, 2);
-        a.set(0, 0, 5.0);
-        let upd = Dcsr::from_triples::<MinPlus>(
-            2,
-            2,
-            vec![Triple::new(0, 0, 9.0), Triple::new(0, 1, 2.0)],
-        );
-        add_assign::<MinPlus>(&mut a, &upd);
-        // min(5, 9) = 5: the algebraic add cannot increase a value.
-        assert_eq!(a.get(0, 0), Some(5.0));
-        assert_eq!(a.get(0, 1), Some(2.0));
-    }
-
-    #[test]
-    fn merge_assign_replaces() {
-        let mut a: DhbMatrix<u64> = DhbMatrix::new(4, 4);
-        a.set(0, 0, 5);
-        let upd = Dcsr::from_triples::<U64Plus>(4, 4, vec![t(0, 0, 3), t(2, 3, 9)]);
-        let new = merge_assign(&mut a, &upd);
-        assert_eq!(new, 1);
-        assert_eq!(a.get(0, 0), Some(3), "MERGE replaces, never combines");
-        assert_eq!(a.get(2, 3), Some(9));
-    }
-
-    #[test]
-    fn mask_out_removes() {
-        let mut a: DhbMatrix<u64> = DhbMatrix::new(4, 4);
-        a.set(0, 0, 1);
-        a.set(1, 1, 2);
-        a.set(2, 2, 3);
-        let upd = Dcsr::from_triples::<U64Plus>(4, 4, vec![t(0, 0, 0), t(1, 1, 0), t(3, 3, 0)]);
-        let removed = mask_out(&mut a, &upd);
-        assert_eq!(removed, 2, "masking a missing entry is a no-op");
-        assert_eq!(a.nnz(), 1);
-        assert_eq!(a.get(2, 2), Some(3));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use crate::semiring::Semiring;
 use crate::Index;
 use dspgemm_util::sort::radix_sort_by_key;
-use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSize};
 
 /// A single non-zero entry (or update tuple).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,32 +33,7 @@ impl<V> Triple<V> {
     }
 }
 
-impl<V: WireSize> WireSize for Triple<V> {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        4 + 4 + self.val.wire_bytes()
-    }
-}
-
-impl<V: WireEncode> WireEncode for Triple<V> {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.row.wire_encode(out);
-        self.col.wire_encode(out);
-        self.val.wire_encode(out);
-    }
-}
-
-impl<V: WireDecode> WireDecode for Triple<V> {
-    #[inline]
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            row: Index::wire_decode(r)?,
-            col: Index::wire_decode(r)?,
-            val: V::wire_decode(r)?,
-        })
-    }
-}
+dspgemm_util::impl_wire_fields!(Triple<V> { row, col, val });
 
 /// Sorts triples into row-major `(row, col)` order.
 ///
@@ -132,6 +106,7 @@ mod tests {
     use super::*;
     use crate::semiring::U64Plus;
     use dspgemm_util::rng::{Rng, SplitMix64};
+    use dspgemm_util::WireSize;
 
     fn t(r: Index, c: Index, v: u64) -> Triple<u64> {
         Triple::new(r, c, v)

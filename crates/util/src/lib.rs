@@ -15,11 +15,11 @@
 //!   standing in for the paper's intra-process OpenMP parallelism.
 //! * [`stats`] — timers, phase breakdowns, and human-readable formatting used
 //!   by the benchmark harness.
-//! * [`wire`] — the [`wire::WireSize`] trait: how many bytes a value would
-//!   occupy on an MPI wire. The simulator moves values in memory but meters
-//!   exact communication volume through this trait. Its supertrait
-//!   [`wire::WireEncode`] and the inverse [`wire::WireDecode`] form the
-//!   length-prefixed codec the real TCP transport moves those bytes with.
+//! * [`wire`] — the wire codec: [`wire::WireEncode`] is the one description
+//!   of a type's packed form and [`wire::WireDecode`] its inverse, which the
+//!   real TCP transport moves bytes with. The simulator moves values in memory
+//!   but meters exact communication volume through [`wire::WireSize`] — the
+//!   same encoder run into a byte counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +35,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use rng::{Rng, SplitMix64, Xoshiro256};
 pub use stats::{PhaseTimer, Timer};
 pub use wire::{
-    decode_from_slice, encode_to_vec, WireBytes, WireDecode, WireEncode, WireError, WireReader,
-    WireSize,
+    decode_from_slice, encode_to_vec, ByteCount, WireBytes, WireDecode, WireEncode, WireError,
+    WireReader, WireSink, WireSize,
 };

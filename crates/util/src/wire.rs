@@ -1,19 +1,27 @@
-//! Wire-size accounting and the wire codec.
+//! The wire codec, and the wire-size accounting derived from it.
 //!
 //! The MPI simulator transfers values by moving them in memory, but the
 //! experiments must report *communication volume* — the central quantity the
 //! paper optimizes ("our dynamic SpGEMM reduces the communication volume
-//! significantly"). [`WireSize`] computes the number of bytes a value would
-//! occupy in a packed MPI message: fixed-width scalars at their natural size,
-//! sequences as element payload plus an 8-byte length header.
+//! significantly") — and the TCP transport backend has to *move* those
+//! bytes. Both read one description per type:
 //!
-//! The TCP transport backend additionally needs to *move* those bytes, so
-//! every metered type is also encodable: [`WireEncode`] is a supertrait of
-//! [`WireSize`] (a value whose packed size we meter is a value we can pack),
-//! and [`WireDecode`] is the receive-side inverse for owned (`Sized`) types.
-//! The split is deliberate: borrowed payloads like `&[T]` have a wire size
-//! and an encoding but no owned decoding, which the type system then rejects
-//! at the receive call sites instead of at runtime.
+//! * [`WireEncode`] states a type's packed form once, generic over the
+//!   [`WireSink`] the bytes go to;
+//! * [`WireSize`] is implemented exactly once, for every `WireEncode` type,
+//!   as that encoder run into a [`ByteCount`]. The metered size of a value
+//!   is therefore the length of its encoding *by construction*: no type can
+//!   state a size of its own (a second `impl WireSize` is a coherence
+//!   error), and a format change moves the meter with it;
+//! * [`WireDecode`] is the receive-side inverse for owned (`Sized`) types.
+//!   The split is deliberate: borrowed payloads like `&[T]` have a wire size
+//!   and an encoding but no owned decoding, which the type system then
+//!   rejects at the receive call sites instead of at runtime.
+//!
+//! Types that are a list of fields declare that list once with
+//! [`impl_wire_fields!`](crate::impl_wire_fields), which emits the encoder
+//! and the decoder; only types with an invariant to validate (the sparse
+//! blocks) write the pair by hand.
 //!
 //! The format is little-endian and self-delimiting per field: scalars at
 //! their natural width (`usize`/`isize` always as 8 bytes), sequences as a
@@ -88,51 +96,95 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    /// Decodes a `u64` length prefix and sanity-checks it against the bytes
-    /// left: a sequence of `len` elements needs at least `len * min_elem`
-    /// more bytes, so a corrupt length cannot drive a huge allocation.
+    /// Errors unless `len` more elements of at least `min_elem` bytes each
+    /// can still follow — the check that keeps a corrupt count from driving
+    /// a huge allocation. Elements that encode to nothing (`min_elem == 0`)
+    /// are not bounded by the buffer.
     #[inline]
-    pub fn take_len(&mut self, min_elem: usize) -> Result<usize, WireError> {
-        let len = u64::wire_decode(self)?;
-        let len = usize::try_from(len).map_err(|_| WireError::Invalid("length overflow"))?;
+    fn ensure(&self, len: usize, min_elem: usize) -> Result<(), WireError> {
         if len
             .checked_mul(min_elem)
             .is_none_or(|b| b > self.remaining())
-            && min_elem > 0
         {
             return Err(WireError::Truncated {
                 needed: len.saturating_mul(min_elem),
                 remaining: self.remaining(),
             });
         }
+        Ok(())
+    }
+
+    /// Decodes a `u64` length prefix and sanity-checks it against the bytes
+    /// left: a sequence of `len` elements needs at least `len * min_elem`
+    /// more bytes.
+    #[inline]
+    pub fn take_len(&mut self, min_elem: usize) -> Result<usize, WireError> {
+        let len = u64::wire_decode(self)?;
+        let len = usize::try_from(len).map_err(|_| WireError::Invalid("length overflow"))?;
+        self.ensure(len, min_elem)?;
         Ok(len)
     }
 }
 
-/// Packs a value into the byte form the TCP transport moves.
-///
-/// Supertrait of [`WireSize`]: every type the simulator meters is a type the
-/// real wire can carry, so the send-side trait bounds of the communicator
-/// never change between backends.
+/// Where an encoder puts its bytes: a buffer (the TCP path) or a counter
+/// (the meter). One encoder per type serves both, so a type cannot state a
+/// size that differs from its encoding.
+pub trait WireSink {
+    /// Accepts the next `bytes` of the encoding.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl WireSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The metering sink: counts the bytes an encoder emits and keeps none.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ByteCount(pub u64);
+
+impl WireSink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+/// Packs a value into the byte form the TCP transport moves. This is the one
+/// place a type states its wire format; [`WireSize`] and [`encode_to_vec`]
+/// are this encoder run into a [`ByteCount`] and a `Vec<u8>`.
 pub trait WireEncode {
-    /// Appends the packed encoding of `self` to `out`.
-    fn wire_encode(&self, out: &mut Vec<u8>);
+    /// Emits the packed encoding of `self` into `out`.
+    fn wire_encode<S: WireSink>(&self, out: &mut S);
 }
 
 /// Unpacks a value previously packed with [`WireEncode`].
 ///
-/// Deliberately *not* a supertrait of [`WireSize`]: borrowed types (`&[T]`)
-/// are metered and encodable but have no owned decoding, and receive call
-/// sites carry this bound explicitly.
+/// A separate trait because borrowed types (`&[T]`) are metered and
+/// encodable but have no owned decoding; receive call sites carry this bound
+/// explicitly.
 pub trait WireDecode: Sized {
     /// Reads one packed value from `r`.
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 }
 
-/// Number of bytes a value would occupy in a packed MPI message.
+/// Number of bytes a value occupies in a packed message. Implemented once,
+/// for every [`WireEncode`] type, as the length of its encoding — a second
+/// `impl WireSize` anywhere is a coherence error.
 pub trait WireSize: WireEncode {
-    /// Packed byte size of `self`.
+    /// Packed byte size of `self`: exactly `encode_to_vec(self).len()`.
     fn wire_bytes(&self) -> u64;
+}
+
+impl<T: WireEncode + ?Sized> WireSize for T {
+    #[inline]
+    fn wire_bytes(&self) -> u64 {
+        let mut n = ByteCount(0);
+        self.wire_encode(&mut n);
+        n.0
+    }
 }
 
 /// Packs `value` into a fresh buffer.
@@ -167,8 +219,8 @@ macro_rules! impl_wire_scalar {
         $(
             impl WireEncode for $t {
                 #[inline]
-                fn wire_encode(&self, out: &mut Vec<u8>) {
-                    out.extend_from_slice(&self.to_le_bytes());
+                fn wire_encode<S: WireSink>(&self, out: &mut S) {
+                    out.put(&self.to_le_bytes());
                 }
             }
             impl WireDecode for $t {
@@ -178,23 +230,63 @@ macro_rules! impl_wire_scalar {
                     Ok(<$t>::from_le_bytes(b.try_into().expect("sized take")))
                 }
             }
-            impl WireSize for $t {
-                #[inline]
-                fn wire_bytes(&self) -> u64 {
-                    std::mem::size_of::<$t>() as u64
-                }
-            }
         )*
     };
 }
 
 impl_wire_scalar!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
+/// Declares the wire format of a field-list type: the fields, in wire order,
+/// each in its own encoding and nothing else. Emits the encoder and the
+/// decoder from the one list, so the two cannot disagree on order.
+///
+/// `impl_wire_fields!(Name<V> { a, b, c })` covers a struct (type parameters
+/// are bounded by the trait being implemented; tuple structs list `0, 1`);
+/// `impl_wire_fields!((A.0, B.1))` covers a tuple.
+#[macro_export]
+macro_rules! impl_wire_fields {
+    ($ty:ident $(<$($g:ident),+>)? { $($field:tt),+ $(,)? }) => {
+        impl$(<$($g: $crate::WireEncode),+>)? $crate::WireEncode for $ty$(<$($g),+>)? {
+            #[inline]
+            fn wire_encode<S: $crate::WireSink>(&self, out: &mut S) {
+                $($crate::WireEncode::wire_encode(&self.$field, out);)+
+            }
+        }
+        impl$(<$($g: $crate::WireDecode),+>)? $crate::WireDecode for $ty$(<$($g),+>)? {
+            #[inline]
+            fn wire_decode(
+                r: &mut $crate::WireReader<'_>,
+            ) -> Result<Self, $crate::WireError> {
+                Ok(Self { $($field: $crate::WireDecode::wire_decode(r)?),+ })
+            }
+        }
+    };
+    (($($g:ident . $idx:tt),+)) => {
+        impl<$($g: $crate::WireEncode),+> $crate::WireEncode for ($($g,)+) {
+            #[inline]
+            fn wire_encode<S: $crate::WireSink>(&self, out: &mut S) {
+                $($crate::WireEncode::wire_encode(&self.$idx, out);)+
+            }
+        }
+        impl<$($g: $crate::WireDecode),+> $crate::WireDecode for ($($g,)+) {
+            #[inline]
+            fn wire_decode(
+                r: &mut $crate::WireReader<'_>,
+            ) -> Result<Self, $crate::WireError> {
+                Ok(($(<$g as $crate::WireDecode>::wire_decode(r)?,)+))
+            }
+        }
+    };
+}
+
+impl_wire_fields!((A.0, B.1));
+impl_wire_fields!((A.0, B.1, C.2));
+
 // `usize`/`isize` travel as fixed 8-byte integers: the wire format must not
 // depend on the host's pointer width.
 impl WireEncode for usize {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         (*self as u64).wire_encode(out);
     }
 }
@@ -206,16 +298,9 @@ impl WireDecode for usize {
     }
 }
 
-impl WireSize for usize {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        std::mem::size_of::<usize>() as u64
-    }
-}
-
 impl WireEncode for isize {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         (*self as i64).wire_encode(out);
     }
 }
@@ -227,17 +312,10 @@ impl WireDecode for isize {
     }
 }
 
-impl WireSize for isize {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        std::mem::size_of::<isize>() as u64
-    }
-}
-
 impl WireEncode for bool {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
+        out.put(&[*self as u8]);
     }
 }
 
@@ -252,16 +330,9 @@ impl WireDecode for bool {
     }
 }
 
-impl WireSize for bool {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        1
-    }
-}
-
 impl WireEncode for () {
     #[inline]
-    fn wire_encode(&self, _out: &mut Vec<u8>) {}
+    fn wire_encode<S: WireSink>(&self, _out: &mut S) {}
 }
 
 impl WireDecode for () {
@@ -271,65 +342,13 @@ impl WireDecode for () {
     }
 }
 
-impl WireSize for () {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        0
-    }
-}
-
-impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.0.wire_encode(out);
-        self.1.wire_encode(out);
-    }
-}
-
-impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
-    #[inline]
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::wire_decode(r)?, B::wire_decode(r)?))
-    }
-}
-
-impl<A: WireSize, B: WireSize> WireSize for (A, B) {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        self.0.wire_bytes() + self.1.wire_bytes()
-    }
-}
-
-impl<A: WireEncode, B: WireEncode, C: WireEncode> WireEncode for (A, B, C) {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        self.0.wire_encode(out);
-        self.1.wire_encode(out);
-        self.2.wire_encode(out);
-    }
-}
-
-impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
-    #[inline]
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok((A::wire_decode(r)?, B::wire_decode(r)?, C::wire_decode(r)?))
-    }
-}
-
-impl<A: WireSize, B: WireSize, C: WireSize> WireSize for (A, B, C) {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        self.0.wire_bytes() + self.1.wire_bytes() + self.2.wire_bytes()
-    }
-}
-
 impl<T: WireEncode> WireEncode for Option<T> {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         match self {
-            None => out.push(0),
+            None => out.put(&[0]),
             Some(v) => {
-                out.push(1);
+                out.put(&[1]);
                 v.wire_encode(out);
             }
         }
@@ -347,91 +366,76 @@ impl<T: WireDecode> WireDecode for Option<T> {
     }
 }
 
-impl<T: WireSize> WireSize for Option<T> {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        1 + self.as_ref().map_or(0, WireSize::wire_bytes)
-    }
-}
-
-impl<T: WireEncode, const N: usize> WireEncode for [T; N] {
-    #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        for v in self {
-            v.wire_encode(out);
-        }
-    }
-}
-
-impl<T: WireDecode, const N: usize> WireDecode for [T; N] {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut v = Vec::with_capacity(N);
-        for _ in 0..N {
-            v.push(T::wire_decode(r)?);
-        }
-        v.try_into().map_err(|_| WireError::Invalid("array length"))
-    }
-}
-
-impl<T: WireSize, const N: usize> WireSize for [T; N] {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        self.iter().map(WireSize::wire_bytes).sum()
-    }
-}
-
-fn encode_seq<T: WireEncode>(items: &[T], out: &mut Vec<u8>) {
-    (items.len() as u64).wire_encode(out);
+/// Emits `items` back to back with no length prefix — the body of every
+/// sequence encoding, and of a block type's arrays whose lengths its header
+/// implies.
+#[inline]
+pub fn encode_elems<T: WireEncode, S: WireSink>(items: &[T], out: &mut S) {
     for v in items {
         v.wire_encode(out);
     }
 }
 
+/// Reads `len` elements laid out by [`encode_elems`], checking `len` against
+/// the bytes remaining before allocating for it. Elements can encode to zero
+/// bytes (`()`), so only the others are held to ≥ 1 B each.
+pub fn decode_elems<T: WireDecode>(
+    r: &mut WireReader<'_>,
+    len: usize,
+) -> Result<Vec<T>, WireError> {
+    r.ensure(len, usize::from(std::mem::size_of::<T>() != 0))?;
+    let mut v = Vec::with_capacity(len);
+    for _ in 0..len {
+        v.push(T::wire_decode(r)?);
+    }
+    Ok(v)
+}
+
+fn encode_seq<T: WireEncode, S: WireSink>(items: &[T], out: &mut S) {
+    (items.len() as u64).wire_encode(out);
+    encode_elems(items, out);
+}
+
+impl<T: WireEncode, const N: usize> WireEncode for [T; N] {
+    #[inline]
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
+        encode_elems(self, out);
+    }
+}
+
+impl<T: WireDecode, const N: usize> WireDecode for [T; N] {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        decode_elems(r, N)?
+            .try_into()
+            .map_err(|_| WireError::Invalid("array length"))
+    }
+}
+
 impl<T: WireEncode> WireEncode for Vec<T> {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         encode_seq(self, out);
     }
 }
 
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Elements can encode to zero bytes (`()`), so the length guard uses
-        // a zero minimum only for them; everything else needs ≥ 1 B each.
-        let min = usize::from(std::mem::size_of::<T>() != 0);
-        let len = r.take_len(min)?;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(T::wire_decode(r)?);
-        }
-        Ok(v)
-    }
-}
-
-impl<T: WireSize> WireSize for Vec<T> {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        8 + self.iter().map(WireSize::wire_bytes).sum::<u64>()
+        // `decode_elems` holds the length against the bytes remaining.
+        let len = r.take_len(0)?;
+        decode_elems(r, len)
     }
 }
 
 impl<T: WireEncode> WireEncode for &[T] {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         encode_seq(self, out);
-    }
-}
-
-impl<T: WireSize> WireSize for &[T] {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        8 + self.iter().map(WireSize::wire_bytes).sum::<u64>()
     }
 }
 
 impl<T: WireEncode> WireEncode for Box<T> {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         (**self).wire_encode(out);
     }
 }
@@ -443,18 +447,13 @@ impl<T: WireDecode> WireDecode for Box<T> {
     }
 }
 
-impl<T: WireSize> WireSize for Box<T> {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        (**self).wire_bytes()
-    }
-}
-
 impl<T: WireEncode + ?Sized> WireEncode for Arc<T> {
     /// Encoding an `Arc` packs the pointee — serialization is where the
-    /// zero-copy sharing of the simulated collectives genuinely ends.
+    /// zero-copy sharing of the simulated collectives genuinely ends, and
+    /// the meter charges the pointee's size, so metered volume is identical
+    /// between the clone-based and `Arc`-shared paths.
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         (**self).wire_encode(out);
     }
 }
@@ -467,20 +466,9 @@ impl<T: WireDecode> WireDecode for Arc<T> {
     }
 }
 
-impl<T: WireSize + ?Sized> WireSize for Arc<T> {
-    /// An `Arc` payload is a *transport* artifact of the zero-copy simulated
-    /// collectives: on a real wire the pointee would be packed and sent, so
-    /// the wire size is the pointee's. This keeps metered communication
-    /// volume identical between the clone-based and `Arc`-shared paths.
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        (**self).wire_bytes()
-    }
-}
-
 impl WireEncode for String {
     #[inline]
-    fn wire_encode(&self, out: &mut Vec<u8>) {
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
         encode_seq(self.as_bytes(), out);
     }
 }
@@ -490,13 +478,6 @@ impl WireDecode for String {
         let len = r.take_len(1)?;
         let bytes = r.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid("utf-8 string"))
-    }
-}
-
-impl WireSize for String {
-    #[inline]
-    fn wire_bytes(&self) -> u64 {
-        8 + self.len() as u64
     }
 }
 
@@ -578,26 +559,43 @@ mod tests {
 
     #[test]
     fn encoded_length_matches_wire_bytes_for_packed_types() {
-        // For owned, packed types the codec emits exactly the metered bytes:
-        // the logical volume the simulator reports is the physical volume
-        // the TCP backend moves.
-        let samples: Vec<Vec<u8>> = vec![
-            encode_to_vec(&7u64),
-            encode_to_vec(&vec![1u32, 2, 3]),
-            encode_to_vec(&(1u32, 2u32, 3.0f64)),
-            encode_to_vec(&Some(4u8)),
-            encode_to_vec(&"abc".to_string()),
-        ];
-        let sizes = [
-            7u64.wire_bytes(),
-            vec![1u32, 2, 3].wire_bytes(),
-            (1u32, 2u32, 3.0f64).wire_bytes(),
-            Some(4u8).wire_bytes(),
-            "abc".to_string().wire_bytes(),
-        ];
-        for (bytes, size) in samples.iter().zip(sizes) {
-            assert_eq!(bytes.len() as u64, size);
+        // The codec emits exactly the metered bytes: the logical volume the
+        // simulator reports is the physical volume the TCP backend moves.
+        fn check<T: WireEncode + ?Sized>(v: &T) {
+            assert_eq!(encode_to_vec(v).len() as u64, v.wire_bytes());
         }
+        check(&7u64);
+        check(&vec![1u32, 2, 3]);
+        check(&(1u32, 2u32, 3.0f64));
+        check(&Some(4u8));
+        check(&"abc".to_string());
+        check(&&[1u16, 2][..]);
+        check(&[(1usize, true); 3]);
+        check(&Arc::new(Box::new(vec![(); 5])));
+    }
+
+    #[test]
+    fn field_list_macro_covers_structs_and_tuple_structs() {
+        #[derive(Debug, PartialEq)]
+        struct Named<V> {
+            id: u32,
+            vals: Vec<V>,
+        }
+        impl_wire_fields!(Named<V> { id, vals });
+        #[derive(Debug, PartialEq)]
+        struct Pair(u8, Option<u64>);
+        impl_wire_fields!(Pair { 0, 1 });
+
+        let n = Named {
+            id: 9,
+            vals: vec![1u16, 2],
+        };
+        // Fields in declaration order, each in its own encoding.
+        assert_eq!(encode_to_vec(&n), encode_to_vec(&(9u32, vec![1u16, 2])));
+        assert_eq!(n.wire_bytes(), 4 + 8 + 4);
+        round_trip(n);
+        assert_eq!(Pair(1, Some(2)).wire_bytes(), 1 + 9);
+        round_trip(Pair(1, None));
     }
 
     #[test]
