@@ -257,7 +257,10 @@ fn main() {
             "overlap" => overlap::run(&cfg),
             "rebalance" => rebalance::run(&cfg),
             "faults" => faults::run(&cfg),
-            "transport" => transport::run(&cfg),
+            "transport" => {
+                println!("{}\n", transport::run(&cfg));
+                transport::codec_rates(&cfg)
+            }
             "serve" => serve::run(&cfg),
             "ablation-redist" => ablations::redistribution(&cfg),
             "ablation-bloom" => ablations::bloom_filter(&cfg),

@@ -27,6 +27,10 @@
 //!
 //! Without `--features tcp-transport` only the sim arm runs and the table
 //! says how to enable the comparison.
+//!
+//! A second table, [`codec_rates`], times the `Dcsr` wire codec itself on the
+//! two block shapes a batch ships — the volume those parity rows count is
+//! only as cheap as the encoder, meter and decoder that produce it.
 
 use crate::experiments::faults::batch_updates;
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
@@ -36,8 +40,11 @@ use dspgemm_core::{DistMat, DynSpGemm, Grid};
 use dspgemm_graph::Edge;
 use dspgemm_mpi::{Comm, CommStats};
 use dspgemm_sparse::semiring::F64Plus;
-use dspgemm_sparse::{Index, Triple};
+use dspgemm_sparse::{Dcsr, Index, Triple};
+use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::stats::{format_bytes, PhaseTimer};
+use dspgemm_util::{decode_from_slice, encode_to_vec, WireSize};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// What one rank reports from a driven run: the root-gathered final `C`
@@ -245,6 +252,89 @@ pub fn run(cfg: &Config) -> Table {
     t.note(
         "TCP arm skipped: rebuild with `--features tcp-transport` to run the same program on \
          real OS processes over a socket mesh and assert cross-backend parity",
+    );
+    t
+}
+
+/// Median wall time of `op` over a fixed number of runs.
+fn median_time<R>(mut op: impl FnMut() -> R) -> Duration {
+    let runs: Vec<Duration> = (0..15)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(op());
+            started.elapsed()
+        })
+        .collect();
+    crate::measure::median(&runs)
+}
+
+/// The `repro transport` codec table: metering (the encoder run into a byte
+/// counter, which the simulator does on every send), encoding and decoding
+/// one `Dcsr<f64>` of each shape an Algorithm-1 batch puts on the wire — a
+/// star-shaped update block (one or two entries per stored row) and a
+/// `C*`-shaped partial (thirty per row), both 8 192 columns wide. Rates are
+/// per entry as well as per byte: a format change moves the bytes, so only
+/// entries per second compares across formats.
+pub fn codec_rates(cfg: &Config) -> Table {
+    const WIDE: Index = 8192;
+    let mut rng = SplitMix64::new(cfg.seed ^ 0xC0DE);
+    let mut draws = |count: usize, nrows: Index| -> Vec<Triple<f64>> {
+        let mut coord = |bound: Index| rng.gen_range(bound as u64) as Index;
+        (0..count)
+            .map(|_| Triple::new(coord(nrows), coord(WIDE), 1.0))
+            .collect()
+    };
+    let star = Dcsr::from_triples::<F64Plus>(8 * WIDE, WIDE, draws(60_000, 8 * WIDE));
+    let partial: Vec<Triple<f64>> = (0..WIDE)
+        .step_by(2)
+        .flat_map(|row| {
+            let cols = draws(30, 1);
+            cols.into_iter()
+                .map(move |t| Triple::new(row, t.col, t.val))
+        })
+        .collect();
+    let partial = Dcsr::from_triples::<F64Plus>(WIDE, WIDE, partial);
+
+    let mut t = Table::new(
+        "Dcsr<f64> wire codec on the two block shapes of an Algorithm-1 batch, 8192 columns wide",
+        &[
+            "shape",
+            "stored rows",
+            "entries",
+            "B/entry",
+            "index B/entry",
+            "meter Mentry/s",
+            "encode MB/s",
+            "decode MB/s",
+            "encode Mentry/s",
+            "decode Mentry/s",
+        ],
+    );
+    for (shape, block) in [("star (A*, B*)", &star), ("partial (C*)", &partial)] {
+        let bytes = encode_to_vec(block);
+        assert_eq!(bytes.len() as u64, block.wire_bytes(), "meter != encoder");
+        assert_eq!(decode_from_slice::<Dcsr<f64>>(&bytes).as_ref(), Ok(block));
+        let entries = block.nnz() as f64;
+        let per_s = |d: Duration, work: f64| work / d.as_secs_f64().max(1e-9) / 1e6;
+        let meter = median_time(|| black_box(block).wire_bytes());
+        let encode = median_time(|| encode_to_vec(black_box(block)));
+        let decode = median_time(|| decode_from_slice::<Dcsr<f64>>(black_box(&bytes)));
+        t.push_row(vec![
+            shape.into(),
+            block.nrows_stored().to_string(),
+            block.nnz().to_string(),
+            format!("{:.2}", bytes.len() as f64 / entries),
+            format!("{:.2}", bytes.len() as f64 / entries - 8.0),
+            format!("{:.0}", per_s(meter, entries)),
+            format!("{:.0}", per_s(encode, bytes.len() as f64)),
+            format!("{:.0}", per_s(decode, bytes.len() as f64)),
+            format!("{:.0}", per_s(encode, entries)),
+            format!("{:.0}", per_s(decode, entries)),
+        ]);
+    }
+    t.note(
+        "index B/entry is everything but the 8-byte value: header, stored-row and column bytes; \
+         medians of 15 runs on one thread, decode includes validation",
     );
     t
 }

@@ -710,6 +710,7 @@ where
 mod tests {
     use super::*;
     use crossbeam::channel::Receiver;
+    use dspgemm_sparse::{Dcsr, Triple};
 
     fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -719,13 +720,10 @@ mod tests {
         (a, b)
     }
 
-    /// A link whose only remote peer (world rank 1) is the write end of a
-    /// local socket pair, with a reader thread parsing the other end.
-    fn link_and_reader() -> (TcpLink, Receiver<Envelope>, std::thread::JoinHandle<()>) {
-        let (write_end, read_end) = socket_pair();
-        let (tx, rx) = unbounded();
-        let (loop_tx, _loop_rx) = unbounded();
-        let reader = std::thread::spawn(move || reader_loop(1, read_end, tx));
+    /// Rank 0's link whose only remote peer (world rank 1) is `write_end`,
+    /// and the receiving side of its loopback.
+    fn link_over(write_end: TcpStream) -> (TcpLink, Receiver<Envelope>) {
+        let (loop_tx, loop_rx) = unbounded();
         let link = TcpLink {
             rank: 0,
             loopback: loop_tx,
@@ -733,7 +731,16 @@ mod tests {
             frames: Arc::new(AtomicU64::new(0)),
             payload_bytes: Arc::new(AtomicU64::new(0)),
         };
-        (link, rx, reader)
+        (link, loop_rx)
+    }
+
+    /// A link whose only remote peer (world rank 1) is the write end of a
+    /// local socket pair, with a reader thread parsing the other end.
+    fn link_and_reader() -> (TcpLink, Receiver<Envelope>, std::thread::JoinHandle<()>) {
+        let (write_end, read_end) = socket_pair();
+        let (tx, rx) = unbounded();
+        let reader = std::thread::spawn(move || reader_loop(1, read_end, tx));
+        (link_over(write_end).0, rx, reader)
     }
 
     fn value_env(comm_id: u64, tag: u64, epoch: u64, body: Vec<u8>) -> Envelope {
@@ -832,6 +839,96 @@ mod tests {
         reader.join().expect("reader exits");
     }
 
+    /// A hypersparse block as a batch ships it: varint index structure,
+    /// fixed-width values.
+    fn sample_block() -> Dcsr<f64> {
+        let entries =
+            (0..40u32).map(|i| Triple::new(i / 3 * 1000, i % 3 * 200 + i, 0.5 + f64::from(i)));
+        Dcsr::from_sorted_triples(1 << 20, 1 << 10, &entries.collect::<Vec<_>>())
+    }
+
+    /// A stream as fragmented as one can legally be: one byte per `read`,
+    /// and an `Interrupted` error before each.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        interrupted: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupted = !self.interrupted;
+            if self.interrupted {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            match (self.bytes.split_first(), buf.first_mut()) {
+                (Some((&byte, rest)), Some(slot)) => {
+                    *slot = byte;
+                    self.bytes = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    /// What `read_frame` made of one frame: comm id, tag, epoch and the
+    /// payload — a value's bytes, or which marker (`Failed`'s rank).
+    type Parsed = (u64, u64, u64, Result<Vec<u8>, Option<usize>>);
+
+    /// Everything `read_frame` parses out of `stream` up to its `FIN`.
+    fn frames_of(mut stream: impl Read) -> Vec<Parsed> {
+        let mut frames = Vec::new();
+        while let Some(env) = read_frame(1, &mut stream).expect("a well-formed stream") {
+            assert_eq!(env.src_world, 1, "reader stamps the peer rank");
+            let payload = match env.payload {
+                Payload::Value(boxed) => Ok(boxed.downcast::<WireBytes>().expect("bytes").0),
+                Payload::Poison => Err(None),
+                Payload::Failed { rank } => Err(Some(rank)),
+            };
+            frames.push((env.comm_id, env.tag.0, env.epoch, payload));
+        }
+        frames
+    }
+
+    /// `read_frame` sees the same envelopes however the kernel fragments the
+    /// stream: every frame kind, written by the real sender, read whole and
+    /// read a byte at a time with an interrupt between bytes.
+    #[test]
+    fn fragmented_reads_parse_like_whole_ones() {
+        let (write_end, mut read_end) = socket_pair();
+        let (link, _loopback) = link_over(write_end);
+        let block = sample_block();
+        let marker = |epoch, payload| Envelope {
+            payload,
+            ..value_env(0, 0, epoch, vec![])
+        };
+        link.deliver(1, value_env(3, 4, 5, encode_to_vec(&block)))
+            .expect("value");
+        link.deliver(1, marker(u64::MAX, Payload::Poison))
+            .expect("poison");
+        link.deliver(1, value_env(u64::MAX, Tag::RESERVED_BASE, 0, vec![]))
+            .expect("empty value");
+        link.deliver(1, marker(6, Payload::Failed { rank: 2 }))
+            .expect("failed");
+        send_fins(&[link.peers[1].as_ref().unwrap().try_clone().unwrap()]);
+        drop(link);
+        let mut bytes = Vec::new();
+        read_end
+            .read_to_end(&mut bytes)
+            .expect("the written stream");
+
+        let whole = frames_of(&bytes[..]);
+        let kinds: Vec<bool> = whole.iter().map(|frame| frame.3.is_ok()).collect();
+        assert_eq!(kinds, [true, false, true, false]);
+        let trickled = frames_of(Trickle {
+            bytes: &bytes,
+            interrupted: false,
+        });
+        assert_eq!(trickled, whole);
+        let body = trickled[0].3.as_ref().expect("the block's frame");
+        assert_eq!(decode_from_slice::<Dcsr<f64>>(body), Ok(block));
+    }
+
     /// A frame the reader cannot parse is a failed peer, never a panic, a
     /// hang or an allocation sized by the frame's own claims.
     #[test]
@@ -843,6 +940,7 @@ mod tests {
             }
             bytes
         };
+        let block = encode_to_vec(&sample_block());
         // (bytes on the stream, whether the writer then hangs up)
         let cases = [
             // A length prefix no frame can have; the stream stays open, so
@@ -852,6 +950,13 @@ mod tests {
             // The stream ends inside the fixed header, and inside the body.
             (header(&[7, 8]), true),
             (header(&[7, 8, 9, 4]), true),
+            // … and inside a varint of the payload: the length prefix
+            // promised the whole block, the stream stops one byte into the
+            // two-byte row gap of its second row.
+            (
+                [header(&[7, 8, 9, block.len() as u64]), block[..20].to_vec()].concat(),
+                true,
+            ),
             (vec![0xEE], false),
         ];
         for (bytes, hang_up) in cases {
@@ -896,14 +1001,7 @@ mod tests {
     #[test]
     fn loopback_delivery_skips_sockets_and_codec() {
         let (write_end, _read_end) = socket_pair();
-        let (loop_tx, loop_rx) = unbounded();
-        let link = TcpLink {
-            rank: 0,
-            loopback: loop_tx,
-            peers: vec![None, Some(write_end)],
-            frames: Arc::new(AtomicU64::new(0)),
-            payload_bytes: Arc::new(AtomicU64::new(0)),
-        };
+        let (link, loop_rx) = link_over(write_end);
         assert!(!link.is_self(1));
         assert!(link.is_self(0));
         // A *typed* (never encoded) payload to self must arrive intact.

@@ -11,18 +11,18 @@
 //! algorithms ever *indexes* into a DCSR (only scans it), so no per-row
 //! lookup structure is kept — exactly as the paper prescribes.
 //!
-//! On the wire a `Dcsr` is a 16-byte header (`nrows: u32`, `ncols: u32`,
-//! stored-row count `u64`) followed by `rows`, `row_ptr`, `cols` and `vals`
-//! back to back: 4 + 8 B per stored row, 4 B + the value per entry. Every
-//! array length follows from the header and the last row pointer; the
-//! decoder checks each against the bytes remaining before allocating and
-//! re-validates the invariants.
+//! On the wire a `Dcsr` is a 12-byte header (`nrows`, `ncols`, stored-row
+//! count, `u32` each), then the index structure gap-coded as varints — per
+//! stored row its id gap, its length and its column gaps, typically 3 B per
+//! row and 1–2 B per entry — then the values at fixed width. `row_ptr` is not
+//! sent. The grammar is on [`Dcsr::wire_encode`]; the decoder checks every
+//! count against the bytes remaining before allocating for it.
 
 use crate::semiring::Semiring;
 use crate::triple::{self, Triple};
 use crate::workspace::TransposeWorkspace;
 use crate::{Index, RowScan};
-use dspgemm_util::wire::{decode_elems, encode_elems};
+use dspgemm_util::wire::{decode_elems, encode_elems, put_varint};
 use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 
 /// A hypersparse matrix: row ids + compressed row pointers + column/value
@@ -499,47 +499,100 @@ impl<V: Copy> crate::RowRead<V> for DcsrRowReader<'_, V> {
 }
 
 impl<V: WireEncode> WireEncode for Dcsr<V> {
-    /// Packed form: a 16-byte header (`nrows: u32`, `ncols: u32`, stored-row
-    /// count `u64`) and then the four arrays back to back with no length
-    /// prefixes — 4 B per stored row id, 8 B per compressed row pointer
-    /// (stored + 1 of them; the last one is `nnz`), 4 B per column index, the
-    /// value payload. For hypersparse blocks this is far below the CSR wire
-    /// size — the reason the paper communicates update matrices in DCSR.
+    /// Packed form — index structure first, as varints, then the values:
+    ///
+    /// ```text
+    /// nrows: u32   ncols: u32   stored: u32            12-byte header
+    /// per stored row, in order:
+    ///     varint(row id − previous row id − 1)         the first: its id
+    ///     varint(entries − 1)
+    ///     varint(first column)
+    ///     varint(column − previous column − 1) …       entries − 1 of them
+    /// vals, fixed width, back to back                  as `encode_elems`
+    /// ```
+    ///
+    /// Rows and columns are strictly increasing, so the gaps are what is
+    /// left to say: a `C*` partial with tens of entries per row pays about
+    /// one byte per column where the fixed-width form paid four, and a
+    /// stored row pays 3 B or a little more where `rows` + `row_ptr` paid
+    /// twelve. `row_ptr` is never sent; it is the running sum of the
+    /// lengths. The worst case is 5 B per index (a gap of 2^28 or more), one
+    /// over fixed width. Values stay columnar and fixed-width behind the
+    /// index so their decode remains one copy loop. This is the only form:
+    /// no tag, no fixed-width fallback.
     fn wire_encode<S: WireSink>(&self, out: &mut S) {
         self.nrows.wire_encode(out);
         self.ncols.wire_encode(out);
-        self.rows.len().wire_encode(out);
-        encode_elems(&self.rows, out);
-        encode_elems(&self.row_ptr, out);
-        encode_elems(&self.cols, out);
+        // Stored rows are distinct ids below `nrows`, so the count fits.
+        (self.rows.len() as Index).wire_encode(out);
+        let mut next_row = 0;
+        for (&row, span) in self.rows.iter().zip(self.row_ptr.windows(2)) {
+            let cols = &self.cols[span[0]..span[1]];
+            put_varint(u64::from(row - next_row), out);
+            next_row = row + 1;
+            put_varint(cols.len() as u64 - 1, out);
+            put_varint(u64::from(cols[0]), out);
+            for pair in cols.windows(2) {
+                put_varint(u64::from(pair[1] - pair[0] - 1), out);
+            }
+        }
         encode_elems(&self.vals, out);
     }
 }
 
+/// Reads one gap and returns the index it lands on, `next + gap`, which must
+/// stay below `bound`.
+#[inline(always)]
+fn take_index(
+    r: &mut WireReader<'_>,
+    next: u64,
+    bound: Index,
+    what: &'static str,
+) -> Result<Index, WireError> {
+    match next.checked_add(r.take_varint()?) {
+        Some(index) if index < u64::from(bound) => Ok(index as Index),
+        _ => Err(WireError::Invalid(what)),
+    }
+}
+
 impl<V: WireDecode> WireDecode for Dcsr<V> {
-    /// Decoding validates the DCSR invariants (strictly increasing stored
-    /// row ids, strictly increasing compressed pointers) before
-    /// constructing, so a corrupt stream errors instead of panicking later.
-    /// The array lengths follow from the header and the last row pointer,
-    /// and `decode_elems` holds each against the bytes remaining before
-    /// allocating for it.
+    /// The inverse of the grammar on [`Dcsr::wire_encode`], total on
+    /// arbitrary bytes. Counts are held against the bytes remaining before
+    /// anything is reserved for them — the stored-row count at ≥ 3 B per
+    /// row, each row length at ≥ 1 B per column — and every sum is checked.
+    /// The gap code cannot spell an unsorted or duplicate index, so what is
+    /// left to validate is the bounds: row ids below `nrows`, columns below
+    /// `ncols`. `row_ptr` is rebuilt from the lengths.
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let nrows = Index::wire_decode(r)?;
         let ncols = Index::wire_decode(r)?;
-        let stored = usize::wire_decode(r)?;
-        let rows: Vec<Index> = decode_elems(r, stored)?;
-        let row_ptr: Vec<usize> = decode_elems(r, stored + 1)?;
-        let nnz = row_ptr[stored];
-        let cols: Vec<Index> = decode_elems(r, nnz)?;
-        let vals: Vec<V> = decode_elems(r, nnz)?;
-        if row_ptr[0] != 0
-            || row_ptr.windows(2).any(|w| w[0] >= w[1])
-            || rows.windows(2).any(|w| w[0] >= w[1])
-            || rows.iter().any(|&i| i >= nrows)
-            || cols.iter().any(|&c| c >= ncols)
-        {
-            return Err(WireError::Invalid("dcsr invariants"));
+        let stored = Index::wire_decode(r)? as usize;
+        r.ensure(stored, 3)?;
+        let mut rows = Vec::with_capacity(stored);
+        let mut row_ptr = Vec::with_capacity(stored + 1);
+        row_ptr.push(0);
+        // Every stored row holds an entry; longer rows grow it as they come.
+        let mut cols: Vec<Index> = Vec::with_capacity(stored);
+        // One past the last index read: the gaps count from there.
+        let mut next_row = 0;
+        for _ in 0..stored {
+            let row = take_index(r, next_row, nrows, "dcsr row id out of range")?;
+            next_row = u64::from(row) + 1;
+            let len = usize::try_from(r.take_varint()?)
+                .ok()
+                .and_then(|more| more.checked_add(1))
+                .ok_or(WireError::Invalid("dcsr row length overflow"))?;
+            r.ensure(len, 1)?;
+            let mut next_col = 0;
+            for _ in 0..len {
+                let col = take_index(r, next_col, ncols, "dcsr column out of range")?;
+                next_col = u64::from(col) + 1;
+                cols.push(col);
+            }
+            rows.push(row);
+            row_ptr.push(cols.len());
         }
+        let vals: Vec<V> = decode_elems(r, cols.len())?;
         Ok(Self {
             nrows,
             ncols,

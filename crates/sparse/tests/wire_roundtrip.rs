@@ -7,8 +7,54 @@
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Csr, Dcsr, Index, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
+use dspgemm_util::wire::put_varint;
 use dspgemm_util::{decode_from_slice, encode_to_vec, WireDecode, WireEncode, WireError, WireSize};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// The system allocator, noting the largest single request each thread makes
+/// — how the hostile-frame cases show that a corrupt count was refused
+/// *before* anything was reserved for it.
+struct NotingAlloc;
+
+thread_local! {
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(bytes: usize) {
+    // No destructor to outlive, but an allocator must not panic regardless.
+    let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(bytes)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; noting the size touches a `Cell<usize>` only.
+unsafe impl GlobalAlloc for NotingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        // SAFETY: the caller's `layout`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NotingAlloc = NotingAlloc;
+
+/// Runs `f` and returns its result with the largest allocation it asked for.
+fn largest_request_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST_REQUEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST_REQUEST.with(Cell::get))
+}
 
 fn roundtrip<T>(value: &T) -> T
 where
@@ -51,10 +97,12 @@ fn pin_entries() -> Vec<Triple<u64>> {
     vec![Triple::new(1, 2, 10), Triple::new(3, 6, 20)]
 }
 
-/// `wire_bytes()` of one fixed sample per wire type, as metered at d989652
-/// (the last commit with hand-written size formulas). The meter is what the
-/// gated `wire_bytes_per_batch` reads; deriving it from the encoder must not
-/// move any of these.
+/// `wire_bytes()` of one fixed sample per wire type. The meter is what the
+/// gated `wire_bytes_per_batch` reads, so a constant here moves only with a
+/// deliberate format change: all but the `Dcsr` ones are as metered at
+/// d989652 (the last commit with hand-written size formulas); the `Dcsr`
+/// ones moved with the compact form (12-byte header, 3 B per stored row
+/// here, no `row_ptr`) from 72 / 56 / 88 and 24 for the empty block.
 #[test]
 fn metered_sizes_are_pinned() {
     assert_eq!(Triple::new(1, 2, 3u64).wire_bytes(), 16);
@@ -69,11 +117,11 @@ fn metered_sizes_are_pinned() {
     let csr = Csr::from_triples::<U64Plus>(5, 7, pin_entries());
     assert_eq!(csr.wire_bytes(), 88);
     let dcsr = Dcsr::from_triples::<U64Plus>(5, 7, pin_entries());
-    assert_eq!(dcsr.wire_bytes(), 72);
-    assert_eq!(dcsr.map(|_| ()).wire_bytes(), 56);
-    assert_eq!(dcsr.map(|v| (v, v)).wire_bytes(), 88);
+    assert_eq!(dcsr.wire_bytes(), 34);
+    assert_eq!(dcsr.map(|_| ()).wire_bytes(), 18);
+    assert_eq!(dcsr.map(|v| (v, v)).wire_bytes(), 50);
     assert_eq!(Csr::<u64>::empty(0, 0).wire_bytes(), 24);
-    assert_eq!(Dcsr::<u64>::empty(9, 0).wire_bytes(), 24);
+    assert_eq!(Dcsr::<u64>::empty(9, 0).wire_bytes(), 12);
 }
 
 #[test]
@@ -209,6 +257,14 @@ fn csr_decode_rejects_corrupted_invariants() {
     assert_byte_flips_stay_valid(&encode_to_vec(&csr), |c: &Csr<u64>| c.validate().is_ok());
     let dcsr = Dcsr::from_triples::<U64Plus>(4, 4, entries);
     assert_byte_flips_stay_valid(&encode_to_vec(&dcsr), |d: &Dcsr<u64>| d.validate().is_ok());
+    let pattern = dcsr.map(|_| ());
+    assert_byte_flips_stay_valid(&encode_to_vec(&pattern), |d: &Dcsr<()>| {
+        d.validate().is_ok()
+    });
+    let pairs = dcsr.map(|v| (v, !v));
+    assert_byte_flips_stay_valid(&encode_to_vec(&pairs), |d: &Dcsr<(u64, u64)>| {
+        d.validate().is_ok()
+    });
 }
 
 /// Every proper prefix of `bytes` must fail to decode, and so must `bytes`
@@ -235,11 +291,58 @@ fn truncation_never_panics_and_always_errors() {
     let d = Dcsr::from_triples::<U64Plus>(8, 8, entries);
     assert_only_exact_frame_decodes::<Dcsr<u64>>(&encode_to_vec(&d));
     assert_only_exact_frame_decodes::<Dcsr<()>>(&encode_to_vec(&d.map(|_| ())));
+    assert_only_exact_frame_decodes::<Dcsr<(u64, u64)>>(&encode_to_vec(&d.map(|v| (v, !v))));
 }
 
-/// The block headers carry the counts every array length follows from; a
-/// corrupt one must be rejected against the bytes remaining, before anything
-/// is allocated for it.
+/// A `Dcsr` frame spelt by hand: the 12-byte header, `index` as varints,
+/// then `tail` verbatim.
+fn dcsr_frame(shape: (u32, u32), stored: u32, index: &[u64], tail: &[u8]) -> Vec<u8> {
+    let mut bytes = encode_to_vec(&(shape.0, shape.1, stored));
+    for &value in index {
+        put_varint(value, &mut bytes);
+    }
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+#[test]
+fn dcsr_frame_grammar_is_as_documented() {
+    // Rows 1 and 3 (gaps 1, 1), one entry each (length − 1 = 0), columns 2
+    // and 6, then the two values.
+    let vals = encode_to_vec(&[10u64, 20]);
+    let bytes = dcsr_frame((5, 7), 2, &[1, 0, 2, 1, 0, 6], &vals);
+    let block = Dcsr::from_triples::<U64Plus>(5, 7, pin_entries());
+    assert_eq!(encode_to_vec(&block), bytes);
+    assert_eq!(decode_from_slice::<Dcsr<u64>>(&bytes), Ok(block));
+    // One row of three entries: columns 3, 4 and 300 are gaps 3, 0, 295.
+    let bytes = dcsr_frame((1, 301), 1, &[0, 2, 3, 0, 295], &[]);
+    let block: Dcsr<()> = decode_from_slice(&bytes).expect("a valid pattern block");
+    let cols: Vec<Index> = block.to_triples().iter().map(|t| t.col).collect();
+    assert_eq!(cols, [3, 4, 300]);
+    assert_eq!(encode_to_vec(&block), bytes);
+}
+
+/// Decoding `bytes` as a `Dcsr<V>` must fail — with `Truncated` if
+/// `truncated`, else `Invalid` — without asking for more memory than a small
+/// multiple of the frame's own length (the in-memory arrays are wider than
+/// their varints, up to 4 B per frame byte).
+fn assert_dcsr_rejected<V: WireDecode>(bytes: &[u8], truncated: bool) {
+    let (got, largest) = largest_request_in(|| decode_from_slice::<Dcsr<V>>(bytes).map(drop));
+    match got {
+        Err(WireError::Truncated { .. }) => assert!(truncated, "{bytes:?}: {got:?}"),
+        Err(WireError::Invalid(_)) => assert!(!truncated, "{bytes:?}: {got:?}"),
+        Ok(()) => panic!("hostile frame {bytes:?} decoded"),
+    }
+    assert!(
+        largest <= 8 * bytes.len(),
+        "asked for {largest} B decoding a {} B frame",
+        bytes.len()
+    );
+}
+
+/// The block headers carry the counts every array length follows from, and a
+/// `Dcsr`'s rows carry their own; a corrupt one must be rejected against the
+/// bytes remaining, before anything is allocated for it.
 #[test]
 fn corrupt_block_counts_are_rejected_against_bytes_remaining() {
     fn frame(nrows: u32, ncols: u32, count: u64, body: &[u64]) -> Vec<u8> {
@@ -257,12 +360,125 @@ fn corrupt_block_counts_are_rejected_against_bytes_remaining() {
     let bytes = frame(1, 1, u64::MAX, &[0, u64::MAX]);
     assert!(truncated(decode_from_slice::<Csr<u64>>(&bytes).map(drop)));
     assert!(truncated(decode_from_slice::<Csr<()>>(&bytes).map(drop)));
-    // A stored-row count the frame cannot hold row ids for.
-    let bytes = frame(8, 8, u64::MAX, &[0]);
-    assert!(truncated(decode_from_slice::<Dcsr<u64>>(&bytes).map(drop)));
-    // One stored row (id 3) whose last row pointer promises 2^63 entries.
-    let mut bytes = frame(8, 8, 1, &[]);
-    bytes.extend(encode_to_vec(&(3u32, 0u64, 1u64 << 63)));
-    assert!(truncated(decode_from_slice::<Dcsr<u64>>(&bytes).map(drop)));
-    assert!(truncated(decode_from_slice::<Dcsr<()>>(&bytes).map(drop)));
+
+    let (small, wide) = ((8, 8), (1 << 20, 1 << 20));
+    let last_row = u64::from(u32::MAX) - 1;
+    let eleven_bytes = [
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0,
+    ];
+    let hostile = [
+        // A stored-row count the frame cannot hold 3 B each for.
+        (dcsr_frame(small, u32::MAX, &[0, 0, 0], &[]), true),
+        (dcsr_frame(wide, 1 << 20, &[0; 64], &[]), true),
+        // One stored row promising 2^63 entries, and one promising 2^64.
+        (dcsr_frame(small, 1, &[3, (1 << 63) - 1, 0], &[]), true),
+        (dcsr_frame(small, 1, &[3, u64::MAX, 0], &[]), false),
+        // Row-id gaps that leave `nrows`, `u32` and `u64`.
+        (dcsr_frame(small, 1, &[8, 0, 0], &[0; 16]), false),
+        (
+            dcsr_frame(small, 2, &[3, 0, 0, 1 << 32, 0, 0], &[0; 32]),
+            false,
+        ),
+        (
+            dcsr_frame(small, 2, &[3, 0, 0, u64::MAX, 0, 0], &[0; 32]),
+            false,
+        ),
+        (
+            dcsr_frame((u32::MAX, 8), 2, &[last_row, 0, 0, 0, 0, 0], &[0; 32]),
+            false,
+        ),
+        // Column gaps that leave `ncols` and `u64`.
+        (dcsr_frame(small, 1, &[0, 1, 7, 0], &[0; 32]), false),
+        (dcsr_frame(small, 1, &[0, 1, 0, u64::MAX], &[0; 32]), false),
+        // An eleven-byte varint and a padded zero where the row gap goes.
+        (dcsr_frame(wide, 1, &[], &eleven_bytes), false),
+        (dcsr_frame(wide, 1, &[], &[0x80, 0x00, 0, 0]), false),
+        // Frames that end inside a varint: the row gap's, then a column's.
+        (dcsr_frame(wide, 1, &[], &[0x80, 0x80, 0x80]), true),
+        (dcsr_frame(wide, 1, &[0, 1, 5], &[0xff]), true),
+    ];
+    for (bytes, truncated) in &hostile {
+        assert_dcsr_rejected::<u64>(bytes, *truncated);
+        assert_dcsr_rejected::<()>(bytes, *truncated);
+        assert_dcsr_rejected::<(u64, u64)>(bytes, *truncated);
+    }
+}
+
+/// Bytes of `d`'s encoding that are neither header nor values, per entry.
+fn index_bytes_per_entry<V: WireEncode + Copy>(d: &Dcsr<V>) -> f64 {
+    let values = (std::mem::size_of::<V>() * d.nnz()) as u64;
+    (d.wire_bytes() - 12 - values) as f64 / d.nnz() as f64
+}
+
+/// The compact form is a volume *budget*, not only a pin: on any block up to
+/// 2^28 columns wide it is never longer than the fixed-width form it
+/// replaced (16-byte header, 4 + 8 B per stored row and a closing row
+/// pointer, 4 B per column), whatever the shape.
+#[test]
+fn compact_dcsr_is_never_longer_than_fixed_width() {
+    fn fixed_width<V: Copy>(d: &Dcsr<V>) -> u64 {
+        let entry = 4 + std::mem::size_of::<V>();
+        (16 + 12 * d.nrows_stored() + 8 + entry * d.nnz()) as u64
+    }
+    fn check(d: &Dcsr<u64>) {
+        assert!(d.wire_bytes() <= fixed_width(d), "{d:?}");
+        let (pattern, pairs) = (d.map(|_| ()), d.map(|v| (v, !v)));
+        assert!(pattern.wire_bytes() <= fixed_width(&pattern), "{d:?}");
+        assert!(pairs.wire_bytes() <= fixed_width(&pairs), "{d:?}");
+    }
+    for shape in [(0, 0), (0, 9), (9, 0), (1, 1), (u32::MAX, 1 << 28)] {
+        check(&Dcsr::empty(shape.0, shape.1));
+    }
+    // The widest gaps the bound covers, between rows and between columns.
+    let corners =
+        [(0, 0), (0, (1 << 28) - 1), (u32::MAX - 1, 0)].map(|(r, c)| Triple::new(r, c, 1));
+    check(&Dcsr::from_triples::<U64Plus>(
+        u32::MAX,
+        1 << 28,
+        corners.to_vec(),
+    ));
+    let mut rng = SplitMix64::new(0xB0D6E7);
+    for case in 0..200 {
+        let (row_bits, col_bits) = (rng.gen_range(33), rng.gen_range(29));
+        let nrows = rng.gen_range(1 << row_bits).max(1) as u32;
+        let ncols = 1 + rng.gen_range(1 << col_bits) as u32;
+        let n = [0, 1, 2, 17, 300][case % 5];
+        check(&Dcsr::from_triples::<U64Plus>(
+            nrows,
+            ncols,
+            random_triples(&mut rng, n, nrows, ncols),
+        ));
+    }
+}
+
+/// The two shapes an Algorithm-1 batch ships, 8 192 wide as a block of the
+/// benchmark's grid is: a star-shaped update matrix (one or two entries per
+/// stored row) within 5 index bytes per entry where fixed width paid 10–16,
+/// and a `C*`-shaped partial (about thirty per row) within 2 where it paid
+/// 4.4.
+#[test]
+fn compact_dcsr_meets_the_shape_budgets() {
+    const WIDE: u32 = 8192;
+    let mut rng = SplitMix64::new(0x5A4E);
+    let star = Dcsr::from_triples::<U64Plus>(WIDE, WIDE, random_triples(&mut rng, 400, WIDE, WIDE));
+    let per_row = star.nnz() as f64 / star.nrows_stored() as f64;
+    assert!((1.0..1.1).contains(&per_row), "star rows hold {per_row}");
+    assert!(index_bytes_per_entry(&star) <= 5.0);
+    assert!(index_bytes_per_entry(&star.map(|_| ())) <= 5.0);
+    // 256 stored rows of ≈ 30 uniformly placed entries each.
+    let mut partial = Vec::new();
+    for row in (0..WIDE).step_by(32) {
+        partial.extend(
+            random_triples(&mut rng, 30, 1, WIDE)
+                .iter()
+                .map(|t| Triple::new(row, t.col, t.val)),
+        );
+    }
+    let partial = Dcsr::from_triples::<U64Plus>(WIDE, WIDE, partial);
+    let per_row = partial.nnz() as f64 / partial.nrows_stored() as f64;
+    assert!(
+        (29.0..=30.0).contains(&per_row),
+        "partial rows hold {per_row}"
+    );
+    assert!(index_bytes_per_entry(&partial) <= 2.0);
 }

@@ -28,6 +28,15 @@
 //! `u64` length followed by the elements, `Option` as a one-byte tag. No
 //! framing, versioning or field names — both ends are the same binary, and
 //! the transport's envelope header carries the routing metadata.
+//!
+//! The one exception to "natural width" is the index structure of a
+//! hypersparse block (`Dcsr`, the payload of every per-batch broadcast and
+//! reduction), which is written as *varints* — [`put_varint`] /
+//! [`WireReader::take_varint`]: unsigned LEB128, seven value bits per byte,
+//! low group first, the high bit set on every byte but the last. A `u64`
+//! takes 1–10 bytes; the decoder accepts exactly one spelling per value (no
+//! trailing zero group, nothing past bit 63). Everything else, values
+//! included, stays fixed-width so its decode is a straight copy loop.
 
 use std::fmt;
 use std::sync::Arc;
@@ -99,13 +108,20 @@ impl<'a> WireReader<'a> {
     /// Errors unless `len` more elements of at least `min_elem` bytes each
     /// can still follow — the check that keeps a corrupt count from driving
     /// a huge allocation. Elements that encode to nothing (`min_elem == 0`)
-    /// are not bounded by the buffer.
+    /// take no bytes, so nothing left in the buffer bounds them and the
+    /// decode loop itself would be the attack; their count is held to the
+    /// length of the whole frame instead. The zero-byte arrays the transport
+    /// carries are the value arrays of pattern blocks, one element per
+    /// column index already read from the same frame.
     #[inline]
-    fn ensure(&self, len: usize, min_elem: usize) -> Result<(), WireError> {
-        if len
-            .checked_mul(min_elem)
-            .is_none_or(|b| b > self.remaining())
-        {
+    pub fn ensure(&self, len: usize, min_elem: usize) -> Result<(), WireError> {
+        if min_elem == 0 {
+            if len > self.buf.len() {
+                return Err(WireError::Invalid(
+                    "more zero-byte elements than frame bytes",
+                ));
+            }
+        } else if len > self.remaining() / min_elem {
             return Err(WireError::Truncated {
                 needed: len.saturating_mul(min_elem),
                 remaining: self.remaining(),
@@ -123,6 +139,55 @@ impl<'a> WireReader<'a> {
         let len = usize::try_from(len).map_err(|_| WireError::Invalid("length overflow"))?;
         self.ensure(len, min_elem)?;
         Ok(len)
+    }
+
+    /// Decodes one varint written by [`put_varint`]. A value has exactly one
+    /// accepted spelling: a trailing zero group (`0x80 0x00`) or anything
+    /// past bit 63 (an eleventh byte, or more than one bit in the tenth) is
+    /// [`WireError::Invalid`]; a buffer that ends on a continuation byte is
+    /// [`WireError::Truncated`].
+    #[inline(always)]
+    pub fn take_varint(&mut self) -> Result<u64, WireError> {
+        // One- and two-byte varints — nearly every gap of a sparse block —
+        // decode here, inlined, without a branch on which of the two it is:
+        // a mix of them is exactly what a branch predictor cannot learn.
+        if let [first, second, ..] = self.buf[self.pos..] {
+            let two = first >> 7;
+            if (two == 0) | (second.wrapping_sub(1) < 0x7f) {
+                self.pos += 1 + two as usize;
+                return Ok(u64::from(first & 0x7f) | u64::from(second * two) << 7);
+            }
+        }
+        self.take_varint_bytewise()
+    }
+
+    /// The general case of [`WireReader::take_varint`]: three bytes and
+    /// more, the last byte of a buffer, and every malformed spelling.
+    #[cold]
+    fn take_varint_bytewise(&mut self) -> Result<u64, WireError> {
+        let rest = &self.buf[self.pos..];
+        let mut value = 0u64;
+        for (i, &byte) in rest.iter().take(MAX_VARINT_BYTES).enumerate() {
+            // The tenth group holds bit 63 alone.
+            if i == MAX_VARINT_BYTES - 1 && byte > 1 {
+                break;
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte < 0x80 {
+                if byte == 0 && i != 0 {
+                    return Err(WireError::Invalid("non-canonical varint"));
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        if rest.len() < MAX_VARINT_BYTES {
+            return Err(WireError::Truncated {
+                needed: rest.len() + 1,
+                remaining: rest.len(),
+            });
+        }
+        Err(WireError::Invalid("varint exceeds 64 bits"))
     }
 }
 
@@ -366,6 +431,40 @@ impl<T: WireDecode> WireDecode for Option<T> {
     }
 }
 
+/// Most bytes a varint takes: ⌈64 / 7⌉.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// The high bit of every byte of a word: "another group follows".
+const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Moves the eight 7-bit groups of the low 56 bits of `value` into the low
+/// seven bits of the eight bytes of a word, low group in the low byte.
+#[inline]
+fn spread_groups(value: u64) -> u64 {
+    let v = (value & 0x0000_0000_0fff_ffff) | ((value & 0x00ff_ffff_f000_0000) << 4);
+    let v = (v & 0x0000_3fff_0000_3fff) | ((v & 0x0fff_c000_0fff_c000) << 2);
+    (v & 0x007f_007f_007f_007f) | ((v & 0x3f80_3f80_3f80_3f80) << 1)
+}
+
+/// Emits `value` as a varint (unsigned LEB128, see the module docs): one
+/// byte below 2^7, two below 2^14, … ten from 2^63. No loop over the bytes:
+/// the length comes from the leading zeros and the groups are placed with
+/// three shift-and-mask steps, so the same code metering into a
+/// [`ByteCount`] — which the simulator does on every send — reduces to a
+/// handful of branch-free instructions per value.
+#[inline]
+pub fn put_varint<S: WireSink>(value: u64, out: &mut S) {
+    if value >> 56 != 0 {
+        // Eight full groups, then the one or two bytes that are left.
+        out.put(&(spread_groups(value) | CONTINUATION_BITS).to_le_bytes());
+        return put_varint(value >> 56, out);
+    }
+    // ⌈bit width / 7⌉ bytes, 0 taking one like 1 does: 1..=8 of them.
+    let len = (70 - (value | 1).leading_zeros() as usize) / 7;
+    let continued = CONTINUATION_BITS & !(u64::MAX << (8 * (len - 1)));
+    out.put(&(spread_groups(value) | continued).to_le_bytes()[..len]);
+}
+
 /// Emits `items` back to back with no length prefix — the body of every
 /// sequence encoding, and of a block type's arrays whose lengths its header
 /// implies.
@@ -377,8 +476,9 @@ pub fn encode_elems<T: WireEncode, S: WireSink>(items: &[T], out: &mut S) {
 }
 
 /// Reads `len` elements laid out by [`encode_elems`], checking `len` against
-/// the bytes remaining before allocating for it. Elements can encode to zero
-/// bytes (`()`), so only the others are held to ≥ 1 B each.
+/// the bytes remaining before allocating for it: ≥ 1 B each, or for
+/// elements that encode to zero bytes (`()`) the rule of
+/// [`WireReader::ensure`].
 pub fn decode_elems<T: WireDecode>(
     r: &mut WireReader<'_>,
     len: usize,
@@ -421,7 +521,7 @@ impl<T: WireEncode> WireEncode for Vec<T> {
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         // `decode_elems` holds the length against the bytes remaining.
-        let len = r.take_len(0)?;
+        let len = usize::wire_decode(r)?;
         decode_elems(r, len)
     }
 }
@@ -624,6 +724,89 @@ mod tests {
             decode_from_slice::<Vec<u64>>(&bytes),
             Err(WireError::Truncated { .. }) | Err(WireError::Invalid(_))
         ));
+    }
+
+    /// A count of zero-byte elements is bounded by nothing left in the
+    /// buffer; it must be refused before the decode loop runs, not after
+    /// 2^64 iterations of it (which only the unoptimised build executes).
+    #[test]
+    fn hostile_count_of_zero_byte_elements_is_rejected_up_front() {
+        for len in [u64::MAX, 1 << 40, 9] {
+            let frame = len.to_le_bytes();
+            assert!(decode_from_slice::<Vec<()>>(&frame).is_err());
+            assert!(decode_from_slice::<Vec<((), ())>>(&frame).is_err());
+            assert!(decode_from_slice::<Vec<[(); 3]>>(&frame).is_err());
+        }
+        // Up to the frame's own length they still round-trip.
+        round_trip(vec![(); 8]);
+        round_trip(vec![((), ()); 2]);
+        round_trip((7u64, Vec::<()>::from([(); 16])));
+    }
+
+    fn varint(value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(value, &mut out);
+        out
+    }
+
+    #[test]
+    fn varint_lengths_and_round_trips() {
+        assert_eq!(varint(0), [0]);
+        assert_eq!(varint(127), [0x7f]);
+        assert_eq!(varint(128), [0x80, 0x01]);
+        assert_eq!(varint(300), [0xac, 0x02]);
+        assert_eq!(varint(u64::MAX).len(), MAX_VARINT_BYTES);
+        let mut rng = crate::rng::SplitMix64::new(0x7A61);
+        let edges = (0..64).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1]);
+        let random = (0..2000).map(|i| crate::rng::Rng::next_u64(&mut rng) >> (i % 64));
+        let values: Vec<u64> = edges.chain(random).chain([u64::MAX]).collect();
+        let (mut stream, mut counted) = (Vec::new(), ByteCount(0));
+        for &value in &values {
+            let bytes = varint(value);
+            let bits = 64 - (value | 1).leading_zeros() as usize;
+            assert_eq!(bytes.len(), bits.div_ceil(7), "{value}");
+            // Alone in its buffer, so the decoder cannot look past it.
+            let mut r = WireReader::new(&bytes);
+            assert_eq!(r.take_varint(), Ok(value));
+            assert_eq!(r.remaining(), 0);
+            stream.extend(bytes);
+            put_varint(value, &mut counted);
+        }
+        // And back to back, where it can.
+        assert_eq!(counted.0, stream.len() as u64);
+        let mut r = WireReader::new(&stream);
+        for &value in &values {
+            assert_eq!(r.take_varint(), Ok(value));
+        }
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn varint_has_one_spelling_per_value() {
+        let take = |bytes: &[u8]| WireReader::new(bytes).take_varint();
+        // Trailing zero groups: 0 and 1 spelt in two bytes, 2^7 in three.
+        for padded in [&[0x80, 0x00][..], &[0x81, 0x00], &[0x80, 0x81, 0x00]] {
+            assert_eq!(
+                take(padded),
+                Err(WireError::Invalid("non-canonical varint"))
+            );
+        }
+        // Past bit 63: a second bit in the tenth byte, and an eleventh byte.
+        let mut wide = [0xff; 11];
+        wide[9] = 0x02;
+        assert!(matches!(take(&wide[..10]), Err(WireError::Invalid(_))));
+        wide[9] = 0x81;
+        wide[10] = 0x00;
+        assert!(matches!(take(&wide), Err(WireError::Invalid(_))));
+        // Cut on a continuation byte, at every length.
+        let max = varint(u64::MAX);
+        for cut in 0..max.len() {
+            assert!(matches!(
+                take(&max[..cut]),
+                Err(WireError::Truncated { .. })
+            ));
+        }
+        assert_eq!(take(&max), Ok(u64::MAX));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm::core::{DistMat, DynSpGemm, Exec, Grid};
 use dspgemm::graph::catalog::small_instances;
-use dspgemm::mpi::{Comm, CommCategory};
+use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
 use dspgemm::sparse::semiring::{F64Plus, U64Plus};
 use dspgemm::sparse::{Csr, Dcsr, Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -183,17 +183,18 @@ fn draws(seed: u64, count: usize) -> Vec<Triple<u64>> {
         .collect()
 }
 
-/// What the ranks of a `p`-rank run sent inside `batch`, summed:
-/// `Alltoall` messages, `P2p` bytes, `P2p` messages.
+/// `(bytes, messages)` per [`CommCategory`], in index order.
+type Traffic = [(u64, u64); NUM_CATEGORIES];
+
+/// What the ranks of a `p`-rank run sent inside `batch`, summed.
 fn batch_traffic<T>(
     p: usize,
     setup: impl Fn(&Comm) -> T + Send + Sync,
     batch: impl Fn(&mut T, &Comm) + Send + Sync,
-) -> (u64, u64, u64) {
+) -> Traffic {
     let own = |comm: &Comm| {
         let mine = &comm.comm_stats().per_rank[comm.rank()];
-        let (a2a, p2p) = (CommCategory::Alltoall as usize, CommCategory::P2p as usize);
-        [mine.msgs[a2a], mine.bytes[p2p], mine.msgs[p2p]]
+        CommCategory::all().map(|cat| (mine.bytes[cat as usize], mine.msgs[cat as usize]))
     };
     let out = dspgemm::mpi::run(p, |comm| {
         let mut state = setup(comm);
@@ -202,10 +203,15 @@ fn batch_traffic<T>(
         batch(&mut state, comm);
         let after = own(comm);
         comm.barrier();
-        [0, 1, 2].map(|k| after[k] - before[k])
+        CommCategory::all().map(|cat| {
+            let k = cat as usize;
+            (after[k].0 - before[k].0, after[k].1 - before[k].1)
+        })
     });
-    let sum = |k: usize| out.results.iter().map(|d| d[k]).sum();
-    (sum(0), sum(1), sum(2))
+    CommCategory::all().map(|cat| {
+        let per_rank = out.results.iter().map(|d| d[cat as usize]);
+        per_rank.fold((0, 0), |sum, d| (sum.0 + d.0, sum.1 + d.1))
+    })
 }
 
 /// A batch redistributes once: `2·p·(√p − 1)` `ALLTOALLV` messages whether
@@ -254,6 +260,7 @@ fn redistribution_is_one_exchange_per_batch() {
         let stored = draws(70 + comm.rank() as u64, 9);
         s.delete_edges(stored.iter().map(|t| (t.row, t.col)).collect());
     };
+    let (a2a, p2p) = (CommCategory::Alltoall as usize, CommCategory::P2p as usize);
     for (p, q) in [(4u64, 2u64), (9, 3)] {
         let one_exchange = 2 * p * (q - 1);
         let algebraic_batches = [
@@ -262,18 +269,69 @@ fn redistribution_is_one_exchange_per_batch() {
             batch_traffic(p as usize, session, insert),
         ];
         for got in algebraic_batches {
-            assert_eq!(got, (one_exchange, 0, 0), "p={p}: algebraic batch");
+            assert_eq!(got[a2a].1, one_exchange, "p={p}: algebraic batch");
+            assert_eq!(got[p2p], (0, 0), "p={p}: algebraic batch");
         }
         let general_batches = [
             batch_traffic(p as usize, engine(true), general),
             batch_traffic(p as usize, session, delete),
         ];
-        for (alltoall, _, p2p_msgs) in general_batches {
+        for got in general_batches {
             assert_eq!(
-                (alltoall, p2p_msgs),
+                (got[a2a].1, got[p2p].1),
                 (one_exchange, p - q),
                 "p={p}: general batch"
             );
         }
+    }
+}
+
+/// The compact `Dcsr` wire form on the traffic it exists for: one seeded
+/// Algorithm-1 batch (192 insertions into each operand of a catalog proxy)
+/// ships its `X` / `Y` broadcasts and merge-reduced `C*` partials in at most
+/// 0.85 × the bytes the fixed-width form (4 B per column, 12 B per stored
+/// row) metered for the same batch, in the same messages.
+#[test]
+fn algebraic_batch_ships_compact_blocks() {
+    let (n, triples) = instance_triples();
+    let setup = |comm: &Comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let feed = if comm.rank() == 0 {
+            triples.clone()
+        } else {
+            vec![]
+        };
+        let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
+        let eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
+        (grid, eng)
+    };
+    let batch = |(grid, eng): &mut (Grid, DynSpGemm<F64Plus>), comm: &Comm| {
+        let mut rng = SplitMix64::new(0xA161 + comm.rank() as u64);
+        let mut draws = |count: usize| -> Vec<Triple<f64>> {
+            let mut coord = || rng.gen_range(n as u64) as Index;
+            (0..count)
+                .map(|_| Triple::new(coord(), coord(), 1.0))
+                .collect()
+        };
+        let per_rank = 192 / comm.size();
+        eng.apply_algebraic(grid, draws(per_rank), draws(per_rank));
+    };
+    // `Bcast` + `Reduce` (bytes, messages) of this batch as the parent of the
+    // compact form (69822f0) metered it.
+    for (p, fixed) in [(4, (28_296u64, 22u64)), (9, (46_180, 88))] {
+        let got = batch_traffic(p, setup, batch);
+        let (bcast, reduce) = (
+            got[CommCategory::Bcast as usize],
+            got[CommCategory::Reduce as usize],
+        );
+        assert_eq!(bcast.1 + reduce.1, fixed.1, "p={p}: messages");
+        let compact = bcast.0 + reduce.0;
+        assert!(
+            compact * 100 <= fixed.0 * 85,
+            "p={p}: {compact} B against {} B fixed-width",
+            fixed.0
+        );
     }
 }
