@@ -6,9 +6,8 @@
 //! mask and a merging fold: operand blocks still travel — the mask cannot
 //! prune *communication*, because a masked entry may draw contributions
 //! from every inner block — but the local kernel runs under the mask, so
-//! *compute* is pruned to `O(flops reaching masked positions)` — the
-//! Section VI-B trade rebuilt-hash-table-vs-broadcast observation applies
-//! unchanged.
+//! *compute* is pruned to `O(flops reaching masked positions)`, and a
+//! product the mask rejects costs one load (`dspgemm_sparse::masked_mm`).
 //!
 //! The analytics layer uses this to bootstrap candidate-pair views
 //! (link-prediction scores over a fixed candidate set) whose per-batch

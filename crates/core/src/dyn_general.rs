@@ -28,13 +28,11 @@ use crate::layout::{uniform_layout, Layout};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup};
-use dspgemm_sparse::bloom::row_or_reduce;
+use dspgemm_sparse::dhb::DhbRow;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload};
-use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::ops::extract_filtered;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Dcsr, Index, RowScan, Triple};
-use dspgemm_util::hash::FxHashMap;
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
@@ -207,12 +205,12 @@ fn masked_recompute_rounds<S: Semiring>(
         },
         |ctx, k, (ar_bcast, cstar_bcast)| {
             let (timer, flops, z_mine) = ctx;
-            // Local hash table over the broadcast C* block (Section VI-B:
-            // built redundantly per rank; cheaper than broadcasting the
-            // table).
+            // The broadcast C* block is the mask as it stands: its sorted
+            // rows are what the kernel works against, so nothing is built
+            // per round (Section VI-B rebuilds a hash table here).
             let z_part = timer.time(phase::LOCAL_MULT, || {
-                let mask = MaskSet::from_pattern(&cstar_bcast);
-                spgemm_with::<S, Bloom, _, _, _>(&*ar_bcast, right, &mask, k_offset, exec.fused())
+                let (a_r, mask) = (&*ar_bcast, &*cstar_bcast);
+                spgemm_with::<S, Bloom, _, _, _>(a_r, right, mask, k_offset, exec.fused())
             });
             timer.add_thread_flops(&z_part.thread_flops);
             **flops += z_part.flops;
@@ -255,18 +253,14 @@ fn recompute_at_cstar<S: Semiring>(
     // process row. ---
     let local_rows = a_new.info().local_rows();
     let filter: Arc<Vec<u64>> = timer.time(phase::REDUCE_SCATTER, || {
-        let mut e = Dcsr::empty(cstar.nrows(), cstar.ncols());
+        // E is never materialised: each of its entries goes straight into
+        // its row's OR.
+        let mut local_r = vec![0u64; local_rows as usize];
         cstar.scan_rows(|r, cols, vals| {
-            let mut e_cols: Vec<Index> = Vec::with_capacity(cols.len());
-            let mut e_vals: Vec<u64> = Vec::with_capacity(cols.len());
             for (&cc, &fstar_bits) in cols.iter().zip(vals) {
-                let f_bits = f.block().get(r, cc).unwrap_or(0);
-                e_cols.push(cc);
-                e_vals.push(f_bits | fstar_bits);
+                local_r[r as usize] |= f.block().get(r, cc).unwrap_or(0) | fstar_bits;
             }
-            e.push_row(r, &e_cols, &e_vals);
         });
-        let local_r = row_or_reduce(&e, local_rows);
         // Vector allreduce = reduce + zero-copy broadcast-back (the filter
         // segment is a real payload, unlike the scalar control allreduces).
         let reduced = grid.row_comm().reduce(0, local_r, |mut x, y| {
@@ -362,11 +356,42 @@ pub fn apply_general_updates_exec<S: Semiring>(
     flops + recompute_at_cstar::<S>(grid, a, b, c, f, &cstar, TAG_AR, exec, timer)
 }
 
+/// One row of [`replace_at_cstar`] on one matrix: walks the row's `C*`
+/// columns and its `Z` columns — both ascending, the latter a subset —
+/// with two pointers; a `C*` column `Z` also holds takes `value(position in
+/// Z's row)`, any other loses its entry. Returns how many `Z` columns were
+/// matched: all of them iff `Z`'s row lies inside `C*`'s.
+fn replace_row<V: Copy>(
+    row: &mut DhbRow<V>,
+    cstar_cols: &[Index],
+    z_cols: &[Index],
+    value: impl Fn(usize) -> V,
+) -> usize {
+    let mut zi = 0;
+    for &cc in cstar_cols {
+        if z_cols.get(zi) == Some(&cc) {
+            row.set(cc, value(zi));
+            zi += 1;
+        } else {
+            row.remove(cc);
+        }
+    }
+    zi
+}
+
 /// The local tail of Algorithm 2: at every position of the pattern `C*`,
 /// `C` and `F` take the recomputed `(value, bitfield)` of `Z`, or lose the
 /// entry when the recomputation produced none. `C*` is recorded as the
 /// touched pattern, so the next publish patches `C`'s image (`F` is never
 /// published); an empty `C*` leaves blocks and image alone.
+///
+/// `C*` and `Z ⊆ C*` are both row-major and column-sorted, so they are
+/// walked as two sorted streams — `Z`'s next row is `C*`'s current row or a
+/// later one — and each touched row of `C` and of `F` is looked up once.
+///
+/// # Panics
+/// Panics if `Z` holds a position outside `C*` (the masked multiply never
+/// produces one).
 fn replace_at_cstar<S: Semiring>(
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
@@ -374,31 +399,22 @@ fn replace_at_cstar<S: Semiring>(
     z: &Dcsr<(S::Elem, u64)>,
 ) {
     if cstar.nnz() == 0 {
+        assert_eq!(z.nnz(), 0, "Z has entries but C* is empty");
         return;
     }
-    let mut z_lookup: FxHashMap<u64, (S::Elem, u64)> = FxHashMap::default();
-    z_lookup.reserve(z.nnz());
-    z.scan_rows(|r, cols, vals| {
-        for (&cc, &v) in cols.iter().zip(vals) {
-            z_lookup.insert(((r as u64) << 32) | cc as u64, v);
-        }
-    });
+    let mut z_rows = z.iter_rows().peekable();
     let c_block = c.block_mut_touching(cstar);
     let f_block = f.block_mut();
     cstar.scan_rows(|r, cols, _| {
-        for &cc in cols {
-            match z_lookup.get(&(((r as u64) << 32) | cc as u64)) {
-                Some(&(v, bits)) => {
-                    c_block.set(r, cc, v);
-                    f_block.set(r, cc, bits);
-                }
-                None => {
-                    c_block.remove(r, cc);
-                    f_block.remove(r, cc);
-                }
-            }
-        }
+        let (z_cols, z_vals) = match z_rows.next_if(|&(zr, _, _)| zr == r) {
+            Some((_, z_cols, z_vals)) => (z_cols, z_vals),
+            None => (&[][..], &[][..]),
+        };
+        let matched = c_block.update_row(r, |row| replace_row(row, cols, z_cols, |i| z_vals[i].0));
+        assert_eq!(matched, z_cols.len(), "Z row {r} leaves C*");
+        f_block.update_row(r, |row| replace_row(row, cols, z_cols, |i| z_vals[i].1));
     });
+    assert!(z_rows.next().is_none(), "Z has a row outside C*");
 }
 
 /// Shared-operand general update from **pre-built** update matrices:
@@ -759,5 +775,95 @@ mod tests {
             ct == ft
         });
         assert!(out.results.iter().all(|&x| x));
+    }
+
+    /// `replace_at_cstar` on one rank over a hand-built `C` (with `F`
+    /// holding `value << 8` wherever `C` holds `value`), the `C*` pattern
+    /// `(0,1) (0,2) (0,3) (2,5) (3,3) (4,4)` and the given `Z`; returns `C`
+    /// and `F` afterwards, having checked their cached entry counts.
+    fn replace_with(z: Vec<Triple<(u64, u64)>>) -> (Vec<Triple<u64>>, Vec<Triple<u64>>) {
+        let n: Index = 6;
+        let out = run(1, move |comm| {
+            let grid = Grid::new(comm);
+            let (mut c, mut f) = (DistMat::empty(&grid, n, n), DistMat::empty(&grid, n, n));
+            // Row 0 is out of column order, as a DHB row may be.
+            let held = [
+                (0, 3, 11),
+                (0, 1, 10),
+                (1, 2, 12),
+                (2, 0, 13),
+                (2, 5, 14),
+                (4, 4, 15),
+            ];
+            for (r, cc, v) in held {
+                c.block_mut().set(r, cc, v);
+                f.block_mut().set(r, cc, v << 8);
+            }
+            let cstar = [(0, 1), (0, 2), (0, 3), (2, 5), (3, 3), (4, 4)]
+                .map(|(r, cc)| Triple::new(r, cc, 1));
+            let cstar = Dcsr::from_sorted_triples(n, n, &cstar);
+            replace_at_cstar::<U64Plus>(
+                &mut c,
+                &mut f,
+                &cstar,
+                &Dcsr::from_sorted_triples(n, n, &z),
+            );
+            let (ct, ft) = (c.block().to_sorted_triples(), f.block().to_sorted_triples());
+            assert_eq!(
+                (c.block().nnz(), f.block().nnz()),
+                (ct.len(), ft.len()),
+                "nnz recount"
+            );
+            (ct, ft)
+        });
+        out.results.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn replace_at_cstar_takes_z_and_drops_the_rest_of_cstar() {
+        fn t<V>(r: Index, c: Index, v: V) -> Triple<V> {
+            Triple::new(r, c, v)
+        }
+        // Z covers an entry C holds, one it does not, and a row new to C.
+        let z = vec![t(0, 1, (100, 1)), t(0, 2, (101, 2)), t(3, 3, (102, 4))];
+        let (c, f) = replace_with(z);
+        // (0,3), (2,5), (4,4): in C* but not in Z, so gone from both.
+        // (1,2), (2,0): outside C*, so untouched.
+        assert_eq!(
+            c,
+            vec![
+                t(0, 1, 100),
+                t(0, 2, 101),
+                t(1, 2, 12),
+                t(2, 0, 13),
+                t(3, 3, 102)
+            ]
+        );
+        assert_eq!(
+            f,
+            vec![
+                t(0, 1, 1),
+                t(0, 2, 2),
+                t(1, 2, 12 << 8),
+                t(2, 0, 13 << 8),
+                t(3, 3, 4)
+            ]
+        );
+        // An empty Z clears C and F at every position of C*.
+        let (c, f) = replace_with(vec![]);
+        assert_eq!(c, vec![t(1, 2, 12), t(2, 0, 13)]);
+        assert_eq!(f, vec![t(1, 2, 12 << 8), t(2, 0, 13 << 8)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Z row 0 leaves C*")]
+    fn replace_at_cstar_rejects_a_z_column_outside_cstar() {
+        replace_with(vec![Triple::new(0, 1, (1, 1)), Triple::new(0, 5, (1, 1))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Z has a row outside C*")]
+    fn replace_at_cstar_rejects_a_z_row_outside_cstar() {
+        replace_with(vec![Triple::new(0, 1, (1, 1)), Triple::new(1, 2, (1, 1))]);
     }
 }

@@ -7,9 +7,10 @@
 //! volume when hypersparse matrices need to be communicated" (Section IV).
 //!
 //! Update matrices (`A*`, `B*`), SpGEMM partial blocks (`Xᵢ`, `Yⱼ`) and the
-//! pattern/filter blocks of the general algorithm are all DCSR. None of the
-//! algorithms ever *indexes* into a DCSR (only scans it), so no per-row
-//! lookup structure is kept — exactly as the paper prescribes.
+//! pattern/filter blocks of the general algorithm are all DCSR. The
+//! algorithms scan a DCSR; the one lookup — the `C*` pattern serving as an
+//! output mask, one row per output row ([`Dcsr::row_cols`]) — is a binary
+//! search over the sorted row ids, so no per-row lookup structure is kept.
 //!
 //! On the wire a `Dcsr` is a 12-byte header (`nrows`, `ncols`, stored-row
 //! count, `u32` each), then the index structure gap-coded as varints — per
@@ -218,6 +219,15 @@ impl<V: Copy> Dcsr<V> {
             let hi = self.row_ptr[i + 1];
             (r, &self.cols[lo..hi], &self.vals[lo..hi])
         })
+    }
+
+    /// The columns of row `r`, ascending — empty if the row stores nothing.
+    /// A binary search over the stored row ids: `O(log stored rows)`.
+    pub fn row_cols(&self, r: Index) -> &[Index] {
+        match self.rows.binary_search(&r) {
+            Ok(i) => &self.cols[self.row_ptr[i]..self.row_ptr[i + 1]],
+            Err(_) => &[],
+        }
     }
 
     /// All entries as row-major triples.

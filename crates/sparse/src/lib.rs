@@ -21,8 +21,9 @@
 //!   one loop nest over flop-balanced row ranges, generic over the entry
 //!   payload (value, value + Bloom field of Section V-B, Bloom field alone)
 //!   and the output mask.
-//! * [`masked_mm`] — the hash-set output mask of the general dynamic
-//!   algorithm (recompute only entries masked by `C*`).
+//! * [`masked_mm`] — the row-structured output mask of the general dynamic
+//!   algorithm (recompute only entries masked by `C*`, whose sorted rows are
+//!   the mask).
 //! * [`bloom`] — the ℓ=64-bit Bloom-filter bitfields `F`, `F*`, `E`, `R`.
 //! * [`ops`] — the Bloom-guided row/column filter extraction `A^R`.
 //! * [`dense`] — a tiny dense reference implementation used by tests and

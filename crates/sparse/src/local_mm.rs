@@ -9,8 +9,11 @@
 //!   value fused with the ℓ=64-bit Bloom field of contributing inner indices
 //!   `k` that the general dynamic algorithm needs (Section V-B; [`Bloom`]),
 //!   or that field alone ([`Pattern`]),
-//! * the [`OutputMask`]: `()` for the full product, a
-//!   [`MaskSet`](crate::masked_mm::MaskSet) for Algorithm 2's recompute,
+//! * the [`OutputMask`]: `()` for the full product; a
+//!   [`MaskSet`](crate::masked_mm::MaskSet) or the `C*` pattern [`Dcsr`]
+//!   itself for Algorithm 2's recompute — a masked output row is combined in
+//!   the workspace's masked accumulator, which rejects a product with one
+//!   load (see [`crate::masked_mm`]),
 //! * the left operand (anything that can [`RowScan`]: CSR, DCSR, DHB), and
 //! * the right operand (anything with O(1) row access, [`RowRead`]: CSR,
 //!   DHB — never DCSR, matching the paper's "no search for an index is ever
@@ -119,16 +122,21 @@ impl<S: Semiring> Payload<S> for Pattern {
     }
 }
 
-/// Which output positions a multiply may write.
+/// Which output positions a multiply may write, handed to the kernel one
+/// output row at a time: the kernel asks once per row of `A`, never per
+/// product, so a mask costs a row lookup plus whatever the masked
+/// accumulator charges a rejected term (one load; see
+/// [`crate::masked_mm`]).
 pub trait OutputMask: Sync {
     /// Upper bound on the entries the whole product can hold — caps output
-    /// reservations and the per-row SPA choice, whose flop bounds cannot see
-    /// the mask's pruning.
+    /// reservations, whose flop bounds cannot see the mask's pruning.
     fn capacity(&self) -> u64;
 
-    /// Whether `(i, j)` is computed. Checked before the multiply: a rejected
-    /// term costs this probe but no flop (Section VI-B).
-    fn admits(&self, i: Index, j: Index) -> bool;
+    /// The admitted columns of output row `i`, strictly ascending and all
+    /// below the product's width (the kernel panics on one that is not) —
+    /// empty when the mask holds nothing in that row, so the kernel skips
+    /// the row without reading `B`. `None` means the row is unrestricted.
+    fn row(&self, i: Index) -> Option<&[Index]>;
 }
 
 /// No mask: the full product.
@@ -139,8 +147,25 @@ impl OutputMask for () {
     }
 
     #[inline]
-    fn admits(&self, _i: Index, _j: Index) -> bool {
-        true
+    fn row(&self, _i: Index) -> Option<&[Index]> {
+        None
+    }
+}
+
+/// A pattern is its own mask: the admitted positions are its stored
+/// entries (values ignored), one binary search over the stored rows per
+/// output row. Its rows must be column-sorted — every kernel output and
+/// every block decoded from the wire is. Algorithm 2 passes the broadcast
+/// `C*` block as it arrives.
+impl<V: Copy + Sync> OutputMask for Dcsr<V> {
+    #[inline]
+    fn capacity(&self) -> u64 {
+        self.nnz() as u64
+    }
+
+    #[inline]
+    fn row(&self, i: Index) -> Option<&[Index]> {
+        Some(self.row_cols(i))
     }
 }
 
@@ -443,21 +468,38 @@ where
                 range.start as Index,
                 range.end as Index,
                 |i, acols, avals| {
-                    let est = row_flop_bound(b, acols);
-                    ws.begin_row(ncols, est.min(mask.capacity()));
-                    for (&k, &av) in acols.iter().zip(avals) {
-                        let bit = bloom_bit(k + k_offset);
-                        let (bcols, bvals) = b.row(k);
-                        for (&j, &bv) in bcols.iter().zip(bvals) {
-                            if mask.admits(i, j) {
-                                // One flop per admitted term: `est` in all
-                                // when nothing is masked.
+                    let Some(admitted) = mask.row(i) else {
+                        let est = row_flop_bound(b, acols);
+                        ws.begin_row(ncols, est);
+                        for (&k, &av) in acols.iter().zip(avals) {
+                            let bit = bloom_bit(k + k_offset);
+                            let (bcols, bvals) = b.row(k);
+                            for (&j, &bv) in bcols.iter().zip(bvals) {
+                                // One flop per term: `est` in all.
                                 ws.out.flops += 1;
                                 ws.scatter(j, P::term(av, bv, bit), P::merge);
                             }
                         }
+                        ws.finish_row(i);
+                        return;
+                    };
+                    if admitted.is_empty() {
+                        return;
                     }
-                    ws.finish_row(i);
+                    ws.begin_masked_row(ncols, admitted);
+                    for (&k, &av) in acols.iter().zip(avals) {
+                        let bit = bloom_bit(k + k_offset);
+                        let (bcols, bvals) = b.row(k);
+                        for (&j, &bv) in bcols.iter().zip(bvals) {
+                            // One flop per admitted term; a rejected one
+                            // costs the slot lookup and nothing else.
+                            if let Some(slot) = ws.masked_slot(ncols, admitted, j) {
+                                ws.out.flops += 1;
+                                ws.combine_masked(slot, P::term(av, bv, bit), P::merge);
+                            }
+                        }
+                    }
+                    ws.finish_masked_row(i, ncols, admitted);
                 },
             );
         },

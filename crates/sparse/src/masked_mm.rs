@@ -3,13 +3,27 @@
 //! Algorithm 2 recomputes only the entries of `C'` that may have changed —
 //! those non-zero in `C*`. The local multiplication therefore takes `C*`'s
 //! sparsity pattern as an *output mask*: a term `a_ik · b_kj` is accumulated
-//! only if `(i, j)` is masked. Following Section VI-B, the mask is realized
-//! as a local hash table over the `(row, col)` pairs of the `C*` block
-//! (rebuilt per rank — the paper found rebuilding cheaper than broadcasting
-//! the table itself, because hash tables are much larger than `nnz` due to
-//! empty slots).
+//! only if `(i, j)` is masked.
 //!
-//! [`MaskSet`] is an [`OutputMask`] of the one Gustavson loop nest,
+//! **Departure from the paper.** Section VI-B realizes the mask as a local
+//! hash table over the `(row, col)` pairs of the `C*` block, rebuilt on every
+//! rank because the table is too large to broadcast. Here the mask *is* the
+//! block: `C*` arrives as a [`Dcsr`] whose rows are sorted by id and whose
+//! columns are sorted within each row, Gustavson's loop produces one output
+//! row at a time, and so the kernel asks the mask for one row
+//! ([`OutputMask::row`]) and works against that sorted slice. Nothing is
+//! rebuilt per rank or per round, and the per-product test no longer hashes:
+//! the row's columns are marked in a column table of 4 B × block width that
+//! stays in L1 (see [`crate::workspace::KernelWorkspace`]), so each of the
+//! ≈ 10 products rejected for every one admitted costs one load rather than
+//! one probe of a table the size of `C*`. Blocks wider than
+//! [`DENSE_SPA_MAX_WIDTH`](crate::spa::DENSE_SPA_MAX_WIDTH) keep no table
+//! and binary-search the mask row instead — slower than the table, still
+//! faster than the hash set it replaced.
+//!
+//! [`MaskSet`] is the owned form of the same structure, for masks that are
+//! not the pattern of a matrix at hand (candidate pairs in the analytics
+//! layer). Both are [`OutputMask`]s of the one Gustavson loop nest,
 //! [`spgemm_with`]; run with the [`Bloom`] payload it also emits the
 //! *updated* Bloom filter `H` for the recomputed entries.
 
@@ -17,76 +31,136 @@ use crate::dcsr::Dcsr;
 use crate::local_mm::{spgemm_with, Bloom, KernelPlan, MmOutput, OutputMask};
 use crate::semiring::Semiring;
 use crate::{Index, RowRead, RowScan};
-use dspgemm_util::hash::FxHashSet;
 
-/// A hash set over `(row, col)` index pairs, used as an output mask.
+/// A set of `(row, col)` index pairs used as an output mask, stored like a
+/// pattern-only [`Dcsr`]: the ids of its non-empty rows ascending, and per
+/// row its columns ascending.
 #[derive(Debug, Clone, Default)]
 pub struct MaskSet {
-    set: FxHashSet<u64>,
-}
-
-#[inline]
-fn pack(r: Index, c: Index) -> u64 {
-    ((r as u64) << 32) | c as u64
+    /// Ids of the non-empty rows, strictly ascending.
+    rows: Vec<Index>,
+    /// `row_end[i]` is where the columns of `rows[i]` end in `cols`; they
+    /// start where the previous row's end (at 0 for the first).
+    row_end: Vec<usize>,
+    cols: Vec<Index>,
 }
 
 impl MaskSet {
-    /// Builds the mask from the sparsity pattern of a block (values ignored).
+    /// Builds the mask from the sparsity pattern of a block (values
+    /// ignored), whose rows must be column-sorted — every kernel output and
+    /// every block that crossed the wire is.
     pub fn from_pattern<V: Copy>(block: &Dcsr<V>) -> Self {
-        let mut set = FxHashSet::default();
-        set.reserve(block.nnz());
-        for (r, cols, _) in block.iter_rows() {
-            for &c in cols {
-                set.insert(pack(r, c));
-            }
-        }
-        Self { set }
-    }
-
-    /// Builds the mask from explicit `(row, col)` pairs — the construction
-    /// path for candidate-pair masks that exist independently of any matrix
-    /// (e.g. link-prediction candidates in the analytics layer).
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (Index, Index)>) -> Self {
         let mut mask = Self::default();
-        for (r, c) in pairs {
-            mask.insert(r, c);
+        mask.rows.reserve(block.nrows_stored());
+        mask.row_end.reserve(block.nrows_stored());
+        mask.cols.reserve(block.nnz());
+        for (r, cols, _) in block.iter_rows() {
+            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "unsorted row");
+            mask.rows.push(r);
+            mask.cols.extend_from_slice(cols);
+            mask.row_end.push(mask.cols.len());
         }
         mask
     }
 
+    /// Builds the mask from explicit `(row, col)` pairs in any order,
+    /// duplicates allowed — the construction path for candidate-pair masks
+    /// that exist independently of any matrix (e.g. link-prediction
+    /// candidates in the analytics layer). One sort, then appends.
+    pub fn from_pairs(pairs: impl IntoIterator<Item = (Index, Index)>) -> Self {
+        let mut pairs: Vec<(Index, Index)> = pairs.into_iter().collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut mask = Self::default();
+        mask.cols.reserve(pairs.len());
+        for (r, c) in pairs {
+            mask.append(r, c);
+        }
+        mask
+    }
+
+    /// Appends `(r, c)`, which must follow every stored pair in row-major
+    /// order.
+    fn append(&mut self, r: Index, c: Index) {
+        if self.rows.last() != Some(&r) {
+            self.rows.push(r);
+            self.row_end.push(self.cols.len());
+        }
+        self.cols.push(c);
+        *self.row_end.last_mut().expect("a row was just ensured") = self.cols.len();
+    }
+
+    /// Where the columns of stored row `i` (an index into `rows`) lie.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = if i == 0 { 0 } else { self.row_end[i - 1] };
+        start..self.row_end[i]
+    }
+
     /// Adds `(r, c)` to the mask. Returns `true` if it was not present.
-    #[inline]
+    ///
+    /// A pair that follows every stored one in row-major order is appended
+    /// in O(1); any other is inserted in place, which shifts the later
+    /// columns and row ends — O(len). Build from unordered input with
+    /// [`MaskSet::from_pairs`] instead.
     pub fn insert(&mut self, r: Index, c: Index) -> bool {
-        self.set.insert(pack(r, c))
+        let last = self.rows.last().zip(self.cols.last());
+        if last.is_none_or(|(&lr, &lc)| (lr, lc) < (r, c)) {
+            self.append(r, c);
+            return true;
+        }
+        let i = match self.rows.binary_search(&r) {
+            Ok(i) => i,
+            Err(i) => {
+                // A new row, empty until the column below goes in.
+                let at = self.span(i).start;
+                self.rows.insert(i, r);
+                self.row_end.insert(i, at);
+                i
+            }
+        };
+        let span = self.span(i);
+        match self.cols[span.clone()].binary_search(&c) {
+            Ok(_) => false,
+            Err(p) => {
+                self.cols.insert(span.start + p, c);
+                for end in &mut self.row_end[i..] {
+                    *end += 1;
+                }
+                true
+            }
+        }
     }
 
-    /// Removes `(r, c)` from the mask. Returns `true` if it was present.
-    #[inline]
-    pub fn remove(&mut self, r: Index, c: Index) -> bool {
-        self.set.remove(&pack(r, c))
+    /// The masked columns of row `r`, ascending; empty if the row holds
+    /// none.
+    pub fn row(&self, r: Index) -> &[Index] {
+        match self.rows.binary_search(&r) {
+            Ok(i) => &self.cols[self.span(i)],
+            Err(_) => &[],
+        }
     }
 
-    /// Iterates the masked `(row, col)` pairs in arbitrary order.
+    /// Iterates the masked `(row, col)` pairs in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (Index, Index)> + '_ {
-        self.set
+        self.rows
             .iter()
-            .map(|&k| ((k >> 32) as Index, (k & 0xFFFF_FFFF) as Index))
+            .enumerate()
+            .flat_map(move |(i, &r)| self.cols[self.span(i)].iter().map(move |&c| (r, c)))
     }
 
     /// Whether `(r, c)` is masked (i.e. should be computed).
-    #[inline]
     pub fn contains(&self, r: Index, c: Index) -> bool {
-        self.set.contains(&pack(r, c))
+        self.row(r).binary_search(&c).is_ok()
     }
 
     /// Number of masked positions.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.cols.len()
     }
 
     /// Whether the mask is empty.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.cols.is_empty()
     }
 }
 
@@ -98,8 +172,8 @@ impl OutputMask for MaskSet {
     }
 
     #[inline]
-    fn admits(&self, i: Index, j: Index) -> bool {
-        self.contains(i, j)
+    fn row(&self, i: Index) -> Option<&[Index]> {
+        Some(MaskSet::row(self, i))
     }
 }
 
@@ -159,16 +233,49 @@ mod tests {
 
     #[test]
     fn pair_construction_and_iteration() {
-        let mut mask = MaskSet::from_pairs([(3, 4), (1, 2)]);
-        assert!(mask.insert(9, 0));
-        assert!(!mask.insert(9, 0), "duplicate insert");
-        assert_eq!(mask.len(), 3);
-        let mut pairs: Vec<(Index, Index)> = mask.iter().collect();
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(1, 2), (3, 4), (9, 0)]);
-        assert!(mask.remove(3, 4));
-        assert!(!mask.remove(3, 4));
-        assert!(!mask.contains(3, 4));
+        let mut mask = MaskSet::from_pairs([(3, 4), (9, 1), (1, 2), (3, 0), (3, 4), (1, 2)]);
+        assert_eq!(mask.len(), 4);
+        let sorted = vec![(1, 2), (3, 0), (3, 4), (9, 1)];
+        assert_eq!(mask.iter().collect::<Vec<_>>(), sorted, "row-major order");
+        // First, last and absent rows.
+        assert_eq!(mask.row(1), [2]);
+        assert_eq!(mask.row(3), [0, 4]);
+        assert_eq!(mask.row(9), [1]);
+        assert!(mask.row(0).is_empty() && mask.row(5).is_empty() && mask.row(10).is_empty());
+        assert_eq!(OutputMask::row(&mask, 5), Some(&[][..]));
+        assert!(mask.contains(3, 0) && mask.contains(9, 1));
+        assert!(!mask.contains(3, 1) && !mask.contains(2, 2) && !mask.contains(10, 1));
+        // Ascending inserts append; anything else lands in place.
+        assert!(mask.insert(9, 5));
+        assert!(mask.insert(12, 0));
+        assert!(!mask.insert(12, 0), "duplicate of the last pair");
+        assert!(mask.insert(3, 2), "middle of a row");
+        assert!(mask.insert(0, 7), "new first row");
+        assert!(mask.insert(5, 5), "new middle row");
+        assert!(mask.insert(9, 0), "front of a row");
+        assert!(!mask.insert(3, 4), "duplicate in place");
+        let all = vec![
+            (0, 7),
+            (1, 2),
+            (3, 0),
+            (3, 2),
+            (3, 4),
+            (5, 5),
+            (9, 0),
+            (9, 1),
+            (9, 5),
+            (12, 0),
+        ];
+        assert_eq!(mask.iter().collect::<Vec<_>>(), all);
+        assert_eq!(mask.len(), all.len());
+        assert_eq!(mask.row(9), [0, 1, 5]);
+        // Insertion in any order builds what `from_pairs` builds.
+        let mut scattered = MaskSet::default();
+        for &(r, c) in all.iter().rev() {
+            assert!(scattered.insert(r, c));
+        }
+        assert_eq!(scattered.iter().collect::<Vec<_>>(), all);
+        assert_eq!(scattered.row(3), MaskSet::from_pairs(all).row(3));
     }
 
     #[test]

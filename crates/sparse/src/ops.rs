@@ -23,9 +23,13 @@ pub fn extract_filtered<V: Copy, M: RowScan<V>>(
 ) -> Dcsr<V> {
     assert_eq!(a.nrows() as usize, filter.len(), "filter length mismatch");
     let mut out = Dcsr::empty(a.nrows(), a.ncols());
+    // Per-row scratch, reused across rows: the kept entries, and — only for
+    // a row that is not already in column order — their sorted copy.
     let mut cols_buf: Vec<Index> = Vec::new();
     let mut vals_buf: Vec<V> = Vec::new();
     let mut order: Vec<usize> = Vec::new();
+    let mut sorted_cols: Vec<Index> = Vec::new();
+    let mut sorted_vals: Vec<V> = Vec::new();
     a.scan_rows(|r, cols, vals| {
         let bits = filter[r as usize];
         if bits == 0 {
@@ -42,13 +46,20 @@ pub fn extract_filtered<V: Copy, M: RowScan<V>>(
         if cols_buf.is_empty() {
             return;
         }
-        // Row entries may be unsorted (DHB); sort by column for a canonical
-        // DCSR.
+        // Row entries may be unsorted (DHB keeps insertion order, and only a
+        // bulk-filled row is in column order); sort by column for a
+        // canonical DCSR.
+        if cols_buf.windows(2).all(|w| w[0] < w[1]) {
+            out.push_row(r, &cols_buf, &vals_buf);
+            return;
+        }
         order.clear();
         order.extend(0..cols_buf.len());
         order.sort_unstable_by_key(|&i| cols_buf[i]);
-        let sorted_cols: Vec<Index> = order.iter().map(|&i| cols_buf[i]).collect();
-        let sorted_vals: Vec<V> = order.iter().map(|&i| vals_buf[i]).collect();
+        sorted_cols.clear();
+        sorted_cols.extend(order.iter().map(|&i| cols_buf[i]));
+        sorted_vals.clear();
+        sorted_vals.extend(order.iter().map(|&i| vals_buf[i]));
         out.push_row(r, &sorted_cols, &sorted_vals);
     });
     out
@@ -107,6 +118,43 @@ mod tests {
         let out = extract_filtered(&a, &[u64::MAX, 0], 0);
         let cols: Vec<Index> = out.to_triples().iter().map(|x| x.col).collect();
         assert_eq!(cols, vec![3, 5, 7]);
+    }
+
+    #[test]
+    fn unsorted_and_sorted_rows_extract_alike() {
+        // The same matrix with rows in insertion order (sort path) and
+        // bulk-filled in column order (copy path), under a filter that
+        // drops a column from the middle of each row.
+        let entries = [
+            (0, vec![(9, 1u64), (2, 2), (70, 3), (5, 4), (66, 5)]),
+            (1, vec![(3, 6)]),
+            (2, vec![(64, 7), (0, 8), (1, 9)]),
+        ];
+        let mut unsorted: DhbMatrix<u64> = DhbMatrix::new(3, 100);
+        let mut triples = Vec::new();
+        for (r, row) in &entries {
+            for &(c, v) in row {
+                unsorted.set(*r, c, v);
+                triples.push(t(*r, c, v));
+            }
+        }
+        let sorted = Dcsr::from_triples::<U64Plus>(3, 100, triples);
+        let filter = [!bloom_bit(5), u64::MAX, !bloom_bit(1)];
+        let want = vec![
+            t(0, 2, 2),
+            t(0, 9, 1),
+            t(0, 66, 5),
+            t(0, 70, 3),
+            t(1, 3, 6),
+            t(2, 0, 8),
+            t(2, 64, 7),
+        ];
+        for off in [0, 64] {
+            let from_unsorted = extract_filtered(&unsorted, &filter, off);
+            from_unsorted.validate().unwrap();
+            assert_eq!(from_unsorted.to_triples(), want);
+            assert_eq!(from_unsorted, extract_filtered(&sorted, &filter, off));
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! and the dynamic algorithms, pay one full set of allocations *per round
 //! per worker*. A [`KernelWorkspace`] bundles all of
 //! a worker's reusable state — the dense SPA scratch (lazily sized), the
-//! hash SPA, its sort scratch, and the flat `(rows, row_ptr, cols, vals)`
-//! output buffers — and a [`WorkspacePool`] leases workspaces per kernel
+//! hash SPA, its sort scratch, the masked accumulator with its column
+//! table, and the flat `(rows, row_ptr, cols, vals)` output buffers — and a
+//! [`WorkspacePool`] leases workspaces per kernel
 //! call, so pipelined rounds, dynamic X/Y passes, masked recomputes and
 //! analytics refreshes stop reallocating.
 //!
@@ -26,7 +27,7 @@
 //! workspace-reuse regression test via [`WorkspacePool::heap_bytes`].
 
 use crate::local_mm::FlatRows;
-use crate::spa::{DenseSpa, HashSpa};
+use crate::spa::{DenseSpa, HashSpa, DENSE_SPA_MAX_WIDTH};
 use crate::Index;
 use std::sync::Mutex;
 
@@ -37,13 +38,27 @@ enum Active {
     Hash,
 }
 
-/// One worker thread's reusable kernel state: both SPA strategies plus the
+/// One worker thread's reusable kernel state: both SPA strategies for
+/// unmasked output rows, the masked accumulator for masked ones, and the
 /// flat output buffers.
+///
+/// The masked accumulator is keyed by *position in the mask row*, not by
+/// column: `masked[p]` accumulates the admitted column `mask_row[p]`, so a
+/// row uses as many slots as its mask row is long and drains in mask order,
+/// which is already column order. `col_table` maps a column to its position: while a
+/// masked row is open, `col_table[j] = p + 1` for each admitted column and
+/// 0 everywhere else, so rejecting a product is one load from a table of
+/// 4 B × block width (L1-resident at the widths the engine runs). Closing
+/// the row zeroes the marked entries again — the table is all-zero between
+/// rows. Above [`DENSE_SPA_MAX_WIDTH`] no table is kept and the position is
+/// a binary search in the mask row.
 #[derive(Debug)]
 pub struct KernelWorkspace<A> {
     dense: DenseSpa<A>,
     hash: HashSpa<A>,
     active: Active,
+    col_table: Vec<u32>,
+    masked: Vec<Option<A>>,
     pub(crate) out: FlatRows<A>,
 }
 
@@ -54,6 +69,8 @@ impl<A: Copy> KernelWorkspace<A> {
             dense: DenseSpa::unsized_new(),
             hash: HashSpa::new(),
             active: Active::Hash,
+            col_table: Vec::new(),
+            masked: Vec::new(),
             out: FlatRows::new(),
         }
     }
@@ -103,6 +120,88 @@ impl<A: Copy> KernelWorkspace<A> {
         self.out.seal_row(row);
     }
 
+    /// Opens a masked output row whose admitted columns are `mask_row`
+    /// (strictly ascending, non-empty): marks them in the column table when
+    /// the width admits one and sizes the accumulator to the mask row.
+    ///
+    /// # Panics
+    /// Panics if the mask row names a column outside `0..ncols`.
+    #[inline]
+    pub(crate) fn begin_masked_row(&mut self, ncols: Index, mask_row: &[Index]) {
+        debug_assert!(mask_row.windows(2).all(|w| w[0] < w[1]));
+        assert!(
+            mask_row.last().is_some_and(|&c| c < ncols),
+            "mask column outside the product's {ncols} columns"
+        );
+        debug_assert!(self.col_table.iter().all(|&p| p == 0));
+        debug_assert!(self.masked.iter().all(Option::is_none));
+        if self.masked.len() < mask_row.len() {
+            self.masked.resize(mask_row.len(), None);
+        }
+        if ncols > DENSE_SPA_MAX_WIDTH {
+            return;
+        }
+        if self.col_table.len() < ncols as usize {
+            self.col_table.resize(ncols as usize, 0);
+        }
+        for (p, &c) in mask_row.iter().enumerate() {
+            self.col_table[c as usize] = p as u32 + 1;
+        }
+    }
+
+    /// The accumulator slot of column `col` in the open masked row, `None`
+    /// if the mask rejects it. `ncols` and `mask_row` are those passed to
+    /// [`KernelWorkspace::begin_masked_row`].
+    #[inline]
+    pub(crate) fn masked_slot(
+        &self,
+        ncols: Index,
+        mask_row: &[Index],
+        col: Index,
+    ) -> Option<usize> {
+        if ncols > DENSE_SPA_MAX_WIDTH {
+            return mask_row.binary_search(&col).ok();
+        }
+        (self.col_table[col as usize] as usize).checked_sub(1)
+    }
+
+    /// Combines `value` into `slot` of the open masked row.
+    #[inline]
+    pub(crate) fn combine_masked(
+        &mut self,
+        slot: usize,
+        value: A,
+        combine: impl FnOnce(A, A) -> A,
+    ) {
+        let acc = &mut self.masked[slot];
+        *acc = Some(match *acc {
+            Some(prev) => combine(prev, value),
+            None => value,
+        });
+    }
+
+    /// Closes the open masked row: drains the slots that received a term, in
+    /// mask (= column) order, into the flat output buffers, seals the row if
+    /// anything was drained, and clears the column table's marks.
+    #[inline]
+    pub(crate) fn finish_masked_row(&mut self, row: Index, ncols: Index, mask_row: &[Index]) {
+        let before = self.out.cols.len();
+        for (acc, &c) in self.masked.iter_mut().zip(mask_row) {
+            if let Some(v) = acc.take() {
+                self.out.cols.push(c);
+                self.out.vals.push(v);
+            }
+        }
+        if ncols <= DENSE_SPA_MAX_WIDTH {
+            for &c in mask_row {
+                self.col_table[c as usize] = 0;
+            }
+        }
+        if self.out.cols.len() > before {
+            self.out.seal_row(row);
+        }
+    }
+
     /// Reserves flat output capacity for up to `entries` more non-zeros —
     /// callers pass the range's flop upper bound so pooled buffers reach
     /// their high-water mark in one step instead of doubling up to it.
@@ -120,7 +219,11 @@ impl<A: Copy> KernelWorkspace<A> {
     /// Bytes of heap currently held (capacity-based): the monotone-then-flat
     /// signal of the workspace-reuse regression tests.
     pub fn heap_bytes(&self) -> usize {
-        self.dense.heap_bytes() + self.hash.heap_bytes() + self.out.heap_bytes()
+        self.dense.heap_bytes()
+            + self.hash.heap_bytes()
+            + self.col_table.capacity() * std::mem::size_of::<u32>()
+            + self.masked.capacity() * std::mem::size_of::<Option<A>>()
+            + self.out.heap_bytes()
     }
 }
 
@@ -468,6 +571,57 @@ mod tests {
         let first = cycle(&pool);
         for _ in 0..3 {
             assert_eq!(cycle(&pool), first, "pool heap must not regrow");
+        }
+    }
+
+    /// The masked twin of `recycled_flats_restock_leases`: masked multiplies
+    /// through one pool reach their high-water capacities in the first call
+    /// (column table and masked accumulator included), and every call hands
+    /// the column table back all-zero.
+    #[test]
+    fn masked_multiplies_reuse_the_pool() {
+        use crate::csr::Csr;
+        use crate::local_mm::{spgemm_with, Bloom, KernelPlan};
+        use crate::masked_mm::MaskSet;
+        use crate::semiring::U64Plus;
+        use crate::triple::Triple;
+
+        let n: Index = 48;
+        let entries = |stride: u32| -> Vec<Triple<u64>> {
+            (0..n * 6)
+                .map(|x| Triple::new(x % n, (x * stride + x / n) % n, u64::from(x) + 1))
+                .collect()
+        };
+        let a = Csr::from_triples::<U64Plus>(n, n, entries(7));
+        let b = Csr::from_triples::<U64Plus>(n, n, entries(11));
+        let mask = MaskSet::from_pairs((0..n).flat_map(|r| (0..n).step_by(3).map(move |c| (r, c))));
+        for threads in [1, 3] {
+            let pool: WorkspacePool<(u64, u64)> = WorkspacePool::new();
+            let run = || {
+                let plan = KernelPlan::new(threads).pooled(&pool);
+                let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &mask, 0, plan);
+                for ws in pool.stash.lock().unwrap().iter() {
+                    assert!(ws.col_table.iter().all(|&p| p == 0), "marks left behind");
+                    assert!(ws.masked.iter().all(Option::is_none), "slots left behind");
+                }
+                (out.result, pool.heap_bytes())
+            };
+            let (first, heap) = run();
+            assert!(first.nnz() > 0);
+            assert!(
+                heap >= n as usize * std::mem::size_of::<u32>(),
+                "table is counted"
+            );
+            for _ in 0..3 {
+                let (again, heap_again) = run();
+                assert_eq!(again, first);
+                assert!(pool.stashed() <= threads);
+                // Which stashed workspace serves which range is up to the
+                // scheduler, so only the one-worker pool is exactly flat.
+                if threads == 1 {
+                    assert_eq!(heap_again, heap, "pool heap must not regrow");
+                }
+            }
         }
     }
 }
