@@ -98,10 +98,13 @@ impl<V: Copy> Dcsr<V> {
     }
 
     /// Bulk-appends a block of rows given in the flat `(rows, row_ptr,
-    /// cols, vals)` form of [`Dcsr::from_parts`]. All appended row ids must
-    /// exceed the last stored row id — the concatenation path for per-range
-    /// kernel outputs, which arrive in disjoint increasing row ranges. One
-    /// `memcpy` per array, no per-row work.
+    /// cols, vals)` form of [`Dcsr::from_parts`], except that `row_ptr` may
+    /// start anywhere (offsets are taken relative to its first element, so a
+    /// span of another matrix's stored rows appends as it stands). All
+    /// appended row ids must exceed the last stored row id — the
+    /// concatenation path for per-range kernel outputs, which arrive in
+    /// disjoint increasing row ranges. One `memcpy` per array, no per-row
+    /// work.
     pub fn append_rows_flat(
         &mut self,
         rows: &[Index],
@@ -110,8 +113,8 @@ impl<V: Copy> Dcsr<V> {
         vals: &[V],
     ) {
         debug_assert_eq!(row_ptr.len(), rows.len() + 1);
-        debug_assert_eq!(row_ptr[0], 0, "flat part must start at offset 0");
-        debug_assert_eq!(*row_ptr.last().expect("row_ptr non-empty"), cols.len());
+        let base = row_ptr[0];
+        debug_assert_eq!(row_ptr[rows.len()] - base, cols.len());
         debug_assert_eq!(cols.len(), vals.len());
         if rows.is_empty() {
             return;
@@ -123,7 +126,7 @@ impl<V: Copy> Dcsr<V> {
         self.cols.extend_from_slice(cols);
         self.vals.extend_from_slice(vals);
         self.row_ptr
-            .extend(row_ptr[1..].iter().map(|&p| offset + p));
+            .extend(row_ptr[1..].iter().map(|&p| offset + (p - base)));
     }
 
     /// Builds from triples in arbitrary order, combining duplicates with the
@@ -320,80 +323,83 @@ impl<V: Copy> Dcsr<V> {
     /// partial blocks `Xᵢ` with different sparsity patterns are merged
     /// pairwise up the reduction tree. Both inputs must have entries in
     /// column-sorted order within each row (true for all kernel outputs);
-    /// the result preserves that order. Runs in `O(nnz(a) + nnz(b))`.
+    /// the result preserves that order. Runs in `O(nnz(a) + nnz(b))`: a run
+    /// of rows only one side stores, and whatever is left of either side,
+    /// is one bulk copy per array; a row both store is a two-pointer merge
+    /// of its column runs that pushes one `row_ptr` entry.
     pub fn merge_with(a: &Dcsr<V>, b: &Dcsr<V>, mut combine: impl FnMut(V, V) -> V) -> Dcsr<V> {
         assert_eq!(a.nrows, b.nrows, "shape mismatch");
         assert_eq!(a.ncols, b.ncols, "shape mismatch");
-        let mut out = Dcsr::empty(a.nrows, a.ncols);
-        out.cols.reserve(a.nnz() + b.nnz());
-        out.vals.reserve(a.nnz() + b.nnz());
-        let mut ia = 0usize;
-        let mut ib = 0usize;
-        while ia < a.rows.len() || ib < b.rows.len() {
-            let ra = a.rows.get(ia).copied();
-            let rb = b.rows.get(ib).copied();
-            match (ra, rb) {
-                (Some(r), None) => {
-                    let (lo, hi) = (a.row_ptr[ia], a.row_ptr[ia + 1]);
-                    out.push_row(r, &a.cols[lo..hi], &a.vals[lo..hi]);
-                    ia += 1;
-                }
-                (None, Some(r)) => {
-                    let (lo, hi) = (b.row_ptr[ib], b.row_ptr[ib + 1]);
-                    out.push_row(r, &b.cols[lo..hi], &b.vals[lo..hi]);
-                    ib += 1;
-                }
-                (Some(r1), Some(r2)) if r1 < r2 => {
-                    let (lo, hi) = (a.row_ptr[ia], a.row_ptr[ia + 1]);
-                    out.push_row(r1, &a.cols[lo..hi], &a.vals[lo..hi]);
-                    ia += 1;
-                }
-                (Some(r1), Some(r2)) if r2 < r1 => {
-                    let (lo, hi) = (b.row_ptr[ib], b.row_ptr[ib + 1]);
-                    out.push_row(r2, &b.cols[lo..hi], &b.vals[lo..hi]);
-                    ib += 1;
-                }
-                (Some(r), Some(_)) => {
-                    // Same row: merge the column-sorted entry runs.
-                    let (alo, ahi) = (a.row_ptr[ia], a.row_ptr[ia + 1]);
-                    let (blo, bhi) = (b.row_ptr[ib], b.row_ptr[ib + 1]);
-                    let mut ja = alo;
-                    let mut jb = blo;
-                    while ja < ahi || jb < bhi {
-                        let ca = a.cols.get(ja).copied().filter(|_| ja < ahi);
-                        let cb = b.cols.get(jb).copied().filter(|_| jb < bhi);
-                        match (ca, cb) {
-                            (Some(c1), Some(c2)) if c1 == c2 => {
-                                out.push_row_entry(r, c1, combine(a.vals[ja], b.vals[jb]));
-                                ja += 1;
-                                jb += 1;
-                            }
-                            (Some(c1), Some(c2)) if c1 < c2 => {
-                                out.push_row_entry(r, c1, a.vals[ja]);
-                                ja += 1;
-                            }
-                            (Some(_), Some(c2)) => {
-                                out.push_row_entry(r, c2, b.vals[jb]);
-                                jb += 1;
-                            }
-                            (Some(c1), None) => {
-                                out.push_row_entry(r, c1, a.vals[ja]);
-                                ja += 1;
-                            }
-                            (None, Some(c2)) => {
-                                out.push_row_entry(r, c2, b.vals[jb]);
-                                jb += 1;
-                            }
-                            (None, None) => unreachable!(),
-                        }
+        let mut out = Dcsr::with_capacity(
+            a.nrows,
+            a.ncols,
+            a.rows.len() + b.rows.len(),
+            a.nnz() + b.nnz(),
+        );
+        let (mut ia, mut ib) = (0, 0);
+        while ia < a.rows.len() && ib < b.rows.len() {
+            let (ra, rb) = (a.rows[ia], b.rows[ib]);
+            if ra < rb {
+                let run = ia + run_below(&a.rows[ia..], rb);
+                out.append_stored(a, ia..run);
+                ia = run;
+            } else if rb < ra {
+                let run = ib + run_below(&b.rows[ib..], ra);
+                out.append_stored(b, ib..run);
+                ib = run;
+            } else {
+                let (acols, avals) = a.stored_row(ia);
+                let (bcols, bvals) = b.stored_row(ib);
+                let (mut ja, mut jb) = (0, 0);
+                while ja < acols.len() && jb < bcols.len() {
+                    let (ca, cb) = (acols[ja], bcols[jb]);
+                    if ca < cb {
+                        out.cols.push(ca);
+                        out.vals.push(avals[ja]);
+                        ja += 1;
+                    } else if cb < ca {
+                        out.cols.push(cb);
+                        out.vals.push(bvals[jb]);
+                        jb += 1;
+                    } else {
+                        out.cols.push(ca);
+                        out.vals.push(combine(avals[ja], bvals[jb]));
+                        ja += 1;
+                        jb += 1;
                     }
-                    ia += 1;
-                    ib += 1;
                 }
-                (None, None) => unreachable!(),
+                out.cols.extend_from_slice(&acols[ja..]);
+                out.vals.extend_from_slice(&avals[ja..]);
+                out.cols.extend_from_slice(&bcols[jb..]);
+                out.vals.extend_from_slice(&bvals[jb..]);
+                out.rows.push(ra);
+                out.row_ptr.push(out.cols.len());
+                ia += 1;
+                ib += 1;
             }
         }
+        out.append_stored(a, ia..a.rows.len());
+        out.append_stored(b, ib..b.rows.len());
         out
+    }
+
+    /// The entries of the `i`-th stored row.
+    #[inline]
+    fn stored_row(&self, i: usize) -> (&[Index], &[V]) {
+        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+        (&self.cols[lo..hi], &self.vals[lo..hi])
+    }
+
+    /// Bulk-appends the stored rows `span` of `src`, whose ids must exceed
+    /// the last stored row id.
+    fn append_stored(&mut self, src: &Dcsr<V>, span: std::ops::Range<usize>) {
+        let (lo, hi) = (src.row_ptr[span.start], src.row_ptr[span.end]);
+        self.append_rows_flat(
+            &src.rows[span.clone()],
+            &src.row_ptr[span.start..=span.end],
+            &src.cols[lo..hi],
+            &src.vals[lo..hi],
+        );
     }
 
     /// Merge-add over a semiring (the common case of [`Dcsr::merge_with`]).
@@ -548,6 +554,12 @@ impl<V: WireEncode> WireEncode for Dcsr<V> {
         }
         encode_elems(&self.vals, out);
     }
+}
+
+/// Length of the prefix of the ascending `rows` below `bound`.
+#[inline]
+fn run_below(rows: &[Index], bound: Index) -> usize {
+    rows.iter().position(|&r| r >= bound).unwrap_or(rows.len())
 }
 
 /// Reads one gap and returns the index it lands on, `next + gap`, which must
@@ -725,6 +737,67 @@ mod tests {
         assert_eq!(Dcsr::merge_add::<U64Plus>(&a, &e), a);
         assert_eq!(Dcsr::merge_add::<U64Plus>(&e, &a), a);
         assert_eq!(Dcsr::merge_add::<U64Plus>(&e, &e).nnz(), 0);
+    }
+
+    /// Rows stored on one side only (single and in runs, interleaved and as
+    /// either side's tail), rows both store with identical, disjoint and
+    /// overlapping columns — against an entry-wise reference, with a
+    /// `combine` that shows its argument order.
+    #[test]
+    fn merge_interleaved_disjoint_and_identical_rows() {
+        let combine = |x: u64, y: u64| 10 * x + y;
+        let a = Dcsr::from_triples::<U64Plus>(
+            20,
+            9,
+            vec![
+                t(0, 1, 1),
+                t(2, 0, 2),
+                t(2, 4, 3),
+                t(4, 2, 4),
+                t(5, 3, 5),
+                t(6, 1, 6),
+                t(6, 5, 7),
+                t(9, 0, 8),
+                t(9, 8, 9),
+                t(11, 2, 1),
+                t(11, 3, 2),
+            ],
+        );
+        let b = Dcsr::from_triples::<U64Plus>(
+            20,
+            9,
+            vec![
+                t(1, 7, 1),
+                t(2, 0, 2),
+                t(2, 4, 3),
+                t(3, 6, 4),
+                t(6, 0, 5),
+                t(6, 2, 6),
+                t(6, 8, 7),
+                t(9, 1, 8),
+                t(9, 8, 9),
+                t(15, 0, 1),
+                t(17, 5, 2),
+                t(19, 8, 3),
+            ],
+        );
+        let mut want = std::collections::BTreeMap::new();
+        for x in a.to_triples() {
+            want.insert((x.row, x.col), x.val);
+        }
+        for y in b.to_triples() {
+            want.entry((y.row, y.col))
+                .and_modify(|v| *v = combine(*v, y.val))
+                .or_insert(y.val);
+        }
+        let want: Vec<_> = want.into_iter().map(|((r, c), v)| t(r, c, v)).collect();
+        let m = Dcsr::merge_with(&a, &b, combine);
+        m.validate().unwrap();
+        assert_eq!(m.to_triples(), want);
+        assert_eq!(m.rows, vec![0, 1, 2, 3, 4, 5, 6, 9, 11, 15, 17, 19]);
+        // Swapped sides: the same pattern, `combine` sees `b` first.
+        let swapped = Dcsr::merge_with(&b, &a, |x, y| combine(y, x));
+        assert_eq!(swapped, m);
     }
 
     #[test]

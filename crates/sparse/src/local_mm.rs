@@ -1,8 +1,13 @@
 //! Local (per-rank) SpGEMM: Gustavson's row-wise algorithm over a semiring.
 //!
 //! `C[i, :] = Σ_k A[i, k] · B[k, :]` — iterate the non-empty rows of `A`,
-//! scale the corresponding rows of `B`, and accumulate in a SPA. The one
-//! loop nest, [`spgemm_with`], is generic over
+//! scale the corresponding rows of `B`, and accumulate in a SPA: the dense
+//! one when the row's flop bound clears the density bar, the sort-merge one
+//! below it (see [`crate::spa`]). A row of `A` with one stored column `k`
+//! whose `B` row is strictly ascending is that row scaled, so it is emitted
+//! as it stands — no bound, no accumulator. On the update-star shapes of
+//! the dynamic algorithms three rows in four are such rows. The one loop
+//! nest, [`spgemm_with`], is generic over
 //!
 //! * the semiring `S`,
 //! * the [`Payload`] an output entry carries: the value ([`Plain`]), the
@@ -262,6 +267,18 @@ impl<A> FlatRows<A> {
         self.row_ptr.push(self.cols.len());
     }
 
+    /// Appends a whole row of column-sorted entries, sealing it unless it
+    /// is empty.
+    #[inline]
+    pub(crate) fn push_row(&mut self, row: Index, cols: &[Index], vals: impl Iterator<Item = A>) {
+        if cols.is_empty() {
+            return;
+        }
+        self.cols.extend_from_slice(cols);
+        self.vals.extend(vals);
+        self.seal_row(row);
+    }
+
     /// Empties the buffers, keeping their capacity (pool recycling).
     pub(crate) fn clear(&mut self) {
         self.rows.clear();
@@ -323,7 +340,7 @@ fn assemble<A: Copy>(
 
 /// Upper bound on one row's flops (and therefore its output non-zeros):
 /// `Σ_k |B[k, :]|` over the row's stored columns. Drives both the
-/// flop-weighted range split and the per-row dense-vs-hash SPA choice.
+/// flop-weighted range split and the per-row dense-vs-sort SPA choice.
 #[inline]
 fn row_flop_bound<VB, R: RowRead<VB>>(b: &R, acols: &[Index]) -> u64 {
     acols.iter().map(|&k| b.row(k).0.len() as u64).sum()
@@ -348,13 +365,14 @@ fn stored_row_weights<VA, VB>(a: &impl RowScan<VA>, b: &impl RowRead<VB>) -> Vec
 /// contiguous ranges of near-equal estimated flops from `weights` (never
 /// invoked on the inline path); its per-range capped sums double as
 /// output-capacity reservations, additionally clamped to `reservation_cap`,
-/// the caller's bound on its *total* output. `body` recomputes each row's
-/// bound inline (it needs it for the SPA choice at every thread count) —
-/// with several threads that repeats the O(1) row-length lookups of the
-/// estimation pass, a deliberate trade: the lookups touch exactly the `B`
-/// row headers the multiply reads next, and threading the weights vector
-/// into the body would buy that O(nnz(A)) back at the cost of cursor
-/// plumbing.
+/// the caller's bound on its *total* output. `body` recomputes the bound
+/// of each row that goes through an accumulator inline (it needs it for
+/// the SPA choice at every thread count; a one-product row copied as its
+/// scaled `B` row computes none) — with several threads that repeats the
+/// O(1) row-length lookups of the estimation pass, a deliberate trade: the
+/// lookups touch exactly the `B` row headers the multiply reads next, and
+/// threading the weights vector into the body would buy that O(nnz(A)) back
+/// at the cost of cursor plumbing.
 fn run_scheduled<A, W, F>(
     plan: KernelPlan<'_, A>,
     nrows: Index,
@@ -469,6 +487,18 @@ where
                 range.end as Index,
                 |i, acols, avals| {
                     let Some(admitted) = mask.row(i) else {
+                        if let ([k], [av]) = (acols, avals) {
+                            // One product per column: the row is `B[k, :]`
+                            // scaled, if that row is in column order.
+                            let (bcols, bvals) = b.row(*k);
+                            if bcols.windows(2).all(|w| w[0] < w[1]) {
+                                let bit = bloom_bit(k + k_offset);
+                                ws.out.flops += bcols.len() as u64;
+                                let terms = bvals.iter().map(|&bv| P::term(*av, bv, bit));
+                                ws.out.push_row(i, bcols, terms);
+                                return;
+                            }
+                        }
                         let est = row_flop_bound(b, acols);
                         ws.begin_row(ncols, est);
                         for (&k, &av) in acols.iter().zip(avals) {
@@ -480,7 +510,7 @@ where
                                 ws.scatter(j, P::term(av, bv, bit), P::merge);
                             }
                         }
-                        ws.finish_row(i);
+                        ws.finish_row(i, P::merge);
                         return;
                     };
                     if admitted.is_empty() {

@@ -3,16 +3,16 @@
 //! A local multiply that built its own accumulator (an O(ncols) dense
 //! scratch per worker) and its own flat output buffers would, under SUMMA
 //! and the dynamic algorithms, pay one full set of allocations *per round
-//! per worker*. A [`KernelWorkspace`] bundles all of
-//! a worker's reusable state — the dense SPA scratch (lazily sized), the
-//! hash SPA, its sort scratch, the masked accumulator with its column
-//! table, and the flat `(rows, row_ptr, cols, vals)` output buffers — and a
-//! [`WorkspacePool`] leases workspaces per kernel
-//! call, so pipelined rounds, dynamic X/Y passes, masked recomputes and
-//! analytics refreshes stop reallocating.
+//! per worker*. A [`KernelWorkspace`] bundles all of a worker's reusable
+//! state — the dense SPA scratch (lazily sized), the sort-merge SPA's key
+//! and term scratch (8 B + one payload per product of the longest sparse
+//! row), the masked accumulator with its column table, and the flat
+//! `(rows, row_ptr, cols, vals)` output buffers — and a [`WorkspacePool`]
+//! leases workspaces per kernel call, so pipelined rounds, dynamic X/Y
+//! passes, masked recomputes and analytics refreshes stop reallocating.
 //!
 //! Lifecycle: a worker leases a workspace for the duration of its range,
-//! accumulates rows through the per-row dense-vs-hash choice
+//! accumulates rows through the per-row dense-vs-sort choice
 //! ([`crate::spa::dense_row_profitable`]), and the drained flat buffers
 //! leave as the range's output. When the lease drops, the SPA state returns
 //! to the pool; when a multi-range assembly has *copied* the flat parts into
@@ -27,7 +27,7 @@
 //! workspace-reuse regression test via [`WorkspacePool::heap_bytes`].
 
 use crate::local_mm::FlatRows;
-use crate::spa::{DenseSpa, HashSpa, DENSE_SPA_MAX_WIDTH};
+use crate::spa::{DenseSpa, SortSpa, DENSE_SPA_MAX_WIDTH};
 use crate::Index;
 use std::sync::Mutex;
 
@@ -35,7 +35,7 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Active {
     Dense,
-    Hash,
+    Sort,
 }
 
 /// One worker thread's reusable kernel state: both SPA strategies for
@@ -55,7 +55,7 @@ enum Active {
 #[derive(Debug)]
 pub struct KernelWorkspace<A> {
     dense: DenseSpa<A>,
-    hash: HashSpa<A>,
+    sort: SortSpa<A>,
     active: Active,
     col_table: Vec<u32>,
     masked: Vec<Option<A>>,
@@ -67,24 +67,33 @@ impl<A: Copy> KernelWorkspace<A> {
     pub fn new() -> Self {
         Self {
             dense: DenseSpa::unsized_new(),
-            hash: HashSpa::new(),
-            active: Active::Hash,
+            sort: SortSpa::new(),
+            active: Active::Sort,
             col_table: Vec::new(),
             masked: Vec::new(),
             out: FlatRows::new(),
         }
     }
 
-    /// Starts a new output row: picks the dense or hash accumulator from the
-    /// row's flop upper bound (see [`crate::spa::dense_row_profitable`]) and
-    /// sizes the dense scratch on first dense use.
+    /// Starts a new output row: picks the dense or sort-merge accumulator
+    /// from the row's flop upper bound (see
+    /// [`crate::spa::dense_row_profitable`]) and sizes the dense scratch on
+    /// first dense use.
+    ///
+    /// # Panics
+    /// Panics if a sort-merge row is bound above `u32::MAX` products (the
+    /// position half of its keys).
     #[inline]
     pub(crate) fn begin_row(&mut self, ncols: Index, est_flops: u64) {
         if crate::spa::dense_row_profitable(ncols, est_flops) {
             self.dense.ensure_width(ncols);
             self.active = Active::Dense;
         } else {
-            self.active = Active::Hash;
+            assert!(
+                est_flops <= u64::from(u32::MAX),
+                "row bound {est_flops} exceeds the sort-merge accumulator's u32 positions"
+            );
+            self.active = Active::Sort;
         }
     }
 
@@ -93,14 +102,15 @@ impl<A: Copy> KernelWorkspace<A> {
     pub(crate) fn scatter(&mut self, col: Index, value: A, combine: impl FnOnce(A, A) -> A) {
         match self.active {
             Active::Dense => self.dense.scatter(col, value, combine),
-            Active::Hash => self.hash.scatter(col, value, combine),
+            Active::Sort => self.sort.scatter(col, value),
         }
     }
 
     /// Ends the current row: if anything accumulated, drains it
-    /// (column-sorted) into the flat output buffers and seals the row.
+    /// (column-sorted, coinciding terms combined with `merge` in scatter
+    /// order) into the flat output buffers and seals the row.
     #[inline]
-    pub(crate) fn finish_row(&mut self, row: Index) {
+    pub(crate) fn finish_row(&mut self, row: Index, merge: impl Fn(A, A) -> A) {
         match self.active {
             Active::Dense => {
                 if self.dense.is_empty() {
@@ -109,12 +119,12 @@ impl<A: Copy> KernelWorkspace<A> {
                 self.dense
                     .drain_sorted_split(&mut self.out.cols, &mut self.out.vals);
             }
-            Active::Hash => {
-                if self.hash.is_empty() {
+            Active::Sort => {
+                if self.sort.is_empty() {
                     return;
                 }
-                self.hash
-                    .drain_sorted_split(&mut self.out.cols, &mut self.out.vals);
+                self.sort
+                    .drain_sorted_split(&mut self.out.cols, &mut self.out.vals, merge);
             }
         }
         self.out.seal_row(row);
@@ -220,7 +230,7 @@ impl<A: Copy> KernelWorkspace<A> {
     /// signal of the workspace-reuse regression tests.
     pub fn heap_bytes(&self) -> usize {
         self.dense.heap_bytes()
-            + self.hash.heap_bytes()
+            + self.sort.heap_bytes()
             + self.col_table.capacity() * std::mem::size_of::<u32>()
             + self.masked.capacity() * std::mem::size_of::<Option<A>>()
             + self.out.heap_bytes()
@@ -454,19 +464,21 @@ mod tests {
         ws.scatter(5, 10, |a, b| a + b);
         ws.scatter(1, 2, |a, b| a + b);
         ws.scatter(5, 3, |a, b| a + b);
-        ws.finish_row(0);
-        // Hash row: estimate far below width/64.
-        ws.begin_row(1 << 20, 1);
+        ws.finish_row(0, |x, y| x + y);
+        // Sort-merge row: estimate far below width/64.
+        ws.begin_row(1 << 20, 3);
         ws.scatter(7, 4, |a, b| a + b);
-        ws.finish_row(3);
+        ws.scatter(9, 1, |a, b| a + b);
+        ws.scatter(7, 5, |a, b| a + b);
+        ws.finish_row(3, |x, y| x + y);
         // Empty row leaves no trace.
         ws.begin_row(16, 16);
-        ws.finish_row(5);
+        ws.finish_row(5, |x, y| x + y);
         let flat = ws.take_out();
         assert_eq!(flat.rows, vec![0, 3]);
-        assert_eq!(flat.row_ptr, vec![0, 2, 3]);
-        assert_eq!(flat.cols, vec![1, 5, 7]);
-        assert_eq!(flat.vals, vec![2, 13, 4]);
+        assert_eq!(flat.row_ptr, vec![0, 2, 4]);
+        assert_eq!(flat.cols, vec![1, 5, 7, 9]);
+        assert_eq!(flat.vals, vec![2, 13, 9, 1]);
         // After take_out the workspace starts a fresh output.
         assert!(ws.out.rows.is_empty() && ws.out.cols.is_empty());
     }
@@ -474,22 +486,40 @@ mod tests {
     #[test]
     fn dense_scratch_is_lazy_and_persistent() {
         let mut ws: KernelWorkspace<u64> = KernelWorkspace::new();
-        let before = ws.heap_bytes();
-        // Hash-only use allocates no dense scratch.
+        // Sort-merge-only use allocates no dense scratch.
         ws.begin_row(1 << 20, 1);
         ws.scatter(0, 1, |a, b| a + b);
-        ws.finish_row(0);
+        ws.finish_row(0, |x, y| x + y);
         assert!(ws.heap_bytes() < (1 << 20));
-        let _ = before;
         // First dense use sizes it; later narrower rows keep it.
         ws.begin_row(1024, 1024);
         ws.scatter(0, 1, |a, b| a + b);
-        ws.finish_row(1);
+        ws.finish_row(1, |x, y| x + y);
         let sized = ws.heap_bytes();
         ws.begin_row(512, 512);
         ws.scatter(0, 1, |a, b| a + b);
-        ws.finish_row(2);
+        ws.finish_row(2, |x, y| x + y);
         assert_eq!(ws.heap_bytes(), sized, "scratch never shrinks or regrows");
+    }
+
+    /// The sort-merge scratch — an 8 B key and one payload per product of
+    /// the longest sparse row — is counted, and kept across rows.
+    #[test]
+    fn heap_bytes_counts_sort_scratch() {
+        let mut ws: KernelWorkspace<(u64, u64)> = KernelWorkspace::new();
+        let scratch = |ws: &KernelWorkspace<_>| ws.heap_bytes() - ws.out.heap_bytes();
+        assert_eq!(scratch(&ws), 0);
+        ws.begin_row(1 << 20, 100);
+        for c in 0..100 {
+            ws.scatter(c, (1, 1), |x, _| x);
+        }
+        ws.finish_row(0, |x, _| x);
+        let held = scratch(&ws);
+        assert!(held >= 100 * (8 + 16), "{held} B of scratch counted");
+        ws.begin_row(1 << 20, 10);
+        ws.scatter(0, (1, 1), |x, _| x);
+        ws.finish_row(1, |x, _| x);
+        assert_eq!(scratch(&ws), held, "kept, not regrown");
     }
 
     #[test]
@@ -501,10 +531,10 @@ mod tests {
             let mut b = pool.lease();
             a.begin_row(64, 64);
             a.scatter(1, 1, |x, y| x + y);
-            a.finish_row(0);
+            a.finish_row(0, |x, y| x + y);
             b.begin_row(64, 64);
             b.scatter(2, 2, |x, y| x + y);
-            b.finish_row(0);
+            b.finish_row(0, |x, y| x + y);
         }
         assert_eq!(pool.stashed(), 2);
         // Re-leasing pops a stashed workspace (no growth).
@@ -542,7 +572,7 @@ mod tests {
             ws.reserve_out(100);
             ws.begin_row(8, 8);
             ws.scatter(0, 1, |x, y| x + y);
-            ws.finish_row(0);
+            ws.finish_row(0, |x, y| x + y);
             ws.take_out()
         };
         let cap = flat.cols.capacity();
@@ -561,7 +591,7 @@ mod tests {
                 for r in 0..20 {
                     ws.begin_row(8, 8);
                     ws.scatter(r % 8, 1, |x, y| x + y);
-                    ws.finish_row(r);
+                    ws.finish_row(r, |x, y| x + y);
                 }
                 ws.take_out()
             };
@@ -618,6 +648,54 @@ mod tests {
                 assert!(pool.stashed() <= threads);
                 // Which stashed workspace serves which range is up to the
                 // scheduler, so only the one-worker pool is exactly flat.
+                if threads == 1 {
+                    assert_eq!(heap_again, heap, "pool heap must not regrow");
+                }
+            }
+        }
+    }
+
+    /// The unmasked twin: rows forced onto the sort-merge path by a block
+    /// far wider than 64 × their flop bounds (and none of one product, so
+    /// none is a scaled copy) reach their high-water scratch in the first
+    /// call, leave it drained, and never size the dense scratch.
+    #[test]
+    fn unmasked_multiplies_reuse_the_pool() {
+        use crate::csr::Csr;
+        use crate::local_mm::{spgemm_with, Bloom, KernelPlan};
+        use crate::semiring::U64Plus;
+        use crate::triple::Triple;
+
+        let n: Index = 48;
+        let wide: Index = 1 << 20;
+        let entries = |stride: u32, spread: u32| -> Vec<Triple<u64>> {
+            (0..n * 6)
+                .map(|x| {
+                    let col = (x * stride + x / n) % n;
+                    Triple::new(x % n, col * spread, u64::from(x) + 1)
+                })
+                .collect()
+        };
+        let a = Csr::from_triples::<U64Plus>(n, n, entries(7, 1));
+        let b = Csr::from_triples::<U64Plus>(n, wide, entries(11, wide / n));
+        for threads in [1, 3] {
+            let pool: WorkspacePool<(u64, u64)> = WorkspacePool::new();
+            let run = || {
+                let plan = KernelPlan::new(threads).pooled(&pool);
+                let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, plan);
+                for ws in pool.stash.lock().unwrap().iter() {
+                    assert!(ws.sort.is_empty(), "terms left behind");
+                    assert_eq!(ws.dense.heap_bytes(), 0, "dense scratch sized");
+                }
+                (out.result, pool.heap_bytes())
+            };
+            let (first, heap) = run();
+            assert!(first.nnz() > 0);
+            assert!(heap >= 6 * (8 + 16), "sort scratch is counted");
+            for _ in 0..3 {
+                let (again, heap_again) = run();
+                assert_eq!(again, first);
+                assert!(pool.stashed() <= threads);
                 if threads == 1 {
                     assert_eq!(heap_again, heap, "pool heap must not regrow");
                 }
