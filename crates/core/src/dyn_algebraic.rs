@@ -14,9 +14,10 @@
 //!    transposed position of its owner (so the `√p` broadcasts of a round can
 //!    run in parallel — Fig. 1a). The paper parks the block there with a
 //!    point-to-point exchange; here it is already there (see below);
-//! 2. `√p` rounds: in round `k`, `A*_{k,i}` is broadcast over process row
-//!    `i` and `B*_{j,k}` over process column `j`; every rank multiplies
-//!    locally (`Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}` and `Yʲ_{i,k} = A_{i,j}·B*_{j,k}`,
+//! 2. `√p` rounds per pass: in round `k` of the X pass `A*_{k,i}` is
+//!    broadcast over process row `i`, in round `k` of the Y pass `B*_{j,k}`
+//!    over process column `j`; every rank multiplies locally
+//!    (`Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}` and `Yʲ_{i,k} = A_{i,j}·B*_{j,k}`,
 //!    Fig. 1b);
 //! 3. partial blocks are **aggregated non-locally**: `Xⁱ_{k,j}` reduces over
 //!    column `j` onto process `(k,j)`, `Yʲ_{i,k}` over row `i` onto `(i,k)`
@@ -41,11 +42,14 @@
 //! structure also serves the Bloom-fused variant (engine sessions that
 //! maintain the filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
 //!
-//! There is one body per shape — [`compute_cstar_exec`] interleaves an X and
-//! a Y pass per round for two operands, [`compute_cstar_shared_exec`] runs
-//! the same two passes as Y rounds → apply → X rounds for `C = A·A` — and
-//! one entry point per level: [`apply_algebraic_updates_exec`] from tuples,
-//! [`apply_algebraic_prebuilt_exec`] from built update operands,
+//! **One round body.** Both shapes, `C = A·B` and `C = A·A`, run the Y pass
+//! against the old `A`, then the local update application, then the X pass
+//! against the new right operand: Y reads only `A` and `B*`, X only `A*` and
+//! `B'`, so the order is legal for two operands and lets the shared shape
+//! update its one stored matrix in place between the passes. Algorithm 2's
+//! masked recompute is the X pass again, under a broadcast output mask.
+//! Entry points, one per level: [`apply_algebraic_updates_exec`] from
+//! tuples, [`apply_algebraic_prebuilt_exec`] from built update operands,
 //! [`apply_shared_algebraic_prebuilt_tracked_exec`] for the shared shape.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
@@ -54,11 +58,10 @@ use crate::grid::Grid;
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
-use dspgemm_mpi::Request;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::WorkspacePool;
-use dspgemm_sparse::{Dcsr, Index, RowScan, Triple};
+use dspgemm_sparse::{Dcsr, RowScan, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
@@ -163,256 +166,217 @@ fn transpose_star<S: Semiring>(
     })
 }
 
-/// One round's update-block broadcast in flight.
-type StarFlight<V> = Request<Arc<Dcsr<V>>>;
-
-/// Issues round `k`'s X-pass broadcast: `A*_{k,i}` over process row `i`.
-/// Its holder after the transpose resolution is `(i,k)`, i.e. row-comm
-/// member `k`.
-fn issue_x<V: Elem>(grid: &Grid, k: usize, at_blk: &Arc<Dcsr<V>>) -> StarFlight<V> {
-    let (_, j) = grid.coords();
-    grid.row_comm()
-        .ibcast_shared(k, (j == k).then(|| Arc::clone(at_blk)))
+/// The operands of one `C*` computation, their update matrices in
+/// transposed layout ([`StarPair::transposed`]).
+pub(crate) enum Operands<'m, V: Elem> {
+    /// `C = A·B`: each operand has its own update matrix.
+    Pair {
+        a: &'m mut DistMat<V>,
+        b: &'m mut DistMat<V>,
+        a_star_t: &'m DistDcsr<V>,
+        b_star_t: &'m DistDcsr<V>,
+    },
+    /// `C = A·A`: one stored matrix and one update matrix serve both sides.
+    Shared {
+        a: &'m mut DistMat<V>,
+        star_t: &'m DistDcsr<V>,
+    },
 }
 
-/// Issues round `k`'s Y-pass broadcast: `B*_{j,k}` over process column `j`,
-/// from its holder `(k,j)` = col-comm member `k`.
-fn issue_y<V: Elem>(grid: &Grid, k: usize, bt_blk: &Arc<Dcsr<V>>) -> StarFlight<V> {
-    let (i, _) = grid.coords();
-    grid.col_comm()
-        .ibcast_shared(k, (i == k).then(|| Arc::clone(bt_blk)))
-}
+impl<V: Elem> Operands<'_, V> {
+    /// The left operand `A`.
+    fn left(&self) -> &DistMat<V> {
+        match self {
+            Operands::Pair { a, .. } | Operands::Shared { a, .. } => a,
+        }
+    }
 
-/// The X pass of round `k`: `Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}` against the
-/// post-update right operand, merge-reduced over process column `j` onto
-/// `(k,j)` — which gets the reduced block back.
-fn x_round<S: Semiring, K: XYKernel<S>>(
-    grid: &Grid,
-    k: usize,
-    a_bcast: &Dcsr<S::Elem>,
-    b_new: &DistMat<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    flops: &mut u64,
-) -> Option<Dcsr<K::Out>> {
-    let x_part = timer.time(phase::LOCAL_MULT, || {
-        let k_offset = b_new.info().row_range.start;
-        spgemm_with::<S, K, _, _, _>(a_bcast, b_new.block(), &(), k_offset, K::pool(exec))
-    });
-    *flops += x_part.flops;
-    let x_red = timer.time(phase::REDUCE_SCATTER, || {
-        grid.col_comm()
-            .reduce(k, x_part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
-    });
-    debug_assert!(x_red.is_none() || grid.coords().0 == k);
-    x_red
-}
-
-/// The Y pass of round `k`: `Yʲ_{i,k} = A_{i,j}·B*_{j,k}` against the
-/// pre-update left operand, merge-reduced over process row `i` onto `(i,k)`.
-fn y_round<S: Semiring, K: XYKernel<S>>(
-    grid: &Grid,
-    k: usize,
-    a_old: &DistMat<S::Elem>,
-    b_bcast: &Dcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    flops: &mut u64,
-) -> Option<Dcsr<K::Out>> {
-    let y_part = timer.time(phase::LOCAL_MULT, || {
-        let b_rows = b_bcast.row_reader();
-        let k_offset = a_old.info().col_range.start;
-        spgemm_with::<S, K, _, _, _>(a_old.block(), &b_rows, &(), k_offset, K::pool(exec))
-    });
-    *flops += y_part.flops;
-    let y_red = timer.time(phase::REDUCE_SCATTER, || {
-        grid.row_comm()
-            .reduce(k, y_part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
-    });
-    debug_assert!(y_red.is_none() || grid.coords().1 == k);
-    y_red
-}
-
-/// This rank's `C*` block from the X and Y partials reduced onto it.
-fn merge_xy<S: Semiring, K: XYKernel<S>>(
-    x_mine: Option<Dcsr<K::Out>>,
-    y_mine: Option<Dcsr<K::Out>>,
-    block_rows: Index,
-    block_cols: Index,
-) -> Dcsr<K::Out> {
-    match (x_mine, y_mine) {
-        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => Dcsr::empty(block_rows, block_cols),
+    /// The right operand: `B`, or `A` again for the shared shape.
+    fn right(&self) -> &DistMat<V> {
+        match self {
+            Operands::Pair { b, .. } => b,
+            Operands::Shared { a, .. } => a,
+        }
     }
 }
 
-/// The two-operand round structure of Algorithm 1: the local transposition
-/// that stands in for the transpose exchange, `√p` rounds that each run an X
-/// and a Y pass, and the sparse merge-reductions, returning this rank's
-/// block of `C* = A*·B' + A·B*` plus the local flop count. Collective over
-/// the grid.
-///
-/// Inputs obey Eq. 1's timing: `a_old` is `A` *before* its updates, `b_new`
-/// is `B'` *after* its updates. The update operands arrive as their
-/// transposed-layout builds ([`StarPair::transposed`]). `exec` carries the
-/// pooled workspaces.
-pub fn compute_cstar_exec<S: Semiring, K: XYKernel<S>>(
+/// The broadcast payloads of the X and Y passes.
+type Payloads<V> = (Option<Arc<Dcsr<V>>>, Option<Arc<Dcsr<V>>>);
+
+/// Step 1 of [`compute_cstar`]: the round roots recover their
+/// transposed-position blocks locally. A globally empty update matrix
+/// contributes nothing to Eq. 1, so its pass gets no payload and is skipped
+/// whole — decided from the allreduced global nnz, so all ranks agree. This
+/// is the common case in the paper's Fig. 9 protocol, where `B` is static.
+fn star_payloads<S: Semiring>(
     grid: &Grid,
-    a_old: &DistMat<S::Elem>,
-    b_new: &DistMat<S::Elem>,
-    a_star_t: &DistDcsr<S::Elem>,
-    b_star_t: &DistDcsr<S::Elem>,
+    ops: &Operands<'_, S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> (Dcsr<K::Out>, u64) {
-    // Empty-side elision: a globally empty update matrix contributes nothing
-    // to Eq. 1, so its whole pass (transposition, broadcasts, multiplies,
-    // reductions) is skipped. The decision is collective-safe because it is
-    // made from the allreduced global nnz, agreed on all ranks. This is the
-    // common case in the paper's Fig. 9 protocol, where `B` is static.
-    let [a_star_nnz, b_star_nnz] = grid.world().allreduce(
-        [a_star_t.local_nnz() as u64, b_star_t.local_nnz() as u64],
-        |x, y| [x[0] + y[0], x[1] + y[1]],
-    );
+) -> Payloads<S::Elem> {
+    match ops {
+        Operands::Pair {
+            a_star_t, b_star_t, ..
+        } => {
+            let [a_nnz, b_nnz] = grid.world().allreduce(
+                [a_star_t.local_nnz() as u64, b_star_t.local_nnz() as u64],
+                |x, y| [x[0] + y[0], x[1] + y[1]],
+            );
+            let x = (a_nnz != 0).then(|| transpose_star(a_star_t, exec, timer));
+            let y = (b_nnz != 0).then(|| transpose_star(b_star_t, exec, timer));
+            (x, y)
+        }
+        Operands::Shared { a, star_t } => {
+            assert_eq!(
+                a.info().nrows,
+                a.info().ncols,
+                "shared-operand dynamic SpGEMM maintains a square product C = A·A"
+            );
+            // One transposition serves both passes: rank (i,j) recovers
+            // A*_{j,i}, the X payload of row i and the Y payload of column j.
+            let nnz = grid
+                .world()
+                .allreduce(star_t.local_nnz() as u64, |x, y| x + y);
+            let star = (nnz != 0).then(|| transpose_star(star_t, exec, timer));
+            (star.clone(), star)
+        }
+    }
+}
 
-    // Step 1: round roots recover their transposed-position blocks locally.
-    let at_blk = (a_star_nnz != 0).then(|| transpose_star(a_star_t, exec, timer));
-    let bt_blk = (b_star_nnz != 0).then(|| transpose_star(b_star_t, exec, timer));
-
-    // Step 2 + 3: √p rounds of broadcasts, local multiplies, aggregation —
-    // pipelined: round k+1's update-block broadcasts are in flight while
-    // round k multiplies and merge-reduces (the progress engine forwards
-    // their tree edges even while ranks are blocked inside the reductions).
-    let mut flops = 0u64;
-    let mut x_mine: Option<Dcsr<K::Out>> = None;
-    let mut y_mine: Option<Dcsr<K::Out>> = None;
+/// The X pass: in round `k`, row-comm member `k` broadcasts `star`
+/// (`A*_{k,i}` over process row `i`), every rank multiplies
+/// `Xⁱ_{k,j} = A*_{k,i}·right_{i,j}` and the partials merge-reduce over
+/// process column `j` onto `(k,j)`. With `mask`, col-comm member `k` also
+/// broadcasts its mask block and the multiply keeps only the masked
+/// positions — Algorithm 2's recompute. Pipelined: round `k + 1`'s
+/// broadcasts are in flight while round `k` multiplies and reduces (the
+/// progress engine forwards their tree edges even while ranks are blocked
+/// inside the reductions). Returns this rank's reduced block. Collective.
+pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    star: &Arc<Dcsr<S::Elem>>,
+    right: &DistMat<S::Elem>,
+    mask: Option<&Arc<Dcsr<()>>>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    flops: &mut u64,
+) -> Option<Dcsr<K::Out>> {
+    let (i, j) = grid.coords();
+    let k_offset = right.info().row_range.start;
+    let mut mine = None;
     run_rounds(
-        &mut (timer, &mut flops, &mut x_mine, &mut y_mine),
+        &mut (timer, flops, &mut mine),
         grid.q(),
         |_ctx, k| {
-            (
-                at_blk.as_ref().map(|at| issue_x(grid, k, at)),
-                bt_blk.as_ref().map(|bt| issue_y(grid, k, bt)),
-            )
+            let star = grid
+                .row_comm()
+                .ibcast_shared(k, (j == k).then(|| Arc::clone(star)));
+            let mask = mask.map(|m| {
+                grid.col_comm()
+                    .ibcast_shared(k, (i == k).then(|| Arc::clone(m)))
+            });
+            (star, mask)
         },
-        |ctx, _k, (ra, rb)| {
-            let a_bcast = ra.map(|r| await_into_phase(r, ctx.0, phase::BCAST));
-            let b_bcast = rb.map(|r| await_into_phase(r, ctx.0, phase::BCAST));
-            (a_bcast, b_bcast)
+        |ctx, _k, (star, mask)| {
+            let star = await_into_phase(star, ctx.0, phase::BCAST);
+            let mask = mask.map(|req| await_into_phase(req, ctx.0, phase::BCAST));
+            (star, mask)
         },
-        |ctx, k, (a_bcast, b_bcast)| {
-            let (timer, flops, x_mine, y_mine) = ctx;
-            if let Some(a_bcast) = a_bcast {
-                if let Some(x) = x_round::<S, K>(grid, k, &a_bcast, b_new, exec, timer, flops) {
-                    **x_mine = Some(x);
-                }
-            }
-            if let Some(b_bcast) = b_bcast {
-                if let Some(y) = y_round::<S, K>(grid, k, a_old, &b_bcast, exec, timer, flops) {
-                    **y_mine = Some(y);
-                }
+        |(timer, flops, mine), k, (star, mask)| {
+            let (b, pool) = (right.block(), K::pool(exec));
+            let part = timer.time(phase::LOCAL_MULT, || match mask {
+                Some(mask) => spgemm_with::<S, K, _, _, _>(&*star, b, &*mask, k_offset, pool),
+                None => spgemm_with::<S, K, _, _, _>(&*star, b, &(), k_offset, pool),
+            });
+            **flops += part.flops;
+            let red = timer.time(phase::REDUCE_SCATTER, || {
+                grid.col_comm()
+                    .reduce(k, part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
+            });
+            if red.is_some() {
+                debug_assert_eq!(i, k);
+                **mine = red;
             }
         },
     );
-    let cstar = merge_xy::<S, K>(
-        x_mine,
-        y_mine,
-        a_old.info().local_rows(),
-        b_new.info().local_cols(),
-    );
-    (cstar, flops)
+    mine
 }
 
-/// The shared-operand round structure: this rank's block of
-/// `C* = A*·A' + A·A*` for a maintained *square* product `C = A · A`, where
-/// both Eq.-1 terms draw on the **same** stored matrix. Collective.
-///
-/// The interleaved rounds of [`compute_cstar_exec`] need the old `A` (for
-/// the Y pass) and the new `A'` (for the X pass) simultaneously, which a
-/// single stored operand cannot provide. Instead of cloning the whole
-/// matrix, the same two passes are sequenced around the update itself:
-///
-/// 1. `√p` Y rounds with the *old* `A`;
-/// 2. `apply` turns `A` into `A'` in place (purely local);
-/// 3. `√p` X rounds with the *new* `A'`.
-///
-/// One transposition of the single update block replaces Algorithm 1's
-/// two, and the communication volume is halved relative to maintaining a
-/// lock-stepped clone of `A` as the second operand (each update batch is
-/// redistributed and broadcast once instead of twice). `star_t` is the
-/// update matrix's transposed-layout build.
-pub fn compute_cstar_shared_exec<S: Semiring, K: XYKernel<S>>(
+/// The Y pass, the X pass mirrored: in round `k`, col-comm member `k`
+/// broadcasts `star` (`B*_{j,k}` over process column `j`), every rank
+/// multiplies `Yʲ_{i,k} = left_{i,j}·B*_{j,k}` and the partials
+/// merge-reduce over process row `i` onto `(i,k)`. Pipelined like
+/// [`x_pass`]. Returns this rank's reduced block. Collective.
+fn y_pass<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    star_t: &DistDcsr<S::Elem>,
-    apply: impl FnOnce(&mut DistMat<S::Elem>),
+    left: &DistMat<S::Elem>,
+    star: &Arc<Dcsr<S::Elem>>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    flops: &mut u64,
+) -> Option<Dcsr<K::Out>> {
+    let (i, j) = grid.coords();
+    let k_offset = left.info().col_range.start;
+    let mut mine = None;
+    run_rounds(
+        &mut (timer, flops, &mut mine),
+        grid.q(),
+        |_ctx, k| {
+            grid.col_comm()
+                .ibcast_shared(k, (i == k).then(|| Arc::clone(star)))
+        },
+        |ctx, _k, star| await_into_phase(star, ctx.0, phase::BCAST),
+        |(timer, flops, mine), k, star| {
+            let part = timer.time(phase::LOCAL_MULT, || {
+                let star_rows = star.row_reader();
+                spgemm_with::<S, K, _, _, _>(left.block(), &star_rows, &(), k_offset, K::pool(exec))
+            });
+            **flops += part.flops;
+            let red = timer.time(phase::REDUCE_SCATTER, || {
+                grid.row_comm()
+                    .reduce(k, part.result, |a, b| Dcsr::merge_with(&a, &b, K::merge))
+            });
+            if red.is_some() {
+                debug_assert_eq!(j, k);
+                **mine = red;
+            }
+        },
+    );
+    mine
+}
+
+/// This rank's block of `C* = A*·B' + A·B*` (Eq. 1) plus the local flop
+/// count — the one round body of both Algorithm-1 shapes and of
+/// `COMPUTE_PATTERN`. Collective over the grid.
+///
+/// 1. The round roots recover their broadcast payloads ([`star_payloads`]).
+/// 2. The Y pass against the old `A`.
+/// 3. `apply` turns the operands into `A'` (and `B'`) in place, under
+///    [`phase::LOCAL_UPDATE`].
+/// 4. The X pass against the new right operand `B'` (`A'` when shared).
+/// 5. The X and Y partials merge, X first.
+pub(crate) fn compute_cstar<'m, S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    mut ops: Operands<'m, S::Elem>,
+    apply: impl FnOnce(&mut Operands<'m, S::Elem>),
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
-    assert_eq!(
-        a.info().nrows,
-        a.info().ncols,
-        "shared-operand dynamic SpGEMM maintains a square product C = A·A"
-    );
-    let q = grid.q();
-    let block_rows = a.info().local_rows();
-    let block_cols = a.info().local_cols();
-
-    // Empty-batch elision, agreed collectively (cf. `compute_cstar_exec`).
-    let star_nnz = grid
-        .world()
-        .allreduce(star_t.local_nnz() as u64, |x, y| x + y);
-    if star_nnz == 0 {
-        timer.time(phase::LOCAL_UPDATE, || apply(a));
-        return (Dcsr::empty(block_rows, block_cols), 0);
-    }
-
-    // One transposition serves both passes: rank (i,j) recovers A*_{j,i}
-    // from its own transposed-layout block, so in round k the row-comm
-    // member k of row i holds A*_{k,i} and the col-comm member k of column
-    // j holds A*_{k,j}, exactly as in Algorithm 1.
-    let star_t = transpose_star(star_t, exec, timer);
-
+    let (x_star, y_star) = star_payloads(grid, &ops, exec, timer);
     let mut flops = 0u64;
-
-    // Y rounds against the old A — pipelined (round k+1's broadcast of the
-    // transposed update block is in flight while round k multiplies and
-    // reduces).
-    let mut y_mine: Option<Dcsr<K::Out>> = None;
-    run_rounds(
-        &mut (&mut *timer, &mut flops, &mut y_mine),
-        q,
-        |_ctx, k| issue_y(grid, k, &star_t),
-        |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-        |ctx, k, b_bcast| {
-            let (timer, flops, y_mine) = ctx;
-            if let Some(y) = y_round::<S, K>(grid, k, a, &b_bcast, exec, timer, flops) {
-                **y_mine = Some(y);
-            }
-        },
+    let y =
+        y_star.and_then(|star| y_pass::<S, K>(grid, ops.left(), &star, exec, timer, &mut flops));
+    timer.time(phase::LOCAL_UPDATE, || apply(&mut ops));
+    let x = x_star
+        .and_then(|star| x_pass::<S, K>(grid, &star, ops.right(), None, exec, timer, &mut flops));
+    let (rows, cols) = (
+        ops.left().info().local_rows(),
+        ops.right().info().local_cols(),
     );
-
-    // A → A' (purely local).
-    timer.time(phase::LOCAL_UPDATE, || apply(a));
-
-    // X rounds against the new A' — pipelined likewise.
-    let mut x_mine: Option<Dcsr<K::Out>> = None;
-    run_rounds(
-        &mut (&mut *timer, &mut flops, &mut x_mine),
-        q,
-        |_ctx, k| issue_x(grid, k, &star_t),
-        |ctx, _k, req| await_into_phase(req, ctx.0, phase::BCAST),
-        |ctx, k, a_bcast| {
-            let (timer, flops, x_mine) = ctx;
-            if let Some(x) = x_round::<S, K>(grid, k, &a_bcast, a, exec, timer, flops) {
-                **x_mine = Some(x);
-            }
-        },
-    );
-
-    let cstar = merge_xy::<S, K>(x_mine, y_mine, block_rows, block_cols);
+    let cstar = match (x, y) {
+        (Some(x), Some(y)) => Dcsr::merge_with(&x, &y, K::merge),
+        (x, y) => x.or(y).unwrap_or_else(|| Dcsr::empty(rows, cols)),
+    };
     (cstar, flops)
 }
 
@@ -474,11 +438,11 @@ pub fn apply_algebraic_updates_exec<S: Semiring>(
     apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, f, &a_star, &b_star, exec, timer)
 }
 
-/// Algorithm 1 from **pre-built** update operands: applies `B += B*`, runs
-/// the rounds, applies `A += A*` and patches `C`. With `f` the batch also
-/// maintains the Bloom filter matrix `F` (required when general updates may
-/// follow): identical communication structure, partial blocks carry
-/// `(value, bitfield)` pairs. Collective.
+/// Algorithm 1 from **pre-built** update operands: runs the Y pass, applies
+/// `A += A*` and `B += B*`, runs the X pass and patches `C`. With `f` the
+/// batch also maintains the Bloom filter matrix `F` (required when general
+/// updates may follow): identical communication structure, partial blocks
+/// carry `(value, bitfield)` pairs. Collective.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     grid: &Grid,
@@ -491,43 +455,31 @@ pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
+    let ops = Operands::Pair {
+        a,
+        b,
+        a_star_t: &a_star.transposed,
+        b_star_t: &b_star.transposed,
+    };
+    let apply = |ops: &mut Operands<S::Elem>| {
+        let Operands::Pair { a, b, .. } = ops else {
+            unreachable!("built as a pair")
+        };
+        apply_add::<S>(a, &a_star.natural);
+        apply_add::<S>(b, &b_star.natural);
+    };
     match f {
         Some(f) => {
-            apply_prebuilt_with::<S, Bloom>(grid, a, b, a_star, b_star, exec, timer, |cstar| {
-                add_cstar_tracked::<S>(c, f, cstar)
-            })
+            let (cstar, flops) = compute_cstar::<S, Bloom>(grid, ops, apply, exec, timer);
+            timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
+            flops
         }
-        None => apply_prebuilt_with::<S, Plain>(grid, a, b, a_star, b_star, exec, timer, |cstar| {
-            add_cstar::<S>(c, cstar)
-        }),
+        None => {
+            let (cstar, flops) = compute_cstar::<S, Plain>(grid, ops, apply, exec, timer);
+            timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
+            flops
+        }
     }
-}
-
-/// The batch sequence both kernels of [`apply_algebraic_prebuilt_exec`]
-/// share; `add_cstar` folds this rank's `C*` block into the product.
-#[allow(clippy::too_many_arguments)]
-fn apply_prebuilt_with<S: Semiring, K: XYKernel<S>>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    a_star: &StarPair<S::Elem>,
-    b_star: &StarPair<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-    add_cstar: impl FnOnce(&Dcsr<K::Out>),
-) -> u64 {
-    // Eq. 1 ordering: B must be B' during the multiplication, A must still
-    // be the old A.
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add::<S>(b, &b_star.natural);
-    });
-    let (a_star_t, b_star_t) = (&a_star.transposed, &b_star.transposed);
-    let (cstar, flops) = compute_cstar_exec::<S, K>(grid, a, b, a_star_t, b_star_t, exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_add::<S>(a, &a_star.natural);
-        add_cstar(&cstar);
-    });
-    flops
 }
 
 /// [`apply_algebraic_prebuilt_exec`] without a filter matrix, on
@@ -567,14 +519,17 @@ pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
-    let (cstar, flops) = compute_cstar_shared_exec::<S, Bloom>(
-        grid,
+    let ops = Operands::Shared {
         a,
-        &star.transposed,
-        |m| apply_add::<S>(m, &star.natural),
-        exec,
-        timer,
-    );
+        star_t: &star.transposed,
+    };
+    let apply = |ops: &mut Operands<S::Elem>| {
+        let Operands::Shared { a, .. } = ops else {
+            unreachable!("built as shared")
+        };
+        apply_add::<S>(a, &star.natural);
+    };
+    let (cstar, flops) = compute_cstar::<S, Bloom>(grid, ops, apply, exec, timer);
     timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
     (cstar, flops)
 }
@@ -587,6 +542,7 @@ mod tests {
     use dspgemm_mpi::run;
     use dspgemm_sparse::dense::Dense;
     use dspgemm_sparse::semiring::U64Plus;
+    use dspgemm_sparse::Index;
     use dspgemm_util::rng::{Rng, SplitMix64};
 
     fn random_triples(seed: u64, n: Index, count: usize) -> Vec<Triple<u64>> {
@@ -603,8 +559,15 @@ mod tests {
     }
 
     /// End-to-end: dynamic result after several batches must equal a static
-    /// recomputation of A'·B' from scratch.
+    /// recomputation of A'·B' from scratch — with both update matrices, with
+    /// `A*` alone (the X pass alone) and with `B*` alone (the Y pass alone).
     fn check_dynamic_equals_static(p: usize, n: Index, batches: usize) {
+        for (a_count, b_count) in [(15, 15), (15, 0), (0, 15)] {
+            check_sides(p, n, batches, a_count, b_count);
+        }
+    }
+
+    fn check_sides(p: usize, n: Index, batches: usize, a_count: usize, b_count: usize) {
         let out = run(p, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
@@ -620,8 +583,8 @@ mod tests {
             let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
             for round in 0..batches as u64 {
                 // Every rank contributes its own update tuples.
-                let a_ups = random_triples(100 + round * 7 + comm.rank() as u64, n, 15);
-                let b_ups = random_triples(500 + round * 7 + comm.rank() as u64, n, 15);
+                let a_ups = random_triples(100 + round * 7 + comm.rank() as u64, n, a_count);
+                let b_ups = random_triples(500 + round * 7 + comm.rank() as u64, n, b_count);
                 apply_algebraic_updates_exec::<U64Plus>(
                     &grid,
                     &mut a,
@@ -649,12 +612,17 @@ mod tests {
         let n_us = n;
         let dd = Dense::from_triples::<U64Plus>(n_us, n_us, c_dyn);
         let ds = Dense::from_triples::<U64Plus>(n_us, n_us, c_static);
-        assert_eq!(dd.diff(&ds), vec![], "p={p}: dynamic != static");
+        let sides = format!("p={p}, |A*|={a_count}, |B*|={b_count}");
+        assert_eq!(dd.diff(&ds), vec![], "{sides}: dynamic != static");
         // Also check against a fully independent dense reference.
         let da = Dense::from_triples::<U64Plus>(n_us, n_us, a_fin.as_ref().unwrap());
         let db = Dense::from_triples::<U64Plus>(n_us, n_us, b_fin.as_ref().unwrap());
         let dref = da.matmul::<U64Plus>(&db);
-        assert_eq!(dd.diff(&dref), vec![], "p={p}: dynamic != dense reference");
+        assert_eq!(
+            dd.diff(&dref),
+            vec![],
+            "{sides}: dynamic != dense reference"
+        );
     }
 
     #[test]

@@ -14,22 +14,21 @@
 //! 3. `A^R` — the rows `i` of `A'` with `r_i ≠ 0`, keeping only columns `k`
 //!    whose bit `k mod 64` is set in `r_i` (a *superset* of what is needed:
 //!    Bloom filters have no false negatives, so nothing required is lost);
-//! 4. a masked SUMMA-like pass broadcasts `A^R` over rows and `C*` over
-//!    columns, recomputes `Z = A^R·B'` masked at `C*` (with updated filter
-//!    `H`), and merge-reduces partials onto the owners;
+//! 4. Algorithm 1's X pass under a mask broadcasts `A^R` over rows and `C*`
+//!    over columns, recomputes `Z = A^R·B'` masked at `C*` (with updated
+//!    filter `H`), and merge-reduces partials onto the owners;
 //! 5. locally, `Z` replaces the masked entries of `C` (absent ⇒ the entry
 //!    became structurally zero ⇒ delete), and `H` replaces them in `F`.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
-use crate::dyn_algebraic::{compute_cstar_exec, compute_cstar_shared_exec, TransposeMode};
+use crate::dyn_algebraic::{compute_cstar, x_pass, Operands, TransposeMode};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
 use crate::phase;
-use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup};
 use dspgemm_sparse::dhb::DhbRow;
-use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload};
+use dspgemm_sparse::local_mm::{Bloom, Pattern};
 use dspgemm_sparse::ops::extract_filtered;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Dcsr, Index, RowScan, Triple};
@@ -160,72 +159,9 @@ pub fn prepare_general_update_mode<S: Semiring>(
     prepare_general_update_in::<S>(grid, &uniform_layout(nrows, ncols, grid.q()), upd, timer)
 }
 
-/// The `√p` masked-recompute rounds of [`recompute_at_cstar`]:
-/// broadcast `A^R` over process rows and the `C*` pattern over process
-/// columns, recompute `Z = A^R · right` masked at `C*` (with updated Bloom
-/// bits), and merge-reduce the partials onto the owners. Pipelined: round
-/// `k + 1`'s two broadcasts are in flight while round `k` runs the masked
-/// multiply and its reduction (both payloads are round-invariant, so the
-/// lookahead costs no extra assembly). Returns `(Z_{i,j}, local_flops)`.
-/// Collective over the grid.
-fn masked_recompute_rounds<S: Semiring>(
-    grid: &Grid,
-    ar_t: &Arc<Dcsr<S::Elem>>,
-    cstar_structure: &Arc<Dcsr<()>>,
-    right: &dspgemm_sparse::DhbMatrix<S::Elem>,
-    k_offset: Index,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    let q = grid.q();
-    let (i, j) = grid.coords();
-    let mut flops = 0u64;
-    let mut z_mine: Option<Dcsr<(S::Elem, u64)>> = None;
-    run_rounds(
-        &mut (timer, &mut flops, &mut z_mine),
-        q,
-        |_ctx, k| {
-            let ra = grid
-                .row_comm()
-                .ibcast_shared(k, if j == k { Some(Arc::clone(ar_t)) } else { None });
-            let rc = grid.col_comm().ibcast_shared(
-                k,
-                if i == k {
-                    Some(Arc::clone(cstar_structure))
-                } else {
-                    None
-                },
-            );
-            (ra, rc)
-        },
-        |ctx, _k, (ra, rc)| {
-            let ar_bcast = await_into_phase(ra, ctx.0, phase::BCAST);
-            let cstar_bcast = await_into_phase(rc, ctx.0, phase::BCAST);
-            (ar_bcast, cstar_bcast)
-        },
-        |ctx, k, (ar_bcast, cstar_bcast)| {
-            let (timer, flops, z_mine) = ctx;
-            // The broadcast C* block is the mask as it stands: its sorted
-            // rows are what the kernel works against, so nothing is built
-            // per round (Section VI-B rebuilds a hash table here).
-            let z_part = timer.time(phase::LOCAL_MULT, || {
-                let (a_r, mask) = (&*ar_bcast, &*cstar_bcast);
-                spgemm_with::<S, Bloom, _, _, _>(a_r, right, mask, k_offset, exec.fused())
-            });
-            **flops += z_part.flops;
-            let z_red = timer.time(phase::REDUCE_SCATTER, || {
-                grid.col_comm().reduce(k, z_part.result, |x, y| {
-                    Dcsr::merge_with(&x, &y, <Bloom as Payload<S>>::merge)
-                })
-            });
-            if let Some(z) = z_red {
-                debug_assert_eq!(i, k);
-                **z_mine = Some(z);
-            }
-        },
-    );
-    (z_mine.expect("round k=i must deliver Z_{i,j}"), flops)
-}
+/// The tag of Algorithm 2's one point-to-point exchange, `A^R` to the
+/// grid-transposed rank.
+const TAG_AR: u64 = 103;
 
 /// Steps 2–5 of Algorithm 2, shared by both shapes once `COMPUTE_PATTERN`
 /// has produced this rank's `C*` block and both operands are updated: the
@@ -244,7 +180,6 @@ fn recompute_at_cstar<S: Semiring>(
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
     cstar: &Dcsr<u64>,
-    tag_ar: u64,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
@@ -285,22 +220,19 @@ fn recompute_at_cstar<S: Semiring>(
         if peer == grid.world().rank() {
             a_r
         } else {
-            grid.world().sendrecv(peer, a_r, peer, tag_ar)
+            grid.world().sendrecv(peer, a_r, peer, TAG_AR)
         }
     });
 
-    // --- √p rounds: bcast A^R over rows, C* over columns, masked multiply,
-    // merge-reduce Z/H onto owners (pipelined). ---
-    let cstar_structure: Arc<Dcsr<()>> = Arc::new(cstar.map(|_| ()));
-    let (z, flops) = masked_recompute_rounds::<S>(
-        grid,
-        &ar_t,
-        &cstar_structure,
-        right.block(),
-        right.info().row_range.start,
-        exec,
-        timer,
-    );
+    // --- The X pass of A^R against `right`, masked at C*: bcast A^R over
+    // rows and C* over columns, masked multiply, merge-reduce Z/H onto the
+    // owners. The broadcast C* block is the mask as it stands: its sorted
+    // rows are what the kernel works against, so nothing is built per round
+    // (Section VI-B rebuilds a hash table here). ---
+    let mask = Arc::new(cstar.map(|_| ()));
+    let mut flops = 0u64;
+    let z = x_pass::<S, Bloom>(grid, &ar_t, right, Some(&mask), exec, timer, &mut flops)
+        .expect("round k = i delivers Z_{i,j}");
 
     // --- Merge Z into C and H into F, masked at C*. ---
     timer.time(phase::LOCAL_UPDATE, || {
@@ -335,24 +267,30 @@ pub fn apply_general_updates_exec<S: Semiring>(
         prepare_general_operands::<S, 2>(grid, operands, &mut PhaseTimer::new())
     });
 
-    // --- B ← B' (Eq. 1 needs B' during pattern computation). ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_merge::<S>(b, &b_ops.set_mat, 1);
-        apply_mask::<S>(b, &b_ops.del_mat, 1);
-    });
+    // --- COMPUTE_PATTERN (C* pattern + F* bits at each owner) around the
+    // in-place updates A → A', B → B'. ---
+    let ops = Operands::Pair {
+        a,
+        b,
+        a_star_t: &a_ops.star_t,
+        b_star_t: &b_ops.star_t,
+    };
+    let apply = |ops: &mut Operands<S::Elem>| {
+        let Operands::Pair { a, b, .. } = ops else {
+            unreachable!("built as a pair")
+        };
+        apply_general::<S>(a, &a_ops);
+        apply_general::<S>(b, &b_ops);
+    };
+    let (cstar, flops) = compute_cstar::<S, Pattern>(grid, ops, apply, exec, timer);
 
-    // --- COMPUTE_PATTERN: C* pattern + F* bits at each owner. ---
-    let (cstar, flops) =
-        compute_cstar_exec::<S, Pattern>(grid, a, b, &a_ops.star_t, &b_ops.star_t, exec, timer);
+    flops + recompute_at_cstar::<S>(grid, a, b, c, f, &cstar, exec, timer)
+}
 
-    // --- A ← A' (the masked recomputation reads the *new* A). ---
-    timer.time(phase::LOCAL_UPDATE, || {
-        apply_merge::<S>(a, &a_ops.set_mat, 1);
-        apply_mask::<S>(a, &a_ops.del_mat, 1);
-    });
-
-    const TAG_AR: u64 = 103;
-    flops + recompute_at_cstar::<S>(grid, a, b, c, f, &cstar, TAG_AR, exec, timer)
+/// `m ← m'`: one operand's MERGE, then MASK matrix, applied in place.
+fn apply_general<S: Semiring>(m: &mut DistMat<S::Elem>, prep: &PreparedGeneral<S::Elem>) {
+    apply_merge::<S>(m, &prep.set_mat, 1);
+    apply_mask::<S>(m, &prep.del_mat, 1);
 }
 
 /// One row of [`replace_at_cstar`] on one matrix: walks the row's `C*`
@@ -423,10 +361,9 @@ fn replace_at_cstar<S: Semiring>(
 /// positions whose values were recomputed or deleted — the change feed for
 /// maintained views) plus the local flop count. Collective.
 ///
-/// `COMPUTE_PATTERN` runs through
-/// [`compute_cstar_shared_exec`]'s split round structure (Y rounds against
-/// the old `A`, MERGE/MASK application, X rounds against the new `A'`); the
-/// repair reads only the post-update matrix, so it is
+/// `COMPUTE_PATTERN` runs the round body of the two-operand form (Y pass
+/// against the old `A`, MERGE/MASK application, X pass against the new
+/// `A'`); the repair reads only the post-update matrix, so it is
 /// [`apply_general_updates_exec`]'s with `B = A'`.
 pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     grid: &Grid,
@@ -438,20 +375,19 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (Dcsr<u64>, u64) {
     // --- COMPUTE_PATTERN around the in-place update A → A'. ---
-    let (cstar, flops) = compute_cstar_shared_exec::<S, Pattern>(
-        grid,
+    let ops = Operands::Shared {
         a,
-        &prep.star_t,
-        |m| {
-            apply_merge::<S>(m, &prep.set_mat, 1);
-            apply_mask::<S>(m, &prep.del_mat, 1);
-        },
-        exec,
-        timer,
-    );
+        star_t: &prep.star_t,
+    };
+    let apply = |ops: &mut Operands<S::Elem>| {
+        let Operands::Shared { a, .. } = ops else {
+            unreachable!("built as shared")
+        };
+        apply_general::<S>(a, prep);
+    };
+    let (cstar, flops) = compute_cstar::<S, Pattern>(grid, ops, apply, exec, timer);
 
-    const TAG_AR_SHARED: u64 = 106;
-    let z_flops = recompute_at_cstar::<S>(grid, a, a, c, f, &cstar, TAG_AR_SHARED, exec, timer);
+    let z_flops = recompute_at_cstar::<S>(grid, a, a, c, f, &cstar, exec, timer);
     (cstar, flops + z_flops)
 }
 
@@ -539,14 +475,21 @@ mod tests {
             let mut a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
             let mut b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
             let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
-            for round in 0..rounds as u64 {
+            // The last round updates `B` alone: COMPUTE_PATTERN runs its Y
+            // pass and no X pass.
+            for round in 0..=rounds as u64 {
                 // Rank 0 draws updates from the *current* global state so
                 // value-increases and deletions hit real entries.
                 let a_cur = a.gather_to_root(comm);
                 let b_cur = b.gather_to_root(comm);
+                let (sets, dels) = if round == rounds as u64 {
+                    (0, 0)
+                } else {
+                    (8, 4)
+                };
                 let (a_upd, b_upd) = if comm.rank() == 0 {
                     (
-                        draw_general_f(100 + round, n, a_cur.as_ref().unwrap(), 8, 4),
+                        draw_general_f(100 + round, n, a_cur.as_ref().unwrap(), sets, dels),
                         draw_general_f(200 + round, n, b_cur.as_ref().unwrap(), 8, 4),
                     )
                 } else {

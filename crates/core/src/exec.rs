@@ -4,9 +4,10 @@
 //! [`WorkspacePool`] argument into a *session* resource: one `Exec` lives
 //! in the engine (or is built transiently per collective call) and hands
 //! out pools whose workspaces persist across SUMMA rounds, dynamic X/Y
-//! passes, masked recomputes and analytics refreshes — so the pipelined
-//! rounds of `crate::pipeline` reuse their SPA scratch and flat output
-//! buffers instead of reallocating per round.
+//! passes (the masked recompute among them) and analytics refreshes — so the
+//! pipelined rounds of `crate::pipeline` reuse their SPA, mask and
+//! transposition scratch instead of reallocating it per round. A call's flat
+//! output buffers are not pooled: they move into the `Dcsr` it returns.
 //!
 //! Three pools are kept because the kernel payloads differ: plain values
 //! (`S::Elem`), value+Bloom fusion (`(S::Elem, u64)`), and pattern bits

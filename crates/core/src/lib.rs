@@ -51,11 +51,12 @@
 //!   serving interface behind `dspgemm-analytics`.
 //!
 //! Beyond the two per-engine algorithms, [`dyn_algebraic`] and
-//! [`dyn_general`] also export *shared-operand* variants
+//! [`dyn_general`] also export *shared-operand* entry points
 //! (`apply_shared_*`) that maintain `C = A · A` for a single dynamic
 //! matrix from a pre-redistributed update matrix — the hook the
 //! `dspgemm-analytics` session uses so one redistribution feeds every
-//! maintained view.
+//! maintained view. Both shapes run one round body: the Y pass against the
+//! old `A`, the local update, then the X pass against the new right operand.
 //!
 //! ## Quick example
 //!
