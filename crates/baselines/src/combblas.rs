@@ -17,26 +17,11 @@
 
 use dspgemm_core::distmat::{BlockInfo, Elem};
 use dspgemm_core::grid::{owner_block, Grid};
-use dspgemm_core::pipeline::{await_into_phase, run_rounds};
+use dspgemm_core::pipeline::run_rounds;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr, Index, Triple};
-use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
 use std::sync::Arc;
-
-/// Phase names for baseline breakdowns.
-pub mod phase {
-    /// Comparison sort by destination rank.
-    pub const SORT: &str = "cb sort";
-    /// The single global alltoall.
-    pub const ALLTOALL: &str = "cb alltoall";
-    /// Static rebuild of the local block.
-    pub const REBUILD: &str = "cb rebuild";
-    /// SUMMA broadcasts.
-    pub const BCAST: &str = "cb bcast";
-    /// Local multiplication.
-    pub const MULT: &str = "cb mult";
-}
 
 /// A CombBLAS-like distributed sparse matrix: one static doubly-compressed
 /// block per rank of a square grid.
@@ -54,7 +39,6 @@ pub fn redistribute_global<V>(
     nrows: Index,
     ncols: Index,
     mut tuples: Vec<Triple<V>>,
-    timer: &mut PhaseTimer,
 ) -> Vec<Triple<V>>
 where
     V: Copy + Send + Sync + WireSize + WireDecode + 'static,
@@ -66,18 +50,14 @@ where
         let (bj, _) = owner_block(ncols, q, t.col);
         bi * q + bj
     };
-    timer.time(phase::SORT, || {
-        // Deliberately a comparison sort — the architectural choice the
-        // paper contrasts with its counting sort.
-        tuples.sort_by_key(dest);
-    });
-    let received = timer.time(phase::ALLTOALL, || {
-        let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
-        for t in tuples {
-            chunks[dest(&t)].push(t);
-        }
-        grid.world().alltoallv(chunks)
-    });
+    // Deliberately a comparison sort — the architectural choice the paper
+    // contrasts with its counting sort.
+    tuples.sort_by_key(dest);
+    let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
+    for t in tuples {
+        chunks[dest(&t)].push(t);
+    }
+    let received = grid.world().alltoallv(chunks);
     received.into_iter().flatten().collect()
 }
 
@@ -98,14 +78,11 @@ impl<V: Elem> CombBlasMatrix<V> {
         nrows: Index,
         ncols: Index,
         tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
     ) -> Self {
-        let mine = redistribute_global(grid, nrows, ncols, tuples, timer);
+        let mine = redistribute_global(grid, nrows, ncols, tuples);
         let mut m = Self::empty(grid, nrows, ncols);
-        timer.time(phase::REBUILD, || {
-            let local = m.to_local(mine);
-            m.block = Dcsr::from_triples::<S>(m.info.local_rows(), m.info.local_cols(), local);
-        });
+        let local = m.to_local(mine);
+        m.block = Dcsr::from_triples::<S>(m.info.local_rows(), m.info.local_cols(), local);
         m
     }
 
@@ -143,60 +120,43 @@ impl<V: Elem> CombBlasMatrix<V> {
     /// Inserts a batch: redistributes the tuples, then **rebuilds** the
     /// static block by merging — the cost the paper's Fig. 4 measures.
     /// Duplicate positions combine with the semiring addition.
-    pub fn insert_batch<S: Semiring<Elem = V>>(
-        &mut self,
-        grid: &Grid,
-        tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) {
-        let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, tuples, timer);
-        timer.time(phase::REBUILD, || {
-            let local = self.to_local(mine);
-            let update =
-                Dcsr::from_triples::<S>(self.info.local_rows(), self.info.local_cols(), local);
-            self.block = Dcsr::merge_add::<S>(&self.block, &update);
-        });
+    pub fn insert_batch<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+        let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, tuples);
+        let local = self.to_local(mine);
+        let update = Dcsr::from_triples::<S>(self.info.local_rows(), self.info.local_cols(), local);
+        self.block = Dcsr::merge_add::<S>(&self.block, &update);
     }
 
     /// Value updates: redistribute, then rebuild with replacement semantics
     /// (`MERGE`): coinciding entries take the update's value.
-    pub fn update_batch<S: Semiring<Elem = V>>(
-        &mut self,
-        grid: &Grid,
-        tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) {
-        let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, tuples, timer);
-        timer.time(phase::REBUILD, || {
-            let mut local = self.to_local(mine);
-            dspgemm_sparse::triple::sort_row_major(&mut local);
-            dspgemm_sparse::triple::dedup_last_wins(&mut local);
-            let update =
-                Dcsr::from_sorted_triples(self.info.local_rows(), self.info.local_cols(), &local);
-            // Merge preferring the update's value.
-            self.block = Dcsr::merge_with(&update, &self.block, |upd, _old| upd);
-        });
+    pub fn update_batch<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+        let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, tuples);
+        let mut local = self.to_local(mine);
+        dspgemm_sparse::triple::sort_row_major(&mut local);
+        dspgemm_sparse::triple::dedup_last_wins(&mut local);
+        let update =
+            Dcsr::from_sorted_triples(self.info.local_rows(), self.info.local_cols(), &local);
+        // Merge preferring the update's value.
+        self.block = Dcsr::merge_with(&update, &self.block, |upd, _old| upd);
     }
 
     /// Deletions: redistribute the positions, then rebuild without them.
-    pub fn delete_batch(&mut self, grid: &Grid, positions: Vec<Triple<V>>, timer: &mut PhaseTimer) {
-        let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, positions, timer);
-        timer.time(phase::REBUILD, || {
-            let mut kill: Vec<(Index, Index)> = mine
-                .into_iter()
-                .map(|t| self.info.to_local(t.row, t.col))
-                .collect();
-            kill.sort_unstable();
-            kill.dedup();
-            let keep: Vec<Triple<V>> = self
-                .block
-                .to_triples()
-                .into_iter()
-                .filter(|t| kill.binary_search(&(t.row, t.col)).is_err())
-                .collect();
-            self.block =
-                Dcsr::from_sorted_triples(self.info.local_rows(), self.info.local_cols(), &keep);
-        });
+    pub fn delete_batch(&mut self, grid: &Grid, positions: Vec<Triple<V>>) {
+        let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, positions);
+        let mut kill: Vec<(Index, Index)> = mine
+            .into_iter()
+            .map(|t| self.info.to_local(t.row, t.col))
+            .collect();
+        kill.sort_unstable();
+        kill.dedup();
+        let keep: Vec<Triple<V>> = self
+            .block
+            .to_triples()
+            .into_iter()
+            .filter(|t| kill.binary_search(&(t.row, t.col)).is_err())
+            .collect();
+        self.block =
+            Dcsr::from_sorted_triples(self.info.local_rows(), self.info.local_cols(), &keep);
     }
 
     /// Element-wise `self += other` on aligned local blocks (no
@@ -245,7 +205,6 @@ pub fn spgemm<S: Semiring>(
     grid: &Grid,
     a: &CombBlasMatrix<S::Elem>,
     b: &CombBlasMatrix<S::Elem>,
-    timer: &mut PhaseTimer,
 ) -> (CombBlasMatrix<S::Elem>, u64) {
     assert_eq!(a.info.ncols, b.info.nrows, "dimension mismatch");
     let q = grid.q();
@@ -257,10 +216,9 @@ pub fn spgemm<S: Semiring>(
     // (mirroring dspgemm's per-call CSR snapshot), then `Arc`s move.
     let a_local = Arc::new(a.block.clone());
     let b_local = Arc::new(b.block.clone());
-    let mut acc: Dcsr<S::Elem> = Dcsr::empty(a.info.local_rows(), b.info.local_cols());
-    let mut flops = 0u64;
+    let mut state = (Dcsr::empty(a.info.local_rows(), b.info.local_cols()), 0u64);
     run_rounds(
-        &mut (timer, &mut acc, &mut flops),
+        &mut state,
         q,
         |_ctx, k| {
             let ra = grid.row_comm().ibcast_shared(
@@ -281,27 +239,19 @@ pub fn spgemm<S: Semiring>(
             );
             (ra, rb)
         },
-        |ctx, _k, (ra, rb)| {
-            let a_blk = await_into_phase(ra, ctx.0, phase::BCAST);
-            let b_blk = await_into_phase(rb, ctx.0, phase::BCAST);
-            (a_blk, b_blk)
-        },
-        |ctx, _k, (a_blk, b_blk)| {
-            let (timer, acc, flops) = ctx;
+        |_ctx, _k, (ra, rb)| (ra.wait(), rb.wait()),
+        |(acc, flops), _k, (a_blk, b_blk)| {
             // CombBLAS broadcasts its compressed blocks; the local kernel
             // indexes rows of the right operand, so expand the received
             // right block to CSR.
-            let partial = timer.time(phase::MULT, || {
-                let b_csr: Csr<S::Elem> =
-                    Csr::from_sorted_triples(b_blk.nrows(), b_blk.ncols(), &b_blk.to_triples());
-                dspgemm_sparse::local_mm::spgemm::<S, _, _>(&*a_blk, &b_csr, 1)
-            });
-            **flops += partial.flops;
-            timer.time(phase::REBUILD, || {
-                **acc = Dcsr::merge_add::<S>(acc, &partial.result);
-            });
+            let b_csr: Csr<S::Elem> =
+                Csr::from_sorted_triples(b_blk.nrows(), b_blk.ncols(), &b_blk.to_triples());
+            let partial = dspgemm_sparse::local_mm::spgemm::<S, _, _>(&*a_blk, &b_csr, 1);
+            *flops += partial.flops;
+            *acc = Dcsr::merge_add::<S>(acc, &partial.result);
         },
     );
+    let (acc, flops) = state;
     let info = BlockInfo::for_rank(grid, a.info.nrows, b.info.ncols);
     (CombBlasMatrix { info, block: acc }, flops)
 }
@@ -333,9 +283,8 @@ mod tests {
         let n: Index = 30;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let mine = random_triples(1 + comm.rank() as u64, n, 100);
-            let cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, mine.clone(), &mut timer);
+            let cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, mine.clone());
             // Our dynamic matrix gets the same tuples with add-combine via
             // an update matrix.
             let mut ours = DistMat::empty(&grid, n, n);
@@ -345,7 +294,7 @@ mod tests {
                 n,
                 mine,
                 dspgemm_core::update::Dedup::Add,
-                &mut timer,
+                &mut Default::default(),
             );
             dspgemm_core::update::apply_add::<U64Plus>(&mut ours, &upd);
             (cb.gather_to_root(&grid), ours.gather_to_root(comm))
@@ -359,14 +308,12 @@ mod tests {
         let n: Index = 20;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let initial = if comm.rank() == 0 {
                 random_triples(2, n, 60)
             } else {
                 vec![]
             };
-            let mut cb =
-                CombBlasMatrix::construct::<U64Plus>(&grid, n, n, initial.clone(), &mut timer);
+            let mut cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, initial.clone());
             let nnz0 = cb.global_nnz(&grid);
             // Insert a fresh diagonal (coords disjoint from random draws are
             // not guaranteed; use add semantics so totals are predictable).
@@ -375,7 +322,7 @@ mod tests {
             } else {
                 vec![]
             };
-            cb.insert_batch::<U64Plus>(&grid, ins, &mut timer);
+            cb.insert_batch::<U64Plus>(&grid, ins);
             let nnz1 = cb.global_nnz(&grid);
             assert!(nnz1 >= nnz0 && nnz1 <= nnz0 + n as u64);
             // Update the diagonal to 99.
@@ -384,14 +331,14 @@ mod tests {
             } else {
                 vec![]
             };
-            cb.update_batch::<U64Plus>(&grid, upd, &mut timer);
+            cb.update_batch::<U64Plus>(&grid, upd);
             // Delete the diagonal.
             let del: Vec<Triple<u64>> = if comm.rank() == 0 {
                 (0..n).map(|i| Triple::new(i, i, 0)).collect()
             } else {
                 vec![]
             };
-            cb.delete_batch(&grid, del, &mut timer);
+            cb.delete_batch(&grid, del);
             let gathered = cb.gather_to_root(&grid);
             (nnz1, gathered)
         });
@@ -404,7 +351,6 @@ mod tests {
         let n: Index = 24;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let feed = |s: u64| {
                 if comm.rank() == 0 {
                     random_triples(s, n, 90)
@@ -412,9 +358,9 @@ mod tests {
                     vec![]
                 }
             };
-            let a = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed(5), &mut timer);
-            let b = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed(6), &mut timer);
-            let (c, _) = spgemm::<U64Plus>(&grid, &a, &b, &mut timer);
+            let a = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed(5));
+            let b = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed(6));
+            let (c, _) = spgemm::<U64Plus>(&grid, &a, &b);
             (
                 a.gather_to_root(&grid),
                 b.gather_to_root(&grid),
@@ -434,9 +380,8 @@ mod tests {
         // over all p ranks.
         let out = run(9, |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let mine = random_triples(3 + comm.rank() as u64, 30, 50);
-            redistribute_global(&grid, 30, 30, mine, &mut timer).len()
+            redistribute_global(&grid, 30, 30, mine).len()
         });
         // 9 ranks all-to-all: up to 72 cross messages in one round.
         assert_eq!(

@@ -16,18 +16,7 @@ use crate::combblas::{self, CombBlasMatrix};
 use dspgemm_core::grid::Grid;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
-use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
-
-/// Phase names for CTF breakdowns.
-pub mod phase {
-    /// Comparison sort of the whole local tensor data.
-    pub const SORT: &str = "ctf sort";
-    /// Whole-tensor alltoall shuffle.
-    pub const SHUFFLE: &str = "ctf shuffle";
-    /// Layout conversion for SpGEMM.
-    pub const RELAYOUT: &str = "ctf relayout";
-}
 
 /// A CTF-like distributed sparse matrix: elements stored cyclically.
 ///
@@ -65,7 +54,6 @@ where
         nrows: Index,
         ncols: Index,
         tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
     ) -> Self {
         let mut m = Self {
             nrows,
@@ -73,19 +61,14 @@ where
             epoch: 0,
             elems: Vec::new(),
         };
-        m.write::<S>(grid, tuples, timer);
+        m.write::<S>(grid, tuples);
         m
     }
 
     /// The CTF write path: merge new tuples with the entire existing local
     /// data, comparison-sort, and re-shuffle **everything** through a global
     /// alltoall into the (fresh) cyclic layout.
-    pub fn write<S: Semiring<Elem = V>>(
-        &mut self,
-        grid: &Grid,
-        tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) {
+    pub fn write<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
         let q = grid.q();
         let p = grid.p();
         // A write epoch installs a fresh layout; all existing data migrates.
@@ -93,52 +76,35 @@ where
         let epoch = self.epoch;
         let mut all = std::mem::take(&mut self.elems);
         all.extend(tuples);
-        timer.time(phase::SORT, || {
-            all.sort_by_key(|t| (cyclic_owner(q, epoch, t.row, t.col), t.key()));
-        });
-        let received = timer.time(phase::SHUFFLE, || {
-            let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
-            for t in all {
-                chunks[cyclic_owner(q, epoch, t.row, t.col)].push(t);
-            }
-            grid.world().alltoallv(chunks)
-        });
+        all.sort_by_key(|t| (cyclic_owner(q, epoch, t.row, t.col), t.key()));
+        let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
+        for t in all {
+            chunks[cyclic_owner(q, epoch, t.row, t.col)].push(t);
+        }
+        let received = grid.world().alltoallv(chunks);
         let mut mine: Vec<Triple<V>> = received.into_iter().flatten().collect();
-        timer.time(phase::SORT, || {
-            dspgemm_sparse::triple::sort_row_major(&mut mine);
-            dspgemm_sparse::triple::dedup_add::<S>(&mut mine);
-        });
+        dspgemm_sparse::triple::sort_row_major(&mut mine);
+        dspgemm_sparse::triple::dedup_add::<S>(&mut mine);
         self.elems = mine;
     }
 
     /// Deletion epoch: remove positions, then re-shuffle the whole tensor
     /// (CTF has no in-place erase either).
-    pub fn delete<S: Semiring<Elem = V>>(
-        &mut self,
-        grid: &Grid,
-        positions: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) {
+    pub fn delete<S: Semiring<Elem = V>>(&mut self, grid: &Grid, positions: Vec<Triple<V>>) {
         // Route the kill-list to the cyclic owners, then rebuild locally and
         // reshuffle to keep the layout invariant.
         let q = grid.q();
         let p = grid.p();
         let epoch = self.epoch;
-        let received = timer.time(phase::SHUFFLE, || {
-            let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
-            for t in positions {
-                chunks[cyclic_owner(q, epoch, t.row, t.col)].push(t);
-            }
-            grid.world().alltoallv(chunks)
-        });
+        let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
+        for t in positions {
+            chunks[cyclic_owner(q, epoch, t.row, t.col)].push(t);
+        }
+        let received = grid.world().alltoallv(chunks);
         let mut kill: Vec<u64> = received.into_iter().flatten().map(|t| t.key()).collect();
-        timer.time(phase::SORT, || {
-            kill.sort_unstable();
-            kill.dedup();
-        });
-        timer.time(phase::RELAYOUT, || {
-            self.elems.retain(|t| kill.binary_search(&t.key()).is_err());
-        });
+        kill.sort_unstable();
+        kill.dedup();
+        self.elems.retain(|t| kill.binary_search(&t.key()).is_err());
     }
 
     /// Local element count.
@@ -174,31 +140,14 @@ pub fn spgemm<S: Semiring>(
     grid: &Grid,
     a: &CtfMatrix<S::Elem>,
     b: &CtfMatrix<S::Elem>,
-    timer: &mut PhaseTimer,
 ) -> (CombBlasMatrix<S::Elem>, u64)
 where
     S::Elem: Send + Sync + 'static,
 {
     // Re-layout: cyclic -> 2D blocked, paying a full shuffle per operand.
-    let a_blocked = timer.time(phase::RELAYOUT, || {
-        CombBlasMatrix::construct::<S>(
-            grid,
-            a.nrows,
-            a.ncols,
-            a.to_global_triples(),
-            &mut PhaseTimer::new(),
-        )
-    });
-    let b_blocked = timer.time(phase::RELAYOUT, || {
-        CombBlasMatrix::construct::<S>(
-            grid,
-            b.nrows,
-            b.ncols,
-            b.to_global_triples(),
-            &mut PhaseTimer::new(),
-        )
-    });
-    combblas::spgemm::<S>(grid, &a_blocked, &b_blocked, timer)
+    let a_blocked = CombBlasMatrix::construct::<S>(grid, a.nrows, a.ncols, a.to_global_triples());
+    let b_blocked = CombBlasMatrix::construct::<S>(grid, b.nrows, b.ncols, b.to_global_triples());
+    combblas::spgemm::<S>(grid, &a_blocked, &b_blocked)
 }
 
 #[cfg(test)]
@@ -226,9 +175,8 @@ mod tests {
     fn cyclic_layout_owns_correctly() {
         let out = run(4, |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let mine = random_triples(1 + comm.rank() as u64, 16, 50);
-            let m = CtfMatrix::construct::<U64Plus>(&grid, 16, 16, mine, &mut timer);
+            let m = CtfMatrix::construct::<U64Plus>(&grid, 16, 16, mine);
             // Everything I hold is cyclically mine (in the current epoch).
             let q = grid.q();
             m.to_global_triples()
@@ -244,20 +192,19 @@ mod tests {
         let n: Index = 64;
         let big = run(4, move |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let initial = if comm.rank() == 0 {
                 random_triples(7, n, 4000)
             } else {
                 vec![]
             };
-            let mut m = CtfMatrix::construct::<U64Plus>(&grid, n, n, initial, &mut timer);
+            let mut m = CtfMatrix::construct::<U64Plus>(&grid, n, n, initial);
             // One tiny batch.
             let tiny = if comm.rank() == 0 {
                 random_triples(8, n, 4)
             } else {
                 vec![]
             };
-            m.write::<U64Plus>(&grid, tiny, &mut timer);
+            m.write::<U64Plus>(&grid, tiny);
             m.global_nnz(&grid)
         });
         // A batch of 4 tuples must still have moved ~nnz data in the write
@@ -271,19 +218,18 @@ mod tests {
         let n: Index = 20;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let initial: Vec<Triple<u64>> = if comm.rank() == 0 {
                 (0..n).map(|i| Triple::new(i, i, 1)).collect()
             } else {
                 vec![]
             };
-            let mut m = CtfMatrix::construct::<U64Plus>(&grid, n, n, initial, &mut timer);
+            let mut m = CtfMatrix::construct::<U64Plus>(&grid, n, n, initial);
             let del: Vec<Triple<u64>> = if comm.rank() == 0 {
                 (0..n).step_by(2).map(|i| Triple::new(i, i, 0)).collect()
             } else {
                 vec![]
             };
-            m.delete::<U64Plus>(&grid, del, &mut timer);
+            m.delete::<U64Plus>(&grid, del);
             m.global_nnz(&grid)
         });
         assert!(out.results.iter().all(|&nnz| nnz == 10));
@@ -294,7 +240,6 @@ mod tests {
         let n: Index = 20;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let feed = |s: u64| {
                 if comm.rank() == 0 {
                     random_triples(s, n, 70)
@@ -302,9 +247,9 @@ mod tests {
                     vec![]
                 }
             };
-            let a = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed(11), &mut timer);
-            let b = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed(12), &mut timer);
-            let (c, _) = spgemm::<U64Plus>(&grid, &a, &b, &mut timer);
+            let a = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed(11));
+            let b = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed(12));
+            let (c, _) = spgemm::<U64Plus>(&grid, &a, &b);
             (
                 a.gather_to_root(&grid),
                 b.gather_to_root(&grid),

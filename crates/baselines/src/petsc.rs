@@ -18,23 +18,8 @@
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Index, Triple};
-use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
 use std::ops::Range;
-
-/// Phase names for PETSc breakdowns.
-pub mod phase {
-    /// Stash exchange (alltoall to row owners).
-    pub const STASH: &str = "petsc stash";
-    /// Comparison sort + CSR rebuild.
-    pub const ASSEMBLY: &str = "petsc assembly";
-    /// Remote-row fetch during MatMatMult.
-    pub const FETCH: &str = "petsc fetch";
-    /// Local multiplication.
-    pub const MULT: &str = "petsc mult";
-    /// Local assembly of fetched rows / results.
-    pub const ASSEMBLY_LOCAL: &str = "petsc local assembly";
-}
 
 /// A PETSc-like distributed matrix: 1D row-band CSR.
 #[derive(Debug, Clone)]
@@ -79,84 +64,60 @@ where
         nrows: Index,
         ncols: Index,
         tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
     ) -> Self {
         let mut m = Self::empty(comm, nrows, ncols);
-        m.set_values_add::<S>(comm, tuples, timer);
+        m.set_values_add::<S>(comm, tuples);
         m
     }
 
-    fn stash_exchange(
-        &self,
-        comm: &Comm,
-        tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) -> Vec<Triple<V>> {
+    fn stash_exchange(&self, comm: &Comm, tuples: Vec<Triple<V>>) -> Vec<Triple<V>> {
         let p = comm.size();
-        let nrows = self.nrows;
-        let received = timer.time(phase::STASH, || {
-            let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
-            for t in tuples {
-                chunks[row_owner(nrows, p, t.row)].push(t);
-            }
-            comm.alltoallv(chunks)
-        });
-        received.into_iter().flatten().collect()
+        let mut chunks: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
+        for t in tuples {
+            chunks[row_owner(self.nrows, p, t.row)].push(t);
+        }
+        comm.alltoallv(chunks).into_iter().flatten().collect()
     }
 
     /// `MatSetValues(ADD_VALUES)` + assembly: routes tuples to row owners
     /// and **rebuilds** the CSR band with add-combine.
-    pub fn set_values_add<S: Semiring<Elem = V>>(
-        &mut self,
-        comm: &Comm,
-        tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) {
-        let mine = self.stash_exchange(comm, tuples, timer);
-        timer.time(phase::ASSEMBLY, || {
-            let mut local: Vec<Triple<V>> = self.block.to_triples();
-            local.extend(
-                mine.into_iter()
-                    .map(|t| Triple::new(t.row - self.row_range.start, t.col, t.val)),
-            );
-            // PETSc assembly comparison-sorts the stash.
-            local.sort_by_key(Triple::key);
-            dspgemm_sparse::triple::dedup_add::<S>(&mut local);
-            self.block = Csr::from_sorted_triples(
-                self.row_range.end - self.row_range.start,
-                self.ncols,
-                &local,
-            );
-        });
+    pub fn set_values_add<S: Semiring<Elem = V>>(&mut self, comm: &Comm, tuples: Vec<Triple<V>>) {
+        let mine = self.stash_exchange(comm, tuples);
+        let mut local: Vec<Triple<V>> = self.block.to_triples();
+        local.extend(
+            mine.into_iter()
+                .map(|t| Triple::new(t.row - self.row_range.start, t.col, t.val)),
+        );
+        // PETSc assembly comparison-sorts the stash.
+        local.sort_by_key(Triple::key);
+        dspgemm_sparse::triple::dedup_add::<S>(&mut local);
+        self.block = Csr::from_sorted_triples(
+            self.row_range.end - self.row_range.start,
+            self.ncols,
+            &local,
+        );
     }
 
     /// `MatSetValues(INSERT_VALUES)` + assembly: replacement semantics.
-    pub fn set_values_insert(
-        &mut self,
-        comm: &Comm,
-        tuples: Vec<Triple<V>>,
-        timer: &mut PhaseTimer,
-    ) {
-        let mine = self.stash_exchange(comm, tuples, timer);
-        timer.time(phase::ASSEMBLY, || {
-            let mut incoming: Vec<Triple<V>> = mine
-                .into_iter()
-                .map(|t| Triple::new(t.row - self.row_range.start, t.col, t.val))
-                .collect();
-            incoming.sort_by_key(Triple::key);
-            dspgemm_sparse::triple::dedup_last_wins(&mut incoming);
-            let mut local = self.block.to_triples();
-            // Replace coinciding entries, keep the rest.
-            let keys: std::collections::BTreeSet<u64> = incoming.iter().map(Triple::key).collect();
-            local.retain(|t| !keys.contains(&t.key()));
-            local.extend(incoming);
-            local.sort_by_key(Triple::key);
-            self.block = Csr::from_sorted_triples(
-                self.row_range.end - self.row_range.start,
-                self.ncols,
-                &local,
-            );
-        });
+    pub fn set_values_insert(&mut self, comm: &Comm, tuples: Vec<Triple<V>>) {
+        let mine = self.stash_exchange(comm, tuples);
+        let mut incoming: Vec<Triple<V>> = mine
+            .into_iter()
+            .map(|t| Triple::new(t.row - self.row_range.start, t.col, t.val))
+            .collect();
+        incoming.sort_by_key(Triple::key);
+        dspgemm_sparse::triple::dedup_last_wins(&mut incoming);
+        let mut local = self.block.to_triples();
+        // Replace coinciding entries, keep the rest.
+        let keys: std::collections::BTreeSet<u64> = incoming.iter().map(Triple::key).collect();
+        local.retain(|t| !keys.contains(&t.key()));
+        local.extend(incoming);
+        local.sort_by_key(Triple::key);
+        self.block = Csr::from_sorted_triples(
+            self.row_range.end - self.row_range.start,
+            self.ncols,
+            &local,
+        );
     }
 
     /// Element-wise `self += other` on aligned local bands (no
@@ -204,7 +165,6 @@ pub fn spgemm<S: Semiring>(
     comm: &Comm,
     a: &PetscMatrix<S::Elem>,
     b: &PetscMatrix<S::Elem>,
-    timer: &mut PhaseTimer,
 ) -> (PetscMatrix<S::Elem>, u64) {
     assert_eq!(a.ncols, b.nrows, "dimension mismatch");
     let p = comm.size();
@@ -220,42 +180,32 @@ pub fn spgemm<S: Semiring>(
         needed.dedup();
     }
     // Request phase: send each owner the list of rows I need from it.
-    let responses = timer.time(phase::FETCH, || {
-        let mut requests: Vec<Vec<Index>> = (0..p).map(|_| Vec::new()).collect();
-        for &gr in &needed {
-            requests[row_owner(b.nrows, p, gr)].push(gr);
-        }
-        let incoming = comm.alltoallv(requests);
-        // Response phase: ship the requested rows as triples.
-        let mut replies: Vec<Vec<Triple<S::Elem>>> = (0..p).map(|_| Vec::new()).collect();
-        for (src, rows) in incoming.iter().enumerate() {
-            for &gr in rows {
-                let lr = gr - b.row_range.start;
-                let (cols, vals) = b.block.row(lr);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    replies[src].push(Triple::new(gr, c, v));
-                }
+    let mut requests: Vec<Vec<Index>> = (0..p).map(|_| Vec::new()).collect();
+    for &gr in &needed {
+        requests[row_owner(b.nrows, p, gr)].push(gr);
+    }
+    let incoming = comm.alltoallv(requests);
+    // Response phase: ship the requested rows as triples.
+    let mut replies: Vec<Vec<Triple<S::Elem>>> = (0..p).map(|_| Vec::new()).collect();
+    for (src, rows) in incoming.iter().enumerate() {
+        for &gr in rows {
+            let lr = gr - b.row_range.start;
+            let (cols, vals) = b.block.row(lr);
+            for (&c, &v) in cols.iter().zip(vals) {
+                replies[src].push(Triple::new(gr, c, v));
             }
         }
-        comm.alltoallv(replies)
-    });
+    }
     // Build my local copy of the needed B rows.
-    let b_rows: Csr<S::Elem> = timer.time(phase::ASSEMBLY_LOCAL, || {
-        let mut triples: Vec<Triple<S::Elem>> = responses.into_iter().flatten().collect();
-        triples.sort_by_key(Triple::key);
-        Csr::from_sorted_triples(b.nrows, b.ncols, &triples)
-    });
+    let mut triples: Vec<Triple<S::Elem>> = comm.alltoallv(replies).into_iter().flatten().collect();
+    triples.sort_by_key(Triple::key);
+    let b_rows = Csr::from_sorted_triples(b.nrows, b.ncols, &triples);
     // Local multiply: my A band times the fetched B rows.
-    let partial = timer.time(phase::MULT, || {
-        dspgemm_sparse::local_mm::spgemm::<S, _, _>(&a.block, &b_rows, 1)
-    });
-    let flops = partial.flops;
+    let partial = dspgemm_sparse::local_mm::spgemm::<S, _, _>(&a.block, &b_rows, 1);
     let mut c = PetscMatrix::empty(comm, a.nrows, b.ncols);
-    timer.time(phase::ASSEMBLY_LOCAL, || {
-        let triples: Vec<Triple<S::Elem>> = partial.result.to_triples();
-        c.block = Csr::from_sorted_triples(c.row_range.end - c.row_range.start, c.ncols, &triples);
-    });
-    (c, flops)
+    let triples: Vec<Triple<S::Elem>> = partial.result.to_triples();
+    c.block = Csr::from_sorted_triples(c.row_range.end - c.row_range.start, c.ncols, &triples);
+    (c, partial.flops)
 }
 
 #[cfg(test)]
@@ -282,9 +232,8 @@ mod tests {
     #[test]
     fn construction_1d_bands() {
         let out = run(4, |comm| {
-            let mut timer = PhaseTimer::new();
             let mine = random_triples(1 + comm.rank() as u64, 40, 60);
-            let m = PetscMatrix::construct::<U64Plus>(comm, 40, 40, mine, &mut timer);
+            let m = PetscMatrix::construct::<U64Plus>(comm, 40, 40, mine);
             // Every local row is inside my band.
             m.to_global_triples()
                 .iter()
@@ -296,26 +245,25 @@ mod tests {
     #[test]
     fn add_then_insert_semantics() {
         let out = run(2, |comm| {
-            let mut timer = PhaseTimer::new();
             let mut m = PetscMatrix::empty(comm, 10, 10);
             let mine = if comm.rank() == 0 {
                 vec![Triple::new(0, 0, 5u64), Triple::new(9, 9, 1)]
             } else {
                 vec![]
             };
-            m.set_values_add::<U64Plus>(comm, mine, &mut timer);
+            m.set_values_add::<U64Plus>(comm, mine);
             let more = if comm.rank() == 1 {
                 vec![Triple::new(0, 0, 3u64)]
             } else {
                 vec![]
             };
-            m.set_values_add::<U64Plus>(comm, more, &mut timer);
+            m.set_values_add::<U64Plus>(comm, more);
             let replace = if comm.rank() == 0 {
                 vec![Triple::new(9, 9, 100u64)]
             } else {
                 vec![]
             };
-            m.set_values_insert(comm, replace, &mut timer);
+            m.set_values_insert(comm, replace);
             m.gather_to_root(comm)
         });
         let got = out.results[0].as_ref().unwrap();
@@ -326,7 +274,6 @@ mod tests {
     fn spgemm_matches_dense() {
         let n: Index = 24;
         let out = run(4, move |comm| {
-            let mut timer = PhaseTimer::new();
             let feed = |s: u64| {
                 if comm.rank() == 0 {
                     random_triples(s, n, 90)
@@ -334,9 +281,9 @@ mod tests {
                     vec![]
                 }
             };
-            let a = PetscMatrix::construct::<U64Plus>(comm, n, n, feed(5), &mut timer);
-            let b = PetscMatrix::construct::<U64Plus>(comm, n, n, feed(6), &mut timer);
-            let (c, _) = spgemm::<U64Plus>(comm, &a, &b, &mut timer);
+            let a = PetscMatrix::construct::<U64Plus>(comm, n, n, feed(5));
+            let b = PetscMatrix::construct::<U64Plus>(comm, n, n, feed(6));
+            let (c, _) = spgemm::<U64Plus>(comm, &a, &b);
             (
                 a.gather_to_root(comm),
                 b.gather_to_root(comm),
@@ -354,9 +301,8 @@ mod tests {
     fn works_on_non_square_rank_counts() {
         // 1D layout has no square-grid restriction.
         let out = run(3, |comm| {
-            let mut timer = PhaseTimer::new();
             let mine = random_triples(2 + comm.rank() as u64, 30, 40);
-            let m = PetscMatrix::construct::<U64Plus>(comm, 30, 30, mine, &mut timer);
+            let m = PetscMatrix::construct::<U64Plus>(comm, 30, 30, mine);
             m.global_nnz(comm)
         });
         assert!(out.results[0] > 0);

@@ -74,9 +74,8 @@ pub fn redistribution(cfg: &Config) -> Table {
                     )
                 })
                 .collect();
-            let mut timer = PhaseTimer::new();
             let (_, d) = timed_collective(comm, || {
-                combblas::redistribute_global(&grid, n, n, mine.clone(), &mut timer)
+                combblas::redistribute_global(&grid, n, n, mine.clone())
             });
             d
         });
@@ -223,23 +222,21 @@ pub fn aggregation(cfg: &Config) -> Table {
         // Static: construction + one CombBLAS-style A*·B.
         let cb_base = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine, &mut timer).local_nnz()
+            CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine).local_nnz()
         });
         let cb = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let b = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine, &mut timer);
+            let b = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine);
             let mut draws = ReplacementDraws::new(bs, seed, comm.rank());
             let batch: Vec<Triple<f64>> = draws
                 .next_batch(edges)
                 .into_iter()
                 .map(|(u, v)| Triple::new(u, v, 1.0))
                 .collect();
-            let a_star = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, batch, &mut timer);
-            let (delta, _) = combblas::spgemm::<F64Plus>(&grid, &a_star, &b, &mut timer);
+            let a_star = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, batch);
+            let (delta, _) = combblas::spgemm::<F64Plus>(&grid, &a_star, &b);
             delta.local_nnz()
         });
         let dyn_bytes = dynamic.stats.total_bytes() - base.stats.total_bytes();

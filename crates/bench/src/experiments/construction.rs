@@ -39,8 +39,7 @@ fn construct_times(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> [Duration; 4] 
             let grid = Grid::new(comm);
             let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
             let (_, d) = timed_collective(comm, || {
-                let mut timer = PhaseTimer::new();
-                CombBlasMatrix::construct::<F64Plus>(&grid, n, n, mine.clone(), &mut timer)
+                CombBlasMatrix::construct::<F64Plus>(&grid, n, n, mine.clone())
             });
             d
         })
@@ -51,8 +50,7 @@ fn construct_times(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> [Duration; 4] 
             let grid = Grid::new(comm);
             let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
             let (_, d) = timed_collective(comm, || {
-                let mut timer = PhaseTimer::new();
-                CtfMatrix::construct::<F64Plus>(&grid, n, n, mine.clone(), &mut timer)
+                CtfMatrix::construct::<F64Plus>(&grid, n, n, mine.clone())
             });
             d
         })
@@ -62,8 +60,7 @@ fn construct_times(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> [Duration; 4] 
         dspgemm_mpi::run(p, |comm| {
             let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
             let (_, d) = timed_collective(comm, || {
-                let mut timer = PhaseTimer::new();
-                PetscMatrix::construct::<F64Plus>(comm, n, n, mine.clone(), &mut timer)
+                PetscMatrix::construct::<F64Plus>(comm, n, n, mine.clone())
             });
             d
         })

@@ -63,15 +63,16 @@ fn draw_batch(
     }
 }
 
-/// Mean per-batch time of our dynamic structure, plus the per-rank phase
-/// breakdown (for Fig. 7).
+/// Mean per-batch time of our dynamic structure, plus the critical-path
+/// phase breakdown over all batches (per-phase maximum across ranks; for
+/// Fig. 7).
 pub fn ours_mean_batch(
     cfg: &Config,
     inst: &Prepared,
     mode: Mode,
     batch_size: usize,
     p: usize,
-) -> (Duration, Vec<(String, Duration)>) {
+) -> (Duration, PhaseTimer) {
     let (initial, rest) = match mode {
         Mode::Insert => split_for_insertion(inst.edges.clone(), cfg.seed),
         _ => (inst.edges.clone(), inst.edges.clone()),
@@ -107,19 +108,13 @@ pub fn ours_mean_batch(
             });
             times.push(d);
         }
-        let phases: Vec<(String, Duration)> = timer.entries().to_vec();
-        (median(&times), phases)
+        (median(&times), timer)
     });
-    // Critical-path phase view: per-phase maximum across ranks.
     let mut merged = PhaseTimer::new();
-    for (_, phases) in &out.results {
-        let mut pt = PhaseTimer::new();
-        for (name, d) in phases {
-            pt.add(name, *d);
-        }
-        merged.merge_max(&pt);
+    for (_, pt) in &out.results {
+        merged.merge_max(pt);
     }
-    (out.results[0].0, merged.entries().to_vec())
+    (out.results[0].0, merged)
 }
 
 fn combblas_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: usize) -> Duration {
@@ -130,18 +125,17 @@ fn combblas_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: us
     let (n, p, batches, seed) = (inst.n, cfg.p, cfg.batches, cfg.seed);
     dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
-        let mut timer = PhaseTimer::new();
         let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
-        let mut mat = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, mine, &mut timer);
+        let mut mat = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, mine);
         let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut times = Vec::new();
         for round in 0..batches as u64 {
             let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
             let (_, d) = timed_collective(comm, || match mode {
-                Mode::Insert => mat.insert_batch::<F64Plus>(&grid, batch.clone(), &mut timer),
-                Mode::Update => mat.update_batch::<F64Plus>(&grid, batch.clone(), &mut timer),
-                Mode::Delete => mat.delete_batch(&grid, batch.clone(), &mut timer),
+                Mode::Insert => mat.insert_batch::<F64Plus>(&grid, batch.clone()),
+                Mode::Update => mat.update_batch::<F64Plus>(&grid, batch.clone()),
+                Mode::Delete => mat.delete_batch(&grid, batch.clone()),
             });
             times.push(d);
         }
@@ -158,17 +152,16 @@ fn ctf_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: usize) 
     let (n, p, batches, seed) = (inst.n, cfg.p, cfg.batches, cfg.seed);
     dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
-        let mut timer = PhaseTimer::new();
         let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
-        let mut mat = CtfMatrix::construct::<F64Plus>(&grid, n, n, mine, &mut timer);
+        let mut mat = CtfMatrix::construct::<F64Plus>(&grid, n, n, mine);
         let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut times = Vec::new();
         for round in 0..batches as u64 {
             let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
             let (_, d) = timed_collective(comm, || match mode {
-                Mode::Delete => mat.delete::<F64Plus>(&grid, batch.clone(), &mut timer),
-                _ => mat.write::<F64Plus>(&grid, batch.clone(), &mut timer),
+                Mode::Delete => mat.delete::<F64Plus>(&grid, batch.clone()),
+                _ => mat.write::<F64Plus>(&grid, batch.clone()),
             });
             times.push(d);
         }
@@ -185,17 +178,14 @@ fn petsc_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: usize
     };
     let (n, p, batches, seed) = (inst.n, cfg.p, cfg.batches, cfg.seed);
     dspgemm_mpi::run(p, |comm| {
-        let mut timer = PhaseTimer::new();
         let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
-        let mut mat = PetscMatrix::construct::<F64Plus>(comm, n, n, mine, &mut timer);
+        let mut mat = PetscMatrix::construct::<F64Plus>(comm, n, n, mine);
         let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut times = Vec::new();
         for round in 0..batches as u64 {
             let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
-            let (_, d) = timed_collective(comm, || {
-                mat.set_values_insert(comm, batch.clone(), &mut timer)
-            });
+            let (_, d) = timed_collective(comm, || mat.set_values_insert(comm, batch.clone()));
             times.push(d);
         }
         median(&times)
@@ -278,15 +268,17 @@ pub fn fig6(cfg: &Config) -> Table {
     t
 }
 
+/// The rows of Fig. 7, in the paper's order.
+const FIG7_PHASES: [&str; 5] = [
+    rphase::REDIST_SORT,
+    rphase::REDIST_COMM,
+    rphase::MEM_MANAGEMENT,
+    rphase::LOCAL_CONSTRUCT,
+    rphase::LOCAL_ADDITION,
+];
+
 /// Fig. 7: breakdown of insertion time by phase, per rank count.
 pub fn fig7(cfg: &Config) -> Table {
-    let phases = [
-        rphase::REDIST_SORT,
-        rphase::REDIST_COMM,
-        rphase::MEM_MANAGEMENT,
-        rphase::LOCAL_CONSTRUCT,
-        rphase::LOCAL_ADDITION,
-    ];
     let mut t = Table::new(
         "Figure 7: insertion time breakdown (critical path, ms over all batches)",
         &["phase", "p=1", "p=4", "p=16"],
@@ -297,16 +289,11 @@ pub fn fig7(cfg: &Config) -> Table {
     for p in [1usize, 4, 16] {
         let mut acc = PhaseTimer::new();
         for inst in &instances {
-            let (_, phases) = ours_mean_batch(cfg, inst, Mode::Insert, bs, p);
-            let mut pt = PhaseTimer::new();
-            for (name, d) in phases {
-                pt.add(&name, d);
-            }
-            acc.merge(&pt);
+            acc.merge(&ours_mean_batch(cfg, inst, Mode::Insert, bs, p).1);
         }
         per_p.push(acc);
     }
-    for phase in phases {
+    for phase in FIG7_PHASES {
         t.push_row(vec![
             phase.to_string(),
             ms(per_p[0].get(phase)),
@@ -427,7 +414,14 @@ mod tests {
         let inst = &prepare_instances(&cfg)[0];
         let (d, phases) = ours_mean_batch(&cfg, inst, Mode::Insert, 32, cfg.p);
         assert!(d > Duration::ZERO);
-        assert!(!phases.is_empty());
+        // Every Fig. 7 row is recorded.
+        for phase in FIG7_PHASES {
+            assert!(
+                phases.entries().iter().any(|&(n, _)| n == phase),
+                "{phase} missing from {:?}",
+                phases.entries()
+            );
+        }
         let c = combblas_mean_batch(&cfg, inst, Mode::Insert, 32);
         assert!(c > Duration::ZERO);
     }

@@ -116,7 +116,9 @@ pub use snapshot::{Snapshot, SnapshotMat, SnapshotStore};
 
 /// Phase names used by the SpGEMM breakdown (the paper's Fig. 12 series).
 pub mod phase {
-    /// Initial transpose exchange of update blocks.
+    /// Algorithm 2's point-to-point transpose exchange of the filtered
+    /// extraction `A^R` with the transpose rank (Algorithm 1 transposes
+    /// locally, under [`TRANSPOSE_LOCAL`]).
     pub const SEND_RECV: &str = "send/recv";
     /// Row/column broadcasts of update blocks.
     pub const BCAST: &str = "bcast";
@@ -128,8 +130,8 @@ pub mod phase {
     pub const REDUCE_SCATTER: &str = "reduce-scatter";
     /// Applying updates / merged results into local dynamic matrices.
     pub const LOCAL_UPDATE: &str = "local update";
-    /// Local counting-sort transposition of a rank's own block — the
-    /// virtual-transposition replacement for [`SEND_RECV`] (Section V-C):
-    /// pure local work where the physical path paid a wire exchange.
+    /// Local counting-sort transposition of a rank's own update block —
+    /// Algorithm 1's virtual transposition (Section V-C): pure local work
+    /// where a physical transpose would pay a wire exchange.
     pub const TRANSPOSE_LOCAL: &str = "transpose local";
 }

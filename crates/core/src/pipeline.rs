@@ -18,7 +18,7 @@
 //! round (`tests/copy_elim.rs` holds `summa` to such a replica). Only the
 //! exposed/overlapped split of communication *time* moves.
 
-use dspgemm_mpi::{Overlap, Request};
+use dspgemm_mpi::Request;
 use dspgemm_util::stats::PhaseTimer;
 
 /// Runs `rounds` rounds of issue → complete → compute, each round's
@@ -59,24 +59,18 @@ pub fn run_rounds<Ctx, Flight, Ready>(
     }
 }
 
-/// Waits for a request and attributes its timing split to `phase`: the
-/// blocked wait goes into the phase's exposed wall time ([`PhaseTimer::add`],
-/// part of `total()`), the compute-hidden remainder into the phase's
-/// overlapped communication ([`PhaseTimer::add_overlapped`]) — so hidden
-/// communication is never double-counted against the compute phase that
-/// covered it, while `comm_total(phase)` still reports the full Fig. 7/12
-/// communication cost.
-pub fn await_into_phase<T: 'static>(req: Request<T>, timer: &mut PhaseTimer, phase: &str) -> T {
+/// Waits for a request and adds the time the rank sat blocked in the wait
+/// to `phase`. The compute-hidden remainder of the request's window is no
+/// phase's time — the compute phase that covered it already holds that
+/// wall clock — and the meter records it per rank (`CommStats`).
+pub fn await_into_phase<T: 'static>(
+    req: Request<T>,
+    timer: &mut PhaseTimer,
+    phase: &'static str,
+) -> T {
     let (value, timing) = req.wait_timed();
-    record_overlap(&timing, timer, phase);
-    value
-}
-
-/// Attributes an already-measured request timing split to `phase` (for call
-/// sites that need the value and the timing separately).
-pub fn record_overlap(timing: &Overlap, timer: &mut PhaseTimer, phase: &str) {
     timer.add(phase, timing.exposed);
-    timer.add_overlapped(phase, timing.overlapped());
+    value
 }
 
 #[cfg(test)]

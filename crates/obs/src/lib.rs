@@ -16,10 +16,9 @@
 //!   exporters and the chrome-trace schema validator (the workspace builds
 //!   fully offline; there is no serde).
 //!
-//! This crate is deliberately **std-only with no workspace dependencies**:
-//! it sits below `dspgemm-util` (whose `PhaseTimer` is a facade over
-//! [`metrics::CounterBank`]) and is used directly by the simulator, the
-//! engine, the analytics session, and the benches.
+//! This crate is deliberately **std-only with no workspace dependencies**,
+//! so every other crate — the simulator, the engine, the analytics
+//! session, the benches — can use it directly.
 //!
 //! ## Span taxonomy
 //!
@@ -27,10 +26,10 @@
 //!
 //! | phase    | spans / instants                                         |
 //! |----------|----------------------------------------------------------|
-//! | `comm`   | `send`, `recv`, `wait`, `bcast`, `allgather`, `alltoallv`, `reduce`, `barrier` — attrs: `bytes`, `exposed_ns`, `overlapped_ns` |
-//! | `engine` | `redistribute`, `apply_batch`, `recompute`; instant `epoch_publish` — attrs: `updates`; `epoch`, `flops`, and per operand `patched_*`, `rebuilt_*`, `touched_nnz_*`, `image_nnz_*` |
+//! | `comm`   | `send`, `recv`, `bcast`, `gather`, `allgather`, `alltoallv`, `reduce`, `barrier`; request waits `isend`, `irecv`, `ibcast`, `ibcast_shared`, `ialltoallv`; instants `simulated_crash`, `peer_failed` — attrs: `bytes`; waits `window_ns`, `exposed_ns`, `overlapped_ns`, `timed_out`; instants `rank`, `detect_ns` |
+//! | `engine` | `redistribute`, `apply_algebraic`, `apply_general`, `recompute`, `transpose_virtual`, `migrate`, `anchor_refresh`, `recover`; instants `epoch_publish`, `migrated` — attrs: `updates`, `lanes`, `nnz`, `published`, `failed_rank`, `replayed_batches`, `rollback_epochs`, `replacement`; `epoch`, `flops`, `bytes`, `moved_in`, and per operand `patched_*`, `rebuilt_*`, `touched_nnz_*`, `image_nnz_*` |
 //! | `round`  | `round` (one per SUMMA/pipeline round) — attrs: `round`   |
-//! | `query`  | `product_entry`, `row_topk`, … — attrs: `staleness`       |
+//! | `query`  | `adjacency_entry`, `global_nnz`, `product_entry`, `product_aggregate`, `product_row_topk` — attrs: `staleness` |
 //!
 //! ## Quick example
 //!
@@ -53,7 +52,7 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{CounterBank, Histogram, Registry, RegistrySnapshot, SUB_BITS};
+pub use metrics::{Histogram, Registry, RegistrySnapshot, SUB_BITS};
 pub use trace::{
     chrome_trace_json, clear_thread_rank, drain, enabled, flush_thread, instant, set_enabled,
     set_thread_rank, span, thread_rank, validate_chrome_trace, validate_chrome_trace_file,
@@ -61,7 +60,7 @@ pub use trace::{
 };
 
 /// The process-global metrics registry — what `repro --metrics-out`
-/// serialises. Library code records into local histograms/banks and merges
+/// serialises. Library code records into local histograms and merges
 /// here at phase boundaries.
 pub fn global() -> &'static Registry {
     static GLOBAL: Registry = Registry::new();

@@ -198,79 +198,6 @@ impl Histogram {
     }
 }
 
-/// An ordered bank of named `u64` counters, preserving first-use order.
-///
-/// This is the storage primitive behind `util::stats::PhaseTimer`: phase
-/// nanoseconds and overlapped nanoseconds are both counter banks, and the
-/// timer's `merge`/`merge_max` are the bank's
-/// [`CounterBank::merge_sum`] / [`CounterBank::merge_max`]. First-use
-/// ordering is load-bearing — breakdown tables print phases in the order
-/// the algorithm first recorded them.
-#[derive(Debug, Default, Clone)]
-pub struct CounterBank {
-    entries: Vec<(String, u64)>,
-}
-
-impl CounterBank {
-    /// Creates an empty bank.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `v` to counter `name` (creating it if new).
-    pub fn add(&mut self, name: &str, v: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            e.1 += v;
-        } else {
-            self.entries.push((name.to_string(), v));
-        }
-    }
-
-    /// Raises counter `name` to at least `v` (creating it if new).
-    pub fn raise(&mut self, name: &str, v: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            e.1 = e.1.max(v);
-        } else {
-            self.entries.push((name.to_string(), v));
-        }
-    }
-
-    /// Current value of counter `name` (0 if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// All `(name, value)` entries in first-use order.
-    pub fn entries(&self) -> &[(String, u64)] {
-        &self.entries
-    }
-
-    /// Sum of all counter values.
-    pub fn total(&self) -> u64 {
-        self.entries.iter().map(|(_, v)| *v).sum()
-    }
-
-    /// Merges `other` by per-name addition (first-use order of `self`
-    /// extended by `other`'s new names).
-    pub fn merge_sum(&mut self, other: &CounterBank) {
-        for (n, v) in &other.entries {
-            self.add(n, *v);
-        }
-    }
-
-    /// Merges `other` by per-name maximum — the critical-path view over
-    /// per-rank banks.
-    pub fn merge_max(&mut self, other: &CounterBank) {
-        for (n, v) in &other.entries {
-            self.raise(n, *v);
-        }
-    }
-}
-
 /// A point-in-time copy of a [`Registry`]'s contents.
 #[derive(Debug, Default, Clone)]
 pub struct RegistrySnapshot {
@@ -360,7 +287,7 @@ struct RegistryInner {
 ///
 /// Interior-mutable (a mutex around three maps) so one registry can be
 /// shared by reference across a session; the hot paths of the workspace
-/// record into *local* [`Histogram`]s / [`CounterBank`]s and merge into a
+/// record into *local* [`Histogram`]s and merge into a
 /// registry at phase boundaries, so the lock is never taken inside a
 /// kernel or a communication round. The process-global instance behind
 /// [`crate::global`] is what `repro --metrics-out` serialises.
@@ -541,29 +468,6 @@ mod tests {
         for q in [0.1, 0.5, 0.99] {
             assert_eq!(merged.quantile(q), all.quantile(q));
         }
-    }
-
-    #[test]
-    fn counter_bank_orders_and_merges() {
-        let mut a = CounterBank::new();
-        a.add("x", 1);
-        a.add("y", 10);
-        a.add("x", 2);
-        assert_eq!(a.get("x"), 3);
-        let names: Vec<&str> = a.entries().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["x", "y"]);
-        let mut b = CounterBank::new();
-        b.add("y", 5);
-        b.add("z", 7);
-        let mut sum = a.clone();
-        sum.merge_sum(&b);
-        assert_eq!(sum.get("y"), 15);
-        assert_eq!(sum.get("z"), 7);
-        let mut mx = a.clone();
-        mx.merge_max(&b);
-        assert_eq!(mx.get("y"), 10);
-        assert_eq!(mx.get("z"), 7);
-        assert_eq!(mx.total(), 3 + 10 + 7);
     }
 
     #[test]

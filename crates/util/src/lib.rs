@@ -11,8 +11,8 @@
 //! * [`sort`] — counting sort and LSD radix sort. The paper's redistribution
 //!   (Section IV-B) explicitly relies on counting sort with `sqrt(p)` buckets
 //!   instead of comparison sorting.
-//! * [`stats`] — timers, phase breakdowns, and human-readable formatting used
-//!   by the benchmark harness.
+//! * [`stats`] — per-phase wall-time breakdowns and human-readable
+//!   formatting used by the benchmark harness.
 //! * [`wire`] — the wire codec: [`wire::WireEncode`] is the one description
 //!   of a type's packed form and [`wire::WireDecode`] its inverse, which the
 //!   real TCP transport moves bytes with. The simulator moves values in memory
@@ -30,7 +30,7 @@ pub mod wire;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use rng::{Rng, SplitMix64, Xoshiro256};
-pub use stats::{PhaseTimer, Timer};
+pub use stats::PhaseTimer;
 pub use wire::{
     decode_from_slice, encode_to_vec, ByteCount, WireBytes, WireDecode, WireEncode, WireError,
     WireReader, WireSink, WireSize,

@@ -5,75 +5,21 @@
 //! addition; Fig. 12: send-recv / bcast / local mult / scatter /
 //! reduce-scatter). [`PhaseTimer`] accumulates named phase durations so the
 //! reproduction can print the same breakdowns.
-//!
-//! Since the unified observability layer landed, [`PhaseTimer`] is a thin
-//! facade over `dspgemm_obs`'s metrics primitives: every phase (and every
-//! overlapped-communication entry) is an ordered nanosecond counter in an
-//! [`obs_metrics::CounterBank`], and `merge`/`merge_max` are the bank's
-//! sum/max reductions. The Duration-based API is unchanged;
-//! [`PhaseTimer::export_into`] publishes the accumulated state into a
-//! [`dspgemm_obs::Registry`] so benchmark artifacts render from registry
-//! snapshots.
 
-use dspgemm_obs::metrics as obs_metrics;
-use obs_metrics::CounterBank;
 use std::time::{Duration, Instant};
 
-/// A simple wall-clock stopwatch.
-#[derive(Debug, Clone)]
-pub struct Timer {
-    start: Instant,
-}
-
-impl Timer {
-    /// Starts a new timer.
-    pub fn start() -> Self {
-        Self {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Restarts the timer and returns the lap duration.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.start;
-        self.start = now;
-        d
-    }
-}
-
-/// Accumulates wall-clock time into named phases.
+/// Accumulates *exposed* wall-clock time into named phases, in first-use
+/// order so breakdowns print in a stable, caller-controlled order.
 ///
-/// Phase names are interned in first-use order so breakdowns print in a
-/// stable, caller-controlled order.
-///
-/// Communication phases additionally distinguish *exposed* time (the rank
-/// was blocked waiting — recorded with [`PhaseTimer::add`]/`time`, counted
-/// in [`PhaseTimer::total`]) from *overlapped* time (communication hidden
-/// under another phase's compute — recorded with
-/// [`PhaseTimer::add_overlapped`], excluded from `total`). Without the
-/// split, a pipelined schedule would double-count hidden communication:
-/// once under the compute phase whose wall clock covers it and once under
-/// the communication phase. `comm_total` (= exposed + overlapped) keeps the
-/// paper's Fig. 7/12 per-phase communication breakdowns reconstructible.
+/// A communication phase records what the rank spent blocked on it. The
+/// part of a request that local compute hid is no phase's time — its wall
+/// clock already belongs to the compute phase that covered it; the
+/// simulator's meter records it per rank (`CommStats` `overlapped_ns`).
+/// Phases therefore partition the wall clock and [`PhaseTimer::total`]
+/// counts nothing twice.
 #[derive(Debug, Default, Clone)]
 pub struct PhaseTimer {
-    /// Exposed wall time per phase, nanoseconds, first-use order.
-    phases: CounterBank,
-    /// Per-phase communication time hidden under compute (never part of
-    /// `total()`; a phase absent here has zero overlap). Nanoseconds.
-    overlapped: CounterBank,
-}
-
-/// Duration → nanosecond counter value (saturating; `u64` nanoseconds hold
-/// ~585 years).
-fn ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+    phases: Vec<(&'static str, Duration)>,
 }
 
 impl PhaseTimer {
@@ -82,107 +28,63 @@ impl PhaseTimer {
         Self::default()
     }
 
+    /// The accumulator of phase `name`, created at zero if new.
+    fn slot(&mut self, name: &'static str) -> &mut Duration {
+        let i = match self.phases.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                self.phases.push((name, Duration::ZERO));
+                self.phases.len() - 1
+            }
+        };
+        &mut self.phases[i].1
+    }
+
     /// Adds `d` to phase `name` (creating it if new).
-    pub fn add(&mut self, name: &str, d: Duration) {
-        self.phases.add(name, ns(d));
+    pub fn add(&mut self, name: &'static str, d: Duration) {
+        *self.slot(name) += d;
     }
 
     /// Times the closure and attributes the duration to `name`.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t = Timer::start();
+    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
         let r = f();
-        self.add(name, t.elapsed());
+        self.add(name, start.elapsed());
         r
     }
 
     /// Total time of a phase (zero if absent).
     pub fn get(&self, name: &str) -> Duration {
-        Duration::from_nanos(self.phases.get(name))
-    }
-
-    /// All `(phase, duration)` entries in first-use order. Durations are
-    /// *exposed* wall time only; overlapped communication lives in
-    /// [`PhaseTimer::comm_total`].
-    pub fn entries(&self) -> Vec<(String, Duration)> {
         self.phases
-            .entries()
             .iter()
-            .map(|(n, v)| (n.clone(), Duration::from_nanos(*v)))
-            .collect()
+            .find(|(n, _)| *n == name)
+            .map_or(Duration::ZERO, |&(_, d)| d)
     }
 
-    /// Sum of all phase durations (exposed wall time; phases partition the
-    /// wall clock, so overlapped communication is deliberately excluded —
-    /// its wall time already belongs to the compute phase that hid it).
+    /// All `(phase, duration)` entries in first-use order.
+    pub fn entries(&self) -> &[(&'static str, Duration)] {
+        &self.phases
+    }
+
+    /// Sum of all phase durations.
     pub fn total(&self) -> Duration {
-        Duration::from_nanos(self.phases.total())
-    }
-
-    /// Adds `d` of *overlapped* communication to phase `name`: time the
-    /// operation was in flight while another phase's compute ran. Not
-    /// counted in [`PhaseTimer::total`].
-    pub fn add_overlapped(&mut self, name: &str, d: Duration) {
-        self.overlapped.add(name, ns(d));
-    }
-
-    /// Exposed communication time of a phase — what the rank actually waited
-    /// (identical to [`PhaseTimer::get`]; named accessor for breakdowns).
-    pub fn comm_exposed(&self, name: &str) -> Duration {
-        self.get(name)
-    }
-
-    /// Overlapped (compute-hidden) communication time of a phase.
-    pub fn comm_overlapped(&self, name: &str) -> Duration {
-        Duration::from_nanos(self.overlapped.get(name))
-    }
-
-    /// Total communication time of a phase: exposed + overlapped. The
-    /// overlapped component ends at data *availability* (not at the wait),
-    /// so this is the phase's issue→data-ready dependency latency — the
-    /// Fig. 7/12-comparable per-phase communication cost. Pipelining moves
-    /// time from exposed to overlapped (and can shrink the total when
-    /// senders issue earlier); it never hides cost from this number.
-    pub fn comm_total(&self, name: &str) -> Duration {
-        self.get(name) + self.comm_overlapped(name)
-    }
-
-    /// Fraction of a phase's communication hidden under compute:
-    /// `overlapped / (exposed + overlapped)`; zero for a phase with no
-    /// recorded communication.
-    pub fn overlap_ratio(&self, name: &str) -> f64 {
-        let total = self.comm_total(name);
-        if total.is_zero() {
-            0.0
-        } else {
-            self.comm_overlapped(name).as_secs_f64() / total.as_secs_f64()
-        }
+        self.phases.iter().map(|&(_, d)| d).sum()
     }
 
     /// Merges another timer's phases into this one (summing shared phases).
     pub fn merge(&mut self, other: &PhaseTimer) {
-        self.phases.merge_sum(&other.phases);
-        self.overlapped.merge_sum(&other.overlapped);
+        for &(n, d) in &other.phases {
+            self.add(n, d);
+        }
     }
 
     /// Element-wise maximum over phases: for per-rank timers this yields the
     /// critical-path view (the slowest rank per phase), which is what the
     /// paper's breakdown figures show.
     pub fn merge_max(&mut self, other: &PhaseTimer) {
-        self.phases.merge_max(&other.phases);
-        self.overlapped.merge_max(&other.overlapped);
-    }
-
-    /// Publishes the accumulated state into a metrics registry under
-    /// `prefix`: phase nanoseconds as `{prefix}.phase_ns.{name}` and
-    /// overlapped nanoseconds as `{prefix}.overlapped_ns.{name}` — the
-    /// bridge that lets benchmark artifacts render from registry snapshots
-    /// instead of hand-rolled aggregation.
-    pub fn export_into(&self, reg: &dspgemm_obs::Registry, prefix: &str) {
-        for (n, v) in self.phases.entries() {
-            reg.counter_add(&format!("{prefix}.phase_ns.{n}"), *v);
-        }
-        for (n, v) in self.overlapped.entries() {
-            reg.counter_add(&format!("{prefix}.overlapped_ns.{n}"), *v);
+        for &(n, d) in &other.phases {
+            let slot = self.slot(n);
+            *slot = (*slot).max(d);
         }
     }
 }
@@ -243,7 +145,7 @@ mod tests {
         assert_eq!(pt.get("absent"), Duration::ZERO);
         assert_eq!(pt.total(), Duration::from_millis(10));
         // Order of first use is preserved.
-        let names: Vec<String> = pt.entries().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<&str> = pt.entries().iter().map(|&(n, _)| n).collect();
         assert_eq!(names, vec!["sort", "comm"]);
     }
 
@@ -287,44 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_comm_not_double_counted() {
-        let mut pt = PhaseTimer::new();
-        // A pipelined round: 2 ms exposed bcast wait, 8 ms of the broadcast
-        // hidden under 10 ms of local multiply.
-        pt.add("bcast", Duration::from_millis(2));
-        pt.add_overlapped("bcast", Duration::from_millis(8));
-        pt.add("local mult.", Duration::from_millis(10));
-        // total() partitions wall time: hidden comm is not double-counted.
-        assert_eq!(pt.total(), Duration::from_millis(12));
-        assert_eq!(pt.comm_exposed("bcast"), Duration::from_millis(2));
-        assert_eq!(pt.comm_overlapped("bcast"), Duration::from_millis(8));
-        assert_eq!(pt.comm_total("bcast"), Duration::from_millis(10));
-        assert!((pt.overlap_ratio("bcast") - 0.8).abs() < 1e-12);
-        assert_eq!(pt.overlap_ratio("local mult."), 0.0);
-        // merge and merge_max carry the overlapped component along.
-        let mut other = PhaseTimer::new();
-        other.add_overlapped("bcast", Duration::from_millis(4));
-        let mut sum = pt.clone();
-        sum.merge(&other);
-        assert_eq!(sum.comm_overlapped("bcast"), Duration::from_millis(12));
-        let mut mx = pt.clone();
-        mx.merge_max(&other);
-        assert_eq!(mx.comm_overlapped("bcast"), Duration::from_millis(8));
-    }
-
-    #[test]
-    fn export_into_registry() {
-        let mut pt = PhaseTimer::new();
-        pt.add("bcast", Duration::from_nanos(1500));
-        pt.add_overlapped("bcast", Duration::from_nanos(500));
-        let reg = dspgemm_obs::Registry::new();
-        pt.export_into(&reg, "t");
-        pt.export_into(&reg, "t"); // counters accumulate
-        assert_eq!(reg.counter("t.phase_ns.bcast"), 3000);
-        assert_eq!(reg.counter("t.overlapped_ns.bcast"), 1000);
-    }
-
-    #[test]
     fn formatting() {
         assert_eq!(format_bytes(512), "512 B");
         assert_eq!(format_bytes(2048), "2.00 KiB");
@@ -339,14 +203,5 @@ mod tests {
         assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert!((geometric_mean(&[3.0]) - 3.0).abs() < 1e-12);
         assert!(geometric_mean(&[]).is_nan());
-    }
-
-    #[test]
-    fn timer_lap_moves_forward() {
-        let mut t = Timer::start();
-        let a = t.lap();
-        let b = t.elapsed();
-        assert!(a >= Duration::ZERO);
-        assert!(b >= Duration::ZERO);
     }
 }

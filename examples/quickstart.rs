@@ -61,7 +61,7 @@ fn main() {
             println!("  nnz(C') = {nnz_c}   (maintained, never recomputed from scratch)");
             println!("  local flops on rank 0: {}", engine.flops);
             println!("  phase breakdown (rank 0):");
-            for (name, d) in engine.timer.entries() {
+            for &(name, d) in engine.timer.entries() {
                 println!(
                     "    {name:<18} {}",
                     dspgemm::util::stats::format_duration(d)

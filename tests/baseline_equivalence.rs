@@ -61,12 +61,10 @@ fn all_systems_agree_on_construction() {
             dspgemm::core::update::apply_add::<U64Plus>(&mut m, &upd);
             m.gather_to_root(comm)
         };
-        let cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, mine.clone(), &mut timer)
-            .gather_to_root(&grid);
-        let ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, mine.clone(), &mut timer)
-            .gather_to_root(&grid);
-        let pe =
-            PetscMatrix::construct::<U64Plus>(comm, n, n, mine, &mut timer).gather_to_root(comm);
+        let cb =
+            CombBlasMatrix::construct::<U64Plus>(&grid, n, n, mine.clone()).gather_to_root(&grid);
+        let ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, mine.clone()).gather_to_root(&grid);
+        let pe = PetscMatrix::construct::<U64Plus>(comm, n, n, mine).gather_to_root(comm);
         (ours, cb, ct, pe)
     });
     let (ours, cb, ct, pe) = &out.results[0];
@@ -96,17 +94,17 @@ fn all_systems_agree_on_spgemm() {
         let b = DistMat::from_global_triples(&grid, n, n, feed_b.clone(), 1, &mut timer);
         let (c_ours, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
         // CombBLAS.
-        let a_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone(), &mut timer);
-        let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone(), &mut timer);
-        let (c_cb, _) = combblas::spgemm::<U64Plus>(&grid, &a_cb, &b_cb, &mut timer);
+        let a_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone());
+        let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone());
+        let (c_cb, _) = combblas::spgemm::<U64Plus>(&grid, &a_cb, &b_cb);
         // CTF.
-        let a_ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone(), &mut timer);
-        let b_ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone(), &mut timer);
-        let (c_ct, _) = ctf::spgemm::<U64Plus>(&grid, &a_ct, &b_ct, &mut timer);
+        let a_ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone());
+        let b_ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone());
+        let (c_ct, _) = ctf::spgemm::<U64Plus>(&grid, &a_ct, &b_ct);
         // PETSc.
-        let a_pe = PetscMatrix::construct::<U64Plus>(comm, n, n, feed_a, &mut timer);
-        let b_pe = PetscMatrix::construct::<U64Plus>(comm, n, n, feed_b, &mut timer);
-        let (c_pe, _) = petsc::spgemm::<U64Plus>(comm, &a_pe, &b_pe, &mut timer);
+        let a_pe = PetscMatrix::construct::<U64Plus>(comm, n, n, feed_a);
+        let b_pe = PetscMatrix::construct::<U64Plus>(comm, n, n, feed_b);
+        let (c_pe, _) = petsc::spgemm::<U64Plus>(comm, &a_pe, &b_pe);
         (
             c_ours.gather_to_root(comm),
             c_cb.gather_to_root(&grid),
@@ -136,7 +134,7 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
         let mut b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
         let mut a_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
         let mut c_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
-        let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, b_feed, &mut timer);
+        let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, b_feed);
         let mut c_cb = CombBlasMatrix::<u64>::empty(&grid, n, n);
         for round in 0..3u64 {
             let batch = random_triples(30 + round * 5 + comm.rank() as u64, n, 8);
@@ -151,8 +149,8 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
                 &Exec::new(),
                 &mut timer,
             );
-            let a_star = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, batch, &mut timer);
-            let (delta, _) = combblas::spgemm::<U64Plus>(&grid, &a_star, &b_cb, &mut timer);
+            let a_star = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, batch);
+            let (delta, _) = combblas::spgemm::<U64Plus>(&grid, &a_star, &b_cb);
             c_cb.merge_add_local::<U64Plus>(&delta);
         }
         (c_ours.gather_to_root(comm), c_cb.gather_to_root(&grid))

@@ -1,12 +1,11 @@
 //! Observability invariants, end to end: histogram merges must be
 //! order-insensitive across simulated ranks (so registry aggregation never
 //! depends on rank arrival order), `PhaseTimer` merges must carry every
-//! counter class (phases, overlapped communication, per-thread flops), and
-//! a traced engine run must export a schema-valid Chrome trace containing
+//! phase in first-use order, and a traced engine run must export a schema-valid Chrome trace containing
 //! the span taxonomy the docs promise.
 
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
-use dspgemm::obs::{Histogram, Registry};
+use dspgemm::obs::Histogram;
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -108,34 +107,34 @@ fn histogram_quantiles_match_sorted_samples_within_bucket_error() {
 }
 
 /// `PhaseTimer::merge` (sum) and `merge_max` (critical path) must carry
-/// both counter classes: phase nanoseconds and overlapped communication
-/// nanoseconds.
+/// every phase — including one only some ranks recorded — in first-use
+/// order.
 #[test]
 fn phase_timer_merge_carries_phase_and_overlap_counters() {
     let mut a = PhaseTimer::new();
     a.add("local_mult", Duration::from_nanos(100));
-    a.add_overlapped("send_recv", Duration::from_nanos(40));
     let mut b = PhaseTimer::new();
+    b.add("send_recv", Duration::from_nanos(60));
     b.add("local_mult", Duration::from_nanos(50));
-    b.add_overlapped("send_recv", Duration::from_nanos(60));
 
     let mut sum = PhaseTimer::new();
     sum.merge(&a);
     sum.merge(&b);
     assert_eq!(sum.get("local_mult"), Duration::from_nanos(150));
-    assert_eq!(sum.comm_overlapped("send_recv"), Duration::from_nanos(100));
+    assert_eq!(sum.get("send_recv"), Duration::from_nanos(60));
+    assert_eq!(sum.total(), Duration::from_nanos(210));
 
     let mut crit = PhaseTimer::new();
     crit.merge_max(&a);
     crit.merge_max(&b);
     assert_eq!(crit.get("local_mult"), Duration::from_nanos(100));
-    assert_eq!(crit.comm_overlapped("send_recv"), Duration::from_nanos(60));
+    assert_eq!(crit.get("send_recv"), Duration::from_nanos(60));
 
-    // The registry bridge exports every class under the given prefix.
-    let reg = Registry::new();
-    sum.export_into(&reg, "rank0");
-    assert_eq!(reg.counter("rank0.phase_ns.local_mult"), 150);
-    assert_eq!(reg.counter("rank0.overlapped_ns.send_recv"), 100);
+    // Both reductions keep first-use order: `a`'s phases, then `b`'s new ones.
+    for merged in [&sum, &crit] {
+        let names: Vec<&str> = merged.entries().iter().map(|&(n, _)| n).collect();
+        assert_eq!(names, ["local_mult", "send_recv"]);
+    }
 }
 
 /// A traced dynamic-SpGEMM run must export a schema-valid Chrome trace
