@@ -38,8 +38,8 @@ pub fn masked_product<S: Semiring>(
 }
 
 /// [`masked_product`] under an explicit [`Exec`] — the session's view
-/// refreshes run here, so candidate-pair rescans lease the session's pooled
-/// workspaces.
+/// refreshes run here, so candidate-pair rescans reuse the session's
+/// kernel workspaces.
 pub fn masked_product_exec<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,

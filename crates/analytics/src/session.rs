@@ -79,7 +79,7 @@ pub fn observe_query(kind: &str, stale: u64, latency: std::time::Duration) {
 /// A serving session: dynamic graph + maintained product + view registry.
 pub struct AnalyticsSession<S: Semiring> {
     grid: Grid,
-    /// Workspace pools persisting across every batch and view refresh.
+    /// Kernel workspaces persisting across every batch and view refresh.
     exec: Exec<S>,
     a: DistMat<S::Elem>,
     c: DistMat<S::Elem>,

@@ -44,7 +44,7 @@ pub struct ViewCx<'a, S: Semiring> {
     /// The maintained product `C = A·A` — old/new like `a`.
     pub c: &'a DistMat<S::Elem>,
     /// The session's local compute configuration: views that multiply
-    /// (masked rescans) lease the session's pooled workspaces through it.
+    /// (masked rescans) reuse the session's kernel workspaces through it.
     pub exec: &'a Exec<S>,
 }
 

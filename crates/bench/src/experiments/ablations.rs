@@ -22,7 +22,7 @@ use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern};
 use dspgemm_sparse::ops::extract_filtered;
 use dspgemm_sparse::semiring::F64Plus;
-use dspgemm_sparse::workspace::WorkspacePool;
+use dspgemm_sparse::workspace::KernelWorkspace;
 use dspgemm_sparse::{Csr, Dcsr, Index, RowScan, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::stats::{format_bytes, PhaseTimer};
@@ -110,7 +110,8 @@ pub fn bloom_filter(cfg: &Config) -> Table {
         let a = Csr::from_triples::<F64Plus>(n, n, triples.clone());
         let b = a.clone();
         // Full product with Bloom tracking -> F.
-        let full = spgemm_with::<F64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &WorkspacePool::new());
+        let full =
+            spgemm_with::<F64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
         // Delete a 1% sample of A's entries.
         let mut rng = SplitMix64::new(cfg.seed);
         let all = a.to_triples();
@@ -127,8 +128,13 @@ pub fn bloom_filter(cfg: &Config) -> Table {
             .collect();
         let a_new = Csr::from_sorted_triples(n, n, &a_new_triples);
         // Pattern of C* = A*·B (B unchanged => A·B* term empty); F* bits.
-        let pool = WorkspacePool::new();
-        let cstar = spgemm_with::<F64Plus, Pattern, _, _, _>(&a_star, &b, &(), 0, &pool);
+        let cstar = spgemm_with::<F64Plus, Pattern, _, _, _>(
+            &a_star,
+            &b,
+            &(),
+            0,
+            &mut KernelWorkspace::new(),
+        );
         // E = (F | F*) masked at C*; R = row-wise OR.
         let mut f_lookup: dspgemm_util::FxHashMap<u64, u64> = Default::default();
         full.result.scan_rows(|r, cols, vals| {

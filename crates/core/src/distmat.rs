@@ -460,27 +460,6 @@ impl<V: Elem> DistMat<V> {
             .collect()
     }
 
-    /// The distributed transpose `Aᵀ`, **materialized** through the
-    /// standard two-phase redistribution: one `O(nnz/p)` exchange, after
-    /// which every algorithm applies unchanged (collective over the grid).
-    ///
-    /// Section V-C's *virtual* transposition — no materialization, no
-    /// wire round of its own — is implemented where it pays: the dynamic
-    /// update paths build every update matrix in both layouts from one
-    /// redistribution ([`crate::update::StarPair`]). Materializing remains
-    /// the right tool when the transposed operand is reused across many
-    /// products, where the one-off exchange amortizes away.
-    pub fn transposed(&self, grid: &Grid) -> DistMat<V> {
-        let flipped: Vec<Triple<V>> = self
-            .to_global_triples()
-            .into_iter()
-            .map(|t| Triple::new(t.col, t.row, t.val))
-            .collect();
-        let mut mat = DistMat::empty(grid, self.info.ncols, self.info.nrows);
-        mat.insert_global_triples(grid, flipped, &mut PhaseTimer::new());
-        mat
-    }
-
     /// Moves this rank's block to a new layout: stripe migration through
     /// the two-phase redistribution path. Collective over the grid (every
     /// rank calls with the same layout).
@@ -705,45 +684,6 @@ mod tests {
             let got: Vec<(Index, Index)> = gathered.iter().map(|t| (t.row, t.col)).collect();
             assert_eq!(got, expect, "p={p}");
             assert_eq!(out.results[0].2, expect.len() as u64);
-        }
-    }
-
-    #[test]
-    fn transpose_roundtrip_and_product() {
-        let n: Index = 23;
-        let out = run(4, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let feed: Vec<Triple<u64>> = if comm.rank() == 0 {
-                let mut rng = SplitMix64::new(13);
-                (0..80)
-                    .map(|_| {
-                        Triple::new(
-                            rng.gen_range(n as u64) as Index,
-                            rng.gen_range(17) as Index,
-                            rng.gen_range(9) + 1,
-                        )
-                    })
-                    .collect()
-            } else {
-                vec![]
-            };
-            let a = DistMat::from_global_triples(&grid, n, 17, feed, 1, &mut timer);
-            let at = a.transposed(&grid);
-            let att = at.transposed(&grid);
-            // Shape flips; double transpose is the identity.
-            let same = a.gather_to_root(comm) == att.gather_to_root(comm);
-            (
-                at.info().nrows,
-                at.info().ncols,
-                same,
-                at.global_nnz(&grid) == a.global_nnz(&grid),
-            )
-        });
-        for &(tr, tc, same, nnz_eq) in &out.results {
-            assert_eq!((tr, tc), (17, 23));
-            assert!(same);
-            assert!(nnz_eq);
         }
     }
 

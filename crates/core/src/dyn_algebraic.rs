@@ -60,36 +60,37 @@ use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::workspace::WorkspacePool;
+use dspgemm_sparse::workspace::KernelWorkspace;
 use dspgemm_sparse::{Dcsr, RowScan, Triple};
 use dspgemm_util::stats::PhaseTimer;
+use std::cell::RefMut;
 use std::sync::Arc;
 
 /// A [`Payload`] the round structure can run: its entries travel between
-/// ranks, and it names the session pool its multiplies lease from — so
-/// every flavor runs pooled.
+/// ranks, and it names the session workspace its multiplies run on — so
+/// every flavor reuses its scratch across rounds and batches.
 pub trait XYKernel<S: Semiring>: Payload<S, Out: Elem> {
-    /// The payload-matching pool of the session's [`Exec`].
-    fn pool(exec: &Exec<S>) -> &WorkspacePool<Self::Out>;
+    /// The payload-matching workspace of the session's [`Exec`].
+    fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<Self::Out>>;
 }
 
 /// Values only — the production algebraic path.
 impl<S: Semiring> XYKernel<S> for Plain {
-    fn pool(exec: &Exec<S>) -> &WorkspacePool<S::Elem> {
+    fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<S::Elem>> {
         exec.plain()
     }
 }
 
 /// Values fused with Bloom bitfields — for engine sessions maintaining `F`.
 impl<S: Semiring> XYKernel<S> for Bloom {
-    fn pool(exec: &Exec<S>) -> &WorkspacePool<(S::Elem, u64)> {
+    fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<(S::Elem, u64)>> {
         exec.fused()
     }
 }
 
 /// Structure + Bloom bits only — `COMPUTE_PATTERN` of Algorithm 2.
 impl<S: Semiring> XYKernel<S> for Pattern {
-    fn pool(exec: &Exec<S>) -> &WorkspacePool<u64> {
+    fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<u64>> {
         exec.pattern()
     }
 }
@@ -149,7 +150,7 @@ fn build_star_operands<S: Semiring>(
 /// The block Algorithm 1's round roots broadcast (`A*_{j,i}` at rank
 /// `(i, j)`), recovered from the transposed-layout build `star_t`
 /// (`(A*_{j,i})ᵀ` at rank `(i, j)`): this rank's own block already *is* the
-/// transposed-position block in transposed form, and a pooled local
+/// transposed-position block in transposed form, and a local
 /// counting-sort transposition ([`Dcsr::transpose_into`] through the
 /// session's [`Exec`]) recovers the payload bit-for-bit under
 /// [`phase::TRANSPOSE_LOCAL`] (Section V-C). Local-only.
@@ -283,10 +284,13 @@ pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
             (star, mask)
         },
         |(timer, flops, mine), k, (star, mask)| {
-            let (b, pool) = (right.block(), K::pool(exec));
-            let part = timer.time(phase::LOCAL_MULT, || match mask {
-                Some(mask) => spgemm_with::<S, K, _, _, _>(&*star, b, &*mask, k_offset, pool),
-                None => spgemm_with::<S, K, _, _, _>(&*star, b, &(), k_offset, pool),
+            let b = right.block();
+            let part = timer.time(phase::LOCAL_MULT, || {
+                let ws = &mut K::workspace(exec);
+                match mask {
+                    Some(mask) => spgemm_with::<S, K, _, _, _>(&*star, b, &*mask, k_offset, ws),
+                    None => spgemm_with::<S, K, _, _, _>(&*star, b, &(), k_offset, ws),
+                }
             });
             **flops += part.flops;
             let red = timer.time(phase::REDUCE_SCATTER, || {
@@ -329,7 +333,8 @@ fn y_pass<S: Semiring, K: XYKernel<S>>(
         |(timer, flops, mine), k, star| {
             let part = timer.time(phase::LOCAL_MULT, || {
                 let star_rows = star.row_reader();
-                spgemm_with::<S, K, _, _, _>(left.block(), &star_rows, &(), k_offset, K::pool(exec))
+                let ws = &mut K::workspace(exec);
+                spgemm_with::<S, K, _, _, _>(left.block(), &star_rows, &(), k_offset, ws)
             });
             **flops += part.flops;
             let red = timer.time(phase::REDUCE_SCATTER, || {

@@ -41,7 +41,7 @@ pub struct DynSpGemm<S: Semiring> {
     /// The Bloom filter matrix `F` (present iff the session tracks filters,
     /// which is required before general updates can be applied).
     pub f: Option<DistMat<u64>>,
-    /// The workspace pools that persist across every update batch and
+    /// The kernel workspaces that persist across every update batch and
     /// recomputation of this session.
     pub exec: Exec<S>,
     /// Accumulated per-phase timings (Fig. 7 / Fig. 12 breakdowns).
@@ -293,8 +293,8 @@ impl<S: Semiring> DynSpGemm<S> {
     /// layout inside their [`crate::distmat::BlockInfo`], so epoch readers
     /// stay bit-stable across the remap. Migration wire cost is metered
     /// from each rank's own alltoall byte counters (summed network-wide)
-    /// and accumulated on the session's [`Rebalancer`] plus the
-    /// `engine.rebalance.*` metrics.
+    /// and accumulated on the session's [`Rebalancer`] plus, with
+    /// observability on, the `engine.rebalance.*` metrics.
     pub fn maybe_rebalance(&mut self, grid: &Grid) -> bool {
         if self.rebalancer.is_none() {
             return false;
@@ -311,7 +311,9 @@ impl<S: Semiring> DynSpGemm<S> {
         let reb = self.rebalancer.as_mut().expect("checked above");
         reb.note_decision(imb);
         let cuts = reb.decide(self.a.info().layout().row_cuts(), &loads, epoch);
-        dspgemm_obs::global().gauge_set("engine.rebalance.imbalance", imb);
+        if dspgemm_obs::enabled() {
+            dspgemm_obs::global().gauge_set("engine.rebalance.imbalance", imb);
+        }
         let Some(cuts) = cuts else { return false };
         let _sp = dspgemm_obs::span("engine", "migrate").attr("epoch", epoch);
         let new_layout = Arc::new(Layout::square(cuts));
@@ -337,11 +339,13 @@ impl<S: Semiring> DynSpGemm<S> {
             "migrated",
             &[("epoch", epoch), ("bytes", bytes), ("moved_in", moved_in)],
         );
-        let reg = dspgemm_obs::global();
-        reg.counter_add("engine.rebalance.bytes", bytes);
         let reb = self.rebalancer.as_mut().expect("checked above");
         reb.note_migration(epoch, bytes);
-        reg.gauge_set("engine.rebalance.migrations", reb.migrations() as f64);
+        if dspgemm_obs::enabled() {
+            let reg = dspgemm_obs::global();
+            reg.counter_add("engine.rebalance.bytes", bytes);
+            reg.gauge_set("engine.rebalance.migrations", reb.migrations() as f64);
+        }
         // Re-publish under the new layout: the next epoch carries the new
         // cuts, pinned pre-migration epochs keep the old ones.
         self.dirty = true;
@@ -639,15 +643,17 @@ impl<S: Semiring> DynSpGemm<S> {
         sp.set_attr("replayed_batches", replayed_batches);
         sp.set_attr("rollback_epochs", rollback_epochs);
         // Each rank records the allreduced, grid-agreed values.
-        let reg = dspgemm_obs::global();
-        reg.counter_add("engine.recovery.count", 1);
-        reg.gauge_set("engine.recovery.detect_ns", detect_ns as f64);
-        reg.gauge_set("engine.recovery.rollback_epochs", rollback_epochs as f64);
-        reg.gauge_set("engine.recovery.replayed_batches", replayed_batches as f64);
-        reg.gauge_set(
-            "engine.recovery.rebuild_bytes",
-            incident.rebuild_bytes as f64,
-        );
+        if dspgemm_obs::enabled() {
+            let reg = dspgemm_obs::global();
+            reg.counter_add("engine.recovery.count", 1);
+            reg.gauge_set("engine.recovery.detect_ns", detect_ns as f64);
+            reg.gauge_set("engine.recovery.rollback_epochs", rollback_epochs as f64);
+            reg.gauge_set("engine.recovery.replayed_batches", replayed_batches as f64);
+            reg.gauge_set(
+                "engine.recovery.rebuild_bytes",
+                incident.rebuild_bytes as f64,
+            );
+        }
         RecoveryReport {
             failed_ranks: vec![incident.failed],
             committed_publishes: incident.p_star,
@@ -915,5 +921,31 @@ mod tests {
             eng.c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));
+    }
+
+    /// With observability off the engine writes nothing to the
+    /// process-wide metrics registry: construction, a batch and a publish
+    /// leave the per-block load gauges unset.
+    #[test]
+    fn observability_off_leaves_the_registry_alone() {
+        assert!(!dspgemm_obs::enabled());
+        let n: Index = 16;
+        run(4, move |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let t = if comm.rank() == 0 {
+                random_triples(8, n, 40)
+            } else {
+                vec![]
+            };
+            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+            let ups = random_triples(9 + comm.rank() as u64, n, 6);
+            eng.apply_algebraic(&grid, ups, vec![]);
+            eng.publish();
+        });
+        let reg = dspgemm_obs::global();
+        assert_eq!(reg.gauge("engine.block_nnz.a.rank0"), None);
     }
 }

@@ -1,30 +1,35 @@
-//! The per-session workspace pools every local SpGEMM path leases from.
+//! The per-session kernel workspaces every local SpGEMM path runs on.
 //!
-//! [`Exec`] turns the sparse crate's per-call
-//! [`WorkspacePool`] argument into a *session* resource: one `Exec` lives
-//! in the engine (or is built transiently per collective call) and hands
-//! out pools whose workspaces persist across SUMMA rounds, dynamic X/Y
-//! passes (the masked recompute among them) and analytics refreshes — so the
-//! pipelined rounds of `crate::pipeline` reuse their SPA, mask and
-//! transposition scratch instead of reallocating it per round. A call's flat
-//! output buffers are not pooled: they move into the `Dcsr` it returns.
+//! [`Exec`] turns the sparse crate's per-call `&mut`
+//! [`KernelWorkspace`] argument into a *session* resource: one `Exec` lives
+//! in the engine (or is built transiently per collective call) and owns one
+//! workspace per kernel payload, whose capacities persist across SUMMA
+//! rounds, dynamic X/Y passes (the masked recompute among them) and
+//! analytics refreshes — so the pipelined rounds of `crate::pipeline` reuse
+//! their SPA, mask and transposition scratch instead of reallocating it per
+//! round. A call's flat output buffers are not kept: they move into the
+//! `Dcsr` it returns.
 //!
-//! Three pools are kept because the kernel payloads differ: plain values
-//! (`S::Elem`), value+Bloom fusion (`(S::Elem, u64)`), and pattern bits
-//! (`u64`). Each [`crate::dyn_algebraic::XYKernel`] draws from the one matching
-//! its payload.
+//! One workspace per payload because the kernel payloads differ: plain
+//! values (`S::Elem`), value+Bloom fusion (`(S::Elem, u64)`), and pattern
+//! bits (`u64`). Each [`crate::dyn_algebraic::XYKernel`] borrows the one
+//! matching its payload. A rank runs one kernel call at a time, so one
+//! workspace each is all it needs. The workspaces sit in `RefCell`s because
+//! sessions hand their `Exec` out shared (`&Exec`); a nested borrow of the
+//! same workspace panics.
 
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::workspace::{TransposeLease, TransposePool, WorkspacePool};
+use dspgemm_sparse::workspace::{KernelWorkspace, TransposeWorkspace};
+use std::cell::{RefCell, RefMut};
 
-/// Local-kernel execution context for one semiring: the per-payload
-/// workspace pools.
+/// Local-kernel execution context for one semiring: one workspace per
+/// kernel payload, plus the transposition scratch.
 #[derive(Debug)]
 pub struct Exec<S: Semiring> {
-    plain: WorkspacePool<S::Elem>,
-    fused: WorkspacePool<(S::Elem, u64)>,
-    pattern: WorkspacePool<u64>,
-    transpose: TransposePool,
+    plain: RefCell<KernelWorkspace<S::Elem>>,
+    fused: RefCell<KernelWorkspace<(S::Elem, u64)>>,
+    pattern: RefCell<KernelWorkspace<u64>>,
+    transpose: RefCell<TransposeWorkspace>,
 }
 
 impl<S: Semiring> Default for Exec<S> {
@@ -34,46 +39,44 @@ impl<S: Semiring> Default for Exec<S> {
 }
 
 impl<S: Semiring> Exec<S> {
-    /// Execution with empty pools.
+    /// Execution with fresh workspaces (no heap behind them yet).
     pub fn new() -> Self {
         Self {
-            plain: WorkspacePool::new(),
-            fused: WorkspacePool::new(),
-            pattern: WorkspacePool::new(),
-            transpose: TransposePool::new(),
+            plain: RefCell::default(),
+            fused: RefCell::default(),
+            pattern: RefCell::default(),
+            transpose: RefCell::default(),
         }
     }
 
-    /// Pool for plain-valued kernels.
-    pub fn plain(&self) -> &WorkspacePool<S::Elem> {
-        &self.plain
+    /// Workspace for plain-valued kernels.
+    pub fn plain(&self) -> RefMut<'_, KernelWorkspace<S::Elem>> {
+        self.plain.borrow_mut()
     }
 
-    /// Pool for Bloom-fused kernels (masked or not).
-    pub fn fused(&self) -> &WorkspacePool<(S::Elem, u64)> {
-        &self.fused
+    /// Workspace for Bloom-fused kernels (masked or not).
+    pub fn fused(&self) -> RefMut<'_, KernelWorkspace<(S::Elem, u64)>> {
+        self.fused.borrow_mut()
     }
 
-    /// Pool for pattern kernels.
-    pub fn pattern(&self) -> &WorkspacePool<u64> {
-        &self.pattern
+    /// Workspace for pattern kernels.
+    pub fn pattern(&self) -> RefMut<'_, KernelWorkspace<u64>> {
+        self.pattern.borrow_mut()
     }
 
-    /// Leases a pooled transposition workspace for the virtual-transpose
-    /// local step (`Dcsr::transpose_into`); the
-    /// workspace returns to the pool on drop.
-    pub fn transpose_ws(&self) -> TransposeLease<'_> {
-        self.transpose.lease()
+    /// Scratch for the virtual-transpose local step
+    /// (`Dcsr::transpose_into`).
+    pub fn transpose_ws(&self) -> RefMut<'_, TransposeWorkspace> {
+        self.transpose.borrow_mut()
     }
 
-    /// Total heap bytes idling in the pools (workspace-reuse
-    /// regression signal; see
-    /// [`WorkspacePool::heap_bytes`]).
+    /// Total heap bytes held by the four workspaces (workspace-reuse
+    /// regression signal; see [`KernelWorkspace::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.plain.heap_bytes()
-            + self.fused.heap_bytes()
-            + self.pattern.heap_bytes()
-            + self.transpose.heap_bytes()
+        self.plain().heap_bytes()
+            + self.fused().heap_bytes()
+            + self.pattern().heap_bytes()
+            + self.transpose_ws().heap_bytes()
     }
 }
 
@@ -88,16 +91,20 @@ mod tests {
     fn pools_start_empty_and_keep_one_workspace_per_call() {
         let exec = Exec::<U64Plus>::new();
         assert_eq!(exec.heap_bytes(), 0);
-        let a =
-            Csr::from_triples::<U64Plus>(4, 4, (0..4).map(|i| Triple::new(i, 3 - i, 1)).collect());
+        // Two entries per row, so every output row runs an accumulator.
+        let t = (0..4).flat_map(|i| [Triple::new(i, i, 1), Triple::new(i, 3 - i, 1)]);
+        let a = Csr::from_triples::<U64Plus>(4, 4, t.collect());
+        let mut heaps = Vec::new();
         for _ in 0..3 {
-            spgemm_with::<U64Plus, Plain, _, _, _>(&a, &a, &(), 0, exec.plain());
+            spgemm_with::<U64Plus, Plain, _, _, _>(&a, &a, &(), 0, &mut exec.plain());
+            heaps.push(exec.heap_bytes());
         }
-        let stashed = (
-            exec.plain().stashed(),
-            exec.fused().stashed(),
-            exec.pattern().stashed(),
+        assert!(heaps[0] > 0 && heaps.iter().all(|&h| h == heaps[0]));
+        let held = (
+            exec.plain().heap_bytes(),
+            exec.fused().heap_bytes(),
+            exec.pattern().heap_bytes(),
         );
-        assert_eq!(stashed, (1, 0, 0));
+        assert_eq!(held, (heaps[0], 0, 0), "only the plain workspace ran");
     }
 }

@@ -41,9 +41,9 @@
 //!   broadcast/multiply rounds of every SpGEMM path over the nonblocking
 //!   collectives so round `k + 1`'s panels are in flight while round `k`'s
 //!   local multiply runs (communication/compute overlap).
-//! * [`exec`] — the session-level workspace pools ([`exec::Exec`]) every
-//!   SpGEMM path leases from, so pipelined rounds stop reallocating
-//!   accumulators.
+//! * [`exec`] — the session-level kernel workspaces ([`exec::Exec`], one
+//!   per payload) every SpGEMM path runs on, so pipelined rounds stop
+//!   reallocating accumulators.
 //! * [`snapshot`] — epoch-versioned immutable snapshots of `{A, C}`
 //!   published after committed batches ([`snapshot::Snapshot`]), built
 //!   block-granular copy-on-write over the live matrices; readers pin an

@@ -14,8 +14,8 @@
 //! evaluates the pure, deterministic [`Rebalancer::decide`] on the same
 //! allgathered load vector; see
 //! [`crate::engine::DynSpGemm::maybe_rebalance`]. The `engine.block_nnz.*`
-//! gauges written at every publish mirror the signal for observers and are
-//! never read back. This module holds the pure policy pieces — testable
+//! gauges written at every publish with observability on mirror the signal
+//! for observers and are never read back. This module holds the pure policy pieces — testable
 //! without a grid.
 
 use crate::layout::rebalance_cuts;

@@ -91,16 +91,19 @@ pub fn publish_attrs(a: ImageBuild, c: ImageBuild) -> [(&'static str, u64); 8] {
     ]
 }
 
-/// Emits the `epoch_publish` trace instant — `epoch`, accumulated local
-/// `flops` and the [`publish_attrs`] — and refreshes this rank's per-block
-/// load gauges (local nnz of `A` and `C`, flops: the skew signal the
-/// rebalancing policy keys on).
+/// With observability on, emits the `epoch_publish` trace instant —
+/// `epoch`, accumulated local `flops` and the [`publish_attrs`] — and
+/// refreshes this rank's per-block load gauges (local nnz of `A` and `C`,
+/// flops) for observers. Nothing reads the gauges back: the rebalancing
+/// policy takes its load signal over `Comm`. With observability off this is
+/// one relaxed load.
 pub fn record_epoch_publish(epoch: u64, flops: u64, a: ImageBuild, c: ImageBuild) {
-    if dspgemm_obs::enabled() {
-        let mut attrs = vec![("epoch", epoch), ("flops", flops)];
-        attrs.extend(publish_attrs(a, c));
-        dspgemm_obs::instant("engine", "epoch_publish", &attrs);
+    if !dspgemm_obs::enabled() {
+        return;
     }
+    let mut attrs = vec![("epoch", epoch), ("flops", flops)];
+    attrs.extend(publish_attrs(a, c));
+    dspgemm_obs::instant("engine", "epoch_publish", &attrs);
     let rank = dspgemm_obs::thread_rank();
     let reg = dspgemm_obs::global();
     reg.gauge_set(

@@ -82,7 +82,8 @@ pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
             // Bloom bits index the *global* inner dimension.
             let k_offset = a.info().layout().col_start(k);
             let partial = timer.time(phase::LOCAL_MULT, || {
-                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, K::pool(exec))
+                let ws = &mut K::workspace(exec);
+                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, ws)
             });
             **flops += partial.flops;
             timer.time(phase::LOCAL_UPDATE, || fold(partial.result));
@@ -121,8 +122,8 @@ pub fn summa<S: Semiring>(
     summa_exec::<S>(grid, a, b, &Exec::new(), timer)
 }
 
-/// [`summa`] under an explicit [`Exec`] (persistent workspace pools): the
-/// engine/session entry point — pooled buffers live across rounds *and*
+/// [`summa`] under an explicit [`Exec`] (persistent workspaces): the
+/// engine/session entry point — kernel scratch lives across rounds *and*
 /// across calls.
 pub fn summa_exec<S: Semiring>(
     grid: &Grid,

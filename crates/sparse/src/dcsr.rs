@@ -258,7 +258,7 @@ impl<V: Copy> Dcsr<V> {
 
     /// The transposed matrix in canonical (row-major sorted, duplicate-free)
     /// form, through a reusable [`TransposeWorkspace`] (counting sort by
-    /// column; `O(nnz + ncols)` — the `O(ncols)` cursor scratch is pooled,
+    /// column; `O(nnz + ncols)` — the `O(ncols)` cursor scratch is reused,
     /// so a per-round virtual transposition allocates its output only).
     ///
     /// Canonicality is the bit-identity lemma of the virtual-transposition
@@ -688,7 +688,7 @@ mod tests {
         let e: Dcsr<u64> = Dcsr::empty(7, 3);
         assert_eq!(e.transpose().nrows(), 3);
         assert_eq!(e.transpose().nnz(), 0);
-        // Pooled cycle: the cursor scratch must not regrow.
+        // Reuse cycle: the cursor scratch must not regrow.
         let mut ws = TransposeWorkspace::new();
         m.transpose_into(&mut ws);
         let steady = ws.heap_bytes();

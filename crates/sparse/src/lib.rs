@@ -14,8 +14,8 @@
 //!   hash indices, modelled on the DHB data structure the paper builds on
 //!   (the paper's reference \[27\]): expected O(1) insert/update/delete of a non-zero.
 //! * [`spa`] — sparse accumulators for Gustavson's row-wise product.
-//! * [`workspace`] — pooled kernel workspaces (SPA scratch + flat output
-//!   buffers), one leased per multiply, so pipelined rounds stop
+//! * [`workspace`] — reusable kernel workspaces (SPA scratch + flat output
+//!   buffers), one lent to each multiply, so pipelined rounds stop
 //!   reallocating.
 //! * [`local_mm`] — Gustavson SpGEMM over any semiring, with flop accounting:
 //!   one row loop on one workspace, generic over the entry payload (value,

@@ -24,11 +24,12 @@
 //!   DHB — never DCSR, matching the paper's "no search for an index is ever
 //!   necessary" invariant).
 //!
-//! A call is one loop over the stored rows of `A` on one workspace leased
-//! from a [`WorkspacePool`]. The paper splits the output rows over `T`
-//! OpenMP threads (Section VI-A); here the rank is the unit of parallelism
-//! and the kernel runs no workers of its own (see DESIGN.md, "One worker
-//! per rank").
+//! A call is one loop over the stored rows of `A` on the one
+//! [`KernelWorkspace`] its caller lends it (`&mut`). The paper gives each of
+//! `T` OpenMP threads its own accumulator (Section VI-A); here the rank is
+//! the unit of parallelism, the kernel runs no workers of its own (see
+//! DESIGN.md, "One worker per rank"), and one workspace per payload is all a
+//! rank needs.
 //!
 //! Output assembly is **allocation-flat**: the loop drains each row's
 //! accumulator into one `(rows, row_ptr, cols, vals)` buffer set
@@ -38,7 +39,7 @@
 use crate::bloom::bloom_bit;
 use crate::dcsr::Dcsr;
 use crate::semiring::Semiring;
-use crate::workspace::{KernelWorkspace, WorkspacePool};
+use crate::workspace::KernelWorkspace;
 use crate::{Index, RowRead, RowScan};
 
 /// Result of a local multiplication: the product block plus the scalar
@@ -160,7 +161,9 @@ impl<V: Copy> OutputMask for Dcsr<V> {
 /// The rows one kernel call produces, in the flat `(rows, row_ptr, cols,
 /// vals)` form of [`Dcsr::from_parts`]. The loop drains each row's
 /// accumulator straight into these buffers — no per-row `Vec`, no
-/// intermediate `(col, val)` pairs.
+/// intermediate `(col, val)` pairs. A new one holds no heap: `row_ptr`
+/// gets its leading 0 when the first row is sealed
+/// (`KernelWorkspace::take_out` adds it to an empty output).
 #[derive(Debug)]
 pub(crate) struct FlatRows<A> {
     pub(crate) rows: Vec<Index>,
@@ -174,7 +177,7 @@ impl<A> FlatRows<A> {
     pub(crate) fn new() -> Self {
         Self {
             rows: Vec::new(),
-            row_ptr: vec![0],
+            row_ptr: Vec::new(),
             cols: Vec::new(),
             vals: Vec::new(),
             flops: 0,
@@ -185,6 +188,9 @@ impl<A> FlatRows<A> {
     /// `cols`/`vals`.
     #[inline]
     pub(crate) fn seal_row(&mut self, row: Index) {
+        if self.row_ptr.is_empty() {
+            self.row_ptr.push(0);
+        }
         self.rows.push(row);
         self.row_ptr.push(self.cols.len());
     }
@@ -235,13 +241,14 @@ where
         threads, 1,
         "intra-rank threads are retired (DESIGN.md, \"One worker per rank\")"
     );
-    spgemm_with::<S, Plain, _, _, _>(a, b, &(), 0, &WorkspacePool::new())
+    spgemm_with::<S, Plain, _, _, _>(a, b, &(), 0, &mut KernelWorkspace::new())
 }
 
 /// The Gustavson loop nest: `(A · B)` at the positions `mask` admits, with
-/// entries of payload `P`, on one workspace leased from `pool` for the
-/// whole call. Returns exactly the admitted positions that receive at least
-/// one contribution.
+/// entries of payload `P`, on the workspace `ws` for the whole call.
+/// Returns exactly the admitted positions that receive at least one
+/// contribution. The output buffers move into the result; the accumulator
+/// scratch stays in `ws` for the next call.
 ///
 /// `k_offset` translates the local inner index into the *global* row index
 /// of `B` (`=` global column index of `A`), so that Bloom bits are
@@ -254,7 +261,7 @@ pub fn spgemm_with<S, P, M, L, R>(
     b: &R,
     mask: &M,
     k_offset: Index,
-    pool: &WorkspacePool<P::Out>,
+    ws: &mut KernelWorkspace<P::Out>,
 ) -> MmOutput<P::Out>
 where
     S: Semiring,
@@ -273,10 +280,6 @@ where
         b.ncols()
     );
     let ncols = b.ncols();
-    let mut lease = pool.lease();
-    // Borrow the workspace out of the lease once: a deref per product would
-    // re-check the lease's `Option` inside the loop.
-    let ws: &mut KernelWorkspace<P::Out> = &mut lease;
     a.scan_rows(|i, acols, avals| {
         let Some(admitted) = mask.row(i) else {
             if let ([k], [av]) = (acols, avals) {
@@ -487,7 +490,8 @@ mod tests {
                 Triple::new(2, 0, 1),
             ],
         );
-        let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &WorkspacePool::new());
+        let out =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
         let triples = out.result.to_triples();
         assert_eq!(triples.len(), 1);
         let (val, bloom) = triples[0].val;
@@ -499,8 +503,10 @@ mod tests {
     fn bloom_k_offset_shifts_bits() {
         let a = Csr::from_triples::<U64Plus>(1, 4, vec![Triple::new(0, 0, 1)]);
         let b = Csr::from_triples::<U64Plus>(4, 1, vec![Triple::new(0, 0, 1)]);
-        let out0 = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &WorkspacePool::new());
-        let out5 = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 5, &WorkspacePool::new());
+        let out0 =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
+        let out5 =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 5, &mut KernelWorkspace::new());
         assert_eq!(out0.result.to_triples()[0].val.1, 1 << 0);
         assert_eq!(out5.result.to_triples()[0].val.1, 1 << 5);
     }
@@ -512,9 +518,10 @@ mod tests {
         let b_t = random_triples(&mut rng, 60, 60, 400);
         let a = Csr::from_triples::<U64Plus>(60, 60, a_t);
         let b = Csr::from_triples::<U64Plus>(60, 60, b_t);
-        let fused = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 3, &WorkspacePool::new());
+        let fused =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 3, &mut KernelWorkspace::new());
         let pattern =
-            spgemm_with::<U64Plus, Pattern, _, _, _>(&a, &b, &(), 3, &WorkspacePool::new());
+            spgemm_with::<U64Plus, Pattern, _, _, _>(&a, &b, &(), 3, &mut KernelWorkspace::new());
         assert_eq!(pattern.result, fused.result.map(|(_, bits)| bits));
         assert_eq!(pattern.flops, fused.flops);
     }
@@ -547,7 +554,8 @@ mod tests {
         let a = Csr::from_triples::<U64Plus>(50, 50, a_t);
         let b = Csr::from_triples::<U64Plus>(50, 50, b_t);
         let plain = spgemm::<U64Plus, _, _>(&a, &b, 1);
-        let fused = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &WorkspacePool::new());
+        let fused =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
         assert_eq!(plain.flops, fused.flops);
         assert_eq!(plain.result, fused.result.map(|(v, _)| v));
     }

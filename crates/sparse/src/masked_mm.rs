@@ -14,7 +14,9 @@
 //! ([`OutputMask::row`]) and works against that sorted slice. Nothing is
 //! rebuilt per rank or per round, and the per-product test no longer hashes:
 //! the row's columns are marked in a column table of 4 B × block width that
-//! stays in L1 (see [`crate::workspace::KernelWorkspace`]), so each of the
+//! stays in L1 and lives in the caller's workspace, all-zero between rows,
+//! so every recompute on that workspace reuses it
+//! (see [`crate::workspace::KernelWorkspace`]). Each of the
 //! ≈ 10 products rejected for every one admitted costs one load rather than
 //! one probe of a table the size of `C*`. Blocks wider than
 //! [`DENSE_SPA_MAX_WIDTH`](crate::spa::DENSE_SPA_MAX_WIDTH) keep no table
@@ -30,7 +32,7 @@
 use crate::dcsr::Dcsr;
 use crate::local_mm::{spgemm_with, Bloom, MmOutput, OutputMask};
 use crate::semiring::Semiring;
-use crate::workspace::WorkspacePool;
+use crate::workspace::KernelWorkspace;
 use crate::{Index, RowRead, RowScan};
 
 /// A set of `(row, col)` index pairs used as an output mask, stored like a
@@ -177,7 +179,7 @@ impl OutputMask for MaskSet {
 /// the masked positions that receive at least one contribution.
 ///
 /// `k_offset` is the global index of `B`'s local row 0 (see
-/// [`spgemm_with`], which this forwards to on a fresh pool).
+/// [`spgemm_with`], which this forwards to on a fresh workspace).
 /// Adapter-frozen: `threads` must be 1; `benchmark/src/api.rs` passes it
 /// until the benchmark PR drops it (DESIGN.md, "One worker per rank").
 ///
@@ -199,7 +201,7 @@ where
         threads, 1,
         "intra-rank threads are retired (DESIGN.md, \"One worker per rank\")"
     );
-    spgemm_with::<S, Bloom, _, _, _>(a, b, mask, k_offset, &WorkspacePool::new())
+    spgemm_with::<S, Bloom, _, _, _>(a, b, mask, k_offset, &mut KernelWorkspace::new())
 }
 
 #[cfg(test)]
@@ -287,7 +289,8 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let a = random_csr(&mut rng, 40, 200);
         let b = random_csr(&mut rng, 40, 200);
-        let full = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &WorkspacePool::new());
+        let full =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
         let mask = MaskSet::from_pattern(&full.result);
         let masked = masked_spgemm_bloom::<U64Plus, _, _>(&a, &b, &mask, 0, 1);
         assert_eq!(masked.result, full.result);
@@ -299,7 +302,8 @@ mod tests {
         let mut rng = SplitMix64::new(6);
         let a = random_csr(&mut rng, 30, 150);
         let b = random_csr(&mut rng, 30, 150);
-        let full = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &WorkspacePool::new());
+        let full =
+            spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
         // Mask = first half of the full product's entries.
         let all = full.result.to_triples();
         let half: Vec<_> = all[..all.len() / 2].to_vec();

@@ -3,7 +3,7 @@
 //! Gustavson's algorithm forms one output row at a time by scattering scaled
 //! rows of `B` into an accumulator keyed by column. Two accumulators: a dense
 //! generation-marked array ([`DenseSpa`]) for rows whose flop bound clears
-//! `ncols / 64`, and a sort-merge one ([`SortSpa`]) below that bar; a pooled
+//! `ncols / 64`, and a sort-merge one ([`SortSpa`]) below that bar; a kernel
 //! workspace holds one of each and [`dense_row_profitable`] picks per output
 //! row.
 //!
@@ -48,7 +48,7 @@ pub struct DenseSpa<A> {
 
 impl<A: Copy> DenseSpa<A> {
     /// Creates an accumulator with *no* scratch yet; [`DenseSpa::ensure_width`]
-    /// sizes it on first dense use. Pooled workspaces start here so kernels
+    /// sizes it on first dense use. Kernel workspaces start here so kernels
     /// whose rows all pick the sort-merge strategy never pay the O(ncols)
     /// allocation.
     pub fn unsized_new() -> Self {
@@ -59,7 +59,7 @@ impl<A: Copy> DenseSpa<A> {
     }
 
     /// Grows the scratch to cover columns `0..ncols` (never shrinks — a
-    /// pooled accumulator keeps the widest scratch it has ever needed).
+    /// reused accumulator keeps the widest scratch it has ever needed).
     pub fn ensure_width(&mut self, ncols: Index) {
         if self.slots.len() < ncols as usize {
             self.slots.resize(ncols as usize, None);
@@ -215,11 +215,11 @@ pub const DENSE_SPA_MAX_WIDTH: Index = 1 << 22;
 /// scratch at all).
 pub const DENSE_SPA_SPARSITY_DIV: u64 = 64;
 
-/// The per-row dense-vs-sort strategy choice of the pooled kernels: dense
+/// The per-row dense-vs-sort strategy choice of the kernel: dense
 /// iff the width admits a dense scratch *and* the row's estimated flops
 /// clear the [`DENSE_SPA_SPARSITY_DIV`] density bar. Depends only on
-/// `(ncols, est_flops)` — never on pool state — so a fresh and a warm pool
-/// make identical choices (bit-identical output either way).
+/// `(ncols, est_flops)` — never on workspace state — so a fresh and a warm
+/// workspace make identical choices (bit-identical output either way).
 #[inline]
 pub fn dense_row_profitable(ncols: Index, est_flops: u64) -> bool {
     ncols <= DENSE_SPA_MAX_WIDTH && est_flops.saturating_mul(DENSE_SPA_SPARSITY_DIV) >= ncols as u64

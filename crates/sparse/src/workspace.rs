@@ -1,4 +1,4 @@
-//! Pooled kernel workspaces.
+//! Reusable kernel workspaces.
 //!
 //! A local multiply that built its own accumulator (an O(ncols) dense
 //! scratch) and its own flat output buffers would, under SUMMA and the
@@ -7,23 +7,22 @@
 //! dense SPA scratch (lazily sized), the sort-merge SPA's key and term
 //! scratch (8 B + one payload per product of the longest sparse row), the
 //! masked accumulator with its column table, and the flat
-//! `(rows, row_ptr, cols, vals)` output buffers — and a [`WorkspacePool`]
-//! leases one per kernel call, so pipelined rounds, dynamic X/Y passes,
-//! masked recomputes and analytics refreshes stop reallocating.
+//! `(rows, row_ptr, cols, vals)` output buffers — and every kernel call
+//! borrows one (`&mut`), so pipelined rounds, dynamic X/Y passes, masked
+//! recomputes and analytics refreshes that pass the same workspace stop
+//! reallocating.
 //!
-//! Lifecycle: a call leases one workspace, accumulates every row through
-//! the per-row dense-vs-sort choice ([`crate::spa::dense_row_profitable`]),
-//! and *moves* the drained flat buffers into the result `Dcsr` (zero-copy
-//! wins over reuse there). When the lease drops, the SPA state returns to
-//! the pool. Calls on one pool therefore leave exactly one stashed
-//! workspace, whose capacities stop growing once the workload's high-water
-//! marks are reached — the invariant pinned by the workspace-reuse
-//! regression tests via [`WorkspacePool::heap_bytes`].
+//! Lifecycle: a call accumulates every row through the per-row
+//! dense-vs-sort choice ([`crate::spa::dense_row_profitable`]) and *moves*
+//! the drained flat buffers into the result `Dcsr` (zero-copy wins over
+//! reuse there); the SPA state stays in the workspace. Its capacities stop
+//! growing once the workload's high-water marks are reached — the invariant
+//! pinned by the workspace-reuse regression tests via
+//! [`KernelWorkspace::heap_bytes`].
 
 use crate::local_mm::FlatRows;
 use crate::spa::{DenseSpa, SortSpa, DENSE_SPA_MAX_WIDTH};
 use crate::Index;
-use std::sync::Mutex;
 
 /// Which accumulator the current row scatters into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +208,11 @@ impl<A: Copy> KernelWorkspace<A> {
     /// Moves the accumulated flat output out of the workspace, leaving empty
     /// (capacity-free) buffers behind. The SPA state stays for reuse.
     pub(crate) fn take_out(&mut self) -> FlatRows<A> {
-        std::mem::replace(&mut self.out, FlatRows::new())
+        let mut out = std::mem::replace(&mut self.out, FlatRows::new());
+        if out.row_ptr.is_empty() {
+            out.row_ptr.push(0);
+        }
+        out
     }
 
     /// Bytes of heap currently held (capacity-based): the monotone-then-flat
@@ -226,53 +229,6 @@ impl<A: Copy> KernelWorkspace<A> {
 impl<A: Copy> Default for KernelWorkspace<A> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A stash of [`KernelWorkspace`]s, one leased per kernel call.
-#[derive(Debug, Default)]
-pub struct WorkspacePool<A> {
-    stash: Mutex<Vec<KernelWorkspace<A>>>,
-}
-
-impl<A: Copy> WorkspacePool<A> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self {
-            stash: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Leases a workspace: pops a stashed one or builds a fresh one. The
-    /// workspace returns on drop of the lease.
-    pub fn lease(&self) -> WorkspaceLease<'_, A> {
-        let ws = self
-            .stash
-            .lock()
-            .expect("workspace stash poisoned")
-            .pop()
-            .unwrap_or_default();
-        WorkspaceLease {
-            ws: Some(ws),
-            pool: self,
-        }
-    }
-
-    /// Number of stashed (idle) workspaces.
-    pub fn stashed(&self) -> usize {
-        self.stash.lock().expect("workspace stash poisoned").len()
-    }
-
-    /// Total heap bytes held by the pool's idle workspaces. Stable across
-    /// repeated identical kernel calls once the high-water capacities are
-    /// reached — the workspace-reuse regression signal.
-    pub fn heap_bytes(&self) -> usize {
-        self.stash
-            .lock()
-            .expect("workspace stash poisoned")
-            .iter()
-            .map(KernelWorkspace::heap_bytes)
-            .sum()
     }
 }
 
@@ -299,115 +255,6 @@ impl TransposeWorkspace {
     /// monotone-then-flat signal of the transpose-reuse regression tests.
     pub fn heap_bytes(&self) -> usize {
         self.counts.capacity() * std::mem::size_of::<usize>()
-    }
-}
-
-/// A stash of [`TransposeWorkspace`]s leased per transpose call, mirroring
-/// [`WorkspacePool`]: each call leases one workspace, and its capacity is
-/// kept across calls.
-#[derive(Debug, Default)]
-pub struct TransposePool {
-    stash: Mutex<Vec<TransposeWorkspace>>,
-}
-
-impl TransposePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self {
-            stash: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Leases a workspace: pops a stashed one or builds a fresh one. The
-    /// workspace returns on drop of the lease.
-    pub fn lease(&self) -> TransposeLease<'_> {
-        let ws = self
-            .stash
-            .lock()
-            .expect("transpose stash poisoned")
-            .pop()
-            .unwrap_or_default();
-        TransposeLease {
-            ws: Some(ws),
-            pool: self,
-        }
-    }
-
-    /// Number of stashed (idle) workspaces.
-    pub fn stashed(&self) -> usize {
-        self.stash.lock().expect("transpose stash poisoned").len()
-    }
-
-    /// Total heap bytes held by the pool's idle workspaces.
-    pub fn heap_bytes(&self) -> usize {
-        self.stash
-            .lock()
-            .expect("transpose stash poisoned")
-            .iter()
-            .map(TransposeWorkspace::heap_bytes)
-            .sum()
-    }
-}
-
-/// A leased [`TransposeWorkspace`]; returns to its pool on drop.
-pub struct TransposeLease<'p> {
-    ws: Option<TransposeWorkspace>,
-    pool: &'p TransposePool,
-}
-
-impl std::ops::Deref for TransposeLease<'_> {
-    type Target = TransposeWorkspace;
-    fn deref(&self) -> &TransposeWorkspace {
-        self.ws.as_ref().expect("lease holds a workspace")
-    }
-}
-
-impl std::ops::DerefMut for TransposeLease<'_> {
-    fn deref_mut(&mut self) -> &mut TransposeWorkspace {
-        self.ws.as_mut().expect("lease holds a workspace")
-    }
-}
-
-impl Drop for TransposeLease<'_> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            self.pool
-                .stash
-                .lock()
-                .expect("transpose stash poisoned")
-                .push(ws);
-        }
-    }
-}
-
-/// A leased [`KernelWorkspace`]; returns to its pool on drop.
-pub struct WorkspaceLease<'p, A: Copy> {
-    ws: Option<KernelWorkspace<A>>,
-    pool: &'p WorkspacePool<A>,
-}
-
-impl<A: Copy> std::ops::Deref for WorkspaceLease<'_, A> {
-    type Target = KernelWorkspace<A>;
-    fn deref(&self) -> &KernelWorkspace<A> {
-        self.ws.as_ref().expect("lease holds a workspace")
-    }
-}
-
-impl<A: Copy> std::ops::DerefMut for WorkspaceLease<'_, A> {
-    fn deref_mut(&mut self) -> &mut KernelWorkspace<A> {
-        self.ws.as_mut().expect("lease holds a workspace")
-    }
-}
-
-impl<A: Copy> Drop for WorkspaceLease<'_, A> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            self.pool
-                .stash
-                .lock()
-                .expect("workspace stash poisoned")
-                .push(ws);
-        }
     }
 }
 
@@ -481,52 +328,11 @@ mod tests {
         assert_eq!(scratch(&ws), held, "kept, not regrown");
     }
 
-    #[test]
-    fn pool_lease_and_return() {
-        let pool: WorkspacePool<u64> = WorkspacePool::new();
-        assert_eq!(pool.stashed(), 0);
-        {
-            let mut a = pool.lease();
-            let mut b = pool.lease();
-            a.begin_row(64, 64);
-            a.scatter(1, 1, |x, y| x + y);
-            a.finish_row(0, |x, y| x + y);
-            b.begin_row(64, 64);
-            b.scatter(2, 2, |x, y| x + y);
-            b.finish_row(0, |x, y| x + y);
-        }
-        assert_eq!(pool.stashed(), 2);
-        // Re-leasing pops a stashed workspace (no growth).
-        {
-            let _w = pool.lease();
-            assert_eq!(pool.stashed(), 1);
-        }
-        assert_eq!(pool.stashed(), 2);
-    }
-
-    #[test]
-    fn transpose_pool_lease_and_return() {
-        let pool = TransposePool::new();
-        assert_eq!(pool.stashed(), 0);
-        {
-            let a = pool.lease();
-            let b = pool.lease();
-            assert_eq!(a.heap_bytes(), 0);
-            assert_eq!(b.heap_bytes(), 0);
-        }
-        assert_eq!(pool.stashed(), 2);
-        {
-            let _w = pool.lease();
-            assert_eq!(pool.stashed(), 1);
-        }
-        assert_eq!(pool.stashed(), 2);
-    }
-
-    /// Masked multiplies through one pool reach their high-water capacities
+    /// Masked multiplies through one workspace reach their high-water capacities
     /// in the first call (column table and masked accumulator included),
     /// and every call hands the column table back all-zero.
     #[test]
-    fn masked_multiplies_reuse_the_pool() {
+    fn masked_multiplies_reuse_the_workspace() {
         use crate::csr::Csr;
         use crate::local_mm::{spgemm_with, Bloom};
         use crate::masked_mm::MaskSet;
@@ -542,14 +348,12 @@ mod tests {
         let a = Csr::from_triples::<U64Plus>(n, n, entries(7));
         let b = Csr::from_triples::<U64Plus>(n, n, entries(11));
         let mask = MaskSet::from_pairs((0..n).flat_map(|r| (0..n).step_by(3).map(move |c| (r, c))));
-        let pool: WorkspacePool<(u64, u64)> = WorkspacePool::new();
-        let run = || {
-            let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &mask, 0, &pool);
-            for ws in pool.stash.lock().unwrap().iter() {
-                assert!(ws.col_table.iter().all(|&p| p == 0), "marks left behind");
-                assert!(ws.masked.iter().all(Option::is_none), "slots left behind");
-            }
-            (out.result, pool.heap_bytes())
+        let mut ws: KernelWorkspace<(u64, u64)> = KernelWorkspace::new();
+        let mut run = || {
+            let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &mask, 0, &mut ws);
+            assert!(ws.col_table.iter().all(|&p| p == 0), "marks left behind");
+            assert!(ws.masked.iter().all(Option::is_none), "slots left behind");
+            (out.result, ws.heap_bytes())
         };
         let (first, heap) = run();
         assert!(first.nnz() > 0);
@@ -560,8 +364,7 @@ mod tests {
         for _ in 0..3 {
             let (again, heap_again) = run();
             assert_eq!(again, first);
-            assert_eq!(pool.stashed(), 1);
-            assert_eq!(heap_again, heap, "pool heap must not regrow");
+            assert_eq!(heap_again, heap, "workspace heap must not regrow");
         }
     }
 
@@ -570,7 +373,7 @@ mod tests {
     /// none is a scaled copy) reach their high-water scratch in the first
     /// call, leave it drained, and never size the dense scratch.
     #[test]
-    fn unmasked_multiplies_reuse_the_pool() {
+    fn unmasked_multiplies_reuse_the_workspace() {
         use crate::csr::Csr;
         use crate::local_mm::{spgemm_with, Bloom};
         use crate::semiring::U64Plus;
@@ -588,14 +391,12 @@ mod tests {
         };
         let a = Csr::from_triples::<U64Plus>(n, n, entries(7, 1));
         let b = Csr::from_triples::<U64Plus>(n, wide, entries(11, wide / n));
-        let pool: WorkspacePool<(u64, u64)> = WorkspacePool::new();
-        let run = || {
-            let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &pool);
-            for ws in pool.stash.lock().unwrap().iter() {
-                assert!(ws.sort.is_empty(), "terms left behind");
-                assert_eq!(ws.dense.heap_bytes(), 0, "dense scratch sized");
-            }
-            (out.result, pool.heap_bytes())
+        let mut ws: KernelWorkspace<(u64, u64)> = KernelWorkspace::new();
+        let mut run = || {
+            let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &(), 0, &mut ws);
+            assert!(ws.sort.is_empty(), "terms left behind");
+            assert_eq!(ws.dense.heap_bytes(), 0, "dense scratch sized");
+            (out.result, ws.heap_bytes())
         };
         let (first, heap) = run();
         assert!(first.nnz() > 0);
@@ -603,8 +404,7 @@ mod tests {
         for _ in 0..3 {
             let (again, heap_again) = run();
             assert_eq!(again, first);
-            assert_eq!(pool.stashed(), 1);
-            assert_eq!(heap_again, heap, "pool heap must not regrow");
+            assert_eq!(heap_again, heap, "workspace heap must not regrow");
         }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Seeded cases over every left operand form, right operands whose rows are
 //! in insertion order, both evaluated semirings with non-integer weights,
-//! the three payloads, on a fresh and a warm pool, the mask as a
+//! the three payloads, on a fresh and a warm workspace, the mask as a
 //! [`MaskSet`] and as a pattern [`Dcsr`] — and once more with the columns
 //! spread over a block one column wider than the column table goes, where
 //! the kernel binary-searches the mask row instead.
@@ -14,7 +14,7 @@ use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::semiring::{F64Plus, MinPlus, Semiring};
 use dspgemm_sparse::spa::DENSE_SPA_MAX_WIDTH;
-use dspgemm_sparse::workspace::WorkspacePool;
+use dspgemm_sparse::workspace::KernelWorkspace;
 use dspgemm_sparse::{Csr, Dcsr, DhbMatrix, Index, RowScan, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use std::collections::{BTreeMap, BTreeSet};
@@ -176,7 +176,8 @@ where
     P::Out: Bits,
     L: RowScan<f64>,
 {
-    let full = spgemm_with::<S, P, _, _, _>(left, right, &(), K_OFFSET, &WorkspacePool::new());
+    let full =
+        spgemm_with::<S, P, _, _, _>(left, right, &(), K_OFFSET, &mut KernelWorkspace::new());
     let want: Vec<_> = entries(&full.result, spread)
         .into_iter()
         .filter(|&(r, c, _)| pairs.contains(&(r, c)))
@@ -185,18 +186,16 @@ where
     let mask_set = MaskSet::from_pairs(spread_pairs.clone());
     let unit: Vec<Triple<()>> = spread_pairs.map(|(r, c)| Triple::new(r, c, ())).collect();
     let mask_pattern = Dcsr::from_sorted_triples(left.nrows(), ncols, &unit);
-    let warm = WorkspacePool::new();
-    for pooled in [false, true] {
-        let tag = format!("{tag} pooled={pooled}");
-        let fresh = [WorkspacePool::new(), WorkspacePool::new()];
-        let [set_pool, pattern_pool] = if pooled {
-            [&warm; 2]
-        } else {
-            [&fresh[0], &fresh[1]]
-        };
-        let by_set = spgemm_with::<S, P, _, _, _>(left, right, &mask_set, K_OFFSET, set_pool);
+    let mut warm = KernelWorkspace::new();
+    for reused in [false, true] {
+        let tag = format!("{tag} warm={reused}");
+        let mut fresh = [KernelWorkspace::new(), KernelWorkspace::new()];
+        let [set_ws, pattern_ws] = &mut fresh;
+        let set_ws = if reused { &mut warm } else { set_ws };
+        let by_set = spgemm_with::<S, P, _, _, _>(left, right, &mask_set, K_OFFSET, set_ws);
+        let pattern_ws = if reused { &mut warm } else { pattern_ws };
         let by_pattern =
-            spgemm_with::<S, P, _, _, _>(left, right, &mask_pattern, K_OFFSET, pattern_pool);
+            spgemm_with::<S, P, _, _, _>(left, right, &mask_pattern, K_OFFSET, pattern_ws);
         for (got, mask) in [(&by_set, "MaskSet"), (&by_pattern, "Dcsr")] {
             got.result.validate().unwrap();
             assert_eq!(entries(&got.result, spread), want, "{tag} {mask}");

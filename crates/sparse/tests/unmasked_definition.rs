@@ -6,7 +6,7 @@
 //!
 //! Seeded cases over the three payloads, `(+,·)` over `f64` with weights
 //! whose sums depend on the order they are taken in, `(min,+)` and `(+,·)`
-//! over `u64`; on a fresh and a warm pool; left operands CSR, DCSR and
+//! over `u64`; on a fresh and a warm workspace; left operands CSR, DCSR and
 //! DHB in insertion order; right operands CSR and DHB with ascending rows
 //! (one-product rows are their scaled `B` row) or descending ones (which
 //! fall through to an accumulator). Each case has one-product rows over an
@@ -19,7 +19,7 @@ use dspgemm_sparse::bloom::bloom_bit;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::{F64Plus, MinPlus, Semiring, U64Plus};
 use dspgemm_sparse::spa::{dense_row_profitable, DENSE_SPA_MAX_WIDTH};
-use dspgemm_sparse::workspace::WorkspacePool;
+use dspgemm_sparse::workspace::KernelWorkspace;
 use dspgemm_sparse::{Csr, Dcsr, DhbMatrix, Index, RowRead, RowScan, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use std::collections::{BTreeMap, BTreeSet};
@@ -189,10 +189,15 @@ fn entries<V: Bits>(m: &Dcsr<V>) -> Entries {
         .collect()
 }
 
-/// One left operand, one right operand, one payload: a fresh pool and the
-/// warm `pool` both give the definition's entries and the counted flops.
-fn check_pools<S, P, L, R>(left: &L, right: &R, pool: &WorkspacePool<P::Out>, flops: u64, tag: &str)
-where
+/// One left operand, one right operand, one payload: a fresh workspace and
+/// the warm `ws` both give the definition's entries and the counted flops.
+fn check_workspaces<S, P, L, R>(
+    left: &L,
+    right: &R,
+    ws: &mut KernelWorkspace<P::Out>,
+    flops: u64,
+    tag: &str,
+) where
     S: Semiring,
     P: Payload<S>,
     P::Out: Bits,
@@ -200,9 +205,9 @@ where
     R: RowRead<S::Elem>,
 {
     let want = reference::<S, P, _, _>(left, right);
-    for (pool, pooled) in [(&WorkspacePool::new(), false), (pool, true)] {
-        let tag = format!("{tag} pooled={pooled}");
-        let got = spgemm_with::<S, P, _, _, _>(left, right, &(), K_OFFSET, pool);
+    for (ws, warm) in [(&mut KernelWorkspace::new(), false), (ws, true)] {
+        let tag = format!("{tag} warm={warm}");
+        let got = spgemm_with::<S, P, _, _, _>(left, right, &(), K_OFFSET, ws);
         got.result.validate().unwrap();
         assert_eq!(entries(&got.result), want, "{tag}");
         assert_eq!(got.flops, flops, "{tag}: flops");
@@ -237,13 +242,14 @@ where
     // DHB rows keep the drawn order.
     let dhb_a = DhbMatrix::from_triples(case.m, case.k, &case.a);
     let flops = case.flops();
-    let pool = WorkspacePool::new();
+    let mut ws = KernelWorkspace::new();
     macro_rules! rights {
         ($left:expr, $name:literal) => {
             let tag = format!("{tag} A={}", $name);
-            check_pools::<S, P, _, _>($left, &csr_b, &pool, flops, &format!("{tag} B=CSR"));
-            check_pools::<S, P, _, _>($left, &ascending, &pool, flops, &format!("{tag} B=DHB↑"));
-            check_pools::<S, P, _, _>($left, &descending, &pool, flops, &format!("{tag} B=DHB↓"));
+            let ws = &mut ws;
+            check_workspaces::<S, P, _, _>($left, &csr_b, ws, flops, &format!("{tag} B=CSR"));
+            check_workspaces::<S, P, _, _>($left, &ascending, ws, flops, &format!("{tag} B=DHB↑"));
+            check_workspaces::<S, P, _, _>($left, &descending, ws, flops, &format!("{tag} B=DHB↓"));
         };
     }
     rights!(&csr_a, "CSR");
@@ -335,9 +341,9 @@ fn fold_follows_the_left_rows_stored_order() {
             Csr::from_triples::<F64Plus>(1, 3, (0..3).map(|k| Triple::new(0, k, 1.0)).collect());
         let inserted = DhbMatrix::from_triples(1, 3, &[0, 2, 1].map(|k| Triple::new(0, k, 1.0)));
         let sum = |m: Dcsr<f64>| m.to_triples()[0].val.to_bits();
-        let pool = WorkspacePool::new();
-        let ordered = spgemm_with::<F64Plus, Plain, _, _, _>(&sorted, &b, &(), 0, &pool);
-        let reordered = spgemm_with::<F64Plus, Plain, _, _, _>(&inserted, &b, &(), 0, &pool);
+        let mut ws = KernelWorkspace::new();
+        let ordered = spgemm_with::<F64Plus, Plain, _, _, _>(&sorted, &b, &(), 0, &mut ws);
+        let reordered = spgemm_with::<F64Plus, Plain, _, _, _>(&inserted, &b, &(), 0, &mut ws);
         assert_eq!(sum(ordered.result), 0.0f64.to_bits(), "ncols {ncols}");
         assert_eq!(sum(reordered.result), 1.0f64.to_bits(), "ncols {ncols}");
     }

@@ -1,18 +1,17 @@
 //! Workspace-reuse properties of the local kernels.
 //!
-//! A kernel call leases one workspace from the pool it is handed and returns
-//! it when the call ends, so the pooled workspaces must be *reused* across
-//! calls — the pool holds one idle workspace and its heap stops growing once
-//! the workload's high-water marks are reached — rather than silently
-//! reallocated, on skewed R-MAT inputs, where rows differ in size by orders
-//! of magnitude.
+//! A kernel call runs on the workspace it is lent and leaves its scratch
+//! there, so a workspace must be *reused* across calls — its heap stops
+//! growing once the workload's high-water marks are reached — rather than
+//! silently reallocated, on skewed R-MAT inputs, where rows differ in size
+//! by orders of magnitude.
 
 use dspgemm::core::summa::{summa, summa_exec};
 use dspgemm::core::{DistMat, Exec, Grid};
 use dspgemm::graph::rmat::{generate, RmatParams};
 use dspgemm::sparse::local_mm::{spgemm_with, Plain};
 use dspgemm::sparse::semiring::{Semiring, U64Plus};
-use dspgemm::sparse::workspace::WorkspacePool;
+use dspgemm::sparse::workspace::KernelWorkspace;
 use dspgemm::sparse::{Csr, Index, Triple};
 use dspgemm::util::stats::PhaseTimer;
 
@@ -33,8 +32,8 @@ fn skewed_csr<S: Semiring>(
     Csr::from_triples::<S>(n, n, triples)
 }
 
-/// Distributed equivalence: SUMMA through a pooled session [`Exec`], cold
-/// and then warm, matches the fresh-pool entry point on every grid size.
+/// Distributed equivalence: SUMMA through a session [`Exec`], cold and then
+/// warm, matches the fresh-workspace entry point on every grid size.
 #[test]
 fn summa_exec_schedules_match_across_grids() {
     let scale = 6u32;
@@ -56,7 +55,6 @@ fn summa_exec_schedules_match_across_grids() {
             let (cold, cold_flops) = summa_exec::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
             let (warm, flops) = summa_exec::<U64Plus>(&grid, &a, &a, &exec, &mut timer);
             assert_eq!(flops, cold_flops);
-            assert_eq!(exec.plain().stashed(), 1);
             let (c_plain, flops_plain) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
             assert_eq!(flops, flops_plain);
             (
@@ -72,37 +70,36 @@ fn summa_exec_schedules_match_across_grids() {
     }
 }
 
-/// Workspace-reuse regression: repeated identical kernel calls against one
-/// pool reach their high-water capacities in the first call and then hold
-/// the pool's heap exactly flat — pooled buffers are reused, not silently
-/// reallocated — with one idle workspace between calls.
+/// Workspace-reuse regression: repeated identical kernel calls on one
+/// workspace reach their high-water capacities in the first call and then
+/// hold its heap exactly flat — the scratch is reused, not silently
+/// reallocated.
 #[test]
-fn workspace_pool_reused_across_rounds() {
+fn workspace_reused_across_rounds() {
     let a = skewed_csr::<U64Plus>(59, 7, 2000, |v| v);
     let b = skewed_csr::<U64Plus>(61, 7, 2000, |v| v);
-    let pool: WorkspacePool<u64> = WorkspacePool::new();
-    let first = spgemm_with::<U64Plus, Plain, _, _, _>(&a, &b, &(), 0, &pool);
+    let mut ws: KernelWorkspace<u64> = KernelWorkspace::new();
+    let first = spgemm_with::<U64Plus, Plain, _, _, _>(&a, &b, &(), 0, &mut ws);
     assert!(first.flops > 0);
-    let mut heaps = vec![pool.heap_bytes()];
+    let mut heaps = vec![ws.heap_bytes()];
     // Enough rounds that a per-call leak would show.
     for _ in 1..24 {
-        let out = spgemm_with::<U64Plus, Plain, _, _, _>(&a, &b, &(), 0, &pool);
+        let out = spgemm_with::<U64Plus, Plain, _, _, _>(&a, &b, &(), 0, &mut ws);
         assert_eq!(out.result, first.result);
         assert_eq!(out.flops, first.flops);
-        assert_eq!(pool.stashed(), 1, "one lease per call, returned on drop");
-        heaps.push(pool.heap_bytes());
+        heaps.push(ws.heap_bytes());
     }
-    assert!(heaps[0] > 0, "pooled buffers retain capacity");
+    assert!(heaps[0] > 0, "the workspace retains capacity");
     assert!(
         heaps[1..].iter().all(|&h| h == heaps[1]),
-        "pool heap regrew: {heaps:?}"
+        "workspace heap regrew: {heaps:?}"
     );
 }
 
-/// The engine's session [`Exec`] accumulates leased workspaces across update
-/// batches instead of reallocating per batch: after the first batch the
-/// session pools hold capacity, it stays bounded across further batches,
-/// and the one pool the batches use holds exactly one idle workspace.
+/// The engine's session [`Exec`] keeps its workspaces across update batches
+/// instead of reallocating per batch: after the first batch they hold
+/// capacity, it stays bounded across further batches, and only the
+/// workspace of the payload the batches run holds any.
 #[test]
 fn engine_exec_pools_persist_across_batches() {
     let scale = 6u32;
@@ -129,15 +126,13 @@ fn engine_exec_pools_persist_across_batches() {
                 .map(|(u, v)| Triple::new(u, v, 1))
                 .collect();
             eng.apply_algebraic(&grid, ups, vec![]);
-            // Plain-valued batches (no filter matrix) lease the plain pool
-            // only.
+            // Plain-valued batches (no filter matrix) run the plain
+            // workspace only.
             let exec = &eng.exec;
-            let stashed = (
-                exec.plain().stashed(),
-                exec.fused().stashed(),
-                exec.pattern().stashed(),
-            );
-            assert_eq!(stashed, (1, 0, 0), "round {round}");
+            let plain = exec.plain().heap_bytes();
+            let others = (exec.fused().heap_bytes(), exec.pattern().heap_bytes());
+            assert!(plain > 0, "round {round}");
+            assert_eq!(others, (0, 0), "round {round}");
             heaps.push(exec.heap_bytes());
         }
         (after_init, heaps)
@@ -145,7 +140,7 @@ fn engine_exec_pools_persist_across_batches() {
     for (after_init, heaps) in &out.results {
         assert!(
             *after_init > 0,
-            "initial SUMMA must leave pooled capacity behind"
+            "initial SUMMA must leave workspace capacity behind"
         );
         // Capacities may still grow while batches discover their high-water
         // marks, but must never exceed a small multiple of the first batch
@@ -154,7 +149,7 @@ fn engine_exec_pools_persist_across_batches() {
         let last = *heaps.last().unwrap();
         assert!(
             last <= heaps[0].max(*after_init) * 2,
-            "session pools regrew per batch: init={after_init} heaps={heaps:?}"
+            "session workspaces regrew per batch: init={after_init} heaps={heaps:?}"
         );
     }
 }
