@@ -276,8 +276,8 @@ impl<S: Semiring> AnalyticsSession<S> {
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
         let mut sp =
             dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
-        // One redistribution builds both layouts: the natural one feeds the
-        // views and `A += A*`, the transposed one the round roots.
+        // One redistribution builds both blocks: the natural one feeds the
+        // views and `A += A*`, the root one the round roots.
         let star = build_update_matrix_pair_in::<S>(
             &self.grid,
             self.a.info().layout(),

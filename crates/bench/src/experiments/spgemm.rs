@@ -86,6 +86,7 @@ pub fn ours_algebraic(
         let hidden = || comm.comm_stats().per_rank[comm.rank()].overlapped_ns;
         let hidden_before = hidden();
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
+        let exec = Exec::new();
         let mut costs = Vec::new();
         for _ in 0..batches {
             let batch = unit_batch(&mut draws, edges);
@@ -98,7 +99,7 @@ pub fn ours_algebraic(
                     None,
                     batch.clone(),
                     vec![],
-                    &Exec::new(),
+                    &exec,
                     &mut timer,
                 )
             });
@@ -287,6 +288,7 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
         let mut a: DistMat<f64> = DistMat::empty(&grid, n, n);
         let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
+        let exec = Exec::new();
         let mut costs = Vec::new();
         for round in 0..batches as u64 {
             let mut upd = GeneralUpdates::new();
@@ -300,7 +302,7 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
                     &mut f,
                     upd.clone(),
                     GeneralUpdates::new(),
-                    &Exec::new(),
+                    &exec,
                     &mut timer,
                 )
             });
@@ -433,13 +435,12 @@ pub fn fig11(cfg: &Config) -> Table {
             format_bytes(m.crit_bytes),
         ]);
     }
-    t.note("time per non-zero should fall with p (paper Fig. 11); on a 2-core host the local component saturates — see EXPERIMENTS.md");
+    t.note("time per non-zero should fall with p (paper Fig. 11); on a 2-core host the local component saturates — see DESIGN.md, \"One worker per rank\"");
     t
 }
 
 /// The phases every Algorithm-1 batch records — the rows of Fig. 12.
-const FIG12_PHASES: [&str; 6] = [
-    phase::TRANSPOSE_LOCAL,
+const FIG12_PHASES: [&str; 5] = [
     phase::BCAST,
     phase::LOCAL_MULT,
     phase::SCATTER,

@@ -14,7 +14,7 @@ use dspgemm_graph::Edge;
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::Triple;
 use dspgemm_util::hash::mix_pair;
-use dspgemm_util::stats::{geometric_mean, PhaseTimer};
+use dspgemm_util::stats::PhaseTimer;
 use std::time::Duration;
 
 /// Per-batch-size defaults (per rank), scaled down from the paper's
@@ -387,21 +387,6 @@ pub fn fig8(cfg: &Config, weak: bool) -> Table {
         t.note("paper reaches 10.85x on 16 nodes (Fig. 8a)");
     }
     t
-}
-
-/// Geometric-mean speedup of ours vs CombBLAS across instances at one batch
-/// size (helper for EXPERIMENTS.md summaries).
-pub fn speedup_summary(cfg: &Config, mode: Mode, batch_size: usize) -> f64 {
-    let instances = prepare_instances(cfg);
-    let rels: Vec<f64> = instances
-        .iter()
-        .map(|inst| {
-            let o = ours_mean_batch(cfg, inst, mode, batch_size, cfg.p).0;
-            let c = combblas_mean_batch(cfg, inst, mode, batch_size);
-            c.as_secs_f64() / o.as_secs_f64()
-        })
-        .collect();
-    geometric_mean(&rels)
 }
 
 #[cfg(test)]

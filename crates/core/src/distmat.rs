@@ -546,9 +546,7 @@ impl<V: Elem> DistMat<V> {
 /// type of update matrices `A*`, `B*` after redistribution.
 ///
 /// The block is held in an `Arc`: update matrices are immutable after
-/// redistribution, and Algorithm 1/2 feed them to transpose exchanges and
-/// broadcast rounds — [`DistDcsr::block_shared`] hands those collectives the
-/// payload without a deep clone.
+/// redistribution, so a clone shares the block instead of copying it.
 #[derive(Debug, Clone)]
 pub struct DistDcsr<V> {
     info: BlockInfo,
@@ -590,13 +588,6 @@ impl<V: Elem> DistDcsr<V> {
     #[inline]
     pub fn block(&self) -> &Dcsr<V> {
         &self.block
-    }
-
-    /// The local block as a shared handle for the zero-copy collectives —
-    /// a refcount increment, never a copy of the block.
-    #[inline]
-    pub fn block_shared(&self) -> Arc<Dcsr<V>> {
-        Arc::clone(&self.block)
     }
 
     /// Local non-zero count.

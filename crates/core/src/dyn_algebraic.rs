@@ -28,12 +28,11 @@
 //! SUMMA's `O((nnz(A)+nnz(B'))/√p)` — the whole point of the paper.
 //!
 //! **Virtual transposition (Section V-C).** Step 1's exchange never runs.
-//! The batch's one redistribution carries every update matrix in two lanes —
-//! the tuples in natural layout (the local `A += A*` application needs it)
-//! and the flipped tuples under the transposed layout (a [`StarPair`]) — so
-//! every rank's transposed-layout block already **is** its
-//! transposed-position block, just transposed. A purely local counting-sort
-//! transposition recovers the broadcast payload bit-for-bit, no
+//! The batch's one redistribution carries every update matrix in two lanes
+//! (a [`StarPair`]): a natural lane builds this rank's own block, which the
+//! local `A += A*` application needs, and a root lane routes the flipped
+//! tuples under the transposed layout, so rank `(i, j)` receives exactly the
+//! entries of `A*_{j,i}` and assembles them as the broadcast payload. No
 //! point-to-point byte moves, and an Algorithm-1 batch sends one two-phase
 //! `ALLTOALLV` pair however many operands it updates
 //! (`tests/comm_volume.rs` asserts both).
@@ -101,8 +100,8 @@ impl<S: Semiring> XYKernel<S> for Pattern {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransposeMode {
     /// Virtual transposition (Section V-C): every update matrix is also
-    /// built in transposed layout, so every round root recovers its
-    /// broadcast payload by a purely local transposition of its own block.
+    /// built as its round roots' blocks, so no round root fetches its
+    /// broadcast payload.
     #[default]
     Virtual,
 }
@@ -110,7 +109,7 @@ pub enum TransposeMode {
 /// A [`StarPair`] under the name `benchmark/src/api.rs` builds it with.
 /// Adapter-frozen; the workspace passes [`StarPair`]s.
 pub enum StarBuild<V: Elem> {
-    /// Natural + transposed layouts of one update matrix.
+    /// The natural and the round-root blocks of one update matrix.
     Virtual(StarPair<V>),
 }
 
@@ -126,7 +125,7 @@ impl<V: Elem> StarBuild<V> {
     }
 }
 
-/// Builds both layouts of both operands' update matrices under
+/// Builds both blocks of both operands' update matrices under
 /// [`phase::SCATTER`] — four lanes of one redistribution. Update operands
 /// route under the layout, possibly rebalanced, of the matrix they patch.
 /// Collective.
@@ -147,40 +146,20 @@ fn build_star_operands<S: Semiring>(
     })
 }
 
-/// The block Algorithm 1's round roots broadcast (`A*_{j,i}` at rank
-/// `(i, j)`), recovered from the transposed-layout build `star_t`
-/// (`(A*_{j,i})ᵀ` at rank `(i, j)`): this rank's own block already *is* the
-/// transposed-position block in transposed form, and a local
-/// counting-sort transposition ([`Dcsr::transpose_into`] through the
-/// session's [`Exec`]) recovers the payload bit-for-bit under
-/// [`phase::TRANSPOSE_LOCAL`] (Section V-C). Local-only.
-fn transpose_star<S: Semiring>(
-    star_t: &DistDcsr<S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> Arc<Dcsr<S::Elem>> {
-    let _sp =
-        dspgemm_obs::span("engine", "transpose_virtual").attr("nnz", star_t.local_nnz() as u64);
-    timer.time(phase::TRANSPOSE_LOCAL, || {
-        let mut ws = exec.transpose_ws();
-        Arc::new(star_t.block().transpose_into(&mut ws))
-    })
-}
-
-/// The operands of one `C*` computation, their update matrices in
-/// transposed layout ([`StarPair::transposed`]).
+/// The operands of one `C*` computation, with the blocks their round roots
+/// broadcast ([`StarPair::root`]).
 pub(crate) enum Operands<'m, V: Elem> {
     /// `C = A·B`: each operand has its own update matrix.
     Pair {
         a: &'m mut DistMat<V>,
         b: &'m mut DistMat<V>,
-        a_star_t: &'m DistDcsr<V>,
-        b_star_t: &'m DistDcsr<V>,
+        a_root: &'m Arc<Dcsr<V>>,
+        b_root: &'m Arc<Dcsr<V>>,
     },
     /// `C = A·A`: one stored matrix and one update matrix serve both sides.
     Shared {
         a: &'m mut DistMat<V>,
-        star_t: &'m DistDcsr<V>,
+        root: &'m Arc<Dcsr<V>>,
     },
 }
 
@@ -204,41 +183,33 @@ impl<V: Elem> Operands<'_, V> {
 /// The broadcast payloads of the X and Y passes.
 type Payloads<V> = (Option<Arc<Dcsr<V>>>, Option<Arc<Dcsr<V>>>);
 
-/// Step 1 of [`compute_cstar`]: the round roots recover their
-/// transposed-position blocks locally. A globally empty update matrix
+/// Step 1 of [`compute_cstar`]: the round roots' broadcast payloads, as
+/// the batch's redistribution built them. A globally empty update matrix
 /// contributes nothing to Eq. 1, so its pass gets no payload and is skipped
 /// whole — decided from the allreduced global nnz, so all ranks agree. This
 /// is the common case in the paper's Fig. 9 protocol, where `B` is static.
-fn star_payloads<S: Semiring>(
-    grid: &Grid,
-    ops: &Operands<'_, S::Elem>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> Payloads<S::Elem> {
+fn star_payloads<V: Elem>(grid: &Grid, ops: &Operands<'_, V>) -> Payloads<V> {
     match ops {
-        Operands::Pair {
-            a_star_t, b_star_t, ..
-        } => {
-            let [a_nnz, b_nnz] = grid.world().allreduce(
-                [a_star_t.local_nnz() as u64, b_star_t.local_nnz() as u64],
-                |x, y| [x[0] + y[0], x[1] + y[1]],
-            );
-            let x = (a_nnz != 0).then(|| transpose_star(a_star_t, exec, timer));
-            let y = (b_nnz != 0).then(|| transpose_star(b_star_t, exec, timer));
+        Operands::Pair { a_root, b_root, .. } => {
+            let [a_nnz, b_nnz] = grid
+                .world()
+                .allreduce([a_root.nnz() as u64, b_root.nnz() as u64], |x, y| {
+                    [x[0] + y[0], x[1] + y[1]]
+                });
+            let x = (a_nnz != 0).then(|| Arc::clone(a_root));
+            let y = (b_nnz != 0).then(|| Arc::clone(b_root));
             (x, y)
         }
-        Operands::Shared { a, star_t } => {
+        Operands::Shared { a, root } => {
             assert_eq!(
                 a.info().nrows,
                 a.info().ncols,
                 "shared-operand dynamic SpGEMM maintains a square product C = A·A"
             );
-            // One transposition serves both passes: rank (i,j) recovers
-            // A*_{j,i}, the X payload of row i and the Y payload of column j.
-            let nnz = grid
-                .world()
-                .allreduce(star_t.local_nnz() as u64, |x, y| x + y);
-            let star = (nnz != 0).then(|| transpose_star(star_t, exec, timer));
+            // One block serves both passes: rank (i,j) holds A*_{j,i}, the
+            // X payload of row i and the Y payload of column j.
+            let nnz = grid.world().allreduce(root.nnz() as u64, |x, y| x + y);
+            let star = (nnz != 0).then(|| Arc::clone(root));
             (star.clone(), star)
         }
     }
@@ -354,7 +325,7 @@ fn y_pass<S: Semiring, K: XYKernel<S>>(
 /// count — the one round body of both Algorithm-1 shapes and of
 /// `COMPUTE_PATTERN`. Collective over the grid.
 ///
-/// 1. The round roots recover their broadcast payloads ([`star_payloads`]).
+/// 1. The round roots take their broadcast payloads ([`star_payloads`]).
 /// 2. The Y pass against the old `A`.
 /// 3. `apply` turns the operands into `A'` (and `B'`) in place, under
 ///    [`phase::LOCAL_UPDATE`].
@@ -367,7 +338,7 @@ pub(crate) fn compute_cstar<'m, S: Semiring, K: XYKernel<S>>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
-    let (x_star, y_star) = star_payloads(grid, &ops, exec, timer);
+    let (x_star, y_star) = star_payloads(grid, &ops);
     let mut flops = 0u64;
     let y =
         y_star.and_then(|star| y_pass::<S, K>(grid, ops.left(), &star, exec, timer, &mut flops));
@@ -463,8 +434,8 @@ pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
     let ops = Operands::Pair {
         a,
         b,
-        a_star_t: &a_star.transposed,
-        b_star_t: &b_star.transposed,
+        a_root: &a_star.root,
+        b_root: &b_star.root,
     };
     let apply = |ops: &mut Operands<S::Elem>| {
         let Operands::Pair { a, b, .. } = ops else {
@@ -526,7 +497,7 @@ pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
     let ops = Operands::Shared {
         a,
-        star_t: &star.transposed,
+        root: &star.root,
     };
     let apply = |ops: &mut Operands<S::Elem>| {
         let Operands::Shared { a, .. } = ops else {

@@ -26,7 +26,7 @@ use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
 use crate::phase;
-use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup};
+use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup, Lane};
 use dspgemm_sparse::dhb::DhbRow;
 use dspgemm_sparse::local_mm::{Bloom, Pattern};
 use dspgemm_sparse::ops::extract_filtered;
@@ -66,32 +66,30 @@ impl<V: Elem> GeneralUpdates<V> {
 }
 
 /// The update matrices of one operand of a general update: the MERGE matrix
-/// (sets), the MASK matrix (deletes) and the combined structural pattern
-/// `A*` in both layouts. Produced by [`prepare_general_update_in`]; holding
-/// it lets one redistribution feed several consumers (the analytics
-/// session's shared-batch contract).
+/// (sets), the MASK matrix (deletes), the combined structural pattern `A*`
+/// and the block of it this rank broadcasts as a round root. Produced by
+/// [`prepare_general_update_in`]; holding it lets one redistribution feed
+/// several consumers (the analytics session's shared-batch contract).
 pub struct PreparedGeneral<V> {
     /// Redistributed `sets` as a hypersparse MERGE matrix.
     pub set_mat: DistDcsr<V>,
     /// Redistributed `deletes` as a hypersparse MASK matrix.
     pub del_mat: DistDcsr<V>,
-    /// Structural union of both — the `A*` of `COMPUTE_PATTERN`.
+    /// Structural union of both — the `A*` of `COMPUTE_PATTERN`, the
+    /// semiring zero at every position (the pattern kernel reads no value).
     pub star: DistDcsr<V>,
-    /// `star` built in transposed layout (flipped tuples under the
-    /// transposed layout): `COMPUTE_PATTERN`'s round roots recover their
-    /// blocks from it by local transposition (Section V-C).
-    pub star_t: DistDcsr<V>,
+    /// The block of `star` `COMPUTE_PATTERN`'s round roots broadcast
+    /// (`A*_{j,i}` at rank `(i, j)`, Section V-C).
+    pub star_root: Arc<Dcsr<V>>,
 }
 
 /// Builds the update matrices of `N` operands' general-update batches from
 /// one redistribution — three lanes per operand: sets, deletes, and the
-/// flipped combined pattern. Collective over the grid.
+/// root lane of the combined pattern. Collective over the grid.
 ///
-/// Ordering the flipped stream deletes-first (zero values), then sets, and
-/// deduplicating [`Dedup::LastWins`] reproduces the natural star's values
-/// exactly — a position covered by any set keeps the last set value, a
-/// delete-only position keeps the semiring zero — so the transposed build is
-/// the natural star's exact transpose.
+/// The pattern holds the semiring zero at every position, so its duplicates
+/// fold to the same value in whatever order they arrive, and the root block
+/// is the natural star's block at the transposed position, entry for entry.
 fn prepare_general_operands<S: Semiring, const N: usize>(
     grid: &Grid,
     operands: [(&Arc<Layout>, GeneralUpdates<S::Elem>); N],
@@ -100,34 +98,35 @@ fn prepare_general_operands<S: Semiring, const N: usize>(
     let layouts = operands.each_ref().map(|&(layout, _)| layout);
     let mut lanes = Vec::with_capacity(3 * N);
     for (layout, upd) in operands {
-        let mut flipped: Vec<Triple<S::Elem>> = upd
-            .deletes
-            .iter()
-            .map(|&(r, c)| Triple::new(c, r, S::zero()))
-            .collect();
-        flipped.extend(upd.sets.iter().map(|t| Triple::new(t.col, t.row, t.val)));
-        let del_tuples = upd
+        let del_tuples: Vec<Triple<S::Elem>> = upd
             .deletes
             .iter()
             .map(|&(r, c)| Triple::new(r, c, S::zero()))
             .collect();
-        lanes.push((Arc::clone(layout), upd.sets));
-        lanes.push((Arc::clone(layout), del_tuples));
-        lanes.push((layout.transposed(), flipped));
+        let set_pattern = upd
+            .sets
+            .iter()
+            .map(|t| Triple::new(t.row, t.col, S::zero()));
+        let pattern = del_tuples.iter().copied().chain(set_pattern).collect();
+        lanes.push(Lane::Natural(Arc::clone(layout), upd.sets));
+        lanes.push(Lane::Natural(Arc::clone(layout), del_tuples));
+        lanes.push(Lane::Root(Arc::clone(layout), pattern));
     }
     let mut built = build_update_matrices_in::<S>(grid, lanes, Dedup::LastWins, timer).into_iter();
     let mut next = || built.next().expect("three matrices per operand");
     layouts.map(|layout| {
-        let (set_mat, del_mat, star_t) = (next(), next(), next());
+        let (set_mat, del_mat) = (next().into_natural(), next().into_natural());
+        let star_root = next().into_root();
         // A* = sets ∪ deletes structurally (deletions "add a structural
         // non-zero to A* to indicate that the corresponding entries have
         // changed").
-        let star_block = Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a);
+        let star_block =
+            Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a).map(|_| S::zero());
         PreparedGeneral {
             star: DistDcsr::from_block_in(grid, layout, star_block),
             set_mat,
             del_mat,
-            star_t,
+            star_root,
         }
     })
 }
@@ -272,8 +271,8 @@ pub fn apply_general_updates_exec<S: Semiring>(
     let ops = Operands::Pair {
         a,
         b,
-        a_star_t: &a_ops.star_t,
-        b_star_t: &b_ops.star_t,
+        a_root: &a_ops.star_root,
+        b_root: &b_ops.star_root,
     };
     let apply = |ops: &mut Operands<S::Elem>| {
         let Operands::Pair { a, b, .. } = ops else {
@@ -377,7 +376,7 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
     // --- COMPUTE_PATTERN around the in-place update A → A'. ---
     let ops = Operands::Shared {
         a,
-        star_t: &prep.star_t,
+        root: &prep.star_root,
     };
     let apply = |ops: &mut Operands<S::Elem>| {
         let Operands::Shared { a, .. } = ops else {

@@ -6,9 +6,8 @@
 //! workspace per kernel payload, whose capacities persist across SUMMA
 //! rounds, dynamic X/Y passes (the masked recompute among them) and
 //! analytics refreshes — so the pipelined rounds of `crate::pipeline` reuse
-//! their SPA, mask and transposition scratch instead of reallocating it per
-//! round. A call's flat output buffers are not kept: they move into the
-//! `Dcsr` it returns.
+//! their SPA and mask scratch instead of reallocating it per round. A call's
+//! flat output buffers are not kept: they move into the `Dcsr` it returns.
 //!
 //! One workspace per payload because the kernel payloads differ: plain
 //! values (`S::Elem`), value+Bloom fusion (`(S::Elem, u64)`), and pattern
@@ -19,17 +18,16 @@
 //! same workspace panics.
 
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::workspace::{KernelWorkspace, TransposeWorkspace};
+use dspgemm_sparse::workspace::KernelWorkspace;
 use std::cell::{RefCell, RefMut};
 
 /// Local-kernel execution context for one semiring: one workspace per
-/// kernel payload, plus the transposition scratch.
+/// kernel payload.
 #[derive(Debug)]
 pub struct Exec<S: Semiring> {
     plain: RefCell<KernelWorkspace<S::Elem>>,
     fused: RefCell<KernelWorkspace<(S::Elem, u64)>>,
     pattern: RefCell<KernelWorkspace<u64>>,
-    transpose: RefCell<TransposeWorkspace>,
 }
 
 impl<S: Semiring> Default for Exec<S> {
@@ -45,7 +43,6 @@ impl<S: Semiring> Exec<S> {
             plain: RefCell::default(),
             fused: RefCell::default(),
             pattern: RefCell::default(),
-            transpose: RefCell::default(),
         }
     }
 
@@ -64,19 +61,10 @@ impl<S: Semiring> Exec<S> {
         self.pattern.borrow_mut()
     }
 
-    /// Scratch for the virtual-transpose local step
-    /// (`Dcsr::transpose_into`).
-    pub fn transpose_ws(&self) -> RefMut<'_, TransposeWorkspace> {
-        self.transpose.borrow_mut()
-    }
-
-    /// Total heap bytes held by the four workspaces (workspace-reuse
+    /// Total heap bytes held by the three workspaces (workspace-reuse
     /// regression signal; see [`KernelWorkspace::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.plain().heap_bytes()
-            + self.fused().heap_bytes()
-            + self.pattern().heap_bytes()
-            + self.transpose_ws().heap_bytes()
+        self.plain().heap_bytes() + self.fused().heap_bytes() + self.pattern().heap_bytes()
     }
 }
 

@@ -95,7 +95,7 @@ impl Grid {
     }
 
     /// World rank of this rank's transposed position `(j, i)` — the peer of
-    /// the initial exchange in Algorithm 1.
+    /// Algorithm 2's `A^R` exchange.
     #[inline]
     pub fn transpose_rank(&self) -> usize {
         self.rank_of(self.j, self.i)

@@ -279,11 +279,6 @@ impl<V> RecoveryState<V> {
         }
     }
 
-    /// The configured tuning knobs.
-    pub fn config(&self) -> RecoveryConfig {
-        self.cfg
-    }
-
     /// Published-epoch counter of the newest own anchor.
     pub fn anchor_published(&self) -> u64 {
         self.newest.published

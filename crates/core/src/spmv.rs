@@ -15,8 +15,8 @@
 //!   of `n/√p`-element messages), leaving `y` **row-aligned**: rank `(i, j)`
 //!   holds `y[rows(i)]`, replicated across each grid row;
 //! * chaining multiplications (`A^k x`) re-aligns `y` back to column
-//!   alignment with the same transpose `sendrecv` exchange Algorithm 1 uses
-//!   for its update blocks: segment `b` of a row-aligned vector lives on the
+//!   alignment with the same transpose `sendrecv` exchange Algorithm 2 uses
+//!   for `A^R`: segment `b` of a row-aligned vector lives on the
 //!   ranks of grid row `b`, so peer `(j, i)` holds exactly the segment rank
 //!   `(i, j)` needs next.
 //!

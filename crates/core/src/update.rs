@@ -5,10 +5,11 @@
 //! 1. ranks hold arbitrary update tuples with global indices;
 //! 2. [`build_update_matrix`] redistributes them (two-phase counting-sort
 //!    alltoall) and assembles this rank's block of the hypersparse update
-//!    matrix `A*` in DCSR layout — every update matrix one batch needs
-//!    (both layouts of `A*` and `B*`, see [`StarPair`]) is a lane of the same
-//!    exchange ([`crate::redistribute::redistribute_lanes_in`]), so a batch
-//!    pays for one redistribution;
+//!    matrix `A*` in DCSR layout — every block one batch needs (this rank's
+//!    own blocks of `A*` and `B*` and the blocks its round roots broadcast,
+//!    see [`StarPair`]) is a lane of the same exchange
+//!    ([`crate::redistribute::redistribute_lanes_in`]), so a batch pays for
+//!    one redistribution;
 //! 3. one of the *purely local* application operators finishes the job —
 //!    [`apply_add`] (`A += A*`), [`apply_merge`] (`MERGE`), or
 //!    [`apply_mask`] (`MASK`) — each one pass over the update's stored
@@ -38,59 +39,115 @@ pub enum Dedup {
     Add,
 }
 
-/// Assembles this rank's hypersparse block from its already-routed,
-/// globally-indexed tuples (the purely local tail of
-/// [`build_update_matrix`]).
-fn assemble_update_block<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    mine: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> DistDcsr<S::Elem> {
-    timer.time(phase::LOCAL_CONSTRUCT, || {
-        let info = crate::distmat::BlockInfo::for_rank_in(grid, layout);
-        let mut local: Vec<Triple<S::Elem>> = mine
-            .into_iter()
-            .map(|t| {
-                let (lr, lc) = info.to_local(t.row, t.col);
-                Triple::new(lr, lc, t.val)
-            })
-            .collect();
-        dspgemm_sparse::triple::sort_row_major(&mut local);
-        match dedup {
-            Dedup::LastWins => dspgemm_sparse::triple::dedup_last_wins(&mut local),
-            Dedup::Add => dspgemm_sparse::triple::dedup_add::<S>(&mut local),
-        }
-        let block = Dcsr::from_sorted_triples(info.local_rows(), info.local_cols(), &local);
-        DistDcsr::from_block_in(grid, layout, block)
-    })
+/// One lane of a batch's build: the unflipped, globally-indexed tuples of
+/// one update matrix and the layout of the matrix it applies to (update
+/// matrices always match that layout, possibly rebalanced). The kind of lane
+/// fixes which block it builds at rank `(i, j)`.
+pub(crate) enum Lane<V> {
+    /// This rank's own block `A*_{i,j}` — what the local application reads.
+    Natural(Arc<Layout>, Vec<Triple<V>>),
+    /// The round root's block `A*_{j,i}` (Section V-C): the tuples route
+    /// flipped `(r, c, v) → (c, r, v)` under [`Layout::transposed`], so rank
+    /// `(i, j)` receives exactly the entries of `A*_{j,i}`, and assemble
+    /// flipped back, in natural orientation.
+    Root(Arc<Layout>, Vec<Triple<V>>),
 }
 
-/// One lane of a batch's build: the tuples of one update matrix and the
-/// layout they route and assemble under — update matrices always match the
-/// (possibly rebalanced) layout of the matrix they apply to.
-pub(crate) type Lane<V> = (Arc<Layout>, Vec<Triple<V>>);
+/// What one [`Lane`] builds.
+pub(crate) enum Built<V> {
+    Natural(DistDcsr<V>),
+    Root(Arc<Dcsr<V>>),
+}
+
+impl<V> Built<V> {
+    pub(crate) fn into_natural(self) -> DistDcsr<V> {
+        match self {
+            Built::Natural(m) => m,
+            Built::Root(_) => unreachable!("a root lane builds no DistDcsr"),
+        }
+    }
+
+    pub(crate) fn into_root(self) -> Arc<Dcsr<V>> {
+        match self {
+            Built::Root(block) => block,
+            Built::Natural(_) => unreachable!("a natural lane builds no root block"),
+        }
+    }
+}
 
 /// Builds one update matrix per lane from a single redistribution (see
 /// [`redistribute_lanes_in`]), duplicates combining by `dedup` in every
 /// lane. Collective over the grid.
+///
+/// Each lane's received tuples become block-local coordinates, are sorted
+/// row-major and folded. The radix sort is stable, so duplicates fold in
+/// arrival order, and a lane arrives in the order a redistribution of it
+/// alone returns: a root block equals the transposed rank's natural block
+/// bit for bit.
 pub(crate) fn build_update_matrices_in<S: Semiring>(
     grid: &Grid,
     lanes: Vec<Lane<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
-) -> Vec<DistDcsr<S::Elem>> {
+) -> Vec<Built<S::Elem>> {
+    let updates = lanes.iter().map(|lane| match lane {
+        Lane::Natural(_, t) | Lane::Root(_, t) => t.len() as u64,
+    });
     let _sp = dspgemm_obs::span("engine", "redistribute")
         .attr("lanes", lanes.len() as u64)
-        .attr("updates", lanes.iter().map(|(_, t)| t.len() as u64).sum());
-    let (layouts, tuples): (Vec<Arc<Layout>>, Vec<_>) = lanes.into_iter().unzip();
-    let routes: Vec<&Layout> = layouts.iter().map(|l| &**l).collect();
+        .attr("updates", updates.sum());
+    let mut routes = Vec::with_capacity(lanes.len());
+    let mut heads = Vec::with_capacity(lanes.len());
+    let mut tuples = Vec::with_capacity(lanes.len());
+    for lane in lanes {
+        let (route, head, t) = match lane {
+            Lane::Natural(layout, t) => (Arc::clone(&layout), (layout, false), t),
+            Lane::Root(layout, t) => {
+                let flipped = t.into_iter().map(|t| Triple::new(t.col, t.row, t.val));
+                (layout.transposed(), (layout, true), flipped.collect())
+            }
+        };
+        routes.push(route);
+        heads.push(head);
+        tuples.push(t);
+    }
+    let routes: Vec<&Layout> = routes.iter().map(|l| &**l).collect();
     let routed = redistribute_lanes_in(grid, &routes, tuples, timer);
-    layouts
-        .iter()
+    let (i, j) = grid.coords();
+    heads
+        .into_iter()
         .zip(routed)
-        .map(|(layout, mine)| assemble_update_block::<S>(grid, layout, mine, dedup, timer))
+        .map(|((layout, root), mine)| {
+            timer.time(phase::LOCAL_CONSTRUCT, || {
+                // A root lane's `(c, r, v)` is the entry `(r, c)` of
+                // `A*_{j,i}`: a row of grid row `j`, a column of grid column
+                // `i`.
+                let (rows, cols) = if root {
+                    (layout.row_range(j), layout.col_range(i))
+                } else {
+                    (layout.row_range(i), layout.col_range(j))
+                };
+                let mut local: Vec<Triple<S::Elem>> = mine
+                    .into_iter()
+                    .map(|t| {
+                        let (r, c) = if root { (t.col, t.row) } else { (t.row, t.col) };
+                        Triple::new(r - rows.start, c - cols.start, t.val)
+                    })
+                    .collect();
+                dspgemm_sparse::triple::sort_row_major(&mut local);
+                match dedup {
+                    Dedup::LastWins => dspgemm_sparse::triple::dedup_last_wins(&mut local),
+                    Dedup::Add => dspgemm_sparse::triple::dedup_add::<S>(&mut local),
+                }
+                let (nrows, ncols) = (rows.end - rows.start, cols.end - cols.start);
+                let block = Dcsr::from_sorted_triples(nrows, ncols, &local);
+                if root {
+                    Built::Root(Arc::new(block))
+                } else {
+                    Built::Natural(DistDcsr::from_block_in(grid, &layout, block))
+                }
+            })
+        })
         .collect()
 }
 
@@ -122,64 +179,57 @@ pub fn build_update_matrix_in<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> DistDcsr<S::Elem> {
-    let lane = (Arc::clone(layout), tuples);
+    let lane = Lane::Natural(Arc::clone(layout), tuples);
     let mut built = build_update_matrices_in::<S>(grid, vec![lane], dedup, timer);
-    built.pop().expect("one lane in, one matrix out")
+    built
+        .pop()
+        .expect("one lane in, one matrix out")
+        .into_natural()
 }
 
-/// The natural- and transposed-layout builds of one update matrix — what
-/// the virtual-transposition rounds of Section V-C consume.
+/// The two builds of one update matrix that Algorithm 1 consumes.
 ///
 /// `natural` is the standard `A*` (rank `(i, j)` holds `A*_{i,j}`; the
-/// local `A += A*` application needs this layout). `transposed` is
-/// `(A*)ᵀ` built by routing the *flipped* tuples as a second lane of the
-/// same redistribution, under [`Layout::transposed`], so rank `(i, j)` holds
-/// `(A*_{j,i})ᵀ` — exactly the block it would have received from its
-/// transposed peer in Algorithm 1's point-to-point exchange (Fig. 1a),
-/// already transposed. A purely local counting-sort transposition
-/// ([`Dcsr::transpose_into`]) recovers the broadcast payload `A*_{j,i}`
-/// bit-for-bit, and that exchange never runs.
+/// local `A += A*` application needs this layout). `root` is the block a
+/// round root broadcasts (Section V-C): rank `(i, j)` holds `A*_{j,i}`, the
+/// block the paper fetches from the transposed peer with a point-to-point
+/// exchange (Fig. 1a). It is a root lane of the same redistribution, so
+/// that exchange never runs.
 #[derive(Debug, Clone)]
 pub struct StarPair<V> {
     /// The natural-layout update matrix (`A*_{i,j}` at rank `(i, j)`).
     pub natural: DistDcsr<V>,
-    /// The transposed-layout build (`(A*_{j,i})ᵀ` at rank `(i, j)`).
-    pub transposed: DistDcsr<V>,
+    /// The round root's block (`A*_{j,i}` at rank `(i, j)`).
+    pub root: Arc<Dcsr<V>>,
 }
 
-/// Builds both layouts of `N` update matrices — one per `(layout, tuples)`
-/// operand — from a single redistribution of `2·N` lanes. Collective over
-/// the grid.
+/// One operand of a pair build: the layout of the matrix its update matrix
+/// applies to, and the update's unflipped, globally-indexed tuples.
+pub(crate) type Operand<V> = (Arc<Layout>, Vec<Triple<V>>);
+
+/// Builds both blocks of `N` update matrices — one per [`Operand`] — from a
+/// single redistribution of `2·N` lanes, a natural and a root lane per
+/// operand. Collective over the grid.
 pub(crate) fn build_star_pairs_in<S: Semiring, const N: usize>(
     grid: &Grid,
-    operands: [Lane<S::Elem>; N],
+    operands: [Operand<S::Elem>; N],
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> [StarPair<S::Elem>; N] {
     let mut lanes = Vec::with_capacity(2 * N);
     for (layout, tuples) in operands {
-        // Flip (r, c, v) → (c, r, v) *before* routing: the transposed
-        // layout is an ordinary update-matrix build of the flipped entry
-        // set. Stable sorting + dedup then reproduce the exact values of
-        // the natural build (same input order, same fold order), so the two
-        // layouts are exact transposes of each other entry-for-entry.
-        let flipped = tuples
-            .iter()
-            .map(|t| Triple::new(t.col, t.row, t.val))
-            .collect();
-        let transposed = layout.transposed();
-        lanes.push((layout, tuples));
-        lanes.push((transposed, flipped));
+        lanes.push(Lane::Natural(Arc::clone(&layout), tuples.clone()));
+        lanes.push(Lane::Root(layout, tuples));
     }
     let mut built = build_update_matrices_in::<S>(grid, lanes, dedup, timer).into_iter();
     let mut next = || built.next().expect("two matrices per operand");
     std::array::from_fn(|_| StarPair {
-        natural: next(),
-        transposed: next(),
+        natural: next().into_natural(),
+        root: next().into_root(),
     })
 }
 
-/// Builds both layouts of one update matrix (see [`StarPair`]) under an
+/// Builds both blocks of one update matrix (see [`StarPair`]) under an
 /// explicit layout. Collective over the grid.
 pub fn build_update_matrix_pair_in<S: Semiring>(
     grid: &Grid,
@@ -517,5 +567,96 @@ mod tests {
         assert_eq!(out.results[0].0, 1);
         assert_eq!(out.results[3].0, 1);
         assert_eq!(out.results[1].0 + out.results[2].0, 0);
+    }
+
+    /// Layouts on a `q × q` grid, `q ∈ {2, 3}`: uniform `N × N`, rebalanced
+    /// square cuts of `N × N`, and a non-square matrix whose row and column
+    /// cuts differ.
+    fn root_layouts(q: usize) -> [Arc<Layout>; 3] {
+        let skewed = match q {
+            2 => vec![0, 7, N],
+            _ => vec![0, 3, 5, N],
+        };
+        let (rows, cols) = match q {
+            2 => (vec![0, 17, 19], vec![0, 2, 31]),
+            _ => (vec![0, 3, 5, 30], vec![0, 11, 11, 14]),
+        };
+        [
+            uniform_layout(N, N, q),
+            Arc::new(Layout::square(skewed)),
+            Arc::new(Layout::from_cuts(rows, cols)),
+        ]
+    }
+
+    /// This rank's `root` block against the natural block the transposed
+    /// rank built, bit for bit, after a `sendrecv` between the two.
+    fn assert_root_is_peer_natural(
+        grid: &Grid,
+        root: &Dcsr<f64>,
+        natural: &DistDcsr<f64>,
+        what: &str,
+    ) {
+        let peer = grid.transpose_rank();
+        let mine = Arc::new(natural.block().clone());
+        let theirs: Arc<Dcsr<f64>> = if peer == grid.world().rank() {
+            mine
+        } else {
+            grid.world().sendrecv(peer, mine, peer, 7)
+        };
+        assert_eq!(
+            root.map(f64::to_bits),
+            theirs.map(f64::to_bits),
+            "{what}: rank {} root block differs from rank {peer}'s natural block",
+            grid.world().rank()
+        );
+    }
+
+    /// A root lane builds at rank `(i, j)` exactly the natural build's block
+    /// at `(j, i)`: for a `Dedup::Add` batch whose repeated coordinates fold
+    /// non-integer values (so a different fold order shows in the bits), and
+    /// for a general batch whose sets and deletes overlap.
+    #[test]
+    fn root_block_is_the_transposed_ranks_natural_block() {
+        use crate::dyn_general::{prepare_general_update_in, GeneralUpdates};
+        use dspgemm_sparse::semiring::F64Plus;
+        for p in [4usize, 9] {
+            run(p, move |comm| {
+                let grid = Grid::new(comm);
+                let mut timer = PhaseTimer::new();
+                let seed = 1000 * p as u64 + comm.rank() as u64;
+                for layout in root_layouts(grid.q()) {
+                    let (nrows, ncols) = (layout.nrows(), layout.ncols());
+                    let mut rng = SplitMix64::new(seed);
+                    let mut draw = |count: usize| -> Vec<Triple<f64>> {
+                        (0..count)
+                            .map(|_| {
+                                let r = rng.gen_range(nrows as u64 / 4) as Index;
+                                let c = rng.gen_range(ncols as u64 / 4) as Index;
+                                let v = (rng.gen_range(1000) + 1) as f64 / 7.0;
+                                Triple::new(4 * r, 4 * c, v)
+                            })
+                            .collect()
+                    };
+                    let add = draw(120);
+                    let pair = build_update_matrix_pair_in::<F64Plus>(
+                        &grid,
+                        &layout,
+                        add,
+                        Dedup::Add,
+                        &mut timer,
+                    );
+                    assert_root_is_peer_natural(&grid, &pair.root, &pair.natural, "add");
+
+                    let sets = draw(60);
+                    let mut deletes: Vec<(Index, Index)> =
+                        draw(40).iter().map(|t| (t.row, t.col)).collect();
+                    deletes.extend(sets.iter().step_by(3).map(|t| (t.row, t.col)));
+                    let upd = GeneralUpdates { sets, deletes };
+                    let prep =
+                        prepare_general_update_in::<F64Plus>(&grid, &layout, upd, &mut timer);
+                    assert_root_is_peer_natural(&grid, &prep.star_root, &prep.star, "general");
+                }
+            });
+        }
     }
 }

@@ -72,12 +72,6 @@ impl Comm {
         self.members.len()
     }
 
-    /// World rank of group member `group_rank`.
-    #[inline]
-    pub fn world_rank_of(&self, group_rank: usize) -> usize {
-        self.members[group_rank]
-    }
-
     fn next_coll_tag(&self, round: u64) -> Tag {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq + 1);
@@ -152,7 +146,7 @@ impl Comm {
     }
 
     /// Combined send-to-`dst` / receive-from-`src` (deadlock-free, like
-    /// `MPI_Sendrecv`). Used for Algorithm 1's transpose exchange, where
+    /// `MPI_Sendrecv`). Used for Algorithm 2's `A^R` exchange, where
     /// process `(i, j)` swaps blocks with process `(j, i)`.
     ///
     /// Implemented in prepost-irecv form: the receive is posted before the

@@ -13,7 +13,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CommCategory {
-    /// Point-to-point sends (e.g. the transpose exchange in Algorithm 1).
+    /// Point-to-point sends (e.g. the `A^R` exchange in Algorithm 2).
     P2p = 0,
     /// Broadcast trees (SUMMA and Algorithm 1/2 block broadcasts).
     Bcast = 1,

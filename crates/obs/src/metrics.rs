@@ -352,15 +352,6 @@ impl Registry {
         self.observe(name, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Merges a whole local histogram into histogram `name`.
-    pub fn merge_histogram(&self, name: &str, h: &Histogram) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
-    }
-
     /// A copy of histogram `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.lock().histograms.get(name).cloned()

@@ -21,7 +21,6 @@
 
 use crate::semiring::Semiring;
 use crate::triple::{self, Triple};
-use crate::workspace::TransposeWorkspace;
 use crate::{Index, RowScan};
 use dspgemm_util::wire::{decode_elems, encode_elems, put_varint};
 use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSink};
@@ -254,67 +253,6 @@ impl<V: Copy> Dcsr<V> {
             cols: self.cols.clone(),
             vals: self.vals.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// The transposed matrix in canonical (row-major sorted, duplicate-free)
-    /// form, through a reusable [`TransposeWorkspace`] (counting sort by
-    /// column; `O(nnz + ncols)` — the `O(ncols)` cursor scratch is reused,
-    /// so a per-round virtual transposition allocates its output only).
-    ///
-    /// Canonicality is the bit-identity lemma of the virtual-transposition
-    /// path: the output's stored rows are the input's distinct columns in
-    /// ascending order, entries within each output row follow the input's
-    /// ascending row order, and the input is duplicate-free — so the result
-    /// equals `Dcsr::from_sorted_triples` over the flipped entry set,
-    /// exactly what a physically exchanged transposed block would contain.
-    pub fn transpose_into(&self, ws: &mut TransposeWorkspace) -> Dcsr<V> {
-        let n_out = self.ncols as usize;
-        let counts = &mut ws.counts;
-        counts.clear();
-        counts.resize(n_out, 0);
-        for &c in &self.cols {
-            counts[c as usize] += 1;
-        }
-        let mut rows = Vec::new();
-        let mut row_ptr = vec![0];
-        // Compact the counts into the stored-row list and turn them into
-        // per-column start cursors in the same pass.
-        let mut cum = 0usize;
-        for (c, count) in counts.iter_mut().enumerate() {
-            let k = *count;
-            if k > 0 {
-                rows.push(c as Index);
-                cum += k;
-                row_ptr.push(cum);
-            }
-            *count = cum - k;
-        }
-        let mut cols = vec![0; self.nnz()];
-        // Fill with placeholder then overwrite by position.
-        let mut vals = self.vals.clone();
-        for (r, rcols, rvals) in self.iter_rows() {
-            for (&c, &v) in rcols.iter().zip(rvals) {
-                let pos = counts[c as usize];
-                cols[pos] = r;
-                vals[pos] = v;
-                counts[c as usize] += 1;
-            }
-        }
-        let m = Dcsr {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            rows,
-            row_ptr,
-            cols,
-            vals,
-        };
-        debug_assert_eq!(m.validate(), Ok(()));
-        m
-    }
-
-    /// [`Dcsr::transpose_into`] with a throwaway workspace.
-    pub fn transpose(&self) -> Dcsr<V> {
-        self.transpose_into(&mut TransposeWorkspace::new())
     }
 
     /// Merges two DCSR matrices, combining coinciding entries with `combine`.
@@ -662,50 +600,6 @@ mod tests {
         let m = Dcsr::from_triples::<U64Plus>(10, 10, vec![t(3, 3, 1), t(3, 3, 2)]);
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.to_triples(), vec![t(3, 3, 3)]);
-    }
-
-    #[test]
-    fn transpose_matches_canonical_flipped_build() {
-        // The bit-identity lemma of the virtual-transposition path: a local
-        // counting-sort transpose of a canonical block equals the canonical
-        // build over the flipped entry set (what a physically exchanged
-        // transposed block would contain).
-        let m = sample();
-        let mut flipped: Vec<Triple<u64>> = m
-            .to_triples()
-            .into_iter()
-            .map(|t| Triple::new(t.col, t.row, t.val))
-            .collect();
-        triple::sort_row_major(&mut flipped);
-        let reference = Dcsr::from_sorted_triples(1000, 1000, &flipped);
-        assert_eq!(m.transpose(), reference);
-    }
-
-    #[test]
-    fn transpose_involution_and_reuse() {
-        let m = sample();
-        assert_eq!(m.transpose().transpose(), m);
-        let e: Dcsr<u64> = Dcsr::empty(7, 3);
-        assert_eq!(e.transpose().nrows(), 3);
-        assert_eq!(e.transpose().nnz(), 0);
-        // Reuse cycle: the cursor scratch must not regrow.
-        let mut ws = TransposeWorkspace::new();
-        m.transpose_into(&mut ws);
-        let steady = ws.heap_bytes();
-        assert!(steady > 0);
-        for _ in 0..3 {
-            assert_eq!(m.transpose_into(&mut ws), m.transpose());
-            assert_eq!(ws.heap_bytes(), steady, "workspace heap must not regrow");
-        }
-    }
-
-    #[test]
-    fn transpose_non_square_shapes() {
-        let m = Dcsr::from_triples::<U64Plus>(4, 9, vec![t(0, 8, 1), t(3, 0, 2), t(3, 8, 3)]);
-        let tr = m.transpose();
-        assert_eq!((tr.nrows(), tr.ncols()), (9, 4));
-        assert_eq!(tr.to_triples(), vec![t(0, 3, 2), t(8, 0, 1), t(8, 3, 3)]);
-        tr.validate().unwrap();
     }
 
     #[test]

@@ -232,32 +232,6 @@ impl<A: Copy> Default for KernelWorkspace<A> {
     }
 }
 
-/// Reusable scratch for counting-sort transposition
-/// ([`crate::Dcsr::transpose_into`]).
-///
-/// Transposition needs an `O(ncols)` counter/cursor array; under the
-/// virtual-transposition round structure that is one allocation per round.
-/// This workspace keeps the scratch across calls, so steady-state
-/// transposes allocate their output only.
-#[derive(Debug, Default)]
-pub struct TransposeWorkspace {
-    /// Per-output-row counter/cursor scratch (regrown lazily, never shrunk).
-    pub(crate) counts: Vec<usize>,
-}
-
-impl TransposeWorkspace {
-    /// A fresh workspace with no heap behind it yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes of heap currently held (capacity-based) — the
-    /// monotone-then-flat signal of the transpose-reuse regression tests.
-    pub fn heap_bytes(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
