@@ -9,13 +9,12 @@
 
 use crate::message::{Payload, Tag};
 use crate::network::Endpoint;
-use crate::request::{self, ProgressEntry, RankIo, Request};
+use crate::request::{RankIo, Request};
 use crate::stats::CommCategory;
 use dspgemm_util::hash::mix64;
 use dspgemm_util::{decode_from_slice, encode_to_vec, WireBytes, WireDecode, WireSize};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// A communicator: an ordered group of ranks with isolated message matching,
@@ -98,23 +97,28 @@ impl Comm {
         ep.send_envelope(dst_world, self.comm_id, tag, payload, category, bytes);
     }
 
-    fn recv_internal<T: Send + WireDecode + 'static>(&self, src: usize, tag: Tag) -> T {
-        self.recv_internal_with(src, tag, true)
-    }
-
-    /// `expose = false` skips exposed-time metering: used by pure
-    /// synchronization (the barrier), whose waiting is load-imbalance skew
-    /// rather than communication cost.
-    fn recv_internal_with<T: Send + WireDecode + 'static>(
+    /// The one receive: a request for one `T` from group rank `src` under
+    /// `tag` (see `request`'s "One receive path").
+    fn recv_request<T: Send + WireDecode + 'static>(
         &self,
         src: usize,
         tag: Tag,
-        expose: bool,
-    ) -> T {
-        let src_world = self.members[src];
-        let (boxed, _sent_at, _blocked) =
-            request::recv_match(&self.io, src_world, self.comm_id, tag, expose);
-        downcast_payload(boxed, src, tag)
+        what: &'static str,
+    ) -> Request<T> {
+        Request::recv(
+            self.io.clone(),
+            vec![(self.members[src], self.comm_id, tag)],
+            Box::new(move |mut payloads| {
+                downcast_payload(payloads.pop().expect("one part"), src, tag)
+            }),
+            what,
+        )
+    }
+
+    /// A collective's blocking receive step: `recv_request` plus `wait`,
+    /// metered as exposed time and traced under the collective's span.
+    fn recv_internal<T: Send + WireDecode + 'static>(&self, src: usize, tag: Tag) -> T {
+        self.recv_request(src, tag, "recv").wait_blocking(true).0
     }
 
     // ------------------------------------------------------------------
@@ -134,15 +138,12 @@ impl Comm {
     /// Blocking receive of a `T` from group rank `src` under user `tag`.
     pub fn recv<T: Send + WireDecode + 'static>(&self, src: usize, tag: u64) -> T {
         let mut sp = dspgemm_obs::span("comm", "recv");
-        let user_tag = Tag::user(tag);
-        let src_world = self.members[src];
-        let (boxed, _sent_at, blocked) =
-            request::recv_match(&self.io, src_world, self.comm_id, user_tag, true);
-        sp.set_attr(
-            "exposed_ns",
-            u64::try_from(blocked.as_nanos()).unwrap_or(u64::MAX),
-        );
-        downcast_payload(boxed, src, user_tag)
+        let (value, timing) = self
+            .recv_request(src, Tag::user(tag), "recv")
+            .wait_blocking(true);
+        let exposed = timing.exposed.as_nanos();
+        sp.set_attr("exposed_ns", u64::try_from(exposed).unwrap_or(u64::MAX));
+        value
     }
 
     /// Combined send-to-`dst` / receive-from-`src` (deadlock-free, like
@@ -190,29 +191,20 @@ impl Comm {
     /// Nonblocking receive of a `T` from group rank `src` under user `tag`.
     /// Complete with [`Request::wait`]; poll with [`Request::test`].
     pub fn irecv<T: Send + WireDecode + 'static>(&self, src: usize, tag: u64) -> Request<T> {
-        let src_world = self.members[src];
-        let user_tag = Tag::user(tag);
-        Request::from_parts(
-            self.io.clone(),
-            vec![(src_world, self.comm_id, user_tag)],
-            Box::new(move |mut payloads| {
-                downcast_payload(payloads.pop().expect("one part"), src, user_tag)
-            }),
-            "irecv",
-        )
+        self.recv_request(src, Tag::user(tag), "irecv")
     }
 
     /// Nonblocking zero-copy broadcast over the binomial tree of
     /// [`Comm::bcast_shared`] (which is this call plus `wait`): issued
     /// immediately and completed later.
     ///
-    /// The root performs its tree sends at issue. A non-root registers an
-    /// arrival action with the rank's progress engine: when the parent's
-    /// envelope is drained — inside *any* blocking or polling call on this
-    /// rank, not just this request's `wait` — the payload is forwarded to
-    /// the subtree children and the request becomes ready. This is what
-    /// lets a pipelined schedule keep round `k + 1`'s panels flowing while
-    /// every rank is busy multiplying round `k`.
+    /// The root performs its tree sends at issue. A non-root issues the one
+    /// receive, from its parent, with a `finish` that forwards: when the
+    /// parent's envelope is drained — inside *any* blocking or polling call
+    /// on this rank, not just this request's `wait` — the payload is
+    /// forwarded to the subtree children and the request becomes ready.
+    /// This is what lets a pipelined schedule keep round `k + 1`'s panels
+    /// flowing while every rank is busy multiplying round `k`.
     pub fn ibcast_shared<T: Send + Sync + WireSize + WireDecode + 'static>(
         &self,
         root: usize,
@@ -265,34 +257,16 @@ impl Comm {
         };
         assert!(value.is_none(), "non-root rank passed a broadcast value");
         let parent_rank = (parent_vrank + root) % p;
-        let parent_world = self.members[parent_rank];
-        let slot = Rc::new(RefCell::new(None));
-        let action_slot = Rc::clone(&slot);
-        let action = Box::new(
-            move |boxed: Box<dyn Any + Send>, sent_at: std::time::Instant| {
-                let v: T = downcast_payload(boxed, parent_rank, tag);
+        Request::recv(
+            self.io.clone(),
+            vec![(self.members[parent_rank], self.comm_id, tag)],
+            Box::new(move |mut payloads| {
+                let v: T = downcast_payload(payloads.pop().expect("one part"), parent_rank, tag);
                 forward(&v);
-                *action_slot.borrow_mut() = Some((v, sent_at));
-            },
-        );
-        // The parent's envelope may already be buffered (a peer ran ahead
-        // while this rank was blocked elsewhere): consume it now, otherwise
-        // register for arrival.
-        let buffered = self
-            .io
-            .endpoint
-            .borrow_mut()
-            .take_pending(parent_world, self.comm_id, tag);
-        match buffered {
-            Some((payload, sent_at)) => action(payload, sent_at),
-            None => self.io.progress.borrow_mut().register(ProgressEntry {
-                src_world: parent_world,
-                comm_id: self.comm_id,
-                tag,
-                action,
+                v
             }),
-        }
-        Request::from_slot(self.io.clone(), slot, what)
+            what,
+        )
     }
 
     /// Nonblocking personalized all-to-all, the one exchange body
@@ -325,7 +299,7 @@ impl Comm {
             .iter()
             .map(|&s| (self.members[s], self.comm_id, tag))
             .collect();
-        Request::from_parts(
+        Request::recv(
             self.io.clone(),
             parts,
             Box::new(move |payloads| {
@@ -362,7 +336,8 @@ impl Comm {
             let src = (self.my_rank + p - k) % p;
             let tag = Self::coll_tag(base, round);
             self.send_internal(dst, tag, (), CommCategory::Barrier, 0);
-            let () = self.recv_internal_with(src, tag, false);
+            self.recv_request::<()>(src, tag, "barrier")
+                .wait_blocking(false);
             k <<= 1;
             round += 1;
         }
@@ -715,8 +690,8 @@ impl Comm {
 
     /// Advances this rank into the next recovery epoch after a detected
     /// failure: purges buffered traffic of aborted rounds, clears the
-    /// progress engine (pending actions and posted receives of the aborted
-    /// round must never fire again), and resets this communicator's
+    /// progress engine (arrival actions registered by the aborted round
+    /// must never fire again), and resets this communicator's
     /// collective sequence so post-recovery collectives match across ranks
     /// that aborted at different points. **Local**; every rank of the job
     /// must call it (followed by a barrier) before communicating again, and

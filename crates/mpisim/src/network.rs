@@ -67,9 +67,9 @@ impl Network {
 
 /// A single rank's connection to the network.
 ///
-/// The endpoint only moves envelopes; *matching policy* (direct receives,
-/// the nonblocking progress engine) lives in `comm`/`request`, which drive
-/// the primitives below so that every blocking drain can advance pending
+/// The endpoint only moves envelopes; *matching policy* (the one receive
+/// path and its progress engine) lives in `request`, which drives the
+/// primitives below so that every blocking drain can advance pending
 /// collectives.
 pub(crate) struct Endpoint {
     pub(crate) rank: usize,
@@ -384,9 +384,9 @@ impl Endpoint {
         }
     }
 
-    /// Takes an already-buffered envelope matching `(src, comm, tag)` in
-    /// the current epoch, if one arrived out of order earlier. Returns the
-    /// payload and the moment the sender made it available.
+    /// Takes the oldest buffered envelope matching `(src, comm, tag)` in
+    /// the current epoch, if one arrived before its receive was issued.
+    /// Returns the payload and the moment the sender made it available.
     pub(crate) fn take_pending(
         &mut self,
         src_world: usize,
@@ -405,9 +405,8 @@ impl Endpoint {
         }
     }
 
-    /// Buffers an envelope that matched neither the caller's receive nor a
-    /// registered progress action (preserves MPI's non-overtaking guarantee
-    /// per (source, comm, tag)).
+    /// Buffers an envelope that matched no registered arrival action
+    /// (preserves MPI's non-overtaking guarantee per (source, comm, tag)).
     pub(crate) fn buffer(&mut self, env: Envelope) {
         self.pending.push(env);
     }

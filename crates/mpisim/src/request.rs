@@ -8,20 +8,33 @@
 //! registered), the rank computes, and the operation is *completed* later
 //! with [`Request::wait`] (or polled with [`Request::test`]).
 //!
+//! ## One receive path
+//!
+//! Every receive — `irecv`, each source of `ialltoallv`, a non-root's
+//! `ibcast` and the blocking receives inside `recv` and the collectives —
+//! is one [`Request`] built by one constructor. Each `(source,
+//! communicator, tag)` part is taken from the endpoint buffer at issue, or
+//! else registered as an *arrival action* in the rank's [`ProgressTable`];
+//! the last part to arrive runs the request's `finish`, which fills its
+//! slot. A blocking receive is that request plus `wait`.
+//!
+//! An arrival is buffered only when no action for its key is registered,
+//! and the table fires the first action registered for a key, so receives
+//! that share a key match in post order, as MPI requires.
+//!
 //! ## The progress engine
 //!
 //! Tree-shaped collectives need third-party forwarding: in a binomial
 //! broadcast an interior rank must re-send its parent's payload to its
 //! children, even if that rank is currently blocked in an unrelated
-//! operation. Each rank therefore keeps a [`ProgressTable`] of pending
-//! *arrival actions* (keyed by `(source, communicator, tag)`); **every**
-//! drain of the inbox — blocking receives, `wait`, `test`, barriers,
-//! reductions — routes non-matching envelopes through the table, running
-//! forwarding actions as a side effect. This mirrors MPI's guarantee that
-//! progress happens inside MPI calls (there is no asynchronous progress
-//! thread), and it makes the pipelined schedulers deadlock-free: a rank
-//! blocked in a reduction still forwards the broadcast panels of the next
-//! round flowing through it.
+//! operation. A non-root's broadcast receive therefore has a `finish` that
+//! forwards to its children, and **every** drain of the inbox — `wait`,
+//! `test`, blocking receives, barriers, reductions — routes envelopes
+//! through the table, running whatever action they complete. This mirrors
+//! MPI's guarantee that progress happens inside MPI calls (there is no
+//! asynchronous progress thread), and it makes the pipelined schedulers
+//! deadlock-free: a rank blocked in a reduction still forwards the
+//! broadcast panels of the next round flowing through it.
 //!
 //! ## Time attribution
 //!
@@ -33,8 +46,9 @@
 //! local compute): `overlapped = max(0, (available - issue) - blocked)`.
 //! Post-arrival compute is **not** communication and is never counted.
 //! Both sides accumulate per rank in the meter ([`crate::CommStats`]).
-//! Blocking receives record pure exposed time, a blocking collective is its
-//! request waited at once, and barrier synchronization waits are excluded
+//! Blocking receives record pure exposed time (nothing overlaps a receive
+//! waited at issue), a blocking collective is its request waited at once,
+//! and barrier synchronization waits are excluded
 //! (skew, not communication) — so the delta of two snapshots quantifies
 //! exactly how much communication a pipelined schedule hid, the
 //! `repro overlap` report's metric.
@@ -55,33 +69,29 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// One registered arrival action: when an envelope matching the key is
-/// drained, the action runs (forwarding tree edges, filling the request's
-/// result slot) instead of the envelope being buffered.
-pub(crate) struct ProgressEntry {
-    pub(crate) src_world: usize,
-    pub(crate) comm_id: u64,
-    pub(crate) tag: Tag,
+/// drained, the action runs (filling its receive's part, and forwarding
+/// tree edges once the receive is whole) instead of the envelope being
+/// buffered.
+struct ProgressEntry {
+    src_world: usize,
+    comm_id: u64,
+    tag: Tag,
     /// Runs on arrival with the payload and its availability stamp.
-    pub(crate) action: Box<dyn FnOnce(Box<dyn Any + Send>, Instant)>,
+    action: Box<dyn FnOnce(Box<dyn Any + Send>, Instant)>,
 }
 
-/// The per-rank table of pending arrival actions, plus the ledger of
-/// posted nonblocking receives. Shared (via `Rc`) by all communicators and
-/// requests of one rank, exactly like the endpoint: a blocking drain on the
-/// world communicator must advance a row-communicator broadcast.
+/// The per-rank table of pending arrival actions. Shared (via `Rc`) by all
+/// communicators and requests of one rank, exactly like the endpoint: a
+/// blocking drain on the world communicator must advance a row-communicator
+/// broadcast.
 #[derive(Default)]
 pub(crate) struct ProgressTable {
     entries: Vec<ProgressEntry>,
-    /// Keys of outstanding posted receives (`irecv`/`ialltoallv` parts).
-    /// Lazy buffer matching cannot honor MPI's posted-receive ordering for
-    /// two receives with the *same* `(source, comm, tag)` key, so posting a
-    /// duplicate — or issuing a blocking receive that would race a posted
-    /// one — fails fast instead of silently delivering messages to the
-    /// wrong request.
-    posted: Vec<(usize, u64, Tag)>,
 }
 
 impl ProgressTable {
+    /// Takes the *first* registered action for the key, so receives that
+    /// share a key match in post order.
     fn take_matching(&mut self, src_world: usize, comm_id: u64, tag: Tag) -> Option<ProgressEntry> {
         let pos = self
             .entries
@@ -90,36 +100,11 @@ impl ProgressTable {
         Some(self.entries.remove(pos))
     }
 
-    pub(crate) fn register(&mut self, entry: ProgressEntry) {
-        self.entries.push(entry);
-    }
-
-    fn post_recv(&mut self, key: (usize, u64, Tag)) {
-        assert!(
-            !self.posted.contains(&key),
-            "two outstanding nonblocking receives share (source {}, tag {:?}); matching order              would be wait-order, not post-order — use distinct tags",
-            key.0,
-            key.2
-        );
-        self.posted.push(key);
-    }
-
-    fn unpost_recv(&mut self, key: (usize, u64, Tag)) {
-        if let Some(pos) = self.posted.iter().position(|k| *k == key) {
-            self.posted.remove(pos);
-        }
-    }
-
-    fn is_posted(&self, key: (usize, u64, Tag)) -> bool {
-        self.posted.contains(&key)
-    }
-
-    /// Drops every pending action and posted-receive key. Part of a
-    /// recovery epoch advance: actions registered by the aborted round
-    /// must never fire on next-epoch traffic.
+    /// Drops every pending action. Part of a recovery epoch advance:
+    /// actions registered by the aborted round must never fire on
+    /// next-epoch traffic.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
-        self.posted.clear();
     }
 }
 
@@ -148,10 +133,10 @@ impl RankIo {
     }
 }
 
-/// Routes one drained envelope: runs a matching progress action (which may
-/// forward tree edges while no endpoint borrow is held), else buffers it
-/// for a later direct receive.
-pub(crate) fn route_envelope(io: &RankIo, env: Envelope) {
+/// Routes one drained envelope: runs the first matching progress action
+/// (which may forward tree edges while no endpoint borrow is held), else
+/// buffers it for a receive issued later.
+fn route_envelope(io: &RankIo, env: Envelope) {
     // Drain screening already dropped stale-epoch traffic; an envelope from
     // a *future* epoch (a peer that finished recovering first) must wait in
     // the buffer — the actions registered here belong to the current epoch.
@@ -175,55 +160,10 @@ pub(crate) fn route_envelope(io: &RankIo, env: Envelope) {
     }
 }
 
-/// Blocking receive matching `(src_world, comm_id, tag)`, advancing the
-/// progress engine on every non-matching arrival. Returns the payload, the
-/// moment the sender made it available, and the time spent blocked on the
-/// inbox. `expose` controls whether blocked time is metered as exposed
-/// communication (false for pure-synchronization waits like barriers).
-pub(crate) fn recv_match(
-    io: &RankIo,
-    src_world: usize,
-    comm_id: u64,
-    tag: Tag,
-    expose: bool,
-) -> (Box<dyn Any + Send>, Instant, Duration) {
-    assert!(
-        !io.progress.borrow().is_posted((src_world, comm_id, tag)),
-        "blocking receive races a posted nonblocking receive for (source {src_world}, tag          {tag:?}); use distinct tags"
-    );
-    if let Some((v, sent_at)) = io
-        .endpoint
-        .borrow_mut()
-        .take_pending(src_world, comm_id, tag)
-    {
-        return (v, sent_at, Duration::ZERO);
-    }
-    let mut blocked = Duration::ZERO;
-    loop {
-        let (env, d) = io.endpoint.borrow_mut().blocking_next(expose);
-        blocked += d;
-        let epoch = io.endpoint.borrow().recovery_epoch();
-        if env.src_world == src_world
-            && env.comm_id == comm_id
-            && env.tag == tag
-            && env.epoch == epoch
-        {
-            match env.payload {
-                Payload::Value(v) => return (v, env.sent_at, blocked),
-                // `blocking_next` already handles the markers.
-                Payload::Poison | Payload::Failed { .. } => {
-                    unreachable!("markers are handled at drain")
-                }
-            }
-        }
-        route_envelope(io, env);
-    }
-}
-
 /// Drains every envelope currently in the inbox without blocking, routing
 /// each through the progress engine (the non-blocking progress pump behind
 /// [`Request::test`]).
-pub(crate) fn pump(io: &RankIo) {
+fn pump(io: &RankIo) {
     loop {
         let env = io.endpoint.borrow_mut().try_next();
         match env {
@@ -263,28 +203,44 @@ fn io_blocked_ns(io: &RankIo) -> u64 {
     io.endpoint.borrow().blocked_ns_total()
 }
 
-/// Assembles a composite request's value from its payloads in part order.
+/// Assembles a receive's value from its payloads in part order. It runs
+/// once, on the last part's arrival, so a tree broadcast's `finish` also
+/// forwards to the subtree children.
 type Finish<T> = Box<dyn FnOnce(Vec<Box<dyn Any + Send>>) -> T>;
 
-/// One pending direct receive of a composite request.
-struct PartRecv {
-    src_world: usize,
-    comm_id: u64,
-    tag: Tag,
-    got: Option<(Box<dyn Any + Send>, Instant)>,
+/// A receive's parts in flight, shared by the request and its parts'
+/// arrival actions: the payloads in part order, the latest availability
+/// stamp, the `finish` still to run and the slot it fills.
+struct Arrivals<T> {
+    payloads: Vec<Option<Box<dyn Any + Send>>>,
+    latest: Option<Instant>,
+    finish: Option<Finish<T>>,
+    slot: Option<(T, Instant)>,
 }
 
-enum State<T> {
-    /// Waiting on one or more direct receives; `finish` assembles the value
-    /// from the payloads in part order.
-    Parts {
-        parts: Vec<PartRecv>,
-        finish: Option<Finish<T>>,
-    },
-    /// Waiting on a progress action to fill the slot (tree collectives whose
-    /// arrival also forwards to children); the instant is the payload's
-    /// availability stamp.
-    Slot(Rc<RefCell<Option<(T, Instant)>>>),
+/// Files part `part` of a receive; the last part to arrive runs `finish`
+/// and fills the slot, stamped with the latest arrival. No borrow is held
+/// while `finish` runs (it may send).
+fn arrive<T>(
+    arrivals: &RefCell<Arrivals<T>>,
+    part: usize,
+    payload: Box<dyn Any + Send>,
+    sent_at: Instant,
+) {
+    let (finish, payloads, latest) = {
+        let mut a = arrivals.borrow_mut();
+        a.payloads[part] = Some(payload);
+        a.latest = a.latest.max(Some(sent_at));
+        if a.payloads.iter().any(Option::is_none) {
+            return;
+        }
+        let payloads = a.payloads.drain(..).map(|p| p.expect("every part arrived"));
+        let payloads = payloads.collect();
+        let finish = a.finish.take().expect("a receive finishes once");
+        (finish, payloads, a.latest.expect("a part arrived"))
+    };
+    let value = finish(payloads);
+    arrivals.borrow_mut().slot = Some((value, latest));
 }
 
 /// A handle to an in-flight nonblocking operation, returned by
@@ -293,10 +249,8 @@ enum State<T> {
 ///
 /// Complete it with [`Request::wait`] (blocking) or drive it with
 /// [`Request::test`] (non-blocking progress). Requests may be waited in any
-/// order; out-of-order arrivals are buffered and matched by
-/// `(source, communicator, tag)`. Two receives concurrently outstanding
-/// under the *same* key would match in wait-order rather than MPI's
-/// post-order, so posting one panics at issue — use distinct tags.
+/// order; arrivals are matched by `(source, communicator, tag)`, and
+/// receives that share a key match in post order, as in MPI.
 ///
 /// # Panics
 /// Dropping a request that has not completed panics (after one final
@@ -305,7 +259,9 @@ enum State<T> {
 /// failing rank can poison the network cleanly.
 pub struct Request<T: 'static> {
     io: RankIo,
-    state: Option<State<T>>,
+    /// The receive's parts until the request completes; `None` once it has
+    /// (or when it was ready at issue).
+    arrivals: Option<Rc<RefCell<Arrivals<T>>>>,
     /// `(value, timing)` once completed and not yet consumed.
     result: Option<(T, Overlap)>,
     issued: Instant,
@@ -315,7 +271,8 @@ pub struct Request<T: 'static> {
     blocked: Duration,
     /// Whether completion should be charged to the overlap meter (false for
     /// requests that were ready at issue, e.g. buffered sends and `p = 1`
-    /// short-circuits, which have no communication window).
+    /// short-circuits, which have no communication window, and for blocking
+    /// receives, which nothing overlaps).
     metered: bool,
     what: &'static str,
 }
@@ -324,7 +281,7 @@ impl<T: 'static> Request<T> {
     pub(crate) fn ready(io: RankIo, value: T, what: &'static str) -> Self {
         Self {
             io,
-            state: None,
+            arrivals: None,
             result: Some((value, Overlap::default())),
             issued: Instant::now(),
             blocked_ns_at_issue: 0,
@@ -334,35 +291,48 @@ impl<T: 'static> Request<T> {
         }
     }
 
-    pub(crate) fn from_parts(
+    /// The one receive: each `(source, comm, tag)` part is taken from the
+    /// buffer now or else registered as an arrival action, and the last part
+    /// to arrive runs `finish`, which fills the request's slot.
+    pub(crate) fn recv(
         io: RankIo,
         parts: Vec<(usize, u64, Tag)>,
         finish: Finish<T>,
         what: &'static str,
     ) -> Self {
         let blocked_ns_at_issue = io_blocked_ns(&io);
-        {
-            let mut progress = io.progress.borrow_mut();
-            for &key in &parts {
-                progress.post_recv(key);
+        let issued = Instant::now();
+        let arrivals = Rc::new(RefCell::new(Arrivals {
+            payloads: parts.iter().map(|_| None).collect(),
+            latest: None,
+            finish: Some(finish),
+            slot: None,
+        }));
+        for (part, (src_world, comm_id, tag)) in parts.into_iter().enumerate() {
+            let buffered = io
+                .endpoint
+                .borrow_mut()
+                .take_pending(src_world, comm_id, tag);
+            match buffered {
+                Some((payload, sent_at)) => arrive(&arrivals, part, payload, sent_at),
+                None => {
+                    let arrivals = Rc::clone(&arrivals);
+                    io.progress.borrow_mut().entries.push(ProgressEntry {
+                        src_world,
+                        comm_id,
+                        tag,
+                        action: Box::new(move |payload, sent_at| {
+                            arrive(&arrivals, part, payload, sent_at)
+                        }),
+                    });
+                }
             }
         }
         Self {
             io,
-            state: Some(State::Parts {
-                parts: parts
-                    .into_iter()
-                    .map(|(src_world, comm_id, tag)| PartRecv {
-                        src_world,
-                        comm_id,
-                        tag,
-                        got: None,
-                    })
-                    .collect(),
-                finish: Some(Box::new(finish)),
-            }),
+            arrivals: Some(arrivals),
             result: None,
-            issued: Instant::now(),
+            issued,
             blocked_ns_at_issue,
             blocked: Duration::ZERO,
             metered: true,
@@ -370,25 +340,7 @@ impl<T: 'static> Request<T> {
         }
     }
 
-    pub(crate) fn from_slot(
-        io: RankIo,
-        slot: Rc<RefCell<Option<(T, Instant)>>>,
-        what: &'static str,
-    ) -> Self {
-        let blocked_ns_at_issue = io_blocked_ns(&io);
-        Self {
-            io,
-            state: Some(State::Slot(slot)),
-            result: None,
-            issued: Instant::now(),
-            blocked_ns_at_issue,
-            blocked: Duration::ZERO,
-            metered: true,
-            what,
-        }
-    }
-
-    /// Moves an already-satisfied state into `result`, recording overlap.
+    /// Moves a filled slot into `result`, recording overlap.
     /// `available_at` is when the (last) payload became available; the
     /// communication window ends there, so local work done after arrival is
     /// never misattributed as overlapped communication. The overlapped
@@ -414,86 +366,61 @@ impl<T: 'static> Request<T> {
         self.result = Some((value, timing));
     }
 
-    /// Attempts completion without blocking: first consumes any
-    /// already-buffered arrivals, then pumps the inbox once.
+    /// Attempts completion without blocking: pumps the inbox once, then
+    /// checks whether the last part has arrived.
     fn try_complete(&mut self) -> bool {
-        if self.result.is_some() || self.state.is_none() {
+        let Some(arrivals) = &self.arrivals else {
             return true;
-        }
+        };
         pump(&self.io);
-        let state = self.state.take().expect("incomplete request has state");
-        match state {
-            State::Slot(slot) => {
-                let filled = slot.borrow_mut().take();
-                match filled {
-                    Some((v, available_at)) => {
-                        self.finalize(v, available_at);
-                        true
-                    }
-                    None => {
-                        self.state = Some(State::Slot(slot));
-                        false
-                    }
-                }
+        let filled = arrivals.borrow_mut().slot.take();
+        match filled {
+            Some((value, available_at)) => {
+                self.arrivals = None;
+                self.finalize(value, available_at);
+                true
             }
-            State::Parts { mut parts, finish } => {
-                let mut missing = 0usize;
-                for part in parts.iter_mut() {
-                    if part.got.is_none() {
-                        part.got = self.io.endpoint.borrow_mut().take_pending(
-                            part.src_world,
-                            part.comm_id,
-                            part.tag,
-                        );
-                        if part.got.is_none() {
-                            missing += 1;
-                        }
-                    }
-                }
-                if missing == 0 {
-                    {
-                        let mut progress = self.io.progress.borrow_mut();
-                        for part in &parts {
-                            progress.unpost_recv((part.src_world, part.comm_id, part.tag));
-                        }
-                    }
-                    // The window closes when the *last* payload arrived.
-                    let available_at = parts
-                        .iter()
-                        .map(|p| p.got.as_ref().expect("all parts arrived").1)
-                        .max()
-                        .expect("composite request has at least one part");
-                    let payloads = parts
-                        .into_iter()
-                        .map(|p| p.got.expect("all parts arrived").0)
-                        .collect();
-                    let finish = finish.expect("finish not yet consumed");
-                    let value = finish(payloads);
-                    self.finalize(value, available_at);
-                    true
-                } else {
-                    self.state = Some(State::Parts { parts, finish });
-                    false
-                }
-            }
+            None => false,
         }
     }
 
-    /// Blocks until every outstanding part has arrived, then finalizes.
-    fn complete_blocking(&mut self) {
-        if self.try_complete() {
-            return;
-        }
-        loop {
-            // Re-check cheap completion (a routed envelope may have filled
-            // the slot / buffered a part).
-            if self.try_complete() {
-                return;
+    /// Blocks until the last part has arrived, then finalizes. With
+    /// `expose`, blocked time is this request's exposed time and goes to
+    /// the meter; without (barrier synchronization — skew, not
+    /// communication) it is neither.
+    fn complete_blocking(&mut self, expose: bool) {
+        while !self.try_complete() {
+            let (env, d) = self.io.endpoint.borrow_mut().blocking_next(expose);
+            if expose {
+                self.blocked += d;
             }
-            let (env, d) = self.io.endpoint.borrow_mut().blocking_next(true);
-            self.blocked += d;
             route_envelope(&self.io, env);
         }
+    }
+
+    /// Takes the completed result, writing its time attribution onto the
+    /// wait span: how long this wait was exposed, and how much of the
+    /// communication window local compute covered (from the envelope
+    /// availability stamps — see "Time attribution" above).
+    fn take_result(&mut self, sp: &mut dspgemm_obs::Span) -> (T, Overlap) {
+        let (value, timing) = self.result.take().expect("completed request has a result");
+        if dspgemm_obs::enabled() {
+            let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+            sp.set_attr("window_ns", ns(timing.window));
+            sp.set_attr("exposed_ns", ns(timing.exposed));
+            sp.set_attr("overlapped_ns", ns(timing.overlapped()));
+        }
+        (value, timing)
+    }
+
+    /// Completes a receive waited as soon as it is issued — a blocking
+    /// receive, inside its caller's span. Nothing overlaps it, so it records
+    /// no overlapped time; `expose = false` keeps the wait out of the
+    /// exposed meter as well (the barrier).
+    pub(crate) fn wait_blocking(mut self, expose: bool) -> (T, Overlap) {
+        self.metered = false;
+        self.complete_blocking(expose);
+        self.result.take().expect("completed request has a result")
     }
 
     /// Advances the progress engine and reports whether the request has
@@ -513,20 +440,9 @@ impl<T: 'static> Request<T> {
     /// Like [`Request::wait`], additionally returning the request's timing
     /// split (for per-phase attribution in `PhaseTimer`-style breakdowns).
     pub fn wait_timed(mut self) -> (T, Overlap) {
-        // The wait span carries the request's full time attribution: how
-        // long this wait was exposed, and how much of the communication
-        // window local compute covered (from the envelope availability
-        // stamps — see "Time attribution" above).
         let mut sp = dspgemm_obs::span("comm", self.what);
-        self.complete_blocking();
-        let (value, timing) = self.result.take().expect("completed request has a result");
-        if dspgemm_obs::enabled() {
-            let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-            sp.set_attr("window_ns", ns(timing.window));
-            sp.set_attr("exposed_ns", ns(timing.exposed));
-            sp.set_attr("overlapped_ns", ns(timing.overlapped()));
-        }
-        (value, timing)
+        self.complete_blocking(true);
+        self.take_result(&mut sp)
     }
 
     /// Bounded-blocking completion: waits up to `timeout` for the
@@ -536,23 +452,15 @@ impl<T: 'static> Request<T> {
     /// to keep waiting — which is what lets recovery code distinguish a
     /// *slow* peer (later wait succeeds) from a *dead* one (the wait
     /// surfaces [`CommError::PeerFailed`] once the failure marker arrives).
+    /// A timed-out wait counts toward the request's exposed time, as it
+    /// does toward the meter's.
     ///
     /// On success the value is returned and the request is spent; a second
     /// call after `Ok` would find no result, so take `Ok` once.
     pub fn wait_deadline(&mut self, timeout: Duration) -> Result<(T, Overlap), CommError> {
         let mut sp = dspgemm_obs::span("comm", self.what);
         let deadline = Instant::now() + timeout;
-        loop {
-            if self.try_complete() {
-                let (value, timing) = self.result.take().expect("completed request has a result");
-                if dspgemm_obs::enabled() {
-                    let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                    sp.set_attr("window_ns", ns(timing.window));
-                    sp.set_attr("exposed_ns", ns(timing.exposed));
-                    sp.set_attr("overlapped_ns", ns(timing.overlapped()));
-                }
-                return Ok((value, timing));
-            }
+        while !self.try_complete() {
             let drained = self
                 .io
                 .endpoint
@@ -564,11 +472,15 @@ impl<T: 'static> Request<T> {
                     route_envelope(&self.io, env);
                 }
                 Err(err) => {
+                    if let CommError::Timeout { waited } = err {
+                        self.blocked += waited;
+                    }
                     sp.set_attr("timed_out", 1);
                     return Err(err);
                 }
             }
         }
+        Ok(self.take_result(&mut sp))
     }
 }
 
@@ -578,12 +490,9 @@ impl<T: 'static> Drop for Request<T> {
         if std::thread::panicking() {
             return;
         }
-        // Completed (result possibly already consumed by `wait`).
-        if self.state.is_none() {
-            return;
-        }
         // One final deterministic, non-blocking completion attempt: a request
-        // whose traffic already arrived completes and is discarded.
+        // whose traffic already arrived completes and is discarded (a
+        // completed one, its result possibly consumed, returns at once).
         if self.try_complete() {
             return;
         }

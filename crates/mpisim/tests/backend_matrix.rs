@@ -145,6 +145,31 @@ backend_matrix! {
         }
     }
 
+    same_key_receives_match_in_post_order(comm) -> (u64, u64, u64) {
+        if comm.size() == 1 {
+            return (1, 2, 3);
+        }
+        if comm.rank() == 0 {
+            for dst in 1..comm.size() {
+                for v in 1..=3u64 {
+                    comm.send(dst, 7, v);
+                }
+            }
+            (1, 2, 3)
+        } else {
+            // Two posted receives and a blocking one under one key, the
+            // second waited first: matching follows post order, not wait
+            // order.
+            let a = comm.irecv::<u64>(0, 7);
+            let b = comm.irecv::<u64>(0, 7);
+            let c: u64 = comm.recv(0, 7);
+            let b = b.wait();
+            let a = a.wait();
+            assert_eq!((a, b, c), (1, 2, 3), "same-key receives matched out of post order");
+            (a, b, c)
+        }
+    }
+
     shared_panels(comm) -> (Vec<u64>, u64) {
         let root_panel = if comm.rank() == 0 {
             Some(Arc::new((0..123u64).map(|i| i ^ 0xA5).collect::<Vec<u64>>()))

@@ -5,11 +5,13 @@
 //! count* to its blocking counterpart, across p ∈ {1, 4, 9} — the schedule
 //! moves communication time, never bytes or values. Plus the request
 //! lifecycle contracts: out-of-order wait, test-driven completion, progress
-//! while blocked in unrelated collectives, and drop-without-wait (panics or
-//! completes deterministically, never deadlocks).
+//! while blocked in unrelated collectives, drop-without-wait (panics or
+//! completes deterministically, never deadlocks), and the exposed-time
+//! split between the meter and the request.
 
-use dspgemm_mpi::{run, SimOutput};
+use dspgemm_mpi::{run, CommError, SimOutput};
 use std::sync::Arc;
+use std::time::Duration;
 
 const PS: [usize; 3] = [1, 4, 9];
 
@@ -135,8 +137,8 @@ fn out_of_order_wait_completes() {
         } else {
             let r1 = c.irecv::<u64>(0, 1);
             let r2 = c.irecv::<u64>(0, 2);
-            // Wait the later-posted request first; r1's envelope is buffered
-            // and matched when its wait runs.
+            // Wait the later-posted request first; r1's envelope fills r1 as
+            // it is drained, and r1's wait finds it done.
             let b = r2.wait();
             let a = r1.wait();
             (b - a) as usize
@@ -274,35 +276,66 @@ fn dropping_completed_request_is_fine() {
     assert!(out.results.iter().all(|&b| b));
 }
 
-#[test]
-#[should_panic(expected = "share (source")]
-fn duplicate_key_irecv_panics_at_post() {
-    run(2, |c| {
-        if c.rank() == 1 {
-            // Same (source, tag) posted twice: matching order would be
-            // wait-order, not post-order — must fail fast at issue.
-            let _r1 = c.irecv::<u64>(0, 5);
-            let _r2 = c.irecv::<u64>(0, 5);
-        } else {
-            c.send(1, 5, 1u64);
-            c.send(1, 5, 2u64);
-        }
-    });
+/// The calling rank's exposed time so far, from the meter.
+fn exposed_ns(c: &dspgemm_mpi::Comm) -> u64 {
+    c.comm_stats().per_rank[c.rank()].exposed_ns
 }
 
 #[test]
-#[should_panic(expected = "races a posted nonblocking receive")]
-fn blocking_recv_racing_posted_irecv_panics() {
-    run(2, |c| {
+fn barrier_wait_is_unexposed_and_blocking_recv_is_exposed() {
+    let out = run(2, |c| {
         if c.rank() == 1 {
-            let _r = c.irecv::<u64>(0, 6);
-            // A blocking receive under the same key would steal the posted
-            // receive's message.
-            let _: u64 = c.recv(0, 6);
+            std::thread::sleep(Duration::from_millis(60));
+            c.barrier();
+            std::thread::sleep(Duration::from_millis(60));
+            c.send(0, 3, 7u64);
+            (0, 0)
         } else {
-            c.send(1, 6, 1u64);
+            let before = exposed_ns(c);
+            c.barrier();
+            let after_barrier = exposed_ns(c);
+            let v: u64 = c.recv(1, 3);
+            assert_eq!(v, 7);
+            (after_barrier - before, exposed_ns(c) - after_barrier)
         }
     });
+    let (barrier_ns, recv_ns) = out.results[0];
+    assert_eq!(
+        barrier_ns, 0,
+        "the barrier's wait is synchronization, not communication"
+    );
+    assert!(
+        recv_ns >= 25_000_000,
+        "a blocking recv behind a 60 ms sender exposed only {recv_ns} ns"
+    );
+}
+
+#[test]
+fn timed_out_wait_counts_toward_the_request_exposed_time() {
+    let out = run(2, |c| {
+        if c.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(120));
+            c.send(0, 4, 9u64);
+            None
+        } else {
+            let before = exposed_ns(c);
+            let mut req = c.irecv::<u64>(1, 4);
+            let first = req.wait_deadline(Duration::from_millis(10));
+            assert!(
+                matches!(first, Err(CommError::Timeout { .. })),
+                "the sender is still asleep: {first:?}"
+            );
+            let (v, timing) = req.wait_timed();
+            assert_eq!(v, 9);
+            let meter = exposed_ns(c) - before;
+            Some((timing.exposed.as_nanos() as u64, meter))
+        }
+    });
+    let (request_ns, meter_ns) = out.results[0].expect("rank 0 reports");
+    assert_eq!(
+        request_ns, meter_ns,
+        "the request's exposed time and the meter's differ"
+    );
 }
 
 #[test]
