@@ -64,7 +64,7 @@ pub mod view;
 pub mod views;
 
 pub use masked_product::masked_product;
-pub use session::{observe_query, staleness_bucket, AnalyticsSession};
+pub use session::AnalyticsSession;
 pub use snapshot::SessionSnapshot;
 pub use view::{BatchDelta, FrozenView, PendingBatch, View, ViewCx, ViewId};
 pub use views::common_neighbors::ScoreReading;

@@ -30,14 +30,14 @@
 
 use crate::snapshot::SessionSnapshot;
 use crate::view::{BatchDelta, PendingBatch, View, ViewCx, ViewId};
-use dspgemm_core::distmat::{DistMat, ImageBuild};
+use dspgemm_core::distmat::DistMat;
 use dspgemm_core::dyn_algebraic::apply_shared_algebraic_prebuilt_tracked_exec;
 use dspgemm_core::dyn_general::{
     apply_shared_general_prebuilt_exec, prepare_general_update_in, GeneralUpdates,
 };
 use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
-use dspgemm_core::snapshot::{publish_attrs, record_epoch_publish, SnapshotMat, SnapshotStore};
+use dspgemm_core::snapshot::{record_epoch_publish, SnapshotMat, SnapshotStore};
 use dspgemm_core::summa::summa_bloom_exec;
 use dspgemm_core::update::{build_update_matrix_pair_in, Dedup};
 use dspgemm_mpi::Comm;
@@ -45,36 +45,6 @@ use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
-
-/// Epoch-staleness bucket label used in query-latency histogram names:
-/// `query.{kind}.stale{bucket}`. Staleness is how many epochs behind the
-/// session the answered snapshot was (`0` = served the latest epoch).
-pub fn staleness_bucket(stale: u64) -> &'static str {
-    match stale {
-        0 => "0",
-        1 => "1",
-        2..=3 => "2-3",
-        4..=7 => "4-7",
-        _ => "8plus",
-    }
-}
-
-/// Records one query's latency into the process-global metrics registry
-/// under `query.{kind}.stale{bucket}`. No-op while observability is
-/// disabled ([`dspgemm_obs::enabled`]), so the serving hot path pays one
-/// relaxed atomic load by default. Callers serving a pinned
-/// [`SessionSnapshot`] pass `stale = session_epoch - snapshot_epoch`; the
-/// session's own query API records staleness `0` (it always answers from
-/// the latest epoch).
-pub fn observe_query(kind: &str, stale: u64, latency: std::time::Duration) {
-    if !dspgemm_obs::enabled() {
-        return;
-    }
-    dspgemm_obs::global().observe_duration(
-        &format!("query.{kind}.stale{}", staleness_bucket(stale)),
-        latency,
-    );
-}
 
 /// A serving session: dynamic graph + maintained product + view registry.
 pub struct AnalyticsSession<S: Semiring> {
@@ -200,9 +170,9 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// last batch left alone is re-shared from the previous epoch, a touched
     /// one gets an image patched from the previous one — and each view
     /// freezes its current reading. SPMD callers publish in lockstep, so
-    /// epoch numbers agree on every rank. Returns how the images of `A` and
-    /// `C` were built.
-    fn publish(&mut self) -> (ImageBuild, ImageBuild) {
+    /// epoch numbers agree on every rank. The `epoch_publish` instant
+    /// records how the images of `A` and `C` were built.
+    fn publish(&mut self) {
         let (a, a_build) = SnapshotMat::publish(&mut self.a);
         let (c, c_build) = SnapshotMat::publish(&mut self.c);
         let views: Vec<_> = self
@@ -217,17 +187,6 @@ impl<S: Semiring> AnalyticsSession<S> {
             .store
             .publish_with(|epoch| SessionSnapshot::new(epoch, a, c, views));
         record_epoch_publish(snap.epoch(), self.flops, a_build, c_build);
-        (a_build, c_build)
-    }
-
-    /// Commits a batch: publishes its epoch and stamps the batch's span
-    /// with the publish attributes, so one trace shows which path the
-    /// commit took.
-    fn commit(&mut self, batch_span: &mut dspgemm_obs::Span) {
-        let (a_build, c_build) = self.publish();
-        for (key, value) in publish_attrs(a_build, c_build) {
-            batch_span.set_attr(key, value);
-        }
     }
 
     /// Pins the current epoch: an immutable `{A, C, views, epoch}` the
@@ -274,7 +233,7 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// rank), refreshing the product and every view from one shared
     /// redistribution. Collective.
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
-        let mut sp =
+        let _sp =
             dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
         // One redistribution builds both blocks: the natural one feeds the
         // views and `A += A*`, the root one the round roots.
@@ -319,14 +278,14 @@ impl<S: Semiring> AnalyticsSession<S> {
         self.views = views;
         // Commit: readers pinned at the previous epoch keep it; new queries
         // see this batch exactly.
-        self.commit(&mut sp);
+        self.publish();
     }
 
     /// Applies a batch of **general** updates (deletions and value writes
     /// incompatible with the semiring addition) via Algorithm 2, refreshing
     /// the product and every view. Collective.
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
-        let mut sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
+        let _sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
         let layout = self.a.info().layout();
         let prep = prepare_general_update_in::<S>(&self.grid, layout, upd, &mut self.timer);
         let mut views = std::mem::take(&mut self.views);
@@ -356,7 +315,7 @@ impl<S: Semiring> AnalyticsSession<S> {
         self.views = views;
         // Commit: readers pinned at the previous epoch keep it; new queries
         // see this batch exactly.
-        self.commit(&mut sp);
+        self.publish();
     }
 
     /// Deletes the given `(u, v)` positions from the graph (a general
@@ -433,17 +392,10 @@ impl<S: Semiring> AnalyticsSession<S> {
     }
 }
 
-/// Runs a session-API query under a `query` trace span and records its
-/// latency into `query.{kind}.stale0` (the session API always answers
-/// from the latest epoch). Straight call-through while observability is
-/// disabled.
+/// Runs a session-API query under a `query` trace span (staleness 0: the
+/// session API always answers from the latest epoch); the span's duration
+/// is the query's latency.
 fn timed_query<T>(kind: &'static str, f: impl FnOnce() -> T) -> T {
-    if !dspgemm_obs::enabled() {
-        return f();
-    }
     let _sp = dspgemm_obs::span("query", kind).attr("staleness", 0);
-    let t0 = std::time::Instant::now();
-    let out = f();
-    observe_query(kind, 0, t0.elapsed());
-    out
+    f()
 }

@@ -30,9 +30,6 @@
 //!   --trace-out F     enable the span tracer; write a Chrome trace_event
 //!                     JSON (chrome://tracing / Perfetto) covering every
 //!                     experiment run, then schema-validate it
-//!   --metrics-out F   enable observability; write the global metrics
-//!                     registry (counters, gauges, histogram percentiles)
-//!                     as JSON after the last experiment
 //! ```
 
 use dspgemm_bench::experiments::{
@@ -43,7 +40,7 @@ use dspgemm_bench::Config;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE] [--metrics-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -71,7 +68,6 @@ fn main() {
     let mut cfg = Config::default();
     let mut experiments: Vec<String> = Vec::new();
     let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut metrics_out: Option<std::path::PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -164,10 +160,6 @@ fn main() {
                 trace_out = Some(args.get(i + 1).map(Into::into).unwrap_or_else(|| usage()));
                 i += 1;
             }
-            "--metrics-out" => {
-                metrics_out = Some(args.get(i + 1).map(Into::into).unwrap_or_else(|| usage()));
-                i += 1;
-            }
             other if !other.starts_with("--") => experiments.push(other.to_string()),
             _ => usage(),
         }
@@ -217,10 +209,9 @@ fn main() {
     if tcp_child() {
         expanded.retain(|e| e == "transport");
     }
-    // One switch arms the whole observability layer: spans for the trace
-    // export, plus the enabled()-gated metric recordings (query-latency
-    // histograms) that feed the registry export.
-    if trace_out.is_some() || metrics_out.is_some() {
+    // One switch arms the whole observability layer: every span and
+    // instant lands in the trace export.
+    if trace_out.is_some() {
         dspgemm_obs::set_enabled(true);
     }
     if !tcp_child() {
@@ -268,38 +259,28 @@ fn main() {
             started.elapsed().as_secs_f64()
         );
     }
-    if trace_out.is_some() || metrics_out.is_some() {
+    if let Some(path) = &trace_out {
         dspgemm_obs::set_enabled(false);
         let events = dspgemm_obs::drain();
-        if let Some(path) = &trace_out {
-            if let Err(e) = dspgemm_obs::write_chrome_trace(path, &events) {
-                eprintln!("error: writing trace to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            // Self-check the export: well-formed events, monotone
-            // timestamps, matched B/E pairs.
-            match dspgemm_obs::validate_chrome_trace_file(path) {
-                Ok(s) => println!(
-                    "# trace: {} events ({} spans, {} instants, {:.1} ms) -> {}",
-                    s.events,
-                    s.spans,
-                    s.instants,
-                    s.max_ts_us / 1e3,
-                    path.display()
-                ),
-                Err(e) => {
-                    eprintln!("error: emitted trace failed validation: {e}");
-                    std::process::exit(1);
-                }
-            }
+        if let Err(e) = dspgemm_obs::write_chrome_trace(path, &events) {
+            eprintln!("error: writing trace to {}: {e}", path.display());
+            std::process::exit(1);
         }
-        if let Some(path) = &metrics_out {
-            let json = dspgemm_obs::global().snapshot().to_json();
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("error: writing metrics to {}: {e}", path.display());
+        // Self-check the export: well-formed events, monotone
+        // timestamps, matched B/E pairs.
+        match dspgemm_obs::validate_chrome_trace_file(path) {
+            Ok(s) => println!(
+                "# trace: {} events ({} spans, {} instants, {:.1} ms) -> {}",
+                s.events,
+                s.spans,
+                s.instants,
+                s.max_ts_us / 1e3,
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("error: emitted trace failed validation: {e}");
                 std::process::exit(1);
             }
-            println!("# metrics: registry snapshot -> {}", path.display());
         }
     }
 }

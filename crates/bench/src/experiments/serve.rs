@@ -27,7 +27,7 @@ use crate::measure::measured_collective;
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_analytics::{
-    observe_query, AnalyticsSession, SessionSnapshot, TriangleCountView, TriangleReading, ViewId,
+    AnalyticsSession, SessionSnapshot, TriangleCountView, TriangleReading, ViewId,
 };
 use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::summa::summa_bloom;
@@ -88,23 +88,19 @@ impl QuerySet {
     }
 
     /// Runs every query against one pinned epoch, recording each query's
-    /// modeled end-to-end latency into `lat` and into the global
-    /// `query.{kind}.stale{bucket}` histograms (`stale` = how many epochs
-    /// behind the session the pinned snapshot is). Collective.
+    /// modeled end-to-end latency into `lat`. Collective.
     fn run(
         &self,
         comm: &Comm,
         grid: &Grid,
         snap: &SessionSnapshot<U64Plus>,
         tri: ViewId,
-        stale: u64,
         lat: &mut Vec<Duration>,
     ) -> Answers {
         let mut entries = Vec::with_capacity(self.pairs.len());
         for &(u, v) in &self.pairs {
             let (ans, cost) = measured_collective(comm, || snap.product_entry(grid, u, v));
             entries.push(ans);
-            observe_query("product_entry", stale, cost.modeled());
             lat.push(cost.modeled());
         }
         let mut topk = Vec::with_capacity(self.rows.len());
@@ -112,14 +108,12 @@ impl QuerySet {
             let (ans, cost) =
                 measured_collective(comm, || snap.product_row_topk(grid, u, 8, |&v| v as f64));
             topk.push(ans);
-            observe_query("product_row_topk", stale, cost.modeled());
             lat.push(cost.modeled());
         }
         let (triangles, cost) = measured_collective(comm, || {
             snap.view_as::<TriangleReading>(tri)
                 .map(TriangleReading::count)
         });
-        observe_query("view_reading", stale, cost.modeled());
         lat.push(cost.modeled());
         Answers {
             entries,
@@ -202,12 +196,12 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
         let mut scratch = Vec::new();
         // The laggard's reference answers, recorded at pin time: every
         // later read of the held pin must reproduce them bit-identically.
-        let mut laggard_ref = queries.run(comm, session.grid(), &laggard, tri, 0, &mut scratch);
+        let mut laggard_ref = queries.run(comm, session.grid(), &laggard, tri, &mut scratch);
         scratch.clear();
         for (round, (inserts, deletes)) in schedule.into_iter().enumerate() {
             // Pin the pre-batch epoch e and record its answers.
             let pin = session.pin();
-            let before = queries.run(comm, session.grid(), &pin, tri, 0, &mut scratch);
+            let before = queries.run(comm, session.grid(), &pin, tri, &mut scratch);
             scratch.clear();
 
             // Apply the batch (epoch e + 1 commits at the end).
@@ -227,14 +221,7 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             // immediately. Blocking arm: the same service times behind the
             // remaining drain.
             let mut service = Vec::new();
-            let during = queries.run(
-                comm,
-                session.grid(),
-                &pin,
-                tri,
-                session.epoch() - pin.epoch(),
-                &mut service,
-            );
+            let during = queries.run(comm, session.grid(), &pin, tri, &mut service);
             r.isolation_ok &= during == before;
             let q_count = queries.len();
             for (i, &svc) in service.iter().enumerate() {
@@ -250,20 +237,13 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             // The laggard reader: holds its pin across a window of rounds,
             // accumulating stale distance and exercising retention — its
             // multi-round-old epoch must answer exactly as at pin time.
-            let lag = queries.run(
-                comm,
-                session.grid(),
-                &laggard,
-                tri,
-                session.epoch() - laggard.epoch(),
-                &mut scratch,
-            );
+            let lag = queries.run(comm, session.grid(), &laggard, tri, &mut scratch);
             scratch.clear();
             r.isolation_ok &= lag == laggard_ref;
             r.stale.push(session.epoch() - laggard.epoch());
             if (round as u64 + 1).is_multiple_of(LAGGARD_WINDOW) {
                 laggard = session.pin();
-                laggard_ref = queries.run(comm, session.grid(), &laggard, tri, 0, &mut scratch);
+                laggard_ref = queries.run(comm, session.grid(), &laggard, tri, &mut scratch);
                 scratch.clear();
             }
 

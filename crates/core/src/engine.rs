@@ -293,8 +293,8 @@ impl<S: Semiring> DynSpGemm<S> {
     /// layout inside their [`crate::distmat::BlockInfo`], so epoch readers
     /// stay bit-stable across the remap. Migration wire cost is metered
     /// from each rank's own alltoall byte counters (summed network-wide)
-    /// and accumulated on the session's [`Rebalancer`] plus, with
-    /// observability on, the `engine.rebalance.*` metrics.
+    /// and accumulated on the session's [`Rebalancer`]; with observability
+    /// on, the `migrated` trace instant carries it too.
     pub fn maybe_rebalance(&mut self, grid: &Grid) -> bool {
         if self.rebalancer.is_none() {
             return false;
@@ -302,18 +302,14 @@ impl<S: Semiring> DynSpGemm<S> {
         // Decide at the publish fence: the cooldown counts published epochs.
         self.snapshot();
         let epoch = self.epoch().unwrap_or(0);
-        // The load signal travels over `Comm`, never through the
-        // process-global metrics registry: it is this session's own, on any
-        // transport, whatever else runs in the process.
+        // The load signal travels over `Comm`: it is this session's own, on
+        // any transport, whatever else runs in the process.
         let mine = (self.a.local_nnz() + self.c.local_nnz()) as u64;
         let loads = grid.world().allgather(mine);
         let imb = imbalance(&loads);
         let reb = self.rebalancer.as_mut().expect("checked above");
         reb.note_decision(imb);
         let cuts = reb.decide(self.a.info().layout().row_cuts(), &loads, epoch);
-        if dspgemm_obs::enabled() {
-            dspgemm_obs::global().gauge_set("engine.rebalance.imbalance", imb);
-        }
         let Some(cuts) = cuts else { return false };
         let _sp = dspgemm_obs::span("engine", "migrate").attr("epoch", epoch);
         let new_layout = Arc::new(Layout::square(cuts));
@@ -341,11 +337,6 @@ impl<S: Semiring> DynSpGemm<S> {
         );
         let reb = self.rebalancer.as_mut().expect("checked above");
         reb.note_migration(epoch, bytes);
-        if dspgemm_obs::enabled() {
-            let reg = dspgemm_obs::global();
-            reg.counter_add("engine.rebalance.bytes", bytes);
-            reg.gauge_set("engine.rebalance.migrations", reb.migrations() as f64);
-        }
         // Re-publish under the new layout: the next epoch carries the new
         // cuts, pinned pre-migration epochs keep the old ones.
         self.dirty = true;
@@ -641,19 +632,10 @@ impl<S: Semiring> DynSpGemm<S> {
         let rollback_epochs = world.allreduce(rolled_back, |a, b| a.max(b));
         sp.set_attr("failed_rank", incident.failed as u64);
         sp.set_attr("replayed_batches", replayed_batches);
-        sp.set_attr("rollback_epochs", rollback_epochs);
         // Each rank records the allreduced, grid-agreed values.
-        if dspgemm_obs::enabled() {
-            let reg = dspgemm_obs::global();
-            reg.counter_add("engine.recovery.count", 1);
-            reg.gauge_set("engine.recovery.detect_ns", detect_ns as f64);
-            reg.gauge_set("engine.recovery.rollback_epochs", rollback_epochs as f64);
-            reg.gauge_set("engine.recovery.replayed_batches", replayed_batches as f64);
-            reg.gauge_set(
-                "engine.recovery.rebuild_bytes",
-                incident.rebuild_bytes as f64,
-            );
-        }
+        sp.set_attr("rollback_epochs", rollback_epochs);
+        sp.set_attr("detect_ns", detect_ns);
+        sp.set_attr("rebuild_bytes", incident.rebuild_bytes);
         RecoveryReport {
             failed_ranks: vec![incident.failed],
             committed_publishes: incident.p_star,
@@ -921,31 +903,5 @@ mod tests {
             eng.c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));
-    }
-
-    /// With observability off the engine writes nothing to the
-    /// process-wide metrics registry: construction, a batch and a publish
-    /// leave the per-block load gauges unset.
-    #[test]
-    fn observability_off_leaves_the_registry_alone() {
-        assert!(!dspgemm_obs::enabled());
-        let n: Index = 16;
-        run(4, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let t = if comm.rank() == 0 {
-                random_triples(8, n, 40)
-            } else {
-                vec![]
-            };
-            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-            let ups = random_triples(9 + comm.rank() as u64, n, 6);
-            eng.apply_algebraic(&grid, ups, vec![]);
-            eng.publish();
-        });
-        let reg = dspgemm_obs::global();
-        assert_eq!(reg.gauge("engine.block_nnz.a.rank0"), None);
     }
 }

@@ -13,10 +13,10 @@
 //! The *decision* must be rank-uniform (migration is collective): every rank
 //! evaluates the pure, deterministic [`Rebalancer::decide`] on the same
 //! allgathered load vector; see
-//! [`crate::engine::DynSpGemm::maybe_rebalance`]. The `engine.block_nnz.*`
-//! gauges written at every publish with observability on mirror the signal
-//! for observers and are never read back. This module holds the pure policy pieces — testable
-//! without a grid.
+//! [`crate::engine::DynSpGemm::maybe_rebalance`]. With observability on,
+//! every publish's `epoch_publish` trace instant carries the block sizes
+//! (`image_nnz_a`, `image_nnz_c`) for observers; nothing reads them back.
+//! This module holds the pure policy pieces — testable without a grid.
 
 use crate::layout::rebalance_cuts;
 use dspgemm_sparse::Index;

@@ -72,49 +72,31 @@ use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
 use std::sync::{Arc, Weak};
 
-/// The per-operand attributes of one publish of `{A, C}`: which path built
-/// each image (`patched_*` / `rebuilt_*`, both 0 when it was re-shared), how
+/// With observability on, emits the `epoch_publish` trace instant: the
+/// `epoch`, the accumulated local `flops` and, per operand, which path built
+/// the image (`patched_*` / `rebuilt_*`, both 0 when it was re-shared), how
 /// many coordinates were logged since the previous image (`touched_nnz_*`;
 /// on a rebuild, the length at which the log overflowed) and the image's
-/// entry count (`image_nnz_*`).
-pub fn publish_attrs(a: ImageBuild, c: ImageBuild) -> [(&'static str, u64); 8] {
-    let is = |build: ImageBuild, path| u64::from(build.path == path);
-    [
-        ("patched_a", is(a, ImagePath::Patched)),
-        ("rebuilt_a", is(a, ImagePath::Rebuilt)),
-        ("touched_nnz_a", a.touched_nnz as u64),
-        ("image_nnz_a", a.image_nnz as u64),
-        ("patched_c", is(c, ImagePath::Patched)),
-        ("rebuilt_c", is(c, ImagePath::Rebuilt)),
-        ("touched_nnz_c", c.touched_nnz as u64),
-        ("image_nnz_c", c.image_nnz as u64),
-    ]
-}
-
-/// With observability on, emits the `epoch_publish` trace instant —
-/// `epoch`, accumulated local `flops` and the [`publish_attrs`] — and
-/// refreshes this rank's per-block load gauges (local nnz of `A` and `C`,
-/// flops) for observers. Nothing reads the gauges back: the rebalancing
-/// policy takes its load signal over `Comm`. With observability off this is
-/// one relaxed load.
+/// entry count (`image_nnz_*`, this rank's block load). Records nothing
+/// while observability is off.
 pub fn record_epoch_publish(epoch: u64, flops: u64, a: ImageBuild, c: ImageBuild) {
-    if !dspgemm_obs::enabled() {
-        return;
-    }
-    let mut attrs = vec![("epoch", epoch), ("flops", flops)];
-    attrs.extend(publish_attrs(a, c));
-    dspgemm_obs::instant("engine", "epoch_publish", &attrs);
-    let rank = dspgemm_obs::thread_rank();
-    let reg = dspgemm_obs::global();
-    reg.gauge_set(
-        &format!("engine.block_nnz.a.rank{rank}"),
-        a.image_nnz as f64,
+    let is = |build: ImageBuild, path| u64::from(build.path == path);
+    dspgemm_obs::instant(
+        "engine",
+        "epoch_publish",
+        &[
+            ("epoch", epoch),
+            ("flops", flops),
+            ("patched_a", is(a, ImagePath::Patched)),
+            ("rebuilt_a", is(a, ImagePath::Rebuilt)),
+            ("touched_nnz_a", a.touched_nnz as u64),
+            ("image_nnz_a", a.image_nnz as u64),
+            ("patched_c", is(c, ImagePath::Patched)),
+            ("rebuilt_c", is(c, ImagePath::Rebuilt)),
+            ("touched_nnz_c", c.touched_nnz as u64),
+            ("image_nnz_c", c.image_nnz as u64),
+        ],
     );
-    reg.gauge_set(
-        &format!("engine.block_nnz.c.rank{rank}"),
-        c.image_nnz as f64,
-    );
-    reg.gauge_set(&format!("engine.block_flops.rank{rank}"), flops as f64);
 }
 
 /// One rank's immutable block of a published distributed matrix.

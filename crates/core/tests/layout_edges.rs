@@ -176,9 +176,8 @@ fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
 }
 
 /// Two sessions of one process, one balanced and one with all its load in a
-/// corner, decide concurrently. Both have published — every publish mirrors
-/// the rank loads into the same process-global gauges — before either
-/// decides, so a decision read from that registry would see the other
+/// corner, decide concurrently. Both have published before either decides,
+/// so a decision read from any process-wide state would see the other
 /// session's numbers. Each must act on the loads of its own ranks.
 #[test]
 fn concurrent_sessions_decide_on_their_own_loads() {

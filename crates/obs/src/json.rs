@@ -4,8 +4,9 @@
 //! hand-writes its JSON and the CI-facing validator
 //! ([`crate::trace::validate_chrome_trace`]) parses it with this
 //! ~150-line recursive-descent parser. It supports the full JSON grammar
-//! minus exotic number forms; it is not performance-critical (it runs once
-//! per exported trace, in tests and the CI smoke job).
+//! minus exotic number forms. Parsing is linear in the input, and nesting
+//! deeper than 128 arrays/objects is an `Err`, so any file handed to the
+//! validator yields a value or an error, never a stack overflow.
 
 use std::collections::BTreeMap;
 
@@ -86,8 +87,10 @@ impl Value {
 /// on malformed input.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -98,9 +101,17 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting [`parse`] accepts; deeper input is an
+/// error rather than a stack overflow. A chrome trace nests 4 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    /// The input; `pos` always sits on one of its char boundaries.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +140,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -138,6 +149,18 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] of them.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
@@ -187,9 +210,9 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .filter(|h| h.bytes().all(|d| d.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("malformed \\u escape"))?;
                             // Surrogate pairs are not produced by our writer;
@@ -202,11 +225,8 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always a valid boundary walk).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    // Decode one scalar: `pos` is on a char boundary.
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -298,5 +318,38 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        let body = "a".repeat(1 << 20);
+        let t0 = std::time::Instant::now();
+        let v = parse(&format!("\"{body}\"")).expect("parse");
+        assert_eq!(v.as_str(), Some(body.as_str()));
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(3),
+            "1 MiB string took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.contains("nesting"), "{err}");
+        let err = parse(&"{\"a\":".repeat(1_000)).expect_err("too deep");
+        assert!(err.contains("nesting"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn unicode_escape_needs_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u004""#).is_err());
     }
 }

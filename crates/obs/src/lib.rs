@@ -1,19 +1,20 @@
-//! # dspgemm-obs — unified tracing & metrics for the dspgemm workspace
+//! # dspgemm-obs — unified tracing for the dspgemm workspace
 //!
-//! One observability layer replaces three ad-hoc mechanisms (per-experiment
+//! One observability channel replaces three ad-hoc mechanisms (per-experiment
 //! sort-based percentiles, scattered stopwatches, hand-rolled aggregation):
 //!
 //! * **[`trace`]** — a span tracer with thread-local ring buffers recording
 //!   `(rank, phase, span, t_start, t_end, attrs)` and a Chrome
 //!   `trace_event` exporter, so any `repro` run can emit a timeline
-//!   openable in `chrome://tracing` / Perfetto. Zero-cost when disabled:
-//!   one relaxed atomic load, no clock reads, nothing recorded.
-//! * **[`metrics`]** — counters, gauges, and log-bucketed mergeable
-//!   [`Histogram`]s (no sample is ever stored or sorted) behind a named
-//!   [`Registry`]; the single source for every percentile the benchmarks
-//!   report.
+//!   openable in `chrome://tracing` / Perfetto. Spans and instants carry
+//!   every number the layer records; there is no second, process-global
+//!   metrics store. Zero-cost when disabled: one relaxed atomic load, no
+//!   clock reads, nothing recorded.
+//! * **[`metrics`]** — the log-bucketed mergeable [`Histogram`] (no sample
+//!   is ever stored or sorted), a plain value its caller owns; the single
+//!   source for every percentile the benchmarks report.
 //! * **[`json`]** — the dependency-free JSON writer/parser backing the
-//!   exporters and the chrome-trace schema validator (the workspace builds
+//!   exporter and the chrome-trace schema validator (the workspace builds
 //!   fully offline; there is no serde).
 //!
 //! This crate is deliberately **std-only with no workspace dependencies**,
@@ -27,7 +28,7 @@
 //! | phase    | spans / instants                                         |
 //! |----------|----------------------------------------------------------|
 //! | `comm`   | `send`, `recv`, `bcast`, `gather`, `allgather`, `alltoallv`, `reduce`, `barrier`; request waits `isend`, `irecv`, `ibcast`, `ibcast_shared`, `ialltoallv`; instants `simulated_crash`, `peer_failed` — attrs: `bytes`; waits `window_ns`, `exposed_ns`, `overlapped_ns`, `timed_out`; instants `rank`, `detect_ns` |
-//! | `engine` | `redistribute`, `apply_algebraic`, `apply_general`, `recompute`, `migrate`, `anchor_refresh`, `recover`; instants `epoch_publish`, `migrated` — attrs: `updates`, `lanes`, `published`, `failed_rank`, `replayed_batches`, `rollback_epochs`, `replacement`; `epoch`, `flops`, `bytes`, `moved_in`, and per operand `patched_*`, `rebuilt_*`, `touched_nnz_*`, `image_nnz_*` |
+//! | `engine` | `redistribute`, `apply_algebraic`, `apply_general`, `recompute`, `migrate`, `anchor_refresh`, `recover`; instants `epoch_publish`, `migrated` — attrs: `updates`, `lanes`, `published`, `failed_rank`, `replayed_batches`, `rollback_epochs`, `detect_ns`, `rebuild_bytes`, `replacement`; `epoch`, `flops`, `bytes`, `moved_in`, and per operand `patched_*`, `rebuilt_*`, `touched_nnz_*`, `image_nnz_*` |
 //! | `round`  | `round` (one per SUMMA/pipeline round) — attrs: `round`   |
 //! | `query`  | `adjacency_entry`, `global_nnz`, `product_entry`, `product_aggregate`, `product_row_topk` — attrs: `staleness` |
 //!
@@ -52,17 +53,9 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{Histogram, Registry, RegistrySnapshot, SUB_BITS};
+pub use metrics::{Histogram, SUB_BITS};
 pub use trace::{
     chrome_trace_json, clear_thread_rank, drain, enabled, flush_thread, instant, set_enabled,
-    set_thread_rank, span, thread_rank, validate_chrome_trace, validate_chrome_trace_file,
-    write_chrome_trace, EventKind, Span, SpanEvent, TraceSummary,
+    set_thread_rank, span, validate_chrome_trace, validate_chrome_trace_file, write_chrome_trace,
+    EventKind, Span, SpanEvent, TraceSummary,
 };
-
-/// The process-global metrics registry — what `repro --metrics-out`
-/// serialises. Library code records into local histograms and merges
-/// here at phase boundaries.
-pub fn global() -> &'static Registry {
-    static GLOBAL: Registry = Registry::new();
-    &GLOBAL
-}

@@ -1,14 +1,11 @@
-//! Metrics primitives: counters, gauges, log-bucketed histograms, and the
-//! registry that names them.
+//! The log-bucketed [`Histogram`]: the single percentile implementation
+//! for the whole workspace — no latency sample is ever stored or sorted.
 //!
-//! Everything here is *mergeable*: per-rank (or per-thread) instances can be
-//! combined after the fact by bucket-wise / entry-wise addition, so no
-//! cross-rank synchronisation is needed while measurements are taken. The
-//! [`Histogram`] is the single percentile implementation for the whole
-//! workspace — no latency sample is ever stored or sorted.
+//! Histograms are plain values that their caller owns. They are
+//! *mergeable*: per-rank (or per-thread) instances combine after the fact by
+//! bucket-wise addition, so no cross-rank synchronisation is needed while
+//! measurements are taken.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Sub-bucket resolution exponent of [`Histogram`]: each power-of-two octave
@@ -184,7 +181,7 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Non-empty `(bucket_lo, bucket_hi, count)` triples, for export.
+    /// Non-empty `(bucket_lo, bucket_hi, count)` triples.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
             .iter()
@@ -195,184 +192,6 @@ impl Histogram {
                 (lo, hi, c)
             })
             .collect()
-    }
-}
-
-/// A point-in-time copy of a [`Registry`]'s contents.
-#[derive(Debug, Default, Clone)]
-pub struct RegistrySnapshot {
-    /// Monotonic counters by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-write-wins gauges by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-impl RegistrySnapshot {
-    /// Renders the snapshot as a self-describing JSON document: counters
-    /// and gauges verbatim, histograms as summary statistics
-    /// (count/sum/min/max/mean and the standard quantiles) plus their
-    /// non-empty buckets.
-    pub fn to_json(&self) -> String {
-        use crate::json::escape;
-        let mut s = String::new();
-        s.push_str("{\n  \"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", escape(k), v));
-        }
-        s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n    \"{}\": {}", escape(k), fmt_f64(*v)));
-        }
-        s.push_str("\n  },\n  \"histograms\": {");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"mean\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \"buckets\": [",
-                escape(k),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                fmt_f64(h.mean()),
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.quantile(0.999),
-            ));
-            for (j, (lo, hi, c)) in h.nonzero_buckets().iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("[{lo},{hi},{c}]"));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("\n  }\n}\n");
-        s
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // JSON has no integer/float distinction, but keep output stable.
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-#[derive(Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A named store of counters, gauges, and histograms.
-///
-/// Interior-mutable (a mutex around three maps) so one registry can be
-/// shared by reference across a session; the hot paths of the workspace
-/// record into *local* [`Histogram`]s and merge into a
-/// registry at phase boundaries, so the lock is never taken inside a
-/// kernel or a communication round. The process-global instance behind
-/// [`crate::global`] is what `repro --metrics-out` serialises.
-#[derive(Default)]
-pub struct Registry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry").finish_non_exhaustive()
-    }
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub const fn new() -> Self {
-        Self {
-            inner: Mutex::new(RegistryInner {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Adds `v` to counter `name`.
-    pub fn counter_add(&self, name: &str, v: u64) {
-        *self.lock().counters.entry(name.to_string()).or_insert(0) += v;
-    }
-
-    /// Current value of counter `name` (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `name` to `v` (last write wins).
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        self.lock().gauges.insert(name.to_string(), v);
-    }
-
-    /// Current value of gauge `name`.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.lock().gauges.get(name).copied()
-    }
-
-    /// Records one sample into histogram `name`.
-    pub fn observe(&self, name: &str, v: u64) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
-    }
-
-    /// Records a duration (nanoseconds) into histogram `name`.
-    pub fn observe_duration(&self, name: &str, d: Duration) {
-        self.observe(name, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// A copy of histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().histograms.get(name).cloned()
-    }
-
-    /// Point-in-time copy of everything in the registry.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        let g = self.lock();
-        RegistrySnapshot {
-            counters: g.counters.clone(),
-            gauges: g.gauges.clone(),
-            histograms: g.histograms.clone(),
-        }
-    }
-
-    /// Removes all metrics (test isolation; experiment boundaries).
-    pub fn clear(&self) {
-        let mut g = self.lock();
-        g.counters.clear();
-        g.gauges.clear();
-        g.histograms.clear();
     }
 }
 
@@ -459,26 +278,5 @@ mod tests {
         for q in [0.1, 0.5, 0.99] {
             assert_eq!(merged.quantile(q), all.quantile(q));
         }
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let r = Registry::new();
-        r.counter_add("sends", 3);
-        r.counter_add("sends", 2);
-        r.gauge_set("load", 1.5);
-        r.observe("lat", 100);
-        r.observe("lat", 200);
-        assert_eq!(r.counter("sends"), 5);
-        assert_eq!(r.gauge("load"), Some(1.5));
-        let h = r.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        let snap = r.snapshot();
-        let json = snap.to_json();
-        assert!(json.contains("\"sends\": 5"));
-        assert!(json.contains("\"load\": 1.5"));
-        assert!(json.contains("\"count\": 2"));
-        r.clear();
-        assert_eq!(r.counter("sends"), 0);
     }
 }

@@ -163,8 +163,8 @@ pub fn clear_thread_rank() {
 }
 
 /// The simulated rank this thread's events are attributed to (`-1` outside
-/// any rank thread). Useful for naming per-rank metrics.
-pub fn thread_rank() -> i32 {
+/// any rank thread).
+fn thread_rank() -> i32 {
     RANK.with(|r| r.get())
 }
 

@@ -1,8 +1,9 @@
 //! Observability invariants, end to end: histogram merges must be
-//! order-insensitive across simulated ranks (so registry aggregation never
-//! depends on rank arrival order), `PhaseTimer` merges must carry every
-//! phase in first-use order, and a traced engine run must export a schema-valid Chrome trace containing
-//! the span taxonomy the docs promise.
+//! order-insensitive across simulated ranks (so a percentile never depends
+//! on rank arrival order), `PhaseTimer` merges must carry every phase in
+//! first-use order, and a traced engine run must export a schema-valid
+//! Chrome trace containing the span taxonomy the docs promise and each
+//! rank's block load.
 
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::obs::Histogram;
@@ -141,14 +142,15 @@ fn phase_timer_merge_carries_phase_and_overlap_counters() {
 /// whose events cover the documented span taxonomy: per-rank comm spans
 /// with byte counts, per-round compute spans, engine batch spans, and one
 /// `epoch_publish` instant per published epoch — all attributed to the
-/// rank threads that produced them.
+/// rank threads that produced them. The latest publish of each rank carries
+/// that rank's block load: the nnz of its `C` block and its local flops.
 #[test]
 fn traced_engine_run_exports_valid_chrome_trace() {
     let _g = tracer_lock();
     let _ = dspgemm::obs::drain(); // events from other tests are not ours
     dspgemm::obs::set_enabled(true);
     let n: Index = 24;
-    dspgemm::mpi::run(4, move |comm| {
+    let out = dspgemm::mpi::run(4, move |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let feed = |s: u64| {
@@ -163,6 +165,7 @@ fn traced_engine_run_exports_valid_chrome_trace() {
         let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
         eng.apply_algebraic(&grid, random_triples(10 + comm.rank() as u64, n, 8), vec![]);
         eng.snapshot();
+        (eng.c.local_nnz() as u64, eng.flops)
     });
     dspgemm::obs::set_enabled(false);
     let events = dspgemm::obs::drain();
@@ -186,6 +189,18 @@ fn traced_engine_run_exports_valid_chrome_trace() {
         .iter()
         .filter(|e| e.phase == "engine")
         .all(|e| (0..4).contains(&e.rank)));
+    let attr = |e: &dspgemm::obs::SpanEvent, key: &str| {
+        e.attrs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
+    };
+    for (rank, &(c_nnz, flops)) in out.results.iter().enumerate() {
+        let latest = events
+            .iter()
+            .filter(|e| e.name == "epoch_publish" && e.rank == rank as i32)
+            .max_by_key(|e| attr(e, "epoch"))
+            .expect("every rank publishes");
+        assert_eq!(attr(latest, "image_nnz_c"), Some(c_nnz), "rank {rank}");
+        assert_eq!(attr(latest, "flops"), Some(flops), "rank {rank}");
+    }
 
     let json = dspgemm::obs::chrome_trace_json(&events);
     let summary = dspgemm::obs::validate_chrome_trace(&json).expect("schema-valid trace");
