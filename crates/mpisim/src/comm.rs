@@ -1,11 +1,13 @@
 //! Communicators: point-to-point messaging and collective operations.
 //!
 //! Each collective has one body. The broadcasts share one binomial tree
-//! (parameterised by how an edge duplicates the payload) and the
-//! all-to-alls one exchange, both written in nonblocking form; the blocking
-//! `bcast` / `bcast_shared` / `alltoallv` are that form plus `wait`, so
-//! tags, tree shape, send order and metering are the same whether a caller
-//! pipelines or not.
+//! and the all-to-alls one exchange, both written in nonblocking form; the
+//! blocking `bcast` / `alltoallv` are that form plus `wait`, so tags, tree
+//! shape, send order and metering are the same whether a caller pipelines
+//! or not. Every tree edge and ring step forwards `T::clone`; the `_shared`
+//! forms are the instantiation at `Arc<T>`, where that clone is a refcount
+//! increment and the pointee needs no `Clone` bound — the type proves they
+//! never copy a payload. The only thing the network counts is [`crate::CommStats`].
 
 use crate::message::{Payload, Tag};
 use crate::network::Endpoint;
@@ -173,30 +175,14 @@ impl Comm {
     // Nonblocking operations
     // ------------------------------------------------------------------
 
-    /// Nonblocking send of `value` to group rank `dst` under user `tag`.
-    ///
-    /// Sends are buffered, so the operation completes at issue; the returned
-    /// request exists for call-site symmetry with `MPI_Isend` and must still
-    /// be waited (a no-op).
-    pub fn isend<T: Send + WireSize + 'static>(
-        &self,
-        dst: usize,
-        tag: u64,
-        value: T,
-    ) -> Request<()> {
-        self.send(dst, tag, value);
-        Request::ready(self.io.clone(), (), "isend")
-    }
-
     /// Nonblocking receive of a `T` from group rank `src` under user `tag`.
     /// Complete with [`Request::wait`]; poll with [`Request::test`].
     pub fn irecv<T: Send + WireDecode + 'static>(&self, src: usize, tag: u64) -> Request<T> {
         self.recv_request(src, Tag::user(tag), "irecv")
     }
 
-    /// Nonblocking zero-copy broadcast over the binomial tree of
-    /// [`Comm::bcast_shared`] (which is this call plus `wait`): issued
-    /// immediately and completed later.
+    /// Nonblocking zero-copy broadcast: the binomial tree of [`Comm::bcast`]
+    /// instantiated at `Arc<T>`, issued immediately and completed later.
     ///
     /// The root performs its tree sends at issue. A non-root issues the one
     /// receive, from its parent, with a `finish` that forwards: when the
@@ -210,19 +196,15 @@ impl Comm {
         root: usize,
         value: Option<Arc<T>>,
     ) -> Request<Arc<T>> {
-        self.ibcast_with(root, value, Arc::clone, "ibcast_shared")
+        self.ibcast_with(root, value, "ibcast_shared")
     }
 
-    /// The one binomial broadcast tree behind every broadcast flavor.
-    /// `duplicate` produces the copy forwarded along each tree edge — a deep
-    /// clone on the legacy path, an `Arc` refcount increment on the shared
-    /// path — so tags, edges, send order and metering cannot drift apart
-    /// between them.
-    fn ibcast_with<T: Send + WireSize + WireDecode + 'static>(
+    /// The one binomial broadcast tree: each edge forwards `v.clone()`, so
+    /// tags, edges, send order and metering are the same for every `T`.
+    fn ibcast_with<T: Clone + Send + WireSize + WireDecode + 'static>(
         &self,
         root: usize,
         value: Option<T>,
-        duplicate: impl Fn(&T) -> T + 'static,
         what: &'static str,
     ) -> Request<T> {
         let p = self.size();
@@ -245,7 +227,7 @@ impl Comm {
         let forward = move |v: &T| {
             let ep = io.endpoint.borrow();
             for &dst_world in &child_worlds {
-                let payload = pack_payload(&ep, dst_world, duplicate(v));
+                let payload = pack_payload(&ep, dst_world, v.clone());
                 let bytes = v.wire_bytes();
                 ep.send_envelope(dst_world, comm_id, tag, payload, CommCategory::Bcast, bytes);
             }
@@ -347,57 +329,39 @@ impl Comm {
     /// `O(log p)` rounds). The root passes `Some(value)`, everyone else
     /// `None`; all ranks return the value.
     ///
-    /// Each forward along the tree deep-clones the payload; the clones are
-    /// counted in the network's payload-clone meter (see
-    /// [`crate::SimOutput::payload_clones`]). Hot paths that broadcast
-    /// matrix blocks should use [`Comm::bcast_shared`] instead.
+    /// The nonblocking tree plus `wait`, under the `comm/bcast` span (none
+    /// on a single rank, where nothing is sent). Each tree edge forwards
+    /// `value.clone()`; payload-sized values should use
+    /// [`Comm::bcast_shared`], where that clone is a refcount increment.
     pub fn bcast<T: Clone + Send + WireSize + WireDecode + 'static>(
         &self,
         root: usize,
         value: Option<T>,
     ) -> T {
-        let io = self.io.clone();
-        self.bcast_with(root, value, move |v: &T| {
-            io.endpoint.borrow().record_payload_clone();
-            v.clone()
-        })
+        if self.size() == 1 {
+            return value.expect("root must supply the broadcast value");
+        }
+        let mut sp = dspgemm_obs::span("comm", "bcast");
+        let v = self.ibcast_with(root, value, "ibcast").wait();
+        if dspgemm_obs::enabled() {
+            sp.set_attr("bytes", v.wire_bytes());
+        }
+        v
     }
 
-    /// Zero-copy broadcast: identical binomial tree and metering to
-    /// [`Comm::bcast`], but the payload moves as one `Arc<T>` per receiver —
-    /// a reference-count increment instead of a deep clone. `T` needs no
-    /// `Clone` bound, which statically guarantees this collective cannot
-    /// copy the payload.
-    ///
-    /// The meter charges each tree edge the pointee's packed size, so the
-    /// recorded communication volume (the paper's Fig. 7/12 metric) is
-    /// byte-identical to the clone-based path; see `DESIGN.md` on what the
-    /// simulator meters versus what it moves.
+    /// Zero-copy broadcast: [`Comm::bcast`] instantiated at `Arc<T>`, so
+    /// each tree edge moves one handle — a refcount increment, never a deep
+    /// copy. `T` needs no `Clone` bound, which proves this call cannot copy
+    /// the payload. The meter charges each edge the pointee's packed size
+    /// ([`WireSize`] is transparent over `Arc`), the same volume a real
+    /// MPI run sends; see `DESIGN.md` on what the simulator meters versus
+    /// what it moves.
     pub fn bcast_shared<T: Send + Sync + WireSize + WireDecode + 'static>(
         &self,
         root: usize,
         value: Option<Arc<T>>,
     ) -> Arc<T> {
-        self.bcast_with(root, value, Arc::clone)
-    }
-
-    /// A blocking broadcast: the nonblocking tree plus `wait`, under the
-    /// `comm/bcast` span (none on a single rank, where nothing is sent).
-    fn bcast_with<T: Send + WireSize + WireDecode + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-        duplicate: impl Fn(&T) -> T + 'static,
-    ) -> T {
-        if self.size() == 1 {
-            return value.expect("root must supply the broadcast value");
-        }
-        let mut sp = dspgemm_obs::span("comm", "bcast");
-        let v = self.ibcast_with(root, value, duplicate, "ibcast").wait();
-        if dspgemm_obs::enabled() {
-            sp.set_attr("bytes", v.wire_bytes());
-        }
-        v
+        self.bcast(root, value)
     }
 
     /// Gathers one value per rank at `root` (group-rank order). Returns
@@ -429,33 +393,9 @@ impl Comm {
     /// all values in group-rank order (ring algorithm, `p - 1` rounds).
     ///
     /// Each ring round forwards `value.clone()`; payload-sized values should
-    /// use [`Comm::allgather_shared`], which moves `Arc` handles instead.
+    /// use [`Comm::allgather_shared`], where that clone is a refcount
+    /// increment.
     pub fn allgather<T: Clone + Send + WireSize + WireDecode + 'static>(&self, value: T) -> Vec<T> {
-        self.allgather_ring(value, T::clone)
-    }
-
-    /// Zero-copy allgather: the same ring algorithm and metering as
-    /// [`Comm::allgather`], but every forward moves one `Arc<T>` handle — a
-    /// refcount increment, never a deep clone. `T` needs no `Clone` bound,
-    /// which statically guarantees this collective cannot copy the payload.
-    /// Each ring edge is metered at the pointee's packed size, so recorded
-    /// wire volume is byte-identical to the clone-based path.
-    pub fn allgather_shared<T: Send + Sync + WireSize + WireDecode + 'static>(
-        &self,
-        value: Arc<T>,
-    ) -> Vec<Arc<T>> {
-        self.allgather_ring(value, Arc::clone)
-    }
-
-    /// The one ring behind both [`Comm::allgather`] flavors. `duplicate`
-    /// produces the copy forwarded each round — a deep clone on the legacy
-    /// path, an `Arc` refcount increment on the shared path — so tags,
-    /// rounds and metering cannot drift apart between them.
-    fn allgather_ring<T: Send + WireSize + WireDecode + 'static>(
-        &self,
-        value: T,
-        mut duplicate: impl FnMut(&T) -> T,
-    ) -> Vec<T> {
         let p = self.size();
         let base = self.next_coll_tag(0);
         let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
@@ -473,7 +413,10 @@ impl Comm {
             // that originated at (rank - r - 1).
             let send_origin = (self.my_rank + p - r) % p;
             let recv_origin = (self.my_rank + p - r - 1) % p;
-            let v = duplicate(slots[send_origin].as_ref().expect("value to forward"));
+            let v = slots[send_origin]
+                .as_ref()
+                .expect("value to forward")
+                .clone();
             let bytes = v.wire_bytes();
             sent_bytes += bytes;
             self.send_internal(right, tag, v, CommCategory::Gather, bytes);
@@ -484,6 +427,17 @@ impl Comm {
             .into_iter()
             .map(|o| o.expect("allgather slot"))
             .collect()
+    }
+
+    /// Zero-copy allgather: [`Comm::allgather`] instantiated at `Arc<T>`, so
+    /// every ring step moves one handle — a refcount increment, never a deep
+    /// copy. `T` needs no `Clone` bound, which proves this call cannot copy
+    /// the payload; each step is metered at the pointee's packed size.
+    pub fn allgather_shared<T: Send + Sync + WireSize + WireDecode + 'static>(
+        &self,
+        value: Arc<T>,
+    ) -> Vec<Arc<T>> {
+        self.allgather(value)
     }
 
     /// Personalized all-to-all: `out[dst]` is delivered to rank `dst`;
@@ -548,43 +502,19 @@ impl Comm {
         Some(acc)
     }
 
-    /// Allreduce: reduce to rank 0, then broadcast the result.
+    /// Allreduce: reduce to rank 0, then [`Comm::bcast`] the result back.
     ///
-    /// The broadcast-back leg is exempt from payload-clone counting: the
-    /// remaining hot-path uses of `allreduce` are O(1)-size control values
-    /// (global nnz agreement, elision votes), not operand payloads. Vector
-    /// aggregations that used to run through `allreduce` (SpMV segments, the
-    /// general algorithm's filter vector) use `reduce` + [`Comm::bcast_shared`].
+    /// The hot-path uses of `allreduce` are O(1)-size control values (global
+    /// nnz agreement, elision votes), not operand payloads. Vector
+    /// aggregations (SpMV segments, the general algorithm's filter vector)
+    /// use `reduce` + [`Comm::bcast_shared`].
     pub fn allreduce<T, F>(&self, value: T, op: F) -> T
     where
         T: Clone + Send + WireSize + WireDecode + 'static,
         F: FnMut(T, T) -> T,
     {
         let reduced = self.reduce(0, value, op);
-        self.bcast_with(0, reduced, T::clone)
-    }
-
-    /// Exclusive prefix "scan": rank `r` receives `op` folded over the values
-    /// of ranks `0..r`; rank 0 receives `identity`. Linear chain (used only
-    /// in setup paths, never in inner loops).
-    pub fn exscan<T, F>(&self, value: T, identity: T, mut op: F) -> T
-    where
-        T: Clone + Send + WireSize + WireDecode + 'static,
-        F: FnMut(T, T) -> T,
-    {
-        let p = self.size();
-        let tag = self.next_coll_tag(0);
-        let prefix = if self.my_rank == 0 {
-            identity
-        } else {
-            self.recv_internal(self.my_rank - 1, tag)
-        };
-        if self.my_rank + 1 < p {
-            let next = op(prefix.clone(), value);
-            let bytes = next.wire_bytes();
-            self.send_internal(self.my_rank + 1, tag, next, CommCategory::Reduce, bytes);
-        }
-        prefix
+        self.bcast(0, reduced)
     }
 
     /// Splits the communicator into sub-communicators by `color`; ranks with
@@ -681,13 +611,6 @@ impl Comm {
         self.io.endpoint.borrow().recovery_epoch()
     }
 
-    /// Network-wide count of transient send retries injected by the fault
-    /// plan (never part of [`crate::CommStats`] — retries model wasted
-    /// time, not logical wire volume).
-    pub fn transient_retries(&self) -> u64 {
-        self.io.endpoint.borrow().transient_retries_total()
-    }
-
     /// Advances this rank into the next recovery epoch after a detected
     /// failure: purges buffered traffic of aborted rounds, clears the
     /// progress engine (arrival actions registered by the aborted round
@@ -726,13 +649,6 @@ impl Comm {
     /// exact traffic of that region. Intended for benchmark instrumentation.
     pub fn comm_stats(&self) -> crate::stats::CommStats {
         self.io.endpoint.borrow().stats_snapshot()
-    }
-
-    /// Network-wide count of payload deep-clones performed by clone-based
-    /// collectives so far (the clone-counting test hook). Fenced by barriers,
-    /// the delta of two reads proves a region moved payloads zero-copy.
-    pub fn payload_clones(&self) -> u64 {
-        self.io.endpoint.borrow().payload_clones()
     }
 
     /// Duplicates the communicator with an isolated tag namespace

@@ -3,7 +3,8 @@
 //! The simulator's historical failure semantics is *fail-stop*: a panicking
 //! rank poisons every inbox and peers die in their own panics. That models
 //! "the job is lost" — useless for recovery protocols. This module adds a
-//! second, *recoverable* failure mode driven by a seeded [`FaultPlan`]:
+//! second, *recoverable* failure mode driven by a seeded [`FaultPlan`], with
+//! two fault classes:
 //!
 //! * **Crashes** — a chosen rank stops before its k-th send (absolute, or
 //!   armed mid-run via `Comm::arm_crash`), broadcasts a `Failed` marker to
@@ -15,11 +16,6 @@
 //!   sleeps a bounded jitter before delivery. Message *order between a
 //!   pair* is unchanged (channels are FIFO); only interleaving across
 //!   pairs moves, which is exactly the nondeterminism a real fabric has.
-//! * **Transient drops** — a seed-derived subset of sends is "dropped and
-//!   retried" a fixed number of times before delivering. Retries are
-//!   counted on the meter (never in [`crate::CommStats`], whose
-//!   byte-parity across arms the ablations assert) and back off
-//!   deterministically.
 //!
 //! Everything is a pure function of `(seed, rank, operation index)`, so a
 //! faulty run is exactly reproducible — the property the `repro faults`
@@ -104,20 +100,6 @@ pub struct DelaySpec {
     pub max_micros: u64,
 }
 
-/// Deterministic transient-failure schedule: selected sends are dropped
-/// and retried `retries` times (with a deterministic backoff) before the
-/// delivery that sticks. Bytes are metered once — the retries model wasted
-/// *time*, not extra application wire volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransientSpec {
-    /// Expected selection period (hash-chosen, like [`DelaySpec::every`]).
-    pub every: u64,
-    /// How many failed attempts precede the successful delivery.
-    pub retries: u32,
-    /// Sleep between attempts, in microseconds.
-    pub backoff_micros: u64,
-}
-
 /// A seeded, deterministic fault schedule for one simulated run.
 ///
 /// Build one with the fluent methods and hand it to
@@ -134,8 +116,6 @@ pub struct FaultPlan {
     pub crash: Option<(usize, u64)>,
     /// Deterministic delay jitter applied to every rank's sends.
     pub delay: Option<DelaySpec>,
-    /// Deterministic drop-then-retry schedule applied to every rank's sends.
-    pub transient: Option<TransientSpec>,
 }
 
 impl FaultPlan {
@@ -162,24 +142,6 @@ impl FaultPlan {
         self.delay = Some(DelaySpec { every, max_micros });
         self
     }
-
-    /// Adds deterministic transient send failures: roughly one in `every`
-    /// sends fails `retries` times (backing off `backoff_micros` between
-    /// attempts) before delivering.
-    pub fn transient_drops(mut self, every: u64, retries: u32, backoff_micros: u64) -> Self {
-        assert!(every >= 1);
-        self.transient = Some(TransientSpec {
-            every,
-            retries,
-            backoff_micros,
-        });
-        self
-    }
-
-    /// Whether this plan injects anything at all by itself.
-    pub fn is_empty(&self) -> bool {
-        self.crash.is_none() && self.delay.is_none() && self.transient.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +165,7 @@ mod tests {
     fn plan_builders_compose() {
         let plan = FaultPlan::new(42)
             .crash_before_send(1, 10)
-            .delay_storm(3, 50)
-            .transient_drops(5, 2, 10);
+            .delay_storm(3, 50);
         assert_eq!(plan.crash, Some((1, 10)));
         assert_eq!(
             plan.delay,
@@ -213,7 +174,5 @@ mod tests {
                 max_micros: 50
             })
         );
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new(42).is_empty());
     }
 }

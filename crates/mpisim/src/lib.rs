@@ -14,14 +14,17 @@
 //!   gather/allgather, alltoallv, reduce/allreduce, merge-reduce) with the
 //!   same call-order contract as MPI (SPMD: all ranks of a communicator call
 //!   the same collectives in the same order); nonblocking operations
-//!   (`isend`/`irecv`/`ibcast_shared`/`ialltoallv` returning [`Request`]
-//!   handles with `wait`/`test`) whose progress happens inside blocking and
-//!   polling calls, mirroring MPI's no-progress-thread model.
+//!   (`irecv`/`ibcast_shared`/`ialltoallv` returning [`Request`] handles
+//!   with `wait`/`test`; sends are buffered, so `send` already completes at
+//!   issue) whose progress happens inside blocking and polling calls,
+//!   mirroring MPI's no-progress-thread model.
 //! * **Cost structure**: message *counts* and *byte volumes* are exactly what
 //!   a real MPI run would transfer (computed via [`dspgemm_util::WireSize`]);
 //!   collective algorithms use the textbook trees (binomial bcast/reduce, ring
 //!   allgather), so latency in units of communication rounds matches the
 //!   paper's analysis (`O(sqrt(p) log p)` for the SpGEMM algorithms).
+//!   [`CommStats`] is the only thing the network counts, and both
+//!   transports report it.
 //! * **Failure behaviour**: a panicking rank poisons the network so peers
 //!   fail fast instead of deadlocking.
 //!
@@ -59,7 +62,7 @@ pub mod tcp;
 mod transport;
 
 pub use comm::Comm;
-pub use fault::{catch_comm, catch_comm_mut, CommError, DelaySpec, FaultPlan, TransientSpec};
+pub use fault::{catch_comm, catch_comm_mut, CommError, DelaySpec, FaultPlan};
 pub use message::Tag;
 pub use request::{Overlap, Request};
 pub use runtime::{run, run_with_faults, SimOutput};

@@ -55,14 +55,6 @@ impl Network {
     pub(crate) fn stats(&self) -> CommStats {
         self.meter.snapshot()
     }
-
-    pub(crate) fn payload_clones(&self) -> u64 {
-        self.meter.payload_clones()
-    }
-
-    pub(crate) fn transient_retries(&self) -> u64 {
-        self.meter.transient_retries()
-    }
 }
 
 /// A single rank's connection to the network.
@@ -147,24 +139,6 @@ impl Endpoint {
         self.meter.snapshot()
     }
 
-    /// Records one payload deep-clone by a clone-based collective.
-    #[inline]
-    pub(crate) fn record_payload_clone(&self) {
-        self.meter.record_payload_clone();
-    }
-
-    /// Network-wide payload deep-clone count so far.
-    #[inline]
-    pub(crate) fn payload_clones(&self) -> u64 {
-        self.meter.payload_clones()
-    }
-
-    /// Network-wide injected transient-retry count so far.
-    #[inline]
-    pub(crate) fn transient_retries_total(&self) -> u64 {
-        self.meter.transient_retries()
-    }
-
     /// Records compute-hidden request lifetime for this rank (the
     /// nonblocking layer's overlap attribution).
     #[inline]
@@ -240,8 +214,8 @@ impl Endpoint {
 
     /// Fault-plan hook run before every send. Order matters: a crash
     /// trigger fires *before* the send is metered or delivered ("crash
-    /// before the k-th send"), while delay/transient schedules run after
-    /// the crash check but before delivery.
+    /// before the k-th send"), while a delay storm runs after the crash
+    /// check but before delivery.
     fn inject_send_faults(&self) {
         let op = self.sends.get() + 1;
         self.sends.set(op);
@@ -254,17 +228,6 @@ impl Endpoint {
             let h = mix64(self.plan.seed ^ ((self.rank as u64) << 40) ^ op);
             if h.is_multiple_of(d.every) && d.max_micros > 0 {
                 std::thread::sleep(Duration::from_micros((h >> 32) % d.max_micros));
-            }
-        }
-        if let Some(t) = self.plan.transient {
-            let h = mix64(self.plan.seed ^ 0x7472_616e ^ ((self.rank as u64) << 40) ^ op);
-            if h.is_multiple_of(t.every) {
-                for _ in 0..t.retries {
-                    self.meter.record_transient_retry();
-                    if t.backoff_micros > 0 {
-                        std::thread::sleep(Duration::from_micros(t.backoff_micros));
-                    }
-                }
             }
         }
     }

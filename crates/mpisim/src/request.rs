@@ -244,8 +244,8 @@ fn arrive<T>(
 }
 
 /// A handle to an in-flight nonblocking operation, returned by
-/// [`crate::Comm::isend`], [`crate::Comm::irecv`],
-/// [`crate::Comm::ibcast_shared`] and [`crate::Comm::ialltoallv`].
+/// [`crate::Comm::irecv`], [`crate::Comm::ibcast_shared`] and
+/// [`crate::Comm::ialltoallv`].
 ///
 /// Complete it with [`Request::wait`] (blocking) or drive it with
 /// [`Request::test`] (non-blocking progress). Requests may be waited in any

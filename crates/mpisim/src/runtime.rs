@@ -7,20 +7,15 @@ use crate::stats::CommStats;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Result of a simulated run: the per-rank return values (indexed by world
-/// rank) and the communication counters accumulated during the run.
+/// rank) and the communication counters accumulated during the run — the
+/// same two things a TCP run reports (`TcpOutput`), so nothing a caller
+/// reads from a run depends on the transport.
 #[derive(Debug)]
 pub struct SimOutput<R> {
     /// `f`'s return value on each rank, in rank order.
     pub results: Vec<R>,
     /// Communication volume/message counters for the whole run.
     pub stats: CommStats,
-    /// Payload deep-clones performed by clone-based collectives during the
-    /// run. The `*_shared` collectives never deep-clone, so this is the
-    /// clone-counting hook for asserting a run was zero-copy.
-    pub payload_clones: u64,
-    /// Transient send retries injected by the run's fault plan (0 outside
-    /// [`run_with_faults`]).
-    pub transient_retries: u64,
 }
 
 /// Default stack size per rank thread. Local SpGEMM on skewed graphs can
@@ -48,16 +43,24 @@ where
 }
 
 /// Like [`run`] with a deterministic [`FaultPlan`] driving the network:
-/// seeded crash/delay/transient-failure injection plus the *recoverable*
-/// failure surface (typed [`crate::CommError`]s instead of poison-panic;
-/// see [`crate::catch_comm`]). `f` is responsible for catching the errors
-/// and running a recovery protocol — an uncaught `CommError` unwinds the
-/// rank like any panic and fail-stops the job.
+/// seeded crash and delay injection plus the *recoverable* failure surface
+/// (typed [`crate::CommError`]s instead of poison-panic; see
+/// [`crate::catch_comm`]). `f` is responsible for catching the errors and
+/// running a recovery protocol — an uncaught `CommError` unwinds the rank
+/// like any panic and fail-stops the job.
+///
+/// Panics if the plan schedules a crash on a rank the run does not have.
 pub fn run_with_faults<R, F>(p: usize, plan: FaultPlan, f: F) -> SimOutput<R>
 where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
+    if let Some((rank, _)) = plan.crash {
+        assert!(
+            rank < p,
+            "fault plan schedules a crash on rank {rank}, but the run has only {p} ranks"
+        );
+    }
     let mut network = Network::new_with_plan(p, plan);
     let endpoints: Vec<_> = (0..p).map(|r| network.endpoint(r)).collect();
 
@@ -110,8 +113,6 @@ where
     SimOutput {
         results: results.into_iter().map(|o| o.expect("result")).collect(),
         stats: network.stats(),
-        payload_clones: network.payload_clones(),
-        transient_retries: network.transient_retries(),
     }
 }
 
@@ -307,12 +308,6 @@ mod tests {
             })
         });
         assert!(out.results.iter().all(|v| *v == vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn exscan_prefix_sums() {
-        let out = run(5, |c| c.exscan(c.rank() as u64 + 1, 0, |a, b| a + b));
-        assert_eq!(out.results, vec![0, 1, 3, 6, 10]);
     }
 
     #[test]

@@ -79,30 +79,12 @@ impl RankCounters {
 #[derive(Debug)]
 pub(crate) struct Meter {
     per_rank: Vec<RankCounters>,
-    /// Payload deep-clones performed by the clone-based `bcast` (it forwards
-    /// `value.clone()` to each tree child). The `*_shared` collectives move
-    /// one `Arc` per receiver and never touch this counter, so a zero here
-    /// over a measured region proves the region broadcast its payloads
-    /// zero-copy. Scope: only `bcast` records — `allreduce`'s broadcast-back
-    /// leg (O(1) control values on the hot paths) and `allgather`'s ring
-    /// forwards (whose `T` may itself be an `Arc`, where `clone()` is not a
-    /// deep copy) are exempt. Kept outside [`CommStats`]: it meters
-    /// *transport implementation* (memcpy work), not logical wire volume.
-    payload_clones: AtomicU64,
-    /// Transient send failures injected by a fault plan (each counted once
-    /// per retried attempt). Kept outside [`CommStats`] like
-    /// `payload_clones`: retries model wasted *time* on a lossy fabric,
-    /// not extra logical wire volume — the ablations' byte-parity asserts
-    /// across fault arms depend on that.
-    transient_retries: AtomicU64,
 }
 
 impl Meter {
     pub(crate) fn new(p: usize) -> Arc<Self> {
         Arc::new(Self {
             per_rank: (0..p).map(|_| RankCounters::default()).collect(),
-            payload_clones: AtomicU64::new(0),
-            transient_retries: AtomicU64::new(0),
         })
     }
 
@@ -126,26 +108,6 @@ impl Meter {
         self.per_rank[rank]
             .overlapped_ns
             .fetch_add(ns, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_payload_clone(&self) {
-        self.payload_clones.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn payload_clones(&self) -> u64 {
-        self.payload_clones.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(crate) fn record_transient_retry(&self) {
-        self.transient_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn transient_retries(&self) -> u64 {
-        self.transient_retries.load(Ordering::Relaxed)
     }
 
     pub(crate) fn snapshot(&self) -> CommStats {

@@ -187,10 +187,9 @@ backend_matrix! {
         ((*panel).clone(), checksum)
     }
 
-    gather_exscan_reduce(comm) -> (Option<Vec<u64>>, u64, Option<u64>) {
+    gather_reduce(comm) -> (Option<Vec<u64>>, Option<u64>) {
         let gathered = comm.gather(1 % comm.size(), comm.rank() as u64 * 5);
-        let prefix = comm.exscan(comm.rank() as u64 + 1, 0, |a, b| a + b);
         let reduced = comm.reduce(0, comm.rank() as u64 + 11, |a, b| a + b);
-        (gathered, prefix, reduced)
+        (gathered, reduced)
     }
 }

@@ -85,24 +85,6 @@ fn alltoallv_is_a_transpose() {
 }
 
 #[test]
-fn exscan_prefixes() {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::derive(0xE55CA4, case);
-        let p = 1 + rng.gen_range(8) as usize;
-        let values: Vec<u64> = (0..9).map(|_| rng.gen_range(1000)).collect();
-        let vals = values.clone();
-        let out = run(p, move |comm| {
-            comm.exscan(vals[comm.rank()], 0, |a, b| a + b)
-        });
-        let mut acc = 0u64;
-        for (res, val) in out.results.iter().zip(&values) {
-            assert_eq!(*res, acc, "case {case}");
-            acc += val;
-        }
-    }
-}
-
-#[test]
 fn gather_preserves_order() {
     for case in 0..CASES {
         let mut rng = SplitMix64::derive(0x6A7_8E4, case);

@@ -1,5 +1,7 @@
 //! The zero-copy (`Arc`-payload) collectives: value equality, wire-meter
-//! parity with the clone-based paths, and the clone-counting hook.
+//! parity with the clone-based paths, and the no-copy facts held at the
+//! type level (`NoClone` compiles only where no clone is possible;
+//! `CloneSpy` counts every clone a collective makes).
 
 use dspgemm_mpi::{run, CommCategory};
 use dspgemm_util::rng::{Rng, SplitMix64};
@@ -14,8 +16,8 @@ struct NoClone(Vec<u64>);
 
 dspgemm_util::impl_wire_fields!(NoClone { 0 });
 
-/// A payload whose `Clone` impl counts — the clone-counting hook at the type
-/// level, complementing the network-level `payload_clones` meter.
+/// A payload whose `Clone` impl counts — the clone counter, at the type
+/// level: a collective's clones are exactly the spy's count.
 #[derive(Debug)]
 struct CloneSpy(u64, &'static AtomicU64);
 
@@ -58,7 +60,6 @@ fn bcast_shared_delivers_root_value_all_roots_and_sizes() {
             comm.bcast_shared(root, v).as_ref().clone()
         });
         assert!(out.results.iter().all(|v| *v == expect), "case {case}");
-        assert_eq!(out.payload_clones, 0, "case {case}");
     }
 }
 
@@ -77,7 +78,6 @@ fn bcast_shared_works_without_clone_and_shares_one_allocation() {
     assert!(out.results.iter().all(|(v, _)| *v == vec![7, 8, 9]));
     let first_ptr = out.results[0].1;
     assert!(out.results.iter().all(|&(_, p)| p == first_ptr));
-    assert_eq!(out.payload_clones, 0);
 }
 
 /// Wire parity: byte and message counters of `bcast_shared` are identical to
@@ -116,21 +116,23 @@ fn bcast_shared_meter_matches_clone_based_bcast() {
                 shared.stats.volume(),
                 "p={p} root={root}"
             );
-            // The clone-based tree copies once per non-root rank; shared: 0.
-            assert_eq!(cloned.payload_clones, (p - 1) as u64, "p={p}");
-            assert_eq!(shared.payload_clones, 0);
         }
     }
 }
 
+/// Copies per collective at p = 8: the broadcast tree clones once per
+/// edge (p − 1), the ring once per forward (p·(p − 1)), and their `Arc`
+/// instantiations never.
 #[test]
-fn clone_spy_counts_legacy_bcast_copies_only() {
-    static LEGACY: AtomicU64 = AtomicU64::new(0);
-    static SHARED: AtomicU64 = AtomicU64::new(0);
+fn clone_spy_counts_clone_collective_copies_only() {
+    static TREE: AtomicU64 = AtomicU64::new(0);
+    static SHARED_TREE: AtomicU64 = AtomicU64::new(0);
+    static RING: AtomicU64 = AtomicU64::new(0);
+    static SHARED_RING: AtomicU64 = AtomicU64::new(0);
     let p = 8;
     run(p, |comm| {
         let v = if comm.rank() == 0 {
-            Some(CloneSpy(42, &LEGACY))
+            Some(CloneSpy(42, &TREE))
         } else {
             None
         };
@@ -138,14 +140,24 @@ fn clone_spy_counts_legacy_bcast_copies_only() {
     });
     run(p, |comm| {
         let v = if comm.rank() == 0 {
-            Some(Arc::new(CloneSpy(42, &SHARED)))
+            Some(Arc::new(CloneSpy(42, &SHARED_TREE)))
         } else {
             None
         };
         assert_eq!(comm.bcast_shared(0, v).0, 42);
     });
-    assert_eq!(LEGACY.load(Ordering::Relaxed), (p - 1) as u64);
-    assert_eq!(SHARED.load(Ordering::Relaxed), 0);
+    run(p, |comm| {
+        let all = comm.allgather(CloneSpy(comm.rank() as u64, &RING));
+        assert!(all.iter().enumerate().all(|(r, v)| v.0 == r as u64));
+    });
+    run(p, |comm| {
+        let all = comm.allgather_shared(Arc::new(CloneSpy(comm.rank() as u64, &SHARED_RING)));
+        assert!(all.iter().enumerate().all(|(r, v)| v.0 == r as u64));
+    });
+    assert_eq!(TREE.load(Ordering::Relaxed), (p - 1) as u64);
+    assert_eq!(SHARED_TREE.load(Ordering::Relaxed), 0);
+    assert_eq!(RING.load(Ordering::Relaxed), (p * (p - 1)) as u64);
+    assert_eq!(SHARED_RING.load(Ordering::Relaxed), 0);
 }
 
 /// Satellite regression: on a single-rank communicator both broadcast
@@ -153,8 +165,10 @@ fn clone_spy_counts_legacy_bcast_copies_only() {
 /// pays zero communication overhead.
 #[test]
 fn single_rank_bcast_is_entirely_free() {
+    static SPY: AtomicU64 = AtomicU64::new(0);
     let out = run(1, |comm| {
         let a = comm.bcast(0, Some(vec![1u64, 2, 3]));
+        assert_eq!(comm.bcast(0, Some(CloneSpy(9, &SPY))).0, 9);
         let b = comm.bcast_shared(0, Some(Arc::new(NoClone(vec![4, 5]))));
         let r = comm.allreduce(7u64, |x, y| x + y);
         (a, b.0.clone(), r)
@@ -165,5 +179,5 @@ fn single_rank_bcast_is_entirely_free() {
     assert_eq!(out.stats.total_msgs(), 0, "single-rank run sent messages");
     assert_eq!(out.stats.total_bytes(), 0);
     assert_eq!(out.stats.msgs_in(CommCategory::Bcast), 0);
-    assert_eq!(out.payload_clones, 0);
+    assert_eq!(SPY.load(Ordering::Relaxed), 0, "single-rank bcast cloned");
 }

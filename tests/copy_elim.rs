@@ -1,8 +1,7 @@
 //! Copy-elimination invariants, end to end: the shared (`Arc`) collectives
 //! and the flat-buffer SpGEMM must produce bit-identical results and
-//! identical wire-byte meters versus the clone-based paths, and the hot
-//! pipelines must perform zero payload deep-clones — across p ∈ {1, 4, 9}
-//! and both evaluated semirings.
+//! identical wire-byte meters versus the clone-based paths — across
+//! p ∈ {1, 4, 9} and both evaluated semirings.
 
 use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
@@ -34,8 +33,9 @@ fn random_triples<S: Semiring>(
 }
 
 /// A clone-based sparse SUMMA replica: identical round structure and local
-/// kernel to the library's [`summa`], but broadcasting with the legacy
-/// deep-cloning `bcast`. The reference arm for meter-parity checks.
+/// kernel to the library's [`summa`], but broadcasting owned blocks with
+/// `bcast` (a deep copy per tree edge). The reference arm for meter-parity
+/// checks.
 fn summa_cloned<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
@@ -92,12 +92,6 @@ fn check_summa_parity<S: Semiring>(seed: u64, val: impl Fn(u64) -> S::Elem + Sen
         // every rank, every category).
         assert_eq!(cloned.results[0], shared.results[0], "p={p}");
         assert_eq!(cloned.stats.volume(), shared.stats.volume(), "p={p}");
-        // The shared path performed zero payload deep-clones; the clone-based
-        // replica paid √p rounds × 2 broadcasts × (tree clones) for p > 1.
-        assert_eq!(shared.payload_clones, 0, "p={p}");
-        if p > 1 {
-            assert!(cloned.payload_clones > 0, "p={p}");
-        }
     }
 }
 
@@ -111,9 +105,8 @@ fn summa_shared_matches_clone_replica_min_plus() {
     check_summa_parity::<MinPlus>(13, |v| v as f64);
 }
 
-/// The full dynamic-update pipelines run zero-copy on every grid and both
-/// semirings, while still agreeing bit-identically with a static
-/// recomputation from scratch.
+/// The full dynamic-update pipelines, on every grid and both semirings,
+/// agree bit-identically with a static recomputation from scratch.
 #[test]
 fn algebraic_update_pipeline_is_zero_copy_and_exact() {
     let n: Index = 24;
@@ -147,7 +140,6 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
             c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&eq| eq), "p={p}");
-        assert_eq!(out.payload_clones, 0, "p={p}: pipeline deep-cloned");
     }
 }
 
@@ -197,7 +189,6 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
             c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&eq| eq), "p={p}");
-        assert_eq!(out.payload_clones, 0, "p={p}: pipeline deep-cloned");
     }
 }
 
@@ -251,6 +242,5 @@ fn spmv_aggregation_matches_clone_based_allreduce() {
         let shared = arm(true);
         assert_eq!(cloned.results, shared.results, "p={p}");
         assert_eq!(cloned.stats.volume(), shared.stats.volume(), "p={p}");
-        assert_eq!(shared.payload_clones, 0, "p={p}");
     }
 }
