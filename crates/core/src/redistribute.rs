@@ -20,12 +20,14 @@
 //! exchange as **lanes** of [`redistribute_lanes_in`]: one `ALLTOALLV` per
 //! phase whose per-destination chunk holds one tuple vector per lane, so the
 //! message count of a batch is `2·p·(√p − 1)` however many matrices it
-//! builds. On the wire a chunk is a vector of vectors — one 8-byte length
-//! prefix per message more than a lone tuple vector.
+//! builds. On the wire a chunk is a vector of [`TripleLane`]s, one per lane:
+//! each lane bit-packs its indices against the least row and column it holds
+//! and keeps its tuples in the order the partition left them, so what arrives
+//! is exactly the sequence that was sent.
 
 use crate::grid::Grid;
 use crate::layout::Layout;
-use dspgemm_sparse::{Index, Triple};
+use dspgemm_sparse::{Index, Triple, TripleLane};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
 
@@ -127,14 +129,14 @@ where
 }
 
 /// Counting-sorts every lane by destination and regroups the buckets as one
-/// chunk per destination holding one vector per lane — the `ALLTOALLV`
-/// payload of [`redistribute_lanes_in`].
-fn partition_lanes<T>(
-    lanes: Vec<Vec<T>>,
+/// chunk per destination holding one [`TripleLane`] per lane — the
+/// `ALLTOALLV` payload of [`redistribute_lanes_in`].
+fn partition_lanes<V>(
+    lanes: Vec<Vec<Triple<V>>>,
     buckets: usize,
-    mut key: impl FnMut(usize, &T) -> usize,
-) -> Vec<Vec<Vec<T>>> {
-    let mut out: Vec<Vec<Vec<T>>> = (0..buckets)
+    mut key: impl FnMut(usize, &Triple<V>) -> usize,
+) -> Vec<Vec<TripleLane<V>>> {
+    let mut out: Vec<Vec<TripleLane<V>>> = (0..buckets)
         .map(|_| Vec::with_capacity(lanes.len()))
         .collect();
     for (l, items) in lanes.into_iter().enumerate() {
@@ -142,7 +144,7 @@ fn partition_lanes<T>(
             .into_iter()
             .zip(&mut out)
         {
-            dst.push(chunk);
+            dst.push(TripleLane(chunk));
         }
     }
     out
@@ -150,17 +152,17 @@ fn partition_lanes<T>(
 
 /// Concatenates the received `[source][lane]` chunks lane by lane, in source
 /// order.
-fn concat_lanes<T>(received: Vec<Vec<Vec<T>>>, lanes: usize) -> Vec<Vec<T>> {
+fn concat_lanes<V>(received: Vec<Vec<TripleLane<V>>>, lanes: usize) -> Vec<Vec<Triple<V>>> {
     assert!(
         received.iter().all(|src| src.len() == lanes),
         "every rank routes the same lanes"
     );
-    let mut out: Vec<Vec<T>> = (0..lanes)
-        .map(|l| Vec::with_capacity(received.iter().map(|src| src[l].len()).sum()))
+    let mut out: Vec<Vec<Triple<V>>> = (0..lanes)
+        .map(|l| Vec::with_capacity(received.iter().map(|src| src[l].0.len()).sum()))
         .collect();
     for src in received {
         for (lane, chunk) in out.iter_mut().zip(src) {
-            lane.extend(chunk);
+            lane.extend(chunk.0);
         }
     }
     out

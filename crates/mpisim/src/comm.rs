@@ -14,7 +14,7 @@ use crate::network::Endpoint;
 use crate::request::{RankIo, Request};
 use crate::stats::CommCategory;
 use dspgemm_util::hash::mix64;
-use dspgemm_util::{decode_from_slice, encode_to_vec, WireBytes, WireDecode, WireSize};
+use dspgemm_util::{decode_from_slice, WireBytes, WireDecode, WireSize};
 use std::any::Any;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -95,7 +95,7 @@ impl Comm {
     ) {
         let dst_world = self.members[dst];
         let ep = self.io.endpoint.borrow();
-        let payload = pack_payload(&ep, dst_world, value);
+        let payload = pack_payload(&ep, dst_world, value, bytes);
         ep.send_envelope(dst_world, self.comm_id, tag, payload, category, bytes);
     }
 
@@ -227,8 +227,8 @@ impl Comm {
         let forward = move |v: &T| {
             let ep = io.endpoint.borrow();
             for &dst_world in &child_worlds {
-                let payload = pack_payload(&ep, dst_world, v.clone());
                 let bytes = v.wire_bytes();
+                let payload = pack_payload(&ep, dst_world, v.clone(), bytes);
                 ep.send_envelope(dst_world, comm_id, tag, payload, CommCategory::Bcast, bytes);
             }
         };
@@ -670,16 +670,21 @@ impl Comm {
 
 /// Packs a value for delivery to `dst_world`: remote peers of a real-wire
 /// transport get the wire-encoded bytes (one serialization per
-/// destination), everything else moves the typed value by pointer — the
-/// simulator's zero-copy contract, and the TCP backend's self-send
-/// short-circuit.
+/// destination, into a buffer presized from the metered `bytes` the send
+/// path already computed — the encoding's exact length), everything else
+/// moves the typed value by pointer — the simulator's zero-copy contract,
+/// and the TCP backend's self-send short-circuit.
 fn pack_payload<T: Send + WireSize + 'static>(
     ep: &Endpoint,
     dst_world: usize,
     value: T,
+    bytes: u64,
 ) -> Payload {
     if ep.encodes_to(dst_world) {
-        Payload::Value(Box::new(WireBytes(encode_to_vec(&value))))
+        let mut buf = Vec::with_capacity(bytes as usize);
+        value.wire_encode(&mut buf);
+        debug_assert_eq!(buf.len() as u64, bytes, "metered size is the encoding's");
+        Payload::Value(Box::new(WireBytes(buf)))
     } else {
         Payload::Value(Box::new(value))
     }

@@ -230,39 +230,45 @@ impl TcpLink {
 
     /// Delivers an envelope: loopback for self, a `VALUE`/`POISON`/`FAILED`
     /// frame for remote peers. A broken stream (peer process dead) reports
-    /// [`PeerGone`].
+    /// [`PeerGone`]. The frame's header and the encoded body go to the
+    /// socket as two writes, so the body is never copied behind a header.
     pub(crate) fn deliver(&self, dst: usize, env: Envelope) -> Result<(), PeerGone> {
         if self.is_self(dst) {
             return self.loopback.send(env).map_err(|_| PeerGone);
         }
-        let mut buf = Vec::new();
-        match env.payload {
+        let mut head = Vec::with_capacity(1 + 4 * 8);
+        let body = match env.payload {
             Payload::Value(boxed) => {
                 let bytes = boxed
                     .downcast::<WireBytes>()
                     .expect("internal: un-encoded payload reached the wire transport");
-                buf.push(frame::VALUE);
-                env.comm_id.wire_encode(&mut buf);
-                env.tag.0.wire_encode(&mut buf);
-                env.epoch.wire_encode(&mut buf);
-                (bytes.0.len() as u64).wire_encode(&mut buf);
-                buf.extend_from_slice(&bytes.0);
+                head.push(frame::VALUE);
+                env.comm_id.wire_encode(&mut head);
+                env.tag.0.wire_encode(&mut head);
+                env.epoch.wire_encode(&mut head);
+                (bytes.0.len() as u64).wire_encode(&mut head);
                 self.payload_bytes
                     .fetch_add(bytes.0.len() as u64, Ordering::Relaxed);
+                bytes.0
             }
             Payload::Poison => {
-                buf.push(frame::POISON);
-                env.epoch.wire_encode(&mut buf);
+                head.push(frame::POISON);
+                env.epoch.wire_encode(&mut head);
+                Vec::new()
             }
             Payload::Failed { rank } => {
-                buf.push(frame::FAILED);
-                env.epoch.wire_encode(&mut buf);
-                (rank as u64).wire_encode(&mut buf);
+                head.push(frame::FAILED);
+                env.epoch.wire_encode(&mut head);
+                (rank as u64).wire_encode(&mut head);
+                Vec::new()
             }
-        }
+        };
         let mut stream = self.peers[dst].as_ref().ok_or(PeerGone)?;
         self.frames.fetch_add(1, Ordering::Relaxed);
-        stream.write_all(&buf).map_err(|_| PeerGone)
+        stream
+            .write_all(&head)
+            .and_then(|()| stream.write_all(&body))
+            .map_err(|_| PeerGone)
     }
 }
 
@@ -304,13 +310,11 @@ fn read_body(stream: &mut impl Read, len: u64) -> std::io::Result<Vec<u8>> {
     Ok(body)
 }
 
-/// Writes one length-prefixed control message.
+/// Writes one length-prefixed control message: the prefix, then the body.
 fn ctrl_send<T: WireEncode>(stream: &mut TcpStream, msg: &T) -> std::io::Result<()> {
     let body = encode_to_vec(msg);
-    let mut buf = Vec::with_capacity(8 + body.len());
-    (body.len() as u64).wire_encode(&mut buf);
-    buf.extend_from_slice(&body);
-    stream.write_all(&buf)
+    stream.write_all(&(body.len() as u64).to_le_bytes())?;
+    stream.write_all(&body)
 }
 
 /// Reads one length-prefixed control message.

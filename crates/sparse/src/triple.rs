@@ -1,12 +1,14 @@
 //! `(row, col, value)` triples — the interchange format.
 //!
 //! Updates travel between ranks as triples (the paper's `(i, j, x)` tuples,
-//! Section IV-B); matrices are constructed from triple streams; DCSR blocks
+//! Section IV-B) — on the wire as bit-packed [`TripleLane`]s, in the order
+//! they were sent; matrices are constructed from triple streams; DCSR blocks
 //! are built from row-major-sorted triples.
 
 use crate::semiring::Semiring;
 use crate::Index;
 use dspgemm_util::sort::radix_sort_by_key;
+use dspgemm_util::{WireDecode, WireEncode, WireError, WireReader, WireSink};
 
 /// A single non-zero entry (or update tuple).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,6 +36,167 @@ impl<V> Triple<V> {
 }
 
 dspgemm_util::impl_wire_fields!(Triple<V> { row, col, val });
+
+/// A run of triples that travels **bit-packed, in its own order**: one lane
+/// of a redistribution chunk (`dspgemm_core::redistribute`). In memory it is
+/// the plain vector; only its wire form differs from `Vec<Triple<V>>`'s
+/// 16 fixed-width bytes per `f64` triple. The grammar is on
+/// [`TripleLane::wire_encode`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct TripleLane<V>(pub Vec<Triple<V>>);
+
+/// Bit length of `span`: the width that holds every offset up to it.
+#[inline]
+fn bit_width(span: Index) -> u32 {
+    Index::BITS - span.leading_zeros()
+}
+
+/// The low `width` bits of a word, `width ≤ 64`.
+#[inline(always)]
+fn low_bits(word: u64, width: u32) -> u64 {
+    word & ((1u128 << width) - 1) as u64
+}
+
+impl<V: WireEncode> WireEncode for TripleLane<V> {
+    /// Packed form — a frame of reference for the indices, then the values:
+    ///
+    /// ```text
+    /// len: u64
+    /// if len > 0:
+    ///     row_base: u32   col_base: u32   row_bits: u8   col_bits: u8
+    ///     ⌈len·(row_bits + col_bits) / 8⌉ bytes: per triple, in order,
+    ///         (row − row_base) in row_bits, then (col − col_base) in
+    ///         col_bits, packed LSB first, the last byte zero-padded
+    ///     vals, fixed width, back to back            as `encode_elems`
+    /// ```
+    ///
+    /// The bases are the least row and column of the run and the widths the
+    /// bit lengths of the spans to the largest, so a chunk bound for one grid
+    /// block pays for the block's extent, not for 32-bit indices. Every pair
+    /// takes the same width whatever its neighbours, so the form needs no
+    /// sort and is total on any order, duplicates included: a lane arrives as
+    /// the sequence it was sent, which is what lets duplicates fold in the
+    /// same order whatever shares the exchange. At most 10 B longer than the
+    /// fixed-width `Vec<Triple<V>>` (the header; a pair never exceeds 64
+    /// bits), and the meter charges it by running this encoder into a
+    /// [`ByteCount`](dspgemm_util::ByteCount) like every other type.
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
+        let triples = &self.0;
+        (triples.len() as u64).wire_encode(out);
+        let Some(first) = triples.first() else {
+            return;
+        };
+        let (mut lo, mut hi) = ((first.row, first.col), (first.row, first.col));
+        for t in triples {
+            lo = (lo.0.min(t.row), lo.1.min(t.col));
+            hi = (hi.0.max(t.row), hi.1.max(t.col));
+        }
+        let (row_bits, col_bits) = (bit_width(hi.0 - lo.0), bit_width(hi.1 - lo.1));
+        lo.0.wire_encode(out);
+        lo.1.wire_encode(out);
+        (row_bits as u8).wire_encode(out);
+        (col_bits as u8).wire_encode(out);
+        // Whole words go to the sink as they fill; a pair is ≤ 64 bits and
+        // fewer than 64 wait, so the accumulator never overflows.
+        let (mut acc, mut filled) = (0u128, 0u32);
+        for t in triples {
+            let pair = u64::from(t.row - lo.0) | u64::from(t.col - lo.1) << row_bits;
+            acc |= u128::from(pair) << filled;
+            filled += row_bits + col_bits;
+            if filled >= 64 {
+                out.put(&(acc as u64).to_le_bytes());
+                acc >>= 64;
+                filled -= 64;
+            }
+        }
+        out.put(&(acc as u64).to_le_bytes()[..filled.div_ceil(8) as usize]);
+        for t in triples {
+            t.val.wire_encode(out);
+        }
+    }
+}
+
+/// LSB-first reader over the packed pairs of a [`TripleLane`] frame.
+struct BitReader<'a> {
+    bytes: &'a [u8],
+    acc: u128,
+    avail: u32,
+}
+
+impl BitReader<'_> {
+    /// The next `width ≤ 64` bits. The caller sized `bytes` to hold every
+    /// pair it reads, so a refill always finds a byte.
+    #[inline(always)]
+    fn take(&mut self, width: u32) -> u64 {
+        while self.avail < width {
+            if let Some((word, rest)) = self.bytes.split_first_chunk::<8>() {
+                self.acc |= u128::from(u64::from_le_bytes(*word)) << self.avail;
+                self.avail += 64;
+                self.bytes = rest;
+            } else {
+                let (&byte, rest) = self
+                    .bytes
+                    .split_first()
+                    .expect("frame sized for every pair");
+                self.acc |= u128::from(byte) << self.avail;
+                self.avail += 8;
+                self.bytes = rest;
+            }
+        }
+        let bits = low_bits(self.acc as u64, width);
+        self.acc >>= width;
+        self.avail -= width;
+        bits
+    }
+}
+
+/// `base + offset`, which must stay an [`Index`]. The offset is at most 32
+/// bits wide (the decoder refuses wider fields), so the cast is exact.
+#[inline(always)]
+fn rebase(base: Index, offset: u64) -> Result<Index, WireError> {
+    base.checked_add(offset as Index)
+        .ok_or(WireError::Invalid("lane index out of range"))
+}
+
+impl<V: WireDecode> WireDecode for TripleLane<V> {
+    /// The inverse of the grammar on [`TripleLane::wire_encode`], total on
+    /// arbitrary bytes. The packed block is taken whole before anything is
+    /// reserved, and the count is then held against the bytes left for the
+    /// values (for zero-width pairs of zero-byte values, against the frame's
+    /// length — the rule of [`WireReader::ensure`]). Widths above 32 bits
+    /// and indices past `u32::MAX` are [`WireError::Invalid`].
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = usize::wire_decode(r)?;
+        if len == 0 {
+            return Ok(Self(Vec::new()));
+        }
+        let row_base = Index::wire_decode(r)?;
+        let col_base = Index::wire_decode(r)?;
+        let row_bits = u32::from(u8::wire_decode(r)?);
+        let col_bits = u32::from(u8::wire_decode(r)?);
+        if row_bits > Index::BITS || col_bits > Index::BITS {
+            return Err(WireError::Invalid("lane index width"));
+        }
+        let width = row_bits + col_bits;
+        let packed = len
+            .checked_mul(width as usize)
+            .ok_or(WireError::Invalid("lane length overflow"))?;
+        let mut pairs = BitReader {
+            bytes: r.take(packed.div_ceil(8))?,
+            acc: 0,
+            avail: 0,
+        };
+        r.ensure(len, usize::from(std::mem::size_of::<V>() != 0))?;
+        let mut triples = Vec::with_capacity(len);
+        for _ in 0..len {
+            let pair = pairs.take(width);
+            let row = rebase(row_base, low_bits(pair, row_bits))?;
+            let col = rebase(col_base, pair >> row_bits)?;
+            triples.push(Triple::new(row, col, V::wire_decode(r)?));
+        }
+        Ok(Self(triples))
+    }
+}
 
 /// Sorts triples into row-major `(row, col)` order.
 ///

@@ -5,7 +5,7 @@
 //! property-testing machinery.
 
 use dspgemm_sparse::semiring::U64Plus;
-use dspgemm_sparse::{Csr, Dcsr, Index, Triple};
+use dspgemm_sparse::{Csr, Dcsr, Index, Triple, TripleLane};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::wire::put_varint;
 use dspgemm_util::{decode_from_slice, encode_to_vec, WireDecode, WireEncode, WireError, WireSize};
@@ -481,4 +481,197 @@ fn compact_dcsr_meets_the_shape_budgets() {
         "partial rows hold {per_row}"
     );
     assert!(index_bytes_per_entry(&partial) <= 2.0);
+}
+
+/// A `TripleLane` frame spelt by hand: the length, the 10-byte header (a
+/// non-empty lane's only), then `packed` and `tail` verbatim.
+fn lane_frame(len: u64, bases: (u32, u32), bits: (u8, u8), packed: &[u8], tail: &[u8]) -> Vec<u8> {
+    let mut bytes = encode_to_vec(&(len, bases.0, bases.1));
+    bytes.extend([bits.0, bits.1]);
+    bytes.extend_from_slice(packed);
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+/// Round-trips `triples` as a lane of `u64`s, of patterns and of value
+/// pairs: the sequence comes back as it went, order and duplicates included.
+fn assert_lane_roundtrips(triples: &[Triple<u64>]) {
+    fn with<V>(triples: &[Triple<u64>], f: impl Fn(u64) -> V) -> TripleLane<V> {
+        TripleLane(
+            triples
+                .iter()
+                .map(|t| Triple::new(t.row, t.col, f(t.val)))
+                .collect(),
+        )
+    }
+    assert_sized_roundtrip(&with(triples, |v| v));
+    assert_sized_roundtrip(&with(triples, |_| ()));
+    assert_sized_roundtrip(&with(triples, |v| (v, !v)));
+}
+
+#[test]
+fn triple_lanes_roundtrip_in_any_order() {
+    const MAX: Index = Index::MAX;
+    let t = Triple::new;
+    let cases: Vec<Vec<Triple<u64>>> = vec![
+        vec![],
+        vec![t(7, 9, 1)],
+        // Zero-width indices: one row, one column, one cell repeated.
+        (0..5).map(|c| t(3, 100 * c, c.into())).collect(),
+        (0..5).map(|r| t(100 * r, 3, r.into())).collect(),
+        vec![t(4, 4, 1); 6],
+        // Indices at both ends of `u32`: full 32-bit spans, and bases at
+        // the top.
+        vec![t(0, MAX, 1), t(MAX, 0, 2), t(MAX, MAX, 3), t(0, 0, 4)],
+        vec![t(MAX, MAX, 5); 3],
+        vec![t(MAX - 1, MAX, 6), t(MAX, MAX - 1, 7)],
+        // Unsorted, with duplicates out of order.
+        vec![
+            t(5, 1, 1),
+            t(2, 8, 2),
+            t(5, 1, 3),
+            t(0, 3, 4),
+            t(5, 1, 5),
+            t(2, 8, 6),
+        ],
+    ];
+    for triples in &cases {
+        assert_lane_roundtrips(triples);
+    }
+    let mut rng = SplitMix64::new(0x1A4E);
+    for case in 0..100 {
+        let (nrows, ncols) = (
+            1 + rng.gen_range(1 << 20) as u32,
+            1 + rng.gen_range(300) as u32,
+        );
+        let n = [0, 1, 2, 17, 300][case % 5];
+        assert_lane_roundtrips(&random_triples(&mut rng, n, nrows, ncols));
+    }
+}
+
+#[test]
+fn triple_lane_frame_grammar_is_as_documented() {
+    // Rows 5, 7, 5 against base 5 take 2 bits, columns 10, 13, 11 against
+    // base 10 take 2 bits: pairs 0b00_00, 0b11_10 and 0b01_00, packed LSB
+    // first into 0xe0 0x04, then the values in order.
+    let lane = TripleLane(vec![
+        Triple::new(5, 10, 1u64),
+        Triple::new(7, 13, 2),
+        Triple::new(5, 11, 3),
+    ]);
+    let bytes = lane_frame(
+        3,
+        (5, 10),
+        (2, 2),
+        &[0xe0, 0x04],
+        &encode_to_vec(&[1u64, 2, 3]),
+    );
+    assert_eq!(encode_to_vec(&lane), bytes);
+    assert_eq!(decode_from_slice::<TripleLane<u64>>(&bytes), Ok(lane));
+    // An empty lane is its length alone; a one-cell lane has no packed bytes.
+    assert_eq!(
+        encode_to_vec(&TripleLane::<u64>(vec![])),
+        0u64.to_le_bytes()
+    );
+    let cell = TripleLane(vec![Triple::new(9, 4, ()); 2]);
+    assert_eq!(
+        encode_to_vec(&cell),
+        lane_frame(2, (9, 4), (0, 0), &[], &[])
+    );
+    // Full-width pairs: 32 row bits, then 32 column bits, a word each.
+    let corners = TripleLane(vec![
+        Triple::new(0, u32::MAX, ()),
+        Triple::new(u32::MAX, 0, ()),
+    ]);
+    let packed = encode_to_vec(&[u64::from(u32::MAX) << 32, u64::from(u32::MAX)]);
+    assert_eq!(
+        encode_to_vec(&corners),
+        lane_frame(2, (0, 0), (32, 32), &packed, &[])
+    );
+}
+
+#[test]
+fn truncated_lanes_always_error() {
+    let mut rng = SplitMix64::new(0x7A12);
+    let lane = TripleLane(random_triples(&mut rng, 40, 1000, 70));
+    assert_only_exact_frame_decodes::<TripleLane<u64>>(&encode_to_vec(&lane));
+    let pattern = TripleLane(vec![Triple::new(3, 3, ()); 5]);
+    assert_only_exact_frame_decodes::<TripleLane<()>>(&encode_to_vec(&pattern));
+    let chunk = vec![lane.clone(), TripleLane(vec![]), lane];
+    assert_only_exact_frame_decodes::<Vec<TripleLane<u64>>>(&encode_to_vec(&chunk));
+}
+
+/// A lane's count is held against the packed block and the values before
+/// anything is reserved for it. Zero-width pairs of zero-byte values take no
+/// bytes at all, so only the frame's own length bounds them.
+#[test]
+fn hostile_lane_count_cannot_drive_an_allocation() {
+    for len in [u64::MAX, 1 << 40, 1 << 20, 64] {
+        let frames = [
+            lane_frame(len, (0, 0), (0, 0), &[], &[]),
+            lane_frame(len, (0, 0), (1, 0), &[0; 8], &[]),
+            lane_frame(len, (0, 0), (32, 32), &[0; 16], &[]),
+        ];
+        for bytes in &frames {
+            let (got, largest) =
+                largest_request_in(|| decode_from_slice::<TripleLane<()>>(bytes).map(drop));
+            assert!(got.is_err(), "len {len}: {bytes:?} decoded");
+            assert!(
+                largest <= 8 * bytes.len(),
+                "len {len}: asked for {largest} B"
+            );
+            let (got, largest) =
+                largest_request_in(|| decode_from_slice::<TripleLane<u64>>(bytes).map(drop));
+            assert!(got.is_err(), "len {len}: {bytes:?} decoded");
+            assert!(
+                largest <= 8 * bytes.len(),
+                "len {len}: asked for {largest} B"
+            );
+        }
+    }
+    // Widths past 32 bits and indices past `u32::MAX` are refused.
+    let wide = lane_frame(1, (0, 0), (33, 0), &[0; 5], &[]);
+    assert_eq!(
+        decode_from_slice::<TripleLane<()>>(&wide),
+        Err(WireError::Invalid("lane index width"))
+    );
+    let past = lane_frame(1, (u32::MAX, 0), (1, 0), &[1], &[]);
+    assert_eq!(
+        decode_from_slice::<TripleLane<()>>(&past),
+        Err(WireError::Invalid("lane index out of range"))
+    );
+}
+
+/// The packed lane is a volume *budget*: on any lane, in any order, it is at
+/// most its 10-byte header longer than the fixed-width `Vec<Triple<V>>` it
+/// replaced, since no pair exceeds 64 bits.
+#[test]
+fn packed_lane_is_never_longer_than_fixed_width_plus_header() {
+    fn check<V: WireEncode + Clone>(triples: &[Triple<V>]) {
+        let fixed = triples.to_vec().wire_bytes();
+        let packed = TripleLane(triples.to_vec()).wire_bytes();
+        assert!(packed <= fixed + 10, "{packed} B packed, {fixed} B fixed");
+    }
+    let mut rng = SplitMix64::new(0xB0D7);
+    let index = |rng: &mut SplitMix64, base: u32, bits: u64| {
+        (u64::from(base) + rng.gen_range(1 << bits)).min(u64::from(u32::MAX)) as Index
+    };
+    for case in 0..300 {
+        let (row_base, col_base) = (rng.next_u64() as u32, rng.next_u64() as u32);
+        let (row_bits, col_bits) = (rng.gen_range(33), rng.gen_range(33));
+        let triples: Vec<Triple<u64>> = (0..[0, 1, 2, 17, 300][case % 5])
+            .map(|_| {
+                let row = index(&mut rng, row_base, row_bits);
+                let col = index(&mut rng, col_base, col_bits);
+                Triple::new(row, col, rng.next_u64())
+            })
+            .collect();
+        check(&triples);
+        check(
+            &triples
+                .iter()
+                .map(|t| Triple::new(t.row, t.col, ()))
+                .collect::<Vec<_>>(),
+        );
+    }
 }

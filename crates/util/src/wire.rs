@@ -29,14 +29,22 @@
 //! framing, versioning or field names — both ends are the same binary, and
 //! the transport's envelope header carries the routing metadata.
 //!
-//! The one exception to "natural width" is the index structure of a
-//! hypersparse block (`Dcsr`, the payload of every per-batch broadcast and
-//! reduction), which is written as *varints* — [`put_varint`] /
-//! [`WireReader::take_varint`]: unsigned LEB128, seven value bits per byte,
-//! low group first, the high bit set on every byte but the last. A `u64`
-//! takes 1–10 bytes; the decoder accepts exactly one spelling per value (no
-//! trailing zero group, nothing past bit 63). Everything else, values
-//! included, stays fixed-width so its decode is a straight copy loop.
+//! Two payloads are exceptions to "natural width", and in both only the
+//! indices are:
+//!
+//! * the index structure of a hypersparse block (`Dcsr`, the payload of
+//!   every per-batch broadcast and reduction) is written as *varints* —
+//!   [`put_varint`] / [`WireReader::take_varint`]: unsigned LEB128, seven
+//!   value bits per byte, low group first, the high bit set on every byte but
+//!   the last. A `u64` takes 1–10 bytes; the decoder accepts exactly one
+//!   spelling per value (no trailing zero group, nothing past bit 63);
+//! * the `(row, col)` pairs of a redistribution lane (`TripleLane`, every
+//!   chunk of the update exchange) are bit-packed against the lane's least
+//!   row and column, each pair at the same width, so the lane keeps the
+//!   order it was sent in.
+//!
+//! Everything else, values included, stays fixed-width so its decode is a
+//! straight copy loop.
 
 use std::fmt;
 use std::sync::Arc;
