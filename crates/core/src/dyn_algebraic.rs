@@ -358,18 +358,20 @@ pub(crate) fn compute_cstar<'m, S: Semiring, K: XYKernel<S>>(
 
 /// `C += C*` on this rank's block of the maintained product — the local
 /// tail of an untracked Algorithm-1 batch, and the sink of every SUMMA
-/// round's partial. `C*` is recorded as the touched pattern, so the next
-/// publish patches `C`'s image; an empty `C*` leaves block and image alone
-/// (the epoch re-shares them).
+/// round's partial. Each of `C*`'s column-sorted rows is merged into its
+/// row of `C` ([`dspgemm_sparse::DhbMatrix::merge_row`]), which keeps
+/// those rows sorted and free of a hash index (DESIGN.md, "Product rows are
+/// merged, not hashed"). `C*` is recorded as the touched pattern, so the
+/// next publish patches `C`'s image; an empty `C*` leaves block and image
+/// alone (the epoch re-shares them).
 pub(crate) fn add_cstar<S: Semiring>(c: &mut DistMat<S::Elem>, cstar: &Dcsr<S::Elem>) {
     if cstar.nnz() == 0 {
         return;
     }
     let block = c.block_mut_touching(cstar);
+    let mut scratch = Vec::new();
     cstar.scan_rows(|r, cols, vals| {
-        for (&cc, &v) in cols.iter().zip(vals) {
-            block.add_entry::<S>(r, cc, v);
-        }
+        block.merge_row(r, cols, |i| vals[i], S::add, &mut scratch);
     });
 }
 

@@ -124,7 +124,8 @@ pub fn summa<S: Semiring>(
 
 /// [`summa`] under an explicit [`Exec`] (persistent workspaces): the
 /// engine/session entry point — kernel scratch lives across rounds *and*
-/// across calls.
+/// across calls. Every round's partial is merged into `C` row by row, so
+/// the product's rows start column-sorted and carry no hash index.
 pub fn summa_exec<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,

@@ -13,7 +13,18 @@
 //! Light rows (degree < [`INDEX_THRESHOLD`]) skip the hash table: a linear
 //! scan of ≤ 8 entries beats hashing and saves memory on the long tail of
 //! low-degree vertices in skewed graphs.
-
+//!
+//! **Where this departs from the DHB reference.** The index is built on
+//! demand, by the point operations ([`DhbRow::set`], [`DhbRow::combine`],
+//! [`DhbRow::remove`]) and the bulk fill, not kept by every heavy row. A
+//! column-sorted, duplicate-free run applied with [`DhbRow::merge_sorted`]
+//! leaves its row column-sorted and *unindexed*: a merge needs no slot
+//! lookup, and the index costs 11–23 B per entry beside the adjacency
+//! array's 12. The maintained product is only ever mutated by such runs
+//! (`C*`, SUMMA partials), so its rows carry no index at all. One invariant
+//! ties the two forms together: **a heavy row without an index is strictly
+//! column-sorted**, so [`DhbRow::find`] binary-searches it and the first
+//! point write on it builds the index, as the 8th push on a light row does.
 use crate::csr::Csr;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
@@ -155,6 +166,24 @@ impl RowIndex {
     }
 }
 
+/// Position of the first entry of the sorted `cols` not below `c`, found
+/// by doubling steps from the front, then a binary search of the last step.
+#[inline]
+fn gallop(cols: &[Index], c: Index) -> usize {
+    let mut bound = 1;
+    while bound <= cols.len() && cols[bound - 1] < c {
+        bound *= 2;
+    }
+    let (start, end) = (bound / 2, bound.min(cols.len()));
+    start + cols[start..end].partition_point(|&x| x < c)
+}
+
+/// The slot half of a `(col << 32 | slot)` sort key.
+#[inline]
+fn key_slot(key: u64) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
+
 /// One row of a [`DhbMatrix`]: an adjacency array (parallel `cols`/`vals`)
 /// plus an optional hash index for heavy rows.
 #[derive(Debug, Clone)]
@@ -193,11 +222,13 @@ impl<V: Copy> DhbRow<V> {
         (&self.cols, &self.vals)
     }
 
-    /// Position of `col` in the adjacency array, if present. Expected O(1).
+    /// Position of `col` in the adjacency array, if present. Expected O(1);
+    /// a binary search on a heavy row a sorted merge left unindexed.
     #[inline]
     pub fn find(&self, col: Index) -> Option<usize> {
         match &self.index {
             Some(idx) => idx.find(col).map(|s| s as usize),
+            None if self.cols.len() >= INDEX_THRESHOLD => self.cols.binary_search(&col).ok(),
             None => self.cols.iter().position(|&c| c == col),
         }
     }
@@ -208,14 +239,23 @@ impl<V: Copy> DhbRow<V> {
         self.find(col).map(|i| self.vals[i])
     }
 
+    /// Builds the index of a heavy row that has none. Inlined, so a point
+    /// operation on an indexed or light row pays two loads and a branch.
+    #[inline]
     fn maybe_build_index(&mut self) {
         if self.index.is_none() && self.cols.len() >= INDEX_THRESHOLD {
-            let mut idx = RowIndex::with_capacity_for(self.cols.len());
-            for (slot, &c) in self.cols.iter().enumerate() {
-                idx.insert(c, slot as u32);
-            }
-            self.index = Some(idx);
+            self.build_index();
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn build_index(&mut self) {
+        let mut idx = RowIndex::with_capacity_for(self.cols.len());
+        for (slot, &c) in self.cols.iter().enumerate() {
+            idx.insert(c, slot as u32);
+        }
+        self.index = Some(idx);
     }
 
     fn push_new(&mut self, col: Index, val: V) {
@@ -232,6 +272,7 @@ impl<V: Copy> DhbRow<V> {
     /// Sets `col` to `val`, inserting if absent (MERGE semantics). Returns
     /// `true` if the entry is new.
     pub fn set(&mut self, col: Index, val: V) -> bool {
+        self.maybe_build_index();
         match self.find(col) {
             Some(i) => {
                 self.vals[i] = val;
@@ -247,6 +288,7 @@ impl<V: Copy> DhbRow<V> {
     /// Combines `val` into `col` with `combine(old, new)`, inserting `val`
     /// if absent (matrix-addition semantics). Returns `true` if new.
     pub fn combine(&mut self, col: Index, val: V, combine: impl FnOnce(V, V) -> V) -> bool {
+        self.maybe_build_index();
         match self.find(col) {
             Some(i) => {
                 self.vals[i] = combine(self.vals[i], val);
@@ -285,6 +327,7 @@ impl<V: Copy> DhbRow<V> {
     /// Removes `col` (MASK semantics). Returns the removed value, if any.
     /// Expected O(1): swap-remove in the adjacency array + hash fix-up.
     pub fn remove(&mut self, col: Index) -> Option<V> {
+        self.maybe_build_index();
         let i = self.find(col)?;
         let val = self.vals[i];
         self.cols.swap_remove(i);
@@ -299,27 +342,119 @@ impl<V: Copy> DhbRow<V> {
         Some(val)
     }
 
-    /// Appends the row's entries to `cols`/`vals` in ascending column order.
-    /// A row that already is in column order (bulk-filled and only appended
-    /// to since) is copied as it stands; otherwise `(col, slot)` keys are
-    /// sorted in `scratch` and the values gathered through the slots.
-    fn append_sorted(&self, cols: &mut Vec<Index>, vals: &mut Vec<V>, scratch: &mut Vec<u64>) {
-        if self.cols.windows(2).all(|w| w[0] < w[1]) {
-            cols.extend_from_slice(&self.cols);
-            vals.extend_from_slice(&self.vals);
+    /// Combines a column-sorted, duplicate-free run into the row: entry `j`
+    /// of the run is `(cols[j], val(j))`, and a column the row holds becomes
+    /// `combine(old, val(j))`. Returns how many entries were new.
+    ///
+    /// The row ends column-sorted and unindexed (an indexed or unsorted row
+    /// is sorted once, first). One exponential search per run column, each
+    /// starting from the previous hit, finds it: a hit combines in place,
+    /// and a new column's run index and insert position go to `scratch`.
+    /// If any are new, the row grows by their count and merges them in from
+    /// the back, so only the suffix after the first new column moves, in
+    /// one block per new column.
+    pub fn merge_sorted(
+        &mut self,
+        cols: &[Index],
+        val: impl Fn(usize) -> V,
+        combine: impl Fn(V, V) -> V,
+        scratch: &mut Vec<u32>,
+    ) -> usize {
+        debug_assert!(
+            cols.windows(2).all(|w| w[0] < w[1]),
+            "sorted + dedup required"
+        );
+        self.sort_unindexed();
+        let len = self.len();
+        scratch.clear();
+        let mut lo = 0;
+        for (j, &c) in cols.iter().enumerate() {
+            let p = lo + gallop(&self.cols[lo..], c);
+            if p < len && self.cols[p] == c {
+                self.vals[p] = combine(self.vals[p], val(j));
+                lo = p + 1;
+            } else {
+                scratch.extend([j as u32, p as u32]);
+                lo = p;
+            }
+        }
+        let new = scratch.len() / 2;
+        if new == 0 {
+            return 0;
+        }
+        if len == 0 {
+            self.cols.extend_from_slice(cols);
+            self.vals.extend((0..cols.len()).map(&val));
+            return new;
+        }
+        // Back merge: the old entries at or past a new column's insert
+        // position move up by the number of new columns at or below it.
+        self.cols.resize(len + new, 0);
+        self.vals.resize(len + new, self.vals[0]);
+        let (mut i, mut w) = (len, len + new);
+        for pair in scratch.chunks_exact(2).rev() {
+            let (j, p) = (pair[0] as usize, pair[1] as usize);
+            let n = i - p;
+            self.cols.copy_within(p..i, w - n);
+            self.vals.copy_within(p..i, w - n);
+            w -= n + 1;
+            self.cols[w] = cols[j];
+            self.vals[w] = val(j);
+            i = p;
+        }
+        debug_assert_eq!(w, i, "back merge ends where the untouched prefix does");
+        new
+    }
+
+    /// Drops the index and puts the row in column order, unless it already
+    /// is: a heavy unindexed row is by the invariant, and is not scanned.
+    /// Otherwise `(col, slot)` keys are sorted and the values gathered
+    /// through the slots.
+    fn sort_unindexed(&mut self) {
+        let heavy_unindexed = self.index.take().is_none() && self.len() >= INDEX_THRESHOLD;
+        if heavy_unindexed || self.is_sorted() {
             return;
         }
-        scratch.clear();
-        scratch.extend(
+        let mut keys = Vec::new();
+        self.sorted_keys(&mut keys);
+        let vals: Vec<V> = keys.iter().map(|&k| self.vals[key_slot(k)]).collect();
+        for (c, &k) in self.cols.iter_mut().zip(&keys) {
+            *c = (k >> 32) as Index;
+        }
+        self.vals.copy_from_slice(&vals);
+    }
+
+    fn is_sorted(&self) -> bool {
+        self.cols.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// Fills `keys` with the row's `(col << 32 | slot)` keys in column order.
+    fn sorted_keys(&self, keys: &mut Vec<u64>) {
+        keys.clear();
+        keys.extend(
             self.cols
                 .iter()
                 .enumerate()
                 .map(|(slot, &c)| ((c as u64) << 32) | slot as u64),
         );
-        scratch.sort_unstable();
+        keys.sort_unstable();
+    }
+
+    /// Appends the row's entries to `cols`/`vals` in ascending column order.
+    /// A row that already is in column order (merged, or bulk-filled and
+    /// only appended to since) is copied as it stands; otherwise its sorted
+    /// keys are built in `scratch` and the values gathered through the
+    /// slots.
+    fn append_sorted(&self, cols: &mut Vec<Index>, vals: &mut Vec<V>, scratch: &mut Vec<u64>) {
+        if self.is_sorted() {
+            cols.extend_from_slice(&self.cols);
+            vals.extend_from_slice(&self.vals);
+            return;
+        }
+        self.sorted_keys(scratch);
         for &key in scratch.iter() {
             cols.push((key >> 32) as Index);
-            vals.push(self.vals[(key & u64::from(u32::MAX)) as usize]);
+            vals.push(self.vals[key_slot(key)]);
         }
     }
 
@@ -429,6 +564,25 @@ impl<V: Copy> DhbMatrix<V> {
         let old = self.rows[r as usize].remove(c);
         self.nnz -= usize::from(old.is_some());
         old
+    }
+
+    /// [`DhbRow::merge_sorted`] on row `r`, keeping the cached nnz in step.
+    /// Returns how many entries were new.
+    pub fn merge_row(
+        &mut self,
+        r: Index,
+        cols: &[Index],
+        val: impl Fn(usize) -> V,
+        combine: impl Fn(V, V) -> V,
+        scratch: &mut Vec<u32>,
+    ) -> usize {
+        debug_assert!(
+            r < self.nrows && cols.last().is_none_or(|&c| c < self.ncols),
+            "index out of range"
+        );
+        let new = self.rows[r as usize].merge_sorted(cols, val, combine, scratch);
+        self.nnz += new;
+        new
     }
 
     /// Runs `f` on row `r` with mutable access and keeps the cached nnz in
@@ -700,6 +854,187 @@ mod tests {
             .collect();
         let expect: Vec<((Index, Index), u64)> = model.into_iter().collect();
         assert_eq!(triples, expect);
+    }
+
+    /// The row invariant: a heavy row without an index is strictly
+    /// column-sorted.
+    fn assert_row_invariant<V: Copy>(row: &DhbRow<V>, step: usize) {
+        if row.index.is_none() && row.len() >= INDEX_THRESHOLD {
+            assert!(
+                row.is_sorted(),
+                "unindexed heavy row unsorted at step {step}"
+            );
+        }
+    }
+
+    /// Sorted runs interleaved with point `set` / `combine` / `remove` on
+    /// rows that start indexed, unindexed and sorted, or light and unsorted.
+    /// Values are drawn from {1e16, 1, −1e16} and folded with `+` or `−`,
+    /// so a fold out of `combine(old, new)` order changes the bits. After
+    /// every step: the row invariant, nnz, the returned new count, `to_csr`
+    /// and `patch_csr` against a `BTreeMap`.
+    #[test]
+    fn merge_row_matches_btreemap_model() {
+        const NROWS: Index = 12;
+        const NCOLS: Index = 160;
+        const VALUES: [f64; 3] = [1e16, 1.0, -1e16];
+        let folds: [fn(f64, f64) -> f64; 2] = [|o, n| o + n, |o, n| o - n];
+        let mut rng = SplitMix64::new(37);
+        let mut m: DhbMatrix<f64> = DhbMatrix::new(NROWS, NCOLS);
+        let mut model: BTreeMap<(Index, Index), f64> = BTreeMap::new();
+        // Rows 0..4 bulk-filled (indexed), 4..8 merged into empty (sorted,
+        // unindexed), 8..12 light and set in descending column order.
+        for r in 0..NROWS {
+            let cols: Vec<Index> = match r / 4 {
+                0 | 1 => (0..20).map(|i| i * 7 + r).collect(),
+                _ => (0..5).rev().map(|i| i * 11 + r).collect(),
+            };
+            let vals: Vec<f64> = cols.iter().map(|&c| VALUES[c as usize % 3]).collect();
+            match r / 4 {
+                0 => m.update_row(r, |row| row.fill_sorted(&cols, &vals)),
+                1 => {
+                    m.merge_row(r, &cols, |j| vals[j], folds[0], &mut Vec::new());
+                }
+                _ => {
+                    for (&c, &v) in cols.iter().zip(&vals) {
+                        m.set(r, c, v);
+                    }
+                }
+            }
+            for (&c, &v) in cols.iter().zip(&vals) {
+                model.insert((r, c), v);
+            }
+        }
+        assert!(m.rows[0].index.is_some() && m.rows[4].index.is_none());
+        assert!(!m.rows[8].is_sorted());
+        // Merges seen into: [indexed, unindexed heavy, light unsorted,
+        // light that the run makes heavy].
+        let mut seen = [0usize; 4];
+        let mut image = m.to_csr();
+        let mut scratch = Vec::new();
+        for step in 0..4_000 {
+            let r = rng.gen_range(u64::from(NROWS)) as Index;
+            let mut touched: Vec<(Index, Index)> = Vec::new();
+            let fold = folds[rng.gen_range(2) as usize];
+            let value = |rng: &mut SplitMix64| VALUES[rng.gen_range(3) as usize];
+            let op = rng.gen_range(20);
+            match op {
+                // A sorted run, half its columns drawn from the row.
+                0..=5 => {
+                    let held: Vec<Index> =
+                        model.range((r, 0)..(r + 1, 0)).map(|(k, _)| k.1).collect();
+                    let mut cols: Vec<Index> = (0..rng.gen_range(24) + 1)
+                        .map(|_| match (rng.gen_range(2), held.is_empty()) {
+                            (0, false) => held[rng.gen_range(held.len() as u64) as usize],
+                            _ => rng.gen_range(u64::from(NCOLS)) as Index,
+                        })
+                        .collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    let vals: Vec<f64> = cols.iter().map(|_| value(&mut rng)).collect();
+                    let row = &m.rows[r as usize];
+                    let before = row.len();
+                    let kind = if row.index.is_some() {
+                        0
+                    } else if before >= INDEX_THRESHOLD {
+                        1
+                    } else if !row.is_sorted() {
+                        2
+                    } else {
+                        3
+                    };
+                    let mut expect_new = 0;
+                    for (&c, &v) in cols.iter().zip(&vals) {
+                        match model.get_mut(&(r, c)) {
+                            Some(old) => *old = fold(*old, v),
+                            None => {
+                                model.insert((r, c), v);
+                                expect_new += 1;
+                            }
+                        }
+                        touched.push((r, c));
+                    }
+                    let new = m.merge_row(r, &cols, |j| vals[j], fold, &mut scratch);
+                    assert_eq!(new, expect_new, "new count at step {step}");
+                    if kind < 3 || before + new >= INDEX_THRESHOLD {
+                        seen[kind] += 1;
+                    }
+                    let row = &m.rows[r as usize];
+                    assert!(
+                        row.index.is_none() && row.is_sorted(),
+                        "merge leaves the row sorted and unindexed"
+                    );
+                }
+                6..=8 => {
+                    let (c, v) = (rng.gen_range(u64::from(NCOLS)) as Index, value(&mut rng));
+                    m.set(r, c, v);
+                    model.insert((r, c), v);
+                    touched.push((r, c));
+                }
+                9..=11 => {
+                    let (c, v) = (rng.gen_range(u64::from(NCOLS)) as Index, value(&mut rng));
+                    m.combine_entry(r, c, v, fold);
+                    match model.get_mut(&(r, c)) {
+                        Some(old) => *old = fold(*old, v),
+                        None => {
+                            model.insert((r, c), v);
+                        }
+                    }
+                    touched.push((r, c));
+                }
+                12..=18 => {
+                    let c = rng.gen_range(u64::from(NCOLS)) as Index;
+                    assert_eq!(
+                        m.remove(r, c),
+                        model.remove(&(r, c)),
+                        "remove at step {step}"
+                    );
+                    touched.push((r, c));
+                }
+                // Drain the row, so it can start light again.
+                _ => {
+                    let held: Vec<Index> =
+                        model.range((r, 0)..(r + 1, 0)).map(|(k, _)| k.1).collect();
+                    for &c in held.iter().rev() {
+                        assert_eq!(m.remove(r, c), model.remove(&(r, c)));
+                        touched.push((r, c));
+                    }
+                }
+            }
+            assert_eq!(m.nnz(), model.len(), "nnz drift at step {step}");
+            let row = &m.rows[r as usize];
+            assert!(
+                op <= 5 || row.index.is_some() || row.len() < INDEX_THRESHOLD,
+                "a point operation leaves a heavy row unindexed at step {step}"
+            );
+            for row in &m.rows {
+                assert_row_invariant(row, step);
+            }
+            let full = m.to_csr();
+            let got: Vec<(Index, Index, u64)> = (0..NROWS)
+                .flat_map(|r| {
+                    let (cols, vals) = full.row(r);
+                    cols.iter()
+                        .zip(vals)
+                        .map(move |(&c, &v)| (r, c, v.to_bits()))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let want: Vec<(Index, Index, u64)> = model
+                .iter()
+                .map(|(&(r, c), &v)| (r, c, v.to_bits()))
+                .collect();
+            assert_eq!(got, want, "to_csr at step {step}");
+            touched.sort_unstable();
+            touched.dedup();
+            assert_eq!(
+                m.patch_csr(&image, &touched),
+                full,
+                "patch_csr at step {step}"
+            );
+            image = full;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "merge states seen: {seen:?}");
     }
 
     #[test]
