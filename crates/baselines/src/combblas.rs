@@ -15,6 +15,7 @@
 //! * SpGEMM is **sparse SUMMA**, broadcasting the *full* operand blocks
 //!   (communication `O((nnz(A)+nnz(B))/√p)`).
 
+use crate::{Competitor, Deletes, Fold};
 use dspgemm_core::distmat::{BlockInfo, Elem};
 use dspgemm_core::grid::{owner_block, Grid};
 use dspgemm_core::pipeline::run_rounds;
@@ -62,18 +63,29 @@ where
 }
 
 impl<V: Elem> CombBlasMatrix<V> {
-    /// An empty matrix.
-    pub fn empty(grid: &Grid, nrows: Index, ncols: Index) -> Self {
-        let info = BlockInfo::for_rank(grid, nrows, ncols);
-        Self {
-            block: Dcsr::empty(info.local_rows(), info.local_cols()),
-            info,
-        }
+    fn to_local(&self, global: Vec<Triple<V>>) -> Vec<Triple<V>> {
+        global
+            .into_iter()
+            .map(|t| {
+                let (lr, lc) = self.info.to_local(t.row, t.col);
+                Triple::new(lr, lc, t.val)
+            })
+            .collect()
     }
 
-    /// Constructs from rank-local, globally-indexed tuples (duplicates are
-    /// combined with the semiring addition, as `SpParMat` assembly does).
-    pub fn construct<S: Semiring<Elem = V>>(
+    /// Local non-zero count.
+    pub fn local_nnz(&self) -> usize {
+        self.block.nnz()
+    }
+}
+
+impl<V: Elem> Competitor<V> for CombBlasMatrix<V> {
+    type Product = Self;
+
+    /// `SpParMat` construction from tuples: comparison sort, one global
+    /// alltoall, then assembly with duplicates combined by the semiring
+    /// addition.
+    fn construct<S: Semiring<Elem = V>>(
         grid: &Grid,
         nrows: Index,
         ncols: Index,
@@ -86,50 +98,18 @@ impl<V: Elem> CombBlasMatrix<V> {
         m
     }
 
-    fn to_local(&self, global: Vec<Triple<V>>) -> Vec<Triple<V>> {
-        global
-            .into_iter()
-            .map(|t| {
-                let (lr, lc) = self.info.to_local(t.row, t.col);
-                Triple::new(lr, lc, t.val)
-            })
-            .collect()
-    }
-
-    /// Block placement info.
-    pub fn info(&self) -> &BlockInfo {
-        &self.info
-    }
-
-    /// The local block.
-    pub fn block(&self) -> &Dcsr<V> {
-        &self.block
-    }
-
-    /// Local non-zero count.
-    pub fn local_nnz(&self) -> usize {
-        self.block.nnz()
-    }
-
-    /// Global non-zero count (collective).
-    pub fn global_nnz(&self, grid: &Grid) -> u64 {
-        grid.world()
-            .allreduce(self.block.nnz() as u64, |a, b| a + b)
-    }
-
-    /// Inserts a batch: redistributes the tuples, then **rebuilds** the
+    /// `SpParMat` += a tuple batch: redistribute, then **rebuild** the
     /// static block by merging — the cost the paper's Fig. 4 measures.
-    /// Duplicate positions combine with the semiring addition.
-    pub fn insert_batch<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+    fn insert<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
         let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, tuples);
         let local = self.to_local(mine);
         let update = Dcsr::from_triples::<S>(self.info.local_rows(), self.info.local_cols(), local);
         self.block = Dcsr::merge_add::<S>(&self.block, &update);
     }
 
-    /// Value updates: redistribute, then rebuild with replacement semantics
-    /// (`MERGE`): coinciding entries take the update's value.
-    pub fn update_batch<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+    /// `SpParMat` value writes: redistribute, then rebuild with replacement
+    /// semantics (coinciding entries take the update's value).
+    fn update(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
         let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, tuples);
         let mut local = self.to_local(mine);
         dspgemm_sparse::triple::sort_row_major(&mut local);
@@ -140,8 +120,83 @@ impl<V: Elem> CombBlasMatrix<V> {
         self.block = Dcsr::merge_with(&update, &self.block, |upd, _old| upd);
     }
 
-    /// Deletions: redistribute the positions, then rebuild without them.
-    pub fn delete_batch(&mut self, grid: &Grid, positions: Vec<Triple<V>>) {
+    /// CombBLAS sparse SUMMA: `C = A · B` broadcasting the **full** operand
+    /// blocks every round.
+    ///
+    /// Runs on the same pipelined round scheduler as the dspgemm SUMMA
+    /// (round `k + 1`'s panel broadcasts in flight during round `k`'s
+    /// multiply): CombBLAS 2.0 overlaps its broadcasts the same way, and
+    /// giving only one system the overlap would bias head-to-head wall-clock
+    /// comparisons — the architectural contrast the baseline models is its
+    /// *static storage and full-operand volume*, not a worse transport
+    /// schedule.
+    fn spgemm<S: Semiring<Elem = V>>(grid: &Grid, a: &Self, b: &Self) -> (Self, u64) {
+        assert_eq!(a.info.ncols, b.info.nrows, "dimension mismatch");
+        let q = grid.q();
+        let (i, j) = grid.coords();
+        // Broadcasts go through the zero-copy shared collectives, like the
+        // dspgemm arms: the per-receiver deep clone is an artifact of the
+        // in-process simulator, not part of CombBLAS's modeled cost. Wire
+        // metering is identical either way. One snapshot per call at the
+        // root (mirroring dspgemm's per-call CSR snapshot), then `Arc`s move.
+        let a_local = Arc::new(a.block.clone());
+        let b_local = Arc::new(b.block.clone());
+        let mut state = (Dcsr::empty(a.info.local_rows(), b.info.local_cols()), 0u64);
+        run_rounds(
+            &mut state,
+            q,
+            |_ctx, k| {
+                let ra = grid.row_comm().ibcast_shared(
+                    k,
+                    if j == k {
+                        Some(Arc::clone(&a_local))
+                    } else {
+                        None
+                    },
+                );
+                let rb = grid.col_comm().ibcast_shared(
+                    k,
+                    if i == k {
+                        Some(Arc::clone(&b_local))
+                    } else {
+                        None
+                    },
+                );
+                (ra, rb)
+            },
+            |_ctx, _k, (ra, rb)| (ra.wait(), rb.wait()),
+            |(acc, flops), _k, (a_blk, b_blk)| {
+                // CombBLAS broadcasts its compressed blocks; the local
+                // kernel indexes rows of the right operand, so expand the
+                // received right block to CSR.
+                let b_csr: Csr<V> =
+                    Csr::from_sorted_triples(b_blk.nrows(), b_blk.ncols(), &b_blk.to_triples());
+                let partial = dspgemm_sparse::local_mm::spgemm::<S, _, _>(&*a_blk, &b_csr, 1);
+                *flops += partial.flops;
+                *acc = Dcsr::merge_add::<S>(acc, &partial.result);
+            },
+        );
+        let (acc, flops) = state;
+        let info = BlockInfo::for_rank(grid, a.info.nrows, b.info.ncols);
+        (CombBlasMatrix { info, block: acc }, flops)
+    }
+
+    fn to_global_triples(&self) -> Vec<Triple<V>> {
+        self.block
+            .to_triples()
+            .into_iter()
+            .map(|t| {
+                let (r, c) = self.info.to_global(t.row, t.col);
+                Triple::new(r, c, t.val)
+            })
+            .collect()
+    }
+}
+
+impl<V: Elem> Deletes<V> for CombBlasMatrix<V> {
+    /// `SpParMat` pruning: redistribute the positions, then rebuild the
+    /// block without them.
+    fn delete(&mut self, grid: &Grid, positions: Vec<Triple<V>>) {
         let mine = redistribute_global(grid, self.info.nrows, self.info.ncols, positions);
         let mut kill: Vec<(Index, Index)> = mine
             .into_iter()
@@ -158,102 +213,23 @@ impl<V: Elem> CombBlasMatrix<V> {
         self.block =
             Dcsr::from_sorted_triples(self.info.local_rows(), self.info.local_cols(), &keep);
     }
+}
 
-    /// Element-wise `self += other` on aligned local blocks (no
-    /// communication; used to fold a product increment into a maintained
-    /// result, as the Fig. 9 competitor protocol requires).
-    pub fn merge_add_local<S: Semiring<Elem = V>>(&mut self, other: &CombBlasMatrix<V>) {
+impl<V: Elem> Fold<V> for CombBlasMatrix<V> {
+    fn empty(grid: &Grid, nrows: Index, ncols: Index) -> Self {
+        let info = BlockInfo::for_rank(grid, nrows, ncols);
+        Self {
+            block: Dcsr::empty(info.local_rows(), info.local_cols()),
+            info,
+        }
+    }
+
+    /// `SpParMat` element-wise add (`EWiseApply` with `+`) on aligned
+    /// blocks.
+    fn merge_add_local<S: Semiring<Elem = V>>(&mut self, other: &Self) {
         assert_eq!(self.info, other.info, "distribution mismatch");
         self.block = Dcsr::merge_add::<S>(&self.block, &other.block);
     }
-
-    /// All entries as globally-indexed triples.
-    pub fn to_global_triples(&self) -> Vec<Triple<V>> {
-        self.block
-            .to_triples()
-            .into_iter()
-            .map(|t| {
-                let (r, c) = self.info.to_global(t.row, t.col);
-                Triple::new(r, c, t.val)
-            })
-            .collect()
-    }
-
-    /// Gathers to world rank 0 (testing; collective).
-    pub fn gather_to_root(&self, grid: &Grid) -> Option<Vec<Triple<V>>> {
-        grid.world()
-            .gather(0, self.to_global_triples())
-            .map(|parts| {
-                let mut all: Vec<Triple<V>> = parts.into_iter().flatten().collect();
-                dspgemm_sparse::triple::sort_row_major(&mut all);
-                all
-            })
-    }
-}
-
-/// CombBLAS-style sparse SUMMA: `C = A · B` broadcasting the **full**
-/// operand blocks every round. Returns the product in CombBLAS storage plus
-/// local flops.
-///
-/// Runs on the same pipelined round scheduler as the dspgemm SUMMA (round
-/// `k + 1`'s panel broadcasts in flight during round `k`'s multiply):
-/// CombBLAS 2.0 overlaps its broadcasts the same way, and giving only one
-/// system the overlap would bias head-to-head wall-clock comparisons — the
-/// architectural contrast the baseline models is its *static storage and
-/// full-operand volume*, not a worse transport schedule.
-pub fn spgemm<S: Semiring>(
-    grid: &Grid,
-    a: &CombBlasMatrix<S::Elem>,
-    b: &CombBlasMatrix<S::Elem>,
-) -> (CombBlasMatrix<S::Elem>, u64) {
-    assert_eq!(a.info.ncols, b.info.nrows, "dimension mismatch");
-    let q = grid.q();
-    let (i, j) = grid.coords();
-    // Broadcasts go through the zero-copy shared collectives, like the
-    // dspgemm arms: the per-receiver deep clone is an artifact of the
-    // in-process simulator, not part of CombBLAS's modeled cost. Wire
-    // metering is identical either way. One snapshot per call at the root
-    // (mirroring dspgemm's per-call CSR snapshot), then `Arc`s move.
-    let a_local = Arc::new(a.block.clone());
-    let b_local = Arc::new(b.block.clone());
-    let mut state = (Dcsr::empty(a.info.local_rows(), b.info.local_cols()), 0u64);
-    run_rounds(
-        &mut state,
-        q,
-        |_ctx, k| {
-            let ra = grid.row_comm().ibcast_shared(
-                k,
-                if j == k {
-                    Some(Arc::clone(&a_local))
-                } else {
-                    None
-                },
-            );
-            let rb = grid.col_comm().ibcast_shared(
-                k,
-                if i == k {
-                    Some(Arc::clone(&b_local))
-                } else {
-                    None
-                },
-            );
-            (ra, rb)
-        },
-        |_ctx, _k, (ra, rb)| (ra.wait(), rb.wait()),
-        |(acc, flops), _k, (a_blk, b_blk)| {
-            // CombBLAS broadcasts its compressed blocks; the local kernel
-            // indexes rows of the right operand, so expand the received
-            // right block to CSR.
-            let b_csr: Csr<S::Elem> =
-                Csr::from_sorted_triples(b_blk.nrows(), b_blk.ncols(), &b_blk.to_triples());
-            let partial = dspgemm_sparse::local_mm::spgemm::<S, _, _>(&*a_blk, &b_csr, 1);
-            *flops += partial.flops;
-            *acc = Dcsr::merge_add::<S>(acc, &partial.result);
-        },
-    );
-    let (acc, flops) = state;
-    let info = BlockInfo::for_rank(grid, a.info.nrows, b.info.ncols);
-    (CombBlasMatrix { info, block: acc }, flops)
 }
 
 #[cfg(test)]
@@ -314,7 +290,8 @@ mod tests {
                 vec![]
             };
             let mut cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, initial.clone());
-            let nnz0 = cb.global_nnz(&grid);
+            let nnz = |m: &CombBlasMatrix<u64>| m.gather_to_root(&grid).map(|all| all.len());
+            let nnz0 = nnz(&cb);
             // Insert a fresh diagonal (coords disjoint from random draws are
             // not guaranteed; use add semantics so totals are predictable).
             let ins: Vec<Triple<u64>> = if comm.rank() == 0 {
@@ -322,27 +299,28 @@ mod tests {
             } else {
                 vec![]
             };
-            cb.insert_batch::<U64Plus>(&grid, ins);
-            let nnz1 = cb.global_nnz(&grid);
-            assert!(nnz1 >= nnz0 && nnz1 <= nnz0 + n as u64);
+            cb.insert::<U64Plus>(&grid, ins);
+            let nnz1 = nnz(&cb);
+            if let (Some(nnz0), Some(nnz1)) = (nnz0, nnz1) {
+                assert!(nnz1 >= nnz0 && nnz1 <= nnz0 + n as usize);
+            }
             // Update the diagonal to 99.
             let upd: Vec<Triple<u64>> = if comm.rank() == 0 {
                 (0..n).map(|i| Triple::new(i, i, 99)).collect()
             } else {
                 vec![]
             };
-            cb.update_batch::<U64Plus>(&grid, upd);
+            cb.update(&grid, upd);
             // Delete the diagonal.
             let del: Vec<Triple<u64>> = if comm.rank() == 0 {
                 (0..n).map(|i| Triple::new(i, i, 0)).collect()
             } else {
                 vec![]
             };
-            cb.delete_batch(&grid, del);
-            let gathered = cb.gather_to_root(&grid);
-            (nnz1, gathered)
+            cb.delete(&grid, del);
+            cb.gather_to_root(&grid)
         });
-        let gathered = out.results[0].1.as_ref().unwrap();
+        let gathered = out.results[0].as_ref().unwrap();
         assert!(gathered.iter().all(|t| t.row != t.col), "diagonal deleted");
     }
 
@@ -360,7 +338,7 @@ mod tests {
             };
             let a = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed(5));
             let b = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed(6));
-            let (c, _) = spgemm::<U64Plus>(&grid, &a, &b);
+            let (c, _) = CombBlasMatrix::spgemm::<U64Plus>(&grid, &a, &b);
             (
                 a.gather_to_root(&grid),
                 b.gather_to_root(&grid),

@@ -7,16 +7,22 @@
 //! slower" on insertions: per batch it pays `O(nnz(A)/p)` communication and
 //! a comparison sort of the whole local data, regardless of batch size.
 //!
+//! A write either accumulates (`insert`) or overwrites (`update`). An
+//! overwrite cannot fold into the re-shuffle alone — the stored entry and
+//! the new value arrive at the new owner from different ranks — so it first
+//! routes the batch as a kill-list, then writes.
+//!
 //! SpGEMM first redistributes both operands into a blocked layout suitable
 //! for SUMMA (another full-operand shuffle), then runs SUMMA — modelled here
 //! by converting to [`crate::combblas::CombBlasMatrix`] via the global
 //! redistribution and reusing the SUMMA baseline.
 
-use crate::combblas::{self, CombBlasMatrix};
+use crate::combblas::CombBlasMatrix;
+use crate::{Competitor, Deletes};
+use dspgemm_core::distmat::Elem;
 use dspgemm_core::grid::Grid;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
-use dspgemm_util::{WireDecode, WireSize};
 
 /// A CTF-like distributed sparse matrix: elements stored cyclically.
 ///
@@ -43,32 +49,17 @@ fn cyclic_owner(q: usize, epoch: u64, r: Index, c: Index) -> usize {
     ((r as usize + e) % q) * q + ((c as usize + e) % q)
 }
 
-impl<V> CtfMatrix<V>
-where
-    V: Copy + Send + Sync + PartialEq + std::fmt::Debug + WireSize + WireDecode + 'static,
-{
-    /// Constructs from rank-local tuples: comparison sort + global shuffle
-    /// into the cyclic layout, duplicates combined with the semiring add.
-    pub fn construct<S: Semiring<Elem = V>>(
+impl<V: Elem> CtfMatrix<V> {
+    /// One write epoch: install a fresh cyclic layout, comparison-sort the
+    /// entire existing local data together with `tuples`, re-shuffle
+    /// **everything** through a global alltoall, and fold coinciding
+    /// positions with `dedup`.
+    fn write_epoch(
+        &mut self,
         grid: &Grid,
-        nrows: Index,
-        ncols: Index,
         tuples: Vec<Triple<V>>,
-    ) -> Self {
-        let mut m = Self {
-            nrows,
-            ncols,
-            epoch: 0,
-            elems: Vec::new(),
-        };
-        m.write::<S>(grid, tuples);
-        m
-    }
-
-    /// The CTF write path: merge new tuples with the entire existing local
-    /// data, comparison-sort, and re-shuffle **everything** through a global
-    /// alltoall into the (fresh) cyclic layout.
-    pub fn write<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+        dedup: impl FnOnce(&mut Vec<Triple<V>>),
+    ) {
         let q = grid.q();
         let p = grid.p();
         // A write epoch installs a fresh layout; all existing data migrates.
@@ -84,15 +75,69 @@ where
         let received = grid.world().alltoallv(chunks);
         let mut mine: Vec<Triple<V>> = received.into_iter().flatten().collect();
         dspgemm_sparse::triple::sort_row_major(&mut mine);
-        dspgemm_sparse::triple::dedup_add::<S>(&mut mine);
+        dedup(&mut mine);
         self.elems = mine;
     }
+}
 
-    /// Deletion epoch: remove positions, then re-shuffle the whole tensor
-    /// (CTF has no in-place erase either).
-    pub fn delete<S: Semiring<Elem = V>>(&mut self, grid: &Grid, positions: Vec<Triple<V>>) {
-        // Route the kill-list to the cyclic owners, then rebuild locally and
-        // reshuffle to keep the layout invariant.
+impl<V: Elem> Competitor<V> for CtfMatrix<V> {
+    type Product = CombBlasMatrix<V>;
+
+    /// CTF `write` into an empty tensor: comparison sort + global shuffle
+    /// into the cyclic layout, duplicates combined with the semiring add.
+    fn construct<S: Semiring<Elem = V>>(
+        grid: &Grid,
+        nrows: Index,
+        ncols: Index,
+        tuples: Vec<Triple<V>>,
+    ) -> Self {
+        let mut m = Self {
+            nrows,
+            ncols,
+            epoch: 0,
+            elems: Vec::new(),
+        };
+        m.insert::<S>(grid, tuples);
+        m
+    }
+
+    /// CTF `write` accumulating into the tensor: one write epoch that merges
+    /// the batch with all existing data, adding coinciding positions.
+    fn insert<S: Semiring<Elem = V>>(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+        self.write_epoch(grid, tuples, dspgemm_sparse::triple::dedup_add::<S>);
+    }
+
+    /// CTF `write` overwriting the tensor's values: the batch's positions
+    /// first travel as a kill-list to their current owners (the exchange
+    /// [`Deletes::delete`] routes), then one write epoch re-shuffles the
+    /// whole tensor with the batch, last write winning.
+    fn update(&mut self, grid: &Grid, tuples: Vec<Triple<V>>) {
+        self.delete(grid, tuples.clone());
+        self.write_epoch(grid, tuples, dspgemm_sparse::triple::dedup_last_wins);
+    }
+
+    /// CTF contraction: re-layout both operands into a blocked distribution
+    /// (full-operand global shuffles), then run SUMMA. The product stays
+    /// blocked.
+    fn spgemm<S: Semiring<Elem = V>>(grid: &Grid, a: &Self, b: &Self) -> (CombBlasMatrix<V>, u64) {
+        // Re-layout: cyclic -> 2D blocked, paying a full shuffle per operand.
+        let a_blocked =
+            CombBlasMatrix::construct::<S>(grid, a.nrows, a.ncols, a.to_global_triples());
+        let b_blocked =
+            CombBlasMatrix::construct::<S>(grid, b.nrows, b.ncols, b.to_global_triples());
+        CombBlasMatrix::spgemm::<S>(grid, &a_blocked, &b_blocked)
+    }
+
+    fn to_global_triples(&self) -> Vec<Triple<V>> {
+        self.elems.clone()
+    }
+}
+
+impl<V: Elem> Deletes<V> for CtfMatrix<V> {
+    /// CTF sparse erase: route the kill-list to the cyclic owners and drop
+    /// the positions (CTF has no in-place erase; the next write epoch
+    /// re-shuffles what remains).
+    fn delete(&mut self, grid: &Grid, positions: Vec<Triple<V>>) {
         let q = grid.q();
         let p = grid.p();
         let epoch = self.epoch;
@@ -106,48 +151,6 @@ where
         kill.dedup();
         self.elems.retain(|t| kill.binary_search(&t.key()).is_err());
     }
-
-    /// Local element count.
-    pub fn local_nnz(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// Global non-zero count (collective).
-    pub fn global_nnz(&self, grid: &Grid) -> u64 {
-        grid.world()
-            .allreduce(self.elems.len() as u64, |a, b| a + b)
-    }
-
-    /// Globally-indexed triples held by this rank.
-    pub fn to_global_triples(&self) -> Vec<Triple<V>> {
-        self.elems.clone()
-    }
-
-    /// Gathers to world rank 0 (testing; collective).
-    pub fn gather_to_root(&self, grid: &Grid) -> Option<Vec<Triple<V>>> {
-        grid.world().gather(0, self.elems.clone()).map(|parts| {
-            let mut all: Vec<Triple<V>> = parts.into_iter().flatten().collect();
-            dspgemm_sparse::triple::sort_row_major(&mut all);
-            all
-        })
-    }
-}
-
-/// CTF-like SpGEMM: re-layout both operands into a blocked distribution
-/// (full-operand global shuffles), then run SUMMA. Returns the product as a
-/// blocked matrix plus local flops.
-pub fn spgemm<S: Semiring>(
-    grid: &Grid,
-    a: &CtfMatrix<S::Elem>,
-    b: &CtfMatrix<S::Elem>,
-) -> (CombBlasMatrix<S::Elem>, u64)
-where
-    S::Elem: Send + Sync + 'static,
-{
-    // Re-layout: cyclic -> 2D blocked, paying a full shuffle per operand.
-    let a_blocked = CombBlasMatrix::construct::<S>(grid, a.nrows, a.ncols, a.to_global_triples());
-    let b_blocked = CombBlasMatrix::construct::<S>(grid, b.nrows, b.ncols, b.to_global_triples());
-    combblas::spgemm::<S>(grid, &a_blocked, &b_blocked)
 }
 
 #[cfg(test)]
@@ -204,8 +207,7 @@ mod tests {
             } else {
                 vec![]
             };
-            m.write::<U64Plus>(&grid, tiny);
-            m.global_nnz(&grid)
+            m.insert::<U64Plus>(&grid, tiny);
         });
         // A batch of 4 tuples must still have moved ~nnz data in the write
         // epoch: total alltoall volume far exceeds the two constructions.
@@ -229,10 +231,10 @@ mod tests {
             } else {
                 vec![]
             };
-            m.delete::<U64Plus>(&grid, del);
-            m.global_nnz(&grid)
+            m.delete(&grid, del);
+            m.gather_to_root(&grid).map(|all| all.len())
         });
-        assert!(out.results.iter().all(|&nnz| nnz == 10));
+        assert_eq!(out.results[0], Some(10));
     }
 
     #[test]
@@ -249,7 +251,7 @@ mod tests {
             };
             let a = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed(11));
             let b = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed(12));
-            let (c, _) = spgemm::<U64Plus>(&grid, &a, &b);
+            let (c, _) = CtfMatrix::spgemm::<U64Plus>(&grid, &a, &b);
             (
                 a.gather_to_root(&grid),
                 b.gather_to_root(&grid),

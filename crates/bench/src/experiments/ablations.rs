@@ -14,6 +14,7 @@ use crate::measure::timed_collective;
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::combblas::{self, CombBlasMatrix};
+use dspgemm_baselines::Competitor;
 use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm_core::redistribute::redistribute;
 use dspgemm_core::{DistMat, Exec, Grid};
@@ -242,7 +243,7 @@ pub fn aggregation(cfg: &Config) -> Table {
                 .map(|(u, v)| Triple::new(u, v, 1.0))
                 .collect();
             let a_star = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, batch);
-            let (delta, _) = combblas::spgemm::<F64Plus>(&grid, &a_star, &b);
+            let (delta, _) = CombBlasMatrix::spgemm::<F64Plus>(&grid, &a_star, &b);
             delta.local_nnz()
         });
         let dyn_bytes = dynamic.stats.total_bytes() - base.stats.total_bytes();

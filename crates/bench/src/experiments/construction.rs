@@ -4,7 +4,7 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice};
 use crate::measure::timed_collective;
 use crate::report::{ms, ratio, Table};
 use crate::Config;
-use dspgemm_baselines::{combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix};
+use dspgemm_baselines::{combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor};
 use dspgemm_core::{DistMat, Grid};
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_util::stats::{geometric_mean, PhaseTimer};
@@ -34,39 +34,25 @@ fn construct_times(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> [Duration; 4] 
         })
         .results[0]
     });
-    let cb = best_of(|| {
-        dspgemm_mpi::run(p, |comm| {
-            let grid = Grid::new(comm);
-            let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let (_, d) = timed_collective(comm, || {
-                CombBlasMatrix::construct::<F64Plus>(&grid, n, n, mine.clone())
-            });
-            d
-        })
-        .results[0]
-    });
-    let ctf = best_of(|| {
-        dspgemm_mpi::run(p, |comm| {
-            let grid = Grid::new(comm);
-            let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let (_, d) = timed_collective(comm, || {
-                CtfMatrix::construct::<F64Plus>(&grid, n, n, mine.clone())
-            });
-            d
-        })
-        .results[0]
-    });
-    let petsc = best_of(|| {
-        dspgemm_mpi::run(p, |comm| {
-            let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let (_, d) = timed_collective(comm, || {
-                PetscMatrix::construct::<F64Plus>(comm, n, n, mine.clone())
-            });
-            d
-        })
-        .results[0]
-    });
+    let cb = competitor_time::<CombBlasMatrix<f64>>(cfg, n, edges);
+    let ctf = competitor_time::<CtfMatrix<f64>>(cfg, n, edges);
+    let petsc = competitor_time::<PetscMatrix<f64>>(cfg, n, edges);
     [ours, cb, ctf, petsc]
+}
+
+/// Best-of-`REPS` construction time of competitor `M`.
+fn competitor_time<M: Competitor<f64>>(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> Duration {
+    let p = cfg.p;
+    best_of(|| {
+        dspgemm_mpi::run(p, |comm| {
+            let grid = Grid::new(comm);
+            let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
+            let (_, d) =
+                timed_collective(comm, || M::construct::<F64Plus>(&grid, n, n, mine.clone()));
+            d
+        })
+        .results[0]
+    })
 }
 
 /// Runs the construction experiment over the configured catalog subset.

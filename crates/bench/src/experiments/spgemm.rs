@@ -24,14 +24,14 @@ use crate::measure::{measured_collective, median_cost, BatchCost};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::{
-    combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
+    combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor, Fold,
 };
 use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm_core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
 use dspgemm_core::summa::summa_bloom;
 use dspgemm_core::{phase, DistMat, Exec, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
-use dspgemm_sparse::semiring::{F64Plus, MinPlus};
+use dspgemm_sparse::semiring::{F64Plus, MinPlus, Semiring};
 use dspgemm_sparse::Triple;
 use dspgemm_util::hash::mix_pair;
 use dspgemm_util::stats::{format_bytes, PhaseTimer};
@@ -117,75 +117,29 @@ pub fn ours_algebraic(
     (out.results[0].0.clone(), merged, hidden)
 }
 
-fn combblas_algebraic(cfg: &Config, inst: &Prepared, batch_size: usize) -> BatchCost {
+/// Median per-batch cost of competitor `M` on the Fig. 9 protocol: build
+/// `A*`, compute `A*·B` with the static SpGEMM (full operands moved), and
+/// fold it into the maintained `C`.
+fn competitor_algebraic<M: Competitor<f64>>(
+    cfg: &Config,
+    inst: &Prepared,
+    batch_size: usize,
+) -> BatchCost {
     let n = inst.n;
     let (p, batches, seed) = (cfg.p, cfg.batches, cfg.seed);
     let edges = &inst.edges;
     dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-        let b = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine);
-        let mut c = CombBlasMatrix::<f64>::empty(&grid, n, n);
+        let b = M::construct::<F64Plus>(&grid, n, n, b_mine);
+        let mut c = M::Product::empty(&grid, n, n);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut costs = Vec::new();
         for _ in 0..batches {
             let batch = unit_batch(&mut draws, edges);
             let (_, cost) = measured_collective(comm, || {
-                // Competitor protocol: build A*, compute A*·B statically
-                // (full B broadcast), fold into C.
-                let a_star = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, batch.clone());
-                let (delta, _) = combblas::spgemm::<F64Plus>(&grid, &a_star, &b);
-                c.merge_add_local::<F64Plus>(&delta);
-            });
-            costs.push(cost);
-        }
-        median_cost(&costs)
-    })
-    .results
-    .remove(0)
-}
-
-fn ctf_algebraic(cfg: &Config, inst: &Prepared, batch_size: usize) -> BatchCost {
-    let n = inst.n;
-    let (p, batches, seed) = (cfg.p, cfg.batches, cfg.seed);
-    let edges = &inst.edges;
-    dspgemm_mpi::run(p, |comm| {
-        let grid = Grid::new(comm);
-        let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-        let b = CtfMatrix::construct::<F64Plus>(&grid, n, n, b_mine);
-        let mut c = CombBlasMatrix::<f64>::empty(&grid, n, n);
-        let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut costs = Vec::new();
-        for _ in 0..batches {
-            let batch = unit_batch(&mut draws, edges);
-            let (_, cost) = measured_collective(comm, || {
-                let a_star = CtfMatrix::construct::<F64Plus>(&grid, n, n, batch.clone());
-                let (delta, _) = ctf::spgemm::<F64Plus>(&grid, &a_star, &b);
-                c.merge_add_local::<F64Plus>(&delta);
-            });
-            costs.push(cost);
-        }
-        median_cost(&costs)
-    })
-    .results
-    .remove(0)
-}
-
-fn petsc_algebraic(cfg: &Config, inst: &Prepared, batch_size: usize) -> BatchCost {
-    let n = inst.n;
-    let (p, batches, seed) = (cfg.p, cfg.batches, cfg.seed);
-    let edges = &inst.edges;
-    dspgemm_mpi::run(p, |comm| {
-        let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-        let b = PetscMatrix::construct::<F64Plus>(comm, n, n, b_mine);
-        let mut c = PetscMatrix::<f64>::empty(comm, n, n);
-        let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut costs = Vec::new();
-        for _ in 0..batches {
-            let batch = unit_batch(&mut draws, edges);
-            let (_, cost) = measured_collective(comm, || {
-                let a_star = PetscMatrix::construct::<F64Plus>(comm, n, n, batch.clone());
-                let (delta, _) = petsc::spgemm::<F64Plus>(comm, &a_star, &b);
+                let a_star = M::construct::<F64Plus>(&grid, n, n, batch.clone());
+                let (delta, _) = M::spgemm::<F64Plus>(&grid, &a_star, &b);
                 c.merge_add_local::<F64Plus>(&delta);
             });
             costs.push(cost);
@@ -253,9 +207,9 @@ pub fn fig9(cfg: &Config) -> Table {
         let mut pe_all = Vec::new();
         for inst in &instances {
             o_all.push(ours_algebraic(cfg, inst, bs, cfg.p).0);
-            cb_all.push(combblas_algebraic(cfg, inst, bs));
-            ct_all.push(ctf_algebraic(cfg, inst, bs));
-            pe_all.push(petsc_algebraic(cfg, inst, bs));
+            cb_all.push(competitor_algebraic::<CombBlasMatrix<f64>>(cfg, inst, bs));
+            ct_all.push(competitor_algebraic::<CtfMatrix<f64>>(cfg, inst, bs));
+            pe_all.push(competitor_algebraic::<PetscMatrix<f64>>(cfg, inst, bs));
         }
         rows.push((
             bs,
@@ -314,60 +268,31 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
     .remove(0)
 }
 
-fn static_recompute_general(
+/// Median per-batch cost of competitor `M` on the Fig. 10 protocol under
+/// semiring `S`: write the batch's values into `A'`, then recompute `A'·B`
+/// from scratch.
+fn competitor_general<M: Competitor<f64>, S: Semiring<Elem = f64>>(
     cfg: &Config,
     inst: &Prepared,
     batch_size: usize,
-    which: &str,
 ) -> BatchCost {
     let n = inst.n;
     let (p, batches, seed) = (cfg.p, cfg.batches, cfg.seed);
     let edges = &inst.edges;
-    let which = which.to_string();
     dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let b_mine = edges_to_weighted(&rank_slice(edges, comm.rank(), p));
+        let b = M::construct::<S>(&grid, n, n, b_mine);
+        let mut a = M::construct::<S>(&grid, n, n, vec![]);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut costs = Vec::new();
-        match which.as_str() {
-            "combblas" => {
-                let b = CombBlasMatrix::construct::<MinPlus>(&grid, n, n, b_mine);
-                let mut a = CombBlasMatrix::<f64>::empty(&grid, n, n);
-                for round in 0..batches as u64 {
-                    let batch = weighted_batch(&mut draws, edges, round);
-                    let (_, cost) = measured_collective(comm, || {
-                        a.update_batch::<MinPlus>(&grid, batch.clone());
-                        // General case: recompute A'·B from scratch.
-                        let _ = combblas::spgemm::<MinPlus>(&grid, &a, &b);
-                    });
-                    costs.push(cost);
-                }
-            }
-            "ctf" => {
-                let b = CtfMatrix::construct::<MinPlus>(&grid, n, n, b_mine);
-                let mut a = CtfMatrix::construct::<MinPlus>(&grid, n, n, vec![]);
-                for round in 0..batches as u64 {
-                    let batch = weighted_batch(&mut draws, edges, round);
-                    let (_, cost) = measured_collective(comm, || {
-                        a.write::<MinPlus>(&grid, batch.clone());
-                        let _ = ctf::spgemm::<MinPlus>(&grid, &a, &b);
-                    });
-                    costs.push(cost);
-                }
-            }
-            _ => {
-                // PETSc keeps (+,·) — it has no general semirings (paper).
-                let b = PetscMatrix::construct::<F64Plus>(comm, n, n, b_mine);
-                let mut a = PetscMatrix::<f64>::empty(comm, n, n);
-                for round in 0..batches as u64 {
-                    let batch = weighted_batch(&mut draws, edges, round);
-                    let (_, cost) = measured_collective(comm, || {
-                        a.set_values_insert(comm, batch.clone());
-                        let _ = petsc::spgemm::<F64Plus>(comm, &a, &b);
-                    });
-                    costs.push(cost);
-                }
-            }
+        for round in 0..batches as u64 {
+            let batch = weighted_batch(&mut draws, edges, round);
+            let (_, cost) = measured_collective(comm, || {
+                a.update(&grid, batch.clone());
+                let _ = M::spgemm::<S>(&grid, &a, &b);
+            });
+            costs.push(cost);
         }
         median_cost(&costs)
     })
@@ -386,9 +311,14 @@ pub fn fig10(cfg: &Config) -> Table {
         let mut pe_all = Vec::new();
         for inst in &instances {
             o_all.push(ours_general(cfg, inst, bs, cfg.p));
-            cb_all.push(static_recompute_general(cfg, inst, bs, "combblas"));
-            ct_all.push(static_recompute_general(cfg, inst, bs, "ctf"));
-            pe_all.push(static_recompute_general(cfg, inst, bs, "petsc"));
+            cb_all.push(competitor_general::<CombBlasMatrix<f64>, MinPlus>(
+                cfg, inst, bs,
+            ));
+            ct_all.push(competitor_general::<CtfMatrix<f64>, MinPlus>(cfg, inst, bs));
+            // PETSc keeps (+,·) — it has no general semirings (paper).
+            pe_all.push(competitor_general::<PetscMatrix<f64>, F64Plus>(
+                cfg, inst, bs,
+            ));
         }
         rows.push((
             bs,
@@ -502,7 +432,7 @@ mod tests {
                 phases.entries()
             );
         }
-        let cb = combblas_algebraic(&cfg, inst, 16);
+        let cb = competitor_algebraic::<CombBlasMatrix<f64>>(&cfg, inst, 16);
         assert!(cb.wall > Duration::ZERO);
         // The headline claim holds in volume even at smoke scale: CombBLAS
         // broadcasts the full B, we broadcast the hypersparse updates.
@@ -519,7 +449,7 @@ mod tests {
         let cfg = Config::smoke();
         let inst = &prepare_instances(&cfg)[0];
         let o = ours_general(&cfg, inst, 8, cfg.p);
-        let cb = static_recompute_general(&cfg, inst, 8, "combblas");
+        let cb = competitor_general::<CombBlasMatrix<f64>, MinPlus>(&cfg, inst, 8);
         assert!(o.wall > Duration::ZERO);
         assert!(cb.wall > Duration::ZERO);
         assert!(o.crit_bytes > 0 && o.msgs > 0);

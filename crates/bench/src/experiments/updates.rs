@@ -4,7 +4,9 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::measure::{mean, median, timed_collective};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
-use dspgemm_baselines::{combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix};
+use dspgemm_baselines::{
+    combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor, Deletes,
+};
 use dspgemm_core::redistribute::phase as rphase;
 use dspgemm_core::update::{apply_mask, apply_merge, build_update_matrix, Dedup};
 use dspgemm_core::{DistMat, Grid};
@@ -117,7 +119,33 @@ pub fn ours_mean_batch(
     (out.results[0].0, merged)
 }
 
-fn combblas_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: usize) -> Duration {
+/// How a competitor applies one rank-local batch of an update sweep.
+type BatchOp<M> = fn(&mut M, &Grid, Vec<Triple<f64>>);
+
+/// The operation a batch of `mode` runs on any competitor, or `None` for
+/// deletions, which only a [`Deletes`] system offers.
+fn write_op<M: Competitor<f64>>(mode: Mode) -> Option<BatchOp<M>> {
+    match mode {
+        Mode::Insert => Some(M::insert::<F64Plus>),
+        Mode::Update => Some(M::update),
+        Mode::Delete => None,
+    }
+}
+
+/// The operation a batch of `mode` runs on a competitor that deletes.
+fn batch_op<M: Deletes<f64>>(mode: Mode) -> BatchOp<M> {
+    write_op(mode).unwrap_or(M::delete)
+}
+
+/// Median per-batch time of competitor `M` applying the `mode` batches of
+/// [`ours_mean_batch`]'s protocol with `op`.
+fn competitor_mean_batch<M: Competitor<f64>>(
+    cfg: &Config,
+    inst: &Prepared,
+    mode: Mode,
+    batch_size: usize,
+    op: BatchOp<M>,
+) -> Duration {
     let (initial, rest) = match mode {
         Mode::Insert => split_for_insertion(inst.edges.clone(), cfg.seed),
         _ => (inst.edges.clone(), inst.edges.clone()),
@@ -126,66 +154,13 @@ fn combblas_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: us
     dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
-        let mut mat = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, mine);
+        let mut mat = M::construct::<F64Plus>(&grid, n, n, mine);
         let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut times = Vec::new();
         for round in 0..batches as u64 {
             let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
-            let (_, d) = timed_collective(comm, || match mode {
-                Mode::Insert => mat.insert_batch::<F64Plus>(&grid, batch.clone()),
-                Mode::Update => mat.update_batch::<F64Plus>(&grid, batch.clone()),
-                Mode::Delete => mat.delete_batch(&grid, batch.clone()),
-            });
-            times.push(d);
-        }
-        median(&times)
-    })
-    .results[0]
-}
-
-fn ctf_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: usize) -> Duration {
-    let (initial, rest) = match mode {
-        Mode::Insert => split_for_insertion(inst.edges.clone(), cfg.seed),
-        _ => (inst.edges.clone(), inst.edges.clone()),
-    };
-    let (n, p, batches, seed) = (inst.n, cfg.p, cfg.batches, cfg.seed);
-    dspgemm_mpi::run(p, |comm| {
-        let grid = Grid::new(comm);
-        let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
-        let mut mat = CtfMatrix::construct::<F64Plus>(&grid, n, n, mine);
-        let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
-        let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut times = Vec::new();
-        for round in 0..batches as u64 {
-            let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
-            let (_, d) = timed_collective(comm, || match mode {
-                Mode::Delete => mat.delete::<F64Plus>(&grid, batch.clone()),
-                _ => mat.write::<F64Plus>(&grid, batch.clone()),
-            });
-            times.push(d);
-        }
-        median(&times)
-    })
-    .results[0]
-}
-
-fn petsc_mean_batch(cfg: &Config, inst: &Prepared, mode: Mode, batch_size: usize) -> Duration {
-    assert_ne!(mode, Mode::Delete, "PETSc has no deletion path");
-    let (initial, rest) = match mode {
-        Mode::Insert => split_for_insertion(inst.edges.clone(), cfg.seed),
-        _ => (inst.edges.clone(), inst.edges.clone()),
-    };
-    let (n, p, batches, seed) = (inst.n, cfg.p, cfg.batches, cfg.seed);
-    dspgemm_mpi::run(p, |comm| {
-        let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
-        let mut mat = PetscMatrix::construct::<F64Plus>(comm, n, n, mine);
-        let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
-        let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut times = Vec::new();
-        for round in 0..batches as u64 {
-            let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
-            let (_, d) = timed_collective(comm, || mat.set_values_insert(comm, batch.clone()));
+            let (_, d) = timed_collective(comm, || op(&mut mat, &grid, batch.clone()));
             times.push(d);
         }
         median(&times)
@@ -207,12 +182,13 @@ pub fn batch_size_sweep(cfg: &Config, mode: Mode) -> Table {
         &["batch/rank", "ours (ms)", "CombBLAS (ms)", "speedup"],
     );
     let instances = prepare_instances(cfg);
+    let cb_op = batch_op::<CombBlasMatrix<f64>>(mode);
     for &bs in &BATCH_SIZES {
         let mut ours_all = Vec::new();
         let mut cb_all = Vec::new();
         for inst in &instances {
             ours_all.push(ours_mean_batch(cfg, inst, mode, bs, cfg.p).0);
-            cb_all.push(combblas_mean_batch(cfg, inst, mode, bs));
+            cb_all.push(competitor_mean_batch(cfg, inst, mode, bs, cb_op));
         }
         let o = mean(&ours_all);
         let c = mean(&cb_all);
@@ -227,14 +203,14 @@ pub fn batch_size_sweep(cfg: &Config, mode: Mode) -> Table {
     let bs = *BATCH_SIZES.last().unwrap();
     let inst = &instances[0];
     let ours = ours_mean_batch(cfg, inst, mode, bs, cfg.p).0;
-    let ctf = ctf_mean_batch(cfg, inst, mode, bs);
+    let ctf = competitor_mean_batch(cfg, inst, mode, bs, batch_op::<CtfMatrix<f64>>(mode));
     t.note(format!(
         "CTF at least {} slower than ours ({}; paper: >=55x ins / >=59.8x upd / >=101x del)",
         ratio(ctf.as_secs_f64() / ours.as_secs_f64()),
         inst.name
     ));
-    if mode != Mode::Delete {
-        let petsc = petsc_mean_batch(cfg, inst, mode, bs);
+    if let Some(op) = write_op::<PetscMatrix<f64>>(mode) {
+        let petsc = competitor_mean_batch(cfg, inst, mode, bs, op);
         t.note(format!(
             "PETSc at least {} slower than ours ({}; paper: >=460x ins / >=477x upd)",
             ratio(petsc.as_secs_f64() / ours.as_secs_f64()),
@@ -407,7 +383,8 @@ mod tests {
                 phases.entries()
             );
         }
-        let c = combblas_mean_batch(&cfg, inst, Mode::Insert, 32);
+        let op = batch_op::<CombBlasMatrix<f64>>(Mode::Insert);
+        let c = competitor_mean_batch(&cfg, inst, Mode::Insert, 32, op);
         assert!(c > Duration::ZERO);
     }
 
@@ -417,7 +394,9 @@ mod tests {
         let inst = &prepare_instances(&cfg)[0];
         assert!(ours_mean_batch(&cfg, inst, Mode::Update, 16, cfg.p).0 > Duration::ZERO);
         assert!(ours_mean_batch(&cfg, inst, Mode::Delete, 16, cfg.p).0 > Duration::ZERO);
-        assert!(ctf_mean_batch(&cfg, inst, Mode::Update, 16) > Duration::ZERO);
-        assert!(petsc_mean_batch(&cfg, inst, Mode::Update, 16) > Duration::ZERO);
+        let ctf = batch_op::<CtfMatrix<f64>>(Mode::Update);
+        assert!(competitor_mean_batch(&cfg, inst, Mode::Update, 16, ctf) > Duration::ZERO);
+        let petsc = write_op::<PetscMatrix<f64>>(Mode::Update).unwrap();
+        assert!(competitor_mean_batch(&cfg, inst, Mode::Update, 16, petsc) > Duration::ZERO);
     }
 }

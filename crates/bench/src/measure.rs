@@ -4,8 +4,13 @@
 //! barriers: the entry barrier aligns all ranks (so set-up skew does not
 //! leak in) and the exit barrier waits for the slowest rank (the paper's
 //! times are end-to-end batch times, i.e. critical path).
+//!
+//! Volume is what the operation itself sends: each rank meters its own
+//! sends between the barriers, barrier control messages excluded. A rank's
+//! own counters move only on its own sends, so the count is exact and the
+//! same on every run, whatever a peer does before or after its barrier.
 
-use dspgemm_mpi::{Comm, CommStats};
+use dspgemm_mpi::{Comm, CommCategory, RankCommStats};
 use dspgemm_obs::Histogram;
 use std::time::{Duration, Instant};
 
@@ -41,25 +46,35 @@ impl BatchCost {
     }
 }
 
-/// Times `op` as a collective and captures the traffic delta it caused
-/// (entry/exit barriers make the snapshot exact; barrier control messages
-/// are excluded from the delta by subtracting their category).
+/// Times `op` as a collective on the world communicator `comm` and meters
+/// the traffic it sends: every rank counts its own sends between the entry
+/// and exit barriers (barrier messages excluded), then `crit_bytes` is the
+/// maximum over ranks and `msgs` the sum. The closing allreduces run after
+/// the timed interval and are not counted.
 pub fn measured_collective<R>(comm: &Comm, op: impl FnOnce() -> R) -> (R, BatchCost) {
+    let barrier = CommCategory::Barrier as usize;
+    let own_sends = || {
+        let me: RankCommStats = comm.comm_stats().per_rank.swap_remove(comm.rank());
+        (
+            me.total_bytes() - me.bytes[barrier],
+            me.total_msgs() - me.msgs[barrier],
+        )
+    };
     comm.barrier();
-    let before: CommStats = comm.comm_stats();
+    let (bytes_before, msgs_before) = own_sends();
     let t = Instant::now();
     let r = op();
     comm.barrier();
     let wall = t.elapsed();
-    let after: CommStats = comm.comm_stats();
-    let delta = after.delta_since(&before);
-    let barrier_msgs = delta.msgs_in(dspgemm_mpi::CommCategory::Barrier);
+    let (bytes_after, msgs_after) = own_sends();
+    let crit_bytes = comm.allreduce(bytes_after - bytes_before, u64::max);
+    let msgs = comm.allreduce(msgs_after - msgs_before, |a, b| a + b);
     (
         r,
         BatchCost {
             wall,
-            crit_bytes: delta.max_rank_bytes(),
-            msgs: delta.total_msgs().saturating_sub(barrier_msgs),
+            crit_bytes,
+            msgs,
         },
     )
 }
@@ -140,6 +155,30 @@ mod tests {
         for (rank, &((start, _), d)) in out.results.iter().enumerate() {
             let must_cover = slow_done.saturating_duration_since(start);
             assert!(d >= must_cover, "rank {rank}: {d:?} < {must_cover:?}");
+        }
+    }
+
+    #[test]
+    fn measured_collective_counts_exact_volume() {
+        // A fixed-size alltoallv, measured back to back: no peer's early
+        // sends may leak into or out of any rank's interval.
+        const P: usize = 4;
+        let chunk: Vec<u64> = (0..32).collect();
+        let chunk_bytes = dspgemm_util::WireSize::wire_bytes(&chunk);
+        let out = dspgemm_mpi::run(P, |comm| {
+            (0..20)
+                .map(|_| {
+                    let chunks = (0..P).map(|_| chunk.clone()).collect();
+                    let (_, cost) = measured_collective(comm, || comm.alltoallv(chunks));
+                    (cost.crit_bytes, cost.msgs)
+                })
+                .collect::<Vec<_>>()
+        });
+        let exact = ((P as u64 - 1) * chunk_bytes, (P * (P - 1)) as u64);
+        for (rank, costs) in out.results.iter().enumerate() {
+            for (i, &cost) in costs.iter().enumerate() {
+                assert_eq!(cost, exact, "rank {rank}, measurement {i}");
+            }
         }
     }
 

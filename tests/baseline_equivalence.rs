@@ -2,17 +2,24 @@
 //! CTF-like, PETSc-like) must produce identical results on identical
 //! workloads — differences in the benchmarks are then attributable to
 //! architecture, not to semantics.
+//!
+//! Each check is one generic function over [`Competitor`], run for every
+//! system that offers the operation.
 
 use dspgemm::baselines::{
-    combblas, combblas::CombBlasMatrix, ctf, ctf::CtfMatrix, petsc, petsc::PetscMatrix,
+    combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor, Deletes, Fold,
 };
 use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
-use dspgemm::core::summa::summa;
+use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
+use dspgemm::core::summa::{summa, summa_bloom};
+use dspgemm::core::update::{apply_add, apply_mask, apply_merge, build_update_matrix, Dedup};
 use dspgemm::core::{DistMat, Exec, Grid};
-use dspgemm::sparse::semiring::U64Plus;
+use dspgemm::sparse::semiring::{MinPlus, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
+
+const P: usize = 4;
 
 fn random_triples(seed: u64, n: Index, count: usize) -> Vec<Triple<u64>> {
     let mut rng = SplitMix64::new(seed);
@@ -40,90 +47,165 @@ fn unique_random_triples(seed: u64, n: Index, count: usize) -> Vec<Triple<u64>> 
         .collect()
 }
 
-#[test]
-fn all_systems_agree_on_construction() {
+/// A rank-local value batch: stored positions and fresh ones, all in rows
+/// `≡ rank (mod P)` so no two ranks write one position, with repeats inside
+/// the batch (the last one must win).
+fn value_batch(stored: &[Triple<u64>], rank: usize, n: Index, seed: u64) -> Vec<Triple<u64>> {
+    let mine = |t: &Triple<u64>| t.row as usize % P == rank;
+    let mut batch: Vec<Triple<u64>> = stored
+        .iter()
+        .filter(|t| mine(t))
+        .step_by(2)
+        .map(|t| Triple::new(t.row, t.col, 100 + seed + t.val))
+        .collect();
+    batch.extend(
+        random_triples(seed * 31 + rank as u64, n, 12)
+            .into_iter()
+            .filter(mine),
+    );
+    let repeats: Vec<Triple<u64>> = batch
+        .iter()
+        .step_by(3)
+        .map(|t| Triple::new(t.row, t.col, t.val + 1000))
+        .collect();
+    batch.extend(repeats);
+    batch
+}
+
+fn construction_agrees<M: Competitor<u64>>(system: &str) {
     let n: Index = 40;
-    let out = dspgemm_mpi::run(4, move |comm| {
+    let out = dspgemm_mpi::run(P, move |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         // Same per-rank input everywhere; add-combine semantics everywhere.
         let mine = random_triples(1 + comm.rank() as u64, n, 120);
-        let ours = {
-            let mut m = DistMat::empty(&grid, n, n);
-            let upd = dspgemm::core::update::build_update_matrix::<U64Plus>(
-                &grid,
-                n,
-                n,
-                mine.clone(),
-                dspgemm::core::update::Dedup::Add,
-                &mut timer,
-            );
-            dspgemm::core::update::apply_add::<U64Plus>(&mut m, &upd);
-            m.gather_to_root(comm)
-        };
-        let cb =
-            CombBlasMatrix::construct::<U64Plus>(&grid, n, n, mine.clone()).gather_to_root(&grid);
-        let ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, mine.clone()).gather_to_root(&grid);
-        let pe = PetscMatrix::construct::<U64Plus>(comm, n, n, mine).gather_to_root(comm);
-        (ours, cb, ct, pe)
+        let mut ours = DistMat::empty(&grid, n, n);
+        let upd = build_update_matrix::<U64Plus>(&grid, n, n, mine.clone(), Dedup::Add, &mut timer);
+        apply_add::<U64Plus>(&mut ours, &upd);
+        let theirs = M::construct::<U64Plus>(&grid, n, n, mine);
+        (ours.gather_to_root(comm), theirs.gather_to_root(&grid))
     });
-    let (ours, cb, ct, pe) = &out.results[0];
-    assert_eq!(ours, cb, "ours vs CombBLAS-like");
-    assert_eq!(ours, ct, "ours vs CTF-like");
-    assert_eq!(ours, pe, "ours vs PETSc-like");
+    let (ours, theirs) = &out.results[0];
+    assert_eq!(ours, theirs, "ours vs {system}");
+}
+
+#[test]
+fn all_systems_agree_on_construction() {
+    construction_agrees::<CombBlasMatrix<u64>>("CombBLAS-like");
+    construction_agrees::<CtfMatrix<u64>>("CTF-like");
+    construction_agrees::<PetscMatrix<u64>>("PETSc-like");
+}
+
+fn spgemm_agrees<M: Competitor<u64>>(system: &str) {
+    let n: Index = 32;
+    let out = dspgemm_mpi::run(P, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let feed = |seed| {
+            if comm.rank() == 0 {
+                unique_random_triples(seed, n, 100)
+            } else {
+                vec![]
+            }
+        };
+        let a = DistMat::from_global_triples(&grid, n, n, feed(10), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, feed(11), 1, &mut timer);
+        let (ours, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+        let a = M::construct::<U64Plus>(&grid, n, n, feed(10));
+        let b = M::construct::<U64Plus>(&grid, n, n, feed(11));
+        let (theirs, _) = M::spgemm::<U64Plus>(&grid, &a, &b);
+        (ours.gather_to_root(comm), theirs.gather_to_root(&grid))
+    });
+    let (ours, theirs) = &out.results[0];
+    assert_eq!(ours, theirs, "ours vs {system} product");
 }
 
 #[test]
 fn all_systems_agree_on_spgemm() {
-    let n: Index = 32;
-    let out = dspgemm_mpi::run(4, move |comm| {
+    spgemm_agrees::<CombBlasMatrix<u64>>("CombBLAS-like");
+    spgemm_agrees::<CtfMatrix<u64>>("CTF-like");
+    spgemm_agrees::<PetscMatrix<u64>>("PETSc-like");
+}
+
+/// Two rounds of value writes on a matrix held from rank 0: ours merges
+/// them (`apply_merge`, last write wins), the competitor runs `update`.
+fn updates_agree<M: Competitor<u64>>(system: &str) {
+    let n: Index = 24;
+    let out = dspgemm_mpi::run(P, move |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
-        let feed_a = if comm.rank() == 0 {
-            unique_random_triples(10, n, 100)
+        let stored = unique_random_triples(40, n, 150);
+        let feed = if comm.rank() == 0 {
+            stored.clone()
         } else {
             vec![]
         };
-        let feed_b = if comm.rank() == 0 {
-            unique_random_triples(11, n, 100)
-        } else {
-            vec![]
-        };
-        // Ours.
-        let a = DistMat::from_global_triples(&grid, n, n, feed_a.clone(), 1, &mut timer);
-        let b = DistMat::from_global_triples(&grid, n, n, feed_b.clone(), 1, &mut timer);
-        let (c_ours, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-        // CombBLAS.
-        let a_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone());
-        let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone());
-        let (c_cb, _) = combblas::spgemm::<U64Plus>(&grid, &a_cb, &b_cb);
-        // CTF.
-        let a_ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed_a.clone());
-        let b_ct = CtfMatrix::construct::<U64Plus>(&grid, n, n, feed_b.clone());
-        let (c_ct, _) = ctf::spgemm::<U64Plus>(&grid, &a_ct, &b_ct);
-        // PETSc.
-        let a_pe = PetscMatrix::construct::<U64Plus>(comm, n, n, feed_a);
-        let b_pe = PetscMatrix::construct::<U64Plus>(comm, n, n, feed_b);
-        let (c_pe, _) = petsc::spgemm::<U64Plus>(comm, &a_pe, &b_pe);
-        (
-            c_ours.gather_to_root(comm),
-            c_cb.gather_to_root(&grid),
-            c_ct.gather_to_root(&grid),
-            c_pe.gather_to_root(comm),
-        )
+        let mut ours = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+        let mut theirs = M::construct::<U64Plus>(&grid, n, n, feed);
+        for round in 1..=2 {
+            let batch = value_batch(&stored, comm.rank(), n, round);
+            let upd = build_update_matrix::<U64Plus>(
+                &grid,
+                n,
+                n,
+                batch.clone(),
+                Dedup::LastWins,
+                &mut timer,
+            );
+            apply_merge::<U64Plus>(&mut ours, &upd, 1);
+            theirs.update(&grid, batch);
+        }
+        (ours.gather_to_root(comm), theirs.gather_to_root(&grid))
     });
-    let (ours, cb, ct, pe) = &out.results[0];
-    assert_eq!(ours, cb, "ours vs CombBLAS-like product");
-    assert_eq!(ours, ct, "ours vs CTF-like product");
-    assert_eq!(ours, pe, "ours vs PETSc-like product");
+    let (ours, theirs) = &out.results[0];
+    assert_eq!(ours, theirs, "ours vs {system} after replacement updates");
 }
 
 #[test]
-fn fig9_protocol_dynamic_equals_competitor_fold() {
-    // The Fig. 9 protocol semantics: after k batches, our maintained C must
-    // equal the competitors' C (sum of per-batch A*·B products).
+fn all_systems_agree_on_replacement_updates() {
+    updates_agree::<CombBlasMatrix<u64>>("CombBLAS-like");
+    updates_agree::<CtfMatrix<u64>>("CTF-like");
+    updates_agree::<PetscMatrix<u64>>("PETSc-like");
+}
+
+/// Deletions of stored and absent positions: ours masks them out
+/// (`apply_mask`), the competitor runs `delete`.
+fn deletions_agree<M: Deletes<u64>>(system: &str) {
+    let n: Index = 24;
+    let out = dspgemm_mpi::run(P, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let stored = unique_random_triples(50, n, 150);
+        let feed = if comm.rank() == 0 {
+            stored.clone()
+        } else {
+            vec![]
+        };
+        let mut ours = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+        let mut theirs = M::construct::<U64Plus>(&grid, n, n, feed);
+        let batch = value_batch(&stored, comm.rank(), n, 3);
+        let upd =
+            build_update_matrix::<U64Plus>(&grid, n, n, batch.clone(), Dedup::LastWins, &mut timer);
+        apply_mask::<U64Plus>(&mut ours, &upd, 1);
+        theirs.delete(&grid, batch);
+        (ours.gather_to_root(comm), theirs.gather_to_root(&grid))
+    });
+    let (ours, theirs) = &out.results[0];
+    assert!(ours.as_ref().unwrap().len() < 150, "nothing deleted");
+    assert_eq!(ours, theirs, "ours vs {system} after deletions");
+}
+
+#[test]
+fn deleting_systems_agree_on_deletions() {
+    deletions_agree::<CombBlasMatrix<u64>>("CombBLAS-like");
+    deletions_agree::<CtfMatrix<u64>>("CTF-like");
+}
+
+/// The Fig. 9 protocol semantics: after k batches, our maintained C must
+/// equal the competitor's C (sum of per-batch A*·B products).
+fn fold_agrees<M: Competitor<u64>>(system: &str) {
     let n: Index = 28;
-    let out = dspgemm_mpi::run(4, move |comm| {
+    let out = dspgemm_mpi::run(P, move |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let b_feed = if comm.rank() == 0 {
@@ -134,8 +216,8 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
         let mut b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
         let mut a_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
         let mut c_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
-        let b_cb = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, b_feed);
-        let mut c_cb = CombBlasMatrix::<u64>::empty(&grid, n, n);
+        let b = M::construct::<U64Plus>(&grid, n, n, b_feed);
+        let mut c = M::Product::empty(&grid, n, n);
         for round in 0..3u64 {
             let batch = random_triples(30 + round * 5 + comm.rank() as u64, n, 8);
             apply_algebraic_updates_exec::<U64Plus>(
@@ -149,12 +231,82 @@ fn fig9_protocol_dynamic_equals_competitor_fold() {
                 &Exec::new(),
                 &mut timer,
             );
-            let a_star = CombBlasMatrix::construct::<U64Plus>(&grid, n, n, batch);
-            let (delta, _) = combblas::spgemm::<U64Plus>(&grid, &a_star, &b_cb);
-            c_cb.merge_add_local::<U64Plus>(&delta);
+            let a_star = M::construct::<U64Plus>(&grid, n, n, batch);
+            let (delta, _) = M::spgemm::<U64Plus>(&grid, &a_star, &b);
+            c.merge_add_local::<U64Plus>(&delta);
         }
-        (c_ours.gather_to_root(comm), c_cb.gather_to_root(&grid))
+        (c_ours.gather_to_root(comm), c.gather_to_root(&grid))
     });
-    let (ours, cb) = &out.results[0];
-    assert_eq!(ours, cb);
+    let (ours, theirs) = &out.results[0];
+    assert_eq!(ours, theirs, "ours vs {system} fold");
+}
+
+#[test]
+fn fig9_protocol_dynamic_equals_competitor_fold() {
+    fold_agrees::<CombBlasMatrix<u64>>("CombBLAS-like");
+    fold_agrees::<CtfMatrix<u64>>("CTF-like");
+    fold_agrees::<PetscMatrix<u64>>("PETSc-like");
+}
+
+/// The Fig. 10 protocol semantics under `(min,+)`: after k rounds of value
+/// writes into `A'`, our Algorithm 2 must hold the `A'·B` the competitor
+/// recomputes from scratch. Later rounds overwrite earlier values with
+/// larger and smaller ones alike.
+fn recompute_agrees<M: Competitor<f64>>(system: &str) {
+    let n: Index = 24;
+    let out = dspgemm_mpi::run(P, move |comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let weighted = |ts: Vec<Triple<u64>>| -> Vec<Triple<f64>> {
+            ts.into_iter()
+                .map(|t| Triple::new(t.row, t.col, t.val as f64))
+                .collect()
+        };
+        let b_feed = if comm.rank() == 0 {
+            weighted(unique_random_triples(60, n, 150))
+        } else {
+            vec![]
+        };
+        let a_pool = unique_random_triples(61, n, 60);
+        let mut b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
+        let mut a_ours: DistMat<f64> = DistMat::empty(&grid, n, n);
+        let (mut c_ours, mut f, _) = summa_bloom::<MinPlus>(&grid, &a_ours, &b_ours, 1, &mut timer);
+        let b = M::construct::<MinPlus>(&grid, n, n, b_feed);
+        let mut a = M::construct::<MinPlus>(&grid, n, n, vec![]);
+        for round in 0..3u64 {
+            let batch: Vec<Triple<f64>> = a_pool
+                .iter()
+                .filter(|t| t.row as usize % P == comm.rank())
+                .map(|t| {
+                    let w = (t.val + 7 * round + t.col as u64) % 11 + 1;
+                    Triple::new(t.row, t.col, w as f64)
+                })
+                .collect();
+            let mut upd = GeneralUpdates::new();
+            upd.sets = batch.clone();
+            apply_general_updates_exec::<MinPlus>(
+                &grid,
+                &mut a_ours,
+                &mut b_ours,
+                &mut c_ours,
+                &mut f,
+                upd,
+                GeneralUpdates::new(),
+                &Exec::new(),
+                &mut timer,
+            );
+            a.update(&grid, batch);
+        }
+        let (c, _) = M::spgemm::<MinPlus>(&grid, &a, &b);
+        (c_ours.gather_to_root(comm), c.gather_to_root(&grid))
+    });
+    let (ours, theirs) = &out.results[0];
+    assert!(!ours.as_ref().unwrap().is_empty(), "empty product");
+    assert_eq!(ours, theirs, "ours vs {system} recompute");
+}
+
+#[test]
+fn fig10_protocol_dynamic_equals_competitor_recompute() {
+    recompute_agrees::<CombBlasMatrix<f64>>("CombBLAS-like");
+    recompute_agrees::<CtfMatrix<f64>>("CTF-like");
 }
