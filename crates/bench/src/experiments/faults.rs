@@ -42,7 +42,7 @@ use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepar
 use crate::report::{ms, Table};
 use crate::Config;
 use dspgemm_core::recovery::RecoveryConfig;
-use dspgemm_core::{DistMat, DynSpGemm, Grid, RecoveryReport};
+use dspgemm_core::{Batch, DistMat, DynSpGemm, Grid, RecoveryReport};
 use dspgemm_mpi::{run_with_faults, Comm, CommError, FaultPlan};
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::Triple;
@@ -148,7 +148,7 @@ pub fn fault_arm(
             }
             let (a_ups, b_ups) = batch_updates(n, batch_size, seed, b_idx, me);
             let mut e = eng.take().expect("engine present between batches");
-            match e.try_apply_algebraic(&grid, a_ups, b_ups) {
+            match e.try_apply(&grid, Batch::Algebraic(a_ups, b_ups)) {
                 Ok(()) => {
                     e.publish();
                     // Observe the committed batch locally from the published

@@ -114,7 +114,7 @@ pub fn rebalance_arm(cfg: &Config, inst: &Prepared, p: usize, adaptive: bool) ->
             let (_, d) = timed_collective(comm, || {
                 eng.apply_algebraic(&grid, a_batch, b_batch);
                 if adaptive {
-                    eng.maybe_rebalance(&grid);
+                    eng.maybe_rebalance(&grid).expect("fault-free");
                 } else {
                     // Publish on the same cadence as the adaptive arm so
                     // the snapshot epochs stay comparable.

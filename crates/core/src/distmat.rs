@@ -435,7 +435,8 @@ impl<V: Elem> DistMat<V> {
     ///
     /// # Panics
     /// Panics if the image shape does not match this rank's block shape —
-    /// recovery never changes the layout, so a mismatch is a protocol bug.
+    /// recovery builds the matrix under the image's own cuts, so a mismatch
+    /// is a protocol bug.
     pub fn restore_image(&mut self, image: Arc<Csr<V>>) {
         assert_eq!(
             (image.nrows(), image.ncols()),

@@ -2,10 +2,12 @@
 //!
 //! [`DynSpGemm`] owns the operand matrices `A` and `B`, the maintained
 //! product `C = A · B`, and (optionally) the Bloom filter matrix `F` that
-//! general updates require. Update batches are routed to Algorithm 1
-//! (algebraic) or Algorithm 2 (general); the session keeps the invariant
-//! `C = A · B` after every call — verified end-to-end by the integration
-//! tests against static recomputation.
+//! general updates require. Every call that moves that state — Algorithm 1
+//! and Algorithm 2 batches, static recomputes, rebalancing migrations — is
+//! one [`Batch`] through one commit path: write-ahead log (with recovery
+//! on), apply, agreement fence. The session keeps the invariant `C = A · B`
+//! after every batch — verified end-to-end by the integration tests against
+//! static recomputation.
 
 use crate::distmat::{DistMat, Elem, MigrationStats};
 use crate::dyn_algebraic::apply_algebraic_updates_exec;
@@ -15,24 +17,42 @@ use crate::grid::Grid;
 use crate::layout::Layout;
 use crate::rebalance::{imbalance, RebalanceConfig, Rebalancer};
 use crate::recovery::{
-    buddy_ring, replay_window, rollback_anchor, Anchor, LoggedBatch, MatImage, RecoveryConfig,
-    RecoveryReport, RecoveryState, ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
+    buddy_ring, Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState,
+    ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
 use crate::snapshot::{record_epoch_publish, Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
 use dspgemm_mpi::{catch_comm_mut, CommError};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::Triple;
+use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::WireSize;
 use std::sync::Arc;
 
+/// One batch of a [`DynSpGemm`] session: every kind of call that moves the
+/// maintained state. Update tuples carry global indices and may live on any
+/// rank; each rank passes its own share.
+#[derive(Debug, Clone)]
+pub enum Batch<V> {
+    /// Algorithm 1: `A' = A + A*`, `B' = B + B*` under the semiring addition.
+    Algebraic(Vec<Triple<V>>, Vec<Triple<V>>),
+    /// Algorithm 2: value writes incompatible with the semiring addition,
+    /// and deletions. Requires a session created with `track_filter`.
+    General(GeneralUpdates<V>, GeneralUpdates<V>),
+    /// Recomputes `C = A · B` (and `F`) from scratch — the static strategy
+    /// the paper's competitors are forced into; a baseline and a repair path.
+    Recompute,
+    /// Migrates `A`, `B`, `C` (and `F`) to the square layout with these cuts:
+    /// a [`DynSpGemm::maybe_rebalance`] verdict, which replay re-applies
+    /// instead of deciding again.
+    Migrate(Vec<Index>),
+}
+
 /// A dynamic SpGEMM session maintaining `C = A · B` under batched updates.
 pub struct DynSpGemm<S: Semiring> {
     /// Left operand (dynamic). Mutating it directly (rather than through
-    /// the `apply_*` batch calls) requires an explicit SPMD
-    /// [`DynSpGemm::publish`] before the next [`DynSpGemm::snapshot`] —
-    /// see the latter's docs.
+    /// the batch calls) requires an explicit SPMD [`DynSpGemm::publish`]
+    /// before the next [`DynSpGemm::snapshot`] — see the latter's docs.
     pub a: DistMat<S::Elem>,
     /// Right operand (dynamic). Same direct-mutation caveat as `a`.
     pub b: DistMat<S::Elem>,
@@ -55,11 +75,12 @@ pub struct DynSpGemm<S: Semiring> {
     dirty: bool,
     /// The dynamic inter-rank rebalancing policy (opt-in via
     /// [`DynSpGemm::enable_rebalancing`]; `None` keeps the distribution
-    /// static, the pre-rebalancing behavior).
+    /// static). Its migrations are [`Batch::Migrate`] batches and its state
+    /// is part of every recovery anchor, so it composes with recovery.
     rebalancer: Option<Rebalancer>,
     /// Epoch-anchored recovery state (opt-in via
-    /// [`DynSpGemm::enable_recovery`]; mutually exclusive with
-    /// rebalancing).
+    /// [`DynSpGemm::enable_recovery`]): every committed [`Batch`], of any
+    /// kind, is write-ahead logged and replayed by recovery.
     recovery: Option<RecoveryState<S::Elem>>,
 }
 
@@ -86,13 +107,7 @@ impl<S: Semiring> DynSpGemm<S> {
         );
         let exec = Exec::new();
         let mut timer = PhaseTimer::new();
-        let (c, f, flops) = if track_filter {
-            let (c, f, flops) = summa_bloom_exec::<S>(grid, &a, &b, &exec, &mut timer);
-            (c, Some(f), flops)
-        } else {
-            let (c, flops) = summa_exec::<S>(grid, &a, &b, &exec, &mut timer);
-            (c, None, flops)
-        };
+        let (c, f, flops) = Self::static_product(grid, &a, &b, track_filter, &exec, &mut timer);
         let mut eng = Self {
             a,
             b,
@@ -109,6 +124,24 @@ impl<S: Semiring> DynSpGemm<S> {
         // Epoch 0: the initial product, queryable before any batch.
         eng.publish();
         eng
+    }
+
+    /// `C = A · B` (and `F`, when tracking) by sparse SUMMA, with its flops.
+    fn static_product(
+        grid: &Grid,
+        a: &DistMat<S::Elem>,
+        b: &DistMat<S::Elem>,
+        track_filter: bool,
+        exec: &Exec<S>,
+        timer: &mut PhaseTimer,
+    ) -> (DistMat<S::Elem>, Option<DistMat<u64>>, u64) {
+        if track_filter {
+            let (c, f, flops) = summa_bloom_exec::<S>(grid, a, b, exec, timer);
+            (c, Some(f), flops)
+        } else {
+            let (c, flops) = summa_exec::<S>(grid, a, b, exec, timer);
+            (c, None, flops)
+        }
     }
 
     // ------------------------------------------------------------------
@@ -133,21 +166,17 @@ impl<S: Semiring> DynSpGemm<S> {
     }
 
     /// Pins the current epoch: returns the latest published snapshot,
-    /// publishing first if engine batches ([`DynSpGemm::apply_algebraic`],
-    /// [`DynSpGemm::apply_general`], [`DynSpGemm::recompute_static`])
-    /// committed since the last publish — so the returned epoch always
-    /// reflects every committed batch. Readers keep the returned `Arc` for
-    /// as long as they need repeatable reads; the `apply_*` paths never
-    /// mutate a published epoch.
+    /// publishing first if a [`Batch`] committed since the last publish — so
+    /// the returned epoch always reflects every committed batch. Readers
+    /// keep the returned `Arc` for as long as they need repeatable reads;
+    /// batches never mutate a published epoch.
     ///
     /// The lazy-publish decision must be rank-uniform (publishing advances
-    /// the epoch counter), so it keys on the *collective* batch calls
-    /// above. Callers that mutate the public matrix fields directly (e.g.
-    /// `eng.a.block_mut()`) must follow up with an explicit SPMD
-    /// [`DynSpGemm::publish`] — `snapshot()` cannot observe such mutations,
-    /// and any per-rank content check would let ranks' epoch numbers
-    /// diverge (a rank whose local block a batch left untouched would skip
-    /// the publish its peers perform).
+    /// the epoch counter), so it keys on the *collective* batch calls: a
+    /// direct mutation of the public matrix fields (e.g. `eng.a.block_mut()`)
+    /// needs an explicit SPMD [`DynSpGemm::publish`] — a per-rank content
+    /// check would let a rank whose block a batch left alone skip the
+    /// publish its peers perform.
     pub fn snapshot(&mut self) -> Arc<Snapshot<S::Elem>> {
         if self.dirty || self.snapshots.latest().is_none() {
             self.publish()
@@ -168,82 +197,148 @@ impl<S: Semiring> DynSpGemm<S> {
         &self.snapshots
     }
 
-    /// Applies a batch of **algebraic** updates (`A' = A + A*`,
-    /// `B' = B + B*` under the semiring addition) via Algorithm 1.
-    /// Tuples carry global indices and may live on any rank. Collective —
-    /// also the body of the fault-tolerant
-    /// [`DynSpGemm::try_apply_algebraic`] and of recovery replay.
+    // ------------------------------------------------------------------
+    // The batch lifecycle
+    // ------------------------------------------------------------------
+
+    /// Applies one batch through the session's one commit path. Collective.
+    /// Returns `Err` when a peer failure (or this rank's own injected crash)
+    /// interrupts the batch; with recovery on, the caller then runs
+    /// [`DynSpGemm::recover`] (survivors) or
+    /// [`DynSpGemm::recover_as_replacement`] (the crashed rank) and
+    /// re-submits every batch the returned report says did not commit. The
+    /// recovery log is keyed by published epoch: publish after every `Ok`
+    /// before the next batch.
+    ///
+    /// # Panics
+    /// Panics on a [`Batch::General`] in a session created without
+    /// `track_filter`, and with recovery on if the previous batch was not
+    /// published.
+    pub fn try_apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) -> Result<(), CommError> {
+        assert!(
+            self.f.is_some() || !matches!(batch, Batch::General(..)),
+            "general updates require a session created with track_filter = true"
+        );
+        self.commit(grid, batch)
+    }
+
+    /// [`DynSpGemm::try_apply`] of a [`Batch::Algebraic`]: Algorithm 1. A
+    /// communication failure unwinds as the [`CommError`] it arrived as.
     pub fn apply_algebraic(
         &mut self,
         grid: &Grid,
         a_updates: Vec<Triple<S::Elem>>,
         b_updates: Vec<Triple<S::Elem>>,
     ) {
-        let _sp = dspgemm_obs::span("engine", "apply_algebraic")
-            .attr("updates", (a_updates.len() + b_updates.len()) as u64);
-        self.dirty = true;
-        self.flops += apply_algebraic_updates_exec::<S>(
-            grid,
-            &mut self.a,
-            &mut self.b,
-            &mut self.c,
-            self.f.as_mut(),
-            a_updates,
-            b_updates,
-            &self.exec,
-            &mut self.timer,
-        );
+        self.apply(grid, Batch::Algebraic(a_updates, b_updates));
     }
 
-    /// Applies a batch of **general** updates (value writes incompatible
-    /// with the semiring addition, and deletions) via Algorithm 2.
-    /// Collective.
+    /// [`DynSpGemm::try_apply`] of a [`Batch::General`]: Algorithm 2. A
+    /// communication failure unwinds as the [`CommError`] it arrived as.
     ///
     /// # Panics
-    /// Panics if the session was created without `track_filter` — the
-    /// Bloom filter matrix is a prerequisite of the general algorithm.
+    /// Panics if the session was created without `track_filter`.
     pub fn apply_general(
         &mut self,
         grid: &Grid,
         a_updates: GeneralUpdates<S::Elem>,
         b_updates: GeneralUpdates<S::Elem>,
     ) {
-        let _sp = dspgemm_obs::span("engine", "apply_general")
-            .attr("updates", (a_updates.len() + b_updates.len()) as u64);
-        let f = self
-            .f
-            .as_mut()
-            .expect("general updates require a session created with track_filter = true");
-        self.dirty = true;
-        self.flops += apply_general_updates_exec::<S>(
-            grid,
-            &mut self.a,
-            &mut self.b,
-            &mut self.c,
-            f,
-            a_updates,
-            b_updates,
-            &self.exec,
-            &mut self.timer,
-        );
+        self.apply(grid, Batch::General(a_updates, b_updates));
     }
 
-    /// Discards the maintained product and recomputes `C = A · B` (and `F`)
-    /// from scratch — the static strategy the paper's competitors are forced
-    /// into. Useful as a baseline and as a repair path. Collective.
-    pub fn recompute_static(&mut self, grid: &Grid) {
-        let _sp = dspgemm_obs::span("engine", "recompute");
+    fn apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) {
+        self.try_apply(grid, batch)
+            .unwrap_or_else(|e| std::panic::panic_any(e));
+    }
+
+    /// The one batch lifecycle, in order: with recovery on, refresh the
+    /// anchor when due and write-ahead log the record locally and at the
+    /// buddy rank; apply the record; with recovery on, pass the agreement
+    /// fence (a failed rank cannot contribute, so completing it proves every
+    /// rank logged and applied the batch). With recovery off it clones no
+    /// batch and sends nothing beyond the batch's own traffic.
+    fn commit(&mut self, grid: &Grid, batch: Batch<S::Elem>) -> Result<(), CommError> {
+        let record = LoggedBatch {
+            epoch: self.snapshots.published(),
+            batch,
+        };
+        let Some(rec) = self.recovery.as_ref() else {
+            return catch_comm_mut(|| self.apply_record(grid, record));
+        };
+        assert!(
+            !self.dirty,
+            "recovery mode requires publish() after every committed batch"
+        );
+        // Deterministic anchor refresh at batch boundaries: both triggers
+        // key on counters that move in lockstep across ranks, so every rank
+        // refreshes at the same batch.
+        if record.epoch - rec.own.newest.published >= rec.cfg.anchor_period
+            || rec.own.log.len() >= rec.cfg.max_log
+        {
+            self.refresh_anchor(grid)?;
+        }
+        let world = grid.world();
+        let (succ, pred) = buddy_ring(world);
+        // Write-ahead: ship the record to the buddy before applying anything.
+        // Local append happens only after the exchange completes, so a rank
+        // that errors here retries the same batch cleanly after recovery.
+        let got = catch_comm_mut(|| world.sendrecv(succ, record.clone(), pred, TAG_WAL))?;
+        let rec = self.recovery.as_mut().expect("checked above");
+        rec.own.log.push(record.clone());
+        rec.replica.log.push(got);
+        catch_comm_mut(|| {
+            self.apply_record(grid, record);
+            let n = world.allreduce(1u64, |x, y| x + y);
+            debug_assert_eq!(n as usize, world.size(), "the fence lost a rank");
+        })
+    }
+
+    /// Applies one record to the live matrices — the body of every commit
+    /// and of recovery replay. Collective.
+    fn apply_record(&mut self, grid: &Grid, record: LoggedBatch<S::Elem>) {
         self.dirty = true;
-        if self.f.is_some() {
-            let (c, f, flops) =
-                summa_bloom_exec::<S>(grid, &self.a, &self.b, &self.exec, &mut self.timer);
-            self.c = c;
-            self.f = Some(f);
-            self.flops += flops;
-        } else {
-            let (c, flops) = summa_exec::<S>(grid, &self.a, &self.b, &self.exec, &mut self.timer);
-            self.c = c;
-            self.flops += flops;
+        let (exec, timer) = (&self.exec, &mut self.timer);
+        match record.batch {
+            Batch::Algebraic(a_ups, b_ups) => {
+                let _sp = dspgemm_obs::span("engine", "apply_algebraic")
+                    .attr("updates", (a_ups.len() + b_ups.len()) as u64);
+                self.flops += apply_algebraic_updates_exec::<S>(
+                    grid,
+                    &mut self.a,
+                    &mut self.b,
+                    &mut self.c,
+                    self.f.as_mut(),
+                    a_ups,
+                    b_ups,
+                    exec,
+                    timer,
+                );
+            }
+            Batch::General(a_ups, b_ups) => {
+                let _sp = dspgemm_obs::span("engine", "apply_general")
+                    .attr("updates", (a_ups.len() + b_ups.len()) as u64);
+                self.flops += apply_general_updates_exec::<S>(
+                    grid,
+                    &mut self.a,
+                    &mut self.b,
+                    &mut self.c,
+                    self.f.as_mut().expect("checked by try_apply"),
+                    a_ups,
+                    b_ups,
+                    exec,
+                    timer,
+                );
+            }
+            Batch::Recompute => {
+                let _sp = dspgemm_obs::span("engine", "recompute");
+                let track = self.f.is_some();
+                let (c, f, flops) =
+                    Self::static_product(grid, &self.a, &self.b, track, exec, timer);
+                (self.c, self.f) = (c, f);
+                self.flops += flops;
+            }
+            Batch::Migrate(cuts) => self.migrate(grid, record.epoch, cuts),
         }
     }
 
@@ -255,7 +350,9 @@ impl<S: Semiring> DynSpGemm<S> {
     /// [`DynSpGemm::maybe_rebalance`] becomes live with the given trigger
     /// configuration. Requires square operands (one square cut vector keeps
     /// `A`, `B`, `C`, `F` mutually SUMMA-conformal through every
-    /// migration). Must be enabled rank-uniformly.
+    /// migration). Must be enabled rank-uniformly, at a batch boundary; with
+    /// recovery on, the retained anchors (own and replicated) gain the fresh
+    /// policy, so a rollback past this call keeps it.
     ///
     /// # Panics
     /// Panics if the session's matrices are not all square of one size.
@@ -266,11 +363,12 @@ impl<S: Semiring> DynSpGemm<S> {
             an == ac && bn == bc && an == bn,
             "rebalancing requires square operands of one size (got A {an}x{ac}, B {bn}x{bc})"
         );
-        assert!(
-            self.recovery.is_none(),
-            "rebalancing and epoch-anchored recovery are mutually exclusive (anchors pin a layout)"
-        );
-        self.rebalancer = Some(Rebalancer::new(cfg));
+        let reb = Rebalancer::new(cfg);
+        if let Some(rec) = &mut self.recovery {
+            rec.anchors_mut()
+                .for_each(|anchor| anchor.rebalancer = Some(reb.clone()));
+        }
+        self.rebalancer = Some(reb);
     }
 
     /// The rebalancing policy state, when enabled (migration/byte counters
@@ -283,34 +381,43 @@ impl<S: Semiring> DynSpGemm<S> {
     /// rank's own load (the nnz of its `A` and `C` blocks) and has every rank
     /// evaluate the same pure policy on that vector — max/mean nnz imbalance
     /// vs. the configured threshold, under the migration cooldown — and,
-    /// when the verdict is a new cut vector, migrates `A`, `B`, `C` (and
-    /// `F`) to the new [`Layout`] through the two-phase redistribution path
-    /// and re-publishes under it. Returns whether a migration happened.
-    /// No-op unless [`DynSpGemm::enable_rebalancing`] was called. Collective
-    /// over the grid.
+    /// when the verdict is a new cut vector, commits it as a
+    /// [`Batch::Migrate`] and re-publishes under the new [`Layout`]. Returns
+    /// whether it migrated (`Ok(false)` unless
+    /// [`DynSpGemm::enable_rebalancing`] was called), or `Err` as
+    /// [`DynSpGemm::try_apply`] does. Collective over the grid.
     ///
     /// Pinned pre-migration snapshots are untouched: they keep their own
     /// layout inside their [`crate::distmat::BlockInfo`], so epoch readers
-    /// stay bit-stable across the remap. Migration wire cost is metered
-    /// from each rank's own alltoall byte counters (summed network-wide)
-    /// and accumulated on the session's [`Rebalancer`]; with observability
-    /// on, the `migrated` trace instant carries it too.
-    pub fn maybe_rebalance(&mut self, grid: &Grid) -> bool {
+    /// stay bit-stable across the remap.
+    pub fn maybe_rebalance(&mut self, grid: &Grid) -> Result<bool, CommError> {
         if self.rebalancer.is_none() {
-            return false;
+            return Ok(false);
         }
         // Decide at the publish fence: the cooldown counts published epochs.
         self.snapshot();
-        let epoch = self.epoch().unwrap_or(0);
+        let epoch = self.snapshots.published();
         // The load signal travels over `Comm`: it is this session's own, on
         // any transport, whatever else runs in the process.
         let mine = (self.a.local_nnz() + self.c.local_nnz()) as u64;
-        let loads = grid.world().allgather(mine);
-        let imb = imbalance(&loads);
+        let loads = catch_comm_mut(|| grid.world().allgather(mine))?;
         let reb = self.rebalancer.as_mut().expect("checked above");
-        reb.note_decision(imb);
+        reb.note_decision(imbalance(&loads));
         let cuts = reb.decide(self.a.info().layout().row_cuts(), &loads, epoch);
-        let Some(cuts) = cuts else { return false };
+        let Some(cuts) = cuts else { return Ok(false) };
+        self.commit(grid, Batch::Migrate(cuts))?;
+        // Re-publish under the new layout: the next epoch carries the new
+        // cuts, pinned pre-migration epochs keep the old ones.
+        self.publish();
+        Ok(true)
+    }
+
+    /// Migrates every session matrix to the square layout with `cuts` — the
+    /// body of a [`Batch::Migrate`] whose publish is `epoch`. Migration wire
+    /// cost is metered from each rank's own alltoall byte counters (summed
+    /// network-wide) and accumulated on the session's [`Rebalancer`]; with
+    /// observability on, the `migrated` trace instant carries it too.
+    fn migrate(&mut self, grid: &Grid, epoch: u64, cuts: Vec<Index>) {
         let _sp = dspgemm_obs::span("engine", "migrate").attr("epoch", epoch);
         let new_layout = Arc::new(Layout::square(cuts));
         let me = grid.world().rank();
@@ -335,38 +442,28 @@ impl<S: Semiring> DynSpGemm<S> {
             "migrated",
             &[("epoch", epoch), ("bytes", bytes), ("moved_in", moved_in)],
         );
-        let reb = self.rebalancer.as_mut().expect("checked above");
-        reb.note_migration(epoch, bytes);
-        // Re-publish under the new layout: the next epoch carries the new
-        // cuts, pinned pre-migration epochs keep the old ones.
-        self.dirty = true;
-        self.publish();
-        true
+        if let Some(reb) = self.rebalancer.as_mut() {
+            reb.note_migration(epoch, bytes);
+        }
     }
 
     // ------------------------------------------------------------------
     // Epoch-anchored recovery (see `crate::recovery` for the protocol)
     // ------------------------------------------------------------------
 
-    /// Opts this session into epoch-anchored recovery: batches applied
-    /// through [`DynSpGemm::try_apply_algebraic`] are write-ahead logged and
-    /// replicated to the buddy rank `(r + 1) mod p`, periodic anchors bound
-    /// replay, and [`DynSpGemm::recover`] /
+    /// Opts this session into epoch-anchored recovery: every batch is
+    /// write-ahead logged and replicated to the buddy rank `(r + 1) mod p`,
+    /// periodic anchors bound replay, and [`DynSpGemm::recover`] /
     /// [`DynSpGemm::recover_as_replacement`] restore the grid after a rank
     /// failure. Collective over the grid (the initial anchor is exchanged
     /// buddy-to-buddy). Requires a published, batch-free state — enable
     /// right after construction or after an explicit publish.
     ///
     /// # Panics
-    /// Panics if recovery is already enabled, if rebalancing is enabled
-    /// (anchors pin a layout), or if a committed batch has not been
-    /// published yet.
+    /// Panics if recovery is already enabled or if a committed batch has not
+    /// been published yet.
     pub fn enable_recovery(&mut self, grid: &Grid, cfg: RecoveryConfig) {
         assert!(self.recovery.is_none(), "recovery is already enabled");
-        assert!(
-            self.rebalancer.is_none(),
-            "rebalancing and epoch-anchored recovery are mutually exclusive (anchors pin a layout)"
-        );
         assert!(
             !self.dirty,
             "publish() committed batches before enable_recovery()"
@@ -382,76 +479,6 @@ impl<S: Semiring> DynSpGemm<S> {
         self.recovery.as_ref()
     }
 
-    /// Fault-tolerant [`DynSpGemm::apply_algebraic`]: write-ahead logs the
-    /// batch locally and at the buddy rank, applies it, then passes a
-    /// grid-wide agreement fence — so a batch whose epoch *any* rank
-    /// publishes is guaranteed logged on *every* rank, and replay after a
-    /// failure can always reach the commit frontier. Returns `Err` when a
-    /// peer failure (or this rank's own injected crash) interrupts the
-    /// batch; the caller then runs [`DynSpGemm::recover`] (survivors) or
-    /// [`DynSpGemm::recover_as_replacement`] (the crashed rank) and
-    /// re-submits every batch the returned report says did not commit.
-    ///
-    /// Recovery mode requires the publish-per-batch discipline: call
-    /// [`DynSpGemm::publish`] after every `Ok` before the next batch (the
-    /// log keys batches by published epoch).
-    ///
-    /// # Panics
-    /// Panics if recovery is not enabled or the previous committed batch
-    /// was not published.
-    pub fn try_apply_algebraic(
-        &mut self,
-        grid: &Grid,
-        a_updates: Vec<Triple<S::Elem>>,
-        b_updates: Vec<Triple<S::Elem>>,
-    ) -> Result<(), CommError> {
-        assert!(
-            self.recovery.is_some(),
-            "enable_recovery() before try_apply_algebraic()"
-        );
-        assert!(
-            !self.dirty,
-            "recovery mode requires publish() after every committed batch"
-        );
-        // Deterministic anchor refresh at batch boundaries: both triggers
-        // key on counters that move in lockstep across ranks, so every rank
-        // refreshes at the same batch.
-        {
-            let rec = self.recovery.as_ref().expect("checked above");
-            let window = self.snapshots.published() - rec.newest.published;
-            if window >= rec.cfg.anchor_period || rec.log.len() >= rec.cfg.max_log {
-                self.refresh_anchor(grid)?;
-            }
-        }
-        let world = grid.world();
-        let p = world.size();
-        let (succ, pred) = buddy_ring(world);
-        let entry = LoggedBatch {
-            epoch: self.snapshots.published(),
-            a_ups: a_updates,
-            b_ups: b_updates,
-        };
-        // Write-ahead: ship the entry to the buddy before applying anything.
-        // Local append happens only after the exchange completes, so a rank
-        // that errors here retries the same batch cleanly after recovery.
-        let got: LoggedBatch<S::Elem> =
-            catch_comm_mut(|| world.sendrecv(succ, entry.clone(), pred, TAG_WAL))?;
-        {
-            let rec = self.recovery.as_mut().expect("checked above");
-            rec.log.push(entry.clone());
-            rec.replica.log.push(got);
-        }
-        catch_comm_mut(|| {
-            self.apply_algebraic(grid, entry.a_ups, entry.b_ups);
-            // Post-batch agreement fence: a failed rank cannot contribute,
-            // so completing it proves every rank logged and applied the
-            // batch — the publish that follows is then safe to count as
-            // committed.
-            let n = world.allreduce(1u64, |x, y| x + y);
-            debug_assert_eq!(n as usize, p, "agreement fence lost a contribution");
-        })
-    }
-
     /// Captures a full rollback anchor of the current published state
     /// (copy-on-write: warm blocks re-share their snapshot `Arc`s).
     fn capture_anchor(&mut self) -> Anchor<S::Elem> {
@@ -462,17 +489,16 @@ impl<S: Semiring> DynSpGemm<S> {
             b: MatImage::capture(&mut self.b),
             c: MatImage::capture(&mut self.c),
             f: self.f.as_mut().map(MatImage::capture),
+            rebalancer: self.rebalancer.clone(),
         }
     }
 
     /// Captures an anchor of the current published state and exchanges it
     /// around the buddy ring; returns `(own, predecessor's)`. Collective.
     fn exchange_anchor(&mut self, grid: &Grid) -> (Anchor<S::Elem>, Anchor<S::Elem>) {
-        let anchor = self.capture_anchor();
-        let (succ, pred) = buddy_ring(grid.world());
-        let got = grid
-            .world()
-            .sendrecv(succ, anchor.clone(), pred, TAG_ANCHOR);
+        let (anchor, world) = (self.capture_anchor(), grid.world());
+        let (succ, pred) = buddy_ring(world);
+        let got = world.sendrecv(succ, anchor.clone(), pred, TAG_ANCHOR);
         (anchor, got)
     }
 
@@ -487,51 +513,52 @@ impl<S: Semiring> DynSpGemm<S> {
             .attr("published", self.snapshots.published());
         let (anchor, got) = catch_comm_mut(|| self.exchange_anchor(grid))?;
         let rec = self.recovery.as_mut().expect("recovery enabled");
-        rec.prev = Some(std::mem::replace(&mut rec.newest, anchor));
-        let keep_from = rec.prev.as_ref().expect("just set").published;
-        rec.log.retain(|e| e.epoch >= keep_from);
-        let old = std::mem::replace(&mut rec.replica.newest, got);
-        let replica_keep_from = old.published;
-        rec.replica.prev = Some(old);
-        rec.replica.log.retain(|e| e.epoch >= replica_keep_from);
+        rec.own.rotate(anchor);
+        rec.replica.rotate(got);
         Ok(())
     }
 
-    /// Rolls the live matrices and counters back to an anchor. Pinned
-    /// snapshots of rolled-back epochs are untouched — only the working
-    /// blocks are replaced, and they re-share the anchor's images
-    /// copy-on-write.
-    fn restore_anchor(&mut self, anchor: &Anchor<S::Elem>) {
-        anchor.a.restore_into(&mut self.a);
-        anchor.b.restore_into(&mut self.b);
-        anchor.c.restore_into(&mut self.c);
-        match (&mut self.f, &anchor.f) {
-            (Some(f), Some(img)) => img.restore_into(f),
-            (None, None) => {}
-            _ => panic!("anchor filter presence must match the session's track_filter"),
+    /// A session standing at a rollback anchor — both recovery roles restore
+    /// through it: each matrix is built from its image under the cuts it was
+    /// captured with, the counters and rebalancing policy are the anchor's.
+    /// Pinned epochs are untouched: images are shared copy-on-write.
+    fn at_anchor(grid: &Grid, anchor: &Anchor<S::Elem>) -> Self {
+        let mut snapshots = SnapshotStore::new();
+        snapshots.resume_at(anchor.published);
+        Self {
+            a: anchor.a.build(grid),
+            b: anchor.b.build(grid),
+            c: anchor.c.build(grid),
+            f: anchor.f.as_ref().map(|img| img.build(grid)),
+            exec: Exec::new(),
+            timer: PhaseTimer::new(),
+            flops: anchor.flops,
+            snapshots,
+            dirty: false,
+            rebalancer: anchor.rebalancer.clone(),
+            recovery: None,
         }
-        self.flops = anchor.flops;
-        self.dirty = false;
     }
 
-    /// Replays logged batches in epoch order through the normal collective
-    /// apply path, publishing a catch-up epoch whenever this rank's counter
-    /// lags the entry's (so all ranks' epoch numbering realigns at the
-    /// commit frontier). Collective: every rank replays the same number of
-    /// entries.
-    fn replay(&mut self, grid: &Grid, entries: Vec<LoggedBatch<S::Elem>>) {
-        for e in entries {
-            let target = e.epoch;
-            self.apply_algebraic(grid, e.a_ups, e.b_ups);
-            if self.snapshots.published() <= target {
-                debug_assert_eq!(
-                    self.snapshots.published(),
-                    target,
-                    "replay publishes must stay contiguous"
-                );
+    /// Replays the committed window `[a_min, p_star)` from this rank's own
+    /// log, epoch by epoch: the epoch's record, if any (an epoch without one
+    /// was a publish that committed nothing), then a catch-up publish if this
+    /// rank's counter has not reached the epoch (so epoch numbering realigns
+    /// at the commit frontier). Collective: every rank replays the same kinds.
+    fn replay(&mut self, grid: &Grid, log: Vec<LoggedBatch<S::Elem>>, a_min: u64, p_star: u64) {
+        let mut log = log.into_iter().filter(|r| r.epoch >= a_min).peekable();
+        for epoch in a_min..p_star {
+            if let Some(record) = log.next_if(|r| r.epoch == epoch) {
+                self.apply_record(grid, record);
+            }
+            if self.snapshots.published() == epoch {
                 self.publish();
             }
         }
+        assert!(
+            log.next().is_none_or(|r| r.epoch >= p_star),
+            "the log holds one record per committed epoch"
+        );
     }
 
     /// Captures a fresh anchor of the current published state, exchanges
@@ -540,18 +567,19 @@ impl<S: Semiring> DynSpGemm<S> {
     /// Collective.
     fn reanchor(&mut self, grid: &Grid, cfg: RecoveryConfig) {
         let (own, predecessor) = self.exchange_anchor(grid);
-        self.recovery = Some(RecoveryState::anchored(cfg, own, predecessor));
+        self.recovery = Some(RecoveryState {
+            cfg,
+            own: ReplicaBundle::anchored(own),
+            replica: ReplicaBundle::anchored(predecessor),
+        });
     }
 
-    /// Recovers a *surviving* rank after a peer failure surfaced as
-    /// `Err(CommError::PeerFailed { .. })` from
-    /// [`DynSpGemm::try_apply_algebraic`]: runs the recovery agreement
+    /// Recovers a *surviving* rank after a batch call returned
+    /// `Err(CommError::PeerFailed { .. })`: runs the recovery agreement
     /// (shipping the replica bundle to the replacement if this rank is the
-    /// failed rank's buddy), rolls the live session back to the grid-minimum
-    /// anchor and deterministically replays to the grid-maximum commit
-    /// frontier. Collective — every surviving rank calls `recover` while the
-    /// failed rank calls [`DynSpGemm::recover_as_replacement`], in the same
-    /// incident.
+    /// failed rank's buddy), rolls back to the grid-minimum anchor and replays
+    /// to the grid-maximum commit frontier. Collective — the failed rank
+    /// calls [`DynSpGemm::recover_as_replacement`] in the same incident.
     ///
     /// Returns an allreduced [`RecoveryReport`]; the caller re-submits every
     /// batch whose publish would be epoch `>= committed_publishes`.
@@ -566,39 +594,28 @@ impl<S: Semiring> DynSpGemm<S> {
         let cfg = rec.cfg;
         let published = self.snapshots.published();
         let incident = agree_on_incident(grid, Some((rec, published)));
-        // (6) Roll the live session back.
-        self.restore_anchor(incident.anchor());
+        // (6) Roll the live session back; a survivor keeps its workspaces,
+        // timings and published epochs.
+        let rolled = std::mem::replace(
+            self,
+            Self::at_anchor(grid, incident.own.rollback_anchor(incident.a_min)),
+        );
+        (self.exec, self.timer, self.snapshots) = (rolled.exec, rolled.timer, rolled.snapshots);
         let rolled_back = published - incident.a_min;
         self.finish_recovery(grid, cfg, incident, rolled_back, sp)
     }
 
     /// Rebuilds the *failed* rank as a replacement after its own injected
     /// crash surfaced as `Err(CommError::Crashed { .. })`: the old session
-    /// is gone (drop it), this constructor receives the replica bundle from
-    /// the buddy, builds a fresh session at the agreed rollback anchor and
-    /// replays the crashed rank's own logged inputs alongside the
-    /// survivors' [`DynSpGemm::recover`] — the same collective sequence, so
-    /// the grid stays in lockstep.
+    /// is gone (drop it); this constructor receives the replica bundle from
+    /// the buddy, builds a fresh session — rebalancing policy included — at
+    /// the agreed rollback anchor and replays the crashed rank's own logged
+    /// batches alongside the survivors' [`DynSpGemm::recover`].
     pub fn recover_as_replacement(grid: &Grid, cfg: RecoveryConfig) -> (Self, RecoveryReport) {
         let sp = dspgemm_obs::span("engine", "recover").attr("replacement", 1);
         let incident = agree_on_incident(grid, None);
         // (6) Build a fresh session at the rollback anchor.
-        let anchor = incident.anchor();
-        let mut snapshots = SnapshotStore::new();
-        snapshots.resume_at(incident.a_min);
-        let mut eng = Self {
-            a: anchor.a.build(grid),
-            b: anchor.b.build(grid),
-            c: anchor.c.build(grid),
-            f: anchor.f.as_ref().map(|img| img.build(grid)),
-            exec: Exec::new(),
-            timer: PhaseTimer::new(),
-            flops: anchor.flops,
-            snapshots,
-            dirty: false,
-            rebalancer: None,
-            recovery: None,
-        };
+        let mut eng = Self::at_anchor(grid, incident.own.rollback_anchor(incident.a_min));
         // This rank rolled back nothing it still knows about.
         let report = eng.finish_recovery(grid, cfg, incident, 0, sp);
         (eng, report)
@@ -617,10 +634,9 @@ impl<S: Semiring> DynSpGemm<S> {
     ) -> RecoveryReport {
         let world = grid.world();
         // (7) Deterministic replay of the committed window [A, P*) from this
-        // rank's own logged inputs.
-        let entries = replay_window(incident.own.log, incident.a_min, incident.p_star);
-        let replayed_batches = entries.len() as u64;
-        self.replay(grid, entries);
+        // rank's own logged batches.
+        let replayed_batches = incident.p_star - incident.a_min;
+        self.replay(grid, incident.own.log, incident.a_min, incident.p_star);
         // (8) Uniform re-anchor at the recovered frontier's epoch — on the
         // replacement this also rebuilds the replica it should hold for its
         // predecessor, which died with the crash.
@@ -668,13 +684,6 @@ struct Incident<V> {
     /// This rank's anchor windows and log: a survivor's live ones, the
     /// replacement's as its buddy replicated them.
     own: ReplicaBundle<V>,
-}
-
-impl<V> Incident<V> {
-    /// The retained anchor the grid agreed to roll back to.
-    fn anchor(&self) -> &Anchor<V> {
-        rollback_anchor(&self.own.newest, self.own.prev.as_ref(), self.a_min)
-    }
 }
 
 /// Steps (1)–(5) of the recovery protocol — the one copy of the agreement
@@ -727,12 +736,7 @@ fn agree_on_incident<V: Elem>(
             } else {
                 0
             };
-            let own = ReplicaBundle {
-                newest: rec.newest,
-                prev: rec.prev,
-                log: rec.log,
-            };
-            (own, published, world.last_failure_detect_ns(), shipped)
+            (rec.own, published, world.last_failure_detect_ns(), shipped)
         }
         None => (world.recv(succ, TAG_REBUILD), 0, 0, 0),
     };
@@ -856,7 +860,7 @@ mod tests {
             let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
             let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
             let before = eng.c.gather_to_root(comm);
-            eng.recompute_static(&grid);
+            eng.try_apply(&grid, Batch::Recompute).expect("fault-free");
             before == eng.c.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));

@@ -106,7 +106,7 @@ pub mod summa;
 pub mod update;
 
 pub use distmat::{DistDcsr, DistMat};
-pub use engine::DynSpGemm;
+pub use engine::{Batch, DynSpGemm};
 pub use exec::Exec;
 pub use grid::Grid;
 pub use layout::Layout;

@@ -43,6 +43,11 @@ impl Default for RebalanceConfig {
     }
 }
 
+dspgemm_util::impl_wire_fields!(RebalanceConfig {
+    threshold,
+    cooldown
+});
+
 /// The rebalancing policy state carried by a [`crate::DynSpGemm`] session
 /// (opt-in via `enable_rebalancing`).
 #[derive(Debug, Clone)]
@@ -58,6 +63,14 @@ pub struct Rebalancer {
     /// The max/mean load imbalance observed at the last decision.
     last_imbalance: f64,
 }
+
+dspgemm_util::impl_wire_fields!(Rebalancer {
+    cfg,
+    last_migration_epoch,
+    migrations,
+    migrated_bytes,
+    last_imbalance
+});
 
 impl Rebalancer {
     /// A fresh policy with the given trigger configuration.

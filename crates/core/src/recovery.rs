@@ -20,8 +20,8 @@
 //!   logged everywhere. Replay therefore always finds the inputs it needs.
 //! * **Epoch anchors** — every `anchor_period` committed batches each rank
 //!   captures a full [`Anchor`] (copy-on-write `Arc` images of `A`, `B`, `C`
-//!   and `F`, plus the published-epoch counter and the flop counter) and
-//!   ships it to its buddy. The log is truncated to the window since the
+//!   and `F`, the published-epoch and flop counters, and the rebalancing
+//!   policy state) and ships it to its buddy. The log is truncated to the window since the
 //!   *previous* anchor: two anchor windows are always retained, so a crash
 //!   racing an anchor refresh still leaves every rank holding the
 //!   rank-minimum anchor the grid agrees to roll back to.
@@ -35,22 +35,31 @@
 //!   counter at `P*`.
 //!
 //! Scope (asserted, not silently assumed): one failure per incident, the
-//! buddy of a failed rank alive, recovery mutually exclusive with dynamic
-//! rebalancing (anchors pin a layout).
+//! buddy of a failed rank alive. Every batch kind is covered — Algorithm 1
+//! and Algorithm 2 batches, static recomputes and rebalancing migrations
+//! are one [`LoggedBatch`] record each, and replay applies a logged
+//! migration to its logged cuts. A publish that committed nothing leaves no
+//! record (it moves no state); replay re-publishes it bare. Anchors carry
+//! the cuts their images were captured under and the rebalancing policy
+//! state, so a rollback may cross migrations.
 //!
 //! ## Wire form
 //!
 //! Everything shipped to a buddy — [`LoggedBatch`], [`MatImage`],
 //! [`Anchor`], [`ReplicaBundle`] — is its fields in declaration order, each
 //! in its own encoding, declared once per type with
-//! [`dspgemm_util::impl_wire_fields!`]; `rebuild_bytes` and the WAL / anchor
-//! traffic are metered from the same encoder the TCP backend ships.
+//! [`dspgemm_util::impl_wire_fields!`] (a [`Batch`] is a kind tag, then its
+//! fields: [`dspgemm_util::impl_wire_enum!`]); `rebuild_bytes` and the WAL /
+//! anchor traffic are metered from the same encoder the TCP backend ships.
 
 use crate::distmat::{DistMat, Elem};
+use crate::dyn_general::GeneralUpdates;
+use crate::engine::Batch;
 use crate::grid::Grid;
 use crate::layout::Layout;
+use crate::rebalance::Rebalancer;
 use dspgemm_mpi::Comm;
-use dspgemm_sparse::{Csr, Index, Triple};
+use dspgemm_sparse::{Csr, Index};
 use std::sync::Arc;
 
 /// User tag of the per-batch write-ahead-log buddy exchange.
@@ -88,21 +97,24 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// One write-ahead-logged algebraic batch: the rank's *own* original inputs,
-/// tagged with the epoch its commit publishes (the published-epoch counter at
-/// append time). Replaying every rank's own entries in epoch order re-runs
-/// the identical collective schedule.
+/// One write-ahead-logged record: a committed [`Batch`] with the rank's
+/// *own* original inputs, tagged with the epoch its commit publishes (the
+/// published-epoch counter at append time). Replaying every rank's own
+/// records in epoch order re-runs the identical collective schedule.
 #[derive(Debug, Clone)]
 pub struct LoggedBatch<V> {
     /// The epoch this batch's publish produces.
     pub epoch: u64,
-    /// This rank's share of the `A` updates, exactly as passed in.
-    pub a_ups: Vec<Triple<V>>,
-    /// This rank's share of the `B` updates, exactly as passed in.
-    pub b_ups: Vec<Triple<V>>,
+    /// The batch, exactly as passed in (a migration carries its cuts).
+    pub batch: Batch<V>,
 }
 
-dspgemm_util::impl_wire_fields!(LoggedBatch<V> { epoch, a_ups, b_ups });
+dspgemm_util::impl_wire_fields!(LoggedBatch<V> { epoch, batch });
+dspgemm_util::impl_wire_fields!(GeneralUpdates<V> { sets, deletes });
+
+dspgemm_util::impl_wire_enum!(Batch<V> {
+    0 => Algebraic(a, b), 1 => General(a, b), 2 => Recompute, 3 => Migrate(cuts)
+});
 
 /// A shippable copy-on-write image of one rank's block of a distributed
 /// matrix: the shared CSR the snapshot layer already maintains, plus enough
@@ -141,19 +153,8 @@ impl<V: Elem> MatImage<V> {
         }
     }
 
-    /// Rolls an existing matrix back to this image. Recovery never migrates
-    /// layouts, so the image's cuts must match the matrix's current ones.
-    pub(crate) fn restore_into(&self, mat: &mut DistMat<V>) {
-        let layout = mat.info().layout();
-        assert!(
-            layout.row_cuts() == &self.row_cuts[..] && layout.col_cuts() == &self.col_cuts[..],
-            "anchor layout does not match the live matrix (recovery excludes rebalancing)"
-        );
-        mat.restore_image(Arc::clone(&self.image));
-    }
-
-    /// Builds a fresh [`DistMat`] holding this image — the replacement-rank
-    /// rebuild path, which has no prior matrix to roll back.
+    /// Builds a fresh [`DistMat`] holding this image under the cuts it was
+    /// captured with — the one rollback path of both recovery roles.
     pub(crate) fn build(&self, grid: &Grid) -> DistMat<V> {
         let layout = Arc::new(Layout::from_cuts(
             self.row_cuts.clone(),
@@ -190,113 +191,85 @@ pub struct Anchor<V> {
     pub c: MatImage<V>,
     /// Image of the rank's Bloom filter block (iff the session tracks one).
     pub f: Option<MatImage<u64>>,
+    /// The rebalancing policy state (iff the session rebalances): a rollback
+    /// restores it and replayed migrations re-note on top, so every rank —
+    /// the replacement included — decides on the same history.
+    pub rebalancer: Option<Rebalancer>,
 }
 
-dspgemm_util::impl_wire_fields!(Anchor<V> { published, flops, a, b, c, f });
+dspgemm_util::impl_wire_fields!(Anchor<V> { published, flops, a, b, c, f, rebalancer });
 
-/// Everything rank `r` holds on behalf of its predecessor `(r - 1) mod p`:
-/// the predecessor's two anchor windows and its log entries since the older
-/// one. Shipping this bundle to a replacement rank restores exactly the
-/// state the crashed rank would have recovered from locally.
+/// A rank's anchor windows and its log since the older one. Rank `r` holds
+/// two: its own, and the replica of its predecessor `(r - 1) mod p`'s.
+/// Shipping the replica to a replacement rank restores exactly the state
+/// the crashed rank would have recovered from locally.
 #[derive(Debug, Clone)]
 pub struct ReplicaBundle<V> {
-    /// The predecessor's newest anchor.
+    /// The newest anchor.
     pub newest: Anchor<V>,
-    /// The predecessor's previous anchor (two-window retention), if any.
+    /// The previous anchor (two-window retention), if any.
     pub prev: Option<Anchor<V>>,
-    /// The predecessor's log entries since the older retained anchor.
+    /// The log records since the older retained anchor.
     pub log: Vec<LoggedBatch<V>>,
 }
 
 dspgemm_util::impl_wire_fields!(ReplicaBundle<V> { newest, prev, log });
 
-/// The retained anchor the grid agreed to roll back to: the newest one, or
-/// — when a crash raced an anchor refresh — the previous window.
-pub(crate) fn rollback_anchor<'a, V>(
-    newest: &'a Anchor<V>,
-    prev: Option<&'a Anchor<V>>,
-    a_min: u64,
-) -> &'a Anchor<V> {
-    if newest.published == a_min {
-        return newest;
+impl<V> ReplicaBundle<V> {
+    /// One anchor window and an empty log: the state right after an anchor
+    /// exchange.
+    pub(crate) fn anchored(newest: Anchor<V>) -> Self {
+        Self {
+            newest,
+            prev: None,
+            log: Vec::new(),
+        }
     }
-    let prev = prev.expect("rollback target predates the newest anchor but no prev window is held");
-    assert_eq!(
-        prev.published, a_min,
-        "two-window retention must cover the agreed rollback anchor"
-    );
-    prev
-}
 
-/// The logged batches of the committed window `[a_min, p_star)`, which the
-/// write-ahead discipline guarantees the log covers.
-pub(crate) fn replay_window<V>(
-    log: Vec<LoggedBatch<V>>,
-    a_min: u64,
-    p_star: u64,
-) -> Vec<LoggedBatch<V>> {
-    let entries: Vec<LoggedBatch<V>> = log
-        .into_iter()
-        .filter(|e| e.epoch >= a_min && e.epoch < p_star)
-        .collect();
-    assert_eq!(
-        entries.len() as u64,
-        p_star - a_min,
-        "the log must cover every committed epoch past the rollback anchor"
-    );
-    entries
+    /// Rotates in a new anchor: the newest becomes the previous window and
+    /// the log keeps the records since it.
+    pub(crate) fn rotate(&mut self, anchor: Anchor<V>) {
+        let prev = std::mem::replace(&mut self.newest, anchor);
+        self.log.retain(|r| r.epoch >= prev.published);
+        self.prev = Some(prev);
+    }
+
+    /// The retained anchor the grid agreed to roll back to: the newest one,
+    /// or — when a crash raced an anchor refresh — the previous window.
+    pub(crate) fn rollback_anchor(&self, a_min: u64) -> &Anchor<V> {
+        if self.newest.published == a_min {
+            return &self.newest;
+        }
+        let prev = self
+            .prev
+            .as_ref()
+            .expect("rollback target predates the newest anchor but no prev window is held");
+        assert_eq!(
+            prev.published, a_min,
+            "two-window retention must cover the agreed rollback anchor"
+        );
+        prev
+    }
 }
 
 /// Per-session recovery state: this rank's own anchor windows and log, plus
 /// the replica it keeps for its predecessor in the buddy ring.
 #[derive(Debug)]
 pub struct RecoveryState<V> {
-    pub(crate) cfg: RecoveryConfig,
-    /// Own newest anchor.
-    pub(crate) newest: Anchor<V>,
-    /// Own previous anchor (two-window retention across refreshes).
-    pub(crate) prev: Option<Anchor<V>>,
-    /// Own write-ahead log since the older retained anchor.
-    pub(crate) log: Vec<LoggedBatch<V>>,
+    /// Anchor cadence and log bound.
+    pub cfg: RecoveryConfig,
+    /// Own anchor windows and write-ahead log (bounded by two windows).
+    pub own: ReplicaBundle<V>,
     /// Replica of the predecessor rank `(r - 1) mod p`.
-    pub(crate) replica: ReplicaBundle<V>,
+    pub replica: ReplicaBundle<V>,
 }
 
 impl<V> RecoveryState<V> {
-    /// The state right after an anchor exchange around the buddy ring: one
-    /// window on either side, empty logs.
-    pub(crate) fn anchored(cfg: RecoveryConfig, own: Anchor<V>, predecessor: Anchor<V>) -> Self {
-        Self {
-            cfg,
-            newest: own,
-            prev: None,
-            log: Vec::new(),
-            replica: ReplicaBundle {
-                newest: predecessor,
-                prev: None,
-                log: Vec::new(),
-            },
-        }
-    }
-
-    /// Published-epoch counter of the newest own anchor.
-    pub fn anchor_published(&self) -> u64 {
-        self.newest.published
-    }
-
-    /// Published-epoch counter of the previous own anchor, if retained.
-    pub fn prev_anchor_published(&self) -> Option<u64> {
-        self.prev.as_ref().map(|a| a.published)
-    }
-
-    /// Own log length (bounded by two anchor windows).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Replicated predecessor log length.
-    pub fn replica_log_len(&self) -> usize {
-        self.replica.log.len()
+    /// Every retained anchor, own and replicated.
+    pub(crate) fn anchors_mut(&mut self) -> impl Iterator<Item = &mut Anchor<V>> {
+        [&mut self.own, &mut self.replica]
+            .into_iter()
+            .flat_map(|w| std::iter::once(&mut w.newest).chain(w.prev.as_mut()))
     }
 }
 
@@ -314,7 +287,8 @@ pub struct RecoveryReport {
     /// Maximum number of published epochs any rank rolled back (`P* - A`
     /// for the furthest-ahead rank).
     pub rollback_epochs: u64,
-    /// Logged batches each rank replayed (`P* - A`, rank-uniform).
+    /// Epochs each rank replayed (`P* - A`, rank-uniform): one logged batch
+    /// each, or a bare publish for an epoch that committed nothing.
     pub replayed_batches: u64,
     /// Wire bytes of the replica bundle shipped to the replacement.
     pub rebuild_bytes: u64,
@@ -329,6 +303,7 @@ pub struct RecoveryReport {
 mod tests {
     use super::*;
     use dspgemm_sparse::semiring::U64Plus;
+    use dspgemm_sparse::Triple;
     use dspgemm_util::{decode_from_slice, encode_to_vec, WireDecode, WireEncode, WireSize};
 
     #[test]
@@ -342,11 +317,11 @@ mod tests {
     fn wire_sizes_compose() {
         let batch = LoggedBatch {
             epoch: 3,
-            a_ups: vec![Triple::new(0, 0, 1u64)],
-            b_ups: vec![],
+            batch: Batch::Algebraic(vec![Triple::new(0, 0, 1u64)], vec![]),
         };
-        // epoch (8) + a_ups (8 header + 16-byte triple) + b_ups (8 header).
-        assert_eq!(batch.wire_bytes(), 8 + (8 + 16) + 8);
+        // epoch (8) + kind (1) + a_ups (8 header + 16-byte triple) + b_ups
+        // (8 header).
+        assert_eq!(batch.wire_bytes(), 8 + 1 + (8 + 16) + 8);
         let img = MatImage {
             nrows: 4,
             ncols: 4,
@@ -361,6 +336,7 @@ mod tests {
             b: img.clone(),
             c: img.clone(),
             f: None,
+            rebalancer: None,
         };
         let bundle = ReplicaBundle {
             newest: anchor.clone(),
@@ -371,23 +347,25 @@ mod tests {
         assert!(bundle.wire_bytes() > anchor.wire_bytes());
         assert_eq!(
             anchor.wire_bytes(),
-            8 + 8 + 3 * img.wire_bytes() + 1 // Option<None> = 1 byte
+            8 + 8 + 3 * img.wire_bytes() + 1 + 1 // two Option<None>s, 1 byte each
         );
-        // Metered sizes as of d989652 (the last commit with hand-written size
-        // formulas); `rebuild_bytes` of `tests/recovery.rs` is made of these.
+        // Metered sizes; `rebuild_bytes` of `tests/recovery.rs` is made of
+        // these. Against the hand-written formulas of d989652, an anchor
+        // gained its rebalancer option (1 byte) and a record its batch kind
+        // (1 byte).
         assert_eq!(img.wire_bytes(), 88);
-        assert_eq!(anchor.wire_bytes(), 281);
-        assert_eq!(bundle.wire_bytes(), 330);
+        assert_eq!(anchor.wire_bytes(), 282);
+        assert_eq!(bundle.wire_bytes(), 332);
         let tracked = Anchor {
             f: Some(img.clone()),
             ..anchor.clone()
         };
-        assert_eq!(tracked.wire_bytes(), 369);
+        assert_eq!(tracked.wire_bytes(), 370);
         let two_windows = ReplicaBundle {
             prev: Some(tracked.clone()),
             ..bundle.clone()
         };
-        assert_eq!(two_windows.wire_bytes(), 699);
+        assert_eq!(two_windows.wire_bytes(), 702);
         // The meter is the encoder: every recovery type ships exactly the
         // bytes it is charged for, and decodes back to the same encoding.
         fn sized_roundtrip<T: WireEncode + WireDecode>(v: &T) {
@@ -400,5 +378,21 @@ mod tests {
         sized_roundtrip(&img);
         sized_roundtrip(&tracked);
         sized_roundtrip(&two_windows);
+        // Every batch kind and the rebalancing policy round-trip too.
+        let general = GeneralUpdates {
+            sets: vec![Triple::new(1, 0, 2u64)],
+            deletes: vec![(0, 1)],
+        };
+        for batch in [
+            Batch::General(general, GeneralUpdates::new()),
+            Batch::Recompute,
+            Batch::Migrate(vec![0, 1, 4]),
+        ] {
+            sized_roundtrip(&LoggedBatch { epoch: 5, batch });
+        }
+        sized_roundtrip(&Anchor {
+            rebalancer: Some(Rebalancer::new(crate::RebalanceConfig::default())),
+            ..anchor.clone()
+        });
     }
 }

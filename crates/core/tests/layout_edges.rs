@@ -118,7 +118,7 @@ fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
                     .collect();
                 eng.apply_algebraic(&grid, batch.clone(), batch);
                 if adaptive {
-                    eng.maybe_rebalance(&grid);
+                    eng.maybe_rebalance(&grid).expect("fault-free");
                     migrated = eng.rebalancer().expect("enabled").migrations();
                 }
                 cs.push(eng.c.gather_to_root(comm));
@@ -208,7 +208,7 @@ fn concurrent_sessions_decide_on_their_own_loads() {
                 both_published.wait();
             }
             comm.barrier();
-            let migrated = eng.maybe_rebalance(&grid);
+            let migrated = eng.maybe_rebalance(&grid).expect("fault-free");
             let seen = eng.rebalancer().expect("enabled").last_imbalance();
             (migrated, seen, imbalance(&loads))
         })

@@ -3,14 +3,19 @@
 //! replacement from its buddy's replica, and deterministic replay makes the
 //! final state bit-identical to the fault-free execution.
 
+use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::engine::DynSpGemm;
 use dspgemm_core::recovery::{RecoveryConfig, RecoveryReport};
-use dspgemm_core::{DistMat, Grid, RebalanceConfig};
-use dspgemm_mpi::{run, Comm, CommError};
+use dspgemm_core::{Batch, DistMat, Grid, RebalanceConfig, Snapshot};
+use dspgemm_mpi::{catch_comm_mut, run, Comm, CommError};
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::stats::PhaseTimer;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 const N: Index = 20;
 
@@ -76,7 +81,7 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
         }
         let (a_ups, b_ups) = batch_updates(b_idx, me);
         let mut e = eng.take().expect("engine present between batches");
-        match e.try_apply_algebraic(&grid, a_ups, b_ups) {
+        match e.try_apply(&grid, Batch::Algebraic(a_ups, b_ups)) {
             Ok(()) => {
                 e.publish();
                 // Observe each committed batch from the published snapshot:
@@ -225,7 +230,7 @@ fn crash_recovery_matches_fault_free_run() {
                         committed_publishes: 3,
                         rollback_epochs: 2,
                         replayed_batches: 2,
-                        rebuild_bytes: if p == 4 { 1630 } else { 1150 },
+                        rebuild_bytes: if p == 4 { 1633 } else { 1153 },
                         detect_ns: 0,
                         recovery_epoch: 1,
                     },
@@ -248,39 +253,15 @@ fn try_apply_requires_publish_between_batches() {
         let b = DistMat::<u64>::empty(&grid, 8, 8);
         let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
         eng.enable_recovery(&grid, RecoveryConfig::default());
-        eng.try_apply_algebraic(&grid, vec![Triple::new(0, 0, 1u64)], vec![])
-            .expect("fault-free");
+        eng.try_apply(
+            &grid,
+            Batch::Algebraic(vec![Triple::new(0, 0, 1u64)], vec![]),
+        )
+        .expect("fault-free");
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = eng.try_apply_algebraic(&grid, vec![], vec![]);
+            let _ = eng.try_apply(&grid, Batch::Recompute);
         }))
         .is_err()
-    });
-    assert!(out.results[0]);
-}
-
-/// Recovery and dynamic rebalancing are mutually exclusive, both ways.
-#[test]
-fn recovery_excludes_rebalancing() {
-    let out = run(1, |comm| {
-        let grid = Grid::new(comm);
-        let mk = |grid: &Grid| {
-            let a = DistMat::<u64>::empty(grid, 8, 8);
-            let b = DistMat::<u64>::empty(grid, 8, 8);
-            DynSpGemm::<U64Plus>::new(grid, a, b, 1, false)
-        };
-        let mut eng = mk(&grid);
-        eng.enable_recovery(&grid, RecoveryConfig::default());
-        let a = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.enable_rebalancing(RebalanceConfig::default());
-        }))
-        .is_err();
-        let mut eng2 = mk(&grid);
-        eng2.enable_rebalancing(RebalanceConfig::default());
-        let b = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng2.enable_recovery(&grid, RecoveryConfig::default());
-        }))
-        .is_err();
-        a && b
     });
     assert!(out.results[0]);
 }
@@ -306,18 +287,18 @@ fn log_stays_bounded_by_anchor_windows() {
         let mut max_log = 0usize;
         for batch in 0..20u64 {
             let (a_ups, b_ups) = batch_updates(batch, me);
-            eng.try_apply_algebraic(&grid, a_ups, b_ups)
+            eng.try_apply(&grid, Batch::Algebraic(a_ups, b_ups))
                 .expect("fault-free");
             eng.publish();
             let rec = eng.recovery().expect("enabled");
-            max_log = max_log.max(rec.log_len()).max(rec.replica_log_len());
+            max_log = max_log.max(rec.own.log.len()).max(rec.replica.log.len());
         }
         let rec = eng.recovery().expect("enabled");
         // Anchors advanced with the batches (initial anchor is at counter 1).
         (
             max_log,
-            rec.anchor_published() > 1,
-            rec.prev_anchor_published().is_some(),
+            rec.own.newest.published > 1,
+            rec.own.prev.is_some(),
         )
     });
     for (max_log, advanced, has_prev) in out.results {
@@ -326,5 +307,555 @@ fn log_stays_bounded_by_anchor_windows() {
             "log grew past two anchor windows: {max_log}"
         );
         assert!(advanced && has_prev);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The batch-lifecycle model: seeded operation sequences over every batch
+// kind, publishes, pins, rebalancing steps and crashes, checked after every
+// step against a single-process static recompute.
+// ---------------------------------------------------------------------------
+
+/// One step of a model program. Every step publishes exactly one epoch, so a
+/// recovery's commit frontier names the step to resume from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Op {
+    /// `try_apply` of an algebraic batch.
+    Algebraic,
+    /// The infallible `apply_algebraic`.
+    PlainAlgebraic,
+    /// `try_apply` of a general batch.
+    General,
+    /// The infallible `apply_general`.
+    PlainGeneral,
+    /// `try_apply` of a static recompute.
+    Recompute,
+    /// A publish with nothing committed since the last one.
+    Publish,
+    /// `maybe_rebalance`, then a bare publish when it stays put.
+    Rebalance,
+}
+
+const OPS: [Op; 7] = [
+    Op::Algebraic,
+    Op::PlainAlgebraic,
+    Op::General,
+    Op::PlainGeneral,
+    Op::Recompute,
+    Op::Publish,
+    Op::Rebalance,
+];
+
+#[derive(Debug, Clone)]
+struct Step {
+    op: Op,
+    /// Pin the epoch this step publishes.
+    pin: bool,
+    /// Drop the oldest pin after this step.
+    unpin: bool,
+    /// Arm a crash of `rank` before its `k`-th send, ahead of this step.
+    crash: Option<(usize, u64)>,
+}
+
+impl Step {
+    fn new(op: Op) -> Self {
+        Self {
+            op,
+            pin: false,
+            unpin: false,
+            crash: None,
+        }
+    }
+
+    fn crash(self, rank: usize, k: u64) -> Self {
+        Self {
+            crash: Some((rank, k)),
+            ..self
+        }
+    }
+}
+
+/// One rank's share of one step's updates.
+#[derive(Debug, Clone)]
+enum Input {
+    Algebraic(Vec<Triple<u64>>, Vec<Triple<u64>>),
+    General(GeneralUpdates<u64>, GeneralUpdates<u64>),
+    Nothing,
+}
+
+type Matrix = BTreeMap<(Index, Index), u64>;
+
+/// A model program: its steps, every rank's inputs, and the oracle — the
+/// operands and their static product before the first step and after each.
+struct Program {
+    steps: Vec<Step>,
+    /// `inputs[step][rank]`.
+    inputs: Vec<Vec<Input>>,
+    /// `expected[s]` = `[A, B, C]` after the first `s` steps.
+    expected: Vec<[Matrix; 3]>,
+}
+
+const MODEL_RECOVERY: RecoveryConfig = RecoveryConfig {
+    anchor_period: 3,
+    max_log: 16,
+};
+
+const MODEL_REBALANCE: RebalanceConfig = RebalanceConfig {
+    threshold: 1.2,
+    cooldown: 1,
+};
+
+fn product(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::new();
+    for (&(i, k), &x) in a {
+        for (&(_, j), &y) in b.range((k, 0)..(k + 1, 0)) {
+            *c.entry((i, j)).or_insert(0) += x * y;
+        }
+    }
+    c
+}
+
+/// Algebraic tuples, every other one in the top-left third so that the
+/// rebalancer has a skew to act on.
+fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
+    (0..count)
+        .map(|t| {
+            let span = if t % 2 == 0 { N as u64 / 3 } else { N as u64 };
+            let (i, j) = (rng.gen_range(span), rng.gen_range(span));
+            Triple::new(i as Index, j as Index, rng.gen_range(3) + 1)
+        })
+        .collect()
+}
+
+/// General updates of `m` by `rank`: deletions of present entries and value
+/// writes, all in the rows `i ≡ rank (mod p)` and on distinct positions, so
+/// no two ranks' updates of one batch conflict.
+fn general_updates(m: &Matrix, rng: &mut SplitMix64, p: usize, rank: usize) -> GeneralUpdates<u64> {
+    let mut upd = GeneralUpdates::new();
+    let present: Vec<_> = m
+        .keys()
+        .filter(|k| k.0 as usize % p == rank)
+        .copied()
+        .collect();
+    let rows: Vec<Index> = (0..N).filter(|&i| i as usize % p == rank).collect();
+    for _ in 0..2 {
+        if !present.is_empty() {
+            let k = present[rng.gen_range(present.len() as u64) as usize];
+            if !upd.deletes.contains(&k) {
+                upd.deletes.push(k);
+            }
+        }
+    }
+    for _ in 0..2 {
+        let i = rows[rng.gen_range(rows.len() as u64) as usize];
+        let j = rng.gen_range(N as u64) as Index;
+        if !upd.deletes.contains(&(i, j)) && !upd.sets.iter().any(|t| (t.row, t.col) == (i, j)) {
+            upd.sets.push(Triple::new(i, j, rng.gen_range(9) + 1));
+        }
+    }
+    upd
+}
+
+fn apply_general_model(m: &mut Matrix, upd: &GeneralUpdates<u64>) {
+    for &k in &upd.deletes {
+        m.remove(&k);
+    }
+    for t in &upd.sets {
+        m.insert((t.row, t.col), t.val);
+    }
+}
+
+impl Program {
+    /// Draws every rank's inputs for `steps` and runs the oracle over them.
+    fn new(p: usize, seed: u64, steps: Vec<Step>) -> Self {
+        let mut rng = SplitMix64::new(seed ^ 0x5EED);
+        let draw = |rng: &mut SplitMix64| {
+            let mut m = Matrix::new();
+            for t in algebraic_tuples(rng, 60) {
+                m.insert((t.row, t.col), t.val);
+            }
+            m
+        };
+        let (mut a, mut b) = (draw(&mut rng), draw(&mut rng));
+        let mut expected = vec![[a.clone(), b.clone(), product(&a, &b)]];
+        let mut inputs = Vec::new();
+        for step in &steps {
+            let per_rank: Vec<Input> = (0..p)
+                .map(|rank| match step.op {
+                    Op::Algebraic | Op::PlainAlgebraic => Input::Algebraic(
+                        algebraic_tuples(&mut rng, 4),
+                        algebraic_tuples(&mut rng, 4),
+                    ),
+                    Op::General | Op::PlainGeneral => Input::General(
+                        general_updates(&a, &mut rng, p, rank),
+                        general_updates(&b, &mut rng, p, rank),
+                    ),
+                    _ => Input::Nothing,
+                })
+                .collect();
+            for input in &per_rank {
+                match input {
+                    Input::Algebraic(ta, tb) => {
+                        for (m, ts) in [(&mut a, ta), (&mut b, tb)] {
+                            for t in ts {
+                                *m.entry((t.row, t.col)).or_insert(0) += t.val;
+                            }
+                        }
+                    }
+                    Input::General(ua, ub) => {
+                        apply_general_model(&mut a, ua);
+                        apply_general_model(&mut b, ub);
+                    }
+                    Input::Nothing => {}
+                }
+            }
+            inputs.push(per_rank);
+            expected.push([a.clone(), b.clone(), product(&a, &b)]);
+        }
+        Self {
+            steps,
+            inputs,
+            expected,
+        }
+    }
+
+    /// A seeded program of `len` random steps with one crash at a random
+    /// step, rank and send.
+    fn random(p: usize, seed: u64, len: usize) -> Self {
+        let mut rng = SplitMix64::new(seed);
+        let crash_step = rng.gen_range(len as u64) as usize;
+        let steps = (0..len)
+            .map(|s| {
+                let mut step = Step::new(OPS[rng.gen_range(OPS.len() as u64) as usize]);
+                step.pin = rng.gen_range(3) == 0;
+                step.unpin = rng.gen_range(3) == 0;
+                if s == crash_step {
+                    step = step.crash(rng.gen_range(p as u64) as usize, rng.gen_range(40) + 1);
+                }
+                step
+            })
+            .collect();
+        Self::new(p, seed, steps)
+    }
+}
+
+fn triples_of(m: &Matrix) -> Vec<Triple<u64>> {
+    m.iter().map(|(&(i, j), &v)| Triple::new(i, j, v)).collect()
+}
+
+/// What one rank observed over a model run.
+#[derive(Debug)]
+struct ModelOutcome {
+    reports: Vec<RecoveryReport>,
+    /// Rebalancing verdicts `(step, migrated)` since this rank's last
+    /// recovery.
+    decisions: Vec<(usize, bool)>,
+    /// Migrations, migrated bytes and the final cut vector.
+    policy: (Option<(u64, u64)>, Vec<Index>),
+    final_c: Option<Vec<Triple<u64>>>,
+}
+
+type Pins = VecDeque<(Arc<Snapshot<u64>>, Vec<Triple<u64>>)>;
+
+/// Asserts this rank's blocks of `A`, `B` and `C` equal the oracle's, and
+/// every pinned epoch its content at pin time. Local: no collectives.
+fn check_state(e: &DynSpGemm<U64Plus>, want: &[Matrix; 3], pins: &Pins, at: &str) {
+    for (name, mat, want) in [
+        ("A", &e.a, &want[0]),
+        ("B", &e.b, &want[1]),
+        ("C", &e.c, &want[2]),
+    ] {
+        let info = mat.info();
+        let mine: Vec<Triple<u64>> = want
+            .iter()
+            .filter(|(k, _)| info.row_range.contains(&k.0) && info.col_range.contains(&k.1))
+            .map(|(&(i, j), &v)| Triple::new(i, j, v))
+            .collect();
+        assert_eq!(
+            mat.to_global_triples(),
+            mine,
+            "{at}: {name} diverged from the static recompute"
+        );
+    }
+    for (pin, content) in pins {
+        assert_eq!(
+            &pin.c().block().to_triples(),
+            content,
+            "{at}: pinned epoch {} moved",
+            pin.epoch()
+        );
+    }
+}
+
+/// Runs one step's operation and its publish.
+fn apply_step(
+    grid: &Grid,
+    e: &mut DynSpGemm<U64Plus>,
+    op: Op,
+    input: &Input,
+    decisions: &mut Vec<(usize, bool)>,
+    step: usize,
+) -> Result<(), CommError> {
+    match (op, input.clone()) {
+        (Op::Algebraic, Input::Algebraic(a, b)) => e.try_apply(grid, Batch::Algebraic(a, b))?,
+        (Op::PlainAlgebraic, Input::Algebraic(a, b)) => {
+            catch_comm_mut(|| e.apply_algebraic(grid, a, b))?
+        }
+        (Op::General, Input::General(a, b)) => e.try_apply(grid, Batch::General(a, b))?,
+        (Op::PlainGeneral, Input::General(a, b)) => catch_comm_mut(|| e.apply_general(grid, a, b))?,
+        (Op::Recompute, _) => e.try_apply(grid, Batch::Recompute)?,
+        (Op::Publish, _) => {}
+        (Op::Rebalance, _) => {
+            let migrated = e.maybe_rebalance(grid)?;
+            decisions.push((step, migrated));
+            if migrated {
+                // The migration published its own epoch.
+                return Ok(());
+            }
+        }
+        (op, input) => panic!("{op:?} cannot take {input:?}"),
+    }
+    e.publish();
+    Ok(())
+}
+
+/// Drives `prog` on this rank with recovery, rebalancing and filter tracking
+/// all on: recovers from the armed crash (survivors roll back and replay,
+/// the crashed rank rebuilds as the replacement), resumes at the step after
+/// the commit frontier, and checks the state after every step and every
+/// recovery. A final barrier surfaces a failure no later step detected.
+fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutcome {
+    let grid = Grid::new(comm);
+    let me = comm.rank();
+    let mut timer = PhaseTimer::new();
+    let feed = |m: &Matrix| if me == 0 { triples_of(m) } else { vec![] };
+    let [a0, b0, _] = &prog.expected[0];
+    let a = DistMat::from_global_triples(&grid, N, N, feed(a0), 1, &mut timer);
+    let b = DistMat::from_global_triples(&grid, N, N, feed(b0), 1, &mut timer);
+    let mut e = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
+    // Either enabling order composes.
+    if rebalance_first {
+        e.enable_rebalancing(MODEL_REBALANCE);
+        e.enable_recovery(&grid, MODEL_RECOVERY);
+    } else {
+        e.enable_recovery(&grid, MODEL_RECOVERY);
+        e.enable_rebalancing(MODEL_REBALANCE);
+    }
+    let mut eng = Some(e);
+    let mut pins = Pins::new();
+    let (mut reports, mut decisions) = (Vec::new(), Vec::new());
+    // Step `s` publishes epoch `base.1 + (s - base.0)`.
+    let (mut s, mut base) = (0usize, (0usize, 1u64));
+    let mut armed = false;
+    loop {
+        let step = prog.steps.get(s);
+        match step.and_then(|st| st.crash) {
+            Some((rank, k)) if rank == me && !armed => {
+                comm.arm_crash(k);
+                armed = true;
+            }
+            _ => {}
+        }
+        if step.is_none() {
+            comm.disarm_crash();
+        }
+        let mut e = eng.take().expect("engine present between steps");
+        let res = match step {
+            Some(st) => apply_step(&grid, &mut e, st.op, &prog.inputs[s][me], &mut decisions, s),
+            None => catch_comm_mut(|| comm.barrier()),
+        };
+        match res {
+            Ok(()) => {
+                let Some(st) = step else {
+                    eng = Some(e);
+                    break;
+                };
+                check_state(
+                    &e,
+                    &prog.expected[s + 1],
+                    &pins,
+                    &format!("step {s} ({:?})", st.op),
+                );
+                if st.pin {
+                    let snap = e.snapshot();
+                    let content = snap.c().block().to_triples();
+                    pins.push_back((snap, content));
+                }
+                if st.unpin {
+                    pins.pop_front();
+                }
+                s += 1;
+                eng = Some(e);
+            }
+            Err(err) => {
+                let (e, report) = match err {
+                    CommError::PeerFailed { .. } => {
+                        let report = e.recover(&grid);
+                        (e, report)
+                    }
+                    CommError::Crashed { rank } => {
+                        assert_eq!(rank, me);
+                        drop(e);
+                        DynSpGemm::<U64Plus>::recover_as_replacement(&grid, MODEL_RECOVERY)
+                    }
+                    other => panic!("unexpected comm error: {other}"),
+                };
+                s = base.0 + (report.committed_publishes - base.1) as usize;
+                base = (s, report.committed_publishes + 1);
+                decisions.clear();
+                reports.push(report);
+                check_state(
+                    &e,
+                    &prog.expected[s],
+                    &pins,
+                    &format!("recovery to step {s}"),
+                );
+                eng = Some(e);
+            }
+        }
+    }
+    let e = eng.take().expect("engine present at end");
+    ModelOutcome {
+        reports,
+        decisions,
+        policy: (
+            e.rebalancer().map(|r| (r.migrations(), r.migrated_bytes())),
+            e.a.info().layout().row_cuts().to_vec(),
+        ),
+        final_c: e.c.gather_to_root(comm),
+    }
+}
+
+/// Prints the model run of a failing test.
+struct SeedGuard(String);
+
+impl Drop for SeedGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing model run: {}", self.0);
+        }
+    }
+}
+
+/// Runs `prog` at `p` and asserts what must agree across ranks: recovery
+/// reports, post-recovery rebalancing verdicts, the policy state, and the
+/// final product against the oracle. A rank that skips a collective its
+/// peers run deadlocks the grid; the watchdog turns that hang into a
+/// failure.
+fn check_model(p: usize, prog: Program, rebalance_first: bool) -> Vec<ModelOutcome> {
+    let prog = Arc::new(prog);
+    let (tx, rx) = mpsc::channel();
+    let shared = Arc::clone(&prog);
+    std::thread::spawn(move || {
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            run(p, |comm| drive_model(comm, &shared, rebalance_first)).results
+        }));
+        let _ = tx.send(out);
+    });
+    let results = match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(Ok(results)) => results,
+        Ok(Err(panic)) => resume_unwind(panic),
+        Err(_) => panic!("the model run deadlocked"),
+    };
+    let first = &results[0];
+    for (rank, o) in results.iter().enumerate() {
+        assert_eq!(
+            o.reports, first.reports,
+            "rank {rank}: recovery reports differ"
+        );
+        assert_eq!(
+            o.decisions, first.decisions,
+            "rank {rank}: rebalancing verdicts differ"
+        );
+        assert_eq!(
+            o.policy, first.policy,
+            "rank {rank}: rebalancing state differs"
+        );
+        assert!(o.reports.len() <= 1, "one crash, at most one recovery");
+    }
+    let want = triples_of(&prog.expected.last().expect("initial state")[2]);
+    assert_eq!(first.final_c.as_ref(), Some(&want), "final C diverged");
+    results
+}
+
+/// The batch-lifecycle model test: seeded sequences over algebraic and general
+/// batches (both the fallible and the infallible forms), static recomputes,
+/// bare publishes, pins, unpins and rebalancing steps, each with one crash
+/// at a seeded rank and send. After every step `C` (and `A`, `B`) must equal
+/// the static recompute and every pin must be bit-stable; recovery reports
+/// must be rank-uniform.
+#[test]
+fn model_sequences_match_static_recompute() {
+    for (p, seeds) in [(4usize, 1..=16u64), (9, 1..=8)] {
+        for seed in seeds {
+            let _guard = SeedGuard(format!("p={p} seed={seed}"));
+            check_model(p, Program::random(p, seed, 14), seed % 2 == 0);
+        }
+    }
+}
+
+/// A committed batch of every kind inside the rollback window recovers: an
+/// `apply_general` batch, a plain `apply_algebraic` batch, a static recompute
+/// and a publish that committed nothing. Replay must reach the commit
+/// frontier through each of them.
+#[test]
+fn every_batch_kind_in_the_anchor_window_recovers() {
+    for op in [
+        Op::PlainGeneral,
+        Op::PlainAlgebraic,
+        Op::Recompute,
+        Op::Publish,
+    ] {
+        let _guard = SeedGuard(format!("{op:?} in the window"));
+        let steps = vec![
+            Step::new(Op::Algebraic),
+            Step::new(op),
+            Step::new(Op::Algebraic).crash(2, 1),
+            Step::new(Op::Algebraic),
+        ];
+        let out = check_model(4, Program::new(4, 7, steps), false);
+        let report = out[0].reports.first().expect("the crash recovers");
+        assert_eq!(report.failed_ranks, vec![2]);
+        // The anchor stands before step 0: both committed steps replay.
+        assert_eq!(
+            (report.committed_publishes, report.replayed_batches),
+            (3, 2)
+        );
+    }
+}
+
+/// A crash that lands between two migrations recovers bit-identically: the
+/// rollback anchor predates the first migration, so replay moves to its
+/// logged cuts, and the replacement rejoins with the policy state its peers
+/// hold — every later verdict is rank-uniform.
+#[test]
+fn crash_between_two_migrations_recovers_bit_identically() {
+    let steps = |crash: bool| {
+        let third = Step::new(Op::Algebraic);
+        vec![
+            Step::new(Op::Algebraic),
+            Step::new(Op::Rebalance),
+            if crash { third.crash(1, 1) } else { third },
+            Step::new(Op::Algebraic),
+            Step::new(Op::Rebalance),
+            Step::new(Op::Algebraic),
+        ]
+    };
+    let clean = check_model(4, Program::new(4, 3, steps(false)), true);
+    let crashed = check_model(4, Program::new(4, 3, steps(true)), true);
+    assert_eq!(clean[0].decisions, vec![(1, true), (4, true)]);
+    let report = crashed[0].reports.first().expect("the crash recovers");
+    assert_eq!(
+        report.committed_publishes, 3,
+        "the crash lands after the first migration"
+    );
+    assert_eq!(
+        report.replayed_batches, 2,
+        "replay crosses the first migration"
+    );
+    assert_eq!(crashed[0].decisions, vec![(4, true)]);
+    for (c, f) in crashed.iter().zip(&clean) {
+        assert_eq!(c.final_c, f.final_c);
+        assert_eq!(c.policy, f.policy);
     }
 }

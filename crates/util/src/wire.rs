@@ -352,6 +352,44 @@ macro_rules! impl_wire_fields {
     };
 }
 
+/// Declares the wire format of an enum of tuple and unit variants: a one-byte
+/// tag, then the variant's fields in order, each in its own encoding. Tags
+/// are listed with the variants, so reordering the declaration cannot change
+/// the format.
+///
+/// `impl_wire_enum!(Name<V> { 0 => Pair(a, b), 1 => Empty })` binds each
+/// field to a name of the caller's choosing.
+#[macro_export]
+macro_rules! impl_wire_enum {
+    ($ty:ident $(<$($g:ident),+>)? { $($tag:literal => $var:ident $(($($f:ident),+))?),+ $(,)? }) => {
+        impl$(<$($g: $crate::WireEncode),+>)? $crate::WireEncode for $ty$(<$($g),+>)? {
+            #[inline]
+            fn wire_encode<S: $crate::WireSink>(&self, out: &mut S) {
+                match self {
+                    $(Self::$var $(($($f),+))? => {
+                        out.put(&[$tag]);
+                        $($($crate::WireEncode::wire_encode($f, out);)+)?
+                    })+
+                }
+            }
+        }
+        impl$(<$($g: $crate::WireDecode),+>)? $crate::WireDecode for $ty$(<$($g),+>)? {
+            #[inline]
+            fn wire_decode(
+                r: &mut $crate::WireReader<'_>,
+            ) -> Result<Self, $crate::WireError> {
+                match <u8 as $crate::WireDecode>::wire_decode(r)? {
+                    $($tag => Ok(Self::$var $(($({
+                        let $f = $crate::WireDecode::wire_decode(r)?;
+                        $f
+                    }),+))?),)+
+                    _ => Err($crate::WireError::Invalid(concat!(stringify!($ty), " tag"))),
+                }
+            }
+        }
+    };
+}
+
 impl_wire_fields!((A.0, B.1));
 impl_wire_fields!((A.0, B.1, C.2));
 
@@ -704,6 +742,27 @@ mod tests {
         round_trip(n);
         assert_eq!(Pair(1, Some(2)).wire_bytes(), 1 + 9);
         round_trip(Pair(1, None));
+    }
+
+    #[test]
+    fn enum_macro_tags_each_variant() {
+        #[derive(Debug, Clone, PartialEq)]
+        enum Shape<V> {
+            Pair(V, Vec<V>),
+            Empty,
+            One(u8),
+        }
+        impl_wire_enum!(Shape<V> { 0 => Pair(a, b), 1 => Empty, 7 => One(x) });
+        assert_eq!(encode_to_vec(&Shape::<u16>::Empty), vec![1]);
+        assert_eq!(Shape::One::<u16>(3).wire_bytes(), 2);
+        assert_eq!(Shape::Pair(5u16, vec![1, 2]).wire_bytes(), 1 + 2 + 8 + 4);
+        round_trip(Shape::Pair(5u16, vec![1, 2]));
+        round_trip(Shape::<u16>::Empty);
+        round_trip(Shape::<u16>::One(9));
+        assert_eq!(
+            decode_from_slice::<Shape<u16>>(&[2]),
+            Err(WireError::Invalid("Shape tag"))
+        );
     }
 
     #[test]
