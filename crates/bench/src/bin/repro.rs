@@ -9,7 +9,7 @@
 //!   data        (= table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b)
 //!   spgemm      (= fig9 fig10 fig11 fig12)
 //!   ablations   (= the three ablations)
-//!   all         (= everything)
+//!   all         (= data spgemm ablations analytics)
 //!
 //! options:
 //!   --divisor N       catalog scale-down divisor      (default 4096)
@@ -26,7 +26,8 @@
 //!                     rank (default 1; >= --batches disables the crash)
 //!   --anchor-period N committed epochs between recovery anchors in
 //!                     `faults` (default 2)
-//!   --smoke           tiny configuration for CI
+//!   --smoke           tiny configuration for CI; the base every other
+//!                     flag applies to, wherever it stands
 //!   --trace-out F     enable the span tracer; write a Chrome trace_event
 //!                     JSON (chrome://tracing / Perfetto) covering every
 //!                     experiment run, then schema-validate it
@@ -37,12 +38,77 @@ use dspgemm_bench::experiments::{
     transport, updates,
 };
 use dspgemm_bench::Config;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--smoke] [--trace-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--crash-batch N] [--anchor-period N] [--smoke] [--trace-out FILE]"
     );
     std::process::exit(2);
+}
+
+const DATA: [&str; 9] = [
+    "table1", "fig3", "fig4", "fig5a", "fig5b", "fig6", "fig7", "fig8a", "fig8b",
+];
+const SPGEMM: [&str; 4] = ["fig9", "fig10", "fig11", "fig12"];
+const ABLATIONS: [&str; 3] = ["ablation-redist", "ablation-bloom", "ablation-agg"];
+
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Cli {
+    cfg: Config,
+    /// Experiment names, groups expanded, in command-line order.
+    experiments: Vec<String>,
+    trace_out: Option<PathBuf>,
+}
+
+/// The value following `flag`, parsed.
+fn value<T: FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+}
+
+/// Parses the arguments after the program name. `--smoke` selects the base
+/// configuration before any other flag applies, so flag order never matters.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut cfg = if args.iter().any(|a| a == "--smoke") {
+        Config::smoke()
+    } else {
+        Config::default()
+    };
+    let (mut experiments, mut trace_out) = (Vec::new(), None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--divisor" => cfg.divisor = value(arg, it.next())?,
+            "--p" => cfg.p = value(arg, it.next())?,
+            "--batches" => cfg.batches = value(arg, it.next())?,
+            "--instances" => cfg.instances = value(arg, it.next())?,
+            "--seed" => cfg.seed = value(arg, it.next())?,
+            "--batch-size" => cfg.batch_size = value(arg, it.next())?,
+            "--rebalance-threshold" => cfg.rebalance_threshold = value(arg, it.next())?,
+            "--rebalance-cooldown" => cfg.rebalance_cooldown = value(arg, it.next())?,
+            "--crash-batch" => cfg.crash_batch = value(arg, it.next())?,
+            "--anchor-period" => cfg.anchor_period = value(arg, it.next())?,
+            "--trace-out" => trace_out = Some(value(arg, it.next())?),
+            "--smoke" => {}
+            "data" => experiments.extend(DATA),
+            "spgemm" => experiments.extend(SPGEMM),
+            "ablations" => experiments.extend(ABLATIONS),
+            "all" => experiments.extend([&DATA[..], &SPGEMM, &ABLATIONS, &["analytics"]].concat()),
+            name if !name.starts_with("--") => experiments.push(name),
+            flag => return Err(format!("unknown flag {flag}")),
+        }
+    }
+    if experiments.is_empty() {
+        return Err("no experiment given".into());
+    }
+    Ok(Cli {
+        cfg,
+        experiments: experiments.into_iter().map(String::from).collect(),
+        trace_out,
+    })
 }
 
 /// True when this process is a re-executed TCP rank child of the
@@ -62,152 +128,16 @@ fn tcp_child() -> bool {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let mut cfg = Config::default();
-    let mut experiments: Vec<String> = Vec::new();
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--divisor" => {
-                cfg.divisor = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--p" => {
-                cfg.p = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--batches" => {
-                cfg.batches = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--instances" => {
-                cfg.instances = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--seed" => {
-                cfg.seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--batch-size" => {
-                cfg.batch_size = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--rebalance-threshold" => {
-                cfg.rebalance_threshold = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--rebalance-cooldown" => {
-                cfg.rebalance_cooldown = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--crash-batch" => {
-                cfg.crash_batch = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--anchor-period" => {
-                cfg.anchor_period = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--smoke" => {
-                let keep = (
-                    cfg.rebalance_threshold,
-                    cfg.rebalance_cooldown,
-                    cfg.crash_batch,
-                    cfg.anchor_period,
-                );
-                cfg = Config::smoke();
-                (
-                    cfg.rebalance_threshold,
-                    cfg.rebalance_cooldown,
-                    cfg.crash_batch,
-                    cfg.anchor_period,
-                ) = keep;
-            }
-            "--trace-out" => {
-                trace_out = Some(args.get(i + 1).map(Into::into).unwrap_or_else(|| usage()));
-                i += 1;
-            }
-            other if !other.starts_with("--") => experiments.push(other.to_string()),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if experiments.is_empty() {
-        usage();
-    }
-    // Expand groups.
-    let mut expanded = Vec::new();
-    for e in experiments {
-        match e.as_str() {
-            "data" => expanded.extend(
-                [
-                    "table1", "fig3", "fig4", "fig5a", "fig5b", "fig6", "fig7", "fig8a", "fig8b",
-                ]
-                .map(String::from),
-            ),
-            "spgemm" => expanded.extend(["fig9", "fig10", "fig11", "fig12"].map(String::from)),
-            "ablations" => expanded
-                .extend(["ablation-redist", "ablation-bloom", "ablation-agg"].map(String::from)),
-            "all" => expanded.extend(
-                [
-                    "table1",
-                    "fig3",
-                    "fig4",
-                    "fig5a",
-                    "fig5b",
-                    "fig6",
-                    "fig7",
-                    "fig8a",
-                    "fig8b",
-                    "fig9",
-                    "fig10",
-                    "fig11",
-                    "fig12",
-                    "ablation-redist",
-                    "ablation-bloom",
-                    "ablation-agg",
-                    "analytics",
-                ]
-                .map(String::from),
-            ),
-            _ => expanded.push(e),
-        }
-    }
+    let Cli {
+        cfg,
+        mut experiments,
+        trace_out,
+    } = parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    });
     if tcp_child() {
-        expanded.retain(|e| e == "transport");
+        experiments.retain(|e| e == "transport");
     }
     // One switch arms the whole observability layer: every span and
     // instant lands in the trace export.
@@ -220,7 +150,7 @@ fn main() {
             cfg.divisor, cfg.p, cfg.batches, cfg.instances, cfg.seed
         );
     }
-    for e in expanded {
+    for e in experiments {
         let started = std::time::Instant::now();
         let table = match e.as_str() {
             "table1" => table1::run(&cfg),
@@ -282,5 +212,67 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flag_order_does_not_change_the_config() {
+        let cli = parse(&args("faults --seed 11 --smoke --p 9")).expect("valid");
+        assert_eq!((cli.cfg.seed, cli.cfg.p), (11, 9));
+        assert_eq!(cli.cfg.divisor, Config::smoke().divisor);
+        for line in [
+            "--smoke faults --seed 11 --p 9",
+            "--p 9 --seed 11 faults --smoke",
+            "--seed 11 --smoke --p 9 faults",
+        ] {
+            assert_eq!(parse(&args(line)).expect("valid"), cli, "{line}");
+        }
+        let full = "serve --divisor 8 --batches 3 --instances 1 --batch-size 64 \
+                    --rebalance-threshold 2.5 --rebalance-cooldown 4 --crash-batch 0 \
+                    --anchor-period 5 --trace-out t.json";
+        let cli = parse(&args(full)).expect("valid");
+        let want = Config {
+            divisor: 8,
+            batches: 3,
+            instances: 1,
+            batch_size: 64,
+            rebalance_threshold: 2.5,
+            rebalance_cooldown: 4,
+            crash_batch: 0,
+            anchor_period: 5,
+            ..Config::default()
+        };
+        assert_eq!(cli.cfg, want);
+        assert_eq!(cli.trace_out, Some(PathBuf::from("t.json")));
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        for line in [
+            "faults --bogus 3",
+            "faults --p",
+            "faults --p four",
+            "--smoke",
+            "",
+        ] {
+            assert!(parse(&args(line)).is_err(), "{line:?} parsed");
+        }
+    }
+
+    #[test]
+    fn groups_expand_in_place() {
+        let cli = parse(&args("faults all overlap")).expect("valid");
+        let mut want = vec!["faults"];
+        want.extend(DATA.iter().chain(&SPGEMM).chain(&ABLATIONS));
+        want.extend(["analytics", "overlap"]);
+        assert_eq!(cli.experiments, want);
     }
 }

@@ -14,7 +14,7 @@ pub mod measure;
 pub mod report;
 
 /// Experiment scale and shape knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Catalog scale-down divisor (see `dspgemm_graph::catalog`); smaller =
     /// bigger proxies.

@@ -7,7 +7,9 @@
 //! one [`Batch`] through one commit path: write-ahead log (with recovery
 //! on), apply, agreement fence. The session keeps the invariant `C = A · B`
 //! after every batch — verified end-to-end by the integration tests against
-//! static recomputation.
+//! static recomputation. A call a rank failure interrupts returns the
+//! [`CommError`]; with recovery on, every rank hands it to the one
+//! [`DynSpGemm::recover`], which serves survivors and the replacement alike.
 
 use crate::distmat::{DistMat, Elem, MigrationStats};
 use crate::dyn_algebraic::apply_algebraic_updates_exec;
@@ -22,7 +24,7 @@ use crate::recovery::{
 };
 use crate::snapshot::{record_epoch_publish, Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
-use dspgemm_mpi::{catch_comm_mut, CommError};
+use dspgemm_mpi::{catch_comm_mut, Comm, CommError};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
@@ -203,10 +205,9 @@ impl<S: Semiring> DynSpGemm<S> {
 
     /// Applies one batch through the session's one commit path. Collective.
     /// Returns `Err` when a peer failure (or this rank's own injected crash)
-    /// interrupts the batch; with recovery on, the caller then runs
-    /// [`DynSpGemm::recover`] (survivors) or
-    /// [`DynSpGemm::recover_as_replacement`] (the crashed rank) and
-    /// re-submits every batch the returned report says did not commit. The
+    /// interrupts the batch; with recovery on, the caller then passes the
+    /// error to [`DynSpGemm::recover`] — on every rank, survivor or crashed —
+    /// and re-submits every batch the returned report says did not commit. The
     /// recovery log is keyed by published epoch: publish after every `Ok`
     /// before the next batch.
     ///
@@ -270,12 +271,11 @@ impl<S: Semiring> DynSpGemm<S> {
             !self.dirty,
             "recovery mode requires publish() after every committed batch"
         );
-        // Deterministic anchor refresh at batch boundaries: both triggers
-        // key on counters that move in lockstep across ranks, so every rank
-        // refreshes at the same batch.
-        if record.epoch - rec.own.newest.published >= rec.cfg.anchor_period
-            || rec.own.log.len() >= rec.cfg.max_log
-        {
+        // Deterministic anchor refresh at batch boundaries: the trigger keys
+        // on the published-epoch counter, which moves in lockstep across
+        // ranks, so every rank refreshes at the same batch. An epoch holds
+        // at most one record, so a log never outgrows two anchor windows.
+        if record.epoch - rec.own.newest.published >= rec.cfg.anchor_period {
             self.refresh_anchor(grid)?;
         }
         let world = grid.world();
@@ -289,8 +289,7 @@ impl<S: Semiring> DynSpGemm<S> {
         rec.replica.log.push(got);
         catch_comm_mut(|| {
             self.apply_record(grid, record);
-            let n = world.allreduce(1u64, |x, y| x + y);
-            debug_assert_eq!(n as usize, world.size(), "the fence lost a rank");
+            fence(world);
         })
     }
 
@@ -385,7 +384,8 @@ impl<S: Semiring> DynSpGemm<S> {
     /// [`Batch::Migrate`] and re-publishes under the new [`Layout`]. Returns
     /// whether it migrated (`Ok(false)` unless
     /// [`DynSpGemm::enable_rebalancing`] was called), or `Err` as
-    /// [`DynSpGemm::try_apply`] does. Collective over the grid.
+    /// [`DynSpGemm::try_apply`] does — hand it to [`DynSpGemm::recover`].
+    /// Collective over the grid.
     ///
     /// Pinned pre-migration snapshots are untouched: they keep their own
     /// layout inside their [`crate::distmat::BlockInfo`], so epoch readers
@@ -453,24 +453,31 @@ impl<S: Semiring> DynSpGemm<S> {
 
     /// Opts this session into epoch-anchored recovery: every batch is
     /// write-ahead logged and replicated to the buddy rank `(r + 1) mod p`,
-    /// periodic anchors bound replay, and [`DynSpGemm::recover`] /
-    /// [`DynSpGemm::recover_as_replacement`] restore the grid after a rank
-    /// failure. Collective over the grid (the initial anchor is exchanged
-    /// buddy-to-buddy). Requires a published, batch-free state — enable
-    /// right after construction or after an explicit publish.
+    /// periodic anchors bound replay and the log (two anchor windows), and
+    /// [`DynSpGemm::recover`] restores the grid after a rank failure.
+    /// Collective over the grid: the initial anchor is exchanged
+    /// buddy-to-buddy, then fenced. Requires a published, batch-free state —
+    /// enable right after construction or after an explicit publish.
+    ///
+    /// Returns `Err` when a crash in the first batch reaches this rank still
+    /// inside the fence; the session is then recoverable as after a failed
+    /// batch — hand the error to [`DynSpGemm::recover`].
     ///
     /// # Panics
     /// Panics if recovery is already enabled or if a committed batch has not
     /// been published yet.
-    pub fn enable_recovery(&mut self, grid: &Grid, cfg: RecoveryConfig) {
+    pub fn enable_recovery(&mut self, grid: &Grid, cfg: RecoveryConfig) -> Result<(), CommError> {
         assert!(self.recovery.is_none(), "recovery is already enabled");
         assert!(
             !self.dirty,
             "publish() committed batches before enable_recovery()"
         );
         assert!(cfg.anchor_period >= 1, "anchor_period must be at least 1");
-        assert!(cfg.max_log >= 1, "max_log must be at least 1");
         self.reanchor(grid, cfg);
+        // A rank passes the fence only once every rank holds its anchors, so
+        // a crash in the first batch finds each peer recoverable, whether
+        // still inside the fence or already past it.
+        catch_comm_mut(|| fence(grid.world()))
     }
 
     /// The recovery state, when enabled (anchor/log diagnostics for tests
@@ -574,64 +581,63 @@ impl<S: Semiring> DynSpGemm<S> {
         });
     }
 
-    /// Recovers a *surviving* rank after a batch call returned
-    /// `Err(CommError::PeerFailed { .. })`: runs the recovery agreement
-    /// (shipping the replica bundle to the replacement if this rank is the
-    /// failed rank's buddy), rolls back to the grid-minimum anchor and replays
-    /// to the grid-maximum commit frontier. Collective — the failed rank
-    /// calls [`DynSpGemm::recover_as_replacement`] in the same incident.
+    /// Recovers this rank from the `err` that [`DynSpGemm::try_apply`],
+    /// [`DynSpGemm::maybe_rebalance`] or [`DynSpGemm::enable_recovery`]
+    /// returned; the error picks the role:
     ///
-    /// Returns an allreduced [`RecoveryReport`]; the caller re-submits every
-    /// batch whose publish would be epoch `>= committed_publishes`.
-    pub fn recover(&mut self, grid: &Grid) -> RecoveryReport {
-        let sp = dspgemm_obs::span("engine", "recover");
+    /// * on `CommError::PeerFailed` this rank survived: it runs the
+    ///   recovery agreement (shipping the replica bundle to the replacement
+    ///   if it is the failed rank's buddy), rolls back to the grid-minimum
+    ///   anchor and replays to the grid-maximum commit frontier;
+    /// * on its own `CommError::Crashed` it is the replacement: it rebuilds
+    ///   `*self` from the bundle its buddy ships — rebalancing policy
+    ///   included — at the agreed rollback anchor and replays its own logged
+    ///   batches. Nothing of the crashed session is read but its
+    ///   [`RecoveryConfig`], a launch parameter.
+    ///
+    /// Collective: every rank calls it in the same incident. Returns an
+    /// allreduced [`RecoveryReport`]; the caller re-submits every batch whose
+    /// publish would be epoch `>= committed_publishes`. Recovery is a caller
+    /// step, not a retry inside the batch call: only the caller knows where
+    /// its program resumes, and it may run collectives of its own between
+    /// batches.
+    ///
+    /// # Panics
+    /// Panics without [`DynSpGemm::enable_recovery`], and on any other
+    /// error (a timeout, another rank's crash reported as this rank's).
+    pub fn recover(&mut self, grid: &Grid, err: CommError) -> RecoveryReport {
+        let replacement = match err {
+            CommError::PeerFailed { .. } => false,
+            CommError::Crashed { rank } if rank == grid.world().rank() => true,
+            other => panic!("recovery handles a peer failure or this rank's crash, not: {other}"),
+        };
+        let mut sp = dspgemm_obs::span("engine", "recover");
+        if replacement {
+            sp.set_attr("replacement", 1);
+        }
         // The re-anchor that ends a recovery builds this state afresh, so
         // the agreement consumes it.
         let rec = self
             .recovery
             .take()
             .expect("enable_recovery() before recover()");
-        let cfg = rec.cfg;
-        let published = self.snapshots.published();
-        let incident = agree_on_incident(grid, Some((rec, published)));
-        // (6) Roll the live session back; a survivor keeps its workspaces,
-        // timings and published epochs.
-        let rolled = std::mem::replace(
-            self,
-            Self::at_anchor(grid, incident.own.rollback_anchor(incident.a_min)),
-        );
-        (self.exec, self.timer, self.snapshots) = (rolled.exec, rolled.timer, rolled.snapshots);
-        let rolled_back = published - incident.a_min;
-        self.finish_recovery(grid, cfg, incident, rolled_back, sp)
-    }
-
-    /// Rebuilds the *failed* rank as a replacement after its own injected
-    /// crash surfaced as `Err(CommError::Crashed { .. })`: the old session
-    /// is gone (drop it); this constructor receives the replica bundle from
-    /// the buddy, builds a fresh session — rebalancing policy included — at
-    /// the agreed rollback anchor and replays the crashed rank's own logged
-    /// batches alongside the survivors' [`DynSpGemm::recover`].
-    pub fn recover_as_replacement(grid: &Grid, cfg: RecoveryConfig) -> (Self, RecoveryReport) {
-        let sp = dspgemm_obs::span("engine", "recover").attr("replacement", 1);
-        let incident = agree_on_incident(grid, None);
-        // (6) Build a fresh session at the rollback anchor.
-        let mut eng = Self::at_anchor(grid, incident.own.rollback_anchor(incident.a_min));
-        // This rank rolled back nothing it still knows about.
-        let report = eng.finish_recovery(grid, cfg, incident, 0, sp);
-        (eng, report)
-    }
-
-    /// Steps (7)–(9) of the recovery protocol, on a session that stands at
-    /// the incident's rollback anchor: replay, re-anchor, then the fence and
-    /// the report reductions. Collective.
-    fn finish_recovery(
-        &mut self,
-        grid: &Grid,
-        cfg: RecoveryConfig,
-        incident: Incident<S::Elem>,
-        rolled_back: u64,
-        mut sp: dspgemm_obs::Span,
-    ) -> RecoveryReport {
+        let (cfg, published) = (rec.cfg, self.snapshots.published());
+        let incident = agree_on_incident(grid, (!replacement).then_some((rec, published)));
+        // (6) Stand at the rollback anchor. A survivor keeps its workspaces,
+        // timings and published epochs; the replacement keeps nothing and
+        // rolled back nothing it still knows about. The rest of the old
+        // session drops before replay.
+        let anchor = incident.own.rollback_anchor(incident.a_min);
+        let rolled_back = {
+            let rolled = std::mem::replace(self, Self::at_anchor(grid, anchor));
+            if replacement {
+                0
+            } else {
+                (self.exec, self.timer, self.snapshots) =
+                    (rolled.exec, rolled.timer, rolled.snapshots);
+                published - incident.a_min
+            }
+        };
         let world = grid.world();
         // (7) Deterministic replay of the committed window [A, P*) from this
         // rank's own logged batches.
@@ -653,22 +659,27 @@ impl<S: Semiring> DynSpGemm<S> {
         sp.set_attr("detect_ns", detect_ns);
         sp.set_attr("rebuild_bytes", incident.rebuild_bytes);
         RecoveryReport {
-            failed_ranks: vec![incident.failed],
+            failed_rank: incident.failed,
             committed_publishes: incident.p_star,
             rollback_epochs,
             replayed_batches,
             rebuild_bytes: incident.rebuild_bytes,
             detect_ns,
-            recovery_epoch: incident.recovery_epoch,
         }
     }
+}
+
+/// The agreement fence: an allreduce no failed rank can complete, so passing
+/// it proves every rank reached it. Collective.
+fn fence(world: &Comm) {
+    let n = world.allreduce(1u64, |x, y| x + y);
+    debug_assert_eq!(n as usize, world.size(), "the fence lost a rank");
 }
 
 /// What the grid agreed on in one failure incident — the outcome of steps
 /// (1)–(5) of the recovery protocol (see [`crate::recovery`]) — and the
 /// rollback windows this rank recovers from.
 struct Incident<V> {
-    recovery_epoch: u64,
     failed: usize,
     rebuild_bytes: u64,
     /// The commit frontier `P*`: the furthest published count any rank
@@ -702,7 +713,7 @@ fn agree_on_incident<V: Elem>(
     // (1) Enter the next recovery epoch and rendezvous under it: stale
     // traffic from the interrupted batch is dropped, early traffic from
     // ranks already recovering was buffered and now matches.
-    let recovery_epoch = grid.advance_recovery_epoch();
+    grid.advance_recovery_epoch();
     world.barrier();
     // (2) Agree on the failed set: survivors OR in the failure markers they
     // consumed, the replacement *is* the failure.
@@ -745,7 +756,6 @@ fn agree_on_incident<V: Elem>(
     let p_star = world.allreduce(published, |a, b| a.max(b));
     let a_min = world.allreduce(own.newest.published, |a, b| a.min(b));
     Incident {
-        recovery_epoch,
         failed,
         rebuild_bytes,
         p_star,

@@ -9,7 +9,9 @@
 //! communication call it was blocked in. The failed rank's *thread* is still
 //! alive in the simulator — it catches its own `Crashed` error and rejoins
 //! the grid as the **replacement** for itself, rebuilding its lost state from
-//! its buddy's replica.
+//! its buddy's replica. Both roles run one call,
+//! [`crate::engine::DynSpGemm::recover`], on the error their batch call
+//! returned; the error picks the role.
 //!
 //! ## Protocol invariants
 //!
@@ -21,10 +23,14 @@
 //! * **Epoch anchors** — every `anchor_period` committed batches each rank
 //!   captures a full [`Anchor`] (copy-on-write `Arc` images of `A`, `B`, `C`
 //!   and `F`, the published-epoch and flop counters, and the rebalancing
-//!   policy state) and ships it to its buddy. The log is truncated to the window since the
-//!   *previous* anchor: two anchor windows are always retained, so a crash
-//!   racing an anchor refresh still leaves every rank holding the
-//!   rank-minimum anchor the grid agrees to roll back to.
+//!   policy state) and ships it to its buddy. The log is truncated to the
+//!   window since the *previous* anchor: two anchor windows are always
+//!   retained, so a crash racing an anchor refresh still leaves every rank
+//!   holding the rank-minimum anchor the grid agrees to roll back to. That
+//!   also bounds the log: a refresh fires at the first commit
+//!   `anchor_period` epochs past the newest anchor and an epoch holds at
+//!   most one record, so a log, own or replica, holds at most
+//!   2·`anchor_period` records.
 //! * **Deterministic replay** — recovery rolls every rank back to the agreed
 //!   anchor `A` and re-applies the logged batches up to the agreed commit
 //!   frontier `P*` (the maximum published count any rank reached). Each rank
@@ -81,19 +87,14 @@ pub(crate) fn buddy_ring(world: &Comm) -> (usize, usize) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Committed batches between anchor captures. Smaller = cheaper replay,
-    /// more anchor traffic.
+    /// more anchor traffic; the retained log holds at most twice this many
+    /// records.
     pub anchor_period: u64,
-    /// Hard bound on the retained log window (entries since the previous
-    /// anchor); reaching it forces an anchor refresh even mid-period.
-    pub max_log: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        Self {
-            anchor_period: 4,
-            max_log: 16,
-        }
+        Self { anchor_period: 4 }
     }
 }
 
@@ -256,7 +257,7 @@ impl<V> ReplicaBundle<V> {
 /// the replica it keeps for its predecessor in the buddy ring.
 #[derive(Debug)]
 pub struct RecoveryState<V> {
-    /// Anchor cadence and log bound.
+    /// Anchor cadence.
     pub cfg: RecoveryConfig,
     /// Own anchor windows and write-ahead log (bounded by two windows).
     pub own: ReplicaBundle<V>,
@@ -277,9 +278,9 @@ impl<V> RecoveryState<V> {
 /// replacement) returns identical numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// The ranks that failed this incident (exactly one under the current
-    /// single-failure scope).
-    pub failed_ranks: Vec<usize>,
+    /// The rank that failed this incident (one failure per incident is
+    /// asserted).
+    pub failed_rank: usize,
     /// The agreed commit frontier `P*`: the number of published epochs the
     /// recovered state reflects. Batches whose publish would be epoch
     /// `>= P*` did not commit and must be re-submitted by the caller.
@@ -295,8 +296,6 @@ pub struct RecoveryReport {
     /// Maximum failure-detection latency any rank observed (time from the
     /// crashed rank's failure marker send to its consumption), nanoseconds.
     pub detect_ns: u64,
-    /// The communicator recovery epoch the grid advanced into.
-    pub recovery_epoch: u64,
 }
 
 #[cfg(test)]
@@ -310,7 +309,6 @@ mod tests {
     fn config_default_is_sane() {
         let cfg = RecoveryConfig::default();
         assert!(cfg.anchor_period >= 1);
-        assert!(cfg.max_log >= cfg.anchor_period as usize);
     }
 
     #[test]

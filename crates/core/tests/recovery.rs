@@ -62,9 +62,9 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
     let feed = |s: u64| if me == 0 { triples(s, 60) } else { vec![] };
     let a = DistMat::from_global_triples(&grid, N, N, feed(1), 1, &mut timer);
     let b = DistMat::from_global_triples(&grid, N, N, feed(2), 1, &mut timer);
-    let mut session = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-    session.enable_recovery(&grid, cfg);
-    let mut eng = Some(session);
+    let mut e = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+    e.enable_recovery(&grid, cfg)
+        .expect("no crash lands before batch 1");
 
     let mut per_batch = Vec::new();
     let mut pinned = None;
@@ -80,7 +80,6 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
             }
         }
         let (a_ups, b_ups) = batch_updates(b_idx, me);
-        let mut e = eng.take().expect("engine present between batches");
         match e.try_apply(&grid, Batch::Algebraic(a_ups, b_ups)) {
             Ok(()) => {
                 e.publish();
@@ -101,35 +100,20 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
                     // through the crash, rollback and replay.
                     pinned = Some(e.snapshot());
                 }
-                eng = Some(e);
                 b_idx += 1;
             }
-            Err(CommError::PeerFailed { rank }) => {
-                assert_eq!(rank, crash.expect("injected failure").0);
-                let report = e.recover(&grid);
-                assert_eq!(report.failed_ranks, vec![rank]);
+            Err(err) => {
+                let report = e.recover(&grid, err);
+                assert_eq!(report.failed_rank, crash.expect("injected failure").0);
                 // The furthest-ahead rank rolled back exactly the window
                 // replay re-applies.
                 assert_eq!(report.replayed_batches, report.rollback_epochs);
                 recoveries += 1;
                 b_idx = report.committed_publishes - 1;
                 last_report = Some(report);
-                eng = Some(e);
             }
-            Err(CommError::Crashed { rank }) => {
-                assert_eq!(rank, me);
-                drop(e); // the crashed session is unrecoverable state
-                let (e2, report) = DynSpGemm::<U64Plus>::recover_as_replacement(&grid, cfg);
-                assert_eq!(report.failed_ranks, vec![me]);
-                recoveries += 1;
-                b_idx = report.committed_publishes - 1;
-                last_report = Some(report);
-                eng = Some(e2);
-            }
-            Err(other) => panic!("unexpected comm error: {other}"),
         }
     }
-    let e = eng.take().expect("engine present at end");
     let final_c = e.c.gather_to_root(comm);
     let flops = e.flops;
     let epoch = e.epoch().expect("published");
@@ -168,10 +152,7 @@ fn crash_recovery_matches_fault_free_run() {
     for (p, crash_rank) in [(4usize, 2usize), (9, 4)] {
         for anchor_period in [2u64, 4] {
             let batches = 6u64;
-            let cfg = RecoveryConfig {
-                anchor_period,
-                max_log: 16,
-            };
+            let cfg = RecoveryConfig { anchor_period };
             let baseline = run(p, move |comm| drive(comm, batches, None, cfg));
             let crashed = run(p, move |comm| {
                 drive(comm, batches, Some((crash_rank, 2)), cfg)
@@ -226,13 +207,12 @@ fn crash_recovery_matches_fault_free_run() {
                         ..rep_cr.clone()
                     },
                     RecoveryReport {
-                        failed_ranks: vec![crash_rank],
+                        failed_rank: crash_rank,
                         committed_publishes: 3,
                         rollback_epochs: 2,
                         replayed_batches: 2,
                         rebuild_bytes: if p == 4 { 1633 } else { 1153 },
                         detect_ns: 0,
-                        recovery_epoch: 1,
                     },
                     "p={p} ap={anchor_period} rank={rank}: recovery report moved"
                 );
@@ -252,7 +232,8 @@ fn try_apply_requires_publish_between_batches() {
         let a = DistMat::<u64>::empty(&grid, 8, 8);
         let b = DistMat::<u64>::empty(&grid, 8, 8);
         let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-        eng.enable_recovery(&grid, RecoveryConfig::default());
+        eng.enable_recovery(&grid, RecoveryConfig::default())
+            .expect("fault-free");
         eng.try_apply(
             &grid,
             Batch::Algebraic(vec![Triple::new(0, 0, 1u64)], vec![]),
@@ -279,32 +260,29 @@ fn log_stays_bounded_by_anchor_windows() {
         let a = DistMat::from_global_triples(&grid, N, N, feed(1), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, N, N, feed(2), 1, &mut timer);
         let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-        let cfg = RecoveryConfig {
-            anchor_period: 3,
-            max_log: 64,
-        };
-        eng.enable_recovery(&grid, cfg);
-        let mut max_log = 0usize;
+        eng.enable_recovery(&grid, RecoveryConfig { anchor_period: 3 })
+            .expect("fault-free");
+        let mut longest = 0usize;
         for batch in 0..20u64 {
             let (a_ups, b_ups) = batch_updates(batch, me);
             eng.try_apply(&grid, Batch::Algebraic(a_ups, b_ups))
                 .expect("fault-free");
             eng.publish();
             let rec = eng.recovery().expect("enabled");
-            max_log = max_log.max(rec.own.log.len()).max(rec.replica.log.len());
+            longest = longest.max(rec.own.log.len()).max(rec.replica.log.len());
         }
         let rec = eng.recovery().expect("enabled");
         // Anchors advanced with the batches (initial anchor is at counter 1).
         (
-            max_log,
+            longest,
             rec.own.newest.published > 1,
             rec.own.prev.is_some(),
         )
     });
-    for (max_log, advanced, has_prev) in out.results {
+    for (longest, advanced, has_prev) in out.results {
         assert!(
-            max_log <= 2 * 3,
-            "log grew past two anchor windows: {max_log}"
+            longest <= 2 * 3,
+            "log grew past two anchor windows: {longest}"
         );
         assert!(advanced && has_prev);
     }
@@ -395,10 +373,7 @@ struct Program {
     expected: Vec<[Matrix; 3]>,
 }
 
-const MODEL_RECOVERY: RecoveryConfig = RecoveryConfig {
-    anchor_period: 3,
-    max_log: 16,
-};
+const MODEL_RECOVERY: RecoveryConfig = RecoveryConfig { anchor_period: 3 };
 
 const MODEL_REBALANCE: RebalanceConfig = RebalanceConfig {
     threshold: 1.2,
@@ -557,8 +532,9 @@ struct ModelOutcome {
 
 type Pins = VecDeque<(Arc<Snapshot<u64>>, Vec<Triple<u64>>)>;
 
-/// Asserts this rank's blocks of `A`, `B` and `C` equal the oracle's, and
-/// every pinned epoch its content at pin time. Local: no collectives.
+/// Asserts this rank's blocks of `A`, `B` and `C` equal the oracle's, every
+/// pinned epoch its content at pin time, and its own and replica logs within
+/// two anchor windows. Local: no collectives.
 fn check_state(e: &DynSpGemm<U64Plus>, want: &[Matrix; 3], pins: &Pins, at: &str) {
     for (name, mat, want) in [
         ("A", &e.a, &want[0]),
@@ -583,6 +559,16 @@ fn check_state(e: &DynSpGemm<U64Plus>, want: &[Matrix; 3], pins: &Pins, at: &str
             content,
             "{at}: pinned epoch {} moved",
             pin.epoch()
+        );
+    }
+    // Two anchor windows bound the log: an epoch holds at most one record.
+    let rec = e.recovery().expect("recovery enabled");
+    let bound = 2 * rec.cfg.anchor_period as usize;
+    for (side, log) in [("own", &rec.own.log), ("replica", &rec.replica.log)] {
+        assert!(
+            log.len() <= bound,
+            "{at}: {side} log holds {} records, past two anchor windows ({bound})",
+            log.len()
         );
     }
 }
@@ -633,21 +619,35 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
     let a = DistMat::from_global_triples(&grid, N, N, feed(a0), 1, &mut timer);
     let b = DistMat::from_global_triples(&grid, N, N, feed(b0), 1, &mut timer);
     let mut e = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
-    // Either enabling order composes.
-    if rebalance_first {
+    // Either enabling order composes. A crash in step 0 may reach a rank
+    // still inside the enable fence; that error recovers like a step's.
+    let mut res = if rebalance_first {
         e.enable_rebalancing(MODEL_REBALANCE);
-        e.enable_recovery(&grid, MODEL_RECOVERY);
+        e.enable_recovery(&grid, MODEL_RECOVERY)
     } else {
-        e.enable_recovery(&grid, MODEL_RECOVERY);
+        let res = e.enable_recovery(&grid, MODEL_RECOVERY);
         e.enable_rebalancing(MODEL_REBALANCE);
-    }
-    let mut eng = Some(e);
+        res
+    };
     let mut pins = Pins::new();
     let (mut reports, mut decisions) = (Vec::new(), Vec::new());
     // Step `s` publishes epoch `base.1 + (s - base.0)`.
     let (mut s, mut base) = (0usize, (0usize, 1u64));
     let mut armed = false;
     loop {
+        if let Err(err) = res {
+            let report = e.recover(&grid, err);
+            s = base.0 + (report.committed_publishes - base.1) as usize;
+            base = (s, report.committed_publishes + 1);
+            decisions.clear();
+            reports.push(report);
+            check_state(
+                &e,
+                &prog.expected[s],
+                &pins,
+                &format!("recovery to step {s}"),
+            );
+        }
         let step = prog.steps.get(s);
         match step.and_then(|st| st.crash) {
             Some((rank, k)) if rank == me && !armed => {
@@ -659,62 +659,29 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
         if step.is_none() {
             comm.disarm_crash();
         }
-        let mut e = eng.take().expect("engine present between steps");
-        let res = match step {
+        res = match step {
             Some(st) => apply_step(&grid, &mut e, st.op, &prog.inputs[s][me], &mut decisions, s),
             None => catch_comm_mut(|| comm.barrier()),
         };
-        match res {
-            Ok(()) => {
-                let Some(st) = step else {
-                    eng = Some(e);
-                    break;
-                };
-                check_state(
-                    &e,
-                    &prog.expected[s + 1],
-                    &pins,
-                    &format!("step {s} ({:?})", st.op),
-                );
-                if st.pin {
-                    let snap = e.snapshot();
-                    let content = snap.c().block().to_triples();
-                    pins.push_back((snap, content));
-                }
-                if st.unpin {
-                    pins.pop_front();
-                }
-                s += 1;
-                eng = Some(e);
+        if res.is_ok() {
+            let Some(st) = step else { break };
+            check_state(
+                &e,
+                &prog.expected[s + 1],
+                &pins,
+                &format!("step {s} ({:?})", st.op),
+            );
+            if st.pin {
+                let snap = e.snapshot();
+                let content = snap.c().block().to_triples();
+                pins.push_back((snap, content));
             }
-            Err(err) => {
-                let (e, report) = match err {
-                    CommError::PeerFailed { .. } => {
-                        let report = e.recover(&grid);
-                        (e, report)
-                    }
-                    CommError::Crashed { rank } => {
-                        assert_eq!(rank, me);
-                        drop(e);
-                        DynSpGemm::<U64Plus>::recover_as_replacement(&grid, MODEL_RECOVERY)
-                    }
-                    other => panic!("unexpected comm error: {other}"),
-                };
-                s = base.0 + (report.committed_publishes - base.1) as usize;
-                base = (s, report.committed_publishes + 1);
-                decisions.clear();
-                reports.push(report);
-                check_state(
-                    &e,
-                    &prog.expected[s],
-                    &pins,
-                    &format!("recovery to step {s}"),
-                );
-                eng = Some(e);
+            if st.unpin {
+                pins.pop_front();
             }
+            s += 1;
         }
     }
-    let e = eng.take().expect("engine present at end");
     ModelOutcome {
         reports,
         decisions,
@@ -781,9 +748,10 @@ fn check_model(p: usize, prog: Program, rebalance_first: bool) -> Vec<ModelOutco
 /// The batch-lifecycle model test: seeded sequences over algebraic and general
 /// batches (both the fallible and the infallible forms), static recomputes,
 /// bare publishes, pins, unpins and rebalancing steps, each with one crash
-/// at a seeded rank and send. After every step `C` (and `A`, `B`) must equal
-/// the static recompute and every pin must be bit-stable; recovery reports
-/// must be rank-uniform.
+/// at a seeded rank and send. After every step and every recovery `C` (and
+/// `A`, `B`) must equal the static recompute, every pin must be bit-stable
+/// and each log must hold at most 2·`anchor_period` records; recovery
+/// reports must be rank-uniform.
 #[test]
 fn model_sequences_match_static_recompute() {
     for (p, seeds) in [(4usize, 1..=16u64), (9, 1..=8)] {
@@ -815,7 +783,7 @@ fn every_batch_kind_in_the_anchor_window_recovers() {
         ];
         let out = check_model(4, Program::new(4, 7, steps), false);
         let report = out[0].reports.first().expect("the crash recovers");
-        assert_eq!(report.failed_ranks, vec![2]);
+        assert_eq!(report.failed_rank, 2);
         // The anchor stands before step 0: both committed steps replay.
         assert_eq!(
             (report.committed_publishes, report.replayed_batches),
