@@ -2,19 +2,21 @@
 //!
 //! The paper motivates dynamic SpGEMM with graph-mining kernels that must
 //! stay fresh under streaming edge updates. This crate turns the engine into
-//! a *serving layer* for that scenario: an [`AnalyticsSession`] owns one
-//! distributed dynamic adjacency matrix `A`, keeps the product `C = A·A`
-//! maintained through the shared-operand hooks of `dspgemm-core`, and feeds
-//! any number of registered [`View`]s from a **single shared update batch**
-//! — one redistribution, one dynamic-SpGEMM pass, one change feed, however
-//! many views.
+//! a *serving layer* for that scenario: an [`AnalyticsSession`] is a
+//! `dspgemm-core` engine in shared mode — one distributed dynamic adjacency
+//! matrix `A` and the maintained product `C = A·A` — whose observer is a
+//! registry of [`View`]s, all fed from a **single shared update batch** —
+//! one redistribution, one dynamic-SpGEMM pass, one change feed, however
+//! many views. Being the engine, a session also takes its recovery and
+//! rebalancing.
 //!
-//! * [`session`] — the session object: batch application, view registry,
-//!   and the query API (point lookups, per-row top-k, global aggregates) —
+//! * [`session`] — the session object: the engine, its view registry, and
+//!   the query API (point lookups, per-row top-k, global aggregates) —
 //!   every query served from the latest published epoch.
-//! * [`snapshot`] — pinned epochs ([`SessionSnapshot`]): immutable `{A, C,
-//!   views, epoch}` published after every committed batch, so readers query
-//!   bit-stable state while batches keep draining.
+//! * [`snapshot`] — pinned epochs ([`SessionSnapshot`]): the engine's
+//!   immutable `{A, C, epoch}` plus every view's frozen reading, published
+//!   after every committed batch, so readers query bit-stable state while
+//!   batches keep draining.
 //! * [`view`] — the [`View`] trait and the shared batch/delta types.
 //! * [`views`] — the built-in views: [`TriangleCountView`] (incremental
 //!   masked-sum triangle counting), [`CommonNeighborsView`]
@@ -64,7 +66,7 @@ pub mod view;
 pub mod views;
 
 pub use masked_product::masked_product;
-pub use session::AnalyticsSession;
+pub use session::{AnalyticsSession, SessionEngine, ViewRegistry};
 pub use snapshot::SessionSnapshot;
 pub use view::{BatchDelta, FrozenView, PendingBatch, View, ViewCx, ViewId};
 pub use views::common_neighbors::ScoreReading;

@@ -1,70 +1,90 @@
-//! The analytics serving session.
+//! The analytics serving session: a shared-mode [`DynSpGemm`] — one
+//! distributed dynamic adjacency matrix `A`, the maintained product
+//! `C = A · A` and its Bloom filter matrix `F`, so deletions are always
+//! admissible — whose observer is the registry of [`View`]s
+//! ([`ViewRegistry`]).
 //!
-//! [`AnalyticsSession`] owns one distributed dynamic adjacency matrix `A`,
-//! the maintained product `C = A · A` (with its Bloom filter matrix `F`, so
-//! deletions are always admissible), and a registry of [`View`]s. One call
-//! to [`AnalyticsSession::insert_edges`] / [`AnalyticsSession::apply_general`]
-//! drives everything:
+//! One call to [`AnalyticsSession::insert_edges`] /
+//! [`AnalyticsSession::apply_general`] is one engine batch: one
+//! redistribution, every view's `pre_batch` against the old state, the
+//! engine's shared arm (Algorithm 1 or 2), every view's `post_batch` from the
+//! shared `C*` delta, then the engine's publish of an immutable
+//! [`SessionSnapshot`] epoch. Being the engine, a session takes its recovery
+//! and rebalancing: [`AnalyticsSession::engine_mut`] hands out the engine
+//! beside the session's grid, and `Deref` gives read access to it. Views
+//! re-bootstrap after every change that carries no delta — a migration, a
+//! recompute, a recovery rollback — and observe replayed batches like live
+//! ones.
 //!
-//! 1. the batch is redistributed **once** into hypersparse update matrices,
-//!    every layout the step needs a lane of the same exchange (the only
-//!    all-to-all of the whole step);
-//! 2. every view observes the pending batch (`pre_batch`) against the old
-//!    state;
-//! 3. the shared-operand dynamic SpGEMM hook patches `A`, `C` and `F`
-//!    (Algorithm 1 for algebraic inserts, Algorithm 2 for general updates)
-//!    and surfaces this rank's product delta `C*`;
-//! 4. every view refreshes from the shared delta (`post_batch`);
-//! 5. the batch **commits**: the session publishes an immutable
-//!    [`SessionSnapshot`] epoch (block-granular copy-on-write over `A` and
-//!    `C`, plus a frozen reading of every view).
-//!
-//! Queries never touch the live matrices: the session's query API reads the
-//! latest published epoch, and [`AnalyticsSession::pin`] hands out an epoch
-//! handle that stays bit-stable while further batches commit — see
-//! [`crate::snapshot`].
-//!
-//! Sessions are SPMD: construct and drive them identically on every rank of
-//! a [`dspgemm_mpi::run`] closure. All public methods marked *collective*
-//! must be called by all ranks in the same order.
+//! Queries read the latest published epoch, never the live matrices; a pin
+//! ([`AnalyticsSession::pin`]) stays bit-stable while further batches
+//! commit — see [`crate::snapshot`]. Sessions are SPMD: every method marked
+//! *collective* must be called by all ranks in the same order.
 
 use crate::snapshot::SessionSnapshot;
 use crate::view::{BatchDelta, PendingBatch, View, ViewCx, ViewId};
 use dspgemm_core::distmat::DistMat;
-use dspgemm_core::dyn_algebraic::apply_shared_algebraic_prebuilt_tracked_exec;
-use dspgemm_core::dyn_general::{
-    apply_shared_general_prebuilt_exec, prepare_general_update_in, GeneralUpdates,
-};
-use dspgemm_core::exec::Exec;
+use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::grid::Grid;
-use dspgemm_core::snapshot::{record_epoch_publish, SnapshotMat, SnapshotStore};
-use dspgemm_core::summa::summa_bloom_exec;
-use dspgemm_core::update::{build_update_matrix_pair_in, Dedup};
+use dspgemm_core::snapshot::Snapshot;
+use dspgemm_core::{DynSpGemm, Observer};
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// A serving session: dynamic graph + maintained product + view registry.
+/// The registered views, in registration order: the session engine's
+/// observer. Every callback visits every view in that order, so the
+/// collectives views run line up on every rank.
+pub struct ViewRegistry<S: Semiring> {
+    views: Vec<Box<dyn View<S>>>,
+}
+
+impl<S: Semiring> Observer<S> for ViewRegistry<S> {
+    type Epoch = SessionSnapshot<S>;
+
+    fn bootstrap(&mut self, cx: &ViewCx<'_, S>) {
+        self.views.iter_mut().for_each(|v| v.bootstrap(cx));
+    }
+
+    fn pre_batch(&mut self, cx: &ViewCx<'_, S>, pending: &PendingBatch<'_, S>) {
+        self.views.iter_mut().for_each(|v| v.pre_batch(cx, pending));
+    }
+
+    fn post_batch(&mut self, cx: &ViewCx<'_, S>, delta: &BatchDelta<'_, S>) {
+        self.views.iter_mut().for_each(|v| v.post_batch(cx, delta));
+    }
+
+    fn freeze(&mut self, snapshot: Snapshot<S::Elem>) -> SessionSnapshot<S> {
+        let readings = self.views.iter_mut().enumerate();
+        let readings = readings
+            .map(|(id, v)| (ViewId(id as u64), v.name().to_string(), v.freeze()))
+            .collect();
+        SessionSnapshot::new(snapshot, readings)
+    }
+}
+
+/// The engine under a session: shared mode, observed by the view registry.
+pub type SessionEngine<S> = DynSpGemm<S, ViewRegistry<S>>;
+
+/// A serving session: a shared-mode engine plus its view registry.
 pub struct AnalyticsSession<S: Semiring> {
     grid: Grid,
-    /// Kernel workspaces persisting across every batch and view refresh.
-    exec: Exec<S>,
-    a: DistMat<S::Elem>,
-    c: DistMat<S::Elem>,
-    f: DistMat<u64>,
-    views: Vec<(ViewId, Box<dyn View<S>>)>,
-    next_view: u64,
-    /// Published epochs (latest held strongly; older epochs live while
-    /// pinned). Every committed batch and every view registration publishes.
-    store: SnapshotStore<SessionSnapshot<S>>,
-    /// Accumulated phase timings across construction and every batch.
-    pub timer: PhaseTimer,
-    /// Accumulated local scalar multiplications.
-    pub flops: u64,
-    /// Update batches applied so far.
+    engine: SessionEngine<S>,
+    /// Update batches applied through the session's batch calls.
     pub batches_applied: u64,
+}
+
+/// Read access to the engine: its counters, snapshot store, recovery and
+/// rebalancing state.
+impl<S: Semiring> Deref for AnalyticsSession<S> {
+    type Target = SessionEngine<S>;
+
+    fn deref(&self) -> &SessionEngine<S> {
+        &self.engine
+    }
 }
 
 impl<S: Semiring> AnalyticsSession<S> {
@@ -88,31 +108,19 @@ impl<S: Semiring> AnalyticsSession<S> {
         threads: usize,
         triples: Vec<Triple<S::Elem>>,
     ) -> Self {
-        let grid = Grid::new(comm);
         assert_eq!(
             threads, 1,
             "intra-rank threads are retired (DESIGN.md, \"One worker per rank\")"
         );
-        let exec = Exec::new();
-        let mut timer = PhaseTimer::new();
-        let a = DistMat::from_global_triples(&grid, n, n, triples, 1, &mut timer);
-        let (c, f, flops) = summa_bloom_exec::<S>(&grid, &a, &a, &exec, &mut timer);
-        let mut session = Self {
+        let grid = Grid::new(comm);
+        let a = DistMat::from_global_triples(&grid, n, n, triples, 1, &mut PhaseTimer::new());
+        let registry = ViewRegistry { views: Vec::new() };
+        let engine = DynSpGemm::shared(&grid, a, registry);
+        Self {
             grid,
-            exec,
-            a,
-            c,
-            f,
-            views: Vec::new(),
-            next_view: 0,
-            store: SnapshotStore::new(),
-            timer,
-            flops,
+            engine,
             batches_applied: 0,
-        };
-        // Epoch 0: the initial product, queryable before any batch.
-        session.publish();
-        session
+        }
     }
 
     /// The session's process grid.
@@ -121,31 +129,31 @@ impl<S: Semiring> AnalyticsSession<S> {
         &self.grid
     }
 
+    /// The engine beside the session's grid, for every engine call that
+    /// changes state: `enable_recovery`, `enable_rebalancing`,
+    /// `maybe_rebalance`, `try_apply`, `recover`. A batch applied here
+    /// needs the engine's `publish` before the next query, as on any
+    /// engine.
+    pub fn engine_mut(&mut self) -> (&Grid, &mut SessionEngine<S>) {
+        (&self.grid, &mut self.engine)
+    }
+
     /// The dynamic adjacency matrix.
     #[inline]
     pub fn adjacency(&self) -> &DistMat<S::Elem> {
-        &self.a
+        &self.engine.a
     }
 
     /// The maintained product `C = A · A`.
     #[inline]
     pub fn product(&self) -> &DistMat<S::Elem> {
-        &self.c
+        &self.engine.c
     }
 
     /// Number of registered views.
     #[inline]
     pub fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
-    fn cx(&self) -> ViewCx<'_, S> {
-        ViewCx {
-            grid: &self.grid,
-            a: &self.a,
-            c: &self.c,
-            exec: &self.exec,
-        }
+        self.engine.observer().views.len()
     }
 
     /// Registers a view, bootstrapping it from the current state, and
@@ -153,40 +161,12 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// reading is pinnable immediately). Collective; all ranks must
     /// register the same views in the same order.
     pub fn register(&mut self, mut view: Box<dyn View<S>>) -> ViewId {
-        view.bootstrap(&self.cx());
-        let id = ViewId(self.next_view);
-        self.next_view += 1;
-        self.views.push((id, view));
-        self.publish();
+        let (registry, cx) = self.engine.observe(&self.grid);
+        view.bootstrap(&cx);
+        let id = ViewId(registry.views.len() as u64);
+        registry.views.push(view);
+        self.engine.publish();
         id
-    }
-
-    // ------------------------------------------------------------------
-    // Epoch publishing & pinning (the serving interface)
-    // ------------------------------------------------------------------
-
-    /// Publishes the current `{A, C, views}` as the next epoch. Local-only
-    /// (no collectives): the matrices publish copy-on-write — a block the
-    /// last batch left alone is re-shared from the previous epoch, a touched
-    /// one gets an image patched from the previous one — and each view
-    /// freezes its current reading. SPMD callers publish in lockstep, so
-    /// epoch numbers agree on every rank. The `epoch_publish` instant
-    /// records how the images of `A` and `C` were built.
-    fn publish(&mut self) {
-        let (a, a_build) = SnapshotMat::publish(&mut self.a);
-        let (c, c_build) = SnapshotMat::publish(&mut self.c);
-        let views: Vec<_> = self
-            .views
-            .iter_mut()
-            .map(|(id, v)| {
-                let name = v.name().to_string();
-                (*id, name, v.freeze())
-            })
-            .collect();
-        let snap = self
-            .store
-            .publish_with(|epoch| SessionSnapshot::new(epoch, a, c, views));
-        record_epoch_publish(snap.epoch(), self.flops, a_build, c_build);
     }
 
     /// Pins the current epoch: an immutable `{A, C, views, epoch}` the
@@ -203,119 +183,42 @@ impl<S: Semiring> AnalyticsSession<S> {
         self.latest().epoch()
     }
 
-    /// The snapshot registry (retention diagnostics: how many epochs are
-    /// still pinned and their memory footprint).
-    pub fn snapshots(&self) -> &SnapshotStore<SessionSnapshot<S>> {
-        &self.store
-    }
-
     fn latest(&self) -> &Arc<SessionSnapshot<S>> {
-        self.store
+        self.engine
+            .snapshots()
             .latest()
             .expect("sessions publish epoch 0 at construction")
     }
 
-    /// Read access to a registered view.
-    pub fn view(&self, id: ViewId) -> Option<&dyn View<S>> {
-        self.views
-            .iter()
-            .find(|(vid, _)| *vid == id)
-            .map(|(_, v)| v.as_ref())
-    }
-
     /// Typed read access to a registered view.
     pub fn view_as<T: 'static>(&self, id: ViewId) -> Option<&T> {
-        self.view(id).and_then(|v| v.as_any().downcast_ref::<T>())
+        let view = self.engine.observer().views.get(id.0 as usize)?;
+        view.as_any().downcast_ref::<T>()
     }
 
     /// Applies a batch of **algebraic** edge insertions `A' = A + A*`
     /// (semiring addition; tuples carry global indices and may live on any
     /// rank), refreshing the product and every view from one shared
-    /// redistribution. Collective.
+    /// redistribution, and commits an epoch. Collective.
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
-        let _sp =
-            dspgemm_obs::span("engine", "apply_algebraic").attr("updates", tuples.len() as u64);
-        // One redistribution builds both blocks: the natural one feeds the
-        // views and `A += A*`, the root one the round roots.
-        let star = build_update_matrix_pair_in::<S>(
-            &self.grid,
-            self.a.info().layout(),
-            tuples,
-            Dedup::Add,
-            &mut self.timer,
-        );
-        // Views peek at the old state (registry temporarily detached so the
-        // session state can be borrowed immutably alongside it).
-        let mut views = std::mem::take(&mut self.views);
-        for (_, v) in &mut views {
-            v.pre_batch(
-                &self.cx(),
-                &PendingBatch::Algebraic {
-                    star: &star.natural,
-                },
-            );
-        }
-        let (cstar, flops) = apply_shared_algebraic_prebuilt_tracked_exec::<S>(
-            &self.grid,
-            &mut self.a,
-            &mut self.c,
-            &mut self.f,
-            &star,
-            &self.exec,
-            &mut self.timer,
-        );
-        self.flops += flops;
-        self.batches_applied += 1;
-        for (_, v) in &mut views {
-            v.post_batch(
-                &self.cx(),
-                &BatchDelta::Algebraic {
-                    star: &star.natural,
-                    cstar: &cstar,
-                },
-            );
-        }
-        self.views = views;
-        // Commit: readers pinned at the previous epoch keep it; new queries
-        // see this batch exactly.
-        self.publish();
+        self.engine.apply_algebraic(&self.grid, tuples, Vec::new());
+        self.commit();
     }
 
     /// Applies a batch of **general** updates (deletions and value writes
     /// incompatible with the semiring addition) via Algorithm 2, refreshing
-    /// the product and every view. Collective.
+    /// the product and every view, and commits an epoch. Collective.
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
-        let _sp = dspgemm_obs::span("engine", "apply_general").attr("updates", upd.len() as u64);
-        let layout = self.a.info().layout();
-        let prep = prepare_general_update_in::<S>(&self.grid, layout, upd, &mut self.timer);
-        let mut views = std::mem::take(&mut self.views);
-        for (_, v) in &mut views {
-            v.pre_batch(&self.cx(), &PendingBatch::General { prep: &prep });
-        }
-        let (cstar_pattern, flops) = apply_shared_general_prebuilt_exec::<S>(
-            &self.grid,
-            &mut self.a,
-            &mut self.c,
-            &mut self.f,
-            &prep,
-            &self.exec,
-            &mut self.timer,
-        );
-        self.flops += flops;
+        let none = GeneralUpdates::new();
+        self.engine.apply_general(&self.grid, upd, none);
+        self.commit();
+    }
+
+    /// Commit: readers pinned at the previous epoch keep it; new queries see
+    /// the batch exactly.
+    fn commit(&mut self) {
         self.batches_applied += 1;
-        for (_, v) in &mut views {
-            v.post_batch(
-                &self.cx(),
-                &BatchDelta::General {
-                    prep: &prep,
-                    cstar_pattern: &cstar_pattern,
-                },
-            );
-        }
-        self.views = views;
-        // Commit: readers pinned at the previous epoch keep it; new queries
-        // see this batch exactly.
-        self.publish();
+        self.engine.publish();
     }
 
     /// Deletes the given `(u, v)` positions from the graph (a general
@@ -339,14 +242,6 @@ impl<S: Semiring> AnalyticsSession<S> {
     pub fn product_entry(&self, u: Index, v: Index) -> Option<S::Elem> {
         timed_query("product_entry", || {
             self.latest().product_entry(&self.grid, u, v)
-        })
-    }
-
-    /// Point lookup `a(u, v)` in the adjacency matrix at the current
-    /// epoch. Collective.
-    pub fn adjacency_entry(&self, u: Index, v: Index) -> Option<S::Elem> {
-        timed_query("adjacency_entry", || {
-            self.latest().adjacency_entry(&self.grid, u, v)
         })
     }
 
@@ -380,8 +275,7 @@ impl<S: Semiring> AnalyticsSession<S> {
         T: Clone + Send + dspgemm_util::WireSize + dspgemm_util::WireDecode + 'static,
     {
         timed_query("product_aggregate", || {
-            self.latest()
-                .product_aggregate(&self.grid, init, fold, combine)
+            self.latest().c().aggregate(&self.grid, init, fold, combine)
         })
     }
 

@@ -1,63 +1,43 @@
 //! Pinned epochs of the serving session.
 //!
-//! Every committed batch publishes a [`SessionSnapshot`]: the adjacency
-//! matrix `A`, the product `C = A·A`, a frozen reading of every registered
-//! view, and the epoch number — all immutable, all behind `Arc`s. Epochs
-//! number *publishes*: every batch commit publishes one, and so does every
-//! view registration, so epoch numbers run ahead of batch counts by the
-//! number of registrations (plus one for the initial product at epoch 0).
-//! A reader pins an epoch with [`crate::AnalyticsSession::pin`] and then
-//! queries it for as long as it likes: queries pinned at epoch `e` are
-//! bit-identical to the state at its publish time no matter how many
-//! batches commit in the meantime, and queries right after a batch see
-//! exactly epoch `e + 1` — the isolation property the snapshot test suite
-//! asserts against blocking reruns.
-//!
-//! The matrices are published block-granular copy-on-write (see
-//! [`dspgemm_core::snapshot`]): pinning and publishing move `Arc` handles,
-//! never matrix data; a rank whose block a batch did not touch re-shares
-//! the previous epoch's block. Retention is reader-driven: the session
-//! holds one strong handle (the latest epoch), so an old epoch's unshared
-//! blocks are freed the moment its last pin drops.
+//! Every publish of the session's engine produces a [`SessionSnapshot`]: the
+//! engine's `{A, C, epoch}` snapshot plus a frozen reading of every
+//! registered view, all immutable. Epochs number *publishes*: batches, view
+//! registrations and migrations each publish one (epoch 0 is the initial
+//! product). Queries pinned at epoch `e` ([`crate::AnalyticsSession::pin`])
+//! are bit-identical to the state at its publish time however many batches
+//! commit meanwhile, and queries right after a batch see exactly epoch
+//! `e + 1`. Publishing and pinning move `Arc` handles, never matrix data
+//! (see [`dspgemm_core::snapshot`]), and an old epoch lives as long as a pin.
 
 use crate::view::{FrozenView, ViewId};
-use dspgemm_core::grid::Grid;
 use dspgemm_core::snapshot::{Snapshot, SnapshotMat};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::Index;
+use std::ops::Deref;
 
 /// One published epoch of an [`crate::AnalyticsSession`]: `{A, C, views,
 /// epoch}`, immutable. Clone (or keep the `Arc` from
 /// [`crate::AnalyticsSession::pin`]) to hold the epoch alive.
 ///
-/// The `{A, C, epoch}` triple is a core [`Snapshot`] — the matrix surface
-/// and the heap accounting delegate to it, so the engine's and the
-/// session's epochs can never diverge in semantics.
+/// The `{A, C, epoch}` triple is the engine's [`Snapshot`]: its matrix
+/// queries and heap accounting apply through `Deref`.
 #[derive(Clone)]
 pub struct SessionSnapshot<S: Semiring> {
     inner: Snapshot<S::Elem>,
     views: Vec<(ViewId, String, FrozenView)>,
 }
 
-impl<S: Semiring> SessionSnapshot<S> {
-    pub(crate) fn new(
-        epoch: u64,
-        a: SnapshotMat<S::Elem>,
-        c: SnapshotMat<S::Elem>,
-        views: Vec<(ViewId, String, FrozenView)>,
-    ) -> Self {
-        Self {
-            inner: Snapshot::new(epoch, a, c),
-            views,
-        }
-    }
+impl<S: Semiring> Deref for SessionSnapshot<S> {
+    type Target = Snapshot<S::Elem>;
 
-    /// The epoch number: epoch `e` is the state after the `e`-th publish
-    /// (batches and view registrations both publish; epoch 0 is the initial
-    /// product).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
+    fn deref(&self) -> &Snapshot<S::Elem> {
+        &self.inner
+    }
+}
+
+impl<S: Semiring> SessionSnapshot<S> {
+    pub(crate) fn new(inner: Snapshot<S::Elem>, views: Vec<(ViewId, String, FrozenView)>) -> Self {
+        Self { inner, views }
     }
 
     /// The pinned adjacency matrix.
@@ -72,91 +52,11 @@ impl<S: Semiring> SessionSnapshot<S> {
         self.inner.c()
     }
 
-    // ------------------------------------------------------------------
-    // Query API — the pinned twins of the session's query surface
-    // ------------------------------------------------------------------
-
-    /// Point lookup `c(u, v)` at this epoch. Collective; all ranks must
-    /// hold the same epoch and pass the same coordinate.
-    pub fn product_entry(&self, grid: &Grid, u: Index, v: Index) -> Option<S::Elem> {
-        self.inner.c().get_collective(grid, u, v)
-    }
-
-    /// Point lookup `a(u, v)` at this epoch. Collective.
-    pub fn adjacency_entry(&self, grid: &Grid, u: Index, v: Index) -> Option<S::Elem> {
-        self.inner.a().get_collective(grid, u, v)
-    }
-
-    /// The `k` heaviest entries of product row `u` at this epoch (same
-    /// contract as the session's live top-k). Collective.
-    pub fn product_row_topk(
-        &self,
-        grid: &Grid,
-        u: Index,
-        k: usize,
-        score: impl Fn(&S::Elem) -> f64,
-    ) -> Vec<(Index, S::Elem)> {
-        self.inner.c().row_topk(grid, u, k, score)
-    }
-
-    /// Global aggregate over the pinned product. Collective.
-    pub fn product_aggregate<T>(
-        &self,
-        grid: &Grid,
-        init: T,
-        fold: impl FnMut(T, Index, Index, S::Elem) -> T,
-        combine: impl FnMut(T, T) -> T,
-    ) -> T
-    where
-        T: Clone + Send + dspgemm_util::WireSize + dspgemm_util::WireDecode + 'static,
-    {
-        self.inner.c().aggregate(grid, init, fold, combine)
-    }
-
-    /// Global non-zero counts `(nnz(A), nnz(C))` at this epoch. Collective.
-    pub fn global_nnz(&self, grid: &Grid) -> (u64, u64) {
-        (
-            self.inner.a().global_nnz(grid),
-            self.inner.c().global_nnz(grid),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Frozen view readings
-    // ------------------------------------------------------------------
-
-    /// The frozen readings captured at this epoch, as
-    /// `(view id, view name, reading)`.
-    pub fn views(&self) -> &[(ViewId, String, FrozenView)] {
-        &self.views
-    }
-
-    /// The frozen reading of one view (`None`: the view was registered
+    /// Typed access to the frozen reading of one view (e.g.
+    /// `view_as::<TriangleReading>(tri)`; `None`: the view was registered
     /// after this epoch was published).
-    pub fn view_reading(&self, id: ViewId) -> Option<&FrozenView> {
-        self.views
-            .iter()
-            .find(|(vid, _, _)| *vid == id)
-            .map(|(_, _, r)| r)
-    }
-
-    /// Typed access to a frozen reading (e.g.
-    /// `view_as::<TriangleReading>(tri)`).
     pub fn view_as<T: 'static>(&self, id: ViewId) -> Option<&T> {
-        self.view_reading(id).and_then(|r| r.downcast_ref::<T>())
-    }
-
-    /// Heap bytes of this epoch's matrix blocks (blocks COW-shared with
-    /// other epochs count in full; frozen view readings are excluded).
-    /// Delegates to [`Snapshot::heap_bytes`].
-    pub fn heap_bytes(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-
-    /// Heap bytes skipping blocks already counted in `seen` — sum over the
-    /// live epochs of a store to charge each COW-shared block once.
-    /// Delegates to [`Snapshot::heap_bytes_unshared`].
-    pub fn heap_bytes_unshared(&self, seen: &mut Vec<*const ()>) -> usize {
-        self.inner.heap_bytes_unshared(seen)
+        let (_, _, reading) = self.views.iter().find(|(vid, _, _)| *vid == id)?;
+        reading.downcast_ref::<T>()
     }
 }

@@ -3,11 +3,13 @@
 //! A view is a derived quantity over the session's dynamic graph (triangle
 //! counts, link-prediction scores, degree/frontier vectors, …) that must stay
 //! fresh as update batches stream in. Views never redistribute updates
-//! themselves: the session redistributes each batch **once** into hypersparse
-//! update matrices and hands every registered view the same shared artifacts
-//! — the update block before application ([`PendingBatch`]) and the product
-//! delta after it ([`BatchDelta`]) — so per-view refresh cost is decoupled
-//! from per-batch communication cost.
+//! themselves: the session's engine redistributes each batch **once** into
+//! hypersparse update matrices and hands every registered view the same
+//! shared artifacts — the update block before application ([`PendingBatch`])
+//! and the product delta after it ([`BatchDelta`]) — so per-view refresh cost
+//! is decoupled from per-batch communication cost. The registry is the
+//! engine's [`dspgemm_core::Observer`]; the three types above are the
+//! engine's, re-exported here.
 //!
 //! ## Collective discipline
 //!
@@ -17,13 +19,8 @@
 //! per refresh); the fixed registry order keeps the collective call sequence
 //! identical on all ranks.
 
-use dspgemm_core::distmat::DistMat;
-use dspgemm_core::dyn_general::PreparedGeneral;
-use dspgemm_core::exec::Exec;
-use dspgemm_core::grid::Grid;
-use dspgemm_core::DistDcsr;
+pub use dspgemm_core::observer::{BatchDelta, PendingBatch, ViewCx};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::Dcsr;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -35,60 +32,16 @@ use std::sync::Arc;
 /// [`TriangleReading`](crate::views::triangles::TriangleReading)).
 pub type FrozenView = Arc<dyn Any + Send + Sync>;
 
-/// Read access to the session state handed to view callbacks.
-pub struct ViewCx<'a, S: Semiring> {
-    /// The process grid (for collectives).
-    pub grid: &'a Grid,
-    /// The adjacency matrix — *old* in `pre_batch`, *new* in `post_batch`.
-    pub a: &'a DistMat<S::Elem>,
-    /// The maintained product `C = A·A` — old/new like `a`.
-    pub c: &'a DistMat<S::Elem>,
-    /// The session's local compute configuration: views that multiply
-    /// (masked rescans) reuse the session's kernel workspaces through it.
-    pub exec: &'a Exec<S>,
-}
-
-/// A redistributed-but-unapplied batch: the view's chance to observe state
-/// that is about to change (e.g. which update positions are new edges).
-pub enum PendingBatch<'a, S: Semiring> {
-    /// Algebraic insertions `A' = A + A*`.
-    Algebraic {
-        /// This rank's block of `A*` (block-local indices).
-        star: &'a DistDcsr<S::Elem>,
-    },
-    /// General sets/deletes.
-    General {
-        /// This rank's prepared MERGE/MASK/pattern blocks.
-        prep: &'a PreparedGeneral<S::Elem>,
-    },
-}
-
-/// The shared change feed after a batch was applied.
-pub enum BatchDelta<'a, S: Semiring> {
-    /// Algebraic batch: `C* = A*·A' + A·A*` was *added* into `C`.
-    Algebraic {
-        /// This rank's `A*` block.
-        star: &'a DistDcsr<S::Elem>,
-        /// This rank's `C*` block: `(value delta, Bloom bits)` per entry.
-        cstar: &'a Dcsr<(S::Elem, u64)>,
-    },
-    /// General batch: the masked positions of `C` were recomputed/deleted.
-    General {
-        /// This rank's prepared update blocks.
-        prep: &'a PreparedGeneral<S::Elem>,
-        /// The recomputed positions (`C*` pattern with Bloom bits).
-        cstar_pattern: &'a Dcsr<u64>,
-    },
-}
-
 /// A maintained analytics view. See the module docs for the callback
 /// protocol and collective discipline.
 pub trait View<S: Semiring>: 'static {
     /// Human-readable name (diagnostics and reports).
     fn name(&self) -> &str;
 
-    /// Computes the initial state from the current `A` and `C`. Called once
-    /// when the view is registered. Collective.
+    /// Computes the state from the current `A` and `C`, discarding any
+    /// earlier state: at registration, and again after every change that
+    /// carries no delta (a recompute, a migration, a recovery rollback).
+    /// Collective.
     fn bootstrap(&mut self, cx: &ViewCx<'_, S>);
 
     /// Observes a redistributed batch *before* it is applied (`cx` still

@@ -48,15 +48,16 @@
 //! update its one stored matrix in place between the passes. Algorithm 2's
 //! masked recompute is the X pass again, under a broadcast output mask.
 //! Entry points, one per level: [`apply_algebraic_updates_exec`] from
-//! tuples, [`apply_algebraic_prebuilt_exec`] from built update operands,
-//! [`apply_shared_algebraic_prebuilt_tracked_exec`] for the shared shape.
+//! tuples, [`apply_algebraic_prebuilt_exec`] from built update operands; a
+//! shared-mode [`crate::engine::DynSpGemm`] runs the shared shape.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::exec::Exec;
 use crate::grid::Grid;
+use crate::observer::{BatchDelta, Observer, PendingBatch, ViewCx};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
+use crate::update::{apply_add, build_star_pairs_in, build_update_matrix_pair_in, Dedup, StarPair};
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::KernelWorkspace;
@@ -478,43 +479,53 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, None, a_star, b_star, exec, timer)
 }
 
-/// Shared-operand Algorithm 1 from a **pre-built** update operand:
-/// maintains `C = A · A` and its filter matrix `F` through `A' = A + A*`
-/// and returns this rank's `C*` block (`(value, bitfield)` pairs — the
-/// local delta merged into `C`) plus the flop count. The delta lets callers
-/// (the analytics session's views) observe exactly which product entries
-/// changed without a second pass. Collective.
-///
-/// The caller performs the redistribution once and may feed the same `A*`
-/// to any number of consumers — the "one redistribution pays for all views"
-/// contract.
-pub fn apply_shared_algebraic_prebuilt_tracked_exec<S: Semiring>(
+/// The shared arm of Algorithm 1, a shared-mode engine's algebraic batch:
+/// builds `A*` from one redistribution, shows it to `obs`, maintains
+/// `C = A · A` and its filter matrix `F` through `A' = A + A*`, and hands
+/// `obs` this rank's `C*` (`(value, bitfield)` pairs). Returns the flop
+/// count. Collective.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn shared_algebraic<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    star: &StarPair<S::Elem>,
+    tuples: Vec<Triple<S::Elem>>,
+    obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
+) -> u64 {
+    let pair = build_update_matrix_pair_in::<S>(grid, a.info().layout(), tuples, Dedup::Add, timer);
+    let star = &pair.natural;
+    obs.pre_batch(
+        &ViewCx { grid, a, c, exec },
+        &PendingBatch::Algebraic { star },
+    );
     let ops = Operands::Shared {
-        a,
-        root: &star.root,
+        a: &mut *a,
+        root: &pair.root,
     };
     let apply = |ops: &mut Operands<S::Elem>| {
         let Operands::Shared { a, .. } = ops else {
             unreachable!("built as shared")
         };
-        apply_add::<S>(a, &star.natural);
+        apply_add::<S>(a, star);
     };
     let (cstar, flops) = compute_cstar::<S, Bloom>(grid, ops, apply, exec, timer);
     timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
-    (cstar, flops)
+    let cstar = &cstar;
+    obs.post_batch(
+        &ViewCx { grid, a, c, exec },
+        &BatchDelta::Algebraic { star, cstar },
+    );
+    flops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DynSpGemm;
+    use crate::observer::tests::DeltaLog;
     use crate::summa::summa;
     use crate::update::apply_add;
     use dspgemm_mpi::run;
@@ -704,8 +715,8 @@ mod tests {
         assert!(out.results.iter().all(|&x| x));
     }
 
-    /// Shared-operand maintenance of C = A·A must agree with the
-    /// two-operand engine driven with identical batches on a clone.
+    /// A shared-mode engine's maintenance of C = A·A must agree with the
+    /// two-operand path driven with identical batches on a clone.
     #[test]
     fn shared_operand_matches_cloned_operands() {
         let n: Index = 22;
@@ -718,26 +729,17 @@ mod tests {
                 } else {
                     vec![]
                 };
-                let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+                let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
                 let mut a2 = a.clone();
                 let mut b2 = a.clone();
-                let (mut c, mut f, _) =
-                    crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, 1, &mut timer);
-                let mut c2 = c.clone();
-                let exec = Exec::new();
+                let mut eng = DynSpGemm::<U64Plus, DeltaLog>::shared(&grid, a, DeltaLog::default());
+                let mut c2 = eng.c.clone();
                 for round in 0..3u64 {
                     let ups = random_triples(40 + round + comm.rank() as u64, n, 9);
-                    let star = crate::update::build_update_matrix_pair_in::<U64Plus>(
-                        &grid,
-                        a.info().layout(),
-                        ups.clone(),
-                        Dedup::Add,
-                        &mut timer,
-                    );
-                    let (cstar, flops) = apply_shared_algebraic_prebuilt_tracked_exec::<U64Plus>(
-                        &grid, &mut a, &mut c, &mut f, &star, &exec, &mut timer,
-                    );
-                    assert!(cstar.nnz() == 0 || flops > 0);
+                    let flops = eng.flops;
+                    eng.apply_algebraic(&grid, ups.clone(), vec![]);
+                    let cstar_nnz = *eng.observer().0.last().expect("one delta per batch");
+                    assert!(cstar_nnz == 0 || eng.flops > flops);
                     apply_algebraic_updates_exec::<U64Plus>(
                         &grid,
                         &mut a2,
@@ -751,8 +753,8 @@ mod tests {
                     );
                 }
                 (
-                    a.gather_to_root(comm) == a2.gather_to_root(comm),
-                    c.gather_to_root(comm) == c2.gather_to_root(comm),
+                    eng.a.gather_to_root(comm) == a2.gather_to_root(comm),
+                    eng.c.gather_to_root(comm) == c2.gather_to_root(comm),
                 )
             });
             assert!(
@@ -762,8 +764,7 @@ mod tests {
         }
     }
 
-    /// The tracked shared path maintains C identically and fills F over C's
-    /// pattern.
+    /// The shared arm maintains C identically and fills F over C's pattern.
     #[test]
     fn shared_tracked_maintains_filter() {
         let n: Index = 18;
@@ -775,39 +776,27 @@ mod tests {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) =
-                crate::summa::summa_bloom::<U64Plus>(&grid, &a, &a, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::shared(&grid, a, ());
             let ups = random_triples(61 + comm.rank() as u64, n, 12);
-            let star = crate::update::build_update_matrix_pair_in::<U64Plus>(
-                &grid,
-                a.info().layout(),
-                ups,
-                Dedup::Add,
-                &mut timer,
-            );
-            apply_shared_algebraic_prebuilt_tracked_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut c,
-                &mut f,
-                &star,
-                &Exec::new(),
-                &mut timer,
-            );
+            eng.apply_algebraic(&grid, ups, vec![]);
             // Invariant C = A·A against static recomputation; F covers C.
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &a, 1, &mut timer);
-            let f_keys: std::collections::BTreeSet<_> = f
+            let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.a, 1, &mut timer);
+            let f_keys: std::collections::BTreeSet<_> = eng
+                .f
+                .as_ref()
+                .expect("shared mode tracks F")
                 .to_global_triples()
                 .iter()
                 .map(|t| (t.row, t.col))
                 .collect();
-            let covers = c
+            let covers = eng
+                .c
                 .to_global_triples()
                 .iter()
                 .all(|t| f_keys.contains(&(t.row, t.col)));
             (
-                c.gather_to_root(comm) == c_static.gather_to_root(comm),
+                eng.c.gather_to_root(comm) == c_static.gather_to_root(comm),
                 covers,
             )
         });

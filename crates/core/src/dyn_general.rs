@@ -25,6 +25,7 @@ use crate::dyn_algebraic::{compute_cstar, x_pass, Operands, TransposeMode};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
+use crate::observer::{BatchDelta, Observer, PendingBatch, ViewCx};
 use crate::phase;
 use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup, Lane};
 use dspgemm_sparse::dhb::DhbRow;
@@ -69,7 +70,7 @@ impl<V: Elem> GeneralUpdates<V> {
 /// (sets), the MASK matrix (deletes), the combined structural pattern `A*`
 /// and the block of it this rank broadcasts as a round root. Produced by
 /// [`prepare_general_update_in`]; holding it lets one redistribution feed
-/// several consumers (the analytics session's shared-batch contract).
+/// several consumers (a shared-mode engine's observer and its own apply).
 pub struct PreparedGeneral<V> {
     /// Redistributed `sets` as a hypersparse MERGE matrix.
     pub set_mat: DistDcsr<V>,
@@ -353,29 +354,34 @@ fn replace_at_cstar<S: Semiring>(
     assert!(z_rows.next().is_none(), "Z has a row outside C*");
 }
 
-/// Shared-operand general update from **pre-built** update matrices:
-/// applies one batch of sets/deletes to the single dynamic matrix of a
-/// maintained square product `C = A · A` and repairs `C` and `F` via
-/// Algorithm 2. Returns this rank's `C*` pattern block (the product
-/// positions whose values were recomputed or deleted — the change feed for
-/// maintained views) plus the local flop count. Collective.
+/// The shared arm of Algorithm 2, a shared-mode engine's general batch:
+/// prepares the batch's update matrices from one redistribution, shows them
+/// to `obs`, applies the sets/deletes to the single stored matrix of
+/// `C = A · A`, repairs `C` and `F`, and hands `obs` this rank's `C*`
+/// pattern (the positions recomputed or deleted). Returns the flop count.
+/// Collective.
 ///
-/// `COMPUTE_PATTERN` runs the round body of the two-operand form (Y pass
-/// against the old `A`, MERGE/MASK application, X pass against the new
-/// `A'`); the repair reads only the post-update matrix, so it is
-/// [`apply_general_updates_exec`]'s with `B = A'`.
-pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
+/// `COMPUTE_PATTERN` runs the round body of the two-operand form; the repair
+/// reads only the post-update matrix, so it is the two-operand repair with
+/// `B = A'`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn shared_general<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    prep: &PreparedGeneral<S::Elem>,
+    upd: GeneralUpdates<S::Elem>,
+    obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> (Dcsr<u64>, u64) {
-    // --- COMPUTE_PATTERN around the in-place update A → A'. ---
+) -> u64 {
+    let prep = &prepare_general_update_in::<S>(grid, a.info().layout(), upd, timer);
+    obs.pre_batch(
+        &ViewCx { grid, a, c, exec },
+        &PendingBatch::General { prep },
+    );
     let ops = Operands::Shared {
-        a,
+        a: &mut *a,
         root: &prep.star_root,
     };
     let apply = |ops: &mut Operands<S::Elem>| {
@@ -385,14 +391,23 @@ pub fn apply_shared_general_prebuilt_exec<S: Semiring>(
         apply_general::<S>(a, prep);
     };
     let (cstar, flops) = compute_cstar::<S, Pattern>(grid, ops, apply, exec, timer);
-
     let z_flops = recompute_at_cstar::<S>(grid, a, a, c, f, &cstar, exec, timer);
-    (cstar, flops + z_flops)
+    let cstar_pattern = &cstar;
+    obs.post_batch(
+        &ViewCx { grid, a, c, exec },
+        &BatchDelta::General {
+            prep,
+            cstar_pattern,
+        },
+    );
+    flops + z_flops
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DynSpGemm;
+    use crate::observer::tests::DeltaLog;
     use crate::summa::{summa, summa_bloom};
     use dspgemm_mpi::run;
     use dspgemm_sparse::dense::Dense;
@@ -577,8 +592,9 @@ mod tests {
         assert_eq!(c_dyn, c_static);
     }
 
-    /// Shared-operand general updates (deletions + min-plus-incompatible
-    /// sets) on C = A·A must equal static recomputation, on every grid.
+    /// A shared-mode engine's general updates (deletions +
+    /// min-plus-incompatible sets) on C = A·A must equal static
+    /// recomputation, on every grid.
     #[test]
     fn shared_general_matches_static_recompute() {
         let n: Index = 18;
@@ -591,31 +607,22 @@ mod tests {
                 } else {
                     vec![]
                 };
-                let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-                let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &a, 1, &mut timer);
+                let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+                let mut eng = DynSpGemm::<MinPlus, DeltaLog>::shared(&grid, a, DeltaLog::default());
                 for round in 0..2u64 {
-                    let a_cur = a.gather_to_root(comm);
+                    let a_cur = eng.a.gather_to_root(comm);
                     let upd = if comm.rank() == 0 {
                         draw_general_f(90 + round, n, a_cur.as_ref().unwrap(), 6, 4)
                     } else {
                         GeneralUpdates::new()
                     };
-                    let layout = a.info().layout();
-                    let prep = prepare_general_update_in::<MinPlus>(&grid, layout, upd, &mut timer);
-                    let (cstar, _) = apply_shared_general_prebuilt_exec::<MinPlus>(
-                        &grid,
-                        &mut a,
-                        &mut c,
-                        &mut f,
-                        &prep,
-                        &Exec::new(),
-                        &mut timer,
-                    );
+                    eng.apply_general(&grid, upd, GeneralUpdates::new());
                     // The change feed covers every masked position by design.
-                    assert!(cstar.nnz() <= c.info().local_rows() as usize * n as usize);
+                    let cstar_nnz = *eng.observer().0.last().expect("one delta per batch");
+                    assert!(cstar_nnz <= eng.c.info().local_rows() as usize * n as usize);
                 }
-                let (c_static, _) = summa::<MinPlus>(&grid, &a, &a, 1, &mut timer);
-                (c.gather_to_root(comm), c_static.gather_to_root(comm))
+                let (c_static, _) = summa::<MinPlus>(&grid, &eng.a, &eng.a, 1, &mut timer);
+                (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
             });
             let (c_dyn, c_static) = &out.results[0];
             let dd = Dense::from_triples::<MinPlus>(n, n, c_dyn.as_ref().unwrap());

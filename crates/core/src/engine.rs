@@ -10,19 +10,28 @@
 //! static recomputation. A call a rank failure interrupts returns the
 //! [`CommError`]; with recovery on, every rank hands it to the one
 //! [`DynSpGemm::recover`], which serves survivors and the replacement alike.
+//!
+//! In **shared mode** ([`DynSpGemm::shared`]) the session maintains
+//! `C = A · A` with one stored operand and `F` always tracked, and an
+//! [`Observer`] watches every commit: it sees each algebraic or general batch
+//! before and after it is applied, re-bootstraps after a recompute, a
+//! migration or a rollback, and freezes its readings into every published
+//! epoch. The analytics serving layer is a shared-mode session whose
+//! observer is its view registry.
 
-use crate::distmat::{DistMat, Elem, MigrationStats};
-use crate::dyn_algebraic::apply_algebraic_updates_exec;
-use crate::dyn_general::{apply_general_updates_exec, GeneralUpdates};
+use crate::distmat::{DistMat, Elem, ImageBuild, ImagePath, MigrationStats};
+use crate::dyn_algebraic::{apply_algebraic_updates_exec, shared_algebraic};
+use crate::dyn_general::{apply_general_updates_exec, shared_general, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::Layout;
+use crate::observer::{Observer, ViewCx};
 use crate::rebalance::{imbalance, RebalanceConfig, Rebalancer};
 use crate::recovery::{
     buddy_ring, Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState,
     ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
-use crate::snapshot::{record_epoch_publish, Snapshot, SnapshotMat, SnapshotStore};
+use crate::snapshot::{Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
 use dspgemm_mpi::{catch_comm_mut, Comm, CommError};
 use dspgemm_sparse::semiring::Semiring;
@@ -37,9 +46,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub enum Batch<V> {
     /// Algorithm 1: `A' = A + A*`, `B' = B + B*` under the semiring addition.
+    /// In shared mode the `B` side must be empty.
     Algebraic(Vec<Triple<V>>, Vec<Triple<V>>),
     /// Algorithm 2: value writes incompatible with the semiring addition,
-    /// and deletions. Requires a session created with `track_filter`.
+    /// and deletions. Requires a session created with `track_filter`. In
+    /// shared mode the `B` side must be empty.
     General(GeneralUpdates<V>, GeneralUpdates<V>),
     /// Recomputes `C = A · B` (and `F`) from scratch — the static strategy
     /// the paper's competitors are forced into; a baseline and a repair path.
@@ -50,13 +61,16 @@ pub enum Batch<V> {
     Migrate(Vec<Index>),
 }
 
-/// A dynamic SpGEMM session maintaining `C = A · B` under batched updates.
-pub struct DynSpGemm<S: Semiring> {
+/// A dynamic SpGEMM session maintaining `C = A · B` under batched updates,
+/// or `C = A · A` in shared mode, where the observer `O` watches every
+/// commit (none for the plain engine `DynSpGemm<S>`).
+pub struct DynSpGemm<S: Semiring, O: Observer<S> = ()> {
     /// Left operand (dynamic). Mutating it directly (rather than through
     /// the batch calls) requires an explicit SPMD [`DynSpGemm::publish`]
     /// before the next [`DynSpGemm::snapshot`] — see the latter's docs.
     pub a: DistMat<S::Elem>,
-    /// Right operand (dynamic). Same direct-mutation caveat as `a`.
+    /// Right operand (dynamic). Same direct-mutation caveat as `a`. In
+    /// shared mode an empty `0 × 0` placeholder: `A` is both operands.
     pub b: DistMat<S::Elem>,
     /// The maintained product. Same direct-mutation caveat as `a`.
     pub c: DistMat<S::Elem>,
@@ -70,11 +84,16 @@ pub struct DynSpGemm<S: Semiring> {
     pub timer: PhaseTimer,
     /// Accumulated local scalar-multiplication count.
     pub flops: u64,
-    /// Published epochs of `{A, C}` (see [`crate::snapshot`]); the latest is
-    /// held here, older ones live as long as a reader pins them.
-    snapshots: SnapshotStore<Snapshot<S::Elem>>,
+    /// Published epochs of `{A, C}` plus the observer's frozen readings (see
+    /// [`crate::snapshot`]); the latest is held here, older ones live as
+    /// long as a reader pins them.
+    snapshots: SnapshotStore<O::Epoch>,
     /// Whether a batch committed since the last publish.
     dirty: bool,
+    /// Shared mode: `C = A · A`, with `b` an unused placeholder.
+    shared: bool,
+    /// Watches every commit and replay (see [`crate::observer`]).
+    observer: O,
     /// The dynamic inter-rank rebalancing policy (opt-in via
     /// [`DynSpGemm::enable_rebalancing`]; `None` keeps the distribution
     /// static). Its migrations are [`Batch::Migrate`] batches and its state
@@ -107,12 +126,41 @@ impl<S: Semiring> DynSpGemm<S> {
             threads, 1,
             "intra-rank threads are retired (DESIGN.md, \"One worker per rank\")"
         );
+        Self::start(grid, a, Some(b), track_filter, ())
+    }
+}
+
+impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
+    /// Creates a shared-mode session: `C = A · A` with one stored operand
+    /// and the filter matrix `F` always tracked, so general batches are
+    /// always admissible. `observer` bootstraps from the initial product and
+    /// then watches every commit. Collective over the grid.
+    ///
+    /// # Panics
+    /// Panics if `a` is not square.
+    pub fn shared(grid: &Grid, a: DistMat<S::Elem>, observer: O) -> Self {
+        let (n, m) = (a.info().nrows, a.info().ncols);
+        assert_eq!(n, m, "shared mode maintains a square product C = A·A");
+        Self::start(grid, a, None, true, observer)
+    }
+
+    /// Computes the initial product (`b` absent: shared mode), bootstraps
+    /// the observer and publishes epoch 0. Collective.
+    fn start(
+        grid: &Grid,
+        a: DistMat<S::Elem>,
+        b: Option<DistMat<S::Elem>>,
+        track_filter: bool,
+        observer: O,
+    ) -> Self {
         let exec = Exec::new();
         let mut timer = PhaseTimer::new();
-        let (c, f, flops) = Self::static_product(grid, &a, &b, track_filter, &exec, &mut timer);
+        let right = b.as_ref().unwrap_or(&a);
+        let (c, f, flops) = Self::static_product(grid, &a, right, track_filter, &exec, &mut timer);
         let mut eng = Self {
+            shared: b.is_none(),
+            b: b.unwrap_or_else(|| DistMat::empty(grid, 0, 0)),
             a,
-            b,
             c,
             f,
             exec,
@@ -120,12 +168,33 @@ impl<S: Semiring> DynSpGemm<S> {
             flops,
             snapshots: SnapshotStore::new(),
             dirty: false,
+            observer,
             rebalancer: None,
             recovery: None,
         };
+        let (obs, cx) = eng.observe(grid);
+        obs.bootstrap(&cx);
         // Epoch 0: the initial product, queryable before any batch.
         eng.publish();
         eng
+    }
+
+    /// The observer.
+    pub fn observer(&self) -> &O {
+        &self.observer
+    }
+
+    /// The observer beside read access to the state it observes — for
+    /// changing the observer itself (a view registry bootstraps a view it
+    /// registers from it). A change here is published by the next publish.
+    pub fn observe<'a>(&'a mut self, grid: &'a Grid) -> (&'a mut O, ViewCx<'a, S>) {
+        let cx = ViewCx {
+            grid,
+            a: &self.a,
+            c: &self.c,
+            exec: &self.exec,
+        };
+        (&mut self.observer, cx)
     }
 
     /// `C = A · B` (and `F`, when tracking) by sparse SUMMA, with its flops.
@@ -150,20 +219,42 @@ impl<S: Semiring> DynSpGemm<S> {
     // Epoch-versioned snapshots (the serving interface)
     // ------------------------------------------------------------------
 
-    /// Publishes the current `{A, C}` as the next epoch and returns the
-    /// pinned handle. Local-only (no collectives): a block the batches since
-    /// the last publish left alone is re-shared copy-on-write from the
-    /// previous epoch, a touched one gets an image patched from the previous
-    /// one (see [`crate::snapshot`]). SPMD callers publish in lockstep, so
-    /// epoch numbers agree on every rank.
-    pub fn publish(&mut self) -> Arc<Snapshot<S::Elem>> {
+    /// Publishes the current `{A, C}` and the observer's frozen readings as
+    /// the next epoch and returns the pinned handle. Local-only (no
+    /// collectives): a block the batches since the last publish left alone
+    /// is re-shared copy-on-write from the previous epoch, a touched one gets
+    /// an image patched from the previous one (see [`crate::snapshot`]).
+    /// SPMD callers publish in lockstep, so epoch numbers agree on every
+    /// rank.
+    pub fn publish(&mut self) -> Arc<O::Epoch> {
         let (a, a_build) = SnapshotMat::publish(&mut self.a);
         let (c, c_build) = SnapshotMat::publish(&mut self.c);
         self.dirty = false;
+        let observer = &mut self.observer;
         let snap = self
             .snapshots
-            .publish_with(|epoch| Snapshot::new(epoch, a, c));
-        record_epoch_publish(snap.epoch(), self.flops, a_build, c_build);
+            .publish_with(|epoch| observer.freeze(Snapshot::new(epoch, a, c)));
+        // The `epoch_publish` instant: per operand, which path built the
+        // image (`patched_*` / `rebuilt_*`, both 0 when it was re-shared),
+        // the coordinates logged since the previous image (on a rebuild, the
+        // length at which the log overflowed) and the image's entries.
+        let is = |build: ImageBuild, path| u64::from(build.path == path);
+        dspgemm_obs::instant(
+            "engine",
+            "epoch_publish",
+            &[
+                ("epoch", self.snapshots.published() - 1),
+                ("flops", self.flops),
+                ("patched_a", is(a_build, ImagePath::Patched)),
+                ("rebuilt_a", is(a_build, ImagePath::Rebuilt)),
+                ("touched_nnz_a", a_build.touched_nnz as u64),
+                ("image_nnz_a", a_build.image_nnz as u64),
+                ("patched_c", is(c_build, ImagePath::Patched)),
+                ("rebuilt_c", is(c_build, ImagePath::Rebuilt)),
+                ("touched_nnz_c", c_build.touched_nnz as u64),
+                ("image_nnz_c", c_build.image_nnz as u64),
+            ],
+        );
         snap
     }
 
@@ -179,7 +270,7 @@ impl<S: Semiring> DynSpGemm<S> {
     /// needs an explicit SPMD [`DynSpGemm::publish`] — a per-rank content
     /// check would let a rank whose block a batch left alone skip the
     /// publish its peers perform.
-    pub fn snapshot(&mut self) -> Arc<Snapshot<S::Elem>> {
+    pub fn snapshot(&mut self) -> Arc<O::Epoch> {
         if self.dirty || self.snapshots.latest().is_none() {
             self.publish()
         } else {
@@ -190,12 +281,13 @@ impl<S: Semiring> DynSpGemm<S> {
     /// The latest published epoch number (`None` before the first publish —
     /// unreachable through the public constructors, which publish epoch 0).
     pub fn epoch(&self) -> Option<u64> {
-        self.snapshots.latest().map(|s| s.epoch())
+        let published = self.snapshots.published();
+        self.snapshots.latest().map(|_| published - 1)
     }
 
     /// The snapshot registry (retention diagnostics: how many epochs are
     /// still pinned, and their memory footprint).
-    pub fn snapshots(&self) -> &SnapshotStore<Snapshot<S::Elem>> {
+    pub fn snapshots(&self) -> &SnapshotStore<O::Epoch> {
         &self.snapshots
     }
 
@@ -213,12 +305,18 @@ impl<S: Semiring> DynSpGemm<S> {
     ///
     /// # Panics
     /// Panics on a [`Batch::General`] in a session created without
-    /// `track_filter`, and with recovery on if the previous batch was not
-    /// published.
+    /// `track_filter`, on a batch with a `B` side in shared mode, and with
+    /// recovery on if the previous batch was not published.
     pub fn try_apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) -> Result<(), CommError> {
         assert!(
             self.f.is_some() || !matches!(batch, Batch::General(..)),
             "general updates require a session created with track_filter = true"
+        );
+        let b_side = matches!(&batch, Batch::Algebraic(_, b) if !b.is_empty())
+            || matches!(&batch, Batch::General(_, b) if !b.is_empty());
+        assert!(
+            !(self.shared && b_side),
+            "a shared-mode session has one operand: the B side of a batch must be empty"
         );
         self.commit(grid, batch)
     }
@@ -294,14 +392,35 @@ impl<S: Semiring> DynSpGemm<S> {
     }
 
     /// Applies one record to the live matrices — the body of every commit
-    /// and of recovery replay. Collective.
+    /// and of recovery replay. Collective. In shared mode the observer sees
+    /// an algebraic or general batch before and after it is applied; it
+    /// re-bootstraps after a recompute or a migration, which carry no delta.
     fn apply_record(&mut self, grid: &Grid, record: LoggedBatch<S::Elem>) {
         self.dirty = true;
-        let (exec, timer) = (&self.exec, &mut self.timer);
+        // A recompute or a migration carries no delta: the observer restarts.
+        let restarts = matches!(record.batch, Batch::Recompute | Batch::Migrate(_));
+        let _sp = match &record.batch {
+            Batch::Algebraic(a, b) => dspgemm_obs::span("engine", "apply_algebraic")
+                .attr("updates", (a.len() + b.len()) as u64),
+            Batch::General(a, b) => dspgemm_obs::span("engine", "apply_general")
+                .attr("updates", (a.len() + b.len()) as u64),
+            Batch::Recompute => dspgemm_obs::span("engine", "recompute"),
+            Batch::Migrate(_) => dspgemm_obs::span("engine", "migrate").attr("epoch", record.epoch),
+        };
         match record.batch {
+            Batch::Algebraic(a_ups, _) if self.shared => {
+                let f = self.f.as_mut().expect("shared mode tracks F");
+                let (a, c, obs) = (&mut self.a, &mut self.c, &mut self.observer);
+                let (exec, timer) = (&self.exec, &mut self.timer);
+                self.flops += shared_algebraic::<S>(grid, a, c, f, a_ups, obs, exec, timer);
+            }
+            Batch::General(a_ups, _) if self.shared => {
+                let f = self.f.as_mut().expect("shared mode tracks F");
+                let (a, c, obs) = (&mut self.a, &mut self.c, &mut self.observer);
+                let (exec, timer) = (&self.exec, &mut self.timer);
+                self.flops += shared_general::<S>(grid, a, c, f, a_ups, obs, exec, timer);
+            }
             Batch::Algebraic(a_ups, b_ups) => {
-                let _sp = dspgemm_obs::span("engine", "apply_algebraic")
-                    .attr("updates", (a_ups.len() + b_ups.len()) as u64);
                 self.flops += apply_algebraic_updates_exec::<S>(
                     grid,
                     &mut self.a,
@@ -310,13 +429,11 @@ impl<S: Semiring> DynSpGemm<S> {
                     self.f.as_mut(),
                     a_ups,
                     b_ups,
-                    exec,
-                    timer,
+                    &self.exec,
+                    &mut self.timer,
                 );
             }
             Batch::General(a_ups, b_ups) => {
-                let _sp = dspgemm_obs::span("engine", "apply_general")
-                    .attr("updates", (a_ups.len() + b_ups.len()) as u64);
                 self.flops += apply_general_updates_exec::<S>(
                     grid,
                     &mut self.a,
@@ -325,19 +442,23 @@ impl<S: Semiring> DynSpGemm<S> {
                     self.f.as_mut().expect("checked by try_apply"),
                     a_ups,
                     b_ups,
-                    exec,
-                    timer,
+                    &self.exec,
+                    &mut self.timer,
                 );
             }
             Batch::Recompute => {
-                let _sp = dspgemm_obs::span("engine", "recompute");
                 let track = self.f.is_some();
+                let right = if self.shared { &self.a } else { &self.b };
                 let (c, f, flops) =
-                    Self::static_product(grid, &self.a, &self.b, track, exec, timer);
+                    Self::static_product(grid, &self.a, right, track, &self.exec, &mut self.timer);
                 (self.c, self.f) = (c, f);
                 self.flops += flops;
             }
             Batch::Migrate(cuts) => self.migrate(grid, record.epoch, cuts),
+        }
+        if restarts {
+            let (obs, cx) = self.observe(grid);
+            obs.bootstrap(&cx);
         }
     }
 
@@ -357,7 +478,8 @@ impl<S: Semiring> DynSpGemm<S> {
     /// Panics if the session's matrices are not all square of one size.
     pub fn enable_rebalancing(&mut self, cfg: RebalanceConfig) {
         let (an, ac) = (self.a.info().nrows, self.a.info().ncols);
-        let (bn, bc) = (self.b.info().nrows, self.b.info().ncols);
+        let b = if self.shared { &self.a } else { &self.b };
+        let (bn, bc) = (b.info().nrows, b.info().ncols);
         assert!(
             an == ac && bn == bc && an == bn,
             "rebalancing requires square operands of one size (got A {an}x{ac}, B {bn}x{bc})"
@@ -418,13 +540,15 @@ impl<S: Semiring> DynSpGemm<S> {
     /// network-wide) and accumulated on the session's [`Rebalancer`]; with
     /// observability on, the `migrated` trace instant carries it too.
     fn migrate(&mut self, grid: &Grid, epoch: u64, cuts: Vec<Index>) {
-        let _sp = dspgemm_obs::span("engine", "migrate").attr("epoch", epoch);
         let new_layout = Arc::new(Layout::square(cuts));
         let me = grid.world().rank();
         let cat = dspgemm_mpi::CommCategory::Alltoall as usize;
         let sent_before = grid.world().comm_stats().per_rank[me].bytes[cat];
         let sa = self.a.migrate_to(grid, &new_layout, &mut self.timer);
-        let sb = self.b.migrate_to(grid, &new_layout, &mut self.timer);
+        let sb = match self.shared {
+            true => MigrationStats::default(),
+            false => self.b.migrate_to(grid, &new_layout, &mut self.timer),
+        };
         let sc = self.c.migrate_to(grid, &new_layout, &mut self.timer);
         let sf = match &mut self.f {
             Some(f) => f.migrate_to(grid, &new_layout, &mut self.timer),
@@ -525,26 +649,30 @@ impl<S: Semiring> DynSpGemm<S> {
         Ok(())
     }
 
-    /// A session standing at a rollback anchor — both recovery roles restore
+    /// Stands the session at a rollback anchor — both recovery roles restore
     /// through it: each matrix is built from its image under the cuts it was
-    /// captured with, the counters and rebalancing policy are the anchor's.
+    /// captured with, the counters and rebalancing policy are the anchor's,
+    /// and the observer re-bootstraps from the anchor's `A` and `C` before
+    /// replay reaches it. A survivor keeps its workspaces, timings and
+    /// published epochs; the replacement keeps nothing but its launch
+    /// parameters (shared mode and the observer it was launched with).
     /// Pinned epochs are untouched: images are shared copy-on-write.
-    fn at_anchor(grid: &Grid, anchor: &Anchor<S::Elem>) -> Self {
-        let mut snapshots = SnapshotStore::new();
-        snapshots.resume_at(anchor.published);
-        Self {
-            a: anchor.a.build(grid),
-            b: anchor.b.build(grid),
-            c: anchor.c.build(grid),
-            f: anchor.f.as_ref().map(|img| img.build(grid)),
-            exec: Exec::new(),
-            timer: PhaseTimer::new(),
-            flops: anchor.flops,
-            snapshots,
-            dirty: false,
-            rebalancer: anchor.rebalancer.clone(),
-            recovery: None,
+    /// Collective.
+    fn roll_back(&mut self, grid: &Grid, anchor: &Anchor<S::Elem>, replacement: bool) {
+        self.a = anchor.a.build(grid);
+        self.b = anchor.b.build(grid);
+        self.c = anchor.c.build(grid);
+        self.f = anchor.f.as_ref().map(|img| img.build(grid));
+        self.flops = anchor.flops;
+        self.rebalancer = anchor.rebalancer.clone();
+        self.dirty = false;
+        if replacement {
+            (self.exec, self.timer) = (Exec::new(), PhaseTimer::new());
+            self.snapshots = SnapshotStore::new();
+            self.snapshots.resume_at(anchor.published);
         }
+        let (obs, cx) = self.observe(grid);
+        obs.bootstrap(&cx);
     }
 
     /// Replays the committed window `[a_min, p_star)` from this rank's own
@@ -592,8 +720,9 @@ impl<S: Semiring> DynSpGemm<S> {
     /// * on its own `CommError::Crashed` it is the replacement: it rebuilds
     ///   `*self` from the bundle its buddy ships — rebalancing policy
     ///   included — at the agreed rollback anchor and replays its own logged
-    ///   batches. Nothing of the crashed session is read but its
-    ///   [`RecoveryConfig`], a launch parameter.
+    ///   batches. Nothing of the crashed session is read but its launch
+    ///   parameters: the [`RecoveryConfig`], shared mode and the observer,
+    ///   which re-bootstraps.
     ///
     /// Collective: every rank calls it in the same incident. Returns an
     /// allreduced [`RecoveryReport`]; the caller re-submits every batch whose
@@ -623,20 +752,17 @@ impl<S: Semiring> DynSpGemm<S> {
             .expect("enable_recovery() before recover()");
         let (cfg, published) = (rec.cfg, self.snapshots.published());
         let incident = agree_on_incident(grid, (!replacement).then_some((rec, published)));
-        // (6) Stand at the rollback anchor. A survivor keeps its workspaces,
-        // timings and published epochs; the replacement keeps nothing and
-        // rolled back nothing it still knows about. The rest of the old
-        // session drops before replay.
-        let anchor = incident.own.rollback_anchor(incident.a_min);
-        let rolled_back = {
-            let rolled = std::mem::replace(self, Self::at_anchor(grid, anchor));
-            if replacement {
-                0
-            } else {
-                (self.exec, self.timer, self.snapshots) =
-                    (rolled.exec, rolled.timer, rolled.snapshots);
-                published - incident.a_min
-            }
+        // (6) Stand at the rollback anchor. The replacement rolled back
+        // nothing it still knows about.
+        self.roll_back(
+            grid,
+            incident.own.rollback_anchor(incident.a_min),
+            replacement,
+        );
+        let rolled_back = if replacement {
+            0
+        } else {
+            published - incident.a_min
         };
         let world = grid.world();
         // (7) Deterministic replay of the committed window [A, P*) from this

@@ -33,7 +33,11 @@
 //!   recomputation (Section V-B).
 //! * [`engine`] — [`engine::DynSpGemm`], the user-facing session object that
 //!   owns `A`, `B`, `C` (and the filter matrix `F`) and routes update
-//!   batches to the right algorithm.
+//!   batches to the right algorithm; in shared mode it maintains
+//!   `C = A · A` with one stored operand.
+//! * [`observer`] — the [`Observer`] a shared-mode session hands each
+//!   batch's update blocks and product delta, the hook the
+//!   `dspgemm-analytics` view registry runs on.
 //! * [`spmv`] — distributed sparse matrix–vector multiplication reusing
 //!   SUMMA's row/column communication domains ([`spmv::DistVec`]), the
 //!   kernel behind the vector-shaped analytics views.
@@ -49,14 +53,6 @@
 //!   block-granular copy-on-write over the live matrices; readers pin an
 //!   epoch and query it bit-stably while further batches commit — the
 //!   serving interface behind `dspgemm-analytics`.
-//!
-//! Beyond the two per-engine algorithms, [`dyn_algebraic`] and
-//! [`dyn_general`] also export *shared-operand* entry points
-//! (`apply_shared_*`) that maintain `C = A · A` for a single dynamic
-//! matrix from a pre-redistributed update matrix — the hook the
-//! `dspgemm-analytics` session uses so one redistribution feeds every
-//! maintained view. Both shapes run one round body: the Y pass against the
-//! old `A`, the local update, then the X pass against the new right operand.
 //!
 //! ## Quick example
 //!
@@ -96,6 +92,7 @@ pub mod engine;
 pub mod exec;
 pub mod grid;
 pub mod layout;
+pub mod observer;
 pub mod pipeline;
 pub mod rebalance;
 pub mod recovery;
@@ -110,6 +107,7 @@ pub use engine::{Batch, DynSpGemm};
 pub use exec::Exec;
 pub use grid::Grid;
 pub use layout::Layout;
+pub use observer::Observer;
 pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use recovery::{RecoveryConfig, RecoveryReport};
 pub use snapshot::{Snapshot, SnapshotMat, SnapshotStore};

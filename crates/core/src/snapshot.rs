@@ -9,10 +9,11 @@
 //!   `apply_*` paths mutate freely;
 //! * after committed batches the engine *publishes* an immutable
 //!   [`Snapshot`] — `{A, C, epoch}` with each local block behind an
-//!   `Arc<Csr>` handle. Epochs number *publishes*, not batches: the engine
-//!   publishes lazily on [`snapshot()`](crate::engine::DynSpGemm::snapshot)
-//!   (several batches may fold into one epoch), while the analytics
-//!   session publishes eagerly per commit;
+//!   `Arc<Csr>` handle, plus whatever a shared-mode session's observer
+//!   freezes beside it. Epochs number *publishes*, not batches: a caller
+//!   publishes explicitly or lazily on
+//!   [`snapshot()`](crate::engine::DynSpGemm::snapshot) (several batches
+//!   may fold into one epoch);
 //! * readers *pin* an epoch by cloning the `Arc`. A pinned snapshot never
 //!   changes: queries against epoch `e` are bit-identical to the state at
 //!   its publish time no matter how many batches commit concurrently.
@@ -21,7 +22,8 @@
 //!
 //! Publishing never deep-copies a matrix and never writes to an image it
 //! handed out. [`DistMat`] keeps the image it last published next to its
-//! DHB block, and a publish takes one of three paths ([`ImagePath`]):
+//! DHB block, and a publish takes one of three paths
+//! ([`ImagePath`](crate::distmat::ImagePath)):
 //!
 //! * **shared** — the block was not mutated: the previous epoch's `Arc` is
 //!   re-shared by a refcount increment ([`Arc::ptr_eq`] across consecutive
@@ -55,8 +57,7 @@
 //! Both rebuilding paths allocate a fresh, exactly-sized image; pinned
 //! epochs keep theirs bit for bit. In debug builds every patched image is
 //! compared against the full conversion. The `epoch_publish` trace instant
-//! records the path, the log length and the image size per operand
-//! ([`record_epoch_publish`]).
+//! records the path, the log length and the image size per operand.
 //!
 //! ## Retention
 //!
@@ -66,38 +67,11 @@
 //! unshared blocks are freed immediately. [`SnapshotStore::retained`] and
 //! [`Snapshot::heap_bytes`] feed the memory-bound regression test.
 
-use crate::distmat::{BlockInfo, DistMat, Elem, ImageBuild, ImagePath};
+use crate::distmat::{BlockInfo, DistMat, Elem, ImageBuild};
 use crate::grid::Grid;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
 use std::sync::{Arc, Weak};
-
-/// With observability on, emits the `epoch_publish` trace instant: the
-/// `epoch`, the accumulated local `flops` and, per operand, which path built
-/// the image (`patched_*` / `rebuilt_*`, both 0 when it was re-shared), how
-/// many coordinates were logged since the previous image (`touched_nnz_*`;
-/// on a rebuild, the length at which the log overflowed) and the image's
-/// entry count (`image_nnz_*`, this rank's block load). Records nothing
-/// while observability is off.
-pub fn record_epoch_publish(epoch: u64, flops: u64, a: ImageBuild, c: ImageBuild) {
-    let is = |build: ImageBuild, path| u64::from(build.path == path);
-    dspgemm_obs::instant(
-        "engine",
-        "epoch_publish",
-        &[
-            ("epoch", epoch),
-            ("flops", flops),
-            ("patched_a", is(a, ImagePath::Patched)),
-            ("rebuilt_a", is(a, ImagePath::Rebuilt)),
-            ("touched_nnz_a", a.touched_nnz as u64),
-            ("image_nnz_a", a.image_nnz as u64),
-            ("patched_c", is(c, ImagePath::Patched)),
-            ("rebuilt_c", is(c, ImagePath::Rebuilt)),
-            ("touched_nnz_c", c.touched_nnz as u64),
-            ("image_nnz_c", c.image_nnz as u64),
-        ],
-    );
-}
 
 /// One rank's immutable block of a published distributed matrix.
 ///
@@ -317,6 +291,29 @@ impl<V: Elem> Snapshot<V> {
     #[inline]
     pub fn c(&self) -> &SnapshotMat<V> {
         &self.c
+    }
+
+    /// Point lookup `c(u, v)` at this epoch. Collective; all ranks must
+    /// hold the same epoch and pass the same coordinate.
+    pub fn product_entry(&self, grid: &Grid, u: Index, v: Index) -> Option<V> {
+        self.c.get_collective(grid, u, v)
+    }
+
+    /// The `k` heaviest entries of product row `u` at this epoch
+    /// ([`SnapshotMat::row_topk`]). Collective.
+    pub fn product_row_topk(
+        &self,
+        grid: &Grid,
+        u: Index,
+        k: usize,
+        score: impl Fn(&V) -> f64,
+    ) -> Vec<(Index, V)> {
+        self.c.row_topk(grid, u, k, score)
+    }
+
+    /// Global non-zero counts `(nnz(A), nnz(C))` at this epoch. Collective.
+    pub fn global_nnz(&self, grid: &Grid) -> (u64, u64) {
+        (self.a.global_nnz(grid), self.c.global_nnz(grid))
     }
 
     /// Heap bytes of this epoch's blocks, counting blocks shared with other

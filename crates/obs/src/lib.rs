@@ -30,7 +30,7 @@
 //! | `comm`   | `send`, `recv`, `bcast`, `gather`, `allgather`, `alltoallv`, `reduce`, `barrier`; request waits `irecv`, `ibcast`, `ibcast_shared`, `ialltoallv`; instants `simulated_crash`, `peer_failed` — attrs: `bytes`; waits `window_ns`, `exposed_ns`, `overlapped_ns`, `timed_out`; instants `rank`, `detect_ns` |
 //! | `engine` | `redistribute`, `apply_algebraic`, `apply_general`, `recompute`, `migrate`, `anchor_refresh`, `recover`; instants `epoch_publish`, `migrated` — attrs: `updates`, `lanes`, `published`, `failed_rank`, `replayed_batches`, `rollback_epochs`, `detect_ns`, `rebuild_bytes`, `replacement`; `epoch`, `flops`, `bytes`, `moved_in`, and per operand `patched_*`, `rebuilt_*`, `touched_nnz_*`, `image_nnz_*` |
 //! | `round`  | `round` (one per SUMMA/pipeline round) — attrs: `round`   |
-//! | `query`  | `adjacency_entry`, `global_nnz`, `product_entry`, `product_aggregate`, `product_row_topk` — attrs: `staleness` |
+//! | `query`  | `global_nnz`, `product_entry`, `product_aggregate`, `product_row_topk` — attrs: `staleness` |
 //!
 //! ## Quick example
 //!
