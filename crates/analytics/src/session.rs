@@ -73,8 +73,6 @@ pub type SessionEngine<S> = DynSpGemm<S, ViewRegistry<S>>;
 pub struct AnalyticsSession<S: Semiring> {
     grid: Grid,
     engine: SessionEngine<S>,
-    /// Update batches applied through the session's batch calls.
-    pub batches_applied: u64,
 }
 
 /// Read access to the engine: its counters, snapshot store, recovery and
@@ -116,11 +114,7 @@ impl<S: Semiring> AnalyticsSession<S> {
         let a = DistMat::from_global_triples(&grid, n, n, triples, 1, &mut PhaseTimer::new());
         let registry = ViewRegistry { views: Vec::new() };
         let engine = DynSpGemm::shared(&grid, a, registry);
-        Self {
-            grid,
-            engine,
-            batches_applied: 0,
-        }
+        Self { grid, engine }
     }
 
     /// The session's process grid.
@@ -199,10 +193,11 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// Applies a batch of **algebraic** edge insertions `A' = A + A*`
     /// (semiring addition; tuples carry global indices and may live on any
     /// rank), refreshing the product and every view from one shared
-    /// redistribution, and commits an epoch. Collective.
+    /// redistribution, and commits an epoch: readers pinned at the previous
+    /// epoch keep it, new queries see the batch exactly. Collective.
     pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
         self.engine.apply_algebraic(&self.grid, tuples, Vec::new());
-        self.commit();
+        self.engine.publish();
     }
 
     /// Applies a batch of **general** updates (deletions and value writes
@@ -211,13 +206,6 @@ impl<S: Semiring> AnalyticsSession<S> {
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
         let none = GeneralUpdates::new();
         self.engine.apply_general(&self.grid, upd, none);
-        self.commit();
-    }
-
-    /// Commit: readers pinned at the previous epoch keep it; new queries see
-    /// the batch exactly.
-    fn commit(&mut self) {
-        self.batches_applied += 1;
         self.engine.publish();
     }
 

@@ -9,7 +9,7 @@
 //! | [`ablations`] | §IV-B redistribution claim, §V-A aggregation claim, §V-B Bloom claim |
 //! | [`overlap`] | the pipelined round schedule: exposed vs. compute-hidden communication time, tracer on/off parity (beyond the paper) |
 //! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
-//! | [`faults`] | fault injection & epoch-anchored recovery: crash + rollback/replay and delay-storm arms vs. the fault-free reference, bit-identical products (beyond the paper) |
+//! | [`faults`] | fault injection & epoch-anchored recovery: what a crash + rollback/replay costs beside the fault-free run (beyond the paper) |
 //! | [`transport`] | transport backend parity: the dynamic batch stream on simulator threads vs. real TCP processes, bit-identical C and matching logical wire volume (beyond the paper) |
 //! | [`analytics`] | maintained-view serving vs. static recomputation (the `dspgemm-analytics` layer; beyond the paper) |
 //! | [`serve`] | snapshot-isolated query serving vs. blocking baseline: query p50/p99, stale-read distance, epoch retention (beyond the paper) |
@@ -31,7 +31,7 @@ use dspgemm_graph::catalog::{instances_scaled, InstanceSpec};
 use dspgemm_graph::perm::Permutation;
 use dspgemm_graph::Edge;
 use dspgemm_sparse::{Index, Triple};
-use dspgemm_util::rng::SplitMix64;
+use dspgemm_util::rng::{Rng, SplitMix64};
 
 /// A generated, permuted, symmetrized workload instance.
 pub struct Prepared {
@@ -75,6 +75,35 @@ pub fn rank_slice(edges: &[Edge], rank: usize, p: usize) -> Vec<Edge> {
 /// Converts edges to unit-valued `f64` triples.
 pub fn edges_to_triples(edges: &[Edge]) -> Vec<Triple<f64>> {
     edges.iter().map(|&(u, v)| Triple::new(u, v, 1.0)).collect()
+}
+
+/// Rank-local update feed for one batch — a pure function of
+/// `(seed, batch, rank)`, so a replayed or re-submitted batch, and the same
+/// batch on another transport, regenerates bit-identical inputs. Unit values
+/// keep `C` integer-valued in `f64`, so comparisons of `C` are exact despite
+/// reordered accumulation.
+pub(crate) fn batch_updates(
+    n: Index,
+    size: usize,
+    seed: u64,
+    batch: u64,
+    rank: usize,
+) -> (Vec<Triple<f64>>, Vec<Triple<f64>>) {
+    let draw = |salt: u64| -> Vec<Triple<f64>> {
+        let mut rng = SplitMix64::new(
+            seed ^ salt ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((rank as u64) << 17),
+        );
+        (0..size)
+            .map(|_| {
+                Triple::new(
+                    rng.gen_range(n as u64) as Index,
+                    rng.gen_range(n as u64) as Index,
+                    1.0,
+                )
+            })
+            .collect()
+    };
+    (draw(0xA), draw(0xB))
 }
 
 /// Converts edges to weighted `f64` triples with deterministic weights in

@@ -32,8 +32,9 @@
 //! two block shapes a batch ships — the volume those parity rows count is
 //! only as cheap as the encoder, meter and decoder that produce it.
 
-use crate::experiments::faults::batch_updates;
-use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
+use crate::experiments::{
+    batch_updates, edges_to_triples, prepare_instances, rank_slice, Prepared,
+};
 use crate::report::{ms, Table};
 use crate::Config;
 use dspgemm_core::{DistMat, DynSpGemm, Grid};

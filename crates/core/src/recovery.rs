@@ -3,8 +3,8 @@
 //!
 //! ## Failure model
 //!
-//! One rank fail-stops per incident (a simulated crash injected by
-//! [`dspgemm_mpi::FaultPlan`]); every other rank survives and observes the
+//! One rank fail-stops per incident (a simulated crash armed with
+//! [`dspgemm_mpi::Comm::arm_crash`]); every other rank survives and observes the
 //! failure as a typed [`dspgemm_mpi::CommError`] raised out of whatever
 //! communication call it was blocked in. The failed rank's *thread* is still
 //! alive in the simulator — it catches its own `Crashed` error and rejoins

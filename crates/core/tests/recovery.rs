@@ -2,12 +2,19 @@
 //! survivors roll back to the agreed anchor, the crashed rank rebuilds as a
 //! replacement from its buddy's replica, and deterministic replay makes the
 //! final state bit-identical to the fault-free execution.
+//!
+//! This file is the repository's one recovery oracle. Its seeded model runs
+//! every program twice — with its crash and as the crash-free twin — and
+//! checks each step against a static recompute, each crashed run against
+//! its twin, delay storms against the unstormed wire volume, and crashes at
+//! every send of the steps a batch stream can crash in: the first batch, a
+//! migration and an anchor refresh.
 
 use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::engine::DynSpGemm;
 use dspgemm_core::recovery::{RecoveryConfig, RecoveryReport};
 use dspgemm_core::{Batch, DistMat, Grid, RebalanceConfig, Snapshot};
-use dspgemm_mpi::{catch_comm_mut, run, Comm, CommError};
+use dspgemm_mpi::{catch_comm_mut, run, run_with_faults, Comm, CommError, CommStats, FaultPlan};
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
@@ -494,6 +501,19 @@ impl Program {
         }
     }
 
+    /// The same program with its crash removed: the fault-free twin.
+    fn crash_free(&self) -> Self {
+        let steps = self.steps.iter().map(|st| Step {
+            crash: None,
+            ..st.clone()
+        });
+        Self {
+            steps: steps.collect(),
+            inputs: self.inputs.clone(),
+            expected: self.expected.clone(),
+        }
+    }
+
     /// A seeded program of `len` random steps with one crash at a random
     /// step, rank and send.
     fn random(p: usize, seed: u64, len: usize) -> Self {
@@ -528,6 +548,15 @@ struct ModelOutcome {
     /// Migrations, migrated bytes and the final cut vector.
     policy: (Option<(u64, u64)>, Vec<Index>),
     final_c: Option<Vec<Triple<u64>>>,
+    /// The final flop counter and latest epoch.
+    flops: u64,
+    epoch: u64,
+    /// Whether this rank's armed crash fired.
+    crashed: bool,
+    /// For each step that committed, the messages this rank sent in it and
+    /// its newest anchor's publish count after it. Indexed by step in a run
+    /// without recoveries.
+    per_step: Vec<(u64, u64)>,
 }
 
 type Pins = VecDeque<(Arc<Snapshot<u64>>, Vec<Triple<u64>>)>;
@@ -630,7 +659,8 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
         res
     };
     let mut pins = Pins::new();
-    let (mut reports, mut decisions) = (Vec::new(), Vec::new());
+    let (mut reports, mut decisions, mut per_step) = (Vec::new(), Vec::new(), Vec::new());
+    let sent = || comm.comm_stats().per_rank[me].total_msgs();
     // Step `s` publishes epoch `base.1 + (s - base.0)`.
     let (mut s, mut base) = (0usize, (0usize, 1u64));
     let mut armed = false;
@@ -659,12 +689,15 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
         if step.is_none() {
             comm.disarm_crash();
         }
+        let sent_before = sent();
         res = match step {
             Some(st) => apply_step(&grid, &mut e, st.op, &prog.inputs[s][me], &mut decisions, s),
             None => catch_comm_mut(|| comm.barrier()),
         };
         if res.is_ok() {
             let Some(st) = step else { break };
+            let anchor = e.recovery().expect("recovery enabled").own.newest.published;
+            per_step.push((sent() - sent_before, anchor));
             check_state(
                 &e,
                 &prog.expected[s + 1],
@@ -690,6 +723,10 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
             e.a.info().layout().row_cuts().to_vec(),
         ),
         final_c: e.c.gather_to_root(comm),
+        flops: e.flops,
+        epoch: e.epoch().expect("published"),
+        crashed: comm.has_crashed(),
+        per_step,
     }
 }
 
@@ -704,27 +741,37 @@ impl Drop for SeedGuard {
     }
 }
 
-/// Runs `prog` at `p` and asserts what must agree across ranks: recovery
-/// reports, post-recovery rebalancing verdicts, the policy state, and the
-/// final product against the oracle. A rank that skips a collective its
-/// peers run deadlocks the grid; the watchdog turns that hang into a
-/// failure.
-fn check_model(p: usize, prog: Program, rebalance_first: bool) -> Vec<ModelOutcome> {
+/// Runs `prog` at `p` under `plan` and asserts what must agree across
+/// ranks: recovery reports, post-recovery rebalancing verdicts, the policy
+/// state, and the final product against the oracle. A recovery happens
+/// exactly when the armed crash fired, and names the rank it fired on. A
+/// rank that skips a collective its peers run deadlocks the grid; the
+/// watchdog turns that hang into a failure. Returns every rank's outcome
+/// and the run's wire volume.
+fn run_model(
+    p: usize,
+    prog: Program,
+    rebalance_first: bool,
+    plan: FaultPlan,
+) -> (Vec<ModelOutcome>, CommStats) {
     let prog = Arc::new(prog);
     let (tx, rx) = mpsc::channel();
     let shared = Arc::clone(&prog);
     std::thread::spawn(move || {
         let out = catch_unwind(AssertUnwindSafe(|| {
-            run(p, |comm| drive_model(comm, &shared, rebalance_first)).results
+            let out = run_with_faults(p, plan, |comm| drive_model(comm, &shared, rebalance_first));
+            (out.results, out.stats.volume())
         }));
         let _ = tx.send(out);
     });
-    let results = match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(Ok(results)) => results,
+    let (results, volume) = match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(Ok(out)) => out,
         Ok(Err(panic)) => resume_unwind(panic),
         Err(_) => panic!("the model run deadlocked"),
     };
     let first = &results[0];
+    let fired: Vec<usize> = (0..p).filter(|&r| results[r].crashed).collect();
+    assert!(fired.len() <= 1, "one crash, at most one rank crashed");
     for (rank, o) in results.iter().enumerate() {
         assert_eq!(
             o.reports, first.reports,
@@ -738,12 +785,81 @@ fn check_model(p: usize, prog: Program, rebalance_first: bool) -> Vec<ModelOutco
             o.policy, first.policy,
             "rank {rank}: rebalancing state differs"
         );
-        assert!(o.reports.len() <= 1, "one crash, at most one recovery");
+    }
+    assert_eq!(
+        first.reports.len(),
+        fired.len(),
+        "a recovery happens exactly when the armed crash fires"
+    );
+    for (report, &rank) in first.reports.iter().zip(&fired) {
+        assert_eq!(report.failed_rank, rank);
+        assert_eq!(
+            report.replayed_batches, report.rollback_epochs,
+            "replay re-applies exactly the rolled-back window"
+        );
+        assert!(
+            report.rebuild_bytes > 0,
+            "the replacement rebuild moves bytes"
+        );
     }
     let want = triples_of(&prog.expected.last().expect("initial state")[2]);
     assert_eq!(first.final_c.as_ref(), Some(&want), "final C diverged");
-    results
+    (results, volume)
 }
+
+/// A model program's two runs: with its crash and as the crash-free twin.
+struct Model {
+    crashed: Vec<ModelOutcome>,
+    twin: Vec<ModelOutcome>,
+}
+
+/// Runs `prog`'s crash-free twin, unstormed — and, when `plan` storms,
+/// stormed too, which must send the same wire volume — then checks `prog`
+/// under `plan` against it.
+fn check_model(p: usize, prog: Program, rebalance_first: bool, plan: FaultPlan) -> Model {
+    let twin_prog = || prog.crash_free();
+    let (twin, volume) = run_model(p, twin_prog(), rebalance_first, FaultPlan::default());
+    if plan.delay.is_some() {
+        let (_, stormed) = run_model(p, twin_prog(), rebalance_first, plan.clone());
+        assert_eq!(stormed, volume, "a delay storm changed the wire volume");
+    }
+    let crashed = check_against_twin(p, prog, rebalance_first, plan, &twin);
+    Model { crashed, twin }
+}
+
+/// Runs `prog` under `plan` and asserts, rank by rank, that it ends with
+/// its crash-free twin's flops and policy state, at the twin's final epoch
+/// plus one per recovery.
+fn check_against_twin(
+    p: usize,
+    prog: Program,
+    rebalance_first: bool,
+    plan: FaultPlan,
+    twin: &[ModelOutcome],
+) -> Vec<ModelOutcome> {
+    let (crashed, _) = run_model(p, prog, rebalance_first, plan);
+    let recoveries = crashed[0].reports.len() as u64;
+    for (rank, (c, t)) in crashed.iter().zip(twin).enumerate() {
+        assert_eq!(
+            c.flops, t.flops,
+            "rank {rank}: flops diverged from the twin"
+        );
+        assert_eq!(
+            c.policy, t.policy,
+            "rank {rank}: policy diverged from the twin"
+        );
+        assert_eq!(
+            c.epoch,
+            t.epoch + recoveries,
+            "rank {rank}: each recovery publishes one extra epoch"
+        );
+    }
+    crashed
+}
+
+/// The CI sweep's seeds: at p = 4 these programs also run under a delay
+/// storm.
+const STORM_SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
 
 /// The batch-lifecycle model test: seeded sequences over algebraic and general
 /// batches (both the fallible and the infallible forms), static recomputes,
@@ -751,15 +867,85 @@ fn check_model(p: usize, prog: Program, rebalance_first: bool) -> Vec<ModelOutco
 /// at a seeded rank and send. After every step and every recovery `C` (and
 /// `A`, `B`) must equal the static recompute, every pin must be bit-stable
 /// and each log must hold at most 2·`anchor_period` records; recovery
-/// reports must be rank-uniform.
+/// reports must be rank-uniform, and each run must end where its crash-free
+/// twin does. The storm seeds rerun at p = 4 under seeded delay jitter.
 #[test]
 fn model_sequences_match_static_recompute() {
-    for (p, seeds) in [(4usize, 1..=16u64), (9, 1..=8)] {
-        for seed in seeds {
-            let _guard = SeedGuard(format!("p={p} seed={seed}"));
-            check_model(p, Program::random(p, seed, 14), seed % 2 == 0);
-        }
+    let plain = FaultPlan::default;
+    let storm = |seed| FaultPlan::new(seed).delay_storm(3, 40);
+    let runs = (1..=16u64)
+        .map(|seed| (4usize, seed, plain()))
+        .chain(STORM_SEEDS.map(|seed| (4, seed, storm(seed))))
+        .chain((1..=8).map(|seed| (9, seed, plain())));
+    for (p, seed, plan) in runs {
+        let _guard = SeedGuard(format!("p={p} seed={seed} {plan:?}"));
+        check_model(p, Program::random(p, seed, 14), seed % 2 == 0, plan);
     }
+}
+
+/// Sweeps a crash of `rank` over every send it makes in step `at` of
+/// `steps` — the count read off the crash-free twin's meter — and checks
+/// each crashed run against the twin. Returns the twin.
+fn sweep_crash(
+    seed: u64,
+    steps: &[Step],
+    at: usize,
+    rank: usize,
+    rebalance_first: bool,
+) -> Vec<ModelOutcome> {
+    let program = |crash: Option<u64>| {
+        let mut steps = steps.to_vec();
+        if let Some(k) = crash {
+            steps[at] = steps[at].clone().crash(rank, k);
+        }
+        Program::new(4, seed, steps)
+    };
+    let plan = FaultPlan::default;
+    let (twin, _) = run_model(4, program(None), rebalance_first, plan());
+    let sends = twin[rank].per_step[at].0;
+    assert!(sends > 0, "step {at} sends nothing on rank {rank}");
+    for k in 1..=sends {
+        let _guard = SeedGuard(format!(
+            "seed={seed} crash of rank {rank} at send {k} of step {at}"
+        ));
+        let crashed = check_against_twin(4, program(Some(k)), rebalance_first, plan(), &twin);
+        assert_eq!(
+            crashed[0].reports.len(),
+            1,
+            "every send of the step can crash"
+        );
+    }
+    twin
+}
+
+/// A crash at every send of the first batch recovers: the first peers to
+/// notice it may still stand inside `enable_recovery`'s fence.
+#[test]
+fn every_send_of_the_first_batch_recovers() {
+    let steps = [Op::Algebraic, Op::General, Op::Algebraic].map(Step::new);
+    sweep_crash(5, &steps, 0, 2, false);
+}
+
+/// A crash at every send of a migrating `Rebalance` step recovers, to the
+/// twin's cuts and migration counters.
+#[test]
+fn every_send_of_a_migration_recovers() {
+    let steps = [Op::Algebraic, Op::Rebalance, Op::Algebraic].map(Step::new);
+    let twin = sweep_crash(3, &steps, 1, 2, true);
+    assert_eq!(twin[0].decisions, vec![(1, true)], "step 1 migrates");
+}
+
+/// A crash at every send of the step that refreshes the anchor recovers,
+/// whether it lands before, inside or after the anchor exchange.
+#[test]
+fn every_send_of_an_anchor_refresh_recovers() {
+    let steps = [Op::Algebraic; 5].map(Step::new);
+    let twin = sweep_crash(9, &steps, 3, 2, false);
+    let anchors: Vec<u64> = twin[2].per_step.iter().map(|s| s.1).collect();
+    assert!(
+        anchors[3] > anchors[2],
+        "step 3 refreshes the anchor: {anchors:?}"
+    );
 }
 
 /// A committed batch of every kind inside the rollback window recovers: an
@@ -781,8 +967,8 @@ fn every_batch_kind_in_the_anchor_window_recovers() {
             Step::new(Op::Algebraic).crash(2, 1),
             Step::new(Op::Algebraic),
         ];
-        let out = check_model(4, Program::new(4, 7, steps), false);
-        let report = out[0].reports.first().expect("the crash recovers");
+        let out = check_model(4, Program::new(4, 7, steps), false, FaultPlan::default());
+        let report = out.crashed[0].reports.first().expect("the crash recovers");
         assert_eq!(report.failed_rank, 2);
         // The anchor stands before step 0: both committed steps replay.
         assert_eq!(
@@ -798,20 +984,17 @@ fn every_batch_kind_in_the_anchor_window_recovers() {
 /// hold — every later verdict is rank-uniform.
 #[test]
 fn crash_between_two_migrations_recovers_bit_identically() {
-    let steps = |crash: bool| {
-        let third = Step::new(Op::Algebraic);
-        vec![
-            Step::new(Op::Algebraic),
-            Step::new(Op::Rebalance),
-            if crash { third.crash(1, 1) } else { third },
-            Step::new(Op::Algebraic),
-            Step::new(Op::Rebalance),
-            Step::new(Op::Algebraic),
-        ]
-    };
-    let clean = check_model(4, Program::new(4, 3, steps(false)), true);
-    let crashed = check_model(4, Program::new(4, 3, steps(true)), true);
-    assert_eq!(clean[0].decisions, vec![(1, true), (4, true)]);
+    let steps = vec![
+        Step::new(Op::Algebraic),
+        Step::new(Op::Rebalance),
+        Step::new(Op::Algebraic).crash(1, 1),
+        Step::new(Op::Algebraic),
+        Step::new(Op::Rebalance),
+        Step::new(Op::Algebraic),
+    ];
+    let Model { crashed, twin } =
+        check_model(4, Program::new(4, 3, steps), true, FaultPlan::default());
+    assert_eq!(twin[0].decisions, vec![(1, true), (4, true)]);
     let report = crashed[0].reports.first().expect("the crash recovers");
     assert_eq!(
         report.committed_publishes, 3,
@@ -822,8 +1005,7 @@ fn crash_between_two_migrations_recovers_bit_identically() {
         "replay crosses the first migration"
     );
     assert_eq!(crashed[0].decisions, vec![(4, true)]);
-    for (c, f) in crashed.iter().zip(&clean) {
+    for (c, f) in crashed.iter().zip(&twin) {
         assert_eq!(c.final_c, f.final_c);
-        assert_eq!(c.policy, f.policy);
     }
 }

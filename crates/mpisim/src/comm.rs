@@ -574,8 +574,8 @@ impl Comm {
         self.io.endpoint.borrow().arm_crash(after_sends);
     }
 
-    /// Disarms a crash previously armed with [`Comm::arm_crash`] (or
-    /// scheduled by the run's [`crate::FaultPlan`]) if it has not fired.
+    /// Disarms a crash previously armed with [`Comm::arm_crash`] if it has
+    /// not fired.
     pub fn disarm_crash(&self) {
         self.io.endpoint.borrow().disarm_crash();
     }

@@ -3,23 +3,25 @@
 //! The simulator's historical failure semantics is *fail-stop*: a panicking
 //! rank poisons every inbox and peers die in their own panics. That models
 //! "the job is lost" — useless for recovery protocols. This module adds a
-//! second, *recoverable* failure mode driven by a seeded [`FaultPlan`], with
-//! two fault classes:
+//! second, *recoverable* failure mode with two fault classes:
 //!
-//! * **Crashes** — a chosen rank stops before its k-th send (absolute, or
-//!   armed mid-run via `Comm::arm_crash`), broadcasts a `Failed` marker to
-//!   every peer, and unwinds with [`CommError::Crashed`]. Peers that drain
-//!   the marker unwind with [`CommError::PeerFailed`] instead of a plain
-//!   panic, so a harness can [`catch_comm`] the error, run a recovery
-//!   protocol, and resume.
-//! * **Delay storms** — a deterministic, seed-derived subset of sends
-//!   sleeps a bounded jitter before delivery. Message *order between a
-//!   pair* is unchanged (channels are FIFO); only interleaving across
-//!   pairs moves, which is exactly the nondeterminism a real fabric has.
+//! * **Crashes** — armed on a rank with `Comm::arm_crash(k)`, the one crash
+//!   mechanism: the rank stops before its k-th send from then on (counted
+//!   across all communicators), broadcasts a `Failed` marker to every peer,
+//!   and unwinds with [`CommError::Crashed`]. Peers that drain the marker
+//!   unwind with [`CommError::PeerFailed`] instead of a plain panic, so a
+//!   harness can [`catch_comm`] the error, run a recovery protocol, and
+//!   resume.
+//! * **Delay storms** — scheduled by a seeded [`FaultPlan`]: a
+//!   deterministic, seed-derived subset of sends sleeps a bounded jitter
+//!   before delivery. Message *order between a pair* is unchanged (channels
+//!   are FIFO); only interleaving across pairs moves, which is exactly the
+//!   nondeterminism a real fabric has.
 //!
 //! Everything is a pure function of `(seed, rank, operation index)`, so a
-//! faulty run is exactly reproducible — the property the `repro faults`
-//! ablation's bit-identity asserts rely on.
+//! faulty run is exactly reproducible — the property the recovery model
+//! test (`crates/core/tests/recovery.rs`) relies on when it compares a
+//! stormed run with its unstormed twin.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
@@ -40,7 +42,7 @@ pub enum CommError {
         /// World rank of the failed peer.
         rank: usize,
     },
-    /// *This* rank was chosen by the fault plan to crash. The harness's
+    /// *This* rank's armed crash fired (`Comm::arm_crash`). The harness's
     /// rank closure can catch this, rejoin as the replacement rank, and
     /// rebuild state from its peers.
     Crashed {
@@ -100,39 +102,29 @@ pub struct DelaySpec {
     pub max_micros: u64,
 }
 
-/// A seeded, deterministic fault schedule for one simulated run.
+/// A seeded, deterministic delay schedule for one simulated run.
 ///
 /// Build one with the fluent methods and hand it to
 /// [`crate::run_with_faults`]. The same plan against the same program
-/// produces the same fault sequence, byte counts, and (for a deterministic
-/// program) the same results — fault runs are replayable.
+/// produces the same delays, byte counts, and (for a deterministic program)
+/// the same results — fault runs are replayable. Crashes are not part of a
+/// plan: a program arms them with `Comm::arm_crash`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed mixed into every per-send selection hash.
     pub seed: u64,
-    /// Crash `rank` immediately before its `k`-th send (1-based, counted
-    /// across all communicators). `None` injects no crash at start; a
-    /// crash can still be armed mid-run via `Comm::arm_crash`.
-    pub crash: Option<(usize, u64)>,
     /// Deterministic delay jitter applied to every rank's sends.
     pub delay: Option<DelaySpec>,
 }
 
 impl FaultPlan {
-    /// A plan with no faults scheduled (crashes may still be armed at
-    /// runtime); `seed` drives any schedule added later.
+    /// A plan with no delays scheduled; `seed` drives any schedule added
+    /// later.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             ..Self::default()
         }
-    }
-
-    /// Crashes `rank` immediately before its `k`-th send (1-based).
-    pub fn crash_before_send(mut self, rank: usize, k: u64) -> Self {
-        assert!(k >= 1, "send indices are 1-based");
-        self.crash = Some((rank, k));
-        self
     }
 
     /// Adds deterministic delay jitter: roughly one in `every` sends
@@ -163,10 +155,7 @@ mod tests {
 
     #[test]
     fn plan_builders_compose() {
-        let plan = FaultPlan::new(42)
-            .crash_before_send(1, 10)
-            .delay_storm(3, 50);
-        assert_eq!(plan.crash, Some((1, 10)));
+        let plan = FaultPlan::new(42).delay_storm(3, 50);
         assert_eq!(
             plan.delay,
             Some(DelaySpec {

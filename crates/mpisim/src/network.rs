@@ -75,9 +75,9 @@ pub(crate) struct Endpoint {
     /// request issue and completion so time blocked in *other* operations is
     /// never misattributed as compute-overlapped communication.
     blocked_ns: u64,
-    /// The run's fault schedule (an empty plan outside `run_with_faults`).
+    /// The run's delay schedule (an empty plan outside `run_with_faults`).
     plan: Arc<FaultPlan>,
-    /// Sends issued by this rank so far (the fault plan's operation index).
+    /// Sends issued by this rank so far (the fault hook's operation index).
     /// `Cell`: `send_envelope` takes `&self` under shared `RefCell` borrows
     /// at every call site.
     sends: Cell<u64>,
@@ -106,10 +106,6 @@ impl Endpoint {
         meter: Arc<Meter>,
         plan: Arc<FaultPlan>,
     ) -> Endpoint {
-        let crash_at = match plan.crash {
-            Some((r, k)) if r == rank => Some(k),
-            _ => None,
-        };
         Endpoint {
             rank,
             inbox,
@@ -119,7 +115,7 @@ impl Endpoint {
             blocked_ns: 0,
             plan,
             sends: Cell::new(0),
-            crash_at: Cell::new(crash_at),
+            crash_at: Cell::new(None),
             crashed: Cell::new(false),
             epoch: Cell::new(0),
             failed: RefCell::new(Vec::new()),
@@ -212,10 +208,10 @@ impl Endpoint {
         }
     }
 
-    /// Fault-plan hook run before every send. Order matters: a crash
-    /// trigger fires *before* the send is metered or delivered ("crash
-    /// before the k-th send"), while a delay storm runs after the crash
-    /// check but before delivery.
+    /// Fault hook run before every send. Order matters: an armed crash
+    /// fires *before* the send is metered or delivered ("crash before the
+    /// k-th send"), while a delay storm runs after the crash check but
+    /// before delivery.
     fn inject_send_faults(&self) {
         let op = self.sends.get() + 1;
         self.sends.set(op);

@@ -42,25 +42,17 @@ where
     run_with_faults(p, FaultPlan::default(), f)
 }
 
-/// Like [`run`] with a deterministic [`FaultPlan`] driving the network:
-/// seeded crash and delay injection plus the *recoverable* failure surface
-/// (typed [`crate::CommError`]s instead of poison-panic; see
-/// [`crate::catch_comm`]). `f` is responsible for catching the errors and
+/// Like [`run`] with a deterministic [`FaultPlan`] driving the network's
+/// seeded delay injection. Under either runner a crash armed with
+/// [`Comm::arm_crash`] surfaces recoverably (typed [`crate::CommError`]s
+/// instead of poison-panic; see [`crate::catch_comm`]). `f` is responsible for catching the errors and
 /// running a recovery protocol — an uncaught `CommError` unwinds the rank
 /// like any panic and fail-stops the job.
-///
-/// Panics if the plan schedules a crash on a rank the run does not have.
 pub fn run_with_faults<R, F>(p: usize, plan: FaultPlan, f: F) -> SimOutput<R>
 where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
-    if let Some((rank, _)) = plan.crash {
-        assert!(
-            rank < p,
-            "fault plan schedules a crash on rank {rank}, but the run has only {p} ranks"
-        );
-    }
     let mut network = Network::new_with_plan(p, plan);
     let endpoints: Vec<_> = (0..p).map(|r| network.endpoint(r)).collect();
 

@@ -96,31 +96,6 @@ fn blocking_collectives_wake_recoverably_on_crash() {
     }
 }
 
-/// A crash scheduled up front by the [`FaultPlan`] (rather than armed
-/// mid-run) fires the same recoverable surface.
-#[test]
-fn plan_scheduled_crash_fires_like_an_armed_one() {
-    let plan = FaultPlan::new(7).crash_before_send(1, 1);
-    let out = run_with_faults(3, plan, |c| {
-        let res = catch_comm_mut(|| c.barrier());
-        c.advance_recovery_epoch();
-        c.barrier();
-        res
-    });
-    assert_eq!(out.results[1], Err(CommError::Crashed { rank: 1 }));
-    for rank in [0, 2] {
-        assert_eq!(out.results[rank], Err(CommError::PeerFailed { rank: 1 }));
-    }
-}
-
-/// A crash scheduled on a rank the run does not have is refused up front,
-/// not silently dropped: a harness expecting a recovery would see none.
-#[test]
-#[should_panic(expected = "crash on rank 4, but the run has only 4 ranks")]
-fn plan_crash_on_missing_rank_panics() {
-    run_with_faults(4, FaultPlan::new(1).crash_before_send(4, 1), |_| ());
-}
-
 /// In-flight nonblocking operations: a `wait` on a posted `ialltoallv`
 /// must wake recoverably when a contributor dies mid-round.
 #[test]

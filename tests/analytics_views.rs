@@ -181,16 +181,17 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
                 checks.push(c_sum == dense_sum);
             }
         }
-        (checks, witness, session.batches_applied)
+        (checks, witness, session.epoch())
     });
-    let (root_checks, root_witness, batches) = &out.results[0];
+    let (root_checks, root_witness, epoch) = &out.results[0];
     assert!(
         root_checks.iter().all(|&ok| ok),
         "p={p} n={n}: {} of {} brute-force checks failed",
         root_checks.iter().filter(|&&ok| !ok).count(),
         root_checks.len()
     );
-    assert_eq!(*batches, 4);
+    // Four view registrations and four batches each published an epoch.
+    assert_eq!(*epoch, 4 + 4);
     // Every rank observed identical view values (SPMD agreement).
     for (rank, (_, witness, _)) in out.results.iter().enumerate() {
         assert_eq!(witness, root_witness, "rank {rank} diverged");

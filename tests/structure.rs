@@ -429,6 +429,23 @@ fn one_recovery_entry() {
     );
 }
 
+/// "one crash mechanism". A rank crashes because a program armed it with
+/// `Comm::arm_crash`; a `FaultPlan` schedules delays only. A crash scheduled
+/// up front by the plan brought back fails here.
+#[test]
+fn one_crash_mechanism() {
+    absent(
+        "one crash mechanism",
+        &[
+            "-rnE",
+            r"crash_before_send|pub crash:|plan\.crash",
+            "crates",
+            "src",
+            "tests",
+        ],
+    );
+}
+
 /// "one engine under the serving layer". The analytics session is a
 /// shared-mode `DynSpGemm` plus its view registry: its batches run the
 /// engine's one commit path, its epochs come out of the engine's one publish
