@@ -18,33 +18,20 @@ use dspgemm_core::exec::Exec;
 use dspgemm_core::grid::Grid;
 use dspgemm_core::summa::summa_rounds;
 use dspgemm_sparse::local_mm::{Bloom, Payload};
-use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::Dcsr;
 use dspgemm_util::stats::PhaseTimer;
 
 /// Computes this rank's masked product block `(A · B) ∘ mask` with fused
-/// Bloom tracking; entries carry `(value, bits)`. `mask` uses block-local
-/// coordinates of this rank's `C` block. Returns the block plus the local
-/// flop count. Collective over the grid.
+/// Bloom tracking; entries carry `(value, bits)`. `mask` is a pattern in
+/// block-local coordinates of this rank's `C` block. Returns the block plus
+/// the local flop count. The kernels run on `exec`'s workspaces, so the
+/// session's candidate-pair rescans reuse them. Collective over the grid.
 pub fn masked_product<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
-    mask: &MaskSet,
-    timer: &mut PhaseTimer,
-) -> (Dcsr<(S::Elem, u64)>, u64) {
-    masked_product_exec::<S>(grid, a, b, mask, &Exec::new(), timer)
-}
-
-/// [`masked_product`] under an explicit [`Exec`] — the session's view
-/// refreshes run here, so candidate-pair rescans reuse the session's
-/// kernel workspaces.
-pub fn masked_product_exec<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
-    mask: &MaskSet,
+    mask: &Dcsr<()>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<(S::Elem, u64)>, u64) {
@@ -98,23 +85,25 @@ mod tests {
                 let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
                 let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
                 let (c_full, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-                // Mask = every third entry of the full product's local block.
-                let mut mask = MaskSet::default();
+                // Mask = every third entry of the full product's local block,
+                // plus a masked position the product never touches.
+                let mut pairs = vec![(0, 0)];
                 let mut picked = Vec::new();
                 let mut idx = 0usize;
                 c_full.block().scan_rows(|r, cols, vals| {
                     for (&cc, &v) in cols.iter().zip(vals) {
                         if idx.is_multiple_of(3) {
-                            mask.insert(r, cc);
+                            pairs.push((r, cc));
                             picked.push((r, cc, v));
                         }
                         idx += 1;
                     }
                 });
-                // Plus a masked position the product never touches.
-                mask.insert(0, 0);
+                let info = c_full.info();
+                let mask = Dcsr::from_pairs(info.local_rows(), info.local_cols(), pairs);
                 let empty_probe_in_product = c_full.block().get(0, 0).is_some();
-                let (got, flops) = masked_product::<U64Plus>(&grid, &a, &b, &mask, &mut timer);
+                let (got, flops) =
+                    masked_product::<U64Plus>(&grid, &a, &b, &mask, &Exec::new(), &mut timer);
                 // Every picked entry reproduced exactly.
                 let mut got_map = std::collections::BTreeMap::new();
                 got.scan_rows(|r, cols, vals| {

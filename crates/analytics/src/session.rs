@@ -37,30 +37,38 @@ use std::sync::Arc;
 
 /// The registered views, in registration order: the session engine's
 /// observer. Every callback visits every view in that order, so the
-/// collectives views run line up on every rank.
+/// collectives views run line up on every rank. Each view is kept with the
+/// epoch its registration published: an epoch older than that — one a
+/// recovery replays from an earlier anchor — freezes without it.
 pub struct ViewRegistry<S: Semiring> {
-    views: Vec<Box<dyn View<S>>>,
+    views: Vec<(u64, Box<dyn View<S>>)>,
 }
 
 impl<S: Semiring> Observer<S> for ViewRegistry<S> {
     type Epoch = SessionSnapshot<S>;
 
     fn bootstrap(&mut self, cx: &ViewCx<'_, S>) {
-        self.views.iter_mut().for_each(|v| v.bootstrap(cx));
+        self.views.iter_mut().for_each(|(_, v)| v.bootstrap(cx));
     }
 
     fn pre_batch(&mut self, cx: &ViewCx<'_, S>, pending: &PendingBatch<'_, S>) {
-        self.views.iter_mut().for_each(|v| v.pre_batch(cx, pending));
+        self.views
+            .iter_mut()
+            .for_each(|(_, v)| v.pre_batch(cx, pending));
     }
 
     fn post_batch(&mut self, cx: &ViewCx<'_, S>, delta: &BatchDelta<'_, S>) {
-        self.views.iter_mut().for_each(|v| v.post_batch(cx, delta));
+        self.views
+            .iter_mut()
+            .for_each(|(_, v)| v.post_batch(cx, delta));
     }
 
     fn freeze(&mut self, snapshot: Snapshot<S::Elem>) -> SessionSnapshot<S> {
+        let epoch = snapshot.epoch();
         let readings = self.views.iter_mut().enumerate();
         let readings = readings
-            .map(|(id, v)| (ViewId(id as u64), v.name().to_string(), v.freeze()))
+            .filter(|(_, (since, _))| *since <= epoch)
+            .map(|(id, (_, v))| (ViewId(id as u64), v.name().to_string(), v.freeze()))
             .collect();
         SessionSnapshot::new(snapshot, readings)
     }
@@ -155,10 +163,11 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// reading is pinnable immediately). Collective; all ranks must
     /// register the same views in the same order.
     pub fn register(&mut self, mut view: Box<dyn View<S>>) -> ViewId {
+        let since = self.engine.snapshots().published();
         let (registry, cx) = self.engine.observe(&self.grid);
         view.bootstrap(&cx);
         let id = ViewId(registry.views.len() as u64);
-        registry.views.push(view);
+        registry.views.push((since, view));
         self.engine.publish();
         id
     }
@@ -186,7 +195,7 @@ impl<S: Semiring> AnalyticsSession<S> {
 
     /// Typed read access to a registered view.
     pub fn view_as<T: 'static>(&self, id: ViewId) -> Option<&T> {
-        let view = self.engine.observer().views.get(id.0 as usize)?;
+        let (_, view) = self.engine.observer().views.get(id.0 as usize)?;
         view.as_any().downcast_ref::<T>()
     }
 

@@ -10,13 +10,12 @@
 //! delta proves changed — `O(nnz(C*))` mask probes and `O(1)` lookups into
 //! the maintained product, no extra communication at all.
 
-use crate::masked_product::masked_product_exec;
+use crate::masked_product::masked_product;
 use crate::view::{BatchDelta, FrozenView, View, ViewCx};
 use dspgemm_core::grid::{owner_block, Grid};
 use dspgemm_core::Layout;
-use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Index, RowScan};
+use dspgemm_sparse::{Dcsr, Index, RowScan};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::FxHashMap;
 use std::any::Any;
@@ -86,7 +85,7 @@ pub struct CommonNeighborsView<S: Semiring> {
     /// The global candidate pairs (identical on every rank).
     candidates: Vec<(Index, Index)>,
     /// Block-local mask over this rank's owned candidates.
-    local_mask: MaskSet,
+    local_mask: Dcsr<()>,
     /// The product layout the masks and scores were built against (captured
     /// at bootstrap; point lookups route owners by it, so they stay correct
     /// when the session runs under rebalanced cuts).
@@ -109,7 +108,7 @@ impl<S: Semiring> CommonNeighborsView<S> {
     pub fn new(candidates: Vec<(Index, Index)>) -> Self {
         Self {
             candidates,
-            local_mask: MaskSet::default(),
+            local_mask: Dcsr::empty(0, 0),
             layout: None,
             scores: FxHashMap::default(),
             frozen: None,
@@ -189,7 +188,9 @@ impl<S: Semiring> View<S> for CommonNeighborsView<S> {
         // Which candidates does this rank's product block own?
         let info = cx.c.info();
         self.layout = Some(Arc::clone(info.layout()));
-        self.local_mask = MaskSet::from_pairs(
+        self.local_mask = Dcsr::from_pairs(
+            info.local_rows(),
+            info.local_cols(),
             self.candidates
                 .iter()
                 .filter(|&&(u, v)| info.row_range.contains(&u) && info.col_range.contains(&v))
@@ -199,7 +200,7 @@ impl<S: Semiring> View<S> for CommonNeighborsView<S> {
         // rows; see crate::masked_product for the communication trade).
         let mut timer = PhaseTimer::new();
         let (block, flops) =
-            masked_product_exec::<S>(cx.grid, cx.a, cx.a, &self.local_mask, cx.exec, &mut timer);
+            masked_product::<S>(cx.grid, cx.a, cx.a, &self.local_mask, cx.exec, &mut timer);
         self.bootstrap_flops = flops;
         self.scores.clear();
         self.frozen = None;

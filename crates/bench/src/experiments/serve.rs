@@ -23,7 +23,7 @@
 //!   reader holds one old epoch for a few rounds to exercise retention).
 
 use crate::experiments::{prepare_instances, rank_slice, Prepared};
-use crate::measure::measured_collective;
+use crate::measure::{measured_collective, quantile};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_analytics::{
@@ -36,7 +36,6 @@ use dspgemm_core::{DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_graph::Edge;
 use dspgemm_mpi::Comm;
-use dspgemm_obs::Histogram;
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
@@ -150,13 +149,11 @@ fn plan(edges: &[Edge], rank: usize, rounds: usize, seed: u64) -> Vec<Round> {
     out
 }
 
-/// Everything one rank measures across the rounds of one instance. The
-/// latency distributions are log-bucketed [`Histogram`]s — no sample is
-/// stored or sorted, and the percentiles carry the histogram's documented
-/// sub-bucket error (≤ ~3.2% relative).
+/// Everything one rank measures across the rounds of one instance; the
+/// latency samples are kept whole and their percentiles are exact.
 struct ServeRun {
-    snap_lat: Histogram,
-    block_lat: Histogram,
+    snap_lat: Vec<Duration>,
+    block_lat: Vec<Duration>,
     stale: Vec<u64>,
     retained_max: usize,
     live_bytes_max: usize,
@@ -184,8 +181,8 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
 
         let schedule = plan(edges, comm.rank(), rounds, seed);
         let mut r = ServeRun {
-            snap_lat: Histogram::new(),
-            block_lat: Histogram::new(),
+            snap_lat: Vec::new(),
+            block_lat: Vec::new(),
             stale: Vec::new(),
             retained_max: 0,
             live_bytes_max: 0,
@@ -226,10 +223,9 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             let q_count = queries.len();
             for (i, &svc) in service.iter().enumerate() {
                 let arrival = (i as f64 + 0.5) / q_count as f64;
-                r.snap_lat.record_duration(svc);
-                r.block_lat.record_duration(
-                    svc + Duration::from_secs_f64(drain.as_secs_f64() * (1.0 - arrival)),
-                );
+                r.snap_lat.push(svc);
+                r.block_lat
+                    .push(svc + Duration::from_secs_f64(drain.as_secs_f64() * (1.0 - arrival)));
                 // Served epoch e while e + 1 was committing.
                 r.stale.push(session.epoch() - pin.epoch());
             }
@@ -316,16 +312,16 @@ pub fn run(cfg: &Config) -> Table {
             "freshness violated: post-batch epoch differs from the blocking rerun"
         );
         let stale_mean = r.stale.iter().sum::<u64>() as f64 / r.stale.len().max(1) as f64;
-        let p99 = r.block_lat.quantile_duration(0.99).as_secs_f64()
-            / r.snap_lat.quantile_duration(0.99).as_secs_f64().max(1e-9);
+        let p99 = quantile(r.block_lat.clone(), 0.99).as_secs_f64()
+            / quantile(r.snap_lat.clone(), 0.99).as_secs_f64().max(1e-9);
         table.push_row(vec![
             inst.name.into(),
             cfg.batches.max(2).to_string(),
             (POINT_QUERIES + TOPK_QUERIES + 1).to_string(),
-            ms(r.snap_lat.quantile_duration(0.5)),
-            ms(r.snap_lat.quantile_duration(0.99)),
-            ms(r.block_lat.quantile_duration(0.5)),
-            ms(r.block_lat.quantile_duration(0.99)),
+            ms(quantile(r.snap_lat.clone(), 0.5)),
+            ms(quantile(r.snap_lat.clone(), 0.99)),
+            ms(quantile(r.block_lat.clone(), 0.5)),
+            ms(quantile(r.block_lat.clone(), 0.99)),
             ratio(p99),
             format!("{stale_mean:.2}"),
             r.stale.iter().max().copied().unwrap_or(0).to_string(),
@@ -348,10 +344,7 @@ pub fn run(cfg: &Config) -> Table {
         "asserted every round: pinned answers bit-identical under the running batch, and \
          the post-batch epoch bit-identical to a static SUMMA rerun of the updated graph",
     );
-    table.note(
-        "percentiles from the shared log-bucketed histogram (dspgemm-obs, 32 sub-buckets \
-         per octave): ≤ ~3.2% relative bucket error vs. exact sorted samples",
-    );
+    table.note("percentiles exact: the sorted samples' entry at rank round((n - 1)·q)");
     table
 }
 
@@ -373,7 +366,7 @@ mod tests {
         // Every during-batch query saw exactly the one-batch stale distance;
         // the laggard saw at most its window.
         assert!(r.stale.iter().all(|&d| d <= LAGGARD_WINDOW));
-        assert!(r.snap_lat.count() > 0);
-        assert_eq!(r.snap_lat.count(), r.block_lat.count());
+        assert!(!r.snap_lat.is_empty());
+        assert_eq!(r.snap_lat.len(), r.block_lat.len());
     }
 }

@@ -11,7 +11,6 @@
 //! same on every run, whatever a peer does before or after its barrier.
 
 use dspgemm_mpi::{Comm, CommCategory, RankCommStats};
-use dspgemm_obs::Histogram;
 use std::time::{Duration, Instant};
 
 /// Modeled interconnect bandwidth: the paper's cluster uses 100 GBit
@@ -82,21 +81,21 @@ pub fn measured_collective<R>(comm: &Comm, op: impl FnOnce() -> R) -> (R, BatchC
 /// Median of batch costs, component-wise (robust on a noisy host).
 pub fn median_cost(costs: &[BatchCost]) -> BatchCost {
     BatchCost {
-        wall: median(&costs.iter().map(|c| c.wall).collect::<Vec<_>>()),
-        crit_bytes: median_u64(costs.iter().map(|c| c.crit_bytes)),
-        msgs: median_u64(costs.iter().map(|c| c.msgs)),
+        wall: quantile(costs.iter().map(|c| c.wall).collect(), 0.5),
+        crit_bytes: quantile(costs.iter().map(|c| c.crit_bytes).collect(), 0.5),
+        msgs: quantile(costs.iter().map(|c| c.msgs).collect(), 0.5),
     }
 }
 
-/// Median of a `u64` stream via the shared log-bucketed histogram (no
-/// sample stored or sorted; ≤ one sub-bucket of error — see
-/// [`dspgemm_obs::SUB_BITS`]).
-fn median_u64(vals: impl Iterator<Item = u64>) -> u64 {
-    let mut h = Histogram::new();
-    for v in vals {
-        h.record(v);
+/// The exact `q`-quantile of `samples` (`q` in `[0, 1]`): the sorted
+/// samples' entry at rank `round((n − 1)·q)`; the default value if there are
+/// none.
+pub fn quantile<T: Copy + Ord + Default>(mut samples: Vec<T>, q: f64) -> T {
+    if samples.is_empty() {
+        return T::default();
     }
-    h.quantile(0.5)
+    samples.sort_unstable();
+    samples[((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
 }
 
 /// Times `op` as a collective: barrier, run, barrier; returns the duration
@@ -120,15 +119,9 @@ pub fn mean(durations: &[Duration]) -> Duration {
 
 /// Median duration of a slice — the robust per-batch aggregate on an
 /// oversubscribed host, where a descheduled rank occasionally inflates a
-/// single batch by an order of magnitude. Computed through the shared
-/// log-bucketed [`Histogram`] (same rank selection as the sort-based
-/// estimator it replaced, within one sub-bucket of error).
+/// single batch by an order of magnitude ([`quantile`] at 0.5).
 pub fn median(durations: &[Duration]) -> Duration {
-    let mut h = Histogram::new();
-    for d in durations {
-        h.record_duration(*d);
-    }
-    h.quantile_duration(0.5)
+    quantile(durations.to_vec(), 0.5)
 }
 
 #[cfg(test)]
@@ -180,6 +173,18 @@ mod tests {
                 assert_eq!(cost, exact, "rank {rank}, measurement {i}");
             }
         }
+    }
+
+    #[test]
+    fn quantile_is_the_sorted_sample_at_the_rounded_rank() {
+        let samples = vec![9u64, 1, 7, 3, 5];
+        assert_eq!(quantile(samples.clone(), 0.0), 1);
+        assert_eq!(quantile(samples.clone(), 0.5), 5);
+        assert_eq!(quantile(samples.clone(), 0.99), 9);
+        assert_eq!(quantile(vec![4u64, 2], 0.5), 4, "rank round(0.5) = 1");
+        assert_eq!(quantile(Vec::<u64>::new(), 0.5), 0);
+        let ms = |v: u64| Duration::from_millis(v);
+        assert_eq!(median(&[ms(30), ms(10), ms(20)]), ms(20));
     }
 
     #[test]

@@ -348,7 +348,7 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
 
     fn apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) {
         self.try_apply(grid, batch)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
+            .unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e)));
     }
 
     /// The one batch lifecycle, in order: with recovery on, refresh the

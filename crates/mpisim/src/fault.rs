@@ -29,11 +29,14 @@ use std::time::Duration;
 
 /// A typed communication failure, surfaced to harnesses via [`catch_comm`].
 ///
-/// Internally these travel as panic payloads: the collective call tree is
+/// Internally these travel as unwind payloads: the collective call tree is
 /// deep and infallible by signature, so the error unwinds to the nearest
 /// [`catch_comm`] (batch granularity in the engine) instead of threading
-/// `Result` through every send. An uncaught `CommError` behaves like any
-/// panic: the runtime poisons the network and the job fails fast.
+/// `Result` through every send. They are raised with
+/// `std::panic::resume_unwind`, which skips the panic hook: a recovered
+/// failure prints nothing. An uncaught `CommError` behaves like any panic:
+/// the runtime poisons the network and the job fails fast, reporting the
+/// rank and the error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A peer rank failed; the in-flight round on this rank was aborted.

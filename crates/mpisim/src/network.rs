@@ -8,7 +8,7 @@ use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dspgemm_util::hash::mix64;
 use std::cell::{Cell, RefCell};
-use std::panic::panic_any;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -252,7 +252,7 @@ impl Endpoint {
             }
         }
         dspgemm_obs::instant("comm", "simulated_crash", &[("rank", self.rank as u64)]);
-        panic_any(CommError::Crashed { rank: self.rank })
+        resume_unwind(Box::new(CommError::Crashed { rank: self.rank }))
     }
 
     /// Sends an envelope, attributing `bytes` to `category`.
@@ -283,7 +283,7 @@ impl Endpoint {
             if self.transport.encodes_to(dst_world) {
                 self.note_failed(dst_world);
                 dspgemm_obs::instant("comm", "peer_failed", &[("rank", dst_world as u64)]);
-                panic_any(CommError::PeerFailed { rank: dst_world });
+                resume_unwind(Box::new(CommError::PeerFailed { rank: dst_world }));
             }
             panic!("peer rank inbox closed (peer exited early)");
         }
@@ -330,7 +330,7 @@ impl Endpoint {
                         "peer_failed",
                         &[("rank", rank as u64), ("detect_ns", detect)],
                     );
-                    panic_any(CommError::PeerFailed { rank })
+                    resume_unwind(Box::new(CommError::PeerFailed { rank }))
                 }
             }
             Payload::Value(_) => {

@@ -1,7 +1,7 @@
 //! The rank-per-thread runtime.
 
 use crate::comm::Comm;
-use crate::fault::FaultPlan;
+use crate::fault::{CommError, FaultPlan};
 use crate::network::Network;
 use crate::stats::CommStats;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -47,7 +47,8 @@ where
 /// [`Comm::arm_crash`] surfaces recoverably (typed [`crate::CommError`]s
 /// instead of poison-panic; see [`crate::catch_comm`]). `f` is responsible for catching the errors and
 /// running a recovery protocol — an uncaught `CommError` unwinds the rank
-/// like any panic and fail-stops the job.
+/// like any panic and fail-stops the job, re-raised here as a panic that
+/// names the rank and the error.
 pub fn run_with_faults<R, F>(p: usize, plan: FaultPlan, f: F) -> SimOutput<R>
 where
     R: Send,
@@ -97,6 +98,15 @@ where
         }
     });
 
+    // A `CommError` unwinds without the panic hook (it is recoverable where
+    // it is caught), so one that no rank caught has printed nothing: it is
+    // the failure to report, ahead of the poison it set off in its peers.
+    let uncaught = panics
+        .iter()
+        .find_map(|(rank, p)| Some((rank, p.downcast_ref::<CommError>()?)));
+    if let Some((rank, err)) = uncaught {
+        panic!("mpisim: rank {rank} failed with an uncaught communication error: {err}");
+    }
     if let Some((rank, payload)) = panics.into_iter().next() {
         eprintln!("mpisim: rank {rank} panicked; re-raising");
         resume_unwind(payload);

@@ -42,7 +42,7 @@
 //! construction, and the parity suite asserts it.
 
 use crate::comm::Comm;
-use crate::fault::FaultPlan;
+use crate::fault::{CommError, FaultPlan};
 use crate::message::{Envelope, Payload, Tag};
 use crate::network::Endpoint;
 use crate::stats::{CommStats, Meter, RankCommStats};
@@ -532,8 +532,11 @@ where
             let _ = control.flush();
             std::process::exit(0);
         }
-        Err(_) => {
-            eprintln!("tcp rank {rank}: rank function panicked");
+        Err(payload) => {
+            match payload.downcast_ref::<CommError>() {
+                Some(err) => eprintln!("tcp rank {rank}: uncaught communication error: {err}"),
+                None => eprintln!("tcp rank {rank}: rank function panicked"),
+            }
             std::process::exit(CHILD_PANIC_EXIT);
         }
     }

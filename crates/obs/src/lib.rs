@@ -1,7 +1,6 @@
 //! # dspgemm-obs — unified tracing for the dspgemm workspace
 //!
-//! One observability channel replaces three ad-hoc mechanisms (per-experiment
-//! sort-based percentiles, scattered stopwatches, hand-rolled aggregation):
+//! One observability channel for every layer:
 //!
 //! * **[`trace`]** — a span tracer with thread-local ring buffers recording
 //!   `(rank, phase, span, t_start, t_end, attrs)` and a Chrome
@@ -10,12 +9,12 @@
 //!   every number the layer records; there is no second, process-global
 //!   metrics store. Zero-cost when disabled: one relaxed atomic load, no
 //!   clock reads, nothing recorded.
-//! * **[`metrics`]** — the log-bucketed mergeable [`Histogram`] (no sample
-//!   is ever stored or sorted), a plain value its caller owns; the single
-//!   source for every percentile the benchmarks report.
 //! * **[`json`]** — the dependency-free JSON writer/parser backing the
 //!   exporter and the chrome-trace schema validator (the workspace builds
 //!   fully offline; there is no serde).
+//!
+//! No percentile lives here: the benchmarks keep their few dozen samples
+//! and take exact order statistics of them (`dspgemm_bench::measure`).
 //!
 //! This crate is deliberately **std-only with no workspace dependencies**,
 //! so every other crate — the simulator, the engine, the analytics
@@ -50,10 +49,8 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod metrics;
 pub mod trace;
 
-pub use metrics::{Histogram, SUB_BITS};
 pub use trace::{
     chrome_trace_json, clear_thread_rank, drain, enabled, flush_thread, instant, set_enabled,
     set_thread_rank, span, validate_chrome_trace, validate_chrome_trace_file, write_chrome_trace,

@@ -232,6 +232,11 @@ impl<V: Copy> Dcsr<V> {
         }
     }
 
+    /// Whether `(r, c)` is stored: [`Dcsr::row_cols`] plus one binary search.
+    pub fn contains(&self, r: Index, c: Index) -> bool {
+        self.row_cols(r).binary_search(&c).is_ok()
+    }
+
     /// All entries as row-major triples.
     pub fn to_triples(&self) -> Vec<Triple<V>> {
         let mut out = Vec::with_capacity(self.nnz());

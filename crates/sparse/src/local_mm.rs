@@ -14,9 +14,9 @@
 //!   value fused with the ℓ=64-bit Bloom field of contributing inner indices
 //!   `k` that the general dynamic algorithm needs (Section V-B; [`Bloom`]),
 //!   or that field alone ([`Pattern`]),
-//! * the [`OutputMask`]: `()` for the full product; a
-//!   [`MaskSet`](crate::masked_mm::MaskSet) or the `C*` pattern [`Dcsr`]
-//!   itself for Algorithm 2's recompute — a masked output row is combined in
+//! * the [`OutputMask`]: `()` for the full product; a pattern [`Dcsr`] —
+//!   the `C*` block itself for Algorithm 2's recompute, or a `Dcsr<()>` of
+//!   candidate pairs — for a masked one: a masked output row is combined in
 //!   the workspace's masked accumulator, which rejects a product with one
 //!   load (see [`crate::masked_mm`]),
 //! * the left operand (anything that can [`RowScan`]: CSR, DCSR, DHB), and

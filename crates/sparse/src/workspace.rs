@@ -308,8 +308,8 @@ mod tests {
     #[test]
     fn masked_multiplies_reuse_the_workspace() {
         use crate::csr::Csr;
+        use crate::dcsr::Dcsr;
         use crate::local_mm::{spgemm_with, Bloom};
-        use crate::masked_mm::MaskSet;
         use crate::semiring::U64Plus;
         use crate::triple::Triple;
 
@@ -321,7 +321,8 @@ mod tests {
         };
         let a = Csr::from_triples::<U64Plus>(n, n, entries(7));
         let b = Csr::from_triples::<U64Plus>(n, n, entries(11));
-        let mask = MaskSet::from_pairs((0..n).flat_map(|r| (0..n).step_by(3).map(move |c| (r, c))));
+        let every_third = (0..n).flat_map(|r| (0..n).step_by(3).map(move |c| (r, c)));
+        let mask = Dcsr::from_pairs(n, n, every_third);
         let mut ws: KernelWorkspace<(u64, u64)> = KernelWorkspace::new();
         let mut run = || {
             let out = spgemm_with::<U64Plus, Bloom, _, _, _>(&a, &b, &mask, 0, &mut ws);

@@ -5,13 +5,12 @@
 //!
 //! Seeded cases over every left operand form, right operands whose rows are
 //! in insertion order, both evaluated semirings with non-integer weights,
-//! the three payloads, on a fresh and a warm workspace, the mask as a
-//! [`MaskSet`] and as a pattern [`Dcsr`] — and once more with the columns
-//! spread over a block one column wider than the column table goes, where
-//! the kernel binary-searches the mask row instead.
+//! the three payloads, on a fresh and a warm workspace, the mask a pattern
+//! [`Dcsr`] — and once more with the columns spread over a block one column
+//! wider than the column table goes, where the kernel binary-searches the
+//! mask row instead.
 
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
-use dspgemm_sparse::masked_mm::MaskSet;
 use dspgemm_sparse::semiring::{F64Plus, MinPlus, Semiring};
 use dspgemm_sparse::spa::DENSE_SPA_MAX_WIDTH;
 use dspgemm_sparse::workspace::KernelWorkspace;
@@ -183,24 +182,15 @@ where
         .filter(|&(r, c, _)| pairs.contains(&(r, c)))
         .collect();
     let spread_pairs = pairs.iter().map(|&(r, c)| (r, c * spread));
-    let mask_set = MaskSet::from_pairs(spread_pairs.clone());
-    let unit: Vec<Triple<()>> = spread_pairs.map(|(r, c)| Triple::new(r, c, ())).collect();
-    let mask_pattern = Dcsr::from_sorted_triples(left.nrows(), ncols, &unit);
-    let mut warm = KernelWorkspace::new();
-    for reused in [false, true] {
-        let tag = format!("{tag} warm={reused}");
-        let mut fresh = [KernelWorkspace::new(), KernelWorkspace::new()];
-        let [set_ws, pattern_ws] = &mut fresh;
-        let set_ws = if reused { &mut warm } else { set_ws };
-        let by_set = spgemm_with::<S, P, _, _, _>(left, right, &mask_set, K_OFFSET, set_ws);
-        let pattern_ws = if reused { &mut warm } else { pattern_ws };
-        let by_pattern =
-            spgemm_with::<S, P, _, _, _>(left, right, &mask_pattern, K_OFFSET, pattern_ws);
-        for (got, mask) in [(&by_set, "MaskSet"), (&by_pattern, "Dcsr")] {
-            got.result.validate().unwrap();
-            assert_eq!(entries(&got.result, spread), want, "{tag} {mask}");
-            assert_eq!(got.flops, want_flops, "{tag} {mask}: flops");
-        }
+    let mask = Dcsr::from_pairs(left.nrows(), ncols, spread_pairs);
+    // One workspace, fresh on the first call and warm on the second.
+    let mut ws = KernelWorkspace::new();
+    for warm in [false, true] {
+        let tag = format!("{tag} warm={warm}");
+        let got = spgemm_with::<S, P, _, _, _>(left, right, &mask, K_OFFSET, &mut ws);
+        got.result.validate().unwrap();
+        assert_eq!(entries(&got.result, spread), want, "{tag}");
+        assert_eq!(got.flops, want_flops, "{tag}: flops");
     }
     want
 }

@@ -8,11 +8,10 @@
 use dspgemm::analytics::{masked_product, AnalyticsSession};
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::{summa, summa_bloom};
-use dspgemm::core::{DistMat, DynSpGemm, Grid};
+use dspgemm::core::{DistMat, DynSpGemm, Exec, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
-use dspgemm::sparse::masked_mm::MaskSet;
 use dspgemm::sparse::semiring::U64Plus;
-use dspgemm::sparse::{Index, RowScan, Triple};
+use dspgemm::sparse::{Dcsr, Index, RowScan, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
 use std::sync::Arc;
@@ -305,13 +304,11 @@ fn initial_product_summa_and_summa_bloom() {
 fn masked_product_block() {
     let got = product(|grid, a, b, timer| {
         let (rows, cols) = (a.info().local_rows(), b.info().local_cols());
-        let mut mask = MaskSet::default();
-        for (lr, lc) in (0..rows).flat_map(|lr| (0..cols).map(move |lc| (lr, lc))) {
-            if (lr + lc) % 3 == 0 {
-                mask.insert(lr, lc);
-            }
-        }
-        let (block, flops) = masked_product::<U64Plus>(grid, a, b, &mask, timer);
+        let every_third = (0..rows)
+            .flat_map(|lr| (0..cols).map(move |lc| (lr, lc)))
+            .filter(|&(lr, lc)| (lr + lc) % 3 == 0);
+        let mask = Dcsr::from_pairs(rows, cols, every_third);
+        let (block, flops) = masked_product::<U64Plus>(grid, a, b, &mask, &Exec::new(), timer);
         let (mut c, mut f) = (DistMat::empty(grid, N, N), DistMat::empty(grid, N, N));
         block.scan_rows(|r, cols, vals| {
             for (&cc, &(v, bits)) in cols.iter().zip(vals) {

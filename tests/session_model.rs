@@ -7,8 +7,8 @@
 //! that static product, and every pinned epoch must stay bit-stable.
 
 use dspgemm::analytics::{
-    AnalyticsSession, CommonNeighborsView, DegreeView, ScoreReading, SessionSnapshot,
-    TriangleCountView, TriangleReading, View, ViewCx, ViewId,
+    AnalyticsSession, BatchDelta, CommonNeighborsView, DegreeView, FrozenView, ScoreReading,
+    SessionSnapshot, TriangleCountView, TriangleReading, View, ViewCx, ViewId,
 };
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::recovery::{RecoveryConfig, RecoveryReport};
@@ -19,6 +19,7 @@ use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -626,4 +627,81 @@ fn views_follow_a_rebalancing_migration() {
         s.rebalancer().map(|r| r.migrations())
     });
     assert!(out.results.iter().all(|&m| m == Some(1)));
+}
+
+/// Counts its freezes since its last bootstrap. Every publish freezes every
+/// view it shows once, and publishes number epochs consecutively, so the
+/// freezes since a bootstrap went into the epochs `latest − freezes + 1`
+/// through the latest.
+struct FreezeLog {
+    freezes: u64,
+}
+
+impl View<U64Plus> for FreezeLog {
+    fn name(&self) -> &str {
+        "freeze-log"
+    }
+
+    fn bootstrap(&mut self, _cx: &ViewCx<'_, U64Plus>) {
+        self.freezes = 0;
+    }
+
+    fn post_batch(&mut self, _cx: &ViewCx<'_, U64Plus>, _delta: &BatchDelta<'_, U64Plus>) {}
+
+    fn freeze(&mut self) -> FrozenView {
+        self.freezes += 1;
+        Arc::new(self.freezes)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A view registered after the rollback anchor is frozen into no epoch
+/// older than its registration, though a recovery replays those epochs: a
+/// p = 4 session anchors, commits a batch, registers the view, and crashes
+/// rank 1 in the next batch.
+#[test]
+fn replayed_epochs_omit_views_registered_after_them() {
+    let out = run(4, |comm| {
+        let mut rng = SplitMix64::new(31 + comm.rank() as u64);
+        let mut s = Session::new(comm, N);
+        s.register(Box::new(TriangleCountView::new()));
+        let (grid, e) = s.engine_mut();
+        e.enable_recovery(grid, RECOVERY).expect("fault-free");
+        s.insert_edges(algebraic_tuples(&mut rng, 6));
+        let log = s.register(Box::new(FreezeLog { freezes: 0 }));
+        let registered = s.epoch();
+        let published = registered + 1;
+        // Past the barrier every rank has left the previous batch, so the
+        // crash can only interrupt the barrier or this batch.
+        let err = catch_comm_mut(|| {
+            comm.barrier();
+            if comm.rank() == 1 {
+                comm.arm_crash(1);
+            }
+            s.insert_edges(algebraic_tuples(&mut rng, 6));
+        })
+        .expect_err("rank 1 crashed in the batch");
+        let (grid, e) = s.engine_mut();
+        let report = e.recover(grid, err);
+        let anchor = published - report.rollback_epochs;
+        let freezes = s.view_as::<FreezeLog>(log).expect("registered").freezes;
+        let first_frozen = s.epoch() + 1 - freezes;
+        let latest_reads = s.pin().view_as::<u64>(log).is_some();
+        (anchor, registered, first_frozen, latest_reads)
+    });
+    for (rank, &(anchor, registered, first_frozen, latest_reads)) in out.results.iter().enumerate()
+    {
+        assert!(
+            anchor < registered,
+            "rank {rank}: the rollback anchor must predate the view"
+        );
+        assert!(
+            first_frozen >= registered,
+            "rank {rank}: the view was frozen into epoch {first_frozen}, registered at {registered}"
+        );
+        assert!(latest_reads, "rank {rank}: the latest epoch shows the view");
+    }
 }

@@ -479,3 +479,46 @@ fn one_engine_under_the_serving_layer() {
         ],
     );
 }
+
+/// "one mask type". An output mask is a pattern `Dcsr`: the `C*` block as
+/// it arrives, or a `Dcsr<()>` built from a pattern or from candidate pairs.
+/// A second owned copy of that structure, or a threads-only twin of the one
+/// distributed masked product, brought back fails here.
+#[test]
+fn one_mask_type() {
+    const GUARD: &str = "one mask type";
+    absent(
+        GUARD,
+        &[
+            "-rnE",
+            r"struct MaskSet|impl OutputMask for MaskSet|masked_product_exec",
+            "crates",
+            "src",
+            "tests",
+            "examples",
+        ],
+    );
+    present(
+        GUARD,
+        &[
+            "-n",
+            "pub type MaskSet = Dcsr<()>;",
+            "crates/sparse/src/masked_mm.rs",
+        ],
+    );
+}
+
+/// "one percentile". The benchmarks take exact order statistics of the
+/// few dozen samples they keep (`measure::quantile`). A bucketed histogram,
+/// or a metrics module in `obs` to hold one, brought back fails here.
+#[test]
+fn one_percentile() {
+    const GUARD: &str = "one percentile";
+    absent(GUARD, &["-rn", "Histogram", "crates", "src"]);
+    absent(GUARD, &["-rnE", r"mod metrics|metrics::", "crates/obs/src"]);
+    let module = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/obs/src/metrics.rs");
+    assert!(
+        !std::path::Path::new(module).exists(),
+        "{GUARD}: crates/obs/src/metrics.rs is back"
+    );
+}
