@@ -15,9 +15,8 @@ use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::combblas::{self, CombBlasMatrix};
 use dspgemm_baselines::Competitor;
-use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm_core::redistribute::redistribute;
-use dspgemm_core::{DistMat, Exec, Grid};
+use dspgemm_core::{DistMat, DynSpGemm, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern};
@@ -192,40 +191,30 @@ pub fn aggregation(cfg: &Config) -> Table {
     let edges = &inst.edges;
     for &bs in &[16usize, 256, 4096, 16384] {
         let (p, seed) = (cfg.p, cfg.seed);
-        // Baseline volume: construction only.
-        let base = dspgemm_mpi::run(p, |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer).local_nnz()
-        });
-        // Dynamic: construction + one Algorithm-1 batch.
-        let dynamic = dspgemm_mpi::run(p, |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let mut b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
-            let mut a: DistMat<f64> = DistMat::empty(&grid, n, n);
-            let mut c: DistMat<f64> = DistMat::empty(&grid, n, n);
-            let mut draws = ReplacementDraws::new(bs, seed, comm.rank());
-            let batch: Vec<Triple<f64>> = draws
-                .next_batch(edges)
-                .into_iter()
-                .map(|(u, v)| Triple::new(u, v, 1.0))
-                .collect();
-            apply_algebraic_updates_exec::<F64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                None,
-                batch,
-                vec![],
-                &Exec::new(),
-                &mut timer,
-            );
-            c.local_nnz()
-        });
+        // Construction of `B`, then of the engine (its initial product of
+        // the empty `A` with `B`), then `batches` Algorithm-1 batches.
+        let engine = |batches: usize| {
+            dspgemm_mpi::run(p, move |comm| {
+                let grid = Grid::new(comm);
+                let mut timer = PhaseTimer::new();
+                let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
+                let b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
+                let a: DistMat<f64> = DistMat::empty(&grid, n, n);
+                let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
+                let mut draws = ReplacementDraws::new(bs, seed, comm.rank());
+                for _ in 0..batches {
+                    let batch: Vec<Triple<f64>> = draws
+                        .next_batch(edges)
+                        .into_iter()
+                        .map(|(u, v)| Triple::new(u, v, 1.0))
+                        .collect();
+                    eng.apply_algebraic(&grid, batch, vec![]);
+                }
+                eng.c.local_nnz()
+            })
+        };
+        // Baseline volume: construction only; dynamic: one batch on top.
+        let (base, dynamic) = (engine(0), engine(1));
         // Static: construction + one CombBLAS-style A*·B.
         let cb_base = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);

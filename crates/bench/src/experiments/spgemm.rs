@@ -26,10 +26,8 @@ use crate::Config;
 use dspgemm_baselines::{
     combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor, Fold,
 };
-use dspgemm_core::dyn_algebraic::apply_algebraic_updates_exec;
-use dspgemm_core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
-use dspgemm_core::summa::summa_bloom;
-use dspgemm_core::{phase, DistMat, Exec, Grid};
+use dspgemm_core::dyn_general::GeneralUpdates;
+use dspgemm_core::{phase, DistMat, DynSpGemm, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::{F64Plus, MinPlus, Semiring};
 use dspgemm_sparse::Triple;
@@ -79,34 +77,24 @@ pub fn ours_algebraic(
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-        let mut b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
-        let mut a: DistMat<f64> = DistMat::empty(&grid, n, n);
-        let mut c: DistMat<f64> = DistMat::empty(&grid, n, n);
-        let mut timer = PhaseTimer::new();
+        let b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
+        let a: DistMat<f64> = DistMat::empty(&grid, n, n);
+        let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
+        // Fig. 12 shows batch phases only, not the initial product's.
+        eng.timer = PhaseTimer::new();
         let hidden = || comm.comm_stats().per_rank[comm.rank()].overlapped_ns;
         let hidden_before = hidden();
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let exec = Exec::new();
         let mut costs = Vec::new();
         for _ in 0..batches {
             let batch = unit_batch(&mut draws, edges);
             let (_, cost) = measured_collective(comm, || {
-                apply_algebraic_updates_exec::<F64Plus>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    None,
-                    batch.clone(),
-                    vec![],
-                    &exec,
-                    &mut timer,
-                )
+                eng.apply_algebraic(&grid, batch.clone(), vec![]);
             });
             costs.push(cost);
         }
         let hidden = Duration::from_nanos(hidden() - hidden_before);
-        (median_cost(&costs), timer, hidden)
+        (median_cost(&costs), eng.timer, hidden)
     });
     let mut merged = PhaseTimer::new();
     let mut hidden = Duration::ZERO;
@@ -238,27 +226,16 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let b_mine = edges_to_weighted(&rank_slice(edges, comm.rank(), p));
-        let mut b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
-        let mut a: DistMat<f64> = DistMat::empty(&grid, n, n);
-        let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
+        let a: DistMat<f64> = DistMat::empty(&grid, n, n);
+        let mut eng = DynSpGemm::<MinPlus>::new(&grid, a, b, 1, true);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let exec = Exec::new();
         let mut costs = Vec::new();
         for round in 0..batches as u64 {
             let mut upd = GeneralUpdates::new();
             upd.sets = weighted_batch(&mut draws, edges, round);
             let (_, cost) = measured_collective(comm, || {
-                apply_general_updates_exec::<MinPlus>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    &mut f,
-                    upd.clone(),
-                    GeneralUpdates::new(),
-                    &exec,
-                    &mut timer,
-                )
+                eng.apply_general(&grid, upd.clone(), GeneralUpdates::new());
             });
             costs.push(cost);
         }

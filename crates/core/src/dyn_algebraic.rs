@@ -41,15 +41,18 @@
 //! structure also serves the Bloom-fused variant (engine sessions that
 //! maintain the filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
 //!
-//! **One round body.** Both shapes, `C = A·B` and `C = A·A`, run the Y pass
+//! **One batch body.** Eq. 1 covers `C = A·A` as the case `B = A`,
+//! `B* = A*`, so both shapes run one body, `algebraic_batch`, that takes `B`
+//! as an `Option`: absent, `A` is both operands and its one update matrix
+//! serves both passes. Its round schedule, `compute_cstar`, runs the Y pass
 //! against the old `A`, then the local update application, then the X pass
 //! against the new right operand: Y reads only `A` and `B*`, X only `A*` and
 //! `B'`, so the order is legal for two operands and lets the shared shape
-//! update its one stored matrix in place between the passes. Algorithm 2's
-//! masked recompute is the X pass again, under a broadcast output mask.
-//! Entry points, one per level: [`apply_algebraic_updates_exec`] from
-//! tuples, [`apply_algebraic_prebuilt_exec`] from built update operands; a
-//! shared-mode [`crate::engine::DynSpGemm`] runs the shared shape.
+//! update its one stored matrix in place between the passes. Algorithm 2
+//! ([`crate::dyn_general`]) runs the same schedule, and its masked recompute
+//! is the X pass again, under a broadcast output mask. The one public entry
+//! is [`crate::engine::DynSpGemm::apply_algebraic`]: a batch builds its
+//! update matrices from one redistribution and runs the body.
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::exec::Exec;
@@ -57,7 +60,7 @@ use crate::grid::Grid;
 use crate::observer::{BatchDelta, Observer, PendingBatch, ViewCx};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use crate::update::{apply_add, build_star_pairs_in, build_update_matrix_pair_in, Dedup, StarPair};
+use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::KernelWorkspace;
@@ -126,58 +129,83 @@ impl<V: Elem> StarBuild<V> {
     }
 }
 
-/// Builds both blocks of both operands' update matrices under
-/// [`phase::SCATTER`] — four lanes of one redistribution. Update operands
-/// route under the layout, possibly rebalanced, of the matrix they patch.
-/// Collective.
-fn build_star_operands<S: Semiring>(
+/// Builds both blocks of the update matrix of every stored operand under
+/// [`phase::SCATTER`]: two lanes of one redistribution per operand — four
+/// for `C = A·B`, two for `C = A·A` (`b` absent, `b_tuples` ignored). Update
+/// matrices route under the layout, possibly rebalanced, of the matrix they
+/// patch. Collective.
+pub(crate) fn build_star_operands<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
-    b: &DistMat<S::Elem>,
+    b: Option<&DistMat<S::Elem>>,
     a_tuples: Vec<Triple<S::Elem>>,
     b_tuples: Vec<Triple<S::Elem>>,
     timer: &mut PhaseTimer,
-) -> [StarPair<S::Elem>; 2] {
+) -> (StarPair<S::Elem>, Option<StarPair<S::Elem>>) {
     timer.time(phase::SCATTER, || {
-        let operands = [
-            (Arc::clone(a.info().layout()), a_tuples),
-            (Arc::clone(b.info().layout()), b_tuples),
-        ];
-        build_star_pairs_in::<S, 2>(grid, operands, Dedup::Add, &mut PhaseTimer::new())
+        let mut operands = vec![(Arc::clone(a.info().layout()), a_tuples)];
+        operands.extend(b.map(|b| (Arc::clone(b.info().layout()), b_tuples)));
+        let built = build_star_pairs_in::<S>(grid, operands, Dedup::Add, &mut PhaseTimer::new());
+        let mut built = built.into_iter();
+        (built.next().expect("A's update matrix"), built.next())
     })
 }
 
-/// The operands of one `C*` computation, with the blocks their round roots
-/// broadcast ([`StarPair::root`]).
-pub(crate) enum Operands<'m, V: Elem> {
-    /// `C = A·B`: each operand has its own update matrix.
-    Pair {
-        a: &'m mut DistMat<V>,
-        b: &'m mut DistMat<V>,
-        a_root: &'m Arc<Dcsr<V>>,
-        b_root: &'m Arc<Dcsr<V>>,
-    },
-    /// `C = A·A`: one stored matrix and one update matrix serve both sides.
-    Shared {
-        a: &'m mut DistMat<V>,
-        root: &'m Arc<Dcsr<V>>,
-    },
+/// An operand's built update, as the round schedule consumes it.
+pub(crate) trait Update<S: Semiring> {
+    /// The block this rank broadcasts as a round root (`M*_{j,i}` at rank
+    /// `(i, j)`, Section V-C).
+    fn root(&self) -> &Arc<Dcsr<S::Elem>>;
+
+    /// Turns this rank's block of the operand into its updated form.
+    fn apply(&self, m: &mut DistMat<S::Elem>);
 }
 
-impl<V: Elem> Operands<'_, V> {
-    /// The left operand `A`.
-    fn left(&self) -> &DistMat<V> {
-        match self {
-            Operands::Pair { a, .. } | Operands::Shared { a, .. } => a,
+/// Algorithm 1's update: `M += M*`.
+impl<S: Semiring> Update<S> for StarPair<S::Elem> {
+    fn root(&self) -> &Arc<Dcsr<S::Elem>> {
+        &self.root
+    }
+
+    fn apply(&self, m: &mut DistMat<S::Elem>) {
+        apply_add::<S>(m, &self.natural);
+    }
+}
+
+/// The operands of one `C*` computation, each beside its built update: `A`,
+/// and `B` unless `A` is both operands (`C = A·A`), when `A`'s one update
+/// serves both passes.
+pub(crate) struct Operands<'m, V: Elem, U> {
+    a: (&'m mut DistMat<V>, &'m U),
+    b: Option<(&'m mut DistMat<V>, &'m U)>,
+}
+
+impl<'m, V: Elem, U> Operands<'m, V, U> {
+    /// Pairs `A` and, when present, `B` with their updates.
+    ///
+    /// # Panics
+    /// Panics if only one of `b` and `b_upd` is present.
+    pub(crate) fn new(
+        a: &'m mut DistMat<V>,
+        a_upd: &'m U,
+        b: Option<&'m mut DistMat<V>>,
+        b_upd: Option<&'m U>,
+    ) -> Self {
+        assert_eq!(b.is_some(), b_upd.is_some(), "B comes with its update");
+        Self {
+            a: (a, a_upd),
+            b: b.zip(b_upd),
         }
     }
 
-    /// The right operand: `B`, or `A` again for the shared shape.
-    fn right(&self) -> &DistMat<V> {
-        match self {
-            Operands::Pair { b, .. } => b,
-            Operands::Shared { a, .. } => a,
-        }
+    /// The left operand `A`.
+    pub(crate) fn left(&self) -> &DistMat<V> {
+        self.a.0
+    }
+
+    /// The right operand: `B`, or `A` again in the shared shape.
+    pub(crate) fn right(&self) -> &DistMat<V> {
+        self.b.as_ref().map_or(self.a.0, |(b, _)| b)
     }
 }
 
@@ -189,28 +217,23 @@ type Payloads<V> = (Option<Arc<Dcsr<V>>>, Option<Arc<Dcsr<V>>>);
 /// contributes nothing to Eq. 1, so its pass gets no payload and is skipped
 /// whole — decided from the allreduced global nnz, so all ranks agree. This
 /// is the common case in the paper's Fig. 9 protocol, where `B` is static.
-fn star_payloads<V: Elem>(grid: &Grid, ops: &Operands<'_, V>) -> Payloads<V> {
-    match ops {
-        Operands::Pair { a_root, b_root, .. } => {
-            let [a_nnz, b_nnz] = grid
-                .world()
-                .allreduce([a_root.nnz() as u64, b_root.nnz() as u64], |x, y| {
-                    [x[0] + y[0], x[1] + y[1]]
-                });
-            let x = (a_nnz != 0).then(|| Arc::clone(a_root));
-            let y = (b_nnz != 0).then(|| Arc::clone(b_root));
-            (x, y)
+fn star_payloads<V: Elem>(
+    grid: &Grid,
+    a_root: &Arc<Dcsr<V>>,
+    b_root: Option<&Arc<Dcsr<V>>>,
+) -> Payloads<V> {
+    let live = |root: &Arc<Dcsr<V>>, nnz: u64| (nnz != 0).then(|| Arc::clone(root));
+    let world = grid.world();
+    match b_root {
+        Some(b_root) => {
+            let nnz = [a_root.nnz() as u64, b_root.nnz() as u64];
+            let [a_nnz, b_nnz] = world.allreduce(nnz, |x, y| [x[0] + y[0], x[1] + y[1]]);
+            (live(a_root, a_nnz), live(b_root, b_nnz))
         }
-        Operands::Shared { a, root } => {
-            assert_eq!(
-                a.info().nrows,
-                a.info().ncols,
-                "shared-operand dynamic SpGEMM maintains a square product C = A·A"
-            );
-            // One block serves both passes: rank (i,j) holds A*_{j,i}, the
-            // X payload of row i and the Y payload of column j.
-            let nnz = grid.world().allreduce(root.nnz() as u64, |x, y| x + y);
-            let star = (nnz != 0).then(|| Arc::clone(root));
+        // One block serves both passes: rank (i,j) holds A*_{j,i}, the X
+        // payload of row i and the Y payload of column j.
+        None => {
+            let star = live(a_root, world.allreduce(a_root.nnz() as u64, |x, y| x + y));
             (star.clone(), star)
         }
     }
@@ -323,27 +346,32 @@ fn y_pass<S: Semiring, K: XYKernel<S>>(
 }
 
 /// This rank's block of `C* = A*·B' + A·B*` (Eq. 1) plus the local flop
-/// count — the one round body of both Algorithm-1 shapes and of
-/// `COMPUTE_PATTERN`. Collective over the grid.
+/// count — the one round schedule of both algorithms and both shapes.
+/// Collective over the grid.
 ///
 /// 1. The round roots take their broadcast payloads ([`star_payloads`]).
 /// 2. The Y pass against the old `A`.
-/// 3. `apply` turns the operands into `A'` (and `B'`) in place, under
+/// 3. Each operand takes its update in place ([`Update::apply`]), under
 ///    [`phase::LOCAL_UPDATE`].
 /// 4. The X pass against the new right operand `B'` (`A'` when shared).
 /// 5. The X and Y partials merge, X first.
-pub(crate) fn compute_cstar<'m, S: Semiring, K: XYKernel<S>>(
+pub(crate) fn compute_cstar<S: Semiring, K: XYKernel<S>, U: Update<S>>(
     grid: &Grid,
-    mut ops: Operands<'m, S::Elem>,
-    apply: impl FnOnce(&mut Operands<'m, S::Elem>),
+    ops: &mut Operands<'_, S::Elem, U>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
-    let (x_star, y_star) = star_payloads(grid, &ops);
+    let b_root = ops.b.as_ref().map(|(_, upd)| upd.root());
+    let (x_star, y_star) = star_payloads(grid, ops.a.1.root(), b_root);
     let mut flops = 0u64;
     let y =
         y_star.and_then(|star| y_pass::<S, K>(grid, ops.left(), &star, exec, timer, &mut flops));
-    timer.time(phase::LOCAL_UPDATE, || apply(&mut ops));
+    timer.time(phase::LOCAL_UPDATE, || {
+        ops.a.1.apply(ops.a.0);
+        if let Some((b, upd)) = &mut ops.b {
+            upd.apply(b);
+        }
+    });
     let x = x_star
         .and_then(|star| x_pass::<S, K>(grid, &star, ops.right(), None, exec, timer, &mut flops));
     let (rows, cols) = (
@@ -397,73 +425,52 @@ pub(crate) fn add_cstar_tracked<S: Semiring>(
     });
 }
 
-/// Algorithm 1 on an `(A, B, C)` triple from globally-indexed update
-/// tuples: builds both operands' update matrices from one redistribution,
-/// then runs [`apply_algebraic_prebuilt_exec`]. Returns the local flop
-/// count. Collective over the grid.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_updates_exec<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: Option<&mut DistMat<u64>>,
-    a_tuples: Vec<Triple<S::Elem>>,
-    b_tuples: Vec<Triple<S::Elem>>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    let [a_star, b_star] = build_star_operands::<S>(grid, a, b, a_tuples, b_tuples, timer);
-    apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, f, &a_star, &b_star, exec, timer)
-}
-
-/// Algorithm 1 from **pre-built** update operands: runs the Y pass, applies
-/// `A += A*` and `B += B*`, runs the X pass and patches `C`. With `f` the
+/// Algorithm 1, one batch of either shape: runs the Y pass, applies
+/// `A += A*` (and `B += B*`), runs the X pass and patches `C` — `C = A·B`,
+/// or `C = A·A` when `b` is `None` and `A*` serves both passes. With `f` the
 /// batch also maintains the Bloom filter matrix `F` (required when general
 /// updates may follow): identical communication structure, partial blocks
-/// carry `(value, bitfield)` pairs. Collective.
+/// carry `(value, bitfield)` pairs, and `obs` sees `A*` before the batch is
+/// applied and this rank's `C*` after. Returns the local flop count.
+/// Collective.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_algebraic_prebuilt_exec<S: Semiring>(
+pub(crate) fn algebraic_batch<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
+    b: Option<&mut DistMat<S::Elem>>,
     c: &mut DistMat<S::Elem>,
     f: Option<&mut DistMat<u64>>,
     a_star: &StarPair<S::Elem>,
-    b_star: &StarPair<S::Elem>,
+    b_star: Option<&StarPair<S::Elem>>,
+    obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    let ops = Operands::Pair {
-        a,
-        b,
-        a_root: &a_star.root,
-        b_root: &b_star.root,
+    let mut ops = Operands::new(a, a_star, b, b_star);
+    let Some(f) = f else {
+        let (cstar, flops) = compute_cstar::<S, Plain, _>(grid, &mut ops, exec, timer);
+        timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
+        return flops;
     };
-    let apply = |ops: &mut Operands<S::Elem>| {
-        let Operands::Pair { a, b, .. } = ops else {
-            unreachable!("built as a pair")
-        };
-        apply_add::<S>(a, &a_star.natural);
-        apply_add::<S>(b, &b_star.natural);
-    };
-    match f {
-        Some(f) => {
-            let (cstar, flops) = compute_cstar::<S, Bloom>(grid, ops, apply, exec, timer);
-            timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
-            flops
-        }
-        None => {
-            let (cstar, flops) = compute_cstar::<S, Plain>(grid, ops, apply, exec, timer);
-            timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
-            flops
-        }
-    }
+    let (a, star) = (ops.left(), &a_star.natural);
+    obs.pre_batch(
+        &ViewCx { grid, a, c, exec },
+        &PendingBatch::Algebraic { star },
+    );
+    let (cstar, flops) = compute_cstar::<S, Bloom, _>(grid, &mut ops, exec, timer);
+    timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
+    let (a, cstar) = (ops.left(), &cstar);
+    obs.post_batch(
+        &ViewCx { grid, a, c, exec },
+        &BatchDelta::Algebraic { star, cstar },
+    );
+    flops
 }
 
-/// [`apply_algebraic_prebuilt_exec`] without a filter matrix, on
-/// [`StarBuild`]s. Adapter-frozen: `benchmark/src/api.rs` names it; nothing
-/// in the workspace does.
+/// [`DynSpGemm::apply_algebraic`](crate::engine::DynSpGemm::apply_algebraic)'s
+/// batch body on loose, pre-built [`StarBuild`]s, without a filter matrix.
+/// Adapter-frozen: `benchmark/src/api.rs` names it; nothing in the
+/// workspace does.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     grid: &Grid,
@@ -475,55 +482,25 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    let (a_star, b_star) = (a_star.pair(), b_star.pair());
-    apply_algebraic_prebuilt_exec::<S>(grid, a, b, c, None, a_star, b_star, exec, timer)
-}
-
-/// The shared arm of Algorithm 1, a shared-mode engine's algebraic batch:
-/// builds `A*` from one redistribution, shows it to `obs`, maintains
-/// `C = A · A` and its filter matrix `F` through `A' = A + A*`, and hands
-/// `obs` this rank's `C*` (`(value, bitfield)` pairs). Returns the flop
-/// count. Collective.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn shared_algebraic<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    tuples: Vec<Triple<S::Elem>>,
-    obs: &mut impl Observer<S>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    let pair = build_update_matrix_pair_in::<S>(grid, a.info().layout(), tuples, Dedup::Add, timer);
-    let star = &pair.natural;
-    obs.pre_batch(
-        &ViewCx { grid, a, c, exec },
-        &PendingBatch::Algebraic { star },
-    );
-    let ops = Operands::Shared {
-        a: &mut *a,
-        root: &pair.root,
-    };
-    let apply = |ops: &mut Operands<S::Elem>| {
-        let Operands::Shared { a, .. } = ops else {
-            unreachable!("built as shared")
-        };
-        apply_add::<S>(a, star);
-    };
-    let (cstar, flops) = compute_cstar::<S, Bloom>(grid, ops, apply, exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
-    let cstar = &cstar;
-    obs.post_batch(
-        &ViewCx { grid, a, c, exec },
-        &BatchDelta::Algebraic { star, cstar },
-    );
-    flops
+    let (a_star, b_star) = (a_star.pair(), Some(b_star.pair()));
+    algebraic_batch::<S>(
+        grid,
+        a,
+        Some(b),
+        c,
+        None,
+        a_star,
+        b_star,
+        &mut (),
+        exec,
+        timer,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dyn_general::GeneralUpdates;
     use crate::engine::DynSpGemm;
     use crate::observer::tests::DeltaLog;
     use crate::summa::summa;
@@ -567,27 +544,18 @@ mod tests {
                     vec![]
                 }
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed(1, 80), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed(2, 80), 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, feed(1, 80), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(2, 80), 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
             for round in 0..batches as u64 {
                 // Every rank contributes its own update tuples.
                 let a_ups = random_triples(100 + round * 7 + comm.rank() as u64, n, a_count);
                 let b_ups = random_triples(500 + round * 7 + comm.rank() as u64, n, b_count);
-                apply_algebraic_updates_exec::<U64Plus>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    None,
-                    a_ups,
-                    b_ups,
-                    &Exec::new(),
-                    &mut timer,
-                );
+                eng.apply_algebraic(&grid, a_ups, b_ups);
             }
+            let (a, b, c) = (&eng.a, &eng.b, &eng.c);
             // Static recomputation from the final A', B'.
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let (c_static, _) = summa::<U64Plus>(&grid, a, b, 1, &mut timer);
             (
                 c.gather_to_root(comm),
                 c_static.gather_to_root(comm),
@@ -642,37 +610,15 @@ mod tests {
                     vec![]
                 }
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed(11), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed(12), 1, &mut timer);
-            let (mut c, mut f, _) =
-                crate::summa::summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            let mut a2 = a.clone();
-            let mut b2 = b.clone();
-            let mut c2 = c.clone();
+            let a = DistMat::from_global_triples(&grid, n, n, feed(11), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(12), 1, &mut timer);
+            let mut tracked = DynSpGemm::<U64Plus>::new(&grid, a.clone(), b.clone(), 1, true);
+            let mut plain = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
             let a_ups = random_triples(31 + comm.rank() as u64, n, 10);
             let b_ups = random_triples(41 + comm.rank() as u64, n, 10);
-            apply_algebraic_updates_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                Some(&mut f),
-                a_ups.clone(),
-                b_ups.clone(),
-                &Exec::new(),
-                &mut timer,
-            );
-            apply_algebraic_updates_exec::<U64Plus>(
-                &grid,
-                &mut a2,
-                &mut b2,
-                &mut c2,
-                None,
-                a_ups,
-                b_ups,
-                &Exec::new(),
-                &mut timer,
-            );
+            tracked.apply_algebraic(&grid, a_ups.clone(), b_ups.clone());
+            plain.apply_algebraic(&grid, a_ups, b_ups);
+            let (c, f, c2) = (&tracked.c, tracked.f.as_ref().unwrap(), &plain.c);
             // C identical either way; F covers C's pattern.
             let ct = c.to_global_triples();
             let ft = f.to_global_triples();
@@ -695,28 +641,20 @@ mod tests {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let mut b = a.clone();
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            let before = c.gather_to_root(comm);
-            apply_algebraic_updates_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                None,
-                vec![],
-                vec![],
-                &Exec::new(),
-                &mut timer,
-            );
+            let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a.clone(), a, 1, false);
+            let before = eng.c.gather_to_root(comm);
+            eng.apply_algebraic(&grid, vec![], vec![]);
+            let c = &eng.c;
             before == c.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));
     }
 
-    /// A shared-mode engine's maintenance of C = A·A must agree with the
-    /// two-operand path driven with identical batches on a clone.
+    /// One batch body per algorithm: a shared-mode engine maintaining
+    /// `C = A·A` and a pair engine on clones (`B = A`, every batch's `B` side
+    /// equal to its `A` side) agree bit for bit on `A`, `C` and `F` through
+    /// algebraic and general batches, and their timers name the same phases.
     #[test]
     fn shared_operand_matches_cloned_operands() {
         let n: Index = 22;
@@ -730,37 +668,38 @@ mod tests {
                     vec![]
                 };
                 let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-                let mut a2 = a.clone();
-                let mut b2 = a.clone();
+                let mut pair = DynSpGemm::<U64Plus>::new(&grid, a.clone(), a.clone(), 1, true);
                 let mut eng = DynSpGemm::<U64Plus, DeltaLog>::shared(&grid, a, DeltaLog::default());
-                let mut c2 = eng.c.clone();
+                let rank = comm.rank() as u64;
                 for round in 0..3u64 {
-                    let ups = random_triples(40 + round + comm.rank() as u64, n, 9);
+                    let ups = random_triples(40 + round + rank, n, 9);
                     let flops = eng.flops;
                     eng.apply_algebraic(&grid, ups.clone(), vec![]);
                     let cstar_nnz = *eng.observer().0.last().expect("one delta per batch");
                     assert!(cstar_nnz == 0 || eng.flops > flops);
-                    apply_algebraic_updates_exec::<U64Plus>(
-                        &grid,
-                        &mut a2,
-                        &mut b2,
-                        &mut c2,
-                        None,
-                        ups.clone(),
-                        ups,
-                        &Exec::new(),
-                        &mut timer,
-                    );
+                    pair.apply_algebraic(&grid, ups.clone(), ups);
+                    // Deletes of entries this rank holds, and sets.
+                    let held = eng.a.to_global_triples();
+                    let upd = GeneralUpdates {
+                        sets: random_triples(70 + round + rank, n, 5),
+                        deletes: held.iter().step_by(4).map(|t| (t.row, t.col)).collect(),
+                    };
+                    eng.apply_general(&grid, upd.clone(), GeneralUpdates::new());
+                    pair.apply_general(&grid, upd.clone(), upd);
                 }
+                let names =
+                    |t: &PhaseTimer| t.entries().iter().map(|&(n, _)| n).collect::<Vec<_>>();
+                assert_eq!(names(&eng.timer), names(&pair.timer), "p={p}: phases");
+                let (f, f2) = (eng.f.as_ref().unwrap(), pair.f.as_ref().unwrap());
                 (
-                    eng.a.gather_to_root(comm) == a2.gather_to_root(comm),
-                    eng.c.gather_to_root(comm) == c2.gather_to_root(comm),
+                    eng.a.gather_to_root(comm) == pair.a.gather_to_root(comm),
+                    eng.c.gather_to_root(comm) == pair.c.gather_to_root(comm),
+                    f.gather_to_root(comm) == f2.gather_to_root(comm),
                 )
             });
-            assert!(
-                out.results.iter().all(|&(a_eq, c_eq)| a_eq && c_eq),
-                "p={p}"
-            );
+            for (a_eq, c_eq, f_eq) in out.results {
+                assert!(a_eq && c_eq && f_eq, "p={p}: A {a_eq}, C {c_eq}, F {f_eq}");
+            }
         }
     }
 
@@ -818,21 +757,12 @@ mod tests {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
             let ups = random_triples(77 + comm.rank() as u64, n, batch);
-            apply_algebraic_updates_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                None,
-                ups,
-                vec![],
-                &Exec::new(),
-                &mut timer,
-            );
+            eng.apply_algebraic(&grid, ups, vec![]);
+            let c = &eng.c;
             c.local_nnz()
         });
         let static_rerun = run(4, move |comm| {

@@ -19,9 +19,15 @@
 //!    filter `H`), and merge-reduces partials onto the owners;
 //! 5. locally, `Z` replaces the masked entries of `C` (absent ⇒ the entry
 //!    became structurally zero ⇒ delete), and `H` replaces them in `F`.
+//!
+//! Like Algorithm 1 it has one batch body for both shapes,
+//! `general_batch`, which takes `B` as an `Option` (absent: `C = A·A`, and
+//! `A`'s one prepared update serves both passes of `COMPUTE_PATTERN`; the
+//! masked recompute runs against `A'` itself). The one public entry is
+//! [`crate::engine::DynSpGemm::apply_general`].
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
-use crate::dyn_algebraic::{compute_cstar, x_pass, Operands, TransposeMode};
+use crate::dyn_algebraic::{compute_cstar, x_pass, Operands, TransposeMode, Update};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
@@ -69,8 +75,9 @@ impl<V: Elem> GeneralUpdates<V> {
 /// The update matrices of one operand of a general update: the MERGE matrix
 /// (sets), the MASK matrix (deletes), the combined structural pattern `A*`
 /// and the block of it this rank broadcasts as a round root. Produced by
-/// [`prepare_general_update_in`]; holding it lets one redistribution feed
-/// several consumers (a shared-mode engine's observer and its own apply).
+/// [`prepare_general_update_mode`] (and, crate-internally, by every general
+/// batch's one redistribution); holding it lets that redistribution feed
+/// several consumers (a session's observer and its own apply).
 pub struct PreparedGeneral<V> {
     /// Redistributed `sets` as a hypersparse MERGE matrix.
     pub set_mat: DistDcsr<V>,
@@ -84,20 +91,20 @@ pub struct PreparedGeneral<V> {
     pub star_root: Arc<Dcsr<V>>,
 }
 
-/// Builds the update matrices of `N` operands' general-update batches from
+/// Builds the update matrices of every operand's general-update batch from
 /// one redistribution — three lanes per operand: sets, deletes, and the
 /// root lane of the combined pattern. Collective over the grid.
 ///
 /// The pattern holds the semiring zero at every position, so its duplicates
 /// fold to the same value in whatever order they arrive, and the root block
 /// is the natural star's block at the transposed position, entry for entry.
-fn prepare_general_operands<S: Semiring, const N: usize>(
+pub(crate) fn prepare_general_operands<S: Semiring>(
     grid: &Grid,
-    operands: [(&Arc<Layout>, GeneralUpdates<S::Elem>); N],
+    operands: Vec<(&Arc<Layout>, GeneralUpdates<S::Elem>)>,
     timer: &mut PhaseTimer,
-) -> [PreparedGeneral<S::Elem>; N] {
-    let layouts = operands.each_ref().map(|&(layout, _)| layout);
-    let mut lanes = Vec::with_capacity(3 * N);
+) -> Vec<PreparedGeneral<S::Elem>> {
+    let layouts: Vec<&Arc<Layout>> = operands.iter().map(|&(layout, _)| layout).collect();
+    let mut lanes = Vec::with_capacity(3 * operands.len());
     for (layout, upd) in operands {
         let del_tuples: Vec<Triple<S::Elem>> = upd
             .deletes
@@ -115,39 +122,64 @@ fn prepare_general_operands<S: Semiring, const N: usize>(
     }
     let mut built = build_update_matrices_in::<S>(grid, lanes, Dedup::LastWins, timer).into_iter();
     let mut next = || built.next().expect("three matrices per operand");
-    layouts.map(|layout| {
-        let (set_mat, del_mat) = (next().into_natural(), next().into_natural());
-        let star_root = next().into_root();
-        // A* = sets ∪ deletes structurally (deletions "add a structural
-        // non-zero to A* to indicate that the corresponding entries have
-        // changed").
-        let star_block =
-            Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a).map(|_| S::zero());
-        PreparedGeneral {
-            star: DistDcsr::from_block_in(grid, layout, star_block),
-            set_mat,
-            del_mat,
-            star_root,
-        }
+    layouts
+        .into_iter()
+        .map(|layout| {
+            let (set_mat, del_mat) = (next().into_natural(), next().into_natural());
+            let star_root = next().into_root();
+            // A* = sets ∪ deletes structurally (deletions "add a structural
+            // non-zero to A* to indicate that the corresponding entries have
+            // changed").
+            let star_block =
+                Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a).map(|_| S::zero());
+            PreparedGeneral {
+                star: DistDcsr::from_block_in(grid, layout, star_block),
+                set_mat,
+                del_mat,
+                star_root,
+            }
+        })
+        .collect()
+}
+
+/// Prepares the general-update batch of every stored operand under
+/// [`phase::SCATTER`]: three lanes of one redistribution per operand — six
+/// for `C = A·B`, three for `C = A·A` (`b` absent, `b_upd` ignored).
+/// Collective.
+pub(crate) fn prepare_general_batch<S: Semiring>(
+    grid: &Grid,
+    a: &DistMat<S::Elem>,
+    b: Option<&DistMat<S::Elem>>,
+    a_upd: GeneralUpdates<S::Elem>,
+    b_upd: GeneralUpdates<S::Elem>,
+    timer: &mut PhaseTimer,
+) -> (PreparedGeneral<S::Elem>, Option<PreparedGeneral<S::Elem>>) {
+    timer.time(phase::SCATTER, || {
+        let mut operands = vec![(a.info().layout(), a_upd)];
+        operands.extend(b.map(|b| (b.info().layout(), b_upd)));
+        let prepared = prepare_general_operands::<S>(grid, operands, &mut PhaseTimer::new());
+        let mut prepared = prepared.into_iter();
+        (prepared.next().expect("A's update"), prepared.next())
     })
+}
+
+/// Algorithm 2's update: `M ← M'` by the MERGE, then the MASK matrix.
+impl<S: Semiring> Update<S> for PreparedGeneral<S::Elem> {
+    fn root(&self) -> &Arc<Dcsr<S::Elem>> {
+        &self.star_root
+    }
+
+    fn apply(&self, m: &mut DistMat<S::Elem>) {
+        apply_merge::<S>(m, &self.set_mat, 1);
+        apply_mask::<S>(m, &self.del_mat, 1);
+    }
 }
 
 /// Redistributes one operand's general-update batch (the only communication
 /// of update assembly) and builds its MERGE / MASK / pattern matrices under
-/// `layout`. Collective over the grid.
-pub fn prepare_general_update_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    upd: GeneralUpdates<S::Elem>,
-    timer: &mut PhaseTimer,
-) -> PreparedGeneral<S::Elem> {
-    let [prep] = prepare_general_operands::<S, 1>(grid, [(layout, upd)], timer);
-    prep
-}
-
-/// [`prepare_general_update_in`] under the uniform layout, with the mode
-/// argument `benchmark/src/api.rs` passes. Adapter-frozen; nothing in the
-/// workspace names it.
+/// the uniform layout. Adapter-frozen: `benchmark/src/api.rs` passes the
+/// mode argument; nothing in the workspace names it. Collective over the
+/// grid.
 pub fn prepare_general_update_mode<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -156,7 +188,11 @@ pub fn prepare_general_update_mode<S: Semiring>(
     _mode: TransposeMode,
     timer: &mut PhaseTimer,
 ) -> PreparedGeneral<S::Elem> {
-    prepare_general_update_in::<S>(grid, &uniform_layout(nrows, ncols, grid.q()), upd, timer)
+    let layout = uniform_layout(nrows, ncols, grid.q());
+    let mut prepared = prepare_general_operands::<S>(grid, vec![(&layout, upd)], timer);
+    prepared
+        .pop()
+        .expect("one operand in, one prepared update out")
 }
 
 /// The tag of Algorithm 2's one point-to-point exchange, `A^R` to the
@@ -241,56 +277,46 @@ fn recompute_at_cstar<S: Semiring>(
     flops
 }
 
-/// Applies one batch of general updates to each operand of `C = A · B`,
-/// updating `A`, `B`, `C` and the filter matrix `F` in place via
-/// Algorithm 2. Returns the local flop count. Collective over the grid.
+/// Algorithm 2, one batch of either shape: `COMPUTE_PATTERN` around the
+/// in-place updates `A → A'` (and `B → B'`), then the repair of `C` and `F`
+/// at `C*` against the new right operand — `B'`, or `A'` itself when `b` is
+/// `None` (`C = A·A`). `obs` sees `A`'s prepared update before the batch is
+/// applied and the `C*` pattern (the positions recomputed or deleted) after.
+/// Returns the local flop count. Collective over the grid.
 ///
 /// `f` must have been maintained by every prior product/update step
-/// ([`crate::summa::summa_bloom`], the tracked algebraic path, or this
+/// ([`crate::summa::summa_bloom`], a tracked algebraic batch, or this
 /// function) — the engine enforces that.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_general_updates_exec<S: Semiring>(
+pub(crate) fn general_batch<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
-    b: &mut DistMat<S::Elem>,
+    b: Option<&mut DistMat<S::Elem>>,
     c: &mut DistMat<S::Elem>,
     f: &mut DistMat<u64>,
-    a_upd: GeneralUpdates<S::Elem>,
-    b_upd: GeneralUpdates<S::Elem>,
+    a_prep: &PreparedGeneral<S::Elem>,
+    b_prep: Option<&PreparedGeneral<S::Elem>>,
+    obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> u64 {
-    // --- Update matrices (redistribution = "scatter"): six lanes of one
-    // exchange. ---
-    let [a_ops, b_ops] = timer.time(phase::SCATTER, || {
-        let operands = [(a.info().layout(), a_upd), (b.info().layout(), b_upd)];
-        prepare_general_operands::<S, 2>(grid, operands, &mut PhaseTimer::new())
-    });
-
-    // --- COMPUTE_PATTERN (C* pattern + F* bits at each owner) around the
-    // in-place updates A → A', B → B'. ---
-    let ops = Operands::Pair {
-        a,
-        b,
-        a_root: &a_ops.star_root,
-        b_root: &b_ops.star_root,
-    };
-    let apply = |ops: &mut Operands<S::Elem>| {
-        let Operands::Pair { a, b, .. } = ops else {
-            unreachable!("built as a pair")
-        };
-        apply_general::<S>(a, &a_ops);
-        apply_general::<S>(b, &b_ops);
-    };
-    let (cstar, flops) = compute_cstar::<S, Pattern>(grid, ops, apply, exec, timer);
-
-    flops + recompute_at_cstar::<S>(grid, a, b, c, f, &cstar, exec, timer)
-}
-
-/// `m ← m'`: one operand's MERGE, then MASK matrix, applied in place.
-fn apply_general<S: Semiring>(m: &mut DistMat<S::Elem>, prep: &PreparedGeneral<S::Elem>) {
-    apply_merge::<S>(m, &prep.set_mat, 1);
-    apply_mask::<S>(m, &prep.del_mat, 1);
+    obs.pre_batch(
+        &ViewCx { grid, a, c, exec },
+        &PendingBatch::General { prep: a_prep },
+    );
+    let mut ops = Operands::new(a, a_prep, b, b_prep);
+    let (cstar, flops) = compute_cstar::<S, Pattern, _>(grid, &mut ops, exec, timer);
+    let (a, right) = (ops.left(), ops.right());
+    let z_flops = recompute_at_cstar::<S>(grid, a, right, c, f, &cstar, exec, timer);
+    let cstar_pattern = &cstar;
+    obs.post_batch(
+        &ViewCx { grid, a, c, exec },
+        &BatchDelta::General {
+            prep: a_prep,
+            cstar_pattern,
+        },
+    );
+    flops + z_flops
 }
 
 /// One row of [`replace_at_cstar`] on one matrix: walks the row's `C*`
@@ -354,61 +380,12 @@ fn replace_at_cstar<S: Semiring>(
     assert!(z_rows.next().is_none(), "Z has a row outside C*");
 }
 
-/// The shared arm of Algorithm 2, a shared-mode engine's general batch:
-/// prepares the batch's update matrices from one redistribution, shows them
-/// to `obs`, applies the sets/deletes to the single stored matrix of
-/// `C = A · A`, repairs `C` and `F`, and hands `obs` this rank's `C*`
-/// pattern (the positions recomputed or deleted). Returns the flop count.
-/// Collective.
-///
-/// `COMPUTE_PATTERN` runs the round body of the two-operand form; the repair
-/// reads only the post-update matrix, so it is the two-operand repair with
-/// `B = A'`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn shared_general<S: Semiring>(
-    grid: &Grid,
-    a: &mut DistMat<S::Elem>,
-    c: &mut DistMat<S::Elem>,
-    f: &mut DistMat<u64>,
-    upd: GeneralUpdates<S::Elem>,
-    obs: &mut impl Observer<S>,
-    exec: &Exec<S>,
-    timer: &mut PhaseTimer,
-) -> u64 {
-    let prep = &prepare_general_update_in::<S>(grid, a.info().layout(), upd, timer);
-    obs.pre_batch(
-        &ViewCx { grid, a, c, exec },
-        &PendingBatch::General { prep },
-    );
-    let ops = Operands::Shared {
-        a: &mut *a,
-        root: &prep.star_root,
-    };
-    let apply = |ops: &mut Operands<S::Elem>| {
-        let Operands::Shared { a, .. } = ops else {
-            unreachable!("built as shared")
-        };
-        apply_general::<S>(a, prep);
-    };
-    let (cstar, flops) = compute_cstar::<S, Pattern>(grid, ops, apply, exec, timer);
-    let z_flops = recompute_at_cstar::<S>(grid, a, a, c, f, &cstar, exec, timer);
-    let cstar_pattern = &cstar;
-    obs.post_batch(
-        &ViewCx { grid, a, c, exec },
-        &BatchDelta::General {
-            prep,
-            cstar_pattern,
-        },
-    );
-    flops + z_flops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::DynSpGemm;
     use crate::observer::tests::DeltaLog;
-    use crate::summa::{summa, summa_bloom};
+    use crate::summa::summa;
     use dspgemm_mpi::run;
     use dspgemm_sparse::dense::Dense;
     use dspgemm_sparse::semiring::{MinPlus, U64Plus};
@@ -486,16 +463,16 @@ mod tests {
                     vec![]
                 }
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+            let mut eng = DynSpGemm::<MinPlus>::new(&grid, a, b, 1, true);
             // The last round updates `B` alone: COMPUTE_PATTERN runs its Y
             // pass and no X pass.
             for round in 0..=rounds as u64 {
                 // Rank 0 draws updates from the *current* global state so
                 // value-increases and deletions hit real entries.
-                let a_cur = a.gather_to_root(comm);
-                let b_cur = b.gather_to_root(comm);
+                let a_cur = eng.a.gather_to_root(comm);
+                let b_cur = eng.b.gather_to_root(comm);
                 let (sets, dels) = if round == rounds as u64 {
                     (0, 0)
                 } else {
@@ -509,21 +486,11 @@ mod tests {
                 } else {
                     (GeneralUpdates::new(), GeneralUpdates::new())
                 };
-                apply_general_updates_exec::<MinPlus>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    &mut f,
-                    a_upd,
-                    b_upd,
-                    &Exec::new(),
-                    &mut timer,
-                );
+                eng.apply_general(&grid, a_upd, b_upd);
             }
             // Reference: static recomputation of A'·B' from scratch.
-            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
+            let (c_static, _) = summa::<MinPlus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
         let c_dyn = c_dyn.as_ref().unwrap();
@@ -559,11 +526,11 @@ mod tests {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
             // Delete some of A's entries (drawn from gathered state).
-            let a_cur = a.gather_to_root(comm);
+            let a_cur = eng.a.gather_to_root(comm);
             let a_upd = if comm.rank() == 0 {
                 let cur = a_cur.unwrap();
                 let mut upd = GeneralUpdates::new();
@@ -574,19 +541,9 @@ mod tests {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                &mut f,
-                a_upd,
-                GeneralUpdates::new(),
-                &Exec::new(),
-                &mut timer,
-            );
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
+            eng.apply_general(&grid, a_upd, GeneralUpdates::new());
+            let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
         assert_eq!(c_dyn, c_static);
@@ -642,22 +599,12 @@ mod tests {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            let before = c.gather_to_root(comm);
-            apply_general_updates_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                &mut f,
-                GeneralUpdates::new(),
-                GeneralUpdates::new(),
-                &Exec::new(),
-                &mut timer,
-            );
-            before == c.gather_to_root(comm)
+            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
+            let before = eng.c.gather_to_root(comm);
+            eng.apply_general(&grid, GeneralUpdates::new(), GeneralUpdates::new());
+            before == eng.c.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));
     }
@@ -673,11 +620,11 @@ mod tests {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
             for round in 0..2u64 {
-                let a_cur = a.gather_to_root(comm);
+                let a_cur = eng.a.gather_to_root(comm);
                 let a_upd = if comm.rank() == 0 {
                     let cur = a_cur.unwrap();
                     let mut rng = SplitMix64::new(70 + round);
@@ -697,19 +644,10 @@ mod tests {
                 } else {
                     GeneralUpdates::new()
                 };
-                apply_general_updates_exec::<U64Plus>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    &mut f,
-                    a_upd,
-                    GeneralUpdates::new(),
-                    &Exec::new(),
-                    &mut timer,
-                );
+                eng.apply_general(&grid, a_upd, GeneralUpdates::new());
             }
             // Pattern of F == pattern of C after every step.
+            let (c, f) = (&eng.c, eng.f.as_ref().unwrap());
             let ct: Vec<(Index, Index)> = c
                 .to_global_triples()
                 .iter()

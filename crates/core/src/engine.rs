@@ -11,17 +11,20 @@
 //! [`CommError`]; with recovery on, every rank hands it to the one
 //! [`DynSpGemm::recover`], which serves survivors and the replacement alike.
 //!
-//! In **shared mode** ([`DynSpGemm::shared`]) the session maintains
-//! `C = A · A` with one stored operand and `F` always tracked, and an
-//! [`Observer`] watches every commit: it sees each algebraic or general batch
-//! before and after it is applied, re-bootstraps after a recompute, a
+//! An algebraic or general batch runs its algorithm's one batch body
+//! ([`crate::dyn_algebraic`], [`crate::dyn_general`]) in either shape; this
+//! session is the bodies' one public entry. In **shared mode**
+//! ([`DynSpGemm::shared`]) it maintains `C = A · A` with one stored operand
+//! and `F` always tracked. An [`Observer`] watches every commit (a plain
+//! engine observes with `()`): it sees each tracked algebraic or general
+//! batch before and after it is applied, re-bootstraps after a recompute, a
 //! migration or a rollback, and freezes its readings into every published
 //! epoch. The analytics serving layer is a shared-mode session whose
 //! observer is its view registry.
 
 use crate::distmat::{DistMat, Elem, ImageBuild, ImagePath, MigrationStats};
-use crate::dyn_algebraic::{apply_algebraic_updates_exec, shared_algebraic};
-use crate::dyn_general::{apply_general_updates_exec, shared_general, GeneralUpdates};
+use crate::dyn_algebraic::{algebraic_batch, build_star_operands};
+use crate::dyn_general::{general_batch, prepare_general_batch, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::layout::Layout;
@@ -392,9 +395,11 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     }
 
     /// Applies one record to the live matrices — the body of every commit
-    /// and of recovery replay. Collective. In shared mode the observer sees
-    /// an algebraic or general batch before and after it is applied; it
-    /// re-bootstraps after a recompute or a migration, which carry no delta.
+    /// and of recovery replay, one arm per [`Batch`] kind. Collective. An
+    /// algebraic or general batch runs its algorithm's one batch body, in
+    /// either shape, and the observer sees a tracked one before and after it
+    /// is applied; it re-bootstraps after a recompute or a migration, which
+    /// carry no delta.
     fn apply_record(&mut self, grid: &Grid, record: LoggedBatch<S::Elem>) {
         self.dirty = true;
         // A recompute or a migration carries no delta: the observer restarts.
@@ -407,44 +412,25 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             Batch::Recompute => dspgemm_obs::span("engine", "recompute"),
             Batch::Migrate(_) => dspgemm_obs::span("engine", "migrate").attr("epoch", record.epoch),
         };
+        // `B` unless shared mode stores one operand: `A` is both.
+        let b = (!self.shared).then_some(&mut self.b);
+        let (obs, exec, timer) = (&mut self.observer, &self.exec, &mut self.timer);
         match record.batch {
-            Batch::Algebraic(a_ups, _) if self.shared => {
-                let f = self.f.as_mut().expect("shared mode tracks F");
-                let (a, c, obs) = (&mut self.a, &mut self.c, &mut self.observer);
-                let (exec, timer) = (&self.exec, &mut self.timer);
-                self.flops += shared_algebraic::<S>(grid, a, c, f, a_ups, obs, exec, timer);
-            }
-            Batch::General(a_ups, _) if self.shared => {
-                let f = self.f.as_mut().expect("shared mode tracks F");
-                let (a, c, obs) = (&mut self.a, &mut self.c, &mut self.observer);
-                let (exec, timer) = (&self.exec, &mut self.timer);
-                self.flops += shared_general::<S>(grid, a, c, f, a_ups, obs, exec, timer);
-            }
             Batch::Algebraic(a_ups, b_ups) => {
-                self.flops += apply_algebraic_updates_exec::<S>(
-                    grid,
-                    &mut self.a,
-                    &mut self.b,
-                    &mut self.c,
-                    self.f.as_mut(),
-                    a_ups,
-                    b_ups,
-                    &self.exec,
-                    &mut self.timer,
-                );
+                let (a_star, b_star) =
+                    build_star_operands::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, timer);
+                let (a, c, f, b_star) =
+                    (&mut self.a, &mut self.c, self.f.as_mut(), b_star.as_ref());
+                self.flops +=
+                    algebraic_batch::<S>(grid, a, b, c, f, &a_star, b_star, obs, exec, timer);
             }
             Batch::General(a_ups, b_ups) => {
-                self.flops += apply_general_updates_exec::<S>(
-                    grid,
-                    &mut self.a,
-                    &mut self.b,
-                    &mut self.c,
-                    self.f.as_mut().expect("checked by try_apply"),
-                    a_ups,
-                    b_ups,
-                    &self.exec,
-                    &mut self.timer,
-                );
+                let (a_prep, b_prep) =
+                    prepare_general_batch::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, timer);
+                let f = self.f.as_mut().expect("checked by try_apply");
+                let (a, c, b_prep) = (&mut self.a, &mut self.c, b_prep.as_ref());
+                self.flops +=
+                    general_batch::<S>(grid, a, b, c, f, &a_prep, b_prep, obs, exec, timer);
             }
             Batch::Recompute => {
                 let track = self.f.is_some();

@@ -32,11 +32,12 @@
 //!   via `COMPUTE_PATTERN`, Bloom-filtered extraction `A^R` and masked
 //!   recomputation (Section V-B).
 //! * [`engine`] — [`engine::DynSpGemm`], the user-facing session object that
-//!   owns `A`, `B`, `C` (and the filter matrix `F`) and routes update
-//!   batches to the right algorithm; in shared mode it maintains
-//!   `C = A · A` with one stored operand.
-//! * [`observer`] — the [`Observer`] a shared-mode session hands each
-//!   batch's update blocks and product delta, the hook the
+//!   owns `A`, `B`, `C` (and the filter matrix `F`) and runs each update
+//!   batch through its algorithm's one batch body — the bodies' one public
+//!   entry; in shared mode it maintains `C = A · A` with one stored operand,
+//!   the same bodies with `B` absent.
+//! * [`observer`] — the [`Observer`] a session hands each tracked batch's
+//!   update blocks and product delta (`()` on a plain engine), the hook the
 //!   `dspgemm-analytics` view registry runs on.
 //! * [`spmv`] — distributed sparse matrix–vector multiplication reusing
 //!   SUMMA's row/column communication domains ([`spmv::DistVec`]), the

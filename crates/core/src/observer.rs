@@ -1,8 +1,10 @@
-//! Batch observers: the state a shared-mode
-//! [`DynSpGemm`](crate::engine::DynSpGemm) keeps fresh beside `C = A · A`.
+//! Batch observers: the state a [`DynSpGemm`](crate::engine::DynSpGemm)
+//! keeps fresh beside its product — in practice a shared-mode session's
+//! views of `C = A · A`; a plain engine observes with `()`.
 //!
-//! The engine applies each batch once and hands its [`Observer`] the update
-//! block before it ([`PendingBatch`]) and the product delta after it
+//! The engine applies each batch once, in its algorithm's one batch body,
+//! and hands its [`Observer`] the update block of `A` before every tracked
+//! batch ([`PendingBatch`]) and the product delta after it
 //! ([`BatchDelta`]), in live commits and in replay alike. A change that
 //! carries no delta — a static recompute, a migration, a recovery rollback —
 //! re-runs [`Observer::bootstrap`] instead, and every publish freezes the
@@ -25,7 +27,8 @@ pub struct ViewCx<'a, S: Semiring> {
     pub grid: &'a Grid,
     /// The adjacency matrix — *old* in `pre_batch`, *new* in `post_batch`.
     pub a: &'a DistMat<S::Elem>,
-    /// The maintained product `C = A·A` — old/new like `a`.
+    /// The maintained product (`C = A·A` in shared mode) — old/new like
+    /// `a`.
     pub c: &'a DistMat<S::Elem>,
     /// The session's kernel workspaces: observers that multiply (masked
     /// rescans) reuse them.
@@ -49,7 +52,8 @@ pub enum PendingBatch<'a, S: Semiring> {
 
 /// The shared change feed after a batch was applied.
 pub enum BatchDelta<'a, S: Semiring> {
-    /// Algebraic batch: `C* = A*·A' + A·A*` was *added* into `C`.
+    /// Algebraic batch: `C* = A*·B' + A·B*` (`A*·A' + A·A*` in shared mode)
+    /// was *added* into `C`.
     Algebraic {
         /// This rank's `A*` block.
         star: &'a DistDcsr<S::Elem>,
@@ -107,7 +111,7 @@ pub(crate) mod tests {
     use super::*;
 
     /// Records the local nnz of every batch's `C*` (value delta or pattern),
-    /// for tests of the shared arms.
+    /// for tests of the shared shape.
     #[derive(Default)]
     pub(crate) struct DeltaLog(pub(crate) Vec<usize>);
 

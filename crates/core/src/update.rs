@@ -207,44 +207,33 @@ pub struct StarPair<V> {
 /// applies to, and the update's unflipped, globally-indexed tuples.
 pub(crate) type Operand<V> = (Arc<Layout>, Vec<Triple<V>>);
 
-/// Builds both blocks of `N` update matrices — one per [`Operand`] — from a
-/// single redistribution of `2·N` lanes, a natural and a root lane per
-/// operand. Collective over the grid.
-pub(crate) fn build_star_pairs_in<S: Semiring, const N: usize>(
+/// Builds both blocks of one update matrix per [`Operand`] from a single
+/// redistribution of two lanes per operand, a natural and a root lane.
+/// Collective over the grid.
+pub(crate) fn build_star_pairs_in<S: Semiring>(
     grid: &Grid,
-    operands: [Operand<S::Elem>; N],
+    operands: Vec<Operand<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
-) -> [StarPair<S::Elem>; N] {
-    let mut lanes = Vec::with_capacity(2 * N);
+) -> Vec<StarPair<S::Elem>> {
+    let mut lanes = Vec::with_capacity(2 * operands.len());
     for (layout, tuples) in operands {
         lanes.push(Lane::Natural(Arc::clone(&layout), tuples.clone()));
         lanes.push(Lane::Root(layout, tuples));
     }
-    let mut built = build_update_matrices_in::<S>(grid, lanes, dedup, timer).into_iter();
-    let mut next = || built.next().expect("two matrices per operand");
-    std::array::from_fn(|_| StarPair {
-        natural: next().into_natural(),
-        root: next().into_root(),
+    let built = build_update_matrices_in::<S>(grid, lanes, dedup, timer);
+    let mut built = built.into_iter();
+    std::iter::from_fn(|| {
+        let natural = built.next()?.into_natural();
+        let root = built.next().expect("two matrices per operand").into_root();
+        Some(StarPair { natural, root })
     })
+    .collect()
 }
 
-/// Builds both blocks of one update matrix (see [`StarPair`]) under an
-/// explicit layout. Collective over the grid.
-pub fn build_update_matrix_pair_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> StarPair<S::Elem> {
-    let operand = (Arc::clone(layout), tuples);
-    let [pair] = build_star_pairs_in::<S, 1>(grid, [operand], dedup, timer);
-    pair
-}
-
-/// [`build_update_matrix_pair_in`] under the uniform layout. Adapter-frozen:
-/// `benchmark/src/api.rs` names it; nothing in the workspace does.
+/// Builds both blocks of one update matrix (see [`StarPair`]) under the
+/// uniform layout. Adapter-frozen: `benchmark/src/api.rs` names it; nothing
+/// in the workspace does. Collective over the grid.
 pub fn build_update_matrix_pair<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -253,8 +242,9 @@ pub fn build_update_matrix_pair<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> StarPair<S::Elem> {
-    let layout = uniform_layout(nrows, ncols, grid.q());
-    build_update_matrix_pair_in::<S>(grid, &layout, tuples, dedup, timer)
+    let operand = (uniform_layout(nrows, ncols, grid.q()), tuples);
+    let mut built = build_star_pairs_in::<S>(grid, vec![operand], dedup, timer);
+    built.pop().expect("one operand in, one pair out")
 }
 
 /// The three local application operators of Section IV-A.
@@ -617,7 +607,7 @@ mod tests {
     /// for a general batch whose sets and deletes overlap.
     #[test]
     fn root_block_is_the_transposed_ranks_natural_block() {
-        use crate::dyn_general::{prepare_general_update_in, GeneralUpdates};
+        use crate::dyn_general::{prepare_general_operands, GeneralUpdates};
         use dspgemm_sparse::semiring::F64Plus;
         for p in [4usize, 9] {
             run(p, move |comm| {
@@ -638,13 +628,10 @@ mod tests {
                             .collect()
                     };
                     let add = draw(120);
-                    let pair = build_update_matrix_pair_in::<F64Plus>(
-                        &grid,
-                        &layout,
-                        add,
-                        Dedup::Add,
-                        &mut timer,
-                    );
+                    let operand = vec![(Arc::clone(&layout), add)];
+                    let mut built =
+                        build_star_pairs_in::<F64Plus>(&grid, operand, Dedup::Add, &mut timer);
+                    let pair = built.pop().expect("one pair");
                     assert_root_is_peer_natural(&grid, &pair.root, &pair.natural, "add");
 
                     let sets = draw(60);
@@ -652,8 +639,12 @@ mod tests {
                         draw(40).iter().map(|t| (t.row, t.col)).collect();
                     deletes.extend(sets.iter().step_by(3).map(|t| (t.row, t.col)));
                     let upd = GeneralUpdates { sets, deletes };
-                    let prep =
-                        prepare_general_update_in::<F64Plus>(&grid, &layout, upd, &mut timer);
+                    let mut prepared = prepare_general_operands::<F64Plus>(
+                        &grid,
+                        vec![(&layout, upd)],
+                        &mut timer,
+                    );
+                    let prep = prepared.pop().expect("one prepared update");
                     assert_root_is_peer_natural(&grid, &prep.star_root, &prep.star, "general");
                 }
             });

@@ -9,11 +9,10 @@
 use dspgemm::baselines::{
     combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor, Deletes, Fold,
 };
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
-use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
-use dspgemm::core::summa::{summa, summa_bloom};
+use dspgemm::core::dyn_general::GeneralUpdates;
+use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, apply_mask, apply_merge, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, Exec, Grid};
+use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::sparse::semiring::{MinPlus, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -213,29 +212,19 @@ fn fold_agrees<M: Competitor<u64>>(system: &str) {
         } else {
             vec![]
         };
-        let mut b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
-        let mut a_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
-        let mut c_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
+        let b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
+        let a_ours: DistMat<u64> = DistMat::empty(&grid, n, n);
+        let mut ours = DynSpGemm::<U64Plus>::new(&grid, a_ours, b_ours, 1, false);
         let b = M::construct::<U64Plus>(&grid, n, n, b_feed);
         let mut c = M::Product::empty(&grid, n, n);
         for round in 0..3u64 {
             let batch = random_triples(30 + round * 5 + comm.rank() as u64, n, 8);
-            apply_algebraic_updates_exec::<U64Plus>(
-                &grid,
-                &mut a_ours,
-                &mut b_ours,
-                &mut c_ours,
-                None,
-                batch.clone(),
-                vec![],
-                &Exec::new(),
-                &mut timer,
-            );
+            ours.apply_algebraic(&grid, batch.clone(), vec![]);
             let a_star = M::construct::<U64Plus>(&grid, n, n, batch);
             let (delta, _) = M::spgemm::<U64Plus>(&grid, &a_star, &b);
             c.merge_add_local::<U64Plus>(&delta);
         }
-        (c_ours.gather_to_root(comm), c.gather_to_root(&grid))
+        (ours.c.gather_to_root(comm), c.gather_to_root(&grid))
     });
     let (ours, theirs) = &out.results[0];
     assert_eq!(ours, theirs, "ours vs {system} fold");
@@ -268,9 +257,9 @@ fn recompute_agrees<M: Competitor<f64>>(system: &str) {
             vec![]
         };
         let a_pool = unique_random_triples(61, n, 60);
-        let mut b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
-        let mut a_ours: DistMat<f64> = DistMat::empty(&grid, n, n);
-        let (mut c_ours, mut f, _) = summa_bloom::<MinPlus>(&grid, &a_ours, &b_ours, 1, &mut timer);
+        let b_ours = DistMat::from_global_triples(&grid, n, n, b_feed.clone(), 1, &mut timer);
+        let a_ours: DistMat<f64> = DistMat::empty(&grid, n, n);
+        let mut ours = DynSpGemm::<MinPlus>::new(&grid, a_ours, b_ours, 1, true);
         let b = M::construct::<MinPlus>(&grid, n, n, b_feed);
         let mut a = M::construct::<MinPlus>(&grid, n, n, vec![]);
         for round in 0..3u64 {
@@ -284,21 +273,11 @@ fn recompute_agrees<M: Competitor<f64>>(system: &str) {
                 .collect();
             let mut upd = GeneralUpdates::new();
             upd.sets = batch.clone();
-            apply_general_updates_exec::<MinPlus>(
-                &grid,
-                &mut a_ours,
-                &mut b_ours,
-                &mut c_ours,
-                &mut f,
-                upd,
-                GeneralUpdates::new(),
-                &Exec::new(),
-                &mut timer,
-            );
+            ours.apply_general(&grid, upd, GeneralUpdates::new());
             a.update(&grid, batch);
         }
         let (c, _) = M::spgemm::<MinPlus>(&grid, &a, &b);
-        (c_ours.gather_to_root(comm), c.gather_to_root(&grid))
+        (ours.c.gather_to_root(comm), c.gather_to_root(&grid))
     });
     let (ours, theirs) = &out.results[0];
     assert!(!ours.as_ref().unwrap().is_empty(), "empty product");

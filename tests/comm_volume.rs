@@ -2,11 +2,10 @@
 //! as hard test invariants rather than just benchmarks.
 
 use dspgemm::analytics::AnalyticsSession;
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, DynSpGemm, Exec, Grid};
+use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::graph::catalog::small_instances;
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
 use dspgemm::sparse::semiring::{F64Plus, U64Plus};
@@ -57,26 +56,16 @@ fn dynamic_update_volume_beats_static_recompute() {
         } else {
             vec![]
         };
-        let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
-        let mut b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-        let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+        let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
+        let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
         let ups = if comm.rank() == 0 {
             batch.clone()
         } else {
             vec![]
         };
-        apply_algebraic_updates_exec::<F64Plus>(
-            &grid,
-            &mut a,
-            &mut b,
-            &mut c,
-            None,
-            ups,
-            vec![],
-            &Exec::new(),
-            &mut timer,
-        );
-        c.local_nnz()
+        eng.apply_algebraic(&grid, ups, vec![]);
+        eng.c.local_nnz()
     });
     // Static: same prefix + update application + full SUMMA recomputation.
     let static_rerun = dspgemm_mpi::run(4, move |comm| {
@@ -139,26 +128,16 @@ fn bcast_volume_scales_with_batch_not_operands() {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
-            let (mut c, _) = summa::<F64Plus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+            let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
             let ups: Vec<Triple<f64>> = if comm.rank() == 0 {
                 triples.iter().copied().take(batch_len).collect()
             } else {
                 vec![]
             };
-            apply_algebraic_updates_exec::<F64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                None,
-                ups,
-                vec![],
-                &Exec::new(),
-                &mut timer,
-            );
-            c.local_nnz()
+            eng.apply_algebraic(&grid, ups, vec![]);
+            eng.c.local_nnz()
         });
         full.stats
             .bytes_in(dspgemm_mpi::CommCategory::Bcast)

@@ -3,11 +3,10 @@
 //! identical wire-byte meters versus the clone-based paths — across
 //! p ∈ {1, 4, 9} and both evaluated semirings.
 
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
-use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
+use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::spmv::{spmv, DistVec};
-use dspgemm::core::summa::{summa, summa_bloom};
-use dspgemm::core::{DistMat, Exec, Grid};
+use dspgemm::core::summa::summa;
+use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::sparse::local_mm::spgemm;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Csr, Index, RowScan, Triple};
@@ -119,25 +118,15 @@ fn algebraic_update_pipeline_is_zero_copy_and_exact() {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
             for round in 0..2u64 {
                 let ups = random_triples::<U64Plus>(50 + round + comm.rank() as u64, n, 12, |v| v);
-                apply_algebraic_updates_exec::<U64Plus>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    None,
-                    ups,
-                    vec![],
-                    &Exec::new(),
-                    &mut timer,
-                );
+                eng.apply_algebraic(&grid, ups, vec![]);
             }
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            c.gather_to_root(comm) == c_static.gather_to_root(comm)
+            let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            eng.c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&eq| eq), "p={p}");
     }
@@ -155,11 +144,11 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, feed.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed, 1, &mut timer);
+            let mut eng = DynSpGemm::<MinPlus>::new(&grid, a, b, 1, true);
             // Value increases (min-plus-incompatible) plus deletions.
-            let a_cur = a.gather_to_root(comm);
+            let a_cur = eng.a.gather_to_root(comm);
             let upd = if comm.rank() == 0 {
                 let cur = a_cur.unwrap();
                 let mut upd = GeneralUpdates::new();
@@ -174,19 +163,9 @@ fn general_update_pipeline_is_zero_copy_and_exact_min_plus() {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates_exec::<MinPlus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                &mut f,
-                upd,
-                GeneralUpdates::new(),
-                &Exec::new(),
-                &mut timer,
-            );
-            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, 1, &mut timer);
-            c.gather_to_root(comm) == c_static.gather_to_root(comm)
+            eng.apply_general(&grid, upd, GeneralUpdates::new());
+            let (c_static, _) = summa::<MinPlus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            eng.c.gather_to_root(comm) == c_static.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&eq| eq), "p={p}");
     }

@@ -5,10 +5,9 @@
 //! pipelined `summa` equals a round-by-round blocking loop in bytes and `C`
 //! is `tests/copy_elim.rs`'s check, against its in-test replica.)
 
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
-use dspgemm::core::dyn_general::{apply_general_updates_exec, GeneralUpdates};
-use dspgemm::core::summa::{summa, summa_bloom};
-use dspgemm::core::{DistMat, Exec, Grid};
+use dspgemm::core::dyn_general::GeneralUpdates;
+use dspgemm::core::summa::summa;
+use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
@@ -48,26 +47,16 @@ fn check_dynamic_updates<S: Semiring>(val: impl Fn(u64) -> S::Elem + Send + Sync
                     vec![]
                 }
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
-            let (mut c, _) = summa::<S>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(2), 1, &mut timer);
+            let mut eng = DynSpGemm::<S>::new(&grid, a, b, 1, false);
             for round in 0..3u64 {
                 let a_ups = random_triples::<S>(100 + round + comm.rank() as u64, n, 12, val);
                 let b_ups = random_triples::<S>(200 + round + comm.rank() as u64, n, 12, val);
-                apply_algebraic_updates_exec::<S>(
-                    &grid,
-                    &mut a,
-                    &mut b,
-                    &mut c,
-                    None,
-                    a_ups,
-                    b_ups,
-                    &Exec::new(),
-                    &mut timer,
-                );
+                eng.apply_algebraic(&grid, a_ups, b_ups);
             }
-            let (c_static, _) = summa::<S>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
+            let (c_static, _) = summa::<S>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
         assert_eq!(
@@ -103,11 +92,11 @@ fn general_updates_match_blocking_reference() {
             } else {
                 vec![]
             };
-            let mut a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let (mut c, mut f, _) = summa_bloom::<MinPlus>(&grid, &a, &b, 1, &mut timer);
+            let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
+            let mut eng = DynSpGemm::<MinPlus>::new(&grid, a, b, 1, true);
             // Deletions + value increases drawn from the current state.
-            let a_cur = a.gather_to_root(comm);
+            let a_cur = eng.a.gather_to_root(comm);
             let a_upd = if comm.rank() == 0 {
                 let cur = a_cur.unwrap();
                 let mut upd = GeneralUpdates::new();
@@ -121,19 +110,9 @@ fn general_updates_match_blocking_reference() {
             } else {
                 GeneralUpdates::new()
             };
-            apply_general_updates_exec::<MinPlus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                &mut f,
-                a_upd,
-                GeneralUpdates::new(),
-                &Exec::new(),
-                &mut timer,
-            );
-            let (c_static, _) = summa::<MinPlus>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
+            eng.apply_general(&grid, a_upd, GeneralUpdates::new());
+            let (c_static, _) = summa::<MinPlus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
         assert_eq!(c_dyn, c_static, "p={p}");

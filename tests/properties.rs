@@ -8,10 +8,9 @@
 //! proptest used. Failures print the offending case seed, which reproduces
 //! the input deterministically.
 
-use dspgemm::core::dyn_algebraic::apply_algebraic_updates_exec;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, Exec, Grid};
+use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::sparse::dense::Dense;
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Csr, Dcsr, DhbMatrix, Index, Triple};
@@ -143,22 +142,12 @@ fn dynamic_spgemm_matches_static() {
                     vec![]
                 }
             };
-            let mut a = DistMat::from_global_triples(&grid, N, N, feed(&a0c), 1, &mut timer);
-            let mut b = DistMat::from_global_triples(&grid, N, N, feed(&b0c), 1, &mut timer);
-            let (mut c, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            apply_algebraic_updates_exec::<U64Plus>(
-                &grid,
-                &mut a,
-                &mut b,
-                &mut c,
-                None,
-                feed(&a_upsc),
-                feed(&b_upsc),
-                &Exec::new(),
-                &mut timer,
-            );
-            let (c_static, _) = summa::<U64Plus>(&grid, &a, &b, 1, &mut timer);
-            (c.gather_to_root(comm), c_static.gather_to_root(comm))
+            let a = DistMat::from_global_triples(&grid, N, N, feed(&a0c), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, N, N, feed(&b0c), 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+            eng.apply_algebraic(&grid, feed(&a_upsc), feed(&b_upsc));
+            let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
         assert_eq!(c_dyn, c_static, "case {case}");

@@ -199,6 +199,29 @@ fn one_dynamic_round_body() {
     );
 }
 
+/// "one batch body per algorithm". Eq. 1 covers `C = A·A` as the case
+/// `B = A`, `B* = A*`, so each algorithm has one crate-private batch body
+/// that takes `B` as an `Option`, and `DynSpGemm` is their one public entry.
+/// A body per shape, a two-variant operand enum or a public loose-operand
+/// entry brought back fails here. `-w` matches whole words, so the
+/// adapter-frozen `apply_algebraic_updates_prebuilt_exec` and test names
+/// that merely start with a deleted name do not trip it.
+#[test]
+fn one_batch_body_per_algorithm() {
+    absent(
+        "one batch body per algorithm",
+        &[
+            "-rnwE",
+            "shared_algebraic|shared_general|Operands::(Pair|Shared)|\
+             apply_algebraic_updates_exec|apply_algebraic_prebuilt_exec|apply_general_updates_exec",
+            "crates",
+            "src",
+            "tests",
+            "examples",
+        ],
+    );
+}
+
 /// "one receive path". Every receive in the simulator is one request: its
 /// parts are taken from the buffer at issue or registered as arrival
 /// actions, and the last arrival fills its slot, so same-key receives match
