@@ -13,19 +13,13 @@
 //!
 //! options:
 //!   --divisor N       catalog scale-down divisor      (default 4096)
-//!   --p N             simulated MPI ranks             (default 4, square)
+//!   --p N             simulated MPI ranks             (default 4; a positive
+//!                     perfect square)
 //!   --batches N       batches per instance            (default 10)
 //!   --instances N     catalog instances to run        (default 6, max 12)
 //!   --seed N          master seed                     (default fixed)
 //!   --batch-size N    per-rank dynamic update batch   (default 4096;
 //!                     the overlap arms)
-//!   --rebalance-threshold X   max/mean load imbalance above which the
-//!                     adaptive arm of `rebalance` migrates (default 1.5)
-//!   --rebalance-cooldown N    min epochs between migrations (default 2)
-//!   --crash-batch N   batch at which the crash arm of `faults` kills a
-//!                     rank (default 1; >= --batches disables the crash)
-//!   --anchor-period N committed epochs between recovery anchors in
-//!                     `faults` (default 2)
 //!   --smoke           tiny configuration for CI; the base every other
 //!                     flag applies to, wherever it stands
 //!   --trace-out F     enable the span tracer; write a Chrome trace_event
@@ -43,7 +37,7 @@ use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--rebalance-threshold X] [--rebalance-cooldown N] [--crash-batch N] [--anchor-period N] [--smoke] [--trace-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--smoke] [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -71,6 +65,8 @@ fn value<T: FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
 
 /// Parses the arguments after the program name. `--smoke` selects the base
 /// configuration before any other flag applies, so flag order never matters.
+/// Every experiment runs on a square process grid, so a `--p` that is not a
+/// positive perfect square is an error here rather than a panic mid-run.
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cfg = if args.iter().any(|a| a == "--smoke") {
         Config::smoke()
@@ -87,10 +83,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--instances" => cfg.instances = value(arg, it.next())?,
             "--seed" => cfg.seed = value(arg, it.next())?,
             "--batch-size" => cfg.batch_size = value(arg, it.next())?,
-            "--rebalance-threshold" => cfg.rebalance_threshold = value(arg, it.next())?,
-            "--rebalance-cooldown" => cfg.rebalance_cooldown = value(arg, it.next())?,
-            "--crash-batch" => cfg.crash_batch = value(arg, it.next())?,
-            "--anchor-period" => cfg.anchor_period = value(arg, it.next())?,
             "--trace-out" => trace_out = Some(value(arg, it.next())?),
             "--smoke" => {}
             "data" => experiments.extend(DATA),
@@ -103,6 +95,10 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     }
     if experiments.is_empty() {
         return Err("no experiment given".into());
+    }
+    let q = cfg.p.isqrt();
+    if cfg.p == 0 || q * q != cfg.p {
+        return Err(format!("--p {} is not a positive perfect square", cfg.p));
     }
     Ok(Cli {
         cfg,
@@ -235,20 +231,16 @@ mod tests {
         ] {
             assert_eq!(parse(&args(line)).expect("valid"), cli, "{line}");
         }
-        let full = "serve --divisor 8 --batches 3 --instances 1 --batch-size 64 \
-                    --rebalance-threshold 2.5 --rebalance-cooldown 4 --crash-batch 0 \
-                    --anchor-period 5 --trace-out t.json";
+        let full = "serve --divisor 8 --p 16 --batches 3 --instances 1 --seed 5 --batch-size 64 \
+                    --trace-out t.json";
         let cli = parse(&args(full)).expect("valid");
         let want = Config {
             divisor: 8,
+            p: 16,
             batches: 3,
             instances: 1,
+            seed: 5,
             batch_size: 64,
-            rebalance_threshold: 2.5,
-            rebalance_cooldown: 4,
-            crash_batch: 0,
-            anchor_period: 5,
-            ..Config::default()
         };
         assert_eq!(cli.cfg, want);
         assert_eq!(cli.trace_out, Some(PathBuf::from("t.json")));
@@ -260,6 +252,9 @@ mod tests {
             "faults --bogus 3",
             "faults --p",
             "faults --p four",
+            "faults --p 0",
+            "faults --p 3",
+            "faults --crash-batch 1",
             "--smoke",
             "",
         ] {

@@ -7,7 +7,7 @@
 //!
 //! * **fault-free** — no injected faults.
 //! * **crash at batch k** — one rank is killed at its first send of batch
-//!   `--crash-batch`; survivors roll back to the agreed anchor, the dead
+//!   [`CRASH_BATCH`]; survivors roll back to the agreed anchor, the dead
 //!   rank rebuilds as a replacement from its buddy's replica, and replay +
 //!   batch re-submission finish the workload.
 //!
@@ -16,10 +16,9 @@
 //! recovery ends bit-identical to the fault-free run — and to a static
 //! recompute — is the seeded model test's to show
 //! (`crates/core/tests/recovery.rs`), over crashes at every send of the
-//! steps this experiment can reach. The `engine/recover` spans appear in an
-//! exported trace only from the crash arm (the fault-free arm runs
-//! tracer-suppressed — the CI trace check asserts presence here and absence
-//! when `--crash-batch` is past the last batch).
+//! steps this experiment can reach; that the `engine/recover` span carries
+//! the returned report on every rank, and that a fault-free run records
+//! none, is `tests/obs.rs`'s.
 
 use crate::experiments::{
     batch_updates, edges_to_triples, prepare_instances, rank_slice, Prepared,
@@ -32,6 +31,12 @@ use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_util::stats::PhaseTimer;
 use std::time::Instant;
+
+/// Batch at whose first send the crash arm kills rank `p / 2`.
+pub const CRASH_BATCH: u64 = 1;
+
+/// Committed epochs between copy-on-write recovery anchors.
+pub const ANCHOR_PERIOD: u64 = 2;
 
 /// Drives the workload on this rank, arming a crash at its first send of
 /// batch `crash_batch`, recovering (survivors roll back + replay, the
@@ -53,7 +58,7 @@ fn drive(
     let b = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
     let mut e = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
     let rcfg = RecoveryConfig {
-        anchor_period: cfg.anchor_period.max(1),
+        anchor_period: ANCHOR_PERIOD,
     };
     // A crash in batch 0 may reach a rank still inside the enable fence;
     // that error recovers like a batch's.
@@ -86,14 +91,11 @@ fn drive(
 pub fn run(cfg: &Config) -> Table {
     let p = cfg.p;
     let batches = cfg.batches.max(2) as u64;
-    let crash_batch = (cfg.crash_batch < batches).then_some(cfg.crash_batch);
     let mut t = Table::new(
         format!(
-            "Fault injection & epoch-anchored recovery: crash rank {} at batch {} of \
-             {batches}, p={p}, anchor period {}",
+            "Fault injection & epoch-anchored recovery: crash rank {} at batch {CRASH_BATCH} of \
+             {batches}, p={p}, anchor period {ANCHOR_PERIOD}",
             p / 2,
-            cfg.crash_batch,
-            cfg.anchor_period
         ),
         &[
             "benchmark",
@@ -106,14 +108,10 @@ pub fn run(cfg: &Config) -> Table {
         ],
     );
     let inst = &prepare_instances(cfg)[0];
-    // Only the crash arm runs with the tracer live: an exported trace of
-    // this experiment documents the recovery schedule.
-    let was = dspgemm_obs::enabled();
-    for (traced, name, crash) in [
-        (false, "fault-free", None),
-        (true, "crash + rollback/replay", crash_batch),
+    for (name, crash) in [
+        ("fault-free", None),
+        ("crash + rollback/replay", Some(CRASH_BATCH)),
     ] {
-        dspgemm_obs::set_enabled(was && traced);
         let started = Instant::now();
         let out = dspgemm_mpi::run(p, |comm| drive(cfg, inst, comm, crash));
         let wall = started.elapsed();
@@ -140,7 +138,6 @@ pub fn run(cfg: &Config) -> Table {
             detect,
         ]);
     }
-    dspgemm_obs::set_enabled(was);
 
     t.note(
         "both arms run with write-ahead logging and buddy-replicated anchors enabled; the crash \
@@ -163,7 +160,6 @@ mod tests {
         let mut cfg = Config::smoke();
         cfg.instances = 1;
         cfg.batches = 3;
-        cfg.crash_batch = 1;
         let t = run(&cfg);
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[1][2], "1", "the crash arm recovers once");

@@ -1,4 +1,6 @@
-//! One module per group of paper artifacts.
+//! One module per group of paper artifacts. Every experiment but
+//! [`transport`] is a report: it measures and prints, asserts nothing, and
+//! leaves the tracer to `repro --trace-out`.
 //!
 //! | module | paper artifacts |
 //! |---|---|
@@ -7,7 +9,7 @@
 //! | [`updates`] | Fig. 4 (insertions), Fig. 5a/5b (updates/deletions), Fig. 6/7 (weak scaling + breakdown), Fig. 8a/8b (R-MAT scaling) |
 //! | [`spgemm`] | Fig. 9 (algebraic), Fig. 10 (general), Fig. 11/12 (scaling + breakdown) |
 //! | [`ablations`] | §IV-B redistribution claim, §V-A aggregation claim, §V-B Bloom claim |
-//! | [`overlap`] | the pipelined round schedule: exposed vs. compute-hidden communication time, tracer on/off parity (beyond the paper) |
+//! | [`overlap`] | the pipelined round schedule: exposed vs. compute-hidden communication time (beyond the paper) |
 //! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
 //! | [`faults`] | fault injection & epoch-anchored recovery: what a crash + rollback/replay costs beside the fault-free run (beyond the paper) |
 //! | [`transport`] | transport backend parity: the dynamic batch stream on simulator threads vs. real TCP processes, bit-identical C and matching logical wire volume (beyond the paper) |

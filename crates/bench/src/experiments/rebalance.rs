@@ -8,23 +8,16 @@
 //! the top-left corner of the grid; the adaptive arm allgathers the
 //! per-rank block nnz after each epoch publish
 //! ([`DynSpGemm::maybe_rebalance`]) and migrates boundary stripes when
-//! max/mean imbalance crosses `--rebalance-threshold`. The static arm is
-//! the plain engine path, publishing on the same cadence.
+//! max/mean imbalance crosses the default policy's threshold
+//! ([`RebalanceConfig::default`]). The static arm is the plain engine path,
+//! publishing on the same cadence.
 //!
-//! The hard invariants are asserted here, per batch:
-//!
-//! * **bit-identical `C`** — the root-gathered product after every batch
-//!   matches the static rerun exactly (all values are small integers in
-//!   `f64`, so accumulation order — which a migration *does* change —
-//!   cannot perturb bits);
-//! * **pinned snapshots stay bit-stable** — an epoch pinned before the
-//!   first migration gathers to the same triples after the run;
-//! * **the skew actually moves** — the adaptive arm migrates at least
-//!   once, its migration wire bytes are metered and non-zero, and both
-//!   its final nnz imbalance and its whole-run max/mean per-rank *flop*
-//!   imbalance land below the static arm's.
-//!
-//! Wall time and the imbalance trajectory are reported, never asserted.
+//! The table reports wall time, migrations, their wire bytes and the
+//! imbalance trajectory; it asserts nothing. That a migration leaves `C`
+//! and pinned epochs bit-identical to a static rerun, and ends below the
+//! static arm's nnz imbalance, is `crates/core/tests/layout_edges.rs`'s to
+//! show; that the `engine/migrate` spans and `migrated` instants account
+//! for every migrated byte is `tests/obs.rs`'s.
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
 use crate::measure::timed_collective;
@@ -54,21 +47,20 @@ pub struct RebalanceArm {
     pub trajectory: Vec<f64>,
     /// Max/mean per-rank SpGEMM flops over the whole measured region.
     pub flops_imbalance: f64,
-    /// Root gather of `C` after every batch (identity check across arms).
-    pub per_batch_c: Vec<Vec<Triple<f64>>>,
-    /// Whether the epoch pinned before any update gathered to the same
-    /// triples after the full run (root verdict).
-    pub pinned_stable: bool,
 }
 
 /// Runs one arm: the clustered update-batch loop through a [`DynSpGemm`]
-/// session, with (`adaptive`) or without the rebalancing policy enabled.
+/// session, with the rebalancing `policy` enabled (`Some`) or without it.
 /// Streams are drawn identically in both arms.
-pub fn rebalance_arm(cfg: &Config, inst: &Prepared, p: usize, adaptive: bool) -> RebalanceArm {
+pub fn rebalance_arm(
+    cfg: &Config,
+    inst: &Prepared,
+    p: usize,
+    policy: Option<RebalanceConfig>,
+) -> RebalanceArm {
     let n = inst.n;
     let (batches, seed) = (cfg.batches.max(1), cfg.seed);
     let batch_size = cfg.batch_size;
-    let (threshold, cooldown) = (cfg.rebalance_threshold, cfg.rebalance_cooldown);
     let edges = &inst.edges;
     let out = dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
@@ -77,15 +69,12 @@ pub fn rebalance_arm(cfg: &Config, inst: &Prepared, p: usize, adaptive: bool) ->
         let a = DistMat::from_global_triples(&grid, n, n, mine.clone(), 1, &mut timer);
         let b = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
         let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
-        if adaptive {
-            eng.enable_rebalancing(RebalanceConfig {
-                threshold,
-                cooldown,
-            });
+        let adaptive = policy.is_some();
+        if let Some(policy) = policy {
+            eng.enable_rebalancing(policy);
         }
         // The clustered, non-permuted stream: every endpoint in the hot
-        // window. Unit values keep C integer-valued, so the cross-layout
-        // bit-identity assert is exact despite reordered accumulation.
+        // window.
         let hot = (n / 8).max(1);
         let mut rng = SplitMix64::new(seed ^ 0x5EBA ^ comm.rank() as u64);
         let mut draw = |size: usize| -> Vec<Triple<f64>> {
@@ -102,14 +91,9 @@ pub fn rebalance_arm(cfg: &Config, inst: &Prepared, p: usize, adaptive: bool) ->
         let stream: Vec<Batch> = (0..batches)
             .map(|_| (draw(batch_size), draw(batch_size)))
             .collect();
-        // Pin the bootstrap epoch before any update: it must stay readable
-        // and bit-stable across every later migration.
-        let pinned = eng.snapshot();
-        let pinned_c0 = pinned.c().gather_to_root(comm);
         let flops0 = eng.flops;
         let mut wall = Duration::ZERO;
         let mut trajectory = Vec::with_capacity(batches);
-        let mut per_batch_c = Vec::with_capacity(batches);
         for (a_batch, b_batch) in stream {
             let (_, d) = timed_collective(comm, || {
                 eng.apply_algebraic(&grid, a_batch, b_batch);
@@ -126,41 +110,21 @@ pub fn rebalance_arm(cfg: &Config, inst: &Prepared, p: usize, adaptive: bool) ->
             // region: the same per-rank signal `maybe_rebalance` gathers.
             let load = (eng.a.local_nnz() + eng.c.local_nnz()) as u64;
             trajectory.push(imbalance(&comm.allgather(load)));
-            per_batch_c.push(eng.c.gather_to_root(comm));
         }
-        let flops_mine = eng.flops - flops0;
-        let flops_all = comm.gather(0, flops_mine);
-        // Re-gather the pinned epoch: bit-stability across migrations.
-        let pinned_c1 = pinned.c().gather_to_root(comm);
-        let pinned_stable = pinned_c0 == pinned_c1;
+        let flops_all = comm.gather(0, eng.flops - flops0);
         let (migrations, migrated_bytes) = eng
             .rebalancer()
             .map(|r| (r.migrations(), r.migrated_bytes()))
             .unwrap_or((0, 0));
-        (
-            wall,
-            trajectory,
-            per_batch_c,
-            flops_all,
-            pinned_stable,
-            migrations,
-            migrated_bytes,
-        )
+        (wall, trajectory, flops_all, migrations, migrated_bytes)
     });
-    let (wall, trajectory, per_batch_c, flops_all, pinned_stable, migrations, migrated_bytes) =
-        &out.results[0];
-    let loads: Vec<u64> = flops_all.clone().expect("rank 0 gathers");
+    let (wall, trajectory, flops_all, migrations, migrated_bytes) = &out.results[0];
     RebalanceArm {
         wall: *wall,
         migrations: *migrations,
         migrated_bytes: *migrated_bytes,
         trajectory: trajectory.clone(),
-        flops_imbalance: imbalance(&loads),
-        per_batch_c: per_batch_c
-            .iter()
-            .map(|c| c.clone().unwrap_or_default())
-            .collect(),
-        pinned_stable: *pinned_stable,
+        flops_imbalance: imbalance(flops_all.as_deref().expect("rank 0 gathers")),
     }
 }
 
@@ -170,11 +134,12 @@ fn imb(x: f64) -> String {
 
 /// The `repro rebalance` table.
 pub fn run(cfg: &Config) -> Table {
+    let policy = RebalanceConfig::default();
     let mut t = Table::new(
         format!(
             "Dynamic inter-rank rebalancing: adaptive 2D cuts vs. static uniform layout, p={}, \
              batch={}, threshold={}, cooldown={}",
-            cfg.p, cfg.batch_size, cfg.rebalance_threshold, cfg.rebalance_cooldown
+            cfg.p, cfg.batch_size, policy.threshold, policy.cooldown
         ),
         &[
             "benchmark",
@@ -186,68 +151,11 @@ pub fn run(cfg: &Config) -> Table {
         ],
     );
     let inst = &prepare_instances(cfg)[0];
-
-    // The static baseline runs with the tracer suppressed: an exported
-    // trace of this experiment documents the adaptive schedule, where
-    // `engine/migrate` spans must appear — the CI trace check asserts
-    // exactly that (and their absence when the threshold is unreachable).
-    let was = dspgemm_obs::enabled();
-    dspgemm_obs::set_enabled(false);
-    let static_ = rebalance_arm(cfg, inst, cfg.p, false);
-    dspgemm_obs::set_enabled(was);
-    let adaptive = rebalance_arm(cfg, inst, cfg.p, true);
-
-    // Hard invariant: migration never changes the maintained product.
-    assert_eq!(static_.per_batch_c.len(), adaptive.per_batch_c.len());
-    for (i, (s, a)) in static_
-        .per_batch_c
-        .iter()
-        .zip(&adaptive.per_batch_c)
-        .enumerate()
-    {
-        assert_eq!(
-            s, a,
-            "C after batch {i} must be bit-identical across static and adaptive arms"
-        );
-    }
-    // Hard invariant: pinned pre-migration epochs stay bit-stable.
-    assert!(
-        adaptive.pinned_stable && static_.pinned_stable,
-        "epochs pinned before a migration must gather bit-identically after it"
-    );
-    // Hard invariants of the policy itself, when the threshold is
-    // reachable (the CI absence check runs with threshold 1e9).
-    let reachable =
-        cfg.rebalance_threshold <= static_.trajectory.iter().copied().fold(0.0f64, f64::max);
-    if reachable {
-        assert!(
-            adaptive.migrations >= 1,
-            "clustered skew above threshold must trigger a migration"
-        );
-        assert!(
-            adaptive.migrated_bytes > 0,
-            "stripe migration must move bytes over the wire"
-        );
-        assert!(
-            adaptive.trajectory.last() < static_.trajectory.last(),
-            "adaptive arm must end below the static arm's nnz imbalance \
-             (adaptive {:?} vs static {:?})",
-            adaptive.trajectory,
-            static_.trajectory
-        );
-        assert!(
-            adaptive.flops_imbalance < static_.flops_imbalance,
-            "adaptive arm must beat the static arm's flop imbalance \
-             (adaptive {} vs static {})",
-            adaptive.flops_imbalance,
-            static_.flops_imbalance
-        );
-    }
-
-    for (name, arm) in [
-        ("static uniform cuts (before)", &static_),
-        ("adaptive cuts + stripe migration (after)", &adaptive),
+    for (name, policy) in [
+        ("static uniform cuts (before)", None),
+        ("adaptive cuts + stripe migration (after)", Some(policy)),
     ] {
+        let arm = rebalance_arm(cfg, inst, cfg.p, policy);
         t.push_row(vec![
             name.to_string(),
             ms(arm.wall),
@@ -262,15 +170,6 @@ pub fn run(cfg: &Config) -> Table {
         ]);
     }
 
-    t.note(
-        "C is asserted bit-identical across both arms after every batch, and the epoch pinned \
-         before the first migration is asserted bit-stable after the run",
-    );
-    t.note(
-        "when the clustered stream pushes the static arm over the threshold, the adaptive arm is \
-         asserted to migrate (bytes > 0) and to finish below the static arm's nnz and flop \
-         imbalance",
-    );
     t.note(
         "nnz imbalance = max/mean of the per-rank nnz(A) + nnz(C) (the policy's own load signal), \
          allgathered after each batch's policy step; flop imbalance = max/mean of per-rank SpGEMM flops over the whole run",
@@ -287,8 +186,6 @@ mod tests {
         let mut cfg = Config::smoke();
         cfg.instances = 1;
         cfg.batches = 3;
-        // The run itself asserts bit-identical C, pinned-snapshot
-        // stability, and (skew permitting) migration + imbalance wins.
         let t = run(&cfg);
         assert_eq!(t.rows.len(), 2);
     }
@@ -308,9 +205,12 @@ mod tests {
         let mut cfg = Config::smoke();
         cfg.instances = 1;
         cfg.batches = 2;
-        cfg.rebalance_threshold = 1e9;
         let inst = &prepare_instances(&cfg)[0];
-        let arm = rebalance_arm(&cfg, inst, cfg.p, true);
+        let policy = RebalanceConfig {
+            threshold: 1e9,
+            ..RebalanceConfig::default()
+        };
+        let arm = rebalance_arm(&cfg, inst, cfg.p, Some(policy));
         assert_eq!(arm.migrations, 0);
         assert_eq!(arm.migrated_bytes, 0);
     }

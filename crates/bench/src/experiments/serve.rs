@@ -12,15 +12,12 @@
 //! row top-k, a frozen view reading) over the same batch schedule; the
 //! blocking arm adds the modeled remaining-drain wait for queries arriving
 //! while a batch runs (arrivals spread uniformly over the batch window).
-//! Along the way the experiment asserts the isolation contract the
-//! snapshot test suite property-tests:
+//! A laggard reader holds one old epoch for a few rounds, so the table's
+//! retention columns show what an outstanding pin keeps alive.
 //!
-//! * queries against the pinned epoch `e` return bit-identical answers
-//!   before and during the next batch;
-//! * queries after the batch (epoch `e + 1`) are bit-identical to a
-//!   blocking rerun — a static SUMMA recomputation of the updated graph;
-//! * retained epochs stay bounded by the outstanding pins (a laggard
-//!   reader holds one old epoch for a few rounds to exercise retention).
+//! The report asserts nothing: that pinned answers stay bit-identical under
+//! a running batch and that retention is bounded by the pins is
+//! `tests/snapshot.rs`'s to show.
 
 use crate::experiments::{prepare_instances, rank_slice, Prepared};
 use crate::measure::{measured_collective, quantile};
@@ -30,15 +27,12 @@ use dspgemm_analytics::{
     AnalyticsSession, SessionSnapshot, TriangleCountView, TriangleReading, ViewId,
 };
 use dspgemm_core::dyn_general::GeneralUpdates;
-use dspgemm_core::summa::summa_bloom;
-use dspgemm_core::update::{apply_add, apply_mask, build_update_matrix, Dedup};
-use dspgemm_core::{DistMat, Grid};
+use dspgemm_core::Grid;
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_graph::Edge;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
-use dspgemm_util::stats::PhaseTimer;
 use std::time::Duration;
 
 /// Per-rank update batch size (the hypersparse regime at proxy scale).
@@ -52,15 +46,6 @@ const TOPK_QUERIES: usize = 4;
 
 /// How many rounds a laggard reader holds its pinned epoch.
 const LAGGARD_WINDOW: u64 = 3;
-
-/// The answers of one pass over the query set — compared bit-identically
-/// across epochs and against the blocking rerun.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Answers {
-    entries: Vec<Option<u64>>,
-    topk: Vec<Vec<(Index, u64)>>,
-    triangles: Option<u64>,
-}
 
 /// The fixed query set of one instance (identical on every rank).
 struct QuerySet {
@@ -95,30 +80,21 @@ impl QuerySet {
         snap: &SessionSnapshot<U64Plus>,
         tri: ViewId,
         lat: &mut Vec<Duration>,
-    ) -> Answers {
-        let mut entries = Vec::with_capacity(self.pairs.len());
+    ) {
         for &(u, v) in &self.pairs {
-            let (ans, cost) = measured_collective(comm, || snap.product_entry(grid, u, v));
-            entries.push(ans);
+            let (_, cost) = measured_collective(comm, || snap.product_entry(grid, u, v));
             lat.push(cost.modeled());
         }
-        let mut topk = Vec::with_capacity(self.rows.len());
         for &u in &self.rows {
-            let (ans, cost) =
+            let (_, cost) =
                 measured_collective(comm, || snap.product_row_topk(grid, u, 8, |&v| v as f64));
-            topk.push(ans);
             lat.push(cost.modeled());
         }
-        let (triangles, cost) = measured_collective(comm, || {
+        let (_, cost) = measured_collective(comm, || {
             snap.view_as::<TriangleReading>(tri)
                 .map(TriangleReading::count)
         });
         lat.push(cost.modeled());
-        Answers {
-            entries,
-            topk,
-            triangles,
-        }
     }
 }
 
@@ -157,8 +133,6 @@ struct ServeRun {
     stale: Vec<u64>,
     retained_max: usize,
     live_bytes_max: usize,
-    isolation_ok: bool,
-    fresh_ok: bool,
 }
 
 fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
@@ -170,14 +144,9 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             .into_iter()
             .map(|(u, v)| Triple::new(u, v, 1u64))
             .collect();
-        let mut session = AnalyticsSession::<U64Plus>::from_triples(comm, n, 1, base.clone());
+        let mut session = AnalyticsSession::<U64Plus>::from_triples(comm, n, 1, base);
         let tri = session.register(Box::new(TriangleCountView::new()));
         let queries = QuerySet::for_instance(inst);
-
-        // The blocking rerun mirror: same graph, maintained statically.
-        let grid = Grid::new(comm);
-        let mut timer = PhaseTimer::new();
-        let mut a_static = DistMat::from_global_triples(&grid, n, n, base, 1, &mut timer);
 
         let schedule = plan(edges, comm.rank(), rounds, seed);
         let mut r = ServeRun {
@@ -186,28 +155,19 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             stale: Vec::new(),
             retained_max: 0,
             live_bytes_max: 0,
-            isolation_ok: true,
-            fresh_ok: true,
         };
         let mut laggard = session.pin();
-        let mut scratch = Vec::new();
-        // The laggard's reference answers, recorded at pin time: every
-        // later read of the held pin must reproduce them bit-identically.
-        let mut laggard_ref = queries.run(comm, session.grid(), &laggard, tri, &mut scratch);
-        scratch.clear();
         for (round, (inserts, deletes)) in schedule.into_iter().enumerate() {
-            // Pin the pre-batch epoch e and record its answers.
+            // Pin the pre-batch epoch e.
             let pin = session.pin();
-            let before = queries.run(comm, session.grid(), &pin, tri, &mut scratch);
-            scratch.clear();
 
             // Apply the batch (epoch e + 1 commits at the end).
             let (_, batch_cost) = measured_collective(comm, || {
                 if deletes.is_empty() {
-                    session.insert_edges(inserts.clone());
+                    session.insert_edges(inserts);
                 } else {
                     let mut upd = GeneralUpdates::new();
-                    upd.deletes = deletes.clone();
+                    upd.deletes = deletes;
                     session.apply_general(upd);
                 }
             });
@@ -218,8 +178,7 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             // immediately. Blocking arm: the same service times behind the
             // remaining drain.
             let mut service = Vec::new();
-            let during = queries.run(comm, session.grid(), &pin, tri, &mut service);
-            r.isolation_ok &= during == before;
+            queries.run(comm, session.grid(), &pin, tri, &mut service);
             let q_count = queries.len();
             for (i, &svc) in service.iter().enumerate() {
                 let arrival = (i as f64 + 0.5) / q_count as f64;
@@ -231,37 +190,11 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             }
 
             // The laggard reader: holds its pin across a window of rounds,
-            // accumulating stale distance and exercising retention — its
-            // multi-round-old epoch must answer exactly as at pin time.
-            let lag = queries.run(comm, session.grid(), &laggard, tri, &mut scratch);
-            scratch.clear();
-            r.isolation_ok &= lag == laggard_ref;
+            // accumulating stale distance and exercising retention.
             r.stale.push(session.epoch() - laggard.epoch());
             if (round as u64 + 1).is_multiple_of(LAGGARD_WINDOW) {
                 laggard = session.pin();
-                laggard_ref = queries.run(comm, session.grid(), &laggard, tri, &mut scratch);
-                scratch.clear();
             }
-
-            // Freshness: the post-batch epoch must be bit-identical to a
-            // blocking rerun (static recomputation of the updated graph).
-            let star = build_update_matrix::<U64Plus>(&grid, n, n, inserts, Dedup::Add, &mut timer);
-            apply_add::<U64Plus>(&mut a_static, &star);
-            let del_tuples: Vec<Triple<u64>> =
-                deletes.iter().map(|&(u, v)| Triple::new(u, v, 0)).collect();
-            let del = build_update_matrix::<U64Plus>(
-                &grid,
-                n,
-                n,
-                del_tuples,
-                Dedup::LastWins,
-                &mut timer,
-            );
-            apply_mask::<U64Plus>(&mut a_static, &del, 1);
-            let (c_rerun, _f, _) =
-                summa_bloom::<U64Plus>(&grid, &a_static, &a_static, 1, &mut timer);
-            let latest = session.pin();
-            r.fresh_ok &= latest.product().gather_to_root(comm) == c_rerun.gather_to_root(comm);
 
             // Retention: latest + pin + laggard are the only live epochs.
             drop(pin);
@@ -303,14 +236,6 @@ pub fn run(cfg: &Config) -> Table {
     let instances = prepare_instances(cfg);
     for inst in &instances {
         let r = serve_instance(cfg, inst);
-        assert!(
-            r.isolation_ok,
-            "snapshot isolation violated: pinned answers changed under a batch"
-        );
-        assert!(
-            r.fresh_ok,
-            "freshness violated: post-batch epoch differs from the blocking rerun"
-        );
         let stale_mean = r.stale.iter().sum::<u64>() as f64 / r.stale.len().max(1) as f64;
         let p99 = quantile(r.block_lat.clone(), 0.99).as_secs_f64()
             / quantile(r.snap_lat.clone(), 0.99).as_secs_f64().max(1e-9);
@@ -340,10 +265,6 @@ pub fn run(cfg: &Config) -> Table {
          commits); blocking arm pays the remaining batch drain first; a laggard reader \
          re-pins every 3 rounds (stale distance up to 3, retention bounded by pins)",
     );
-    table.note(
-        "asserted every round: pinned answers bit-identical under the running batch, and \
-         the post-batch epoch bit-identical to a static SUMMA rerun of the updated graph",
-    );
     table.note("percentiles exact: the sorted samples' entry at rank round((n - 1)·q)");
     table
 }
@@ -352,15 +273,13 @@ pub fn run(cfg: &Config) -> Table {
 mod tests {
     use super::*;
 
-    /// The smoke configuration must pass both in-run assertions (isolation
-    /// + freshness) and keep retention bounded by the outstanding pins.
+    /// The smoke configuration keeps retention bounded by the outstanding
+    /// pins and stale distance bounded by the laggard's window.
     #[test]
-    fn serve_smoke_asserts_isolation_and_retention() {
+    fn serve_smoke_keeps_retention_bounded_by_pins() {
         let cfg = Config::smoke();
         let inst = &prepare_instances(&cfg)[0];
         let r = serve_instance(&cfg, inst);
-        assert!(r.isolation_ok);
-        assert!(r.fresh_ok);
         // Live epochs: latest + round pin + laggard pin at most.
         assert!(r.retained_max <= 3, "retained {} epochs", r.retained_max);
         // Every during-batch query saw exactly the one-batch stale distance;

@@ -19,7 +19,8 @@ pub struct Config {
     /// Catalog scale-down divisor (see `dspgemm_graph::catalog`); smaller =
     /// bigger proxies.
     pub divisor: u64,
-    /// Simulated MPI ranks (must be a perfect square for grid systems).
+    /// Simulated MPI ranks (a positive perfect square: every system runs on
+    /// a square grid).
     pub p: usize,
     /// Batches per instance (the paper uses 10).
     pub batches: usize,
@@ -29,17 +30,6 @@ pub struct Config {
     pub seed: u64,
     /// Per-rank update batch size for the dynamic arms (`overlap`).
     pub batch_size: usize,
-    /// Max/mean per-rank load imbalance above which the adaptive arm of
-    /// `repro rebalance` migrates block boundaries.
-    pub rebalance_threshold: f64,
-    /// Minimum epochs between migrations in the adaptive arm.
-    pub rebalance_cooldown: u64,
-    /// Batch at which the crash arm of `repro faults` kills a rank
-    /// (`>= batches` disables the crash — the CI absence check).
-    pub crash_batch: u64,
-    /// Committed epochs between copy-on-write recovery anchors in
-    /// `repro faults`.
-    pub anchor_period: u64,
 }
 
 impl Default for Config {
@@ -54,10 +44,6 @@ impl Default for Config {
             instances: 6,
             seed: 0xD59E_2022,
             batch_size: 4096,
-            rebalance_threshold: 1.5,
-            rebalance_cooldown: 2,
-            crash_batch: 1,
-            anchor_period: 2,
         }
     }
 }
@@ -72,10 +58,6 @@ impl Config {
             instances: 2,
             seed: 7,
             batch_size: 4096,
-            rebalance_threshold: 1.5,
-            rebalance_cooldown: 2,
-            crash_batch: 1,
-            anchor_period: 2,
         }
     }
 }

@@ -555,11 +555,6 @@ pub struct DistDcsr<V> {
 }
 
 impl<V: Elem> DistDcsr<V> {
-    /// An empty distributed DCSR under the uniform layout.
-    pub fn empty(grid: &Grid, nrows: Index, ncols: Index) -> Self {
-        Self::empty_in(grid, &uniform_layout(nrows, ncols, grid.q()))
-    }
-
     /// An empty distributed DCSR under an explicit layout.
     pub fn empty_in(grid: &Grid, layout: &Arc<Layout>) -> Self {
         let info = BlockInfo::for_rank_in(grid, layout);
@@ -717,7 +712,7 @@ mod tests {
     fn dist_dcsr_shape_checked() {
         let out = run(4, |comm| {
             let grid = Grid::new(comm);
-            let d = DistDcsr::<u64>::empty(&grid, 9, 9);
+            let d = DistDcsr::<u64>::empty_in(&grid, &uniform_layout(9, 9, grid.q()));
             (d.info().local_rows(), d.info().local_cols(), d.local_nnz())
         });
         // 9 split as 5+4.

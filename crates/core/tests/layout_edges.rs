@@ -78,9 +78,10 @@ fn corner_collapse_and_back_at_p9() {
 }
 
 /// A dynamic session whose entire update stream lands on one rank's block:
-/// with an aggressive threshold the adaptive session migrates, and its
-/// maintained `C` must stay bit-identical to a static rerun of the same
-/// stream (u64 arithmetic — exact regardless of accumulation order).
+/// with an aggressive threshold the adaptive session migrates, ends below
+/// the static rerun's nnz imbalance, and its maintained `C` must stay
+/// bit-identical to the static rerun of the same stream (u64 arithmetic —
+/// exact regardless of accumulation order).
 #[test]
 fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
     let n: Index = 36;
@@ -147,16 +148,23 @@ fn all_load_on_one_rank_migrates_and_matches_static_rerun() {
                     );
                 }
             }
-            (cs, migrated, reads, moved_reads)
+            // The policy's own load signal, after the last policy step.
+            let load = (eng.a.local_nnz() + eng.c.local_nnz()) as u64;
+            let imbalance = imbalance(&comm.allgather(load));
+            (cs, migrated, reads, moved_reads, imbalance)
         })
     };
     let static_ = arm(false);
     let adaptive = arm(true);
-    let (cs_s, _, reads_s, _) = &static_.results[0];
-    let (cs_a, migrations, reads_a, moved_reads) = &adaptive.results[0];
+    let (cs_s, _, reads_s, _, imbalance_s) = &static_.results[0];
+    let (cs_a, migrations, reads_a, moved_reads, imbalance_a) = &adaptive.results[0];
     assert!(
         *migrations >= 1,
         "corner-concentrated load above threshold must migrate"
+    );
+    assert!(
+        imbalance_a < imbalance_s,
+        "adaptive nnz imbalance {imbalance_a} not below static {imbalance_s}"
     );
     assert!(
         *moved_reads > 0,

@@ -19,8 +19,9 @@
 //! atomic load and returns an inert guard — no clock is read, nothing is
 //! allocated, nothing is recorded. Tracing only ever *reads* clocks and
 //! counters, so enabling it cannot change results or communication volume;
-//! the `repro overlap` disabled-tracer arm asserts exactly that
-//! (bit-identical `C`, byte-identical wire volume).
+//! `tests/obs.rs::tracing_changes_neither_result_nor_wire_volume` asserts
+//! exactly that (bit-identical `C`, equal `CommStats::volume()`). Only the
+//! `repro` binary's `--trace-out` switches it; library code only records.
 //!
 //! ## Export
 //!

@@ -545,3 +545,27 @@ fn one_percentile() {
         "{GUARD}: crates/obs/src/metrics.rs is back"
     );
 }
+
+/// "observability is a reader". The tracer is switched by one caller, the
+/// `repro` binary's `--trace-out`, and drained by it alone; library code and
+/// experiments only record. An experiment that switches the tracer per arm
+/// so that an exported trace shows what a check expects makes the trace an
+/// input.
+#[test]
+fn observability_is_a_reader() {
+    const GUARD: &str = "observability is a reader";
+    let (_, hits) = grep(&[
+        "-rnE",
+        r"set_enabled\(|dspgemm_obs::drain\(",
+        "crates",
+        "--include=*.rs",
+    ]);
+    let elsewhere: Vec<&str> = hits
+        .lines()
+        .filter(|l| l.split('/').nth(2) == Some("src"))
+        .filter(|l| {
+            !l.starts_with("crates/obs/src/") && !l.starts_with("crates/bench/src/bin/repro.rs:")
+        })
+        .collect();
+    assert!(elsewhere.is_empty(), "{GUARD}: {elsewhere:?}");
+}
