@@ -19,13 +19,21 @@
 //!    over process column `j`; every rank multiplies locally
 //!    (`Xⁱ_{k,j} = A*_{k,i}·B'_{i,j}` and `Yʲ_{i,k} = A_{i,j}·B*_{j,k}`,
 //!    Fig. 1b);
-//! 3. partial blocks are **aggregated non-locally**: `Xⁱ_{k,j}` reduces over
-//!    column `j` onto process `(k,j)`, `Yʲ_{i,k}` over row `i` onto `(i,k)`
-//!    (Fig. 1c) — a sparse merge-reduction, the price paid for not moving
-//!    the big operands.
+//! 3. the round's contributions are **aggregated non-locally** onto one
+//!    rank. `Yʲ_{i,k}` merge-reduces over row `i` onto `(i,k)` (Fig. 1c).
+//!    The X pass departs from the paper here: instead of reducing its
+//!    partial `Xⁱ_{k,j}`, rank `(i,j)` gathers to `(k,j)` the star block it
+//!    received and the rows of `B'_{i,j}` that the block's columns select,
+//!    and after the last round `(k,j)` multiplies each pair and folds the
+//!    partials in the reduction's bracket order. On edge-sampled updates the star's columns
+//!    repeat hub vertices and the products hardly merge, so a partial is
+//!    about twice its operands. The masked recompute of Algorithm 2 still
+//!    reduces: its mask bounds the partials.
 //!
-//! Communication volume: `O(max(nnz(A*)+nnz(B*), nnz(C*))/√p)` versus
-//! SUMMA's `O((nnz(A)+nnz(B'))/√p)` — the whole point of the paper.
+//! Communication volume: the broadcasts and the X pass's gathers move
+//! `O((nnz(A*) + nnz(B*) + nnz(B'[cols(A*), :]))/√p)`, the Y pass's
+//! reduction `O(nnz(A·B*)/√p)`, against SUMMA's `O((nnz(A)+nnz(B'))/√p)`:
+//! the whole point of the paper.
 //!
 //! **Virtual transposition (Section V-C).** Step 1's exchange never runs.
 //! The batch's one redistribution carries every update matrix in two lanes
@@ -61,10 +69,11 @@ use crate::observer::{BatchDelta, Observer, PendingBatch, ViewCx};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
+use dspgemm_mpi::Comm;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::KernelWorkspace;
-use dspgemm_sparse::{Dcsr, RowScan, Triple};
+use dspgemm_sparse::{Dcsr, Index, RowRead, RowScan, Triple};
 use dspgemm_util::stats::PhaseTimer;
 use std::cell::RefMut;
 use std::sync::Arc;
@@ -73,28 +82,69 @@ use std::sync::Arc;
 /// ranks, and it names the session workspace its multiplies run on — so
 /// every flavor reuses its scratch across rounds and batches.
 pub trait XYKernel<S: Semiring>: Payload<S, Out: Elem> {
+    /// What an entry of a `B′` row carries when the unmasked X pass ships
+    /// it to a round root: the value, or nothing for a kernel that never
+    /// reads it.
+    type Row: Elem;
+
     /// The payload-matching workspace of the session's [`Exec`].
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<Self::Out>>;
+
+    /// `v` as a shipped row entry.
+    fn ship(v: S::Elem) -> Self::Row;
+
+    /// Shipped rows as the kernel reads them.
+    fn unship(rows: Dcsr<Self::Row>) -> Dcsr<S::Elem>;
 }
 
 /// Values only — the production algebraic path.
 impl<S: Semiring> XYKernel<S> for Plain {
+    type Row = S::Elem;
+
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<S::Elem>> {
         exec.plain()
+    }
+
+    fn ship(v: S::Elem) -> S::Elem {
+        v
+    }
+
+    fn unship(rows: Dcsr<S::Elem>) -> Dcsr<S::Elem> {
+        rows
     }
 }
 
 /// Values fused with Bloom bitfields — for engine sessions maintaining `F`.
 impl<S: Semiring> XYKernel<S> for Bloom {
+    type Row = S::Elem;
+
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<(S::Elem, u64)>> {
         exec.fused()
     }
+
+    fn ship(v: S::Elem) -> S::Elem {
+        v
+    }
+
+    fn unship(rows: Dcsr<S::Elem>) -> Dcsr<S::Elem> {
+        rows
+    }
 }
 
-/// Structure + Bloom bits only — `COMPUTE_PATTERN` of Algorithm 2.
+/// Structure + Bloom bits only — `COMPUTE_PATTERN` of Algorithm 2. Its rows
+/// ship columns alone; [`Pattern::term`] never reads the zero the receiver
+/// fills in.
 impl<S: Semiring> XYKernel<S> for Pattern {
+    type Row = ();
+
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<u64>> {
         exec.pattern()
+    }
+
+    fn ship(_v: S::Elem) {}
+
+    fn unship(rows: Dcsr<()>) -> Dcsr<S::Elem> {
+        rows.map(|()| S::zero())
     }
 }
 
@@ -240,14 +290,18 @@ fn star_payloads<V: Elem>(
 }
 
 /// The X pass: in round `k`, row-comm member `k` broadcasts `star`
-/// (`A*_{k,i}` over process row `i`), every rank multiplies
-/// `Xⁱ_{k,j} = A*_{k,i}·right_{i,j}` and the partials merge-reduce over
-/// process column `j` onto `(k,j)`. With `mask`, col-comm member `k` also
-/// broadcasts its mask block and the multiply keeps only the masked
-/// positions — Algorithm 2's recompute. Pipelined: round `k + 1`'s
-/// broadcasts are in flight while round `k` multiplies and reduces (the
+/// (`A*_{k,i}` over process row `i`) and the round's products
+/// `Xⁱ_{k,j} = A*_{k,i}·right_{i,j}` are summed onto `(k,j)`. Unmasked,
+/// every rank ships the round root its operands ([`ship_operands`]), and
+/// each root multiplies and sums its round's pieces after the last round
+/// ([`sum_products`]), so no rank's sends wait behind the products of the
+/// round it roots. With `mask`, col-comm member `k` also broadcasts its
+/// mask block, every rank multiplies, keeping only the masked positions,
+/// and the partials merge-reduce over process column `j` onto `(k,j)` —
+/// Algorithm 2's recompute, whose mask bounds the partials. Pipelined:
+/// round `k + 1`'s broadcasts are in flight while round `k` works (the
 /// progress engine forwards their tree edges even while ranks are blocked
-/// inside the reductions). Returns this rank's reduced block. Collective.
+/// inside the collectives). Returns this rank's summed block. Collective.
 pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     star: &Arc<Dcsr<S::Elem>>,
@@ -259,9 +313,9 @@ pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
 ) -> Option<Dcsr<K::Out>> {
     let (i, j) = grid.coords();
     let k_offset = right.info().row_range.start;
-    let mut mine = None;
+    let (mut mine, mut pieces) = (None, None);
     run_rounds(
-        &mut (timer, flops, &mut mine),
+        &mut (&mut *timer, &mut *flops, &mut mine, &mut pieces),
         grid.q(),
         |_ctx, k| {
             let star = grid
@@ -278,14 +332,17 @@ pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
             let mask = mask.map(|req| await_into_phase(req, ctx.0, phase::BCAST));
             (star, mask)
         },
-        |(timer, flops, mine), k, (star, mask)| {
-            let b = right.block();
+        |(timer, flops, mine, pieces), k, (star, mask)| {
+            let Some(mask) = mask else {
+                let got = ship_operands::<S, K>(grid, k, star, right, timer);
+                if got.is_some() {
+                    **pieces = got;
+                }
+                return;
+            };
             let part = timer.time(phase::LOCAL_MULT, || {
                 let ws = &mut K::workspace(exec);
-                match mask {
-                    Some(mask) => spgemm_with::<S, K, _, _, _>(&*star, b, &*mask, k_offset, ws),
-                    None => spgemm_with::<S, K, _, _, _>(&*star, b, &(), k_offset, ws),
-                }
+                spgemm_with::<S, K, _, _, _>(&*star, right.block(), &*mask, k_offset, ws)
             });
             **flops += part.flops;
             let red = timer.time(phase::REDUCE_SCATTER, || {
@@ -298,7 +355,102 @@ pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
             }
         },
     );
-    mine
+    pieces
+        .map(|pieces| sum_products::<S, K>(i, pieces, right, exec, timer, flops))
+        .or(mine)
+}
+
+/// What a rank ships to a round root of the unmasked X pass: the star block
+/// it received, and the `B'` rows the star's columns select.
+type Piece<V, R> = (Arc<Dcsr<V>>, Dcsr<R>);
+
+/// Round `k` of the unmasked X pass: rank `(i,j)` gathers to `(k,j)`, over
+/// process column `j`, its `star` (`A*_{k,i}`) and the rows of
+/// `right_{i,j}` that the star's columns select
+/// ([`DhbMatrix::select_rows`], values as the kernel ships them). These
+/// operands are the size of the update; the partial products they make,
+/// on edge-sampled updates, about twice that: the star's columns repeat hub
+/// vertices, and the products hardly merge. Returns the round's pieces,
+/// one per process row, at the root; `None` elsewhere. Collective over the
+/// column.
+///
+/// [`DhbMatrix::select_rows`]: dspgemm_sparse::DhbMatrix::select_rows
+fn ship_operands<S: Semiring, K: XYKernel<S>>(
+    grid: &Grid,
+    k: usize,
+    star: Arc<Dcsr<S::Elem>>,
+    right: &DistMat<S::Elem>,
+    timer: &mut PhaseTimer,
+) -> Option<Vec<Piece<S::Elem, K::Row>>> {
+    let block = right.block();
+    let rows = if grid.coords().0 == k {
+        // The root's own value is not sent, and it multiplies against its
+        // block: an empty one stands in.
+        Dcsr::empty(block.nrows(), block.ncols())
+    } else {
+        timer.time(phase::LOCAL_MULT, || {
+            let mut inner: Vec<Index> = star
+                .iter_rows()
+                .flat_map(|(_, cols, _)| cols)
+                .copied()
+                .collect();
+            inner.sort_unstable();
+            inner.dedup();
+            block.select_rows(&inner, K::ship)
+        })
+    };
+    timer.time(phase::REDUCE_SCATTER, || {
+        grid.col_comm().gather(k, (star, rows))
+    })
+}
+
+/// `Σ_i A*_{k,i}·right_{i,j}` at the root `(k,j)` of round `k`, from the
+/// [`ship_operands`] pieces: its own against its block, every other as its
+/// sender would have multiplied it, with the sender's row-cut start as the
+/// Bloom offset. The partials fold in the bracket order of the
+/// merge-reduction this replaces ([`Comm::fold_in_reduce_order`]), so the
+/// block, its flops and the message count are the reduction's; only the
+/// bytes fall.
+///
+/// [`Comm::fold_in_reduce_order`]: dspgemm_mpi::Comm::fold_in_reduce_order
+fn sum_products<S: Semiring, K: XYKernel<S>>(
+    k: usize,
+    pieces: Vec<Piece<S::Elem, K::Row>>,
+    right: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    flops: &mut u64,
+) -> Dcsr<K::Out> {
+    let cuts = right.info().layout();
+    let parts = pieces.into_iter().enumerate().map(|(i, (star, rows))| {
+        let k_offset = cuts.row_range(i).start;
+        if i == k {
+            return multiply::<S, K>(&star, right.block(), k_offset, exec, timer, flops);
+        }
+        let rows = K::unship(rows);
+        multiply::<S, K>(&star, &rows.row_reader(), k_offset, exec, timer, flops)
+    });
+    let parts = parts.collect();
+    timer.time(phase::REDUCE_SCATTER, || {
+        Comm::fold_in_reduce_order(parts, k, |a, b| Dcsr::merge_with(&a, &b, K::merge))
+    })
+}
+
+/// `star · b` on the payload's workspace, under [`phase::LOCAL_MULT`], with
+/// `k_offset` the global row of `b`'s first row; adds its flops to `flops`.
+fn multiply<S: Semiring, K: XYKernel<S>>(
+    star: &Dcsr<S::Elem>,
+    b: &impl RowRead<S::Elem>,
+    k_offset: Index,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+    flops: &mut u64,
+) -> Dcsr<K::Out> {
+    let part = timer.time(phase::LOCAL_MULT, || {
+        spgemm_with::<S, K, _, _, _>(star, b, &(), k_offset, &mut K::workspace(exec))
+    });
+    *flops += part.flops;
+    part.result
 }
 
 /// The Y pass, the X pass mirrored: in round `k`, col-comm member `k`

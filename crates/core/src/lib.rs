@@ -26,8 +26,8 @@
 //!   Bloom-filter tracking.
 //! * [`dyn_algebraic`] — **Algorithm 1**: dynamic SpGEMM for algebraic
 //!   updates, computing `C* = A*·B' + A·B*` with input-stationary broadcasts
-//!   of only the hypersparse update blocks plus a sparse merge-reduction
-//!   (Section V-A).
+//!   of only the hypersparse update blocks, a sparse merge-reduction of the
+//!   Y pass's partials and a gather of the X pass's operands (Section V-A).
 //! * [`dyn_general`] — **Algorithm 2**: dynamic SpGEMM for general updates
 //!   via `COMPUTE_PATTERN`, Bloom-filtered extraction `A^R` and masked
 //!   recomputation (Section V-B).
@@ -125,7 +125,8 @@ pub mod phase {
     pub const LOCAL_MULT: &str = "local mult.";
     /// Update redistribution (scatter of tuples to owners).
     pub const SCATTER: &str = "scatter";
-    /// Sparse merge-reduction of partial result blocks.
+    /// Sparse merge-reduction of partial result blocks, and the X pass's
+    /// gather and fold of its operands.
     pub const REDUCE_SCATTER: &str = "reduce-scatter";
     /// Applying updates / merged results into local dynamic matrices.
     pub const LOCAL_UPDATE: &str = "local update";

@@ -172,9 +172,12 @@ impl<V: Elem> SnapshotMat<V> {
     }
 
     /// The `k` heaviest entries of global row `u` under `score` (greater is
-    /// better; ties broken by column). One zero-copy allgather merge; every
-    /// rank returns the same list. `score` must be a pure function agreed on
-    /// all ranks. Collective.
+    /// better; ties broken by column). Each rank keeps its own `k` best,
+    /// and one zero-copy allgather merges those: columns make the order
+    /// total, so an entry of the row's top `k` is among its rank's top `k`,
+    /// and the answer is exact for finite scores. Every rank returns the
+    /// same list. `score` must be a pure function agreed on all ranks.
+    /// Collective.
     pub fn row_topk(
         &self,
         grid: &Grid,
@@ -182,21 +185,19 @@ impl<V: Elem> SnapshotMat<V> {
         k: usize,
         score: impl Fn(&V) -> f64,
     ) -> Vec<(Index, V)> {
-        let mine = self.row_local(u);
-        let mut all: Vec<(Index, V)> = grid
-            .world()
-            .allgather_shared(Arc::new(mine))
-            .iter()
-            .flat_map(|part| part.iter().copied())
-            .collect();
-        all.sort_unstable_by(|(ca, va), (cb, vb)| {
-            score(vb)
-                .partial_cmp(&score(va))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ca.cmp(cb))
-        });
-        all.truncate(k);
-        all
+        let top = |mut entries: Vec<(Index, V)>| {
+            entries.sort_unstable_by(|(ca, va), (cb, vb)| {
+                score(vb)
+                    .partial_cmp(&score(va))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(ca.cmp(cb))
+            });
+            entries.truncate(k);
+            entries
+        };
+        let mine = top(self.row_local(u));
+        let parts = grid.world().allgather_shared(Arc::new(mine));
+        top(parts.iter().flat_map(|part| part.iter().copied()).collect())
     }
 
     /// Folds every local entry (global coordinates) into `init` and

@@ -502,6 +502,37 @@ impl Comm {
         Some(acc)
     }
 
+    /// Folds `values`, one per group rank in rank order, with `op` in the
+    /// bracket order [`Comm::reduce`] rooted at `root` evaluates: at step
+    /// `mask = 1, 2, 4, …` every virtual rank `v = (rank − root) mod p`
+    /// that is a multiple of `2·mask` takes `op(acc_v, acc_{v+mask})`. So a
+    /// root that gathers the values and folds them here holds what the
+    /// reduction would have delivered, bit for bit, also for an `op` that
+    /// is not associative, such as float addition.
+    ///
+    /// # Panics
+    /// Panics if `values` is empty or `root` is not one of its ranks.
+    pub fn fold_in_reduce_order<T>(
+        values: Vec<T>,
+        root: usize,
+        mut op: impl FnMut(T, T) -> T,
+    ) -> T {
+        let p = values.len();
+        assert!(root < p, "root {root} of {p} values");
+        let mut acc: Vec<Option<T>> = values.into_iter().map(Some).collect();
+        acc.rotate_left(root);
+        let mut mask = 1;
+        while mask < p {
+            for v in (0..p - mask).step_by(2 * mask) {
+                let other = acc[v + mask].take().expect("subtree folded");
+                let mine = acc[v].take().expect("own accumulator");
+                acc[v] = Some(op(mine, other));
+            }
+            mask <<= 1;
+        }
+        acc[0].take().expect("the root's total")
+    }
+
     /// Allreduce: reduce to rank 0, then [`Comm::bcast`] the result back.
     ///
     /// The hot-path uses of `allreduce` are O(1)-size control values (global

@@ -5,7 +5,7 @@
 //! the external `proptest` crate the seed used is unavailable); each property
 //! runs `CASES` independently drawn inputs, reproducible from the case seed.
 
-use dspgemm_mpi::run;
+use dspgemm_mpi::{run, Comm};
 use dspgemm_util::rng::{Rng, SplitMix64};
 
 const CASES: u64 = 24;
@@ -113,5 +113,26 @@ fn reduce_totals_commutative_op() {
         });
         let expect: u64 = values[..p].iter().map(|&v| v as u64).sum();
         assert_eq!(out.results[0], Some(expect), "case {case}");
+    }
+}
+
+/// `Comm::fold_in_reduce_order` over gathered values equals `Comm::reduce`
+/// at every root of every p ≤ 4 under a non-commutative, non-associative
+/// operator that records its brackets.
+#[test]
+fn fold_in_reduce_order_matches_reduce() {
+    let op = |a: String, b: String| format!("({a} {b})");
+    for p in 1..=4 {
+        for root in 0..p {
+            let out = run(p, move |comm| {
+                let mine = format!("x{}", comm.rank());
+                let gathered = comm.gather(root, mine.clone());
+                let reduced = comm.reduce(root, mine, op);
+                (gathered, reduced)
+            });
+            let (gathered, reduced) = out.results[root].clone();
+            let folded = Comm::fold_in_reduce_order(gathered.expect("root gathers"), root, op);
+            assert_eq!(Some(folded), reduced, "p={p}, root={root}");
+        }
     }
 }

@@ -26,6 +26,7 @@
 //! column-sorted**, so [`DhbRow::find`] binary-searches it and the first
 //! point write on it builds the index, as the 8th push on a light row does.
 use crate::csr::Csr;
+use crate::dcsr::Dcsr;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
 use crate::{Index, RowRead, RowScan};
@@ -440,21 +441,27 @@ impl<V: Copy> DhbRow<V> {
         keys.sort_unstable();
     }
 
-    /// Appends the row's entries to `cols`/`vals` in ascending column order.
-    /// A row that already is in column order (merged, or bulk-filled and
-    /// only appended to since) is copied as it stands; otherwise its sorted
-    /// keys are built in `scratch` and the values gathered through the
-    /// slots.
-    fn append_sorted(&self, cols: &mut Vec<Index>, vals: &mut Vec<V>, scratch: &mut Vec<u64>) {
+    /// Appends the row's entries to `cols`/`vals` in ascending column order,
+    /// each value mapped by `f`. A row that already is in column order
+    /// (merged, or bulk-filled and only appended to since) is copied as it
+    /// stands; otherwise its sorted keys are built in `scratch` and the
+    /// values gathered through the slots.
+    fn append_sorted<W>(
+        &self,
+        cols: &mut Vec<Index>,
+        vals: &mut Vec<W>,
+        f: impl Fn(V) -> W,
+        scratch: &mut Vec<u64>,
+    ) {
         if self.is_sorted() {
             cols.extend_from_slice(&self.cols);
-            vals.extend_from_slice(&self.vals);
+            vals.extend(self.vals.iter().map(|&v| f(v)));
             return;
         }
         self.sorted_keys(scratch);
         for &key in scratch.iter() {
             cols.push((key >> 32) as Index);
-            vals.push(self.vals[key_slot(key)]);
+            vals.push(f(self.vals[key_slot(key)]));
         }
     }
 
@@ -619,10 +626,31 @@ impl<V: Copy> DhbMatrix<V> {
         let mut vals = Vec::with_capacity(self.nnz);
         let mut scratch = Vec::new();
         for row in &self.rows {
-            row.append_sorted(&mut cols, &mut vals, &mut scratch);
+            row.append_sorted(&mut cols, &mut vals, |v| v, &mut scratch);
             row_ptr.push(cols.len());
         }
         Csr::from_parts(self.nrows, self.ncols, row_ptr, cols, vals)
+    }
+
+    /// The rows `rows` (strictly ascending) as a [`Dcsr`] of this matrix's
+    /// shape: each row column-sorted like [`DhbMatrix::to_csr`]'s, its
+    /// values mapped by `f`, and an empty row left out. What a rank ships
+    /// to a peer that multiplies an update block against the rows its
+    /// columns select.
+    pub fn select_rows<W: Copy>(&self, rows: &[Index], f: impl Fn(V) -> W) -> Dcsr<W> {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+        let (mut ids, mut row_ptr) = (Vec::new(), vec![0]);
+        let (mut cols, mut vals, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        for &r in rows {
+            let row = &self.rows[r as usize];
+            if row.is_empty() {
+                continue;
+            }
+            row.append_sorted(&mut cols, &mut vals, &f, &mut scratch);
+            ids.push(r);
+            row_ptr.push(cols.len());
+        }
+        Dcsr::from_parts(self.nrows, self.ncols, ids, row_ptr, cols, vals)
     }
 
     /// The CSR image of this matrix — equal to [`DhbMatrix::to_csr`] —
@@ -1075,6 +1103,47 @@ mod tests {
             let n = m.nnz();
             51 * 8 + n * 4 + n * 8
         });
+    }
+
+    /// `select_rows` equals the matching rows of `to_csr()`, values mapped,
+    /// on a light unsorted row, an indexed row that swap-removes left
+    /// unsorted and a merged heavy row — and leaves empty rows out.
+    #[test]
+    fn select_rows_match_csr_rows() {
+        let mut m: DhbMatrix<u64> = DhbMatrix::new(6, 64);
+        for (c, v) in [(9, 1), (2, 2), (5, 3)] {
+            m.set(0, c, v);
+        }
+        for c in 0..20 {
+            m.set(2, 3 * c, c as u64 + 10);
+        }
+        for c in [0, 9, 21] {
+            m.remove(2, c);
+        }
+        let heavy: Vec<Index> = (0..12).map(|c| 5 * c + 1).collect();
+        m.merge_row(3, &heavy, |j| j as u64 + 40, |x, y| x + y, &mut Vec::new());
+        m.set(4, 7, 99);
+        let unsorted = |r: usize| !m.rows[r].is_sorted();
+        assert!(
+            unsorted(0) && unsorted(2),
+            "rows 0 and 2 are out of column order"
+        );
+        assert!(m.rows[2].index.is_some(), "row 2 is indexed");
+        assert!(m.rows[3].index.is_none() && m.rows[3].len() >= INDEX_THRESHOLD);
+        let csr = m.to_csr();
+        let picked = m.select_rows(&[0, 1, 2, 3, 5], |v| 2 * v);
+        assert_eq!((picked.nrows(), picked.ncols()), (6, 64));
+        let rows: Vec<Index> = picked.iter_rows().map(|(r, _, _)| r).collect();
+        assert_eq!(rows, [0, 2, 3], "empty rows are left out");
+        for (r, cols, vals) in picked.iter_rows() {
+            let (want_cols, want_vals) = RowRead::row(&csr, r);
+            assert_eq!(cols, want_cols, "row {r}");
+            let doubled: Vec<u64> = want_vals.iter().map(|v| 2 * v).collect();
+            assert_eq!(vals, doubled, "row {r}");
+        }
+        let pattern = m.select_rows(&[2, 4], |_| ());
+        assert_eq!(pattern.row_cols(2), RowRead::row(&csr, 2).0);
+        assert_eq!(pattern.row_cols(4), [7]);
     }
 
     /// Random set / add / remove rounds: the image patched from the previous

@@ -7,6 +7,7 @@ use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::graph::catalog::small_instances;
+use dspgemm::graph::rmat::{self, RmatParams};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
 use dspgemm::sparse::semiring::{F64Plus, U64Plus};
 use dspgemm::sparse::{Csr, Dcsr, Index, Triple};
@@ -165,12 +166,13 @@ fn draws(seed: u64, count: usize) -> Vec<Triple<u64>> {
 /// `(bytes, messages)` per [`CommCategory`], in index order.
 type Traffic = [(u64, u64); NUM_CATEGORIES];
 
-/// What the ranks of a `p`-rank run sent inside `batch`, summed.
-fn batch_traffic<T>(
+/// What the ranks of a `p`-rank run sent inside `batch`, summed, and what
+/// `batch` returned on each rank.
+fn batch_traffic<T, R: Send>(
     p: usize,
     setup: impl Fn(&Comm) -> T + Send + Sync,
-    batch: impl Fn(&mut T, &Comm) + Send + Sync,
-) -> Traffic {
+    batch: impl Fn(&mut T, &Comm) -> R + Send + Sync,
+) -> (Traffic, Vec<R>) {
     let own = |comm: &Comm| {
         let mine = &comm.comm_stats().per_rank[comm.rank()];
         CommCategory::all().map(|cat| (mine.bytes[cat as usize], mine.msgs[cat as usize]))
@@ -179,18 +181,23 @@ fn batch_traffic<T>(
         let mut state = setup(comm);
         comm.barrier();
         let before = own(comm);
-        batch(&mut state, comm);
+        let got = batch(&mut state, comm);
         let after = own(comm);
         comm.barrier();
-        CommCategory::all().map(|cat| {
+        let sent = CommCategory::all().map(|cat| {
             let k = cat as usize;
             (after[k].0 - before[k].0, after[k].1 - before[k].1)
-        })
+        });
+        (sent, got)
     });
-    CommCategory::all().map(|cat| {
-        let per_rank = out.results.iter().map(|d| d[cat as usize]);
+    let traffic = CommCategory::all().map(|cat| {
+        let per_rank = out.results.iter().map(|(d, _)| d[cat as usize]);
         per_rank.fold((0, 0), |sum, d| (sum.0 + d.0, sum.1 + d.1))
-    })
+    });
+    (
+        traffic,
+        out.results.into_iter().map(|(_, got)| got).collect(),
+    )
 }
 
 /// A batch redistributes once: `2·p·(√p − 1)` `ALLTOALLV` messages whether
@@ -243,17 +250,17 @@ fn redistribution_is_one_exchange_per_batch() {
     for (p, q) in [(4u64, 2u64), (9, 3)] {
         let one_exchange = 2 * p * (q - 1);
         let algebraic_batches = [
-            batch_traffic(p as usize, engine(false), algebraic),
-            batch_traffic(p as usize, engine(true), algebraic),
-            batch_traffic(p as usize, session, insert),
+            batch_traffic(p as usize, engine(false), algebraic).0,
+            batch_traffic(p as usize, engine(true), algebraic).0,
+            batch_traffic(p as usize, session, insert).0,
         ];
         for got in algebraic_batches {
             assert_eq!(got[a2a].1, one_exchange, "p={p}: algebraic batch");
             assert_eq!(got[p2p], (0, 0), "p={p}: algebraic batch");
         }
         let general_batches = [
-            batch_traffic(p as usize, engine(true), general),
-            batch_traffic(p as usize, session, delete),
+            batch_traffic(p as usize, engine(true), general).0,
+            batch_traffic(p as usize, session, delete).0,
         ];
         for got in general_batches {
             assert_eq!(
@@ -267,9 +274,10 @@ fn redistribution_is_one_exchange_per_batch() {
 
 /// The compact `Dcsr` wire form on the traffic it exists for: one seeded
 /// Algorithm-1 batch (192 insertions into each operand of a catalog proxy)
-/// ships its `X` / `Y` broadcasts and merge-reduced `C*` partials in at most
-/// 0.85 × the bytes the fixed-width form (4 B per column, 12 B per stored
-/// row) metered for the same batch, in the same messages.
+/// ships its `X` / `Y` broadcasts, the X pass's gathered star blocks and
+/// `B′` rows and the Y pass's merge-reduced `C*` partials in at most 0.85 ×
+/// the bytes the fixed-width form (4 B per column, 12 B per stored row)
+/// metered for the same batch, in the same messages.
 #[test]
 fn algebraic_batch_ships_compact_blocks() {
     let (n, triples) = instance_triples();
@@ -298,19 +306,232 @@ fn algebraic_batch_ships_compact_blocks() {
         eng.apply_algebraic(grid, draws(per_rank), draws(per_rank));
     };
     // `Bcast` + `Reduce` (bytes, messages) of this batch as the parent of the
-    // compact form (69822f0) metered it.
+    // compact form (69822f0) metered it; the X pass's partials have since
+    // moved from `Reduce` to `Gather`, in as many messages.
     for (p, fixed) in [(4, (28_296u64, 22u64)), (9, (46_180, 88))] {
-        let got = batch_traffic(p, setup, batch);
-        let (bcast, reduce) = (
-            got[CommCategory::Bcast as usize],
-            got[CommCategory::Reduce as usize],
-        );
-        assert_eq!(bcast.1 + reduce.1, fixed.1, "p={p}: messages");
-        let compact = bcast.0 + reduce.0;
+        let (got, _) = batch_traffic(p, setup, batch);
+        let [bcast, gather, reduce] = [
+            CommCategory::Bcast,
+            CommCategory::Gather,
+            CommCategory::Reduce,
+        ]
+        .map(|cat| got[cat as usize]);
+        assert_eq!(bcast.1 + gather.1 + reduce.1, fixed.1, "p={p}: messages");
+        let compact = bcast.0 + gather.0 + reduce.0;
         assert!(
             compact * 100 <= fixed.0 * 85,
             "p={p}: {compact} B against {} B fixed-width",
             fixed.0
         );
+    }
+}
+
+/// R-MAT scale of the X-pass pin's operands: 512 vertices.
+const PIN_SCALE: u32 = 9;
+
+/// Rank `rank`'s slice of a Graph500 R-MAT stream of `per_rank` edges,
+/// weighted with non-integer values, so that a changed summation order
+/// changes the fingerprint.
+fn rmat_triples(seed: u64, rank: usize, per_rank: usize) -> Vec<Triple<f64>> {
+    let edges = rmat::generate_local(
+        &RmatParams::GRAPH500,
+        PIN_SCALE,
+        per_rank,
+        seed,
+        rank as u64,
+    );
+    let mut rng = SplitMix64::new(seed ^ (rank as u64) << 32);
+    let weights = std::iter::repeat_with(move || 0.1 + rng.gen_f64());
+    edges
+        .into_iter()
+        .zip(weights)
+        .map(|((u, v), w)| Triple::new(u, v, w))
+        .collect()
+}
+
+/// What one batch did, summed over ranks: `(bytes, messages)` per
+/// category, the flops, and `C`'s nnz and FNV-1a fingerprint over its
+/// gathered triples (values by their bits).
+type BatchPin = (Traffic, u64, usize, u64);
+
+/// One batch on a two-operand `F64Plus` engine over R-MAT operands:
+/// `track_filter` as Algorithm 2 needs it, `batch` the batch.
+fn rmat_batch(
+    p: usize,
+    track_filter: bool,
+    batch: impl Fn(&mut DynSpGemm<F64Plus>, &Grid, usize) + Send + Sync,
+) -> BatchPin {
+    let setup = |comm: &Comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let (n, r) = (1 << PIN_SCALE, comm.rank());
+        let mut operand = |seed| {
+            let mine = rmat_triples(seed, r, 4096 / p);
+            DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer)
+        };
+        let (a, b) = (operand(1), operand(2));
+        let eng = DynSpGemm::new(&grid, a, b, 1, track_filter);
+        (grid, eng)
+    };
+    let (traffic, per_rank) = batch_traffic(p, setup, |(grid, eng), comm| {
+        let flops = eng.flops;
+        batch(eng, grid, comm.rank());
+        (eng.flops - flops, eng.c.to_global_triples())
+    });
+    let flops = per_rank.iter().map(|(f, _)| f).sum();
+    let mut c: Vec<Triple<f64>> = per_rank.into_iter().flat_map(|(_, c)| c).collect();
+    c.sort_unstable_by_key(|t| (t.row, t.col));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for t in &c {
+        for word in [t.row as u64, t.col as u64, t.val.to_bits()] {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (traffic, flops, c.len(), hash)
+}
+
+/// An untracked Algorithm-1 batch with `B*` empty — the X pass alone.
+fn x_pass_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, r: usize) {
+    eng.apply_algebraic(grid, rmat_triples(3, r, 256 / grid.world().size()), vec![]);
+}
+
+/// An Algorithm-2 batch: sets and deletes on both operands.
+fn general_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, r: usize) {
+    let per_rank = 128 / grid.world().size();
+    let held = |seed| rmat_triples(seed, r, 4096 / grid.world().size());
+    let deletes = |seed| {
+        held(seed)
+            .iter()
+            .step_by(16)
+            .map(|t| (t.row, t.col))
+            .collect()
+    };
+    let a_upd = GeneralUpdates {
+        sets: rmat_triples(4, r, per_rank),
+        deletes: deletes(1),
+    };
+    let b_upd = GeneralUpdates {
+        sets: rmat_triples(5, r, per_rank),
+        deletes: deletes(2),
+    };
+    eng.apply_general(grid, a_upd, b_upd);
+}
+
+/// The X pass at p ∈ {4, 9, 16} on an R-MAT instance with non-integer
+/// weights: an untracked Algorithm-1 batch (`B*` empty) and an Algorithm-2
+/// batch against what they sent, computed and built while the X pass still
+/// merge-reduced its partial products. Every category but `Gather` and
+/// `Reduce` sends what it did; those two send as many messages as before
+/// and strictly fewer bytes; flops and `C` are bit-identical.
+#[test]
+fn x_pass_ships_fewer_bytes_in_the_same_messages() {
+    // `(bytes, messages)` per category (p2p, bcast, gather, alltoall,
+    // reduce, barrier), flops, nnz(C), fingerprint — captured before the X
+    // pass shipped operands, when nothing gathered.
+    const PARENT: [(usize, [BatchPin; 2]); 3] = [
+        (
+            4,
+            [
+                (
+                    [(0, 0), (2659, 7), (0, 0), (5858, 8), (18372, 7), (0, 0)],
+                    9231,
+                    45609,
+                    12773393021311474032,
+                ),
+                (
+                    [
+                        (11612, 2),
+                        (56449, 21),
+                        (0, 0),
+                        (16288, 8),
+                        (183813, 17),
+                        (0, 0),
+                    ],
+                    66440,
+                    40971,
+                    3018382686662450785,
+                ),
+            ],
+        ),
+        (
+            9,
+            [
+                (
+                    [(0, 0), (5484, 26), (0, 0), (8766, 36), (32594, 26), (0, 0)],
+                    10034,
+                    47756,
+                    13979105264211087679,
+                ),
+                (
+                    [
+                        (13913, 6),
+                        (119350, 86),
+                        (0, 0),
+                        (24308, 36),
+                        (246352, 68),
+                        (0, 0),
+                    ],
+                    70923,
+                    42185,
+                    8245445367843817085,
+                ),
+            ],
+        ),
+        (
+            16,
+            [
+                (
+                    [(0, 0), (8571, 63), (0, 0), (12820, 96), (70075, 63), (0, 0)],
+                    9560,
+                    48029,
+                    4084590035212058393,
+                ),
+                (
+                    [
+                        (18640, 12),
+                        (180126, 219),
+                        (0, 0),
+                        (32376, 96),
+                        (467127, 171),
+                        (0, 0),
+                    ],
+                    70924,
+                    43164,
+                    13428567640573196685,
+                ),
+            ],
+        ),
+    ];
+    let (gather, reduce) = (CommCategory::Gather as usize, CommCategory::Reduce as usize);
+    for (p, [alg1, alg2]) in PARENT {
+        let got = [
+            rmat_batch(p, false, x_pass_batch),
+            rmat_batch(p, true, general_batch),
+        ];
+        for (name, got, want) in [("Algorithm 1", got[0], alg1), ("Algorithm 2", got[1], alg2)] {
+            let at = format!("p={p}, {name}");
+            let (sent, was) = (got.0, want.0);
+            assert_eq!(
+                (got.1, got.2, got.3),
+                (want.1, want.2, want.3),
+                "{at}: flops and C"
+            );
+            for cat in CommCategory::all().map(|cat| cat as usize) {
+                if cat != gather && cat != reduce {
+                    assert_eq!(sent[cat], was[cat], "{at}: category {cat}");
+                }
+            }
+            let merged = |t: &Traffic| (t[gather].0 + t[reduce].0, t[gather].1 + t[reduce].1);
+            let (now, before) = (merged(&sent), merged(&was));
+            assert_eq!(now.1, before.1, "{at}: gather + reduce messages");
+            assert!(
+                now.0 < before.0,
+                "{at}: gather + reduce {} B, was {} B",
+                now.0,
+                before.0
+            );
+        }
     }
 }

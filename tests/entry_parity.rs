@@ -185,16 +185,27 @@ fn session_batch(batch: impl Fn(&mut AnalyticsSession<U64Plus>, &Comm) + Send + 
 // gap-coded varints; no message count, flop count or fingerprint moved.
 // The `Alltoall` bytes were re-pinned when the redistribution's lanes began
 // to travel bit-packed against their least row and column, in the order they
-// were sent; nothing else moved.
+// were sent; nothing else moved. The `Gather` column appeared when the
+// unmasked X pass began to gather each rank's star block and the `B′` rows
+// it selects instead of merge-reducing its partial products: four messages
+// per batch moved from `Reduce` to `Gather` (q rounds of q − 1 per process
+// column), and the bytes of the two together fell; no flop count or
+// fingerprint moved.
 
-/// No path gathers or fences inside a batch.
-fn volume(p2p: (u64, u64), bcast: (u64, u64), alltoall: (u64, u64), reduce: (u64, u64)) -> Volume {
-    [p2p, bcast, (0, 0), alltoall, reduce, (0, 0)]
+/// Nothing fences inside a batch.
+fn volume(
+    p2p: (u64, u64),
+    bcast: (u64, u64),
+    gather: (u64, u64),
+    alltoall: (u64, u64),
+    reduce: (u64, u64),
+) -> Volume {
+    [p2p, bcast, gather, alltoall, reduce, (0, 0)]
 }
 
 fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
     Pinned {
-        volume: volume((0, 0), (2058, 11), (4165, 8), (reduce_bytes, 11)),
+        volume: volume((0, 0), (2058, 11), (3342, 4), (4165, 8), (reduce_bytes, 7)),
         flops: 1443,
         c_nnz: 1812,
         c_hash: 16329019101903906533,
@@ -203,18 +214,18 @@ fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
 
 #[test]
 fn engine_algebraic_untracked() {
-    assert_eq!(engine_batch(false, algebraic), algebraic_pinned(6482));
+    assert_eq!(engine_batch(false, algebraic), algebraic_pinned(2857));
 }
 
 #[test]
 fn engine_algebraic_tracked() {
-    assert_eq!(engine_batch(true, algebraic), algebraic_pinned(11858));
+    assert_eq!(engine_batch(true, algebraic), algebraic_pinned(5153));
 }
 
 #[test]
 fn engine_general() {
     let want = Pinned {
-        volume: volume((1268, 2), (6905, 21), (5543, 8), (15628, 17)),
+        volume: volume((1268, 2), (6905, 21), (2166, 4), (5543, 8), (10882, 13)),
         flops: 2868,
         c_nnz: 1309,
         c_hash: 17350063023210219168,
@@ -226,7 +237,7 @@ fn engine_general() {
 fn session_insert_edges() {
     let got = session_batch(|s, comm| s.insert_edges(triples(80 + comm.rank() as u64, 24)));
     let want = Pinned {
-        volume: volume((0, 0), (2054, 11), (2163, 8), (13270, 11)),
+        volume: volume((0, 0), (2054, 11), (3807, 4), (2163, 8), (6225, 7)),
         flops: 1371,
         c_nnz: 1746,
         c_hash: 14088288244150611198,
@@ -238,7 +249,7 @@ fn session_insert_edges() {
 fn session_delete_edges() {
     let got = session_batch(|s, comm| s.delete_edges(existing(70 + comm.rank() as u64, 90)));
     let want = Pinned {
-        volume: volume((1073, 2), (6169, 21), (2638, 8), (8864, 17)),
+        volume: volume((1073, 2), (6169, 21), (1481, 4), (2638, 8), (6672, 13)),
         flops: 1621,
         c_nnz: 738,
         c_hash: 6929140722947548998,
@@ -278,7 +289,7 @@ fn product(
 #[test]
 fn initial_product_summa_and_summa_bloom() {
     let want = || Pinned {
-        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0)),
+        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0), (0, 0)),
         flops: 2354,
         c_nnz: 1482,
         c_hash: 12397133111747597061,
@@ -319,7 +330,7 @@ fn masked_product_block() {
         (flops, c, Some(f))
     });
     let want = Pinned {
-        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0)),
+        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0), (0, 0)),
         flops: 762,
         c_nnz: 478,
         c_hash: 10499275861888752898,

@@ -129,6 +129,47 @@ fn engine_isolation_case<S: Semiring>(p: usize, mk: impl Fn(u64) -> S::Elem + Co
     );
 }
 
+/// `row_topk` merges each rank's own top `k`: on every row of a product
+/// whose scores tie in threes, at p ∈ {1, 4, 9} and k ∈ {1, 3, 7, n}, it
+/// equals the whole row sorted by score, then by column, and cut at `k`.
+#[test]
+fn row_topk_equals_full_row_sort_with_ties() {
+    let n: Index = 30;
+    for p in [1usize, 4, 9] {
+        run(p, move |comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let feed = |s: u64| {
+                let mine = random_triples::<U64Plus>(s, n, 150, |v| v);
+                if comm.rank() == 0 {
+                    mine
+                } else {
+                    vec![]
+                }
+            };
+            let a = DistMat::from_global_triples(&grid, n, n, feed(5), 1, &mut timer);
+            let b = DistMat::from_global_triples(&grid, n, n, feed(6), 1, &mut timer);
+            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
+            let snap = eng.snapshot();
+            let score = |v: &u64| (*v % 3) as f64;
+            for u in 0..n {
+                let mut row: Vec<(Index, u64)> = comm.allgather(snap.c().row_local(u)).concat();
+                row.sort_unstable_by(|(ca, va), (cb, vb)| {
+                    score(vb).total_cmp(&score(va)).then(ca.cmp(cb))
+                });
+                for k in [1, 3, 7, n as usize] {
+                    let want = &row[..k.min(row.len())];
+                    assert_eq!(
+                        snap.c().row_topk(&grid, u, k, score),
+                        want,
+                        "p={p}, u={u}, k={k}"
+                    );
+                }
+            }
+        });
+    }
+}
+
 #[test]
 fn engine_pinned_epochs_bit_stable_u64plus() {
     for p in [1usize, 4, 9] {

@@ -569,3 +569,32 @@ fn observability_is_a_reader() {
         .collect();
     assert!(elsewhere.is_empty(), "{GUARD}: {elsewhere:?}");
 }
+
+/// "the unmasked X pass ships operands, not products". Its partial
+/// products are about twice the star block and the `B′` rows it selects,
+/// so each round gathers those to the round root, which multiplies and
+/// folds them in the merge-reduction's bracket order after the last round. Only the masked
+/// recompute, whose mask bounds the partials, and the Y pass, which would
+/// need `A`'s columns, merge-reduce products. A reduction brought back into
+/// the unmasked pass fails here.
+#[test]
+fn the_unmasked_x_pass_ships_operands() {
+    const GUARD: &str = "the unmasked X pass ships operands, not products";
+    let file = "crates/core/src/dyn_algebraic.rs";
+    let body = |head: &str| run("sed", &["-n", &format!("/^{head}/,/^}}/p"), file]).1;
+    let (ship, sum) = (body("fn ship_operands"), body("fn sum_products"));
+    assert!(ship.contains(".gather("), "{GUARD}: ship_operands gathers");
+    assert!(
+        sum.contains("fold_in_reduce_order"),
+        "{GUARD}: sum_products folds"
+    );
+    for (name, f) in [("ship_operands", &ship), ("sum_products", &sum)] {
+        assert!(!f.contains(".reduce("), "{GUARD}: {name} reduces");
+    }
+    let x_pass = body(r"pub(crate) fn x_pass");
+    for f in ["ship_operands::<", "sum_products::<"] {
+        assert!(x_pass.contains(f), "{GUARD}: x_pass calls {f}");
+    }
+    let (_, reductions) = grep(&["-c", r"\.reduce(", file]);
+    assert_eq!(reductions.trim(), "2", "{GUARD}: masked X pass and Y pass");
+}
