@@ -27,7 +27,7 @@ use dspgemm_core::distmat::DistMat;
 use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::grid::Grid;
 use dspgemm_core::snapshot::Snapshot;
-use dspgemm_core::{DynSpGemm, Observer};
+use dspgemm_core::{meter, phase, BatchReport, DynSpGemm, Observer};
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, Triple};
@@ -203,27 +203,38 @@ impl<S: Semiring> AnalyticsSession<S> {
     /// (semiring addition; tuples carry global indices and may live on any
     /// rank), refreshing the product and every view from one shared
     /// redistribution, and commits an epoch: readers pinned at the previous
-    /// epoch keep it, new queries see the batch exactly. Collective.
-    pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) {
-        self.engine.apply_algebraic(&self.grid, tuples, Vec::new());
-        self.engine.publish();
+    /// epoch keep it, new queries see the batch exactly. Returns the
+    /// batch's report, its publish a stage of it. Collective.
+    pub fn insert_edges(&mut self, tuples: Vec<Triple<S::Elem>>) -> BatchReport {
+        let report = self.engine.apply_algebraic(&self.grid, tuples, Vec::new());
+        self.published(report)
     }
 
     /// Applies a batch of **general** updates (deletions and value writes
     /// incompatible with the semiring addition) via Algorithm 2, refreshing
-    /// the product and every view, and commits an epoch. Collective.
-    pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) {
+    /// the product and every view, and commits an epoch. Returns the batch's
+    /// report, its publish a stage of it. Collective.
+    pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) -> BatchReport {
         let none = GeneralUpdates::new();
-        self.engine.apply_general(&self.grid, upd, none);
-        self.engine.publish();
+        let report = self.engine.apply_general(&self.grid, upd, none);
+        self.published(report)
     }
 
     /// Deletes the given `(u, v)` positions from the graph (a general
-    /// batch). Collective.
-    pub fn delete_edges(&mut self, pairs: Vec<(Index, Index)>) {
+    /// batch). Returns the batch's report. Collective.
+    pub fn delete_edges(&mut self, pairs: Vec<(Index, Index)>) -> BatchReport {
         let mut upd = GeneralUpdates::new();
         upd.deletes = pairs;
-        self.apply_general(upd);
+        self.apply_general(upd)
+    }
+
+    /// Publishes the epoch a batch committed, metered as the batch's
+    /// [`phase::PUBLISH`] stage.
+    fn published(&mut self, mut report: BatchReport) -> BatchReport {
+        let engine = &mut self.engine;
+        let publish = |stages: &mut PhaseTimer| stages.time(phase::PUBLISH, || engine.publish());
+        report.merge(&meter(self.grid.world(), publish).1);
+        report
     }
 
     // ------------------------------------------------------------------

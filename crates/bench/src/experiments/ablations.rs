@@ -10,13 +10,13 @@
 //!   is expected to perform worse than SUMMA").
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice};
-use crate::measure::timed_collective;
+use crate::measure::BatchCost;
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::combblas::{self, CombBlasMatrix};
 use dspgemm_baselines::Competitor;
 use dspgemm_core::redistribute::redistribute;
-use dspgemm_core::{DistMat, DynSpGemm, Grid};
+use dspgemm_core::{meter, BatchReport, DistMat, DynSpGemm, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::bloom::row_or_reduce;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern};
@@ -57,10 +57,7 @@ pub fn redistribution(cfg: &Config) -> Table {
                     )
                 })
                 .collect();
-            let mut timer = PhaseTimer::new();
-            let (_, d) =
-                timed_collective(comm, || redistribute(&grid, n, n, mine.clone(), &mut timer));
-            d
+            meter(comm, |stages| redistribute(&grid, n, n, mine, stages)).1
         });
         let glob = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
@@ -74,12 +71,12 @@ pub fn redistribution(cfg: &Config) -> Table {
                     )
                 })
                 .collect();
-            let (_, d) = timed_collective(comm, || {
-                combblas::redistribute_global(&grid, n, n, mine.clone())
-            });
-            d
+            meter(comm, |_| combblas::redistribute_global(&grid, n, n, mine)).1
         });
-        let (d2, dg) = (two.results[0], glob.results[0]);
+        let (d2, dg) = (
+            BatchCost::of(&two.results).wall,
+            BatchCost::of(&glob.results).wall,
+        );
         t.push_row(vec![
             per_rank.to_string(),
             ms(d2),
@@ -191,52 +188,36 @@ pub fn aggregation(cfg: &Config) -> Table {
     let edges = &inst.edges;
     for &bs in &[16usize, 256, 4096, 16384] {
         let (p, seed) = (cfg.p, cfg.seed);
-        // Construction of `B`, then of the engine (its initial product of
-        // the empty `A` with `B`), then `batches` Algorithm-1 batches.
-        let engine = |batches: usize| {
-            dspgemm_mpi::run(p, move |comm| {
-                let grid = Grid::new(comm);
-                let mut timer = PhaseTimer::new();
-                let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-                let b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
-                let a: DistMat<f64> = DistMat::empty(&grid, n, n);
-                let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
-                let mut draws = ReplacementDraws::new(bs, seed, comm.rank());
-                for _ in 0..batches {
-                    let batch: Vec<Triple<f64>> = draws
-                        .next_batch(edges)
-                        .into_iter()
-                        .map(|(u, v)| Triple::new(u, v, 1.0))
-                        .collect();
-                    eng.apply_algebraic(&grid, batch, vec![]);
-                }
-                eng.c.local_nnz()
-            })
+        let draw = |rank: usize| -> Vec<Triple<f64>> {
+            let mut draws = ReplacementDraws::new(bs, seed, rank);
+            let batch = draws.next_batch(edges).into_iter();
+            batch.map(|(u, v)| Triple::new(u, v, 1.0)).collect()
         };
-        // Baseline volume: construction only; dynamic: one batch on top.
-        let (base, dynamic) = (engine(0), engine(1));
-        // Static: construction + one CombBLAS-style A*·B.
-        let cb_base = dspgemm_mpi::run(p, |comm| {
+        // One Algorithm-1 batch on the engine over `B` (its initial product
+        // of the empty `A` with `B` is set-up, not the batch).
+        let dynamic = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
             let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine).local_nnz()
+            let b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
+            let a: DistMat<f64> = DistMat::empty(&grid, n, n);
+            let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
+            eng.apply_algebraic(&grid, draw(comm.rank()), vec![])
         });
-        let cb = dspgemm_mpi::run(p, |comm| {
+        // Static: one CombBLAS-style `A*·B` over the constructed `B`.
+        let stat = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
             let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
             let b = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, b_mine);
-            let mut draws = ReplacementDraws::new(bs, seed, comm.rank());
-            let batch: Vec<Triple<f64>> = draws
-                .next_batch(edges)
-                .into_iter()
-                .map(|(u, v)| Triple::new(u, v, 1.0))
-                .collect();
-            let a_star = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, batch);
-            let (delta, _) = CombBlasMatrix::spgemm::<F64Plus>(&grid, &a_star, &b);
-            delta.local_nnz()
+            let batch = draw(comm.rank());
+            let product = meter(comm, |_| {
+                let a_star = CombBlasMatrix::construct::<F64Plus>(&grid, n, n, batch);
+                CombBlasMatrix::spgemm::<F64Plus>(&grid, &a_star, &b)
+            });
+            product.1
         });
-        let dyn_bytes = dynamic.stats.total_bytes() - base.stats.total_bytes();
-        let stat_bytes = cb.stats.total_bytes() - cb_base.stats.total_bytes();
+        let sent = |reports: &[BatchReport]| reports.iter().map(|r| r.comm.total_bytes()).sum();
+        let (dyn_bytes, stat_bytes): (u64, u64) = (sent(&dynamic.results), sent(&stat.results));
         t.push_row(vec![
             bs.to_string(),
             format_bytes(dyn_bytes),

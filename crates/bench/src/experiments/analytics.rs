@@ -13,15 +13,14 @@
 //! [`crate::measure::BatchCost::modeled`]); communication volume is exact.
 
 use crate::experiments::{prepare_instances, rank_slice, Prepared};
-use crate::measure::{measured_collective, median_cost, BatchCost};
+use crate::measure::{per_batch, BatchCost};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_analytics::{AnalyticsSession, CommonNeighborsView, DegreeView, TriangleCountView};
-use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::spmv::{spmv, DistVec};
 use dspgemm_core::summa::summa_bloom;
 use dspgemm_core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm_core::{DistMat, Grid};
+use dspgemm_core::{meter, BatchReport, DistMat, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_graph::Edge;
 use dspgemm_sparse::semiring::U64Plus;
@@ -37,12 +36,19 @@ fn instance_candidates(inst: &Prepared) -> Vec<(Index, Index)> {
     cands
 }
 
-/// Per-round work items: `(algebraic inserts, positions to delete)`.
-type Plan = Vec<(Vec<Triple<u64>>, Vec<(Index, Index)>)>;
+/// One round's work: `(algebraic inserts, positions to delete)`.
+pub(crate) type Round = (Vec<Triple<u64>>, Vec<(Index, Index)>);
 
-/// The shared batch schedule: per round, either an insert batch (per-rank
-/// uniform draws) or the deletion of the batch inserted two rounds earlier.
-fn schedule(edges: &[Edge], rank: usize, batch_size: usize, rounds: usize, seed: u64) -> Plan {
+/// The shared batch schedule (also [`crate::experiments::serve`]'s): per
+/// round, either an insert batch (per-rank uniform draws) or the deletion of
+/// the batch inserted two rounds earlier.
+pub(crate) fn schedule(
+    edges: &[Edge],
+    rank: usize,
+    batch_size: usize,
+    rounds: usize,
+    seed: u64,
+) -> Vec<Round> {
     let mut draws = ReplacementDraws::new(batch_size, seed, rank);
     let mut inserted: Vec<Vec<Edge>> = Vec::new();
     let mut plan = Vec::new();
@@ -64,6 +70,15 @@ fn schedule(edges: &[Edge], rank: usize, batch_size: usize, rounds: usize, seed:
         }
     }
     plan
+}
+
+/// Commits one round on the session: Algorithm 1 for an insert round,
+/// Algorithm 2 for an expire round. Collective.
+pub(crate) fn commit_round(session: &mut AnalyticsSession<U64Plus>, round: Round) -> BatchReport {
+    match round {
+        (inserts, deletes) if deletes.is_empty() => session.insert_edges(inserts),
+        (_, deletes) => session.delete_edges(deletes),
+    }
 }
 
 /// One batch step of the *static* strategy: apply the updates to `A`, then
@@ -135,7 +150,7 @@ pub fn run(cfg: &Config) -> Table {
         for &batch_size in &ANALYTICS_BATCHES {
             let (ins, exp) = dynamic_cost(cfg, inst, batch_size);
             let (stat_ins, stat_exp) = static_cost(cfg, inst, batch_size);
-            let stat = median_cost(&[stat_ins.clone(), stat_exp.clone()]);
+            let stat = BatchCost::median(&[stat_ins.clone(), stat_exp.clone()]);
             table.push_row(vec![
                 inst.name.into(),
                 batch_size.to_string(),
@@ -166,18 +181,16 @@ pub fn run(cfg: &Config) -> Table {
     table
 }
 
-/// Splits per-round costs into (insert-round median, expire-round median);
-/// the schedule alternates, starting with an insert.
-fn split_medians(costs: &[BatchCost]) -> (BatchCost, BatchCost) {
+/// Splits a run's per-round reports (`runs[rank][round]`) into the
+/// insert-round and the expire-round median cost; the schedule alternates,
+/// starting with an insert.
+fn split_medians(runs: &[Vec<BatchReport>]) -> (BatchCost, BatchCost) {
+    let costs = per_batch(runs);
     let ins: Vec<BatchCost> = costs.iter().step_by(2).cloned().collect();
     let exp: Vec<BatchCost> = costs.iter().skip(1).step_by(2).cloned().collect();
     (
-        median_cost(&ins),
-        if exp.is_empty() {
-            median_cost(&ins)
-        } else {
-            median_cost(&exp)
-        },
+        BatchCost::median(&ins),
+        BatchCost::median(if exp.is_empty() { &ins } else { &exp }),
     )
 }
 
@@ -196,22 +209,10 @@ fn dynamic_cost(cfg: &Config, inst: &Prepared, batch_size: usize) -> (BatchCost,
         session.register(Box::new(CommonNeighborsView::new(cands.clone())));
         session.register(Box::new(DegreeView::new(1u64)));
         let plan = schedule(edges, comm.rank(), batch_size, rounds, seed);
-        let mut costs = Vec::new();
-        for (inserts, deletes) in plan {
-            let (_, cost) = measured_collective(comm, || {
-                if deletes.is_empty() {
-                    session.insert_edges(inserts);
-                } else {
-                    let mut upd = GeneralUpdates::new();
-                    upd.deletes = deletes;
-                    session.apply_general(upd);
-                }
-            });
-            costs.push(cost);
-        }
-        split_medians(&costs)
+        let commit = |round| commit_round(&mut session, round);
+        plan.into_iter().map(commit).collect()
     });
-    out.results[0].clone()
+    split_medians(&out.results)
 }
 
 fn static_cost(cfg: &Config, inst: &Prepared, batch_size: usize) -> (BatchCost, BatchCost) {
@@ -228,16 +229,15 @@ fn static_cost(cfg: &Config, inst: &Prepared, batch_size: usize) -> (BatchCost, 
             .collect();
         let mut a = DistMat::from_global_triples(&grid, n, n, base, 1, &mut timer);
         let plan = schedule(edges, comm.rank(), batch_size, rounds, seed);
-        let mut costs = Vec::new();
-        for (inserts, deletes) in plan {
-            let (_, cost) = measured_collective(comm, || {
-                static_step(&grid, &mut a, inserts, &deletes, &cands, &mut timer)
-            });
-            costs.push(cost);
-        }
-        split_medians(&costs)
+        let batch = |(inserts, deletes): Round| {
+            let step = |stages: &mut PhaseTimer| {
+                static_step(&grid, &mut a, inserts, &deletes, &cands, stages)
+            };
+            meter(comm, step).1
+        };
+        plan.into_iter().map(batch).collect()
     });
-    out.results[0].clone()
+    split_medians(&out.results)
 }
 
 #[cfg(test)]
@@ -274,9 +274,7 @@ mod tests {
                 if deletes.is_empty() {
                     session.insert_edges(inserts.clone());
                 } else {
-                    let mut upd = GeneralUpdates::new();
-                    upd.deletes = deletes.clone();
-                    session.apply_general(upd);
+                    session.delete_edges(deletes.clone());
                 }
                 let (tri_static, cand_static) = static_step(
                     &grid,

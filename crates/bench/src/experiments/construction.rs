@@ -1,13 +1,13 @@
 //! Fig. 2/3: matrix construction performance, relative to CombBLAS.
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice};
-use crate::measure::timed_collective;
+use crate::measure::BatchCost;
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::{combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor};
-use dspgemm_core::{DistMat, Grid};
+use dspgemm_core::{meter, DistMat, Grid};
 use dspgemm_sparse::semiring::F64Plus;
-use dspgemm_util::stats::{geometric_mean, PhaseTimer};
+use dspgemm_util::stats::geometric_mean;
 use std::time::Duration;
 
 /// Times each system's full construction of an instance's adjacency matrix.
@@ -23,16 +23,15 @@ fn best_of<F: FnMut() -> Duration>(mut f: F) -> Duration {
 fn construct_times(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> [Duration; 4] {
     let p = cfg.p;
     let ours = best_of(|| {
-        dspgemm_mpi::run(p, |comm| {
+        let out = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
             let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let (_, d) = timed_collective(comm, || {
-                let mut timer = PhaseTimer::new();
-                DistMat::from_global_triples(&grid, n, n, mine.clone(), 1, &mut timer)
-            });
-            d
-        })
-        .results[0]
+            meter(comm, |stages| {
+                DistMat::from_global_triples(&grid, n, n, mine, 1, stages)
+            })
+            .1
+        });
+        BatchCost::of(&out.results).wall
     });
     let cb = competitor_time::<CombBlasMatrix<f64>>(cfg, n, edges);
     let ctf = competitor_time::<CtfMatrix<f64>>(cfg, n, edges);
@@ -44,14 +43,12 @@ fn construct_times(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> [Duration; 4] 
 fn competitor_time<M: Competitor<f64>>(cfg: &Config, n: u32, edges: &[(u32, u32)]) -> Duration {
     let p = cfg.p;
     best_of(|| {
-        dspgemm_mpi::run(p, |comm| {
+        let out = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
             let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
-            let (_, d) =
-                timed_collective(comm, || M::construct::<F64Plus>(&grid, n, n, mine.clone()));
-            d
-        })
-        .results[0]
+            meter(comm, |_| M::construct::<F64Plus>(&grid, n, n, mine)).1
+        });
+        BatchCost::of(&out.results).wall
     })
 }
 

@@ -79,7 +79,7 @@ fn drive(
             comm.arm_crash(1);
         }
         let (a_ups, b_ups) = batch_updates(n, cfg.batch_size.min(512), cfg.seed, batch, me);
-        res = e.try_apply(&grid, Batch::Algebraic(a_ups, b_ups));
+        res = e.try_apply(&grid, Batch::Algebraic(a_ups, b_ups)).map(drop);
         if res.is_ok() {
             e.publish();
             batch += 1;

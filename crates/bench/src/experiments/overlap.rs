@@ -4,17 +4,18 @@
 //! Round `k + 1`'s panels are in flight under round `k`'s multiply, so part
 //! of each communication window is covered by compute instead of *exposed*
 //! (ranks blocked waiting). This experiment reports that split for the
-//! static product and for a dynamic batch stream from the meter's
-//! exposed/overlapped counters ([`dspgemm_mpi::CommStats`]). It asserts
+//! static product and for a dynamic batch stream from the exposed and
+//! overlapped wait of every rank's [`BatchReport`]s, which count no fence:
+//! the meter adds none. It asserts
 //! nothing: that tracing leaves results and wire volume unchanged is
 //! `tests/obs.rs`'s to show.
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
-use crate::measure::{median, timed_collective};
+use crate::measure::{per_batch, quantile};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_core::summa::summa;
-use dspgemm_core::{DistMat, DynSpGemm, Grid};
+use dspgemm_core::{meter, BatchReport, DistMat, DynSpGemm, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::Triple;
@@ -22,13 +23,13 @@ use dspgemm_util::stats::PhaseTimer;
 use std::time::Duration;
 
 /// Outcome of one arm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OverlapArm {
-    /// Median wall time of the measured collective.
+    /// Median wall time of the measured call: the slowest rank's.
     pub wall: Duration,
-    /// Total metered wire bytes of the measured region.
+    /// Wire bytes every rank sent in the measured region.
     pub bytes: u64,
-    /// Total messages of the measured region.
+    /// Messages every rank sent in the measured region.
     pub msgs: u64,
     /// Total ns all ranks spent blocked waiting for communication.
     pub exposed_ns: u64,
@@ -37,6 +38,24 @@ pub struct OverlapArm {
 }
 
 impl OverlapArm {
+    /// The arm of a run whose ranks returned one report per measured call
+    /// (`runs[rank][call]`): the median call's wall time, and the volume
+    /// and waits of every rank over the first `region` calls.
+    fn of(runs: &[Vec<BatchReport>], region: usize) -> Self {
+        let walls = per_batch(runs).iter().map(|c| c.wall).collect();
+        let mut arm = Self {
+            wall: quantile(walls, 0.5),
+            ..Self::default()
+        };
+        for r in runs.iter().flat_map(|rank| &rank[..region]) {
+            arm.bytes += r.sent_bytes();
+            arm.msgs += r.sent_msgs();
+            arm.exposed_ns += r.comm.exposed_ns;
+            arm.overlapped_ns += r.comm.overlapped_ns;
+        }
+        arm
+    }
+
     /// `overlapped / (exposed + overlapped)` of the measured region.
     pub fn overlap_ratio(&self) -> f64 {
         let total = (self.exposed_ns + self.overlapped_ns) as f64;
@@ -49,7 +68,7 @@ impl OverlapArm {
 }
 
 /// One SUMMA arm at `p` ranks: full-adjacency `A·A`, `reps` repetitions
-/// (median wall; stats of the *first* rep region).
+/// (median wall; volume and waits of the *first* rep).
 pub fn summa_arm(inst: &Prepared, p: usize) -> OverlapArm {
     let n = inst.n;
     let edges = &inst.edges;
@@ -59,32 +78,10 @@ pub fn summa_arm(inst: &Prepared, p: usize) -> OverlapArm {
         let mut timer = PhaseTimer::new();
         let mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
         let a = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
-        let mut walls = Vec::new();
-        let mut region = None;
-        for _ in 0..reps {
-            comm.barrier();
-            let before = comm.comm_stats();
-            let (_, d) = timed_collective(comm, || summa::<F64Plus>(&grid, &a, &a, 1, &mut timer));
-            walls.push(d);
-            region.get_or_insert_with(|| comm.comm_stats().delta_since(&before));
-        }
-        (median(&walls), region.expect("one rep ran"))
+        let product = |stages: &mut PhaseTimer| summa::<F64Plus>(&grid, &a, &a, 1, stages);
+        (0..reps).map(|_| meter(comm, product).1).collect()
     });
-    let (wall, region) = &out.results[0];
-    OverlapArm {
-        wall: *wall,
-        bytes: region.total_bytes(),
-        // Zero-byte barrier control messages are excluded: dissemination
-        // rounds of the fencing barriers straddle the snapshots
-        // nondeterministically (cf. `measure::measured_collective`).
-        msgs: region
-            .total_msgs()
-            .saturating_sub(region.msgs_in(dspgemm_mpi::CommCategory::Barrier)),
-        // Exposed/overlapped are summed across ranks from the region delta
-        // of rank 0's snapshot (the snapshot covers the whole network).
-        exposed_ns: region.total_exposed_ns(),
-        overlapped_ns: region.total_overlapped_ns(),
-    }
+    OverlapArm::of(&out.results, 1)
 }
 
 /// The dynamic-update arm, reported for its achieved overlap ratio. Runs
@@ -105,40 +102,23 @@ pub fn dynamic_arm(cfg: &Config, inst: &Prepared, p: usize) -> OverlapArm {
         let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
         let mut a_draws = ReplacementDraws::new(batch_size, seed, comm.rank());
         let mut b_draws = ReplacementDraws::new(batch_size, seed ^ 0x9e37, comm.rank());
-        comm.barrier();
-        let before = comm.comm_stats();
-        let mut times = Vec::new();
-        for _ in 0..batches {
-            let a_batch: Vec<Triple<f64>> = a_draws
-                .next_batch(edges)
-                .into_iter()
-                .map(|(u, v)| Triple::new(u, v, 1.0))
-                .collect();
-            let b_batch: Vec<Triple<f64>> = b_draws
-                .next_batch(edges)
-                .into_iter()
-                .map(|(u, v)| Triple::new(u, v, 1.0))
-                .collect();
-            let (_, d) = timed_collective(comm, || {
-                eng.apply_algebraic(&grid, a_batch, b_batch);
+        let draw = |draws: &mut ReplacementDraws| -> Vec<Triple<f64>> {
+            let batch = draws.next_batch(edges).into_iter();
+            batch.map(|(u, v)| Triple::new(u, v, 1.0)).collect()
+        };
+        (0..batches)
+            .map(|_| {
+                let (a_batch, b_batch) = (draw(&mut a_draws), draw(&mut b_draws));
+                let mut report = eng.apply_algebraic(&grid, a_batch, b_batch);
                 // Commit the batch as the next epoch (local-only) — the
                 // serving pattern, and the source of `epoch_publish`
                 // events in a traced run.
-                eng.snapshot();
-            });
-            times.push(d);
-        }
-        let region = comm.comm_stats().delta_since(&before);
-        (median(&times), region)
+                report.merge(&meter(comm, |_| eng.snapshot()).1);
+                report
+            })
+            .collect()
     });
-    let (wall, region) = &out.results[0];
-    OverlapArm {
-        wall: *wall,
-        bytes: region.total_bytes(),
-        msgs: region.total_msgs(),
-        exposed_ns: region.total_exposed_ns(),
-        overlapped_ns: region.total_overlapped_ns(),
-    }
+    OverlapArm::of(&out.results, batches)
 }
 
 fn ns_ms(ns: u64) -> String {

@@ -12,19 +12,21 @@
 //! ([`RebalanceConfig::default`]). The static arm is the plain engine path,
 //! publishing on the same cadence.
 //!
-//! The table reports wall time, migrations, their wire bytes and the
-//! imbalance trajectory; it asserts nothing. That a migration leaves `C`
+//! The table reports wall time, the critical path read from the batch
+//! reports (per batch the busiest rank's busy time and flops, summed over
+//! batches), migrations, their wire bytes and the imbalance trajectory; it
+//! asserts nothing. That a migration leaves `C`
 //! and pinned epochs bit-identical to a static rerun, and ends below the
 //! static arm's nnz imbalance, is `crates/core/tests/layout_edges.rs`'s to
 //! show; that the `engine/migrate` spans and `migrated` instants account
 //! for every migrated byte is `tests/obs.rs`'s.
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
-use crate::measure::timed_collective;
+use crate::measure::{per_batch, BatchCost};
 use crate::report::{ms, Table};
 use crate::Config;
 use dspgemm_core::rebalance::imbalance;
-use dspgemm_core::{DistMat, DynSpGemm, Grid, RebalanceConfig};
+use dspgemm_core::{meter, BatchReport, DistMat, DynSpGemm, Grid, RebalanceConfig};
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::Triple;
 use dspgemm_util::rng::{Rng, SplitMix64};
@@ -37,8 +39,15 @@ type Batch = (Vec<Triple<f64>>, Vec<Triple<f64>>);
 /// Outcome of one layout arm (one full batch loop).
 #[derive(Debug, Clone)]
 pub struct RebalanceArm {
-    /// Summed wall time of the measured batch steps (apply + policy).
+    /// Summed over the batch steps (apply + policy), the slowest rank's
+    /// wall time.
     pub wall: Duration,
+    /// Summed over the batch steps, the largest busy time (wall minus
+    /// exposed wait) of any rank: the critical path, which wall time does
+    /// not show when the ranks outnumber the cores.
+    pub crit_busy: Duration,
+    /// Summed over the batch steps, the most SpGEMM flops of any rank.
+    pub crit_flops: u64,
     /// Migrations the adaptive policy committed (0 for the static arm).
     pub migrations: u64,
     /// Network-wide wire bytes of those migrations.
@@ -91,12 +100,11 @@ pub fn rebalance_arm(
         let stream: Vec<Batch> = (0..batches)
             .map(|_| (draw(batch_size), draw(batch_size)))
             .collect();
-        let flops0 = eng.flops;
-        let mut wall = Duration::ZERO;
+        let mut reports = Vec::with_capacity(batches);
         let mut trajectory = Vec::with_capacity(batches);
         for (a_batch, b_batch) in stream {
-            let (_, d) = timed_collective(comm, || {
-                eng.apply_algebraic(&grid, a_batch, b_batch);
+            let mut report = eng.apply_algebraic(&grid, a_batch, b_batch);
+            let policy = meter(comm, |_| {
                 if adaptive {
                     eng.maybe_rebalance(&grid).expect("fault-free");
                 } else {
@@ -105,26 +113,31 @@ pub fn rebalance_arm(
                     eng.snapshot();
                 }
             });
-            wall += d;
-            // Measured here, after the policy acted and outside the timed
-            // region: the same per-rank signal `maybe_rebalance` gathers.
+            report.merge(&policy.1);
+            reports.push(report);
+            // Measured here, after the policy acted and outside the metered
+            // step: the same per-rank signal `maybe_rebalance` gathers.
             let load = (eng.a.local_nnz() + eng.c.local_nnz()) as u64;
             trajectory.push(imbalance(&comm.allgather(load)));
         }
-        let flops_all = comm.gather(0, eng.flops - flops0);
         let (migrations, migrated_bytes) = eng
             .rebalancer()
             .map(|r| (r.migrations(), r.migrated_bytes()))
             .unwrap_or((0, 0));
-        (wall, trajectory, flops_all, migrations, migrated_bytes)
+        (reports, (trajectory, migrations, migrated_bytes))
     });
-    let (wall, trajectory, flops_all, migrations, migrated_bytes) = &out.results[0];
+    let (runs, mut rank_arms): (Vec<Vec<BatchReport>>, Vec<_>) = out.results.into_iter().unzip();
+    let (trajectory, migrations, migrated_bytes) = rank_arms.swap_remove(0);
+    let path = BatchCost::total(&per_batch(&runs));
+    let flops = |run: &Vec<BatchReport>| run.iter().map(|b| b.flops).sum();
     RebalanceArm {
-        wall: *wall,
-        migrations: *migrations,
-        migrated_bytes: *migrated_bytes,
-        trajectory: trajectory.clone(),
-        flops_imbalance: imbalance(flops_all.as_deref().expect("rank 0 gathers")),
+        wall: path.wall,
+        crit_busy: path.busy,
+        crit_flops: path.flops,
+        migrations,
+        migrated_bytes,
+        trajectory,
+        flops_imbalance: imbalance(&runs.iter().map(flops).collect::<Vec<u64>>()),
     }
 }
 
@@ -144,6 +157,8 @@ pub fn run(cfg: &Config) -> Table {
         &[
             "benchmark",
             "wall",
+            "critical busy",
+            "critical flops",
             "migrations",
             "migration bytes",
             "nnz imbalance (start -> end)",
@@ -159,6 +174,8 @@ pub fn run(cfg: &Config) -> Table {
         t.push_row(vec![
             name.to_string(),
             ms(arm.wall),
+            ms(arm.crit_busy),
+            arm.crit_flops.to_string(),
             arm.migrations.to_string(),
             dspgemm_util::stats::format_bytes(arm.migrated_bytes),
             format!(
@@ -173,6 +190,10 @@ pub fn run(cfg: &Config) -> Table {
     t.note(
         "nnz imbalance = max/mean of the per-rank nnz(A) + nnz(C) (the policy's own load signal), \
          allgathered after each batch's policy step; flop imbalance = max/mean of per-rank SpGEMM flops over the whole run",
+    );
+    t.note(
+        "critical busy / flops = per batch step, the largest busy time (wall minus exposed wait) / \
+         SpGEMM flops of any rank, from the batch reports, summed over the run",
     );
     t
 }

@@ -19,17 +19,15 @@
 //! a running batch and that retention is bounded by the pins is
 //! `tests/snapshot.rs`'s to show.
 
+use crate::experiments::analytics::{commit_round, schedule};
 use crate::experiments::{prepare_instances, rank_slice, Prepared};
-use crate::measure::{measured_collective, quantile};
+use crate::measure::{quantile, BatchCost};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_analytics::{
     AnalyticsSession, SessionSnapshot, TriangleCountView, TriangleReading, ViewId,
 };
-use dspgemm_core::dyn_general::GeneralUpdates;
-use dspgemm_core::Grid;
-use dspgemm_graph::stream::ReplacementDraws;
-use dspgemm_graph::Edge;
+use dspgemm_core::{meter, BatchReport, Grid};
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
@@ -71,63 +69,38 @@ impl QuerySet {
         self.pairs.len() + self.rows.len() + 1
     }
 
-    /// Runs every query against one pinned epoch, recording each query's
-    /// modeled end-to-end latency into `lat`. Collective.
+    /// Runs every query against one pinned epoch under the meter and
+    /// returns this rank's report of each. Collective.
     fn run(
         &self,
         comm: &Comm,
         grid: &Grid,
         snap: &SessionSnapshot<U64Plus>,
         tri: ViewId,
-        lat: &mut Vec<Duration>,
-    ) {
+    ) -> Vec<BatchReport> {
+        let mut reports = Vec::with_capacity(self.len());
         for &(u, v) in &self.pairs {
-            let (_, cost) = measured_collective(comm, || snap.product_entry(grid, u, v));
-            lat.push(cost.modeled());
+            reports.push(meter(comm, |_| snap.product_entry(grid, u, v)).1);
         }
         for &u in &self.rows {
-            let (_, cost) =
-                measured_collective(comm, || snap.product_row_topk(grid, u, 8, |&v| v as f64));
-            lat.push(cost.modeled());
+            let topk = |_: &mut _| snap.product_row_topk(grid, u, 8, |&v| v as f64);
+            reports.push(meter(comm, topk).1);
         }
-        let (_, cost) = measured_collective(comm, || {
+        let reading = |_: &mut _| {
             snap.view_as::<TriangleReading>(tri)
                 .map(TriangleReading::count)
-        });
-        lat.push(cost.modeled());
+        };
+        reports.push(meter(comm, reading).1);
+        reports
     }
-}
-
-/// One round's work: `(algebraic inserts, positions to delete)`.
-type Round = (Vec<Triple<u64>>, Vec<(Index, Index)>);
-
-/// Per-round work — alternating insert/expire, exercising Algorithm 1 and
-/// Algorithm 2 under the query stream.
-fn plan(edges: &[Edge], rank: usize, rounds: usize, seed: u64) -> Vec<Round> {
-    let mut draws = ReplacementDraws::new(SERVE_BATCH, seed, rank);
-    let mut inserted: Vec<Vec<Edge>> = Vec::new();
-    let mut out = Vec::new();
-    for round in 0..rounds {
-        if round % 2 == 0 {
-            let batch = draws.next_batch(edges);
-            inserted.push(batch.clone());
-            out.push((
-                batch
-                    .into_iter()
-                    .map(|(u, v)| Triple::new(u, v, 1))
-                    .collect(),
-                Vec::new(),
-            ));
-        } else {
-            out.push((Vec::new(), inserted[round / 2].clone()));
-        }
-    }
-    out
 }
 
 /// Everything one rank measures across the rounds of one instance; the
-/// latency samples are kept whole and their percentiles are exact.
+/// latencies, filled in from every rank's reports after the run, are kept
+/// whole and their percentiles are exact.
 struct ServeRun {
+    /// Per round, this rank's report of the batch and of each query.
+    rounds: Vec<(BatchReport, Vec<BatchReport>)>,
     snap_lat: Vec<Duration>,
     block_lat: Vec<Duration>,
     stale: Vec<u64>,
@@ -139,6 +112,7 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
     let n = inst.n;
     let (p, rounds, seed) = (cfg.p, cfg.batches.max(2), cfg.seed);
     let edges = &inst.edges;
+    let queries = QuerySet::for_instance(inst);
     let out = dspgemm_mpi::run(p, |comm| {
         let base: Vec<Triple<u64>> = rank_slice(edges, comm.rank(), p)
             .into_iter()
@@ -146,10 +120,10 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             .collect();
         let mut session = AnalyticsSession::<U64Plus>::from_triples(comm, n, 1, base);
         let tri = session.register(Box::new(TriangleCountView::new()));
-        let queries = QuerySet::for_instance(inst);
 
-        let schedule = plan(edges, comm.rank(), rounds, seed);
+        let schedule = schedule(edges, comm.rank(), SERVE_BATCH, rounds, seed);
         let mut r = ServeRun {
+            rounds: Vec::new(),
             snap_lat: Vec::new(),
             block_lat: Vec::new(),
             stale: Vec::new(),
@@ -157,37 +131,19 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
             live_bytes_max: 0,
         };
         let mut laggard = session.pin();
-        for (round, (inserts, deletes)) in schedule.into_iter().enumerate() {
+        for (round, work) in schedule.into_iter().enumerate() {
             // Pin the pre-batch epoch e.
             let pin = session.pin();
 
             // Apply the batch (epoch e + 1 commits at the end).
-            let (_, batch_cost) = measured_collective(comm, || {
-                if deletes.is_empty() {
-                    session.insert_edges(inserts);
-                } else {
-                    let mut upd = GeneralUpdates::new();
-                    upd.deletes = deletes;
-                    session.apply_general(upd);
-                }
-            });
-            let drain = batch_cost.modeled();
+            let batch = commit_round(&mut session, work);
 
-            // The interleaved query stream: arrivals spread uniformly over
-            // the batch window. Snapshot arm: served from the pinned epoch
-            // immediately. Blocking arm: the same service times behind the
-            // remaining drain.
-            let mut service = Vec::new();
-            queries.run(comm, session.grid(), &pin, tri, &mut service);
-            let q_count = queries.len();
-            for (i, &svc) in service.iter().enumerate() {
-                let arrival = (i as f64 + 0.5) / q_count as f64;
-                r.snap_lat.push(svc);
-                r.block_lat
-                    .push(svc + Duration::from_secs_f64(drain.as_secs_f64() * (1.0 - arrival)));
-                // Served epoch e while e + 1 was committing.
-                r.stale.push(session.epoch() - pin.epoch());
-            }
+            // The interleaved query stream, served from the pinned epoch
+            // e while e + 1 was committing.
+            let served = queries.run(comm, session.grid(), &pin, tri);
+            r.stale
+                .extend(served.iter().map(|_| session.epoch() - pin.epoch()));
+            r.rounds.push((batch, served));
 
             // The laggard reader: holds its pin across a window of rounds,
             // accumulating stale distance and exercising retention.
@@ -210,7 +166,29 @@ fn serve_instance(cfg: &Config, inst: &Prepared) -> ServeRun {
         }
         r
     });
-    out.results.into_iter().next().expect("rank 0 result")
+    // Each batch and query costs its modeled critical path over all ranks.
+    // Arrivals spread uniformly over the batch window: the snapshot arm
+    // serves a query at once, the blocking arm after the remaining drain.
+    let runs = &out.results;
+    let modeled =
+        |at: &dyn Fn(&ServeRun) -> &BatchReport| BatchCost::of(runs.iter().map(at)).modeled();
+    let (mut snap_lat, mut block_lat) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let drain = modeled(&|r| &r.rounds[round].0);
+        let q_count = queries.len();
+        for i in 0..q_count {
+            let svc = modeled(&|r| &r.rounds[round].1[i]);
+            let arrival = (i as f64 + 0.5) / q_count as f64;
+            snap_lat.push(svc);
+            block_lat.push(svc + Duration::from_secs_f64(drain.as_secs_f64() * (1.0 - arrival)));
+        }
+    }
+    let rank0 = out.results.into_iter().next().expect("rank 0 result");
+    ServeRun {
+        snap_lat,
+        block_lat,
+        ..rank0
+    }
 }
 
 /// Interleaved query/update serving: snapshot-isolated vs. blocking query

@@ -20,20 +20,19 @@
 use crate::experiments::{
     edges_to_triples, edges_to_weighted, prepare_instances, rank_slice, Prepared,
 };
-use crate::measure::{measured_collective, median_cost, BatchCost};
+use crate::measure::{per_batch, BatchCost};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::{
     combblas::CombBlasMatrix, ctf::CtfMatrix, petsc::PetscMatrix, Competitor, Fold,
 };
 use dspgemm_core::dyn_general::GeneralUpdates;
-use dspgemm_core::{phase, DistMat, DynSpGemm, Grid};
+use dspgemm_core::{meter, phase, DistMat, DynSpGemm, Grid};
 use dspgemm_graph::stream::ReplacementDraws;
 use dspgemm_sparse::semiring::{F64Plus, MinPlus, Semiring};
 use dspgemm_sparse::Triple;
 use dspgemm_util::hash::mix_pair;
 use dspgemm_util::stats::{format_bytes, PhaseTimer};
-use std::time::Duration;
 
 /// Per-rank batch sizes. The paper uses 1024…8192 on graphs of 86 M – 3.6 B
 /// non-zeros; keeping the paper's nnz(C*) ≪ nnz(B) regime at proxy scale
@@ -60,16 +59,15 @@ fn weighted_batch(
         .collect()
 }
 
-/// Median per-batch cost of our algebraic dynamic SpGEMM (Fig. 9 protocol),
-/// plus Fig. 12's critical-path view over all batches: the exposed wall
-/// time per phase and the communication time local compute hid (the
-/// meter's per-rank `overlapped_ns`), each the maximum across ranks.
+/// The cost of every batch of our algebraic dynamic SpGEMM (Fig. 9
+/// protocol), from the reports the engine returns: their median is a Fig. 9
+/// row, their total a Fig. 12 column.
 pub fn ours_algebraic(
     cfg: &Config,
     inst: &Prepared,
     batch_size: usize,
     p: usize,
-) -> (BatchCost, PhaseTimer, Duration) {
+) -> Vec<BatchCost> {
     let n = inst.n;
     let (batches, seed) = (cfg.batches, cfg.seed);
     let edges = &inst.edges;
@@ -80,29 +78,12 @@ pub fn ours_algebraic(
         let b = DistMat::from_global_triples(&grid, n, n, b_mine, 1, &mut timer);
         let a: DistMat<f64> = DistMat::empty(&grid, n, n);
         let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
-        // Fig. 12 shows batch phases only, not the initial product's.
-        eng.timer = PhaseTimer::new();
-        let hidden = || comm.comm_stats().per_rank[comm.rank()].overlapped_ns;
-        let hidden_before = hidden();
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut costs = Vec::new();
-        for _ in 0..batches {
-            let batch = unit_batch(&mut draws, edges);
-            let (_, cost) = measured_collective(comm, || {
-                eng.apply_algebraic(&grid, batch.clone(), vec![]);
-            });
-            costs.push(cost);
-        }
-        let hidden = Duration::from_nanos(hidden() - hidden_before);
-        (median_cost(&costs), eng.timer, hidden)
+        (0..batches)
+            .map(|_| eng.apply_algebraic(&grid, unit_batch(&mut draws, edges), vec![]))
+            .collect()
     });
-    let mut merged = PhaseTimer::new();
-    let mut hidden = Duration::ZERO;
-    for (_, pt, h) in &out.results {
-        merged.merge_max(pt);
-        hidden = hidden.max(*h);
-    }
-    (out.results[0].0.clone(), merged, hidden)
+    per_batch(&out.results)
 }
 
 /// Median per-batch cost of competitor `M` on the Fig. 9 protocol: build
@@ -116,40 +97,43 @@ fn competitor_algebraic<M: Competitor<f64>>(
     let n = inst.n;
     let (p, batches, seed) = (cfg.p, cfg.batches, cfg.seed);
     let edges = &inst.edges;
-    dspgemm_mpi::run(p, |comm| {
+    let out = dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let b_mine = edges_to_triples(&rank_slice(edges, comm.rank(), p));
         let b = M::construct::<F64Plus>(&grid, n, n, b_mine);
         let mut c = M::Product::empty(&grid, n, n);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut costs = Vec::new();
-        for _ in 0..batches {
-            let batch = unit_batch(&mut draws, edges);
-            let (_, cost) = measured_collective(comm, || {
-                let a_star = M::construct::<F64Plus>(&grid, n, n, batch.clone());
-                let (delta, _) = M::spgemm::<F64Plus>(&grid, &a_star, &b);
-                c.merge_add_local::<F64Plus>(&delta);
-            });
-            costs.push(cost);
-        }
-        median_cost(&costs)
-    })
-    .results
-    .remove(0)
+        (0..batches)
+            .map(|_| {
+                let batch = unit_batch(&mut draws, edges);
+                let metered = meter(comm, |_| {
+                    let a_star = M::construct::<F64Plus>(&grid, n, n, batch);
+                    let (delta, _) = M::spgemm::<F64Plus>(&grid, &a_star, &b);
+                    c.merge_add_local::<F64Plus>(&delta);
+                });
+                metered.1
+            })
+            .collect()
+    });
+    BatchCost::median(&per_batch(&out.results))
 }
 
-fn spgemm_table(
-    title: String,
-    rows: Vec<(usize, BatchCost, BatchCost, BatchCost, BatchCost)>,
-) -> Table {
+/// One arm of Fig. 9 or Fig. 10: an instance's median batch at a batch size.
+type Arm = fn(&Config, &Prepared, usize) -> BatchCost;
+
+/// Fig. 9 / Fig. 10's table: per batch size, each arm's median over the
+/// instances — ours, then CombBLAS, CTF and PETSc.
+fn spgemm_table(title: String, cfg: &Config, arms: [Arm; 4]) -> Table {
     let mut t = Table::new(
         title,
         &[
             "batch/rank",
             "ours local",
             "ours vol",
+            "ours nnz(C*)",
             "CB local",
             "CB vol",
+            "CB nnz(C*)",
             "ours model",
             "CB model",
             "CTF model",
@@ -159,17 +143,21 @@ fn spgemm_table(
             "vs PETSc",
         ],
     );
-    for (bs, o, cb, ct, pe) in rows {
-        let om = o.modeled();
-        let cbm = cb.modeled();
-        let ctm = ct.modeled();
-        let pem = pe.modeled();
+    let instances = prepare_instances(cfg);
+    for bs in SPGEMM_BATCHES {
+        let [o, cb, ct, pe] = arms.map(|arm| {
+            let per_instance: Vec<BatchCost> = instances.iter().map(|i| arm(cfg, i, bs)).collect();
+            BatchCost::median(&per_instance)
+        });
+        let [om, cbm, ctm, pem] = [&o, &cb, &ct, &pe].map(BatchCost::modeled);
         t.push_row(vec![
             bs.to_string(),
             ms(o.wall),
             format_bytes(o.crit_bytes),
+            o.cstar_nnz.to_string(),
             ms(cb.wall),
             format_bytes(cb.crit_bytes),
+            "—".into(),
             ms(om),
             ms(cbm),
             ms(ctm),
@@ -180,36 +168,22 @@ fn spgemm_table(
         ]);
     }
     t.note("vol = critical-path bytes per batch (max over ranks)");
+    t.note("nnz(C*) = entries of the product delta per batch; a static competitor forms no delta");
     t.note("model = local time + vol / 12.5 GB/s + 1 us per message (paper's 100 GBit fabric)");
     t
 }
 
 /// Fig. 9: dynamic SpGEMM, algebraic case, `(+,·)`.
 pub fn fig9(cfg: &Config) -> Table {
-    let instances = prepare_instances(cfg);
-    let mut rows = Vec::new();
-    for &bs in &SPGEMM_BATCHES {
-        let mut o_all = Vec::new();
-        let mut cb_all = Vec::new();
-        let mut ct_all = Vec::new();
-        let mut pe_all = Vec::new();
-        for inst in &instances {
-            o_all.push(ours_algebraic(cfg, inst, bs, cfg.p).0);
-            cb_all.push(competitor_algebraic::<CombBlasMatrix<f64>>(cfg, inst, bs));
-            ct_all.push(competitor_algebraic::<CtfMatrix<f64>>(cfg, inst, bs));
-            pe_all.push(competitor_algebraic::<PetscMatrix<f64>>(cfg, inst, bs));
-        }
-        rows.push((
-            bs,
-            median_cost(&o_all),
-            median_cost(&cb_all),
-            median_cost(&ct_all),
-            median_cost(&pe_all),
-        ));
-    }
     let mut t = spgemm_table(
         format!("Figure 9: dynamic SpGEMM (algebraic, (+,*)), p={}", cfg.p),
-        rows,
+        cfg,
+        [
+            |cfg, inst, bs| BatchCost::median(&ours_algebraic(cfg, inst, bs, cfg.p)),
+            competitor_algebraic::<CombBlasMatrix<f64>>,
+            competitor_algebraic::<CtfMatrix<f64>>,
+            competitor_algebraic::<PetscMatrix<f64>>,
+        ],
     );
     t.note("paper: 3.41x-6.18x vs CombBLAS, >=11.73x vs CTF, >=5.2x vs PETSc; speedup shrinks with batch size");
     t
@@ -217,12 +191,12 @@ pub fn fig9(cfg: &Config) -> Table {
 
 /// Median per-batch cost of our general dynamic SpGEMM under `(min,+)`
 /// (Fig. 10 protocol: value writes drawn from the adjacency, replacement
-/// semantics → general updates).
+/// semantics → general updates), from the reports the engine returns.
 pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) -> BatchCost {
     let n = inst.n;
     let (batches, seed) = (cfg.batches, cfg.seed);
     let edges = &inst.edges;
-    dspgemm_mpi::run(p, |comm| {
+    let out = dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let b_mine = edges_to_weighted(&rank_slice(edges, comm.rank(), p));
@@ -230,19 +204,15 @@ pub fn ours_general(cfg: &Config, inst: &Prepared, batch_size: usize, p: usize) 
         let a: DistMat<f64> = DistMat::empty(&grid, n, n);
         let mut eng = DynSpGemm::<MinPlus>::new(&grid, a, b, 1, true);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut costs = Vec::new();
-        for round in 0..batches as u64 {
-            let mut upd = GeneralUpdates::new();
-            upd.sets = weighted_batch(&mut draws, edges, round);
-            let (_, cost) = measured_collective(comm, || {
-                eng.apply_general(&grid, upd.clone(), GeneralUpdates::new());
-            });
-            costs.push(cost);
-        }
-        median_cost(&costs)
-    })
-    .results
-    .remove(0)
+        (0..batches as u64)
+            .map(|round| {
+                let mut upd = GeneralUpdates::new();
+                upd.sets = weighted_batch(&mut draws, edges, round);
+                eng.apply_general(&grid, upd, GeneralUpdates::new())
+            })
+            .collect()
+    });
+    BatchCost::median(&per_batch(&out.results))
 }
 
 /// Median per-batch cost of competitor `M` on the Fig. 10 protocol under
@@ -256,58 +226,38 @@ fn competitor_general<M: Competitor<f64>, S: Semiring<Elem = f64>>(
     let n = inst.n;
     let (p, batches, seed) = (cfg.p, cfg.batches, cfg.seed);
     let edges = &inst.edges;
-    dspgemm_mpi::run(p, |comm| {
+    let out = dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let b_mine = edges_to_weighted(&rank_slice(edges, comm.rank(), p));
         let b = M::construct::<S>(&grid, n, n, b_mine);
         let mut a = M::construct::<S>(&grid, n, n, vec![]);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut costs = Vec::new();
-        for round in 0..batches as u64 {
-            let batch = weighted_batch(&mut draws, edges, round);
-            let (_, cost) = measured_collective(comm, || {
-                a.update(&grid, batch.clone());
-                let _ = M::spgemm::<S>(&grid, &a, &b);
-            });
-            costs.push(cost);
-        }
-        median_cost(&costs)
-    })
-    .results
-    .remove(0)
+        (0..batches as u64)
+            .map(|round| {
+                let batch = weighted_batch(&mut draws, edges, round);
+                let metered = meter(comm, |_| {
+                    a.update(&grid, batch);
+                    let _ = M::spgemm::<S>(&grid, &a, &b);
+                });
+                metered.1
+            })
+            .collect()
+    });
+    BatchCost::median(&per_batch(&out.results))
 }
 
 /// Fig. 10: dynamic SpGEMM, general case, `(min,+)`.
 pub fn fig10(cfg: &Config) -> Table {
-    let instances = prepare_instances(cfg);
-    let mut rows = Vec::new();
-    for &bs in &SPGEMM_BATCHES {
-        let mut o_all = Vec::new();
-        let mut cb_all = Vec::new();
-        let mut ct_all = Vec::new();
-        let mut pe_all = Vec::new();
-        for inst in &instances {
-            o_all.push(ours_general(cfg, inst, bs, cfg.p));
-            cb_all.push(competitor_general::<CombBlasMatrix<f64>, MinPlus>(
-                cfg, inst, bs,
-            ));
-            ct_all.push(competitor_general::<CtfMatrix<f64>, MinPlus>(cfg, inst, bs));
-            // PETSc keeps (+,·) — it has no general semirings (paper).
-            pe_all.push(competitor_general::<PetscMatrix<f64>, F64Plus>(
-                cfg, inst, bs,
-            ));
-        }
-        rows.push((
-            bs,
-            median_cost(&o_all),
-            median_cost(&cb_all),
-            median_cost(&ct_all),
-            median_cost(&pe_all),
-        ));
-    }
     let mut t = spgemm_table(
         format!("Figure 10: dynamic SpGEMM (general, (min,+)), p={}", cfg.p),
-        rows,
+        cfg,
+        [
+            |cfg, inst, bs| ours_general(cfg, inst, bs, cfg.p),
+            competitor_general::<CombBlasMatrix<f64>, MinPlus>,
+            competitor_general::<CtfMatrix<f64>, MinPlus>,
+            // PETSc keeps (+,·) — it has no general semirings (paper).
+            competitor_general::<PetscMatrix<f64>, F64Plus>,
+        ],
     );
     t.note(
         "paper: 2.39x-4.57x vs CombBLAS, >=14.58x vs CTF, >=6.9x vs PETSc (PETSc stays on (+,*))",
@@ -329,11 +279,11 @@ pub fn fig11(cfg: &Config) -> Table {
     let instances = prepare_instances(&cfg2);
     let bs = *SPGEMM_BATCHES.last().unwrap();
     for p in [1usize, 4, 16] {
-        let mut costs = Vec::new();
-        for inst in &instances {
-            costs.push(ours_algebraic(cfg, inst, bs, p).0);
-        }
-        let m = median_cost(&costs);
+        let costs: Vec<BatchCost> = instances
+            .iter()
+            .map(|inst| BatchCost::median(&ours_algebraic(cfg, inst, bs, p)))
+            .collect();
+        let m = BatchCost::median(&costs);
         let per_nnz = m.modeled().as_nanos() as f64 / 1e3 / (bs * p) as f64;
         t.push_row(vec![
             p.to_string(),
@@ -365,27 +315,25 @@ pub fn fig12(cfg: &Config) -> Table {
     cfg2.instances = cfg.instances.min(3);
     let instances = prepare_instances(&cfg2);
     let bs = *SPGEMM_BATCHES.last().unwrap();
-    let mut per_p: Vec<(PhaseTimer, Duration)> = Vec::new();
-    for p in [1usize, 4, 16] {
-        let mut acc = PhaseTimer::new();
-        let mut hidden = Duration::ZERO;
-        for inst in &instances {
-            let (_, pt, h) = ours_algebraic(cfg, inst, bs, p);
-            acc.merge(&pt);
-            hidden += h;
-        }
-        per_p.push((acc, hidden));
-    }
+    let per_p: Vec<BatchCost> = [1usize, 4, 16]
+        .into_iter()
+        .map(|p| {
+            let batches = instances
+                .iter()
+                .flat_map(|inst| ours_algebraic(cfg, inst, bs, p));
+            BatchCost::total(&batches.collect::<Vec<_>>())
+        })
+        .collect();
     for ph in FIG12_PHASES {
         let mut row = vec![ph.to_string()];
-        row.extend(per_p.iter().map(|(pt, _)| ms(pt.get(ph))));
+        row.extend(per_p.iter().map(|total| ms(total.stages.get(ph))));
         t.push_row(row);
     }
     let mut row = vec!["hidden comm.".to_string()];
-    row.extend(per_p.iter().map(|&(_, h)| ms(h)));
+    row.extend(per_p.iter().map(|total| ms(total.hidden)));
     t.push_row(row);
     t.note("bcast grows with p; local mult / reduce-scatter scale down (paper Fig. 12)");
-    t.note("phase rows are exposed wall time; hidden comm. = communication hidden under compute (meter overlapped_ns, max over ranks)");
+    t.note("per batch, each row is the slowest rank's, summed over batches; phase rows are exposed wall time, hidden comm. the communication hidden under compute (the report's overlapped_ns)");
     t.note("blocking collectives (start, then wait) add their small overlapped remainder to hidden comm.");
     t
 }
@@ -393,12 +341,17 @@ pub fn fig12(cfg: &Config) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn algebraic_smoke() {
         let cfg = Config::smoke();
         let inst = &prepare_instances(&cfg)[0];
-        let (cost, phases, _) = ours_algebraic(&cfg, inst, 16, cfg.p);
+        let batches = ours_algebraic(&cfg, inst, 16, cfg.p);
+        let (cost, phases) = (
+            BatchCost::median(&batches),
+            BatchCost::total(&batches).stages,
+        );
         assert!(cost.wall > Duration::ZERO);
         assert!(cost.modeled() >= cost.wall);
         // Every Fig. 12 row is recorded.

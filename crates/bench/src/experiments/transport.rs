@@ -17,7 +17,8 @@
 //! * the root-gathered final `C`, every rank's flop counter and the final
 //!   epoch number are **bit-identical** across backends (updates use unit
 //!   values, so `C` stays integer-valued in `f64` and the comparison is
-//!   exact, not approximate);
+//!   exact, not approximate), and so are the counters of every batch's
+//!   [`BatchReport`](dspgemm_core::BatchReport), per rank and category;
 //! * the logical wire volume (bytes and message counts, per rank per
 //!   category) matches exactly — the TCP backend meters the same
 //!   sender-side `WireSize` accounting as the simulator, so a divergence
@@ -39,7 +40,7 @@ use crate::report::{ms, Table};
 use crate::Config;
 use dspgemm_core::{DistMat, DynSpGemm, Grid};
 use dspgemm_graph::Edge;
-use dspgemm_mpi::{Comm, CommStats};
+use dspgemm_mpi::{Comm, CommStats, RankCommStats};
 use dspgemm_sparse::semiring::F64Plus;
 use dspgemm_sparse::{Dcsr, Index, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
@@ -49,10 +50,11 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// What one rank reports from a driven run: the root-gathered final `C`
-/// (`Some` on rank 0), the local flop counter, and the final epoch. On the
-/// TCP backend this tuple travels back over the control socket, so it must
-/// round-trip through the wire codec — which it shares with the data mesh.
-type TransportOutcome = (Option<Vec<Triple<f64>>>, u64, u64);
+/// (`Some` on rank 0), the local flop counter and the final epoch, then each
+/// batch report's counters, timings zeroed. On the TCP backend this tuple
+/// travels back over the control socket, so it must round-trip through the
+/// wire codec — which it shares with the data mesh.
+type TransportOutcome = (Option<Vec<Triple<f64>>>, (u64, u64), Vec<RankCommStats>);
 
 /// The knobs both arms must agree on, derived from `cfg` once.
 fn params(cfg: &Config, inst: &Prepared) -> (Index, u64, usize, u64) {
@@ -82,17 +84,20 @@ fn drive(
     let a = DistMat::from_global_triples(&grid, n, n, mine.clone(), 1, &mut timer);
     let b = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
     let mut e = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
+    let mut counters = Vec::new();
     for batch in 0..batches {
         let (a_ups, b_ups) = batch_updates(n, batch_size, seed, batch, me);
-        e.apply_algebraic(&grid, a_ups, b_ups);
+        let report = e.apply_algebraic(&grid, a_ups, b_ups);
+        counters.push(RankCommStats {
+            exposed_ns: 0,
+            overlapped_ns: 0,
+            ..report.comm
+        });
         e.publish();
     }
     let final_c = e.c.gather_to_root(comm);
-    (
-        final_c,
-        e.flops,
-        e.epoch().expect("published at least once"),
-    )
+    let epoch = e.epoch().expect("published at least once");
+    (final_c, (e.flops, epoch), counters)
 }
 
 /// The simulator arm.
@@ -150,7 +155,7 @@ fn tcp_parity(
         .collect();
     assert_eq!(
         tcp_results, sim_results,
-        "p={p}: final C / flops / epoch diverged across backends"
+        "p={p}: final C / flops / epoch / batch report counters diverged across backends"
     );
     assert_eq!(
         tcp_stats.volume(),
@@ -237,8 +242,9 @@ pub fn run(cfg: &Config) -> Table {
     #[cfg(feature = "tcp-transport")]
     {
         t.note(
-            "per world size, the root-gathered final C, per-rank flop counters and final epoch \
-             are asserted bit-identical across backends, and the logical wire volume (bytes and \
+            "per world size, the root-gathered final C, per-rank flop counters, final epoch and \
+             every batch report's counters are asserted bit-identical across backends, and the \
+             logical wire volume (bytes and \
              message counts per rank per category) matches exactly — the TCP mesh meters the \
              same sender-side WireSize accounting as the simulator",
         );
@@ -264,7 +270,7 @@ fn median_time<R>(mut op: impl FnMut() -> R) -> Duration {
             started.elapsed()
         })
         .collect();
-    crate::measure::median(&runs)
+    crate::measure::quantile(runs, 0.5)
 }
 
 /// The `repro transport` codec table: metering (the encoder run into a byte
@@ -361,7 +367,8 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
     }
 
-    /// Full cross-backend parity on the real workload, re-entering the
+    /// Full cross-backend parity on the real workload — final `C`, flops,
+    /// epoch and each batch report's counters per rank — re-entering the
     /// child processes through a libtest `--exact` filter.
     #[cfg(feature = "tcp-transport")]
     #[test]
@@ -381,6 +388,12 @@ mod tests {
                 .map(|r| r.expect("every rank reports"))
                 .collect();
             assert_eq!(tcp_results, sim_results, "p={p}: results diverged");
+            // Every batch's counters were compared, and at p = 4 each one
+            // has traffic to compare.
+            for (_, _, counters) in &sim_results {
+                assert_eq!(counters.len(), cfg.batches.max(2));
+                assert!(p == 1 || counters.iter().all(|c| c.total_msgs() > 0));
+            }
             assert_eq!(
                 tcp_stats.volume(),
                 sim_stats.volume(),

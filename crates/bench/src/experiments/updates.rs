@@ -1,7 +1,7 @@
 //! Fig. 4–8: dynamic-update performance of the distributed data structure.
 
 use crate::experiments::{edges_to_triples, prepare_instances, rank_slice, Prepared};
-use crate::measure::{mean, median, timed_collective};
+use crate::measure::{mean, per_batch, BatchCost};
 use crate::report::{ms, ratio, Table};
 use crate::Config;
 use dspgemm_baselines::{
@@ -9,7 +9,7 @@ use dspgemm_baselines::{
 };
 use dspgemm_core::redistribute::phase as rphase;
 use dspgemm_core::update::{apply_mask, apply_merge, build_update_matrix, Dedup};
-use dspgemm_core::{DistMat, Grid};
+use dspgemm_core::{meter, DistMat, Grid};
 use dspgemm_graph::rmat::{generate_local, RmatParams};
 use dspgemm_graph::stream::{split_for_insertion, BatchedPool, ReplacementDraws};
 use dspgemm_graph::Edge;
@@ -65,16 +65,15 @@ fn draw_batch(
     }
 }
 
-/// Mean per-batch time of our dynamic structure, plus the critical-path
-/// phase breakdown over all batches (per-phase maximum across ranks; for
-/// Fig. 7).
-pub fn ours_mean_batch(
+/// The cost of every update batch of our dynamic structure: their median
+/// wall is a Fig. 4 / 5 / 6 point, their total stages a Fig. 7 column.
+pub fn ours_batches(
     cfg: &Config,
     inst: &Prepared,
     mode: Mode,
     batch_size: usize,
     p: usize,
-) -> (Duration, PhaseTimer) {
+) -> Vec<BatchCost> {
     let (initial, rest) = match mode {
         Mode::Insert => split_for_insertion(inst.edges.clone(), cfg.seed),
         _ => (inst.edges.clone(), inst.edges.clone()),
@@ -87,36 +86,24 @@ pub fn ours_mean_batch(
         let mut timer = PhaseTimer::new();
         let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
         let mut mat = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
-        // Fresh timer: measure only the update batches.
-        let mut timer = PhaseTimer::new();
         let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut times = Vec::new();
+        let mut reports = Vec::new();
         for round in 0..batches as u64 {
             let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
-            let (_, d) = timed_collective(comm, || {
-                let upd = build_update_matrix::<F64Plus>(
-                    &grid,
-                    n,
-                    n,
-                    batch.clone(),
-                    Dedup::LastWins,
-                    &mut timer,
-                );
-                timer.time(rphase::LOCAL_ADDITION, || match mode {
+            let metered = meter(comm, |stages| {
+                let upd =
+                    build_update_matrix::<F64Plus>(&grid, n, n, batch, Dedup::LastWins, stages);
+                stages.time(rphase::LOCAL_ADDITION, || match mode {
                     Mode::Delete => apply_mask::<F64Plus>(&mut mat, &upd, 1),
                     _ => apply_merge::<F64Plus>(&mut mat, &upd, 1),
                 });
             });
-            times.push(d);
+            reports.push(metered.1);
         }
-        (median(&times), timer)
+        reports
     });
-    let mut merged = PhaseTimer::new();
-    for (_, pt) in &out.results {
-        merged.merge_max(pt);
-    }
-    (out.results[0].0, merged)
+    per_batch(&out.results)
 }
 
 /// How a competitor applies one rank-local batch of an update sweep.
@@ -138,7 +125,7 @@ fn batch_op<M: Deletes<f64>>(mode: Mode) -> BatchOp<M> {
 }
 
 /// Median per-batch time of competitor `M` applying the `mode` batches of
-/// [`ours_mean_batch`]'s protocol with `op`.
+/// [`ours_batches`]' protocol with `op`.
 fn competitor_mean_batch<M: Competitor<f64>>(
     cfg: &Config,
     inst: &Prepared,
@@ -151,21 +138,20 @@ fn competitor_mean_batch<M: Competitor<f64>>(
         _ => (inst.edges.clone(), inst.edges.clone()),
     };
     let (n, p, batches, seed) = (inst.n, cfg.p, cfg.batches, cfg.seed);
-    dspgemm_mpi::run(p, |comm| {
+    let out = dspgemm_mpi::run(p, |comm| {
         let grid = Grid::new(comm);
         let mine = edges_to_triples(&rank_slice(&initial, comm.rank(), p));
         let mut mat = M::construct::<F64Plus>(&grid, n, n, mine);
         let mut pool = BatchedPool::new(&rest, comm.rank(), p, batch_size, seed);
         let mut draws = ReplacementDraws::new(batch_size, seed, comm.rank());
-        let mut times = Vec::new();
-        for round in 0..batches as u64 {
-            let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
-            let (_, d) = timed_collective(comm, || op(&mut mat, &grid, batch.clone()));
-            times.push(d);
-        }
-        median(&times)
-    })
-    .results[0]
+        (0..batches as u64)
+            .map(|round| {
+                let batch = draw_batch(mode, &mut pool, &rest, &mut draws, round);
+                meter(comm, |_| op(&mut mat, &grid, batch)).1
+            })
+            .collect()
+    });
+    BatchCost::median(&per_batch(&out.results)).wall
 }
 
 /// Figs. 4 / 5a / 5b: mean batch time vs batch size, ours vs CombBLAS, with
@@ -187,7 +173,7 @@ pub fn batch_size_sweep(cfg: &Config, mode: Mode) -> Table {
         let mut ours_all = Vec::new();
         let mut cb_all = Vec::new();
         for inst in &instances {
-            ours_all.push(ours_mean_batch(cfg, inst, mode, bs, cfg.p).0);
+            ours_all.push(BatchCost::median(&ours_batches(cfg, inst, mode, bs, cfg.p)).wall);
             cb_all.push(competitor_mean_batch(cfg, inst, mode, bs, cb_op));
         }
         let o = mean(&ours_all);
@@ -202,7 +188,7 @@ pub fn batch_size_sweep(cfg: &Config, mode: Mode) -> Table {
     // CTF / PETSc lower bounds at the largest batch size, first instance.
     let bs = *BATCH_SIZES.last().unwrap();
     let inst = &instances[0];
-    let ours = ours_mean_batch(cfg, inst, mode, bs, cfg.p).0;
+    let ours = BatchCost::median(&ours_batches(cfg, inst, mode, bs, cfg.p)).wall;
     let ctf = competitor_mean_batch(cfg, inst, mode, bs, batch_op::<CtfMatrix<f64>>(mode));
     t.note(format!(
         "CTF at least {} slower than ours ({}; paper: >=55x ins / >=59.8x upd / >=101x del)",
@@ -234,7 +220,7 @@ pub fn fig6(cfg: &Config) -> Table {
     for p in [1usize, 4, 16] {
         let mut times = Vec::new();
         for inst in &instances {
-            times.push(ours_mean_batch(cfg, inst, Mode::Insert, bs, p).0);
+            times.push(BatchCost::median(&ours_batches(cfg, inst, Mode::Insert, bs, p)).wall);
         }
         let m = mean(&times);
         let per_nnz = m.as_nanos() as f64 / (bs * p) as f64;
@@ -261,14 +247,15 @@ pub fn fig7(cfg: &Config) -> Table {
     );
     let instances = prepare_instances(cfg);
     let bs = *BATCH_SIZES.last().unwrap();
-    let mut per_p: Vec<PhaseTimer> = Vec::new();
-    for p in [1usize, 4, 16] {
-        let mut acc = PhaseTimer::new();
-        for inst in &instances {
-            acc.merge(&ours_mean_batch(cfg, inst, Mode::Insert, bs, p).1);
-        }
-        per_p.push(acc);
-    }
+    let per_p: Vec<PhaseTimer> = [1usize, 4, 16]
+        .into_iter()
+        .map(|p| {
+            let batches = instances
+                .iter()
+                .flat_map(|inst| ours_batches(cfg, inst, Mode::Insert, bs, p));
+            BatchCost::total(&batches.collect::<Vec<_>>()).stages
+        })
+        .collect();
     for phase in FIG7_PHASES {
         t.push_row(vec![
             phase.to_string(),
@@ -303,7 +290,6 @@ pub fn fig8(cfg: &Config, weak: bool) -> Table {
         let m_local = if weak { per_rank_weak } else { total / p };
         let out = dspgemm_mpi::run(p, |comm| {
             let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
             let mut mat: DistMat<f64> = DistMat::empty(&grid, 1 << scale, 1 << scale);
             let edges = generate_local(
                 &RmatParams::GRAPH500,
@@ -312,7 +298,7 @@ pub fn fig8(cfg: &Config, weak: bool) -> Table {
                 seed,
                 comm.rank() as u64,
             );
-            let (_, d) = timed_collective(comm, || {
+            let inserted = meter(comm, |stages| {
                 for chunk in edges.chunks(batch) {
                     let triples: Vec<Triple<f64>> =
                         chunk.iter().map(|&(u, v)| Triple::new(u, v, 1.0)).collect();
@@ -322,14 +308,14 @@ pub fn fig8(cfg: &Config, weak: bool) -> Table {
                         1 << scale,
                         triples,
                         Dedup::LastWins,
-                        &mut timer,
+                        stages,
                     );
                     apply_merge::<F64Plus>(&mut mat, &upd, 1);
                 }
             });
-            d
+            inserted.1
         });
-        let d = out.results[0];
+        let d = BatchCost::of(&out.results).wall;
         let inserted = m_local * p;
         let per_nnz = d.as_nanos() as f64 / inserted as f64;
         let speedup = match t1 {
@@ -373,7 +359,11 @@ mod tests {
     fn insert_sweep_smoke() {
         let cfg = Config::smoke();
         let inst = &prepare_instances(&cfg)[0];
-        let (d, phases) = ours_mean_batch(&cfg, inst, Mode::Insert, 32, cfg.p);
+        let batches = ours_batches(&cfg, inst, Mode::Insert, 32, cfg.p);
+        let (d, phases) = (
+            BatchCost::median(&batches).wall,
+            BatchCost::total(&batches).stages,
+        );
         assert!(d > Duration::ZERO);
         // Every Fig. 7 row is recorded.
         for phase in FIG7_PHASES {
@@ -392,8 +382,14 @@ mod tests {
     fn update_and_delete_smoke() {
         let cfg = Config::smoke();
         let inst = &prepare_instances(&cfg)[0];
-        assert!(ours_mean_batch(&cfg, inst, Mode::Update, 16, cfg.p).0 > Duration::ZERO);
-        assert!(ours_mean_batch(&cfg, inst, Mode::Delete, 16, cfg.p).0 > Duration::ZERO);
+        assert!(
+            BatchCost::median(&ours_batches(&cfg, inst, Mode::Update, 16, cfg.p)).wall
+                > Duration::ZERO
+        );
+        assert!(
+            BatchCost::median(&ours_batches(&cfg, inst, Mode::Delete, 16, cfg.p)).wall
+                > Duration::ZERO
+        );
         let ctf = batch_op::<CtfMatrix<f64>>(Mode::Update);
         assert!(competitor_mean_batch(&cfg, inst, Mode::Update, 16, ctf) > Duration::ZERO);
         let petsc = write_op::<PetscMatrix<f64>>(Mode::Update).unwrap();

@@ -583,8 +583,8 @@ pub(crate) fn add_cstar_tracked<S: Semiring>(
 /// batch also maintains the Bloom filter matrix `F` (required when general
 /// updates may follow): identical communication structure, partial blocks
 /// carry `(value, bitfield)` pairs, and `obs` sees `A*` before the batch is
-/// applied and this rank's `C*` after. Returns the local flop count.
-/// Collective.
+/// applied and this rank's `C*` after. Returns the local flop count and the
+/// entries of this rank's `C*` block. Collective.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn algebraic_batch<S: Semiring>(
     grid: &Grid,
@@ -597,12 +597,12 @@ pub(crate) fn algebraic_batch<S: Semiring>(
     obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> u64 {
+) -> (u64, u64) {
     let mut ops = Operands::new(a, a_star, b, b_star);
     let Some(f) = f else {
         let (cstar, flops) = compute_cstar::<S, Plain, _>(grid, &mut ops, exec, timer);
         timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
-        return flops;
+        return (flops, cstar.nnz() as u64);
     };
     let (a, star) = (ops.left(), &a_star.natural);
     obs.pre_batch(
@@ -616,7 +616,7 @@ pub(crate) fn algebraic_batch<S: Semiring>(
         &ViewCx { grid, a, c, exec },
         &BatchDelta::Algebraic { star, cstar },
     );
-    flops
+    (flops, cstar.nnz() as u64)
 }
 
 /// [`DynSpGemm::apply_algebraic`](crate::engine::DynSpGemm::apply_algebraic)'s
@@ -647,6 +647,7 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
         exec,
         timer,
     )
+    .0
 }
 
 #[cfg(test)]
@@ -655,6 +656,7 @@ mod tests {
     use crate::dyn_general::GeneralUpdates;
     use crate::engine::DynSpGemm;
     use crate::observer::tests::DeltaLog;
+    use crate::report::BatchReport;
     use crate::summa::summa;
     use crate::update::apply_add;
     use dspgemm_mpi::run;
@@ -806,7 +808,7 @@ mod tests {
     /// One batch body per algorithm: a shared-mode engine maintaining
     /// `C = A·A` and a pair engine on clones (`B = A`, every batch's `B` side
     /// equal to its `A` side) agree bit for bit on `A`, `C` and `F` through
-    /// algebraic and general batches, and their timers name the same phases.
+    /// algebraic and general batches, and their reports name the same stages.
     #[test]
     fn shared_operand_matches_cloned_operands() {
         let n: Index = 22;
@@ -823,25 +825,31 @@ mod tests {
                 let mut pair = DynSpGemm::<U64Plus>::new(&grid, a.clone(), a.clone(), 1, true);
                 let mut eng = DynSpGemm::<U64Plus, DeltaLog>::shared(&grid, a, DeltaLog::default());
                 let rank = comm.rank() as u64;
+                let stages = |r: &BatchReport| {
+                    r.stages
+                        .entries()
+                        .iter()
+                        .map(|&(n, _)| n)
+                        .collect::<Vec<_>>()
+                };
                 for round in 0..3u64 {
                     let ups = random_triples(40 + round + rank, n, 9);
                     let flops = eng.flops;
-                    eng.apply_algebraic(&grid, ups.clone(), vec![]);
+                    let shared = eng.apply_algebraic(&grid, ups.clone(), vec![]);
                     let cstar_nnz = *eng.observer().0.last().expect("one delta per batch");
                     assert!(cstar_nnz == 0 || eng.flops > flops);
-                    pair.apply_algebraic(&grid, ups.clone(), ups);
+                    let cloned = pair.apply_algebraic(&grid, ups.clone(), ups);
+                    assert_eq!(stages(&shared), stages(&cloned), "p={p}: algebraic stages");
                     // Deletes of entries this rank holds, and sets.
                     let held = eng.a.to_global_triples();
                     let upd = GeneralUpdates {
                         sets: random_triples(70 + round + rank, n, 5),
                         deletes: held.iter().step_by(4).map(|t| (t.row, t.col)).collect(),
                     };
-                    eng.apply_general(&grid, upd.clone(), GeneralUpdates::new());
-                    pair.apply_general(&grid, upd.clone(), upd);
+                    let shared = eng.apply_general(&grid, upd.clone(), GeneralUpdates::new());
+                    let cloned = pair.apply_general(&grid, upd.clone(), upd);
+                    assert_eq!(stages(&shared), stages(&cloned), "p={p}: general stages");
                 }
-                let names =
-                    |t: &PhaseTimer| t.entries().iter().map(|&(n, _)| n).collect::<Vec<_>>();
-                assert_eq!(names(&eng.timer), names(&pair.timer), "p={p}: phases");
                 let (f, f2) = (eng.f.as_ref().unwrap(), pair.f.as_ref().unwrap());
                 (
                     eng.a.gather_to_root(comm) == pair.a.gather_to_root(comm),

@@ -282,7 +282,8 @@ fn recompute_at_cstar<S: Semiring>(
 /// at `C*` against the new right operand — `B'`, or `A'` itself when `b` is
 /// `None` (`C = A·A`). `obs` sees `A`'s prepared update before the batch is
 /// applied and the `C*` pattern (the positions recomputed or deleted) after.
-/// Returns the local flop count. Collective over the grid.
+/// Returns the local flop count and the entries of this rank's `C*` block.
+/// Collective over the grid.
 ///
 /// `f` must have been maintained by every prior product/update step
 /// ([`crate::summa::summa_bloom`], a tracked algebraic batch, or this
@@ -299,7 +300,7 @@ pub(crate) fn general_batch<S: Semiring>(
     obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
-) -> u64 {
+) -> (u64, u64) {
     obs.pre_batch(
         &ViewCx { grid, a, c, exec },
         &PendingBatch::General { prep: a_prep },
@@ -316,7 +317,7 @@ pub(crate) fn general_batch<S: Semiring>(
             cstar_pattern,
         },
     );
-    flops + z_flops
+    (flops + z_flops, cstar.nnz() as u64)
 }
 
 /// One row of [`replace_at_cstar`] on one matrix: walks the row's `C*`

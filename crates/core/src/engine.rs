@@ -34,6 +34,7 @@ use crate::recovery::{
     buddy_ring, Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState,
     ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
+use crate::report::{meter, BatchReport};
 use crate::snapshot::{Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
 use dspgemm_mpi::{catch_comm_mut, Comm, CommError};
@@ -83,7 +84,10 @@ pub struct DynSpGemm<S: Semiring, O: Observer<S> = ()> {
     /// The kernel workspaces that persist across every update batch and
     /// recomputation of this session.
     pub exec: Exec<S>,
-    /// Accumulated per-phase timings (Fig. 7 / Fig. 12 breakdowns).
+    /// Adapter-frozen: the engine writes nothing here — a batch's stages are
+    /// in the [`BatchReport`] it returns. `benchmark/src/api.rs` passes it to
+    /// `apply_algebraic_updates_prebuilt_exec` until the benchmark PR drops
+    /// the `PhaseTimer` parameters.
     pub timer: PhaseTimer,
     /// Accumulated local scalar-multiplication count.
     pub flops: u64,
@@ -157,9 +161,9 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         observer: O,
     ) -> Self {
         let exec = Exec::new();
-        let mut timer = PhaseTimer::new();
         let right = b.as_ref().unwrap_or(&a);
-        let (c, f, flops) = Self::static_product(grid, &a, right, track_filter, &exec, &mut timer);
+        let stages = &mut PhaseTimer::new();
+        let (c, f, flops) = Self::static_product(grid, &a, right, track_filter, &exec, stages);
         let mut eng = Self {
             shared: b.is_none(),
             b: b.unwrap_or_else(|| DistMat::empty(grid, 0, 0)),
@@ -167,7 +171,7 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             c,
             f,
             exec,
-            timer,
+            timer: PhaseTimer::new(),
             flops,
             snapshots: SnapshotStore::new(),
             dirty: false,
@@ -298,7 +302,9 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     // The batch lifecycle
     // ------------------------------------------------------------------
 
-    /// Applies one batch through the session's one commit path. Collective.
+    /// Applies one batch through the session's one commit path and returns
+    /// what the whole commit cost this rank: the log, the apply and the
+    /// fence under one [`meter`]. Collective.
     /// Returns `Err` when a peer failure (or this rank's own injected crash)
     /// interrupts the batch; with recovery on, the caller then passes the
     /// error to [`DynSpGemm::recover`] — on every rank, survivor or crashed —
@@ -310,7 +316,11 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     /// Panics on a [`Batch::General`] in a session created without
     /// `track_filter`, on a batch with a `B` side in shared mode, and with
     /// recovery on if the previous batch was not published.
-    pub fn try_apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) -> Result<(), CommError> {
+    pub fn try_apply(
+        &mut self,
+        grid: &Grid,
+        batch: Batch<S::Elem>,
+    ) -> Result<BatchReport, CommError> {
         assert!(
             self.f.is_some() || !matches!(batch, Batch::General(..)),
             "general updates require a session created with track_filter = true"
@@ -321,22 +331,31 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             !(self.shared && b_side),
             "a shared-mode session has one operand: the B side of a batch must be empty"
         );
-        self.commit(grid, batch)
+        let (work, report) = meter(grid.world(), |stages| self.commit(grid, batch, stages));
+        let (flops, astar_nnz, cstar_nnz) = work?;
+        Ok(BatchReport {
+            flops,
+            astar_nnz,
+            cstar_nnz,
+            ..report
+        })
     }
 
-    /// [`DynSpGemm::try_apply`] of a [`Batch::Algebraic`]: Algorithm 1. A
-    /// communication failure unwinds as the [`CommError`] it arrived as.
+    /// [`DynSpGemm::try_apply`] of a [`Batch::Algebraic`]: Algorithm 1, and
+    /// its report. A communication failure unwinds as the [`CommError`] it
+    /// arrived as.
     pub fn apply_algebraic(
         &mut self,
         grid: &Grid,
         a_updates: Vec<Triple<S::Elem>>,
         b_updates: Vec<Triple<S::Elem>>,
-    ) {
-        self.apply(grid, Batch::Algebraic(a_updates, b_updates));
+    ) -> BatchReport {
+        self.apply(grid, Batch::Algebraic(a_updates, b_updates))
     }
 
-    /// [`DynSpGemm::try_apply`] of a [`Batch::General`]: Algorithm 2. A
-    /// communication failure unwinds as the [`CommError`] it arrived as.
+    /// [`DynSpGemm::try_apply`] of a [`Batch::General`]: Algorithm 2, and its
+    /// report. A communication failure unwinds as the [`CommError`] it
+    /// arrived as.
     ///
     /// # Panics
     /// Panics if the session was created without `track_filter`.
@@ -345,13 +364,13 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         grid: &Grid,
         a_updates: GeneralUpdates<S::Elem>,
         b_updates: GeneralUpdates<S::Elem>,
-    ) {
-        self.apply(grid, Batch::General(a_updates, b_updates));
+    ) -> BatchReport {
+        self.apply(grid, Batch::General(a_updates, b_updates))
     }
 
-    fn apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) {
+    fn apply(&mut self, grid: &Grid, batch: Batch<S::Elem>) -> BatchReport {
         self.try_apply(grid, batch)
-            .unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e)));
+            .unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e)))
     }
 
     /// The one batch lifecycle, in order: with recovery on, refresh the
@@ -359,14 +378,20 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     /// buddy rank; apply the record; with recovery on, pass the agreement
     /// fence (a failed rank cannot contribute, so completing it proves every
     /// rank logged and applied the batch). With recovery off it clones no
-    /// batch and sends nothing beyond the batch's own traffic.
-    fn commit(&mut self, grid: &Grid, batch: Batch<S::Elem>) -> Result<(), CommError> {
+    /// batch and sends nothing beyond the batch's own traffic. Returns the
+    /// record's work counts (see [`DynSpGemm::apply_record`]).
+    fn commit(
+        &mut self,
+        grid: &Grid,
+        batch: Batch<S::Elem>,
+        stages: &mut PhaseTimer,
+    ) -> Result<(u64, u64, u64), CommError> {
         let record = LoggedBatch {
             epoch: self.snapshots.published(),
             batch,
         };
         let Some(rec) = self.recovery.as_ref() else {
-            return catch_comm_mut(|| self.apply_record(grid, record));
+            return catch_comm_mut(|| self.apply_record(grid, record, stages));
         };
         assert!(
             !self.dirty,
@@ -389,8 +414,9 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         rec.own.log.push(record.clone());
         rec.replica.log.push(got);
         catch_comm_mut(|| {
-            self.apply_record(grid, record);
+            let work = self.apply_record(grid, record, stages);
             fence(world);
+            work
         })
     }
 
@@ -399,8 +425,15 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     /// algebraic or general batch runs its algorithm's one batch body, in
     /// either shape, and the observer sees a tracked one before and after it
     /// is applied; it re-bootstraps after a recompute or a migration, which
-    /// carry no delta.
-    fn apply_record(&mut self, grid: &Grid, record: LoggedBatch<S::Elem>) {
+    /// carry no delta. Records its stages into `stages` and returns this
+    /// rank's `(flops, nnz(A*), nnz(C*))` — the update counts are zero for a
+    /// recompute or a migration.
+    fn apply_record(
+        &mut self,
+        grid: &Grid,
+        record: LoggedBatch<S::Elem>,
+        stages: &mut PhaseTimer,
+    ) -> (u64, u64, u64) {
         self.dirty = true;
         // A recompute or a migration carries no delta: the observer restarts.
         let restarts = matches!(record.batch, Batch::Recompute | Batch::Migrate(_));
@@ -414,38 +447,45 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         };
         // `B` unless shared mode stores one operand: `A` is both.
         let b = (!self.shared).then_some(&mut self.b);
-        let (obs, exec, timer) = (&mut self.observer, &self.exec, &mut self.timer);
-        match record.batch {
+        let (obs, exec) = (&mut self.observer, &self.exec);
+        let work = match record.batch {
             Batch::Algebraic(a_ups, b_ups) => {
                 let (a_star, b_star) =
-                    build_star_operands::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, timer);
+                    build_star_operands::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, stages);
                 let (a, c, f, b_star) =
                     (&mut self.a, &mut self.c, self.f.as_mut(), b_star.as_ref());
-                self.flops +=
-                    algebraic_batch::<S>(grid, a, b, c, f, &a_star, b_star, obs, exec, timer);
+                let (flops, cstar_nnz) =
+                    algebraic_batch::<S>(grid, a, b, c, f, &a_star, b_star, obs, exec, stages);
+                (flops, a_star.natural.local_nnz() as u64, cstar_nnz)
             }
             Batch::General(a_ups, b_ups) => {
                 let (a_prep, b_prep) =
-                    prepare_general_batch::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, timer);
+                    prepare_general_batch::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, stages);
                 let f = self.f.as_mut().expect("checked by try_apply");
                 let (a, c, b_prep) = (&mut self.a, &mut self.c, b_prep.as_ref());
-                self.flops +=
-                    general_batch::<S>(grid, a, b, c, f, &a_prep, b_prep, obs, exec, timer);
+                let (flops, cstar_nnz) =
+                    general_batch::<S>(grid, a, b, c, f, &a_prep, b_prep, obs, exec, stages);
+                (flops, a_prep.star.local_nnz() as u64, cstar_nnz)
             }
             Batch::Recompute => {
                 let track = self.f.is_some();
                 let right = if self.shared { &self.a } else { &self.b };
                 let (c, f, flops) =
-                    Self::static_product(grid, &self.a, right, track, &self.exec, &mut self.timer);
+                    Self::static_product(grid, &self.a, right, track, &self.exec, stages);
                 (self.c, self.f) = (c, f);
-                self.flops += flops;
+                (flops, 0, 0)
             }
-            Batch::Migrate(cuts) => self.migrate(grid, record.epoch, cuts),
-        }
+            Batch::Migrate(cuts) => {
+                self.migrate(grid, record.epoch, cuts, stages);
+                (0, 0, 0)
+            }
+        };
+        self.flops += work.0;
         if restarts {
             let (obs, cx) = self.observe(grid);
             obs.bootstrap(&cx);
         }
+        work
     }
 
     // ------------------------------------------------------------------
@@ -513,7 +553,7 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         reb.note_decision(imbalance(&loads));
         let cuts = reb.decide(self.a.info().layout().row_cuts(), &loads, epoch);
         let Some(cuts) = cuts else { return Ok(false) };
-        self.commit(grid, Batch::Migrate(cuts))?;
+        self.commit(grid, Batch::Migrate(cuts), &mut PhaseTimer::new())?;
         // Re-publish under the new layout: the next epoch carries the new
         // cuts, pinned pre-migration epochs keep the old ones.
         self.publish();
@@ -522,31 +562,28 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
 
     /// Migrates every session matrix to the square layout with `cuts` — the
     /// body of a [`Batch::Migrate`] whose publish is `epoch`. Migration wire
-    /// cost is metered from each rank's own alltoall byte counters (summed
-    /// network-wide) and accumulated on the session's [`Rebalancer`]; with
+    /// cost is this rank's alltoall bytes under the [`meter`], summed
+    /// network-wide and accumulated on the session's [`Rebalancer`]; with
     /// observability on, the `migrated` trace instant carries it too.
-    fn migrate(&mut self, grid: &Grid, epoch: u64, cuts: Vec<Index>) {
+    fn migrate(&mut self, grid: &Grid, epoch: u64, cuts: Vec<Index>, stages: &mut PhaseTimer) {
         let new_layout = Arc::new(Layout::square(cuts));
-        let me = grid.world().rank();
-        let cat = dspgemm_mpi::CommCategory::Alltoall as usize;
-        let sent_before = grid.world().comm_stats().per_rank[me].bytes[cat];
-        let sa = self.a.migrate_to(grid, &new_layout, &mut self.timer);
-        let sb = match self.shared {
-            true => MigrationStats::default(),
-            false => self.b.migrate_to(grid, &new_layout, &mut self.timer),
-        };
-        let sc = self.c.migrate_to(grid, &new_layout, &mut self.timer);
-        let sf = match &mut self.f {
-            Some(f) => f.migrate_to(grid, &new_layout, &mut self.timer),
-            None => MigrationStats::default(),
-        };
-        // Fence, then meter this rank's own migration sends (a rank's own
-        // byte counters move only on its own sends, so the delta is exact
-        // and deterministic) and sum them network-wide.
-        grid.world().barrier();
-        let sent = grid.world().comm_stats().per_rank[me].bytes[cat] - sent_before;
+        let (moved, metered) = meter(grid.world(), |timer| {
+            let sa = self.a.migrate_to(grid, &new_layout, timer);
+            let sb = match self.shared {
+                true => MigrationStats::default(),
+                false => self.b.migrate_to(grid, &new_layout, timer),
+            };
+            let sc = self.c.migrate_to(grid, &new_layout, timer);
+            let sf = match &mut self.f {
+                Some(f) => f.migrate_to(grid, &new_layout, timer),
+                None => MigrationStats::default(),
+            };
+            sa.moved_in + sb.moved_in + sc.moved_in + sf.moved_in
+        });
+        stages.merge(&metered.stages);
+        let sent = metered.comm.bytes[dspgemm_mpi::CommCategory::Alltoall as usize];
         let bytes = grid.world().allreduce(sent, |x, y| x + y);
-        let moved_in = (sa.moved_in + sb.moved_in + sc.moved_in + sf.moved_in) as u64;
+        let moved_in = moved as u64;
         dspgemm_obs::instant(
             "engine",
             "migrated",
@@ -639,9 +676,9 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     /// through it: each matrix is built from its image under the cuts it was
     /// captured with, the counters and rebalancing policy are the anchor's,
     /// and the observer re-bootstraps from the anchor's `A` and `C` before
-    /// replay reaches it. A survivor keeps its workspaces, timings and
-    /// published epochs; the replacement keeps nothing but its launch
-    /// parameters (shared mode and the observer it was launched with).
+    /// replay reaches it. A survivor keeps its workspaces and published
+    /// epochs; the replacement keeps nothing but its launch parameters
+    /// (shared mode and the observer it was launched with).
     /// Pinned epochs are untouched: images are shared copy-on-write.
     /// Collective.
     fn roll_back(&mut self, grid: &Grid, anchor: &Anchor<S::Elem>, replacement: bool) {
@@ -653,7 +690,7 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         self.rebalancer = anchor.rebalancer.clone();
         self.dirty = false;
         if replacement {
-            (self.exec, self.timer) = (Exec::new(), PhaseTimer::new());
+            self.exec = Exec::new();
             self.snapshots = SnapshotStore::new();
             self.snapshots.resume_at(anchor.published);
         }
@@ -670,7 +707,7 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         let mut log = log.into_iter().filter(|r| r.epoch >= a_min).peekable();
         for epoch in a_min..p_star {
             if let Some(record) = log.next_if(|r| r.epoch == epoch) {
-                self.apply_record(grid, record);
+                self.apply_record(grid, record, &mut PhaseTimer::new());
             }
             if self.snapshots.published() == epoch {
                 self.publish();

@@ -46,6 +46,9 @@
 //!   broadcast/multiply rounds of every SpGEMM path over the nonblocking
 //!   collectives so round `k + 1`'s panels are in flight while round `k`'s
 //!   local multiply runs (communication/compute overlap).
+//! * [`report`] — the one per-call meter ([`meter`]) and the
+//!   [`BatchReport`] every engine batch returns: wall time, stages, this
+//!   rank's own sends per category, exposed vs. hidden wait, and the work.
 //! * [`exec`] — the session-level kernel workspaces ([`exec::Exec`], one
 //!   per payload) every SpGEMM path runs on, so pipelined rounds stop
 //!   reallocating accumulators.
@@ -98,6 +101,7 @@ pub mod pipeline;
 pub mod rebalance;
 pub mod recovery;
 pub mod redistribute;
+pub mod report;
 pub mod snapshot;
 pub mod spmv;
 pub mod summa;
@@ -111,6 +115,7 @@ pub use layout::Layout;
 pub use observer::Observer;
 pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use recovery::{RecoveryConfig, RecoveryReport};
+pub use report::{meter, BatchReport};
 pub use snapshot::{Snapshot, SnapshotMat, SnapshotStore};
 
 /// Phase names used by the SpGEMM breakdown (the paper's Fig. 12 series).
@@ -130,4 +135,6 @@ pub mod phase {
     pub const REDUCE_SCATTER: &str = "reduce-scatter";
     /// Applying updates / merged results into local dynamic matrices.
     pub const LOCAL_UPDATE: &str = "local update";
+    /// A session's publish of the epoch its batch committed.
+    pub const PUBLISH: &str = "publish";
 }

@@ -88,7 +88,7 @@ fn drive(comm: &Comm, batches: u64, crash: Option<(usize, u64)>, cfg: RecoveryCo
         }
         let (a_ups, b_ups) = batch_updates(b_idx, me);
         match e.try_apply(&grid, Batch::Algebraic(a_ups, b_ups)) {
-            Ok(()) => {
+            Ok(_) => {
                 e.publish();
                 // Observe each committed batch from the published snapshot:
                 // a local, bit-stable read. (A cross-rank gather here would
@@ -612,13 +612,15 @@ fn apply_step(
     step: usize,
 ) -> Result<(), CommError> {
     match (op, input.clone()) {
-        (Op::Algebraic, Input::Algebraic(a, b)) => e.try_apply(grid, Batch::Algebraic(a, b))?,
+        (Op::Algebraic, Input::Algebraic(a, b)) => drop(e.try_apply(grid, Batch::Algebraic(a, b))?),
         (Op::PlainAlgebraic, Input::Algebraic(a, b)) => {
-            catch_comm_mut(|| e.apply_algebraic(grid, a, b))?
+            drop(catch_comm_mut(|| e.apply_algebraic(grid, a, b))?)
         }
-        (Op::General, Input::General(a, b)) => e.try_apply(grid, Batch::General(a, b))?,
-        (Op::PlainGeneral, Input::General(a, b)) => catch_comm_mut(|| e.apply_general(grid, a, b))?,
-        (Op::Recompute, _) => e.try_apply(grid, Batch::Recompute)?,
+        (Op::General, Input::General(a, b)) => drop(e.try_apply(grid, Batch::General(a, b))?),
+        (Op::PlainGeneral, Input::General(a, b)) => {
+            drop(catch_comm_mut(|| e.apply_general(grid, a, b))?)
+        }
+        (Op::Recompute, _) => drop(e.try_apply(grid, Batch::Recompute)?),
         (Op::Publish, _) => {}
         (Op::Rebalance, _) => {
             let migrated = e.maybe_rebalance(grid)?;

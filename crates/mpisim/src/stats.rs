@@ -180,41 +180,6 @@ impl CommStats {
         self.per_rank.iter().map(|r| r.msgs[cat as usize]).sum()
     }
 
-    /// Maximum bytes sent by any single rank (load-balance indicator; the
-    /// paper's bandwidth terms are all per-process maxima).
-    pub fn max_rank_bytes(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .map(RankCommStats::total_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total nanoseconds all ranks spent blocked waiting for communication
-    /// (exposed communication time).
-    pub fn total_exposed_ns(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.exposed_ns).sum()
-    }
-
-    /// Total nanoseconds of nonblocking-request lifetime hidden under local
-    /// compute (overlapped communication time).
-    pub fn total_overlapped_ns(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.overlapped_ns).sum()
-    }
-
-    /// Fraction of communication time that was hidden under compute:
-    /// `overlapped / (overlapped + exposed)`. Zero when nothing was
-    /// communicated.
-    pub fn overlap_ratio(&self) -> f64 {
-        let exposed = self.total_exposed_ns() as f64;
-        let overlapped = self.total_overlapped_ns() as f64;
-        if exposed + overlapped == 0.0 {
-            0.0
-        } else {
-            overlapped / (exposed + overlapped)
-        }
-    }
-
     /// The deterministic volume counters only: a copy with the wall-clock
     /// timing fields (`exposed_ns`, `overlapped_ns`) zeroed. Two runs of the
     /// same program have equal `volume()` but never equal timings — use this
@@ -233,42 +198,6 @@ impl CommStats {
                 .collect(),
         }
     }
-
-    /// Counter-wise difference `self - earlier`, for measuring a phase.
-    ///
-    /// # Panics
-    /// Panics if the snapshots have different rank counts or `earlier` has
-    /// larger counters (i.e. snapshots taken in the wrong order).
-    pub fn delta_since(&self, earlier: &CommStats) -> CommStats {
-        assert_eq!(self.per_rank.len(), earlier.per_rank.len());
-        CommStats {
-            per_rank: self
-                .per_rank
-                .iter()
-                .zip(&earlier.per_rank)
-                .map(|(now, before)| RankCommStats {
-                    bytes: std::array::from_fn(|c| {
-                        now.bytes[c]
-                            .checked_sub(before.bytes[c])
-                            .expect("snapshot order")
-                    }),
-                    msgs: std::array::from_fn(|c| {
-                        now.msgs[c]
-                            .checked_sub(before.msgs[c])
-                            .expect("snapshot order")
-                    }),
-                    exposed_ns: now
-                        .exposed_ns
-                        .checked_sub(before.exposed_ns)
-                        .expect("snapshot order"),
-                    overlapped_ns: now
-                        .overlapped_ns
-                        .checked_sub(before.overlapped_ns)
-                        .expect("snapshot order"),
-                })
-                .collect(),
-        }
-    }
 }
 
 // Wire codec for stats snapshots: the TCP backend's child processes ship
@@ -283,11 +212,12 @@ dspgemm_util::impl_wire_fields!(CommStats { per_rank });
 
 impl std::fmt::Display for CommStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let max_rank = self.per_rank.iter().map(RankCommStats::total_bytes).max();
         writeln!(
             f,
             "comm volume: {} total, {} max/rank, {} msgs",
             dspgemm_util::stats::format_bytes(self.total_bytes()),
-            dspgemm_util::stats::format_bytes(self.max_rank_bytes()),
+            dspgemm_util::stats::format_bytes(max_rank.unwrap_or(0)),
             self.total_msgs()
         )?;
         for cat in CommCategory::all() {
@@ -323,19 +253,7 @@ mod tests {
         assert_eq!(s.total_bytes(), 160);
         assert_eq!(s.total_msgs(), 3);
         assert_eq!(s.bytes_in(CommCategory::P2p), 150);
-        assert_eq!(s.max_rank_bytes(), 150);
-    }
-
-    #[test]
-    fn delta_since() {
-        let m = Meter::new(1);
-        m.record(0, CommCategory::Reduce, 5);
-        let before = m.snapshot();
-        m.record(0, CommCategory::Reduce, 7);
-        let after = m.snapshot();
-        let d = after.delta_since(&before);
-        assert_eq!(d.bytes_in(CommCategory::Reduce), 7);
-        assert_eq!(d.msgs_in(CommCategory::Reduce), 1);
+        assert!(s.to_string().contains("150 B max/rank"), "{s}");
     }
 
     #[test]

@@ -13,10 +13,9 @@ use std::time::{Duration, Instant};
 ///
 /// A communication phase records what the rank spent blocked on it. The
 /// part of a request that local compute hid is no phase's time — its wall
-/// clock already belongs to the compute phase that covered it; the
-/// simulator's meter records it per rank (`CommStats` `overlapped_ns`).
-/// Phases therefore partition the wall clock and [`PhaseTimer::total`]
-/// counts nothing twice.
+/// clock already belongs to the compute phase that covered it; the meter
+/// records it per rank (`RankCommStats` `overlapped_ns`). Phases therefore
+/// partition the wall clock: their sum counts nothing twice.
 #[derive(Debug, Default, Clone)]
 pub struct PhaseTimer {
     phases: Vec<(&'static str, Duration)>,
@@ -64,11 +63,6 @@ impl PhaseTimer {
     /// All `(phase, duration)` entries in first-use order.
     pub fn entries(&self) -> &[(&'static str, Duration)] {
         &self.phases
-    }
-
-    /// Sum of all phase durations.
-    pub fn total(&self) -> Duration {
-        self.phases.iter().map(|&(_, d)| d).sum()
     }
 
     /// Merges another timer's phases into this one (summing shared phases).
@@ -143,7 +137,6 @@ mod tests {
         assert_eq!(pt.get("sort"), Duration::from_millis(5));
         assert_eq!(pt.get("comm"), Duration::from_millis(5));
         assert_eq!(pt.get("absent"), Duration::ZERO);
-        assert_eq!(pt.total(), Duration::from_millis(10));
         // Order of first use is preserved.
         let names: Vec<&str> = pt.entries().iter().map(|&(n, _)| n).collect();
         assert_eq!(names, vec!["sort", "comm"]);

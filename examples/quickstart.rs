@@ -36,7 +36,9 @@ fn main() {
         // The engine owns A, B, C and keeps C = A·B under updates.
         let mut engine = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
 
-        // Stream five insertion batches into A.
+        // Stream five insertion batches into A; each returns its report, whose
+        // stages add up to this rank's phase breakdown.
+        let mut phases = PhaseTimer::new();
         for round in 0..5u64 {
             let batch: Vec<Triple<f64>> = generate_local(
                 &RmatParams::GRAPH500,
@@ -48,7 +50,7 @@ fn main() {
             .into_iter()
             .map(|(u, v)| Triple::new(u, v, 1.0))
             .collect();
-            engine.apply_algebraic(&grid, batch, vec![]);
+            phases.merge(&engine.apply_algebraic(&grid, batch, vec![]).stages);
         }
 
         let nnz_a = engine.a.global_nnz(&grid);
@@ -61,7 +63,7 @@ fn main() {
             println!("  nnz(C') = {nnz_c}   (maintained, never recomputed from scratch)");
             println!("  local flops on rank 0: {}", engine.flops);
             println!("  phase breakdown (rank 0):");
-            for &(name, d) in engine.timer.entries() {
+            for &(name, d) in phases.entries() {
                 println!(
                     "    {name:<18} {}",
                     dspgemm::util::stats::format_duration(d)

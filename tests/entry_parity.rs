@@ -235,7 +235,7 @@ fn engine_general() {
 
 #[test]
 fn session_insert_edges() {
-    let got = session_batch(|s, comm| s.insert_edges(triples(80 + comm.rank() as u64, 24)));
+    let got = session_batch(|s, comm| drop(s.insert_edges(triples(80 + comm.rank() as u64, 24))));
     let want = Pinned {
         volume: volume((0, 0), (2054, 11), (3807, 4), (2163, 8), (6225, 7)),
         flops: 1371,
@@ -247,7 +247,7 @@ fn session_insert_edges() {
 
 #[test]
 fn session_delete_edges() {
-    let got = session_batch(|s, comm| s.delete_edges(existing(70 + comm.rank() as u64, 90)));
+    let got = session_batch(|s, comm| drop(s.delete_edges(existing(70 + comm.rank() as u64, 90))));
     let want = Pinned {
         volume: volume((1073, 2), (6169, 21), (1481, 4), (2638, 8), (6672, 13)),
         flops: 1621,

@@ -155,7 +155,7 @@ fn pipelined_runs_record_overlap() {
     });
     assert!(out.results.iter().all(|&l| l == 256));
     assert!(
-        out.stats.total_overlapped_ns() > 0,
+        out.stats.per_rank.iter().any(|r| r.overlapped_ns > 0),
         "compute-covered broadcast recorded no overlap"
     );
 
@@ -170,8 +170,7 @@ fn pipelined_runs_record_overlap() {
         c.local_nnz()
     });
     assert_eq!(
-        single.stats.total_overlapped_ns(),
-        0,
+        single.stats.per_rank[0].overlapped_ns, 0,
         "p=1 must not touch the request machinery"
     );
 }

@@ -374,19 +374,21 @@ fn check_fresh_bootstrap(s: &Session, v: &Views, cands: &[(Index, Index)], at: &
 /// Runs one step's operation and its publish.
 fn apply_step(s: &mut Session, op: Op, input: &Input) -> Result<(), CommError> {
     match (op, input.clone()) {
-        (Op::SessionInsert, Input::Algebraic(t)) => return catch_comm_mut(|| s.insert_edges(t)),
+        (Op::SessionInsert, Input::Algebraic(t)) => {
+            return catch_comm_mut(|| s.insert_edges(t)).map(drop)
+        }
         (Op::SessionDelete, Input::General(upd)) => {
-            return catch_comm_mut(|| s.delete_edges(upd.deletes))
+            return catch_comm_mut(|| s.delete_edges(upd.deletes)).map(drop)
         }
         _ => {}
     }
     let (grid, e) = s.engine_mut();
     match (op, input.clone()) {
-        (Op::Insert, Input::Algebraic(t)) => e.try_apply(grid, Batch::Algebraic(t, vec![]))?,
+        (Op::Insert, Input::Algebraic(t)) => drop(e.try_apply(grid, Batch::Algebraic(t, vec![]))?),
         (Op::General, Input::General(upd)) => {
-            e.try_apply(grid, Batch::General(upd, GeneralUpdates::new()))?
+            drop(e.try_apply(grid, Batch::General(upd, GeneralUpdates::new()))?)
         }
-        (Op::Recompute, _) => e.try_apply(grid, Batch::Recompute)?,
+        (Op::Recompute, _) => drop(e.try_apply(grid, Batch::Recompute)?),
         (Op::Publish, _) => {}
         (Op::Rebalance, _) => {
             if e.maybe_rebalance(grid)? {

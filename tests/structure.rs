@@ -305,10 +305,33 @@ fn one_observability_channel() {
 /// transports report it. Broadcast and allgather forward `T::clone` on every
 /// edge (the `_shared` forms are the `Arc` instantiation), so a counter only
 /// the simulator can fill — a clone meter, a retry count — or a second
-/// edge-duplication path fails here.
+/// edge-duplication path fails here. One function reads those counters per
+/// call, `report::meter`: outside the simulator no library or experiment
+/// code reads `comm_stats()`, and the hand-rolled meters it replaced stay
+/// gone.
 #[test]
 fn one_meter() {
     const GUARD: &str = "one meter";
+    let (_, hits) = grep(&["-rn", "comm_stats()", "crates", "--include=*.rs"]);
+    let elsewhere: Vec<&str> = hits
+        .lines()
+        .filter(|l| l.split('/').nth(2) == Some("src"))
+        .filter(|l| {
+            !l.starts_with("crates/mpisim/") && !l.starts_with("crates/core/src/report.rs:")
+        })
+        .collect();
+    assert!(elsewhere.is_empty(), "{GUARD}: {elsewhere:?}");
+    absent(
+        GUARD,
+        &[
+            "-rnwE",
+            "measured_collective|timed_collective|median_cost|delta_since|total_exposed_ns",
+            "crates",
+            "src",
+            "tests",
+            "examples",
+        ],
+    );
     absent(
         GUARD,
         &[
@@ -597,4 +620,80 @@ fn the_unmasked_x_pass_ships_operands() {
     }
     let (_, reductions) = grep(&["-c", r"\.reduce(", file]);
     assert_eq!(reductions.trim(), "2", "{GUARD}: masked X pass and Y pass");
+}
+
+/// "the design documents name live items". Every backticked `a::b` path in
+/// DESIGN.md and ARCHITECTURE.md ends in a name that an item, a variant or
+/// a field under `crates/`, `src/` or `tests/` still defines; `std::` paths
+/// are exempt. A doc that keeps describing a deleted helper fails here.
+#[test]
+fn design_names_live_items() {
+    const GUARD: &str = "the design documents name live items";
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let (_, files) = run(
+        "grep",
+        &["-rl", "--include=*.rs", "", "crates", "src", "tests"],
+    );
+    let mut defined = std::collections::BTreeSet::new();
+    for file in files.lines() {
+        let text = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+            .expect("a listed source file");
+        for line in text.lines() {
+            let line = line.trim_start();
+            let line = line.strip_prefix("pub(crate) ").unwrap_or(line);
+            let line = line.strip_prefix("pub ").unwrap_or(line);
+            let words: Vec<&str> = line.split(|c: char| !ident(c)).collect();
+            // An item after its keyword, a re-export's alias, or a variant or
+            // field leading its line.
+            for pair in words.windows(2) {
+                let keyword = matches!(
+                    pair[0],
+                    "fn" | "struct"
+                        | "enum"
+                        | "trait"
+                        | "type"
+                        | "const"
+                        | "static"
+                        | "mod"
+                        | "as"
+                        | "macro_rules"
+                );
+                if keyword && !pair[1].is_empty() {
+                    defined.insert(pair[1].to_string());
+                }
+            }
+            let lead: String = line.chars().take_while(|&c| ident(c)).collect();
+            if line[lead.len()..].starts_with([',', '(', ':', ' ']) && !lead.is_empty() {
+                defined.insert(lead);
+            }
+        }
+    }
+    let mut stale = Vec::new();
+    for doc in ["DESIGN.md", "ARCHITECTURE.md"] {
+        let text = std::fs::read_to_string(format!("{}/{doc}", env!("CARGO_MANIFEST_DIR")))
+            .expect("the design documents exist");
+        for span in text.split('`').skip(1).step_by(2) {
+            // Every maximal `a::b::c` path in the span.
+            let mut rest = span;
+            while let Some(at) = rest.find("::") {
+                let head_at = rest[..at].rfind(|c: char| !ident(c)).map_or(0, |i| i + 1);
+                let mut segments = vec![&rest[head_at..at]];
+                let mut tail = &rest[at..];
+                while let Some(after) = tail.strip_prefix("::") {
+                    let end = after.find(|c: char| !ident(c)).unwrap_or(after.len());
+                    segments.push(&after[..end]);
+                    tail = &after[end..];
+                }
+                rest = tail;
+                let last = *segments.last().expect("a path has segments");
+                if segments[0].is_empty() || last.is_empty() || segments[0] == "std" {
+                    continue;
+                }
+                if !defined.contains(last) {
+                    stale.push(format!("{doc}: `{}`", segments.join("::")));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "{GUARD}: {stale:#?}");
 }
