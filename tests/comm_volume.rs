@@ -535,3 +535,92 @@ fn x_pass_ships_fewer_bytes_in_the_same_messages() {
         }
     }
 }
+
+/// An untracked Algorithm-1 batch that updates both operands.
+fn both_operands_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, r: usize) {
+    let per_rank = 256 / grid.world().size();
+    eng.apply_algebraic(
+        grid,
+        rmat_triples(3, r, per_rank),
+        rmat_triples(6, r, per_rank),
+    );
+}
+
+/// An Algorithm-2 batch that updates `A` alone.
+fn general_left_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, r: usize) {
+    let held = rmat_triples(1, r, 4096 / grid.world().size());
+    let a_upd = GeneralUpdates {
+        sets: rmat_triples(4, r, 128 / grid.world().size()),
+        deletes: held.iter().step_by(16).map(|t| (t.row, t.col)).collect(),
+    };
+    eng.apply_general(grid, a_upd, GeneralUpdates::new());
+}
+
+/// Every message of a batch and of a row query, in closed form at
+/// p ∈ {4, 9, 16} with q = √p, summed over categories and ranks. A batch
+/// redistributes once and each unmasked pass runs q rounds of a broadcast
+/// and a collective onto the round root over q process rows or columns:
+/// 2p(q − 1) messages each. Algorithm 2's repair adds the masked recompute
+/// (q rounds of two broadcasts and a reduction), the filter's reduction and
+/// broadcast-back over each process row, and the `A^R` exchange of every
+/// off-diagonal rank. A batch also agrees on its operands' global nnz in an
+/// allreduce, 2(p − 1) messages, and `row_topk` allgathers over the world.
+#[test]
+fn batch_messages_follow_the_closed_form() {
+    let messages = |t: &Traffic| t.iter().map(|&(_, msgs)| msgs).sum::<u64>();
+    for (p, q) in [(4u64, 2u64), (9, 3), (16, 4)] {
+        let pass = 2 * p * (q - 1);
+        let repair = 3 * p * (q - 1) + 2 * q * (q - 1) + (p - q);
+        let control = 2 * (p - 1);
+        let pp = p as usize;
+        let batches = [
+            (
+                "Algorithm 1, A* alone",
+                rmat_batch(pp, false, x_pass_batch),
+                2 * pass,
+            ),
+            (
+                "Algorithm 1, both",
+                rmat_batch(pp, false, both_operands_batch),
+                3 * pass,
+            ),
+            (
+                "Algorithm 2, A alone",
+                rmat_batch(pp, true, general_left_batch),
+                2 * pass + repair,
+            ),
+            (
+                "Algorithm 2, both",
+                rmat_batch(pp, true, general_batch),
+                3 * pass + repair,
+            ),
+        ];
+        for (name, (traffic, ..), want) in batches {
+            assert_eq!(messages(&traffic), want + control, "p={p}: {name}");
+        }
+        let setup = |comm: &Comm| {
+            let grid = Grid::new(comm);
+            let mut timer = PhaseTimer::new();
+            let n = 1 << PIN_SCALE;
+            let mut operand = |seed| {
+                let mine = rmat_triples(seed, comm.rank(), 4096 / comm.size());
+                DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer)
+            };
+            let (a, b) = (operand(1), operand(2));
+            let snap = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false).snapshot();
+            (grid, snap)
+        };
+        let rows = [0, 1, 300];
+        let (traffic, _) = batch_traffic(pp, setup, |(grid, snap), _| {
+            for u in rows {
+                snap.c().row_topk(grid, u, 5, |&v| v);
+            }
+        });
+        let per_query = p * (p - 1);
+        assert_eq!(
+            messages(&traffic),
+            rows.len() as u64 * per_query,
+            "p={p}: row_topk"
+        );
+    }
+}
