@@ -255,9 +255,10 @@ impl<S: Semiring> AnalyticsSession<S> {
 
     /// The `k` heaviest entries of product row `u` under `score` (greater is
     /// better; ties broken by column for determinism) at the current epoch.
-    /// The row's owners contribute their local entries, one zero-copy
-    /// allgather merges them, and every rank returns the same list. `score`
-    /// must be a pure function agreed on all ranks. Collective.
+    /// The row's grid row merges its owners' `k` best and broadcasts them
+    /// ([`SnapshotMat::row_topk`](dspgemm_core::SnapshotMat::row_topk)),
+    /// and every rank returns the same list. `score` must be a pure
+    /// function agreed on all ranks. Collective.
     pub fn product_row_topk(
         &self,
         u: Index,

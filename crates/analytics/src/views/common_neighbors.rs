@@ -13,6 +13,7 @@
 use crate::masked_product::masked_product;
 use crate::view::{BatchDelta, FrozenView, View, ViewCx};
 use dspgemm_core::grid::{owner_block, Grid};
+use dspgemm_core::reduce_topk;
 use dspgemm_core::Layout;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Dcsr, Index, RowScan};
@@ -28,9 +29,9 @@ fn pack(u: Index, v: Index) -> u64 {
 
 /// The frozen reading of a [`CommonNeighborsView`] inside a published
 /// epoch: this rank's candidate scores at publish time, behind an `Arc`
-/// shared with the view's freeze cache — pinning and querying copy no
-/// score data. The merge collectives ([`ScoreReading::top_k`]) work
-/// exactly like the live view's, but against the pinned scores.
+/// shared with the view's freeze cache — pinning copies no score data. The
+/// merge collectives ([`ScoreReading::top_k`]) work exactly like the live
+/// view's, but against the pinned scores.
 #[derive(Debug, Clone)]
 pub struct ScoreReading<S: Semiring> {
     local: Arc<Vec<(Index, Index, S::Elem)>>,
@@ -52,32 +53,27 @@ impl<S: Semiring> ScoreReading<S> {
         k: usize,
         rank_of: impl Fn(&S::Elem) -> f64,
     ) -> Vec<(Index, Index, S::Elem)> {
-        merge_topk::<S>(grid, Arc::clone(&self.local), k, rank_of)
+        merge_topk::<S>(grid, self.local.iter().copied(), k, rank_of)
     }
 }
 
-/// The shared zero-copy allgather merge behind live and pinned `top_k`:
-/// the ring moves the `Arc` handle, never a copy of the score list.
+/// The merge behind live and pinned `top_k`: every rank's `k` best, merged
+/// at world rank 0 ([`reduce_topk`]) and broadcast back — `2·(p − 1)`
+/// messages of at most `k` scores each.
 fn merge_topk<S: Semiring>(
     grid: &Grid,
-    mine: Arc<Vec<(Index, Index, S::Elem)>>,
+    mine: impl IntoIterator<Item = (Index, Index, S::Elem)>,
     k: usize,
     rank_of: impl Fn(&S::Elem) -> f64,
 ) -> Vec<(Index, Index, S::Elem)> {
-    let mut all: Vec<(Index, Index, S::Elem)> = grid
-        .world()
-        .allgather_shared(mine)
-        .iter()
-        .flat_map(|part| part.iter().copied())
-        .collect();
-    all.sort_unstable_by(|(ua, va, sa), (ub, vb, sb)| {
+    let order = |(ua, va, sa): &(Index, Index, S::Elem), (ub, vb, sb): &(Index, Index, S::Elem)| {
         rank_of(sb)
             .partial_cmp(&rank_of(sa))
             .unwrap_or(std::cmp::Ordering::Equal)
             .then((ua, va).cmp(&(ub, vb)))
-    });
-    all.truncate(k);
-    all
+    };
+    let merged = reduce_topk(grid.world(), 0, mine, k, order);
+    Arc::unwrap_or_clone(grid.world().bcast_shared(0, merged.map(Arc::new)))
 }
 
 /// Maintained `(A·A)_{u,v}` scores for a fixed, replicated candidate set.
@@ -148,18 +144,16 @@ impl<S: Semiring> CommonNeighborsView<S> {
     }
 
     /// The `k` best-scoring candidates under `rank_of` (greater is better,
-    /// ties broken by pair order). One allgather of the per-rank score
-    /// lists; every rank returns the same list. Candidates with structurally
-    /// zero scores never appear. Collective.
+    /// ties broken by pair order). Each rank's `k` best are merged at one
+    /// rank and broadcast back; every rank returns the same list.
+    /// Candidates with structurally zero scores never appear. Collective.
     pub fn top_k(
         &self,
         grid: &Grid,
         k: usize,
         rank_of: impl Fn(&S::Elem) -> f64,
     ) -> Vec<(Index, Index, S::Elem)> {
-        // Zero-copy merge: the ring moves `Arc` handles of the per-rank
-        // score lists, never deep-cloning a list on a forward.
-        merge_topk::<S>(grid, Arc::new(self.local_scores().collect()), k, rank_of)
+        merge_topk::<S>(grid, self.local_scores(), k, rank_of)
     }
 
     /// Refreshes one owned candidate from the maintained product.

@@ -45,6 +45,13 @@
 //! `ALLTOALLV` pair however many operands it updates
 //! (`tests/comm_volume.rs` asserts both).
 //!
+//! **No control collective.** The root lanes are counted
+//! ([`crate::redistribute::Route`]): every rank leaves the redistribution
+//! knowing each update's global tuple count, so a pass whose update matrix
+//! is empty on every rank is skipped without a message of its own
+//! ([`StarPair::global_tuples`]). An untracked batch on one operand sends
+//! `4p(√p − 1)` messages, on both `6p(√p − 1)`.
+//!
 //! The module is generic over an [`XYKernel`] so the identical communication
 //! structure also serves the Bloom-fused variant (engine sessions that
 //! maintain the filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
@@ -204,8 +211,10 @@ pub(crate) fn build_star_operands<S: Semiring>(
 /// An operand's built update, as the round schedule consumes it.
 pub(crate) trait Update<S: Semiring> {
     /// The block this rank broadcasts as a round root (`M*_{j,i}` at rank
-    /// `(i, j)`, Section V-C).
-    fn root(&self) -> &Arc<Dcsr<S::Elem>>;
+    /// `(i, j)`, Section V-C), or `None` when the update is empty on every
+    /// rank — decided from the global tuple count its redistribution
+    /// delivered, so all ranks agree.
+    fn root(&self) -> Option<&Arc<Dcsr<S::Elem>>>;
 
     /// Turns this rank's block of the operand into its updated form.
     fn apply(&self, m: &mut DistMat<S::Elem>);
@@ -213,8 +222,8 @@ pub(crate) trait Update<S: Semiring> {
 
 /// Algorithm 1's update: `M += M*`.
 impl<S: Semiring> Update<S> for StarPair<S::Elem> {
-    fn root(&self) -> &Arc<Dcsr<S::Elem>> {
-        &self.root
+    fn root(&self) -> Option<&Arc<Dcsr<S::Elem>>> {
+        (self.global_tuples != 0).then_some(&self.root)
     }
 
     fn apply(&self, m: &mut DistMat<S::Elem>) {
@@ -265,27 +274,16 @@ type Payloads<V> = (Option<Arc<Dcsr<V>>>, Option<Arc<Dcsr<V>>>);
 /// Step 1 of [`compute_cstar`]: the round roots' broadcast payloads, as
 /// the batch's redistribution built them. A globally empty update matrix
 /// contributes nothing to Eq. 1, so its pass gets no payload and is skipped
-/// whole — decided from the allreduced global nnz, so all ranks agree. This
-/// is the common case in the paper's Fig. 9 protocol, where `B` is static.
-fn star_payloads<V: Elem>(
-    grid: &Grid,
-    a_root: &Arc<Dcsr<V>>,
-    b_root: Option<&Arc<Dcsr<V>>>,
-) -> Payloads<V> {
-    let live = |root: &Arc<Dcsr<V>>, nnz: u64| (nnz != 0).then(|| Arc::clone(root));
-    let world = grid.world();
-    match b_root {
-        Some(b_root) => {
-            let nnz = [a_root.nnz() as u64, b_root.nnz() as u64];
-            let [a_nnz, b_nnz] = world.allreduce(nnz, |x, y| [x[0] + y[0], x[1] + y[1]]);
-            (live(a_root, a_nnz), live(b_root, b_nnz))
-        }
+/// whole ([`Update::root`]): every rank knows the global tuple count from
+/// the redistribution, so the skip costs no message. This is the common
+/// case in the paper's Fig. 9 protocol, where `B` is static.
+fn star_payloads<S: Semiring, U: Update<S>>(a: &U, b: Option<&U>) -> Payloads<S::Elem> {
+    let x_star = a.root().cloned();
+    match b {
+        Some(b) => (x_star, b.root().cloned()),
         // One block serves both passes: rank (i,j) holds A*_{j,i}, the X
         // payload of row i and the Y payload of column j.
-        None => {
-            let star = live(a_root, world.allreduce(a_root.nnz() as u64, |x, y| x + y));
-            (star.clone(), star)
-        }
+        None => (x_star.clone(), x_star),
     }
 }
 
@@ -513,8 +511,7 @@ pub(crate) fn compute_cstar<S: Semiring, K: XYKernel<S>, U: Update<S>>(
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (Dcsr<K::Out>, u64) {
-    let b_root = ops.b.as_ref().map(|(_, upd)| upd.root());
-    let (x_star, y_star) = star_payloads(grid, ops.a.1.root(), b_root);
+    let (x_star, y_star) = star_payloads(ops.a.1, ops.b.as_ref().map(|&(_, upd)| upd));
     let mut flops = 0u64;
     let y =
         y_star.and_then(|star| y_pass::<S, K>(grid, ops.left(), &star, exec, timer, &mut flops));
@@ -803,6 +800,87 @@ mod tests {
             before == c.gather_to_root(comm)
         });
         assert!(out.results.iter().all(|&x| x));
+    }
+
+    /// Whether a pass runs follows the global tuple count that rides the
+    /// redistribution, at p ∈ {1, 4, 9}: a batch whose `A` tuples all come
+    /// from one rank runs the X pass everywhere; a batch empty on both
+    /// operands sends only its redistribution and leaves `C`'s block and
+    /// published image shared; and `+1.0` and `−1.0` at one coordinate,
+    /// which fold to a stored zero, still run the X pass. Each leaves `C`
+    /// equal to a static recompute of the updated operands.
+    #[test]
+    fn passes_follow_the_global_tuple_count() {
+        use dspgemm_sparse::semiring::F64Plus;
+        let n: Index = 24;
+        for p in [1usize, 4, 9] {
+            let out = run(p, move |comm| {
+                let grid = Grid::new(comm);
+                let mut timer = PhaseTimer::new();
+                let (rank, last) = (comm.rank(), comm.size() - 1);
+                let feed = |seed: u64, count: usize| -> Vec<Triple<f64>> {
+                    let t = random_triples(seed, n, count);
+                    t.iter()
+                        .map(|t| Triple::new(t.row, t.col, t.val as f64))
+                        .collect()
+                };
+                let a = DistMat::from_global_triples(&grid, n, n, feed(1, 80), 1, &mut timer);
+                let b = DistMat::from_global_triples(&grid, n, n, feed(2, 80), 1, &mut timer);
+                let mut eng = DynSpGemm::<F64Plus>::new(&grid, a, b, 1, false);
+                let matches_static = |eng: &DynSpGemm<F64Plus>, timer: &mut PhaseTimer| {
+                    let (c_static, _) = summa::<F64Plus>(&grid, &eng.a, &eng.b, 1, timer);
+                    let dense = |m: &DistMat<f64>| {
+                        m.gather_to_root(comm)
+                            .map(|t| Dense::from_triples::<F64Plus>(n, n, &t))
+                    };
+                    let (got, want) = (dense(&eng.c), dense(&c_static));
+                    got.zip(want)
+                        .is_none_or(|(got, want)| got.diff(&want).is_empty())
+                };
+                let mut sent = Vec::new();
+                // (1) One rank submits every `A` tuple.
+                let ups = if rank == last { feed(3, 30) } else { vec![] };
+                sent.push(eng.apply_algebraic(&grid, ups, vec![]).sent_msgs());
+                let one_feeder = matches_static(&eng, &mut timer);
+                // (2) Empty on both operands.
+                let before = eng.publish();
+                sent.push(eng.apply_algebraic(&grid, vec![], vec![]).sent_msgs());
+                let after = eng.publish();
+                let shared = before.c().block_ptr() == after.c().block_ptr()
+                    && before.a().block_ptr() == after.a().block_ptr();
+                // (3) Duplicates that cancel to a stored zero.
+                let cancel = match rank {
+                    0 => vec![Triple::new(5, 7, 1.0)],
+                    _ => vec![],
+                };
+                let cancel = if rank == last {
+                    [cancel, vec![Triple::new(5, 7, -1.0)]].concat()
+                } else {
+                    cancel
+                };
+                sent.push(eng.apply_algebraic(&grid, cancel, vec![]).sent_msgs());
+                let cancelled = matches_static(&eng, &mut timer);
+                (sent, one_feeder && cancelled, shared)
+            });
+            let q = (p as f64).sqrt() as u64;
+            let exchange = 2 * p as u64 * (q - 1);
+            let total = |batch: usize| out.results.iter().map(|(s, ..)| s[batch]).sum::<u64>();
+            assert_eq!(total(0), 2 * exchange, "p={p}: one feeder runs the X pass");
+            assert_eq!(
+                total(1),
+                exchange,
+                "p={p}: an empty batch only redistributes"
+            );
+            assert_eq!(
+                total(2),
+                2 * exchange,
+                "p={p}: a cancelled tuple runs the X pass"
+            );
+            for (_, equal, shared) in &out.results {
+                assert!(equal, "p={p}: C differs from the static recompute");
+                assert!(shared, "p={p}: an empty batch republished C");
+            }
+        }
     }
 
     /// One batch body per algorithm: a shared-mode engine maintaining

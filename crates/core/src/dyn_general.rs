@@ -89,6 +89,9 @@ pub struct PreparedGeneral<V> {
     /// The block of `star` `COMPUTE_PATTERN`'s round roots broadcast
     /// (`A*_{j,i}` at rank `(i, j)`, Section V-C).
     pub star_root: Arc<Dcsr<V>>,
+    /// How many sets and deletes all ranks submitted, the same on every
+    /// rank: zero exactly when `star` is empty on every rank.
+    pub global_tuples: u64,
 }
 
 /// Builds the update matrices of every operand's general-update batch from
@@ -126,7 +129,7 @@ pub(crate) fn prepare_general_operands<S: Semiring>(
         .into_iter()
         .map(|layout| {
             let (set_mat, del_mat) = (next().into_natural(), next().into_natural());
-            let star_root = next().into_root();
+            let (star_root, global_tuples) = next().into_root();
             // A* = sets ∪ deletes structurally (deletions "add a structural
             // non-zero to A* to indicate that the corresponding entries have
             // changed").
@@ -137,6 +140,7 @@ pub(crate) fn prepare_general_operands<S: Semiring>(
                 set_mat,
                 del_mat,
                 star_root,
+                global_tuples,
             }
         })
         .collect()
@@ -165,8 +169,8 @@ pub(crate) fn prepare_general_batch<S: Semiring>(
 
 /// Algorithm 2's update: `M ← M'` by the MERGE, then the MASK matrix.
 impl<S: Semiring> Update<S> for PreparedGeneral<S::Elem> {
-    fn root(&self) -> &Arc<Dcsr<S::Elem>> {
-        &self.star_root
+    fn root(&self) -> Option<&Arc<Dcsr<S::Elem>>> {
+        (self.global_tuples != 0).then_some(&self.star_root)
     }
 
     fn apply(&self, m: &mut DistMat<S::Elem>) {

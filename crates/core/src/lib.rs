@@ -116,7 +116,7 @@ pub use observer::Observer;
 pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use recovery::{RecoveryConfig, RecoveryReport};
 pub use report::{meter, BatchReport};
-pub use snapshot::{Snapshot, SnapshotMat, SnapshotStore};
+pub use snapshot::{reduce_topk, Snapshot, SnapshotMat, SnapshotStore};
 
 /// Phase names used by the SpGEMM breakdown (the paper's Fig. 12 series).
 pub mod phase {

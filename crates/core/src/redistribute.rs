@@ -20,14 +20,22 @@
 //! exchange as **lanes** of [`redistribute_lanes_in`]: one `ALLTOALLV` per
 //! phase whose per-destination chunk holds one tuple vector per lane, so the
 //! message count of a batch is `2·p·(√p − 1)` however many matrices it
-//! builds. On the wire a chunk is a vector of [`TripleLane`]s, one per lane:
+//! builds. On the wire a chunk is a vector of [`TalliedLane`]s, one per lane:
 //! each lane bit-packs its indices against the least row and column it holds
 //! and keeps its tuples in the order the partition left them, so what arrives
 //! is exactly the sequence that was sent.
+//!
+//! A **counted** lane (a [`Route`] with `counted`) also carries a tally in
+//! every chunk: in the row phase the number of tuples its sender submitted,
+//! in the column phase the sum of the tallies its sender received, which is
+//! its grid column's total. So every rank leaves the exchange knowing the
+//! lane's global tuple count, with no message of its own — the count a batch
+//! needs to skip an update matrix that is empty everywhere. An uncounted
+//! lane's chunks are the bare lane's bytes.
 
 use crate::grid::Grid;
 use crate::layout::Layout;
-use dspgemm_sparse::{Index, Triple, TripleLane};
+use dspgemm_sparse::{Index, TalliedLane, Triple, TripleLane};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
 
@@ -69,7 +77,7 @@ where
 
 /// Routes every tuple to the rank owning its `(row, col)` position under the
 /// explicit cut points of `layout`: the one-lane call of
-/// [`redistribute_lanes_in`].
+/// [`redistribute_lanes_in`], uncounted.
 pub fn redistribute_in<V>(
     grid: &Grid,
     layout: &Layout,
@@ -79,90 +87,130 @@ pub fn redistribute_in<V>(
 where
     V: Copy + Send + Sync + WireSize + WireDecode + 'static,
 {
-    let mut lanes = redistribute_lanes_in(grid, &[layout], vec![tuples], timer);
-    lanes.pop().expect("one lane in, one lane out")
+    let route = Route {
+        layout,
+        counted: false,
+    };
+    let mut lanes = redistribute_lanes_in(grid, &[route], vec![tuples], timer);
+    lanes.pop().expect("one lane in, one lane out").tuples
+}
+
+/// How one lane of [`redistribute_lanes_in`] travels.
+#[derive(Debug, Clone, Copy)]
+pub struct Route<'l> {
+    /// The layout whose block owners receive the lane's tuples.
+    pub layout: &'l Layout,
+    /// Whether the lane's chunks carry its tally, so that every rank learns
+    /// the lane's global tuple count.
+    pub counted: bool,
+}
+
+/// One lane as [`redistribute_lanes_in`] delivers it to this rank.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Routed<V> {
+    /// This rank's tuples of the lane, still globally indexed.
+    pub tuples: Vec<Triple<V>>,
+    /// A counted lane's global tuple count: how many tuples all ranks
+    /// submitted to it. `None` for an uncounted lane.
+    pub count: Option<u64>,
 }
 
 /// Routes `lanes.len()` tuple sets through **one** two-phase exchange: lane
-/// `l` routes under `layouts[l]`, and each `ALLTOALLV` message carries one
-/// vector per lane, so a batch that builds several update matrices — `A*`,
-/// its flipped copy under [`Layout::transposed`], `B*`, … — still sends
-/// `2·p·(√p − 1)` messages in all. Returns this rank's tuples per lane,
-/// still globally indexed.
+/// `l` routes under `routes[l].layout`, and each `ALLTOALLV` message carries
+/// one vector per lane, so a batch that builds several update matrices —
+/// `A*`, its flipped copy under [`Layout::transposed`], `B*`, … — still
+/// sends `2·p·(√p − 1)` messages in all. Returns this rank's tuples per
+/// lane, still globally indexed, and each counted lane's global count.
 ///
 /// The partitioning is stable and the per-source chunks are concatenated in
 /// source order, lane by lane, so every lane arrives as the exact sequence
 /// a [`redistribute_in`] of that lane alone returns — duplicates fold in the
 /// same order whatever shares the exchange. Collective over the grid (same
-/// lane count on every rank).
+/// lanes, counted alike, on every rank).
 pub fn redistribute_lanes_in<V>(
     grid: &Grid,
-    layouts: &[&Layout],
+    routes: &[Route<'_>],
     lanes: Vec<Vec<Triple<V>>>,
     timer: &mut PhaseTimer,
-) -> Vec<Vec<Triple<V>>>
+) -> Vec<Routed<V>>
 where
     V: Copy + Send + Sync + WireSize + WireDecode + 'static,
 {
     let q = grid.q();
-    assert_eq!(layouts.len(), lanes.len(), "one layout per lane");
+    assert_eq!(routes.len(), lanes.len(), "one route per lane");
     debug_assert!(
-        layouts.iter().all(|l| l.q() == q),
+        routes.iter().all(|r| r.layout.q() == q),
         "layouts must target the grid side"
     );
+    let lanes = (lanes.into_iter().zip(routes))
+        .map(|(tuples, route)| Routed {
+            count: route.counted.then_some(tuples.len() as u64),
+            tuples,
+        })
+        .collect();
     // Phase 1: to the correct grid row, exchanging within my grid column.
     let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_lanes(lanes, q, |l, t| layouts[l].row_owner(t.row).0)
+        partition_lanes(lanes, q, |l, t| routes[l].layout.row_owner(t.row).0)
     });
     let received = timer.time(phase::REDIST_COMM, || grid.col_comm().alltoallv(chunks));
     let lanes = timer.time(phase::MEM_MANAGEMENT, || {
-        concat_lanes(received, layouts.len())
+        concat_lanes(received, routes.len())
     });
     // Phase 2: to the correct grid column, exchanging within my grid row.
     let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_lanes(lanes, q, |l, t| layouts[l].col_owner(t.col).0)
+        partition_lanes(lanes, q, |l, t| routes[l].layout.col_owner(t.col).0)
     });
     let received = timer.time(phase::REDIST_COMM, || grid.row_comm().alltoallv(chunks));
     timer.time(phase::MEM_MANAGEMENT, || {
-        concat_lanes(received, layouts.len())
+        concat_lanes(received, routes.len())
     })
 }
 
 /// Counting-sorts every lane by destination and regroups the buckets as one
-/// chunk per destination holding one [`TripleLane`] per lane — the
-/// `ALLTOALLV` payload of [`redistribute_lanes_in`].
+/// chunk per destination holding one [`TalliedLane`] per lane, each with
+/// the count this rank knows of its lane — the `ALLTOALLV` payload of
+/// [`redistribute_lanes_in`].
 fn partition_lanes<V>(
-    lanes: Vec<Vec<Triple<V>>>,
+    lanes: Vec<Routed<V>>,
     buckets: usize,
     mut key: impl FnMut(usize, &Triple<V>) -> usize,
-) -> Vec<Vec<TripleLane<V>>> {
-    let mut out: Vec<Vec<TripleLane<V>>> = (0..buckets)
+) -> Vec<Vec<TalliedLane<V>>> {
+    let mut out: Vec<Vec<TalliedLane<V>>> = (0..buckets)
         .map(|_| Vec::with_capacity(lanes.len()))
         .collect();
-    for (l, items) in lanes.into_iter().enumerate() {
-        for (chunk, dst) in partition_by(items, buckets, |t| key(l, t))
+    for (l, Routed { tuples, count }) in lanes.into_iter().enumerate() {
+        for (chunk, dst) in partition_by(tuples, buckets, |t| key(l, t))
             .into_iter()
             .zip(&mut out)
         {
-            dst.push(TripleLane(chunk));
+            dst.push(TalliedLane {
+                lane: TripleLane(chunk),
+                tally: count,
+            });
         }
     }
     out
 }
 
 /// Concatenates the received `[source][lane]` chunks lane by lane, in source
-/// order.
-fn concat_lanes<V>(received: Vec<Vec<TripleLane<V>>>, lanes: usize) -> Vec<Vec<Triple<V>>> {
+/// order, and sums each counted lane's tallies.
+fn concat_lanes<V>(received: Vec<Vec<TalliedLane<V>>>, lanes: usize) -> Vec<Routed<V>> {
     assert!(
         received.iter().all(|src| src.len() == lanes),
         "every rank routes the same lanes"
     );
-    let mut out: Vec<Vec<Triple<V>>> = (0..lanes)
-        .map(|l| Vec::with_capacity(received.iter().map(|src| src[l].0.len()).sum()))
+    let mut out: Vec<Routed<V>> = (0..lanes)
+        .map(|l| Routed {
+            tuples: Vec::with_capacity(received.iter().map(|src| src[l].lane.0.len()).sum()),
+            count: None,
+        })
         .collect();
     for src in received {
-        for (lane, chunk) in out.iter_mut().zip(src) {
-            lane.extend(chunk.0);
+        for (routed, chunk) in out.iter_mut().zip(src) {
+            routed.tuples.extend(chunk.lane.0);
+            if let Some(tally) = chunk.tally {
+                *routed.count.get_or_insert(0) += tally;
+            }
         }
     }
     out

@@ -71,6 +71,8 @@ use crate::distmat::{BlockInfo, DistMat, Elem, ImageBuild};
 use crate::grid::Grid;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
+use dspgemm_util::{WireDecode, WireSize};
+use std::cmp::Ordering;
 use std::sync::{Arc, Weak};
 
 /// One rank's immutable block of a published distributed matrix.
@@ -172,10 +174,12 @@ impl<V: Elem> SnapshotMat<V> {
     }
 
     /// The `k` heaviest entries of global row `u` under `score` (greater is
-    /// better; ties broken by column). Each rank keeps its own `k` best,
-    /// and one zero-copy allgather merges those: columns make the order
-    /// total, so an entry of the row's top `k` is among its rank's top `k`,
-    /// and the answer is exact for finite scores. Every rank returns the
+    /// better; ties broken by column). The row lives on the q ranks of one
+    /// grid row, found from this matrix's layout (rebalanced cuts
+    /// included): those ranks merge their parts over their row
+    /// communicator ([`reduce_topk`]), and the row's first rank broadcasts
+    /// the result to the world — `(q − 1) + (p − 1)` messages of at most
+    /// `k` entries. Exact for finite scores, and every rank returns the
     /// same list. `score` must be a pure function agreed on all ranks.
     /// Collective.
     pub fn row_topk(
@@ -185,19 +189,20 @@ impl<V: Elem> SnapshotMat<V> {
         k: usize,
         score: impl Fn(&V) -> f64,
     ) -> Vec<(Index, V)> {
-        let top = |mut entries: Vec<(Index, V)>| {
-            entries.sort_unstable_by(|(ca, va), (cb, vb)| {
-                score(vb)
-                    .partial_cmp(&score(va))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(ca.cmp(cb))
-            });
-            entries.truncate(k);
-            entries
+        let order = |(ca, va): &(Index, V), (cb, vb): &(Index, V)| {
+            score(vb)
+                .partial_cmp(&score(va))
+                .unwrap_or(Ordering::Equal)
+                .then(ca.cmp(cb))
         };
-        let mine = top(self.row_local(u));
-        let parts = grid.world().allgather_shared(Arc::new(mine));
-        top(parts.iter().flat_map(|part| part.iter().copied()).collect())
+        let owner = self.info.layout().row_owner(u).0;
+        let merged = (grid.coords().0 == owner)
+            .then(|| reduce_topk(grid.row_comm(), 0, self.row_local(u), k, order))
+            .flatten();
+        let top = grid
+            .world()
+            .bcast_shared(grid.rank_of(owner, 0), merged.map(Arc::new));
+        Arc::unwrap_or_clone(top)
     }
 
     /// Folds every local entry (global coordinates) into `init` and
@@ -211,7 +216,7 @@ impl<V: Elem> SnapshotMat<V> {
         combine: impl FnMut(T, T) -> T,
     ) -> T
     where
-        T: Clone + Send + dspgemm_util::WireSize + dspgemm_util::WireDecode + 'static,
+        T: Clone + Send + WireSize + WireDecode + 'static,
     {
         let mut acc = init;
         for lr in 0..self.block.nrows() {
@@ -258,6 +263,45 @@ impl<V: Elem> SnapshotMat<V> {
     pub fn block_ptr(&self) -> *const Csr<V> {
         Arc::as_ptr(&self.block)
     }
+}
+
+/// The first `k` entries of all of `comm`'s `mine` lists under `order`, at
+/// `root`: each rank sorts and cuts its own list, and a reduction merges
+/// two sorted lists at a time, cutting each merge at `k`. Under a total
+/// `order` every entry of the overall first `k` is among its own rank's
+/// first `k`, so the answer is exact and does not depend on the
+/// reduction's bracket order. `comm.size() − 1` messages of at most `k`
+/// entries. Returns `Some` at the root, `None` elsewhere. Collective over
+/// `comm`.
+pub fn reduce_topk<T>(
+    comm: &Comm,
+    root: usize,
+    mine: impl IntoIterator<Item = T>,
+    k: usize,
+    order: impl Fn(&T, &T) -> Ordering,
+) -> Option<Vec<T>>
+where
+    T: Send + 'static,
+    Vec<T>: WireSize + WireDecode,
+{
+    let mut mine: Vec<T> = mine.into_iter().collect();
+    mine.sort_unstable_by(&order);
+    mine.truncate(k);
+    comm.reduce(root, mine, |a, b| {
+        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+        let mut out = Vec::with_capacity(k.min(a.len() + b.len()));
+        while out.len() < k {
+            let take_b = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => order(y, x) == Ordering::Less,
+                (x, _) => x.is_none(),
+            };
+            match if take_b { b.next() } else { a.next() } {
+                Some(t) => out.push(t),
+                None => break,
+            }
+        }
+        out
+    })
 }
 
 /// One published epoch: the operand `A`, the maintained product `C`, and

@@ -24,7 +24,7 @@
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::grid::Grid;
 use crate::layout::{uniform_layout, Layout};
-use crate::redistribute::{phase, redistribute_lanes_in};
+use crate::redistribute::{phase, redistribute_lanes_in, Route};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{dhb::DhbRow, Dcsr, DhbMatrix, Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
@@ -49,27 +49,29 @@ pub(crate) enum Lane<V> {
     /// The round root's block `A*_{j,i}` (Section V-C): the tuples route
     /// flipped `(r, c, v) → (c, r, v)` under [`Layout::transposed`], so rank
     /// `(i, j)` receives exactly the entries of `A*_{j,i}`, and assemble
-    /// flipped back, in natural orientation.
+    /// flipped back, in natural orientation. The lane is counted, so the
+    /// build also learns the update's global tuple count.
     Root(Arc<Layout>, Vec<Triple<V>>),
 }
 
-/// What one [`Lane`] builds.
+/// What one [`Lane`] builds: a root lane's block comes with the lane's
+/// global tuple count.
 pub(crate) enum Built<V> {
     Natural(DistDcsr<V>),
-    Root(Arc<Dcsr<V>>),
+    Root(Arc<Dcsr<V>>, u64),
 }
 
 impl<V> Built<V> {
     pub(crate) fn into_natural(self) -> DistDcsr<V> {
         match self {
             Built::Natural(m) => m,
-            Built::Root(_) => unreachable!("a root lane builds no DistDcsr"),
+            Built::Root(..) => unreachable!("a root lane builds no DistDcsr"),
         }
     }
 
-    pub(crate) fn into_root(self) -> Arc<Dcsr<V>> {
+    pub(crate) fn into_root(self) -> (Arc<Dcsr<V>>, u64) {
         match self {
-            Built::Root(block) => block,
+            Built::Root(block, count) => (block, count),
             Built::Natural(_) => unreachable!("a natural lane builds no root block"),
         }
     }
@@ -111,7 +113,12 @@ pub(crate) fn build_update_matrices_in<S: Semiring>(
         heads.push(head);
         tuples.push(t);
     }
-    let routes: Vec<&Layout> = routes.iter().map(|l| &**l).collect();
+    let routes: Vec<Route<'_>> = (routes.iter().zip(&heads))
+        .map(|(layout, &(_, root))| Route {
+            layout,
+            counted: root,
+        })
+        .collect();
     let routed = redistribute_lanes_in(grid, &routes, tuples, timer);
     let (i, j) = grid.coords();
     heads
@@ -128,6 +135,7 @@ pub(crate) fn build_update_matrices_in<S: Semiring>(
                     (layout.row_range(i), layout.col_range(j))
                 };
                 let mut local: Vec<Triple<S::Elem>> = mine
+                    .tuples
                     .into_iter()
                     .map(|t| {
                         let (r, c) = if root { (t.col, t.row) } else { (t.row, t.col) };
@@ -141,10 +149,9 @@ pub(crate) fn build_update_matrices_in<S: Semiring>(
                 }
                 let (nrows, ncols) = (rows.end - rows.start, cols.end - cols.start);
                 let block = Dcsr::from_sorted_triples(nrows, ncols, &local);
-                if root {
-                    Built::Root(Arc::new(block))
-                } else {
-                    Built::Natural(DistDcsr::from_block_in(grid, &layout, block))
+                match mine.count {
+                    Some(count) => Built::Root(Arc::new(block), count),
+                    None => Built::Natural(DistDcsr::from_block_in(grid, &layout, block)),
                 }
             })
         })
@@ -194,13 +201,18 @@ pub fn build_update_matrix_in<S: Semiring>(
 /// round root broadcasts (Section V-C): rank `(i, j)` holds `A*_{j,i}`, the
 /// block the paper fetches from the transposed peer with a point-to-point
 /// exchange (Fig. 1a). It is a root lane of the same redistribution, so
-/// that exchange never runs.
+/// that exchange never runs, and the lane's count is `global_tuples`.
 #[derive(Debug, Clone)]
 pub struct StarPair<V> {
     /// The natural-layout update matrix (`A*_{i,j}` at rank `(i, j)`).
     pub natural: DistDcsr<V>,
     /// The round root's block (`A*_{j,i}` at rank `(i, j)`).
     pub root: Arc<Dcsr<V>>,
+    /// How many tuples all ranks submitted to this update, the same on
+    /// every rank. Zero exactly when the matrix is empty on every rank: a
+    /// tuple always leaves an entry, since duplicates that cancel fold to
+    /// a stored zero.
+    pub global_tuples: u64,
 }
 
 /// One operand of a pair build: the layout of the matrix its update matrix
@@ -225,8 +237,12 @@ pub(crate) fn build_star_pairs_in<S: Semiring>(
     let mut built = built.into_iter();
     std::iter::from_fn(|| {
         let natural = built.next()?.into_natural();
-        let root = built.next().expect("two matrices per operand").into_root();
-        Some(StarPair { natural, root })
+        let (root, global_tuples) = built.next().expect("two matrices per operand").into_root();
+        Some(StarPair {
+            natural,
+            root,
+            global_tuples,
+        })
     })
     .collect()
 }

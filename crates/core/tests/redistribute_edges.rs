@@ -2,12 +2,14 @@
 //! tests skip: per-rank empty tuple sets, total concentration of a batch
 //! into a single block, index spaces smaller than the grid side (zero-width
 //! blocks), the documented clean rejection of non-square process counts, the
-//! order in which a lane of the shared exchange arrives, and what a tuple
-//! costs on the wire.
+//! order in which a lane of the shared exchange arrives, the global count a
+//! counted lane delivers, and what a tuple and a tally cost on the wire.
 
 use dspgemm_core::grid::{block_range, owner_block, Grid};
 use dspgemm_core::layout::Layout;
-use dspgemm_core::redistribute::{redistribute, redistribute_in, redistribute_lanes_in};
+use dspgemm_core::redistribute::{
+    redistribute, redistribute_in, redistribute_lanes_in, Route, Routed,
+};
 use dspgemm_core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm_core::DistMat;
 use dspgemm_mpi::{run, CommCategory};
@@ -201,9 +203,10 @@ fn expected_arrival(
 /// The lane exchange returns, per lane and *as a sequence*, exactly what one
 /// `redistribute_in` per lane returns, and both return the closed-form
 /// arrival order — so update matrices built from lanes fold duplicates in
-/// the order separate builds did. Skewed cuts with a narrow stripe, a lane
-/// under the transposed layout (rows and columns cut differently), an empty
-/// lane, and a batch whose lanes are all empty.
+/// the order separate builds did. Every rank learns each counted lane's
+/// global tuple count, and no count for an uncounted one. Skewed cuts with
+/// a narrow stripe, a lane under the transposed layout (rows and columns
+/// cut differently), an empty lane, and a batch whose lanes are all empty.
 #[test]
 fn lane_exchange_arrives_like_separate_redistributions() {
     let cases: [(usize, Layout); 4] = [
@@ -226,9 +229,22 @@ fn lane_exchange_arrives_like_separate_redistributions() {
                 };
                 let mut timer = PhaseTimer::new();
                 let lanes = (0..4).map(|lane| input(lane, at)).collect();
-                let together = redistribute_lanes_in(&grid, &layouts, lanes, &mut timer);
+                let routes = layouts.map(|layout| Route {
+                    layout,
+                    counted: false,
+                });
+                let mut routes = routes.to_vec();
+                routes[1].counted = true;
+                routes[2].counted = true;
+                let together = redistribute_lanes_in(&grid, &routes, lanes, &mut timer);
                 assert_eq!(together.len(), 4);
-                for (lane, got) in together.into_iter().enumerate() {
+                for (lane, Routed { tuples: got, count }) in together.into_iter().enumerate() {
+                    let global = (p * counts[lane]) as u64;
+                    assert_eq!(
+                        count,
+                        routes[lane].counted.then_some(global),
+                        "p={p} lane={lane}"
+                    );
                     let alone = redistribute_in(&grid, layouts[lane], input(lane, at), &mut timer);
                     let want = expected_arrival(layouts[lane], at, |from| input(lane, from));
                     assert_eq!(
@@ -302,4 +318,45 @@ fn non_square_process_count_rejected_cleanly() {
     run(8, |comm| {
         let _ = Grid::new(comm);
     });
+}
+
+/// A counted lane costs one 8-byte tally per message and nothing else: the
+/// same tuples routed counted and uncounted send the same messages, and the
+/// counted exchange `8` B more per message. Its count is global even when
+/// one rank submits every tuple and the others nothing.
+#[test]
+fn a_tally_costs_eight_bytes_a_message() {
+    let n: Index = 30;
+    for p in [1usize, 4, 9] {
+        let layout = Layout::uniform(n, n, (p as f64).sqrt() as usize);
+        let exchange = |counted: bool| {
+            let layout = layout.clone();
+            run(p, move |comm| {
+                let grid = Grid::new(comm);
+                let mine = match comm.rank() {
+                    0 => lane_input((n, n), grid.q(), grid.coords(), 0, 50),
+                    _ => Vec::new(),
+                };
+                let route = Route {
+                    layout: &layout,
+                    counted,
+                };
+                let mut timer = PhaseTimer::new();
+                let mut got = redistribute_lanes_in(&grid, &[route], vec![mine], &mut timer);
+                got.pop().expect("one lane")
+            })
+        };
+        let (bare, counted) = (exchange(false), exchange(true));
+        for (bare, counted) in bare.results.iter().zip(&counted.results) {
+            assert_eq!(bare.tuples, counted.tuples, "p={p}");
+            assert_eq!((bare.count, counted.count), (None, Some(50)), "p={p}");
+        }
+        let traffic = |out: &dspgemm_mpi::SimOutput<Routed<u64>>| {
+            let cat = CommCategory::Alltoall;
+            (out.stats.bytes_in(cat), out.stats.msgs_in(cat))
+        };
+        let (bare, counted) = (traffic(&bare), traffic(&counted));
+        assert_eq!(counted.1, bare.1, "p={p}: messages");
+        assert_eq!(counted.0, bare.0 + 8 * bare.1, "p={p}: bytes");
+    }
 }

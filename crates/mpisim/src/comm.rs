@@ -535,8 +535,8 @@ impl Comm {
 
     /// Allreduce: reduce to rank 0, then [`Comm::bcast`] the result back.
     ///
-    /// The hot-path uses of `allreduce` are O(1)-size control values (global
-    /// nnz agreement, elision votes), not operand payloads. Vector
+    /// The uses of `allreduce` are O(1)-size control values (recovery
+    /// agreement, global counts on request), not operand payloads. Vector
     /// aggregations (SpMV segments, the general algorithm's filter vector)
     /// use `reduce` + [`Comm::bcast_shared`].
     pub fn allreduce<T, F>(&self, value: T, op: F) -> T

@@ -49,7 +49,7 @@ pub use csr::Csr;
 pub use dcsr::Dcsr;
 pub use dhb::DhbMatrix;
 pub use semiring::{BoolOrAnd, F64MaxMin, F64Plus, MinPlus, Semiring, U64Plus};
-pub use triple::{Triple, TripleLane};
+pub use triple::{TalliedLane, Triple, TripleLane};
 
 /// Row/column index type. All paper instances have `n < 2^32`; 32-bit indices
 /// halve index bandwidth, which matters because communication volume is the

@@ -57,11 +57,28 @@ fn low_bits(word: u64, width: u32) -> u64 {
     word & ((1u128 << width) - 1) as u64
 }
 
+/// A [`TripleLane`] and the tally a counted redistribution lane carries
+/// beside it: one element of a redistribution chunk. In memory the pair; on
+/// the wire the lane's own frame, whose length word says whether a tally
+/// follows (grammar on [`TripleLane::wire_encode`]). Without a tally the
+/// frame is the bare lane's, byte for byte.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TalliedLane<V> {
+    /// The tuples.
+    pub lane: TripleLane<V>,
+    /// The count that rides with them, if the lane is counted.
+    pub tally: Option<u64>,
+}
+
+/// The bit of a lane frame's length word that says a tally follows it.
+const TALLY_BIT: u64 = 1 << 63;
+
 impl<V: WireEncode> WireEncode for TripleLane<V> {
     /// Packed form — a frame of reference for the indices, then the values:
     ///
     /// ```text
-    /// len: u64
+    /// len: u64        bit 63 set: a TalliedLane's tally follows
+    /// if bit 63:  tally: u64
     /// if len > 0:
     ///     row_base: u32   col_base: u32   row_bits: u8   col_bits: u8
     ///     ⌈len·(row_bits + col_bits) / 8⌉ bytes: per triple, in order,
@@ -79,10 +96,32 @@ impl<V: WireEncode> WireEncode for TripleLane<V> {
     /// same order whatever shares the exchange. At most 10 B longer than the
     /// fixed-width `Vec<Triple<V>>` (the header; a pair never exceeds 64
     /// bits), and the meter charges it by running this encoder into a
-    /// [`ByteCount`](dspgemm_util::ByteCount) like every other type.
+    /// [`ByteCount`](dspgemm_util::ByteCount) like every other type. A
+    /// tally costs its 8 bytes.
     fn wire_encode<S: WireSink>(&self, out: &mut S) {
+        self.encode_frame(None, out);
+    }
+}
+
+impl<V: WireEncode> WireEncode for TalliedLane<V> {
+    /// The lane's frame with the tally in it ([`TripleLane::wire_encode`]).
+    fn wire_encode<S: WireSink>(&self, out: &mut S) {
+        self.lane.encode_frame(self.tally, out);
+    }
+}
+
+impl<V: WireEncode> TripleLane<V> {
+    /// The frame of [`TripleLane::wire_encode`], with `tally` in it.
+    fn encode_frame<S: WireSink>(&self, tally: Option<u64>, out: &mut S) {
         let triples = &self.0;
-        (triples.len() as u64).wire_encode(out);
+        let len = triples.len() as u64;
+        match tally {
+            None => len.wire_encode(out),
+            Some(tally) => {
+                (len | TALLY_BIT).wire_encode(out);
+                tally.wire_encode(out);
+            }
+        }
         let Some(first) = triples.first() else {
             return;
         };
@@ -164,11 +203,39 @@ impl<V: WireDecode> WireDecode for TripleLane<V> {
     /// reserved, and the count is then held against the bytes left for the
     /// values (for zero-width pairs of zero-byte values, against the frame's
     /// length — the rule of [`WireReader::ensure`]). Widths above 32 bits
-    /// and indices past `u32::MAX` are [`WireError::Invalid`].
+    /// and indices past `u32::MAX` are [`WireError::Invalid`], and so is a
+    /// tally: a bare lane carries none.
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = usize::wire_decode(r)?;
+        match TripleLane::decode_frame(r)? {
+            TalliedLane { lane, tally: None } => Ok(lane),
+            TalliedLane { tally: Some(_), .. } => Err(WireError::Invalid("tally on a bare lane")),
+        }
+    }
+}
+
+impl<V: WireDecode> WireDecode for TalliedLane<V> {
+    /// The inverse of [`TalliedLane::wire_encode`], as total as the lane's.
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        TripleLane::decode_frame(r)
+    }
+}
+
+impl<V: WireDecode> TripleLane<V> {
+    /// A frame of the grammar on [`TripleLane::wire_encode`], tally and all.
+    fn decode_frame(r: &mut WireReader<'_>) -> Result<TalliedLane<V>, WireError> {
+        let word = u64::wire_decode(r)?;
+        let tally = match word & TALLY_BIT {
+            0 => None,
+            _ => Some(u64::wire_decode(r)?),
+        };
+        let lane = |triples| TalliedLane {
+            lane: TripleLane(triples),
+            tally,
+        };
+        let len =
+            usize::try_from(word & !TALLY_BIT).map_err(|_| WireError::Invalid("usize overflow"))?;
         if len == 0 {
-            return Ok(Self(Vec::new()));
+            return Ok(lane(Vec::new()));
         }
         let row_base = Index::wire_decode(r)?;
         let col_base = Index::wire_decode(r)?;
@@ -194,7 +261,7 @@ impl<V: WireDecode> WireDecode for TripleLane<V> {
             let col = rebase(col_base, pair >> row_bits)?;
             triples.push(Triple::new(row, col, V::wire_decode(r)?));
         }
-        Ok(Self(triples))
+        Ok(lane(triples))
     }
 }
 

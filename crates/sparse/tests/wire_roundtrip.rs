@@ -5,7 +5,7 @@
 //! property-testing machinery.
 
 use dspgemm_sparse::semiring::U64Plus;
-use dspgemm_sparse::{Csr, Dcsr, Index, Triple, TripleLane};
+use dspgemm_sparse::{Csr, Dcsr, Index, TalliedLane, Triple, TripleLane};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::wire::put_varint;
 use dspgemm_util::{decode_from_slice, encode_to_vec, WireDecode, WireEncode, WireError, WireSize};
@@ -599,6 +599,42 @@ fn truncated_lanes_always_error() {
     assert_only_exact_frame_decodes::<TripleLane<()>>(&encode_to_vec(&pattern));
     let chunk = vec![lane.clone(), TripleLane(vec![]), lane];
     assert_only_exact_frame_decodes::<Vec<TripleLane<u64>>>(&encode_to_vec(&chunk));
+}
+
+/// A tallied lane is the bare lane's frame with bit 63 of its length word
+/// set and the tally after it: 8 bytes more, nothing else moved. Without a
+/// tally it is the bare lane's frame byte for byte. A bare lane refuses a
+/// tally, and every truncation of a tallied frame errors.
+#[test]
+fn tallied_lanes_carry_eight_bytes_more() {
+    let mut rng = SplitMix64::new(0x7A17);
+    for n in [0, 1, 40] {
+        let lane = TripleLane(random_triples(&mut rng, n, 1000, 70));
+        let bare = encode_to_vec(&lane);
+        let untallied = TalliedLane {
+            lane: lane.clone(),
+            tally: None,
+        };
+        assert_eq!(encode_to_vec(&untallied), bare, "n={n}");
+        assert_sized_roundtrip(&untallied);
+        for tally in [0, 7, u64::MAX] {
+            let tallied = TalliedLane {
+                lane: lane.clone(),
+                tally: Some(tally),
+            };
+            let bytes = encode_to_vec(&tallied);
+            let mut want = (n as u64 | 1 << 63).to_le_bytes().to_vec();
+            want.extend(tally.to_le_bytes());
+            want.extend(&bare[8..]);
+            assert_eq!(bytes, want, "n={n}, tally={tally}");
+            assert_sized_roundtrip(&tallied);
+            assert_only_exact_frame_decodes::<TalliedLane<u64>>(&bytes);
+            assert_eq!(
+                decode_from_slice::<TripleLane<u64>>(&bytes),
+                Err(WireError::Invalid("tally on a bare lane"))
+            );
+        }
+    }
 }
 
 /// A lane's count is held against the packed block and the values before

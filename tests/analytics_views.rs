@@ -4,7 +4,7 @@
 //! grid sizes — the acceptance invariant of the maintained-view design.
 
 use dspgemm::analytics::{
-    AnalyticsSession, CommonNeighborsView, DegreeView, KHopView, TriangleCountView,
+    AnalyticsSession, CommonNeighborsView, DegreeView, KHopView, ScoreReading, TriangleCountView,
 };
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::graph::{er, rmat, symmetrize};
@@ -325,5 +325,53 @@ fn min_plus_views_match_brute_force() {
             root_checks.iter().filter(|&&ok| !ok).count(),
             root_checks.len()
         );
+    }
+}
+
+/// `top_k` merges each rank's own `k` best: on a candidate set whose scores
+/// tie in threes, at p ∈ {1, 4, 9} and k ∈ {1, 3, 7, all}, the live view and
+/// its pinned reading both equal every candidate score sorted by score, then
+/// by pair, and cut at `k`. A query is a reduction and a broadcast over the
+/// world: `2·(p − 1)` messages.
+#[test]
+fn common_neighbors_top_k_equals_full_sort_with_ties() {
+    let n: Index = 30;
+    for p in [1usize, 4, 9] {
+        let out = dspgemm_mpi::run(p, move |comm| {
+            let edges = match comm.rank() {
+                0 => symmetrize(&er::generate(n, 120, 0x70B)),
+                _ => Vec::new(),
+            };
+            let triples = edges.iter().map(|&(u, v)| Triple::new(u, v, 1)).collect();
+            let mut session = AnalyticsSession::<U64Plus>::from_triples(comm, n, 1, triples);
+            let cands = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .collect();
+            let cn = session.register(Box::new(CommonNeighborsView::new(cands)));
+            let pin = session.pin();
+            let view = session.view_as::<CommonNeighborsView<U64Plus>>(cn).unwrap();
+            let reading = pin.view_as::<ScoreReading<U64Plus>>(cn).unwrap();
+            let score = |v: &u64| (*v % 3) as f64;
+            let mine: Vec<(Index, Index, u64)> = view.local_scores().collect();
+            let mut all = comm.allgather(mine).concat();
+            all.sort_unstable_by(|(ua, va, sa), (ub, vb, sb)| {
+                score(sb)
+                    .total_cmp(&score(sa))
+                    .then((ua, va).cmp(&(ub, vb)))
+            });
+            assert!(all.len() > 7, "p={p}: too few scores to cut");
+            for k in [1, 3, 7, all.len() + 1] {
+                let want = &all[..k.min(all.len())];
+                let grid = session.grid();
+                assert_eq!(view.top_k(grid, k, score), want, "p={p}, k={k}: live");
+                assert_eq!(reading.top_k(grid, k, score), want, "p={p}, k={k}: pinned");
+            }
+            let sent = || comm.comm_stats().per_rank[comm.rank()].total_msgs();
+            let before = sent();
+            view.top_k(session.grid(), 3, score);
+            sent() - before
+        });
+        let msgs: u64 = out.results.iter().sum();
+        assert_eq!(msgs, 2 * (p as u64 - 1), "p={p}: messages of one query");
     }
 }

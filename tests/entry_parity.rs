@@ -190,7 +190,13 @@ fn session_batch(batch: impl Fn(&mut AnalyticsSession<U64Plus>, &Comm) + Send + 
 // it selects instead of merge-reducing its partial products: four messages
 // per batch moved from `Reduce` to `Gather` (q rounds of q − 1 per process
 // column), and the bytes of the two together fell; no flop count or
-// fingerprint moved.
+// fingerprint moved. The `Bcast`, `Reduce` and `Alltoall` columns were
+// re-pinned when a batch's global update counts began to ride its
+// redistribution: the nnz allreduce left (p − 1 = 3 messages each from
+// `Bcast` and `Reduce`, of 16 B for a pair's `[u64; 2]` and 8 B for a
+// session's `u64`), and each of the 8 `Alltoall` messages gained one 8-byte
+// tally per root lane (two for a pair, one for a session); nothing else
+// moved.
 
 /// Nothing fences inside a batch.
 fn volume(
@@ -205,7 +211,7 @@ fn volume(
 
 fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
     Pinned {
-        volume: volume((0, 0), (2058, 11), (3342, 4), (4165, 8), (reduce_bytes, 7)),
+        volume: volume((0, 0), (2010, 8), (3342, 4), (4293, 8), (reduce_bytes, 4)),
         flops: 1443,
         c_nnz: 1812,
         c_hash: 16329019101903906533,
@@ -214,18 +220,18 @@ fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
 
 #[test]
 fn engine_algebraic_untracked() {
-    assert_eq!(engine_batch(false, algebraic), algebraic_pinned(2857));
+    assert_eq!(engine_batch(false, algebraic), algebraic_pinned(2809));
 }
 
 #[test]
 fn engine_algebraic_tracked() {
-    assert_eq!(engine_batch(true, algebraic), algebraic_pinned(5153));
+    assert_eq!(engine_batch(true, algebraic), algebraic_pinned(5105));
 }
 
 #[test]
 fn engine_general() {
     let want = Pinned {
-        volume: volume((1268, 2), (6905, 21), (2166, 4), (5543, 8), (10882, 13)),
+        volume: volume((1268, 2), (6857, 18), (2166, 4), (5671, 8), (10834, 10)),
         flops: 2868,
         c_nnz: 1309,
         c_hash: 17350063023210219168,
@@ -237,7 +243,7 @@ fn engine_general() {
 fn session_insert_edges() {
     let got = session_batch(|s, comm| drop(s.insert_edges(triples(80 + comm.rank() as u64, 24))));
     let want = Pinned {
-        volume: volume((0, 0), (2054, 11), (3807, 4), (2163, 8), (6225, 7)),
+        volume: volume((0, 0), (2030, 8), (3807, 4), (2227, 8), (6201, 4)),
         flops: 1371,
         c_nnz: 1746,
         c_hash: 14088288244150611198,
@@ -249,7 +255,7 @@ fn session_insert_edges() {
 fn session_delete_edges() {
     let got = session_batch(|s, comm| drop(s.delete_edges(existing(70 + comm.rank() as u64, 90))));
     let want = Pinned {
-        volume: volume((1073, 2), (6169, 21), (1481, 4), (2638, 8), (6672, 13)),
+        volume: volume((1073, 2), (6145, 18), (1481, 4), (2702, 8), (6648, 10)),
         flops: 1621,
         c_nnz: 738,
         c_hash: 6929140722947548998,

@@ -139,9 +139,9 @@ fn traced_engine_run_exports_valid_chrome_trace() {
     );
     assert!(
         events.iter().any(|e| e.phase == "comm"
-            && e.name == "bcast"
+            && e.name == "alltoallv"
             && e.attrs.iter().any(|&(k, v)| k == "bytes" && v > 0)),
-        "comm bcast span with a byte count missing"
+        "comm alltoallv span with a byte count missing"
     );
     // Every engine event is attributed to a simulated rank thread.
     assert!(events

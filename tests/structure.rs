@@ -356,8 +356,9 @@ fn one_meter() {
 }
 
 /// "lanes travel packed". Every chunk of the update exchange is one
-/// bit-packed `TripleLane` per lane. A redistribution that hands `alltoallv`
-/// raw tuple vectors again (fixed width: 16 B per `f64` tuple) fails here.
+/// bit-packed `TripleLane` per lane, inside the `TalliedLane` that carries a
+/// counted lane's tally. A redistribution that hands `alltoallv` raw tuple
+/// vectors again (fixed width: 16 B per `f64` tuple) fails here.
 #[test]
 fn lanes_travel_packed() {
     const GUARD: &str = "lanes travel packed";
@@ -366,8 +367,16 @@ fn lanes_travel_packed() {
         &[
             "-qF",
             "--",
-            "-> Vec<Vec<TripleLane<V>>>",
+            "-> Vec<Vec<TalliedLane<V>>>",
             "crates/core/src/redistribute.rs",
+        ],
+    );
+    present(
+        GUARD,
+        &[
+            "-qF",
+            "pub lane: TripleLane<V>,",
+            "crates/sparse/src/triple.rs",
         ],
     );
     absent(
@@ -620,6 +629,36 @@ fn the_unmasked_x_pass_ships_operands() {
     }
     let (_, reductions) = grep(&["-c", r"\.reduce(", file]);
     assert_eq!(reductions.trim(), "2", "{GUARD}: masked X pass and Y pass");
+}
+
+/// "batch bodies send no control collectives". A batch learns whether an
+/// update matrix is empty everywhere from the global tuple count its
+/// redistribution delivers, and a top-k query merges where its entries
+/// live, on the owning process row (or at one rank) and broadcasts the
+/// merge. An `allreduce` brought back into the algorithm modules' non-test
+/// code, or an `allgather` into the snapshot module or the common-neighbors
+/// view, fails here.
+#[test]
+fn batch_bodies_send_no_control_collectives() {
+    const GUARD: &str = "batch bodies send no control collectives";
+    for file in [
+        "crates/core/src/dyn_algebraic.rs",
+        "crates/core/src/dyn_general.rs",
+    ] {
+        let (_, code) = run("sed", &[r"/#\[cfg(test)\]/q", file]);
+        assert!(code.contains("fn "), "{GUARD}: {file} read");
+        let hits: Vec<&str> = code.lines().filter(|l| l.contains(".allreduce(")).collect();
+        assert!(hits.is_empty(), "{GUARD}: {file}: {hits:#?}");
+    }
+    absent(
+        GUARD,
+        &[
+            "-n",
+            "allgather",
+            "crates/core/src/snapshot.rs",
+            "crates/analytics/src/views/common_neighbors.rs",
+        ],
+    );
 }
 
 /// "the design documents name live items". Every backticked `a::b` path in
