@@ -7,8 +7,7 @@
 //! matrix `A` and the maintained product `C = A·A` — whose observer is a
 //! registry of [`View`]s, all fed from a **single shared update batch** —
 //! one redistribution, one dynamic-SpGEMM pass, one change feed, however
-//! many views. Being the engine, a session also takes its recovery and
-//! rebalancing.
+//! many views. Being the engine, a session also takes its recovery.
 //!
 //! * [`session`] — the session object: the engine, its view registry, and
 //!   the query API (point lookups, per-row top-k, global aggregates) —

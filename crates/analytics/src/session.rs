@@ -9,12 +9,11 @@
 //! redistribution, every view's `pre_batch` against the old state, the
 //! engine's shared arm (Algorithm 1 or 2), every view's `post_batch` from the
 //! shared `C*` delta, then the engine's publish of an immutable
-//! [`SessionSnapshot`] epoch. Being the engine, a session takes its recovery
-//! and rebalancing: [`AnalyticsSession::engine_mut`] hands out the engine
-//! beside the session's grid, and `Deref` gives read access to it. Views
-//! re-bootstrap after every change that carries no delta — a migration, a
-//! recompute, a recovery rollback — and observe replayed batches like live
-//! ones.
+//! [`SessionSnapshot`] epoch. Being the engine, a session takes its
+//! recovery: [`AnalyticsSession::engine_mut`] hands out the engine beside
+//! the session's grid, and `Deref` gives read access to it. Views
+//! re-bootstrap after every change that carries no delta — a recompute or a
+//! recovery rollback — and observe replayed batches like live ones.
 //!
 //! Queries read the latest published epoch, never the live matrices; a pin
 //! ([`AnalyticsSession::pin`]) stays bit-stable while further batches
@@ -83,8 +82,8 @@ pub struct AnalyticsSession<S: Semiring> {
     engine: SessionEngine<S>,
 }
 
-/// Read access to the engine: its counters, snapshot store, recovery and
-/// rebalancing state.
+/// Read access to the engine: its counters, snapshot store and recovery
+/// state.
 impl<S: Semiring> Deref for AnalyticsSession<S> {
     type Target = SessionEngine<S>;
 
@@ -132,10 +131,9 @@ impl<S: Semiring> AnalyticsSession<S> {
     }
 
     /// The engine beside the session's grid, for every engine call that
-    /// changes state: `enable_recovery`, `enable_rebalancing`,
-    /// `maybe_rebalance`, `try_apply`, `recover`. A batch applied here
-    /// needs the engine's `publish` before the next query, as on any
-    /// engine.
+    /// changes state: `enable_recovery`, `try_apply`, `recover`. A batch
+    /// applied here needs the engine's `publish` before the next query, as
+    /// on any engine.
     pub fn engine_mut(&mut self) -> (&Grid, &mut SessionEngine<S>) {
         (&self.grid, &mut self.engine)
     }

@@ -2,10 +2,10 @@
 //!
 //! Every publish of the session's engine produces a [`SessionSnapshot`]: the
 //! engine's `{A, C, epoch}` snapshot plus a frozen reading of every
-//! registered view, all immutable. Epochs number *publishes*: batches, view
-//! registrations and migrations each publish one (epoch 0 is the initial
-//! product). Queries pinned at epoch `e` ([`crate::AnalyticsSession::pin`])
-//! are bit-identical to the state at its publish time however many batches
+//! registered view, all immutable. Epochs number *publishes*: batches and
+//! view registrations each publish one (epoch 0 is the initial product).
+//! Queries pinned at epoch `e` ([`crate::AnalyticsSession::pin`]) are
+//! bit-identical to the state at its publish time however many batches
 //! commit meanwhile, and queries right after a batch see exactly epoch
 //! `e + 1`. Publishing and pinning move `Arc` handles, never matrix data
 //! (see [`dspgemm_core::snapshot`]), and an old epoch lives as long as a pin.

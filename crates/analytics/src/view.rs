@@ -40,7 +40,7 @@ pub trait View<S: Semiring>: 'static {
 
     /// Computes the state from the current `A` and `C`, discarding any
     /// earlier state: at registration, and again after every change that
-    /// carries no delta (a recompute, a migration, a recovery rollback).
+    /// carries no delta (a recompute or a recovery rollback).
     /// Collective.
     fn bootstrap(&mut self, cx: &ViewCx<'_, S>);
 

@@ -14,7 +14,6 @@ use crate::masked_product::masked_product;
 use crate::view::{BatchDelta, FrozenView, View, ViewCx};
 use dspgemm_core::grid::{owner_block, Grid};
 use dspgemm_core::reduce_topk;
-use dspgemm_core::Layout;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Dcsr, Index, RowScan};
 use dspgemm_util::stats::PhaseTimer;
@@ -82,10 +81,6 @@ pub struct CommonNeighborsView<S: Semiring> {
     candidates: Vec<(Index, Index)>,
     /// Block-local mask over this rank's owned candidates.
     local_mask: Dcsr<()>,
-    /// The product layout the masks and scores were built against (captured
-    /// at bootstrap; point lookups route owners by it, so they stay correct
-    /// when the session runs under rebalanced cuts).
-    layout: Option<Arc<Layout>>,
     /// Packed global pair → current score, for locally-owned candidates
     /// whose product entry is structurally present.
     scores: FxHashMap<u64, S::Elem>,
@@ -105,7 +100,6 @@ impl<S: Semiring> CommonNeighborsView<S> {
         Self {
             candidates,
             local_mask: Dcsr::empty(0, 0),
-            layout: None,
             scores: FxHashMap::default(),
             frozen: None,
             bootstrap_flops: 0,
@@ -130,10 +124,7 @@ impl<S: Semiring> CommonNeighborsView<S> {
     /// not a candidate or its product entry is structurally zero). Every
     /// rank returns the same value; one single-element broadcast.
     pub fn score(&self, grid: &Grid, n: Index, u: Index, v: Index) -> Option<S::Elem> {
-        let (bi, bj) = match &self.layout {
-            Some(l) => (l.row_owner(u).0, l.col_owner(v).0),
-            None => (owner_block(n, grid.q(), u).0, owner_block(n, grid.q(), v).0),
-        };
+        let (bi, bj) = (owner_block(n, grid.q(), u).0, owner_block(n, grid.q(), v).0);
         let owner = grid.rank_of(bi, bj);
         let mine = if grid.world().rank() == owner {
             Some(self.scores.get(&pack(u, v)).copied())
@@ -181,7 +172,6 @@ impl<S: Semiring> View<S> for CommonNeighborsView<S> {
     fn bootstrap(&mut self, cx: &ViewCx<'_, S>) {
         // Which candidates does this rank's product block own?
         let info = cx.c.info();
-        self.layout = Some(Arc::clone(info.layout()));
         self.local_mask = Dcsr::from_pairs(
             info.local_rows(),
             info.local_cols(),

@@ -8,7 +8,7 @@
 //! alternative the benchmarks measure: a full SUMMA product per batch.
 
 use crate::view::{BatchDelta, FrozenView, View, ViewCx};
-use dspgemm_core::grid::Grid;
+use dspgemm_core::grid::{owner_block, Grid};
 use dspgemm_core::spmv::{spmv, spmv_chain, DistVec};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::Index;
@@ -61,9 +61,7 @@ impl<S: Semiring> DegreeView<S> {
     }
 
     fn refresh(&mut self, cx: &ViewCx<'_, S>) {
-        // Conformal with the (possibly rebalanced) snapshot layout.
-        let cuts = Arc::new(cx.a.info().layout().col_cuts().to_vec());
-        let x = DistVec::constant_in(cx.grid, cuts, self.one);
+        let x = DistVec::constant(cx.grid, cx.a.info().ncols, self.one);
         let (y, fl) = spmv::<S>(cx.grid, cx.a, &x);
         self.flops += fl;
         self.y = Some(Arc::new(y));
@@ -78,7 +76,7 @@ impl<S: Semiring> DegreeView<S> {
     /// before bootstrap. Every rank returns the same value.
     pub fn degree(&self, grid: &Grid, u: Index) -> Option<S::Elem> {
         let y = self.y.as_ref()?;
-        let (b, lo) = y.owner_stripe(u);
+        let (b, lo) = owner_block(y.len(), grid.q(), u);
         // Row-aligned: every rank of grid row `b` holds the segment; let the
         // row's first member answer.
         let owner = grid.rank_of(b, 0);
@@ -145,9 +143,7 @@ impl<S: Semiring> KHopView<S> {
     }
 
     fn refresh(&mut self, cx: &ViewCx<'_, S>) {
-        // Conformal with the (possibly rebalanced) snapshot layout.
-        let cuts = Arc::new(cx.a.info().layout().col_cuts().to_vec());
-        let x = DistVec::from_entries_in(cx.grid, cuts, &self.seeds, S::zero());
+        let x = DistVec::from_entries(cx.grid, cx.a.info().ncols, &self.seeds, S::zero());
         let (y, fl) = spmv_chain::<S>(cx.grid, cx.a, x, self.hops);
         self.flops += fl;
         self.y = Some(Arc::new(y));
@@ -163,7 +159,7 @@ impl<S: Semiring> KHopView<S> {
     /// returns the same value.
     pub fn value_at(&self, grid: &Grid, u: Index) -> Option<S::Elem> {
         let y = self.y.as_ref()?;
-        let (b, lo) = y.owner_stripe(u);
+        let (b, lo) = owner_block(y.len(), grid.q(), u);
         // Column-aligned: every rank of grid column `b` holds the segment.
         let owner = grid.rank_of(0, b);
         let mine = if grid.world().rank() == owner {

@@ -5,7 +5,8 @@
 //!
 //! experiments:
 //!   table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b fig9 fig10 fig11 fig12
-//!   ablation-redist ablation-bloom ablation-agg analytics overlap serve rebalance faults transport
+//!   ablation-redist ablation-bloom ablation-agg analytics overlap serve
+//!   faults transport
 //!   data        (= table1 fig3 fig4 fig5a fig5b fig6 fig7 fig8a fig8b)
 //!   spgemm      (= fig9 fig10 fig11 fig12)
 //!   ablations   (= the three ablations)
@@ -28,8 +29,7 @@
 //! ```
 
 use dspgemm_bench::experiments::{
-    ablations, analytics, construction, faults, overlap, rebalance, serve, spgemm, table1,
-    transport, updates,
+    ablations, analytics, construction, faults, overlap, serve, spgemm, table1, transport, updates,
 };
 use dspgemm_bench::Config;
 use std::path::PathBuf;
@@ -37,7 +37,7 @@ use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|rebalance|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--smoke] [--trace-out FILE]"
+        "usage: repro <table1|fig3|fig4|fig5a|fig5b|fig6|fig7|fig8a|fig8b|fig9|fig10|fig11|fig12|ablation-redist|ablation-bloom|ablation-agg|analytics|overlap|serve|faults|transport|data|spgemm|ablations|all> [--divisor N] [--p N] [--batches N] [--instances N] [--seed N] [--batch-size N] [--smoke] [--trace-out FILE]"
     );
     std::process::exit(2);
 }
@@ -164,7 +164,6 @@ fn main() {
             "fig12" => spgemm::fig12(&cfg),
             "analytics" => analytics::run(&cfg),
             "overlap" => overlap::run(&cfg),
-            "rebalance" => rebalance::run(&cfg),
             "faults" => faults::run(&cfg),
             "transport" => {
                 println!("{}\n", transport::run(&cfg));

@@ -10,7 +10,6 @@
 //! | [`spgemm`] | Fig. 9 (algebraic), Fig. 10 (general), Fig. 11/12 (scaling + breakdown) |
 //! | [`ablations`] | §IV-B redistribution claim, §V-A aggregation claim, §V-B Bloom claim |
 //! | [`overlap`] | the pipelined round schedule: exposed vs. compute-hidden communication time (beyond the paper) |
-//! | [`rebalance`] | metrics-driven inter-rank rebalancing: adaptive 2D block cuts + stripe migration vs. the static uniform layout on a clustered skewed stream (beyond the paper) |
 //! | [`faults`] | fault injection & epoch-anchored recovery: what a crash + rollback/replay costs beside the fault-free run (beyond the paper) |
 //! | [`transport`] | transport backend parity: the dynamic batch stream on simulator threads vs. real TCP processes, bit-identical C and matching logical wire volume (beyond the paper) |
 //! | [`analytics`] | maintained-view serving vs. static recomputation (the `dspgemm-analytics` layer; beyond the paper) |
@@ -21,7 +20,6 @@ pub mod analytics;
 pub mod construction;
 pub mod faults;
 pub mod overlap;
-pub mod rebalance;
 pub mod serve;
 pub mod spgemm;
 pub mod table1;

@@ -7,9 +7,8 @@
 //! framework "requires the user to mark dynamic matrices and update matrices
 //! appropriately" — in this reproduction the marking is the Rust type.
 
-use crate::grid::Grid;
-use crate::layout::{uniform_layout, Layout};
-use crate::redistribute::redistribute_in;
+use crate::grid::{block_range, owner_block, Grid};
+use crate::redistribute::redistribute;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Dcsr, DhbMatrix, Index, RowScan, Triple};
 use dspgemm_util::stats::PhaseTimer;
@@ -28,13 +27,9 @@ impl<T> Elem for T where
 {
 }
 
-/// Shape and placement of this rank's block of a distributed matrix.
-///
-/// Carries the full [`Layout`] (shared, one `Arc` per matrix) so that
-/// redistribution routing, collective lookups, and SUMMA round offsets all
-/// read the *matrix's* cut points rather than assuming the uniform split —
-/// the distribution itself is dynamic once the engine's rebalancer moves
-/// the cuts.
+/// Shape and placement of this rank's block of a distributed matrix: the
+/// uniform split of [`crate::grid::block_range`] of both dimensions, fixed
+/// for the matrix's lifetime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Global row count.
@@ -45,40 +40,25 @@ pub struct BlockInfo {
     pub row_range: Range<Index>,
     /// Global columns owned by this rank.
     pub col_range: Range<Index>,
-    layout: Arc<Layout>,
 }
 
 impl BlockInfo {
-    /// Computes this rank's block of an `nrows × ncols` matrix on `grid`
-    /// under the uniform (static) layout.
+    /// Computes this rank's block of an `nrows × ncols` matrix on `grid`.
     pub fn for_rank(grid: &Grid, nrows: Index, ncols: Index) -> Self {
-        Self::for_rank_in(grid, &uniform_layout(nrows, ncols, grid.q()))
-    }
-
-    /// Computes this rank's block under an explicit layout.
-    pub fn for_rank_in(grid: &Grid, layout: &Arc<Layout>) -> Self {
-        assert_eq!(layout.q(), grid.q(), "layout must target the grid side");
         let (i, j) = grid.coords();
         Self {
-            nrows: layout.nrows(),
-            ncols: layout.ncols(),
-            row_range: layout.row_range(i),
-            col_range: layout.col_range(j),
-            layout: Arc::clone(layout),
+            nrows,
+            ncols,
+            row_range: block_range(nrows, grid.q(), i),
+            col_range: block_range(ncols, grid.q(), j),
         }
     }
 
-    /// The distribution's cut points (shared across the matrix's ranks).
-    #[inline]
-    pub fn layout(&self) -> &Arc<Layout> {
-        &self.layout
-    }
-
-    /// The world rank owning global position `(r, c)` under this layout.
+    /// The world rank owning global position `(r, c)`.
     #[inline]
     pub fn owner_rank(&self, grid: &Grid, r: Index, c: Index) -> usize {
-        let (bi, _) = self.layout.row_owner(r);
-        let (bj, _) = self.layout.col_owner(c);
+        let (bi, _) = owner_block(self.nrows, grid.q(), r);
+        let (bj, _) = owner_block(self.ncols, grid.q(), c);
         grid.rank_of(bi, bj)
     }
 
@@ -106,18 +86,6 @@ impl BlockInfo {
     pub fn to_global(&self, lr: Index, lc: Index) -> (Index, Index) {
         (lr + self.row_range.start, lc + self.col_range.start)
     }
-}
-
-/// What one [`DistMat::migrate_to`] call did on this rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Entries whose owner changed away from this rank (sent).
-    pub moved_out: usize,
-    /// Entries whose owner changed to this rank (received).
-    pub moved_in: usize,
-    /// Whether this rank's ranges changed (block rebuilt, published image
-    /// dropped); `false` means the block and its image survived untouched.
-    pub changed: bool,
 }
 
 /// Where a rank's published CSR image stands relative to its DHB block.
@@ -182,15 +150,9 @@ pub struct DistMat<V> {
 }
 
 impl<V: Elem> DistMat<V> {
-    /// An empty dynamic matrix of global shape `nrows × ncols` under the
-    /// uniform layout.
+    /// An empty dynamic matrix of global shape `nrows × ncols`.
     pub fn empty(grid: &Grid, nrows: Index, ncols: Index) -> Self {
-        Self::empty_in(grid, &uniform_layout(nrows, ncols, grid.q()))
-    }
-
-    /// An empty dynamic matrix under an explicit layout.
-    pub fn empty_in(grid: &Grid, layout: &Arc<Layout>) -> Self {
-        let info = BlockInfo::for_rank_in(grid, layout);
+        let info = BlockInfo::for_rank(grid, nrows, ncols);
         let block = DhbMatrix::new(info.local_rows(), info.local_cols());
         Self {
             info,
@@ -234,7 +196,8 @@ impl<V: Elem> DistMat<V> {
         triples: Vec<Triple<V>>,
         timer: &mut PhaseTimer,
     ) {
-        let mine = redistribute_in(grid, self.info.layout(), triples, timer);
+        let (nrows, ncols) = (self.info.nrows, self.info.ncols);
+        let mine = redistribute(grid, nrows, ncols, triples, timer);
         let local = timer.time(crate::redistribute::phase::LOCAL_CONSTRUCT, || {
             self.to_local_triples(mine)
         });
@@ -430,13 +393,14 @@ impl<V: Elem> DistMat<V> {
     /// row is filled straight from the image's column-sorted CSR row, and
     /// the image `Arc` itself becomes the current image, so the first
     /// post-rollback publish re-shares the anchor's image by refcount
-    /// increment (no rebuild, bit-identical to the pinned epoch). Pinned snapshots of rolled-back epochs are
-    /// untouched: only the working block is replaced.
+    /// increment (no rebuild, bit-identical to the pinned epoch). Pinned
+    /// snapshots of rolled-back epochs are untouched: only the working block
+    /// is replaced.
     ///
     /// # Panics
     /// Panics if the image shape does not match this rank's block shape —
-    /// recovery builds the matrix under the image's own cuts, so a mismatch
-    /// is a protocol bug.
+    /// recovery builds the matrix at the image's own global shape, so a
+    /// mismatch is a protocol bug.
     pub fn restore_image(&mut self, image: Arc<Csr<V>>) {
         assert_eq!(
             (image.nrows(), image.ncols()),
@@ -459,76 +423,6 @@ impl<V: Elem> DistMat<V> {
                 Triple::new(r, c, t.val)
             })
             .collect()
-    }
-
-    /// Moves this rank's block to a new layout: stripe migration through
-    /// the two-phase redistribution path. Collective over the grid (every
-    /// rank calls with the same layout).
-    ///
-    /// Only entries whose owner *changes* cross the wire — the boundary
-    /// stripes between the old and new cuts. A rank whose ranges are
-    /// untouched by the new cuts keeps its block **and its published image**
-    /// (the `Arc` — or a pending patch on it — survives, so the next epoch
-    /// publish proceeds exactly as if no migration had happened); migrated
-    /// blocks are rebuilt and their images dropped.
-    pub fn migrate_to(
-        &mut self,
-        grid: &Grid,
-        layout: &Arc<Layout>,
-        timer: &mut PhaseTimer,
-    ) -> MigrationStats {
-        let new_info = BlockInfo::for_rank_in(grid, layout);
-        assert_eq!(new_info.nrows, self.info.nrows, "migration keeps shape");
-        assert_eq!(new_info.ncols, self.info.ncols, "migration keeps shape");
-        let changed =
-            new_info.row_range != self.info.row_range || new_info.col_range != self.info.col_range;
-        // Split the local entries at the new boundaries. Unchanged ranks
-        // scan but keep everything local.
-        let (mut stay, mut outgoing) = (Vec::new(), Vec::new());
-        if changed {
-            for t in self.to_global_triples() {
-                if new_info.row_range.contains(&t.row) && new_info.col_range.contains(&t.col) {
-                    stay.push(t);
-                } else {
-                    outgoing.push(t);
-                }
-            }
-        }
-        let moved_out = outgoing.len();
-        // Collective even when this rank moves nothing: peers may be
-        // routing entries here.
-        let incoming = redistribute_in(grid, layout, outgoing, timer);
-        let moved_in = incoming.len();
-        if !changed {
-            debug_assert!(
-                incoming.is_empty(),
-                "a rank with unchanged ranges cannot receive entries"
-            );
-            // Only the layout handle changes: block and image survive.
-            self.info = new_info;
-            return MigrationStats {
-                moved_out,
-                moved_in,
-                changed,
-            };
-        }
-        self.info = new_info;
-        self.image = ImageState::Stale { logged: 0 };
-        self.block = DhbMatrix::new(self.info.local_rows(), self.info.local_cols());
-        stay.extend(incoming);
-        let local = timer.time(crate::redistribute::phase::LOCAL_CONSTRUCT, || {
-            self.to_local_triples(stay)
-        });
-        if !local.is_empty() {
-            timer.time(crate::redistribute::phase::LOCAL_ADDITION, || {
-                crate::update::apply_local_triples_set(&mut self.block, local);
-            });
-        }
-        MigrationStats {
-            moved_out,
-            moved_in,
-            changed,
-        }
     }
 
     /// Gathers the whole matrix to world rank 0 as sorted global triples
@@ -555,17 +449,10 @@ pub struct DistDcsr<V> {
 }
 
 impl<V: Elem> DistDcsr<V> {
-    /// An empty distributed DCSR under an explicit layout.
-    pub fn empty_in(grid: &Grid, layout: &Arc<Layout>) -> Self {
-        let info = BlockInfo::for_rank_in(grid, layout);
-        let block = Arc::new(Dcsr::empty(info.local_rows(), info.local_cols()));
-        Self { info, block }
-    }
-
-    /// Wraps an already-local block (must match the rank's block shape)
-    /// under an explicit layout.
-    pub fn from_block_in(grid: &Grid, layout: &Arc<Layout>, block: Dcsr<V>) -> Self {
-        let info = BlockInfo::for_rank_in(grid, layout);
+    /// Wraps an already-local block of an `nrows × ncols` matrix (must
+    /// match the rank's block shape).
+    pub fn from_block(grid: &Grid, nrows: Index, ncols: Index, block: Dcsr<V>) -> Self {
+        let info = BlockInfo::for_rank(grid, nrows, ncols);
         assert_eq!(block.nrows(), info.local_rows(), "block shape mismatch");
         assert_eq!(block.ncols(), info.local_cols(), "block shape mismatch");
         Self {
@@ -712,7 +599,9 @@ mod tests {
     fn dist_dcsr_shape_checked() {
         let out = run(4, |comm| {
             let grid = Grid::new(comm);
-            let d = DistDcsr::<u64>::empty_in(&grid, &uniform_layout(9, 9, grid.q()));
+            let info = BlockInfo::for_rank(&grid, 9, 9);
+            let block = Dcsr::empty(info.local_rows(), info.local_cols());
+            let d = DistDcsr::<u64>::from_block(&grid, 9, 9, block);
             (d.info().local_rows(), d.info().local_cols(), d.local_nnz())
         });
         // 9 split as 5+4.

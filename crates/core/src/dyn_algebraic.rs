@@ -39,10 +39,10 @@
 //! The batch's one redistribution carries every update matrix in two lanes
 //! (a [`StarPair`]): a natural lane builds this rank's own block, which the
 //! local `A += A*` application needs, and a root lane routes the flipped
-//! tuples under the transposed layout, so rank `(i, j)` receives exactly the
-//! entries of `A*_{j,i}` and assembles them as the broadcast payload. No
-//! point-to-point byte moves, and an Algorithm-1 batch sends one two-phase
-//! `ALLTOALLV` pair however many operands it updates
+//! tuples as entries of the transposed matrix, so rank `(i, j)` receives
+//! exactly the entries of `A*_{j,i}` and assembles them as the broadcast
+//! payload. No point-to-point byte moves, and an Algorithm-1 batch sends
+//! one two-phase `ALLTOALLV` pair however many operands it updates
 //! (`tests/comm_volume.rs` asserts both).
 //!
 //! **No control collective.** The root lanes are counted
@@ -71,11 +71,11 @@
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::exec::Exec;
-use crate::grid::Grid;
+use crate::grid::{block_range, Grid};
 use crate::observer::{BatchDelta, Observer, PendingBatch, ViewCx};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use crate::update::{apply_add, build_star_pairs_in, Dedup, StarPair};
+use crate::update::{apply_add, build_star_pairs, Dedup, StarPair};
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
@@ -180,7 +180,7 @@ impl<V: Elem> StarBuild<V> {
         pair
     }
 
-    /// The natural-layout matrix (what `A += A*` applies).
+    /// The natural update matrix (what `A += A*` applies).
     pub fn natural(&self) -> &DistDcsr<V> {
         &self.pair().natural
     }
@@ -189,8 +189,7 @@ impl<V: Elem> StarBuild<V> {
 /// Builds both blocks of the update matrix of every stored operand under
 /// [`phase::SCATTER`]: two lanes of one redistribution per operand — four
 /// for `C = A·B`, two for `C = A·A` (`b` absent, `b_tuples` ignored). Update
-/// matrices route under the layout, possibly rebalanced, of the matrix they
-/// patch. Collective.
+/// matrices take the shape of the matrix they patch. Collective.
 pub(crate) fn build_star_operands<S: Semiring>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
@@ -200,9 +199,10 @@ pub(crate) fn build_star_operands<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (StarPair<S::Elem>, Option<StarPair<S::Elem>>) {
     timer.time(phase::SCATTER, || {
-        let mut operands = vec![(Arc::clone(a.info().layout()), a_tuples)];
-        operands.extend(b.map(|b| (Arc::clone(b.info().layout()), b_tuples)));
-        let built = build_star_pairs_in::<S>(grid, operands, Dedup::Add, &mut PhaseTimer::new());
+        let shape = |m: &DistMat<S::Elem>| (m.info().nrows, m.info().ncols);
+        let mut operands = vec![(shape(a), a_tuples)];
+        operands.extend(b.map(|b| (shape(b), b_tuples)));
+        let built = build_star_pairs::<S>(grid, operands, Dedup::Add, &mut PhaseTimer::new());
         let mut built = built.into_iter();
         (built.next().expect("A's update matrix"), built.next())
     })
@@ -404,11 +404,11 @@ fn ship_operands<S: Semiring, K: XYKernel<S>>(
 
 /// `Σ_i A*_{k,i}·right_{i,j}` at the root `(k,j)` of round `k`, from the
 /// [`ship_operands`] pieces: its own against its block, every other as its
-/// sender would have multiplied it, with the sender's row-cut start as the
-/// Bloom offset. The partials fold in the bracket order of the
-/// merge-reduction this replaces ([`Comm::fold_in_reduce_order`]), so the
-/// block, its flops and the message count are the reduction's; only the
-/// bytes fall.
+/// sender would have multiplied it, with the first global row of the
+/// sender's block of `right` as the Bloom offset. The partials fold in the
+/// bracket order of the merge-reduction this replaces
+/// ([`Comm::fold_in_reduce_order`]), so the block, its flops and the
+/// message count are the reduction's; only the bytes fall.
 ///
 /// [`Comm::fold_in_reduce_order`]: dspgemm_mpi::Comm::fold_in_reduce_order
 fn sum_products<S: Semiring, K: XYKernel<S>>(
@@ -419,9 +419,9 @@ fn sum_products<S: Semiring, K: XYKernel<S>>(
     timer: &mut PhaseTimer,
     flops: &mut u64,
 ) -> Dcsr<K::Out> {
-    let cuts = right.info().layout();
+    let (n, q) = (right.info().nrows, pieces.len());
     let parts = pieces.into_iter().enumerate().map(|(i, (star, rows))| {
-        let k_offset = cuts.row_range(i).start;
+        let k_offset = block_range(n, q, i).start;
         if i == k {
             return multiply::<S, K>(&star, right.block(), k_offset, exec, timer, flops);
         }

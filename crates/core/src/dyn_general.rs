@@ -30,10 +30,9 @@ use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::dyn_algebraic::{compute_cstar, x_pass, Operands, TransposeMode, Update};
 use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::{uniform_layout, Layout};
 use crate::observer::{BatchDelta, Observer, PendingBatch, ViewCx};
 use crate::phase;
-use crate::update::{apply_mask, apply_merge, build_update_matrices_in, Dedup, Lane};
+use crate::update::{apply_mask, apply_merge, build_update_matrices, Dedup, Lane, Shape};
 use dspgemm_sparse::dhb::DhbRow;
 use dspgemm_sparse::local_mm::{Bloom, Pattern};
 use dspgemm_sparse::ops::extract_filtered;
@@ -103,12 +102,12 @@ pub struct PreparedGeneral<V> {
 /// is the natural star's block at the transposed position, entry for entry.
 pub(crate) fn prepare_general_operands<S: Semiring>(
     grid: &Grid,
-    operands: Vec<(&Arc<Layout>, GeneralUpdates<S::Elem>)>,
+    operands: Vec<(Shape, GeneralUpdates<S::Elem>)>,
     timer: &mut PhaseTimer,
 ) -> Vec<PreparedGeneral<S::Elem>> {
-    let layouts: Vec<&Arc<Layout>> = operands.iter().map(|&(layout, _)| layout).collect();
+    let shapes: Vec<Shape> = operands.iter().map(|&(shape, _)| shape).collect();
     let mut lanes = Vec::with_capacity(3 * operands.len());
-    for (layout, upd) in operands {
+    for (shape, upd) in operands {
         let del_tuples: Vec<Triple<S::Elem>> = upd
             .deletes
             .iter()
@@ -119,15 +118,15 @@ pub(crate) fn prepare_general_operands<S: Semiring>(
             .iter()
             .map(|t| Triple::new(t.row, t.col, S::zero()));
         let pattern = del_tuples.iter().copied().chain(set_pattern).collect();
-        lanes.push(Lane::Natural(Arc::clone(layout), upd.sets));
-        lanes.push(Lane::Natural(Arc::clone(layout), del_tuples));
-        lanes.push(Lane::Root(Arc::clone(layout), pattern));
+        lanes.push(Lane::Natural(shape, upd.sets));
+        lanes.push(Lane::Natural(shape, del_tuples));
+        lanes.push(Lane::Root(shape, pattern));
     }
-    let mut built = build_update_matrices_in::<S>(grid, lanes, Dedup::LastWins, timer).into_iter();
+    let mut built = build_update_matrices::<S>(grid, lanes, Dedup::LastWins, timer).into_iter();
     let mut next = || built.next().expect("three matrices per operand");
-    layouts
+    shapes
         .into_iter()
-        .map(|layout| {
+        .map(|(nrows, ncols)| {
             let (set_mat, del_mat) = (next().into_natural(), next().into_natural());
             let (star_root, global_tuples) = next().into_root();
             // A* = sets ∪ deletes structurally (deletions "add a structural
@@ -136,7 +135,7 @@ pub(crate) fn prepare_general_operands<S: Semiring>(
             let star_block =
                 Dcsr::merge_with(set_mat.block(), del_mat.block(), |a, _| a).map(|_| S::zero());
             PreparedGeneral {
-                star: DistDcsr::from_block_in(grid, layout, star_block),
+                star: DistDcsr::from_block(grid, nrows, ncols, star_block),
                 set_mat,
                 del_mat,
                 star_root,
@@ -159,8 +158,9 @@ pub(crate) fn prepare_general_batch<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (PreparedGeneral<S::Elem>, Option<PreparedGeneral<S::Elem>>) {
     timer.time(phase::SCATTER, || {
-        let mut operands = vec![(a.info().layout(), a_upd)];
-        operands.extend(b.map(|b| (b.info().layout(), b_upd)));
+        let shape = |m: &DistMat<S::Elem>| (m.info().nrows, m.info().ncols);
+        let mut operands = vec![(shape(a), a_upd)];
+        operands.extend(b.map(|b| (shape(b), b_upd)));
         let prepared = prepare_general_operands::<S>(grid, operands, &mut PhaseTimer::new());
         let mut prepared = prepared.into_iter();
         (prepared.next().expect("A's update"), prepared.next())
@@ -180,8 +180,8 @@ impl<S: Semiring> Update<S> for PreparedGeneral<S::Elem> {
 }
 
 /// Redistributes one operand's general-update batch (the only communication
-/// of update assembly) and builds its MERGE / MASK / pattern matrices under
-/// the uniform layout. Adapter-frozen: `benchmark/src/api.rs` passes the
+/// of update assembly) and builds its MERGE / MASK / pattern matrices.
+/// Adapter-frozen: `benchmark/src/api.rs` passes the
 /// mode argument; nothing in the workspace names it. Collective over the
 /// grid.
 pub fn prepare_general_update_mode<S: Semiring>(
@@ -192,8 +192,7 @@ pub fn prepare_general_update_mode<S: Semiring>(
     _mode: TransposeMode,
     timer: &mut PhaseTimer,
 ) -> PreparedGeneral<S::Elem> {
-    let layout = uniform_layout(nrows, ncols, grid.q());
-    let mut prepared = prepare_general_operands::<S>(grid, vec![(&layout, upd)], timer);
+    let mut prepared = prepare_general_operands::<S>(grid, vec![((nrows, ncols), upd)], timer);
     prepared
         .pop()
         .expect("one operand in, one prepared update out")
@@ -284,8 +283,10 @@ fn recompute_at_cstar<S: Semiring>(
 /// Algorithm 2, one batch of either shape: `COMPUTE_PATTERN` around the
 /// in-place updates `A → A'` (and `B → B'`), then the repair of `C` and `F`
 /// at `C*` against the new right operand — `B'`, or `A'` itself when `b` is
-/// `None` (`C = A·A`). `obs` sees `A`'s prepared update before the batch is
-/// applied and the `C*` pattern (the positions recomputed or deleted) after.
+/// `None` (`C = A·A`). A batch whose updates are empty on every rank skips
+/// the repair, and sends nothing beyond its redistribution. `obs` sees `A`'s
+/// prepared update before the batch is applied and the `C*` pattern (the
+/// positions recomputed or deleted) after.
 /// Returns the local flop count and the entries of this rank's `C*` block.
 /// Collective over the grid.
 ///
@@ -312,7 +313,13 @@ pub(crate) fn general_batch<S: Semiring>(
     let mut ops = Operands::new(a, a_prep, b, b_prep);
     let (cstar, flops) = compute_cstar::<S, Pattern, _>(grid, &mut ops, exec, timer);
     let (a, right) = (ops.left(), ops.right());
-    let z_flops = recompute_at_cstar::<S>(grid, a, right, c, f, &cstar, exec, timer);
+    // Updates empty on every rank leave `C*` empty on every rank: there is
+    // nothing to repair, and the redistribution's counts tell every rank so.
+    let empty = a_prep.global_tuples == 0 && b_prep.is_none_or(|b| b.global_tuples == 0);
+    let z_flops = match empty {
+        true => 0,
+        false => recompute_at_cstar::<S>(grid, a, right, c, f, &cstar, exec, timer),
+    };
     let cstar_pattern = &cstar;
     obs.post_batch(
         &ViewCx { grid, a, c, exec },

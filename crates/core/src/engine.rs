@@ -3,9 +3,9 @@
 //! [`DynSpGemm`] owns the operand matrices `A` and `B`, the maintained
 //! product `C = A · B`, and (optionally) the Bloom filter matrix `F` that
 //! general updates require. Every call that moves that state — Algorithm 1
-//! and Algorithm 2 batches, static recomputes, rebalancing migrations — is
-//! one [`Batch`] through one commit path: write-ahead log (with recovery
-//! on), apply, agreement fence. The session keeps the invariant `C = A · B`
+//! and Algorithm 2 batches, static recomputes — is one [`Batch`] through
+//! one commit path: write-ahead log (with recovery on), apply, agreement
+//! fence. The session keeps the invariant `C = A · B`
 //! after every batch — verified end-to-end by the integration tests against
 //! static recomputation. A call a rank failure interrupts returns the
 //! [`CommError`]; with recovery on, every rank hands it to the one
@@ -17,19 +17,17 @@
 //! ([`DynSpGemm::shared`]) it maintains `C = A · A` with one stored operand
 //! and `F` always tracked. An [`Observer`] watches every commit (a plain
 //! engine observes with `()`): it sees each tracked algebraic or general
-//! batch before and after it is applied, re-bootstraps after a recompute, a
-//! migration or a rollback, and freezes its readings into every published
+//! batch before and after it is applied, re-bootstraps after a recompute or
+//! a rollback, and freezes its readings into every published
 //! epoch. The analytics serving layer is a shared-mode session whose
 //! observer is its view registry.
 
-use crate::distmat::{DistMat, Elem, ImageBuild, ImagePath, MigrationStats};
+use crate::distmat::{DistMat, Elem, ImageBuild, ImagePath};
 use crate::dyn_algebraic::{algebraic_batch, build_star_operands};
 use crate::dyn_general::{general_batch, prepare_general_batch, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
-use crate::layout::Layout;
 use crate::observer::{Observer, ViewCx};
-use crate::rebalance::{imbalance, RebalanceConfig, Rebalancer};
 use crate::recovery::{
     buddy_ring, Anchor, LoggedBatch, MatImage, RecoveryConfig, RecoveryReport, RecoveryState,
     ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
@@ -39,7 +37,7 @@ use crate::snapshot::{Snapshot, SnapshotMat, SnapshotStore};
 use crate::summa::{summa_bloom_exec, summa_exec};
 use dspgemm_mpi::{catch_comm_mut, Comm, CommError};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Index, Triple};
+use dspgemm_sparse::Triple;
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::WireSize;
 use std::sync::Arc;
@@ -59,10 +57,6 @@ pub enum Batch<V> {
     /// Recomputes `C = A · B` (and `F`) from scratch — the static strategy
     /// the paper's competitors are forced into; a baseline and a repair path.
     Recompute,
-    /// Migrates `A`, `B`, `C` (and `F`) to the square layout with these cuts:
-    /// a [`DynSpGemm::maybe_rebalance`] verdict, which replay re-applies
-    /// instead of deciding again.
-    Migrate(Vec<Index>),
 }
 
 /// A dynamic SpGEMM session maintaining `C = A · B` under batched updates,
@@ -101,11 +95,6 @@ pub struct DynSpGemm<S: Semiring, O: Observer<S> = ()> {
     shared: bool,
     /// Watches every commit and replay (see [`crate::observer`]).
     observer: O,
-    /// The dynamic inter-rank rebalancing policy (opt-in via
-    /// [`DynSpGemm::enable_rebalancing`]; `None` keeps the distribution
-    /// static). Its migrations are [`Batch::Migrate`] batches and its state
-    /// is part of every recovery anchor, so it composes with recovery.
-    rebalancer: Option<Rebalancer>,
     /// Epoch-anchored recovery state (opt-in via
     /// [`DynSpGemm::enable_recovery`]): every committed [`Batch`], of any
     /// kind, is write-ahead logged and replayed by recovery.
@@ -176,7 +165,6 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             snapshots: SnapshotStore::new(),
             dirty: false,
             observer,
-            rebalancer: None,
             recovery: None,
         };
         let (obs, cx) = eng.observe(grid);
@@ -424,10 +412,10 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     /// and of recovery replay, one arm per [`Batch`] kind. Collective. An
     /// algebraic or general batch runs its algorithm's one batch body, in
     /// either shape, and the observer sees a tracked one before and after it
-    /// is applied; it re-bootstraps after a recompute or a migration, which
-    /// carry no delta. Records its stages into `stages` and returns this
-    /// rank's `(flops, nnz(A*), nnz(C*))` — the update counts are zero for a
-    /// recompute or a migration.
+    /// is applied; it re-bootstraps after a recompute, which carries no
+    /// delta. Records its stages into `stages` and returns this rank's
+    /// `(flops, nnz(A*), nnz(C*))` — the update counts are zero for a
+    /// recompute.
     fn apply_record(
         &mut self,
         grid: &Grid,
@@ -435,15 +423,14 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         stages: &mut PhaseTimer,
     ) -> (u64, u64, u64) {
         self.dirty = true;
-        // A recompute or a migration carries no delta: the observer restarts.
-        let restarts = matches!(record.batch, Batch::Recompute | Batch::Migrate(_));
+        // A recompute carries no delta: the observer restarts.
+        let restarts = matches!(record.batch, Batch::Recompute);
         let _sp = match &record.batch {
             Batch::Algebraic(a, b) => dspgemm_obs::span("engine", "apply_algebraic")
                 .attr("updates", (a.len() + b.len()) as u64),
             Batch::General(a, b) => dspgemm_obs::span("engine", "apply_general")
                 .attr("updates", (a.len() + b.len()) as u64),
             Batch::Recompute => dspgemm_obs::span("engine", "recompute"),
-            Batch::Migrate(_) => dspgemm_obs::span("engine", "migrate").attr("epoch", record.epoch),
         };
         // `B` unless shared mode stores one operand: `A` is both.
         let b = (!self.shared).then_some(&mut self.b);
@@ -475,10 +462,6 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
                 (self.c, self.f) = (c, f);
                 (flops, 0, 0)
             }
-            Batch::Migrate(cuts) => {
-                self.migrate(grid, record.epoch, cuts, stages);
-                (0, 0, 0)
-            }
         };
         self.flops += work.0;
         if restarts {
@@ -486,112 +469,6 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             obs.bootstrap(&cx);
         }
         work
-    }
-
-    // ------------------------------------------------------------------
-    // Dynamic inter-rank rebalancing
-    // ------------------------------------------------------------------
-
-    /// Opts this session into metrics-driven inter-rank rebalancing:
-    /// [`DynSpGemm::maybe_rebalance`] becomes live with the given trigger
-    /// configuration. Requires square operands (one square cut vector keeps
-    /// `A`, `B`, `C`, `F` mutually SUMMA-conformal through every
-    /// migration). Must be enabled rank-uniformly, at a batch boundary; with
-    /// recovery on, the retained anchors (own and replicated) gain the fresh
-    /// policy, so a rollback past this call keeps it.
-    ///
-    /// # Panics
-    /// Panics if the session's matrices are not all square of one size.
-    pub fn enable_rebalancing(&mut self, cfg: RebalanceConfig) {
-        let (an, ac) = (self.a.info().nrows, self.a.info().ncols);
-        let b = if self.shared { &self.a } else { &self.b };
-        let (bn, bc) = (b.info().nrows, b.info().ncols);
-        assert!(
-            an == ac && bn == bc && an == bn,
-            "rebalancing requires square operands of one size (got A {an}x{ac}, B {bn}x{bc})"
-        );
-        let reb = Rebalancer::new(cfg);
-        if let Some(rec) = &mut self.recovery {
-            rec.anchors_mut()
-                .for_each(|anchor| anchor.rebalancer = Some(reb.clone()));
-        }
-        self.rebalancer = Some(reb);
-    }
-
-    /// The rebalancing policy state, when enabled (migration/byte counters
-    /// and the last observed imbalance).
-    pub fn rebalancer(&self) -> Option<&Rebalancer> {
-        self.rebalancer.as_ref()
-    }
-
-    /// One rebalancing step: publishes the current epoch, allgathers every
-    /// rank's own load (the nnz of its `A` and `C` blocks) and has every rank
-    /// evaluate the same pure policy on that vector — max/mean nnz imbalance
-    /// vs. the configured threshold, under the migration cooldown — and,
-    /// when the verdict is a new cut vector, commits it as a
-    /// [`Batch::Migrate`] and re-publishes under the new [`Layout`]. Returns
-    /// whether it migrated (`Ok(false)` unless
-    /// [`DynSpGemm::enable_rebalancing`] was called), or `Err` as
-    /// [`DynSpGemm::try_apply`] does — hand it to [`DynSpGemm::recover`].
-    /// Collective over the grid.
-    ///
-    /// Pinned pre-migration snapshots are untouched: they keep their own
-    /// layout inside their [`crate::distmat::BlockInfo`], so epoch readers
-    /// stay bit-stable across the remap.
-    pub fn maybe_rebalance(&mut self, grid: &Grid) -> Result<bool, CommError> {
-        if self.rebalancer.is_none() {
-            return Ok(false);
-        }
-        // Decide at the publish fence: the cooldown counts published epochs.
-        self.snapshot();
-        let epoch = self.snapshots.published();
-        // The load signal travels over `Comm`: it is this session's own, on
-        // any transport, whatever else runs in the process.
-        let mine = (self.a.local_nnz() + self.c.local_nnz()) as u64;
-        let loads = catch_comm_mut(|| grid.world().allgather(mine))?;
-        let reb = self.rebalancer.as_mut().expect("checked above");
-        reb.note_decision(imbalance(&loads));
-        let cuts = reb.decide(self.a.info().layout().row_cuts(), &loads, epoch);
-        let Some(cuts) = cuts else { return Ok(false) };
-        self.commit(grid, Batch::Migrate(cuts), &mut PhaseTimer::new())?;
-        // Re-publish under the new layout: the next epoch carries the new
-        // cuts, pinned pre-migration epochs keep the old ones.
-        self.publish();
-        Ok(true)
-    }
-
-    /// Migrates every session matrix to the square layout with `cuts` — the
-    /// body of a [`Batch::Migrate`] whose publish is `epoch`. Migration wire
-    /// cost is this rank's alltoall bytes under the [`meter`], summed
-    /// network-wide and accumulated on the session's [`Rebalancer`]; with
-    /// observability on, the `migrated` trace instant carries it too.
-    fn migrate(&mut self, grid: &Grid, epoch: u64, cuts: Vec<Index>, stages: &mut PhaseTimer) {
-        let new_layout = Arc::new(Layout::square(cuts));
-        let (moved, metered) = meter(grid.world(), |timer| {
-            let sa = self.a.migrate_to(grid, &new_layout, timer);
-            let sb = match self.shared {
-                true => MigrationStats::default(),
-                false => self.b.migrate_to(grid, &new_layout, timer),
-            };
-            let sc = self.c.migrate_to(grid, &new_layout, timer);
-            let sf = match &mut self.f {
-                Some(f) => f.migrate_to(grid, &new_layout, timer),
-                None => MigrationStats::default(),
-            };
-            sa.moved_in + sb.moved_in + sc.moved_in + sf.moved_in
-        });
-        stages.merge(&metered.stages);
-        let sent = metered.comm.bytes[dspgemm_mpi::CommCategory::Alltoall as usize];
-        let bytes = grid.world().allreduce(sent, |x, y| x + y);
-        let moved_in = moved as u64;
-        dspgemm_obs::instant(
-            "engine",
-            "migrated",
-            &[("epoch", epoch), ("bytes", bytes), ("moved_in", moved_in)],
-        );
-        if let Some(reb) = self.rebalancer.as_mut() {
-            reb.note_migration(epoch, bytes);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -643,7 +520,6 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             b: MatImage::capture(&mut self.b),
             c: MatImage::capture(&mut self.c),
             f: self.f.as_mut().map(MatImage::capture),
-            rebalancer: self.rebalancer.clone(),
         }
     }
 
@@ -673,12 +549,11 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     }
 
     /// Stands the session at a rollback anchor — both recovery roles restore
-    /// through it: each matrix is built from its image under the cuts it was
-    /// captured with, the counters and rebalancing policy are the anchor's,
-    /// and the observer re-bootstraps from the anchor's `A` and `C` before
-    /// replay reaches it. A survivor keeps its workspaces and published
-    /// epochs; the replacement keeps nothing but its launch parameters
-    /// (shared mode and the observer it was launched with).
+    /// through it: each matrix is built from its image, the counters are the
+    /// anchor's, and the observer re-bootstraps from the anchor's `A` and
+    /// `C` before replay reaches it. A survivor keeps its workspaces and
+    /// published epochs; the replacement keeps nothing but its launch
+    /// parameters (shared mode and the observer it was launched with).
     /// Pinned epochs are untouched: images are shared copy-on-write.
     /// Collective.
     fn roll_back(&mut self, grid: &Grid, anchor: &Anchor<S::Elem>, replacement: bool) {
@@ -687,7 +562,6 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         self.c = anchor.c.build(grid);
         self.f = anchor.f.as_ref().map(|img| img.build(grid));
         self.flops = anchor.flops;
-        self.rebalancer = anchor.rebalancer.clone();
         self.dirty = false;
         if replacement {
             self.exec = Exec::new();
@@ -732,20 +606,18 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         });
     }
 
-    /// Recovers this rank from the `err` that [`DynSpGemm::try_apply`],
-    /// [`DynSpGemm::maybe_rebalance`] or [`DynSpGemm::enable_recovery`]
-    /// returned; the error picks the role:
+    /// Recovers this rank from the `err` that [`DynSpGemm::try_apply`] or
+    /// [`DynSpGemm::enable_recovery`] returned; the error picks the role:
     ///
     /// * on `CommError::PeerFailed` this rank survived: it runs the
     ///   recovery agreement (shipping the replica bundle to the replacement
     ///   if it is the failed rank's buddy), rolls back to the grid-minimum
     ///   anchor and replays to the grid-maximum commit frontier;
     /// * on its own `CommError::Crashed` it is the replacement: it rebuilds
-    ///   `*self` from the bundle its buddy ships — rebalancing policy
-    ///   included — at the agreed rollback anchor and replays its own logged
-    ///   batches. Nothing of the crashed session is read but its launch
-    ///   parameters: the [`RecoveryConfig`], shared mode and the observer,
-    ///   which re-bootstraps.
+    ///   `*self` from the bundle its buddy ships at the agreed rollback
+    ///   anchor and replays its own logged batches. Nothing of the crashed
+    ///   session is read but its launch parameters: the [`RecoveryConfig`],
+    ///   shared mode and the observer, which re-bootstraps.
     ///
     /// Collective: every rank calls it in the same incident. Returns an
     /// allreduced [`RecoveryReport`]; the caller re-submits every batch whose

@@ -3,14 +3,8 @@
 //! The paper's primary contribution, reproduced in full:
 //!
 //! * [`grid`] — the `√p × √p` process grid with row/column communicators and
-//!   the 2D block distribution (Section IV).
-//! * [`layout`] — explicit block layouts ([`Layout`]): the monotone row/col
-//!   cut points of the distribution, uniform by default, movable at run
-//!   time; plus the weighted cut solver [`layout::rebalance_cuts`].
-//! * [`rebalance`] — the load-driven [`Rebalancer`]: decides on the per-rank
-//!   block nnz the engine allgathers each epoch and, past a configurable
-//!   imbalance threshold, migrates block boundaries (stripe
-//!   re-redistribution) to a freshly solved layout.
+//!   the fixed, uniform 2D block distribution every matrix lives on
+//!   (Section IV).
 //! * [`recovery`] — fault tolerance for engine sessions: per-batch
 //!   write-ahead logs replicated to a buddy rank, periodic copy-on-write
 //!   epoch anchors, and deterministic rollback + replay after a rank
@@ -95,10 +89,8 @@ pub mod dyn_general;
 pub mod engine;
 pub mod exec;
 pub mod grid;
-pub mod layout;
 pub mod observer;
 pub mod pipeline;
-pub mod rebalance;
 pub mod recovery;
 pub mod redistribute;
 pub mod report;
@@ -111,9 +103,7 @@ pub use distmat::{DistDcsr, DistMat};
 pub use engine::{Batch, DynSpGemm};
 pub use exec::Exec;
 pub use grid::Grid;
-pub use layout::Layout;
 pub use observer::Observer;
-pub use rebalance::{RebalanceConfig, Rebalancer};
 pub use recovery::{RecoveryConfig, RecoveryReport};
 pub use report::{meter, BatchReport};
 pub use snapshot::{reduce_topk, Snapshot, SnapshotMat, SnapshotStore};

@@ -6,9 +6,9 @@
 //! and hands its [`Observer`] the update block of `A` before every tracked
 //! batch ([`PendingBatch`]) and the product delta after it
 //! ([`BatchDelta`]), in live commits and in replay alike. A change that
-//! carries no delta — a static recompute, a migration, a recovery rollback —
-//! re-runs [`Observer::bootstrap`] instead, and every publish freezes the
-//! observer into the epoch ([`Observer::freeze`]). Callbacks run inside the
+//! carries no delta — a static recompute or a recovery rollback — re-runs
+//! [`Observer::bootstrap`] instead, and every publish freezes the observer
+//! into the epoch ([`Observer::freeze`]). Callbacks run inside the
 //! engine's collective calls, so they may use collectives; every rank must
 //! hold the same observer.
 

@@ -22,15 +22,14 @@
 //!   logged everywhere. Replay therefore always finds the inputs it needs.
 //! * **Epoch anchors** — every `anchor_period` committed batches each rank
 //!   captures a full [`Anchor`] (copy-on-write `Arc` images of `A`, `B`, `C`
-//!   and `F`, the published-epoch and flop counters, and the rebalancing
-//!   policy state) and ships it to its buddy. The log is truncated to the
-//!   window since the *previous* anchor: two anchor windows are always
-//!   retained, so a crash racing an anchor refresh still leaves every rank
-//!   holding the rank-minimum anchor the grid agrees to roll back to. That
-//!   also bounds the log: a refresh fires at the first commit
-//!   `anchor_period` epochs past the newest anchor and an epoch holds at
-//!   most one record, so a log, own or replica, holds at most
-//!   2·`anchor_period` records.
+//!   and `F`, and the published-epoch and flop counters) and ships it to its
+//!   buddy. The log is truncated to the window since the *previous*
+//!   anchor: two anchor windows are always retained, so a crash racing an
+//!   anchor refresh still leaves every rank holding the rank-minimum anchor
+//!   the grid agrees to roll back to. That also bounds the log: a refresh
+//!   fires at the first commit `anchor_period` epochs past the newest
+//!   anchor and an epoch holds at most one record, so a log, own or
+//!   replica, holds at most 2·`anchor_period` records.
 //! * **Deterministic replay** — recovery rolls every rank back to the agreed
 //!   anchor `A` and re-applies the logged batches up to the agreed commit
 //!   frontier `P*` (the maximum published count any rank reached). Each rank
@@ -42,12 +41,9 @@
 //!
 //! Scope (asserted, not silently assumed): one failure per incident, the
 //! buddy of a failed rank alive. Every batch kind is covered — Algorithm 1
-//! and Algorithm 2 batches, static recomputes and rebalancing migrations
-//! are one [`LoggedBatch`] record each, and replay applies a logged
-//! migration to its logged cuts. A publish that committed nothing leaves no
-//! record (it moves no state); replay re-publishes it bare. Anchors carry
-//! the cuts their images were captured under and the rebalancing policy
-//! state, so a rollback may cross migrations.
+//! and Algorithm 2 batches and static recomputes are one [`LoggedBatch`]
+//! record each. A publish that committed nothing leaves no record (it moves
+//! no state); replay re-publishes it bare.
 //!
 //! ## Wire form
 //!
@@ -62,8 +58,6 @@ use crate::distmat::{DistMat, Elem};
 use crate::dyn_general::GeneralUpdates;
 use crate::engine::Batch;
 use crate::grid::Grid;
-use crate::layout::Layout;
-use crate::rebalance::Rebalancer;
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index};
 use std::sync::Arc;
@@ -106,7 +100,7 @@ impl Default for RecoveryConfig {
 pub struct LoggedBatch<V> {
     /// The epoch this batch's publish produces.
     pub epoch: u64,
-    /// The batch, exactly as passed in (a migration carries its cuts).
+    /// The batch, exactly as passed in.
     pub batch: Batch<V>,
 }
 
@@ -114,28 +108,25 @@ dspgemm_util::impl_wire_fields!(LoggedBatch<V> { epoch, batch });
 dspgemm_util::impl_wire_fields!(GeneralUpdates<V> { sets, deletes });
 
 dspgemm_util::impl_wire_enum!(Batch<V> {
-    0 => Algebraic(a, b), 1 => General(a, b), 2 => Recompute, 3 => Migrate(cuts)
+    0 => Algebraic(a, b), 1 => General(a, b), 2 => Recompute
 });
 
 /// A shippable copy-on-write image of one rank's block of a distributed
-/// matrix: the shared CSR the snapshot layer already maintains, plus enough
-/// layout to rebuild the [`DistMat`] from nothing on a replacement rank.
+/// matrix: the shared CSR the snapshot layer already maintains, plus the
+/// global shape that rebuilds the [`DistMat`] from nothing on a replacement
+/// rank.
 #[derive(Debug, Clone)]
 pub struct MatImage<V> {
     /// Global row count.
     pub nrows: Index,
     /// Global column count.
     pub ncols: Index,
-    /// Row cut points of the layout the image was captured under.
-    pub row_cuts: Vec<Index>,
-    /// Column cut points of the layout the image was captured under.
-    pub col_cuts: Vec<Index>,
     /// The rank's block content (shared — capture is a refcount increment
     /// whenever the snapshot cache is warm).
     pub image: Arc<Csr<V>>,
 }
 
-dspgemm_util::impl_wire_fields!(MatImage<V> { nrows, ncols, row_cuts, col_cuts, image });
+dspgemm_util::impl_wire_fields!(MatImage<V> { nrows, ncols, image });
 
 impl<V: Elem> MatImage<V> {
     /// Captures the matrix's current block image (copy-on-write: warms the
@@ -144,29 +135,17 @@ impl<V: Elem> MatImage<V> {
     pub(crate) fn capture(mat: &mut DistMat<V>) -> Self {
         let image = mat.snapshot_csr();
         let info = mat.info();
-        let layout = info.layout();
         Self {
             nrows: info.nrows,
             ncols: info.ncols,
-            row_cuts: layout.row_cuts().to_vec(),
-            col_cuts: layout.col_cuts().to_vec(),
             image,
         }
     }
 
-    /// Builds a fresh [`DistMat`] holding this image under the cuts it was
-    /// captured with — the one rollback path of both recovery roles.
+    /// Builds a fresh [`DistMat`] holding this image — the one rollback path
+    /// of both recovery roles.
     pub(crate) fn build(&self, grid: &Grid) -> DistMat<V> {
-        let layout = Arc::new(Layout::from_cuts(
-            self.row_cuts.clone(),
-            self.col_cuts.clone(),
-        ));
-        assert_eq!(
-            (layout.nrows(), layout.ncols()),
-            (self.nrows, self.ncols),
-            "anchor image cuts inconsistent with its global shape"
-        );
-        let mut mat = DistMat::empty_in(grid, &layout);
+        let mut mat = DistMat::empty(grid, self.nrows, self.ncols);
         mat.restore_image(Arc::clone(&self.image));
         mat
     }
@@ -192,13 +171,9 @@ pub struct Anchor<V> {
     pub c: MatImage<V>,
     /// Image of the rank's Bloom filter block (iff the session tracks one).
     pub f: Option<MatImage<u64>>,
-    /// The rebalancing policy state (iff the session rebalances): a rollback
-    /// restores it and replayed migrations re-note on top, so every rank —
-    /// the replacement included — decides on the same history.
-    pub rebalancer: Option<Rebalancer>,
 }
 
-dspgemm_util::impl_wire_fields!(Anchor<V> { published, flops, a, b, c, f, rebalancer });
+dspgemm_util::impl_wire_fields!(Anchor<V> { published, flops, a, b, c, f });
 
 /// A rank's anchor windows and its log since the older one. Rank `r` holds
 /// two: its own, and the replica of its predecessor `(r - 1) mod p`'s.
@@ -265,15 +240,6 @@ pub struct RecoveryState<V> {
     pub replica: ReplicaBundle<V>,
 }
 
-impl<V> RecoveryState<V> {
-    /// Every retained anchor, own and replicated.
-    pub(crate) fn anchors_mut(&mut self) -> impl Iterator<Item = &mut Anchor<V>> {
-        [&mut self.own, &mut self.replica]
-            .into_iter()
-            .flat_map(|w| std::iter::once(&mut w.newest).chain(w.prev.as_mut()))
-    }
-}
-
 /// What a completed recovery did — allreduced, so every rank (including the
 /// replacement) returns identical numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,8 +289,6 @@ mod tests {
         let img = MatImage {
             nrows: 4,
             ncols: 4,
-            row_cuts: vec![0, 2, 4],
-            col_cuts: vec![0, 2, 4],
             image: Arc::new(Csr::<u64>::from_triples::<U64Plus>(2, 2, vec![])),
         };
         let anchor = Anchor {
@@ -334,7 +298,6 @@ mod tests {
             b: img.clone(),
             c: img.clone(),
             f: None,
-            rebalancer: None,
         };
         let bundle = ReplicaBundle {
             newest: anchor.clone(),
@@ -345,25 +308,24 @@ mod tests {
         assert!(bundle.wire_bytes() > anchor.wire_bytes());
         assert_eq!(
             anchor.wire_bytes(),
-            8 + 8 + 3 * img.wire_bytes() + 1 + 1 // two Option<None>s, 1 byte each
+            8 + 8 + 3 * img.wire_bytes() + 1 // Option<None>: 1 byte
         );
         // Metered sizes; `rebuild_bytes` of `tests/recovery.rs` is made of
-        // these. Against the hand-written formulas of d989652, an anchor
-        // gained its rebalancer option (1 byte) and a record its batch kind
-        // (1 byte).
-        assert_eq!(img.wire_bytes(), 88);
-        assert_eq!(anchor.wire_bytes(), 282);
-        assert_eq!(bundle.wire_bytes(), 332);
+        // these. An image is its shape (2 × 4) beside its CSR (40), and a
+        // record leads with its batch kind (1 byte).
+        assert_eq!(img.wire_bytes(), 48);
+        assert_eq!(anchor.wire_bytes(), 161);
+        assert_eq!(bundle.wire_bytes(), 211);
         let tracked = Anchor {
             f: Some(img.clone()),
             ..anchor.clone()
         };
-        assert_eq!(tracked.wire_bytes(), 370);
+        assert_eq!(tracked.wire_bytes(), 209);
         let two_windows = ReplicaBundle {
             prev: Some(tracked.clone()),
             ..bundle.clone()
         };
-        assert_eq!(two_windows.wire_bytes(), 702);
+        assert_eq!(two_windows.wire_bytes(), 420);
         // The meter is the encoder: every recovery type ships exactly the
         // bytes it is charged for, and decodes back to the same encoding.
         fn sized_roundtrip<T: WireEncode + WireDecode>(v: &T) {
@@ -376,7 +338,7 @@ mod tests {
         sized_roundtrip(&img);
         sized_roundtrip(&tracked);
         sized_roundtrip(&two_windows);
-        // Every batch kind and the rebalancing policy round-trip too.
+        // Every batch kind round-trips too.
         let general = GeneralUpdates {
             sets: vec![Triple::new(1, 0, 2u64)],
             deletes: vec![(0, 1)],
@@ -384,13 +346,8 @@ mod tests {
         for batch in [
             Batch::General(general, GeneralUpdates::new()),
             Batch::Recompute,
-            Batch::Migrate(vec![0, 1, 4]),
         ] {
             sized_roundtrip(&LoggedBatch { epoch: 5, batch });
         }
-        sized_roundtrip(&Anchor {
-            rebalancer: Some(Rebalancer::new(crate::RebalanceConfig::default())),
-            ..anchor.clone()
-        });
     }
 }

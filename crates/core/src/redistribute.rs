@@ -17,7 +17,7 @@
 //!
 //! A batch builds several update matrices (`A*` and its flipped copy, `B*`,
 //! the MERGE / MASK / pattern matrices of a general batch). They share the
-//! exchange as **lanes** of [`redistribute_lanes_in`]: one `ALLTOALLV` per
+//! exchange as **lanes** of [`redistribute_lanes`]: one `ALLTOALLV` per
 //! phase whose per-destination chunk holds one tuple vector per lane, so the
 //! message count of a batch is `2·p·(√p − 1)` however many matrices it
 //! builds. On the wire a chunk is a vector of [`TalliedLane`]s, one per lane:
@@ -33,8 +33,7 @@
 //! needs to skip an update matrix that is empty everywhere. An uncounted
 //! lane's chunks are the bare lane's bytes.
 
-use crate::grid::Grid;
-use crate::layout::Layout;
+use crate::grid::{owner_block, Grid};
 use dspgemm_sparse::{Index, TalliedLane, Triple, TripleLane};
 use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::{WireDecode, WireSize};
@@ -54,9 +53,10 @@ pub mod phase {
 }
 
 /// Routes every tuple to the rank owning its `(row, col)` position under the
-/// grid's uniform 2D block distribution of an `nrows × ncols` matrix.
-/// Returns this rank's tuples (still globally indexed). Phase durations are
-/// accumulated into `timer`.
+/// grid's uniform 2D block distribution of an `nrows × ncols` matrix: the
+/// one-lane call of [`redistribute_lanes`], uncounted. Returns this rank's
+/// tuples (still globally indexed). Phase durations are accumulated into
+/// `timer`.
 pub fn redistribute<V>(
     grid: &Grid,
     nrows: Index,
@@ -67,45 +67,28 @@ pub fn redistribute<V>(
 where
     V: Copy + Send + Sync + WireSize + WireDecode + 'static,
 {
-    redistribute_in(
-        grid,
-        &Layout::uniform(nrows, ncols, grid.q()),
-        tuples,
-        timer,
-    )
-}
-
-/// Routes every tuple to the rank owning its `(row, col)` position under the
-/// explicit cut points of `layout`: the one-lane call of
-/// [`redistribute_lanes_in`], uncounted.
-pub fn redistribute_in<V>(
-    grid: &Grid,
-    layout: &Layout,
-    tuples: Vec<Triple<V>>,
-    timer: &mut PhaseTimer,
-) -> Vec<Triple<V>>
-where
-    V: Copy + Send + Sync + WireSize + WireDecode + 'static,
-{
     let route = Route {
-        layout,
+        nrows,
+        ncols,
         counted: false,
     };
-    let mut lanes = redistribute_lanes_in(grid, &[route], vec![tuples], timer);
+    let mut lanes = redistribute_lanes(grid, &[route], vec![tuples], timer);
     lanes.pop().expect("one lane in, one lane out").tuples
 }
 
-/// How one lane of [`redistribute_lanes_in`] travels.
+/// How one lane of [`redistribute_lanes`] travels.
 #[derive(Debug, Clone, Copy)]
-pub struct Route<'l> {
-    /// The layout whose block owners receive the lane's tuples.
-    pub layout: &'l Layout,
+pub struct Route {
+    /// Global row count of the matrix whose block owners receive the lane.
+    pub nrows: Index,
+    /// Global column count of that matrix.
+    pub ncols: Index,
     /// Whether the lane's chunks carry its tally, so that every rank learns
     /// the lane's global tuple count.
     pub counted: bool,
 }
 
-/// One lane as [`redistribute_lanes_in`] delivers it to this rank.
+/// One lane as [`redistribute_lanes`] delivers it to this rank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Routed<V> {
     /// This rank's tuples of the lane, still globally indexed.
@@ -116,20 +99,21 @@ pub struct Routed<V> {
 }
 
 /// Routes `lanes.len()` tuple sets through **one** two-phase exchange: lane
-/// `l` routes under `routes[l].layout`, and each `ALLTOALLV` message carries
-/// one vector per lane, so a batch that builds several update matrices —
-/// `A*`, its flipped copy under [`Layout::transposed`], `B*`, … — still
-/// sends `2·p·(√p − 1)` messages in all. Returns this rank's tuples per
-/// lane, still globally indexed, and each counted lane's global count.
+/// `l` routes to the block owners of a `routes[l].nrows × routes[l].ncols`
+/// matrix, and each `ALLTOALLV` message carries one vector per lane, so a
+/// batch that builds several update matrices — `A*`, its flipped copy
+/// routed as an `ncols × nrows` matrix, `B*`, … — still sends
+/// `2·p·(√p − 1)` messages in all. Returns this rank's tuples per lane,
+/// still globally indexed, and each counted lane's global count.
 ///
 /// The partitioning is stable and the per-source chunks are concatenated in
 /// source order, lane by lane, so every lane arrives as the exact sequence
-/// a [`redistribute_in`] of that lane alone returns — duplicates fold in the
+/// a [`redistribute`] of that lane alone returns — duplicates fold in the
 /// same order whatever shares the exchange. Collective over the grid (same
 /// lanes, counted alike, on every rank).
-pub fn redistribute_lanes_in<V>(
+pub fn redistribute_lanes<V>(
     grid: &Grid,
-    routes: &[Route<'_>],
+    routes: &[Route],
     lanes: Vec<Vec<Triple<V>>>,
     timer: &mut PhaseTimer,
 ) -> Vec<Routed<V>>
@@ -138,10 +122,6 @@ where
 {
     let q = grid.q();
     assert_eq!(routes.len(), lanes.len(), "one route per lane");
-    debug_assert!(
-        routes.iter().all(|r| r.layout.q() == q),
-        "layouts must target the grid side"
-    );
     let lanes = (lanes.into_iter().zip(routes))
         .map(|(tuples, route)| Routed {
             count: route.counted.then_some(tuples.len() as u64),
@@ -150,7 +130,7 @@ where
         .collect();
     // Phase 1: to the correct grid row, exchanging within my grid column.
     let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_lanes(lanes, q, |l, t| routes[l].layout.row_owner(t.row).0)
+        partition_lanes(lanes, q, |l, t| owner_block(routes[l].nrows, q, t.row).0)
     });
     let received = timer.time(phase::REDIST_COMM, || grid.col_comm().alltoallv(chunks));
     let lanes = timer.time(phase::MEM_MANAGEMENT, || {
@@ -158,7 +138,7 @@ where
     });
     // Phase 2: to the correct grid column, exchanging within my grid row.
     let chunks = timer.time(phase::REDIST_SORT, || {
-        partition_lanes(lanes, q, |l, t| routes[l].layout.col_owner(t.col).0)
+        partition_lanes(lanes, q, |l, t| owner_block(routes[l].ncols, q, t.col).0)
     });
     let received = timer.time(phase::REDIST_COMM, || grid.row_comm().alltoallv(chunks));
     timer.time(phase::MEM_MANAGEMENT, || {
@@ -169,7 +149,7 @@ where
 /// Counting-sorts every lane by destination and regroups the buckets as one
 /// chunk per destination holding one [`TalliedLane`] per lane, each with
 /// the count this rank knows of its lane — the `ALLTOALLV` payload of
-/// [`redistribute_lanes_in`].
+/// [`redistribute_lanes`].
 fn partition_lanes<V>(
     lanes: Vec<Routed<V>>,
     buckets: usize,
@@ -283,28 +263,37 @@ mod tests {
 
     #[test]
     fn layout_routing_matches_ownership() {
-        // Deliberately skewed cuts, including a narrow middle stripe: every
-        // tuple must land on the rank whose layout ranges contain it.
-        let n: Index = 30;
+        // A non-square matrix with fewer columns than grid columns: the
+        // last column stripe is zero-width, and every tuple must land on
+        // the rank whose block ranges contain it.
+        let (nrows, ncols): (Index, Index) = (31, 2);
         let out = run(9, move |comm| {
             let grid = Grid::new(comm);
-            let layout = Layout::square(vec![0, 3, 5, n]);
-            let mine: Vec<Triple<u64>> = (0..n)
-                .flat_map(|r| (0..n).map(move |c| Triple::new(r, c, (r * n + c) as u64)))
+            let q = grid.q();
+            let mine: Vec<Triple<u64>> = (0..nrows)
+                .flat_map(|r| (0..ncols).map(move |c| Triple::new(r, c, (r * ncols + c) as u64)))
                 .filter(|t| (t.val as usize) % comm.size() == comm.rank())
                 .collect();
             let mut timer = PhaseTimer::new();
-            let got = redistribute_in(&grid, &layout, mine, &mut timer);
+            let got = redistribute(&grid, nrows, ncols, mine, &mut timer);
             let (i, j) = grid.coords();
-            let (rr, cr) = (layout.row_range(i), layout.col_range(j));
+            let rr = crate::grid::block_range(nrows, q, i);
+            let cr = crate::grid::block_range(ncols, q, j);
             for t in &got {
                 assert!(rr.contains(&t.row) && cr.contains(&t.col));
-                assert_eq!(t.val, (t.row * n + t.col) as u64);
+                assert_eq!(t.val, (t.row * ncols + t.col) as u64);
+            }
+            if cr.is_empty() {
+                assert!(got.is_empty(), "a zero-width block receives nothing");
             }
             got.len()
         });
         let total: usize = out.results.iter().sum();
-        assert_eq!(total, (n * n) as usize, "no tuple lost or duplicated");
+        assert_eq!(
+            total,
+            (nrows * ncols) as usize,
+            "no tuple lost or duplicated"
+        );
     }
 
     #[test]

@@ -47,12 +47,11 @@
 //! * **rebuilt** — a full conversion
 //!   ([`DhbMatrix::to_csr`](dspgemm_sparse::DhbMatrix::to_csr)): the first
 //!   publish, any mutation through the pattern-less
-//!   [`DistMat::block_mut`] (initial SUMMA fill, migration, external
-//!   callers), and a touched log that
-//!   outgrew **half the base's entries** — a fixed rule, past which the
-//!   merge stops beating the conversion. Base and log are dropped at that
-//!   moment, so a session that never publishes logs nothing after its first
-//!   batches and holds no extra memory.
+//!   [`DistMat::block_mut`] (initial SUMMA fill, external callers), and a
+//!   touched log that outgrew **half the base's entries** — a fixed rule,
+//!   past which the merge stops beating the conversion. Base and log are
+//!   dropped at that moment, so a session that never publishes logs
+//!   nothing after its first batches and holds no extra memory.
 //!
 //! Both rebuilding paths allocate a fresh, exactly-sized image; pinned
 //! epochs keep theirs bit for bit. In debug builds every patched image is
@@ -68,7 +67,7 @@
 //! [`Snapshot::heap_bytes`] feed the memory-bound regression test.
 
 use crate::distmat::{BlockInfo, DistMat, Elem, ImageBuild};
-use crate::grid::Grid;
+use crate::grid::{owner_block, Grid};
 use dspgemm_mpi::Comm;
 use dspgemm_sparse::{Csr, Index, Triple};
 use dspgemm_util::{WireDecode, WireSize};
@@ -175,13 +174,12 @@ impl<V: Elem> SnapshotMat<V> {
 
     /// The `k` heaviest entries of global row `u` under `score` (greater is
     /// better; ties broken by column). The row lives on the q ranks of one
-    /// grid row, found from this matrix's layout (rebalanced cuts
-    /// included): those ranks merge their parts over their row
-    /// communicator ([`reduce_topk`]), and the row's first rank broadcasts
-    /// the result to the world — `(q − 1) + (p − 1)` messages of at most
-    /// `k` entries. Exact for finite scores, and every rank returns the
-    /// same list. `score` must be a pure function agreed on all ranks.
-    /// Collective.
+    /// grid row ([`crate::grid::owner_block`]): those ranks merge their
+    /// parts over their row communicator ([`reduce_topk`]), and the row's
+    /// first rank broadcasts the result to the world — `(q − 1) + (p − 1)`
+    /// messages of at most `k` entries. Exact for finite scores, and every
+    /// rank returns the same list. `score` must be a pure function agreed on
+    /// all ranks. Collective.
     pub fn row_topk(
         &self,
         grid: &Grid,
@@ -195,7 +193,7 @@ impl<V: Elem> SnapshotMat<V> {
                 .unwrap_or(Ordering::Equal)
                 .then(ca.cmp(cb))
         };
-        let owner = self.info.layout().row_owner(u).0;
+        let owner = owner_block(self.info.nrows, grid.q(), u).0;
         let merged = (grid.coords().0 == owner)
             .then(|| reduce_topk(grid.row_comm(), 0, self.row_local(u), k, order))
             .flatten();

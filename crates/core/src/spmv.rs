@@ -25,8 +25,7 @@
 //! operand.
 
 use crate::distmat::{DistMat, Elem};
-use crate::grid::Grid;
-use crate::layout::{owner_of, uniform_cuts};
+use crate::grid::{block_range, Grid};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, RowScan};
 use std::ops::Range;
@@ -54,64 +53,33 @@ pub enum Align {
 pub struct DistVec<V> {
     n: Index,
     align: Align,
-    /// The `q + 1` monotone stripe cuts the segments follow — the uniform
-    /// split unless the vector was built conformal to a rebalanced matrix
-    /// layout ([`DistVec::from_fn_in`]).
-    cuts: Arc<Vec<Index>>,
     seg: Arc<Vec<V>>,
 }
 
 impl<V: Elem> DistVec<V> {
     /// Builds a column-aligned vector from a generator evaluated at every
-    /// global index of this rank's segment, under the uniform stripe cuts.
-    /// `f` must be a pure function of the index (all ranks of a grid column
-    /// evaluate it for the same indices), so no communication is needed.
+    /// global index of this rank's segment. `f` must be a pure function of
+    /// the index (all ranks of a grid column evaluate it for the same
+    /// indices), so no communication is needed.
     pub fn from_fn(grid: &Grid, n: Index, f: impl FnMut(Index) -> V) -> Self {
-        Self::from_fn_in(grid, Arc::new(uniform_cuts(n, grid.q())), f)
-    }
-
-    /// [`DistVec::from_fn`] under an explicit stripe cut vector (`q + 1`
-    /// monotone cuts starting at `0`) — the form conformal to a rebalanced
-    /// matrix layout ([`crate::layout::Layout::col_cuts`] for an [`spmv`]
-    /// input).
-    pub fn from_fn_in(grid: &Grid, cuts: Arc<Vec<Index>>, mut f: impl FnMut(Index) -> V) -> Self {
-        assert_eq!(cuts.len(), grid.q() + 1, "one cut per grid stripe plus end");
         let (_, j) = grid.coords();
-        let range = cuts[j]..cuts[j + 1];
         Self {
-            n: *cuts.last().expect("validated: q + 1 cuts"),
+            n,
             align: Align::Col,
-            seg: Arc::new(range.map(&mut f).collect()),
-            cuts,
+            seg: Arc::new(block_range(n, grid.q(), j).map(f).collect()),
         }
     }
 
-    /// A column-aligned constant vector under the uniform stripe cuts.
+    /// A column-aligned constant vector.
     pub fn constant(grid: &Grid, n: Index, value: V) -> Self {
         Self::from_fn(grid, n, |_| value)
     }
 
-    /// A column-aligned constant vector under an explicit stripe cut vector.
-    pub fn constant_in(grid: &Grid, cuts: Arc<Vec<Index>>, value: V) -> Self {
-        Self::from_fn_in(grid, cuts, |_| value)
-    }
-
     /// A column-aligned vector that is `zero` everywhere except at the given
-    /// `(index, value)` entries, under the uniform stripe cuts. `entries`
-    /// must be identical on all ranks (each rank keeps the ones falling in
-    /// its segment).
+    /// `(index, value)` entries. `entries` must be identical on all ranks
+    /// (each rank keeps the ones falling in its segment).
     pub fn from_entries(grid: &Grid, n: Index, entries: &[(Index, V)], zero: V) -> Self {
-        Self::from_entries_in(grid, Arc::new(uniform_cuts(n, grid.q())), entries, zero)
-    }
-
-    /// [`DistVec::from_entries`] under an explicit stripe cut vector.
-    pub fn from_entries_in(
-        grid: &Grid,
-        cuts: Arc<Vec<Index>>,
-        entries: &[(Index, V)],
-        zero: V,
-    ) -> Self {
-        let mut v = Self::constant_in(grid, cuts, zero);
+        let mut v = Self::constant(grid, n, zero);
         let range = v.range(grid);
         let seg = Arc::make_mut(&mut v.seg);
         for &(idx, val) in entries {
@@ -146,12 +114,6 @@ impl<V: Elem> DistVec<V> {
         &self.seg
     }
 
-    /// The stripe cut points the segments follow (length `q + 1`).
-    #[inline]
-    pub fn cuts(&self) -> &[Index] {
-        &self.cuts
-    }
-
     /// Global index range of this rank's segment.
     pub fn range(&self, grid: &Grid) -> Range<Index> {
         let (i, j) = grid.coords();
@@ -159,14 +121,7 @@ impl<V: Elem> DistVec<V> {
             Align::Col => j,
             Align::Row => i,
         };
-        self.cuts[b]..self.cuts[b + 1]
-    }
-
-    /// The stripe holding global index `u` and that stripe's start — the
-    /// grid row (row-aligned) or column (column-aligned) whose ranks hold
-    /// `u`'s segment entry.
-    pub fn owner_stripe(&self, u: Index) -> (usize, Index) {
-        owner_of(&self.cuts, u)
+        block_range(self.n, grid.q(), b)
     }
 
     /// Re-aligns between row and column alignment via the transpose
@@ -191,7 +146,6 @@ impl<V: Elem> DistVec<V> {
         Self {
             n: self.n,
             align,
-            cuts: self.cuts,
             seg,
         }
     }
@@ -228,9 +182,9 @@ pub fn spmv<S: Semiring>(
 ) -> (DistVec<S::Elem>, u64) {
     assert_eq!(x.align, Align::Col, "spmv input must be column-aligned");
     assert_eq!(
-        a.info().layout().col_cuts(),
-        &x.cuts[..],
-        "SpMV input must be conformal with A's column cuts"
+        x.n,
+        a.info().ncols,
+        "SpMV input must match A's column count"
     );
     let local_rows = a.info().local_rows() as usize;
     debug_assert_eq!(a.info().local_cols() as usize, x.seg.len());
@@ -261,7 +215,6 @@ pub fn spmv<S: Semiring>(
         DistVec {
             n: a.info().nrows,
             align: Align::Row,
-            cuts: Arc::new(a.info().layout().row_cuts().to_vec()),
             seg,
         },
         flops,

@@ -23,7 +23,7 @@
 use crate::distmat::{DistMat, Elem};
 use crate::dyn_algebraic::{add_cstar, add_cstar_tracked, XYKernel};
 use crate::exec::Exec;
-use crate::grid::Grid;
+use crate::grid::{block_range, Grid};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
 use dspgemm_sparse::local_mm::{spgemm_with, Bloom, OutputMask, Plain};
@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// Returns the local flop count. Collective over the grid.
 ///
 /// # Panics
-/// Panics unless `A`'s column cuts equal `B`'s row cuts.
+/// Panics unless `A`'s column count equals `B`'s row count.
 pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
@@ -50,9 +50,11 @@ pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
     timer: &mut PhaseTimer,
     mut fold: impl FnMut(Dcsr<K::Out>),
 ) -> u64 {
-    assert!(
-        a.info().layout().conformal_inner(b.info().layout()),
-        "SUMMA contraction needs A's column cuts to equal B's row cuts"
+    let inner = a.info().ncols;
+    assert_eq!(
+        inner,
+        b.info().nrows,
+        "SUMMA contraction needs A's column count to equal B's row count"
     );
     let (i, j) = grid.coords();
     // One CSR snapshot per operand; the √p broadcast rounds then move only
@@ -80,7 +82,7 @@ pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
         |ctx, k, (a_blk, b_blk)| {
             let (timer, flops) = ctx;
             // Bloom bits index the *global* inner dimension.
-            let k_offset = a.info().layout().col_start(k);
+            let k_offset = block_range(inner, grid.q(), k).start;
             let partial = timer.time(phase::LOCAL_MULT, || {
                 let ws = &mut K::workspace(exec);
                 spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, ws)
@@ -92,10 +94,9 @@ pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
     flops
 }
 
-/// An empty product of `a · b`, laid out by the operands' cuts.
+/// An empty product of `a · b`.
 fn empty_product<V: Elem, W: Elem>(grid: &Grid, a: &DistMat<V>, b: &DistMat<V>) -> DistMat<W> {
-    let layout = Arc::new(a.info().layout().product(b.info().layout()));
-    DistMat::empty_in(grid, &layout)
+    DistMat::empty(grid, a.info().nrows, b.info().ncols)
 }
 
 /// Computes `C = A · B` with sparse SUMMA. Collective over the grid.

@@ -8,7 +8,7 @@
 //!    matrix `A*` in DCSR layout — every block one batch needs (this rank's
 //!    own blocks of `A*` and `B*` and the blocks its round roots broadcast,
 //!    see [`StarPair`]) is a lane of the same exchange
-//!    ([`crate::redistribute::redistribute_lanes_in`]), so a batch pays for
+//!    ([`crate::redistribute::redistribute_lanes`]), so a batch pays for
 //!    one redistribution;
 //! 3. one of the *purely local* application operators finishes the job —
 //!    [`apply_add`] (`A += A*`), [`apply_merge`] (`MERGE`), or
@@ -22,9 +22,8 @@
 //! with (see [`crate::snapshot`]).
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
-use crate::grid::Grid;
-use crate::layout::{uniform_layout, Layout};
-use crate::redistribute::{phase, redistribute_lanes_in, Route};
+use crate::grid::{block_range, Grid};
+use crate::redistribute::{phase, redistribute_lanes, Route};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{dhb::DhbRow, Dcsr, DhbMatrix, Index, Triple};
 use dspgemm_util::stats::PhaseTimer;
@@ -39,19 +38,23 @@ pub enum Dedup {
     Add,
 }
 
+/// The global shape `(nrows, ncols)` of the matrix an update matrix
+/// applies to; the update matrix has the same shape and block split.
+pub(crate) type Shape = (Index, Index);
+
 /// One lane of a batch's build: the unflipped, globally-indexed tuples of
-/// one update matrix and the layout of the matrix it applies to (update
-/// matrices always match that layout, possibly rebalanced). The kind of lane
-/// fixes which block it builds at rank `(i, j)`.
+/// one update matrix and the shape of the matrix it applies to. The kind of
+/// lane fixes which block it builds at rank `(i, j)`.
 pub(crate) enum Lane<V> {
     /// This rank's own block `A*_{i,j}` — what the local application reads.
-    Natural(Arc<Layout>, Vec<Triple<V>>),
+    Natural(Shape, Vec<Triple<V>>),
     /// The round root's block `A*_{j,i}` (Section V-C): the tuples route
-    /// flipped `(r, c, v) → (c, r, v)` under [`Layout::transposed`], so rank
-    /// `(i, j)` receives exactly the entries of `A*_{j,i}`, and assemble
-    /// flipped back, in natural orientation. The lane is counted, so the
-    /// build also learns the update's global tuple count.
-    Root(Arc<Layout>, Vec<Triple<V>>),
+    /// flipped `(r, c, v) → (c, r, v)` as entries of the transposed
+    /// `ncols × nrows` matrix, so rank `(i, j)` receives exactly the entries
+    /// of `A*_{j,i}`, and assemble flipped back, in natural orientation. The
+    /// lane is counted, so the build also learns the update's global tuple
+    /// count.
+    Root(Shape, Vec<Triple<V>>),
 }
 
 /// What one [`Lane`] builds: a root lane's block comes with the lane's
@@ -78,7 +81,7 @@ impl<V> Built<V> {
 }
 
 /// Builds one update matrix per lane from a single redistribution (see
-/// [`redistribute_lanes_in`]), duplicates combining by `dedup` in every
+/// [`redistribute_lanes`]), duplicates combining by `dedup` in every
 /// lane. Collective over the grid.
 ///
 /// Each lane's received tuples become block-local coordinates, are sorted
@@ -86,7 +89,7 @@ impl<V> Built<V> {
 /// arrival order, and a lane arrives in the order a redistribution of it
 /// alone returns: a root block equals the transposed rank's natural block
 /// bit for bit.
-pub(crate) fn build_update_matrices_in<S: Semiring>(
+pub(crate) fn build_update_matrices<S: Semiring>(
     grid: &Grid,
     lanes: Vec<Lane<S::Elem>>,
     dedup: Dedup,
@@ -102,38 +105,35 @@ pub(crate) fn build_update_matrices_in<S: Semiring>(
     let mut heads = Vec::with_capacity(lanes.len());
     let mut tuples = Vec::with_capacity(lanes.len());
     for lane in lanes {
-        let (route, head, t) = match lane {
-            Lane::Natural(layout, t) => (Arc::clone(&layout), (layout, false), t),
-            Lane::Root(layout, t) => {
+        let (shape, root, t) = match lane {
+            Lane::Natural(shape, t) => (shape, false, t),
+            Lane::Root(shape, t) => {
                 let flipped = t.into_iter().map(|t| Triple::new(t.col, t.row, t.val));
-                (layout.transposed(), (layout, true), flipped.collect())
+                (shape, true, flipped.collect())
             }
         };
-        routes.push(route);
-        heads.push(head);
+        // A root lane routes as an entry of the transposed matrix.
+        let (nrows, ncols) = if root { (shape.1, shape.0) } else { shape };
+        routes.push(Route {
+            nrows,
+            ncols,
+            counted: root,
+        });
+        heads.push((shape, root));
         tuples.push(t);
     }
-    let routes: Vec<Route<'_>> = (routes.iter().zip(&heads))
-        .map(|(layout, &(_, root))| Route {
-            layout,
-            counted: root,
-        })
-        .collect();
-    let routed = redistribute_lanes_in(grid, &routes, tuples, timer);
-    let (i, j) = grid.coords();
+    let routed = redistribute_lanes(grid, &routes, tuples, timer);
+    let (q, (i, j)) = (grid.q(), grid.coords());
     heads
         .into_iter()
         .zip(routed)
-        .map(|((layout, root), mine)| {
+        .map(|(((nrows, ncols), root), mine)| {
             timer.time(phase::LOCAL_CONSTRUCT, || {
                 // A root lane's `(c, r, v)` is the entry `(r, c)` of
                 // `A*_{j,i}`: a row of grid row `j`, a column of grid column
                 // `i`.
-                let (rows, cols) = if root {
-                    (layout.row_range(j), layout.col_range(i))
-                } else {
-                    (layout.row_range(i), layout.col_range(j))
-                };
+                let (bi, bj) = if root { (j, i) } else { (i, j) };
+                let (rows, cols) = (block_range(nrows, q, bi), block_range(ncols, q, bj));
                 let mut local: Vec<Triple<S::Elem>> = mine
                     .tuples
                     .into_iter()
@@ -147,11 +147,11 @@ pub(crate) fn build_update_matrices_in<S: Semiring>(
                     Dedup::LastWins => dspgemm_sparse::triple::dedup_last_wins(&mut local),
                     Dedup::Add => dspgemm_sparse::triple::dedup_add::<S>(&mut local),
                 }
-                let (nrows, ncols) = (rows.end - rows.start, cols.end - cols.start);
-                let block = Dcsr::from_sorted_triples(nrows, ncols, &local);
+                let shape = (rows.end - rows.start, cols.end - cols.start);
+                let block = Dcsr::from_sorted_triples(shape.0, shape.1, &local);
                 match mine.count {
                     Some(count) => Built::Root(Arc::new(block), count),
-                    None => Built::Natural(DistDcsr::from_block_in(grid, &layout, block)),
+                    None => Built::Natural(DistDcsr::from_block(grid, nrows, ncols, block)),
                 }
             })
         })
@@ -159,8 +159,8 @@ pub(crate) fn build_update_matrices_in<S: Semiring>(
 }
 
 /// Redistributes globally-indexed update tuples and assembles this rank's
-/// hypersparse `A*` block under the uniform layout. Collective over the
-/// grid.
+/// hypersparse `A*` block of an `nrows × ncols` update matrix: a one-lane
+/// build. Collective over the grid.
 pub fn build_update_matrix<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -169,25 +169,8 @@ pub fn build_update_matrix<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> DistDcsr<S::Elem> {
-    build_update_matrix_in::<S>(
-        grid,
-        &uniform_layout(nrows, ncols, grid.q()),
-        tuples,
-        dedup,
-        timer,
-    )
-}
-
-/// [`build_update_matrix`] under an explicit layout: a one-lane build.
-pub fn build_update_matrix_in<S: Semiring>(
-    grid: &Grid,
-    layout: &Arc<Layout>,
-    tuples: Vec<Triple<S::Elem>>,
-    dedup: Dedup,
-    timer: &mut PhaseTimer,
-) -> DistDcsr<S::Elem> {
-    let lane = Lane::Natural(Arc::clone(layout), tuples);
-    let mut built = build_update_matrices_in::<S>(grid, vec![lane], dedup, timer);
+    let lane = Lane::Natural((nrows, ncols), tuples);
+    let mut built = build_update_matrices::<S>(grid, vec![lane], dedup, timer);
     built
         .pop()
         .expect("one lane in, one matrix out")
@@ -196,15 +179,15 @@ pub fn build_update_matrix_in<S: Semiring>(
 
 /// The two builds of one update matrix that Algorithm 1 consumes.
 ///
-/// `natural` is the standard `A*` (rank `(i, j)` holds `A*_{i,j}`; the
-/// local `A += A*` application needs this layout). `root` is the block a
+/// `natural` is the standard `A*` (rank `(i, j)` holds `A*_{i,j}`, the
+/// block the local `A += A*` application reads). `root` is the block a
 /// round root broadcasts (Section V-C): rank `(i, j)` holds `A*_{j,i}`, the
 /// block the paper fetches from the transposed peer with a point-to-point
 /// exchange (Fig. 1a). It is a root lane of the same redistribution, so
 /// that exchange never runs, and the lane's count is `global_tuples`.
 #[derive(Debug, Clone)]
 pub struct StarPair<V> {
-    /// The natural-layout update matrix (`A*_{i,j}` at rank `(i, j)`).
+    /// The natural update matrix (`A*_{i,j}` at rank `(i, j)`).
     pub natural: DistDcsr<V>,
     /// The round root's block (`A*_{j,i}` at rank `(i, j)`).
     pub root: Arc<Dcsr<V>>,
@@ -215,25 +198,25 @@ pub struct StarPair<V> {
     pub global_tuples: u64,
 }
 
-/// One operand of a pair build: the layout of the matrix its update matrix
+/// One operand of a pair build: the shape of the matrix its update matrix
 /// applies to, and the update's unflipped, globally-indexed tuples.
-pub(crate) type Operand<V> = (Arc<Layout>, Vec<Triple<V>>);
+pub(crate) type Operand<V> = (Shape, Vec<Triple<V>>);
 
 /// Builds both blocks of one update matrix per [`Operand`] from a single
 /// redistribution of two lanes per operand, a natural and a root lane.
 /// Collective over the grid.
-pub(crate) fn build_star_pairs_in<S: Semiring>(
+pub(crate) fn build_star_pairs<S: Semiring>(
     grid: &Grid,
     operands: Vec<Operand<S::Elem>>,
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> Vec<StarPair<S::Elem>> {
     let mut lanes = Vec::with_capacity(2 * operands.len());
-    for (layout, tuples) in operands {
-        lanes.push(Lane::Natural(Arc::clone(&layout), tuples.clone()));
-        lanes.push(Lane::Root(layout, tuples));
+    for (shape, tuples) in operands {
+        lanes.push(Lane::Natural(shape, tuples.clone()));
+        lanes.push(Lane::Root(shape, tuples));
     }
-    let built = build_update_matrices_in::<S>(grid, lanes, dedup, timer);
+    let built = build_update_matrices::<S>(grid, lanes, dedup, timer);
     let mut built = built.into_iter();
     std::iter::from_fn(|| {
         let natural = built.next()?.into_natural();
@@ -247,9 +230,9 @@ pub(crate) fn build_star_pairs_in<S: Semiring>(
     .collect()
 }
 
-/// Builds both blocks of one update matrix (see [`StarPair`]) under the
-/// uniform layout. Adapter-frozen: `benchmark/src/api.rs` names it; nothing
-/// in the workspace does. Collective over the grid.
+/// Builds both blocks of one update matrix (see [`StarPair`]).
+/// Adapter-frozen: `benchmark/src/api.rs` names it; nothing in the
+/// workspace does. Collective over the grid.
 pub fn build_update_matrix_pair<S: Semiring>(
     grid: &Grid,
     nrows: Index,
@@ -258,8 +241,8 @@ pub fn build_update_matrix_pair<S: Semiring>(
     dedup: Dedup,
     timer: &mut PhaseTimer,
 ) -> StarPair<S::Elem> {
-    let operand = (uniform_layout(nrows, ncols, grid.q()), tuples);
-    let mut built = build_star_pairs_in::<S>(grid, vec![operand], dedup, timer);
+    let operand = ((nrows, ncols), tuples);
+    let mut built = build_star_pairs::<S>(grid, vec![operand], dedup, timer);
     built.pop().expect("one operand in, one pair out")
 }
 
@@ -575,23 +558,11 @@ mod tests {
         assert_eq!(out.results[1].0 + out.results[2].0, 0);
     }
 
-    /// Layouts on a `q × q` grid, `q ∈ {2, 3}`: uniform `N × N`, rebalanced
-    /// square cuts of `N × N`, and a non-square matrix whose row and column
-    /// cuts differ.
-    fn root_layouts(q: usize) -> [Arc<Layout>; 3] {
-        let skewed = match q {
-            2 => vec![0, 7, N],
-            _ => vec![0, 3, 5, N],
-        };
-        let (rows, cols) = match q {
-            2 => (vec![0, 17, 19], vec![0, 2, 31]),
-            _ => (vec![0, 3, 5, 30], vec![0, 11, 11, 14]),
-        };
-        [
-            uniform_layout(N, N, q),
-            Arc::new(Layout::square(skewed)),
-            Arc::new(Layout::from_cuts(rows, cols)),
-        ]
+    /// Matrix shapes on a `q × q` grid, `q ∈ {2, 3}`: square `N × N`, a
+    /// non-square shape, and one with fewer rows than grid rows (zero-width
+    /// row blocks).
+    fn root_shapes() -> [Shape; 3] {
+        [(N, N), (31, 13), (2, 17)]
     }
 
     /// This rank's `root` block against the natural block the transposed
@@ -630,23 +601,22 @@ mod tests {
                 let grid = Grid::new(comm);
                 let mut timer = PhaseTimer::new();
                 let seed = 1000 * p as u64 + comm.rank() as u64;
-                for layout in root_layouts(grid.q()) {
-                    let (nrows, ncols) = (layout.nrows(), layout.ncols());
+                for (nrows, ncols) in root_shapes() {
                     let mut rng = SplitMix64::new(seed);
                     let mut draw = |count: usize| -> Vec<Triple<f64>> {
                         (0..count)
                             .map(|_| {
-                                let r = rng.gen_range(nrows as u64 / 4) as Index;
-                                let c = rng.gen_range(ncols as u64 / 4) as Index;
+                                let r = rng.gen_range(nrows.div_ceil(4) as u64) as Index;
+                                let c = rng.gen_range(ncols.div_ceil(4) as u64) as Index;
                                 let v = (rng.gen_range(1000) + 1) as f64 / 7.0;
                                 Triple::new(4 * r, 4 * c, v)
                             })
                             .collect()
                     };
                     let add = draw(120);
-                    let operand = vec![(Arc::clone(&layout), add)];
+                    let operand = vec![((nrows, ncols), add)];
                     let mut built =
-                        build_star_pairs_in::<F64Plus>(&grid, operand, Dedup::Add, &mut timer);
+                        build_star_pairs::<F64Plus>(&grid, operand, Dedup::Add, &mut timer);
                     let pair = built.pop().expect("one pair");
                     assert_root_is_peer_natural(&grid, &pair.root, &pair.natural, "add");
 
@@ -657,7 +627,7 @@ mod tests {
                     let upd = GeneralUpdates { sets, deletes };
                     let mut prepared = prepare_general_operands::<F64Plus>(
                         &grid,
-                        vec![(&layout, upd)],
+                        vec![((nrows, ncols), upd)],
                         &mut timer,
                     );
                     let prep = prepared.pop().expect("one prepared update");

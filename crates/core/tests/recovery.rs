@@ -7,13 +7,13 @@
 //! every program twice — with its crash and as the crash-free twin — and
 //! checks each step against a static recompute, each crashed run against
 //! its twin, delay storms against the unstormed wire volume, and crashes at
-//! every send of the steps a batch stream can crash in: the first batch, a
-//! migration and an anchor refresh.
+//! every send of the steps a batch stream can crash in: the first batch and
+//! an anchor refresh.
 
 use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::engine::DynSpGemm;
 use dspgemm_core::recovery::{RecoveryConfig, RecoveryReport};
-use dspgemm_core::{Batch, DistMat, Grid, RebalanceConfig, Snapshot};
+use dspgemm_core::{Batch, DistMat, Grid, Snapshot};
 use dspgemm_mpi::{catch_comm_mut, run, run_with_faults, Comm, CommError, CommStats, FaultPlan};
 use dspgemm_sparse::semiring::U64Plus;
 use dspgemm_sparse::{Index, Triple};
@@ -204,8 +204,9 @@ fn crash_recovery_matches_fault_free_run() {
                 assert_eq!(*rec_ff, 0);
                 assert_eq!(*rec_cr, 1);
                 // The recovery protocol's agreed numbers are pinned, rank by
-                // rank: constants captured at b09b7cd (identical over 10 runs
-                // there). `detect_ns` is a clock and stays unpinned.
+                // rank. `rebuild_bytes` is one replica bundle holding one
+                // anchor of three images. `detect_ns` is a clock and stays
+                // unpinned.
                 assert_eq!(*rep_ff, None);
                 let rep_cr = rep_cr.as_ref().expect("one recovery, one report");
                 assert_eq!(
@@ -218,7 +219,7 @@ fn crash_recovery_matches_fault_free_run() {
                         committed_publishes: 3,
                         rollback_epochs: 2,
                         replayed_batches: 2,
-                        rebuild_bytes: if p == 4 { 1633 } else { 1153 },
+                        rebuild_bytes: if p == 4 { 1512 } else { 1008 },
                         detect_ns: 0,
                     },
                     "p={p} ap={anchor_period} rank={rank}: recovery report moved"
@@ -297,7 +298,7 @@ fn log_stays_bounded_by_anchor_windows() {
 
 // ---------------------------------------------------------------------------
 // The batch-lifecycle model: seeded operation sequences over every batch
-// kind, publishes, pins, rebalancing steps and crashes, checked after every
+// kind, publishes, pins and crashes, checked after every
 // step against a single-process static recompute.
 // ---------------------------------------------------------------------------
 
@@ -317,18 +318,15 @@ enum Op {
     Recompute,
     /// A publish with nothing committed since the last one.
     Publish,
-    /// `maybe_rebalance`, then a bare publish when it stays put.
-    Rebalance,
 }
 
-const OPS: [Op; 7] = [
+const OPS: [Op; 6] = [
     Op::Algebraic,
     Op::PlainAlgebraic,
     Op::General,
     Op::PlainGeneral,
     Op::Recompute,
     Op::Publish,
-    Op::Rebalance,
 ];
 
 #[derive(Debug, Clone)]
@@ -382,11 +380,6 @@ struct Program {
 
 const MODEL_RECOVERY: RecoveryConfig = RecoveryConfig { anchor_period: 3 };
 
-const MODEL_REBALANCE: RebalanceConfig = RebalanceConfig {
-    threshold: 1.2,
-    cooldown: 1,
-};
-
 fn product(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::new();
     for (&(i, k), &x) in a {
@@ -397,8 +390,8 @@ fn product(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Algebraic tuples, every other one in the top-left third so that the
-/// rebalancer has a skew to act on.
+/// Algebraic tuples, every other one in the top-left third: a skewed
+/// stream.
 fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
     (0..count)
         .map(|t| {
@@ -542,11 +535,6 @@ fn triples_of(m: &Matrix) -> Vec<Triple<u64>> {
 #[derive(Debug)]
 struct ModelOutcome {
     reports: Vec<RecoveryReport>,
-    /// Rebalancing verdicts `(step, migrated)` since this rank's last
-    /// recovery.
-    decisions: Vec<(usize, bool)>,
-    /// Migrations, migrated bytes and the final cut vector.
-    policy: (Option<(u64, u64)>, Vec<Index>),
     final_c: Option<Vec<Triple<u64>>>,
     /// The final flop counter and latest epoch.
     flops: u64,
@@ -608,8 +596,6 @@ fn apply_step(
     e: &mut DynSpGemm<U64Plus>,
     op: Op,
     input: &Input,
-    decisions: &mut Vec<(usize, bool)>,
-    step: usize,
 ) -> Result<(), CommError> {
     match (op, input.clone()) {
         (Op::Algebraic, Input::Algebraic(a, b)) => drop(e.try_apply(grid, Batch::Algebraic(a, b))?),
@@ -622,26 +608,18 @@ fn apply_step(
         }
         (Op::Recompute, _) => drop(e.try_apply(grid, Batch::Recompute)?),
         (Op::Publish, _) => {}
-        (Op::Rebalance, _) => {
-            let migrated = e.maybe_rebalance(grid)?;
-            decisions.push((step, migrated));
-            if migrated {
-                // The migration published its own epoch.
-                return Ok(());
-            }
-        }
         (op, input) => panic!("{op:?} cannot take {input:?}"),
     }
     e.publish();
     Ok(())
 }
 
-/// Drives `prog` on this rank with recovery, rebalancing and filter tracking
-/// all on: recovers from the armed crash (survivors roll back and replay,
-/// the crashed rank rebuilds as the replacement), resumes at the step after
-/// the commit frontier, and checks the state after every step and every
+/// Drives `prog` on this rank with recovery and filter tracking on:
+/// recovers from the armed crash (survivors roll back and replay, the
+/// crashed rank rebuilds as the replacement), resumes at the step after the
+/// commit frontier, and checks the state after every step and every
 /// recovery. A final barrier surfaces a failure no later step detected.
-fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutcome {
+fn drive_model(comm: &Comm, prog: &Program) -> ModelOutcome {
     let grid = Grid::new(comm);
     let me = comm.rank();
     let mut timer = PhaseTimer::new();
@@ -650,18 +628,11 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
     let a = DistMat::from_global_triples(&grid, N, N, feed(a0), 1, &mut timer);
     let b = DistMat::from_global_triples(&grid, N, N, feed(b0), 1, &mut timer);
     let mut e = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
-    // Either enabling order composes. A crash in step 0 may reach a rank
-    // still inside the enable fence; that error recovers like a step's.
-    let mut res = if rebalance_first {
-        e.enable_rebalancing(MODEL_REBALANCE);
-        e.enable_recovery(&grid, MODEL_RECOVERY)
-    } else {
-        let res = e.enable_recovery(&grid, MODEL_RECOVERY);
-        e.enable_rebalancing(MODEL_REBALANCE);
-        res
-    };
+    // A crash in step 0 may reach a rank still inside the enable fence; that
+    // error recovers like a step's.
+    let mut res = e.enable_recovery(&grid, MODEL_RECOVERY);
     let mut pins = Pins::new();
-    let (mut reports, mut decisions, mut per_step) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut reports, mut per_step) = (Vec::new(), Vec::new());
     let sent = || comm.comm_stats().per_rank[me].total_msgs();
     // Step `s` publishes epoch `base.1 + (s - base.0)`.
     let (mut s, mut base) = (0usize, (0usize, 1u64));
@@ -671,7 +642,6 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
             let report = e.recover(&grid, err);
             s = base.0 + (report.committed_publishes - base.1) as usize;
             base = (s, report.committed_publishes + 1);
-            decisions.clear();
             reports.push(report);
             check_state(
                 &e,
@@ -693,7 +663,7 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
         }
         let sent_before = sent();
         res = match step {
-            Some(st) => apply_step(&grid, &mut e, st.op, &prog.inputs[s][me], &mut decisions, s),
+            Some(st) => apply_step(&grid, &mut e, st.op, &prog.inputs[s][me]),
             None => catch_comm_mut(|| comm.barrier()),
         };
         if res.is_ok() {
@@ -719,11 +689,6 @@ fn drive_model(comm: &Comm, prog: &Program, rebalance_first: bool) -> ModelOutco
     }
     ModelOutcome {
         reports,
-        decisions,
-        policy: (
-            e.rebalancer().map(|r| (r.migrations(), r.migrated_bytes())),
-            e.a.info().layout().row_cuts().to_vec(),
-        ),
         final_c: e.c.gather_to_root(comm),
         flops: e.flops,
         epoch: e.epoch().expect("published"),
@@ -744,24 +709,18 @@ impl Drop for SeedGuard {
 }
 
 /// Runs `prog` at `p` under `plan` and asserts what must agree across
-/// ranks: recovery reports, post-recovery rebalancing verdicts, the policy
-/// state, and the final product against the oracle. A recovery happens
-/// exactly when the armed crash fired, and names the rank it fired on. A
-/// rank that skips a collective its peers run deadlocks the grid; the
-/// watchdog turns that hang into a failure. Returns every rank's outcome
-/// and the run's wire volume.
-fn run_model(
-    p: usize,
-    prog: Program,
-    rebalance_first: bool,
-    plan: FaultPlan,
-) -> (Vec<ModelOutcome>, CommStats) {
+/// ranks: the recovery reports, and the final product against the oracle.
+/// A recovery happens exactly when the armed crash fired, and names the
+/// rank it fired on. A rank that skips a collective its peers run
+/// deadlocks the grid; the watchdog turns that hang into a failure.
+/// Returns every rank's outcome and the run's wire volume.
+fn run_model(p: usize, prog: Program, plan: FaultPlan) -> (Vec<ModelOutcome>, CommStats) {
     let prog = Arc::new(prog);
     let (tx, rx) = mpsc::channel();
     let shared = Arc::clone(&prog);
     std::thread::spawn(move || {
         let out = catch_unwind(AssertUnwindSafe(|| {
-            let out = run_with_faults(p, plan, |comm| drive_model(comm, &shared, rebalance_first));
+            let out = run_with_faults(p, plan, |comm| drive_model(comm, &shared));
             (out.results, out.stats.volume())
         }));
         let _ = tx.send(out);
@@ -778,14 +737,6 @@ fn run_model(
         assert_eq!(
             o.reports, first.reports,
             "rank {rank}: recovery reports differ"
-        );
-        assert_eq!(
-            o.decisions, first.decisions,
-            "rank {rank}: rebalancing verdicts differ"
-        );
-        assert_eq!(
-            o.policy, first.policy,
-            "rank {rank}: rebalancing state differs"
         );
     }
     assert_eq!(
@@ -809,46 +760,34 @@ fn run_model(
     (results, volume)
 }
 
-/// A model program's two runs: with its crash and as the crash-free twin.
-struct Model {
-    crashed: Vec<ModelOutcome>,
-    twin: Vec<ModelOutcome>,
-}
-
 /// Runs `prog`'s crash-free twin, unstormed — and, when `plan` storms,
 /// stormed too, which must send the same wire volume — then checks `prog`
-/// under `plan` against it.
-fn check_model(p: usize, prog: Program, rebalance_first: bool, plan: FaultPlan) -> Model {
+/// under `plan` against it. Returns the crashed run's outcomes.
+fn check_model(p: usize, prog: Program, plan: FaultPlan) -> Vec<ModelOutcome> {
     let twin_prog = || prog.crash_free();
-    let (twin, volume) = run_model(p, twin_prog(), rebalance_first, FaultPlan::default());
+    let (twin, volume) = run_model(p, twin_prog(), FaultPlan::default());
     if plan.delay.is_some() {
-        let (_, stormed) = run_model(p, twin_prog(), rebalance_first, plan.clone());
+        let (_, stormed) = run_model(p, twin_prog(), plan.clone());
         assert_eq!(stormed, volume, "a delay storm changed the wire volume");
     }
-    let crashed = check_against_twin(p, prog, rebalance_first, plan, &twin);
-    Model { crashed, twin }
+    check_against_twin(p, prog, plan, &twin)
 }
 
 /// Runs `prog` under `plan` and asserts, rank by rank, that it ends with
-/// its crash-free twin's flops and policy state, at the twin's final epoch
-/// plus one per recovery.
+/// its crash-free twin's flops, at the twin's final epoch plus one per
+/// recovery.
 fn check_against_twin(
     p: usize,
     prog: Program,
-    rebalance_first: bool,
     plan: FaultPlan,
     twin: &[ModelOutcome],
 ) -> Vec<ModelOutcome> {
-    let (crashed, _) = run_model(p, prog, rebalance_first, plan);
+    let (crashed, _) = run_model(p, prog, plan);
     let recoveries = crashed[0].reports.len() as u64;
     for (rank, (c, t)) in crashed.iter().zip(twin).enumerate() {
         assert_eq!(
             c.flops, t.flops,
             "rank {rank}: flops diverged from the twin"
-        );
-        assert_eq!(
-            c.policy, t.policy,
-            "rank {rank}: policy diverged from the twin"
         );
         assert_eq!(
             c.epoch,
@@ -865,7 +804,7 @@ const STORM_SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
 
 /// The batch-lifecycle model test: seeded sequences over algebraic and general
 /// batches (both the fallible and the infallible forms), static recomputes,
-/// bare publishes, pins, unpins and rebalancing steps, each with one crash
+/// bare publishes, pins and unpins, each with one crash
 /// at a seeded rank and send. After every step and every recovery `C` (and
 /// `A`, `B`) must equal the static recompute, every pin must be bit-stable
 /// and each log must hold at most 2·`anchor_period` records; recovery
@@ -881,20 +820,14 @@ fn model_sequences_match_static_recompute() {
         .chain((1..=8).map(|seed| (9, seed, plain())));
     for (p, seed, plan) in runs {
         let _guard = SeedGuard(format!("p={p} seed={seed} {plan:?}"));
-        check_model(p, Program::random(p, seed, 14), seed % 2 == 0, plan);
+        check_model(p, Program::random(p, seed, 14), plan);
     }
 }
 
 /// Sweeps a crash of `rank` over every send it makes in step `at` of
 /// `steps` — the count read off the crash-free twin's meter — and checks
 /// each crashed run against the twin. Returns the twin.
-fn sweep_crash(
-    seed: u64,
-    steps: &[Step],
-    at: usize,
-    rank: usize,
-    rebalance_first: bool,
-) -> Vec<ModelOutcome> {
+fn sweep_crash(seed: u64, steps: &[Step], at: usize, rank: usize) -> Vec<ModelOutcome> {
     let program = |crash: Option<u64>| {
         let mut steps = steps.to_vec();
         if let Some(k) = crash {
@@ -903,14 +836,14 @@ fn sweep_crash(
         Program::new(4, seed, steps)
     };
     let plan = FaultPlan::default;
-    let (twin, _) = run_model(4, program(None), rebalance_first, plan());
+    let (twin, _) = run_model(4, program(None), plan());
     let sends = twin[rank].per_step[at].0;
     assert!(sends > 0, "step {at} sends nothing on rank {rank}");
     for k in 1..=sends {
         let _guard = SeedGuard(format!(
             "seed={seed} crash of rank {rank} at send {k} of step {at}"
         ));
-        let crashed = check_against_twin(4, program(Some(k)), rebalance_first, plan(), &twin);
+        let crashed = check_against_twin(4, program(Some(k)), plan(), &twin);
         assert_eq!(
             crashed[0].reports.len(),
             1,
@@ -925,16 +858,7 @@ fn sweep_crash(
 #[test]
 fn every_send_of_the_first_batch_recovers() {
     let steps = [Op::Algebraic, Op::General, Op::Algebraic].map(Step::new);
-    sweep_crash(5, &steps, 0, 2, false);
-}
-
-/// A crash at every send of a migrating `Rebalance` step recovers, to the
-/// twin's cuts and migration counters.
-#[test]
-fn every_send_of_a_migration_recovers() {
-    let steps = [Op::Algebraic, Op::Rebalance, Op::Algebraic].map(Step::new);
-    let twin = sweep_crash(3, &steps, 1, 2, true);
-    assert_eq!(twin[0].decisions, vec![(1, true)], "step 1 migrates");
+    sweep_crash(5, &steps, 0, 2);
 }
 
 /// A crash at every send of the step that refreshes the anchor recovers,
@@ -942,7 +866,7 @@ fn every_send_of_a_migration_recovers() {
 #[test]
 fn every_send_of_an_anchor_refresh_recovers() {
     let steps = [Op::Algebraic; 5].map(Step::new);
-    let twin = sweep_crash(9, &steps, 3, 2, false);
+    let twin = sweep_crash(9, &steps, 3, 2);
     let anchors: Vec<u64> = twin[2].per_step.iter().map(|s| s.1).collect();
     assert!(
         anchors[3] > anchors[2],
@@ -969,45 +893,13 @@ fn every_batch_kind_in_the_anchor_window_recovers() {
             Step::new(Op::Algebraic).crash(2, 1),
             Step::new(Op::Algebraic),
         ];
-        let out = check_model(4, Program::new(4, 7, steps), false, FaultPlan::default());
-        let report = out.crashed[0].reports.first().expect("the crash recovers");
+        let out = check_model(4, Program::new(4, 7, steps), FaultPlan::default());
+        let report = out[0].reports.first().expect("the crash recovers");
         assert_eq!(report.failed_rank, 2);
         // The anchor stands before step 0: both committed steps replay.
         assert_eq!(
             (report.committed_publishes, report.replayed_batches),
             (3, 2)
         );
-    }
-}
-
-/// A crash that lands between two migrations recovers bit-identically: the
-/// rollback anchor predates the first migration, so replay moves to its
-/// logged cuts, and the replacement rejoins with the policy state its peers
-/// hold — every later verdict is rank-uniform.
-#[test]
-fn crash_between_two_migrations_recovers_bit_identically() {
-    let steps = vec![
-        Step::new(Op::Algebraic),
-        Step::new(Op::Rebalance),
-        Step::new(Op::Algebraic).crash(1, 1),
-        Step::new(Op::Algebraic),
-        Step::new(Op::Rebalance),
-        Step::new(Op::Algebraic),
-    ];
-    let Model { crashed, twin } =
-        check_model(4, Program::new(4, 3, steps), true, FaultPlan::default());
-    assert_eq!(twin[0].decisions, vec![(1, true), (4, true)]);
-    let report = crashed[0].reports.first().expect("the crash recovers");
-    assert_eq!(
-        report.committed_publishes, 3,
-        "the crash lands after the first migration"
-    );
-    assert_eq!(
-        report.replayed_batches, 2,
-        "replay crosses the first migration"
-    );
-    assert_eq!(crashed[0].decisions, vec![(4, true)]);
-    for (c, f) in crashed.iter().zip(&twin) {
-        assert_eq!(c.final_c, f.final_c);
     }
 }

@@ -6,10 +6,7 @@
 //! counted lane delivers, and what a tuple and a tally cost on the wire.
 
 use dspgemm_core::grid::{block_range, owner_block, Grid};
-use dspgemm_core::layout::Layout;
-use dspgemm_core::redistribute::{
-    redistribute, redistribute_in, redistribute_lanes_in, Route, Routed,
-};
+use dspgemm_core::redistribute::{redistribute, redistribute_lanes, Route, Routed};
 use dspgemm_core::update::{apply_add, build_update_matrix, Dedup};
 use dspgemm_core::DistMat;
 use dspgemm_mpi::{run, CommCategory};
@@ -188,12 +185,16 @@ fn lane_input(
 /// concatenates by source grid column, and what each of those sources holds
 /// after the row phase is concatenated by source grid row.
 fn expected_arrival(
-    layout: &Layout,
+    route: &Route,
+    q: usize,
     at: (usize, usize),
     input: impl Fn((usize, usize)) -> Vec<Triple<u64>>,
 ) -> Vec<Triple<u64>> {
-    let q = layout.q();
-    let mine = |t: &Triple<u64>| (layout.row_owner(t.row).0, layout.col_owner(t.col).0) == at;
+    let owner = |t: &Triple<u64>| {
+        let bi = owner_block(route.nrows, q, t.row).0;
+        (bi, owner_block(route.ncols, q, t.col).0)
+    };
+    let mine = |t: &Triple<u64>| owner(t) == at;
     (0..q)
         .flat_map(|j| (0..q).map(move |i| (i, j)))
         .flat_map(|from| input(from).into_iter().filter(mine))
@@ -201,42 +202,40 @@ fn expected_arrival(
 }
 
 /// The lane exchange returns, per lane and *as a sequence*, exactly what one
-/// `redistribute_in` per lane returns, and both return the closed-form
-/// arrival order — so update matrices built from lanes fold duplicates in
-/// the order separate builds did. Every rank learns each counted lane's
-/// global tuple count, and no count for an uncounted one. Skewed cuts with
-/// a narrow stripe, a lane under the transposed layout (rows and columns
-/// cut differently), an empty lane, and a batch whose lanes are all empty.
+/// `redistribute` per lane returns, and both return the closed-form arrival
+/// order — so update matrices built from lanes fold duplicates in the order
+/// separate builds did. Every rank learns each counted lane's global tuple
+/// count, and no count for an uncounted one. Square and non-square shapes,
+/// one with fewer columns than grid columns (a zero-width block), a lane of
+/// the transposed shape, an empty lane, and a batch whose lanes are all
+/// empty.
 #[test]
 fn lane_exchange_arrives_like_separate_redistributions() {
-    let cases: [(usize, Layout); 4] = [
-        (1, Layout::square(vec![0, 23])),
-        (4, Layout::square(vec![0, 3, 23])),
-        (4, Layout::from_cuts(vec![0, 17, 19], vec![0, 2, 31])),
-        (9, Layout::from_cuts(vec![0, 3, 5, 30], vec![0, 11, 11, 14])),
-    ];
-    for (p, layout) in cases {
+    let cases: [(usize, (Index, Index)); 4] =
+        [(1, (23, 23)), (4, (23, 23)), (4, (19, 31)), (9, (30, 2))];
+    for (p, (nrows, ncols)) in cases {
         for counts in [[40, 40, 0, 25], [0; 4]] {
-            let layout = layout.clone();
             run(p, move |comm| {
                 let grid = Grid::new(comm);
                 let (q, at) = (grid.q(), grid.coords());
-                let transposed = layout.transposed();
-                let layouts: [&Layout; 4] = [&layout, &transposed, &layout, &layout];
+                let route = |(nrows, ncols), counted| Route {
+                    nrows,
+                    ncols,
+                    counted,
+                };
+                let routes = [
+                    route((nrows, ncols), false),
+                    route((ncols, nrows), true),
+                    route((nrows, ncols), true),
+                    route((nrows, ncols), false),
+                ];
                 let input = |lane: usize, from: (usize, usize)| {
-                    let l = layouts[lane];
-                    lane_input((l.nrows(), l.ncols()), q, from, lane, counts[lane])
+                    let Route { nrows, ncols, .. } = routes[lane];
+                    lane_input((nrows, ncols), q, from, lane, counts[lane])
                 };
                 let mut timer = PhaseTimer::new();
                 let lanes = (0..4).map(|lane| input(lane, at)).collect();
-                let routes = layouts.map(|layout| Route {
-                    layout,
-                    counted: false,
-                });
-                let mut routes = routes.to_vec();
-                routes[1].counted = true;
-                routes[2].counted = true;
-                let together = redistribute_lanes_in(&grid, &routes, lanes, &mut timer);
+                let together = redistribute_lanes(&grid, &routes, lanes, &mut timer);
                 assert_eq!(together.len(), 4);
                 for (lane, Routed { tuples: got, count }) in together.into_iter().enumerate() {
                     let global = (p * counts[lane]) as u64;
@@ -245,8 +244,9 @@ fn lane_exchange_arrives_like_separate_redistributions() {
                         routes[lane].counted.then_some(global),
                         "p={p} lane={lane}"
                     );
-                    let alone = redistribute_in(&grid, layouts[lane], input(lane, at), &mut timer);
-                    let want = expected_arrival(layouts[lane], at, |from| input(lane, from));
+                    let Route { nrows, ncols, .. } = routes[lane];
+                    let alone = redistribute(&grid, nrows, ncols, input(lane, at), &mut timer);
+                    let want = expected_arrival(&routes[lane], q, at, |from| input(lane, from));
                     assert_eq!(
                         got, want,
                         "p={p} lane={lane}: shared exchange moved the order"
@@ -328,9 +328,7 @@ fn non_square_process_count_rejected_cleanly() {
 fn a_tally_costs_eight_bytes_a_message() {
     let n: Index = 30;
     for p in [1usize, 4, 9] {
-        let layout = Layout::uniform(n, n, (p as f64).sqrt() as usize);
         let exchange = |counted: bool| {
-            let layout = layout.clone();
             run(p, move |comm| {
                 let grid = Grid::new(comm);
                 let mine = match comm.rank() {
@@ -338,11 +336,12 @@ fn a_tally_costs_eight_bytes_a_message() {
                     _ => Vec::new(),
                 };
                 let route = Route {
-                    layout: &layout,
+                    nrows: n,
+                    ncols: n,
                     counted,
                 };
                 let mut timer = PhaseTimer::new();
-                let mut got = redistribute_lanes_in(&grid, &[route], vec![mine], &mut timer);
+                let mut got = redistribute_lanes(&grid, &[route], vec![mine], &mut timer);
                 got.pop().expect("one lane")
             })
         };

@@ -5,7 +5,7 @@ use dspgemm::analytics::AnalyticsSession;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::summa;
 use dspgemm::core::update::{apply_add, build_update_matrix, Dedup};
-use dspgemm::core::{DistMat, DynSpGemm, Grid};
+use dspgemm::core::{Batch, DistMat, DynSpGemm, Grid};
 use dspgemm::graph::catalog::small_instances;
 use dspgemm::graph::rmat::{self, RmatParams};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
@@ -561,6 +561,16 @@ fn general_left_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, r: usize) {
     eng.apply_general(grid, a_upd, GeneralUpdates::new());
 }
 
+/// An Algorithm-2 batch empty on both operands.
+fn empty_general_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, _r: usize) {
+    eng.apply_general(grid, GeneralUpdates::new(), GeneralUpdates::new());
+}
+
+/// A static recompute of `C` (and `F`).
+fn recompute_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, _r: usize) {
+    eng.try_apply(grid, Batch::Recompute).expect("fault-free");
+}
+
 /// Every message of a batch and of a row query, in closed form at
 /// p ∈ {4, 9, 16} with q = √p, summed over categories and ranks. A batch
 /// redistributes once and each unmasked pass runs q rounds of a broadcast
@@ -569,8 +579,10 @@ fn general_left_batch(eng: &mut DynSpGemm<F64Plus>, grid: &Grid, r: usize) {
 /// (q rounds of two broadcasts and a reduction), the filter's reduction and
 /// broadcast-back over each process row, and the `A^R` exchange of every
 /// off-diagonal rank. Nothing else: an empty operand's pass is skipped on
-/// the global count its redistribution delivered. A `row_topk` merges over
-/// the owning process row and broadcasts to the world.
+/// the global count its redistribution delivered, and a general batch empty
+/// on both operands skips the repair too, leaving `C` as a static recompute
+/// has it. A `row_topk` merges over the owning process row and broadcasts
+/// to the world.
 #[test]
 fn batch_messages_follow_the_closed_form() {
     let messages = |t: &Traffic| t.iter().map(|&(_, msgs)| msgs).sum::<u64>();
@@ -603,6 +615,15 @@ fn batch_messages_follow_the_closed_form() {
         for (name, (traffic, ..), want) in batches {
             assert_eq!(messages(&traffic), want, "p={p}: {name}");
         }
+        let (traffic, flops, nnz, hash) = rmat_batch(pp, true, empty_general_batch);
+        assert_eq!(messages(&traffic), pass, "p={p}: Algorithm 2, empty");
+        assert_eq!(flops, 0, "p={p}: Algorithm 2, empty");
+        let (_, _, want_nnz, want_hash) = rmat_batch(pp, true, recompute_batch);
+        assert_eq!(
+            (nnz, hash),
+            (want_nnz, want_hash),
+            "p={p}: C after an empty batch"
+        );
         let setup = |comm: &Comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();

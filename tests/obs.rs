@@ -2,12 +2,12 @@
 //! every phase in first-use order; a traced engine run must export a
 //! schema-valid Chrome trace containing the span taxonomy the docs promise
 //! and each rank's block load; tracing must change neither results nor wire
-//! volume; and the engine's batch, migration and recovery events must carry
-//! the numbers the engine returns.
+//! volume; and the engine's batch and recovery events must carry the
+//! numbers the engine returns.
 
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::recovery::RecoveryConfig;
-use dspgemm::core::{Batch, DistMat, DynSpGemm, Grid, RebalanceConfig, RecoveryReport};
+use dspgemm::core::{Batch, DistMat, DynSpGemm, Grid, RecoveryReport};
 use dspgemm::mpi::Comm;
 use dspgemm::obs::{EventKind, SpanEvent};
 use dspgemm::sparse::semiring::U64Plus;
@@ -241,67 +241,6 @@ fn pair_algorithm_1_redistributes_four_lanes_at_once() {
             .collect();
         assert_eq!(lanes, [Some(4)], "rank {rank}");
     }
-}
-
-/// A session whose update stream all lands in the top-left corner
-/// migrates, and the timeline accounts for it: `migrate` batch spans, and
-/// `migrated` instants whose `bytes` add up, on every rank, to the wire
-/// bytes the session's rebalancer metered. Under an unreachable threshold
-/// the same stream records neither.
-#[test]
-fn migrations_are_traced_with_their_wire_bytes() {
-    let _g = tracer_lock();
-    let n: Index = 36;
-    let session = |threshold: f64| {
-        traced(4, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let mine: Vec<Triple<u64>> = if comm.rank() == 0 {
-                (0..n).map(|i| Triple::new(i, (i + 1) % n, 1)).collect()
-            } else {
-                vec![]
-            };
-            let a = DistMat::from_global_triples(&grid, n, n, mine.clone(), 1, &mut timer);
-            let b = DistMat::from_global_triples(&grid, n, n, mine, 1, &mut timer);
-            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-            eng.enable_rebalancing(RebalanceConfig {
-                threshold,
-                cooldown: 0,
-            });
-            let hot = (n / 6) as u64;
-            let mut rng = SplitMix64::new(0xBEEF ^ comm.rank() as u64);
-            for _ in 0..4 {
-                let batch: Vec<Triple<u64>> = (0..50)
-                    .map(|_| {
-                        Triple::new(rng.gen_range(hot) as Index, rng.gen_range(hot) as Index, 1)
-                    })
-                    .collect();
-                eng.apply_algebraic(&grid, batch.clone(), batch);
-                eng.maybe_rebalance(&grid).expect("fault-free");
-            }
-            eng.rebalancer().expect("enabled").migrated_bytes()
-        })
-    };
-    let (out, events) = session(1.05);
-    for (rank, &metered) in out.results.iter().enumerate() {
-        assert!(metered > 0, "rank {rank}: the corner load did not migrate");
-        assert!(
-            named(&events, rank, EventKind::Span, "migrate").count() > 0,
-            "rank {rank}: no migrate span"
-        );
-        let traced_bytes: u64 = named(&events, rank, EventKind::Instant, "migrated")
-            .map(|e| attr(e, "bytes").expect("migrated carries bytes"))
-            .sum();
-        assert_eq!(traced_bytes, metered, "rank {rank}");
-    }
-    let (out, events) = session(1e9);
-    assert!(out.results.iter().all(|&b| b == 0));
-    assert!(
-        !events
-            .iter()
-            .any(|e| e.phase == "engine" && (e.name == "migrate" || e.name == "migrated")),
-        "an unreachable threshold still migrated"
-    );
 }
 
 /// A recovery-enabled session that loses rank 1 at its first send of batch

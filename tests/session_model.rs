@@ -1,19 +1,19 @@
 //! The serving layer on the engine's batch lifecycle: an `AnalyticsSession`
-//! is a shared-mode `DynSpGemm`, so it takes recovery and rebalancing as they
-//! are. Seeded programs of inserts, general batches, deletions, recomputes,
-//! bare publishes, pins and rebalancing steps, each with one crash, run under
-//! both features; after every step and every recovery `A` and `C` must equal
+//! is a shared-mode `DynSpGemm`, so it takes recovery as it is. Seeded
+//! programs of inserts, general batches, deletions, recomputes, bare
+//! publishes and pins, each with one crash, run under recovery; after every
+//! step and every recovery `A` and `C` must equal
 //! the static `A · A`, every view reading must equal a fresh bootstrap on
 //! that static product, and every pinned epoch must stay bit-stable.
 
 use dspgemm::analytics::{
-    AnalyticsSession, BatchDelta, CommonNeighborsView, DegreeView, FrozenView, ScoreReading,
-    SessionSnapshot, TriangleCountView, TriangleReading, View, ViewCx, ViewId,
+    AnalyticsSession, BatchDelta, CommonNeighborsView, FrozenView, ScoreReading, SessionSnapshot,
+    TriangleCountView, TriangleReading, View, ViewCx, ViewId,
 };
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::recovery::{RecoveryConfig, RecoveryReport};
 use dspgemm::core::summa::summa_bloom;
-use dspgemm::core::{Batch, Exec, RebalanceConfig};
+use dspgemm::core::{Batch, Exec};
 use dspgemm::mpi::{catch_comm_mut, run, Comm, CommError};
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Index, Triple};
@@ -32,11 +32,6 @@ type Session = AnalyticsSession<U64Plus>;
 
 const RECOVERY: RecoveryConfig = RecoveryConfig { anchor_period: 3 };
 
-const REBALANCE: RebalanceConfig = RebalanceConfig {
-    threshold: 1.2,
-    cooldown: 1,
-};
-
 fn product(a: &Matrix) -> Matrix {
     let mut c = Matrix::new();
     for (&(i, k), &x) in a {
@@ -51,8 +46,8 @@ fn triples_of(m: &Matrix) -> Vec<Triple<u64>> {
     m.iter().map(|(&(i, j), &v)| Triple::new(i, j, v)).collect()
 }
 
-/// Algebraic tuples, every other one in the top-left third so that the
-/// rebalancer has a skew to act on.
+/// Algebraic tuples, every other one in the top-left third: a skewed
+/// stream.
 fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
     (0..count)
         .map(|t| {
@@ -107,18 +102,15 @@ enum Op {
     Recompute,
     /// A publish with nothing committed since the last one.
     Publish,
-    /// `maybe_rebalance`, then a bare publish when it stays put.
-    Rebalance,
 }
 
-const OPS: [Op; 7] = [
+const OPS: [Op; 6] = [
     Op::Insert,
     Op::SessionInsert,
     Op::General,
     Op::SessionDelete,
     Op::Recompute,
     Op::Publish,
-    Op::Rebalance,
 ];
 
 #[derive(Debug, Clone)]
@@ -390,12 +382,6 @@ fn apply_step(s: &mut Session, op: Op, input: &Input) -> Result<(), CommError> {
         }
         (Op::Recompute, _) => drop(e.try_apply(grid, Batch::Recompute)?),
         (Op::Publish, _) => {}
-        (Op::Rebalance, _) => {
-            if e.maybe_rebalance(grid)? {
-                // The migration published its own epoch.
-                return Ok(());
-            }
-        }
         (op, input) => panic!("{op:?} cannot take {input:?}"),
     }
     e.publish();
@@ -406,17 +392,15 @@ fn apply_step(s: &mut Session, op: Op, input: &Input) -> Result<(), CommError> {
 #[derive(Debug)]
 struct Outcome {
     reports: Vec<RecoveryReport>,
-    /// Migrations and the final cut vector.
-    policy: (Option<u64>, Vec<Index>),
     final_c: Option<Vec<Triple<u64>>>,
 }
 
-/// Drives `prog` on this rank with recovery and rebalancing on (enabled in
-/// either order): recovers from the armed crash, resumes at the step after
-/// the commit frontier, and checks the state after every step and every
-/// recovery. Fresh bootstraps are collective, so they run where no crash
-/// can land in them: before the crash step, after the recovery, at the end.
-fn drive(comm: &Comm, prog: &Program, rebalance_first: bool) -> Outcome {
+/// Drives `prog` on this rank with recovery on: recovers from the armed
+/// crash, resumes at the step after the commit frontier, and checks the
+/// state after every step and every recovery. Fresh bootstraps are
+/// collective, so they run where no crash can land in them: before the
+/// crash step, after the recovery, at the end.
+fn drive(comm: &Comm, prog: &Program) -> Outcome {
     let me = comm.rank();
     let feed = if me == 0 {
         triples_of(&prog.expected[0])
@@ -431,14 +415,7 @@ fn drive(comm: &Comm, prog: &Program, rebalance_first: bool) -> Outcome {
     let cands = &prog.candidates;
     let mut res = {
         let (grid, e) = s.engine_mut();
-        if rebalance_first {
-            e.enable_rebalancing(REBALANCE);
-            e.enable_recovery(grid, RECOVERY)
-        } else {
-            let res = e.enable_recovery(grid, RECOVERY);
-            e.enable_rebalancing(REBALANCE);
-            res
-        }
+        e.enable_recovery(grid, RECOVERY)
     };
     let crash_step = prog.crash_step();
     let mut pins: VecDeque<Pin> = VecDeque::new();
@@ -506,10 +483,6 @@ fn drive(comm: &Comm, prog: &Program, rebalance_first: bool) -> Outcome {
     check_fresh_bootstrap(&s, &v, cands, "the end");
     Outcome {
         reports,
-        policy: (
-            s.rebalancer().map(|r| r.migrations()),
-            s.adjacency().info().layout().row_cuts().to_vec(),
-        ),
         final_c: s.product().gather_to_root(comm),
     }
 }
@@ -527,13 +500,13 @@ impl Drop for SeedGuard {
 
 /// Runs `prog` at `p` under a watchdog (a rank that skips a collective its
 /// peers run deadlocks the grid) and asserts what must agree across ranks.
-fn check_program(p: usize, prog: Program, rebalance_first: bool) -> Vec<Outcome> {
+fn check_program(p: usize, prog: Program) -> Vec<Outcome> {
     let prog = Arc::new(prog);
     let (tx, rx) = mpsc::channel();
     let shared = Arc::clone(&prog);
     std::thread::spawn(move || {
         let out = catch_unwind(AssertUnwindSafe(|| {
-            run(p, |comm| drive(comm, &shared, rebalance_first)).results
+            run(p, |comm| drive(comm, &shared)).results
         }));
         let _ = tx.send(out);
     });
@@ -548,10 +521,6 @@ fn check_program(p: usize, prog: Program, rebalance_first: bool) -> Vec<Outcome>
             o.reports, first.reports,
             "rank {rank}: recovery reports differ"
         );
-        assert_eq!(
-            o.policy, first.policy,
-            "rank {rank}: rebalancing state differs"
-        );
         assert!(o.reports.len() <= 1, "one crash, at most one recovery");
     }
     let want = triples_of(&product(prog.expected.last().expect("initial state")));
@@ -559,76 +528,20 @@ fn check_program(p: usize, prog: Program, rebalance_first: bool) -> Vec<Outcome>
     results
 }
 
-/// The session model test: seeded programs at p ∈ {4, 9}, recovery and
-/// rebalancing on in both enable orders, one crash each.
+/// The session model test: seeded programs at p ∈ {4, 9}, recovery on, one
+/// crash each.
 #[test]
 fn session_programs_match_static_recompute() {
     let mut recovered = 0;
-    let mut migrated = 0;
     for (p, seeds) in [(4usize, 1..=8u64), (9, 1..=4)] {
         for seed in seeds {
             let _guard = SeedGuard(format!("p={p} seed={seed}"));
-            let out = check_program(p, Program::random(p, seed, 14), seed % 2 == 0);
+            let out = check_program(p, Program::random(p, seed, 14));
             recovered += out[0].reports.len();
-            migrated += out[0].policy.0.unwrap_or(0);
         }
     }
     // The programs exercise what they claim to.
     assert!(recovered >= 6, "only {recovered} programs recovered");
-    assert!(migrated >= 1, "no program migrated");
-}
-
-/// Views re-bootstrap after a migration: a p = 4 session whose views
-/// recorded the block layout at registration is forced through one
-/// rebalancing migration; every view then reads what a fresh bootstrap on a
-/// static recompute reads, before and after a further batch.
-#[test]
-fn views_follow_a_rebalancing_migration() {
-    let out = run(4, |comm| {
-        let mut rng = SplitMix64::new(17);
-        let skewed = algebraic_tuples(&mut rng, 120);
-        let cands: Vec<(Index, Index)> = (0..N).map(|u| (u, (u * 7 + 3) % N)).collect();
-        let feed = if comm.rank() == 0 { skewed } else { vec![] };
-        let mut s = Session::from_triples(comm, N, 1, feed);
-        let cn = s.register(Box::new(CommonNeighborsView::new(cands.clone())));
-        let deg = s.register(Box::new(DegreeView::<U64Plus>::new(1)));
-        let (grid, e) = s.engine_mut();
-        e.enable_rebalancing(RebalanceConfig {
-            threshold: 1.01,
-            cooldown: 0,
-        });
-        assert!(e.maybe_rebalance(grid).expect("fault-free"), "no migration");
-        let check = |s: &Session| {
-            let grid = s.grid();
-            let a = s.adjacency();
-            let (c, _, _) = summa_bloom::<U64Plus>(grid, a, a, 1, &mut PhaseTimer::new());
-            let exec = Exec::new();
-            let cx = ViewCx {
-                grid,
-                a,
-                c: &c,
-                exec: &exec,
-            };
-            let mut fresh_cn = CommonNeighborsView::<U64Plus>::new(cands.clone());
-            fresh_cn.bootstrap(&cx);
-            let mut fresh_deg = DegreeView::<U64Plus>::new(1);
-            fresh_deg.bootstrap(&cx);
-            let live_cn = s.view_as::<CommonNeighborsView<U64Plus>>(cn).unwrap();
-            let live_deg = s.view_as::<DegreeView<U64Plus>>(deg).unwrap();
-            assert_eq!(
-                sorted_scores(live_cn.local_scores().collect()),
-                sorted_scores(fresh_cn.local_scores().collect()),
-                "common-neighbour view"
-            );
-            assert_eq!(live_deg.vector(), fresh_deg.vector(), "degree view");
-        };
-        check(&s);
-        let mut rng = SplitMix64::new(90 + comm.rank() as u64);
-        s.insert_edges(algebraic_tuples(&mut rng, 6));
-        check(&s);
-        s.rebalancer().map(|r| r.migrations())
-    });
-    assert!(out.results.iter().all(|&m| m == Some(1)));
 }
 
 /// Counts its freezes since its last bootstrap. Every publish freezes every

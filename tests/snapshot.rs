@@ -11,7 +11,7 @@
 //!   block the batch did not touch, and a touched block's image — patched
 //!   from the previous image and the batch's logged pattern — equals the
 //!   full conversion of the block bit for bit, whatever mix of apply
-//!   operators, engine batches, rollbacks and migrations preceded it;
+//!   operators, engine batches and rollbacks preceded it;
 //! * retained-epoch memory is bounded by the outstanding pins: with no
 //!   pins, exactly one epoch stays alive no matter how many were published.
 
@@ -20,8 +20,8 @@ use dspgemm::core::distmat::ImagePath;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::engine::DynSpGemm;
 use dspgemm::core::grid::Grid;
-use dspgemm::core::update::{apply_add, apply_mask, apply_merge, build_update_matrix_in, Dedup};
-use dspgemm::core::{DistMat, Layout};
+use dspgemm::core::update::{apply_add, apply_mask, apply_merge, build_update_matrix, Dedup};
+use dspgemm::core::DistMat;
 use dspgemm::mpi::run;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Csr, Index, Triple};
@@ -409,8 +409,8 @@ fn publish_checked(mat: &mut DistMat<u64>, paths: &mut [usize; 3], what: &str) -
 }
 
 /// The patch oracle: through random interleavings of the three apply
-/// operators (one- and multi-threaded), rollbacks to earlier images, layout
-/// migrations and batches big enough to overflow the touched log, with 0–3
+/// operators (one- and multi-threaded), rollbacks to earlier images and
+/// batches big enough to overflow the touched log, with 0–3
 /// mutations between publishes, every published image equals the full
 /// conversion of its block — and so do the `A` and `C` images of an engine
 /// under random algebraic and general batches. All three publish paths must
@@ -446,19 +446,20 @@ fn published_images_equal_full_conversion() {
                 }
             };
 
-            // --- A matrix under the apply operators, rollback, migration.
+            // --- A matrix under the apply operators and rollback.
             let mut paths = [0usize; 3];
             let mut mat = DistMat::from_global_triples(&grid, n, n, feed(1), 1, &mut timer);
             let mut anchors = vec![publish_checked(&mut mat, &mut paths, "initial")];
             for step in 0..150 {
                 for _ in 0..plan.gen_range(4) {
                     let count = if plan.gen_range(12) == 0 { 3000 } else { 12 };
-                    match plan.gen_range(8) {
+                    match plan.gen_range(7) {
                         op @ 0..=5 => {
                             let dedup = if op < 2 { Dedup::Add } else { Dedup::LastWins };
-                            let upd = build_update_matrix_in::<U64Plus>(
+                            let upd = build_update_matrix::<U64Plus>(
                                 &grid,
-                                mat.info().layout(),
+                                n,
+                                n,
                                 tuples(count),
                                 dedup,
                                 &mut timer,
@@ -469,21 +470,10 @@ fn published_images_equal_full_conversion() {
                                 _ => apply_mask::<U64Plus>(&mut mat, &upd, 1),
                             }
                         }
-                        6 => {
-                            let pick = plan.next_u64() as usize;
-                            if !anchors.is_empty() {
-                                let anchor = &anchors[pick % anchors.len()];
-                                mat.restore_image(Arc::clone(anchor));
-                            }
-                        }
                         _ => {
-                            let cut = 1 + plan.gen_range(n as u64 - 1) as Index;
-                            let cuts = if p == 1 { vec![0, n] } else { vec![0, cut, n] };
-                            let layout = Arc::new(Layout::square(cuts));
-                            if mat.migrate_to(&grid, &layout, &mut timer).changed {
-                                // Older images have the old block shape.
-                                anchors.clear();
-                            }
+                            let pick = plan.next_u64() as usize;
+                            let anchor = &anchors[pick % anchors.len()];
+                            mat.restore_image(Arc::clone(anchor));
                         }
                     }
                 }

@@ -448,8 +448,8 @@ fn one_arm_per_competitor() {
 
 /// "engine features compose". Every call that moves a `DynSpGemm` session's
 /// state is one `Batch` through one commit path, so recovery logs and
-/// replays Algorithm 1, Algorithm 2, recomputes and migrations alike, and
-/// rebalancing, recovery and filter tracking compose. An engine feature that
+/// replays Algorithm 1, Algorithm 2 and recomputes alike, and recovery,
+/// filter tracking and the shared shape compose. An engine feature that
 /// asserts another one off, or a second, kind-specific fallible entry, fails
 /// here.
 #[test]
@@ -460,6 +460,50 @@ fn engine_features_compose() {
         GUARD,
         &["-n", "fn try_apply_algebraic", "crates/core/src/engine.rs"],
     );
+}
+
+/// "one distribution". Every matrix lives on the paper's fixed, uniform 2D
+/// block split (`grid::block_range`, `grid::owner_block`), and skew is
+/// handled by the random relabeling of §VII-A, not by moving block
+/// boundaries. A cut-point type, a rebalancer or a migration brought back
+/// into non-test code fails here, and so does an `_in` twin of a
+/// constructor or a routing call that takes an explicit distribution.
+#[test]
+fn one_distribution() {
+    const GUARD: &str = "one distribution";
+    let (_, files) = run("grep", &["-rl", "--include=*.rs", "", "crates", "src"]);
+    let mut hits = Vec::new();
+    for file in files
+        .lines()
+        .filter(|f| f.starts_with("src/") || f.contains("/src/"))
+    {
+        let text = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+            .expect("a listed source file");
+        let scoped =
+            file.starts_with("crates/core/src/") || file.starts_with("crates/analytics/src/");
+        let code = text
+            .lines()
+            .enumerate()
+            .take_while(|(_, l)| !l.trim_start().starts_with("#[cfg(test)]"));
+        for (at, line) in code {
+            let feature = ["Layout", "Rebalanc", "migrate_to", "Migrate("]
+                .iter()
+                .any(|word| line.contains(word));
+            let twin = scoped
+                && line.split("fn ").skip(1).any(|rest| {
+                    let name: String = rest
+                        .chars()
+                        .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
+                        .collect();
+                    let next = rest[name.len()..].chars().next();
+                    name.len() > 3 && name.ends_with("_in") && matches!(next, Some('(' | '<'))
+                });
+            if feature || twin {
+                hits.push(format!("{file}:{}: {line}", at + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "{GUARD}: {hits:#?}");
 }
 
 /// "one recovery entry". A session recovers through one call,
