@@ -19,11 +19,9 @@
 //! * [`view`] — the [`View`] trait and the shared batch/delta types.
 //! * [`views`] — the built-in views: [`TriangleCountView`] (incremental
 //!   masked-sum triangle counting), [`CommonNeighborsView`]
-//!   (link-prediction scores over a candidate mask, bootstrapped with the
-//!   masked SpGEMM kernel), and [`DegreeView`] / [`KHopView`] (vector
-//!   analytics over the distributed SpMV kernel).
-//! * [`mod@masked_product`] — distributed masked SpGEMM (SUMMA rounds,
-//!   local flops pruned to an output mask).
+//!   (link-prediction scores over a candidate set, read from the maintained
+//!   product), and [`DegreeView`] (row aggregates over the distributed SpMV
+//!   kernel).
 //!
 //! ## Quickstart
 //!
@@ -58,17 +56,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod masked_product;
 pub mod session;
 pub mod snapshot;
 pub mod view;
 pub mod views;
 
-pub use masked_product::masked_product;
 pub use session::{AnalyticsSession, SessionEngine, ViewRegistry};
 pub use snapshot::SessionSnapshot;
 pub use view::{BatchDelta, FrozenView, PendingBatch, View, ViewCx, ViewId};
 pub use views::common_neighbors::ScoreReading;
 pub use views::triangles::TriangleReading;
 pub use views::vector::VectorReading;
-pub use views::{CommonNeighborsView, DegreeView, KHopView, TriangleCountView};
+pub use views::{CommonNeighborsView, DegreeView, TriangleCountView};

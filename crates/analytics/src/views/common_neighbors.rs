@@ -3,20 +3,17 @@
 //! For an unweighted undirected graph, `(A·A)_{u,v}` is the number of common
 //! neighbors of `u` and `v` — the classic link-prediction score. The view
 //! tracks a *fixed candidate set* of `(u, v)` pairs (e.g. non-edges proposed
-//! by a recommender): registration evaluates the candidates with one
-//! masked product ([`mod@crate::masked_product`], built on the
-//! `sparse::masked_mm` kernel, pruning local flops to candidate rows);
-//! afterwards each batch refreshes only the candidates that the shared `C*`
-//! delta proves changed — `O(nnz(C*))` mask probes and `O(1)` lookups into
-//! the maintained product, no extra communication at all.
+//! by a recommender) and reads every score from the session's maintained
+//! product `C = A·A`: registration reads each owned candidate once, and
+//! afterwards each batch re-reads only the candidates that the shared `C*`
+//! delta proves changed — `O(nnz(C*))` mask probes and `O(1)` lookups, no
+//! communication at all.
 
-use crate::masked_product::masked_product;
 use crate::view::{BatchDelta, FrozenView, View, ViewCx};
 use dspgemm_core::grid::{owner_block, Grid};
 use dspgemm_core::reduce_topk;
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Dcsr, Index, RowScan};
-use dspgemm_util::stats::PhaseTimer;
 use dspgemm_util::FxHashMap;
 use std::any::Any;
 use std::sync::Arc;
@@ -87,8 +84,6 @@ pub struct CommonNeighborsView<S: Semiring> {
     /// Cached frozen reading, rebuilt only after the scores change — an
     /// unchanged view is re-shared into the next epoch by refcount.
     frozen: Option<FrozenView>,
-    /// Local flops spent by the bootstrap masked product.
-    pub bootstrap_flops: u64,
     /// Candidate scores refreshed across all batches (diagnostics).
     pub refreshed_entries: u64,
 }
@@ -102,7 +97,6 @@ impl<S: Semiring> CommonNeighborsView<S> {
             local_mask: Dcsr::empty(0, 0),
             scores: FxHashMap::default(),
             frozen: None,
-            bootstrap_flops: 0,
             refreshed_entries: 0,
         }
     }
@@ -180,18 +174,17 @@ impl<S: Semiring> View<S> for CommonNeighborsView<S> {
                 .filter(|&&(u, v)| info.row_range.contains(&u) && info.col_range.contains(&v))
                 .map(|&(u, v)| info.to_local(u, v)),
         );
-        // Evaluate them with one masked product (flops pruned to candidate
-        // rows; see crate::masked_product for the communication trade).
-        let mut timer = PhaseTimer::new();
-        let (block, flops) =
-            masked_product::<S>(cx.grid, cx.a, cx.a, &self.local_mask, cx.exec, &mut timer);
-        self.bootstrap_flops = flops;
+        // Read them from the maintained product, the source post_batch
+        // refreshes from.
         self.scores.clear();
         self.frozen = None;
-        block.scan_rows(|lr, cols, vals| {
-            for (&lc, &(v, _)) in cols.iter().zip(vals) {
-                let (gu, gv) = info.to_global(lr, lc);
-                self.scores.insert(pack(gu, gv), v);
+        let c = cx.c.block();
+        self.local_mask.scan_rows(|lr, cols, _| {
+            for &lc in cols {
+                if let Some(v) = c.get(lr, lc) {
+                    let (gu, gv) = info.to_global(lr, lc);
+                    self.scores.insert(pack(gu, gv), v);
+                }
             }
         });
     }

@@ -4,7 +4,7 @@
 //! |---|---|---|
 //! | [`TriangleCountView`] | scalar | `O(nnz(C*) + batch)` local + 1 allreduce (incremental); `O(nnz(A)/p)` rescan fallback on general batches |
 //! | [`CommonNeighborsView`] | candidate map | `O(nnz(C*))` mask probes, no communication |
-//! | [`DegreeView`] / [`KHopView`] | vector | one (or `k`) SpMV sweeps |
+//! | [`DegreeView`] | vector | one SpMV sweep |
 
 pub mod common_neighbors;
 pub mod triangles;
@@ -12,4 +12,4 @@ pub mod vector;
 
 pub use common_neighbors::CommonNeighborsView;
 pub use triangles::TriangleCountView;
-pub use vector::{DegreeView, KHopView};
+pub use vector::DegreeView;

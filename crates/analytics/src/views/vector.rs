@@ -1,24 +1,23 @@
-//! Vector-shaped views: degrees and k-hop frontiers via distributed SpMV.
+//! Vector-shaped views: row aggregates via distributed SpMV.
 //!
-//! Both views are thin maintained wrappers over
-//! [`dspgemm_core::spmv`]: a refresh is one (or `k`) SpMV sweeps —
-//! `O(nnz/p)` local work and `O(n/√p · log √p)` communication, independent
-//! of the batch — so they stay exact under arbitrary insert/delete batches
-//! without any per-view bookkeeping. Compare the static-recompute
-//! alternative the benchmarks measure: a full SUMMA product per batch.
+//! [`DegreeView`] is a thin maintained wrapper over
+//! [`dspgemm_core::spmv`]: a refresh is one SpMV sweep — `O(nnz/p)` local
+//! work and `O(n/√p · log √p)` communication, independent of the batch — so
+//! it stays exact under arbitrary insert/delete batches without any
+//! per-view bookkeeping.
 
 use crate::view::{BatchDelta, FrozenView, View, ViewCx};
 use dspgemm_core::grid::{owner_block, Grid};
-use dspgemm_core::spmv::{spmv, spmv_chain, DistVec};
+use dspgemm_core::spmv::{spmv, DistVec};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::Index;
 use std::any::Any;
 use std::sync::Arc;
 
-/// The frozen reading of a [`DegreeView`] or [`KHopView`] inside a
-/// published epoch: the maintained vector at publish time (row- or
-/// column-aligned exactly like the live view's). The vector is shared with
-/// the live view by refcount — freezing copies no data.
+/// The frozen reading of a [`DegreeView`] inside a published epoch: the
+/// maintained vector at publish time (row-aligned like the live view's).
+/// The vector is shared with the live view by refcount — freezing copies no
+/// data.
 #[derive(Debug, Clone)]
 pub struct VectorReading<S: Semiring> {
     y: Option<Arc<DistVec<S::Elem>>>,
@@ -97,96 +96,6 @@ impl<S: Semiring> DegreeView<S> {
 impl<S: Semiring> View<S> for DegreeView<S> {
     fn name(&self) -> &str {
         "degree"
-    }
-
-    fn bootstrap(&mut self, cx: &ViewCx<'_, S>) {
-        self.refresh(cx);
-    }
-
-    fn post_batch(&mut self, cx: &ViewCx<'_, S>, _delta: &BatchDelta<'_, S>) {
-        self.refresh(cx);
-    }
-
-    fn freeze(&mut self) -> FrozenView {
-        // Refcount clone of the maintained vector — no data copied.
-        Arc::new(VectorReading::<S> { y: self.y.clone() })
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Maintained `k`-hop sweep `y = Aᵏ · x₀` from a fixed seed vector — walk
-/// counts over `(+, ·)`, `k`-step reachability over `(∨, ∧)`, `k`-hop
-/// shortest distances over `(min, +)`.
-pub struct KHopView<S: Semiring> {
-    seeds: Vec<(Index, S::Elem)>,
-    hops: usize,
-    /// Maintained vector, shared by refcount with frozen epoch readings.
-    y: Option<Arc<DistVec<S::Elem>>>,
-    /// Local flops spent across refreshes.
-    pub flops: u64,
-}
-
-impl<S: Semiring> KHopView<S> {
-    /// A view sweeping `hops` steps from the given `(vertex, value)` seeds
-    /// (identical on every rank; all other entries start at the semiring
-    /// zero).
-    pub fn new(seeds: Vec<(Index, S::Elem)>, hops: usize) -> Self {
-        Self {
-            seeds,
-            hops,
-            y: None,
-            flops: 0,
-        }
-    }
-
-    fn refresh(&mut self, cx: &ViewCx<'_, S>) {
-        let x = DistVec::from_entries(cx.grid, cx.a.info().ncols, &self.seeds, S::zero());
-        let (y, fl) = spmv_chain::<S>(cx.grid, cx.a, x, self.hops);
-        self.flops += fl;
-        self.y = Some(Arc::new(y));
-    }
-
-    /// The maintained sweep result (column-aligned; `None` before
-    /// bootstrap).
-    pub fn vector(&self) -> Option<&DistVec<S::Elem>> {
-        self.y.as_deref()
-    }
-
-    /// Collective point lookup of vertex `u`'s sweep value. Every rank
-    /// returns the same value.
-    pub fn value_at(&self, grid: &Grid, u: Index) -> Option<S::Elem> {
-        let y = self.y.as_ref()?;
-        let (b, lo) = owner_block(y.len(), grid.q(), u);
-        // Column-aligned: every rank of grid column `b` holds the segment.
-        let owner = grid.rank_of(0, b);
-        let mine = if grid.world().rank() == owner {
-            Some(y.seg()[(u - lo) as usize])
-        } else {
-            None
-        };
-        Some(grid.world().bcast(owner, mine))
-    }
-
-    /// The full vector on every rank (one allgather). Collective.
-    pub fn to_global(&self, grid: &Grid) -> Option<Vec<S::Elem>> {
-        self.y.as_deref().map(|y| y.to_global(grid))
-    }
-
-    /// Number of vertices whose sweep value is not the semiring zero —
-    /// e.g. the size of the `k`-hop reachable set under `(∨, ∧)`.
-    /// Collective (assembles the vector once).
-    pub fn count_reached(&self, grid: &Grid) -> Option<u64> {
-        self.to_global(grid)
-            .map(|v| v.iter().filter(|&&x| !S::is_zero(x)).count() as u64)
-    }
-}
-
-impl<S: Semiring> View<S> for KHopView<S> {
-    fn name(&self) -> &str {
-        "k-hop"
     }
 
     fn bootstrap(&mut self, cx: &ViewCx<'_, S>) {

@@ -602,15 +602,12 @@ pub(crate) fn algebraic_batch<S: Semiring>(
         return (flops, cstar.nnz() as u64);
     };
     let (a, star) = (ops.left(), &a_star.natural);
-    obs.pre_batch(
-        &ViewCx { grid, a, c, exec },
-        &PendingBatch::Algebraic { star },
-    );
+    obs.pre_batch(&ViewCx { grid, a, c }, &PendingBatch::Algebraic { star });
     let (cstar, flops) = compute_cstar::<S, Bloom, _>(grid, &mut ops, exec, timer);
     timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
     let (a, cstar) = (ops.left(), &cstar);
     obs.post_batch(
-        &ViewCx { grid, a, c, exec },
+        &ViewCx { grid, a, c },
         &BatchDelta::Algebraic { star, cstar },
     );
     (flops, cstar.nnz() as u64)

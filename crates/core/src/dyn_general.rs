@@ -307,7 +307,7 @@ pub(crate) fn general_batch<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> (u64, u64) {
     obs.pre_batch(
-        &ViewCx { grid, a, c, exec },
+        &ViewCx { grid, a, c },
         &PendingBatch::General { prep: a_prep },
     );
     let mut ops = Operands::new(a, a_prep, b, b_prep);
@@ -322,7 +322,7 @@ pub(crate) fn general_batch<S: Semiring>(
     };
     let cstar_pattern = &cstar;
     obs.post_batch(
-        &ViewCx { grid, a, c, exec },
+        &ViewCx { grid, a, c },
         &BatchDelta::General {
             prep: a_prep,
             cstar_pattern,

@@ -187,7 +187,6 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
             grid,
             a: &self.a,
             c: &self.c,
-            exec: &self.exec,
         };
         (&mut self.observer, cx)
     }

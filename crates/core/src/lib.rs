@@ -35,7 +35,7 @@
 //!   `dspgemm-analytics` view registry runs on.
 //! * [`spmv`] — distributed sparse matrix–vector multiplication reusing
 //!   SUMMA's row/column communication domains ([`spmv::DistVec`]), the
-//!   kernel behind the vector-shaped analytics views.
+//!   kernel behind the vector-shaped analytics view.
 //! * [`pipeline`] — the pipelined round scheduler: double-buffers the
 //!   broadcast/multiply rounds of every SpGEMM path over the nonblocking
 //!   collectives so round `k + 1`'s panels are in flight while round `k`'s

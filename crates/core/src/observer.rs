@@ -14,7 +14,6 @@
 
 use crate::distmat::DistMat;
 use crate::dyn_general::PreparedGeneral;
-use crate::exec::Exec;
 use crate::grid::Grid;
 use crate::snapshot::Snapshot;
 use crate::DistDcsr;
@@ -30,9 +29,6 @@ pub struct ViewCx<'a, S: Semiring> {
     /// The maintained product (`C = A·A` in shared mode) — old/new like
     /// `a`.
     pub c: &'a DistMat<S::Elem>,
-    /// The session's kernel workspaces: observers that multiply (masked
-    /// rescans) reuse them.
-    pub exec: &'a Exec<S>,
 }
 
 /// A redistributed-but-unapplied batch: the observer's chance to see state

@@ -1,10 +1,10 @@
 //! Distributed sparse matrix–vector multiplication on the 2D grid.
 //!
-//! SpMV is the workhorse of the vector-shaped analytics views (degrees,
-//! k-hop frontiers, PageRank-style sweeps) that `dspgemm-analytics` maintains
-//! next to the matrix-shaped SpGEMM views. The kernel reuses SUMMA's
-//! communication domains (Section IV's row/column communicators) rather than
-//! introducing a new distribution:
+//! SpMV computes the vector-shaped analytics view (`DegreeView`'s row
+//! aggregates) that `dspgemm-analytics` maintains next to the matrix-shaped
+//! views of the product. The kernel reuses SUMMA's communication domains
+//! (Section IV's row/column communicators) rather than introducing a new
+//! distribution:
 //!
 //! * the input vector `x` is **column-aligned**: rank `(i, j)` holds the
 //!   segment `x[cols(j)]` matching its block's column range, replicated down
@@ -13,12 +13,7 @@
 //! * partial results `y_part = A_{i,j} · x_j` are combined with one
 //!   elementwise allreduce over the **row communicator** (`O(log √p)` rounds
 //!   of `n/√p`-element messages), leaving `y` **row-aligned**: rank `(i, j)`
-//!   holds `y[rows(i)]`, replicated across each grid row;
-//! * chaining multiplications (`A^k x`) re-aligns `y` back to column
-//!   alignment with the same transpose `sendrecv` exchange Algorithm 2 uses
-//!   for `A^R`: segment `b` of a row-aligned vector lives on the
-//!   ranks of grid row `b`, so peer `(j, i)` holds exactly the segment rank
-//!   `(i, j)` needs next.
+//!   holds `y[rows(i)]`, replicated across each grid row.
 //!
 //! Total volume per multiply is `O(n/√p · log √p)` per rank — independent of
 //! `nnz(A)`, mirroring how the paper's dynamic SpGEMM avoids moving the big
@@ -28,7 +23,6 @@ use crate::distmat::{DistMat, Elem};
 use crate::grid::{block_range, Grid};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Index, RowScan};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Which grid axis a [`DistVec`]'s segment follows.
@@ -44,11 +38,10 @@ pub enum Align {
 
 /// A dense vector distributed conformally with the 2D block distribution.
 ///
-/// The segment is held in an `Arc`: SpMV's aggregation broadcast and the
-/// transpose re-alignment move it zero-copy through the shared collectives,
-/// and cloning a `DistVec` (views snapshotting their result) is a refcount
-/// increment. Local mutation goes through copy-on-write
-/// ([`Arc::make_mut`]), which never copies while the segment is unshared.
+/// The segment is held in an `Arc`: SpMV's aggregation broadcast and
+/// [`DistVec::to_global`]'s allgather move it zero-copy through the shared
+/// collectives, and cloning a `DistVec` (views snapshotting their result)
+/// is a refcount increment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistVec<V> {
     n: Index,
@@ -75,21 +68,6 @@ impl<V: Elem> DistVec<V> {
         Self::from_fn(grid, n, |_| value)
     }
 
-    /// A column-aligned vector that is `zero` everywhere except at the given
-    /// `(index, value)` entries. `entries` must be identical on all ranks
-    /// (each rank keeps the ones falling in its segment).
-    pub fn from_entries(grid: &Grid, n: Index, entries: &[(Index, V)], zero: V) -> Self {
-        let mut v = Self::constant(grid, n, zero);
-        let range = v.range(grid);
-        let seg = Arc::make_mut(&mut v.seg);
-        for &(idx, val) in entries {
-            if range.contains(&idx) {
-                seg[(idx - range.start) as usize] = val;
-            }
-        }
-        v
-    }
-
     /// Global length.
     #[inline]
     pub fn len(&self) -> Index {
@@ -112,42 +90,6 @@ impl<V: Elem> DistVec<V> {
     #[inline]
     pub fn seg(&self) -> &[V] {
         &self.seg
-    }
-
-    /// Global index range of this rank's segment.
-    pub fn range(&self, grid: &Grid) -> Range<Index> {
-        let (i, j) = grid.coords();
-        let b = match self.align {
-            Align::Col => j,
-            Align::Row => i,
-        };
-        block_range(self.n, grid.q(), b)
-    }
-
-    /// Re-aligns between row and column alignment via the transpose
-    /// exchange: peer `(j, i)` holds exactly the segment this rank needs
-    /// under the other alignment. Prepost-irecv form: the receive is posted
-    /// before the send, so both directions are in flight concurrently and
-    /// the wait is pure arrival time. Diagonal ranks move nothing.
-    /// Collective over the grid.
-    pub fn realign(self, grid: &Grid) -> Self {
-        const TAG_VEC: u64 = 105;
-        let peer = grid.transpose_rank();
-        let align = match self.align {
-            Align::Col => Align::Row,
-            Align::Row => Align::Col,
-        };
-        let seg = if peer == grid.world().rank() {
-            self.seg
-        } else {
-            // `sendrecv` is itself in prepost-irecv form.
-            grid.world().sendrecv(peer, self.seg, peer, TAG_VEC)
-        };
-        Self {
-            n: self.n,
-            align,
-            seg,
-        }
     }
 
     /// Assembles the full vector on every rank: one allgather along the
@@ -221,31 +163,6 @@ pub fn spmv<S: Semiring>(
     )
 }
 
-/// Computes `y = Aᵏ · x` by chaining [`spmv`] with re-alignment between
-/// hops (requires a square matrix). `k = 0` returns `x` unchanged. The
-/// result is column-aligned, ready for further multiplication. Returns
-/// `(y, local_flops)`. Collective over the grid.
-pub fn spmv_chain<S: Semiring>(
-    grid: &Grid,
-    a: &DistMat<S::Elem>,
-    x: DistVec<S::Elem>,
-    k: usize,
-) -> (DistVec<S::Elem>, u64) {
-    assert_eq!(
-        a.info().nrows,
-        a.info().ncols,
-        "chained SpMV requires a square matrix"
-    );
-    let mut x = x;
-    let mut flops = 0u64;
-    for _ in 0..k {
-        let (y, fl) = spmv::<S>(grid, a, &x);
-        flops += fl;
-        x = y.realign(grid);
-    }
-    (x, flops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,47 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn chained_spmv_counts_walks() {
-        // Directed cycle 0 → 1 → … → n-1 → 0: A^k x shifts x by k.
-        let n: Index = 12;
-        let out = run(4, move |comm| {
-            let grid = Grid::new(comm);
-            let mut timer = PhaseTimer::new();
-            let t: Vec<Triple<u64>> = if comm.rank() == 0 {
-                (0..n).map(|i| Triple::new(i, (i + 1) % n, 1)).collect()
-            } else {
-                vec![]
-            };
-            let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let x = DistVec::from_fn(&grid, n, |i| u64::from(i == 0));
-            let (y, _) = spmv_chain::<U64Plus>(&grid, &a, x, 5);
-            y.to_global(&grid)
-        });
-        // e_0 pushed 5 steps backwards along the cycle: A e_{i+1} = e_i.
-        let expect: Vec<u64> = (0..n).map(|i| u64::from(i == n - 5)).collect();
-        assert!(out.results.iter().all(|v| *v == expect));
-    }
-
-    #[test]
-    fn realign_round_trips() {
-        let n: Index = 23;
-        let out = run(9, move |comm| {
-            let grid = Grid::new(comm);
-            let x = DistVec::from_fn(&grid, n, |i| i as u64 * 3);
-            let back = x.clone().realign(&grid).realign(&grid);
-            (x == back, x.to_global(&grid))
-        });
-        let expect: Vec<u64> = (0..23).map(|i| i as u64 * 3).collect();
-        for (same, full) in &out.results {
-            assert!(same);
-            assert_eq!(full, &expect);
-        }
-    }
-
-    #[test]
     fn bool_semiring_khop_reachability() {
-        // Path graph 0 - 1 - 2 - … (undirected): 2 hops from vertex 0
-        // reaches {0, 1, 2}.
+        // Path graph 0 - 1 - 2 - … (undirected): one hop (k = 1) from the
+        // frontier {0, 4} under (∨, ∧) reaches exactly its neighbours.
         let n: Index = 10;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
@@ -364,20 +243,11 @@ mod tests {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let seed = DistVec::from_entries(&grid, n, &[(0, true)], false);
-            // Reachable within ≤ 2 hops: fold the frontier into the seed.
-            let (h1, _) = spmv_chain::<BoolOrAnd>(&grid, &a, seed.clone(), 1);
-            let (h2, _) = spmv_chain::<BoolOrAnd>(&grid, &a, seed.clone(), 2);
-            let reach: Vec<bool> = seed
-                .to_global(&grid)
-                .iter()
-                .zip(h1.to_global(&grid))
-                .zip(h2.to_global(&grid))
-                .map(|((&s, a), b)| s | a | b)
-                .collect();
-            reach
+            let frontier = DistVec::from_fn(&grid, n, |i| i == 0 || i == 4);
+            let (y, _) = spmv::<BoolOrAnd>(&grid, &a, &frontier);
+            y.to_global(&grid)
         });
-        let expect: Vec<bool> = (0..10).map(|i| i <= 2).collect();
+        let expect: Vec<bool> = (0..10).map(|i| [1, 3, 5].contains(&i)).collect();
         assert!(out.results.iter().all(|v| *v == expect));
     }
 
@@ -398,7 +268,7 @@ mod tests {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let d = DistVec::from_entries(&grid, n, &[(0, 0.0)], f64::INFINITY);
+            let d = DistVec::from_fn(&grid, n, |i| if i == 0 { 0.0 } else { f64::INFINITY });
             let (y, _) = spmv::<MinPlus>(&grid, &a, &d);
             y.to_global(&grid)
         });

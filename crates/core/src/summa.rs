@@ -13,9 +13,9 @@
 //! recording contributing inner indices, needed before general dynamic
 //! updates can be applied (Section V-B).
 //!
-//! Every SUMMA-shaped product is one round body, [`summa_rounds`],
-//! differing in the kernel payload, the output mask and the fold of each
-//! round's partial, on the pipelined round scheduler ([`crate::pipeline`]):
+//! Every SUMMA-shaped product is one round body, `summa_rounds`,
+//! differing in the kernel payload and the fold of each round's partial,
+//! on the pipelined round scheduler ([`crate::pipeline`]):
 //! round `k + 1`'s panel broadcasts are issued (nonblocking) before round
 //! `k`'s local multiply, so their communication is in flight — and mostly
 //! hidden — under the compute.
@@ -26,26 +26,23 @@ use crate::exec::Exec;
 use crate::grid::{block_range, Grid};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use dspgemm_sparse::local_mm::{spgemm_with, Bloom, OutputMask, Plain};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr};
 use dspgemm_util::stats::PhaseTimer;
 use std::sync::Arc;
 
 /// The SUMMA round structure: `√p` rounds of panel broadcasts — `A_{i,k}`
-/// over the process row, `B_{k,j}` over the process column — and local
-/// multiplies with payload `K` at the positions `mask` admits (`&()` for
-/// the full product; a mask uses block-local coordinates of this rank's
-/// `C` block), each round's partial handed to `fold` in round order.
-/// Returns the local flop count. Collective over the grid.
+/// over the process row, `B_{k,j}` over the process column — and unmasked
+/// local multiplies with payload `K`, each round's partial handed to `fold`
+/// in round order. Returns the local flop count. Collective over the grid.
 ///
 /// # Panics
 /// Panics unless `A`'s column count equals `B`'s row count.
-pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
+fn summa_rounds<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     a: &DistMat<S::Elem>,
     b: &DistMat<S::Elem>,
-    mask: &impl OutputMask,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
     mut fold: impl FnMut(Dcsr<K::Out>),
@@ -85,7 +82,7 @@ pub fn summa_rounds<S: Semiring, K: XYKernel<S>>(
             let k_offset = block_range(inner, grid.q(), k).start;
             let partial = timer.time(phase::LOCAL_MULT, || {
                 let ws = &mut K::workspace(exec);
-                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, mask, k_offset, ws)
+                spgemm_with::<S, K, _, _, _>(&*a_blk, &*b_blk, &(), k_offset, ws)
             });
             **flops += partial.flops;
             timer.time(phase::LOCAL_UPDATE, || fold(partial.result));
@@ -136,7 +133,7 @@ pub fn summa_exec<S: Semiring>(
 ) -> (DistMat<S::Elem>, u64) {
     let mut c = empty_product(grid, a, b);
     let fold = |partial: Dcsr<S::Elem>| add_cstar::<S>(&mut c, &partial);
-    let flops = summa_rounds::<S, Plain>(grid, a, b, &(), exec, timer, fold);
+    let flops = summa_rounds::<S, Plain>(grid, a, b, exec, timer, fold);
     (c, flops)
 }
 
@@ -174,7 +171,7 @@ pub fn summa_bloom_exec<S: Semiring>(
     let mut c = empty_product(grid, a, b);
     let mut f = empty_product(grid, a, b);
     let fold = |partial: Dcsr<(S::Elem, u64)>| add_cstar_tracked::<S>(&mut c, &mut f, &partial);
-    let flops = summa_rounds::<S, Bloom>(grid, a, b, &(), exec, timer, fold);
+    let flops = summa_rounds::<S, Bloom>(grid, a, b, exec, timer, fold);
     (c, f, flops)
 }
 

@@ -4,7 +4,7 @@
 //! grid sizes — the acceptance invariant of the maintained-view design.
 
 use dspgemm::analytics::{
-    AnalyticsSession, CommonNeighborsView, DegreeView, KHopView, ScoreReading, TriangleCountView,
+    AnalyticsSession, CommonNeighborsView, DegreeView, ScoreReading, TriangleCountView,
 };
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::graph::{er, rmat, symmetrize};
@@ -12,8 +12,6 @@ use dspgemm::sparse::dense::Dense;
 use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
-
-const HOPS: usize = 2;
 
 /// Brute-force `y = A · x` on the dense reference.
 fn dense_spmv<S: Semiring>(a: &Dense<S::Elem>, x: &[S::Elem]) -> Vec<S::Elem> {
@@ -45,7 +43,7 @@ fn candidates(n: Index, seed: u64) -> Vec<(Index, Index)> {
     pairs
 }
 
-/// One full scenario over `u64`/`(+,·)`: 4 concurrent views, alternating
+/// One full scenario over `u64`/`(+,·)`: 3 concurrent views, alternating
 /// algebraic insert and general delete batches, brute-force checks after
 /// every batch on every rank's returned values.
 fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
@@ -64,8 +62,7 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
         let tri = session.register(Box::new(TriangleCountView::new()));
         let cn = session.register(Box::new(CommonNeighborsView::new(cands_in.clone())));
         let deg = session.register(Box::new(DegreeView::new(1u64)));
-        let hop = session.register(Box::new(KHopView::new(vec![(0, 1u64)], HOPS)));
-        assert_eq!(session.view_count(), 4);
+        assert_eq!(session.view_count(), 3);
 
         let mut checks: Vec<bool> = Vec::new();
         let mut witness: Vec<u64> = Vec::new();
@@ -108,32 +105,26 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
                 .unwrap()
                 .to_global(session.grid())
                 .unwrap();
-            let hops = session
-                .view_as::<KHopView<U64Plus>>(hop)
-                .unwrap()
-                .to_global(session.grid())
-                .unwrap();
             let cn_view = session.view_as::<CommonNeighborsView<U64Plus>>(cn).unwrap();
             let scores: Vec<Option<u64>> = cands_in
                 .iter()
                 .map(|&(u, v)| cn_view.score(session.grid(), n, u, v))
                 .collect();
             // Global aggregate over the maintained product plus point
-            // lookups into the k-hop vector (both collective).
+            // lookups into the degree vector (both collective).
             let c_sum = session.product_aggregate(
                 0u64,
                 |acc, _r, _c, v| acc.wrapping_add(v),
                 u64::wrapping_add,
             );
-            let hop_view = session.view_as::<KHopView<U64Plus>>(hop).unwrap();
-            let hop_probe: Vec<u64> = [0, 1, n - 1]
+            let deg_view = session.view_as::<DegreeView<U64Plus>>(deg).unwrap();
+            let deg_probe: Vec<u64> = [0, 1, n - 1]
                 .iter()
-                .map(|&u| hop_view.value_at(session.grid(), u).unwrap())
+                .map(|&u| deg_view.degree(session.grid(), u).unwrap())
                 .collect();
-            let reached = hop_view.count_reached(session.grid()).unwrap();
             witness.push(tri_count);
             witness.push(c_sum);
-            witness.push(reached);
+            witness.extend(&deg_probe);
 
             if comm.rank() == 0 {
                 let a_t = a_gathered.unwrap();
@@ -158,19 +149,11 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
                         None => checks.push(reference == 0),
                     }
                 }
-                // Degrees equal A · 1.
+                // Degrees equal A · 1, and the point lookups agree.
                 let ones = vec![1u64; n as usize];
-                checks.push(degrees == dense_spmv::<U64Plus>(&da, &ones));
-                // k-hop equals Aᵏ e₀; point lookups and the reached count
-                // agree with the assembled vector.
-                let mut x = vec![0u64; n as usize];
-                x[0] = 1;
-                for _ in 0..HOPS {
-                    x = dense_spmv::<U64Plus>(&da, &x);
-                }
-                checks.push(hops == x);
-                checks.push(hop_probe == vec![x[0], x[1], x[n as usize - 1]]);
-                checks.push(reached == x.iter().filter(|&&v| v != 0).count() as u64);
+                let d = dense_spmv::<U64Plus>(&da, &ones);
+                checks.push(deg_probe == vec![d[0], d[1], d[n as usize - 1]]);
+                checks.push(degrees == d);
                 // Aggregate equals the dense sum of all product entries.
                 let mut dense_sum = 0u64;
                 for r in 0..n {
@@ -190,8 +173,8 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
         root_checks.iter().filter(|&&ok| !ok).count(),
         root_checks.len()
     );
-    // Four view registrations and four batches each published an epoch.
-    assert_eq!(*epoch, 4 + 4);
+    // Three view registrations and four batches each published an epoch.
+    assert_eq!(*epoch, 3 + 4);
     // Every rank observed identical view values (SPMD agreement).
     for (rank, (_, witness, _)) in out.results.iter().enumerate() {
         assert_eq!(witness, root_witness, "rank {rank} diverged");
@@ -217,7 +200,7 @@ fn u64_views_match_brute_force_rmat() {
     }
 }
 
-/// MinPlus scenario: 3 concurrent views (triangle counting is `u64`-only)
+/// MinPlus scenario: 2 concurrent views (triangle counting is `u64`-only)
 /// under inserts, min-incompatible value increases and deletions.
 #[test]
 fn min_plus_views_match_brute_force() {
@@ -237,8 +220,7 @@ fn min_plus_views_match_brute_force() {
             let mut session = AnalyticsSession::<MinPlus>::from_triples(comm, n, 1, triples);
             let cn = session.register(Box::new(CommonNeighborsView::new(cands_in.clone())));
             let deg = session.register(Box::new(DegreeView::new(0.0f64)));
-            let hop = session.register(Box::new(KHopView::new(vec![(2, 0.0f64)], HOPS)));
-            assert_eq!(session.view_count(), 3);
+            assert_eq!(session.view_count(), 2);
 
             let mut checks: Vec<bool> = Vec::new();
             for round in 0..3u64 {
@@ -282,11 +264,6 @@ fn min_plus_views_match_brute_force() {
                     .unwrap()
                     .to_global(session.grid())
                     .unwrap();
-                let hops = session
-                    .view_as::<KHopView<MinPlus>>(hop)
-                    .unwrap()
-                    .to_global(session.grid())
-                    .unwrap();
                 let cn_view = session.view_as::<CommonNeighborsView<MinPlus>>(cn).unwrap();
                 let scores: Vec<Option<f64>> = cands_in
                     .iter()
@@ -308,12 +285,6 @@ fn min_plus_views_match_brute_force() {
                     }
                     let zeros = vec![0.0f64; n as usize];
                     checks.push(degrees == dense_spmv::<MinPlus>(&da, &zeros));
-                    let mut x = vec![f64::INFINITY; n as usize];
-                    x[2] = 0.0;
-                    for _ in 0..HOPS {
-                        x = dense_spmv::<MinPlus>(&da, &x);
-                    }
-                    checks.push(hops == x);
                 }
             }
             checks
@@ -373,5 +344,52 @@ fn common_neighbors_top_k_equals_full_sort_with_ties() {
         });
         let msgs: u64 = out.results.iter().sum();
         assert_eq!(msgs, 2 * (p as u64 - 1), "p={p}: messages of one query");
+    }
+}
+
+/// Registration reads the maintained product: at p ∈ {4, 9, 16} a
+/// `CommonNeighborsView` bootstraps without a message or a byte on the wire,
+/// and every candidate's score equals the static `A·A` there.
+#[test]
+fn registering_common_neighbors_sends_nothing() {
+    let n: Index = 40;
+    for p in [4usize, 9, 16] {
+        let cands = candidates(n, 0x5C0);
+        let cands_in = cands.clone();
+        let out = dspgemm_mpi::run(p, move |comm| {
+            let edges = match comm.rank() {
+                0 => symmetrize(&er::generate(n, 150, 0x5C1)),
+                _ => Vec::new(),
+            };
+            let triples = edges.iter().map(|&(u, v)| Triple::new(u, v, 1)).collect();
+            let mut session = AnalyticsSession::<U64Plus>::from_triples(comm, n, 1, triples);
+            let sent = || {
+                let me = &comm.comm_stats().per_rank[comm.rank()];
+                (me.total_msgs(), me.total_bytes())
+            };
+            let before = sent();
+            let cn = session.register(Box::new(CommonNeighborsView::new(cands_in.clone())));
+            let after = sent();
+            let view = session.view_as::<CommonNeighborsView<U64Plus>>(cn).unwrap();
+            let scores: Vec<Option<u64>> = cands_in
+                .iter()
+                .map(|&(u, v)| view.score(session.grid(), n, u, v))
+                .collect();
+            let a = session.adjacency().gather_to_root(comm);
+            ((after.0 - before.0, after.1 - before.1), scores, a)
+        });
+        for (rank, (moved, _, _)) in out.results.iter().enumerate() {
+            assert_eq!(*moved, (0, 0), "p={p} rank={rank}: registration moved data");
+        }
+        let (_, scores, a) = &out.results[0];
+        let da = Dense::from_triples::<U64Plus>(n, n, a.as_ref().unwrap());
+        let want = da.matmul::<U64Plus>(&da);
+        assert!(
+            scores.iter().any(Option::is_some),
+            "p={p}: no candidate scored"
+        );
+        for (&(u, v), score) in cands.iter().zip(scores) {
+            assert_eq!(score.unwrap_or(0), want.get(u, v), "p={p} ({u}, {v})");
+        }
     }
 }

@@ -5,13 +5,13 @@
 //! algorithm modules must leave every constant alone — same collectives,
 //! same tags, same merge order, same program.
 
-use dspgemm::analytics::{masked_product, AnalyticsSession};
+use dspgemm::analytics::AnalyticsSession;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::{summa, summa_bloom};
-use dspgemm::core::{DistMat, DynSpGemm, Exec, Grid};
+use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
 use dspgemm::sparse::semiring::U64Plus;
-use dspgemm::sparse::{Dcsr, Index, RowScan, Triple};
+use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
 use std::sync::Arc;
@@ -311,37 +311,6 @@ fn initial_product_summa_and_summa_bloom() {
     });
     let f = Some((1482, 2172929750072179624));
     assert_eq!(fused, (want(), f));
-}
-
-/// `masked_product` under the mask "every third position of the block":
-/// SUMMA's panels, the flops that reach the mask, and its `(value, bits)`
-/// entries laid out as a `C` and an `F`.
-// Captured at commit e715e38, while it still ran a broadcast loop of its own.
-#[test]
-fn masked_product_block() {
-    let got = product(|grid, a, b, timer| {
-        let (rows, cols) = (a.info().local_rows(), b.info().local_cols());
-        let every_third = (0..rows)
-            .flat_map(|lr| (0..cols).map(move |lc| (lr, lc)))
-            .filter(|&(lr, lc)| (lr + lc) % 3 == 0);
-        let mask = Dcsr::from_pairs(rows, cols, every_third);
-        let (block, flops) = masked_product::<U64Plus>(grid, a, b, &mask, &Exec::new(), timer);
-        let (mut c, mut f) = (DistMat::empty(grid, N, N), DistMat::empty(grid, N, N));
-        block.scan_rows(|r, cols, vals| {
-            for (&cc, &(v, bits)) in cols.iter().zip(vals) {
-                c.block_mut().set(r, cc, v);
-                f.block_mut().set(r, cc, bits);
-            }
-        });
-        (flops, c, Some(f))
-    });
-    let want = Pinned {
-        volume: volume((0, 0), (9732, 8), (0, 0), (0, 0), (0, 0)),
-        flops: 762,
-        c_nnz: 478,
-        c_hash: 10499275861888752898,
-    };
-    assert_eq!(got, (want, Some((478, 3879525642518357532))));
 }
 
 /// `bcast` of a vector, `bcast_shared`, `alltoallv`, `allreduce` (with an

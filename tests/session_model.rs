@@ -13,7 +13,7 @@ use dspgemm::analytics::{
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::recovery::{RecoveryConfig, RecoveryReport};
 use dspgemm::core::summa::summa_bloom;
-use dspgemm::core::{Batch, Exec};
+use dspgemm::core::Batch;
 use dspgemm::mpi::{catch_comm_mut, run, Comm, CommError};
 use dspgemm::sparse::semiring::U64Plus;
 use dspgemm::sparse::{Index, Triple};
@@ -344,13 +344,7 @@ fn check_fresh_bootstrap(s: &Session, v: &Views, cands: &[(Index, Index)], at: &
     let grid = s.grid();
     let a = s.adjacency();
     let (c, _, _) = summa_bloom::<U64Plus>(grid, a, a, 1, &mut PhaseTimer::new());
-    let exec = Exec::new();
-    let cx = ViewCx {
-        grid,
-        a,
-        c: &c,
-        exec: &exec,
-    };
+    let cx = ViewCx { grid, a, c: &c };
     let mut tri = TriangleCountView::new();
     View::<U64Plus>::bootstrap(&mut tri, &cx);
     let mut cn = CommonNeighborsView::<U64Plus>::new(cands.to_vec());

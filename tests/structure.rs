@@ -581,8 +581,8 @@ fn one_engine_under_the_serving_layer() {
 
 /// "one mask type". An output mask is a pattern `Dcsr`: the `C*` block as
 /// it arrives, or a `Dcsr<()>` built from a pattern or from candidate pairs.
-/// A second owned copy of that structure, or a threads-only twin of the one
-/// distributed masked product, brought back fails here.
+/// A second owned copy of that structure, or a threads-only `_exec` twin of
+/// a masked product, brought back fails here.
 #[test]
 fn one_mask_type() {
     const GUARD: &str = "one mask type";
@@ -603,6 +603,53 @@ fn one_mask_type() {
             "-n",
             "pub type MaskSet = Dcsr<()>;",
             "crates/sparse/src/masked_mm.rs",
+        ],
+    );
+}
+
+/// "views read the maintained product". A session computes one product,
+/// the engine's `C = A·A`, and keeps it fresh; every view reads `C` or its
+/// `C*` feed, at bootstrap as after a batch. A view that multiplies on its
+/// own — a masked SUMMA at registration, a chain of SpMV sweeps per batch —
+/// recomputes what the engine maintains. A SUMMA or SpGEMM call brought
+/// back into the analytics crate's non-test code, or a deleted second
+/// product path brought back anywhere, fails here.
+#[test]
+fn views_read_the_maintained_product() {
+    const GUARD: &str = "views read the maintained product";
+    let (_, files) = run(
+        "grep",
+        &["-rl", "--include=*.rs", "", "crates/analytics/src"],
+    );
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut calls = Vec::new();
+    for file in files.lines() {
+        let text = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+            .expect("a listed source file");
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for (at, line) in code.lines().enumerate() {
+            let product = line.split(|c: char| !ident(c)).any(|w| {
+                w == "summa"
+                    || w.starts_with("summa_")
+                    || w.starts_with("spgemm")
+                    || w.starts_with("masked_spgemm")
+            });
+            if product {
+                calls.push(format!("{file}:{}: {line}", at + 1));
+            }
+        }
+    }
+    assert!(!files.is_empty(), "{GUARD}: analytics sources read");
+    assert!(calls.is_empty(), "{GUARD}: {calls:#?}");
+    absent(
+        GUARD,
+        &[
+            "-rnwE",
+            r"masked_product|KHopView|spmv_chain|fn realign",
+            "crates",
+            "src",
+            "tests",
+            "examples",
         ],
     );
 }
@@ -702,6 +749,17 @@ fn batch_bodies_send_no_control_collectives() {
             "crates/core/src/snapshot.rs",
             "crates/analytics/src/views/common_neighbors.rs",
         ],
+    );
+}
+
+/// "the design documents describe the design as it is". DESIGN.md and
+/// ARCHITECTURE.md state each mechanism in the present tense; its history
+/// is CHANGES.md's. A change number cited in either fails here.
+#[test]
+fn design_documents_cite_no_change_numbers() {
+    absent(
+        "the design documents describe the design as it is",
+        &["-nE", "PR [0-9]", "DESIGN.md", "ARCHITECTURE.md"],
     );
 }
 
