@@ -1,15 +1,19 @@
 //! The analytics serving session: a shared-mode [`DynSpGemm`] — one
 //! distributed dynamic adjacency matrix `A`, the maintained product
-//! `C = A · A` and its Bloom filter matrix `F`, so deletions are always
+//! `C = A · A` and its filter matrix `F`, so deletions are always
 //! admissible — whose observer is the registry of [`View`]s
-//! ([`ViewRegistry`]).
+//! ([`ViewRegistry`]). Over a ring ([`Semiring::NEG`], the `U64Plus` every
+//! shipped session runs on) `F` counts each entry's paths and a deletion is
+//! an algebraic update; otherwise `F` holds Bloom bits and a deletion runs
+//! Algorithm 2.
 //!
 //! One call to [`AnalyticsSession::insert_edges`] /
 //! [`AnalyticsSession::apply_general`] is one engine batch: one
 //! redistribution, every view's `pre_batch` against the old state, the
-//! engine's shared arm (Algorithm 1 or 2), every view's `post_batch` from the
-//! shared `C*` delta, then the engine's publish of an immutable
-//! [`SessionSnapshot`] epoch. Being the engine, a session takes its
+//! engine's shared arm (Algorithm 1, or Algorithm 2 for a general batch
+//! without an inverse), every view's `post_batch` from the shared `C*`
+//! delta, then the engine's publish of an immutable [`SessionSnapshot`]
+//! epoch. Being the engine, a session takes its
 //! recovery: [`AnalyticsSession::engine_mut`] hands out the engine beside
 //! the session's grid, and `Deref` gives read access to it. Views
 //! re-bootstrap after every change that carries no delta — a recompute or a
@@ -209,9 +213,10 @@ impl<S: Semiring> AnalyticsSession<S> {
     }
 
     /// Applies a batch of **general** updates (deletions and value writes
-    /// incompatible with the semiring addition) via Algorithm 2, refreshing
-    /// the product and every view, and commits an epoch. Returns the batch's
-    /// report, its publish a stage of it. Collective.
+    /// incompatible with the semiring addition), refreshing the product and
+    /// every view, and commits an epoch: over a ring as the algebraic update
+    /// `new − old` (Algorithm 1 on path counts), otherwise via Algorithm 2.
+    /// Returns the batch's report, its publish a stage of it. Collective.
     pub fn apply_general(&mut self, upd: GeneralUpdates<S::Elem>) -> BatchReport {
         let none = GeneralUpdates::new();
         let report = self.engine.apply_general(&self.grid, upd, none);
@@ -219,7 +224,8 @@ impl<S: Semiring> AnalyticsSession<S> {
     }
 
     /// Deletes the given `(u, v)` positions from the graph (a general
-    /// batch). Returns the batch's report. Collective.
+    /// batch; over a ring, the algebraic update `−old`). Returns the batch's
+    /// report. Collective.
     pub fn delete_edges(&mut self, pairs: Vec<(Index, Index)>) -> BatchReport {
         let mut upd = GeneralUpdates::new();
         upd.deletes = pairs;

@@ -84,8 +84,6 @@ pub struct CommonNeighborsView<S: Semiring> {
     /// Cached frozen reading, rebuilt only after the scores change — an
     /// unchanged view is re-shared into the next epoch by refcount.
     frozen: Option<FrozenView>,
-    /// Candidate scores refreshed across all batches (diagnostics).
-    pub refreshed_entries: u64,
 }
 
 impl<S: Semiring> CommonNeighborsView<S> {
@@ -97,7 +95,6 @@ impl<S: Semiring> CommonNeighborsView<S> {
             local_mask: Dcsr::empty(0, 0),
             scores: FxHashMap::default(),
             frozen: None,
-            refreshed_entries: 0,
         }
     }
 
@@ -154,7 +151,6 @@ impl<S: Semiring> CommonNeighborsView<S> {
             }
         }
         self.frozen = None;
-        self.refreshed_entries += 1;
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! | view | shape | refresh cost per batch |
 //! |---|---|---|
-//! | [`TriangleCountView`] | scalar | `O(nnz(C*) + batch)` local + 1 allreduce (incremental); `O(nnz(A)/p)` rescan fallback on general batches |
+//! | [`TriangleCountView`] | scalar | `O(nnz(C*) + batch)` local + 1 allreduce (incremental); `O(nnz(A)/p)` rescan fallback on a general batch without an inverse (over `u64` every batch is incremental) |
 //! | [`CommonNeighborsView`] | candidate map | `O(nnz(C*))` mask probes, no communication |
 //! | [`DegreeView`] | vector | one SpMV sweep |
 

@@ -6,22 +6,27 @@
 //! its matching `C` entry live in the *same* local block, so the sum is
 //! embarrassingly local and needs one scalar allreduce.
 //!
-//! The view maintains the masked sum **incrementally**: an algebraic batch
-//! changes it by
+//! The view maintains the masked sum **incrementally**: a batch that moves
+//! `A` only at the positions `T` of its update block `A*` changes it by
 //!
 //! ```text
-//! ΔS = Σ_{p ∈ pattern(A_old) ∩ C*} c*_p  +  Σ_{p ∈ new edges} c'_p
+//! ΔS = Σ_{p ∈ (C* ∩ A') \ T} c*_p  +  Σ_{p ∈ T ∩ A'} c'_p  −  Σ_{p ∈ T ∩ A} c_p
 //! ```
 //!
-//! both sums local over the shared `C*` delta and the (hypersparse) batch —
-//! `O(nnz(C*) + batch)` work instead of the `O(nnz(A))` full rescan, which
-//! is kept as the fallback for general batches (deletions invalidate the
-//! additive decomposition because `C* `carries patterns, not value deltas).
+//! — outside `T` the mask stands still and each entry moves by its `C*`
+//! value delta; inside it, the new entry under the new mask replaces the old
+//! one under the old. `pre_batch` sums the last term while the old `A` and
+//! `C` are still observable, and all three are local over the shared `C*`
+//! delta and the (hypersparse) batch: `O(nnz(C*) + batch)` work instead of
+//! the `O(nnz(A))` full rescan. Every algebraic batch takes this path, and
+//! over `u64` that is every batch: the ring ℤ/2⁶⁴ deletes by adding `−old`
+//! (`Semiring::NEG`). The rescan is left for a general batch of a
+//! semiring without an inverse, whose `C*` carries a recomputed pattern,
+//! not value deltas.
 
 use crate::view::{BatchDelta, FrozenView, PendingBatch, View, ViewCx};
 use dspgemm_sparse::semiring::Semiring;
-use dspgemm_sparse::{Index, RowScan};
-use dspgemm_util::FxHashSet;
+use dspgemm_sparse::RowScan;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -47,19 +52,15 @@ impl TriangleReading {
     }
 }
 
-#[inline]
-fn pack(r: Index, c: Index) -> u64 {
-    ((r as u64) << 32) | c as u64
-}
-
 /// Maintained global triangle count over a `u64`-valued session (unit edge
 /// weights assumed; see the module docs).
 #[derive(Debug, Default)]
 pub struct TriangleCountView {
     /// Global masked sum `Σ_{(u,v) ∈ A} c_{u,v}` (agreed on all ranks).
     masked_sum: u64,
-    /// Block-local positions of the pending batch absent from the old `A`.
-    pending_new: FxHashSet<u64>,
+    /// This rank's `Σ_{p ∈ T ∩ A} c_p` over the pending batch's positions
+    /// `T`, read before the batch is applied.
+    pending_old: u64,
     /// Refreshes served by the incremental path.
     pub incremental_refreshes: u64,
     /// Refreshes that fell back to the full local rescan.
@@ -108,52 +109,52 @@ impl<S: Semiring<Elem = u64>> View<S> for TriangleCountView {
     }
 
     fn pre_batch(&mut self, cx: &ViewCx<'_, S>, pending: &PendingBatch<'_, S>) {
-        self.pending_new.clear();
+        self.pending_old = 0;
         if let PendingBatch::Algebraic { star } = pending {
-            // Record which update positions are brand-new edges while the
-            // old A is still observable.
-            for (r, cols, _) in star.block().iter_rows() {
+            // The old entries under the old mask at the batch's positions.
+            star.block().scan_rows(|r, cols, _| {
                 for &cc in cols {
-                    if cx.a.block().get(r, cc).is_none() {
-                        self.pending_new.insert(pack(r, cc));
+                    if cx.a.block().get(r, cc).is_some() {
+                        let c = cx.c.block().get(r, cc).unwrap_or(0);
+                        self.pending_old = self.pending_old.wrapping_add(c);
                     }
                 }
-            }
+            });
         }
     }
 
     fn post_batch(&mut self, cx: &ViewCx<'_, S>, delta: &BatchDelta<'_, S>) {
         match delta {
-            BatchDelta::Algebraic { cstar, .. } => {
-                let mut local = 0u64;
-                // Old edges whose product entry moved: add the value delta.
+            BatchDelta::Algebraic { star, cstar } => {
+                let (a, star) = (cx.a.block(), star.block());
+                let mut local = self.pending_old.wrapping_neg();
+                // Outside the batch the mask stands still: each entry under
+                // it moves by its value delta.
                 cstar.scan_rows(|r, cols, vals| {
                     for (&cc, &(dv, _)) in cols.iter().zip(vals) {
-                        if !self.pending_new.contains(&pack(r, cc))
-                            && cx.a.block().get(r, cc).is_some()
-                        {
+                        if a.get(r, cc).is_some() && !star.contains(r, cc) {
                             local = local.wrapping_add(dv);
                         }
                     }
                 });
-                // New edges: their full (post-update) product entry joins
-                // the mask.
-                for &p in &self.pending_new {
-                    let (r, cc) = ((p >> 32) as Index, (p & 0xFFFF_FFFF) as Index);
-                    local = local.wrapping_add(cx.c.block().get(r, cc).unwrap_or(0));
-                }
+                // Inside it, the new entries under the new mask.
+                star.scan_rows(|r, cols, _| {
+                    for &cc in cols {
+                        if a.get(r, cc).is_some() {
+                            local = local.wrapping_add(cx.c.block().get(r, cc).unwrap_or(0));
+                        }
+                    }
+                });
                 let total = cx.grid.world().allreduce(local, u64::wrapping_add);
                 self.masked_sum = self.masked_sum.wrapping_add(total);
                 self.incremental_refreshes += 1;
             }
             BatchDelta::General { .. } => {
-                // Deletions change the mask *and* replace (rather than
-                // increment) product values; recount from scratch — still
-                // local work plus one allreduce.
+                // A recomputed pattern carries no value deltas: recount
+                // from scratch — still local work plus one allreduce.
                 self.full_rescan(cx);
             }
         }
-        self.pending_new.clear();
     }
 
     fn freeze(&mut self) -> FrozenView {

@@ -72,8 +72,9 @@ pub(crate) fn schedule(
     plan
 }
 
-/// Commits one round on the session: Algorithm 1 for an insert round,
-/// Algorithm 2 for an expire round. Collective.
+/// Commits one round on the session: insertions for an insert round,
+/// deletions for an expire round — over `u64` both algebraic updates,
+/// Algorithm 1 on path counts. Collective.
 pub(crate) fn commit_round(session: &mut AnalyticsSession<U64Plus>, round: Round) -> BatchReport {
     match round {
         (inserts, deletes) if deletes.is_empty() => session.insert_edges(inserts),
@@ -127,9 +128,9 @@ fn static_step(
 pub const ANALYTICS_BATCHES: [usize; 3] = [16, 64, 256];
 
 /// Per-batch view-refresh latency: maintained session vs. static
-/// recomputation, per instance and batch size. Insert (Algorithm 1) and
-/// expire (Algorithm 2) rounds are reported separately — they exercise
-/// different machinery with different costs.
+/// recomputation, per instance and batch size. Insert and expire rounds
+/// are reported separately: an expiry removes entries of `C` whose path
+/// count reaches zero, an insert only adds.
 pub fn run(cfg: &Config) -> Table {
     let mut table = Table::new(
         "Analytics: maintained views vs. static recomputation (per batch)",

@@ -43,7 +43,10 @@
 //! exactly the entries of `A*_{j,i}` and assembles them as the broadcast
 //! payload. No point-to-point byte moves, and an Algorithm-1 batch sends
 //! one two-phase `ALLTOALLV` pair however many operands it updates
-//! (`tests/comm_volume.rs` asserts both).
+//! (`tests/comm_volume.rs` asserts both). A batch over a ring is the
+//! exception ([`crate::ring`]): its round roots broadcast each entry's
+//! difference, which exists only once the owner has read the old block, so
+//! they receive it in the paper's step-1 exchange, `p − √p` messages.
 //!
 //! **No control collective.** The root lanes are counted
 //! ([`crate::redistribute::Route`]): every rank leaves the redistribution
@@ -54,12 +57,15 @@
 //!
 //! The module is generic over an [`XYKernel`] so the identical communication
 //! structure also serves the Bloom-fused variant (engine sessions that
-//! maintain the filter matrix `F`) and `COMPUTE_PATTERN` of Algorithm 2.
+//! maintain the filter matrix `F`), the path-counting variant (such
+//! sessions over a ring, where every batch, deletions included, is
+//! algebraic) and `COMPUTE_PATTERN` of Algorithm 2.
 //!
 //! **One batch body.** Eq. 1 covers `C = A·A` as the case `B = A`,
-//! `B* = A*`, so both shapes run one body, `algebraic_batch`, that takes `B`
-//! as an `Option`: absent, `A` is both operands and its one update matrix
-//! serves both passes. Its round schedule, `compute_cstar`, runs the Y pass
+//! `B* = A*`, so both shapes run one body, `algebraic_batch` (on a
+//! filter-tracked engine `tracked_batch`, which also lands `F` and shows the
+//! batch to observers), that takes `B` as an `Option`: absent, `A` is both
+//! operands and its one update matrix serves both passes. Its round schedule, `compute_cstar`, runs the Y pass
 //! against the old `A`, then the local update application, then the X pass
 //! against the new right operand: Y reads only `A` and `B*`, X only `A*` and
 //! `B'`, so the order is legal for two operands and lets the shared shape
@@ -77,7 +83,7 @@ use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
 use crate::update::{apply_add, build_star_pairs, Dedup, StarPair};
 use dspgemm_mpi::Comm;
-use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Pattern, Payload, Plain};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Counted, Entry, Pattern, Payload, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::workspace::KernelWorkspace;
 use dspgemm_sparse::{Dcsr, Index, RowRead, RowScan, Triple};
@@ -89,6 +95,10 @@ use std::sync::Arc;
 /// ranks, and it names the session workspace its multiplies run on — so
 /// every flavor reuses its scratch across rounds and batches.
 pub trait XYKernel<S: Semiring>: Payload<S, Out: Elem> {
+    /// What an entry of an update block carries: its value, or over a ring
+    /// its change in value and in presence.
+    type Star: Elem + Entry<S::Elem>;
+
     /// What an entry of a `B′` row carries when the unmasked X pass ships
     /// it to a round root: the value, or nothing for a kernel that never
     /// reads it.
@@ -106,6 +116,7 @@ pub trait XYKernel<S: Semiring>: Payload<S, Out: Elem> {
 
 /// Values only — the production algebraic path.
 impl<S: Semiring> XYKernel<S> for Plain {
+    type Star = S::Elem;
     type Row = S::Elem;
 
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<S::Elem>> {
@@ -123,6 +134,7 @@ impl<S: Semiring> XYKernel<S> for Plain {
 
 /// Values fused with Bloom bitfields — for engine sessions maintaining `F`.
 impl<S: Semiring> XYKernel<S> for Bloom {
+    type Star = S::Elem;
     type Row = S::Elem;
 
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<(S::Elem, u64)>> {
@@ -142,6 +154,7 @@ impl<S: Semiring> XYKernel<S> for Bloom {
 /// ship columns alone; [`Pattern::term`] never reads the zero the receiver
 /// fills in.
 impl<S: Semiring> XYKernel<S> for Pattern {
+    type Star = S::Elem;
     type Row = ();
 
     fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<u64>> {
@@ -152,6 +165,45 @@ impl<S: Semiring> XYKernel<S> for Pattern {
 
     fn unship(rows: Dcsr<()>) -> Dcsr<S::Elem> {
         rows.map(|()| S::zero())
+    }
+}
+
+/// Values fused with path counts — for engines over a ring
+/// ([`crate::ring`]): an update block carries each entry's change in value
+/// and in presence, and a product entry its change in value and in count.
+impl<S: Semiring> XYKernel<S> for Counted {
+    type Star = (S::Elem, i8);
+    type Row = S::Elem;
+
+    fn workspace(exec: &Exec<S>) -> RefMut<'_, KernelWorkspace<(S::Elem, u64)>> {
+        exec.fused()
+    }
+
+    fn ship(v: S::Elem) -> S::Elem {
+        v
+    }
+
+    fn unship(rows: Dcsr<S::Elem>) -> Dcsr<S::Elem> {
+        rows
+    }
+}
+
+/// A payload that tracks `F` beside `C`: what an Algorithm-1 batch of a
+/// filter-tracked engine carries beside each value, and how its `C*` lands.
+pub(crate) trait Tracked<S: Semiring>: XYKernel<S, Out = (S::Elem, u64)> {
+    /// `C += C*`, and `F` in step with it.
+    fn land(c: &mut DistMat<S::Elem>, f: &mut DistMat<u64>, cstar: &Dcsr<(S::Elem, u64)>);
+}
+
+impl<S: Semiring> Tracked<S> for Bloom {
+    fn land(c: &mut DistMat<S::Elem>, f: &mut DistMat<u64>, cstar: &Dcsr<(S::Elem, u64)>) {
+        add_cstar_tracked::<S>(c, f, cstar);
+    }
+}
+
+impl<S: Semiring> Tracked<S> for Counted {
+    fn land(c: &mut DistMat<S::Elem>, f: &mut DistMat<u64>, cstar: &Dcsr<(S::Elem, u64)>) {
+        add_cstar_counted::<S>(c, f, cstar);
     }
 }
 
@@ -210,11 +262,14 @@ pub(crate) fn build_star_operands<S: Semiring>(
 
 /// An operand's built update, as the round schedule consumes it.
 pub(crate) trait Update<S: Semiring> {
+    /// What an entry of the round root's block carries.
+    type Star: Elem;
+
     /// The block this rank broadcasts as a round root (`M*_{j,i}` at rank
     /// `(i, j)`, Section V-C), or `None` when the update is empty on every
     /// rank — decided from the global tuple count its redistribution
     /// delivered, so all ranks agree.
-    fn root(&self) -> Option<&Arc<Dcsr<S::Elem>>>;
+    fn root(&self) -> Option<&Arc<Dcsr<Self::Star>>>;
 
     /// Turns this rank's block of the operand into its updated form.
     fn apply(&self, m: &mut DistMat<S::Elem>);
@@ -222,6 +277,8 @@ pub(crate) trait Update<S: Semiring> {
 
 /// Algorithm 1's update: `M += M*`.
 impl<S: Semiring> Update<S> for StarPair<S::Elem> {
+    type Star = S::Elem;
+
     fn root(&self) -> Option<&Arc<Dcsr<S::Elem>>> {
         (self.global_tuples != 0).then_some(&self.root)
     }
@@ -272,12 +329,12 @@ impl<'m, V: Elem, U> Operands<'m, V, U> {
 type Payloads<V> = (Option<Arc<Dcsr<V>>>, Option<Arc<Dcsr<V>>>);
 
 /// Step 1 of [`compute_cstar`]: the round roots' broadcast payloads, as
-/// the batch's redistribution built them. A globally empty update matrix
+/// the batch built them. A globally empty update matrix
 /// contributes nothing to Eq. 1, so its pass gets no payload and is skipped
 /// whole ([`Update::root`]): every rank knows the global tuple count from
 /// the redistribution, so the skip costs no message. This is the common
 /// case in the paper's Fig. 9 protocol, where `B` is static.
-fn star_payloads<S: Semiring, U: Update<S>>(a: &U, b: Option<&U>) -> Payloads<S::Elem> {
+fn star_payloads<S: Semiring, U: Update<S>>(a: &U, b: Option<&U>) -> Payloads<U::Star> {
     let x_star = a.root().cloned();
     match b {
         Some(b) => (x_star, b.root().cloned()),
@@ -302,7 +359,7 @@ fn star_payloads<S: Semiring, U: Update<S>>(a: &U, b: Option<&U>) -> Payloads<S:
 /// inside the collectives). Returns this rank's summed block. Collective.
 pub(crate) fn x_pass<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
-    star: &Arc<Dcsr<S::Elem>>,
+    star: &Arc<Dcsr<K::Star>>,
     right: &DistMat<S::Elem>,
     mask: Option<&Arc<Dcsr<()>>>,
     exec: &Exec<S>,
@@ -376,10 +433,10 @@ type Piece<V, R> = (Arc<Dcsr<V>>, Dcsr<R>);
 fn ship_operands<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     k: usize,
-    star: Arc<Dcsr<S::Elem>>,
+    star: Arc<Dcsr<K::Star>>,
     right: &DistMat<S::Elem>,
     timer: &mut PhaseTimer,
-) -> Option<Vec<Piece<S::Elem, K::Row>>> {
+) -> Option<Vec<Piece<K::Star, K::Row>>> {
     let block = right.block();
     let rows = if grid.coords().0 == k {
         // The root's own value is not sent, and it multiplies against its
@@ -413,7 +470,7 @@ fn ship_operands<S: Semiring, K: XYKernel<S>>(
 /// [`Comm::fold_in_reduce_order`]: dspgemm_mpi::Comm::fold_in_reduce_order
 fn sum_products<S: Semiring, K: XYKernel<S>>(
     k: usize,
-    pieces: Vec<Piece<S::Elem, K::Row>>,
+    pieces: Vec<Piece<K::Star, K::Row>>,
     right: &DistMat<S::Elem>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
@@ -437,7 +494,7 @@ fn sum_products<S: Semiring, K: XYKernel<S>>(
 /// `star · b` on the payload's workspace, under [`phase::LOCAL_MULT`], with
 /// `k_offset` the global row of `b`'s first row; adds its flops to `flops`.
 fn multiply<S: Semiring, K: XYKernel<S>>(
-    star: &Dcsr<S::Elem>,
+    star: &Dcsr<K::Star>,
     b: &impl RowRead<S::Elem>,
     k_offset: Index,
     exec: &Exec<S>,
@@ -459,7 +516,7 @@ fn multiply<S: Semiring, K: XYKernel<S>>(
 fn y_pass<S: Semiring, K: XYKernel<S>>(
     grid: &Grid,
     left: &DistMat<S::Elem>,
-    star: &Arc<Dcsr<S::Elem>>,
+    star: &Arc<Dcsr<K::Star>>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
     flops: &mut u64,
@@ -505,7 +562,7 @@ fn y_pass<S: Semiring, K: XYKernel<S>>(
 ///    [`phase::LOCAL_UPDATE`].
 /// 4. The X pass against the new right operand `B'` (`A'` when shared).
 /// 5. The X and Y partials merge, X first.
-pub(crate) fn compute_cstar<S: Semiring, K: XYKernel<S>, U: Update<S>>(
+pub(crate) fn compute_cstar<S: Semiring, K: XYKernel<S>, U: Update<S, Star = K::Star>>(
     grid: &Grid,
     ops: &mut Operands<'_, S::Elem, U>,
     exec: &Exec<S>,
@@ -574,42 +631,95 @@ pub(crate) fn add_cstar_tracked<S: Semiring>(
     });
 }
 
-/// Algorithm 1, one batch of either shape: runs the Y pass, applies
-/// `A += A*` (and `B += B*`), runs the X pass and patches `C` — `C = A·B`,
-/// or `C = A·A` when `b` is `None` and `A*` serves both passes. With `f` the
-/// batch also maintains the Bloom filter matrix `F` (required when general
-/// updates may follow): identical communication structure, partial blocks
-/// carry `(value, bitfield)` pairs, and `obs` sees `A*` before the batch is
-/// applied and this rank's `C*` after. Returns the local flop count and the
-/// entries of this rank's `C*` block. Collective.
+/// [`add_cstar`] for a ring's counted batch: `C*` carries `(value delta,
+/// count delta)` pairs, `C` takes the first and `F`'s path count the
+/// second, and an entry whose count reaches zero leaves both — the entry a
+/// static recompute does not have. `F` is never published, so it takes no
+/// pattern.
+pub(crate) fn add_cstar_counted<S: Semiring>(
+    c: &mut DistMat<S::Elem>,
+    f: &mut DistMat<u64>,
+    cstar: &Dcsr<(S::Elem, u64)>,
+) {
+    if cstar.nnz() == 0 {
+        return;
+    }
+    let c_block = c.block_mut_touching(cstar);
+    let f_block = f.block_mut();
+    cstar.scan_rows(|r, cols, vals| {
+        for (&cc, &(v, n)) in cols.iter().zip(vals) {
+            let paths = f_block.get(r, cc).unwrap_or(0).wrapping_add(n);
+            if paths == 0 {
+                let left = S::add(c_block.remove(r, cc).unwrap_or(S::zero()), v);
+                debug_assert!(S::is_zero(left), "a pathless entry keeps a value");
+                f_block.remove(r, cc);
+            } else {
+                c_block.add_entry::<S>(r, cc, v);
+                f_block.set(r, cc, paths);
+            }
+        }
+    });
+}
+
+/// Algorithm 1, one batch of either shape: runs the Y pass, applies the
+/// update in place (`A += A*`, and `B += B*`), runs the X pass and adds `C*`
+/// into `C` — `C = A·B`, or `C = A·A` when `b` is `None` and `A`'s update
+/// serves both passes. Returns the local flop count and the entries of this
+/// rank's `C*` block. Collective.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn algebraic_batch<S: Semiring>(
     grid: &Grid,
     a: &mut DistMat<S::Elem>,
     b: Option<&mut DistMat<S::Elem>>,
     c: &mut DistMat<S::Elem>,
-    f: Option<&mut DistMat<u64>>,
     a_star: &StarPair<S::Elem>,
     b_star: Option<&StarPair<S::Elem>>,
-    obs: &mut impl Observer<S>,
     exec: &Exec<S>,
     timer: &mut PhaseTimer,
 ) -> (u64, u64) {
     let mut ops = Operands::new(a, a_star, b, b_star);
-    let Some(f) = f else {
-        let (cstar, flops) = compute_cstar::<S, Plain, _>(grid, &mut ops, exec, timer);
-        timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
-        return (flops, cstar.nnz() as u64);
-    };
-    let (a, star) = (ops.left(), &a_star.natural);
-    obs.pre_batch(&ViewCx { grid, a, c }, &PendingBatch::Algebraic { star });
-    let (cstar, flops) = compute_cstar::<S, Bloom, _>(grid, &mut ops, exec, timer);
-    timer.time(phase::LOCAL_UPDATE, || add_cstar_tracked::<S>(c, f, &cstar));
-    let (a, cstar) = (ops.left(), &cstar);
-    obs.post_batch(
-        &ViewCx { grid, a, c },
-        &BatchDelta::Algebraic { star, cstar },
-    );
+    let (cstar, flops) = compute_cstar::<S, Plain, _>(grid, &mut ops, exec, timer);
+    timer.time(phase::LOCAL_UPDATE, || add_cstar::<S>(c, &cstar));
+    (flops, cstar.nnz() as u64)
+}
+
+/// [`algebraic_batch`] on a filter-tracked engine: the payload `K` carries
+/// beside each value the Bloom bits of its inner indices ([`Bloom`], which
+/// Algorithm 2 reads later) or, over a ring, its path count ([`Counted`],
+/// whose updates carry each entry's change and arrive at the round roots
+/// from [`crate::ring`]), and lands `C*` in `C` and `F` ([`Tracked`]). The
+/// communication structure is the same for both. With `star`, this rank's
+/// block of `A' − A`, `obs` sees the update before it is applied and this
+/// rank's `C*` after; without it no observer watches. Returns the local flop
+/// count and the entries of this rank's `C*` block. Collective.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn tracked_batch<S: Semiring, K: Tracked<S>, U: Update<S, Star = K::Star>>(
+    grid: &Grid,
+    a: &mut DistMat<S::Elem>,
+    b: Option<&mut DistMat<S::Elem>>,
+    c: &mut DistMat<S::Elem>,
+    f: &mut DistMat<u64>,
+    a_upd: &U,
+    b_upd: Option<&U>,
+    star: Option<&DistDcsr<S::Elem>>,
+    obs: &mut impl Observer<S>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+) -> (u64, u64) {
+    let mut ops = Operands::new(a, a_upd, b, b_upd);
+    if let Some(star) = star {
+        let a = ops.left();
+        obs.pre_batch(&ViewCx { grid, a, c }, &PendingBatch::Algebraic { star });
+    }
+    let (cstar, flops) = compute_cstar::<S, K, _>(grid, &mut ops, exec, timer);
+    timer.time(phase::LOCAL_UPDATE, || K::land(c, f, &cstar));
+    if let Some(star) = star {
+        let (a, cstar) = (ops.left(), &cstar);
+        obs.post_batch(
+            &ViewCx { grid, a, c },
+            &BatchDelta::Algebraic { star, cstar },
+        );
+    }
     (flops, cstar.nnz() as u64)
 }
 
@@ -629,19 +739,7 @@ pub fn apply_algebraic_updates_prebuilt_exec<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> u64 {
     let (a_star, b_star) = (a_star.pair(), Some(b_star.pair()));
-    algebraic_batch::<S>(
-        grid,
-        a,
-        Some(b),
-        c,
-        None,
-        a_star,
-        b_star,
-        &mut (),
-        exec,
-        timer,
-    )
-    .0
+    algebraic_batch::<S>(grid, a, Some(b), c, a_star, b_star, exec, timer).0
 }
 
 #[cfg(test)]
@@ -655,7 +753,7 @@ mod tests {
     use crate::update::apply_add;
     use dspgemm_mpi::run;
     use dspgemm_sparse::dense::Dense;
-    use dspgemm_sparse::semiring::U64Plus;
+    use dspgemm_sparse::semiring::{MinPlus, U64Plus};
     use dspgemm_sparse::Index;
     use dspgemm_util::rng::{Rng, SplitMix64};
 
@@ -745,37 +843,56 @@ mod tests {
         check_dynamic_equals_static(9, 30, 2);
     }
 
-    #[test]
-    fn tracked_variant_matches_plain_and_fills_f() {
+    /// `t` with its values as `S` holds them.
+    fn lifted<S: Semiring>(t: Vec<Triple<u64>>, lift: fn(u64) -> S::Elem) -> Vec<Triple<S::Elem>> {
+        t.into_iter()
+            .map(|t| Triple::new(t.row, t.col, lift(t.val)))
+            .collect()
+    }
+
+    /// A tracked engine's algebraic batch leaves `C` as an untracked one's
+    /// and `F` over `C`'s pattern.
+    fn check_tracked_matches_plain<S: Semiring>(lift: fn(u64) -> S::Elem) {
         let n: Index = 20;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
             let feed = |s: u64| {
                 if comm.rank() == 0 {
-                    random_triples(s, n, 60)
+                    lifted::<S>(random_triples(s, n, 60), lift)
                 } else {
                     vec![]
                 }
             };
             let a = DistMat::from_global_triples(&grid, n, n, feed(11), 1, &mut timer);
             let b = DistMat::from_global_triples(&grid, n, n, feed(12), 1, &mut timer);
-            let mut tracked = DynSpGemm::<U64Plus>::new(&grid, a.clone(), b.clone(), 1, true);
-            let mut plain = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, false);
-            let a_ups = random_triples(31 + comm.rank() as u64, n, 10);
-            let b_ups = random_triples(41 + comm.rank() as u64, n, 10);
+            let mut tracked = DynSpGemm::<S>::new(&grid, a.clone(), b.clone(), 1, true);
+            let mut plain = DynSpGemm::<S>::new(&grid, a, b, 1, false);
+            let a_ups = lifted::<S>(random_triples(31 + comm.rank() as u64, n, 10), lift);
+            let b_ups = lifted::<S>(random_triples(41 + comm.rank() as u64, n, 10), lift);
             tracked.apply_algebraic(&grid, a_ups.clone(), b_ups.clone());
             plain.apply_algebraic(&grid, a_ups, b_ups);
             let (c, f, c2) = (&tracked.c, tracked.f.as_ref().unwrap(), &plain.c);
-            // C identical either way; F covers C's pattern.
-            let ct = c.to_global_triples();
-            let ft = f.to_global_triples();
+            // C identical either way; F's pattern is C's.
             let same_c = c.gather_to_root(comm) == c2.gather_to_root(comm);
-            let f_keys: std::collections::BTreeSet<_> = ft.iter().map(|t| (t.row, t.col)).collect();
-            let covers = ct.iter().all(|t| f_keys.contains(&(t.row, t.col)));
-            (same_c, covers)
+            let f_keys = f.to_global_triples().into_iter().map(|t| (t.row, t.col));
+            let c_keys = c.to_global_triples().into_iter().map(|t| (t.row, t.col));
+            (same_c, c_keys.eq(f_keys))
         });
-        assert!(out.results.iter().all(|&(s, c)| s && c));
+        assert!(
+            out.results.iter().all(|&(s, c)| s && c),
+            "{}: {:?}",
+            S::name(),
+            out.results
+        );
+    }
+
+    /// Over `U64Plus` the tracked batch counts paths, over `MinPlus` it
+    /// fills Bloom bits.
+    #[test]
+    fn tracked_variant_matches_plain_and_fills_f() {
+        check_tracked_matches_plain::<U64Plus>(|x| x);
+        check_tracked_matches_plain::<MinPlus>(|x| x as f64);
     }
 
     #[test]
@@ -884,21 +1001,20 @@ mod tests {
     /// `C = A·A` and a pair engine on clones (`B = A`, every batch's `B` side
     /// equal to its `A` side) agree bit for bit on `A`, `C` and `F` through
     /// algebraic and general batches, and their reports name the same stages.
-    #[test]
-    fn shared_operand_matches_cloned_operands() {
+    fn check_shared_matches_cloned<S: Semiring>(lift: fn(u64) -> S::Elem) {
         let n: Index = 22;
         for p in [1usize, 4, 9] {
             let out = run(p, move |comm| {
                 let grid = Grid::new(comm);
                 let mut timer = PhaseTimer::new();
                 let t = if comm.rank() == 0 {
-                    random_triples(7, n, 70)
+                    lifted::<S>(random_triples(7, n, 70), lift)
                 } else {
                     vec![]
                 };
                 let a = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-                let mut pair = DynSpGemm::<U64Plus>::new(&grid, a.clone(), a.clone(), 1, true);
-                let mut eng = DynSpGemm::<U64Plus, DeltaLog>::shared(&grid, a, DeltaLog::default());
+                let mut pair = DynSpGemm::<S>::new(&grid, a.clone(), a.clone(), 1, true);
+                let mut eng = DynSpGemm::<S, DeltaLog>::shared(&grid, a, DeltaLog::default());
                 let rank = comm.rank() as u64;
                 let stages = |r: &BatchReport| {
                     r.stages
@@ -908,7 +1024,7 @@ mod tests {
                         .collect::<Vec<_>>()
                 };
                 for round in 0..3u64 {
-                    let ups = random_triples(40 + round + rank, n, 9);
+                    let ups = lifted::<S>(random_triples(40 + round + rank, n, 9), lift);
                     let flops = eng.flops;
                     let shared = eng.apply_algebraic(&grid, ups.clone(), vec![]);
                     let cstar_nnz = *eng.observer().0.last().expect("one delta per batch");
@@ -918,7 +1034,7 @@ mod tests {
                     // Deletes of entries this rank holds, and sets.
                     let held = eng.a.to_global_triples();
                     let upd = GeneralUpdates {
-                        sets: random_triples(70 + round + rank, n, 5),
+                        sets: lifted::<S>(random_triples(70 + round + rank, n, 5), lift),
                         deletes: held.iter().step_by(4).map(|t| (t.row, t.col)).collect(),
                     };
                     let shared = eng.apply_general(&grid, upd.clone(), GeneralUpdates::new());
@@ -933,9 +1049,21 @@ mod tests {
                 )
             });
             for (a_eq, c_eq, f_eq) in out.results {
-                assert!(a_eq && c_eq && f_eq, "p={p}: A {a_eq}, C {c_eq}, F {f_eq}");
+                let name = S::name();
+                assert!(
+                    a_eq && c_eq && f_eq,
+                    "{name} p={p}: A {a_eq}, C {c_eq}, F {f_eq}"
+                );
             }
         }
+    }
+
+    /// Both paths: Algorithm 1 for every batch over the ring `U64Plus`;
+    /// Algorithm 1 and Algorithm 2 over `MinPlus`.
+    #[test]
+    fn shared_operand_matches_cloned_operands() {
+        check_shared_matches_cloned::<U64Plus>(|x| x);
+        check_shared_matches_cloned::<MinPlus>(|x| x as f64);
     }
 
     /// The shared arm maintains C identically and fills F over C's pattern.

@@ -24,7 +24,9 @@
 //! `general_batch`, which takes `B` as an `Option` (absent: `C = A·A`, and
 //! `A`'s one prepared update serves both passes of `COMPUTE_PATTERN`; the
 //! masked recompute runs against `A'` itself). The one public entry is
-//! [`crate::engine::DynSpGemm::apply_general`].
+//! [`crate::engine::DynSpGemm::apply_general`]. A tracking engine over a
+//! ring never runs it: there a general update is the algebraic `new − old`,
+//! and Algorithm 1 applies it on path counts ([`crate::ring`]).
 
 use crate::distmat::{DistDcsr, DistMat, Elem};
 use crate::dyn_algebraic::{compute_cstar, x_pass, Operands, TransposeMode, Update};
@@ -169,6 +171,8 @@ pub(crate) fn prepare_general_batch<S: Semiring>(
 
 /// Algorithm 2's update: `M ← M'` by the MERGE, then the MASK matrix.
 impl<S: Semiring> Update<S> for PreparedGeneral<S::Elem> {
+    type Star = S::Elem;
+
     fn root(&self) -> Option<&Arc<Dcsr<S::Elem>>> {
         (self.global_tuples != 0).then_some(&self.star_root)
     }
@@ -416,14 +420,20 @@ mod tests {
             .collect()
     }
 
-    fn random_triples_u(seed: u64, n: Index, count: usize) -> Vec<Triple<u64>> {
+    /// `count` random triples with values in `1..=9`, as `S` holds them.
+    fn random_triples_u<S: Semiring>(
+        seed: u64,
+        n: Index,
+        count: usize,
+        lift: fn(u64) -> S::Elem,
+    ) -> Vec<Triple<S::Elem>> {
         let mut rng = SplitMix64::new(seed);
         (0..count)
             .map(|_| {
                 Triple::new(
                     rng.gen_range(n as u64) as Index,
                     rng.gen_range(n as u64) as Index,
-                    rng.gen_range(9) + 1,
+                    lift(rng.gen_range(9) + 1),
                 )
             })
             .collect()
@@ -527,20 +537,20 @@ mod tests {
         check_general_min_plus(9, 24, 2);
     }
 
-    #[test]
-    fn general_handles_pure_deletions_u64() {
+    /// A batch of deletions alone leaves `C` equal to a static recompute.
+    fn check_pure_deletions<S: Semiring>(lift: fn(u64) -> S::Elem) {
         let n: Index = 16;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
             let t = if comm.rank() == 0 {
-                random_triples_u(5, n, 60)
+                random_triples_u::<S>(5, n, 60, lift)
             } else {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
+            let mut eng = DynSpGemm::<S>::new(&grid, a, b, 1, true);
             // Delete some of A's entries (drawn from gathered state).
             let a_cur = eng.a.gather_to_root(comm);
             let a_upd = if comm.rank() == 0 {
@@ -554,11 +564,23 @@ mod tests {
                 GeneralUpdates::new()
             };
             eng.apply_general(&grid, a_upd, GeneralUpdates::new());
-            let (c_static, _) = summa::<U64Plus>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            let (c_static, _) = summa::<S>(&grid, &eng.a, &eng.b, 1, &mut timer);
             (eng.c.gather_to_root(comm), c_static.gather_to_root(comm))
         });
         let (c_dyn, c_static) = &out.results[0];
-        assert_eq!(c_dyn, c_static);
+        assert_eq!(c_dyn, c_static, "{}", S::name());
+    }
+
+    /// Over `U64Plus` the deletions run Algorithm 1 on path counts.
+    #[test]
+    fn general_handles_pure_deletions_u64() {
+        check_pure_deletions::<U64Plus>(|x| x);
+    }
+
+    /// Over `MinPlus` the deletions run Algorithm 2.
+    #[test]
+    fn general_handles_pure_deletions_min_plus() {
+        check_pure_deletions::<MinPlus>(|x| x as f64);
     }
 
     /// A shared-mode engine's general updates (deletions +
@@ -600,41 +622,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn empty_general_update_is_noop() {
+    fn check_empty_general_update<S: Semiring>(lift: fn(u64) -> S::Elem) {
         let n: Index = 12;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
             let t = if comm.rank() == 0 {
-                random_triples_u(8, n, 40)
+                random_triples_u::<S>(8, n, 40, lift)
             } else {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
-            let before = eng.c.gather_to_root(comm);
+            let mut eng = DynSpGemm::<S>::new(&grid, a, b, 1, true);
+            let before = (
+                eng.c.gather_to_root(comm),
+                eng.f.as_ref().unwrap().gather_to_root(comm),
+            );
             eng.apply_general(&grid, GeneralUpdates::new(), GeneralUpdates::new());
-            before == eng.c.gather_to_root(comm)
+            let after = (
+                eng.c.gather_to_root(comm),
+                eng.f.as_ref().unwrap().gather_to_root(comm),
+            );
+            before == after
         });
-        assert!(out.results.iter().all(|&x| x));
+        assert!(out.results.iter().all(|&x| x), "{}", S::name());
     }
 
+    /// An empty general batch leaves `C` and `F` as they were, on both
+    /// paths.
     #[test]
-    fn filter_matrix_stays_consistent_with_c() {
+    fn empty_general_update_is_noop() {
+        check_empty_general_update::<U64Plus>(|x| x);
+        check_empty_general_update::<MinPlus>(|x| x as f64);
+    }
+
+    /// After mixed deletions and writes `F`'s pattern is `C`'s, and `C`
+    /// equals a static recompute. Over `U64Plus` `F` also equals the path
+    /// counts: the `U64Plus` product of the operands' 0/1 patterns.
+    fn check_filter_consistent<S: Semiring>(lift: fn(u64) -> S::Elem) {
         let n: Index = 16;
         let out = run(4, move |comm| {
             let grid = Grid::new(comm);
             let mut timer = PhaseTimer::new();
             let t = if comm.rank() == 0 {
-                random_triples_u(9, n, 50)
+                random_triples_u::<S>(9, n, 50, lift)
             } else {
                 vec![]
             };
             let a = DistMat::from_global_triples(&grid, n, n, t.clone(), 1, &mut timer);
             let b = DistMat::from_global_triples(&grid, n, n, t, 1, &mut timer);
-            let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
+            let mut eng = DynSpGemm::<S>::new(&grid, a, b, 1, true);
             for round in 0..2u64 {
                 let a_cur = eng.a.gather_to_root(comm);
                 let a_upd = if comm.rank() == 0 {
@@ -649,7 +687,7 @@ mod tests {
                         upd.sets.push(Triple::new(
                             rng.gen_range(n as u64) as Index,
                             rng.gen_range(n as u64) as Index,
-                            rng.gen_range(9) + 1,
+                            lift(rng.gen_range(9) + 1),
                         ));
                     }
                     upd
@@ -658,21 +696,39 @@ mod tests {
                 };
                 eng.apply_general(&grid, a_upd, GeneralUpdates::new());
             }
-            // Pattern of F == pattern of C after every step.
             let (c, f) = (&eng.c, eng.f.as_ref().unwrap());
-            let ct: Vec<(Index, Index)> = c
-                .to_global_triples()
-                .iter()
-                .map(|t| (t.row, t.col))
-                .collect();
-            let ft: Vec<(Index, Index)> = f
-                .to_global_triples()
-                .iter()
-                .map(|t| (t.row, t.col))
-                .collect();
-            ct == ft
+            let f_keys = f.to_global_triples().into_iter().map(|t| (t.row, t.col));
+            let c_keys = c.to_global_triples().into_iter().map(|t| (t.row, t.col));
+            let same_pattern = c_keys.eq(f_keys);
+            // The path counts, from the operands' 0/1 patterns.
+            let ones = |m: &DistMat<S::Elem>| {
+                let t = m
+                    .to_global_triples()
+                    .into_iter()
+                    .map(|t| Triple::new(t.row, t.col, 1));
+                DistMat::from_global_triples(&grid, n, n, t.collect(), 1, &mut PhaseTimer::new())
+            };
+            let (counts, _) = summa::<U64Plus>(&grid, &ones(&eng.a), &ones(&eng.b), 1, &mut timer);
+            let (c_static, _) = summa::<S>(&grid, &eng.a, &eng.b, 1, &mut timer);
+            (
+                same_pattern,
+                f.gather_to_root(comm) == counts.gather_to_root(comm),
+                c.gather_to_root(comm) == c_static.gather_to_root(comm),
+            )
         });
-        assert!(out.results.iter().all(|&x| x));
+        for (same_pattern, counted, matches_static) in out.results {
+            assert!(same_pattern, "{}: F's pattern is not C's", S::name());
+            assert!(matches_static, "{}: C != static", S::name());
+            if S::NEG.is_some() {
+                assert!(counted, "{}: F holds no path counts", S::name());
+            }
+        }
+    }
+
+    #[test]
+    fn filter_matrix_stays_consistent_with_c() {
+        check_filter_consistent::<U64Plus>(|x| x);
+        check_filter_consistent::<MinPlus>(|x| x as f64);
     }
 
     /// `replace_at_cstar` on one rank over a hand-built `C` (with `F`

@@ -1,8 +1,10 @@
 //! The user-facing dynamic SpGEMM session.
 //!
 //! [`DynSpGemm`] owns the operand matrices `A` and `B`, the maintained
-//! product `C = A · B`, and (optionally) the Bloom filter matrix `F` that
-//! general updates require. Every call that moves that state — Algorithm 1
+//! product `C = A · B`, and (optionally) the filter matrix `F` that general
+//! updates require: Bloom bits, or over a ring ([`Semiring::NEG`]) a path
+//! count per entry, and then a general batch runs Algorithm 1 too
+//! ([`crate::ring`]). Every call that moves that state — Algorithm 1
 //! and Algorithm 2 batches, static recomputes — is one [`Batch`] through
 //! one commit path: write-ahead log (with recovery on), apply, agreement
 //! fence. The session keeps the invariant `C = A · B`
@@ -23,7 +25,7 @@
 //! observer is its view registry.
 
 use crate::distmat::{DistMat, Elem, ImageBuild, ImagePath};
-use crate::dyn_algebraic::{algebraic_batch, build_star_operands};
+use crate::dyn_algebraic::{algebraic_batch, build_star_operands, tracked_batch};
 use crate::dyn_general::{general_batch, prepare_general_batch, GeneralUpdates};
 use crate::exec::Exec;
 use crate::grid::Grid;
@@ -33,9 +35,11 @@ use crate::recovery::{
     ReplicaBundle, TAG_ANCHOR, TAG_REBUILD, TAG_WAL,
 };
 use crate::report::{meter, BatchReport};
+use crate::ring::build_ring_operands;
 use crate::snapshot::{Snapshot, SnapshotMat, SnapshotStore};
-use crate::summa::{summa_bloom_exec, summa_exec};
+use crate::summa::{summa_bloom_exec, summa_counted_exec, summa_exec};
 use dspgemm_mpi::{catch_comm_mut, Comm, CommError};
+use dspgemm_sparse::local_mm::{Bloom, Counted};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::Triple;
 use dspgemm_util::stats::PhaseTimer;
@@ -52,7 +56,9 @@ pub enum Batch<V> {
     Algebraic(Vec<Triple<V>>, Vec<Triple<V>>),
     /// Algorithm 2: value writes incompatible with the semiring addition,
     /// and deletions. Requires a session created with `track_filter`. In
-    /// shared mode the `B` side must be empty.
+    /// shared mode the `B` side must be empty. Over a ring the writes are
+    /// algebraic after all, and the batch runs Algorithm 1 on the
+    /// differences they make ([`crate::ring`]).
     General(GeneralUpdates<V>, GeneralUpdates<V>),
     /// Recomputes `C = A · B` (and `F`) from scratch — the static strategy
     /// the paper's competitors are forced into; a baseline and a repair path.
@@ -72,8 +78,10 @@ pub struct DynSpGemm<S: Semiring, O: Observer<S> = ()> {
     pub b: DistMat<S::Elem>,
     /// The maintained product. Same direct-mutation caveat as `a`.
     pub c: DistMat<S::Elem>,
-    /// The Bloom filter matrix `F` (present iff the session tracks filters,
-    /// which is required before general updates can be applied).
+    /// The filter matrix `F` (present iff the session tracks filters, which
+    /// is required before general updates can be applied): per entry of
+    /// `C`, the Bloom bits of its contributing inner indices, or over a ring
+    /// ([`Semiring::NEG`]) the number of products that sum to it.
     pub f: Option<DistMat<u64>>,
     /// The kernel workspaces that persist across every update batch and
     /// recomputation of this session.
@@ -191,7 +199,8 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         (&mut self.observer, cx)
     }
 
-    /// `C = A · B` (and `F`, when tracking) by sparse SUMMA, with its flops.
+    /// `C = A · B` (and `F`, when tracking: path counts over a ring, Bloom
+    /// bits otherwise) by sparse SUMMA, with its flops.
     fn static_product(
         grid: &Grid,
         a: &DistMat<S::Elem>,
@@ -200,13 +209,15 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         exec: &Exec<S>,
         timer: &mut PhaseTimer,
     ) -> (DistMat<S::Elem>, Option<DistMat<u64>>, u64) {
-        if track_filter {
-            let (c, f, flops) = summa_bloom_exec::<S>(grid, a, b, exec, timer);
-            (c, Some(f), flops)
-        } else {
+        if !track_filter {
             let (c, flops) = summa_exec::<S>(grid, a, b, exec, timer);
-            (c, None, flops)
+            return (c, None, flops);
         }
+        let (c, f, flops) = match S::NEG {
+            Some(_) => summa_counted_exec::<S>(grid, a, b, exec, timer),
+            None => summa_bloom_exec::<S>(grid, a, b, exec, timer),
+        };
+        (c, Some(f), flops)
     }
 
     // ------------------------------------------------------------------
@@ -410,8 +421,9 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
     /// Applies one record to the live matrices — the body of every commit
     /// and of recovery replay, one arm per [`Batch`] kind. Collective. An
     /// algebraic or general batch runs its algorithm's one batch body, in
-    /// either shape, and the observer sees a tracked one before and after it
-    /// is applied; it re-bootstraps after a recompute, which carries no
+    /// either shape — both run Algorithm 1's in a tracking engine over a
+    /// ring — and the observer sees a tracked one before and after it is
+    /// applied; it re-bootstraps after a recompute, which carries no
     /// delta. Records its stages into `stages` and returns this rank's
     /// `(flops, nnz(A*), nnz(C*))` — the update counts are zero for a
     /// recompute.
@@ -434,14 +446,45 @@ impl<S: Semiring, O: Observer<S>> DynSpGemm<S, O> {
         // `B` unless shared mode stores one operand: `A` is both.
         let b = (!self.shared).then_some(&mut self.b);
         let (obs, exec) = (&mut self.observer, &self.exec);
+        let ring = S::NEG.is_some() && self.f.is_some();
+        // Only a shared-mode session's observer watches a batch: a pair
+        // engine observes with `()`.
+        let watched = self.shared;
         let work = match record.batch {
+            batch @ (Batch::Algebraic(..) | Batch::General(..)) if ring => {
+                let (a_upd, b_upd) =
+                    build_ring_operands::<S>(grid, &self.a, b.as_deref(), batch, stages);
+                let star = watched.then(|| a_upd.values(grid, &self.a));
+                let f = self.f.as_mut().expect("a ring engine tracks F");
+                let (a, c, b_upd) = (&mut self.a, &mut self.c, b_upd.as_ref());
+                let (flops, cstar_nnz) = tracked_batch::<S, Counted, _>(
+                    grid,
+                    a,
+                    b,
+                    c,
+                    f,
+                    &a_upd,
+                    b_upd,
+                    star.as_ref(),
+                    obs,
+                    exec,
+                    stages,
+                );
+                (flops, a_upd.named, cstar_nnz)
+            }
             Batch::Algebraic(a_ups, b_ups) => {
                 let (a_star, b_star) =
                     build_star_operands::<S>(grid, &self.a, b.as_deref(), a_ups, b_ups, stages);
-                let (a, c, f, b_star) =
-                    (&mut self.a, &mut self.c, self.f.as_mut(), b_star.as_ref());
-                let (flops, cstar_nnz) =
-                    algebraic_batch::<S>(grid, a, b, c, f, &a_star, b_star, obs, exec, stages);
+                let (a, c, b_star) = (&mut self.a, &mut self.c, b_star.as_ref());
+                let (flops, cstar_nnz) = match self.f.as_mut() {
+                    Some(f) => {
+                        let star = watched.then_some(&a_star.natural);
+                        tracked_batch::<S, Bloom, _>(
+                            grid, a, b, c, f, &a_star, b_star, star, obs, exec, stages,
+                        )
+                    }
+                    None => algebraic_batch::<S>(grid, a, b, c, &a_star, b_star, exec, stages),
+                };
                 (flops, a_star.natural.local_nnz() as u64, cstar_nnz)
             }
             Batch::General(a_ups, b_ups) => {

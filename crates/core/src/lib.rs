@@ -25,6 +25,10 @@
 //! * [`dyn_general`] — **Algorithm 2**: dynamic SpGEMM for general updates
 //!   via `COMPUTE_PATTERN`, Bloom-filtered extraction `A^R` and masked
 //!   recomputation (Section V-B).
+//! * [`ring`] — rings count paths: over a semiring with an exact additive
+//!   inverse a deletion is an algebraic update, so a filter-tracked engine
+//!   runs every batch through Algorithm 1 and keeps a path count per entry
+//!   of `C` in `F`.
 //! * [`engine`] — [`engine::DynSpGemm`], the user-facing session object that
 //!   owns `A`, `B`, `C` (and the filter matrix `F`) and runs each update
 //!   batch through its algorithm's one batch body — the bodies' one public
@@ -94,6 +98,7 @@ pub mod pipeline;
 pub mod recovery;
 pub mod redistribute;
 pub mod report;
+pub mod ring;
 pub mod snapshot;
 pub mod spmv;
 pub mod summa;
@@ -110,9 +115,10 @@ pub use snapshot::{reduce_topk, Snapshot, SnapshotMat, SnapshotStore};
 
 /// Phase names used by the SpGEMM breakdown (the paper's Fig. 12 series).
 pub mod phase {
-    /// Algorithm 2's point-to-point transpose exchange of the filtered
-    /// extraction `A^R` with the transpose rank (Algorithm 1 has none: its
-    /// round roots' blocks come out of the batch's redistribution).
+    /// A point-to-point exchange with the transpose rank: Algorithm 2's
+    /// filtered extraction `A^R`, or a ring batch's difference blocks for
+    /// the round roots (other Algorithm-1 batches have none: their round
+    /// roots' blocks come out of the batch's redistribution).
     pub const SEND_RECV: &str = "send/recv";
     /// Row/column broadcasts of update blocks.
     pub const BCAST: &str = "bcast";

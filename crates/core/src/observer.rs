@@ -34,12 +34,15 @@ pub struct ViewCx<'a, S: Semiring> {
 /// A redistributed-but-unapplied batch: the observer's chance to see state
 /// that is about to change (e.g. which update positions are new edges).
 pub enum PendingBatch<'a, S: Semiring> {
-    /// Algebraic insertions `A' = A + A*`.
+    /// An algebraic update `A' = A + A*`: insertions, or over a ring
+    /// ([`Semiring::NEG`]) any batch, deletions included.
     Algebraic {
-        /// This rank's block of `A*` (block-local indices).
+        /// This rank's block of `A*` (block-local indices). Over a ring, the
+        /// change `new − old` at every position whose value or presence the
+        /// batch moves.
         star: &'a DistDcsr<S::Elem>,
     },
-    /// General sets/deletes.
+    /// General sets/deletes (Algorithm 2: a semiring without an inverse).
     General {
         /// This rank's prepared MERGE/MASK/pattern blocks.
         prep: &'a PreparedGeneral<S::Elem>,
@@ -51,9 +54,12 @@ pub enum BatchDelta<'a, S: Semiring> {
     /// Algebraic batch: `C* = A*·B' + A·B*` (`A*·A' + A·A*` in shared mode)
     /// was *added* into `C`.
     Algebraic {
-        /// This rank's `A*` block.
+        /// This rank's `A*` block, as [`PendingBatch::Algebraic`] showed it.
         star: &'a DistDcsr<S::Elem>,
-        /// This rank's `C*` block: `(value delta, Bloom bits)` per entry.
+        /// This rank's `C*` block: per entry the value delta and a second
+        /// word — the Bloom bits of its contributing inner indices, or over
+        /// a ring the change in its path count, in ℤ/2⁶⁴. An entry whose
+        /// count fell to zero has left `C`.
         cstar: &'a Dcsr<(S::Elem, u64)>,
     },
     /// General batch: the masked positions of `C` were recomputed/deleted.

@@ -169,7 +169,7 @@ pub struct Anchor<V> {
     pub b: MatImage<V>,
     /// Image of the rank's `C` block.
     pub c: MatImage<V>,
-    /// Image of the rank's Bloom filter block (iff the session tracks one).
+    /// Image of the rank's filter block (iff the session tracks one).
     pub f: Option<MatImage<u64>>,
 }
 

@@ -11,7 +11,8 @@
 //!
 //! [`summa_bloom`] additionally produces the Bloom filter matrix `F`
 //! recording contributing inner indices, needed before general dynamic
-//! updates can be applied (Section V-B).
+//! updates can be applied (Section V-B). Over a ring, a tracking engine's
+//! `F` holds path counts instead (`summa_counted_exec`, [`crate::ring`]).
 //!
 //! Every SUMMA-shaped product is one round body, `summa_rounds`,
 //! differing in the kernel payload and the fold of each round's partial,
@@ -21,12 +22,12 @@
 //! hidden — under the compute.
 
 use crate::distmat::{DistMat, Elem};
-use crate::dyn_algebraic::{add_cstar, add_cstar_tracked, XYKernel};
+use crate::dyn_algebraic::{add_cstar, add_cstar_counted, add_cstar_tracked, XYKernel};
 use crate::exec::Exec;
 use crate::grid::{block_range, Grid};
 use crate::phase;
 use crate::pipeline::{await_into_phase, run_rounds};
-use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Plain};
+use dspgemm_sparse::local_mm::{spgemm_with, Bloom, Counted, Plain};
 use dspgemm_sparse::semiring::Semiring;
 use dspgemm_sparse::{Csr, Dcsr};
 use dspgemm_util::stats::PhaseTimer;
@@ -172,6 +173,23 @@ pub fn summa_bloom_exec<S: Semiring>(
     let mut f = empty_product(grid, a, b);
     let fold = |partial: Dcsr<(S::Elem, u64)>| add_cstar_tracked::<S>(&mut c, &mut f, &partial);
     let flops = summa_rounds::<S, Bloom>(grid, a, b, exec, timer, fold);
+    (c, f, flops)
+}
+
+/// SUMMA fused with path counting, for a tracking engine over a ring:
+/// returns `(C, F, flops)` where `F` holds, per non-zero of `C`, the number
+/// of products `a_ik · b_kj` that sum to it.
+pub(crate) fn summa_counted_exec<S: Semiring>(
+    grid: &Grid,
+    a: &DistMat<S::Elem>,
+    b: &DistMat<S::Elem>,
+    exec: &Exec<S>,
+    timer: &mut PhaseTimer,
+) -> (DistMat<S::Elem>, DistMat<u64>, u64) {
+    let mut c = empty_product(grid, a, b);
+    let mut f = empty_product(grid, a, b);
+    let fold = |partial: Dcsr<(S::Elem, u64)>| add_cstar_counted::<S>(&mut c, &mut f, &partial);
+    let flops = summa_rounds::<S, Counted>(grid, a, b, exec, timer, fold);
     (c, f, flops)
 }
 

@@ -48,6 +48,9 @@ pub(crate) type Shape = (Index, Index);
 pub(crate) enum Lane<V> {
     /// This rank's own block `A*_{i,j}` — what the local application reads.
     Natural(Shape, Vec<Triple<V>>),
+    /// A natural lane that is counted, so the build also learns its global
+    /// tuple count: a ring's update, which builds no root lane.
+    Counted(Shape, Vec<Triple<V>>),
     /// The round root's block `A*_{j,i}` (Section V-C): the tuples route
     /// flipped `(r, c, v) → (c, r, v)` as entries of the transposed
     /// `ncols × nrows` matrix, so rank `(i, j)` receives exactly the entries
@@ -57,10 +60,11 @@ pub(crate) enum Lane<V> {
     Root(Shape, Vec<Triple<V>>),
 }
 
-/// What one [`Lane`] builds: a root lane's block comes with the lane's
-/// global tuple count.
+/// What one [`Lane`] builds: a counted or root lane's block comes with the
+/// lane's global tuple count.
 pub(crate) enum Built<V> {
     Natural(DistDcsr<V>),
+    Counted(DistDcsr<V>, u64),
     Root(Arc<Dcsr<V>>, u64),
 }
 
@@ -68,14 +72,21 @@ impl<V> Built<V> {
     pub(crate) fn into_natural(self) -> DistDcsr<V> {
         match self {
             Built::Natural(m) => m,
-            Built::Root(..) => unreachable!("a root lane builds no DistDcsr"),
+            _ => unreachable!("not an uncounted natural lane"),
+        }
+    }
+
+    pub(crate) fn into_counted(self) -> (DistDcsr<V>, u64) {
+        match self {
+            Built::Counted(m, count) => (m, count),
+            _ => unreachable!("not a counted natural lane"),
         }
     }
 
     pub(crate) fn into_root(self) -> (Arc<Dcsr<V>>, u64) {
         match self {
             Built::Root(block, count) => (block, count),
-            Built::Natural(_) => unreachable!("a natural lane builds no root block"),
+            _ => unreachable!("not a root lane"),
         }
     }
 }
@@ -96,7 +107,7 @@ pub(crate) fn build_update_matrices<S: Semiring>(
     timer: &mut PhaseTimer,
 ) -> Vec<Built<S::Elem>> {
     let updates = lanes.iter().map(|lane| match lane {
-        Lane::Natural(_, t) | Lane::Root(_, t) => t.len() as u64,
+        Lane::Natural(_, t) | Lane::Counted(_, t) | Lane::Root(_, t) => t.len() as u64,
     });
     let _sp = dspgemm_obs::span("engine", "redistribute")
         .attr("lanes", lanes.len() as u64)
@@ -105,11 +116,12 @@ pub(crate) fn build_update_matrices<S: Semiring>(
     let mut heads = Vec::with_capacity(lanes.len());
     let mut tuples = Vec::with_capacity(lanes.len());
     for lane in lanes {
-        let (shape, root, t) = match lane {
-            Lane::Natural(shape, t) => (shape, false, t),
+        let (shape, root, counted, t) = match lane {
+            Lane::Natural(shape, t) => (shape, false, false, t),
+            Lane::Counted(shape, t) => (shape, false, true, t),
             Lane::Root(shape, t) => {
                 let flipped = t.into_iter().map(|t| Triple::new(t.col, t.row, t.val));
-                (shape, true, flipped.collect())
+                (shape, true, true, flipped.collect())
             }
         };
         // A root lane routes as an entry of the transposed matrix.
@@ -117,7 +129,7 @@ pub(crate) fn build_update_matrices<S: Semiring>(
         routes.push(Route {
             nrows,
             ncols,
-            counted: root,
+            counted,
         });
         heads.push((shape, root));
         tuples.push(t);
@@ -149,9 +161,13 @@ pub(crate) fn build_update_matrices<S: Semiring>(
                 }
                 let shape = (rows.end - rows.start, cols.end - cols.start);
                 let block = Dcsr::from_sorted_triples(shape.0, shape.1, &local);
+                if root {
+                    return Built::Root(Arc::new(block), mine.count.expect("a root lane counts"));
+                }
+                let block = DistDcsr::from_block(grid, nrows, ncols, block);
                 match mine.count {
-                    Some(count) => Built::Root(Arc::new(block), count),
-                    None => Built::Natural(DistDcsr::from_block(grid, nrows, ncols, block)),
+                    Some(count) => Built::Counted(block, count),
+                    None => Built::Natural(block),
                 }
             })
         })

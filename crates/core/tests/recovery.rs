@@ -10,12 +10,13 @@
 //! every send of the steps a batch stream can crash in: the first batch and
 //! an anchor refresh.
 
+use dspgemm_core::distmat::Elem;
 use dspgemm_core::dyn_general::GeneralUpdates;
 use dspgemm_core::engine::DynSpGemm;
 use dspgemm_core::recovery::{RecoveryConfig, RecoveryReport};
 use dspgemm_core::{Batch, DistMat, Grid, Snapshot};
 use dspgemm_mpi::{catch_comm_mut, run, run_with_faults, Comm, CommError, CommStats, FaultPlan};
-use dspgemm_sparse::semiring::U64Plus;
+use dspgemm_sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm_sparse::{Index, Triple};
 use dspgemm_util::rng::{Rng, SplitMix64};
 use dspgemm_util::stats::PhaseTimer;
@@ -299,8 +300,28 @@ fn log_stays_bounded_by_anchor_windows() {
 // ---------------------------------------------------------------------------
 // The batch-lifecycle model: seeded operation sequences over every batch
 // kind, publishes, pins and crashes, checked after every
-// step against a single-process static recompute.
+// step against a single-process static recompute. It runs over the ring
+// `U64Plus`, where every batch is Algorithm 1 and `F` counts paths, and over
+// `MinPlus`, where a general batch is Algorithm 2 and `F` holds Bloom bits.
 // ---------------------------------------------------------------------------
+
+/// A semiring the model runs on.
+trait Model: Semiring {
+    /// A drawn integer as a value.
+    fn lift(x: u64) -> Self::Elem;
+}
+
+impl Model for U64Plus {
+    fn lift(x: u64) -> u64 {
+        x
+    }
+}
+
+impl Model for MinPlus {
+    fn lift(x: u64) -> f64 {
+        x as f64
+    }
+}
 
 /// One step of a model program. Every step publishes exactly one epoch, so a
 /// recovery's commit frontier names the step to resume from.
@@ -360,44 +381,51 @@ impl Step {
 
 /// One rank's share of one step's updates.
 #[derive(Debug, Clone)]
-enum Input {
-    Algebraic(Vec<Triple<u64>>, Vec<Triple<u64>>),
-    General(GeneralUpdates<u64>, GeneralUpdates<u64>),
+enum Input<V> {
+    Algebraic(Vec<Triple<V>>, Vec<Triple<V>>),
+    General(GeneralUpdates<V>, GeneralUpdates<V>),
     Nothing,
 }
 
-type Matrix = BTreeMap<(Index, Index), u64>;
+type Matrix<V> = BTreeMap<(Index, Index), V>;
 
 /// A model program: its steps, every rank's inputs, and the oracle — the
 /// operands and their static product before the first step and after each.
-struct Program {
+struct Program<S: Model> {
     steps: Vec<Step>,
     /// `inputs[step][rank]`.
-    inputs: Vec<Vec<Input>>,
+    inputs: Vec<Vec<Input<S::Elem>>>,
     /// `expected[s]` = `[A, B, C]` after the first `s` steps.
-    expected: Vec<[Matrix; 3]>,
+    expected: Vec<[Matrix<S::Elem>; 3]>,
 }
 
 const MODEL_RECOVERY: RecoveryConfig = RecoveryConfig { anchor_period: 3 };
 
-fn product(a: &Matrix, b: &Matrix) -> Matrix {
+/// `a · b` over `S`, entry by entry.
+fn product<S: Semiring>(a: &Matrix<S::Elem>, b: &Matrix<S::Elem>) -> Matrix<S::Elem> {
     let mut c = Matrix::new();
     for (&(i, k), &x) in a {
         for (&(_, j), &y) in b.range((k, 0)..(k + 1, 0)) {
-            *c.entry((i, j)).or_insert(0) += x * y;
+            add_into::<S>(&mut c, (i, j), S::mul(x, y));
         }
     }
     c
 }
 
+/// `m[k] += x` over `S`, an absent entry standing for `S::zero()`.
+fn add_into<S: Semiring>(m: &mut Matrix<S::Elem>, k: (Index, Index), x: S::Elem) {
+    let e = m.entry(k).or_insert(S::zero());
+    *e = S::add(*e, x);
+}
+
 /// Algebraic tuples, every other one in the top-left third: a skewed
 /// stream.
-fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
+fn algebraic_tuples<S: Model>(rng: &mut SplitMix64, count: usize) -> Vec<Triple<S::Elem>> {
     (0..count)
         .map(|t| {
             let span = if t % 2 == 0 { N as u64 / 3 } else { N as u64 };
             let (i, j) = (rng.gen_range(span), rng.gen_range(span));
-            Triple::new(i as Index, j as Index, rng.gen_range(3) + 1)
+            Triple::new(i as Index, j as Index, S::lift(rng.gen_range(3) + 1))
         })
         .collect()
 }
@@ -405,7 +433,12 @@ fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
 /// General updates of `m` by `rank`: deletions of present entries and value
 /// writes, all in the rows `i ≡ rank (mod p)` and on distinct positions, so
 /// no two ranks' updates of one batch conflict.
-fn general_updates(m: &Matrix, rng: &mut SplitMix64, p: usize, rank: usize) -> GeneralUpdates<u64> {
+fn general_updates<S: Model>(
+    m: &Matrix<S::Elem>,
+    rng: &mut SplitMix64,
+    p: usize,
+    rank: usize,
+) -> GeneralUpdates<S::Elem> {
     let mut upd = GeneralUpdates::new();
     let present: Vec<_> = m
         .keys()
@@ -425,13 +458,14 @@ fn general_updates(m: &Matrix, rng: &mut SplitMix64, p: usize, rank: usize) -> G
         let i = rows[rng.gen_range(rows.len() as u64) as usize];
         let j = rng.gen_range(N as u64) as Index;
         if !upd.deletes.contains(&(i, j)) && !upd.sets.iter().any(|t| (t.row, t.col) == (i, j)) {
-            upd.sets.push(Triple::new(i, j, rng.gen_range(9) + 1));
+            upd.sets
+                .push(Triple::new(i, j, S::lift(rng.gen_range(9) + 1)));
         }
     }
     upd
 }
 
-fn apply_general_model(m: &mut Matrix, upd: &GeneralUpdates<u64>) {
+fn apply_general_model<V: Copy>(m: &mut Matrix<V>, upd: &GeneralUpdates<V>) {
     for &k in &upd.deletes {
         m.remove(&k);
     }
@@ -440,30 +474,30 @@ fn apply_general_model(m: &mut Matrix, upd: &GeneralUpdates<u64>) {
     }
 }
 
-impl Program {
+impl<S: Model> Program<S> {
     /// Draws every rank's inputs for `steps` and runs the oracle over them.
     fn new(p: usize, seed: u64, steps: Vec<Step>) -> Self {
         let mut rng = SplitMix64::new(seed ^ 0x5EED);
         let draw = |rng: &mut SplitMix64| {
             let mut m = Matrix::new();
-            for t in algebraic_tuples(rng, 60) {
+            for t in algebraic_tuples::<S>(rng, 60) {
                 m.insert((t.row, t.col), t.val);
             }
             m
         };
         let (mut a, mut b) = (draw(&mut rng), draw(&mut rng));
-        let mut expected = vec![[a.clone(), b.clone(), product(&a, &b)]];
+        let mut expected = vec![[a.clone(), b.clone(), product::<S>(&a, &b)]];
         let mut inputs = Vec::new();
         for step in &steps {
-            let per_rank: Vec<Input> = (0..p)
+            let per_rank: Vec<Input<S::Elem>> = (0..p)
                 .map(|rank| match step.op {
                     Op::Algebraic | Op::PlainAlgebraic => Input::Algebraic(
-                        algebraic_tuples(&mut rng, 4),
-                        algebraic_tuples(&mut rng, 4),
+                        algebraic_tuples::<S>(&mut rng, 4),
+                        algebraic_tuples::<S>(&mut rng, 4),
                     ),
                     Op::General | Op::PlainGeneral => Input::General(
-                        general_updates(&a, &mut rng, p, rank),
-                        general_updates(&b, &mut rng, p, rank),
+                        general_updates::<S>(&a, &mut rng, p, rank),
+                        general_updates::<S>(&b, &mut rng, p, rank),
                     ),
                     _ => Input::Nothing,
                 })
@@ -473,7 +507,7 @@ impl Program {
                     Input::Algebraic(ta, tb) => {
                         for (m, ts) in [(&mut a, ta), (&mut b, tb)] {
                             for t in ts {
-                                *m.entry((t.row, t.col)).or_insert(0) += t.val;
+                                add_into::<S>(m, (t.row, t.col), t.val);
                             }
                         }
                     }
@@ -485,7 +519,7 @@ impl Program {
                 }
             }
             inputs.push(per_rank);
-            expected.push([a.clone(), b.clone(), product(&a, &b)]);
+            expected.push([a.clone(), b.clone(), product::<S>(&a, &b)]);
         }
         Self {
             steps,
@@ -527,15 +561,15 @@ impl Program {
     }
 }
 
-fn triples_of(m: &Matrix) -> Vec<Triple<u64>> {
+fn triples_of<V: Copy>(m: &Matrix<V>) -> Vec<Triple<V>> {
     m.iter().map(|(&(i, j), &v)| Triple::new(i, j, v)).collect()
 }
 
 /// What one rank observed over a model run.
 #[derive(Debug)]
-struct ModelOutcome {
+struct ModelOutcome<V> {
     reports: Vec<RecoveryReport>,
-    final_c: Option<Vec<Triple<u64>>>,
+    final_c: Option<Vec<Triple<V>>>,
     /// The final flop counter and latest epoch.
     flops: u64,
     epoch: u64,
@@ -547,29 +581,54 @@ struct ModelOutcome {
     per_step: Vec<(u64, u64)>,
 }
 
-type Pins = VecDeque<(Arc<Snapshot<u64>>, Vec<Triple<u64>>)>;
+type Pins<V> = VecDeque<(Arc<Snapshot<V>>, Vec<Triple<V>>)>;
 
-/// Asserts this rank's blocks of `A`, `B` and `C` equal the oracle's, every
-/// pinned epoch its content at pin time, and its own and replica logs within
-/// two anchor windows. Local: no collectives.
-fn check_state(e: &DynSpGemm<U64Plus>, want: &[Matrix; 3], pins: &Pins, at: &str) {
+/// Asserts that this rank's block of `mat` is `want`'s.
+fn check_block<V: Elem>(mat: &DistMat<V>, want: &Matrix<V>, what: &str) {
+    let info = mat.info();
+    let mine: Vec<Triple<V>> = want
+        .iter()
+        .filter(|(k, _)| info.row_range.contains(&k.0) && info.col_range.contains(&k.1))
+        .map(|(&(i, j), &v)| Triple::new(i, j, v))
+        .collect();
+    assert_eq!(mat.to_global_triples(), mine, "{what}");
+}
+
+/// Asserts this rank's blocks of `A`, `B` and `C` equal the oracle's, `F`'s
+/// pattern `C`'s — and over a ring `F` every entry's path count, the
+/// `U64Plus` product of `A`'s and `B`'s 0/1 patterns — every pinned epoch
+/// its content at pin time, and its own and replica logs within two anchor
+/// windows. Local: no collectives.
+fn check_state<S: Model>(
+    e: &DynSpGemm<S>,
+    want: &[Matrix<S::Elem>; 3],
+    pins: &Pins<S::Elem>,
+    at: &str,
+) {
     for (name, mat, want) in [
         ("A", &e.a, &want[0]),
         ("B", &e.b, &want[1]),
         ("C", &e.c, &want[2]),
     ] {
-        let info = mat.info();
-        let mine: Vec<Triple<u64>> = want
-            .iter()
-            .filter(|(k, _)| info.row_range.contains(&k.0) && info.col_range.contains(&k.1))
-            .map(|(&(i, j), &v)| Triple::new(i, j, v))
-            .collect();
-        assert_eq!(
-            mat.to_global_triples(),
-            mine,
-            "{at}: {name} diverged from the static recompute"
+        check_block(
+            mat,
+            want,
+            &format!("{at}: {name} diverged from the static recompute"),
         );
     }
+    let f = e.f.as_ref().expect("the model tracks F");
+    if S::NEG.is_some() {
+        let pattern = |m: &Matrix<S::Elem>| m.keys().map(|&k| (k, 1)).collect();
+        let counts = product::<U64Plus>(&pattern(&want[0]), &pattern(&want[1]));
+        check_block(
+            f,
+            &counts,
+            &format!("{at}: F diverged from the path counts"),
+        );
+    }
+    let f_keys = f.to_global_triples().into_iter().map(|t| (t.row, t.col));
+    let c_keys = e.c.to_global_triples().into_iter().map(|t| (t.row, t.col));
+    assert!(f_keys.eq(c_keys), "{at}: F's pattern is not C's");
     for (pin, content) in pins {
         assert_eq!(
             &pin.c().block().to_triples(),
@@ -591,11 +650,11 @@ fn check_state(e: &DynSpGemm<U64Plus>, want: &[Matrix; 3], pins: &Pins, at: &str
 }
 
 /// Runs one step's operation and its publish.
-fn apply_step(
+fn apply_step<S: Model>(
     grid: &Grid,
-    e: &mut DynSpGemm<U64Plus>,
+    e: &mut DynSpGemm<S>,
     op: Op,
-    input: &Input,
+    input: &Input<S::Elem>,
 ) -> Result<(), CommError> {
     match (op, input.clone()) {
         (Op::Algebraic, Input::Algebraic(a, b)) => drop(e.try_apply(grid, Batch::Algebraic(a, b))?),
@@ -619,15 +678,15 @@ fn apply_step(
 /// crashed rank rebuilds as the replacement), resumes at the step after the
 /// commit frontier, and checks the state after every step and every
 /// recovery. A final barrier surfaces a failure no later step detected.
-fn drive_model(comm: &Comm, prog: &Program) -> ModelOutcome {
+fn drive_model<S: Model>(comm: &Comm, prog: &Program<S>) -> ModelOutcome<S::Elem> {
     let grid = Grid::new(comm);
     let me = comm.rank();
     let mut timer = PhaseTimer::new();
-    let feed = |m: &Matrix| if me == 0 { triples_of(m) } else { vec![] };
+    let feed = |m: &Matrix<S::Elem>| if me == 0 { triples_of(m) } else { vec![] };
     let [a0, b0, _] = &prog.expected[0];
     let a = DistMat::from_global_triples(&grid, N, N, feed(a0), 1, &mut timer);
     let b = DistMat::from_global_triples(&grid, N, N, feed(b0), 1, &mut timer);
-    let mut e = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, true);
+    let mut e = DynSpGemm::<S>::new(&grid, a, b, 1, true);
     // A crash in step 0 may reach a rank still inside the enable fence; that
     // error recovers like a step's.
     let mut res = e.enable_recovery(&grid, MODEL_RECOVERY);
@@ -714,7 +773,11 @@ impl Drop for SeedGuard {
 /// rank it fired on. A rank that skips a collective its peers run
 /// deadlocks the grid; the watchdog turns that hang into a failure.
 /// Returns every rank's outcome and the run's wire volume.
-fn run_model(p: usize, prog: Program, plan: FaultPlan) -> (Vec<ModelOutcome>, CommStats) {
+fn run_model<S: Model>(
+    p: usize,
+    prog: Program<S>,
+    plan: FaultPlan,
+) -> (Vec<ModelOutcome<S::Elem>>, CommStats) {
     let prog = Arc::new(prog);
     let (tx, rx) = mpsc::channel();
     let shared = Arc::clone(&prog);
@@ -763,7 +826,11 @@ fn run_model(p: usize, prog: Program, plan: FaultPlan) -> (Vec<ModelOutcome>, Co
 /// Runs `prog`'s crash-free twin, unstormed — and, when `plan` storms,
 /// stormed too, which must send the same wire volume — then checks `prog`
 /// under `plan` against it. Returns the crashed run's outcomes.
-fn check_model(p: usize, prog: Program, plan: FaultPlan) -> Vec<ModelOutcome> {
+fn check_model<S: Model>(
+    p: usize,
+    prog: Program<S>,
+    plan: FaultPlan,
+) -> Vec<ModelOutcome<S::Elem>> {
     let twin_prog = || prog.crash_free();
     let (twin, volume) = run_model(p, twin_prog(), FaultPlan::default());
     if plan.delay.is_some() {
@@ -776,12 +843,12 @@ fn check_model(p: usize, prog: Program, plan: FaultPlan) -> Vec<ModelOutcome> {
 /// Runs `prog` under `plan` and asserts, rank by rank, that it ends with
 /// its crash-free twin's flops, at the twin's final epoch plus one per
 /// recovery.
-fn check_against_twin(
+fn check_against_twin<S: Model>(
     p: usize,
-    prog: Program,
+    prog: Program<S>,
     plan: FaultPlan,
-    twin: &[ModelOutcome],
-) -> Vec<ModelOutcome> {
+    twin: &[ModelOutcome<S::Elem>],
+) -> Vec<ModelOutcome<S::Elem>> {
     let (crashed, _) = run_model(p, prog, plan);
     let recoveries = crashed[0].reports.len() as u64;
     for (rank, (c, t)) in crashed.iter().zip(twin).enumerate() {
@@ -810,6 +877,7 @@ const STORM_SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
 /// and each log must hold at most 2·`anchor_period` records; recovery
 /// reports must be rank-uniform, and each run must end where its crash-free
 /// twin does. The storm seeds rerun at p = 4 under seeded delay jitter.
+/// Over `U64Plus` every batch runs Algorithm 1 on path counts.
 #[test]
 fn model_sequences_match_static_recompute() {
     let plain = FaultPlan::default;
@@ -820,20 +888,42 @@ fn model_sequences_match_static_recompute() {
         .chain((1..=8).map(|seed| (9, seed, plain())));
     for (p, seed, plan) in runs {
         let _guard = SeedGuard(format!("p={p} seed={seed} {plan:?}"));
-        check_model(p, Program::random(p, seed, 14), plan);
+        check_model(p, Program::<U64Plus>::random(p, seed, 14), plan);
+    }
+}
+
+/// The model test over `MinPlus`, where a general batch runs Algorithm 2
+/// and `F` holds Bloom bits: crashes land in its filter reduction, its
+/// `A^R` exchange and its masked rounds, and replay re-runs them.
+#[test]
+fn model_sequences_match_static_recompute_min_plus() {
+    let plain = FaultPlan::default;
+    let storm = |seed| FaultPlan::new(seed).delay_storm(3, 40);
+    let runs = (1..=8u64)
+        .map(|seed| (4usize, seed, plain()))
+        .chain(STORM_SEEDS[..2].iter().map(|&seed| (4, seed, storm(seed))))
+        .chain((1..=4).map(|seed| (9, seed, plain())));
+    for (p, seed, plan) in runs {
+        let _guard = SeedGuard(format!("MinPlus p={p} seed={seed} {plan:?}"));
+        check_model(p, Program::<MinPlus>::random(p, seed, 14), plan);
     }
 }
 
 /// Sweeps a crash of `rank` over every send it makes in step `at` of
 /// `steps` — the count read off the crash-free twin's meter — and checks
 /// each crashed run against the twin. Returns the twin.
-fn sweep_crash(seed: u64, steps: &[Step], at: usize, rank: usize) -> Vec<ModelOutcome> {
+fn sweep_crash<S: Model>(
+    seed: u64,
+    steps: &[Step],
+    at: usize,
+    rank: usize,
+) -> Vec<ModelOutcome<S::Elem>> {
     let program = |crash: Option<u64>| {
         let mut steps = steps.to_vec();
         if let Some(k) = crash {
             steps[at] = steps[at].clone().crash(rank, k);
         }
-        Program::new(4, seed, steps)
+        Program::<S>::new(4, seed, steps)
     };
     let plan = FaultPlan::default;
     let (twin, _) = run_model(4, program(None), plan());
@@ -858,7 +948,15 @@ fn sweep_crash(seed: u64, steps: &[Step], at: usize, rank: usize) -> Vec<ModelOu
 #[test]
 fn every_send_of_the_first_batch_recovers() {
     let steps = [Op::Algebraic, Op::General, Op::Algebraic].map(Step::new);
-    sweep_crash(5, &steps, 0, 2);
+    sweep_crash::<U64Plus>(5, &steps, 0, 2);
+}
+
+/// A crash at every send of an Algorithm-2 batch (`MinPlus`) recovers: the
+/// interrupted batch rolls back and replays to the crash-free twin's state.
+#[test]
+fn every_send_of_an_algorithm_2_batch_recovers() {
+    let steps = [Op::Algebraic, Op::General, Op::Algebraic].map(Step::new);
+    sweep_crash::<MinPlus>(5, &steps, 1, 2);
 }
 
 /// A crash at every send of the step that refreshes the anchor recovers,
@@ -866,7 +964,7 @@ fn every_send_of_the_first_batch_recovers() {
 #[test]
 fn every_send_of_an_anchor_refresh_recovers() {
     let steps = [Op::Algebraic; 5].map(Step::new);
-    let twin = sweep_crash(9, &steps, 3, 2);
+    let twin = sweep_crash::<U64Plus>(9, &steps, 3, 2);
     let anchors: Vec<u64> = twin[2].per_step.iter().map(|s| s.1).collect();
     assert!(
         anchors[3] > anchors[2],
@@ -877,23 +975,29 @@ fn every_send_of_an_anchor_refresh_recovers() {
 /// A committed batch of every kind inside the rollback window recovers: an
 /// `apply_general` batch, a plain `apply_algebraic` batch, a static recompute
 /// and a publish that committed nothing. Replay must reach the commit
-/// frontier through each of them.
+/// frontier through each of them, over `U64Plus` and over `MinPlus` (whose
+/// `apply_general` batch is Algorithm 2).
 #[test]
 fn every_batch_kind_in_the_anchor_window_recovers() {
+    every_batch_kind_in_the_window::<U64Plus>();
+    every_batch_kind_in_the_window::<MinPlus>();
+}
+
+fn every_batch_kind_in_the_window<S: Model>() {
     for op in [
         Op::PlainGeneral,
         Op::PlainAlgebraic,
         Op::Recompute,
         Op::Publish,
     ] {
-        let _guard = SeedGuard(format!("{op:?} in the window"));
+        let _guard = SeedGuard(format!("{} {op:?} in the window", S::name()));
         let steps = vec![
             Step::new(Op::Algebraic),
             Step::new(op),
             Step::new(Op::Algebraic).crash(2, 1),
             Step::new(Op::Algebraic),
         ];
-        let out = check_model(4, Program::new(4, 7, steps), FaultPlan::default());
+        let out = check_model(4, Program::<S>::new(4, 7, steps), FaultPlan::default());
         let report = out[0].reports.first().expect("the crash recovers");
         assert_eq!(report.failed_rank, 2);
         // The anchor stands before step 0: both committed steps replay.

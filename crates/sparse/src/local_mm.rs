@@ -13,7 +13,10 @@
 //! * the [`Payload`] an output entry carries: the value ([`Plain`]), the
 //!   value fused with the ℓ=64-bit Bloom field of contributing inner indices
 //!   `k` that the general dynamic algorithm needs (Section V-B; [`Bloom`]),
-//!   or that field alone ([`Pattern`]),
+//!   that field alone ([`Pattern`]), or the value fused with the number of
+//!   products it sums ([`Counted`], for a ring's path counts),
+//! * the [`Entry`] type of each operand: a stored value, which stands for
+//!   one path, or a `(value, Δpresence)` pair of a counted update block,
 //! * the [`OutputMask`]: `()` for the full product; a pattern [`Dcsr`] —
 //!   the `C*` block itself for Algorithm 2's recompute, or a `Dcsr<()>` of
 //!   candidate pairs — for a masked one: a masked output row is combined in
@@ -52,6 +55,41 @@ pub struct MmOutput<A> {
     pub flops: u64,
 }
 
+/// An operand entry as a product term reads it: its value, and how many
+/// paths it stands for, in ℤ/2⁶⁴. A stored value stands for one; an entry
+/// of a counted update block carries its change in presence, `−1`, `0` or
+/// `+1`, beside its change in value.
+pub trait Entry<V>: Copy {
+    /// The value.
+    fn value(self) -> V;
+
+    /// The paths it stands for.
+    #[inline]
+    fn count(self) -> u64 {
+        1
+    }
+}
+
+impl<V: Copy> Entry<V> for V {
+    #[inline]
+    fn value(self) -> V {
+        self
+    }
+}
+
+impl<V: Copy> Entry<V> for (V, i8) {
+    #[inline]
+    fn value(self) -> V {
+        self.0
+    }
+
+    /// The change in presence, sign-extended: `−1` is `u64::MAX`.
+    #[inline]
+    fn count(self) -> u64 {
+        self.1 as u64
+    }
+}
+
 /// What one output entry of a multiply carries: the contribution of one
 /// product term `a_ik · b_kj` and how coinciding contributions combine —
 /// in the SPA, and again wherever partial blocks are merged.
@@ -59,9 +97,9 @@ pub trait Payload<S: Semiring>: 'static {
     /// Output entry type.
     type Out: Copy + Send;
 
-    /// The contribution of `av · bv`, where `bit` is the Bloom bit
+    /// The contribution of `a · b`, where `bit` is the Bloom bit
     /// `1 << (k mod 64)` of the term's global inner index.
-    fn term(av: S::Elem, bv: S::Elem, bit: u64) -> Self::Out;
+    fn term<A: Entry<S::Elem>, B: Entry<S::Elem>>(a: A, b: B, bit: u64) -> Self::Out;
 
     /// Combines coinciding entries.
     fn merge(a: Self::Out, b: Self::Out) -> Self::Out;
@@ -75,8 +113,8 @@ impl<S: Semiring> Payload<S> for Plain {
     type Out = S::Elem;
 
     #[inline]
-    fn term(av: S::Elem, bv: S::Elem, _bit: u64) -> S::Elem {
-        S::mul(av, bv)
+    fn term<A: Entry<S::Elem>, B: Entry<S::Elem>>(a: A, b: B, _bit: u64) -> S::Elem {
+        S::mul(a.value(), b.value())
     }
 
     #[inline]
@@ -94,8 +132,8 @@ impl<S: Semiring> Payload<S> for Bloom {
     type Out = (S::Elem, u64);
 
     #[inline]
-    fn term(av: S::Elem, bv: S::Elem, bit: u64) -> (S::Elem, u64) {
-        (S::mul(av, bv), bit)
+    fn term<A: Entry<S::Elem>, B: Entry<S::Elem>>(a: A, b: B, bit: u64) -> (S::Elem, u64) {
+        (S::mul(a.value(), b.value()), bit)
     }
 
     #[inline]
@@ -115,13 +153,38 @@ impl<S: Semiring> Payload<S> for Pattern {
     type Out = u64;
 
     #[inline]
-    fn term(_av: S::Elem, _bv: S::Elem, bit: u64) -> u64 {
+    fn term<A: Entry<S::Elem>, B: Entry<S::Elem>>(_a: A, _b: B, bit: u64) -> u64 {
         bit
     }
 
     #[inline]
     fn merge(a: u64, b: u64) -> u64 {
         a | b
+    }
+}
+
+/// Values fused with the number of products they sum — the path count a
+/// ring keeps in `F` (the counting algorithm of incremental view
+/// maintenance). A term counts the product of its operands' counts: one for
+/// two stored entries, an update entry's change in presence against a
+/// stored one. Counts add in ℤ/2⁶⁴, so a negative change cancels exactly.
+#[derive(Debug)]
+pub struct Counted;
+
+impl<S: Semiring> Payload<S> for Counted {
+    type Out = (S::Elem, u64);
+
+    #[inline]
+    fn term<A: Entry<S::Elem>, B: Entry<S::Elem>>(a: A, b: B, _bit: u64) -> (S::Elem, u64) {
+        (
+            S::mul(a.value(), b.value()),
+            a.count().wrapping_mul(b.count()),
+        )
+    }
+
+    #[inline]
+    fn merge(a: (S::Elem, u64), b: (S::Elem, u64)) -> (S::Elem, u64) {
+        (S::add(a.0, b.0), a.1.wrapping_add(b.1))
     }
 }
 
@@ -245,7 +308,8 @@ where
 }
 
 /// The Gustavson loop nest: `(A · B)` at the positions `mask` admits, with
-/// entries of payload `P`, on the workspace `ws` for the whole call.
+/// entries of payload `P` from operand entries `A` and `B`, on the
+/// workspace `ws` for the whole call.
 /// Returns exactly the admitted positions that receive at least one
 /// contribution. The output buffers move into the result; the accumulator
 /// scratch stays in `ws` for the next call.
@@ -256,9 +320,9 @@ where
 ///
 /// # Panics
 /// Panics if the inner dimensions disagree.
-pub fn spgemm_with<S, P, M, L, R>(
-    a: &L,
-    b: &R,
+pub fn spgemm_with<S, P, M, A, B>(
+    a: &impl RowScan<A>,
+    b: &impl RowRead<B>,
     mask: &M,
     k_offset: Index,
     ws: &mut KernelWorkspace<P::Out>,
@@ -267,8 +331,8 @@ where
     S: Semiring,
     P: Payload<S>,
     M: OutputMask,
-    L: RowScan<S::Elem>,
-    R: RowRead<S::Elem>,
+    A: Entry<S::Elem>,
+    B: Entry<S::Elem>,
 {
     assert_eq!(
         a.ncols(),
@@ -544,6 +608,41 @@ mod tests {
             Dense::from_dcsr::<U64Plus>(&got.result),
             da.matmul::<U64Plus>(&db)
         );
+    }
+
+    /// A counted product carries the plain product's values and, per entry,
+    /// the number of products summed: the plain product of the 0/1
+    /// patterns. An update operand's `−1` presence negates its paths.
+    #[test]
+    fn counted_terms_count_paths() {
+        let mut rng = SplitMix64::new(19);
+        let a_t = random_triples(&mut rng, 40, 40, 200);
+        let b_t = random_triples(&mut rng, 40, 40, 200);
+        let a = Csr::from_triples::<U64Plus>(40, 40, a_t);
+        let b = Csr::from_triples::<U64Plus>(40, 40, b_t);
+        let ones = |m: &Csr<u64>| {
+            let t = m
+                .to_triples()
+                .iter()
+                .map(|t| Triple::new(t.row, t.col, 1))
+                .collect();
+            Csr::from_triples::<U64Plus>(40, 40, t)
+        };
+        let plain = spgemm::<U64Plus, _, _>(&a, &b, 1).result;
+        let paths = spgemm::<U64Plus, _, _>(&ones(&a), &ones(&b), 1).result;
+        let counted =
+            spgemm_with::<U64Plus, Counted, _, _, _>(&a, &b, &(), 0, &mut KernelWorkspace::new());
+        assert_eq!(counted.result.map(|(v, _)| v), plain);
+        assert_eq!(counted.result.map(|(_, n)| n), paths);
+        let gone = Dcsr::from_triples::<U64Plus>(40, 40, a.to_triples()).map(|v| (v, -1i8));
+        let lost = spgemm_with::<U64Plus, Counted, _, _, _>(
+            &gone,
+            &b,
+            &(),
+            0,
+            &mut KernelWorkspace::new(),
+        );
+        assert_eq!(lost.result.map(|(_, n)| n.wrapping_neg()), paths);
     }
 
     #[test]

@@ -21,7 +21,9 @@ use dspgemm_util::{WireDecode, WireSize};
 ///
 /// The *algebraic update* fast path of dynamic SpGEMM (Algorithm 1) is sound
 /// whenever updates can be expressed as `A' = A + A*` under this `add`; the
-/// *general update* path (Algorithm 2) needs no such property.
+/// *general update* path (Algorithm 2) needs no such property. A semiring
+/// that names an exact additive inverse ([`Semiring::NEG`]) is a ring, where
+/// every update has that form.
 pub trait Semiring: Copy + Clone + Send + Sync + std::fmt::Debug + 'static {
     /// The scalar type.
     type Elem: Copy
@@ -43,6 +45,14 @@ pub trait Semiring: Copy + Clone + Send + Sync + std::fmt::Debug + 'static {
     /// Semiring multiplication.
     fn mul(a: Self::Elem, b: Self::Elem) -> Self::Elem;
 
+    /// The exact additive inverse, `add(x, neg(x)) = zero()` for every `x`,
+    /// if the semiring has one. With it a deletion is the update `−old` and a
+    /// re-weight `new − old`, so a filter-tracked engine runs both through
+    /// Algorithm 1 and keeps a path count per entry of `C` (DESIGN.md,
+    /// "Rings count paths"). Only an inverse under which `(x + d) − d = x`
+    /// holds bit for bit qualifies.
+    const NEG: Option<fn(Self::Elem) -> Self::Elem> = None;
+
     /// Whether `e` equals the additive neutral element. Entries that become
     /// numerically zero are *kept* as structural non-zeros (the paper keeps
     /// the structural/numerical distinction); this predicate exists for
@@ -56,11 +66,12 @@ pub trait Semiring: Copy + Clone + Send + Sync + std::fmt::Debug + 'static {
     fn name() -> &'static str;
 }
 
-/// The ordinary arithmetic semiring `(+, ·)` over `f64`.
-///
-/// This is a full ring, so *every* update (including deletions, rewritten as
-/// adding the additive inverse) is an algebraic update — the case evaluated
+/// The ordinary arithmetic semiring `(+, ·)` over `f64` — the case evaluated
 /// in the paper's Fig. 9.
+///
+/// It names no [`Semiring::NEG`]: in floating point `(x + d) − d ≠ x` in
+/// general, so a deletion applied as `−old` would leave `C` drifting from
+/// the bits a static recompute produces. Its deletions run Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct F64Plus;
 
@@ -89,7 +100,8 @@ impl Semiring for F64Plus {
 
 /// The arithmetic semiring `(+, ·)` over `u64` (exact; used by counting
 /// applications such as triangle counting, and by tests that need equality
-/// without float tolerance).
+/// without float tolerance). Its addition wraps, so it is the ring ℤ/2⁶⁴,
+/// and `wrapping_neg` is its exact [`Semiring::NEG`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct U64Plus;
 
@@ -110,6 +122,8 @@ impl Semiring for U64Plus {
     fn mul(a: u64, b: u64) -> u64 {
         a.wrapping_mul(b)
     }
+
+    const NEG: Option<fn(u64) -> u64> = Some(u64::wrapping_neg);
 
     fn name() -> &'static str {
         "(+,*) over u64"
@@ -271,6 +285,18 @@ mod tests {
     #[test]
     fn max_min_laws() {
         check_laws::<F64MaxMin>(&[f64::NEG_INFINITY, -1.0, 0.0, 3.5, 9.0]);
+    }
+
+    /// Only the exact ring names an inverse, and it is one.
+    #[test]
+    fn neg_is_an_exact_inverse() {
+        let neg = U64Plus::NEG.expect("u64 is a ring");
+        for x in [0, 1, 7, u64::MAX, 1 << 63] {
+            assert_eq!(U64Plus::add(x, neg(x)), 0);
+            assert_eq!(U64Plus::add(U64Plus::add(5, x), neg(x)), 5);
+        }
+        assert!(F64Plus::NEG.is_none() && MinPlus::NEG.is_none());
+        assert!(BoolOrAnd::NEG.is_none() && F64MaxMin::NEG.is_none());
     }
 
     #[test]

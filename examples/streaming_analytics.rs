@@ -3,8 +3,9 @@
 //! networks), served as **concurrent maintained views** on one
 //! [`AnalyticsSession`].
 //!
-//! A window of recent interactions enters and expires: insertions are
-//! algebraic (Algorithm 1), expirations are deletions (Algorithm 2). Each
+//! A window of recent interactions enters and expires: insertions add `+1`,
+//! expirations delete, which over `u64` is adding `−1` — both run
+//! Algorithm 1, with `F` counting each product entry's paths. Each
 //! round redistributes one shared batch that simultaneously refreshes the
 //! maintained product `C = A·A` and three registered views — the triangle
 //! count, link-prediction scores over a candidate mask, and the degree

@@ -164,9 +164,11 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
                 checks.push(c_sum == dense_sum);
             }
         }
-        (checks, witness, session.epoch())
+        let view = session.view_as::<TriangleCountView>(tri).unwrap();
+        let refreshes = (view.incremental_refreshes, view.full_refreshes);
+        (checks, witness, session.epoch(), refreshes)
     });
-    let (root_checks, root_witness, epoch) = &out.results[0];
+    let (root_checks, root_witness, epoch, _) = &out.results[0];
     assert!(
         root_checks.iter().all(|&ok| ok),
         "p={p} n={n}: {} of {} brute-force checks failed",
@@ -175,9 +177,12 @@ fn u64_scenario(p: usize, n: Index, base_edges: Vec<(u32, u32)>, seed: u64) {
     );
     // Three view registrations and four batches each published an epoch.
     assert_eq!(*epoch, 3 + 4);
-    // Every rank observed identical view values (SPMD agreement).
-    for (rank, (_, witness, _)) in out.results.iter().enumerate() {
+    // Every rank observed identical view values (SPMD agreement), and the
+    // triangle view served every batch, deletions included, incrementally:
+    // over the ring a session deletes by a negative algebraic update.
+    for (rank, (_, witness, _, refreshes)) in out.results.iter().enumerate() {
         assert_eq!(witness, root_witness, "rank {rank} diverged");
+        assert_eq!(*refreshes, (4, 0), "rank {rank}: (incremental, full)");
     }
 }
 

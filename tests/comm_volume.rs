@@ -200,11 +200,15 @@ fn batch_traffic<T, R: Send>(
     )
 }
 
-/// A batch redistributes once: `2·p·(√p − 1)` `ALLTOALLV` messages whether
-/// it builds two update matrices (session insert), three (session delete),
-/// four (Algorithm 1) or six (Algorithm 2). An algebraic batch sends nothing
-/// point-to-point — the transposed layouts ride the same exchange — and a
-/// general batch only its `A^R` exchange, one message per off-diagonal rank.
+/// A batch redistributes once: `2·p·(√p − 1)` `ALLTOALLV` messages however
+/// many lanes it carries — one (session insert), two (session delete, or a
+/// tracked `U64Plus` engine's algebraic batch) or four (an untracked
+/// Algorithm-1 batch, or that engine's general batch). An untracked batch
+/// sends nothing
+/// point-to-point — the transposed layouts ride the same exchange. A
+/// tracked `U64Plus` engine and a session count paths over the ring ℤ/2⁶⁴:
+/// each of their batches, insert or delete, sends its difference blocks to
+/// the transposed rank, one message per off-diagonal rank.
 #[test]
 fn redistribution_is_one_exchange_per_batch() {
     type Engine = (Grid, DynSpGemm<U64Plus>);
@@ -249,24 +253,32 @@ fn redistribution_is_one_exchange_per_batch() {
     let (a2a, p2p) = (CommCategory::Alltoall as usize, CommCategory::P2p as usize);
     for (p, q) in [(4u64, 2u64), (9, 3)] {
         let one_exchange = 2 * p * (q - 1);
-        let algebraic_batches = [
-            batch_traffic(p as usize, engine(false), algebraic).0,
-            batch_traffic(p as usize, engine(true), algebraic).0,
-            batch_traffic(p as usize, session, insert).0,
+        let got = batch_traffic(p as usize, engine(false), algebraic).0;
+        assert_eq!(got[a2a].1, one_exchange, "p={p}: untracked batch");
+        assert_eq!(got[p2p], (0, 0), "p={p}: untracked batch");
+        let ring_batches = [
+            (
+                "tracked algebraic",
+                batch_traffic(p as usize, engine(true), algebraic).0,
+            ),
+            (
+                "tracked general",
+                batch_traffic(p as usize, engine(true), general).0,
+            ),
+            (
+                "session insert",
+                batch_traffic(p as usize, session, insert).0,
+            ),
+            (
+                "session delete",
+                batch_traffic(p as usize, session, delete).0,
+            ),
         ];
-        for got in algebraic_batches {
-            assert_eq!(got[a2a].1, one_exchange, "p={p}: algebraic batch");
-            assert_eq!(got[p2p], (0, 0), "p={p}: algebraic batch");
-        }
-        let general_batches = [
-            batch_traffic(p as usize, engine(true), general).0,
-            batch_traffic(p as usize, session, delete).0,
-        ];
-        for got in general_batches {
+        for (name, got) in ring_batches {
             assert_eq!(
                 (got[a2a].1, got[p2p].1),
                 (one_exchange, p - q),
-                "p={p}: general batch"
+                "p={p}: {name}"
             );
         }
     }
@@ -647,6 +659,119 @@ fn batch_messages_follow_the_closed_form() {
             messages(&traffic),
             rows.len() as u64 * per_query,
             "p={p}: row_topk"
+        );
+    }
+}
+
+/// [`rmat_triples`] as a 0/1 pattern over `u64`.
+fn rmat_pattern(seed: u64, rank: usize, per_rank: usize) -> Vec<Triple<u64>> {
+    let unit = |t: &Triple<f64>| Triple::new(t.row, t.col, 1);
+    rmat_triples(seed, rank, per_rank)
+        .iter()
+        .map(unit)
+        .collect()
+}
+
+/// Every `step`-th of the positions [`rmat_pattern`] draws.
+fn rmat_positions(seed: u64, rank: usize, per_rank: usize, step: usize) -> Vec<(Index, Index)> {
+    let held = rmat_pattern(seed, rank, per_rank);
+    held.iter().step_by(step).map(|t| (t.row, t.col)).collect()
+}
+
+/// The messages one batch sends on a tracked two-operand `U64Plus` engine
+/// over R-MAT patterns, summed over ranks: a ring, so `F` counts paths.
+fn ring_pair_messages(
+    p: usize,
+    batch: impl Fn(&mut DynSpGemm<U64Plus>, &Grid, usize) + Send + Sync,
+) -> u64 {
+    let setup = |comm: &Comm| {
+        let grid = Grid::new(comm);
+        let mut timer = PhaseTimer::new();
+        let mut operand = |seed| {
+            let mine = rmat_pattern(seed, comm.rank(), 4096 / p);
+            DistMat::from_global_triples(&grid, 1 << PIN_SCALE, 1 << PIN_SCALE, mine, 1, &mut timer)
+        };
+        let (a, b) = (operand(1), operand(2));
+        let eng = DynSpGemm::new(&grid, a, b, 1, true);
+        (grid, eng)
+    };
+    let (traffic, _) = batch_traffic(p, setup, |(grid, eng), comm| batch(eng, grid, comm.rank()));
+    traffic.iter().map(|&(_, msgs)| msgs).sum()
+}
+
+/// Every message of a batch over the ring ℤ/2⁶⁴, in closed form at
+/// p ∈ {4, 9, 16} with q = √p. A tracked `U64Plus` engine counts paths in
+/// `F` and runs every batch, algebraic or general, through Algorithm 1 on
+/// the differences it makes: its redistribution (2p(q − 1) messages), one
+/// unmasked pass per updated operand (2p(q − 1) each), and the exchange of
+/// the difference blocks to the transposed rank (p − q, one per off-diagonal
+/// rank, carrying every operand's block). A session's insert and delete
+/// update the one operand that is both factors, so both passes run; a
+/// serve-shaped round — an insert and a delete — sends twice that.
+#[test]
+fn ring_batches_follow_the_closed_form() {
+    for (p, q) in [(4u64, 2u64), (9, 3), (16, 4)] {
+        let (pass, exchange, pp) = (2 * p * (q - 1), p - q, p as usize);
+        let inserts = |seed, r| rmat_pattern(seed, r, 256 / pp);
+        let update = |r| GeneralUpdates {
+            sets: rmat_pattern(4, r, 128 / pp),
+            deletes: rmat_positions(1, r, 4096 / pp, 16),
+        };
+        let pairs = [
+            (
+                "algebraic, A* alone",
+                2 * pass,
+                ring_pair_messages(pp, |eng, grid, r| {
+                    eng.apply_algebraic(grid, inserts(3, r), vec![]);
+                }),
+            ),
+            (
+                "general, A alone",
+                2 * pass,
+                ring_pair_messages(pp, |eng, grid, r| {
+                    eng.apply_general(grid, update(r), GeneralUpdates::new());
+                }),
+            ),
+            (
+                "algebraic, both",
+                3 * pass,
+                ring_pair_messages(pp, |eng, grid, r| {
+                    eng.apply_algebraic(grid, inserts(3, r), inserts(6, r));
+                }),
+            ),
+            (
+                "general, both",
+                3 * pass,
+                ring_pair_messages(pp, |eng, grid, r| {
+                    eng.apply_general(grid, update(r), update(r));
+                }),
+            ),
+        ];
+        for (name, want, got) in pairs {
+            assert_eq!(got, want + exchange, "p={p}: ring pair, {name}");
+        }
+        type Session = AnalyticsSession<U64Plus>;
+        let insert = |s: &mut Session, r| drop(s.insert_edges(inserts(3, r)));
+        let delete = |s: &mut Session, r| drop(s.delete_edges(rmat_positions(1, r, 4096 / pp, 16)));
+        let session_messages = |batch: &(dyn Fn(&mut Session, usize) + Sync)| {
+            let setup = |comm: &Comm| {
+                let mine = rmat_pattern(1, comm.rank(), 4096 / pp);
+                Session::from_triples(comm, 1 << PIN_SCALE, 1, mine)
+            };
+            let (traffic, _) = batch_traffic(pp, setup, |s, comm| batch(s, comm.rank()));
+            traffic.iter().map(|&(_, msgs)| msgs).sum::<u64>()
+        };
+        let one = 3 * pass + exchange;
+        assert_eq!(session_messages(&insert), one, "p={p}: session insert");
+        assert_eq!(session_messages(&delete), one, "p={p}: session delete");
+        let round = |s: &mut Session, r| {
+            insert(s, r);
+            delete(s, r);
+        };
+        assert_eq!(
+            session_messages(&round),
+            2 * one,
+            "p={p}: serve-shaped round"
         );
     }
 }

@@ -10,7 +10,7 @@ use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::summa::{summa, summa_bloom};
 use dspgemm::core::{DistMat, DynSpGemm, Grid};
 use dspgemm::mpi::{Comm, CommCategory, NUM_CATEGORIES};
-use dspgemm::sparse::semiring::U64Plus;
+use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
@@ -127,37 +127,74 @@ fn pin(results: Vec<RankResult>) -> Pinned {
     }
 }
 
+/// A semiring an engine arm runs on: how a drawn value enters it, and how
+/// a value of `C` enters the fingerprint.
+trait Arm: Semiring {
+    fn lift(v: u64) -> Self::Elem;
+    fn bits(v: Self::Elem) -> u64;
+}
+
+impl Arm for U64Plus {
+    fn lift(v: u64) -> u64 {
+        v
+    }
+
+    fn bits(v: u64) -> u64 {
+        v
+    }
+}
+
+impl Arm for MinPlus {
+    fn lift(v: u64) -> f64 {
+        v as f64
+    }
+
+    fn bits(v: f64) -> u64 {
+        v.to_bits()
+    }
+}
+
+/// [`triples`] with its values in `S`.
+fn drawn<S: Arm>(seed: u64, count: usize) -> Vec<Triple<S::Elem>> {
+    let lift = |t: Triple<u64>| Triple::new(t.row, t.col, S::lift(t.val));
+    triples(seed, count).into_iter().map(lift).collect()
+}
+
 /// One batch through a two-operand engine.
-fn engine_batch(
+fn engine_batch<S: Arm>(
     track_filter: bool,
-    batch: impl Fn(&mut DynSpGemm<U64Plus>, &Grid, &Comm) + Send + Sync,
+    batch: impl Fn(&mut DynSpGemm<S>, &Grid, &Comm) + Send + Sync,
 ) -> Pinned {
     let out = dspgemm::mpi::run(P, |comm| {
         let grid = Grid::new(comm);
         let mut timer = PhaseTimer::new();
         let r = comm.rank() as u64;
-        let a = DistMat::from_global_triples(&grid, N, N, triples(10 + r, 90), 1, &mut timer);
-        let b = DistMat::from_global_triples(&grid, N, N, triples(20 + r, 90), 1, &mut timer);
-        let mut eng = DynSpGemm::<U64Plus>::new(&grid, a, b, 1, track_filter);
+        let a = DistMat::from_global_triples(&grid, N, N, drawn::<S>(10 + r, 90), 1, &mut timer);
+        let b = DistMat::from_global_triples(&grid, N, N, drawn::<S>(20 + r, 90), 1, &mut timer);
+        let mut eng = DynSpGemm::<S>::new(&grid, a, b, 1, track_filter);
         let (volume, flops) = measure(comm, &mut eng, |e| e.flops, |e| batch(e, &grid, comm));
-        (volume, flops, eng.c.gather_to_root(comm))
+        let c = eng.c.gather_to_root(comm).map(|c| {
+            let bits = |t: Triple<S::Elem>| Triple::new(t.row, t.col, S::bits(t.val));
+            c.into_iter().map(bits).collect()
+        });
+        (volume, flops, c)
     });
     pin(out.results)
 }
 
-fn algebraic(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
+fn algebraic<S: Arm>(eng: &mut DynSpGemm<S>, grid: &Grid, comm: &Comm) {
     let r = comm.rank() as u64;
-    eng.apply_algebraic(grid, triples(30 + r, 24), triples(40 + r, 24));
+    eng.apply_algebraic(grid, drawn::<S>(30 + r, 24), drawn::<S>(40 + r, 24));
 }
 
-fn general(eng: &mut DynSpGemm<U64Plus>, grid: &Grid, comm: &Comm) {
+fn general<S: Arm>(eng: &mut DynSpGemm<S>, grid: &Grid, comm: &Comm) {
     let r = comm.rank() as u64;
     let a_upd = GeneralUpdates {
-        sets: triples(50 + r, 12),
+        sets: drawn::<S>(50 + r, 12),
         deletes: existing(10 + r, 90),
     };
     let b_upd = GeneralUpdates {
-        sets: triples(60 + r, 12),
+        sets: drawn::<S>(60 + r, 12),
         deletes: existing(20 + r, 90).into_iter().take(8).collect(),
     };
     eng.apply_general(grid, a_upd, b_upd);
@@ -196,7 +233,16 @@ fn session_batch(batch: impl Fn(&mut AnalyticsSession<U64Plus>, &Comm) + Send + 
 // `Bcast` and `Reduce`, of 16 B for a pair's `[u64; 2]` and 8 B for a
 // session's `u64`), and each of the 8 `Alltoall` messages gained one 8-byte
 // tally per root lane (two for a pair, one for a session); nothing else
-// moved.
+// moved. The tracked and session rows were re-pinned when a tracked
+// `U64Plus` engine began to count paths in `F` and to run both batch kinds
+// through Algorithm 1 on each entry's `(new − old, Δpresence)`: its
+// redistribution lost the root lanes (natural lanes only, each counted), a
+// `P2p` exchange of the difference blocks to the transposed rank appeared
+// (p − √p = 2 messages), its broadcast and gathered star blocks gained one
+// byte per entry, and its general batch and session delete left the filter
+// reduce, the `A^R` exchange and the masked rounds (fewer `Bcast` and
+// `Reduce` messages, fewer flops). No `C` moved; `engine_general_min_plus`
+// keeps Algorithm 2's row.
 
 /// Nothing fences inside a batch.
 fn volume(
@@ -209,9 +255,9 @@ fn volume(
     [p2p, bcast, gather, alltoall, reduce, (0, 0)]
 }
 
-fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
+fn algebraic_pinned(volume: Volume) -> Pinned {
     Pinned {
-        volume: volume((0, 0), (2010, 8), (3342, 4), (4293, 8), (reduce_bytes, 4)),
+        volume,
         flops: 1443,
         c_nnz: 1812,
         c_hash: 16329019101903906533,
@@ -220,30 +266,56 @@ fn algebraic_pinned(reduce_bytes: u64) -> Pinned {
 
 #[test]
 fn engine_algebraic_untracked() {
-    assert_eq!(engine_batch(false, algebraic), algebraic_pinned(2809));
+    let want = volume((0, 0), (2010, 8), (3342, 4), (4293, 8), (2809, 4));
+    assert_eq!(
+        engine_batch(false, algebraic::<U64Plus>),
+        algebraic_pinned(want)
+    );
 }
 
 #[test]
 fn engine_algebraic_tracked() {
-    assert_eq!(engine_batch(true, algebraic), algebraic_pinned(5105));
+    let want = volume((1094, 2), (2196, 8), (3436, 4), (2213, 8), (5105, 4));
+    assert_eq!(
+        engine_batch(true, algebraic::<U64Plus>),
+        algebraic_pinned(want)
+    );
 }
 
 #[test]
 fn engine_general() {
     let want = Pinned {
-        volume: volume((1268, 2), (6857, 18), (2166, 4), (5671, 8), (10834, 10)),
-        flops: 2868,
+        volume: volume((1332, 2), (2794, 8), (4612, 4), (3167, 8), (4078, 4)),
+        flops: 1692,
         c_nnz: 1309,
         c_hash: 17350063023210219168,
     };
-    assert_eq!(engine_batch(true, general), want);
+    assert_eq!(engine_batch(true, general::<U64Plus>), want);
+}
+
+/// Algorithm 2 itself, on a semiring without an exact inverse: the `U64Plus`
+/// rows above count paths and run Algorithm 1 on every batch, so this row
+/// holds the bytes of the filter reduce, the `A^R` exchange and the masked
+/// rounds. Captured before tracked `U64Plus` batches left Algorithm 2, and
+/// equal to `engine_general`'s row at that commit in all but the
+/// fingerprint: every message is shaped by patterns, and `f64` and `u64`
+/// values are both 8 B.
+#[test]
+fn engine_general_min_plus() {
+    let want = Pinned {
+        volume: volume((1268, 2), (6857, 18), (2166, 4), (5671, 8), (10834, 10)),
+        flops: 2868,
+        c_nnz: 1309,
+        c_hash: 6616017446337550622,
+    };
+    assert_eq!(engine_batch(true, general::<MinPlus>), want);
 }
 
 #[test]
 fn session_insert_edges() {
     let got = session_batch(|s, comm| drop(s.insert_edges(triples(80 + comm.rank() as u64, 24))));
     let want = Pinned {
-        volume: volume((0, 0), (2030, 8), (3807, 4), (2227, 8), (6201, 4)),
+        volume: volume((664, 2), (2216, 8), (3917, 4), (1150, 8), (6201, 4)),
         flops: 1371,
         c_nnz: 1746,
         c_hash: 14088288244150611198,
@@ -255,8 +327,8 @@ fn session_insert_edges() {
 fn session_delete_edges() {
     let got = session_batch(|s, comm| drop(s.delete_edges(existing(70 + comm.rank() as u64, 90))));
     let want = Pinned {
-        volume: volume((1073, 2), (6145, 18), (1481, 4), (2702, 8), (6648, 10)),
-        flops: 1621,
+        volume: volume((648, 2), (2696, 8), (2763, 4), (1464, 8), (5674, 4)),
+        flops: 1237,
         c_nnz: 738,
         c_hash: 6929140722947548998,
     };

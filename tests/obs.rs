@@ -10,7 +10,7 @@ use dspgemm::core::recovery::RecoveryConfig;
 use dspgemm::core::{Batch, DistMat, DynSpGemm, Grid, RecoveryReport};
 use dspgemm::mpi::Comm;
 use dspgemm::obs::{EventKind, SpanEvent};
-use dspgemm::sparse::semiring::U64Plus;
+use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
@@ -68,17 +68,34 @@ fn named<'a>(
 
 /// A pair engine over `n × n` operands that rank 0 feeds.
 fn pair_engine(grid: &Grid, n: Index, track_filter: bool) -> DynSpGemm<U64Plus> {
+    pair_engine_over::<U64Plus>(grid, n, track_filter, |x| x)
+}
+
+/// `t` with its values as `S` holds them.
+fn lifted<S: Semiring>(t: Vec<Triple<u64>>, lift: fn(u64) -> S::Elem) -> Vec<Triple<S::Elem>> {
+    t.into_iter()
+        .map(|t| Triple::new(t.row, t.col, lift(t.val)))
+        .collect()
+}
+
+/// [`pair_engine`] over any semiring, drawn values taken through `lift`.
+fn pair_engine_over<S: Semiring>(
+    grid: &Grid,
+    n: Index,
+    track_filter: bool,
+    lift: fn(u64) -> S::Elem,
+) -> DynSpGemm<S> {
     let mut timer = PhaseTimer::new();
     let feed = |s: u64| {
         if grid.world().rank() == 0 {
-            random_triples(s, n, 60)
+            lifted::<S>(random_triples(s, n, 60), lift)
         } else {
             vec![]
         }
     };
     let a = DistMat::from_global_triples(grid, n, n, feed(1), 1, &mut timer);
     let b = DistMat::from_global_triples(grid, n, n, feed(2), 1, &mut timer);
-    DynSpGemm::<U64Plus>::new(grid, a, b, 1, track_filter)
+    DynSpGemm::<S>::new(grid, a, b, 1, track_filter)
 }
 
 /// `PhaseTimer::merge` (sum) and `merge_max` (critical path) must carry
@@ -177,23 +194,23 @@ fn disabled_tracer_records_nothing() {
 }
 
 /// Tracing only reads clocks and counters: the same engine program — two
-/// Algorithm-1 batches and one Algorithm-2 batch, each published — run with
+/// Algorithm-1 batches and one general batch, each published — run with
 /// the tracer off and then on must gather the same `C` and send exactly the
-/// same bytes and messages.
-#[test]
-fn tracing_changes_neither_result_nor_wire_volume() {
-    let _g = tracer_lock();
+/// same bytes and messages. The general batch runs Algorithm 1 on path
+/// counts over `U64Plus` and Algorithm 2 over `MinPlus`.
+fn check_tracing_is_passive<S: Semiring>(lift: fn(u64) -> S::Elem) {
     let n: Index = 24;
     let program = |comm: &Comm| {
         let grid = Grid::new(comm);
         let me = comm.rank() as u64;
-        let mut eng = pair_engine(&grid, n, true);
+        let mut eng = pair_engine_over::<S>(&grid, n, true, lift);
         for s in [10 + me, 20 + me] {
-            eng.apply_algebraic(&grid, random_triples(s, n, 8), random_triples(s + 5, n, 8));
+            let (a_ups, b_ups) = (random_triples(s, n, 8), random_triples(s + 5, n, 8));
+            eng.apply_algebraic(&grid, lifted::<S>(a_ups, lift), lifted::<S>(b_ups, lift));
             eng.snapshot();
         }
         let upd = GeneralUpdates {
-            sets: random_triples(40 + me, n, 6),
+            sets: lifted::<S>(random_triples(40 + me, n, 6), lift),
             deletes: random_triples(50 + me, n, 4)
                 .into_iter()
                 .map(|t| (t.row, t.col))
@@ -203,22 +220,33 @@ fn tracing_changes_neither_result_nor_wire_volume() {
         eng.snapshot();
         eng.c.gather_to_root(comm)
     };
+    let name = S::name();
     let _ = dspgemm::obs::drain();
     let off = dspgemm::mpi::run(4, program);
     assert!(
         dspgemm::obs::drain().is_empty(),
-        "the untraced run recorded"
+        "{name}: the untraced run recorded"
     );
     let (on, events) = traced(4, program);
-    assert!(!events.is_empty(), "the traced run recorded nothing");
+    assert!(
+        !events.is_empty(),
+        "{name}: the traced run recorded nothing"
+    );
     let c = off.results[0].as_ref().expect("root gathers");
     assert!(!c.is_empty());
-    assert_eq!(Some(c), on.results[0].as_ref(), "tracing changed C");
+    assert_eq!(Some(c), on.results[0].as_ref(), "{name}: tracing changed C");
     assert_eq!(
         off.stats.volume(),
         on.stats.volume(),
-        "tracing changed the wire volume"
+        "{name}: tracing changed the wire volume"
     );
+}
+
+#[test]
+fn tracing_changes_neither_result_nor_wire_volume() {
+    let _g = tracer_lock();
+    check_tracing_is_passive::<U64Plus>(|x| x);
+    check_tracing_is_passive::<MinPlus>(|x| x as f64);
 }
 
 /// The virtual transposition (§V-C) on the timeline: a pair engine's

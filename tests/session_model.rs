@@ -3,19 +3,23 @@
 //! programs of inserts, general batches, deletions, recomputes, bare
 //! publishes and pins, each with one crash, run under recovery; after every
 //! step and every recovery `A` and `C` must equal
-//! the static `A · A`, every view reading must equal a fresh bootstrap on
-//! that static product, and every pinned epoch must stay bit-stable.
+//! the static `A · A`, `F`'s pattern `C`'s, every view reading must equal a
+//! fresh bootstrap on that static product, and every pinned epoch must stay
+//! bit-stable. The programs run over the ring `U64Plus`, where every batch
+//! is Algorithm 1 and `F` must hold the path counts of the product, and over
+//! `MinPlus`, where a general batch is Algorithm 2 and `F` holds Bloom bits.
 
 use dspgemm::analytics::{
     AnalyticsSession, BatchDelta, CommonNeighborsView, FrozenView, ScoreReading, SessionSnapshot,
     TriangleCountView, TriangleReading, View, ViewCx, ViewId,
 };
+use dspgemm::core::distmat::Elem;
 use dspgemm::core::dyn_general::GeneralUpdates;
 use dspgemm::core::recovery::{RecoveryConfig, RecoveryReport};
 use dspgemm::core::summa::summa_bloom;
-use dspgemm::core::Batch;
+use dspgemm::core::{Batch, DistMat};
 use dspgemm::mpi::{catch_comm_mut, run, Comm, CommError};
-use dspgemm::sparse::semiring::U64Plus;
+use dspgemm::sparse::semiring::{MinPlus, Semiring, U64Plus};
 use dspgemm::sparse::{Index, Triple};
 use dspgemm::util::rng::{Rng, SplitMix64};
 use dspgemm::util::stats::PhaseTimer;
@@ -27,33 +31,69 @@ use std::time::Duration;
 
 const N: Index = 24;
 
-type Matrix = BTreeMap<(Index, Index), u64>;
+type Matrix<V> = BTreeMap<(Index, Index), V>;
 type Session = AnalyticsSession<U64Plus>;
 
 const RECOVERY: RecoveryConfig = RecoveryConfig { anchor_period: 3 };
 
-fn product(a: &Matrix) -> Matrix {
+/// A semiring the session model runs on.
+trait Model: Semiring {
+    /// A drawn integer as a value.
+    fn lift(x: u64) -> Self::Elem;
+
+    /// A fresh triangle-count view, where the semiring serves one.
+    fn triangle_view() -> Option<Box<dyn View<Self>>>;
+}
+
+impl Model for U64Plus {
+    fn lift(x: u64) -> u64 {
+        x
+    }
+
+    fn triangle_view() -> Option<Box<dyn View<Self>>> {
+        Some(Box::new(TriangleCountView::new()))
+    }
+}
+
+impl Model for MinPlus {
+    fn lift(x: u64) -> f64 {
+        x as f64
+    }
+
+    fn triangle_view() -> Option<Box<dyn View<Self>>> {
+        None
+    }
+}
+
+/// `a · b` over `S`, entry by entry.
+fn product<S: Semiring>(a: &Matrix<S::Elem>, b: &Matrix<S::Elem>) -> Matrix<S::Elem> {
     let mut c = Matrix::new();
     for (&(i, k), &x) in a {
-        for (&(_, j), &y) in a.range((k, 0)..(k + 1, 0)) {
-            *c.entry((i, j)).or_insert(0) += x * y;
+        for (&(_, j), &y) in b.range((k, 0)..(k + 1, 0)) {
+            add_into::<S>(&mut c, (i, j), S::mul(x, y));
         }
     }
     c
 }
 
-fn triples_of(m: &Matrix) -> Vec<Triple<u64>> {
+/// `m[k] += x` over `S`, an absent entry standing for `S::zero()`.
+fn add_into<S: Semiring>(m: &mut Matrix<S::Elem>, k: (Index, Index), x: S::Elem) {
+    let e = m.entry(k).or_insert(S::zero());
+    *e = S::add(*e, x);
+}
+
+fn triples_of<V: Copy>(m: &Matrix<V>) -> Vec<Triple<V>> {
     m.iter().map(|(&(i, j), &v)| Triple::new(i, j, v)).collect()
 }
 
 /// Algebraic tuples, every other one in the top-left third: a skewed
 /// stream.
-fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
+fn algebraic_tuples<S: Model>(rng: &mut SplitMix64, count: usize) -> Vec<Triple<S::Elem>> {
     (0..count)
         .map(|t| {
             let span = if t % 2 == 0 { N as u64 / 3 } else { N as u64 };
             let (i, j) = (rng.gen_range(span), rng.gen_range(span));
-            Triple::new(i as Index, j as Index, rng.gen_range(3) + 1)
+            Triple::new(i as Index, j as Index, S::lift(rng.gen_range(3) + 1))
         })
         .collect()
 }
@@ -61,7 +101,12 @@ fn algebraic_tuples(rng: &mut SplitMix64, count: usize) -> Vec<Triple<u64>> {
 /// General updates of `m` by `rank`: deletions of present entries and value
 /// writes, all in the rows `i ≡ rank (mod p)` and on distinct positions, so
 /// no two ranks' updates of one batch conflict.
-fn general_updates(m: &Matrix, rng: &mut SplitMix64, p: usize, rank: usize) -> GeneralUpdates<u64> {
+fn general_updates<S: Model>(
+    m: &Matrix<S::Elem>,
+    rng: &mut SplitMix64,
+    p: usize,
+    rank: usize,
+) -> GeneralUpdates<S::Elem> {
     let mut upd = GeneralUpdates::new();
     let present: Vec<_> = m
         .keys()
@@ -81,7 +126,8 @@ fn general_updates(m: &Matrix, rng: &mut SplitMix64, p: usize, rank: usize) -> G
         let i = rows[rng.gen_range(rows.len() as u64) as usize];
         let j = rng.gen_range(N as u64) as Index;
         if !upd.deletes.contains(&(i, j)) && !upd.sets.iter().any(|t| (t.row, t.col) == (i, j)) {
-            upd.sets.push(Triple::new(i, j, rng.gen_range(9) + 1));
+            upd.sets
+                .push(Triple::new(i, j, S::lift(rng.gen_range(9) + 1)));
         }
     }
     upd
@@ -126,24 +172,24 @@ struct Step {
 
 /// One rank's share of one step's updates.
 #[derive(Debug, Clone)]
-enum Input {
-    Algebraic(Vec<Triple<u64>>),
-    General(GeneralUpdates<u64>),
+enum Input<V> {
+    Algebraic(Vec<Triple<V>>),
+    General(GeneralUpdates<V>),
     Nothing,
 }
 
 /// A session program: its steps, every rank's inputs, the candidate pairs
 /// of the common-neighbour view, and the oracle — `A` before the first step
 /// and after each.
-struct Program {
+struct Program<S: Model> {
     steps: Vec<Step>,
     /// `inputs[step][rank]`.
-    inputs: Vec<Vec<Input>>,
+    inputs: Vec<Vec<Input<S::Elem>>>,
     candidates: Vec<(Index, Index)>,
-    expected: Vec<Matrix>,
+    expected: Vec<Matrix<S::Elem>>,
 }
 
-impl Program {
+impl<S: Model> Program<S> {
     /// A seeded program of `len` random steps with one crash at a random
     /// step, rank and send.
     fn random(p: usize, seed: u64, len: usize) -> Self {
@@ -159,7 +205,7 @@ impl Program {
             })
             .collect();
         let mut a = Matrix::new();
-        for t in algebraic_tuples(&mut rng, 70) {
+        for t in algebraic_tuples::<S>(&mut rng, 70) {
             a.insert((t.row, t.col), t.val);
         }
         let candidates = (0..40)
@@ -171,14 +217,14 @@ impl Program {
         let mut expected = vec![a.clone()];
         let mut inputs = Vec::new();
         for step in &steps {
-            let per_rank: Vec<Input> = (0..p)
+            let per_rank: Vec<Input<S::Elem>> = (0..p)
                 .map(|rank| match step.op {
                     Op::Insert | Op::SessionInsert => {
-                        Input::Algebraic(algebraic_tuples(&mut rng, 4))
+                        Input::Algebraic(algebraic_tuples::<S>(&mut rng, 4))
                     }
-                    Op::General => Input::General(general_updates(&a, &mut rng, p, rank)),
+                    Op::General => Input::General(general_updates::<S>(&a, &mut rng, p, rank)),
                     Op::SessionDelete => {
-                        let upd = general_updates(&a, &mut rng, p, rank);
+                        let upd = general_updates::<S>(&a, &mut rng, p, rank);
                         Input::General(GeneralUpdates {
                             sets: Vec::new(),
                             deletes: upd.deletes,
@@ -191,7 +237,7 @@ impl Program {
                 match input {
                     Input::Algebraic(ts) => {
                         for t in ts {
-                            *a.entry((t.row, t.col)).or_insert(0) += t.val;
+                            add_into::<S>(&mut a, (t.row, t.col), t.val);
                         }
                     }
                     Input::General(upd) => {
@@ -221,91 +267,122 @@ impl Program {
     }
 }
 
-/// The views every program registers.
+/// The views every program registers: the triangle count where the
+/// semiring serves one, and the common-neighbour scores.
 struct Views {
-    tri: ViewId,
+    tri: Option<ViewId>,
     cn: ViewId,
 }
 
-/// This rank's sorted candidate scores from a common-neighbour reading.
-fn sorted_scores(mut scores: Vec<(Index, Index, u64)>) -> Vec<(Index, Index, u64)> {
-    scores.sort_unstable();
+/// This rank's candidate scores from a common-neighbour reading, in
+/// candidate order.
+fn sorted_scores<V>(mut scores: Vec<(Index, Index, V)>) -> Vec<(Index, Index, V)> {
+    scores.sort_unstable_by_key(|&(u, w, _)| (u, w));
     scores
 }
 
-fn live_tri(s: &Session, v: &Views) -> u64 {
-    s.view_as::<TriangleCountView>(v.tri).unwrap().masked_sum()
+fn live_tri<S: Semiring>(s: &AnalyticsSession<S>, v: &Views) -> Option<u64> {
+    let tri = |id| s.view_as::<TriangleCountView>(id).unwrap().masked_sum();
+    v.tri.map(tri)
 }
 
-fn live_cn(s: &Session, v: &Views) -> Vec<(Index, Index, u64)> {
-    let view = s.view_as::<CommonNeighborsView<U64Plus>>(v.cn).unwrap();
+fn live_cn<S: Semiring>(s: &AnalyticsSession<S>, v: &Views) -> Vec<(Index, Index, S::Elem)> {
+    let view = s.view_as::<CommonNeighborsView<S>>(v.cn).unwrap();
     sorted_scores(view.local_scores().collect())
 }
 
 /// What an epoch reads: this rank's `C` block, the triangle view's masked
 /// sum and this rank's common-neighbour scores.
 #[derive(Debug, PartialEq)]
-struct Reading {
-    c: Vec<Triple<u64>>,
-    tri: u64,
-    cn: Vec<(Index, Index, u64)>,
+struct Reading<V> {
+    c: Vec<Triple<V>>,
+    tri: Option<u64>,
+    cn: Vec<(Index, Index, V)>,
 }
 
-fn read_epoch(snap: &SessionSnapshot<U64Plus>, v: &Views) -> Reading {
-    let cn = snap.view_as::<ScoreReading<U64Plus>>(v.cn).unwrap();
+fn read_epoch<S: Semiring>(snap: &SessionSnapshot<S>, v: &Views) -> Reading<S::Elem> {
+    let cn = snap.view_as::<ScoreReading<S>>(v.cn).unwrap();
+    let tri = |id| snap.view_as::<TriangleReading>(id).unwrap().masked_sum();
     Reading {
         c: snap.product().block().to_triples(),
-        tri: snap.view_as::<TriangleReading>(v.tri).unwrap().masked_sum(),
+        tri: v.tri.map(tri),
         cn: sorted_scores(cn.local_scores().to_vec()),
     }
 }
 
 /// One pinned epoch and what it read at pin time.
-struct Pin {
-    snap: Arc<SessionSnapshot<U64Plus>>,
-    seen: Reading,
+struct Pin<S: Semiring> {
+    snap: Arc<SessionSnapshot<S>>,
+    seen: Reading<S::Elem>,
 }
 
-fn pin(s: &Session, v: &Views) -> Pin {
+fn pin<S: Semiring>(s: &AnalyticsSession<S>, v: &Views) -> Pin<S> {
     let snap = s.pin();
     let seen = read_epoch(&snap, v);
     Pin { snap, seen }
 }
 
+/// Asserts that this rank's block of `mat` is `want`'s.
+fn check_block<V: Elem>(mat: &DistMat<V>, want: &Matrix<V>, what: &str) {
+    let info = mat.info();
+    let mine: Vec<Triple<V>> = want
+        .iter()
+        .filter(|(k, _)| info.row_range.contains(&k.0) && info.col_range.contains(&k.1))
+        .map(|(&(i, j), &x)| Triple::new(i, j, x))
+        .collect();
+    assert_eq!(mat.to_global_triples(), mine, "{what}");
+}
+
 /// Asserts, locally, that this rank's blocks of `A` and `C` equal the
-/// oracle's, that each view reads what a bootstrap on the oracle's `A` and
+/// oracle's, that `F`'s pattern is `C`'s — and over a ring that `F` holds
+/// every entry's path count, the `U64Plus` product of `A`'s 0/1 pattern with
+/// itself — that each view reads what a bootstrap on the oracle's `A` and
 /// `A · A` reads (the triangle view's full masked sum; the common-neighbour
 /// view's candidates this rank's block owns, with their product entries),
 /// that the latest epoch froze those readings, and that every pin is
 /// unchanged.
-fn check_state(
-    s: &Session,
+fn check_state<S: Model>(
+    s: &AnalyticsSession<S>,
     v: &Views,
     cands: &[(Index, Index)],
-    a: &Matrix,
-    pins: &[Pin],
+    a: &Matrix<S::Elem>,
+    pins: &[Pin<S>],
     at: &str,
 ) {
-    let c = product(a);
-    for (name, mat, want) in [("A", s.adjacency(), a), ("C", s.product(), &c)] {
-        let info = mat.info();
-        let mine: Vec<Triple<u64>> = want
-            .iter()
-            .filter(|(k, _)| info.row_range.contains(&k.0) && info.col_range.contains(&k.1))
-            .map(|(&(i, j), &x)| Triple::new(i, j, x))
-            .collect();
-        assert_eq!(
-            mat.to_global_triples(),
-            mine,
-            "{at}: {name} diverged from the static A·A"
+    let c = product::<S>(a, a);
+    check_block(
+        s.adjacency(),
+        a,
+        &format!("{at}: A diverged from the static A·A"),
+    );
+    check_block(
+        s.product(),
+        &c,
+        &format!("{at}: C diverged from the static A·A"),
+    );
+    let f = s.f.as_ref().expect("a session tracks F");
+    if S::NEG.is_some() {
+        let ones: Matrix<u64> = a.keys().map(|&k| (k, 1)).collect();
+        let counts = product::<U64Plus>(&ones, &ones);
+        check_block(
+            f,
+            &counts,
+            &format!("{at}: F diverged from the path counts"),
         );
     }
-    let masked = a.keys().fold(0u64, |acc, k| {
-        acc.wrapping_add(c.get(k).copied().unwrap_or(0))
+    let f_keys = f.to_global_triples().into_iter().map(|t| (t.row, t.col));
+    let c_keys = s
+        .product()
+        .to_global_triples()
+        .into_iter()
+        .map(|t| (t.row, t.col));
+    assert!(f_keys.eq(c_keys), "{at}: F's pattern is not C's");
+    let masked = a.keys().fold(S::zero(), |acc, k| {
+        S::add(acc, c.get(k).copied().unwrap_or(S::zero()))
     });
     assert_eq!(
-        live_tri(s, v),
-        masked,
+        live_tri(s, v).map(S::lift),
+        v.tri.map(|_| masked),
         "{at}: the triangle view diverged from a bootstrap"
     );
     let info = s.product().info();
@@ -340,16 +417,24 @@ fn check_state(
 
 /// Bootstraps fresh views on a static recompute of the session's `A` and
 /// asserts the live views read the same. Collective.
-fn check_fresh_bootstrap(s: &Session, v: &Views, cands: &[(Index, Index)], at: &str) {
+fn check_fresh_bootstrap<S: Model>(
+    s: &AnalyticsSession<S>,
+    v: &Views,
+    cands: &[(Index, Index)],
+    at: &str,
+) {
     let grid = s.grid();
     let a = s.adjacency();
-    let (c, _, _) = summa_bloom::<U64Plus>(grid, a, a, 1, &mut PhaseTimer::new());
+    let (c, _, _) = summa_bloom::<S>(grid, a, a, 1, &mut PhaseTimer::new());
     let cx = ViewCx { grid, a, c: &c };
-    let mut tri = TriangleCountView::new();
-    View::<U64Plus>::bootstrap(&mut tri, &cx);
-    let mut cn = CommonNeighborsView::<U64Plus>::new(cands.to_vec());
+    let tri = S::triangle_view().map(|mut tri| {
+        tri.bootstrap(&cx);
+        let tri = tri.as_any().downcast_ref::<TriangleCountView>();
+        tri.expect("a triangle view").masked_sum()
+    });
+    let mut cn = CommonNeighborsView::<S>::new(cands.to_vec());
     cn.bootstrap(&cx);
-    assert_eq!(live_tri(s, v), tri.masked_sum(), "{at}: triangle view");
+    assert_eq!(live_tri(s, v), tri, "{at}: triangle view");
     assert_eq!(
         live_cn(s, v),
         sorted_scores(cn.local_scores().collect()),
@@ -358,7 +443,11 @@ fn check_fresh_bootstrap(s: &Session, v: &Views, cands: &[(Index, Index)], at: &
 }
 
 /// Runs one step's operation and its publish.
-fn apply_step(s: &mut Session, op: Op, input: &Input) -> Result<(), CommError> {
+fn apply_step<S: Model>(
+    s: &mut AnalyticsSession<S>,
+    op: Op,
+    input: &Input<S::Elem>,
+) -> Result<(), CommError> {
     match (op, input.clone()) {
         (Op::SessionInsert, Input::Algebraic(t)) => {
             return catch_comm_mut(|| s.insert_edges(t)).map(drop)
@@ -384,9 +473,9 @@ fn apply_step(s: &mut Session, op: Op, input: &Input) -> Result<(), CommError> {
 
 /// What one rank observed over a program.
 #[derive(Debug)]
-struct Outcome {
+struct Outcome<V> {
     reports: Vec<RecoveryReport>,
-    final_c: Option<Vec<Triple<u64>>>,
+    final_c: Option<Vec<Triple<V>>>,
 }
 
 /// Drives `prog` on this rank with recovery on: recovers from the armed
@@ -394,16 +483,16 @@ struct Outcome {
 /// state after every step and every recovery. Fresh bootstraps are
 /// collective, so they run where no crash can land in them: before the
 /// crash step, after the recovery, at the end.
-fn drive(comm: &Comm, prog: &Program) -> Outcome {
+fn drive<S: Model>(comm: &Comm, prog: &Program<S>) -> Outcome<S::Elem> {
     let me = comm.rank();
     let feed = if me == 0 {
         triples_of(&prog.expected[0])
     } else {
         vec![]
     };
-    let mut s = Session::from_triples(comm, N, 1, feed);
+    let mut s = AnalyticsSession::<S>::from_triples(comm, N, 1, feed);
     let v = Views {
-        tri: s.register(Box::new(TriangleCountView::new())),
+        tri: S::triangle_view().map(|tri| s.register(tri)),
         cn: s.register(Box::new(CommonNeighborsView::new(prog.candidates.clone()))),
     };
     let cands = &prog.candidates;
@@ -412,11 +501,11 @@ fn drive(comm: &Comm, prog: &Program) -> Outcome {
         e.enable_recovery(grid, RECOVERY)
     };
     let crash_step = prog.crash_step();
-    let mut pins: VecDeque<Pin> = VecDeque::new();
+    let mut pins: VecDeque<Pin<S>> = VecDeque::new();
     let mut reports = Vec::new();
-    // Step `st` publishes epoch `base.1 + (st - base.0)`: epochs 0–2 are the
-    // construction and the two registrations.
-    let (mut st, mut base) = (0usize, (0usize, 3u64));
+    // Step `st` publishes epoch `base.1 + (st - base.0)`: the construction
+    // and each registration published the epochs before it.
+    let (mut st, mut base) = (0usize, (0usize, s.epoch() + 1));
     let mut armed = false;
     loop {
         if let Err(err) = res {
@@ -494,7 +583,7 @@ impl Drop for SeedGuard {
 
 /// Runs `prog` at `p` under a watchdog (a rank that skips a collective its
 /// peers run deadlocks the grid) and asserts what must agree across ranks.
-fn check_program(p: usize, prog: Program) -> Vec<Outcome> {
+fn check_program<S: Model>(p: usize, prog: Program<S>) -> Vec<Outcome<S::Elem>> {
     let prog = Arc::new(prog);
     let (tx, rx) = mpsc::channel();
     let shared = Arc::clone(&prog);
@@ -517,25 +606,39 @@ fn check_program(p: usize, prog: Program) -> Vec<Outcome> {
         );
         assert!(o.reports.len() <= 1, "one crash, at most one recovery");
     }
-    let want = triples_of(&product(prog.expected.last().expect("initial state")));
+    let last = prog.expected.last().expect("initial state");
+    let want = triples_of(&product::<S>(last, last));
     assert_eq!(first.final_c.as_ref(), Some(&want), "final C diverged");
     results
 }
 
-/// The session model test: seeded programs at p ∈ {4, 9}, recovery on, one
-/// crash each.
-#[test]
-fn session_programs_match_static_recompute() {
+/// Runs the seeded programs at p ∈ {4, 9}, recovery on, one crash each,
+/// over `S`.
+fn check_programs<S: Model>() {
     let mut recovered = 0;
     for (p, seeds) in [(4usize, 1..=8u64), (9, 1..=4)] {
         for seed in seeds {
-            let _guard = SeedGuard(format!("p={p} seed={seed}"));
-            let out = check_program(p, Program::random(p, seed, 14));
+            let _guard = SeedGuard(format!("{} p={p} seed={seed}", S::name()));
+            let out = check_program(p, Program::<S>::random(p, seed, 14));
             recovered += out[0].reports.len();
         }
     }
     // The programs exercise what they claim to.
     assert!(recovered >= 6, "only {recovered} programs recovered");
+}
+
+/// The session model test over `U64Plus`: every batch runs Algorithm 1 on
+/// path counts, and the triangle view serves every batch.
+#[test]
+fn session_programs_match_static_recompute() {
+    check_programs::<U64Plus>();
+}
+
+/// The session model test over `MinPlus`: general batches and deletions run
+/// Algorithm 2, and its change feed refreshes the common-neighbour view.
+#[test]
+fn session_programs_match_static_recompute_min_plus() {
+    check_programs::<MinPlus>();
 }
 
 /// Counts its freezes since its last bootstrap. Every publish freezes every
@@ -579,7 +682,7 @@ fn replayed_epochs_omit_views_registered_after_them() {
         s.register(Box::new(TriangleCountView::new()));
         let (grid, e) = s.engine_mut();
         e.enable_recovery(grid, RECOVERY).expect("fault-free");
-        s.insert_edges(algebraic_tuples(&mut rng, 6));
+        s.insert_edges(algebraic_tuples::<U64Plus>(&mut rng, 6));
         let log = s.register(Box::new(FreezeLog { freezes: 0 }));
         let registered = s.epoch();
         let published = registered + 1;
@@ -590,7 +693,7 @@ fn replayed_epochs_omit_views_registered_after_them() {
             if comm.rank() == 1 {
                 comm.arm_crash(1);
             }
-            s.insert_edges(algebraic_tuples(&mut rng, 6));
+            s.insert_edges(algebraic_tuples::<U64Plus>(&mut rng, 6));
         })
         .expect_err("rank 1 crashed in the batch");
         let (grid, e) = s.engine_mut();
